@@ -177,36 +177,9 @@ pub struct ThreadConfig {
     pub checkpoint_threads: usize,
     /// Output threads sharing the send load.
     pub output_threads: usize,
-    /// How long a batch assembler waits before flushing a partial batch,
-    /// in microseconds.
-    pub batch_flush_after_us: u64,
-    /// Queue polling granularity while checking for shutdown, in
-    /// microseconds.
-    pub poll_interval_us: u64,
-    /// Maximum committed sequences the parallel executor schedules in one
-    /// conflict graph (the in-order window). Only meaningful with
-    /// `execute_threads ≥ 2`.
-    pub execute_window: usize,
-    /// Maximum pending signed messages an input or batch thread drains and
-    /// verifies as one crypto batch. `1` disables batching (every message
-    /// is verified individually); larger windows amortize the shared
-    /// doubling chain of Ed25519 batch verification across the window.
-    pub verify_window: usize,
 }
 
 impl ThreadConfig {
-    /// Default partial-batch flush delay (the value previously hardcoded
-    /// in the replica runtime): 1 ms.
-    pub const DEFAULT_BATCH_FLUSH_AFTER_US: u64 = 1_000;
-    /// Default shutdown-check polling granularity: 20 ms.
-    pub const DEFAULT_POLL_INTERVAL_US: u64 = 20_000;
-    /// Default parallel-execution scheduling window: 4 sequences.
-    pub const DEFAULT_EXECUTE_WINDOW: usize = 4;
-    /// Default signature-verification batching window: 32 messages (past
-    /// ~32 signatures the per-signature amortization of Ed25519 batch
-    /// verification has flattened out).
-    pub const DEFAULT_VERIFY_WINDOW: usize = 32;
-
     /// The paper's standard pipeline: one worker, one execute (`1E`), two
     /// batch-threads (`2B`), one client-input + two replica-input threads,
     /// two output threads and one checkpoint thread.
@@ -219,10 +192,6 @@ impl ThreadConfig {
             execute_threads: 1,
             checkpoint_threads: 1,
             output_threads: 2,
-            batch_flush_after_us: Self::DEFAULT_BATCH_FLUSH_AFTER_US,
-            poll_interval_us: Self::DEFAULT_POLL_INTERVAL_US,
-            execute_window: Self::DEFAULT_EXECUTE_WINDOW,
-            verify_window: Self::DEFAULT_VERIFY_WINDOW,
         }
     }
 
@@ -245,21 +214,7 @@ impl ThreadConfig {
             execute_threads: 0,
             checkpoint_threads: 0,
             output_threads: 1,
-            batch_flush_after_us: Self::DEFAULT_BATCH_FLUSH_AFTER_US,
-            poll_interval_us: Self::DEFAULT_POLL_INTERVAL_US,
-            execute_window: Self::DEFAULT_EXECUTE_WINDOW,
-            verify_window: Self::DEFAULT_VERIFY_WINDOW,
         }
-    }
-
-    /// How long a batch assembler waits before flushing a partial batch.
-    pub fn batch_flush_after(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.batch_flush_after_us)
-    }
-
-    /// Queue polling granularity while checking for shutdown.
-    pub fn poll_interval(&self) -> std::time::Duration {
-        std::time::Duration::from_micros(self.poll_interval_us)
     }
 
     /// Total threads a primary replica runs under this configuration.
@@ -493,21 +448,6 @@ impl SystemConfig {
                 "need input and output threads".into(),
             ));
         }
-        if self.threads.poll_interval_us == 0 {
-            return Err(CommonError::InvalidConfig(
-                "poll_interval_us must be positive".into(),
-            ));
-        }
-        if self.threads.execute_threads >= 2 && self.threads.execute_window == 0 {
-            return Err(CommonError::InvalidConfig(
-                "execute_window must be positive when running parallel execution".into(),
-            ));
-        }
-        if self.threads.verify_window == 0 {
-            return Err(CommonError::InvalidConfig(
-                "verify_window must be positive (1 disables verify batching)".into(),
-            ));
-        }
         if self.ops_per_txn == 0 {
             return Err(CommonError::InvalidConfig(
                 "ops_per_txn must be positive".into(),
@@ -606,34 +546,6 @@ mod tests {
         let mut c = SystemConfig::new(4).unwrap();
         c.f = 3; // inconsistent with n=4
         assert!(c.validate().is_err());
-
-        let mut c = SystemConfig::new(4).unwrap();
-        c.threads.poll_interval_us = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = SystemConfig::new(4).unwrap();
-        c.threads.execute_threads = 4;
-        c.threads.execute_window = 0;
-        assert!(c.validate().is_err());
-        c.threads.execute_window = 2;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn flush_and_poll_defaults_match_previous_constants() {
-        let t = ThreadConfig::standard();
-        assert_eq!(
-            t.batch_flush_after(),
-            std::time::Duration::from_millis(1),
-            "default flush delay is the old BATCH_FLUSH_AFTER constant"
-        );
-        assert_eq!(
-            t.poll_interval(),
-            std::time::Duration::from_millis(20),
-            "default poll granularity is the old POLL constant"
-        );
-        assert_eq!(t.execute_window, 4);
-        assert_eq!(ThreadConfig::monolithic().poll_interval_us, 20_000);
     }
 
     #[test]

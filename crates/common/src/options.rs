@@ -19,7 +19,9 @@
 //! binary all consume the same struct, and [`NodeOptions::validate`] is
 //! the single place cross-field consistency is checked. The `rdb-node`
 //! config file carries a `[node]` section parsed by
-//! [`NodeOptions::apply_toml`] alongside the existing `[peers]` section.
+//! [`NodeOptions::apply_toml`] alongside the existing `[peers]` section;
+//! its keys and `rdb-node`'s equivalent flags are both parsed by
+//! [`NodeOptions::set`], the one place option values are read from text.
 
 use crate::config::{CryptoScheme, FsyncMode, ProtocolKind, SystemConfig, ThreadConfig};
 use crate::error::{CommonError, Result};
@@ -333,7 +335,7 @@ impl NodeOptions {
     /// ```toml
     /// [node]
     /// protocol = "zyzzyva"        # or "pbft"
-    /// crypto = "cmac-ed25519"     # "nocrypto" | "ed25519" | "rsa"
+    /// crypto = "cmac-ed25519"     # or "cmac" | "nocrypto" | "ed25519" | "rsa"
     /// batch_size = 100
     /// checkpoint_interval = 10000
     /// consensus_instances = 1
@@ -377,12 +379,19 @@ impl NodeOptions {
             })?;
             let key = key.trim();
             let value = value.trim().trim_matches('"');
-            self.apply_key(key, value)?;
+            self.set(key, value)?;
         }
         Ok(())
     }
 
-    fn apply_key(&mut self, key: &str, value: &str) -> Result<()> {
+    /// Sets one option from its textual form — the single parser behind
+    /// both the `[node]` section's `key = value` lines and `rdb-node`'s
+    /// `--key value` flags, so the two cannot drift apart.
+    ///
+    /// # Errors
+    /// Returns `InvalidConfig` for an unknown key or a value the key
+    /// cannot take.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<()> {
         let bad = |what: &str| {
             CommonError::InvalidConfig(format!("node key '{key}': bad {what} '{value}'"))
         };
@@ -399,7 +408,9 @@ impl NodeOptions {
                     "nocrypto" | "none" => CryptoScheme::NoCrypto,
                     "ed25519" => CryptoScheme::Ed25519,
                     "rsa" => CryptoScheme::Rsa,
-                    "cmac-ed25519" | "cmac_ed25519" | "cmac+ed25519" => CryptoScheme::CmacEd25519,
+                    "cmac" | "cmac-ed25519" | "cmac_ed25519" | "cmac+ed25519" => {
+                        CryptoScheme::CmacEd25519
+                    }
                     _ => return Err(bad("crypto scheme")),
                 }
             }
@@ -656,6 +667,24 @@ client_queue_capacity = 1024
         assert!(opts.apply_toml("[node]\nbatch_size = ten\n").is_err());
         assert!(opts.apply_toml("[node]\nprotocol = \"raft\"\n").is_err());
         assert!(opts.apply_toml("[node]\njust a line\n").is_err());
+    }
+
+    #[test]
+    fn set_accepts_every_spelling_the_flags_and_the_file_ever_took() {
+        let mut opts = NodeOptions::new(four_peers()).unwrap();
+        // `--crypto cmac` was flag-only and `crypto = "cmac-ed25519"`
+        // file-only before the two parsers merged.
+        for spelling in ["cmac", "cmac-ed25519", "cmac_ed25519", "CMAC+ED25519"] {
+            opts.system.crypto = CryptoScheme::NoCrypto;
+            opts.set("crypto", spelling).unwrap();
+            assert_eq!(opts.system.crypto, CryptoScheme::CmacEd25519, "{spelling}");
+        }
+        opts.set("crypto", "none").unwrap();
+        assert_eq!(opts.system.crypto, CryptoScheme::NoCrypto);
+        opts.set("client_keys", "16").unwrap();
+        assert_eq!((opts.client_keys, opts.system.num_clients), (16, 16));
+        assert!(opts.set("crypto", "rot13").is_err());
+        assert!(opts.set("no_such_key", "1").is_err());
     }
 
     #[test]

@@ -74,7 +74,7 @@ impl MultiEngine {
     }
 
     /// Which instance owns global sequence `seq`.
-    fn owner(&self, seq: SeqNum) -> usize {
+    pub fn owner(&self, seq: SeqNum) -> usize {
         if seq.0 == 0 {
             0
         } else {

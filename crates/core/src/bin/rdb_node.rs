@@ -8,8 +8,9 @@
 //! the peer map, seed and crypto scheme so they derive identical keys.
 //!
 //! Configuration is the unified `NodeOptions`: the `--peers` file may
-//! carry a `[node]` section alongside `[peers]`, and the individual flags
-//! below override it (they predate the section and are kept as aliases).
+//! carry a `[node]` section alongside `[peers]`, and every `[node]` key is
+//! also a flag (`batch_size` ⇔ `--batch-size`) that overrides it — both
+//! spellings go through `NodeOptions::set`.
 //!
 //! ```text
 //! # replica 0 of a 4-replica cluster
@@ -43,9 +44,7 @@
 //!       tps=2460.0 p50_us=41000 p95_us=95000 p99_us=120000
 //! ```
 
-use rdb_common::{
-    ClientId, CryptoScheme, FsyncMode, NodeOptions, PeerMap, ProtocolKind, ReplicaId,
-};
+use rdb_common::{ClientId, NodeOptions, PeerMap, ReplicaId};
 use resilientdb::scenario::{FaultPlan, Mark};
 use resilientdb::{
     connect_client, run_swarm, start_replica, swarm_net, SwarmConfig, SwarmReport, SystemBuilder,
@@ -59,24 +58,14 @@ struct Args {
     /// Raw text of the `--peers` file (if it was a file): carries the
     /// optional `[node]` section.
     config_text: Option<String>,
-    // [node]-equivalent flag overrides (None = not given, use file/default)
-    protocol: Option<ProtocolKind>,
-    crypto: Option<CryptoScheme>,
-    batch_size: Option<usize>,
-    client_keys: Option<usize>,
-    seed: Option<u64>,
-    table_size: Option<u64>,
-    event_loops: Option<usize>,
-    consensus_instances: Option<usize>,
+    /// `[node]`-equivalent flags in command-line order, as `(flag, value)`.
+    node_flags: Vec<(String, String)>,
     // replica knobs
     exit_after_txns: Option<u64>,
     report_every_ms: u64,
     run_secs: u64,
     linger_ms: u64,
     fault_plan: Option<String>,
-    data_dir: Option<String>,
-    fsync: Option<FsyncMode>,
-    group_commit_window_us: Option<u64>,
     // client knobs
     client_id: u64,
     txns: u64,
@@ -103,7 +92,7 @@ options:
   --peers <spec|file>     0=host:port,1=host:port,… or a TOML file with
                           [peers] and an optional [node] section
   --protocol <p>          pbft (default) | zyzzyva
-  --crypto <c>            cmac (default) | ed25519 | rsa | nocrypto
+  --crypto <c>            cmac-ed25519 (default; also cmac) | ed25519 | rsa | nocrypto
   --batch-size <n>        transactions per consensus batch (default 20)
   --client-keys <n>       client identities to derive keys for (default 8)
   --seed <n>              deterministic key seed, identical cluster-wide (default 42)
@@ -160,22 +149,12 @@ fn parse_args() -> Args {
         role: Role::Client,
         peers: PeerMap::new(),
         config_text: None,
-        protocol: None,
-        crypto: None,
-        batch_size: None,
-        client_keys: None,
-        seed: None,
-        table_size: None,
-        event_loops: None,
-        consensus_instances: None,
+        node_flags: Vec::new(),
         exit_after_txns: None,
         report_every_ms: 1_000,
         run_secs: 600,
         linger_ms: 2_000,
         fault_plan: None,
-        data_dir: None,
-        fsync: None,
-        group_commit_window_us: None,
         client_id: 0,
         txns: 100,
         burst: None,
@@ -242,46 +221,25 @@ fn parse_args() -> Args {
                     }
                 }
             }
-            "--protocol" => {
+            "--protocol"
+            | "--crypto"
+            | "--batch-size"
+            | "--client-keys"
+            | "--seed"
+            | "--table-size"
+            | "--event-loops"
+            | "--consensus-instances"
+            | "--data-dir"
+            | "--fsync"
+            | "--group-commit-window-us" => {
                 let v = value!();
-                args.protocol = Some(match v.as_str() {
-                    "pbft" => ProtocolKind::Pbft,
-                    "zyzzyva" => ProtocolKind::Zyzzyva,
-                    _ => bad(&flag, &v),
-                });
+                args.node_flags.push((flag, v));
             }
-            "--crypto" => {
-                let v = value!();
-                args.crypto = Some(match v.as_str() {
-                    "cmac" => CryptoScheme::CmacEd25519,
-                    "ed25519" => CryptoScheme::Ed25519,
-                    "rsa" => CryptoScheme::Rsa,
-                    "nocrypto" => CryptoScheme::NoCrypto,
-                    _ => bad(&flag, &v),
-                });
-            }
-            "--batch-size" => args.batch_size = Some(parsed!()),
-            "--client-keys" => args.client_keys = Some(parsed!()),
-            "--seed" => args.seed = Some(parsed!()),
-            "--table-size" => args.table_size = Some(parsed!()),
-            "--event-loops" => args.event_loops = Some(parsed!()),
-            "--consensus-instances" => args.consensus_instances = Some(parsed!()),
             "--exit-after-txns" => args.exit_after_txns = Some(parsed!()),
             "--report-every-ms" => args.report_every_ms = parsed!(),
             "--run-secs" => args.run_secs = parsed!(),
             "--linger-ms" => args.linger_ms = parsed!(),
             "--fault-plan" => args.fault_plan = Some(value!()),
-            "--data-dir" => args.data_dir = Some(value!()),
-            "--fsync" => {
-                let v = value!();
-                args.fsync = Some(match v.as_str() {
-                    "always" => FsyncMode::Always,
-                    "group" => FsyncMode::Group,
-                    "never" => FsyncMode::Never,
-                    _ => bad(&flag, &v),
-                });
-            }
-            "--group-commit-window-us" => args.group_commit_window_us = Some(parsed!()),
             "--client-id" => args.client_id = parsed!(),
             "--txns" => args.txns = parsed!(),
             "--burst" => args.burst = Some(parsed!()),
@@ -323,39 +281,12 @@ fn node_options(args: &Args) -> NodeOptions {
             fail(e);
         }
     }
-    if let Some(p) = args.protocol {
-        node.system.protocol = p;
-    }
-    if let Some(c) = args.crypto {
-        node.system.crypto = c;
-    }
-    if let Some(b) = args.batch_size {
-        node.system.batch_size = b;
-    }
-    if let Some(k) = args.client_keys {
-        node.client_keys = k;
-        node.system.num_clients = k;
-    }
-    if let Some(s) = args.seed {
-        node.seed = s;
-    }
-    if let Some(t) = args.table_size {
-        node.system.table_size = t;
-    }
-    if let Some(l) = args.event_loops {
-        node.net.event_loops = l;
-    }
-    if let Some(k) = args.consensus_instances {
-        node.system.consensus_instances = k;
-    }
-    if let Some(dir) = &args.data_dir {
-        node.system.durability.data_dir = Some(dir.clone());
-    }
-    if let Some(f) = args.fsync {
-        node.system.durability.fsync = f;
-    }
-    if let Some(w) = args.group_commit_window_us {
-        node.system.durability.group_commit_window_us = w;
+    for (flag, value) in &args.node_flags {
+        // `--batch-size` is the `[node]` key `batch_size`.
+        let key = flag.trim_start_matches('-').replace('-', "_");
+        if let Err(e) = node.set(&key, value) {
+            fail(e);
+        }
     }
     if let Err(e) = node.validate() {
         fail(e);

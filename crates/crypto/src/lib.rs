@@ -50,4 +50,4 @@ pub mod sha3;
 
 pub use cost::CostModel;
 pub use hash::{chain_digest, digest, digest_parts, digest_with, HashKind};
-pub use scheme::{CryptoProvider, CryptoStats, KeyRegistry, PeerClass};
+pub use scheme::{CryptoProvider, CryptoStats, KeyRegistry, PeerClass, VERIFY_WINDOW};

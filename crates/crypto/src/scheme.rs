@@ -235,6 +235,13 @@ impl CryptoStats {
     }
 }
 
+/// How many pending signed messages a pipeline stage drains and hands to
+/// [`CryptoProvider::verify_batch`] as one window: past ~32 signatures the
+/// per-signature amortization of Ed25519 batch verification has flattened
+/// out. An idle stage still verifies each message immediately (a window
+/// of one).
+pub const VERIFY_WINDOW: usize = 32;
+
 /// One node's view of the key material: signs outgoing messages and
 /// verifies incoming ones, picking the primitive the scheme dictates for
 /// each link.

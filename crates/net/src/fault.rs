@@ -10,12 +10,12 @@
 //! shared global counter, whose decisions depended on cross-thread
 //! arrival order.
 
-use parking_lot::RwLock;
+use parking_lot::{Condvar, Mutex, RwLock};
 use rdb_common::messages::Sender;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Once};
+use std::time::{Duration, Instant};
 
 /// Callback invoked when a node is crashed or recovered via the
 /// controller. Transports register one to mirror the logical fault onto
@@ -240,6 +240,133 @@ impl FaultController {
             .drop_seq
             .fetch_add(1, Ordering::Relaxed);
         self.inner.link_hash(from, to, seq) % 10_000 < rate
+    }
+}
+
+/// The one delayed-delivery path both transports share: a deadline heap
+/// drained by a thread spawned on first use. A backend hands it
+/// `(due, deliver)` for every message that modeled latency or
+/// [`FaultController::delay_for`] jitter holds back; `deliver` runs on the
+/// delay thread once `due` has passed, in deadline order and FIFO between
+/// equal deadlines. The thread exits within one idle wait of the line
+/// being dropped or [`shutdown`](Self::shutdown), so `deliver` closures
+/// should hold only weak references to the transport that owns the line.
+pub(crate) struct DelayLine {
+    shared: Arc<DelayShared>,
+    started: Once,
+}
+
+#[derive(Default)]
+struct DelayShared {
+    state: Mutex<DelayState>,
+    signal: Condvar,
+}
+
+#[derive(Default)]
+struct DelayState {
+    heap: BinaryHeap<DelayEntry>,
+    next_seq: u64,
+    shutdown: bool,
+}
+
+struct DelayEntry {
+    due: Instant,
+    seq: u64,
+    deliver: Box<dyn FnOnce() + Send>,
+}
+
+impl PartialEq for DelayEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due && self.seq == other.seq
+    }
+}
+impl Eq for DelayEntry {}
+impl PartialOrd for DelayEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for DelayEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // Reverse so the BinaryHeap pops the earliest deadline first;
+        // tie-break on sequence for FIFO between equal deadlines.
+        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
+    }
+}
+
+impl DelayLine {
+    /// How long the idle delay thread sleeps between liveness checks.
+    const IDLE_WAIT: Duration = Duration::from_millis(50);
+
+    pub(crate) fn new() -> Self {
+        DelayLine {
+            shared: Arc::default(),
+            started: Once::new(),
+        }
+    }
+
+    /// Runs `deliver` on the delay thread once `due` has passed.
+    pub(crate) fn schedule(&self, due: Instant, deliver: impl FnOnce() + Send + 'static) {
+        self.started.call_once(|| {
+            let weak = Arc::downgrade(&self.shared);
+            std::thread::Builder::new()
+                .name("rdb-net-delay".into())
+                .spawn(move || {
+                    // Upgrading per round lets the line's owner be freed
+                    // while the thread sleeps.
+                    while let Some(shared) = weak.upgrade() {
+                        if !shared.run_due() {
+                            return;
+                        }
+                    }
+                })
+                .expect("spawn delay thread");
+        });
+        let mut st = self.shared.state.lock();
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.heap.push(DelayEntry {
+            due,
+            seq,
+            deliver: Box::new(deliver),
+        });
+        self.shared.signal.notify_one();
+    }
+
+    /// Stops the delay thread; entries still parked are never delivered.
+    pub(crate) fn shutdown(&self) {
+        self.shared.state.lock().shutdown = true;
+        self.shared.signal.notify_all();
+    }
+}
+
+impl DelayShared {
+    /// One round of the delay thread: deliver what is due, else sleep
+    /// until the next deadline (or [`DelayLine::IDLE_WAIT`]). Returns
+    /// `false` once the line is shut down.
+    fn run_due(&self) -> bool {
+        let mut due = Vec::new();
+        {
+            let mut st = self.state.lock();
+            if st.shutdown {
+                return false;
+            }
+            let now = Instant::now();
+            while st.heap.peek().is_some_and(|e| e.due <= now) {
+                due.push(st.heap.pop().expect("peeked entry exists").deliver);
+            }
+            if due.is_empty() {
+                let wait = st.heap.peek().map_or(DelayLine::IDLE_WAIT, |e| {
+                    e.due.saturating_duration_since(now)
+                });
+                self.signal.wait_for(&mut st, wait);
+                return !st.shutdown;
+            }
+        }
+        for deliver in due {
+            deliver();
+        }
+        true
     }
 }
 

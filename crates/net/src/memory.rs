@@ -1,20 +1,20 @@
 //! The in-memory switchboard: endpoints, delivery, latency shaping.
 //!
 //! Delivery is direct channel hand-off when latency is zero; with a
-//! configured latency a background *wire thread* holds messages in a
-//! deadline heap and releases them when due, preserving per-link FIFO
+//! configured latency (or fault-injected jitter) the delay line both
+//! backends share holds messages until due, preserving per-link FIFO
 //! ordering for equal deadlines.
 
-use crate::fault::FaultController;
+use crate::fault::{DelayLine, FaultController};
 use crate::stats::NetworkStats;
 use crate::transport::{
     ClientTransport, Endpoint, MeshTransport, NetHandle, NetworkError, Transport,
 };
 use crossbeam::channel::{self, Receiver, Sender as ChanSender};
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::RwLock;
 use rdb_common::codec::Wire;
 use rdb_common::messages::{Sender, SignedMessage};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -37,42 +37,12 @@ impl Default for NetworkConfig {
     }
 }
 
-struct WireEntry {
-    due: Instant,
-    seq: u64,
-    to: Sender,
-    msg: SignedMessage,
-}
-
-impl PartialEq for WireEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for WireEntry {}
-impl PartialOrd for WireEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for WireEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse so the BinaryHeap pops the earliest deadline first;
-        // tie-break on sequence for FIFO between equal deadlines.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
 struct NetInner {
     config: NetworkConfig,
     mailboxes: RwLock<HashMap<Sender, ChanSender<SignedMessage>>>,
     stats: NetworkStats,
     faults: FaultController,
-    wire: Mutex<WireState>,
-    wire_signal: Condvar,
-    /// Spawns the wire thread at most once; delay jitter can demand it
-    /// long after construction.
-    wire_started: std::sync::Once,
+    delay: DelayLine,
 }
 
 impl NetInner {
@@ -87,12 +57,6 @@ impl NetInner {
         }
         self.stats.record_dropped();
     }
-}
-
-struct WireState {
-    heap: BinaryHeap<WireEntry>,
-    next_seq: u64,
-    shutdown: bool,
 }
 
 /// An in-memory network connecting replicas and clients.
@@ -115,77 +79,17 @@ impl fmt::Debug for Network {
 }
 
 impl Network {
-    /// Creates a network; if `config.latency` is non-zero, spawns the wire
-    /// thread that delays deliveries. (Fault-injected delay jitter spawns
-    /// it on demand later.)
+    /// Creates a network.
     pub fn new(config: NetworkConfig) -> Self {
-        let needs_wire = !config.latency.is_zero();
-        let inner = Arc::new(NetInner {
-            config,
-            mailboxes: RwLock::new(HashMap::new()),
-            stats: NetworkStats::new(),
-            faults: FaultController::new(),
-            wire: Mutex::new(WireState {
-                heap: BinaryHeap::new(),
-                next_seq: 0,
-                shutdown: false,
+        Network {
+            inner: Arc::new(NetInner {
+                config,
+                mailboxes: RwLock::new(HashMap::new()),
+                stats: NetworkStats::new(),
+                faults: FaultController::new(),
+                delay: DelayLine::new(),
             }),
-            wire_signal: Condvar::new(),
-            wire_started: std::sync::Once::new(),
-        });
-        let net = Network { inner };
-        if needs_wire {
-            net.ensure_wire_thread();
         }
-        net
-    }
-
-    /// Spawns the delayed-delivery wire thread exactly once.
-    fn ensure_wire_thread(&self) {
-        let weak = Arc::downgrade(&self.inner);
-        self.inner.wire_started.call_once(move || {
-            std::thread::Builder::new()
-                .name("rdb-net-wire".into())
-                .spawn(move || {
-                    while let Some(inner) = weak.upgrade() {
-                        let mut due_msgs = Vec::new();
-                        {
-                            let mut wire = inner.wire.lock();
-                            if wire.shutdown {
-                                return;
-                            }
-                            let now = Instant::now();
-                            while wire.heap.peek().is_some_and(|e| e.due <= now) {
-                                let e = wire.heap.pop().expect("peeked entry exists");
-                                due_msgs.push((e.to, e.msg));
-                            }
-                            if due_msgs.is_empty() {
-                                match wire.heap.peek().map(|e| e.due) {
-                                    Some(due) => {
-                                        let wait = due.saturating_duration_since(Instant::now());
-                                        inner.wire_signal.wait_for(&mut wire, wait);
-                                    }
-                                    None => {
-                                        inner
-                                            .wire_signal
-                                            .wait_for(&mut wire, Duration::from_millis(50));
-                                    }
-                                }
-                                if wire.shutdown {
-                                    return;
-                                }
-                            }
-                        }
-                        for (to, msg) in due_msgs {
-                            inner.deliver(to, msg);
-                        }
-                        // Drop the strong reference before looping so the
-                        // network can be freed while the thread sleeps.
-                        drop(inner);
-                    }
-                })
-                .expect("spawn wire thread");
-        });
     }
 
     /// A [`NetHandle`] over this switchboard, for APIs that take the
@@ -217,11 +121,9 @@ impl Network {
         &self.inner.stats
     }
 
-    /// Shuts down the wire thread (no-op for zero-latency networks).
+    /// Stops delayed delivery (no-op for networks that never delayed).
     pub fn shutdown(&self) {
-        let mut wire = self.inner.wire.lock();
-        wire.shutdown = true;
-        self.inner.wire_signal.notify_all();
+        self.inner.delay.shutdown();
     }
 }
 
@@ -251,17 +153,13 @@ impl MeshTransport for Network {
         if delay.is_zero() {
             self.inner.deliver(to, msg);
         } else {
-            self.ensure_wire_thread();
-            let mut wire = self.inner.wire.lock();
-            let seq = wire.next_seq;
-            wire.next_seq += 1;
-            wire.heap.push(WireEntry {
-                due: Instant::now() + delay,
-                seq,
-                to,
-                msg,
+            // Weak: a parked message must not keep the network alive.
+            let weak = Arc::downgrade(&self.inner);
+            self.inner.delay.schedule(Instant::now() + delay, move || {
+                if let Some(inner) = weak.upgrade() {
+                    inner.deliver(to, msg);
+                }
             });
-            self.inner.wire_signal.notify_one();
         }
         Ok(())
     }

@@ -40,7 +40,7 @@
 //!   as the in-memory backend, so drops and partitions behave identically
 //!   over both.
 
-use crate::fault::FaultController;
+use crate::fault::{DelayLine, FaultController};
 use crate::frame::{self, Frame, FrameAccumulator};
 use crate::reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 use crate::stats::NetworkStats;
@@ -534,45 +534,8 @@ struct TcpInner {
     /// Round-robin cursor for assigning connections to loops.
     rr: AtomicUsize,
     threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Deadline heap for fault-injected delay jitter (spawned on demand).
-    delay: Mutex<DelayState>,
-    delay_signal: Condvar,
-    delay_started: std::sync::Once,
-}
-
-/// One jitter-delayed envelope awaiting re-dispatch.
-struct DelayEntry {
-    due: Instant,
-    seq: u64,
-    from: Sender,
-    to: Sender,
-    msg: SignedMessage,
-    reliable: bool,
-}
-
-impl PartialEq for DelayEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.due == other.due && self.seq == other.seq
-    }
-}
-impl Eq for DelayEntry {}
-impl PartialOrd for DelayEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for DelayEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse so the BinaryHeap pops the earliest deadline first;
-        // tie-break on sequence for FIFO between equal deadlines.
-        other.due.cmp(&self.due).then(other.seq.cmp(&self.seq))
-    }
-}
-
-#[derive(Default)]
-struct DelayState {
-    heap: std::collections::BinaryHeap<DelayEntry>,
-    next_seq: u64,
+    /// Holds jitter-delayed envelopes until they are due.
+    delay: DelayLine,
 }
 
 impl TcpInner {
@@ -1375,9 +1338,7 @@ impl TcpTransport {
             open_conns: AtomicUsize::new(0),
             rr: AtomicUsize::new(0),
             threads: Mutex::new(Vec::new()),
-            delay: Mutex::new(DelayState::default()),
-            delay_signal: Condvar::new(),
-            delay_started: std::sync::Once::new(),
+            delay: DelayLine::new(),
         });
         // Crash faults tear real sockets down (recovery then re-dials);
         // the listener holds a weak ref so the controller never keeps the
@@ -1512,69 +1473,19 @@ impl TcpTransport {
             self.inner.stats.record_dropped();
             return Ok(()); // silently dropped, like a real network
         }
-        // Fault-injected jitter parks the envelope on the delay heap; it
+        // Fault-injected jitter parks the envelope on the delay line; it
         // re-routes when due (links may have churned meanwhile).
         if let Some(extra) = self.inner.faults.delay_for(from, to) {
-            self.delay_dispatch(from, to, msg.clone(), reliable, extra);
+            let (weak, msg) = (Arc::downgrade(&self.inner), msg.clone());
+            self.inner.delay.schedule(Instant::now() + extra, move || {
+                if let Some(inner) = weak.upgrade() {
+                    inner.dispatch_now(from, to, &msg, &mut None, reliable);
+                }
+            });
             return Ok(());
         }
         self.inner.dispatch_now(from, to, msg, payload, reliable);
         Ok(())
-    }
-
-    /// Parks one envelope on the delay heap and ensures the delay thread
-    /// is running.
-    fn delay_dispatch(
-        &self,
-        from: Sender,
-        to: Sender,
-        msg: SignedMessage,
-        reliable: bool,
-        extra: Duration,
-    ) {
-        let weak = Arc::downgrade(&self.inner);
-        self.inner.delay_started.call_once(move || {
-            let _ = std::thread::Builder::new()
-                .name("tcp-delay".into())
-                .spawn(move || {
-                    while let Some(inner) = weak.upgrade() {
-                        if inner.is_shutdown() {
-                            return;
-                        }
-                        let mut due_msgs = Vec::new();
-                        {
-                            let mut st = inner.delay.lock();
-                            let now = Instant::now();
-                            while st.heap.peek().is_some_and(|e| e.due <= now) {
-                                due_msgs.push(st.heap.pop().expect("peeked entry exists"));
-                            }
-                            if due_msgs.is_empty() {
-                                let wait = match st.heap.peek().map(|e| e.due) {
-                                    Some(due) => due.saturating_duration_since(Instant::now()),
-                                    None => Duration::from_millis(50),
-                                };
-                                inner.delay_signal.wait_for(&mut st, wait);
-                            }
-                        }
-                        for e in due_msgs {
-                            inner.dispatch_now(e.from, e.to, &e.msg, &mut None, e.reliable);
-                        }
-                        drop(inner);
-                    }
-                });
-        });
-        let mut st = self.inner.delay.lock();
-        let seq = st.next_seq;
-        st.next_seq += 1;
-        st.heap.push(DelayEntry {
-            due: Instant::now() + extra,
-            seq,
-            from,
-            to,
-            msg,
-            reliable,
-        });
-        self.inner.delay_signal.notify_one();
     }
 
     /// Stops the reactor threads and the dialer, and joins them.
@@ -1582,6 +1493,7 @@ impl TcpTransport {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        self.inner.delay.shutdown();
         for link in self.inner.dialed.read().values() {
             link.close();
         }

@@ -1,0 +1,1390 @@
+//! The replica's decision logic as a sans-IO state machine.
+//!
+//! [`ReplicaCore`] is everything the worker thread *decides*: it owns the
+//! consensus engines ([`MultiEngine`]), the per-instance suspicion timers,
+//! multi-primary gap-fill, the recovery ladder (fetch-missing with
+//! back-off and peer rotation, the quiescence probe, f+1 vouching for
+//! fetched batches and snapshots) and the prune/stable cursors. It touches
+//! no thread, socket, queue or clock: one entry point,
+//! [`ReplicaCore::step`], takes an [`Input`] and the current time and
+//! appends plain-data [`Effect`]s for the caller to carry out. The two
+//! synchronous look-ups it needs — the latest serving snapshot and ledger
+//! pruning — go through the small [`CoreEnv`] trait so a test can fake
+//! them.
+//!
+//! `replica::worker_loop` is the production driver: it feeds the core
+//! from the stage channels with the wall clock and interprets the effects
+//! against the real queues, ledger and network. The tests at the bottom of
+//! this file are the other driver: a synthetic clock, no sleeps, and four
+//! cores wired through a `VecDeque` on one thread.
+
+use crate::batch::BatchAssembler;
+use crate::durable::RecoveryReport;
+use crate::recovery;
+use crate::{ExecuteItem, OutItem};
+use rdb_common::messages::{Message, Sender, SignedMessage};
+use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, SystemConfig, ViewNum};
+use rdb_consensus::{Action, ConsensusConfig, MultiEngine};
+use rdb_crypto::{digest, CryptoProvider};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Sequences per `FetchRequest` (and per catch-up probe window).
+const FETCH_BATCH: usize = 32;
+/// Cap on outstanding fetch requests awaiting responses.
+const MAX_INFLIGHT: usize = 64;
+/// Sequences served per incoming `FetchRequest`; bounds the amplification
+/// an abusive fetcher can extract.
+const SERVE_CAP: usize = 32;
+/// How often the fetch driver re-examines the engines for holes.
+const FETCH_POLL_EVERY: Duration = Duration::from_millis(20);
+/// The suspicion timeout doubles per fruitless strike up to `2^5 = 32×`.
+const MAX_BACKOFF_SHIFT: u32 = 5;
+
+/// One thing that happened, for [`ReplicaCore::step`] to react to.
+#[derive(Debug)]
+pub enum Input {
+    /// A replica message whose signature another stage already verified
+    /// (input threads batch-verify replica traffic; the checkpoint thread
+    /// verifies checkpoints).
+    Verified(SignedMessage),
+    /// A client request routed to the worker because `batch_threads == 0`:
+    /// the core verifies and batches it itself (Figure 8's monolithic
+    /// baseline).
+    ClientRequest(SignedMessage),
+    /// A digested batch ready to propose on `instance` (from a
+    /// batch-thread).
+    Propose {
+        /// The consensus instance this replica leads.
+        instance: usize,
+        /// The assembled batch.
+        batch: rdb_common::Batch,
+        /// Its digest, computed once by the assembler.
+        digest: Digest,
+    },
+    /// Execution finished for `seq`. `epoch` identifies the execution
+    /// timeline the result belongs to; every [`Effect::Rollback`] and
+    /// [`Effect::InstallSnapshot`] starts a new one, and results from a
+    /// displaced timeline are ignored.
+    Executed {
+        /// The executed sequence.
+        seq: SeqNum,
+        /// State commitment after executing it.
+        state_digest: Digest,
+        /// Execution epoch the result was produced in.
+        epoch: u64,
+    },
+    /// A backup received client traffic for `instance`: unmet demand the
+    /// suspicion timer combines with lack of progress to detect a dead or
+    /// partitioned primary (clients rebroadcast requests to every replica
+    /// when their own timers expire).
+    ClientDemand(usize),
+    /// Nothing arrived for a poll interval: partial worker-side batches
+    /// are flushed. (The timers run on every step, this one included.)
+    Tick,
+}
+
+/// One thing the driver must do on the core's behalf. Effects are carried
+/// out in the order they were appended.
+#[derive(Debug)]
+pub enum Effect {
+    /// Sign and transmit a message.
+    Send(OutItem),
+    /// A batch committed (or speculatively ordered) on `instance`: queue
+    /// it for in-order execution.
+    Execute {
+        /// The consensus instance that ordered it.
+        instance: usize,
+        /// What to execute.
+        item: ExecuteItem,
+    },
+    /// Undo the speculative suffix above `to`: discard parked items above
+    /// it, repoint execution at `min(cursor, to + 1)` under a new epoch,
+    /// and rewind store/chain/counters. The reconciled history follows as
+    /// further [`Effect::Execute`]s.
+    Rollback {
+        /// Last sequence that survives.
+        to: SeqNum,
+    },
+    /// Install an f+1-vouched, payload-verified snapshot: discard parked
+    /// items it covers, repoint execution at `max(cursor, base + 1)` under
+    /// a new epoch, and replace store and ledger.
+    InstallSnapshot(Arc<Snapshot>),
+    /// `seq` became a 2f+1-stable checkpoint: nothing at or below it can
+    /// roll back any more (drop undo images, persist the covering
+    /// snapshot, compact the WAL).
+    Stable {
+        /// The stable sequence.
+        seq: SeqNum,
+    },
+    /// `instance` installed `view`; client routing must follow its new
+    /// primary.
+    ViewEntered {
+        /// The consensus instance.
+        instance: usize,
+        /// The view it entered.
+        view: ViewNum,
+    },
+    /// This many client requests failed signature verification (0B only).
+    BadSignatures(u64),
+    /// Accounting for one served `FetchRequest`.
+    FetchServed {
+        /// Sequences (or a covering snapshot) sent back.
+        served: u64,
+        /// Sequences this replica could not vouch for, or beyond the
+        /// per-request cap.
+        dropped: u64,
+    },
+}
+
+/// The two synchronous look-ups the core makes into replica state it does
+/// not own.
+pub trait CoreEnv {
+    /// The newest snapshot this replica can serve to a lagging peer.
+    fn latest_snapshot(&self) -> Option<Arc<Snapshot>>;
+    /// Prunes the ledger below `seq` and returns how far it is pruned now
+    /// (pruning is clamped at the ledger head, so this can be short of
+    /// `seq` while execution lags).
+    fn prune_chain_below(&self, seq: SeqNum) -> SeqNum;
+}
+
+/// Each instance checkpoints every Δ of its *own* executed batches;
+/// scaling Δ by 1/k keeps the global prune cadence (in global sequence
+/// numbers) independent of k.
+pub(crate) fn checkpoint_delta(config: &SystemConfig) -> u64 {
+    let k = config.consensus_instances.max(1) as u64;
+    (config.checkpoint_interval / config.batch_size as u64 / k).max(1)
+}
+
+/// Clients shard across the `k` consensus instances by id.
+pub(crate) fn client_instance(from: Sender, k: usize) -> usize {
+    match from {
+        Sender::Client(c) => (c.0 % k as u64) as usize,
+        Sender::Replica(_) => 0,
+    }
+}
+
+/// The worker's state machine — see the module docs.
+pub struct ReplicaCore {
+    engine: MultiEngine,
+    provider: CryptoProvider,
+    env: Arc<dyn CoreEnv + Send + Sync>,
+    me: ReplicaId,
+    /// Every replica but this one, in id order.
+    peers: Vec<Sender>,
+    /// Fault tolerance threshold (certificate quorums, f+1 vouching).
+    f: usize,
+    protocol: ProtocolKind,
+    /// 0B mode: per-instance worker-side batch assembly.
+    assemblers: Vec<BatchAssembler>,
+    /// Execution timeline counter, in lockstep with the execution queue's:
+    /// both advance once per `Rollback`/`InstallSnapshot`.
+    epoch: u64,
+    /// Highest stable checkpoint seen; chain pruning up to here is
+    /// retried as execution catches up (it is clamped at the head).
+    stable_checkpoint: SeqNum,
+    /// How far the chain has actually been pruned (tracks the clamp).
+    pruned_to: SeqNum,
+    /// Suspicion timers, one per instance: no progress on instance `j` for
+    /// this long while its work is stalled (or its client demand is
+    /// pending) votes out *that instance's* primary — the other k−1
+    /// instances keep their timers and their progress.
+    view_timeout: Duration,
+    last_progress: Vec<Instant>,
+    /// Consecutive suspicion fires per instance without real progress in
+    /// between. The effective timeout doubles with each strike
+    /// (Castro-Liskov §4.5.2's exponential backoff), so a replica that
+    /// cannot be helped by a view change — e.g. a straggler with an
+    /// execution hole and no state transfer — stops dragging the healthy
+    /// quorum into view-change storms. Reset whenever the instance's
+    /// execution advances or it installs a view.
+    suspect_strikes: Vec<u32>,
+    client_demand: Vec<bool>,
+    /// Highest globally committed sequence seen (any instance). Execution
+    /// drains strictly in global order, so a committed sequence above an
+    /// instance we lead obliges us to fill our slots below it (no-op
+    /// batches) — otherwise one idle instance stalls the whole schedule.
+    commit_frontier: SeqNum,
+    /// Highest sequence executed locally. When `commit_frontier` sits
+    /// above it, the instance owning `last_executed + 1` is holding up
+    /// the global schedule — suspicion treats that as stalled work even
+    /// if the instance itself ordered nothing (its primary may be dead
+    /// with no client traffic to surface demand).
+    last_executed: SeqNum,
+    /// Sequences with an outstanding `FetchRequest` and the deadline after
+    /// which they may be re-requested (from a rotated peer).
+    fetch_inflight: HashMap<SeqNum, Instant>,
+    /// Zyzzyva fallback: distinct peers that returned an identical
+    /// `FetchResponse` for `(seq, digest)` — f+1 of them stand in for an
+    /// offline-verifiable certificate.
+    fetch_votes: HashMap<(SeqNum, ViewNum, Digest), HashSet<ReplicaId>>,
+    /// Distinct peers that presented each snapshot `agreement_key`, plus
+    /// the (payload-verified) snapshot itself.
+    #[allow(clippy::type_complexity)]
+    snap_votes: HashMap<(SeqNum, Digest, Digest), (HashSet<ReplicaId>, Arc<Snapshot>)>,
+    /// Rotating peer index so retries spread across the cluster.
+    fetch_rr: usize,
+    last_fetch_poll: Instant,
+    /// Last-executed watermark and when it last moved — the quiescence
+    /// detector behind the catch-up probe.
+    probe_mark: (SeqNum, Instant),
+    fetch_backoff: Duration,
+}
+
+impl std::fmt::Debug for ReplicaCore {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReplicaCore")
+            .field("id", &self.me)
+            .field("epoch", &self.epoch)
+            .field("last_executed", &self.last_executed)
+            .field("commit_frontier", &self.commit_frontier)
+            .finish_non_exhaustive()
+    }
+}
+
+impl ReplicaCore {
+    /// Builds the core for replica `id` at time `now`. A replica that
+    /// rebuilt itself from disk passes its `recovered` report: the engines
+    /// and every cursor resume past the recovered head (everything below
+    /// it is already executed, and its prefix pruned).
+    pub fn new(
+        config: &SystemConfig,
+        id: ReplicaId,
+        provider: CryptoProvider,
+        env: Arc<dyn CoreEnv + Send + Sync>,
+        recovered: Option<&RecoveryReport>,
+        now: Instant,
+    ) -> Self {
+        let k = config.consensus_instances.max(1);
+        let consensus_cfg = ConsensusConfig::new(config.n, checkpoint_delta(config))
+            // Only the deployment's *initial* primary is byzantine; whoever
+            // wins the ensuing view change behaves honestly.
+            .with_equivocation(config.byzantine_primary && id == ViewNum(0).primary(config.n));
+        let mut engine = MultiEngine::new(config.protocol, id, consensus_cfg, k);
+        if let Some(r) = recovered.filter(|r| r.head.0 > 0) {
+            engine.install_snapshot(r.head, r.history);
+        }
+        let head = recovered.map_or(SeqNum(0), |r| r.head);
+        let view_timeout = Duration::from_millis(config.view_timeout_ms);
+        ReplicaCore {
+            engine,
+            provider,
+            env,
+            me: id,
+            peers: (0..config.n as u32)
+                .map(ReplicaId)
+                .filter(|r| *r != id)
+                .map(Sender::Replica)
+                .collect(),
+            f: config.f,
+            protocol: config.protocol,
+            assemblers: (0..k)
+                .map(|_| BatchAssembler::new(config.batch_size, now))
+                .collect(),
+            epoch: 0,
+            stable_checkpoint: recovered.map_or(SeqNum(0), |r| r.stable),
+            pruned_to: recovered.map_or(SeqNum(0), |r| r.snapshot_seq),
+            view_timeout,
+            last_progress: vec![now; k],
+            suspect_strikes: vec![0; k],
+            client_demand: vec![false; k],
+            commit_frontier: head,
+            last_executed: head,
+            fetch_inflight: HashMap::new(),
+            fetch_votes: HashMap::new(),
+            snap_votes: HashMap::new(),
+            fetch_rr: id.0 as usize,
+            last_fetch_poll: now,
+            probe_mark: (SeqNum(0), now),
+            // Retries must fit several rounds inside a view timeout so a
+            // straggler repairs itself before suspecting anyone.
+            fetch_backoff: (view_timeout / 4)
+                .clamp(Duration::from_millis(40), Duration::from_millis(250)),
+        }
+    }
+
+    /// The current execution epoch: an [`Input::Executed`] carrying any
+    /// other value is ignored.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Reacts to `input` at time `now`, then runs the suspicion and fetch
+    /// timers; everything the driver must do is appended to `fx`.
+    pub fn step(&mut self, input: Input, now: Instant, fx: &mut Vec<Effect>) {
+        match input {
+            Input::Verified(sm) => self.on_message(&sm, now, fx),
+            Input::ClientRequest(sm) => self.on_client_request(sm, now, fx),
+            Input::Propose {
+                instance,
+                batch,
+                digest,
+            } => {
+                let actions = self.engine.propose(instance, batch, digest);
+                self.run_actions(actions, now, fx);
+            }
+            Input::Executed {
+                seq,
+                state_digest,
+                epoch,
+            } => self.on_executed(seq, state_digest, epoch, now, fx),
+            Input::ClientDemand(j) => {
+                if let Some(demand) = self.client_demand.get_mut(j) {
+                    *demand = true;
+                }
+            }
+            Input::Tick => self.flush_batches(now, fx),
+        }
+        self.fill_gaps(now, fx);
+        self.maybe_suspect(now, fx);
+        self.maybe_fetch(now, fx);
+    }
+
+    /// Re-arms instance `j`'s suspicion timer: it made real progress.
+    fn note_progress(&mut self, j: usize, now: Instant) {
+        self.last_progress[j] = now;
+        self.suspect_strikes[j] = 0;
+        self.client_demand[j] = false;
+    }
+
+    fn on_message(&mut self, sm: &SignedMessage, now: Instant, fx: &mut Vec<Effect>) {
+        // Fetch-protocol traffic is point-to-point runtime state, not
+        // consensus input: intercept it before engine routing
+        // (`Message::seq()` is `None` for these kinds, so the
+        // multi-instance router would drop them anyway).
+        match sm.msg() {
+            Message::FetchRequest { seqs, replica } => self.serve_fetch_request(*replica, seqs, fx),
+            Message::FetchResponse { .. } | Message::SnapshotResponse { .. } => {
+                self.on_recovery_response(sm, now, fx);
+            }
+            _ => {
+                let actions = self.engine.on_message(sm);
+                self.run_actions(actions, now, fx);
+            }
+        }
+    }
+
+    fn on_client_request(&mut self, sm: SignedMessage, now: Instant, fx: &mut Vec<Effect>) {
+        let j = client_instance(sm.sender(), self.engine.k());
+        let mut cut = Vec::new();
+        let rejected = self.assemblers[j].ingest(&self.provider, &mut vec![sm], now, &mut cut);
+        if rejected > 0 {
+            fx.push(Effect::BadSignatures(rejected));
+        }
+        self.propose_cut(j, cut, now, fx);
+    }
+
+    /// Idle: flush partial worker-side batches (0B).
+    fn flush_batches(&mut self, now: Instant, fx: &mut Vec<Effect>) {
+        for j in 0..self.assemblers.len() {
+            if self.assemblers[j].flush_due(now) {
+                let mut cut = Vec::new();
+                self.assemblers[j].flush(now, &mut cut);
+                self.propose_cut(j, cut, now, fx);
+            }
+        }
+    }
+
+    fn propose_cut(
+        &mut self,
+        j: usize,
+        cut: Vec<(rdb_common::Batch, Digest)>,
+        now: Instant,
+        fx: &mut Vec<Effect>,
+    ) {
+        for (batch, d) in cut {
+            let actions = self.engine.propose(j, batch, d);
+            self.run_actions(actions, now, fx);
+        }
+    }
+
+    fn on_executed(
+        &mut self,
+        seq: SeqNum,
+        state_digest: Digest,
+        epoch: u64,
+        now: Instant,
+        fx: &mut Vec<Effect>,
+    ) {
+        if epoch != self.epoch {
+            return; // executed on a rolled-back/superseded timeline
+        }
+        self.last_executed = self.last_executed.max(seq);
+        self.note_progress(self.engine.owner(seq), now);
+        let actions = self.engine.on_executed(seq, state_digest);
+        self.run_actions(actions, now, fx);
+        // A checkpoint can stabilize (2f+1 remote checkpoint messages)
+        // while local execution still lags; pruning is clamped at the
+        // chain head then, so retry as execution advances. Once caught
+        // up this is a field comparison, not a per-batch acquisition of
+        // the lock the execute path appends under.
+        if self.stable_checkpoint > self.pruned_to {
+            self.pruned_to = self.env.prune_chain_below(self.stable_checkpoint);
+        }
+    }
+
+    /// The suspicion timers (Section 4.2 of PBFT, simplified), one per
+    /// instance: stalled consensus work or unmet client demand with no
+    /// progress for a full view timeout means that instance's primary is
+    /// dead or cut off — vote it out. Re-arming the timer after each vote
+    /// gives the view change its own (doubled) timeout before the vote
+    /// escalates further.
+    fn maybe_suspect(&mut self, now: Instant, fx: &mut Vec<Effect>) {
+        for j in 0..self.engine.k() {
+            let shift = self.suspect_strikes[j].min(MAX_BACKOFF_SHIFT);
+            if now.duration_since(self.last_progress[j]) < self.view_timeout * (1u32 << shift) {
+                continue;
+            }
+            // An instance with a dead primary and *no* client traffic
+            // still stalls the merged schedule once another instance
+            // commits past its slot: that hold-up is this instance's
+            // fault, so it counts as stalled work for its timer.
+            let next_needed = self.last_executed.next();
+            let holds_schedule = self.engine.k() > 1
+                && self.commit_frontier >= next_needed
+                && self.engine.owner(next_needed) == j;
+            if self.engine.has_stalled_work(j) || self.client_demand[j] || holds_schedule {
+                let actions = self.engine.on_timeout(j);
+                self.last_progress[j] = now;
+                self.suspect_strikes[j] = self.suspect_strikes[j].saturating_add(1);
+                self.run_actions(actions, now, fx);
+                self.fill_gaps(now, fx);
+            } else {
+                // Quiet and healthy: keep the timer from firing immediately
+                // on the first demand signal after a long idle stretch.
+                self.last_progress[j] = now;
+                self.suspect_strikes[j] = 0;
+            }
+        }
+    }
+
+    /// Multi-primary gap-fill: execution consumes the global sequence
+    /// space strictly in order, so once any instance commits past a slot
+    /// owned by an instance *we* lead, we must propose into that slot —
+    /// an empty no-op batch if no client traffic is pending — or the
+    /// committed tail above it never executes. (RCC resolves the same
+    /// obligation with explicit no-op proposals.) `k == 1` never triggers:
+    /// a single primary's frontier cannot pass its own next slot.
+    fn fill_gaps(&mut self, now: Instant, fx: &mut Vec<Effect>) {
+        if self.engine.k() == 1 {
+            return;
+        }
+        for j in 0..self.engine.k() {
+            if !self.engine.is_primary(j) {
+                continue;
+            }
+            while self
+                .engine
+                .next_seq(j)
+                .is_some_and(|s| s <= self.commit_frontier)
+            {
+                let batch = rdb_common::Batch::new(Vec::new());
+                let d = digest(&batch.canonical_bytes());
+                let actions = self.engine.propose(j, batch, d);
+                if actions.is_empty() {
+                    break; // engine refused (e.g. mid view change)
+                }
+                self.run_actions(actions, now, fx);
+            }
+        }
+    }
+
+    fn run_actions(&mut self, actions: Vec<Action>, now: Instant, fx: &mut Vec<Effect>) {
+        for action in actions {
+            match action {
+                Action::Broadcast(msg) => fx.push(Effect::Send(OutItem {
+                    targets: self.peers.clone(),
+                    msg,
+                })),
+                Action::SendReplica(r, msg) => {
+                    fx.push(Effect::Send(OutItem::to(Sender::Replica(r), msg)));
+                }
+                Action::SendClient(c, msg) => {
+                    fx.push(Effect::Send(OutItem::to(Sender::Client(c), msg)));
+                }
+                // Deliberately NOT a progress signal: the timer re-arms on
+                // `Input::Executed` (PBFT §2.4 stops the timer when a
+                // request executes, not when it commits). A commit above an
+                // execution hole would otherwise starve the view change
+                // that re-issues the missing sequence.
+                Action::CommitBatch {
+                    seq,
+                    view,
+                    digest,
+                    batch,
+                    certificate,
+                } => {
+                    self.queue_execution(
+                        ExecuteItem {
+                            seq,
+                            view,
+                            digest,
+                            batch,
+                            certificate,
+                            history: None,
+                        },
+                        fx,
+                    );
+                }
+                Action::SpecExecute {
+                    seq,
+                    view,
+                    digest,
+                    history,
+                    batch,
+                } => {
+                    self.queue_execution(
+                        ExecuteItem {
+                            seq,
+                            view,
+                            digest,
+                            batch,
+                            certificate: Default::default(),
+                            history: Some(history),
+                        },
+                        fx,
+                    );
+                }
+                Action::StableCheckpoint { seq } => {
+                    self.stable_checkpoint = self.stable_checkpoint.max(seq);
+                    self.pruned_to = self.pruned_to.max(self.env.prune_chain_below(seq));
+                    fx.push(Effect::Stable { seq });
+                }
+                Action::Rollback { to } => {
+                    // New epoch: in-flight `Executed` notifications from
+                    // the displaced timeline are dropped. The engine
+                    // re-emits the reconciled history right after, and
+                    // re-execution proceeds from `to + 1`.
+                    self.epoch += 1;
+                    self.last_executed = self.last_executed.min(to);
+                    self.fetch_votes.retain(|(seq, _, _), _| *seq > to);
+                    fx.push(Effect::Rollback { to });
+                }
+                Action::EnterView { view, instance } => {
+                    // The view change itself is progress.
+                    let instance = instance as usize;
+                    if instance < self.engine.k() {
+                        self.note_progress(instance, now);
+                        fx.push(Effect::ViewEntered { instance, view });
+                    }
+                }
+            }
+        }
+    }
+
+    fn queue_execution(&mut self, item: ExecuteItem, fx: &mut Vec<Effect>) {
+        self.commit_frontier = self.commit_frontier.max(item.seq);
+        fx.push(Effect::Execute {
+            instance: self.engine.owner(item.seq),
+            item,
+        });
+    }
+
+    /// Serves a peer's `FetchRequest`: one `FetchResponse` per retained
+    /// committed sequence, one `SnapshotResponse` (at most) for sequences
+    /// at or below this replica's pruning horizon, and nothing for
+    /// sequences it cannot vouch for.
+    fn serve_fetch_request(&mut self, requester: ReplicaId, seqs: &[SeqNum], fx: &mut Vec<Effect>) {
+        if requester == self.me {
+            return;
+        }
+        let to = Sender::Replica(requester);
+        let mut served = 0u64;
+        let mut dropped = seqs.len().saturating_sub(SERVE_CAP) as u64;
+        let mut snapshot_sent = false;
+        for &seq in seqs.iter().take(SERVE_CAP) {
+            if let Some((view, digest, batch, certificate)) = self.engine.serve_fetch(seq) {
+                let msg = Message::FetchResponse {
+                    seq,
+                    view,
+                    digest,
+                    batch,
+                    certificate,
+                    replica: self.me,
+                };
+                fx.push(Effect::Send(OutItem::to(to, msg)));
+                served += 1;
+            } else if seq <= self.stable_checkpoint.max(self.pruned_to) {
+                // Pruned below the stable checkpoint: the snapshot covers
+                // it (and every other pruned sequence — send it once).
+                match self.env.latest_snapshot() {
+                    Some(snapshot) if !snapshot_sent && snapshot.base_seq >= seq => {
+                        snapshot_sent = true;
+                        served += 1;
+                        let msg = Message::SnapshotResponse {
+                            snapshot,
+                            replica: self.me,
+                        };
+                        fx.push(Effect::Send(OutItem::to(to, msg)));
+                    }
+                    Some(_) => {}
+                    None => dropped += 1,
+                }
+            } else {
+                dropped += 1;
+            }
+        }
+        fx.push(Effect::FetchServed { served, dropped });
+    }
+
+    /// Validates and installs a `FetchResponse` or `SnapshotResponse`.
+    fn on_recovery_response(&mut self, sm: &SignedMessage, now: Instant, fx: &mut Vec<Effect>) {
+        let Sender::Replica(from) = sm.sender() else {
+            return; // clients cannot vouch for ordering
+        };
+        match sm.msg() {
+            Message::FetchResponse {
+                seq,
+                view,
+                digest: claimed,
+                batch,
+                certificate,
+                replica,
+            } => {
+                if *replica != from || *seq <= self.last_executed {
+                    return;
+                }
+                // The digest must bind the transferred batch content —
+                // otherwise a valid certificate could smuggle a forged
+                // batch in beside it.
+                if digest(&batch.canonical_bytes()) != *claimed {
+                    return;
+                }
+                let certified = recovery::verify_fetch_certificate(
+                    &self.provider,
+                    rdb_common::quorum::commit_quorum(self.f),
+                    from,
+                    *view,
+                    *seq,
+                    *claimed,
+                    certificate,
+                );
+                // f+1 distinct peers presenting identical (seq, view,
+                // digest) responses: at least one is honest. This is the
+                // only path for Zyzzyva, whose speculation has no
+                // offline-verifiable certificate to ship. The view is part
+                // of the match: the engine treats a fetched later view as
+                // proof of a missed view change, so a lone byzantine
+                // responder must not get to invent one.
+                let votes = self.fetch_votes.entry((*seq, *view, *claimed)).or_default();
+                votes.insert(from);
+                if certified || votes.len() > self.f {
+                    self.fetch_votes.retain(|(s, _, _), _| s != seq);
+                    self.fetch_inflight.remove(seq);
+                    let actions = self.engine.install_fetched(
+                        *seq,
+                        *view,
+                        *claimed,
+                        Arc::clone(batch),
+                        certificate.clone(),
+                    );
+                    self.run_actions(actions, now, fx);
+                }
+            }
+            Message::SnapshotResponse { snapshot, replica } => {
+                if *replica != from || snapshot.base_seq <= self.last_executed {
+                    return;
+                }
+                if !recovery::verify_snapshot(snapshot) {
+                    return;
+                }
+                let (voters, kept) = self
+                    .snap_votes
+                    .entry(snapshot.agreement_key())
+                    .or_insert_with(|| (HashSet::new(), Arc::clone(snapshot)));
+                voters.insert(from);
+                if voters.len() > self.f {
+                    let snapshot = Arc::clone(kept);
+                    self.snap_votes.clear();
+                    self.adopt_snapshot(snapshot, now, fx);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// Adopts an f+1-vouched, payload-verified snapshot: fast-forwards the
+    /// consensus engines and every cursor past the transferred history.
+    fn adopt_snapshot(&mut self, snapshot: Arc<Snapshot>, now: Instant, fx: &mut Vec<Effect>) {
+        let base = snapshot.base_seq;
+        self.epoch += 1;
+        self.engine.install_snapshot(base, snapshot.history);
+        self.last_executed = self.last_executed.max(base);
+        self.commit_frontier = self.commit_frontier.max(base);
+        self.stable_checkpoint = self.stable_checkpoint.max(base);
+        self.pruned_to = self.pruned_to.max(base);
+        self.fetch_inflight.retain(|seq, _| *seq > base);
+        self.fetch_votes.retain(|(seq, _, _), _| *seq > base);
+        // Installing a snapshot is progress: re-arm every suspicion timer.
+        for j in 0..self.engine.k() {
+            self.last_progress[j] = now;
+            self.suspect_strikes[j] = 0;
+        }
+        fx.push(Effect::InstallSnapshot(snapshot));
+    }
+
+    /// The fetch driver: when the engine reports execution holes below
+    /// the commit frontier, request the missing batches from rotating
+    /// peers — deduplicating in-flight sequences, capping the outstanding
+    /// set, and retrying (next peer) after a backoff. Under Zyzzyva each
+    /// request fans out to f+1 peers, since acceptance needs f+1 matching
+    /// responses rather than one verifiable certificate.
+    fn maybe_fetch(&mut self, now: Instant, fx: &mut Vec<Effect>) {
+        if now.duration_since(self.last_fetch_poll) < FETCH_POLL_EVERY {
+            return;
+        }
+        self.last_fetch_poll = now;
+        // Expired entries are eligible for re-request (peer rotation below
+        // naturally lands retries elsewhere).
+        self.fetch_inflight.retain(|_, deadline| *deadline > now);
+        let budget = MAX_INFLIGHT.saturating_sub(self.fetch_inflight.len());
+        if budget == 0 {
+            return;
+        }
+        let seqs: Vec<SeqNum> = self
+            .engine
+            .fetch_wanted(FETCH_BATCH + self.fetch_inflight.len())
+            .into_iter()
+            .filter(|s| *s > self.last_executed && !self.fetch_inflight.contains_key(s))
+            .take(budget.min(FETCH_BATCH))
+            .collect();
+        if seqs.is_empty() {
+            self.maybe_probe(now, fx);
+        } else {
+            self.send_fetch(seqs, now, fx);
+        }
+    }
+
+    /// Quiescent-network catch-up. A replica that rejoins after the load
+    /// has drained receives no new traffic that would reveal the committed
+    /// frontier, so the engine reports no holes and [`Self::maybe_fetch`]
+    /// has nothing to do — forever. When execution has not advanced for a
+    /// couple of backoff periods and nothing is in flight, probe a peer
+    /// with a plain `FetchRequest` for the next sequence window: either it
+    /// comes back served (the log moved on without us — install and keep
+    /// going) or the peer is equally idle and drops it, which costs one
+    /// tiny message per idle interval.
+    fn maybe_probe(&mut self, now: Instant, fx: &mut Vec<Effect>) {
+        if self.probe_mark.0 != self.last_executed {
+            self.probe_mark = (self.last_executed, now);
+            return;
+        }
+        if now.duration_since(self.probe_mark.1) < self.fetch_backoff * 2
+            || !self.fetch_inflight.is_empty()
+        {
+            return;
+        }
+        self.probe_mark.1 = now;
+        let seqs = (1..=FETCH_BATCH as u64)
+            .map(|i| SeqNum(self.last_executed.0 + i))
+            .collect();
+        self.send_fetch(seqs, now, fx);
+    }
+
+    fn send_fetch(&mut self, seqs: Vec<SeqNum>, now: Instant, fx: &mut Vec<Effect>) {
+        let deadline = now + self.fetch_backoff;
+        for &seq in &seqs {
+            self.fetch_inflight.insert(seq, deadline);
+        }
+        let fanout = match self.protocol {
+            ProtocolKind::Pbft => 1,
+            ProtocolKind::Zyzzyva => (self.f + 1).min(self.peers.len()),
+        };
+        let targets = (0..fanout)
+            .map(|i| self.peers[(self.fetch_rr + i) % self.peers.len()])
+            .collect();
+        self.fetch_rr = self.fetch_rr.wrapping_add(1);
+        let msg = Message::FetchRequest {
+            seqs,
+            replica: self.me,
+        };
+        fx.push(Effect::Send(OutItem { targets, msg }));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Single-threaded drivers for the core: a synthetic clock (one real
+    //! `Instant` plus offsets), no sleeps, no channels.
+
+    use super::*;
+    use crate::Executor;
+    use parking_lot::Mutex;
+    use rdb_common::block::{Block, BlockLink};
+    use rdb_common::messages::MessageKind;
+    use rdb_common::{Batch, ClientId, CryptoScheme, Operation, Transaction};
+    use rdb_crypto::{KeyRegistry, PeerClass};
+    use rdb_storage::blockchain::ChainMode;
+    use rdb_storage::{Blockchain, MemStore, StateStore};
+    use std::collections::{BTreeMap, VecDeque};
+
+    const VIEW_TIMEOUT: Duration = Duration::from_millis(1_000);
+    const MS: Duration = Duration::from_millis(1);
+
+    /// The real executor behind the two environment look-ups.
+    struct TestEnv {
+        executor: Arc<Executor>,
+        chain: Arc<Mutex<Blockchain>>,
+    }
+
+    impl CoreEnv for TestEnv {
+        fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+            self.executor.latest_snapshot()
+        }
+        fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
+            self.chain.lock().prune_below(seq)
+        }
+    }
+
+    /// One replica: its core, a real executor, and an in-order execution
+    /// buffer standing in for the execute stage.
+    struct Node {
+        core: ReplicaCore,
+        executor: Arc<Executor>,
+        parked: BTreeMap<SeqNum, ExecuteItem>,
+        next_exec: SeqNum,
+        /// `(seq, state digest)` of everything executed, in order.
+        executed: Vec<(SeqNum, Digest)>,
+        /// Every message this replica sent, with its targets.
+        sent: Vec<OutItem>,
+        views: Vec<(usize, ViewNum)>,
+        installed: Vec<SeqNum>,
+        bad_sigs: u64,
+    }
+
+    impl Node {
+        fn sent_kind(&self, kind: MessageKind) -> Vec<&OutItem> {
+            self.sent.iter().filter(|o| o.msg.kind() == kind).collect()
+        }
+    }
+
+    /// Four cores wired through a `VecDeque` on one thread — the seed of
+    /// the deterministic-simulation harness.
+    struct Cluster {
+        registry: KeyRegistry,
+        now: Instant,
+        nodes: Vec<Node>,
+        wire: VecDeque<(usize, Input)>,
+        /// Replicas whose traffic (both directions) is dropped.
+        isolated: HashSet<usize>,
+    }
+
+    fn config(protocol: ProtocolKind, k: usize) -> SystemConfig {
+        let mut cfg = SystemConfig::new(4)
+            .unwrap()
+            .with_protocol(protocol)
+            .with_batch_size(2)
+            .with_consensus_instances(k)
+            .with_view_timeout_ms(VIEW_TIMEOUT.as_millis() as u64);
+        cfg.table_size = 64;
+        cfg
+    }
+
+    impl Cluster {
+        fn new(cfg: &SystemConfig) -> Self {
+            let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, cfg.n, 4, 7);
+            let now = Instant::now();
+            let nodes = (0..cfg.n as u32)
+                .map(|r| {
+                    let id = ReplicaId(r);
+                    let store: Arc<dyn StateStore> = Arc::new(MemStore::with_table(64, 8));
+                    let (quorum, mode) = match cfg.protocol {
+                        ProtocolKind::Pbft => (3, ChainMode::Certificate),
+                        ProtocolKind::Zyzzyva => (0, ChainMode::PrevHash),
+                    };
+                    let chain = Arc::new(Mutex::new(Blockchain::new(Digest::ZERO, quorum, mode)));
+                    let executor =
+                        Arc::new(Executor::new(id, cfg.protocol, store, Arc::clone(&chain)));
+                    let env = Arc::new(TestEnv {
+                        executor: Arc::clone(&executor),
+                        chain,
+                    });
+                    let provider = registry.provider_for_replica(id);
+                    Node {
+                        core: ReplicaCore::new(cfg, id, provider, env, None, now),
+                        executor,
+                        parked: BTreeMap::new(),
+                        next_exec: SeqNum(1),
+                        executed: Vec::new(),
+                        sent: Vec::new(),
+                        views: Vec::new(),
+                        installed: Vec::new(),
+                        bad_sigs: 0,
+                    }
+                })
+                .collect();
+            Cluster {
+                registry,
+                now,
+                nodes,
+                wire: VecDeque::new(),
+                isolated: HashSet::new(),
+            }
+        }
+
+        /// A signed client request of `txns` single-write transactions.
+        fn request(&self, client: u64, first_counter: u64, txns: u64) -> SignedMessage {
+            let from = Sender::Client(ClientId(client));
+            let txns = (first_counter..first_counter + txns)
+                .map(|c| {
+                    let op = Operation::Write {
+                        key: c % 64,
+                        value: c.to_le_bytes().to_vec(),
+                    };
+                    Transaction::new(ClientId(client), c, vec![op])
+                })
+                .collect();
+            let provider = self.registry.provider_for_client(ClientId(client));
+            SignedMessage::sign_with(Message::ClientRequest { txns }, from, |bytes| {
+                provider.sign(PeerClass::Replica, bytes)
+            })
+        }
+
+        /// Steps replica `r` at the current virtual time and carries out
+        /// its effects: sends go on the wire (signed, as the output stage
+        /// would), executions run in sequence order on the real executor.
+        fn step(&mut self, r: usize, input: Input) {
+            let mut fx = Vec::new();
+            self.nodes[r].core.step(input, self.now, &mut fx);
+            for effect in fx {
+                self.apply(r, effect);
+            }
+        }
+
+        fn apply(&mut self, r: usize, effect: Effect) {
+            let me = Sender::Replica(ReplicaId(r as u32));
+            let node = &mut self.nodes[r];
+            match effect {
+                Effect::Send(item) => {
+                    let provider = self.registry.provider_for_replica(ReplicaId(r as u32));
+                    let sm = SignedMessage::sign_with(item.msg.clone(), me, |bytes| {
+                        provider.sign(PeerClass::Replica, bytes)
+                    });
+                    for target in &item.targets {
+                        if let Sender::Replica(to) = target {
+                            let to = to.0 as usize;
+                            if !self.isolated.contains(&r) && !self.isolated.contains(&to) {
+                                self.wire.push_back((to, Input::Verified(sm.clone())));
+                            }
+                        }
+                    }
+                    node.sent.push(item);
+                }
+                Effect::Execute { item, .. } => {
+                    node.parked.insert(item.seq, item);
+                    while let Some(item) = node.parked.remove(&node.next_exec) {
+                        let (state_digest, _replies) = node.executor.execute(&item);
+                        node.executed.push((item.seq, state_digest));
+                        node.next_exec = node.next_exec.next();
+                        let done = Input::Executed {
+                            seq: item.seq,
+                            state_digest,
+                            epoch: node.core.epoch(),
+                        };
+                        self.wire.push_back((r, done));
+                    }
+                }
+                Effect::Rollback { to } => {
+                    node.parked.retain(|seq, _| *seq <= to);
+                    node.executor.rollback_to(to);
+                    node.next_exec = node.next_exec.min(to.next());
+                }
+                Effect::InstallSnapshot(snapshot) => {
+                    let base = snapshot.base_seq;
+                    node.parked.retain(|seq, _| *seq > base);
+                    node.executor.install_snapshot(&snapshot);
+                    node.next_exec = node.next_exec.max(base.next());
+                    node.installed.push(base);
+                }
+                Effect::Stable { seq } => node.executor.note_stable(seq),
+                Effect::ViewEntered { instance, view } => node.views.push((instance, view)),
+                Effect::BadSignatures(n) => node.bad_sigs += n,
+                Effect::FetchServed { .. } => {}
+            }
+        }
+
+        /// Delivers everything on the wire (and whatever that causes).
+        fn run(&mut self) {
+            while let Some((to, input)) = self.wire.pop_front() {
+                self.step(to, input);
+            }
+        }
+
+        /// Moves the clock and lets every replica notice.
+        fn advance(&mut self, by: Duration) {
+            self.now += by;
+            for r in 0..self.nodes.len() {
+                self.step(r, Input::Tick);
+            }
+            self.run();
+        }
+
+        /// Submits one full batch (two transactions) from `client` to
+        /// replica `primary` over the 0B path and runs to quiescence.
+        fn commit_batch(&mut self, primary: usize, client: u64, first_counter: u64) {
+            let request = self.request(client, first_counter, 2);
+            self.step(primary, Input::ClientRequest(request));
+            self.run();
+        }
+    }
+
+    fn view_changes(node: &Node) -> usize {
+        node.sent_kind(MessageKind::ViewChange).len()
+    }
+
+    fn fetch_requests(node: &Node) -> Vec<(Vec<Sender>, Vec<SeqNum>)> {
+        node.sent
+            .iter()
+            .filter_map(|o| match &o.msg {
+                Message::FetchRequest { seqs, .. } => Some((o.targets.clone(), seqs.clone())),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn four_cores_on_one_thread_commit_a_batch_with_equal_digests() {
+        for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+            let mut c = Cluster::new(&config(protocol, 1));
+            c.commit_batch(0, 0, 0);
+            let digests: Vec<_> = c.nodes.iter().map(|n| n.executed.clone()).collect();
+            assert_eq!(digests[0].len(), 1, "{protocol:?}: one batch executed");
+            assert_eq!(digests[0][0].0, SeqNum(1));
+            assert!(
+                digests.iter().all(|d| *d == digests[0]),
+                "{protocol:?}: replicas disagree: {digests:?}"
+            );
+            assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 2));
+            assert_eq!(c.nodes[0].bad_sigs, 0);
+        }
+    }
+
+    #[test]
+    fn a_forged_client_request_is_counted_and_never_proposed() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        let genuine = c.request(0, 0, 2);
+        let mut sig = genuine.sig().clone();
+        sig.0[0] ^= 0xff;
+        let forged = SignedMessage::new(genuine.into_message(), Sender::Client(ClientId(0)), sig);
+        c.step(0, Input::ClientRequest(forged));
+        c.run();
+        assert_eq!(c.nodes[0].bad_sigs, 1);
+        assert!(c.nodes[0].sent.is_empty());
+    }
+
+    #[test]
+    fn a_partial_batch_is_proposed_on_the_first_idle_tick_after_the_flush_delay() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        let one_txn = c.request(0, 0, 1);
+        c.step(0, Input::ClientRequest(one_txn));
+        assert!(c.nodes[0].sent.is_empty(), "half a batch: nothing proposed");
+        c.advance(crate::batch::BATCH_FLUSH_AFTER);
+        assert!(c.nodes[0].sent.is_empty(), "flush delay not exceeded yet");
+        c.advance(MS);
+        assert_eq!(c.nodes[0].sent_kind(MessageKind::PrePrepare).len(), 1);
+        assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 1));
+    }
+
+    #[test]
+    fn suspicion_needs_demand_and_a_full_timeout_then_doubles_up_to_32x() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        // Votes must not reach a quorum, or the view change completes and
+        // resets the strikes: watch replica 1 alone.
+        c.isolated.extend([0, 1, 2, 3]);
+        c.advance(VIEW_TIMEOUT * 5);
+        assert_eq!(view_changes(&c.nodes[1]), 0, "no demand, no stalled work");
+
+        c.step(1, Input::ClientDemand(0));
+        c.advance(VIEW_TIMEOUT - MS);
+        assert_eq!(view_changes(&c.nodes[1]), 0, "one ms short of the timeout");
+        c.advance(MS);
+        assert_eq!(view_changes(&c.nodes[1]), 1, "fires at the full timeout");
+
+        // Each fruitless strike doubles the wait: 2×, 4×, … 32×, then stays.
+        let mut fired = 1;
+        for factor in [2u32, 4, 8, 16, 32, 32, 32] {
+            c.advance(VIEW_TIMEOUT * factor - MS);
+            assert_eq!(view_changes(&c.nodes[1]), fired, "early at {factor}×");
+            c.advance(MS);
+            fired += 1;
+            assert_eq!(view_changes(&c.nodes[1]), fired, "due at {factor}×");
+        }
+    }
+
+    #[test]
+    fn executing_resets_the_suspicion_backoff_and_a_stale_epoch_does_not() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        c.isolated.extend([0, 1, 2, 3]);
+        c.step(1, Input::ClientDemand(0));
+        c.advance(VIEW_TIMEOUT);
+        c.advance(VIEW_TIMEOUT * 2);
+        assert_eq!(view_changes(&c.nodes[1]), 2, "two strikes: next wait is 4×");
+
+        // A result from another execution timeline is not progress.
+        let executed = |epoch| Input::Executed {
+            seq: SeqNum(1),
+            state_digest: Digest::ZERO,
+            epoch,
+        };
+        c.step(1, executed(c.nodes[1].core.epoch() + 1));
+        c.advance(VIEW_TIMEOUT * 4);
+        assert_eq!(
+            view_changes(&c.nodes[1]),
+            3,
+            "stale epoch ignored: 4× wait held"
+        );
+
+        // A current-epoch result is: demand is met, strikes are cleared.
+        c.step(1, executed(c.nodes[1].core.epoch()));
+        c.advance(VIEW_TIMEOUT * 8);
+        assert_eq!(view_changes(&c.nodes[1]), 3, "demand was met by executing");
+        c.step(1, Input::ClientDemand(0));
+        c.advance(VIEW_TIMEOUT);
+        assert_eq!(view_changes(&c.nodes[1]), 4, "back to the base timeout");
+    }
+
+    #[test]
+    fn entering_a_view_resets_the_suspicion_backoff() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        // Two fruitless strikes at replica 1 while it is cut off …
+        c.isolated.extend([0, 1]);
+        c.step(1, Input::ClientDemand(0));
+        c.advance(VIEW_TIMEOUT);
+        c.advance(VIEW_TIMEOUT * 2);
+        assert_eq!(view_changes(&c.nodes[1]), 2);
+        // … then the link heals (the primary stays dead) and everyone has
+        // demand: the next round of votes reaches a quorum.
+        c.isolated.remove(&1);
+        for r in 1..4 {
+            c.step(r, Input::ClientDemand(0));
+        }
+        c.advance(VIEW_TIMEOUT * 4);
+        for r in 1..4 {
+            assert_eq!(
+                c.nodes[r].views.last(),
+                Some(&(0, ViewNum(1))),
+                "replica {r}"
+            );
+        }
+        // Strikes cleared: fresh demand fires after one base timeout.
+        let before = view_changes(&c.nodes[2]);
+        c.isolated.extend([1, 2, 3]);
+        c.step(2, Input::ClientDemand(0));
+        c.advance(VIEW_TIMEOUT - MS);
+        assert_eq!(view_changes(&c.nodes[2]), before);
+        c.advance(MS);
+        assert_eq!(view_changes(&c.nodes[2]), before + 1);
+    }
+
+    #[test]
+    fn the_quiescence_probe_fires_after_two_idle_backoffs_and_not_before() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        c.isolated.extend([0, 1, 2, 3]);
+        // The fetch driver looks every `FETCH_POLL_EVERY`, so that is the
+        // probe's granularity.
+        let backoff = c.nodes[3].core.fetch_backoff;
+        c.advance(backoff * 2 - FETCH_POLL_EVERY);
+        assert!(
+            fetch_requests(&c.nodes[3]).is_empty(),
+            "not idle long enough"
+        );
+        c.advance(FETCH_POLL_EVERY);
+        let probes = fetch_requests(&c.nodes[3]);
+        assert_eq!(probes.len(), 1);
+        let (targets, seqs) = &probes[0];
+        assert_eq!(targets.len(), 1, "PBFT asks one peer");
+        let want: Vec<SeqNum> = (1..=FETCH_BATCH as u64).map(SeqNum).collect();
+        assert_eq!(*seqs, want, "the next window above last-executed");
+        // The probe is in flight for one back-off, then idle time counts
+        // again from when it was sent.
+        c.advance(backoff * 2 - FETCH_POLL_EVERY);
+        assert_eq!(fetch_requests(&c.nodes[3]).len(), 1);
+        c.advance(FETCH_POLL_EVERY);
+        let probes = fetch_requests(&c.nodes[3]);
+        assert_eq!(probes.len(), 2);
+        assert_ne!(
+            probes[0].0, probes[1].0,
+            "the retry rotates to another peer"
+        );
+    }
+
+    #[test]
+    fn fetch_caps_in_flight_requests_retries_rotated_peers_and_catches_up() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        // Replica 3 misses 70 batches, then hears the 71st commit: 70 holes.
+        c.isolated.insert(3);
+        for b in 0..70 {
+            c.commit_batch(0, 0, b * 2);
+        }
+        c.isolated.remove(&3);
+        c.commit_batch(0, 0, 140);
+        assert!(c.nodes[3].executed.is_empty(), "hole at sequence 1");
+        assert!(
+            fetch_requests(&c.nodes[3]).is_empty(),
+            "fetch polls on a timer"
+        );
+
+        // Cut it off again so requests go unanswered.
+        c.isolated.insert(3);
+        c.advance(FETCH_POLL_EVERY);
+        c.advance(FETCH_POLL_EVERY);
+        c.advance(FETCH_POLL_EVERY);
+        let asked = fetch_requests(&c.nodes[3]);
+        assert_eq!(asked.len(), 2, "two windows fill the in-flight cap");
+        let in_flight: usize = asked.iter().map(|(_, seqs)| seqs.len()).sum();
+        assert_eq!(in_flight, MAX_INFLIGHT);
+        assert_eq!(asked[0].1[0], SeqNum(1), "oldest hole first");
+        assert_ne!(asked[0].0, asked[1].0, "consecutive requests rotate peers");
+
+        // Nothing more until the back-off expires; then the same holes are
+        // re-requested, from the next peers in the rotation.
+        let backoff = c.nodes[3].core.fetch_backoff;
+        c.advance(backoff - FETCH_POLL_EVERY * 3);
+        assert_eq!(fetch_requests(&c.nodes[3]).len(), 2, "still backing off");
+        c.advance(FETCH_POLL_EVERY);
+        let asked = fetch_requests(&c.nodes[3]);
+        assert_eq!(asked.len(), 3, "first window expired and is retried");
+        assert_eq!(asked[2].1, asked[0].1);
+        assert_ne!(asked[2].0, asked[0].0);
+
+        // Healed, the certified responses fill every hole and execution
+        // converges on the survivors' state.
+        c.isolated.remove(&3);
+        for _ in 0..20 {
+            c.advance(backoff);
+        }
+        assert_eq!(c.nodes[3].executed.len(), 71);
+        assert_eq!(c.nodes[3].executed, c.nodes[0].executed);
+    }
+
+    #[test]
+    fn a_forged_digest_fetch_response_is_dropped_but_f_plus_1_honest_ones_install() {
+        let mut c = Cluster::new(&config(ProtocolKind::Zyzzyva, 1));
+        let batch = Arc::new(Batch::new(vec![Transaction::new(
+            ClientId(0),
+            0,
+            vec![Operation::Write {
+                key: 1,
+                value: vec![7; 8],
+            }],
+        )]));
+        let honest = digest(&batch.canonical_bytes());
+        let response = |from: u32, claimed: Digest| {
+            let msg = Message::FetchResponse {
+                seq: SeqNum(1),
+                view: ViewNum(0),
+                digest: claimed,
+                batch: Arc::clone(&batch),
+                certificate: Default::default(),
+                replica: ReplicaId(from),
+            };
+            let sender = Sender::Replica(ReplicaId(from));
+            Input::Verified(SignedMessage::new(msg, sender, Default::default()))
+        };
+        // The claimed digest does not bind the batch: not even f+1 such
+        // responses count as votes.
+        for from in [0, 1, 2] {
+            c.step(3, response(from, Digest([9; 32])));
+        }
+        assert!(c.nodes[3].executed.is_empty());
+        // One honest response is only one voucher (f = 1) …
+        c.step(3, response(0, honest));
+        assert!(c.nodes[3].executed.is_empty());
+        // … a repeat from the same peer is still one …
+        c.step(3, response(0, honest));
+        assert!(c.nodes[3].executed.is_empty());
+        // … a second distinct peer makes f+1.
+        c.step(3, response(1, honest));
+        assert_eq!(c.nodes[3].executed.len(), 1);
+    }
+
+    fn snapshot_at(base: u64) -> Arc<Snapshot> {
+        let records = vec![(1, vec![7; 8]), (2, vec![5; 4])];
+        let store = MemStore::new();
+        for (k, v) in &records {
+            store.put(*k, v);
+        }
+        Arc::new(Snapshot {
+            base_seq: SeqNum(base),
+            block: Block {
+                seq: SeqNum(base),
+                digest: Digest([1; 32]),
+                view: ViewNum(0),
+                link: BlockLink::Hash(Digest([2; 32])),
+                txn_count: 3,
+                result_digest: store.state_digest(),
+            },
+            history: Digest::ZERO,
+            records,
+        })
+    }
+
+    #[test]
+    fn f_plus_1_matching_snapshot_responses_install_and_f_do_not() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        let response = |from: u32, claimed_by: u32, snapshot: &Arc<Snapshot>| {
+            let msg = Message::SnapshotResponse {
+                snapshot: Arc::clone(snapshot),
+                replica: ReplicaId(claimed_by),
+            };
+            let sender = Sender::Replica(ReplicaId(from));
+            Input::Verified(SignedMessage::new(msg, sender, Default::default()))
+        };
+        let snapshot = snapshot_at(8);
+        c.step(3, response(0, 0, &snapshot));
+        assert!(c.nodes[3].installed.is_empty(), "f vouchers are not enough");
+        c.step(3, response(0, 0, &snapshot));
+        c.step(3, response(1, 2, &snapshot));
+        assert!(
+            c.nodes[3].installed.is_empty(),
+            "a repeat voucher and a response relayed under another name do not count"
+        );
+        let mut tampered = (*snapshot).clone();
+        tampered.records[0].1[0] ^= 1;
+        c.step(3, response(1, 1, &Arc::new(tampered)));
+        assert!(
+            c.nodes[3].installed.is_empty(),
+            "payload must match its commitment"
+        );
+
+        let epoch = c.nodes[3].core.epoch();
+        c.step(3, response(1, 1, &snapshot));
+        assert_eq!(c.nodes[3].installed, vec![SeqNum(8)]);
+        assert_eq!(
+            c.nodes[3].core.epoch(),
+            epoch + 1,
+            "a new execution timeline"
+        );
+        assert_eq!(c.nodes[3].next_exec, SeqNum(9));
+        // Already covered: the same snapshot again is a no-op.
+        c.step(3, response(2, 2, &snapshot));
+        assert_eq!(c.nodes[3].installed.len(), 1);
+    }
+
+    #[test]
+    fn k2_gap_fill_proposes_a_noop_once_the_frontier_passes_an_owned_slot() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 2));
+        // Client 1 shards to instance 1, led by replica 1, which owns the
+        // even sequences: its first batch commits at sequence 2.
+        c.commit_batch(1, 1, 0);
+        // Replica 0 leads instance 0 and had nothing to order — but the
+        // schedule cannot pass its slot 1, so it fills it with a no-op.
+        let noops: Vec<_> = c.nodes[0]
+            .sent
+            .iter()
+            .filter_map(|o| match &o.msg {
+                Message::PrePrepare { seq, batch, .. } => Some((*seq, batch.len())),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(noops, vec![(SeqNum(1), 0)]);
+        let executed = c.nodes[0].executed.clone();
+        assert_eq!(
+            executed.iter().map(|(s, _)| s.0).collect::<Vec<_>>(),
+            vec![1, 2]
+        );
+        assert!(c.nodes.iter().all(|n| n.executed == executed));
+        assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 2));
+    }
+}

@@ -27,7 +27,6 @@ use std::time::Duration;
 pub struct ClientRequestQueue {
     queue: SegQueue<SignedMessage>,
     enqueued: AtomicU64,
-    dequeued: AtomicU64,
 }
 
 impl ClientRequestQueue {
@@ -44,11 +43,7 @@ impl ClientRequestQueue {
 
     /// Dequeues a request if one is available (batch-thread side).
     pub fn pop(&self) -> Option<SignedMessage> {
-        let m = self.queue.pop();
-        if m.is_some() {
-            self.dequeued.fetch_add(1, Ordering::Relaxed);
-        }
-        m
+        self.queue.pop()
     }
 
     /// Requests currently waiting.
@@ -88,11 +83,15 @@ pub struct ExecuteItem {
 ///
 /// Recovery additions: the next-to-execute *cursor* lives here (shared
 /// between the execute stage and the worker) together with an execution
-/// *gate* and an *epoch* counter. The execute stage holds the gate while
-/// executing and advances the cursor under it; the worker takes the gate
-/// to roll the cursor back (Zyzzyva mis-speculation) or jump it forward
-/// (snapshot install), bumping the epoch so in-flight `Executed`
-/// notifications from the displaced timeline are recognizably stale.
+/// *gate* and an *epoch* counter. The execute stage [claims](Self::claim)
+/// its items under the gate, holds it while executing and advances the
+/// cursor as it lets go; the worker takes the gate to roll the cursor back
+/// (Zyzzyva mis-speculation) or jump it forward (snapshot install),
+/// bumping the epoch so in-flight `Executed` notifications from the
+/// displaced timeline are recognizably stale. Items leave their slots
+/// only under the gate, so whatever the worker's purge finds parked is
+/// all there is of the displaced timeline — nothing is ever in flight
+/// between the queue and the execute stage across a repoint.
 #[derive(Debug)]
 pub struct ExecutionQueues {
     slots: Vec<Mutex<Vec<ExecuteItem>>>,
@@ -123,7 +122,8 @@ impl ExecutionQueues {
         SeqNum(self.cursor.load(Ordering::Acquire))
     }
 
-    /// Advances the cursor (execute stage, under the gate).
+    /// Positions the cursor without starting a new epoch: boot-time
+    /// recovery (before any stage thread runs) and [`Claim::finish`].
     pub fn set_cursor(&self, next: SeqNum) {
         self.cursor.store(next.0, Ordering::Release);
     }
@@ -174,11 +174,6 @@ impl ExecutionQueues {
         purged
     }
 
-    /// Number of logical queues (`QC`).
-    pub fn qc(&self) -> usize {
-        self.slots.len()
-    }
-
     fn index(&self, seq: SeqNum) -> usize {
         (seq.0 % self.slots.len() as u64) as usize
     }
@@ -195,25 +190,58 @@ impl ExecutionQueues {
         self.ready[idx].notify_one();
     }
 
-    /// Waits up to `timeout` for the item of exactly `seq` (execute-thread
-    /// side). This is the paper's trick: the execute-thread blocks on the
-    /// one queue that will hold the next batch in order.
-    pub fn take(&self, seq: SeqNum, timeout: Duration) -> Option<ExecuteItem> {
+    /// Waits up to `timeout` for the item of exactly `seq` to be parked,
+    /// without removing it. This is the paper's trick: the execute-thread
+    /// blocks on the one queue that will hold the next batch in order.
+    fn wait_ready(&self, seq: SeqNum, timeout: Duration) -> bool {
         let idx = self.index(seq);
         let mut slot = self.slots[idx].lock();
         loop {
-            if let Some(pos) = slot.iter().position(|i| i.seq == seq) {
-                return Some(slot.swap_remove(pos));
+            if slot.iter().any(|i| i.seq == seq) {
+                return true;
             }
-            if self.ready[idx].wait_for(&mut slot, timeout).timed_out() {
-                return None;
+            if timeout.is_zero() || self.ready[idx].wait_for(&mut slot, timeout).timed_out() {
+                return false;
             }
         }
     }
 
-    /// Non-blocking take: the item for exactly `seq`, if already deposited
-    /// (the parallel coordinator uses this to widen its in-order window
-    /// opportunistically).
+    /// The execute stage's one way to remove work: waits up to `wait` for
+    /// the cursor's item, then — under the gate — takes it and up to
+    /// `cap − 1` consecutive successors that are already parked. `None`
+    /// when nothing became ready, or when the worker repointed or purged
+    /// in the meantime (the next call sees the new cursor).
+    ///
+    /// The wait happens outside the gate and removes nothing, so a
+    /// rollback or snapshot install never races a half-claimed item: the
+    /// displaced timeline is purged wholesale, and an item the worker
+    /// re-emits afterwards — even for the *same* cursor — is claimed under
+    /// the new epoch.
+    pub fn claim(&self, cap: usize, wait: Duration) -> Option<Claim<'_>> {
+        if !self.wait_ready(self.cursor(), wait) {
+            return None;
+        }
+        let gate = self.gate.lock();
+        let first = self.cursor();
+        let mut items = Vec::with_capacity(cap.min(8));
+        while items.len() < cap {
+            match self.try_take(SeqNum(first.0 + items.len() as u64)) {
+                Some(item) => items.push(item),
+                None => break,
+            }
+        }
+        if items.is_empty() {
+            return None;
+        }
+        Some(Claim {
+            queues: self,
+            _gate: gate,
+            epoch: self.epoch(),
+            items,
+        })
+    }
+
+    /// Non-blocking take: the item for exactly `seq`, if already deposited.
     pub fn try_take(&self, seq: SeqNum) -> Option<ExecuteItem> {
         let idx = self.index(seq);
         let mut slot = self.slots[idx].lock();
@@ -224,6 +252,37 @@ impl ExecutionQueues {
     /// Items waiting across all slots (for saturation metrics).
     pub fn depth(&self) -> usize {
         self.slots.iter().map(|s| s.lock().len()).sum()
+    }
+}
+
+/// An in-order window of committed batches held by the execute stage,
+/// together with the gate that keeps the worker from repointing execution
+/// underneath it.
+#[derive(Debug)]
+pub struct Claim<'a> {
+    queues: &'a ExecutionQueues,
+    _gate: parking_lot::MutexGuard<'a, ()>,
+    epoch: u64,
+    items: Vec<ExecuteItem>,
+}
+
+impl Claim<'_> {
+    /// The claimed batches: consecutive sequences starting at the cursor.
+    pub fn items(&self) -> &[ExecuteItem] {
+        &self.items
+    }
+
+    /// The execution epoch the window was claimed in; results reported
+    /// with it are recognizably stale after a later repoint.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Marks the window executed: advances the cursor past it and opens
+    /// the gate.
+    pub fn finish(self) {
+        let last = self.items.last().expect("a claim is never empty");
+        self.queues.set_cursor(last.seq.next());
     }
 }
 
@@ -262,17 +321,93 @@ mod tests {
         assert_eq!(q.depth(), 4);
     }
 
+    /// Claims one item and finishes it, returning its sequence.
+    fn claim_one(eq: &ExecutionQueues, wait: Duration) -> Option<SeqNum> {
+        let claim = eq.claim(1, wait)?;
+        let seq = claim.items()[0].seq;
+        claim.finish();
+        Some(seq)
+    }
+
     #[test]
-    fn execution_take_exact_sequence() {
+    fn claim_follows_the_cursor_exactly() {
         let eq = ExecutionQueues::new(8);
         eq.deposit(item(2));
         eq.deposit(item(1));
-        // Taking seq 1 ignores the parked seq 2.
-        let got = eq.take(SeqNum(1), Duration::from_millis(100)).unwrap();
-        assert_eq!(got.seq, SeqNum(1));
-        let got = eq.take(SeqNum(2), Duration::from_millis(100)).unwrap();
-        assert_eq!(got.seq, SeqNum(2));
+        // Claiming at cursor 1 ignores the parked seq 2.
+        assert_eq!(claim_one(&eq, Duration::from_millis(100)), Some(SeqNum(1)));
+        assert_eq!(claim_one(&eq, Duration::from_millis(100)), Some(SeqNum(2)));
         assert_eq!(eq.depth(), 0);
+        assert_eq!(eq.cursor(), SeqNum(3));
+    }
+
+    #[test]
+    fn claim_widens_over_consecutive_parked_sequences_only() {
+        let eq = ExecutionQueues::new(8);
+        for seq in [1u64, 2, 3, 5] {
+            eq.deposit(item(seq));
+        }
+        let claim = eq.claim(8, Duration::ZERO).unwrap();
+        let seqs: Vec<u64> = claim.items().iter().map(|i| i.seq.0).collect();
+        assert_eq!(seqs, vec![1, 2, 3], "stops at the hole before 5");
+        claim.finish();
+        assert_eq!(eq.cursor(), SeqNum(4));
+        assert!(eq.claim(8, Duration::ZERO).is_none(), "4 is not parked");
+        assert_eq!(eq.depth(), 1);
+    }
+
+    #[test]
+    fn repoint_to_the_same_cursor_displaces_the_parked_item() {
+        // Regression: a rollback whose target is just below the cursor
+        // repoints to the *same* cursor. The displaced timeline's item for
+        // that sequence must never execute, and the re-emitted one must —
+        // under the new epoch. The execute stage used to remove the item
+        // before taking the gate and re-check only the cursor, which this
+        // repoint leaves unchanged.
+        let eq = ExecutionQueues::new(8);
+        let mut displaced = item(1);
+        displaced.digest = Digest([1; 32]);
+        eq.deposit(displaced);
+        assert!(
+            eq.wait_ready(SeqNum(1), Duration::ZERO),
+            "execute stage saw it"
+        );
+        {
+            let _gate = eq.gate();
+            assert_eq!(eq.purge_above(SeqNum(0)), 1);
+            eq.repoint(SeqNum(1));
+        }
+        assert_eq!(eq.cursor(), SeqNum(1), "same cursor, new epoch");
+        assert!(
+            eq.claim(1, Duration::ZERO).is_none(),
+            "the displaced item is gone, not claimable"
+        );
+        let mut reemitted = item(1);
+        reemitted.digest = Digest([2; 32]);
+        eq.deposit(reemitted);
+        let claim = eq.claim(1, Duration::ZERO).unwrap();
+        assert_eq!(claim.items()[0].digest, Digest([2; 32]));
+        assert_eq!(claim.epoch(), 1);
+    }
+
+    #[test]
+    fn a_held_claim_keeps_the_worker_from_repointing() {
+        let eq = Arc::new(ExecutionQueues::new(8));
+        eq.deposit(item(1));
+        let claim = eq.claim(1, Duration::ZERO).unwrap();
+        let (eq2, (tx, rx)) = (Arc::clone(&eq), std::sync::mpsc::channel());
+        let worker = std::thread::spawn(move || {
+            let _gate = eq2.gate();
+            tx.send(eq2.cursor()).unwrap();
+            eq2.repoint(SeqNum(1));
+        });
+        // The worker is parked on the gate: nothing arrives until the
+        // claim finishes, and by then the cursor has already advanced.
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        claim.finish();
+        assert_eq!(rx.recv().unwrap(), SeqNum(2));
+        worker.join().unwrap();
+        assert_eq!((eq.cursor(), eq.epoch()), (SeqNum(1), 1));
     }
 
     #[test]
@@ -288,10 +423,10 @@ mod tests {
     }
 
     #[test]
-    fn take_times_out_when_absent() {
+    fn claim_times_out_when_absent() {
         let eq = ExecutionQueues::new(8);
         eq.deposit(item(5));
-        assert!(eq.take(SeqNum(1), Duration::from_millis(20)).is_none());
+        assert!(eq.claim(1, Duration::from_millis(20)).is_none());
         assert_eq!(eq.depth(), 1, "wrong-seq item stays parked");
     }
 
@@ -301,14 +436,8 @@ mod tests {
         let eq = ExecutionQueues::new(4);
         eq.deposit(item(5));
         eq.deposit(item(1));
-        assert_eq!(
-            eq.take(SeqNum(1), Duration::from_millis(50)).unwrap().seq,
-            SeqNum(1)
-        );
-        assert_eq!(
-            eq.take(SeqNum(5), Duration::from_millis(50)).unwrap().seq,
-            SeqNum(5)
-        );
+        assert_eq!(eq.try_take(SeqNum(1)).unwrap().seq, SeqNum(1));
+        assert_eq!(eq.try_take(SeqNum(5)).unwrap().seq, SeqNum(5));
     }
 
     #[test]
@@ -322,10 +451,8 @@ mod tests {
         });
         // Consume strictly in order despite reversed production.
         for seq in 1..=50u64 {
-            let got = eq
-                .take(SeqNum(seq), Duration::from_secs(2))
-                .expect("item arrives");
-            assert_eq!(got.seq, SeqNum(seq));
+            let got = claim_one(&eq, Duration::from_secs(2)).expect("item arrives");
+            assert_eq!(got, SeqNum(seq));
         }
         producer.join().unwrap();
     }
@@ -370,7 +497,7 @@ mod tests {
         // Regression for the notify_all → notify_one change: with QC=1
         // every deposit lands in the same slot, and the single waiter must
         // be woken for each of a rapid burst of deposits — a lost wakeup
-        // would stall the take-loop until its timeout.
+        // would stall the claim loop until its timeout.
         let eq = Arc::new(ExecutionQueues::new(1));
         let eq2 = Arc::clone(&eq);
         let producer = std::thread::spawn(move || {
@@ -382,10 +509,9 @@ mod tests {
             }
         });
         for seq in 1..=5u64 {
-            let got = eq
-                .take(SeqNum(seq), Duration::from_secs(5))
+            let got = claim_one(&eq, Duration::from_secs(5))
                 .unwrap_or_else(|| panic!("waiter missed wakeup for seq {seq}"));
-            assert_eq!(got.seq, SeqNum(seq));
+            assert_eq!(got, SeqNum(seq));
         }
         producer.join().unwrap();
         assert_eq!(eq.depth(), 0);

@@ -1,81 +1,67 @@
-//! The threaded replica runtime (Figures 6a/6b).
-//!
-//! [`spawn_replica`] starts the paper's pipeline for one replica:
+//! The threaded replica runtime (Figures 6a/6b): one loop per pipeline
+//! stage around the sans-IO [`ReplicaCore`].
 //!
 //! ```text
-//! network ─▶ input threads ──▶ client-request queue ─▶ batch threads ─┐
-//!                    │                                                │ Propose
-//!                    ├─ replica msgs ──────────────────▶ worker ◀─────┘
-//!                    └─ checkpoints ──▶ checkpoint thread ─▶ worker
-//!  worker ─▶ execution queues (QC slots) ─▶ execute thread ─▶ output threads ─▶ network
+//! network ─▶ input_loop ──▶ client-request queue ─▶ batch_loop ─┐
+//!                  │                                            │ Propose
+//!                  ├─ replica msgs ─────────────▶ worker_loop ◀─┘
+//!                  └─ checkpoints ─▶ checkpoint_loop ─▶ worker_loop
+//!  worker_loop ─▶ execution queues (QC slots) ─▶ execute_loop ─▶ output_loop ─▶ network
+//!                                                    └─ Executed ─▶ worker_loop
 //! ```
 //!
-//! Thread counts come from [`ThreadConfig`]; setting `batch_threads = 0`
-//! or `execute_threads = 0` folds that stage into the worker thread,
-//! reproducing the paper's `0B`/`0E` degraded configurations (Figure 8).
-//! `execute_threads = 1` is the paper's serial execute-thread;
-//! `execute_threads = N ≥ 2` runs a coordinator plus `N` conflict-scheduled
-//! execute workers ([`crate::scheduler`]) whose committed results are
-//! bit-identical to serial execution.
+//! Every stage is a plain function run by `ThreadConfig`-many threads;
+//! [`spawn_replica`] only builds the shared state and starts them. All
+//! decisions — consensus, timers, recovery — are made by the core, which
+//! [`worker_loop`] feeds from its channel and whose [`Effect`]s it alone
+//! carries out. The other loops verify, assemble, execute and transmit:
+//!
+//! - [`input_loop`] and [`checkpoint_loop`] batch-verify incoming
+//!   signatures (checkpoint votes on their own thread so a burst of them
+//!   cannot delay consensus traffic) and forward what is authentic.
+//! - [`batch_loop`] turns client requests into digested batches;
+//!   `batch_threads = 0` leaves that to the core (the paper's `0B`).
+//! - [`execute_loop`] runs committed batches strictly in sequence order:
+//!   serially for `execute_threads = 1`, through the conflict scheduler
+//!   ([`crate::scheduler`]) for `N ≥ 2` — same loop, different "run this
+//!   window" closure, bit-identical results. With `execute_threads = 0`
+//!   the worker runs the same step itself after each deposit (`0E`,
+//!   Figure 8's integrated ordering and execution).
+//! - [`output_loop`] signs each outgoing message once and fans it out.
+//!
+//! Stage channels are unbounded: back-pressure comes from the closed-loop
+//! clients and the transport, not from blocking a stage on its successor.
 
+use crate::batch::{verify_window, BatchAssembler};
+use crate::core::{client_instance, CoreEnv, Effect, Input, ReplicaCore};
 use crate::durable;
 use crate::executor::{Executor, OutItem};
 use crate::metrics::{MetricsRegistry, Stage, StageRecorder};
-use crate::queues::{ClientRequestQueue, ExecuteItem, ExecutionQueues};
-use crate::recovery;
+use crate::queues::{Claim, ClientRequestQueue, ExecuteItem, ExecutionQueues};
 use crate::scheduler::{ExecPool, ParallelExecutor};
 use crossbeam::channel::{self, Receiver, Sender as ChanSender};
 use parking_lot::Mutex;
 use rdb_common::messages::{Message, Sender, SignedMessage};
-use rdb_common::{
-    Batch, Digest, ProtocolKind, ReplicaId, SeqNum, SignatureBytes, Snapshot, StorageMode,
-    SystemConfig, Transaction, ViewNum,
-};
-use rdb_consensus::{Action, ConsensusConfig, MultiEngine};
-use rdb_crypto::{digest, CryptoProvider, CryptoStats, KeyRegistry, PeerClass};
+use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, StorageMode, SystemConfig};
+use rdb_crypto::{digest, CryptoProvider, CryptoStats, KeyRegistry, PeerClass, VERIFY_WINDOW};
 use rdb_net::{EndpointSender, NetHandle, NetworkStats};
 use rdb_storage::blockchain::ChainMode;
 use rdb_storage::pagedb::{PagedStore, PagedStoreConfig};
 use rdb_storage::{Blockchain, MemStore, StateStore};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::VecDeque;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-// Flush and poll latencies are configuration now: see
-// `ThreadConfig::batch_flush_after_us` / `poll_interval_us` (defaults
-// preserve the constants that used to live here).
+/// How long a stage blocks on its queue before re-checking for shutdown
+/// (and, at the worker, before an idle tick of the core).
+pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
-/// Work items flowing into the worker thread.
-#[derive(Debug)]
-enum Work {
-    /// Message already verified by another stage (input threads batch-verify
-    /// replica traffic; the checkpoint thread verifies checkpoints).
-    Verified(SignedMessage),
-    /// Client request routed to the worker because `batch_threads == 0`.
-    ClientRequest(SignedMessage),
-    /// A digested batch ready to propose on `instance` (from a batch-thread).
-    Propose {
-        instance: usize,
-        batch: Batch,
-        digest: Digest,
-    },
-    /// Execution finished for `seq` (from the execute-thread). `epoch`
-    /// identifies the execution timeline the result belongs to; after a
-    /// rollback or snapshot install the worker bumps the queue epoch, and
-    /// notifications from the displaced timeline are dropped.
-    Executed {
-        seq: SeqNum,
-        state_digest: Digest,
-        epoch: u64,
-    },
-    /// A backup received client traffic for `instance`: unmet demand the
-    /// suspicion timer combines with lack of progress to detect a dead or
-    /// partitioned primary (clients rebroadcast requests to every replica
-    /// when their own timers expire).
-    ClientDemand(usize),
-}
+/// Maximum committed sequences the parallel executor schedules in one
+/// conflict graph (the in-order window of `execute_threads ≥ 2`).
+pub const EXECUTE_WINDOW: usize = 4;
 
 /// State shared between the replica's threads and exposed to callers.
 pub struct ReplicaShared {
@@ -100,7 +86,7 @@ pub struct ReplicaShared {
     /// Per-instance installed views, updated by the worker on `EnterView` —
     /// the input threads route client traffic for instance `j` by
     /// `(view_j + j) % n` through this.
-    instance_views: Arc<Vec<AtomicU64>>,
+    instance_views: Vec<AtomicU64>,
     /// What restart-from-disk rebuilt (`None` when the replica runs
     /// memory-only, i.e. no `data_dir` configured).
     recovery: Option<durable::RecoveryReport>,
@@ -142,6 +128,16 @@ impl ReplicaShared {
     /// the replica runs memory-only).
     pub fn recovery_report(&self) -> Option<durable::RecoveryReport> {
         self.recovery
+    }
+}
+
+impl CoreEnv for ReplicaShared {
+    fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+        self.executor.latest_snapshot()
+    }
+
+    fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
+        self.chain.lock().prune_below(seq)
     }
 }
 
@@ -211,569 +207,133 @@ pub fn spawn_replica(
     config.validate().expect("invalid system configuration");
     let provider = registry.provider_for_replica(id);
     let endpoint = net.register(Sender::Replica(id));
-    let me = Sender::Replica(id);
-    let poll = config.threads.poll_interval();
-    let flush_after = config.threads.batch_flush_after();
-
-    // --- storage ----------------------------------------------------------
-    // With durability configured, everything this replica persists lives
-    // under its own subdirectory of the shared data root.
-    let data_dir: Option<std::path::PathBuf> = config.durability.data_dir.as_ref().map(|root| {
-        let dir = std::path::Path::new(root).join(format!("replica-{}", id.0));
-        std::fs::create_dir_all(&dir).expect("create replica data directory");
-        dir
-    });
-    let store: Arc<dyn StateStore> = match config.storage {
-        StorageMode::InMemory => Arc::new(MemStore::with_table(config.table_size, 8)),
-        StorageMode::Paged => {
-            // The paged file is a cache of state the WAL + snapshots can
-            // rebuild, so (re)creating it fresh per boot is always safe.
-            let path = data_dir
-                .as_ref()
-                .map(|d| d.join("paged.db"))
-                .unwrap_or_else(|| {
-                    std::env::temp_dir().join(format!(
-                        "rdb-paged-{}-r{}-{:x}",
-                        std::process::id(),
-                        id.0,
-                        std::time::SystemTime::now()
-                            .duration_since(std::time::UNIX_EPOCH)
-                            .map(|d| d.as_nanos() as u64)
-                            .unwrap_or(0)
-                    ))
-                });
-            let paged = PagedStore::create(
-                &path,
-                PagedStoreConfig {
-                    record_size: 64,
-                    capacity: config.table_size,
-                    cache_pages: 64,
-                    fsync_on_write: false,
-                },
-            )
-            .expect("create paged store");
-            Arc::new(paged)
-        }
-    };
-    let chain_mode = match config.protocol {
-        ProtocolKind::Pbft => ChainMode::Certificate,
-        // Zyzzyva's speculative history is itself a hash chain.
-        ProtocolKind::Zyzzyva => ChainMode::PrevHash,
-    };
-    let chain_quorum = match config.protocol {
-        ProtocolKind::Pbft => rdb_common::quorum::commit_quorum(config.f),
-        ProtocolKind::Zyzzyva => 0,
-    };
-    let chain = Arc::new(Mutex::new(Blockchain::new(
-        digest(&id.0.to_le_bytes()),
-        chain_quorum,
-        chain_mode,
-    )));
-    let executor = Arc::new(Executor::new(
-        id,
-        config.protocol,
-        Arc::clone(&store),
-        Arc::clone(&chain),
-    ));
-
-    // --- queues and channels ----------------------------------------------
-    let (work_tx, work_rx) = channel::unbounded::<Work>();
-    let (ckpt_tx, ckpt_rx) = channel::unbounded::<SignedMessage>();
-    let out_channels: Vec<(ChanSender<OutItem>, Receiver<OutItem>)> =
-        (0..config.threads.output_threads)
-            .map(|_| channel::unbounded())
-            .collect();
     let k = config.consensus_instances.max(1);
-    let client_queues: Vec<Arc<ClientRequestQueue>> = (0..k)
-        .map(|_| Arc::new(ClientRequestQueue::new()))
-        .collect();
-    let qc = (config.execution_queue_count() as usize).clamp(1024, 1 << 16);
-    let exec_queues = Arc::new(ExecutionQueues::new(qc));
+    let threads_cfg = config.threads;
+    let (shared, exec_queues) = build_shared(config, id, &provider);
+    let (metrics, executor) = (&shared.metrics, &shared.executor);
 
-    let metrics = MetricsRegistry::new();
-    metrics.start_window();
+    // --- channels -----------------------------------------------------------
+    let (work_tx, work_rx) = channel::unbounded::<Input>();
+    let (ckpt_tx, ckpt_rx) = channel::unbounded::<SignedMessage>();
+    let (out_txs, out_rxs): (Vec<_>, Vec<_>) = (0..threads_cfg.output_threads)
+        .map(|_| channel::unbounded::<OutItem>())
+        .unzip();
+    let out = OutShards {
+        txs: out_txs,
+        next: 0,
+    };
     let shutdown = Arc::new(AtomicBool::new(false));
-    let instance_views: Arc<Vec<AtomicU64>> = Arc::new((0..k).map(|_| AtomicU64::new(0)).collect());
-
-    // Each instance checkpoints every Δ of its *own* executed batches;
-    // scaling Δ by 1/k keeps the global prune cadence (in global sequence
-    // numbers) independent of k.
-    let ckpt_delta = (config.checkpoint_interval / config.batch_size as u64 / k as u64).max(1);
-    // Serving snapshots are captured on the same cadence as checkpoints
-    // (Δ per-instance batches × k instances in global sequence numbers),
-    // so every replica snapshots identical state at identical sequences —
-    // the f+1 cross-peer agreement a state-transferring receiver demands.
-    executor.set_snapshot_interval(ckpt_delta * k as u64);
-    let consensus_cfg = ConsensusConfig::new(config.n, ckpt_delta)
-        // Only the deployment's *initial* primary is byzantine; whoever wins
-        // the ensuing view change behaves honestly.
-        .with_equivocation(
-            config.byzantine_primary && id == rdb_common::ViewNum(0).primary(config.n),
-        );
-    let mut engine = MultiEngine::new(config.protocol, id, consensus_cfg, k);
-
-    // --- durable recovery ---------------------------------------------------
-    // Rebuild from the local WAL + snapshots before any stage thread runs:
-    // replay re-executes through the ordinary executor (the snapshot
-    // interval is already set, so serving snapshots recapture too), then
-    // the consensus engines and execution cursor fast-forward past the
-    // recovered head. Anything the disk could not prove is left to the
-    // network state-transfer path.
-    let recovery = data_dir.as_ref().map(|dir| {
-        let (_, report) = durable::recover_replica(&executor, dir, &config.durability)
-            .expect("replica data directory unusable");
-        if report.head.0 > 0 {
-            engine.install_snapshot(report.head, report.history);
-            exec_queues.repoint(report.head.next());
-        }
-        report
-    });
-
-    let shared = Arc::new(ReplicaShared {
-        id,
-        store,
-        chain: Arc::clone(&chain),
-        metrics: metrics.clone(),
-        client_queues: client_queues.clone(),
-        executor: Arc::clone(&executor),
-        crypto_stats: provider.stats().clone(),
-        committed_batches: AtomicU64::new(0),
-        committed_per_instance: (0..k).map(|_| AtomicU64::new(0)).collect(),
-        dropped_bad_sigs: AtomicU64::new(0),
-        instance_views: Arc::clone(&instance_views),
-        recovery,
-    });
-    let n = config.n as u64;
-    let replicas: Vec<Sender> = (0..config.n as u32)
-        .map(|r| Sender::Replica(ReplicaId(r)))
-        .collect();
-
+    let stage = |stage: Stage, index: usize| StageCtx {
+        stop: Arc::clone(&shutdown),
+        rec: metrics.recorder(stage, index),
+        provider: provider.clone(),
+        work_tx: work_tx.clone(),
+        shared: Arc::clone(&shared),
+    };
     let mut threads = Vec::new();
-    let spawn = |name: String, f: Box<dyn FnOnce() + Send>| -> JoinHandle<()> {
-        std::thread::Builder::new()
-            .name(name)
-            .spawn(f)
-            .expect("spawn stage thread")
+    let mut spawn = |name: String, body: Box<dyn FnOnce() + Send>| {
+        let thread = std::thread::Builder::new()
+            .name(format!("r{}-{name}", id.0))
+            .spawn(body)
+            .expect("spawn stage thread");
+        threads.push(thread);
     };
 
-    // --- input threads ------------------------------------------------------
+    // --- the six loops ------------------------------------------------------
     // Every replica runs the full input complement: a backup can become the
     // primary at any view change, so the client-facing threads must already
     // be listening.
-    let input_total = config.threads.client_input_threads + config.threads.replica_input_threads;
-    let verify_window = config.threads.verify_window.max(1);
-    for i in 0..input_total {
-        let rx = endpoint.receiver();
-        let work_tx = work_tx.clone();
-        let ckpt_tx = ckpt_tx.clone();
-        let cqs = client_queues.clone();
-        let stop = Arc::clone(&shutdown);
-        let rec = metrics.recorder(Stage::Input, i);
-        let has_batch_threads = config.threads.batch_threads > 0;
-        let has_ckpt_thread = config.threads.checkpoint_threads > 0;
-        let provider = provider.clone();
-        let shared2 = Arc::clone(&shared);
-        let views = Arc::clone(&instance_views);
-        threads.push(spawn(
-            format!("r{}-input-{i}", id.0),
-            Box::new(move || {
-                // Replica traffic awaiting signature verification. The
-                // batch-verify stage: drain whatever is already queued (up
-                // to `verify_window`) and check the whole window as one
-                // crypto batch — under load the shared multi-scalar
-                // multiplication amortizes across the window, while an
-                // idle replica still verifies each message immediately
-                // (a window of one).
-                let mut window: Vec<SignedMessage> = Vec::with_capacity(verify_window);
-                // Routes one received message: client requests go to the
-                // batching stage and checkpoints to the checkpoint thread
-                // (each verifies its own traffic); everything else joins
-                // this thread's verify window.
-                let route = |sm: SignedMessage, window: &mut Vec<SignedMessage>| match sm.msg() {
-                    Message::ClientRequest { .. } => {
-                        // Clients shard across instances by id; instance
-                        // `j` at view `v` is led by replica `(v + j) % n`.
-                        // Primaryship is dynamic: re-check the installed
-                        // view on every request.
-                        let j = match sm.sender() {
-                            Sender::Client(c) => (c.0 % cqs.len() as u64) as usize,
-                            _ => 0,
-                        };
-                        let led_by = (views[j].load(Ordering::Relaxed) + j as u64) % n;
-                        if led_by == id.0 as u64 {
-                            if has_batch_threads {
-                                cqs[j].push(sm);
-                            } else {
-                                let _ = work_tx.send(Work::ClientRequest(sm));
-                            }
-                        } else {
-                            // Backups drop the payload (clients address the
-                            // primary directly; rebroadcasts reach it too)
-                            // but surface the demand to the suspicion timer.
-                            let _ = work_tx.send(Work::ClientDemand(j));
-                        }
-                    }
-                    Message::Checkpoint { .. } if has_ckpt_thread => {
-                        let _ = ckpt_tx.send(sm);
-                    }
-                    _ => window.push(sm),
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    let Ok(first) = rx.recv_timeout(poll) else {
-                        continue;
-                    };
-                    rec.record(|| {
-                        route(first, &mut window);
-                        while window.len() < verify_window {
-                            match rx.try_recv() {
-                                Ok(sm) => route(sm, &mut window),
-                                Err(_) => break,
-                            }
-                        }
-                        if window.is_empty() {
-                            return;
-                        }
-                        let items: Vec<(Sender, &[u8], &SignatureBytes)> = window
-                            .iter()
-                            .map(|sm| (sm.sender(), sm.signing_bytes(), sm.sig()))
-                            .collect();
-                        let verdicts = provider.verify_batch(&items);
-                        for (sm, ok) in window.drain(..).zip(verdicts) {
-                            if ok {
-                                let _ = work_tx.send(Work::Verified(sm));
-                            } else {
-                                shared2.dropped_bad_sigs.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    });
-                }
-            }),
-        ));
+    for i in 0..threads_cfg.client_input_threads + threads_cfg.replica_input_threads {
+        let (ctx, rx) = (stage(Stage::Input, i), endpoint.receiver());
+        let router = Router {
+            n: config.n as u64,
+            to_batch_threads: threads_cfg.batch_threads > 0,
+            ckpt_tx: (threads_cfg.checkpoint_threads > 0).then(|| ckpt_tx.clone()),
+        };
+        spawn(
+            format!("input-{i}"),
+            Box::new(move || input_loop(&ctx, &rx, &router)),
+        );
     }
-
-    // --- batch threads -------------------------------------------------------
-    // Spawned on every replica: a queue only fills while this replica
-    // leads its instance (input routing is view-aware), and `propose` on a
-    // backup engine is a no-op, so idle batch threads cost a parked
-    // future. With k > 1 instances the count is raised to at least k so
-    // every instance has a dedicated batching path; thread `b` serves
-    // instance `b % k`.
-    let batch_thread_count = if config.threads.batch_threads > 0 {
-        config.threads.batch_threads.max(k)
-    } else {
-        0
+    // Batch threads are spawned on every replica: a queue only fills while
+    // this replica leads its instance (input routing is view-aware), and
+    // `propose` on a backup engine is a no-op. With k > 1 instances the
+    // count is raised to at least k so every instance has a dedicated
+    // batching path; thread `b` serves instance `b % k`.
+    let batch_threads = match threads_cfg.batch_threads {
+        0 => 0,
+        b => b.max(k),
     };
-    for b in 0..batch_thread_count {
-        let instance = b % k;
-        let cq = Arc::clone(&client_queues[instance]);
-        let work_tx = work_tx.clone();
-        let stop = Arc::clone(&shutdown);
-        let rec = metrics.recorder(Stage::Batch, b);
-        let provider = provider.clone();
-        let batch_size = config.batch_size;
-        let dropped = Arc::clone(&shared);
-        threads.push(spawn(
-            format!("r{}-batch-{b}", id.0),
-            Box::new(move || {
-                batch_loop(
-                    instance,
-                    &cq,
-                    &work_tx,
-                    &stop,
-                    &rec,
-                    &provider,
-                    batch_size,
-                    verify_window,
-                    flush_after,
-                    &dropped,
-                );
-            }),
-        ));
+    for b in 0..batch_threads {
+        let (ctx, batch_size) = (stage(Stage::Batch, b), config.batch_size);
+        spawn(
+            format!("batch-{b}"),
+            Box::new(move || batch_loop(&ctx, b % k, batch_size)),
+        );
     }
-
-    // --- checkpoint thread ---------------------------------------------------
-    for c in 0..config.threads.checkpoint_threads {
-        let rx = ckpt_rx.clone();
-        let work_tx = work_tx.clone();
-        let stop = Arc::clone(&shutdown);
-        let rec = metrics.recorder(Stage::Checkpoint, c);
-        let provider = provider.clone();
-        let shared2 = Arc::clone(&shared);
-        threads.push(spawn(
-            format!("r{}-ckpt-{c}", id.0),
-            Box::new(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let Ok(sm) = rx.recv_timeout(poll) else {
-                        continue;
-                    };
-                    rec.record(|| {
-                        // Memoized canonical bytes: the sender's clone
-                        // already serialized them, so this is a lookup.
-                        if provider.verify(sm.sender(), sm.signing_bytes(), sm.sig()) {
-                            let _ = work_tx.send(Work::Verified(sm));
-                        } else {
-                            shared2.dropped_bad_sigs.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            }),
-        ));
+    for c in 0..threads_cfg.checkpoint_threads {
+        let (ctx, rx) = (stage(Stage::Checkpoint, c), ckpt_rx.clone());
+        spawn(
+            format!("ckpt-{c}"),
+            Box::new(move || checkpoint_loop(&ctx, &rx)),
+        );
     }
-
-    // --- worker thread(s) ----------------------------------------------------
     // The paper dedicates exactly one worker to the protocol state machine
     // (Section 4.3); additional workers would contend on consensus state.
     {
-        let rx = work_rx;
-        let stop = Arc::clone(&shutdown);
-        let rec = metrics.recorder(Stage::Worker, 0);
-        let provider = provider.clone();
-        let out_txs: Vec<ChanSender<OutItem>> =
-            out_channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let exec_queues2 = Arc::clone(&exec_queues);
-        let executor2 = Arc::clone(&executor);
-        let shared2 = Arc::clone(&shared);
-        let chain2 = Arc::clone(&chain);
-        let cfg = config.clone();
-        let views = Arc::clone(&instance_views);
-        let net_stats = net.stats().clone();
-        let recovered = shared.recovery;
-        threads.push(spawn(
-            format!("r{}-worker", id.0),
-            Box::new(move || {
-                let view_timeout = Duration::from_millis(cfg.view_timeout_ms);
-                let mut ctx = WorkerCtx {
-                    engine,
-                    provider,
-                    out_txs,
-                    out_rr: 0,
-                    exec_queues: exec_queues2,
-                    executor: executor2,
-                    shared: shared2,
-                    chain: chain2,
-                    replicas,
-                    me,
-                    execute_inline: cfg.threads.execute_threads == 0,
-                    batch_size: cfg.batch_size,
-                    flush_after,
-                    pending_txns: (0..k).map(|_| Vec::new()).collect(),
-                    last_flush: Instant::now(),
-                    inline_exec_buf: BTreeMap::new(),
-                    // A replica that rebuilt itself from disk resumes its
-                    // cursors past the recovered head; everything below it
-                    // is already executed (and its prefix pruned).
-                    inline_next_exec: recovered.map_or(SeqNum(1), |r| r.head.next()),
-                    stable_checkpoint: recovered.map_or(SeqNum(0), |r| r.stable),
-                    pruned_to: recovered.map_or(SeqNum(0), |r| r.snapshot_seq),
-                    instance_views: views,
-                    view_timeout,
-                    last_progress: vec![Instant::now(); k],
-                    suspect_strikes: vec![0; k],
-                    client_demand: vec![false; k],
-                    commit_frontier: recovered.map_or(SeqNum(0), |r| r.head),
-                    last_executed: recovered.map_or(SeqNum(0), |r| r.head),
-                    f: cfg.f,
-                    protocol: cfg.protocol,
-                    net_stats,
-                    fetch_inflight: HashMap::new(),
-                    fetch_votes: HashMap::new(),
-                    snap_votes: HashMap::new(),
-                    fetch_rr: id.0 as usize,
-                    last_fetch_poll: Instant::now(),
-                    probe_mark: (SeqNum(0), Instant::now()),
-                    // Retries must fit several rounds inside a view timeout
-                    // so a straggler repairs itself before suspecting anyone.
-                    fetch_backoff: (view_timeout / 4)
-                        .clamp(Duration::from_millis(40), Duration::from_millis(250)),
-                };
-                while !stop.load(Ordering::Relaxed) {
-                    match rx.recv_timeout(poll) {
-                        Ok(work) => rec.record(|| ctx.handle(work)),
-                        Err(_) => {
-                            // Idle: flush partial worker-side batches (0B).
-                            if ctx.pending_txns.iter().any(|p| !p.is_empty())
-                                && ctx.last_flush.elapsed() > ctx.flush_after
-                            {
-                                rec.record(|| ctx.flush_pending());
-                            }
-                        }
-                    }
-                    ctx.maybe_suspect();
-                    ctx.maybe_fetch();
-                }
-            }),
-        ));
+        let ctx = stage(Stage::Worker, 0);
+        let io = WorkerIo {
+            out: out.clone(),
+            queues: Arc::clone(&exec_queues),
+            executor: Arc::clone(executor),
+            net_stats: net.stats().clone(),
+            execute_inline: threads_cfg.execute_threads == 0,
+        };
+        let config = config.clone();
+        spawn(
+            "worker".into(),
+            Box::new(move || worker_loop(&ctx, &work_rx, &config, io)),
+        );
     }
-
-    // --- execute stage ---------------------------------------------------------
-    // 1E: the paper's serial execute-thread draining the QC slots in order.
-    if config.threads.execute_threads == 1 {
-        let stop = Arc::clone(&shutdown);
-        let rec = metrics.recorder(Stage::Execute, 0);
-        let exec_queues2 = Arc::clone(&exec_queues);
-        let executor2 = Arc::clone(&executor);
-        let work_tx2 = work_tx.clone();
-        let out_txs: Vec<ChanSender<OutItem>> =
-            out_channels.iter().map(|(tx, _)| tx.clone()).collect();
-        threads.push(spawn(
-            format!("r{}-execute-0", id.0),
-            Box::new(move || {
-                let mut rr = 0usize;
-                while !stop.load(Ordering::Relaxed) {
-                    // The cursor is shared with the worker: a rollback or
-                    // snapshot install repoints it under the gate.
-                    let next = exec_queues2.cursor();
-                    let Some(item) = exec_queues2.take(next, poll) else {
-                        continue;
-                    };
-                    let gate = exec_queues2.gate();
-                    if exec_queues2.cursor() != next {
-                        // The worker repointed execution while this item was
-                        // being taken: it belongs to a displaced timeline.
-                        continue;
-                    }
-                    let epoch = exec_queues2.epoch();
-                    rec.record(|| {
-                        let (state_digest, replies) = executor2.execute(&item);
-                        for out in replies {
-                            let shard = rr % out_txs.len();
-                            rr += 1;
-                            let _ = out_txs[shard].send(out);
-                        }
-                        let _ = work_tx2.send(Work::Executed {
-                            seq: item.seq,
-                            state_digest,
-                            epoch,
-                        });
-                    });
-                    exec_queues2.set_cursor(next.next());
-                    drop(gate);
-                }
-            }),
-        ));
-    }
-
-    // NE (N ≥ 2): deterministic parallel execution. A coordinator thread
-    // collects the in-order window of committed sequences, schedules the
-    // conflict waves across a pool of N execute workers, and commits in
-    // sequence order — `on_executed(seq, state_digest)` fires exactly as
-    // the serial path would, with identical digests.
-    if config.threads.execute_threads >= 2 {
-        let stop = Arc::clone(&shutdown);
-        let rec = metrics.recorder(Stage::ExecuteCoord, 0);
-        let exec_queues2 = Arc::clone(&exec_queues);
-        let executor2 = Arc::clone(&executor);
-        let work_tx2 = work_tx.clone();
-        let out_txs: Vec<ChanSender<OutItem>> =
-            out_channels.iter().map(|(tx, _)| tx.clone()).collect();
-        let pool_recorders: Vec<StageRecorder> = (0..config.threads.execute_threads)
+    // 1E is the paper's serial execute-thread; N ≥ 2 makes it the
+    // coordinator of N conflict-scheduled pool workers.
+    if threads_cfg.execute_threads > 0 {
+        let parallel = threads_cfg.execute_threads > 1;
+        let (stage_kind, name) = if parallel {
+            (Stage::ExecuteCoord, "execute-coord")
+        } else {
+            (Stage::Execute, "execute-0")
+        };
+        let ctx = stage(stage_kind, 0);
+        let pool_recorders: Vec<StageRecorder> = (0..threads_cfg.execute_threads)
+            .filter(|_| parallel)
             .map(|w| metrics.recorder(Stage::Execute, w))
             .collect();
+        let (queues, mut out) = (Arc::clone(&exec_queues), out.clone());
+        let executor = Arc::clone(executor);
         let pool_name = format!("r{}", id.0);
-        let workers = config.threads.execute_threads;
-        let window_cap = config.threads.execute_window.max(1);
-        threads.push(spawn(
-            format!("r{}-execute-coord", id.0),
+        spawn(
+            name.into(),
             Box::new(move || {
-                // The pool lives on the coordinator thread: dropping it at
-                // shutdown closes the task channel and joins the workers.
-                let pool = ExecPool::new(&pool_name, workers, pool_recorders);
-                let parallel = ParallelExecutor::new(executor2, pool);
-                let mut rr = 0usize;
-                let mut window = Vec::with_capacity(window_cap);
-                while !stop.load(Ordering::Relaxed) {
-                    let next = exec_queues2.cursor();
-                    let Some(first) = exec_queues2.take(next, poll) else {
-                        continue;
-                    };
-                    let gate = exec_queues2.gate();
-                    if exec_queues2.cursor() != next {
-                        continue; // repointed mid-take: stale item
-                    }
-                    let epoch = exec_queues2.epoch();
-                    window.clear();
-                    window.push(first);
-                    // Widen the window with whatever committed sequences
-                    // are already queued, without blocking.
-                    while window.len() < window_cap {
-                        let seq = SeqNum(next.0 + window.len() as u64);
-                        match exec_queues2.try_take(seq) {
-                            Some(item) => window.push(item),
-                            None => break,
-                        }
-                    }
-                    rec.record(|| {
-                        for (item, (state_digest, replies)) in
-                            window.iter().zip(parallel.execute_window(&window))
-                        {
-                            for out in replies {
-                                let shard = rr % out_txs.len();
-                                rr += 1;
-                                let _ = out_txs[shard].send(out);
-                            }
-                            let _ = work_tx2.send(Work::Executed {
-                                seq: item.seq,
-                                state_digest,
-                                epoch,
-                            });
-                        }
-                    });
-                    exec_queues2.set_cursor(SeqNum(next.0 + window.len() as u64));
-                    drop(gate);
-                }
+                // The pool lives on this thread: dropping it at shutdown
+                // closes the task channel and joins the workers.
+                let (cap, mut run) = if parallel {
+                    let run = parallel_runner(executor, &pool_name, pool_recorders);
+                    (EXECUTE_WINDOW, run)
+                } else {
+                    (1, serial_runner(executor))
+                };
+                execute_loop(&ctx, &queues, cap, &mut *run, &mut out);
             }),
-        ));
+        );
     }
-
-    // --- output threads ----------------------------------------------------------
-    for (o, (_, out_rx)) in out_channels.iter().enumerate() {
-        let rx = out_rx.clone();
-        let stop = Arc::clone(&shutdown);
-        let rec = metrics.recorder(Stage::Output, o);
-        let provider = provider.clone();
-        let sender: EndpointSender = endpoint.sender();
-        threads.push(spawn(
-            format!("r{}-output-{o}", id.0),
-            Box::new(move || {
-                while !stop.load(Ordering::Relaxed) {
-                    let Ok(item) = rx.recv_timeout(poll) else {
-                        continue;
-                    };
-                    rec.record(|| {
-                        let class = match item.targets.first() {
-                            Some(Sender::Replica(_)) => PeerClass::Replica,
-                            Some(Sender::Client(_)) => PeerClass::Client,
-                            None => return,
-                        };
-                        // Encode once, sign once; each destination gets a
-                        // reference-count bump of the same envelope, not a
-                        // fresh copy + re-serialization.
-                        let sm = SignedMessage::sign_with(item.msg, me, |bytes| {
-                            provider.sign(class, bytes)
-                        });
-                        for &dest in &item.targets {
-                            if dest == me {
-                                continue;
-                            }
-                            // Client replies ride the reliable surface so a
-                            // swarm of slow readers backpressures the output
-                            // stage instead of shedding replies; replica
-                            // gossip stays on the droppable mesh path.
-                            let _ = match dest {
-                                Sender::Client(_) => sender.send_direct(dest, sm.clone()),
-                                Sender::Replica(_) => sender.send(dest, sm.clone()),
-                            };
-                        }
-                    });
-                }
-            }),
-        ));
+    for (o, rx) in out_rxs.into_iter().enumerate() {
+        let (ctx, sender) = (stage(Stage::Output, o), endpoint.sender());
+        spawn(
+            format!("output-{o}"),
+            Box::new(move || output_loop(&ctx, &rx, &sender)),
+        );
     }
-
-    // Hold the endpoint alive inside a drain thread? No: the receiver clones
-    // keep the channel alive; drop the endpoint handle but keep the network
-    // registration (mailbox sender lives in the switchboard).
-    drop(endpoint);
 
     ReplicaHandle {
         shared,
@@ -782,767 +342,476 @@ pub fn spawn_replica(
     }
 }
 
-/// The batch-thread body (Section 4.3): verify client signatures, assemble
-/// batches, digest them once, hand them to the worker for proposing.
-///
-/// Client signature checking is the dominant crypto cost at the primary
-/// (the paper's Section 6 observation), so requests are not verified one
-/// at a time: each iteration drains up to `verify_window` queued requests
-/// and checks their Ed25519 signatures as *one* batch-verification
-/// equation. Per-request accept/drop semantics are exactly those of
-/// per-item verification — a bad signature in the window is bisected out
-/// and dropped while the rest proceed.
-#[allow(clippy::too_many_arguments)]
-fn batch_loop(
-    instance: usize,
-    cq: &ClientRequestQueue,
-    work_tx: &ChanSender<Work>,
-    stop: &AtomicBool,
-    rec: &StageRecorder,
+/// Builds everything the stage threads share: storage, the executor, the
+/// inter-stage queues and the counters behind [`ReplicaShared`]. With a
+/// data directory configured, this is also where the replica rebuilds
+/// itself from its WAL and snapshots — before any stage thread runs:
+/// replay re-executes through the ordinary executor (the snapshot interval
+/// is already set, so serving snapshots recapture too) and the execution
+/// cursor resumes past the recovered head. Anything the disk could not
+/// prove is left to the network state-transfer path.
+fn build_shared(
+    config: &SystemConfig,
+    id: ReplicaId,
     provider: &CryptoProvider,
-    batch_size: usize,
-    verify_window: usize,
-    flush_after: Duration,
-    shared: &ReplicaShared,
-) {
-    let verify_window = verify_window.max(1);
-    let mut pending: Vec<Transaction> = Vec::with_capacity(batch_size * 2);
-    let mut window: Vec<SignedMessage> = Vec::with_capacity(verify_window);
-    let mut last_flush = Instant::now();
-    while !stop.load(Ordering::Relaxed) {
-        match cq.pop() {
-            Some(sm) => rec.record(|| {
-                window.clear();
-                window.push(sm);
-                while window.len() < verify_window {
-                    match cq.pop() {
-                        Some(m) => window.push(m),
-                        None => break,
-                    }
-                }
-                let items: Vec<(Sender, &[u8], &SignatureBytes)> = window
-                    .iter()
-                    .map(|m| (m.sender(), m.signing_bytes(), m.sig()))
-                    .collect();
-                let verdicts = provider.verify_batch(&items);
-                for (m, ok) in window.drain(..).zip(verdicts) {
-                    if !ok {
-                        shared.dropped_bad_sigs.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    // `into_message` is move-out, not copy: the client's
-                    // send handed over the only reference to the request
-                    // body.
-                    if let Message::ClientRequest { txns } = m.into_message() {
-                        pending.extend(txns);
-                    }
-                }
-                while pending.len() >= batch_size {
-                    let rest = pending.split_off(batch_size);
-                    let batch = Batch::new(std::mem::replace(&mut pending, rest));
-                    let d = digest(&batch.canonical_bytes());
-                    let _ = work_tx.send(Work::Propose {
-                        instance,
-                        batch,
-                        digest: d,
-                    });
-                    last_flush = Instant::now();
-                }
-            }),
-            None => {
-                if !pending.is_empty() && last_flush.elapsed() > flush_after {
-                    rec.record(|| {
-                        let batch = Batch::new(std::mem::take(&mut pending));
-                        let d = digest(&batch.canonical_bytes());
-                        let _ = work_tx.send(Work::Propose {
-                            instance,
-                            batch,
-                            digest: d,
-                        });
-                    });
-                    last_flush = Instant::now();
-                } else {
-                    std::thread::sleep(Duration::from_micros(100));
-                }
-            }
+) -> (Arc<ReplicaShared>, Arc<ExecutionQueues>) {
+    let k = config.consensus_instances.max(1);
+    let (data_dir, store, chain) = open_storage(config, id);
+    let executor = Arc::new(Executor::new(
+        id,
+        config.protocol,
+        Arc::clone(&store),
+        Arc::clone(&chain),
+    ));
+    // Serving snapshots are captured on the same cadence as checkpoints
+    // (Δ per-instance batches × k instances in global sequence numbers),
+    // so every replica snapshots identical state at identical sequences —
+    // the f+1 cross-peer agreement a state-transferring receiver demands.
+    executor.set_snapshot_interval(crate::core::checkpoint_delta(config) * k as u64);
+    let qc = (config.execution_queue_count() as usize).clamp(1024, 1 << 16);
+    let exec_queues = Arc::new(ExecutionQueues::new(qc));
+    let recovery = data_dir.as_ref().map(|dir| {
+        let (_, report) = durable::recover_replica(&executor, dir, &config.durability)
+            .expect("replica data directory unusable");
+        exec_queues.set_cursor(report.head.next());
+        report
+    });
+    let metrics = MetricsRegistry::new();
+    metrics.start_window();
+    let shared = ReplicaShared {
+        id,
+        store,
+        chain,
+        metrics,
+        client_queues: (0..k)
+            .map(|_| Arc::new(ClientRequestQueue::new()))
+            .collect(),
+        executor,
+        crypto_stats: provider.stats().clone(),
+        committed_batches: AtomicU64::new(0),
+        committed_per_instance: (0..k).map(|_| AtomicU64::new(0)).collect(),
+        dropped_bad_sigs: AtomicU64::new(0),
+        instance_views: (0..k).map(|_| AtomicU64::new(0)).collect(),
+        recovery,
+    };
+    (Arc::new(shared), exec_queues)
+}
+
+/// Creates the replica's state store and ledger. With durability
+/// configured, everything this replica persists lives under its own
+/// subdirectory of the shared data root, which is returned too.
+#[allow(clippy::type_complexity)]
+fn open_storage(
+    config: &SystemConfig,
+    id: ReplicaId,
+) -> (Option<PathBuf>, Arc<dyn StateStore>, Arc<Mutex<Blockchain>>) {
+    /// Distinguishes the scratch files of same-id replicas of different
+    /// clusters inside one process.
+    static SCRATCH_FILES: AtomicU64 = AtomicU64::new(0);
+    let data_dir = config.durability.data_dir.as_ref().map(|root| {
+        let dir = Path::new(root).join(format!("replica-{}", id.0));
+        std::fs::create_dir_all(&dir).expect("create replica data directory");
+        dir
+    });
+    let store: Arc<dyn StateStore> = match config.storage {
+        StorageMode::InMemory => Arc::new(MemStore::with_table(config.table_size, 8)),
+        StorageMode::Paged => {
+            // The paged file is a cache of state the WAL + snapshots can
+            // rebuild, so (re)creating it fresh per boot is always safe.
+            let path = match &data_dir {
+                Some(dir) => dir.join("paged.db"),
+                None => std::env::temp_dir().join(format!(
+                    "rdb-paged-{}-r{}-{}",
+                    std::process::id(),
+                    id.0,
+                    SCRATCH_FILES.fetch_add(1, Ordering::Relaxed)
+                )),
+            };
+            let paged_cfg = PagedStoreConfig {
+                record_size: 64,
+                capacity: config.table_size,
+                cache_pages: 64,
+                fsync_on_write: false,
+            };
+            Arc::new(PagedStore::create(&path, paged_cfg).expect("create paged store"))
+        }
+    };
+    let (chain_quorum, chain_mode) = match config.protocol {
+        ProtocolKind::Pbft => (
+            rdb_common::quorum::commit_quorum(config.f),
+            ChainMode::Certificate,
+        ),
+        // Zyzzyva's speculative history is itself a hash chain.
+        ProtocolKind::Zyzzyva => (0, ChainMode::PrevHash),
+    };
+    let genesis = digest(&id.0.to_le_bytes());
+    let chain = Blockchain::new(genesis, chain_quorum, chain_mode);
+    (data_dir, store, Arc::new(Mutex::new(chain)))
+}
+
+/// What every stage loop holds: the shutdown flag, its busy-time recorder,
+/// this replica's crypto identity, the way to the worker and the shared
+/// counters.
+struct StageCtx {
+    stop: Arc<AtomicBool>,
+    rec: StageRecorder,
+    provider: CryptoProvider,
+    work_tx: ChanSender<Input>,
+    shared: Arc<ReplicaShared>,
+}
+
+impl StageCtx {
+    fn running(&self) -> bool {
+        !self.stop.load(Ordering::Relaxed)
+    }
+
+    fn note_bad_sigs(&self, rejected: u64) {
+        if rejected > 0 {
+            self.shared
+                .dropped_bad_sigs
+                .fetch_add(rejected, Ordering::Relaxed);
         }
     }
 }
 
-/// Worker-thread state: the consensus engine plus everything needed to
-/// interpret its actions.
-struct WorkerCtx {
-    engine: MultiEngine,
-    provider: CryptoProvider,
-    out_txs: Vec<ChanSender<OutItem>>,
-    out_rr: usize,
-    exec_queues: Arc<ExecutionQueues>,
+/// Round-robin over the output threads' channels.
+#[derive(Clone)]
+struct OutShards {
+    txs: Vec<ChanSender<OutItem>>,
+    next: usize,
+}
+
+impl OutShards {
+    fn send(&mut self, item: OutItem) {
+        let shard = self.next % self.txs.len();
+        self.next += 1;
+        let _ = self.txs[shard].send(item);
+    }
+}
+
+/// Where an input thread sends what it does not verify itself.
+struct Router {
+    n: u64,
+    /// `false` is the `0B` configuration: requests go to the worker.
+    to_batch_threads: bool,
+    /// `None` when no checkpoint thread runs: checkpoints are verified here.
+    ckpt_tx: Option<ChanSender<SignedMessage>>,
+}
+
+impl Router {
+    /// Client requests go to the batching stage and checkpoints to the
+    /// checkpoint thread (each verifies its own traffic); everything else
+    /// is handed back for the caller's verify window.
+    fn route(&self, ctx: &StageCtx, sm: SignedMessage) -> Option<SignedMessage> {
+        let shared = &ctx.shared;
+        match (sm.msg(), &self.ckpt_tx) {
+            (Message::ClientRequest { .. }, _) => {
+                // Instance `j` at view `v` is led by replica `(v + j) % n`.
+                // Primaryship is dynamic: re-check the installed view on
+                // every request.
+                let j = client_instance(sm.sender(), shared.client_queues.len());
+                let led_by = (shared.instance_view(j) + j as u64) % self.n;
+                if led_by != shared.id.0 as u64 {
+                    // Backups drop the payload (clients address the primary
+                    // directly; rebroadcasts reach it too) but surface the
+                    // demand to the suspicion timer.
+                    let _ = ctx.work_tx.send(Input::ClientDemand(j));
+                } else if self.to_batch_threads {
+                    shared.client_queues[j].push(sm);
+                } else {
+                    let _ = ctx.work_tx.send(Input::ClientRequest(sm));
+                }
+                None
+            }
+            (Message::Checkpoint { .. }, Some(ckpt_tx)) => {
+                let _ = ckpt_tx.send(sm);
+                None
+            }
+            _ => Some(sm),
+        }
+    }
+}
+
+/// The batch-verify stage shared by the input and checkpoint threads:
+/// block for one message, drain whatever else is already queued (up to
+/// [`VERIFY_WINDOW`]), let `route` divert what another stage verifies,
+/// check the rest as one crypto batch and forward the authentic messages
+/// to the worker. Under load the shared multi-scalar multiplication
+/// amortizes across the window, while an idle replica still verifies each
+/// message immediately (a window of one).
+fn verify_loop(
+    ctx: &StageCtx,
+    rx: &Receiver<SignedMessage>,
+    route: impl Fn(SignedMessage) -> Option<SignedMessage>,
+) {
+    let mut window: Vec<SignedMessage> = Vec::with_capacity(VERIFY_WINDOW);
+    while ctx.running() {
+        let Ok(first) = rx.recv_timeout(POLL_INTERVAL) else {
+            continue;
+        };
+        ctx.rec.record(|| {
+            window.extend(route(first));
+            while window.len() < VERIFY_WINDOW {
+                match rx.try_recv() {
+                    Ok(sm) => window.extend(route(sm)),
+                    Err(_) => break,
+                }
+            }
+            let rejected = verify_window(&ctx.provider, &mut window, |sm| {
+                let _ = ctx.work_tx.send(Input::Verified(sm));
+            });
+            ctx.note_bad_sigs(rejected);
+        });
+    }
+}
+
+/// Input thread: receive off the network, route, verify replica traffic.
+fn input_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, router: &Router) {
+    verify_loop(ctx, rx, |sm| router.route(ctx, sm));
+}
+
+/// Checkpoint thread: verify incoming `Checkpoint` votes off the
+/// consensus traffic's critical path.
+fn checkpoint_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>) {
+    verify_loop(ctx, rx, Some);
+}
+
+/// Batch thread (Section 4.3): verify client signatures a window at a
+/// time, assemble batches, digest them once, hand them to the worker for
+/// proposing on `instance`.
+fn batch_loop(ctx: &StageCtx, instance: usize, batch_size: usize) {
+    let cq = &ctx.shared.client_queues[instance];
+    let mut assembler = BatchAssembler::new(batch_size, Instant::now());
+    let mut window: Vec<SignedMessage> = Vec::with_capacity(VERIFY_WINDOW);
+    let mut cut = Vec::new();
+    while ctx.running() {
+        let now = Instant::now();
+        let first = cq.pop();
+        if first.is_none() && !assembler.flush_due(now) {
+            std::thread::sleep(Duration::from_micros(100));
+            continue;
+        }
+        ctx.rec.record(|| {
+            match first {
+                Some(sm) => {
+                    window.push(sm);
+                    while window.len() < VERIFY_WINDOW {
+                        match cq.pop() {
+                            Some(m) => window.push(m),
+                            None => break,
+                        }
+                    }
+                    let rejected = assembler.ingest(&ctx.provider, &mut window, now, &mut cut);
+                    ctx.note_bad_sigs(rejected);
+                }
+                None => assembler.flush(now, &mut cut),
+            }
+            for (batch, digest) in cut.drain(..) {
+                let _ = ctx.work_tx.send(Input::Propose {
+                    instance,
+                    batch,
+                    digest,
+                });
+            }
+        });
+    }
+}
+
+/// Everything the worker loop touches on the core's behalf.
+struct WorkerIo {
+    out: OutShards,
+    queues: Arc<ExecutionQueues>,
     executor: Arc<Executor>,
-    shared: Arc<ReplicaShared>,
-    chain: Arc<Mutex<Blockchain>>,
-    replicas: Vec<Sender>,
-    me: Sender,
-    execute_inline: bool,
-    batch_size: usize,
-    flush_after: Duration,
-    /// 0B mode: per-instance worker-side batch assembly.
-    pending_txns: Vec<Vec<Transaction>>,
-    last_flush: Instant,
-    /// 0E mode: commit actions may arrive out of order; buffer them so the
-    /// inline execution stays sequential.
-    inline_exec_buf: BTreeMap<SeqNum, ExecuteItem>,
-    inline_next_exec: SeqNum,
-    /// Highest stable checkpoint seen; chain pruning up to here is
-    /// retried as execution catches up (it is clamped at the head).
-    stable_checkpoint: SeqNum,
-    /// How far the chain has actually been pruned (tracks the clamp).
-    pruned_to: SeqNum,
-    /// Shared with the input threads so client routing tracks each
-    /// instance's view.
-    instance_views: Arc<Vec<AtomicU64>>,
-    /// Suspicion timers, one per instance: no progress on instance `j` for
-    /// this long while its work is stalled (or its client demand is
-    /// pending) votes out *that instance's* primary — the other k−1
-    /// instances keep their timers and their progress.
-    view_timeout: Duration,
-    last_progress: Vec<Instant>,
-    /// Consecutive suspicion fires per instance without real progress in
-    /// between. The effective timeout doubles with each strike
-    /// (Castro-Liskov §4.5.2's exponential backoff), so a replica that
-    /// cannot be helped by a view change — e.g. a straggler with an
-    /// execution hole and no state transfer — stops dragging the healthy
-    /// quorum into view-change storms. Reset whenever the instance's
-    /// execution advances or it installs a view.
-    suspect_strikes: Vec<u32>,
-    client_demand: Vec<bool>,
-    /// Highest globally committed sequence seen (any instance). Execution
-    /// drains strictly in global order, so a committed sequence above an
-    /// instance we lead obliges us to fill our slots below it (no-op
-    /// batches) — otherwise one idle instance stalls the whole schedule.
-    commit_frontier: SeqNum,
-    /// Highest sequence executed locally. When `commit_frontier` sits
-    /// above it, the instance owning `last_executed + 1` is holding up
-    /// the global schedule — suspicion treats that as stalled work even
-    /// if the instance itself ordered nothing (its primary may be dead
-    /// with no client traffic to surface demand).
-    last_executed: SeqNum,
-    /// Fault tolerance threshold (certificate quorums, f+1 vouching).
-    f: usize,
-    protocol: ProtocolKind,
     /// Fetch served/dropped accounting lives on the shared network stats.
     net_stats: NetworkStats,
-    /// Sequences with an outstanding `FetchRequest` and the deadline after
-    /// which they may be re-requested (from a rotated peer).
-    fetch_inflight: HashMap<SeqNum, Instant>,
-    /// Zyzzyva fallback: distinct peers that returned an identical
-    /// `FetchResponse` for `(seq, digest)` — f+1 of them stand in for an
-    /// offline-verifiable certificate.
-    fetch_votes: HashMap<(SeqNum, ViewNum, Digest), HashSet<ReplicaId>>,
-    /// Distinct peers that presented each snapshot `agreement_key`, plus
-    /// the (payload-verified) snapshot itself.
-    #[allow(clippy::type_complexity)]
-    snap_votes: HashMap<(SeqNum, Digest, Digest), (HashSet<ReplicaId>, Arc<Snapshot>)>,
-    /// Rotating peer index so retries spread across the cluster.
-    fetch_rr: usize,
-    last_fetch_poll: Instant,
-    /// Last-executed watermark and when it last moved — the quiescence
-    /// detector behind the catch-up probe.
-    probe_mark: (SeqNum, Instant),
-    fetch_backoff: Duration,
+    /// `0E`: no execute thread — the worker drains the queues itself.
+    execute_inline: bool,
 }
 
-/// Sequences per `FetchRequest` (and per catch-up probe window).
-const FETCH_BATCH: usize = 32;
-/// Cap on outstanding fetch requests awaiting responses.
-const MAX_INFLIGHT: usize = 64;
-
-impl WorkerCtx {
-    /// Which instance owns global sequence `seq`.
-    fn owner(&self, seq: SeqNum) -> usize {
-        if seq.0 == 0 {
-            0
-        } else {
-            ((seq.0 - 1) % self.engine.k() as u64) as usize
-        }
-    }
-
-    /// The suspicion timers (Section 4.2 of PBFT, simplified), one per
-    /// instance: stalled consensus work or unmet client demand with no
-    /// progress for a full view timeout means that instance's primary is
-    /// dead or cut off — vote it out. Re-arming the timer after each vote
-    /// gives the view change its own (doubled) timeout before the vote
-    /// escalates further.
-    fn maybe_suspect(&mut self) {
-        const MAX_BACKOFF_SHIFT: u32 = 5; // cap at 32x the base timeout
-        for j in 0..self.engine.k() {
-            let shift = self.suspect_strikes[j].min(MAX_BACKOFF_SHIFT);
-            if self.last_progress[j].elapsed() < self.view_timeout * (1u32 << shift) {
-                continue;
+impl WorkerIo {
+    /// Carries out one of the core's decisions.
+    fn apply(&mut self, effect: Effect, ctx: &StageCtx) {
+        let shared = &ctx.shared;
+        match effect {
+            Effect::Send(item) => self.out.send(item),
+            Effect::Execute { instance, item } => {
+                shared.committed_batches.fetch_add(1, Ordering::Relaxed);
+                shared.committed_per_instance[instance].fetch_add(1, Ordering::Relaxed);
+                self.queues.deposit(item);
             }
-            // An instance with a dead primary and *no* client traffic
-            // still stalls the merged schedule once another instance
-            // commits past its slot: that hold-up is this instance's
-            // fault, so it counts as stalled work for its timer.
-            let next_needed = self.last_executed.next();
-            let holds_schedule = self.engine.k() > 1
-                && self.commit_frontier >= next_needed
-                && self.owner(next_needed) == j;
-            if self.engine.has_stalled_work(j) || self.client_demand[j] || holds_schedule {
-                let actions = self.engine.on_timeout(j);
-                self.last_progress[j] = Instant::now();
-                self.suspect_strikes[j] = self.suspect_strikes[j].saturating_add(1);
-                self.run_actions(actions);
-                self.fill_gaps();
-            } else {
-                // Quiet and healthy: keep the timer from firing immediately
-                // on the first demand signal after a long idle stretch.
-                self.last_progress[j] = Instant::now();
-                self.suspect_strikes[j] = 0;
+            Effect::Rollback { to } => {
+                let _gate = self.queues.gate();
+                self.queues.purge_above(to);
+                self.queues.repoint(self.queues.cursor().min(to.next()));
+                self.executor.rollback_to(to);
+            }
+            Effect::InstallSnapshot(snapshot) => {
+                let base = snapshot.base_seq;
+                let _gate = self.queues.gate();
+                self.queues.purge_through(base);
+                self.queues.repoint(self.queues.cursor().max(base.next()));
+                self.executor.install_snapshot(&snapshot);
+            }
+            // With a data directory configured this also persists the
+            // covering snapshot and compacts the WAL behind it.
+            Effect::Stable { seq } => self.executor.note_stable(seq),
+            // The input threads route client traffic by this.
+            Effect::ViewEntered { instance, view } => {
+                shared.instance_views[instance].store(view.0, Ordering::Relaxed);
+            }
+            Effect::BadSignatures(rejected) => ctx.note_bad_sigs(rejected),
+            Effect::FetchServed { served, dropped } => {
+                self.net_stats.note_fetch_served(served);
+                self.net_stats.note_fetch_dropped(dropped);
             }
         }
     }
+}
 
-    fn handle(&mut self, work: Work) {
-        match work {
-            Work::Verified(sm) => {
-                // Fetch-protocol traffic is point-to-point runtime state,
-                // not consensus input: intercept it before engine routing
-                // (`Message::seq()` is `None` for these kinds, so the
-                // multi-instance router would drop them anyway).
-                match sm.msg() {
-                    Message::FetchRequest { seqs, replica } => {
-                        let (requester, seqs) = (*replica, seqs.clone());
-                        self.serve_fetch_request(requester, &seqs);
-                    }
-                    Message::FetchResponse { .. } | Message::SnapshotResponse { .. } => {
-                        self.on_recovery_response(&sm);
-                    }
-                    _ => {
-                        let actions = self.engine.on_message(&sm);
-                        self.run_actions(actions);
-                    }
+/// Worker thread: the one driver of the [`ReplicaCore`] and the only
+/// interpreter of its effects. Each input is stepped with the wall clock;
+/// a quiet [`POLL_INTERVAL`] becomes an [`Input::Tick`]. In `0E` mode the
+/// worker then runs whatever became executable and feeds the results
+/// straight back in, so ordering and execution stay integrated.
+fn worker_loop(ctx: &StageCtx, rx: &Receiver<Input>, config: &SystemConfig, mut io: WorkerIo) {
+    let mut core = ReplicaCore::new(
+        config,
+        ctx.shared.id,
+        ctx.provider.clone(),
+        Arc::clone(&ctx.shared) as Arc<dyn CoreEnv + Send + Sync>,
+        ctx.shared.recovery.as_ref(),
+        Instant::now(),
+    );
+    let mut serial = serial_runner(Arc::clone(&io.executor));
+    let mut fx = Vec::new();
+    let mut inputs = VecDeque::new();
+    while ctx.running() {
+        let received = rx.recv_timeout(POLL_INTERVAL);
+        let idle = received.is_err();
+        inputs.push_back(received.unwrap_or(Input::Tick));
+        let mut turn = || {
+            while let Some(input) = inputs.pop_front() {
+                core.step(input, Instant::now(), &mut fx);
+                for effect in fx.drain(..) {
+                    io.apply(effect, ctx);
                 }
-            }
-            Work::ClientRequest(sm) => {
-                // 0B configuration: the worker performs the batch-thread's
-                // duties inline (Figure 8's monolithic baseline).
-                if !self
-                    .provider
-                    .verify(sm.sender(), sm.signing_bytes(), sm.sig())
-                {
-                    self.shared.dropped_bad_sigs.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                let j = match sm.sender() {
-                    Sender::Client(c) => (c.0 % self.engine.k() as u64) as usize,
-                    _ => 0,
-                };
-                if let Message::ClientRequest { txns } = sm.into_message() {
-                    self.pending_txns[j].extend(txns);
-                }
-                while self.pending_txns[j].len() >= self.batch_size {
-                    let rest = self.pending_txns[j].split_off(self.batch_size);
-                    let batch = Batch::new(std::mem::replace(&mut self.pending_txns[j], rest));
-                    self.propose(j, batch);
-                }
-            }
-            Work::Propose {
-                instance,
-                batch,
-                digest,
-            } => {
-                let actions = self.engine.propose(instance, batch, digest);
-                self.run_actions(actions);
-            }
-            Work::Executed {
-                seq,
-                state_digest,
-                epoch,
-            } => {
-                if epoch != self.exec_queues.epoch() {
-                    return; // executed on a rolled-back/superseded timeline
-                }
-                self.last_executed = self.last_executed.max(seq);
-                let j = self.owner(seq);
-                self.last_progress[j] = Instant::now();
-                self.suspect_strikes[j] = 0;
-                self.client_demand[j] = false;
-                let actions = self.engine.on_executed(seq, state_digest);
-                self.run_actions(actions);
-                // A checkpoint can stabilize (2f+1 remote checkpoint
-                // messages) while local execution still lags; pruning is
-                // clamped at the chain head then, so retry as execution
-                // advances.
-                self.prune_to_stable();
-            }
-            Work::ClientDemand(j) => {
-                if j < self.client_demand.len() {
-                    self.client_demand[j] = true;
-                }
-            }
-        }
-        self.fill_gaps();
-    }
-
-    /// Multi-primary gap-fill: execution consumes the global sequence
-    /// space strictly in order, so once any instance commits past a slot
-    /// owned by an instance *we* lead, we must propose into that slot —
-    /// an empty no-op batch if no client traffic is pending — or the
-    /// committed tail above it never executes. (RCC resolves the same
-    /// obligation with explicit no-op proposals.) `k == 1` never triggers:
-    /// a single primary's frontier cannot pass its own next slot.
-    fn fill_gaps(&mut self) {
-        if self.engine.k() == 1 {
-            return;
-        }
-        for j in 0..self.engine.k() {
-            if !self.engine.is_primary(j) {
-                continue;
-            }
-            while self
-                .engine
-                .next_seq(j)
-                .is_some_and(|s| s <= self.commit_frontier)
-            {
-                let batch = Batch::new(Vec::new());
-                let d = digest(&batch.canonical_bytes());
-                let actions = self.engine.propose(j, batch, d);
-                if actions.is_empty() {
-                    break; // engine refused (e.g. mid view change)
-                }
-                self.run_actions(actions);
-            }
-        }
-    }
-
-    fn prune_to_stable(&mut self) {
-        // Only lock the chain while pruning genuinely lags the stable
-        // checkpoint — once caught up, this is a field comparison, not a
-        // per-batch acquisition of the mutex the execute path appends
-        // under.
-        if self.stable_checkpoint > self.pruned_to {
-            self.pruned_to = self.chain.lock().prune_below(self.stable_checkpoint);
-        }
-    }
-
-    fn flush_pending(&mut self) {
-        for j in 0..self.pending_txns.len() {
-            if self.pending_txns[j].is_empty() {
-                continue;
-            }
-            let batch = Batch::new(std::mem::take(&mut self.pending_txns[j]));
-            self.propose(j, batch);
-        }
-    }
-
-    fn propose(&mut self, instance: usize, batch: Batch) {
-        let d = digest(&batch.canonical_bytes());
-        let actions = self.engine.propose(instance, batch, d);
-        self.last_flush = Instant::now();
-        self.run_actions(actions);
-    }
-
-    fn send_out(&mut self, item: OutItem) {
-        let shard = self.out_rr % self.out_txs.len();
-        self.out_rr += 1;
-        let _ = self.out_txs[shard].send(item);
-    }
-
-    fn run_actions(&mut self, actions: Vec<Action>) {
-        for action in actions {
-            match action {
-                Action::Broadcast(msg) => {
-                    let targets: Vec<Sender> = self
-                        .replicas
-                        .iter()
-                        .copied()
-                        .filter(|r| *r != self.me)
-                        .collect();
-                    self.send_out(OutItem { targets, msg });
-                }
-                Action::SendReplica(r, msg) => {
-                    self.send_out(OutItem::to(Sender::Replica(r), msg));
-                }
-                Action::SendClient(c, msg) => {
-                    self.send_out(OutItem::to(Sender::Client(c), msg));
-                }
-                Action::CommitBatch {
-                    seq,
-                    view,
-                    digest,
-                    batch,
-                    certificate,
-                } => {
-                    // Deliberately NOT a progress signal: the timer re-arms
-                    // on `Work::Executed` (PBFT §2.4 stops the timer when a
-                    // request executes, not when it commits). A commit above
-                    // an execution hole would otherwise starve the view
-                    // change that re-issues the missing sequence.
-                    self.shared
-                        .committed_batches
-                        .fetch_add(1, Ordering::Relaxed);
-                    let j = self.owner(seq);
-                    self.shared.committed_per_instance[j].fetch_add(1, Ordering::Relaxed);
-                    self.commit_frontier = self.commit_frontier.max(seq);
-                    self.dispatch_execution(ExecuteItem {
-                        seq,
-                        view,
-                        digest,
-                        batch,
-                        certificate,
-                        history: None,
+                debug_assert_eq!(core.epoch(), io.queues.epoch());
+                while io.execute_inline {
+                    let Some(claim) = io.queues.claim(1, Duration::ZERO) else {
+                        break;
+                    };
+                    run_window(claim, &mut *serial, &mut io.out, |done| {
+                        inputs.push_back(done)
                     });
                 }
-                Action::SpecExecute {
-                    seq,
-                    view,
-                    digest,
-                    history,
-                    batch,
-                } => {
-                    self.shared
-                        .committed_batches
-                        .fetch_add(1, Ordering::Relaxed);
-                    self.shared.committed_per_instance[0].fetch_add(1, Ordering::Relaxed);
-                    self.commit_frontier = self.commit_frontier.max(seq);
-                    self.dispatch_execution(ExecuteItem {
-                        seq,
-                        view,
-                        digest,
-                        batch,
-                        certificate: Default::default(),
-                        history: Some(history),
-                    });
-                }
-                Action::StableCheckpoint { seq } => {
-                    self.stable_checkpoint = self.stable_checkpoint.max(seq);
-                    let pruned = self.chain.lock().prune_below(seq);
-                    self.pruned_to = self.pruned_to.max(pruned);
-                    // Nothing at or below a 2f+1-stable checkpoint can ever
-                    // roll back; its undo images are dead weight. With a
-                    // data directory configured this also persists the
-                    // covering snapshot and compacts the WAL behind it.
-                    self.executor.note_stable(seq);
-                }
-                Action::Rollback { to } => {
-                    self.apply_rollback(to);
-                }
-                Action::EnterView { view, instance } => {
-                    // Publish the new view so the input threads re-route
-                    // client traffic to the instance's new primary, and
-                    // re-arm that instance's suspicion timer: the view
-                    // change itself is progress.
-                    let j = instance as usize;
-                    if let Some(v) = self.instance_views.get(j) {
-                        v.store(view.0, Ordering::Relaxed);
-                        self.last_progress[j] = Instant::now();
-                        self.suspect_strikes[j] = 0;
-                        self.client_demand[j] = false;
-                    }
-                }
             }
-        }
-    }
-
-    /// This replica's id (the worker addresses fetch responses with it).
-    fn my_id(&self) -> ReplicaId {
-        match self.me {
-            Sender::Replica(r) => r,
-            _ => unreachable!("worker always runs at a replica address"),
-        }
-    }
-
-    /// Undoes the speculative suffix above `to`: repoints the shared
-    /// execution cursor (new epoch, so in-flight `Executed` notifications
-    /// from the displaced timeline are dropped), discards parked items
-    /// above `to`, and rewinds store/chain/counters through the
-    /// executor's undo log. The engine re-emits the reconciled history
-    /// right after, and re-execution proceeds from `to + 1`.
-    fn apply_rollback(&mut self, to: SeqNum) {
-        if self.execute_inline {
-            self.inline_exec_buf.retain(|seq, _| *seq <= to);
-            self.executor.rollback_to(to);
-            self.inline_next_exec = self.inline_next_exec.min(to.next());
+        };
+        if idle {
+            turn();
         } else {
-            let gate = self.exec_queues.gate();
-            self.exec_queues.purge_above(to);
-            let resume = self.exec_queues.cursor().min(to.next());
-            self.exec_queues.repoint(resume);
-            self.executor.rollback_to(to);
-            drop(gate);
+            ctx.rec.record(turn);
         }
-        self.last_executed = self.last_executed.min(to);
-        self.fetch_votes.retain(|(seq, _, _), _| *seq > to);
     }
+}
 
-    /// Serves a peer's `FetchRequest`: one `FetchResponse` per retained
-    /// committed sequence, one `SnapshotResponse` (at most) for sequences
-    /// at or below this replica's pruning horizon, and nothing for
-    /// sequences it cannot vouch for. A per-request cap bounds the
-    /// amplification an abusive fetcher can extract.
-    fn serve_fetch_request(&mut self, requester: ReplicaId, seqs: &[SeqNum]) {
-        const SERVE_CAP: usize = 32;
-        if requester == self.my_id() {
-            return;
+/// How the execute stage runs one in-order window of committed batches:
+/// `(state_digest, replies)` per item, in order.
+type RunWindow = dyn FnMut(&[ExecuteItem]) -> Vec<(Digest, Vec<OutItem>)>;
+
+/// The paper's serial execute-thread: one batch after the other.
+fn serial_runner(executor: Arc<Executor>) -> Box<RunWindow> {
+    Box::new(move |window| window.iter().map(|i| executor.execute(i)).collect())
+}
+
+/// Deterministic parallel execution: schedules the window's conflict
+/// waves across one pool worker per recorder and commits in sequence
+/// order, bit-identical to [`serial_runner`].
+fn parallel_runner(
+    executor: Arc<Executor>,
+    pool_name: &str,
+    pool_recorders: Vec<StageRecorder>,
+) -> Box<RunWindow> {
+    let pool = ExecPool::new(pool_name, pool_recorders.len(), pool_recorders);
+    let parallel = ParallelExecutor::new(executor, pool);
+    Box::new(move |window| parallel.execute_window(window))
+}
+
+/// Executes one claimed window: replies go to the output stage, each
+/// result to `done` as an [`Input::Executed`] stamped with the claim's
+/// epoch, and the cursor advances past the window. The one execution step
+/// behind both [`execute_loop`] and the worker's `0E` mode.
+fn run_window(
+    claim: Claim<'_>,
+    run: &mut RunWindow,
+    out: &mut OutShards,
+    mut done: impl FnMut(Input),
+) {
+    for (item, (state_digest, replies)) in claim.items().iter().zip(run(claim.items())) {
+        for reply in replies {
+            out.send(reply);
         }
-        let mut served = 0u64;
-        let mut dropped = seqs.len().saturating_sub(SERVE_CAP) as u64;
-        let mut snapshot_sent = false;
-        for &seq in seqs.iter().take(SERVE_CAP) {
-            if let Some((view, digest, batch, certificate)) = self.engine.serve_fetch(seq) {
-                let msg = Message::FetchResponse {
-                    seq,
-                    view,
-                    digest,
-                    batch,
-                    certificate,
-                    replica: self.my_id(),
+        done(Input::Executed {
+            seq: item.seq,
+            state_digest,
+            epoch: claim.epoch(),
+        });
+    }
+    claim.finish();
+}
+
+/// Execute thread: claim the next in-order window of up to `cap`
+/// committed batches (blocking on exactly the cursor's queue slot), run
+/// it, report each result to the worker.
+fn execute_loop(
+    ctx: &StageCtx,
+    queues: &ExecutionQueues,
+    cap: usize,
+    run: &mut RunWindow,
+    out: &mut OutShards,
+) {
+    while ctx.running() {
+        let Some(claim) = queues.claim(cap, POLL_INTERVAL) else {
+            continue;
+        };
+        ctx.rec.record(|| {
+            run_window(claim, run, out, |done| {
+                let _ = ctx.work_tx.send(done);
+            })
+        });
+    }
+}
+
+/// Output thread: sign once per message, fan out to every destination.
+fn output_loop(ctx: &StageCtx, rx: &Receiver<OutItem>, sender: &EndpointSender) {
+    let me = Sender::Replica(ctx.shared.id);
+    while ctx.running() {
+        let Ok(item) = rx.recv_timeout(POLL_INTERVAL) else {
+            continue;
+        };
+        ctx.rec.record(|| {
+            let class = match item.targets.first() {
+                Some(Sender::Replica(_)) => PeerClass::Replica,
+                Some(Sender::Client(_)) => PeerClass::Client,
+                None => return,
+            };
+            // Encode once, sign once; each destination gets a
+            // reference-count bump of the same envelope, not a fresh copy
+            // + re-serialization.
+            let sm =
+                SignedMessage::sign_with(item.msg, me, |bytes| ctx.provider.sign(class, bytes));
+            for &dest in &item.targets {
+                if dest == me {
+                    continue;
+                }
+                // Client replies ride the reliable surface so a swarm of
+                // slow readers backpressures the output stage instead of
+                // shedding replies; replica gossip stays on the droppable
+                // mesh path.
+                let _ = match dest {
+                    Sender::Client(_) => sender.send_direct(dest, sm.clone()),
+                    Sender::Replica(_) => sender.send(dest, sm.clone()),
                 };
-                self.send_out(OutItem::to(Sender::Replica(requester), msg));
-                served += 1;
-            } else if seq <= self.stable_checkpoint.max(self.pruned_to) {
-                // Pruned below the stable checkpoint: the snapshot covers
-                // it (and every other pruned sequence — send it once).
-                match self.executor.latest_snapshot() {
-                    Some(snapshot) if !snapshot_sent && snapshot.base_seq >= seq => {
-                        snapshot_sent = true;
-                        served += 1;
-                        let msg = Message::SnapshotResponse {
-                            snapshot,
-                            replica: self.my_id(),
-                        };
-                        self.send_out(OutItem::to(Sender::Replica(requester), msg));
-                    }
-                    Some(_) => {}
-                    None => dropped += 1,
-                }
-            } else {
-                dropped += 1;
             }
-        }
-        self.net_stats.note_fetch_served(served);
-        self.net_stats.note_fetch_dropped(dropped);
-    }
-
-    /// Validates and installs a `FetchResponse` or `SnapshotResponse`.
-    fn on_recovery_response(&mut self, sm: &SignedMessage) {
-        let Sender::Replica(from) = sm.sender() else {
-            return; // clients cannot vouch for ordering
-        };
-        match sm.msg() {
-            Message::FetchResponse {
-                seq,
-                view,
-                digest: claimed,
-                batch,
-                certificate,
-                replica,
-            } => {
-                if *replica != from || *seq <= self.last_executed {
-                    return;
-                }
-                // The digest must bind the transferred batch content —
-                // otherwise a valid certificate could smuggle a forged
-                // batch in beside it.
-                if digest(&batch.canonical_bytes()) != *claimed {
-                    return;
-                }
-                let quorum = rdb_common::quorum::commit_quorum(self.f);
-                let certified = recovery::verify_fetch_certificate(
-                    &self.provider,
-                    quorum,
-                    from,
-                    *view,
-                    *seq,
-                    *claimed,
-                    certificate,
-                );
-                let vouched = {
-                    // f+1 distinct peers presenting identical (seq, view,
-                    // digest) responses: at least one is honest. This is
-                    // the only path for Zyzzyva, whose speculation has no
-                    // offline-verifiable certificate to ship. The view is
-                    // part of the match: the engine treats a fetched later
-                    // view as proof of a missed view change, so a lone
-                    // byzantine responder must not get to invent one.
-                    let votes = self.fetch_votes.entry((*seq, *view, *claimed)).or_default();
-                    votes.insert(from);
-                    votes.len() > self.f
-                };
-                if certified || vouched {
-                    let (seq, view, claimed) = (*seq, *view, *claimed);
-                    let (batch, certificate) = (Arc::clone(batch), certificate.clone());
-                    self.fetch_votes.retain(|(s, _, _), _| *s != seq);
-                    self.fetch_inflight.remove(&seq);
-                    let actions =
-                        self.engine
-                            .install_fetched(seq, view, claimed, batch, certificate);
-                    self.run_actions(actions);
-                }
-            }
-            Message::SnapshotResponse { snapshot, replica } => {
-                if *replica != from || snapshot.base_seq <= self.last_executed {
-                    return;
-                }
-                if !recovery::verify_snapshot(snapshot) {
-                    return;
-                }
-                let key = snapshot.agreement_key();
-                let (voters, kept) = self
-                    .snap_votes
-                    .entry(key)
-                    .or_insert_with(|| (HashSet::new(), Arc::clone(snapshot)));
-                voters.insert(from);
-                if voters.len() > self.f {
-                    let snapshot = Arc::clone(kept);
-                    self.snap_votes.clear();
-                    self.adopt_snapshot(&snapshot);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    /// Installs an f+1-vouched, payload-verified snapshot: replaces the
-    /// store and ledger, jumps the execution cursor past the transferred
-    /// history, and fast-forwards the consensus engines.
-    fn adopt_snapshot(&mut self, snapshot: &Snapshot) {
-        let base = snapshot.base_seq;
-        if self.execute_inline {
-            self.inline_exec_buf.retain(|seq, _| *seq > base);
-            self.executor.install_snapshot(snapshot);
-            self.inline_next_exec = self.inline_next_exec.max(base.next());
-        } else {
-            let gate = self.exec_queues.gate();
-            self.exec_queues.purge_through(base);
-            let resume = self.exec_queues.cursor().max(base.next());
-            self.exec_queues.repoint(resume);
-            self.executor.install_snapshot(snapshot);
-            drop(gate);
-        }
-        self.engine.install_snapshot(base, snapshot.history);
-        self.last_executed = self.last_executed.max(base);
-        self.commit_frontier = self.commit_frontier.max(base);
-        self.stable_checkpoint = self.stable_checkpoint.max(base);
-        self.pruned_to = self.pruned_to.max(base);
-        self.fetch_inflight.retain(|seq, _| *seq > base);
-        self.fetch_votes.retain(|(seq, _, _), _| *seq > base);
-        // Installing a snapshot is progress: re-arm every suspicion timer.
-        for j in 0..self.engine.k() {
-            self.last_progress[j] = Instant::now();
-            self.suspect_strikes[j] = 0;
-        }
-    }
-
-    /// The fetch driver: when the engine reports execution holes below
-    /// the commit frontier, request the missing batches from rotating
-    /// peers — deduplicating in-flight sequences, capping the outstanding
-    /// set, and retrying (next peer) after a backoff. Under Zyzzyva each
-    /// request fans out to f+1 peers, since acceptance needs f+1 matching
-    /// responses rather than one verifiable certificate.
-    fn maybe_fetch(&mut self) {
-        const POLL_EVERY: Duration = Duration::from_millis(20);
-        if self.last_fetch_poll.elapsed() < POLL_EVERY {
-            return;
-        }
-        self.last_fetch_poll = Instant::now();
-        let now = Instant::now();
-        // Expired entries are eligible for re-request (peer rotation below
-        // naturally lands retries elsewhere).
-        self.fetch_inflight.retain(|_, deadline| *deadline > now);
-        let budget = MAX_INFLIGHT.saturating_sub(self.fetch_inflight.len());
-        if budget == 0 {
-            return;
-        }
-        let seqs: Vec<SeqNum> = self
-            .engine
-            .fetch_wanted(FETCH_BATCH + self.fetch_inflight.len())
-            .into_iter()
-            .filter(|s| *s > self.last_executed && !self.fetch_inflight.contains_key(s))
-            .take(budget.min(FETCH_BATCH))
-            .collect();
-        if seqs.is_empty() {
-            self.maybe_probe();
-            return;
-        }
-        self.send_fetch(seqs, now);
-    }
-
-    /// Quiescent-network catch-up. A replica that rejoins after the load
-    /// has drained receives no new traffic that would reveal the committed
-    /// frontier, so the engine reports no holes and [`Self::maybe_fetch`]
-    /// has nothing to do — forever. When execution has not advanced for a
-    /// couple of backoff periods and nothing is in flight, probe a peer
-    /// with a plain `FetchRequest` for the next sequence window: either it
-    /// comes back served (the log moved on without us — install and keep
-    /// going) or the peer is equally idle and drops it, which costs one
-    /// tiny message per idle interval.
-    fn maybe_probe(&mut self) {
-        if self.probe_mark.0 != self.last_executed {
-            self.probe_mark = (self.last_executed, Instant::now());
-            return;
-        }
-        if self.probe_mark.1.elapsed() < self.fetch_backoff * 2 || !self.fetch_inflight.is_empty() {
-            return;
-        }
-        self.probe_mark.1 = Instant::now();
-        let seqs: Vec<SeqNum> = (1..=FETCH_BATCH as u64)
-            .map(|i| SeqNum(self.last_executed.0 + i))
-            .collect();
-        self.send_fetch(seqs, Instant::now());
-    }
-
-    fn send_fetch(&mut self, seqs: Vec<SeqNum>, now: Instant) {
-        let deadline = now + self.fetch_backoff;
-        for &seq in &seqs {
-            self.fetch_inflight.insert(seq, deadline);
-        }
-        let peers: Vec<Sender> = self
-            .replicas
-            .iter()
-            .copied()
-            .filter(|r| *r != self.me)
-            .collect();
-        if peers.is_empty() {
-            return;
-        }
-        let fanout = match self.protocol {
-            ProtocolKind::Pbft => 1,
-            ProtocolKind::Zyzzyva => (self.f + 1).min(peers.len()),
-        };
-        let targets: Vec<Sender> = (0..fanout)
-            .map(|i| peers[(self.fetch_rr + i) % peers.len()])
-            .collect();
-        self.fetch_rr = self.fetch_rr.wrapping_add(1);
-        let msg = Message::FetchRequest {
-            seqs,
-            replica: self.my_id(),
-        };
-        self.send_out(OutItem { targets, msg });
-    }
-
-    fn dispatch_execution(&mut self, item: ExecuteItem) {
-        if !self.execute_inline {
-            self.exec_queues.deposit(item);
-            return;
-        }
-        // 0E configuration: integrated ordering and execution on the
-        // worker, buffered so execution stays in sequence order.
-        self.inline_exec_buf.insert(item.seq, item);
-        while let Some(item) = self.inline_exec_buf.remove(&self.inline_next_exec) {
-            let (state_digest, replies) = self.executor.execute(&item);
-            for out in replies {
-                self.send_out(out);
-            }
-            self.inline_next_exec = self.inline_next_exec.next();
-            self.last_executed = self.last_executed.max(item.seq);
-            let j = self.owner(item.seq);
-            self.last_progress[j] = Instant::now();
-            self.suspect_strikes[j] = 0;
-            self.client_demand[j] = false;
-            let actions = self.engine.on_executed(item.seq, state_digest);
-            self.run_actions(actions);
-            self.prune_to_stable();
-        }
+        });
     }
 }

@@ -6,7 +6,7 @@
 //! the network model prices transmission without serializing anything.
 
 use rdb_common::{CryptoScheme, ProtocolKind, StorageMode, SystemConfig};
-use rdb_crypto::CostModel;
+use rdb_crypto::{CostModel, VERIFY_WINDOW};
 
 /// Fixed overheads, all in nanoseconds (tunable; defaults represent a
 /// 3.8 GHz core running an optimized build).
@@ -76,10 +76,6 @@ pub struct ServiceModel {
     pub reply_bytes: usize,
     /// Bytes of one commit-certificate message (Zyzzyva slow path).
     pub cc_bytes: usize,
-    /// The pipeline's signature-verification batching window
-    /// (`ThreadConfig::verify_window`): replica traffic verified by the
-    /// input threads amortizes at this window under saturation.
-    pub verify_window: usize,
 }
 
 impl ServiceModel {
@@ -112,7 +108,6 @@ impl ServiceModel {
             vote_bytes,
             reply_bytes,
             cc_bytes,
-            verify_window: config.threads.verify_window.max(1),
         }
     }
 
@@ -158,7 +153,7 @@ impl ServiceModel {
     /// (MAC'd links are unaffected — `verify_batch_ns` falls through).
     pub fn verify_pre_prepare(&self) -> f64 {
         self.cost
-            .verify_batch_ns(self.scheme, true, self.batch_bytes, self.verify_window)
+            .verify_batch_ns(self.scheme, true, self.batch_bytes, VERIFY_WINDOW)
             + self.cost.hash_ns(self.batch_bytes)
             + self.over.process_message_ns
     }
@@ -167,7 +162,7 @@ impl ServiceModel {
     /// the input threads, as for pre-prepares).
     pub fn process_vote(&self) -> f64 {
         self.cost
-            .verify_batch_ns(self.scheme, true, self.vote_bytes, self.verify_window)
+            .verify_batch_ns(self.scheme, true, self.vote_bytes, VERIFY_WINDOW)
             + self.over.process_message_ns
     }
 

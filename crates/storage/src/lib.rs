@@ -1,6 +1,7 @@
-//! Storage substrate: state stores, the blockchain ledger, and buffer pools.
+//! Storage substrate: state stores, the blockchain ledger, the state
+//! commitment and the write-ahead log.
 //!
-//! Three pieces of the paper's replica live here:
+//! Four pieces of the paper's replica live here:
 //!
 //! - [`store`] — the key-value state the execute-thread reads and writes.
 //!   [`MemStore`] is the in-memory structure ResilientDB uses by default;
@@ -9,8 +10,6 @@
 //! - [`blockchain`] — the immutable ledger. Blocks are certified by the
 //!   2f+1 commit signatures gathered during consensus instead of hashing
 //!   the previous block on the critical path (Section 4.6).
-//! - [`pool`] — object pools that avoid per-message allocation
-//!   (Section 4.8, "Buffer Pool Management").
 //! - [`merkle`] — the incremental sparse Merkle commitment both stores
 //!   maintain over their records (checkpoint digests, snapshot vouching,
 //!   partial state proofs).
@@ -20,13 +19,11 @@
 pub mod blockchain;
 pub mod merkle;
 pub mod pagedb;
-pub mod pool;
 pub mod store;
 pub mod wal;
 
 pub use blockchain::Blockchain;
 pub use merkle::{MerkleAccumulator, MerkleProof};
 pub use pagedb::PagedStore;
-pub use pool::BufferPool;
 pub use store::{record_hash, MemStore, StateStore, WriteRecord};
 pub use wal::{FsyncPolicy, Wal, WalRecovery};
