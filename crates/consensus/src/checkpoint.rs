@@ -65,16 +65,18 @@ impl CheckpointTracker {
         self.stable = seq;
         self.votes.retain(|s, _| *s > seq);
     }
-
-    /// Number of sequences with outstanding (unstable) votes.
-    pub fn pending(&self) -> usize {
-        self.votes.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CheckpointTracker {
+        /// Number of sequences with outstanding (unstable) votes.
+        fn pending(&self) -> usize {
+            self.votes.len()
+        }
+    }
 
     fn d(b: u8) -> Digest {
         Digest([b; 32])

@@ -1,192 +1,138 @@
-//! Protocol-agnostic wrapper over the replica state machines.
+//! Protocol-agnostic replica engine.
 //!
-//! The pipeline and simulator drive consensus through this enum so the
-//! protocol is a runtime configuration knob (as in Figures 1, 8 and 17,
-//! which swap PBFT for Zyzzyva on the same fabric).
+//! The pipeline drives consensus through [`ReplicaEngine`] so the protocol
+//! is a runtime configuration knob (as in Figures 1, 8 and 17, which swap
+//! PBFT for Zyzzyva on the same fabric). The engine is the shared
+//! [`Replica`] over [`AnyRule`]: what the substrate owns is reached
+//! directly, and only the genuinely per-protocol calls are forwarded.
 
 use crate::actions::Action;
 use crate::config::ConsensusConfig;
-use crate::pbft::Pbft;
-use crate::zyzzyva::Zyzzyva;
-use rdb_common::block::BlockCertificate;
-use rdb_common::messages::SignedMessage;
-use rdb_common::{Batch, Digest, ProtocolKind, ReplicaId, SeqNum, ViewNum};
-use std::sync::Arc;
+use crate::pbft::PbftRule;
+use crate::substrate::{Fetched, MergedTail, ProtocolRule, Replica, Substrate};
+use crate::zyzzyva::ZyzzyvaRule;
+use rdb_common::messages::{BatchTail, SignedMessage};
+use rdb_common::{Batch, Digest, ProtocolKind, ReplicaId, SeqNum};
 
 /// A replica's consensus engine: PBFT or Zyzzyva behind one interface.
+pub type ReplicaEngine = Replica<AnyRule>;
+
+/// Whichever protocol rule the deployment configured.
 #[derive(Debug)]
-pub enum ReplicaEngine {
+pub enum AnyRule {
     /// Three-phase PBFT.
-    Pbft(Pbft),
+    Pbft(PbftRule),
     /// Single-phase speculative Zyzzyva.
-    Zyzzyva(Zyzzyva),
+    Zyzzyva(ZyzzyvaRule),
 }
 
 impl ReplicaEngine {
     /// Creates the engine for `protocol` at replica `id`.
     pub fn new(protocol: ProtocolKind, id: ReplicaId, config: ConsensusConfig) -> Self {
-        match protocol {
-            ProtocolKind::Pbft => ReplicaEngine::Pbft(Pbft::new(id, config)),
-            ProtocolKind::Zyzzyva => ReplicaEngine::Zyzzyva(Zyzzyva::new(id, config)),
-        }
-    }
-
-    /// Which protocol this engine runs.
-    pub fn protocol(&self) -> ProtocolKind {
-        match self {
-            ReplicaEngine::Pbft(_) => ProtocolKind::Pbft,
-            ReplicaEngine::Zyzzyva(_) => ProtocolKind::Zyzzyva,
-        }
-    }
-
-    /// This replica's id.
-    pub fn id(&self) -> ReplicaId {
-        match self {
-            ReplicaEngine::Pbft(p) => p.id(),
-            ReplicaEngine::Zyzzyva(z) => z.id(),
-        }
-    }
-
-    /// The current view.
-    pub fn view(&self) -> ViewNum {
-        match self {
-            ReplicaEngine::Pbft(p) => p.view(),
-            ReplicaEngine::Zyzzyva(z) => z.view(),
-        }
-    }
-
-    /// The current primary.
-    pub fn primary(&self) -> ReplicaId {
-        match self {
-            ReplicaEngine::Pbft(p) => p.primary(),
-            ReplicaEngine::Zyzzyva(z) => z.primary(),
-        }
-    }
-
-    /// Whether this replica currently leads.
-    pub fn is_primary(&self) -> bool {
-        match self {
-            ReplicaEngine::Pbft(p) => p.is_primary(),
-            ReplicaEngine::Zyzzyva(z) => z.is_primary(),
-        }
-    }
-
-    /// Primary path: propose a digested batch.
-    pub fn propose(&mut self, batch: Batch, digest: Digest) -> Vec<Action> {
-        match self {
-            ReplicaEngine::Pbft(p) => p.propose(batch, digest),
-            ReplicaEngine::Zyzzyva(z) => z.propose(batch, digest),
-        }
-    }
-
-    /// Handles a verified signed message.
-    pub fn on_message(&mut self, sm: &SignedMessage) -> Vec<Action> {
-        match self {
-            ReplicaEngine::Pbft(p) => p.on_message(sm),
-            ReplicaEngine::Zyzzyva(z) => z.on_message(sm),
-        }
-    }
-
-    /// Execution-layer notification that `seq` finished executing.
-    pub fn on_executed(&mut self, seq: SeqNum, state_digest: Digest) -> Vec<Action> {
-        match self {
-            ReplicaEngine::Pbft(p) => p.on_executed(seq, state_digest),
-            ReplicaEngine::Zyzzyva(z) => z.on_executed(seq, state_digest),
-        }
-    }
-
-    /// Whether ordered-but-unfinished work is stuck — the signal the
-    /// runtime's suspicion timer combines with client demand to decide the
-    /// primary is dead.
-    pub fn has_stalled_work(&self) -> bool {
-        match self {
-            ReplicaEngine::Pbft(p) => p.has_stalled_work(),
-            ReplicaEngine::Zyzzyva(z) => z.has_stalled_work(),
-        }
-    }
-
-    /// Suspicion timer fired: vote to replace the primary.
-    pub fn on_timeout(&mut self) -> Vec<Action> {
-        match self {
-            ReplicaEngine::Pbft(p) => p.on_timeout(),
-            ReplicaEngine::Zyzzyva(z) => z.on_timeout(),
-        }
+        let rule = match protocol {
+            ProtocolKind::Pbft => AnyRule::Pbft(PbftRule::new(&config)),
+            ProtocolKind::Zyzzyva => AnyRule::Zyzzyva(ZyzzyvaRule::default()),
+        };
+        Replica::with_rule(id, config, rule)
     }
 
     /// The next sequence this engine would assign as primary, when the
     /// protocol exposes it (PBFT only — the multi-primary gap-fill logic
     /// needs it; Zyzzyva never runs with `k > 1`).
     pub fn next_seq(&self) -> Option<SeqNum> {
-        match self {
-            ReplicaEngine::Pbft(p) => Some(p.next_seq()),
-            ReplicaEngine::Zyzzyva(_) => None,
+        match &self.rule {
+            AnyRule::Pbft(p) => Some(p.next_seq),
+            AnyRule::Zyzzyva(_) => None,
         }
     }
+}
 
-    /// Serves a peer's `FetchRequest` for `seq`: the batch plus whatever
-    /// ordering proof the protocol retains (2f+1 commit signatures under
-    /// PBFT, an empty certificate under Zyzzyva where the requester relies
-    /// on f+1 matching peers instead).
-    pub fn serve_fetch(
-        &self,
-        seq: SeqNum,
-    ) -> Option<(ViewNum, Digest, Arc<Batch>, BlockCertificate)> {
-        match self {
-            ReplicaEngine::Pbft(p) => p.serve_fetch(seq),
-            ReplicaEngine::Zyzzyva(z) => z.serve_fetch(seq),
+/// Forwards one [`ProtocolRule`] call to the configured protocol's rule.
+macro_rules! forward {
+    ($self:ident, $rule:ident => $call:expr) => {
+        match $self {
+            AnyRule::Pbft($rule) => $call,
+            AnyRule::Zyzzyva($rule) => $call,
         }
+    };
+}
+
+impl ProtocolRule for AnyRule {
+    fn propose(&mut self, ctx: &Substrate, batch: Batch, digest: Digest) -> Vec<Action> {
+        forward!(self, r => r.propose(ctx, batch, digest))
     }
 
-    /// Installs a fetched batch the runtime has validated, filling an
-    /// execution hole without a view change.
-    pub fn install_fetched(
+    fn on_message(&mut self, ctx: &Substrate, sm: &SignedMessage) -> Vec<Action> {
+        forward!(self, r => r.on_message(ctx, sm))
+    }
+
+    fn has_stalled_work(&self, ctx: &Substrate) -> bool {
+        forward!(self, r => r.has_stalled_work(ctx))
+    }
+
+    fn tail(&self, ctx: &Substrate) -> BatchTail {
+        forward!(self, r => r.tail(ctx))
+    }
+
+    fn prepared(&self) -> Vec<(SeqNum, Digest)> {
+        forward!(self, r => r.prepared())
+    }
+
+    fn enter_view(&mut self, ctx: &Substrate, reissued: &[(SeqNum, Digest)]) -> Vec<Action> {
+        forward!(self, r => r.enter_view(ctx, reissued))
+    }
+
+    fn lead_view(&mut self, ctx: &Substrate, merged: MergedTail) -> Vec<Action> {
+        forward!(self, r => r.lead_view(ctx, merged))
+    }
+
+    fn prune(&mut self, stable: SeqNum) {
+        forward!(self, r => r.prune(stable))
+    }
+
+    fn serve_fetch(&self, ctx: &Substrate, seq: SeqNum) -> Option<Fetched> {
+        forward!(self, r => r.serve_fetch(ctx, seq))
+    }
+
+    fn install_fetched(
         &mut self,
+        ctx: &mut Substrate,
         seq: SeqNum,
-        view: ViewNum,
-        digest: Digest,
-        batch: Arc<Batch>,
-        certificate: BlockCertificate,
+        fetched: Fetched,
     ) -> Vec<Action> {
-        match self {
-            ReplicaEngine::Pbft(p) => p.install_fetched(seq, view, digest, batch, certificate),
-            ReplicaEngine::Zyzzyva(z) => z.install_fetched(seq, view, digest, batch, certificate),
-        }
+        forward!(self, r => r.install_fetched(ctx, seq, fetched))
     }
 
-    /// Adopts a verified snapshot at `base` (with the Zyzzyva rolling
-    /// history at that point; ignored under PBFT).
-    pub fn install_snapshot(&mut self, base: SeqNum, history: Digest) {
-        match self {
-            ReplicaEngine::Pbft(p) => p.install_snapshot(base, history),
-            ReplicaEngine::Zyzzyva(z) => z.install_snapshot(base, history),
-        }
+    fn install_snapshot(&mut self, ctx: &Substrate, base: SeqNum, history: Digest) {
+        forward!(self, r => r.install_snapshot(ctx, base, history))
     }
 
-    /// Sequences worth fetching from peers (execution holes below the
-    /// commit frontier), oldest first, at most `limit`.
-    pub fn fetch_wanted(&self, limit: usize) -> Vec<SeqNum> {
-        match self {
-            ReplicaEngine::Pbft(p) => p.fetch_wanted(limit),
-            ReplicaEngine::Zyzzyva(z) => z.fetch_wanted(limit),
-        }
+    fn fetch_wanted(&self, ctx: &Substrate, limit: usize) -> Vec<SeqNum> {
+        forward!(self, r => r.fetch_wanted(ctx, limit))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdb_common::ViewNum;
 
     #[test]
     fn engine_dispatches_by_protocol() {
         let cfg = ConsensusConfig::new(4, 100);
-        let p = ReplicaEngine::new(ProtocolKind::Pbft, ReplicaId(0), cfg);
-        let z = ReplicaEngine::new(ProtocolKind::Zyzzyva, ReplicaId(1), cfg);
-        assert_eq!(p.protocol(), ProtocolKind::Pbft);
-        assert_eq!(z.protocol(), ProtocolKind::Zyzzyva);
-        assert_eq!(p.id(), ReplicaId(0));
-        assert_eq!(z.id(), ReplicaId(1));
-        assert!(p.is_primary());
-        assert!(!z.is_primary());
-        assert_eq!(p.primary(), ReplicaId(0));
+        let mut p = ReplicaEngine::new(ProtocolKind::Pbft, ReplicaId(0), cfg);
+        let mut z = ReplicaEngine::new(ProtocolKind::Zyzzyva, ReplicaId(0), cfg);
+        let b1 = ReplicaEngine::new(ProtocolKind::Zyzzyva, ReplicaId(1), cfg);
+        assert_eq!((p.id(), b1.id()), (ReplicaId(0), ReplicaId(1)));
+        assert!(p.is_primary() && z.is_primary() && !b1.is_primary());
+        assert_eq!((p.primary(), p.view()), (ReplicaId(0), ViewNum(0)));
+        // The same call runs the configured rule: PBFT only orders, Zyzzyva
+        // also executes speculatively.
+        let speculates =
+            |acts: Vec<Action>| acts.iter().any(|a| matches!(a, Action::SpecExecute { .. }));
+        assert!(!speculates(p.propose(Batch::new(Vec::new()), Digest::ZERO)));
+        assert!(speculates(z.propose(Batch::new(Vec::new()), Digest::ZERO)));
+        assert_eq!(p.next_seq(), Some(SeqNum(2)));
+        assert_eq!(z.next_seq(), None);
     }
 }

@@ -1,16 +1,18 @@
-//! Sans-io BFT consensus state machines: PBFT and Zyzzyva.
+//! Sans-io BFT consensus: one replicated-log substrate, two protocol rules.
 //!
-//! Both protocols are implemented as pure state machines — messages in,
-//! [`Action`]s out — so the *same* protocol logic runs under the threaded
-//! pipeline (`rdb-pipeline`) and the discrete-event simulator (`rdb-sim`).
-//! This mirrors the paper's central methodology: hold the protocol fixed
-//! and vary the system architecture around it.
+//! The replica machines are pure state machines — messages in, [`Action`]s
+//! out — so the same logic runs under the threaded pipeline
+//! (`rdb-pipeline`) and any single-threaded test driver. This mirrors the
+//! paper's methodology: hold the fabric fixed and swap only the protocol.
 //!
-//! - [`pbft`] — three-phase PBFT with batching, checkpointing and a
-//!   view-change skeleton (Figures 1, 8-17 run this).
-//! - [`zyzzyva`] — single-phase speculative Zyzzyva with in-order
-//!   speculative execution and the client-driven commit-certificate slow
-//!   path (the comparison protocol of Figures 1, 8, 17).
+//! - [`substrate`] — everything that is not a protocol's normal-case rule,
+//!   written once: view changes, checkpointing, vote sender checks.
+//! - [`pbft`] — the three-phase rule over a per-sequence instance log
+//!   (Figures 1, 8-17 run this).
+//! - [`zyzzyva`] — the speculative single-phase rule with the client-driven
+//!   commit-certificate slow path (the comparison protocol of Figures 1,
+//!   8, 17).
+//! - [`engine`] — the substrate over whichever rule is configured.
 //! - [`client`] — the matching client-side machines.
 //! - [`multi`] — multi-primary ordering: k parallel PBFT instances over
 //!   one replica set, interleaved into a single global sequence space.
@@ -26,6 +28,8 @@
 //! assert!(engine.is_primary());
 //! ```
 
+#![deny(clippy::too_many_lines)]
+
 pub mod actions;
 pub mod checkpoint;
 pub mod client;
@@ -33,6 +37,7 @@ pub mod config;
 pub mod engine;
 pub mod multi;
 pub mod pbft;
+pub mod substrate;
 pub mod zyzzyva;
 
 pub use actions::{Action, ClientAction};

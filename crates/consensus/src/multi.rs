@@ -24,6 +24,7 @@
 use crate::actions::Action;
 use crate::config::ConsensusConfig;
 use crate::engine::ReplicaEngine;
+use crate::substrate::Fetched;
 use rdb_common::block::BlockCertificate;
 use rdb_common::messages::{Message, SignedMessage};
 use rdb_common::{Batch, Digest, ProtocolKind, ReplicaId, SeqNum, ViewNum};
@@ -52,7 +53,8 @@ impl MultiEngine {
         assert!(k >= 1, "need at least one consensus instance");
         assert!(
             k == 1 || protocol == ProtocolKind::Pbft,
-            "multi-primary ordering requires PBFT"
+            "multi-primary ordering requires PBFT: Zyzzyva's speculative history is one \
+             hash chain over consecutive sequences, which k interleaved instances cannot extend"
         );
         let engines = (0..k)
             .map(|j| ReplicaEngine::new(protocol, id, config.for_instance(j as u32, k as u64)))
@@ -153,10 +155,7 @@ impl MultiEngine {
     }
 
     /// Serves a peer's `FetchRequest` for `seq` from the owning instance.
-    pub fn serve_fetch(
-        &self,
-        seq: SeqNum,
-    ) -> Option<(ViewNum, Digest, Arc<Batch>, BlockCertificate)> {
+    pub fn serve_fetch(&self, seq: SeqNum) -> Option<Fetched> {
         self.engines[self.owner(seq)].serve_fetch(seq)
     }
 

@@ -1,4 +1,4 @@
-//! The PBFT replica state machine (Castro & Liskov, OSDI'99), sans-io.
+//! The PBFT protocol rule (Castro & Liskov, OSDI'99), sans-io.
 //!
 //! Three phases: the primary assigns a sequence number and broadcasts
 //! `PrePrepare`; backups broadcast `Prepare`; on 2f matching prepares a
@@ -8,19 +8,19 @@
 //! sequence numbers progress independently, and PBFT's quorum logic — not
 //! hash-chaining between requests — guarantees a single common order.
 //!
-//! The view-change subprotocol: timeouts produce `ViewChange` votes that
-//! carry the voter's in-flight *batch tail* (sequence, digest and the
-//! batch itself for everything above the stable checkpoint). 2f+1 votes
-//! install a new view whose primary merges the tails, fills holes with
-//! no-op batches, and re-issues every unresolved sequence at its original
-//! number — so requests in flight when the old primary died commit exactly
-//! once in the new view. The full new-view proof machinery of the original
-//! paper is still out of scope (documented in DESIGN.md), but the re-issue
-//! path is real and exercised by the failure-scenario matrix.
+//! View changes run on the shared [`crate::substrate`]; what is PBFT's own
+//! is the per-sequence [`Instance`] log, the tail a vote carries (every
+//! batch held above the stable checkpoint), and what the incoming primary
+//! does with the merged tails: fill holes with no-op batches and re-issue
+//! every unresolved sequence at its original number — so requests in
+//! flight when the old primary died commit exactly once in the new view.
+//! The full new-view proof machinery of the original paper is out of scope
+//! (ARCHITECTURE.md, "Scope"), but the re-issue path is real and exercised
+//! by the failure-scenario matrix.
 
 use crate::actions::Action;
-use crate::checkpoint::CheckpointTracker;
 use crate::config::ConsensusConfig;
+use crate::substrate::{Fetched, MergedTail, ProtocolRule, Replica, Substrate};
 use rdb_common::block::BlockCertificate;
 use rdb_common::messages::{BatchTail, Message, Sender, SignedMessage};
 use rdb_common::{quorum, Batch, Digest, ReplicaId, SeqNum, SignatureBytes, ViewNum};
@@ -28,25 +28,22 @@ use rdb_crypto::digest as batch_digest;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-/// After this many timer re-fires without the voted view installing, vote
-/// for the next view instead (the voted-for primary may itself be down).
-const ESCALATE_AFTER: u32 = 3;
-
 /// Bound on parked future-view messages (proposals and votes that raced
 /// ahead of our `NewView` processing).
 const MAX_PARKED: usize = 4096;
 
-/// A prepare/commit vote that arrived for a view ahead of ours; replayed
-/// once the view installs so quorums formed across the change are not
-/// lost to message reordering.
+/// A prepare or commit vote. One that arrives for a view ahead of ours is
+/// parked and replayed once the view installs, so quorums formed across
+/// the change are not lost to message reordering.
 #[derive(Debug)]
-struct FutureVote {
+struct Vote {
     view: ViewNum,
     seq: SeqNum,
     from: ReplicaId,
     digest: Digest,
-    commit: bool,
-    sig: SignatureBytes,
+    /// A commit vote's signature (it goes into the certificate); `None`
+    /// marks a prepare.
+    sig: Option<SignatureBytes>,
 }
 
 /// Per-sequence consensus instance state.
@@ -67,137 +64,49 @@ struct Instance {
     committed: bool,
 }
 
-/// The PBFT replica state machine.
-#[derive(Debug)]
-pub struct Pbft {
-    config: ConsensusConfig,
-    id: ReplicaId,
-    view: ViewNum,
-    /// Next sequence number this primary will assign.
-    next_seq: SeqNum,
-    instances: HashMap<SeqNum, Instance>,
-    checkpoints: CheckpointTracker,
-    /// Batches executed since the last checkpoint broadcast.
-    executed_since_checkpoint: u64,
-    /// Highest sequence this replica has been told was executed.
-    last_executed: SeqNum,
-    /// View-change votes: new view → voter → the voter's batch tail.
-    view_change_votes: HashMap<ViewNum, HashMap<ReplicaId, BatchTail>>,
-    /// Set when this replica has voted for a view change.
-    voted_view: Option<ViewNum>,
-    /// Timer re-fires since the vote for `voted_view` (drives escalation).
-    timeout_strikes: u32,
-    /// Pre-prepares for views ahead of ours, parked until the view installs.
-    future_proposals: BTreeMap<(ViewNum, SeqNum), (ReplicaId, Digest, Arc<Batch>)>,
-    /// Prepare/commit votes for views ahead of ours.
-    future_votes: Vec<FutureVote>,
+impl Instance {
+    /// The 2f+1 commit proof: the collected signatures plus our own vote.
+    /// The runtime holds that signature, so an empty placeholder marks it
+    /// (when served to a peer, the verified response envelope vouches).
+    fn certificate(&self, me: ReplicaId) -> BlockCertificate {
+        let mut certificate = BlockCertificate::new(self.commit_sigs.clone());
+        if self.sent_commit && !certificate.contains(me) {
+            certificate.commits.push((me, SignatureBytes::empty()));
+        }
+        certificate
+    }
 }
+
+/// The PBFT replica state machine.
+pub type Pbft = Replica<PbftRule>;
 
 impl Pbft {
     /// Creates the state machine for replica `id`.
     pub fn new(id: ReplicaId, config: ConsensusConfig) -> Self {
-        let quorum = quorum::checkpoint_quorum(config.f);
-        Pbft {
-            config,
-            id,
-            view: ViewNum(0),
+        Replica::with_rule(id, config, PbftRule::new(&config))
+    }
+}
+
+/// PBFT's three-phase rule over its per-sequence instance log.
+#[derive(Debug)]
+pub struct PbftRule {
+    /// Next sequence number this primary will assign.
+    pub(crate) next_seq: SeqNum,
+    instances: HashMap<SeqNum, Instance>,
+    /// Pre-prepares for views ahead of ours, parked until the view installs.
+    future_proposals: BTreeMap<(ViewNum, SeqNum), (ReplicaId, Digest, Arc<Batch>)>,
+    /// Prepare/commit votes for views ahead of ours.
+    future_votes: Vec<Vote>,
+}
+
+impl PbftRule {
+    pub(crate) fn new(config: &ConsensusConfig) -> Self {
+        PbftRule {
             next_seq: config.first_seq(),
             instances: HashMap::new(),
-            checkpoints: CheckpointTracker::new(quorum),
-            executed_since_checkpoint: 0,
-            last_executed: SeqNum(0),
-            view_change_votes: HashMap::new(),
-            voted_view: None,
-            timeout_strikes: 0,
             future_proposals: BTreeMap::new(),
             future_votes: Vec::new(),
         }
-    }
-
-    /// This replica's id.
-    pub fn id(&self) -> ReplicaId {
-        self.id
-    }
-
-    /// The current view.
-    pub fn view(&self) -> ViewNum {
-        self.view
-    }
-
-    /// The current primary (of this machine's consensus instance).
-    pub fn primary(&self) -> ReplicaId {
-        self.config.primary_of(self.view)
-    }
-
-    /// The next sequence this machine would assign as primary (exposed for
-    /// the multi-primary runtime's gap-fill logic).
-    pub fn next_seq(&self) -> SeqNum {
-        self.next_seq
-    }
-
-    /// Whether this replica is the current primary.
-    pub fn is_primary(&self) -> bool {
-        self.primary() == self.id
-    }
-
-    /// Number of in-flight consensus instances (for saturation metrics).
-    pub fn in_flight(&self) -> usize {
-        self.instances.len()
-    }
-
-    /// Whether any instance has started but not committed — the signal the
-    /// runtime's suspicion timer watches for a stalled primary.
-    ///
-    /// Commits stranded above an execution hole also count: a sequence this
-    /// replica never saw (its PrePrepare was lost) can only be refilled by a
-    /// view-change re-issue, so committing past the hole is not progress.
-    pub fn has_stalled_work(&self) -> bool {
-        if self.instances.values().any(|i| !i.committed) {
-            return true;
-        }
-        let next = self.config.next_owned(self.last_executed);
-        !self.instances.contains_key(&next) && self.instances.keys().any(|seq| *seq > next)
-    }
-
-    /// Highest executed sequence this machine knows about.
-    pub fn last_executed(&self) -> SeqNum {
-        self.last_executed
-    }
-
-    fn prepare_quorum(&self) -> usize {
-        quorum::prepare_quorum(self.config.f)
-    }
-
-    fn commit_quorum(&self) -> usize {
-        quorum::commit_quorum(self.config.f)
-    }
-
-    /// Primary path: propose a batch (already digested by a batch-thread).
-    ///
-    /// Assigns the next sequence number and returns the `PrePrepare`
-    /// broadcast. Returns an empty action list when called on a backup.
-    pub fn propose(&mut self, batch: Batch, digest: Digest) -> Vec<Action> {
-        if !self.is_primary() {
-            return Vec::new();
-        }
-        if self.config.equivocate {
-            return self.propose_equivocating(batch);
-        }
-        let seq = self.next_seq;
-        self.next_seq = self.config.next_owned(self.next_seq);
-        // One allocation for the batch; the instance and the broadcast
-        // message share it from here on.
-        let batch = Arc::new(batch);
-        let inst = self.instances.entry(seq).or_default();
-        inst.digest = Some(digest);
-        inst.batch = Some(Arc::clone(&batch));
-        inst.view = self.view;
-        vec![Action::Broadcast(Message::PrePrepare {
-            view: self.view,
-            seq,
-            digest,
-            batch,
-        })]
     }
 
     /// Byzantine test mode: send each backup a differently-ordered variant
@@ -207,13 +116,13 @@ impl Pbft {
     /// through a view change; the new primary's tail merge then picks one
     /// variant and commits it exactly once. The equivocator records no
     /// instance — it does not even try to commit its own lies.
-    fn propose_equivocating(&mut self, batch: Batch) -> Vec<Action> {
+    fn propose_equivocating(&mut self, ctx: &Substrate, batch: Batch) -> Vec<Action> {
         let seq = self.next_seq;
-        self.next_seq = self.config.next_owned(self.next_seq);
+        self.next_seq = ctx.config.next_owned(self.next_seq);
         let mut actions = Vec::new();
-        for r in 0..self.config.n as u32 {
+        for r in 0..ctx.config.n as u32 {
             let rid = ReplicaId(r);
-            if rid == self.id {
+            if rid == ctx.id {
                 continue;
             }
             let mut txns = batch.txns.clone();
@@ -224,7 +133,7 @@ impl Pbft {
             actions.push(Action::SendReplica(
                 rid,
                 Message::PrePrepare {
-                    view: self.view,
+                    view: ctx.view,
                     seq,
                     digest: d,
                     batch: Arc::new(variant),
@@ -234,68 +143,28 @@ impl Pbft {
         actions
     }
 
-    /// Handles a signed message from another replica.
-    ///
-    /// Signature verification is the runtime's job (it owns the crypto
-    /// provider); the state machine assumes `sm` was verified.
-    pub fn on_message(&mut self, sm: &SignedMessage) -> Vec<Action> {
-        let from = match sm.sender() {
-            Sender::Replica(r) => r,
-            Sender::Client(_) => return Vec::new(), // clients talk to the runtime
-        };
-        match sm.msg() {
-            Message::PrePrepare {
-                view,
-                seq,
-                digest,
-                batch,
-            } => self.on_pre_prepare(from, *view, *seq, *digest, Arc::clone(batch)),
-            Message::Prepare { view, seq, digest } => self.on_prepare(from, *view, *seq, *digest),
-            Message::Commit { view, seq, digest } => {
-                self.on_commit(from, *view, *seq, *digest, sm.sig().clone())
-            }
-            Message::Checkpoint {
-                seq,
-                state_digest,
-                replica,
-            } => self.on_checkpoint(*replica, *seq, *state_digest),
-            Message::ViewChange {
-                new_view,
-                replica,
-                tail,
-                instance,
-                ..
-            } if *instance == self.config.instance => {
-                self.on_view_change(*replica, *new_view, tail.clone())
-            }
-            Message::NewView {
-                new_view, instance, ..
-            } if *instance == self.config.instance => self.on_new_view(from, *new_view),
-            _ => Vec::new(),
-        }
-    }
-
     fn on_pre_prepare(
         &mut self,
+        ctx: &Substrate,
         from: ReplicaId,
         view: ViewNum,
         seq: SeqNum,
         digest: Digest,
         batch: Arc<Batch>,
     ) -> Vec<Action> {
-        if view > self.view {
+        if view > ctx.view {
             // A re-issued proposal raced ahead of the NewView announcement:
             // park it until the view installs.
-            if from == self.config.primary_of(view) && self.future_proposals.len() < MAX_PARKED {
+            if from == ctx.config.primary_of(view) && self.future_proposals.len() < MAX_PARKED {
                 self.future_proposals
                     .insert((view, seq), (from, digest, batch));
             }
             return Vec::new();
         }
-        if view < self.view || from != self.primary() || self.is_primary() {
+        if view < ctx.view || from != ctx.primary() || ctx.is_primary() {
             return Vec::new(); // old view, not from the primary, or echo
         }
-        if seq <= self.checkpoints.stable_seq() {
+        if seq <= ctx.stable_seq() {
             return Vec::new(); // already garbage-collected
         }
         let inst = self.instances.entry(seq).or_default();
@@ -321,90 +190,45 @@ impl Pbft {
             actions.push(Action::Broadcast(Message::Commit { view, seq, digest }));
         }
         // Prepares and commits may have raced ahead of this pre-prepare.
-        actions.extend(self.check_progress(seq));
+        actions.extend(self.check_progress(ctx, seq));
         actions
     }
 
-    fn on_prepare(
-        &mut self,
-        from: ReplicaId,
-        view: ViewNum,
-        seq: SeqNum,
-        digest: Digest,
-    ) -> Vec<Action> {
-        if view > self.view {
+    /// Counts a prepare or commit vote toward its instance's quorums.
+    fn on_vote(&mut self, ctx: &Substrate, vote: Vote) -> Vec<Action> {
+        if vote.view > ctx.view {
             if self.future_votes.len() < MAX_PARKED {
-                self.future_votes.push(FutureVote {
-                    view,
-                    seq,
-                    from,
-                    digest,
-                    commit: false,
-                    sig: SignatureBytes::empty(),
-                });
+                self.future_votes.push(vote);
             }
             return Vec::new();
         }
-        if view < self.view || from == self.config.primary_of(view) {
-            return Vec::new(); // old view, or that view's primary (it never prepares)
-        }
-        if seq <= self.checkpoints.stable_seq() {
+        // An old view, a prepare from that view's primary (it never
+        // prepares), or a sequence already garbage-collected.
+        if vote.view < ctx.view
+            || (vote.sig.is_none() && vote.from == ctx.config.primary_of(vote.view))
+            || vote.seq <= ctx.stable_seq()
+        {
             return Vec::new();
         }
-        let inst = self.instances.entry(seq).or_default();
-        if inst.digest.is_some_and(|d| d != digest) {
+        let inst = self.instances.entry(vote.seq).or_default();
+        if inst.digest.is_some_and(|d| d != vote.digest) {
             return Vec::new(); // conflicting digest: ignore
         }
-        inst.prepares.insert(from);
-        self.check_progress(seq)
-    }
-
-    fn on_commit(
-        &mut self,
-        from: ReplicaId,
-        view: ViewNum,
-        seq: SeqNum,
-        digest: Digest,
-        sig: SignatureBytes,
-    ) -> Vec<Action> {
-        if view > self.view {
-            if self.future_votes.len() < MAX_PARKED {
-                self.future_votes.push(FutureVote {
-                    view,
-                    seq,
-                    from,
-                    digest,
-                    commit: true,
-                    sig,
-                });
+        if let Some(sig) = vote.sig {
+            if inst.commits.insert(vote.from) {
+                inst.commit_sigs.push((vote.from, sig));
             }
-            return Vec::new();
+        } else {
+            inst.prepares.insert(vote.from);
         }
-        if view < self.view {
-            return Vec::new();
-        }
-        if seq <= self.checkpoints.stable_seq() {
-            return Vec::new();
-        }
-        let inst = self.instances.entry(seq).or_default();
-        if inst.digest.is_some_and(|d| d != digest) {
-            return Vec::new();
-        }
-        if inst.commits.insert(from) {
-            inst.commit_sigs.push((from, sig));
-        }
-        self.check_progress(seq)
+        self.check_progress(ctx, vote.seq)
     }
 
     /// Re-evaluates the prepare and commit quorums for `seq` after any
     /// state change, emitting whatever the new state warrants. This is the
     /// single place quorum rules live, so out-of-order arrivals (commit
     /// before prepare before pre-prepare) cannot wedge an instance.
-    fn check_progress(&mut self, seq: SeqNum) -> Vec<Action> {
-        let prepare_quorum = self.prepare_quorum();
-        let commit_quorum = self.commit_quorum();
-        let is_primary = self.is_primary();
-        let my_id = self.id;
+    fn check_progress(&mut self, ctx: &Substrate, seq: SeqNum) -> Vec<Action> {
         let Some(inst) = self.instances.get_mut(&seq) else {
             return Vec::new();
         };
@@ -417,7 +241,10 @@ impl Pbft {
         // the primary holds the pre-prepare implicitly and needs 2f
         // prepares from backups. This own-vote accounting is what lets the
         // quorum still form when f backups are down (Figure 17).
-        if !inst.sent_commit && inst.prepares.len() + inst.sent_prepare as usize >= prepare_quorum {
+        if !inst.sent_commit
+            && inst.prepares.len() + inst.sent_prepare as usize
+                >= quorum::prepare_quorum(ctx.config.f)
+        {
             inst.sent_commit = true;
             actions.push(Action::Broadcast(Message::Commit {
                 view: inst.view,
@@ -428,91 +255,216 @@ impl Pbft {
         // Committed: 2f+1 distinct commit votes; our own broadcast is not
         // self-delivered, so it counts via `sent_commit`.
         let own = inst.sent_commit as usize;
-        if !inst.committed && inst.commits.len() + own >= commit_quorum {
+        if !inst.committed && inst.commits.len() + own >= quorum::commit_quorum(ctx.config.f) {
             inst.committed = true;
-            let mut certificate = BlockCertificate::new(inst.commit_sigs.clone());
-            if inst.sent_commit && !certificate.contains(my_id) {
-                // Include our own commit in the certificate. The runtime
-                // holds the signature; an empty placeholder marks it.
-                certificate.commits.push((my_id, SignatureBytes::empty()));
-            }
-            let _ = is_primary;
             actions.push(Action::CommitBatch {
                 seq,
                 view: inst.view,
                 digest,
                 batch: inst.batch.clone().expect("batch present"),
-                certificate,
+                certificate: inst.certificate(ctx.id),
             });
         }
         actions
     }
+}
 
-    /// Notification from the execution layer that the batch at `seq` has
-    /// been executed with the given replica state digest. Emits a
-    /// `Checkpoint` broadcast every Δ batches (Section 4.7).
-    pub fn on_executed(&mut self, seq: SeqNum, state_digest: Digest) -> Vec<Action> {
-        self.last_executed = self.last_executed.max(seq);
-        self.executed_since_checkpoint += 1;
-        if self.executed_since_checkpoint >= self.config.checkpoint_interval_batches {
-            self.executed_since_checkpoint = 0;
-            let mut actions = vec![Action::Broadcast(Message::Checkpoint {
-                seq,
-                state_digest,
-                replica: self.id,
-            })];
-            // The 2f+1 stability quorum includes this replica's own
-            // checkpoint (the broadcast skips self-delivery, so the vote
-            // is recorded here). This is both the PBFT-paper counting and
-            // what lets a replica that lagged behind its peers stabilize
-            // the moment its own execution reaches the boundary.
-            if let Some(stable) = self.checkpoints.record(self.id, seq, state_digest) {
-                self.instances.retain(|s, _| *s > stable);
-                actions.push(Action::StableCheckpoint { seq: stable });
-            }
-            return actions;
+impl ProtocolRule for PbftRule {
+    /// Assigns the next sequence number and returns the `PrePrepare`
+    /// broadcast.
+    fn propose(&mut self, ctx: &Substrate, batch: Batch, digest: Digest) -> Vec<Action> {
+        if ctx.config.equivocate {
+            return self.propose_equivocating(ctx, batch);
         }
-        Vec::new()
+        let seq = self.next_seq;
+        self.next_seq = ctx.config.next_owned(self.next_seq);
+        // One allocation for the batch; the instance and the broadcast
+        // message share it from here on.
+        let batch = Arc::new(batch);
+        let inst = self.instances.entry(seq).or_default();
+        inst.digest = Some(digest);
+        inst.batch = Some(Arc::clone(&batch));
+        inst.view = ctx.view;
+        vec![Action::Broadcast(Message::PrePrepare {
+            view: ctx.view,
+            seq,
+            digest,
+            batch,
+        })]
     }
 
-    /// Serves a peer's `FetchRequest` for `seq`: the committed batch plus
-    /// the 2f+1 commit certificate proving its order. Returns `None` when
-    /// the sequence never committed here or was garbage-collected by a
-    /// stable checkpoint (the runtime then falls back to a snapshot).
-    pub fn serve_fetch(
-        &self,
-        seq: SeqNum,
-    ) -> Option<(ViewNum, Digest, Arc<Batch>, BlockCertificate)> {
-        let inst = self.instances.get(&seq)?;
-        if !inst.committed {
-            return None;
-        }
-        let (digest, batch) = match (inst.digest, &inst.batch) {
-            (Some(d), Some(b)) => (d, Arc::clone(b)),
-            _ => return None,
+    fn on_message(&mut self, ctx: &Substrate, sm: &SignedMessage) -> Vec<Action> {
+        let Sender::Replica(from) = sm.sender() else {
+            return Vec::new(); // clients talk to the runtime
         };
-        let mut certificate = BlockCertificate::new(inst.commit_sigs.clone());
-        if inst.sent_commit && !certificate.contains(self.id) {
-            // Our own commit: the empty placeholder marks the serving
-            // replica, vouched for by its verified response envelope.
-            certificate.commits.push((self.id, SignatureBytes::empty()));
+        match sm.msg() {
+            Message::PrePrepare {
+                view,
+                seq,
+                digest,
+                batch,
+            } => self.on_pre_prepare(ctx, from, *view, *seq, *digest, Arc::clone(batch)),
+            Message::Prepare { view, seq, digest } | Message::Commit { view, seq, digest } => {
+                let (view, seq, digest) = (*view, *seq, *digest);
+                let sig = matches!(sm.msg(), Message::Commit { .. }).then(|| sm.sig().clone());
+                self.on_vote(
+                    ctx,
+                    Vote {
+                        view,
+                        seq,
+                        from,
+                        digest,
+                        sig,
+                    },
+                )
+            }
+            _ => Vec::new(),
         }
-        Some((inst.view, digest, batch, certificate))
     }
 
-    /// Installs a fetched batch whose certificate the runtime has already
-    /// verified: the instance commits directly off the remote proof — this
-    /// replica never voted, so no quorum bookkeeping applies. Fills an
-    /// execution hole without waiting for a view change to re-issue it.
-    pub fn install_fetched(
+    /// Whether any instance has started but not committed. Commits
+    /// stranded above an execution hole also count: a sequence this replica
+    /// never saw (its PrePrepare was lost) can only be refilled by a
+    /// view-change re-issue, so committing past the hole is not progress.
+    fn has_stalled_work(&self, ctx: &Substrate) -> bool {
+        if self.instances.values().any(|i| !i.committed) {
+            return true;
+        }
+        let next = ctx.config.next_owned(ctx.last_executed);
+        !self.instances.contains_key(&next) && self.instances.keys().any(|seq| *seq > next)
+    }
+
+    /// Committed instances are included, so the new primary can catch up
+    /// stragglers.
+    fn tail(&self, ctx: &Substrate) -> BatchTail {
+        let stable = ctx.stable_seq();
+        let mut v: BatchTail = self
+            .instances
+            .iter()
+            .filter(|(s, _)| **s > stable)
+            .filter_map(|(s, i)| match (&i.digest, &i.batch) {
+                (Some(d), Some(b)) => Some((*s, *d, Arc::clone(b))),
+                _ => None,
+            })
+            .collect();
+        v.sort_by_key(|(s, _, _)| *s);
+        v
+    }
+
+    fn prepared(&self) -> Vec<(SeqNum, Digest)> {
+        let mut v: Vec<(SeqNum, Digest)> = self
+            .instances
+            .iter()
+            .filter(|(_, i)| i.sent_commit && !i.committed)
+            .filter_map(|(s, i)| i.digest.map(|d| (*s, d)))
+            .collect();
+        v.sort_by_key(|(s, _)| *s);
+        v
+    }
+
+    fn enter_view(&mut self, ctx: &Substrate, _reissued: &[(SeqNum, Digest)]) -> Vec<Action> {
+        // Uncommitted instances are abandoned; the new primary re-issues.
+        self.instances.retain(|_, i| i.committed);
+        let head = self.instances.keys().copied().max().unwrap_or(SeqNum(0));
+        self.next_seq = ctx.config.next_owned(ctx.last_executed.max(head));
+        // Replay parked messages addressed to the view just installed:
+        // proposals first (they create the instances), then votes.
+        let mut actions = Vec::new();
+        let later = self
+            .future_proposals
+            .split_off(&(ctx.view.next(), SeqNum(0)));
+        let parked = std::mem::replace(&mut self.future_proposals, later);
+        for ((view, seq), (from, d, batch)) in parked {
+            if view == ctx.view {
+                actions.extend(self.on_pre_prepare(ctx, from, view, seq, d, batch));
+            }
+        }
+        for vote in std::mem::take(&mut self.future_votes) {
+            actions.extend(self.on_vote(ctx, vote)); // re-parks later views
+        }
+        actions
+    }
+
+    /// Fills interior holes with no-op batches (sequential execution must
+    /// not stall on a sequence nobody carried), announces the view, and
+    /// re-issues every unresolved sequence at its original number.
+    fn lead_view(&mut self, ctx: &Substrate, merged: MergedTail) -> Vec<Action> {
+        let stable = ctx.stable_seq();
+        let hi = merged.keys().next_back().copied().unwrap_or(stable);
+        let mut reissue: BatchTail = Vec::new();
+        // Walk only the sequences this instance owns (a stride-k grid in a
+        // multi-primary deployment; every sequence when k = 1).
+        let mut seq = ctx.config.next_owned(stable);
+        while seq <= hi {
+            let (d, batch) = merged.get(&seq).cloned().unwrap_or_else(|| {
+                // Interior hole: no vote carried this sequence, so no
+                // correct replica can have prepared it. A no-op batch
+                // keeps execution sequential.
+                let batch = Arc::new(Batch::new(Vec::new()));
+                (batch_digest(&batch.canonical_bytes()), batch)
+            });
+            reissue.push((seq, d, batch));
+            seq = ctx.config.next_owned(seq);
+        }
+        // Announce first so backups install the view before the re-issued
+        // pre-prepares reach them (in-order transports).
+        let mut actions = vec![Action::Broadcast(Message::NewView {
+            new_view: ctx.view,
+            reissued: reissue.iter().map(|(s, d, _)| (*s, *d)).collect(),
+            instance: ctx.config.instance,
+        })];
+        for (seq, d, batch) in reissue {
+            let inst = self.instances.entry(seq).or_default();
+            let (d, batch) = if inst.committed {
+                // Locally committed already: re-announce our copy so
+                // stragglers catch up, without touching the instance.
+                match (&inst.digest, &inst.batch) {
+                    (Some(cd), Some(cb)) => (*cd, Arc::clone(cb)),
+                    _ => (d, batch),
+                }
+            } else {
+                *inst = Instance {
+                    digest: Some(d),
+                    batch: Some(Arc::clone(&batch)),
+                    view: ctx.view,
+                    ..Instance::default()
+                };
+                (d, batch)
+            };
+            actions.push(Action::Broadcast(Message::PrePrepare {
+                view: ctx.view,
+                seq,
+                digest: d,
+                batch,
+            }));
+        }
+        if self.next_seq <= hi {
+            self.next_seq = ctx.config.next_owned(hi);
+        }
+        actions
+    }
+
+    fn prune(&mut self, stable: SeqNum) {
+        self.instances.retain(|s, _| *s > stable);
+    }
+
+    /// Only committed instances are served: the certificate is the proof.
+    fn serve_fetch(&self, ctx: &Substrate, seq: SeqNum) -> Option<Fetched> {
+        let inst = self.instances.get(&seq).filter(|i| i.committed)?;
+        let batch = Arc::clone(inst.batch.as_ref()?);
+        Some((inst.view, inst.digest?, batch, inst.certificate(ctx.id)))
+    }
+
+    /// The runtime has already verified the certificate: the instance
+    /// commits directly off the remote proof — this replica never voted,
+    /// so no quorum bookkeeping applies.
+    fn install_fetched(
         &mut self,
+        ctx: &mut Substrate,
         seq: SeqNum,
-        view: ViewNum,
-        digest: Digest,
-        batch: Arc<Batch>,
-        certificate: BlockCertificate,
+        (view, digest, batch, certificate): Fetched,
     ) -> Vec<Action> {
-        if seq <= self.checkpoints.stable_seq() || seq <= self.last_executed {
+        if seq <= ctx.stable_seq() || seq <= ctx.last_executed {
             return Vec::new();
         }
         let inst = self.instances.entry(seq).or_default();
@@ -527,7 +479,7 @@ impl Pbft {
         // ex-primary catching up) must not re-propose a sequence the
         // cluster already decided.
         if self.next_seq <= seq {
-            self.next_seq = self.config.next_owned(seq);
+            self.next_seq = ctx.config.next_owned(seq);
         }
         vec![Action::CommitBatch {
             seq,
@@ -538,25 +490,20 @@ impl Pbft {
         }]
     }
 
-    /// Adopts a verified snapshot at `base`: execution state below it is
-    /// authoritative, so the stable point jumps forward, covered instances
-    /// are dropped, and proposals resume past whatever survives.
-    pub fn install_snapshot(&mut self, base: SeqNum, _history: Digest) {
-        self.last_executed = self.last_executed.max(base);
-        self.instances.retain(|s, _| *s > base);
-        self.checkpoints.force_stable(base);
-        self.executed_since_checkpoint = 0;
+    /// Covered instances are dropped and proposals resume past whatever
+    /// survives.
+    fn install_snapshot(&mut self, ctx: &Substrate, base: SeqNum, _history: Digest) {
+        self.prune(base);
         let head = self.instances.keys().copied().max().unwrap_or(SeqNum(0));
         self.next_seq = self
             .next_seq
-            .max(self.config.next_owned(self.last_executed.max(head)));
+            .max(ctx.config.next_owned(ctx.last_executed.max(head)));
     }
 
-    /// Sequences worth fetching from peers, oldest first: execution holes
-    /// below the local commit frontier, plus instances where f+1 commit
-    /// votes arrived but the `PrePrepare` itself was lost. At most `limit`.
-    pub fn fetch_wanted(&self, limit: usize) -> Vec<SeqNum> {
-        let floor = self.last_executed.max(self.checkpoints.stable_seq());
+    /// Execution holes below the local commit frontier, plus instances
+    /// where f+1 commit votes arrived but the `PrePrepare` itself was lost.
+    fn fetch_wanted(&self, ctx: &Substrate, limit: usize) -> Vec<SeqNum> {
+        let floor = ctx.last_executed.max(ctx.stable_seq());
         let frontier = self
             .instances
             .iter()
@@ -565,19 +512,19 @@ impl Pbft {
             .max();
         let mut wanted: Vec<SeqNum> = Vec::new();
         if let Some(frontier) = frontier {
-            let mut seq = self.config.next_owned(floor);
+            let mut seq = ctx.config.next_owned(floor);
             while seq < frontier {
                 if !self.instances.get(&seq).is_some_and(|i| i.committed) {
                     wanted.push(seq);
                 }
-                seq = self.config.next_owned(seq);
+                seq = ctx.config.next_owned(seq);
             }
         }
         for (s, i) in &self.instances {
             if *s > floor
                 && !i.committed
                 && i.batch.is_none()
-                && i.commits.len() > self.config.f
+                && i.commits.len() > ctx.config.f
                 && !wanted.contains(s)
             {
                 wanted.push(*s);
@@ -587,287 +534,22 @@ impl Pbft {
         wanted.truncate(limit);
         wanted
     }
-
-    fn on_checkpoint(&mut self, from: ReplicaId, seq: SeqNum, digest: Digest) -> Vec<Action> {
-        match self.checkpoints.record(from, seq, digest) {
-            Some(stable) => {
-                // Garbage-collect instance state below the checkpoint.
-                self.instances.retain(|s, _| *s > stable);
-                vec![Action::StableCheckpoint { seq: stable }]
-            }
-            None => Vec::new(),
-        }
-    }
-
-    /// Suspicion timer fired (a proposal stalled, or clients signalled
-    /// unmet demand): vote to replace the primary. Re-fires re-broadcast
-    /// the same vote (lossy networks drop votes too); after
-    /// [`ESCALATE_AFTER`] fruitless re-fires the vote escalates to the next
-    /// view in case the voted-for primary is itself down.
-    pub fn on_timeout(&mut self) -> Vec<Action> {
-        let target = match self.voted_view {
-            Some(t) if t > self.view => {
-                self.timeout_strikes += 1;
-                if self.timeout_strikes >= ESCALATE_AFTER {
-                    self.timeout_strikes = 0;
-                    t.next()
-                } else {
-                    t
-                }
-            }
-            _ => self.view.next(),
-        };
-        self.vote_view_change(target)
-    }
-
-    /// Broadcasts this replica's `ViewChange` vote for `target` and counts
-    /// it toward the quorum.
-    fn vote_view_change(&mut self, target: ViewNum) -> Vec<Action> {
-        self.voted_view = Some(target);
-        let tail = self.batch_tail();
-        let mut actions = vec![Action::Broadcast(Message::ViewChange {
-            new_view: target,
-            last_stable: self.checkpoints.stable_seq(),
-            prepared: self.prepared_summary(),
-            tail: tail.clone(),
-            replica: self.id,
-            instance: self.config.instance,
-        })];
-        // Our own vote counts toward the quorum.
-        actions.extend(self.on_view_change(self.id, target, tail));
-        actions
-    }
-
-    /// PBFT's liveness join rule (§4.5.2 of the paper): once f+1 replicas
-    /// are voting for views beyond ours, join them at the smallest such
-    /// view even though our own suspicion timer has not fired — at least
-    /// one of those voters is correct, so the suspicion is genuine.
-    /// Without this, a straggling minority (replicas that lost Commit
-    /// messages on a lossy network, or a healed partition's small side)
-    /// votes forever while the healthy majority ignores it and no quorum
-    /// ever forms.
-    fn maybe_join_view_change(&mut self) -> Vec<Action> {
-        if self.voted_view.is_some_and(|t| t > self.view) {
-            return Vec::new(); // already voting for a future view
-        }
-        let voters: HashSet<ReplicaId> = self
-            .view_change_votes
-            .iter()
-            .filter(|(v, _)| **v > self.view)
-            .flat_map(|(_, votes)| votes.keys().copied())
-            .collect();
-        if voters.len() <= self.config.f {
-            return Vec::new();
-        }
-        let target = self
-            .view_change_votes
-            .keys()
-            .copied()
-            .filter(|v| *v > self.view)
-            .min()
-            .expect("f+1 voters imply a future-view vote bucket");
-        self.timeout_strikes = 0;
-        self.vote_view_change(target)
-    }
-
-    fn prepared_summary(&self) -> Vec<(SeqNum, Digest)> {
-        let mut v: Vec<(SeqNum, Digest)> = self
-            .instances
-            .iter()
-            .filter(|(_, i)| i.sent_commit && !i.committed)
-            .filter_map(|(s, i)| i.digest.map(|d| (*s, d)))
-            .collect();
-        v.sort_by_key(|(s, _)| *s);
-        v
-    }
-
-    /// Every instance above the stable checkpoint whose batch this replica
-    /// holds — committed ones included, so the new primary can catch up
-    /// stragglers. This is what a `ViewChange` vote carries.
-    fn batch_tail(&self) -> Vec<(SeqNum, Digest, Arc<Batch>)> {
-        let stable = self.checkpoints.stable_seq();
-        let mut v: Vec<(SeqNum, Digest, Arc<Batch>)> = self
-            .instances
-            .iter()
-            .filter(|(s, _)| **s > stable)
-            .filter_map(|(s, i)| match (&i.digest, &i.batch) {
-                (Some(d), Some(b)) => Some((*s, *d, Arc::clone(b))),
-                _ => None,
-            })
-            .collect();
-        v.sort_by_key(|(s, _, _)| *s);
-        v
-    }
-
-    fn on_view_change(
-        &mut self,
-        from: ReplicaId,
-        new_view: ViewNum,
-        tail: Vec<(SeqNum, Digest, Arc<Batch>)>,
-    ) -> Vec<Action> {
-        if new_view <= self.view {
-            return Vec::new();
-        }
-        let quorum = self.commit_quorum();
-        let votes = self.view_change_votes.entry(new_view).or_default();
-        votes.insert(from, tail);
-        if votes.len() >= quorum && self.config.primary_of(new_view) == self.id {
-            return self.become_primary(new_view);
-        }
-        self.maybe_join_view_change()
-    }
-
-    /// 2f+1 votes named this replica the incoming primary: merge the vote
-    /// tails (majority digest per sequence, so an equivocating old primary
-    /// cannot split the new view), fill interior holes with no-op batches
-    /// (sequential execution must not stall on a sequence nobody carried),
-    /// announce the view, and re-issue every unresolved sequence at its
-    /// original number.
-    fn become_primary(&mut self, new_view: ViewNum) -> Vec<Action> {
-        let votes = self.view_change_votes.remove(&new_view).unwrap_or_default();
-        let mut merged: BTreeMap<SeqNum, Vec<(Digest, Arc<Batch>, usize)>> = BTreeMap::new();
-        // Our own tail counts once: it is usually already in `votes` (we
-        // voted on the way here); chaining it unconditionally would double
-        // its weight in the majority merge.
-        let own = if votes.contains_key(&self.id) {
-            Vec::new()
-        } else {
-            self.batch_tail()
-        };
-        for tail in votes.values().chain(std::iter::once(&own)) {
-            for (seq, d, batch) in tail {
-                let cands = merged.entry(*seq).or_default();
-                match cands.iter_mut().find(|(cd, _, _)| cd == d) {
-                    Some((_, _, count)) => *count += 1,
-                    None => cands.push((*d, Arc::clone(batch), 1)),
-                }
-            }
-        }
-        let mut actions = self.install_view(new_view);
-        let stable = self.checkpoints.stable_seq();
-        let hi = merged.keys().next_back().copied().unwrap_or(stable);
-        let mut reissue: Vec<(SeqNum, Digest, Arc<Batch>)> = Vec::new();
-        // Walk only the sequences this instance owns (a stride-k grid in a
-        // multi-primary deployment; every sequence when k = 1).
-        let mut seq = self.config.next_owned(stable);
-        while seq <= hi {
-            let (d, batch) = match merged.get(&seq) {
-                Some(cands) => {
-                    let (d, b, _) = cands
-                        .iter()
-                        .max_by_key(|(_, _, count)| *count)
-                        .expect("candidate list is never empty");
-                    (*d, Arc::clone(b))
-                }
-                None => {
-                    // Interior hole: no vote carried this sequence, so no
-                    // correct replica can have prepared it. A no-op batch
-                    // keeps execution sequential.
-                    let batch = Arc::new(Batch::new(Vec::new()));
-                    (batch_digest(&batch.canonical_bytes()), batch)
-                }
-            };
-            reissue.push((seq, d, batch));
-            seq = self.config.next_owned(seq);
-        }
-        // Announce first so backups install the view before the re-issued
-        // pre-prepares reach them (in-order transports).
-        actions.push(Action::Broadcast(Message::NewView {
-            new_view,
-            reissued: reissue.iter().map(|(s, d, _)| (*s, *d)).collect(),
-            instance: self.config.instance,
-        }));
-        for (seq, d, batch) in reissue {
-            let inst = self.instances.entry(seq).or_default();
-            let (d, batch) = if inst.committed {
-                // Locally committed already: re-announce our copy so
-                // stragglers catch up, without touching the instance.
-                match (&inst.digest, &inst.batch) {
-                    (Some(cd), Some(cb)) => (*cd, Arc::clone(cb)),
-                    _ => (d, batch),
-                }
-            } else {
-                inst.digest = Some(d);
-                inst.batch = Some(Arc::clone(&batch));
-                inst.view = new_view;
-                inst.prepares.clear();
-                inst.commits.clear();
-                inst.commit_sigs.clear();
-                inst.sent_prepare = false;
-                inst.sent_commit = false;
-                (d, batch)
-            };
-            actions.push(Action::Broadcast(Message::PrePrepare {
-                view: new_view,
-                seq,
-                digest: d,
-                batch,
-            }));
-        }
-        if self.next_seq <= hi {
-            self.next_seq = self.config.next_owned(hi);
-        }
-        actions
-    }
-
-    fn on_new_view(&mut self, from: ReplicaId, new_view: ViewNum) -> Vec<Action> {
-        if new_view <= self.view || from != self.config.primary_of(new_view) {
-            return Vec::new();
-        }
-        self.install_view(new_view)
-    }
-
-    fn install_view(&mut self, new_view: ViewNum) -> Vec<Action> {
-        self.view = new_view;
-        self.voted_view = None;
-        self.timeout_strikes = 0;
-        self.view_change_votes.retain(|v, _| *v > new_view);
-        // Uncommitted instances are abandoned; the new primary re-issues.
-        self.instances.retain(|_, i| i.committed);
-        let head = self.instances.keys().copied().max().unwrap_or(SeqNum(0));
-        self.next_seq = self.config.next_owned(self.last_executed.max(head));
-        let mut actions = vec![Action::EnterView {
-            view: new_view,
-            instance: self.config.instance,
-        }];
-        // Replay parked messages addressed to the view just installed:
-        // proposals first (they create the instances), then votes.
-        type Parked = (ReplicaId, Digest, Arc<Batch>);
-        let parked: Vec<(SeqNum, Parked)> = {
-            let keys: Vec<(ViewNum, SeqNum)> = self
-                .future_proposals
-                .range((new_view, SeqNum(0))..=(new_view, SeqNum(u64::MAX)))
-                .map(|(k, _)| *k)
-                .collect();
-            keys.into_iter()
-                .filter_map(|k| self.future_proposals.remove(&k).map(|v| (k.1, v)))
-                .collect()
-        };
-        for (seq, (from, d, batch)) in parked {
-            actions.extend(self.on_pre_prepare(from, new_view, seq, d, batch));
-        }
-        self.future_proposals.retain(|(v, _), _| *v > new_view);
-        let votes = std::mem::take(&mut self.future_votes);
-        for fv in votes {
-            if fv.view > new_view {
-                self.future_votes.push(fv);
-            } else if fv.view == new_view {
-                let acts = if fv.commit {
-                    self.on_commit(fv.from, fv.view, fv.seq, fv.digest, fv.sig)
-                } else {
-                    self.on_prepare(fv.from, fv.view, fv.seq, fv.digest)
-                };
-                actions.extend(acts);
-            }
-        }
-        actions
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use rdb_common::{ClientId, Operation, Transaction};
+
+    impl Pbft {
+        fn next_seq(&self) -> SeqNum {
+            self.rule.next_seq
+        }
+
+        fn last_executed(&self) -> SeqNum {
+            self.sub.last_executed
+        }
+    }
 
     fn cfg(n: usize) -> ConsensusConfig {
         ConsensusConfig::new(n, 2)
@@ -1433,37 +1115,6 @@ mod tests {
     }
 
     #[test]
-    fn backup_joins_view_change_after_f_plus_one_votes() {
-        // r3 is not view 1's primary and its own timer never fired, but
-        // f+1 = 2 distinct replicas voting for a future view mean at least
-        // one correct replica suspects the primary — r3 must join rather
-        // than leave the voters stranded short of a quorum.
-        let mut r3 = Pbft::new(ReplicaId(3), cfg(4));
-        let vote = |from: u32| {
-            signed(
-                from,
-                Message::ViewChange {
-                    new_view: ViewNum(1),
-                    last_stable: SeqNum(0),
-                    prepared: vec![],
-                    tail: vec![],
-                    replica: ReplicaId(from),
-                    instance: 0,
-                },
-            )
-        };
-        assert!(r3.on_message(&vote(0)).is_empty(), "one vote is not enough");
-        let acts = r3.on_message(&vote(2));
-        assert!(
-            acts.iter().any(|a| matches!(
-                a,
-                Action::Broadcast(Message::ViewChange { new_view, .. }) if *new_view == ViewNum(1)
-            )),
-            "f+1 votes must trigger the join rule: {acts:?}"
-        );
-    }
-
-    #[test]
     fn backup_follows_new_view_announcement() {
         let mut r2 = Pbft::new(ReplicaId(2), cfg(4));
         let acts = r2.on_message(&signed(
@@ -1486,24 +1137,6 @@ mod tests {
             },
         ));
         assert!(acts.is_empty());
-    }
-
-    #[test]
-    fn timeout_rebroadcasts_then_escalates() {
-        let mut r2 = Pbft::new(ReplicaId(2), cfg(4));
-        let vote_target = |acts: &[Action]| -> Option<ViewNum> {
-            acts.iter().find_map(|a| match a {
-                Action::Broadcast(Message::ViewChange { new_view, .. }) => Some(*new_view),
-                _ => None,
-            })
-        };
-        assert_eq!(vote_target(&r2.on_timeout()), Some(ViewNum(1)));
-        // Re-fires re-broadcast the same vote (lossy networks drop votes).
-        assert_eq!(vote_target(&r2.on_timeout()), Some(ViewNum(1)));
-        assert_eq!(vote_target(&r2.on_timeout()), Some(ViewNum(1)));
-        // After ESCALATE_AFTER fruitless re-fires, vote for the next view:
-        // the voted-for primary may itself be down.
-        assert_eq!(vote_target(&r2.on_timeout()), Some(ViewNum(2)));
     }
 
     #[test]

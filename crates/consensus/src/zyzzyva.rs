@@ -1,4 +1,4 @@
-//! The Zyzzyva replica state machine (Kotla et al., SOSP'07), sans-io.
+//! The Zyzzyva protocol rule (Kotla et al., SOSP'07), sans-io.
 //!
 //! Zyzzyva is the speculative single-phase protocol the paper uses as the
 //! "fast but fragile" comparison point. The primary orders a batch and
@@ -11,27 +11,24 @@
 //! why one crashed backup collapses Zyzzyva's throughput (Figure 17): the
 //! fast path needs *all* replicas to answer.
 //!
-//! A skeleton view change is implemented for the failure-scenario matrix:
-//! replicas retain the speculatively executed tail above the stable
-//! checkpoint, `ViewChange` votes carry it, and the incoming primary
-//! adopts the union (correct replicas' logs are prefixes of one another
-//! under a crashed primary), catches its own execution up, and re-issues
-//! the tail so laggards fill their gaps. The full Zyzzyva new-view proof
-//! and fill-hole subprotocols remain out of scope (DESIGN.md).
+//! View changes run on the shared [`crate::substrate`]; what is Zyzzyva's
+//! own is the speculative log, the tail a vote carries (everything
+//! speculatively executed above the stable checkpoint), and what the
+//! incoming primary does with the merged tails: roll back its own
+//! speculation where it contradicts them, catch its execution up, and
+//! re-issue the tail so laggards fill their gaps. The full Zyzzyva
+//! new-view proof and fill-hole subprotocols are out of scope
+//! (ARCHITECTURE.md, "Scope").
 
 use crate::actions::Action;
-use crate::checkpoint::CheckpointTracker;
 use crate::config::ConsensusConfig;
+use crate::substrate::{Fetched, MergedTail, ProtocolRule, Replica, Substrate};
 use rdb_common::block::BlockCertificate;
 use rdb_common::messages::{BatchTail, Message, Sender, SignedMessage};
 use rdb_common::{quorum, Batch, Digest, ReplicaId, SeqNum, ViewNum};
 use rdb_crypto::chain_digest;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// After this many timer re-fires without the voted view installing, vote
-/// for the next view instead (mirrors [`crate::pbft`]).
-const ESCALATE_AFTER: u32 = 3;
 
 /// One speculatively executed batch retained for view changes, fetch
 /// serving and mis-speculation rollback.
@@ -45,231 +42,39 @@ struct SpecEntry {
 }
 
 /// The Zyzzyva replica state machine.
-#[derive(Debug)]
-pub struct Zyzzyva {
-    config: ConsensusConfig,
-    id: ReplicaId,
-    view: ViewNum,
-    /// Next sequence the primary will assign.
-    next_seq: SeqNum,
-    /// Highest sequence executed speculatively (execution is strictly
-    /// sequential in Zyzzyva).
+pub type Zyzzyva = Replica<ZyzzyvaRule>;
+
+impl Zyzzyva {
+    /// Creates the state machine for replica `id`.
+    pub fn new(id: ReplicaId, config: ConsensusConfig) -> Self {
+        Replica::with_rule(id, config, ZyzzyvaRule::default())
+    }
+}
+
+/// Zyzzyva's speculative single-phase rule over its in-order history.
+#[derive(Debug, Default)]
+pub struct ZyzzyvaRule {
+    /// Highest sequence executed speculatively. Execution is strictly
+    /// sequential and a primary executes what it proposes, so this is also
+    /// where the next proposal goes.
     spec_executed: SeqNum,
-    /// Rolling digest over the speculatively executed history.
+    /// Rolling digest over the speculatively executed history (what
+    /// speculative responses carry).
     history: Digest,
     /// Proposals that arrived out of order, waiting for their predecessor.
     /// Batches are shared with the `PrePrepare`s that carried them.
     pending: BTreeMap<SeqNum, (ViewNum, Digest, Arc<Batch>)>,
     /// Highest sequence covered by a commit certificate.
     committed: SeqNum,
-    checkpoints: CheckpointTracker,
-    executed_since_checkpoint: u64,
     /// Speculatively executed batches above the stable checkpoint — the
     /// tail a `ViewChange` vote carries. Pruned at stable checkpoints.
     spec_log: BTreeMap<SeqNum, SpecEntry>,
     /// Rolling history just below the lowest `spec_log` entry (the value a
     /// rollback all the way to the stable checkpoint restores).
     base_history: Digest,
-    /// View-change votes: new view → voter → the voter's spec tail.
-    view_change_votes: HashMap<ViewNum, HashMap<ReplicaId, BatchTail>>,
-    /// Set when this replica has voted for a view change.
-    voted_view: Option<ViewNum>,
-    /// Timer re-fires since the vote for `voted_view` (drives escalation).
-    timeout_strikes: u32,
 }
 
-impl Zyzzyva {
-    /// Creates the state machine for replica `id`.
-    pub fn new(id: ReplicaId, config: ConsensusConfig) -> Self {
-        let q = quorum::checkpoint_quorum(config.f);
-        Zyzzyva {
-            config,
-            id,
-            view: ViewNum(0),
-            next_seq: SeqNum(1),
-            spec_executed: SeqNum(0),
-            history: Digest::ZERO,
-            pending: BTreeMap::new(),
-            committed: SeqNum(0),
-            checkpoints: CheckpointTracker::new(q),
-            executed_since_checkpoint: 0,
-            spec_log: BTreeMap::new(),
-            base_history: Digest::ZERO,
-            view_change_votes: HashMap::new(),
-            voted_view: None,
-            timeout_strikes: 0,
-        }
-    }
-
-    /// This replica's id.
-    pub fn id(&self) -> ReplicaId {
-        self.id
-    }
-
-    /// The current view.
-    pub fn view(&self) -> ViewNum {
-        self.view
-    }
-
-    /// The current primary.
-    pub fn primary(&self) -> ReplicaId {
-        self.view.primary(self.config.n)
-    }
-
-    /// Whether this replica is the primary.
-    pub fn is_primary(&self) -> bool {
-        self.primary() == self.id
-    }
-
-    /// Highest speculatively executed sequence.
-    pub fn spec_executed(&self) -> SeqNum {
-        self.spec_executed
-    }
-
-    /// Highest certificate-committed sequence.
-    pub fn committed(&self) -> SeqNum {
-        self.committed
-    }
-
-    /// The rolling history digest (what speculative responses carry).
-    pub fn history(&self) -> Digest {
-        self.history
-    }
-
-    /// Whether ordered proposals are stuck behind a sequence hole — the
-    /// signal the runtime's suspicion timer watches for a dead primary.
-    pub fn has_stalled_work(&self) -> bool {
-        !self.pending.is_empty()
-    }
-
-    /// Primary path: order a batch and broadcast it. The primary also
-    /// speculatively executes its own proposal.
-    pub fn propose(&mut self, batch: Batch, digest: Digest) -> Vec<Action> {
-        if !self.is_primary() {
-            return Vec::new();
-        }
-        // Never below the speculation frontier: installs (fetch, snapshot)
-        // can move `spec_executed` past a stale `next_seq`.
-        let seq = self.next_seq.max(self.spec_executed.next());
-        self.next_seq = seq.next();
-        // One allocation; the broadcast and the speculative execution
-        // share the same batch.
-        let batch = Arc::new(batch);
-        let mut actions = vec![Action::Broadcast(Message::PrePrepare {
-            view: self.view,
-            seq,
-            digest,
-            batch: Arc::clone(&batch),
-        })];
-        actions.extend(self.try_spec_execute(seq, self.view, digest, batch));
-        actions
-    }
-
-    /// Handles a signed message (assumed verified by the runtime).
-    pub fn on_message(&mut self, sm: &SignedMessage) -> Vec<Action> {
-        match (sm.msg(), sm.sender()) {
-            (
-                Message::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch,
-                },
-                Sender::Replica(from),
-            ) => {
-                // Accept proposals from the primary of the current *or a
-                // later* view (re-issues can race ahead of the NewView
-                // announcement); execution order is fixed by the sequence
-                // number either way.
-                if *view < self.view || from != view.primary(self.config.n) || from == self.id {
-                    return Vec::new();
-                }
-                self.enqueue_proposal(*seq, *view, *digest, Arc::clone(batch))
-            }
-            (
-                Message::CommitCert {
-                    view,
-                    seq,
-                    digest,
-                    cert,
-                    ..
-                },
-                Sender::Client(client),
-            ) => {
-                // Certificates assembled before a view change still prove
-                // 2f+1 matching speculative executions of this sequence.
-                if *view > self.view {
-                    return Vec::new();
-                }
-                // The runtime verified the certificate's signatures; the
-                // state machine checks the count.
-                if cert.signer_count() < quorum::zyzzyva_cc_quorum(self.config.f) {
-                    return Vec::new();
-                }
-                // Mis-speculation: 2f+1 replicas certified a different
-                // digest at this sequence than we executed. Our suffix from
-                // here on contradicts the agreed order — roll it back; the
-                // certified batch itself arrives via fetch (`committed`
-                // advances past `spec_executed`, which `fetch_wanted`
-                // reports as a hole).
-                let mut actions = self.reconcile(&[(*seq, *digest)]);
-                if *seq > self.committed {
-                    self.committed = *seq;
-                }
-                actions.push(Action::SendClient(
-                    client,
-                    Message::LocalCommit {
-                        view: *view,
-                        seq: *seq,
-                        replica: self.id,
-                    },
-                ));
-                actions
-            }
-            (
-                Message::Checkpoint {
-                    seq,
-                    state_digest,
-                    replica,
-                },
-                Sender::Replica(_),
-            ) => match self.checkpoints.record(*replica, *seq, *state_digest) {
-                Some(stable) => {
-                    self.prune_to(stable);
-                    vec![Action::StableCheckpoint { seq: stable }]
-                }
-                None => Vec::new(),
-            },
-            (
-                Message::ViewChange {
-                    new_view,
-                    replica,
-                    tail,
-                    ..
-                },
-                Sender::Replica(_),
-            ) => self.on_view_change(*replica, *new_view, tail.clone()),
-            (
-                Message::NewView {
-                    new_view, reissued, ..
-                },
-                Sender::Replica(from),
-            ) => {
-                if *new_view <= self.view || from != new_view.primary(self.config.n) {
-                    return Vec::new();
-                }
-                let mut actions = self.install_view(*new_view);
-                // The reissued list is the new primary's authoritative
-                // history: if our speculative suffix diverges from it, roll
-                // back to the last agreeing sequence before the re-issued
-                // `PrePrepare`s re-execute the reconciled order.
-                actions.extend(self.reconcile(reissued));
-                actions
-            }
-            _ => Vec::new(),
-        }
-    }
-
+impl ZyzzyvaRule {
     /// Queues a proposal and speculatively executes every consecutive
     /// sequence now available. Zyzzyva executes strictly in order — a gap
     /// stalls execution until the hole fills.
@@ -322,26 +127,15 @@ impl Zyzzyva {
         }]
     }
 
-    /// Garbage-collects speculation state at a stable checkpoint, keeping
-    /// the rolling history at the prune point so later rollbacks bottom
-    /// out there.
-    fn prune_to(&mut self, stable: SeqNum) {
-        if let Some(e) = self.spec_log.get(&stable) {
-            self.base_history = e.history;
-        }
-        self.pending.retain(|s, _| *s > stable);
-        self.spec_log.retain(|s, _| *s > stable);
-    }
-
     /// Rolls the speculative suffix back to `to`: every execution above it
     /// is undone by the runtime (the emitted [`Action::Rollback`]), the
     /// rolling history rewinds to its value at `to`, and re-execution of
     /// the reconciled order resumes from `to + 1`.
-    fn rollback_to(&mut self, to: SeqNum) -> Vec<Action> {
+    fn rollback_to(&mut self, ctx: &Substrate, to: SeqNum) -> Vec<Action> {
         if to >= self.spec_executed {
             return Vec::new();
         }
-        debug_assert!(to >= self.checkpoints.stable_seq(), "never below stable");
+        debug_assert!(to >= ctx.stable_seq(), "never below stable");
         self.spec_log.retain(|s, _| *s <= to);
         self.history = self
             .spec_log
@@ -349,7 +143,6 @@ impl Zyzzyva {
             .map(|e| e.history)
             .unwrap_or(self.base_history);
         self.spec_executed = to;
-        self.next_seq = to.next();
         vec![Action::Rollback { to }]
     }
 
@@ -358,83 +151,212 @@ impl Zyzzyva {
     /// against the local speculation. Parked proposals it contradicts are
     /// dropped; at the first executed divergence the suffix rolls back to
     /// the last agreeing sequence (never below the stable checkpoint).
-    fn reconcile(&mut self, authoritative: &[(SeqNum, Digest)]) -> Vec<Action> {
+    fn reconcile(&mut self, ctx: &Substrate, authoritative: &[(SeqNum, Digest)]) -> Vec<Action> {
         for (seq, dg) in authoritative {
             if self.pending.get(seq).is_some_and(|(_, pd, _)| pd != dg) {
                 self.pending.remove(seq);
             }
         }
-        let stable = self.checkpoints.stable_seq();
         for (seq, dg) in authoritative {
             if self.spec_log.get(seq).is_some_and(|e| e.digest != *dg) {
-                let to = SeqNum(seq.0.saturating_sub(1)).max(stable);
-                return self.rollback_to(to);
+                let to = SeqNum(seq.0.saturating_sub(1)).max(ctx.stable_seq());
+                return self.rollback_to(ctx, to);
             }
         }
         Vec::new()
     }
+}
 
-    /// Serves a peer's `FetchRequest` for `seq` from the speculative log.
+impl ProtocolRule for ZyzzyvaRule {
+    /// Orders a batch and broadcasts it. The primary also speculatively
+    /// executes its own proposal.
+    fn propose(&mut self, ctx: &Substrate, batch: Batch, digest: Digest) -> Vec<Action> {
+        let seq = self.spec_executed.next();
+        // One allocation; the broadcast and the speculative execution
+        // share the same batch.
+        let batch = Arc::new(batch);
+        let mut actions = vec![Action::Broadcast(Message::PrePrepare {
+            view: ctx.view,
+            seq,
+            digest,
+            batch: Arc::clone(&batch),
+        })];
+        actions.extend(self.try_spec_execute(seq, ctx.view, digest, batch));
+        actions
+    }
+
+    fn on_message(&mut self, ctx: &Substrate, sm: &SignedMessage) -> Vec<Action> {
+        match (sm.msg(), sm.sender()) {
+            (
+                Message::PrePrepare {
+                    view,
+                    seq,
+                    digest,
+                    batch,
+                },
+                Sender::Replica(from),
+            ) => {
+                // Accept proposals from the primary of the current *or a
+                // later* view (re-issues can race ahead of the NewView
+                // announcement); execution order is fixed by the sequence
+                // number either way.
+                if *view < ctx.view || from != ctx.config.primary_of(*view) || from == ctx.id {
+                    return Vec::new();
+                }
+                self.enqueue_proposal(*seq, *view, *digest, Arc::clone(batch))
+            }
+            (
+                Message::CommitCert {
+                    view,
+                    seq,
+                    digest,
+                    cert,
+                    ..
+                },
+                Sender::Client(client),
+            ) => {
+                // Certificates assembled before a view change still prove
+                // 2f+1 matching speculative executions of this sequence.
+                if *view > ctx.view {
+                    return Vec::new();
+                }
+                // The runtime verified the certificate's signatures; the
+                // state machine checks the count.
+                if cert.signer_count() < quorum::zyzzyva_cc_quorum(ctx.config.f) {
+                    return Vec::new();
+                }
+                // Mis-speculation: 2f+1 replicas certified a different
+                // digest at this sequence than we executed. Our suffix from
+                // here on contradicts the agreed order — roll it back; the
+                // certified batch itself arrives via fetch (`committed`
+                // advances past `spec_executed`, which `fetch_wanted`
+                // reports as a hole).
+                let mut actions = self.reconcile(ctx, &[(*seq, *digest)]);
+                if *seq > self.committed {
+                    self.committed = *seq;
+                }
+                actions.push(Action::SendClient(
+                    client,
+                    Message::LocalCommit {
+                        view: *view,
+                        seq: *seq,
+                        replica: ctx.id,
+                    },
+                ));
+                actions
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Whether ordered proposals are stuck behind a sequence hole.
+    fn has_stalled_work(&self, _ctx: &Substrate) -> bool {
+        !self.pending.is_empty()
+    }
+
+    fn tail(&self, _ctx: &Substrate) -> BatchTail {
+        self.spec_log
+            .iter()
+            .map(|(s, e)| (*s, e.digest, Arc::clone(&e.batch)))
+            .collect()
+    }
+
+    /// `pending` survives: re-issued proposals park there keyed by sequence
+    /// until their predecessors arrive. The reissued list is the new
+    /// primary's authoritative history: if our speculative suffix diverges
+    /// from it, roll back to the last agreeing sequence before the
+    /// re-issued `PrePrepare`s re-execute the reconciled order.
+    fn enter_view(&mut self, ctx: &Substrate, reissued: &[(SeqNum, Digest)]) -> Vec<Action> {
+        self.reconcile(ctx, reissued)
+    }
+
+    /// If this replica's own speculation contradicts the merged history,
+    /// the suffix rolls back before catching up — then the view is
+    /// announced and the reconciled tail re-issued so every backup
+    /// converges the same way.
+    fn lead_view(&mut self, ctx: &Substrate, merged: MergedTail) -> Vec<Action> {
+        let authoritative: Vec<(SeqNum, Digest)> =
+            merged.iter().map(|(s, (d, _))| (*s, *d)).collect();
+        let mut actions = self.reconcile(ctx, &authoritative);
+        // Catch our own execution up to the merged log before proposing
+        // anything new (execution is strictly sequential).
+        let mut catchup = Vec::new();
+        while let Some((d, b)) = merged.get(&self.spec_executed.next()).cloned() {
+            catchup.extend(self.try_spec_execute(self.spec_executed.next(), ctx.view, d, b));
+        }
+        // Announce first so backups install the view before the re-issued
+        // pre-prepares reach them (in-order transports).
+        actions.push(Action::Broadcast(Message::NewView {
+            new_view: ctx.view,
+            reissued: authoritative,
+            instance: ctx.config.instance,
+        }));
+        for (seq, (digest, batch)) in merged {
+            actions.push(Action::Broadcast(Message::PrePrepare {
+                view: ctx.view,
+                seq,
+                digest,
+                batch,
+            }));
+        }
+        actions.extend(catchup);
+        actions
+    }
+
+    /// Keeps the rolling history at the prune point so later rollbacks
+    /// bottom out there.
+    fn prune(&mut self, stable: SeqNum) {
+        if let Some(e) = self.spec_log.get(&stable) {
+            self.base_history = e.history;
+        }
+        self.pending.retain(|s, _| *s > stable);
+        self.spec_log.retain(|s, _| *s > stable);
+    }
+
     /// Zyzzyva has no per-sequence commit certificate to attach (ordering
     /// proof lives client-side), so the certificate is empty and the
     /// requester accepts on f+1 distinct peers agreeing instead.
-    pub fn serve_fetch(
-        &self,
-        seq: SeqNum,
-    ) -> Option<(ViewNum, Digest, Arc<Batch>, BlockCertificate)> {
+    fn serve_fetch(&self, ctx: &Substrate, seq: SeqNum) -> Option<Fetched> {
         let e = self.spec_log.get(&seq)?;
-        Some((
-            self.view,
-            e.digest,
-            Arc::clone(&e.batch),
-            BlockCertificate::new(Vec::new()),
-        ))
+        let certificate = BlockCertificate::new(Vec::new());
+        Some((ctx.view, e.digest, Arc::clone(&e.batch), certificate))
     }
 
-    /// Installs a fetched batch the runtime has validated (f+1 matching
-    /// peers, or a full commit certificate). A fetched digest contradicting
-    /// local speculation at the same sequence triggers rollback first; the
-    /// batch then (re-)executes through the ordinary in-order path.
-    pub fn install_fetched(
+    /// Validated means f+1 matching peers, or a full commit certificate. A
+    /// fetched digest contradicting local speculation at the same sequence
+    /// triggers rollback first; the batch then (re-)executes through the
+    /// ordinary in-order path.
+    fn install_fetched(
         &mut self,
+        ctx: &mut Substrate,
         seq: SeqNum,
-        view: ViewNum,
-        digest: Digest,
-        batch: Arc<Batch>,
-        certificate: BlockCertificate,
+        (view, digest, batch, certificate): Fetched,
     ) -> Vec<Action> {
-        if certificate.signer_count() >= quorum::zyzzyva_cc_quorum(self.config.f)
+        if certificate.signer_count() >= quorum::zyzzyva_cc_quorum(ctx.config.f)
             && seq > self.committed
         {
             self.committed = seq;
         }
         let mut actions = Vec::new();
-        if view > self.view {
+        if view > ctx.view {
             // Vouched evidence of a view change we slept through (the
             // `NewView` and its reissue list never reached us): everything
             // we speculated beyond the certified prefix may follow the old
             // primary's abandoned order, and no reissue will ever arrive to
             // reconcile it. Roll back to the certified prefix and rebuild
             // the suffix from authoritative fetches.
-            let floor = self.committed.max(self.checkpoints.stable_seq());
-            actions.extend(self.rollback_to(floor));
-            self.view = view;
-            self.voted_view = None;
-            self.timeout_strikes = 0;
+            let floor = self.committed.max(ctx.stable_seq());
+            actions.extend(self.rollback_to(ctx, floor));
+            ctx.adopt_view(view);
         }
-        actions.extend(self.reconcile(&[(seq, digest)]));
+        actions.extend(self.reconcile(ctx, &[(seq, digest)]));
         actions.extend(self.enqueue_proposal(seq, view, digest, batch));
-        // A primary whose speculation frontier advanced through fetch must
-        // not re-propose a sequence the cluster already decided.
-        self.next_seq = self.next_seq.max(self.spec_executed.next());
         actions
     }
 
-    /// Adopts a verified snapshot at `base` with the rolling history the
-    /// snapshotting replicas had there: execution state below `base` is
-    /// authoritative, speculation bookkeeping restarts on top of it.
-    pub fn install_snapshot(&mut self, base: SeqNum, history: Digest) {
-        self.checkpoints.force_stable(base);
+    /// Speculation bookkeeping restarts on top of the snapshot, with the
+    /// rolling history the snapshotting replicas had at `base`.
+    fn install_snapshot(&mut self, _ctx: &Substrate, base: SeqNum, history: Digest) {
         if base > self.spec_executed {
             self.spec_executed = base;
             self.history = history;
@@ -443,238 +365,43 @@ impl Zyzzyva {
         self.pending.retain(|s, _| *s > base);
         self.spec_log.retain(|s, _| *s > base);
         self.committed = self.committed.max(base);
-        self.next_seq = self.spec_executed.next();
-        self.executed_since_checkpoint = 0;
     }
 
-    /// Sequences worth fetching from peers, oldest first: the hole stalling
-    /// in-order execution below the first parked proposal, plus certified
-    /// sequences (`committed`) this replica never executed. At most `limit`.
-    pub fn fetch_wanted(&self, limit: usize) -> Vec<SeqNum> {
+    /// The hole stalling in-order execution below the first parked
+    /// proposal, plus certified sequences (`committed`) this replica never
+    /// executed.
+    fn fetch_wanted(&self, _ctx: &Substrate, limit: usize) -> Vec<SeqNum> {
+        let first_parked = self.pending.keys().next().copied().unwrap_or(SeqNum(0));
         let mut wanted = Vec::new();
-        if let Some(first) = self.pending.keys().next().copied() {
-            let mut s = self.spec_executed.next();
-            while s < first && wanted.len() < limit {
-                wanted.push(s);
-                s = s.next();
-            }
-        }
         let mut s = self.spec_executed.next();
-        while s <= self.committed && wanted.len() < limit {
-            if !wanted.contains(&s) && !self.pending.contains_key(&s) {
+        while (s < first_parked || s <= self.committed) && wanted.len() < limit {
+            if !self.pending.contains_key(&s) {
                 wanted.push(s);
             }
             s = s.next();
         }
-        wanted.sort();
-        wanted.truncate(limit);
         wanted
-    }
-
-    /// Notification that the batch at `seq` finished executing. Emits a
-    /// checkpoint broadcast every Δ batches, like PBFT.
-    pub fn on_executed(&mut self, seq: SeqNum, state_digest: Digest) -> Vec<Action> {
-        self.executed_since_checkpoint += 1;
-        if self.executed_since_checkpoint >= self.config.checkpoint_interval_batches {
-            self.executed_since_checkpoint = 0;
-            let mut actions = vec![Action::Broadcast(Message::Checkpoint {
-                seq,
-                state_digest,
-                replica: self.id,
-            })];
-            // Own checkpoint counts toward the 2f+1 stability quorum
-            // (broadcast skips self-delivery, so record the vote here).
-            if let Some(stable) = self.checkpoints.record(self.id, seq, state_digest) {
-                self.prune_to(stable);
-                actions.push(Action::StableCheckpoint { seq: stable });
-            }
-            return actions;
-        }
-        Vec::new()
-    }
-
-    /// Suspicion timer fired: vote to replace the primary. Re-fires
-    /// re-broadcast the same vote (lossy networks drop votes too); after
-    /// [`ESCALATE_AFTER`] fruitless re-fires the vote escalates to the next
-    /// view in case the voted-for primary is itself down.
-    pub fn on_timeout(&mut self) -> Vec<Action> {
-        let target = match self.voted_view {
-            Some(t) if t > self.view => {
-                self.timeout_strikes += 1;
-                if self.timeout_strikes >= ESCALATE_AFTER {
-                    self.timeout_strikes = 0;
-                    t.next()
-                } else {
-                    t
-                }
-            }
-            _ => self.view.next(),
-        };
-        self.vote_view_change(target)
-    }
-
-    /// Broadcasts this replica's `ViewChange` vote for `target` and counts
-    /// it toward the quorum.
-    fn vote_view_change(&mut self, target: ViewNum) -> Vec<Action> {
-        self.voted_view = Some(target);
-        let tail = self.spec_tail();
-        let mut actions = vec![Action::Broadcast(Message::ViewChange {
-            new_view: target,
-            last_stable: self.checkpoints.stable_seq(),
-            prepared: Vec::new(),
-            tail: tail.clone(),
-            replica: self.id,
-            instance: 0,
-        })];
-        // Our own vote counts toward the quorum.
-        actions.extend(self.on_view_change(self.id, target, tail));
-        actions
-    }
-
-    /// The f+1 join rule (same liveness argument as PBFT's §4.5.2): once
-    /// f+1 replicas vote for views beyond ours, at least one of them is
-    /// correct — join at the smallest such view so a straggling minority
-    /// is never outvoted into a permanent stall.
-    fn maybe_join_view_change(&mut self) -> Vec<Action> {
-        if self.voted_view.is_some_and(|t| t > self.view) {
-            return Vec::new(); // already voting for a future view
-        }
-        let voters: HashSet<ReplicaId> = self
-            .view_change_votes
-            .iter()
-            .filter(|(v, _)| **v > self.view)
-            .flat_map(|(_, votes)| votes.keys().copied())
-            .collect();
-        if voters.len() <= self.config.f {
-            return Vec::new();
-        }
-        let target = self
-            .view_change_votes
-            .keys()
-            .copied()
-            .filter(|v| *v > self.view)
-            .min()
-            .expect("f+1 voters imply a future-view vote bucket");
-        self.timeout_strikes = 0;
-        self.vote_view_change(target)
-    }
-
-    /// The speculatively executed tail above the stable checkpoint — what a
-    /// `ViewChange` vote carries.
-    fn spec_tail(&self) -> Vec<(SeqNum, Digest, Arc<Batch>)> {
-        self.spec_log
-            .iter()
-            .map(|(s, e)| (*s, e.digest, Arc::clone(&e.batch)))
-            .collect()
-    }
-
-    fn on_view_change(
-        &mut self,
-        from: ReplicaId,
-        new_view: ViewNum,
-        tail: Vec<(SeqNum, Digest, Arc<Batch>)>,
-    ) -> Vec<Action> {
-        if new_view <= self.view {
-            return Vec::new();
-        }
-        let quorum = quorum::commit_quorum(self.config.f);
-        let votes = self.view_change_votes.entry(new_view).or_default();
-        votes.insert(from, tail);
-        if votes.len() >= quorum && new_view.primary(self.config.n) == self.id {
-            return self.become_primary(new_view);
-        }
-        self.maybe_join_view_change()
-    }
-
-    /// 2f+1 votes named this replica the incoming primary. Under a merely
-    /// crashed primary correct replicas' speculative logs are prefixes of
-    /// one another; under an equivocating one they can *diverge*, so the
-    /// vote tails are majority-merged per sequence. If this replica's own
-    /// speculation contradicts the merged history, the suffix rolls back
-    /// before catching up — then the view is announced and the reconciled
-    /// tail re-issued so every backup converges the same way.
-    fn become_primary(&mut self, new_view: ViewNum) -> Vec<Action> {
-        let votes = self.view_change_votes.remove(&new_view).unwrap_or_default();
-        let mut candidates: BTreeMap<SeqNum, Vec<(Digest, Arc<Batch>, usize)>> = BTreeMap::new();
-        // Our own tail counts once: usually it is already in `votes` (we
-        // voted on the way here); chaining it unconditionally would double
-        // its weight and let a divergent own suffix tie a true majority.
-        let own = if votes.contains_key(&self.id) {
-            Vec::new()
-        } else {
-            self.spec_tail()
-        };
-        for tail in votes.values().chain(std::iter::once(&own)) {
-            for (seq, d, batch) in tail {
-                let cands = candidates.entry(*seq).or_default();
-                match cands.iter_mut().find(|(cd, _, _)| cd == d) {
-                    Some((_, _, count)) => *count += 1,
-                    None => cands.push((*d, Arc::clone(batch), 1)),
-                }
-            }
-        }
-        let merged: BTreeMap<SeqNum, (Digest, Arc<Batch>)> = candidates
-            .into_iter()
-            .map(|(s, cands)| {
-                let (d, b, _) = cands
-                    .into_iter()
-                    .max_by_key(|(_, _, count)| *count)
-                    .expect("candidate list is never empty");
-                (s, (d, b))
-            })
-            .collect();
-        let mut actions = self.install_view(new_view);
-        // Mis-speculation: roll our own suffix back to the last sequence
-        // agreeing with the merged history before catching up on it.
-        let authoritative: Vec<(SeqNum, Digest)> =
-            merged.iter().map(|(s, (d, _))| (*s, *d)).collect();
-        actions.extend(self.reconcile(&authoritative));
-        // Catch our own execution up to the merged log before proposing
-        // anything new (execution is strictly sequential).
-        let mut catchup = Vec::new();
-        while let Some((d, b)) = merged.get(&self.spec_executed.next()).cloned() {
-            catchup.extend(self.try_spec_execute(self.spec_executed.next(), new_view, d, b));
-        }
-        // Announce first so backups install the view before the re-issued
-        // pre-prepares reach them (in-order transports).
-        actions.push(Action::Broadcast(Message::NewView {
-            new_view,
-            reissued: authoritative,
-            instance: 0,
-        }));
-        for (seq, (d, batch)) in &merged {
-            actions.push(Action::Broadcast(Message::PrePrepare {
-                view: new_view,
-                seq: *seq,
-                digest: *d,
-                batch: Arc::clone(batch),
-            }));
-        }
-        actions.extend(catchup);
-        self.next_seq = self.spec_executed.next();
-        actions
-    }
-
-    fn install_view(&mut self, new_view: ViewNum) -> Vec<Action> {
-        self.view = new_view;
-        self.voted_view = None;
-        self.timeout_strikes = 0;
-        self.view_change_votes.retain(|v, _| *v > new_view);
-        self.next_seq = self.spec_executed.next();
-        // `pending` survives: re-issued proposals park there keyed by
-        // sequence until their predecessors arrive.
-        vec![Action::EnterView {
-            view: new_view,
-            instance: 0,
-        }]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdb_common::block::BlockCertificate;
     use rdb_common::{ClientId, Operation, SignatureBytes, Transaction};
+
+    impl Zyzzyva {
+        fn spec_executed(&self) -> SeqNum {
+            self.rule.spec_executed
+        }
+
+        fn committed(&self) -> SeqNum {
+            self.rule.committed
+        }
+
+        fn history(&self) -> Digest {
+            self.rule.history
+        }
+    }
 
     fn cfg() -> ConsensusConfig {
         ConsensusConfig::new(4, 1000)
@@ -896,19 +623,6 @@ mod tests {
             }
             other => panic!("expected ViewChange broadcast, got {other:?}"),
         }
-        // Re-fires re-broadcast the same target until escalation.
-        for _ in 0..(ESCALATE_AFTER - 1) {
-            let acts = r2.on_timeout();
-            assert!(matches!(
-                &acts[..],
-                [Action::Broadcast(Message::ViewChange { new_view, .. })] if *new_view == ViewNum(1)
-            ));
-        }
-        let acts = r2.on_timeout();
-        assert!(matches!(
-            &acts[..],
-            [Action::Broadcast(Message::ViewChange { new_view, .. })] if *new_view == ViewNum(2)
-        ));
     }
 
     #[test]
@@ -960,23 +674,6 @@ mod tests {
         assert!(acts.iter().any(
             |a| matches!(a, Action::Broadcast(Message::PrePrepare { seq, .. }) if *seq == SeqNum(3))
         ));
-    }
-
-    #[test]
-    fn backup_joins_view_change_after_f_plus_one_votes() {
-        // r3's own timer never fired, but two distinct replicas voting
-        // for view 1 include at least one correct suspecter — r3 joins so
-        // the view change can reach its 2f+1 quorum.
-        let mut r3 = Zyzzyva::new(ReplicaId(3), cfg());
-        assert!(r3.on_message(&view_change(0, 1, vec![])).is_empty());
-        let acts = r3.on_message(&view_change(2, 1, vec![]));
-        assert!(
-            acts.iter().any(|a| matches!(
-                a,
-                Action::Broadcast(Message::ViewChange { new_view, .. }) if *new_view == ViewNum(1)
-            )),
-            "f+1 votes must trigger the join rule: {acts:?}"
-        );
     }
 
     #[test]

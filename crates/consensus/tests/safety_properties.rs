@@ -1,7 +1,9 @@
 //! Property-based safety tests: no delivery order, duplication pattern, or
 //! partial delivery may make two replicas commit different batches at the
 //! same sequence number — the core BFT invariant that makes the paper's
-//! out-of-order consensus (Section 4.5) safe.
+//! out-of-order consensus (Section 4.5) safe — in a fault-free view, across
+//! a primary crash and view change, and against a replica that forges the
+//! `replica` field of its votes.
 
 use proptest::prelude::*;
 use rdb_common::messages::{Message, Sender, SignedMessage};
@@ -32,13 +34,19 @@ fn digest_for(tag: u64) -> Digest {
 }
 
 /// Runs a full cluster of state machines over a message schedule derived
-/// from `order`, returning each replica's committed (seq → digest) map.
+/// from `order`, returning each replica's committed (seq → digest) map and
+/// final view.
+///
+/// With `crash_after = Some(k)` the view-0 primary crashes after `k`
+/// deliveries: nothing reaches it any more (what it already sent stays on
+/// the wire), and the three survivors' suspicion timers fire once.
 fn run_cluster(
     protocol: ProtocolKind,
     n_batches: u64,
     order: &[usize],
     duplicate_every: usize,
-) -> Vec<HashMap<SeqNum, Digest>> {
+    crash_after: Option<usize>,
+) -> (Vec<HashMap<SeqNum, Digest>>, Vec<ViewNum>) {
     let cfg = ConsensusConfig::new(N, 1_000_000);
     let mut engines: Vec<ReplicaEngine> = (0..N as u32)
         .map(|i| ReplicaEngine::new(protocol, ReplicaId(i), cfg))
@@ -56,25 +64,11 @@ fn run_cluster(
                 Action::Broadcast(msg) => {
                     for dest in 0..N {
                         if dest != from {
-                            wires.push((
-                                dest,
-                                SignedMessage::new(
-                                    msg.clone(),
-                                    Sender::Replica(ReplicaId(from as u32)),
-                                    SignatureBytes(vec![from as u8]),
-                                ),
-                            ));
+                            wires.push((dest, signed(from as u32, msg.clone())));
                         }
                     }
                 }
-                Action::SendReplica(r, msg) => wires.push((
-                    r.as_usize(),
-                    SignedMessage::new(
-                        msg,
-                        Sender::Replica(ReplicaId(from as u32)),
-                        SignatureBytes(vec![from as u8]),
-                    ),
-                )),
+                Action::SendReplica(r, msg) => wires.push((r.as_usize(), signed(from as u32, msg))),
                 Action::CommitBatch { seq, digest, .. } => {
                     let prev = committed[from].insert(seq, digest);
                     assert!(
@@ -86,6 +80,8 @@ fn run_cluster(
                     let prev = committed[from].insert(seq, digest);
                     assert!(prev.is_none() || prev == Some(digest));
                 }
+                // Mis-speculation undone: the suffix is no longer history.
+                Action::Rollback { to } => committed[from].retain(|seq, _| *seq <= to),
                 _ => {}
             }
         }
@@ -99,7 +95,20 @@ fn run_cluster(
 
     // Deliver messages following the permutation stream until quiescent.
     let mut step = 0usize;
-    while !wires.is_empty() {
+    let mut crashed = false;
+    loop {
+        if !crashed && crash_after.is_some_and(|k| step >= k || wires.is_empty()) {
+            crashed = true;
+            for (r, engine) in engines.iter_mut().enumerate().skip(1) {
+                drain(r, engine.on_timeout(), &mut wires, &mut committed);
+            }
+        }
+        if crashed {
+            wires.retain(|(dest, _)| *dest != 0);
+        }
+        if wires.is_empty() {
+            break;
+        }
         let pick = order.get(step % order.len()).copied().unwrap_or(0) % wires.len();
         step += 1;
         let (dest, msg) = wires.swap_remove(pick);
@@ -114,7 +123,22 @@ fn run_cluster(
             panic!("schedule did not quiesce");
         }
     }
-    committed
+    let views = engines.iter().map(ReplicaEngine::view).collect();
+    (committed, views)
+}
+
+/// Every sequence any replica decided has one digest cluster-wide.
+fn assert_single_digest_per_seq(
+    committed: &[HashMap<SeqNum, Digest>],
+) -> Result<(), TestCaseError> {
+    let mut agreed: HashMap<SeqNum, Digest> = HashMap::new();
+    for (r, map) in committed.iter().enumerate() {
+        for (seq, digest) in map {
+            let first = *agreed.entry(*seq).or_insert(*digest);
+            prop_assert_eq!(first, *digest, "replica {} diverges at {}", r, seq);
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -128,7 +152,8 @@ proptest! {
         n_batches in 1u64..6,
         duplicate_every in 0usize..5,
     ) {
-        let committed = run_cluster(ProtocolKind::Pbft, n_batches, &order, duplicate_every);
+        let (committed, _) =
+            run_cluster(ProtocolKind::Pbft, n_batches, &order, duplicate_every, None);
         // Every replica commits every sequence 1..=n_batches.
         for (r, map) in committed.iter().enumerate() {
             prop_assert_eq!(map.len() as u64, n_batches, "replica {} incomplete", r);
@@ -149,13 +174,104 @@ proptest! {
         order in proptest::collection::vec(0usize..64, 8..64),
         n_batches in 1u64..6,
     ) {
-        let committed = run_cluster(ProtocolKind::Zyzzyva, n_batches, &order, 0);
+        let (committed, _) = run_cluster(ProtocolKind::Zyzzyva, n_batches, &order, 0, None);
         for seq in 1..=n_batches {
             let d0 = committed[0][&SeqNum(seq)];
             for map in &committed {
                 prop_assert_eq!(map[&SeqNum(seq)], d0);
             }
         }
+    }
+
+    /// Either protocol: the primary crashes at an arbitrary point of an
+    /// arbitrary delivery order, the survivors change view, and whatever
+    /// each replica decided — before the crash, in the old view after
+    /// voting, or off the new primary's re-issue — is one digest per
+    /// sequence. (Liveness is not asserted: a re-issue can stall on a
+    /// sequence a voter committed only after casting its vote.)
+    #[test]
+    fn view_change_keeps_one_digest_per_sequence(
+        zyzzyva in any::<bool>(),
+        order in proptest::collection::vec(0usize..64, 8..64),
+        n_batches in 1u64..6,
+        duplicate_every in 0usize..5,
+        crash_after in 0usize..80,
+    ) {
+        let protocol = if zyzzyva { ProtocolKind::Zyzzyva } else { ProtocolKind::Pbft };
+        let (committed, views) =
+            run_cluster(protocol, n_batches, &order, duplicate_every, Some(crash_after));
+        assert_single_digest_per_seq(&committed)?;
+        // No message is lost, so the 2f+1 votes always meet: the survivors
+        // end in view 1 under replica 1; the crashed primary never moved.
+        prop_assert_eq!(views, vec![ViewNum(0), ViewNum(1), ViewNum(1), ViewNum(1)]);
+    }
+}
+
+/// `msg` in an envelope whose verified sender is replica `from`.
+fn signed(from: u32, msg: Message) -> SignedMessage {
+    SignedMessage::new(
+        msg,
+        Sender::Replica(ReplicaId(from)),
+        SignatureBytes(vec![from as u8]),
+    )
+}
+
+/// The envelope's verified sender is what counts: n checkpoint votes from
+/// one sender, each claiming a different `replica`, are one vote — never
+/// the 2f+1 that would make the victim garbage-collect below a state
+/// nobody else vouched for.
+#[test]
+fn forged_replica_ids_cannot_stabilise_a_checkpoint() {
+    let checkpoint = |replica| Message::Checkpoint {
+        seq: SeqNum(100),
+        state_digest: digest_for(9),
+        replica,
+    };
+    for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+        let mut victim = ReplicaEngine::new(protocol, ReplicaId(1), ConsensusConfig::new(N, 100));
+        for claimed in 0..N as u32 {
+            // Byzantine replica 3 signs it, whatever `replica` claims.
+            let acts = victim.on_message(&signed(3, checkpoint(ReplicaId(claimed))));
+            assert!(acts.is_empty(), "{protocol:?}: {acts:?}");
+        }
+        // Two more distinct, real voters do complete the quorum: the
+        // forger's own vote counted once.
+        for honest in [0u32, 2] {
+            let acts = victim.on_message(&signed(honest, checkpoint(ReplicaId(honest))));
+            let stable =
+                matches!(&acts[..], [Action::StableCheckpoint { seq }] if *seq == SeqNum(100));
+            assert_eq!(stable, honest == 2, "{protocol:?}: {acts:?}");
+        }
+    }
+}
+
+/// Likewise for view-change votes: the victim is view 1's primary, so f+1
+/// forged votes would make it join and 2f+1 would crown it.
+#[test]
+fn forged_replica_ids_cannot_trigger_a_view_change() {
+    let view_change = |replica| Message::ViewChange {
+        new_view: ViewNum(1),
+        last_stable: SeqNum(0),
+        prepared: vec![],
+        tail: vec![],
+        replica,
+        instance: 0,
+    };
+    for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+        let mut victim = ReplicaEngine::new(protocol, ReplicaId(1), ConsensusConfig::new(N, 100));
+        for claimed in 0..N as u32 {
+            let acts = victim.on_message(&signed(3, view_change(ReplicaId(claimed))));
+            assert!(acts.is_empty(), "{protocol:?}: {acts:?}");
+        }
+        assert_eq!(victim.view(), ViewNum(0), "{protocol:?}");
+        // A second, real voter reaches f+1: the victim joins, and its own
+        // vote makes 2f+1.
+        let acts = victim.on_message(&signed(2, view_change(ReplicaId(2))));
+        assert!(
+            acts.iter()
+                .any(|a| matches!(a, Action::EnterView { view, .. } if *view == ViewNum(1))),
+            "{protocol:?}: {acts:?}"
+        );
     }
 }
 

@@ -6,7 +6,7 @@
 //! used by production Curve25519 implementations, written from scratch here.
 //!
 //! This implementation favours clarity over constant-time guarantees; it is
-//! a research artifact, not a hardened library (noted in `DESIGN.md`).
+//! a research artifact, not a hardened library (ARCHITECTURE.md, "Scope").
 
 const MASK51: u64 = (1u64 << 51) - 1;
 

@@ -2,9 +2,9 @@
 //!
 //! The paper's testbed is a Google Cloud cluster (8-core c2 replicas, up
 //! to 32 replicas, 80K clients). This crate substitutes that hardware with
-//! a calibrated discrete-event model (the substitution is documented in
-//! `DESIGN.md`): per-replica multi-server pipeline stages with a bounded
-//! core pool, a serialized NIC with configurable bandwidth and latency,
+//! a calibrated discrete-event model (the substitution is noted in
+//! ARCHITECTURE.md, "Scope"): per-replica multi-server pipeline stages with
+//! a bounded core pool, a serialized NIC with configurable bandwidth and latency,
 //! closed-loop clients, and crypto/storage costs priced by
 //! [`rdb_crypto::CostModel`] and [`service::Overheads`].
 //!

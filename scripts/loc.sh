@@ -1,0 +1,58 @@
+#!/usr/bin/env bash
+# Prints non-test Rust line counts per crate, the way "net negative" PRs
+# are measured: every file under crates/*/src, cut at its first
+# `#[cfg(test)]` line. `lines` counts everything above the cut; `code`
+# drops blank lines and lines that are only a `//` comment.
+#
+#   scripts/loc.sh                  # one row per crate, plus a total
+#   scripts/loc.sh crates/consensus # one row per file of that crate
+#   scripts/loc.sh --markdown [...] # the same table as GitHub markdown
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+
+markdown=0
+if [ "${1:-}" = "--markdown" ]; then
+  markdown=1
+  shift
+fi
+crate="${1:-}"
+crate="${crate%/}"
+
+if [ -n "$crate" ]; then
+  files=$(find "$crate/src" -name '*.rs' | sort)
+else
+  files=$(find crates/*/src -name '*.rs' | sort)
+fi
+
+# shellcheck disable=SC2086
+awk -v per_file="$([ -n "$crate" ] && echo 1 || echo 0)" -v markdown="$markdown" '
+  FNR == 1 {
+    cut = 0
+    key = FILENAME
+    if (!per_file) { split(FILENAME, parts, "/"); key = parts[1] "/" parts[2] }
+    if (!(key in lines)) { order[++n] = key; lines[key] = 0; code[key] = 0 }
+  }
+  /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
+  cut { next }
+  {
+    lines[key]++
+    if ($0 !~ /^[[:space:]]*(\/\/.*)?$/) code[key]++
+  }
+  END {
+    if (markdown) {
+      print "| path | lines | code |"
+      print "|---|---:|---:|"
+      fmt = "| %s | %d | %d |\n"
+    } else {
+      fmt = "%-36s %7d %7d\n"
+      printf "%-36s %7s %7s\n", "path", "lines", "code"
+    }
+    for (i = 1; i <= n; i++) {
+      k = order[i]
+      printf fmt, k, lines[k], code[k]
+      total_lines += lines[k]; total_code += code[k]
+    }
+    printf fmt, "total", total_lines, total_code
+  }
+' $files
