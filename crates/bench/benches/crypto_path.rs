@@ -10,7 +10,11 @@
 //! - Ed25519 batch verification at window sizes {8, 32, 128}, reported as
 //!   amortized ns *per signature*;
 //! - the CMAC and RSA baselines that anchor the paper's MAC-vs-signature
-//!   cost asymmetry (Section 6 / Figure 13).
+//!   cost asymmetry (Section 6 / Figure 13);
+//! - SHA-256 over one block and over 1 KiB on every backend this CPU can
+//!   run (SHA-NI and portable), and the one-shot `sha256_pair` under every
+//!   interior Merkle node. The backend the process selected is named in
+//!   the JSON envelope.
 //!
 //! Emits `BENCH_crypto.json` at the workspace root; CI runs this bench
 //! with a short window and uploads the file.
@@ -24,7 +28,7 @@ use rdb_crypto::ed25519::{
 };
 use rdb_crypto::rsa::RsaKeyPair;
 use rdb_crypto::scheme::RSA_BITS;
-use rdb_crypto::sha2::sha512;
+use rdb_crypto::sha2::{self, sha512};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -154,6 +158,26 @@ fn run_suite() -> Vec<Sample> {
         );
     }
 
+    // --- SHA-256, per backend -----------------------------------------------
+    for backend in sha2::backends() {
+        for (label, len) in [("64B", 64usize), ("1KiB", 1024)] {
+            let data = vec![0x5au8; len];
+            let ns = time_ns(iters * 50, || {
+                black_box(backend.sha256(black_box(&data)));
+            });
+            record(
+                &mut samples,
+                format!("sha256/{label}/{}", backend.name()),
+                ns,
+            );
+        }
+        let (left, right) = ([0x11u8; 32], [0x22u8; 32]);
+        let ns = time_ns(iters * 50, || {
+            black_box(backend.sha256_pair(black_box(&left), black_box(&right)));
+        });
+        record(&mut samples, format!("sha256_pair/{}", backend.name()), ns);
+    }
+
     // --- CMAC baseline -----------------------------------------------------
     let cmac = CmacAes128::new(&[7u8; 16]);
     let ns_tag = time_ns(iters * 10, || {
@@ -187,6 +211,10 @@ fn emit_json(samples: &[Sample]) {
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"crypto_path\",\n");
     out.push_str(&format!("  \"msg_bytes\": {MSG_BYTES},\n"));
+    out.push_str(&format!(
+        "  \"sha256_backend\": \"{}\",\n",
+        sha2::backend().name()
+    ));
     out.push_str(
         "  \"unit\": \"ns_per_op (batch entries are per-signature; speedup entries are ratios)\",\n",
     );

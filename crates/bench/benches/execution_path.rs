@@ -31,13 +31,21 @@
 //! captures how group commit amortizes the one-fsync-per-batch cost of
 //! `always` down to roughly one per window.
 //!
-//! The detected CPU count is recorded in the emitted JSON so readers can
-//! interpret the `mem` rows. Alongside the criterion output it emits
+//! One row stands apart from the sweeps: `merkle/apply/50w_64k` times the
+//! state-commitment update by itself — `MemStore::apply` of 50 uniform
+//! 8-byte writes over a 65 536-row table, the shape of one `mem_uniform`
+//! batch in the repo's benchmark — in µs per batch.
+//!
+//! The detected CPU count and the SHA-256 backend the process selected
+//! are recorded in the emitted JSON so readers can interpret the `mem`
+//! and `merkle` rows. Alongside the criterion output it emits
 //! `BENCH_execution.json` at the workspace root so the perf trajectory is
 //! recorded, not asserted — CI runs this bench with a short window and
 //! uploads the file.
 
 use criterion::{criterion_group, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rdb_common::block::BlockCertificate;
 use rdb_common::{
     Batch, ClientId, Digest, DurabilityConfig, FsyncMode, ProtocolKind, ReplicaId, SeqNum, ViewNum,
@@ -256,6 +264,34 @@ fn run_once(items: &[ExecuteItem], threads: usize, backend: Backend) -> (f64, Di
     (total_txns as f64 / elapsed, executor.store().state_digest())
 }
 
+/// Mean µs for `MemStore::apply` of one 50-write batch of uniform keys
+/// over a 65 536-row table (record hashes precomputed, as on the execute
+/// path): leaf re-hashes plus the shared root paths of the Merkle tree.
+fn merkle_apply_us(batches: usize) -> f64 {
+    const ROWS: u64 = 65_536;
+    let store = MemStore::with_table(ROWS, 8);
+    let mut rng = StdRng::seed_from_u64(7);
+    let work: Vec<Vec<WriteRecord>> = (0..batches)
+        .map(|_| {
+            (0..50)
+                .map(|_| {
+                    WriteRecord::new(
+                        rng.gen_range(0..ROWS),
+                        rng.gen::<u64>().to_le_bytes().to_vec(),
+                    )
+                })
+                .collect()
+        })
+        .collect();
+    store.apply(&work[0]); // warm-up
+    let start = Instant::now();
+    for writes in &work {
+        store.apply(writes);
+    }
+    std::hint::black_box(store.state_digest());
+    start.elapsed().as_secs_f64() * 1e6 / batches as f64
+}
+
 struct Sample {
     name: String,
     value: f64,
@@ -275,6 +311,11 @@ fn run_suite() -> Vec<Sample> {
         .and_then(|v| v.parse::<usize>().ok())
         .map(|iters| (iters / 10).clamp(1, 16))
         .unwrap_or(4);
+
+    let best_apply = (0..repeats)
+        .map(|_| merkle_apply_us(400))
+        .fold(f64::INFINITY, f64::min);
+    record(&mut samples, "merkle/apply/50w_64k", best_apply, "us/batch");
 
     for backend in [Backend::Mem, Backend::Io] {
         let (write_ratio, batches) = backend.workload();
@@ -377,13 +418,18 @@ fn emit_json(samples: &[Sample]) {
     out.push_str("  \"bench\": \"execution_path\",\n");
     out.push_str(&format!("  \"cores\": {cores},\n"));
     out.push_str(&format!(
+        "  \"sha256_backend\": \"{}\",\n",
+        rdb_crypto::sha2::backend().name()
+    ));
+    out.push_str(&format!(
         "  \"workload\": \"{BATCH_TXNS} txns/batch x {OPS_PER_TXN} ops, {VALUE_SIZE}B values, \
          table {TABLE_SIZE}, window {WINDOW}; io backend reads pay {}us; \
          wal sweep runs 192 batches x 32 txns\",\n",
         IO_DELAY.as_micros()
     ));
     out.push_str(
-        "  \"unit\": \"txn/s (speedup entries are ratios vs the serial execute-thread; \
+        "  \"unit\": \"txn/s (merkle/apply is us per 50-write MemStore::apply over a 65536-row table; \
+         speedup entries are ratios vs the serial execute-thread; \
          mem rows scale with physical cores, io rows with overlapped read latency; \
          wal rows are serial execution with the write-ahead log attached under the \
          named fsync policy, fsyncs rows count syncs for the whole run)\",\n",

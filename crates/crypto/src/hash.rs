@@ -1,6 +1,6 @@
 //! Digest helpers bridging the raw hash functions to [`rdb_common::Digest`].
 
-use crate::sha2::{sha256, sha256_parts};
+use crate::sha2::{sha256, sha256_pair, sha256_parts};
 use crate::sha3::sha3_256;
 use rdb_common::Digest;
 
@@ -36,7 +36,7 @@ pub fn digest_parts(parts: &[&[u8]]) -> Digest {
 /// Chains a rolling history digest with the next batch digest, as Zyzzyva's
 /// replicas do: `h' = H(h || d)`.
 pub fn chain_digest(history: &Digest, next: &Digest) -> Digest {
-    digest_parts(&[history.as_bytes(), next.as_bytes()])
+    Digest(sha256_pair(history.as_bytes(), next.as_bytes()))
 }
 
 #[cfg(test)]

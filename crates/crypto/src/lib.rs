@@ -34,6 +34,8 @@
 // Indexed limb/byte loops are the clearest way to express the
 // specifications these modules implement (FIPS pseudocode is indexed).
 #![allow(clippy::needless_range_loop)]
+// The one exception is the SHA-NI kernel, `sha2::hw`.
+#![deny(unsafe_code)]
 
 pub mod aes;
 pub mod bignum;

@@ -4,6 +4,13 @@
 //! and state checkpoints. SHA-512 is required internally by Ed25519
 //! (RFC 8032). Both are validated against the FIPS known-answer vectors in
 //! the tests below.
+//!
+//! SHA-256 has two interchangeable compression kernels: the portable one in
+//! this file and the SHA-NI one in [`hw`], picked once per process by CPU
+//! feature detection ([`backend`]). The tests drive both over the same
+//! inputs; nothing outside the tests and benches can tell them apart.
+
+use std::sync::OnceLock;
 
 /// SHA-256 round constants: first 32 bits of the fractional parts of the cube
 /// roots of the first 64 primes.
@@ -102,13 +109,190 @@ const K512: [u64; 80] = [
     0x6c44198c4a475817,
 ];
 
+/// SHA-256 initial hash value (FIPS 180-4 §5.3.3).
+const IV256: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
+
+/// The padding block that follows a message of exactly 64 bytes: `0x80`,
+/// zeros, and the bit length 512. Every interior Merkle node hashes 64
+/// bytes, so [`sha256_pair`] compresses this same block every time.
+const PAD64: [u32; 16] = [0x8000_0000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 512];
+
+/// `K256[i] + W[i]` for [`PAD64`], expanded at compile time: the portable
+/// `sha256_pair` runs its second compression as 64 bare rounds.
+const PAD64_WK: [u32; 64] = expand(PAD64);
+
+/// The SHA-NI kernel: the crate's only `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod hw;
+
+/// One implementation of the SHA-256 compression function.
+///
+/// Which one a process uses is decided by what its CPU can run
+/// ([`backend`]), never by configuration: every backend produces the same
+/// digests, so there is nothing to choose. The type is public only so that
+/// benches and tests can put the backends side by side ([`backends`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Backend {
+    name: &'static str,
+    /// Folds whole 64-byte blocks (`blocks.len() % 64 == 0`) into `state`.
+    compress: fn(state: &mut [u32; 8], blocks: &[u8]),
+    /// `SHA-256(left ‖ right)` in one shot.
+    pair: fn(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32],
+}
+
+const PORTABLE: Backend = Backend {
+    name: "portable",
+    compress: compress_portable,
+    pair: pair_portable,
+};
+
+impl Backend {
+    /// `"sha-ni"` or `"portable"`.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// A fresh hasher that compresses with this backend.
+    pub(crate) fn hasher(&self) -> Sha256 {
+        Sha256 {
+            state: IV256,
+            buf: [0u8; 64],
+            buf_len: 0,
+            total_len: 0,
+            compress: self.compress,
+        }
+    }
+
+    /// One-shot SHA-256 over `data` with this backend.
+    pub fn sha256(&self, data: &[u8]) -> [u8; 32] {
+        let mut h = self.hasher();
+        h.update(data);
+        h.finalize()
+    }
+
+    /// `SHA-256(left ‖ right)` with this backend.
+    pub fn sha256_pair(&self, left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+        (self.pair)(left, right)
+    }
+}
+
+/// The hardware backend, if this CPU has one.
+fn hardware() -> Option<Backend> {
+    #[cfg(target_arch = "x86_64")]
+    return hw::kernel();
+    #[cfg(not(target_arch = "x86_64"))]
+    None
+}
+
+/// The backend every digest in this process is computed with: SHA-NI where
+/// the CPU has it, the portable code otherwise. Detected once.
+pub fn backend() -> &'static Backend {
+    static SELECTED: OnceLock<Backend> = OnceLock::new();
+    SELECTED.get_or_init(|| hardware().unwrap_or(PORTABLE))
+}
+
+/// Every backend this CPU can run, the selected one first.
+pub fn backends() -> impl Iterator<Item = Backend> {
+    hardware().into_iter().chain([PORTABLE])
+}
+
+/// Message schedule of one block with the round constants folded in:
+/// `out[i] = K256[i] + W[i]`.
+const fn expand(block: [u32; 16]) -> [u32; 64] {
+    let mut w = [0u32; 64];
+    let mut i = 0;
+    while i < 16 {
+        w[i] = block[i];
+        i += 1;
+    }
+    while i < 64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+        i += 1;
+    }
+    i = 0;
+    while i < 64 {
+        w[i] = w[i].wrapping_add(K256[i]);
+        i += 1;
+    }
+    w
+}
+
+/// The 64 rounds of one compression over an expanded schedule `wk`
+/// (see [`expand`]), including the final feed-forward into `state`.
+fn rounds(state: &mut [u32; 8], wk: &[u32; 64]) {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for &wk_i in wk {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(wk_i);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
+    }
+}
+
+/// Big-endian words of `bytes` into `words` (`bytes.len() == 4 * words.len()`).
+fn load_be(words: &mut [u32], bytes: &[u8]) {
+    for (w, b) in words.iter_mut().zip(bytes.chunks_exact(4)) {
+        *w = u32::from_be_bytes(b.try_into().expect("exact 4-byte chunk"));
+    }
+}
+
+fn state_bytes(state: &[u32; 8]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (o, s) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&s.to_be_bytes());
+    }
+    out
+}
+
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(64));
+    for block in blocks.chunks_exact(64) {
+        let mut w = [0u32; 16];
+        load_be(&mut w, block);
+        rounds(state, &expand(w));
+    }
+}
+
+fn pair_portable(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+    let mut w = [0u32; 16];
+    load_be(&mut w[..8], left);
+    load_be(&mut w[8..], right);
+    let mut state = IV256;
+    rounds(&mut state, &expand(w));
+    rounds(&mut state, &PAD64_WK);
+    state_bytes(&state)
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Debug, Clone)]
 pub struct Sha256 {
     state: [u32; 8],
     buf: [u8; 64],
+    /// Bytes pending in `buf`; always `< 64` between calls.
     buf_len: usize,
     total_len: u64,
+    compress: fn(&mut [u32; 8], &[u8]),
 }
 
 impl Default for Sha256 {
@@ -118,17 +302,9 @@ impl Default for Sha256 {
 }
 
 impl Sha256 {
-    /// Creates a fresh hasher.
+    /// Creates a fresh hasher on the process's [`backend`].
     pub fn new() -> Self {
-        Sha256 {
-            state: [
-                0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
-                0x5be0cd19,
-            ],
-            buf: [0u8; 64],
-            buf_len: 0,
-            total_len: 0,
-        }
+        backend().hasher()
     }
 
     /// Absorbs `data` into the hash state.
@@ -145,98 +321,43 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            (self.compress)(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        let mut chunks = rest.chunks_exact(64);
-        for block in chunks.by_ref() {
-            // `try_into` is a size-check cast, not a copy: the compression
-            // function reads the caller's bytes in place.
-            self.compress(block.try_into().expect("exact 64-byte chunk"));
+        // The whole run of full blocks goes to the kernel in one call, read
+        // in place from the caller's bytes.
+        let (blocks, tail) = rest.split_at(rest.len() - rest.len() % 64);
+        if !blocks.is_empty() {
+            (self.compress)(&mut self.state, blocks);
         }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            self.buf[..tail.len()].copy_from_slice(tail);
-            self.buf_len = tail.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the hash, producing the 32-byte digest.
     pub fn finalize(mut self) -> [u8; 32] {
+        // Padding is written where it lands: `0x80`, zeros up to the last
+        // eight bytes of a block (spilling into a second block when fewer
+        // than nine bytes are free), then the message length in bits.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            (self.compress)(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        // Manual length append (avoid update() changing total_len semantics).
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, s) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
-        }
-        out
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[i * 4],
-                block[i * 4 + 1],
-                block[i * 4 + 2],
-                block[i * 4 + 3],
-            ]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K256[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        (self.compress)(&mut self.state, &self.buf);
+        state_bytes(&self.state)
     }
 }
 
 /// One-shot SHA-256 over `data`.
 pub fn sha256(data: &[u8]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    backend().sha256(data)
 }
 
 /// SHA-256 over the logical concatenation of `parts`, without building the
@@ -249,6 +370,14 @@ pub fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
         h.update(part);
     }
     h.finalize()
+}
+
+/// `SHA-256(left ‖ right)` for two 32-byte halves — an interior Merkle
+/// node. Bit-identical to `sha256` over the 64-byte concatenation, without
+/// a hasher: the halves are compressed from where they lie, and the
+/// padding block that always follows 64 bytes of message is a constant.
+pub fn sha256_pair(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+    backend().sha256_pair(left, right)
 }
 
 /// Incremental SHA-512 hasher.
@@ -318,12 +447,17 @@ impl Sha512 {
 
     /// Finishes the hash, producing the 64-byte digest.
     pub fn finalize(mut self) -> [u8; 64] {
+        // Padding written in place, as in [`Sha256::finalize`]; the length
+        // field is sixteen bytes here.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 112 {
-            self.update(&[0]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 112 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf.fill(0);
         }
-        self.buf[112..128].copy_from_slice(&bit_len.to_be_bytes());
+        self.buf[112..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
         let mut out = [0u8; 64];
@@ -395,39 +529,45 @@ mod tests {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Asserts the known answer on the selected backend and on every other
+    /// backend this CPU can run.
+    fn assert_sha256(data: &[u8], expected_hex: &str) {
+        assert_eq!(hex(&sha256(data)), expected_hex, "selected backend");
+        for b in backends() {
+            assert_eq!(hex(&b.sha256(data)), expected_hex, "{} backend", b.name());
+        }
+    }
+
     // FIPS 180-4 known-answer vectors.
     #[test]
     fn sha256_empty() {
-        assert_eq!(
-            hex(&sha256(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_sha256(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn sha256_abc() {
-        assert_eq!(
-            hex(&sha256(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_sha256(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn sha256_two_block_message() {
-        assert_eq!(
-            hex(&sha256(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_sha256(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn sha256_million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&sha256(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_sha256(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -522,5 +662,175 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     fn different_inputs_differ() {
         assert_ne!(sha256(b"a"), sha256(b"b"));
         assert_ne!(sha512(b"a")[..32], sha512(b"b")[..32]);
+    }
+
+    /// The straightforward FIPS 180-4 §5.1 padding, built as bytes: what
+    /// `finalize` must be equivalent to without ever materializing it.
+    fn padded(data: &[u8], block: usize, len_bytes: usize) -> Vec<u8> {
+        let mut m = data.to_vec();
+        m.push(0x80);
+        while !(m.len() + len_bytes).is_multiple_of(block) {
+            m.push(0);
+        }
+        let bits = (data.len() as u128) * 8;
+        m.extend_from_slice(&bits.to_be_bytes()[16 - len_bytes..]);
+        m
+    }
+
+    #[test]
+    fn sha256_padding_boundaries() {
+        // 55 is the longest message whose padding fits its own block; 56
+        // spills; 63/64 and 119/120 repeat the pattern one block on.
+        for len in [0usize, 1, 55, 56, 57, 63, 64, 65, 119, 120, 121, 127, 128] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 13 + 5) as u8).collect();
+            let blocks = padded(&data, 64, 8);
+            assert_eq!(blocks.len(), (len + 9).div_ceil(64) * 64, "len {len}");
+            for b in backends() {
+                let mut state = IV256;
+                (b.compress)(&mut state, &blocks);
+                assert_eq!(
+                    b.sha256(&data),
+                    state_bytes(&state),
+                    "{} backend, len {len}",
+                    b.name()
+                );
+            }
+        }
+        // Pinned against an independent implementation, so the reference
+        // above cannot share a mistake with `finalize`.
+        assert_sha256(
+            &[b'a'; 55],
+            "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+        );
+        assert_sha256(
+            &[b'a'; 56],
+            "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+        );
+        assert_sha256(
+            &[b'a'; 64],
+            "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+        );
+    }
+
+    #[test]
+    fn sha512_padding_boundaries() {
+        for len in [0usize, 1, 111, 112, 113, 127, 128, 129, 239, 240] {
+            let data: Vec<u8> = (0..len).map(|i| (i * 11 + 3) as u8).collect();
+            let blocks = padded(&data, 128, 16);
+            assert_eq!(blocks.len(), (len + 17).div_ceil(128) * 128, "len {len}");
+            let mut h = Sha512::new();
+            for block in blocks.chunks_exact(128) {
+                h.compress(block.try_into().unwrap());
+            }
+            let mut expected = [0u8; 64];
+            for (o, s) in expected.chunks_exact_mut(8).zip(h.state) {
+                o.copy_from_slice(&s.to_be_bytes());
+            }
+            assert_eq!(sha512(&data), expected, "len {len}");
+        }
+        assert_eq!(
+            hex(&sha512(&[b'a'; 111])),
+            "fa9121c7b32b9e01733d034cfc78cbf67f926c7ed83e82200ef86818196921760b4beff48404df811b953828274461673c68d04e297b0eb7b2b4d60fc6b566a2"
+        );
+        assert_eq!(
+            hex(&sha512(&[b'a'; 112])),
+            "c01d080efd492776a1c43bd23dd99d0a2e626d481e16782e75d54c2503b5dc32bd05f0f1ba33e568b88fd2d970929b719ecbb152f58f130a407c8830604b70ca"
+        );
+    }
+
+    #[test]
+    fn sha256_pair_is_sha256_of_the_concatenation() {
+        let mut left = [0u8; 32];
+        let mut right = [0u8; 32];
+        for round in 0..64u8 {
+            let mut concat = [0u8; 64];
+            concat[..32].copy_from_slice(&left);
+            concat[32..].copy_from_slice(&right);
+            let expected = sha256(&concat);
+            assert_eq!(sha256_pair(&left, &right), expected);
+            for b in backends() {
+                assert_eq!(b.sha256_pair(&left, &right), expected, "{}", b.name());
+            }
+            // Chain the output back in so every round sees fresh bytes.
+            left = expected;
+            right = sha256(&[round]);
+        }
+    }
+
+    #[test]
+    fn pad64_schedule_is_the_expansion_of_the_padding_block() {
+        let block = padded(&[0u8; 64], 64, 8);
+        let mut w = [0u32; 16];
+        load_be(&mut w, &block[64..]);
+        assert_eq!(w, PAD64);
+        assert_eq!(PAD64_WK, expand(w));
+    }
+
+    /// Says on the real stderr (the test harness captures `eprintln!`, not
+    /// this) which backend the process selected and whether the hardware
+    /// half of the differential tests ran, so a green run on a CPU without
+    /// SHA-NI cannot be mistaken for a tested kernel.
+    #[test]
+    fn report_backend() {
+        use std::io::Write;
+        let ran: Vec<&str> = backends().map(|b| b.name()).collect();
+        let hw = if ran.contains(&"sha-ni") {
+            "sha-ni kernel tested against portable"
+        } else {
+            "sha-ni kernel NOT RUN (cpu lacks sha/sse4.1/ssse3): portable only"
+        };
+        let _ = writeln!(
+            std::io::stderr(),
+            "sha256 backend: selected={} differential={hw}",
+            backend().name()
+        );
+        assert_eq!(backend().name(), ran[0]);
+        assert_eq!(*ran.last().unwrap(), "portable");
+    }
+
+    mod differential {
+        use super::super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Every backend present, fed the same message through the
+            /// same random `update` split points, lands on the digest the
+            /// portable one-shot produces.
+            #[test]
+            fn backends_agree_over_random_messages_and_splits(
+                data in proptest::collection::vec(any::<u8>(), 0..1025),
+                cuts in proptest::collection::vec(any::<u16>(), 0..8),
+            ) {
+                let expected = PORTABLE.sha256(&data);
+                let mut cuts: Vec<usize> =
+                    cuts.iter().map(|c| *c as usize % (data.len() + 1)).collect();
+                cuts.sort_unstable();
+                for b in backends() {
+                    let mut h = b.hasher();
+                    let mut from = 0;
+                    for &cut in &cuts {
+                        h.update(&data[from..cut]);
+                        from = cut;
+                    }
+                    h.update(&data[from..]);
+                    prop_assert_eq!(h.finalize(), expected, "{} backend", b.name());
+                }
+            }
+
+            #[test]
+            fn pair_agrees_across_backends(
+                left in proptest::collection::vec(any::<u8>(), 32..33),
+                right in proptest::collection::vec(any::<u8>(), 32..33),
+            ) {
+                let (left, right): ([u8; 32], [u8; 32]) =
+                    (left.try_into().unwrap(), right.try_into().unwrap());
+                let expected = PORTABLE.sha256(&[left, right].concat());
+                for b in backends() {
+                    prop_assert_eq!(b.sha256_pair(&left, &right), expected, "{} backend", b.name());
+                }
+            }
+        }
     }
 }

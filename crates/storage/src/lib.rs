@@ -10,11 +10,13 @@
 //! - [`blockchain`] — the immutable ledger. Blocks are certified by the
 //!   2f+1 commit signatures gathered during consensus instead of hashing
 //!   the previous block on the critical path (Section 4.6).
-//! - [`merkle`] — the incremental sparse Merkle commitment both stores
+//! - [`merkle`] — the incremental Merkle commitment both stores
 //!   maintain over their records (checkpoint digests, snapshot vouching,
 //!   partial state proofs).
 //! - [`wal`] — the write-ahead log with group commit that makes the
 //!   recovery path durable across process death.
+
+#![deny(unsafe_code)]
 
 pub mod blockchain;
 pub mod merkle;

@@ -1,17 +1,22 @@
-//! Incremental sparse binary Merkle commitment over store records.
+//! Incremental binary Merkle commitment over store records.
 //!
 //! PR 9's state commitment was an XOR fold of per-record hashes: cheap and
 //! order-independent, but a Byzantine responder can craft record *sets* that
 //! cancel under XOR, and it admits no partial proofs. This module replaces it
-//! with a fixed-depth sparse binary Merkle tree:
+//! with a fixed-depth binary Merkle tree:
 //!
 //! - Records are bucketed into `2^DEPTH` leaves by a Fibonacci hash of their
 //!   key. A leaf commits to the sorted `(key, record_hash)` pairs of its
 //!   bucket; interior nodes are `SHA-256(left ‖ right)`.
-//! - The tree is **sparse**: only non-empty nodes are materialized, and each
-//!   level's all-empty subtree hash is precomputed once, so an empty or
-//!   lightly-populated table costs memory proportional to its occupancy,
-//!   not to `2^DEPTH`.
+//! - The tree is **flat**: all `2^(DEPTH+1)` node hashes sit in one
+//!   heap-ordered array (root at 1, children of `i` at `2i` and `2i + 1`,
+//!   leaf `l` at `2^DEPTH + l`), so a node is an index away from its
+//!   parent, sibling and children and re-hashing one is two loads, one
+//!   [`sha256_pair`] and a store. The array costs a fixed 4 MiB and is
+//!   allocated, filled with each level's all-empty subtree hash, on the
+//!   first insert — an accumulator that never holds a record (or was
+//!   [`clear`]ed) owns no memory. Leaf buckets are small key-sorted vectors
+//!   in a second array indexed by leaf.
 //! - Updates are **incremental**: a single `put`/`remove` re-hashes one leaf
 //!   and its root path (`DEPTH` compressions); a batched [`apply`] re-hashes
 //!   each dirty leaf once and propagates dirty parents level by level, so a
@@ -19,11 +24,15 @@
 //! - The root is a pure function of the record *contents* — identical across
 //!   backends (`MemStore` ≡ `PagedStore`) and across put/remove histories
 //!   that converge on the same state, which the Zyzzyva undo log depends on.
+//!   It is also independent of the layout: the roots are those of the
+//!   sparse per-level-map tree this array replaced, pinned by
+//!   `tests/golden_roots.rs`.
 //!
 //! An empty store commits to [`Digest::ZERO`], preserving the XOR-fold
 //! convention every genesis block and test fixture already assumes.
 //!
 //! [`apply`]: MerkleAccumulator::apply
+//! [`clear`]: MerkleAccumulator::clear
 //!
 //! [`prove`](MerkleAccumulator::prove) / [`verify_proof`] add what the XOR
 //! fold never could: a replica can hand over one bucket plus `DEPTH` sibling
@@ -31,8 +40,7 @@
 //! without the full record set.
 
 use rdb_common::Digest;
-use rdb_crypto::sha2::Sha256;
-use std::collections::{BTreeMap, HashMap};
+use rdb_crypto::sha2::{sha256_pair, Sha256};
 use std::sync::OnceLock;
 
 /// Tree depth: `2^16` leaf buckets. At the paper-scale 600K-row table this
@@ -47,29 +55,26 @@ pub fn bucket_of(key: u64) -> u32 {
     (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - DEPTH)) as u32
 }
 
-/// Per-level hash of an all-empty subtree, computed once per process.
+/// Per-level hash of an all-empty subtree (level 0 is a leaf), computed
+/// once per process.
 fn empty_levels() -> &'static [[u8; 32]; DEPTH + 1] {
     static EMPTY: OnceLock<[[u8; 32]; DEPTH + 1]> = OnceLock::new();
     EMPTY.get_or_init(|| {
         let mut levels = [[0u8; 32]; DEPTH + 1];
         for l in 0..DEPTH {
-            levels[l + 1] = hash_pair(&levels[l], &levels[l]);
+            levels[l + 1] = sha256_pair(&levels[l], &levels[l]);
         }
         levels
     })
 }
 
-fn hash_pair(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
-    let mut h = Sha256::new();
-    h.update(left);
-    h.update(right);
-    h.finalize()
-}
+/// One leaf bucket: `(key, record_hash)` in key order.
+type Bucket = Vec<(u64, [u8; 32])>;
 
 /// Hash of one leaf bucket: the concatenation of `key ‖ record_hash` for
-/// every entry in key order. The empty bucket hashes to all-zero (the
-/// sparse default), so vacating a bucket restores the empty subtree hash.
-fn leaf_hash(bucket: &BTreeMap<u64, [u8; 32]>) -> [u8; 32] {
+/// every entry in key order. The empty bucket hashes to all-zero, so
+/// vacating a bucket restores the empty subtree hash.
+fn leaf_hash(bucket: &[(u64, [u8; 32])]) -> [u8; 32] {
     if bucket.is_empty() {
         return [0u8; 32];
     }
@@ -85,21 +90,17 @@ fn leaf_hash(bucket: &BTreeMap<u64, [u8; 32]>) -> [u8; 32] {
 /// previously guarded the XOR accumulator); not internally synchronized.
 #[derive(Debug, Default, Clone)]
 pub struct MerkleAccumulator {
-    /// Bucket contents: key → record hash, grouped by leaf index.
-    buckets: HashMap<u32, BTreeMap<u64, [u8; 32]>>,
-    /// Materialized non-empty nodes, `nodes[level][index]`. Level 0 is the
-    /// leaves; level `DEPTH` holds only the root at index 0.
-    nodes: Vec<HashMap<u32, [u8; 32]>>,
+    /// Node hashes in heap order; index 0 is unused. Empty until the first
+    /// insert, `2 * LEAVES` entries afterwards.
+    nodes: Vec<[u8; 32]>,
+    /// Bucket contents by leaf index; allocated together with `nodes`.
+    buckets: Vec<Bucket>,
     len: usize,
 }
 
 impl MerkleAccumulator {
     pub fn new() -> Self {
-        MerkleAccumulator {
-            buckets: HashMap::new(),
-            nodes: (0..=DEPTH).map(|_| HashMap::new()).collect(),
-            len: 0,
-        }
+        Self::default()
     }
 
     /// Number of records committed to.
@@ -111,61 +112,52 @@ impl MerkleAccumulator {
         self.len == 0
     }
 
-    fn node(&self, level: usize, index: u32) -> [u8; 32] {
-        self.nodes[level]
-            .get(&index)
-            .copied()
-            .unwrap_or(empty_levels()[level])
-    }
-
-    fn set_node(&mut self, level: usize, index: u32, hash: [u8; 32]) {
-        if hash == empty_levels()[level] {
-            self.nodes[level].remove(&index);
-        } else {
-            self.nodes[level].insert(index, hash);
+    /// Builds the all-empty tree: every node at heap depth `d` holds the
+    /// empty-subtree hash of level `DEPTH - d`.
+    fn allocate(&mut self) {
+        let empty = empty_levels();
+        self.nodes = vec![[0u8; 32]; 2 * LEAVES as usize];
+        for d in 0..=DEPTH {
+            self.nodes[1 << d..2 << d].fill(empty[DEPTH - d]);
         }
+        self.buckets = vec![Bucket::new(); LEAVES as usize];
     }
 
     /// Mutates one bucket entry, maintaining `len`; returns the leaf index
     /// if the bucket's contents actually changed.
     fn touch(&mut self, key: u64, record_hash: Option<[u8; 32]>) -> Option<u32> {
         let leaf = bucket_of(key);
-        let bucket = self.buckets.entry(leaf).or_default();
-        let changed = match record_hash {
-            Some(h) => {
-                let prior = bucket.insert(key, h);
-                if prior.is_none() {
-                    self.len += 1;
-                }
-                prior != Some(h)
-            }
-            None => {
-                let removed = bucket.remove(&key).is_some();
-                if removed {
-                    self.len -= 1;
-                }
-                removed
-            }
-        };
-        if self.buckets[&leaf].is_empty() {
-            self.buckets.remove(&leaf);
+        if self.nodes.is_empty() {
+            record_hash?;
+            self.allocate();
         }
+        let bucket = &mut self.buckets[leaf as usize];
+        let changed = match (bucket.binary_search_by_key(&key, |e| e.0), record_hash) {
+            (Ok(at), Some(h)) => std::mem::replace(&mut bucket[at].1, h) != h,
+            (Err(at), Some(h)) => {
+                bucket.insert(at, (key, h));
+                self.len += 1;
+                true
+            }
+            (Ok(at), None) => {
+                bucket.remove(at);
+                self.len -= 1;
+                true
+            }
+            (Err(_), None) => false,
+        };
         changed.then_some(leaf)
     }
 
     /// Inserts or replaces the record hash for `key` and re-hashes its root
     /// path.
     pub fn update(&mut self, key: u64, record_hash: [u8; 32]) {
-        if let Some(leaf) = self.touch(key, Some(record_hash)) {
-            self.rehash_path(leaf);
-        }
+        self.apply([(key, Some(record_hash))]);
     }
 
     /// Removes `key` (no-op if absent) and re-hashes its root path.
     pub fn remove(&mut self, key: u64) {
-        if let Some(leaf) = self.touch(key, None) {
-            self.rehash_path(leaf);
-        }
+        self.apply([(key, None)]);
     }
 
     /// Batched update: every dirty leaf is re-hashed once and parents are
@@ -181,85 +173,58 @@ impl MerkleAccumulator {
                 dirty.push(leaf);
             }
         }
-        self.rehash_many(&mut dirty);
-    }
-
-    /// Drops every record and resets the commitment to empty.
-    pub fn clear(&mut self) {
-        self.buckets.clear();
-        for level in &mut self.nodes {
-            level.clear();
-        }
-        self.len = 0;
-    }
-
-    fn rehash_path(&mut self, leaf: u32) {
-        let hash = leaf_hash(self.buckets.get(&leaf).unwrap_or(&BTreeMap::new()));
-        self.set_node(0, leaf, hash);
-        let mut index = leaf;
-        for level in 0..DEPTH {
-            let parent = index >> 1;
-            let pair = hash_pair(
-                &self.node(level, parent << 1),
-                &self.node(level, (parent << 1) | 1),
-            );
-            self.set_node(level + 1, parent, pair);
-            index = parent;
-        }
-    }
-
-    fn rehash_many(&mut self, dirty: &mut Vec<u32>) {
-        if dirty.is_empty() {
-            return;
-        }
         dirty.sort_unstable();
         dirty.dedup();
-        for &leaf in dirty.iter() {
-            let hash = leaf_hash(self.buckets.get(&leaf).unwrap_or(&BTreeMap::new()));
-            self.set_node(0, leaf, hash);
+        for leaf in &mut dirty {
+            let at = *leaf + LEAVES;
+            self.nodes[at as usize] = leaf_hash(&self.buckets[*leaf as usize]);
+            *leaf = at;
         }
-        let mut level_dirty: Vec<u32> = dirty.clone();
-        for level in 0..DEPTH {
-            let mut parents: Vec<u32> = level_dirty.iter().map(|i| i >> 1).collect();
-            parents.dedup();
-            for &parent in &parents {
-                let pair = hash_pair(
-                    &self.node(level, parent << 1),
-                    &self.node(level, (parent << 1) | 1),
-                );
-                self.set_node(level + 1, parent, pair);
+        // `dirty` now holds heap positions, ascending within one level;
+        // halving them keeps the order, so siblings dedup as neighbours.
+        for _ in 0..DEPTH {
+            for at in &mut dirty {
+                *at >>= 1;
             }
-            level_dirty = parents;
+            dirty.dedup();
+            for &parent in &dirty {
+                let left = 2 * parent as usize;
+                self.nodes[parent as usize] = sha256_pair(&self.nodes[left], &self.nodes[left + 1]);
+            }
         }
+    }
+
+    /// Drops every record, resets the commitment to empty and releases the
+    /// tree's memory.
+    pub fn clear(&mut self) {
+        *self = Self::default();
     }
 
     /// The 32-byte state commitment. An empty accumulator commits to
     /// [`Digest::ZERO`] (the pre-Merkle convention); any occupancy yields
-    /// the sparse-tree root.
+    /// the tree root.
     pub fn root(&self) -> Digest {
         if self.len == 0 {
             return Digest::ZERO;
         }
-        Digest(self.node(DEPTH, 0))
+        Digest(self.nodes[1])
     }
 
     /// Membership proof for `key`: its full leaf bucket plus the `DEPTH`
     /// sibling hashes on the root path. `None` if the key is absent.
     pub fn prove(&self, key: u64) -> Option<MerkleProof> {
         let leaf = bucket_of(key);
-        let bucket = self.buckets.get(&leaf)?;
-        if !bucket.contains_key(&key) {
-            return None;
-        }
+        let bucket = self.buckets.get(leaf as usize)?;
+        bucket.binary_search_by_key(&key, |e| e.0).ok()?;
+        let mut at = (leaf + LEAVES) as usize;
         let mut siblings = Vec::with_capacity(DEPTH);
-        let mut index = leaf;
-        for level in 0..DEPTH {
-            siblings.push(self.node(level, index ^ 1));
-            index >>= 1;
+        while at > 1 {
+            siblings.push(self.nodes[at ^ 1]);
+            at >>= 1;
         }
         Some(MerkleProof {
             leaf,
-            entries: bucket.iter().map(|(k, h)| (*k, *h)).collect(),
+            entries: bucket.clone(),
             siblings,
         })
     }
@@ -292,17 +257,20 @@ pub fn verify_proof(root: Digest, key: u64, record_hash: [u8; 32], proof: &Merkl
     {
         return false;
     }
-    let bucket: BTreeMap<u64, [u8; 32]> = proof.entries.iter().copied().collect();
-    if bucket.len() != proof.entries.len() || bucket.keys().any(|k| bucket_of(*k) != proof.leaf) {
+    let mut bucket = proof.entries.clone();
+    bucket.sort_unstable_by_key(|e| e.0);
+    if bucket.windows(2).any(|w| w[0].0 == w[1].0)
+        || bucket.iter().any(|(k, _)| bucket_of(*k) != proof.leaf)
+    {
         return false;
     }
     let mut hash = leaf_hash(&bucket);
     let mut index = proof.leaf;
     for sibling in &proof.siblings {
         hash = if index & 1 == 0 {
-            hash_pair(&hash, sibling)
+            sha256_pair(&hash, sibling)
         } else {
-            hash_pair(sibling, &hash)
+            sha256_pair(sibling, &hash)
         };
         index >>= 1;
     }
@@ -394,14 +362,125 @@ mod tests {
         let mut batched = MerkleAccumulator::new();
         batched.apply(writes.iter().copied());
         let mut stepped = MerkleAccumulator::new();
+        let step = |acc: &mut MerkleAccumulator, k: u64, h: Option<[u8; 32]>| match h {
+            Some(h) => acc.update(k, h),
+            None => acc.remove(k),
+        };
         for (k, h) in &writes {
-            match h {
-                Some(h) => stepped.update(*k, *h),
-                None => stepped.remove(*k),
-            }
+            step(&mut stepped, *k, *h);
         }
         assert_eq!(batched.root(), stepped.root());
         assert_eq!(batched.len(), stepped.len());
+
+        // A second batch that vacates buckets: removes of sole occupants
+        // (each leaf goes back to the all-zero hash and its ancestors to
+        // the empty-subtree hashes), a put-then-remove of a fresh key
+        // inside the batch, and a remove of a key that was never there.
+        let sole: Vec<u64> = (0..300u64)
+            .map(|k| k * 7919)
+            .filter(|k| batched.buckets[bucket_of(*k) as usize].len() == 1)
+            .take(40)
+            .collect();
+        assert_eq!(sole.len(), 40, "fixture has single-record buckets");
+        let fresh = 1u64 << 50;
+        let vacate: Vec<(u64, Option<[u8; 32]>)> = sole
+            .iter()
+            .map(|k| (*k, None))
+            .chain([
+                (fresh, Some(rh(fresh, 1))),
+                (fresh, None),
+                (fresh + 1, None),
+            ])
+            .collect();
+        batched.apply(vacate.iter().copied());
+        for (k, h) in &vacate {
+            step(&mut stepped, *k, *h);
+        }
+        assert_eq!(batched.root(), stepped.root());
+        assert_eq!(batched.len(), stepped.len());
+        let empty = empty_levels();
+        for k in &sole {
+            let leaf = (bucket_of(*k) + LEAVES) as usize;
+            assert_eq!(batched.nodes[leaf], empty[0]);
+            assert!(batched.buckets[leaf - LEAVES as usize].is_empty());
+        }
+        // And it is the root of the surviving set built from nothing.
+        let mut rebuilt = MerkleAccumulator::new();
+        rebuilt.apply(
+            (0..300u64)
+                .map(|k| k * 7919)
+                .filter(|k| !sole.contains(k) && *k != 7919 * 3 && *k != 7919 * 4)
+                .map(|k| (k, Some(rh(k, (k / 7919) as u8)))),
+        );
+        assert_eq!(batched.root(), rebuilt.root());
+    }
+
+    #[test]
+    fn flat_layout_is_a_heap_of_pair_hashes() {
+        let mut acc = MerkleAccumulator::new();
+        assert!(acc.nodes.is_empty(), "no memory before the first insert");
+        acc.remove(5);
+        assert!(
+            acc.nodes.is_empty(),
+            "a remove from nothing allocates nothing"
+        );
+        acc.apply((0..2_000u64).map(|k| (k, Some(rh(k, k as u8)))));
+        assert_eq!(acc.nodes.len(), 2 * LEAVES as usize);
+        assert_eq!(acc.buckets.len(), LEAVES as usize);
+        // Every interior node is the pair hash of its two children, and
+        // every leaf the hash of its bucket — the whole array, not just
+        // the paths the batch walked.
+        for at in 1..LEAVES as usize {
+            assert_eq!(
+                acc.nodes[at],
+                sha256_pair(&acc.nodes[2 * at], &acc.nodes[2 * at + 1]),
+                "node {at}"
+            );
+        }
+        for leaf in 0..LEAVES as usize {
+            assert_eq!(
+                acc.nodes[LEAVES as usize + leaf],
+                leaf_hash(&acc.buckets[leaf])
+            );
+            assert!(acc.buckets[leaf].windows(2).all(|w| w[0].0 < w[1].0));
+        }
+        assert_eq!(acc.root(), Digest(acc.nodes[1]));
+        acc.clear();
+        assert!(acc.nodes.is_empty() && acc.buckets.is_empty());
+        assert_eq!(acc.root(), Digest::ZERO);
+    }
+
+    #[test]
+    fn proofs_round_trip_for_every_key_on_the_flat_layout() {
+        // Scattered keys, so some buckets hold several records and both
+        // left- and right-hand nodes occur at every level.
+        // (An arithmetic progression would not do: the Fibonacci bucket
+        // hash spreads one perfectly.)
+        let key_of = |k: u64| {
+            let z = (k + 1).wrapping_mul(0xD1B5_4A32_D192_ED03);
+            z ^ (z >> 29)
+        };
+        let mut acc = MerkleAccumulator::new();
+        acc.apply((0..3_000u64).map(|k| (key_of(k), Some(rh(key_of(k), k as u8)))));
+        for k in (0..3_000u64).step_by(7) {
+            acc.remove(key_of(k));
+        }
+        let root = acc.root();
+        let mut shared_bucket = false;
+        for k in 0..3_000u64 {
+            let key = key_of(k);
+            match acc.prove(key) {
+                Some(proof) => {
+                    assert!(k % 7 != 0);
+                    assert_eq!(proof.siblings.len(), DEPTH);
+                    shared_bucket |= proof.entries.len() > 1;
+                    assert!(verify_proof(root, key, rh(key, k as u8), &proof));
+                    assert!(!verify_proof(root, key, rh(key, !(k as u8)), &proof));
+                }
+                None => assert!(k % 7 == 0, "only removed keys lack a proof"),
+            }
+        }
+        assert!(shared_bucket, "fixture exercises multi-record buckets");
     }
 
     #[test]

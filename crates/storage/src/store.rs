@@ -2,7 +2,7 @@
 //!
 //! The execute stage applies transaction operations against a
 //! [`StateStore`]. The digest of the state (needed by checkpoints and
-//! snapshot vouching) is maintained *incrementally* as a sparse Merkle
+//! snapshot vouching) is maintained *incrementally* as a Merkle
 //! commitment over per-record hashes ([`crate::merkle`]), so taking a
 //! checkpoint never requires scanning the store, a Byzantine snapshot
 //! cannot exploit XOR cancellation, and membership can be proven against
@@ -19,7 +19,7 @@
 use crate::merkle::{MerkleAccumulator, MerkleProof};
 use parking_lot::{Mutex, RwLock};
 use rdb_common::Digest;
-use rdb_crypto::digest;
+use rdb_crypto::digest_parts;
 use std::collections::HashMap;
 
 /// Number of lock shards in [`MemStore`]. A power of two so the shard of a
@@ -28,10 +28,7 @@ const SHARDS: usize = 16;
 
 /// Hash of one `(key, value)` record, folded into the state digest.
 pub fn record_hash(key: u64, value: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(8 + value.len());
-    buf.extend_from_slice(&key.to_le_bytes());
-    buf.extend_from_slice(value);
-    *digest(&buf).as_bytes()
+    digest_parts(&[&key.to_le_bytes(), value]).0
 }
 
 /// A buffered write: the unit of the deferred-commit execution path.
