@@ -11,7 +11,7 @@
 use crate::block::BlockCertificate;
 use crate::codec::{Wire, WireReader, WireWriter};
 use crate::error::{CommonError, Result};
-use crate::ids::{ClientId, Digest, ReplicaId, SeqNum, SignatureBytes, TxnId, ViewNum};
+use crate::ids::{ClientId, Digest, ReplicaId, SeqNum, SignatureBytes, ViewNum};
 use crate::transaction::{Batch, Transaction};
 use std::sync::{Arc, OnceLock};
 
@@ -19,6 +19,10 @@ use std::sync::{Arc, OnceLock};
 /// above the stable checkpoint with its digest and payload, so the
 /// incoming primary can re-issue sequences it never saw proposed.
 pub type BatchTail = Vec<(SeqNum, Digest, Arc<Batch>)>;
+
+/// What a reply envelope carries for one client: `(transaction counter,
+/// opaque execution result)` per answered transaction, in batch order.
+pub type ReplyResults = Vec<(u64, Vec<u8>)>;
 
 /// Originator of a message: a replica or a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -197,19 +201,22 @@ pub enum Message {
         /// Batch digest.
         digest: Digest,
     },
-    /// Replica → client: result of executing the client's transaction.
+    /// Replica → client: the results of every transaction of this client
+    /// that one batch executed — one envelope (and one signature) per
+    /// client per batch, however many transactions it answers.
     ClientReply {
-        /// View in which the request committed.
+        /// View in which the batch committed.
         view: ViewNum,
-        /// Transaction this reply answers.
-        txn_id: TxnId,
-        /// Replica that executed the request.
+        /// Client whose transactions these are.
+        client: ClientId,
+        /// Replica that executed the batch.
         replica: ReplicaId,
-        /// Opaque execution result.
-        result: Vec<u8>,
+        /// `(transaction counter, opaque execution result)` in batch order.
+        results: ReplyResults,
     },
-    /// Replica → client (Zyzzyva): speculative execution result with the
+    /// Replica → client (Zyzzyva): speculative execution results with the
     /// replica's history digest, before any commit guarantee exists.
+    /// Coalesced per client per batch like [`Message::ClientReply`].
     SpecResponse {
         /// Current view.
         view: ViewNum,
@@ -219,12 +226,12 @@ pub enum Message {
         digest: Digest,
         /// Rolling digest of the replica's executed history.
         history: Digest,
-        /// Transaction this reply answers.
-        txn_id: TxnId,
+        /// Client whose transactions these are.
+        client: ClientId,
         /// Replica that executed speculatively.
         replica: ReplicaId,
-        /// Opaque execution result.
-        result: Vec<u8>,
+        /// `(transaction counter, opaque execution result)` in batch order.
+        results: ReplyResults,
     },
     /// Client → replicas (Zyzzyva slow path): proof that 2f+1 replicas
     /// returned matching speculative responses.
@@ -376,8 +383,10 @@ impl Message {
             }
             Message::PrePrepare { batch, .. } => HDR + 8 + 8 + DIG + batch.wire_size(),
             Message::Prepare { .. } | Message::Commit { .. } => HDR + 8 + 8 + DIG,
-            Message::ClientReply { result, .. } => HDR + 8 + 16 + 4 + result.len(),
-            Message::SpecResponse { result, .. } => HDR + 8 + 8 + 2 * DIG + 16 + 4 + result.len(),
+            Message::ClientReply { results, .. } => HDR + 8 + 8 + 4 + results_wire_size(results),
+            Message::SpecResponse { results, .. } => {
+                HDR + 8 + 8 + 2 * DIG + 8 + 4 + results_wire_size(results)
+            }
             Message::CommitCert { cert, .. } => {
                 HDR + 8 + 8 + DIG + 8 + cert.commits.iter().map(|(_, s)| 4 + s.len()).sum::<usize>()
             }
@@ -415,6 +424,34 @@ impl Message {
             Message::SnapshotResponse { snapshot, .. } => HDR + snapshot.encoded_len() + 4,
         }
     }
+}
+
+fn results_wire_size(results: &[(u64, Vec<u8>)]) -> usize {
+    results.iter().map(|(_, r)| 8 + r.len()).sum()
+}
+
+fn write_results(w: &mut WireWriter, results: &[(u64, Vec<u8>)]) {
+    w.put_u32(results.len() as u32);
+    for (counter, result) in results {
+        w.put_u64(*counter);
+        w.put_var_bytes(result);
+    }
+}
+
+fn read_results(r: &mut WireReader<'_>) -> Result<ReplyResults> {
+    let n = r.get_u32()? as usize;
+    if n > r.remaining() {
+        return Err(CommonError::Codec("result count exceeds input".into()));
+    }
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push((r.get_u64()?, r.get_var_bytes()?.to_vec()));
+    }
+    Ok(out)
+}
+
+fn results_encoded_len(results: &[(u64, Vec<u8>)]) -> usize {
+    4 + results.iter().map(|(_, r)| 8 + 4 + r.len()).sum::<usize>()
 }
 
 fn write_seq_digest_pairs(w: &mut WireWriter, pairs: &[(SeqNum, Digest)]) {
@@ -502,35 +539,33 @@ impl Wire for Message {
             }
             Message::ClientReply {
                 view,
-                txn_id,
+                client,
                 replica,
-                result,
+                results,
             } => {
                 w.put_u8(4);
                 w.put_u64(view.0);
-                w.put_u64(txn_id.client.0);
-                w.put_u64(txn_id.counter);
+                w.put_u64(client.0);
                 w.put_u32(replica.0);
-                w.put_var_bytes(result);
+                write_results(w, results);
             }
             Message::SpecResponse {
                 view,
                 seq,
                 digest,
                 history,
-                txn_id,
+                client,
                 replica,
-                result,
+                results,
             } => {
                 w.put_u8(5);
                 w.put_u64(view.0);
                 w.put_u64(seq.0);
                 w.put_bytes(digest.as_bytes());
                 w.put_bytes(history.as_bytes());
-                w.put_u64(txn_id.client.0);
-                w.put_u64(txn_id.counter);
+                w.put_u64(client.0);
                 w.put_u32(replica.0);
-                w.put_var_bytes(result);
+                write_results(w, results);
             }
             Message::CommitCert {
                 view,
@@ -643,18 +678,18 @@ impl Wire for Message {
             }),
             4 => Ok(Message::ClientReply {
                 view: ViewNum(r.get_u64()?),
-                txn_id: TxnId::new(ClientId(r.get_u64()?), r.get_u64()?),
+                client: ClientId(r.get_u64()?),
                 replica: ReplicaId(r.get_u32()?),
-                result: r.get_var_bytes()?.to_vec(),
+                results: read_results(r)?,
             }),
             5 => Ok(Message::SpecResponse {
                 view: ViewNum(r.get_u64()?),
                 seq: SeqNum(r.get_u64()?),
                 digest: Digest(r.get_array32()?),
                 history: Digest(r.get_array32()?),
-                txn_id: TxnId::new(ClientId(r.get_u64()?), r.get_u64()?),
+                client: ClientId(r.get_u64()?),
                 replica: ReplicaId(r.get_u32()?),
-                result: r.get_var_bytes()?.to_vec(),
+                results: read_results(r)?,
             }),
             6 => Ok(Message::CommitCert {
                 view: ViewNum(r.get_u64()?),
@@ -722,8 +757,10 @@ impl Wire for Message {
             Message::ClientRequest { txns } => crate::codec::vec_encoded_len(txns),
             Message::PrePrepare { batch, .. } => 8 + 8 + DIG + batch.encoded_len(),
             Message::Prepare { .. } | Message::Commit { .. } => 8 + 8 + DIG,
-            Message::ClientReply { result, .. } => 8 + 8 + 8 + 4 + 4 + result.len(),
-            Message::SpecResponse { result, .. } => 8 + 8 + 2 * DIG + 8 + 8 + 4 + 4 + result.len(),
+            Message::ClientReply { results, .. } => 8 + 8 + 4 + results_encoded_len(results),
+            Message::SpecResponse { results, .. } => {
+                8 + 8 + 2 * DIG + 8 + 4 + results_encoded_len(results)
+            }
             Message::CommitCert { cert, .. } => 8 + 8 + DIG + cert.encoded_len() + 8,
             Message::LocalCommit { .. } => 8 + 8 + 4,
             Message::Checkpoint { .. } => 8 + DIG + 4,
@@ -984,18 +1021,18 @@ mod tests {
             },
             Message::ClientReply {
                 view: ViewNum(1),
-                txn_id: TxnId::new(ClientId(4), 5),
+                client: ClientId(4),
                 replica: ReplicaId(6),
-                result: vec![7, 8],
+                results: vec![(5, vec![7, 8]), (6, vec![]), (9, vec![1; 8])],
             },
             Message::SpecResponse {
                 view: ViewNum(1),
                 seq: SeqNum(2),
                 digest: Digest([3; 32]),
                 history: Digest([4; 32]),
-                txn_id: TxnId::new(ClientId(4), 5),
+                client: ClientId(4),
                 replica: ReplicaId(6),
-                result: vec![9],
+                results: vec![(5, vec![9])],
             },
             Message::CommitCert {
                 view: ViewNum(1),
@@ -1063,6 +1100,66 @@ mod tests {
                 panic!("decode failed for {:?}: {e}", msg.kind());
             });
             assert_eq!(back, msg);
+        }
+    }
+
+    /// Both reply shapes around one `results` list.
+    fn reply_variants(results: ReplyResults) -> [Message; 2] {
+        [
+            Message::ClientReply {
+                view: ViewNum(1),
+                client: ClientId(4),
+                replica: ReplicaId(6),
+                results: results.clone(),
+            },
+            Message::SpecResponse {
+                view: ViewNum(1),
+                seq: SeqNum(2),
+                digest: Digest([3; 32]),
+                history: Digest([4; 32]),
+                client: ClientId(4),
+                replica: ReplicaId(6),
+                results,
+            },
+        ]
+    }
+
+    #[test]
+    fn reply_envelopes_round_trip_with_zero_one_and_many_results() {
+        let many: ReplyResults = (0..50).map(|c| (c, vec![c as u8; 8])).collect();
+        for results in [vec![], vec![(7, vec![1; 1024])], many] {
+            for msg in reply_variants(results) {
+                let bytes = msg.encode();
+                assert_eq!(msg.encoded_len(), bytes.len(), "{:?}", msg.kind());
+                assert_eq!(Message::decode(&bytes).unwrap(), msg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_reply_costs_what_it_cost_before_and_each_further_result_a_fraction() {
+        // One result of 8 bytes prices exactly as the per-transaction
+        // reply did (the simulator's `reply_bytes` rests on it)...
+        let [one, spec_one] = reply_variants(vec![(0, vec![0; 8])]);
+        assert_eq!(one.wire_size(), 16 + 8 + 16 + 4 + 8);
+        assert_eq!(spec_one.wire_size(), 16 + 8 + 8 + 64 + 16 + 4 + 8);
+        // ...and a batch's worth shares one header instead of fifty.
+        let [fifty, _] = reply_variants((0..50).map(|c| (c, vec![0; 8])).collect());
+        assert_eq!(fifty.wire_size(), one.wire_size() + 49 * 16);
+    }
+
+    #[test]
+    fn an_oversized_result_count_is_an_error_not_an_allocation() {
+        for msg in reply_variants(vec![(1, vec![2; 4])]) {
+            let mut bytes = msg.encode();
+            // The count sits right before the one encoded result.
+            let count_at = bytes.len() - (8 + 4 + 4) - 4;
+            assert_eq!(bytes[count_at..count_at + 4], 1u32.to_le_bytes());
+            bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(Message::decode(&bytes).is_err(), "{:?}", msg.kind());
+            // A count the input could hold but does not: truncated, not UB.
+            bytes[count_at..count_at + 4].copy_from_slice(&2u32.to_le_bytes());
+            assert!(Message::decode(&bytes).is_err(), "{:?}", msg.kind());
         }
     }
 

@@ -123,4 +123,50 @@ proptest! {
         let back = SignedMessage::decode(&reference).unwrap();
         prop_assert_eq!(back, sm);
     }
+
+    #[test]
+    fn reply_envelopes_round_trip(
+        counters in proptest::collection::vec(0u64..u64::MAX, 0..60),
+        value_len in 0usize..1025,
+        spec in 0u8..2,
+        replica in 0u32..16,
+        sig_len in 0usize..96,
+    ) {
+        // Value lengths vary per result from empty up to `value_len`.
+        let results: Vec<(u64, Vec<u8>)> = counters
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (c, vec![c as u8; (value_len * (i + 1)) / counters.len()]))
+            .collect();
+        let msg = if spec == 1 {
+            Message::SpecResponse {
+                view: rdb_common::ViewNum(3),
+                seq: rdb_common::SeqNum(9),
+                digest: Digest([1; 32]),
+                history: Digest([2; 32]),
+                client: ClientId(5),
+                replica: ReplicaId(replica),
+                results,
+            }
+        } else {
+            Message::ClientReply {
+                view: rdb_common::ViewNum(3),
+                client: ClientId(5),
+                replica: ReplicaId(replica),
+                results,
+            }
+        };
+        prop_assert_eq!(msg.encoded_len(), msg.encode().len());
+        prop_assert_eq!(&Message::decode(&msg.encode()).unwrap(), &msg);
+        let from = Sender::Replica(ReplicaId(replica));
+        let sig = SignatureBytes(vec![3; sig_len]);
+        let sm = SignedMessage::new(msg.clone(), from, sig.clone());
+        let reference = fresh_encoding(&msg, from, &sig);
+        prop_assert_eq!(&sm.encode(), &reference);
+        prop_assert_eq!(sm.encoded_len(), reference.len());
+        prop_assert_eq!(SignedMessage::decode(&reference).unwrap(), sm);
+        // No prefix of a valid encoding decodes to a (different) message.
+        let body = msg.encode();
+        prop_assert!(Message::decode(&body[..body.len() - 1]).is_err());
+    }
 }

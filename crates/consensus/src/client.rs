@@ -14,19 +14,21 @@ use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{quorum, ClientId, Digest, ReplicaId, SeqNum, SignatureBytes, ViewNum};
 use std::collections::{HashMap, HashSet};
 
+/// The replica whose vote `sm` is: its authenticated sender, provided the
+/// body's self-declared `replica` field agrees with it. Signature checks
+/// authenticate `sm.sender()`; the field is merely signed-over content, so
+/// counting it would let one faulty replica cast a whole quorum.
+fn voter(sm: &SignedMessage, declared: ReplicaId) -> Option<ReplicaId> {
+    (sm.sender() == Sender::Replica(declared)).then_some(declared)
+}
+
 /// PBFT client: collects `f+1` matching replies per request.
 #[derive(Debug)]
 pub struct PbftClient {
     id: ClientId,
     f: usize,
-    outstanding: HashMap<u64, PbftTracker>,
-}
-
-#[derive(Debug, Default)]
-struct PbftTracker {
-    /// result bytes → replicas that reported it.
-    replies: HashMap<Vec<u8>, HashSet<ReplicaId>>,
-    done: bool,
+    /// counter → the `(replica, result)` votes seen so far.
+    outstanding: HashMap<u64, Vec<(ReplicaId, Vec<u8>)>>,
 }
 
 impl PbftClient {
@@ -51,46 +53,46 @@ impl PbftClient {
 
     /// Number of requests still awaiting a reply quorum.
     pub fn pending(&self) -> usize {
-        self.outstanding.values().filter(|t| !t.done).count()
+        self.outstanding.len()
     }
 
-    /// Handles a `ClientReply`. Returns `Complete` once `f+1` distinct
-    /// replicas agree on the result.
+    /// Handles a `ClientReply` envelope: one sender check, then each of
+    /// its results counts as that replica's vote for its counter. Returns
+    /// a `Complete` for every request that reached `f+1` distinct replicas
+    /// agreeing on the result.
     pub fn on_reply(&mut self, sm: &SignedMessage) -> Vec<ClientAction> {
-        let (
-            Message::ClientReply {
-                txn_id,
-                replica,
-                result,
-                ..
-            },
-            Sender::Replica(_),
-        ) = (sm.msg(), sm.sender())
+        let Message::ClientReply {
+            client,
+            replica,
+            results,
+            ..
+        } = sm.msg()
         else {
             return Vec::new();
         };
-        if txn_id.client != self.id {
+        let (true, Some(replica)) = (*client == self.id, voter(sm, *replica)) else {
             return Vec::new();
-        }
-        let Some(tracker) = self.outstanding.get_mut(&txn_id.counter) else {
-            return Vec::new(); // not ours / already collected
         };
-        if tracker.done {
-            return Vec::new();
+        let mut completed = Vec::new();
+        for (counter, result) in results {
+            let Some(votes) = self.outstanding.get_mut(counter) else {
+                continue; // not ours / already collected
+            };
+            if votes.iter().any(|(r, res)| *r == replica && res == result) {
+                continue; // duplicate vote
+            }
+            let matching = votes.iter().filter(|(_, res)| res == result).count() + 1;
+            if matching >= quorum::client_reply_quorum(self.f) {
+                self.outstanding.remove(counter);
+                completed.push(ClientAction::Complete {
+                    txn_counter: *counter,
+                    result: result.clone(),
+                });
+            } else {
+                votes.push((replica, result.clone()));
+            }
         }
-        let voters = tracker.replies.entry(result.clone()).or_default();
-        voters.insert(*replica);
-        if voters.len() >= quorum::client_reply_quorum(self.f) {
-            tracker.done = true;
-            let result = result.clone();
-            let counter = txn_id.counter;
-            self.outstanding.remove(&counter);
-            return vec![ClientAction::Complete {
-                txn_counter: counter,
-                result,
-            }];
-        }
-        Vec::new()
+        completed
     }
 }
 
@@ -111,7 +113,6 @@ struct SpecKey {
 #[derive(Debug, Default)]
 struct SpecTracker {
     groups: HashMap<SpecKey, (ViewNum, Vec<(ReplicaId, SignatureBytes)>)>,
-    done: bool,
     cc_sent: bool,
     local_commits: HashSet<ReplicaId>,
     /// Result bytes associated with the certificate we distributed.
@@ -149,55 +150,55 @@ impl ZyzzyvaClient {
 
     /// Number of requests still in flight.
     pub fn pending(&self) -> usize {
-        self.outstanding.values().filter(|t| !t.done).count()
+        self.outstanding.len()
     }
 
-    /// Handles a speculative response. Completes on `3f+1` matching.
+    /// Handles a speculative-response envelope: one sender check, then
+    /// each result is matched per counter, the envelope's signature
+    /// standing for every one of them. Returns a `Complete` for every
+    /// request that reached `3f+1` matching responses.
     pub fn on_spec_response(&mut self, sm: &SignedMessage) -> Vec<ClientAction> {
         let Message::SpecResponse {
             view,
             seq,
             digest,
             history,
-            txn_id,
+            client,
             replica,
-            result,
+            results,
         } = sm.msg()
         else {
             return Vec::new();
         };
-        if txn_id.client != self.id {
-            return Vec::new();
-        }
-        let Some(tracker) = self.outstanding.get_mut(&txn_id.counter) else {
+        let (true, Some(replica)) = (*client == self.id, voter(sm, *replica)) else {
             return Vec::new();
         };
-        if tracker.done {
-            return Vec::new();
+        let mut completed = Vec::new();
+        for (counter, result) in results {
+            let Some(tracker) = self.outstanding.get_mut(counter) else {
+                continue;
+            };
+            let key = SpecKey {
+                seq: *seq,
+                digest: *digest,
+                history: *history,
+                result: result.clone(),
+            };
+            let (group_view, group) = tracker.groups.entry(key).or_default();
+            if group.iter().any(|(r, _)| *r == replica) {
+                continue; // duplicate response from the same replica
+            }
+            *group_view = (*group_view).max(*view);
+            group.push((replica, sm.sig().clone()));
+            if group.len() >= quorum::zyzzyva_fast_quorum(self.f) {
+                self.outstanding.remove(counter);
+                completed.push(ClientAction::Complete {
+                    txn_counter: *counter,
+                    result: result.clone(),
+                });
+            }
         }
-        let key = SpecKey {
-            seq: *seq,
-            digest: *digest,
-            history: *history,
-            result: result.clone(),
-        };
-        let (group_view, group) = tracker.groups.entry(key).or_default();
-        if group.iter().any(|(r, _)| r == replica) {
-            return Vec::new(); // duplicate response from the same replica
-        }
-        *group_view = (*group_view).max(*view);
-        group.push((*replica, sm.sig().clone()));
-        if group.len() >= quorum::zyzzyva_fast_quorum(self.f) {
-            tracker.done = true;
-            let counter = txn_id.counter;
-            let result = result.clone();
-            self.outstanding.remove(&counter);
-            return vec![ClientAction::Complete {
-                txn_counter: counter,
-                result,
-            }];
-        }
-        Vec::new()
+        completed
     }
 
     /// The request timer fired before the fast quorum arrived. With at
@@ -213,9 +214,6 @@ impl ZyzzyvaClient {
         let Some(tracker) = self.outstanding.get_mut(&counter) else {
             return Vec::new();
         };
-        if tracker.done {
-            return Vec::new();
-        }
         let cc_quorum = quorum::zyzzyva_cc_quorum(self.f);
         let Some((key, (view, group))) = tracker
             .groups
@@ -244,7 +242,6 @@ impl ZyzzyvaClient {
         let mut out: Vec<String> = self
             .outstanding
             .iter()
-            .filter(|(_, t)| !t.done)
             .map(|(c, t)| {
                 let mut groups: Vec<String> = t
                     .groups
@@ -271,19 +268,19 @@ impl ZyzzyvaClient {
     /// belongs to (Zyzzyva's `LocalCommit` carries the sequence; the driver
     /// maps it back to its request).
     pub fn on_local_commit(&mut self, counter: u64, sm: &SignedMessage) -> Vec<ClientAction> {
-        let (Message::LocalCommit { replica, .. }, Sender::Replica(_)) = (sm.msg(), sm.sender())
+        let Message::LocalCommit { replica, .. } = sm.msg() else {
+            return Vec::new();
+        };
+        let (Some(replica), Some(tracker)) =
+            (voter(sm, *replica), self.outstanding.get_mut(&counter))
         else {
             return Vec::new();
         };
-        let Some(tracker) = self.outstanding.get_mut(&counter) else {
-            return Vec::new();
-        };
-        if tracker.done || !tracker.cc_sent {
+        if !tracker.cc_sent {
             return Vec::new();
         }
-        tracker.local_commits.insert(*replica);
+        tracker.local_commits.insert(replica);
         if tracker.local_commits.len() >= quorum::zyzzyva_cc_quorum(self.f) {
-            tracker.done = true;
             let result = tracker.cc_result.clone();
             self.outstanding.remove(&counter);
             return vec![ClientAction::Complete {
@@ -298,35 +295,52 @@ impl ZyzzyvaClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdb_common::TxnId;
 
-    fn reply(client: u64, counter: u64, replica: u32, result: &[u8]) -> SignedMessage {
+    /// A reply envelope from `replica` answering `results` of `client`.
+    fn replies(client: u64, replica: u32, results: &[(u64, &[u8])]) -> SignedMessage {
         SignedMessage::new(
             Message::ClientReply {
                 view: ViewNum(0),
-                txn_id: TxnId::new(ClientId(client), counter),
+                client: ClientId(client),
                 replica: ReplicaId(replica),
-                result: result.to_vec(),
+                results: results.iter().map(|(c, r)| (*c, r.to_vec())).collect(),
             },
             Sender::Replica(ReplicaId(replica)),
             SignatureBytes::empty(),
         )
     }
 
-    fn spec(client: u64, counter: u64, replica: u32, result: &[u8]) -> SignedMessage {
+    fn reply(client: u64, counter: u64, replica: u32, result: &[u8]) -> SignedMessage {
+        replies(client, replica, &[(counter, result)])
+    }
+
+    fn specs(client: u64, replica: u32, results: &[(u64, &[u8])]) -> SignedMessage {
         SignedMessage::new(
             Message::SpecResponse {
                 view: ViewNum(0),
                 seq: SeqNum(1),
                 digest: Digest([1; 32]),
                 history: Digest([2; 32]),
-                txn_id: TxnId::new(ClientId(client), counter),
+                client: ClientId(client),
                 replica: ReplicaId(replica),
-                result: result.to_vec(),
+                results: results.iter().map(|(c, r)| (*c, r.to_vec())).collect(),
             },
             Sender::Replica(ReplicaId(replica)),
             SignatureBytes(vec![replica as u8; 4]),
         )
+    }
+
+    fn spec(client: u64, counter: u64, replica: u32, result: &[u8]) -> SignedMessage {
+        specs(client, replica, &[(counter, result)])
+    }
+
+    fn completed(acts: &[ClientAction]) -> Vec<u64> {
+        acts.iter()
+            .map(|a| match a {
+                ClientAction::Complete { txn_counter, .. } => *txn_counter,
+                other => panic!("expected Complete, got {other:?}"),
+            })
+            .collect()
     }
 
     fn local_commit(replica: u32) -> SignedMessage {
@@ -386,7 +400,48 @@ mod tests {
         assert_eq!(c.pending(), 1);
     }
 
+    #[test]
+    fn pbft_coalesced_envelope_completes_all_its_counters_at_f_plus_1() {
+        let mut c = PbftClient::new(ClientId(7), 1);
+        (0..3).for_each(|n| c.track(n));
+        let batch: [(u64, &[u8]); 3] = [(0, b"a"), (1, b"b"), (2, b"c")];
+        assert!(c.on_reply(&replies(7, 0, &batch)).is_empty());
+        // The same replica's envelope again counts once per counter.
+        assert!(c.on_reply(&replies(7, 0, &batch)).is_empty());
+        assert_eq!(completed(&c.on_reply(&replies(7, 1, &batch))), [0, 1, 2]);
+        assert_eq!(c.pending(), 0);
+    }
+
+    #[test]
+    fn pbft_disagreement_on_one_counter_delays_only_that_counter() {
+        let mut c = PbftClient::new(ClientId(7), 1);
+        (0..3).for_each(|n| c.track(n));
+        c.on_reply(&replies(7, 0, &[(0, b"a"), (1, b"b"), (2, b"c")]));
+        let acts = c.on_reply(&replies(7, 1, &[(0, b"a"), (1, b"WRONG"), (2, b"c")]));
+        assert_eq!(completed(&acts), [0, 2]);
+        assert_eq!(c.pending(), 1);
+        let acts = c.on_reply(&replies(7, 2, &[(0, b"a"), (1, b"b"), (2, b"c")]));
+        assert_eq!(
+            completed(&acts),
+            [1],
+            "finished counters are not re-completed"
+        );
+    }
+
     // ---- Zyzzyva client (f = 1: fast quorum 4, cc quorum 3) ----
+
+    #[test]
+    fn zyzzyva_coalesced_envelope_completes_all_its_counters_on_the_fast_path() {
+        let mut c = ZyzzyvaClient::new(ClientId(7), 1);
+        c.track(0);
+        c.track(1);
+        let batch: [(u64, &[u8]); 2] = [(0, b"a"), (1, b"b")];
+        for r in 0..3 {
+            assert!(c.on_spec_response(&specs(7, r, &batch)).is_empty());
+        }
+        assert_eq!(completed(&c.on_spec_response(&specs(7, 3, &batch))), [0, 1]);
+        assert_eq!(c.pending(), 0);
+    }
 
     #[test]
     fn zyzzyva_fast_path_needs_all_replicas() {

@@ -3,7 +3,7 @@
 //! same sequence number — the core BFT invariant that makes the paper's
 //! out-of-order consensus (Section 4.5) safe — in a fault-free view, across
 //! a primary crash and view change, and against a replica that forges the
-//! `replica` field of its votes.
+//! `replica` field of its votes — to other replicas or to a client.
 
 use proptest::prelude::*;
 use rdb_common::messages::{Message, Sender, SignedMessage};
@@ -11,7 +11,9 @@ use rdb_common::{
     Batch, ClientId, Digest, Operation, ProtocolKind, ReplicaId, SeqNum, SignatureBytes,
     Transaction, ViewNum,
 };
-use rdb_consensus::{Action, ConsensusConfig, ReplicaEngine};
+use rdb_consensus::{
+    Action, ClientAction, ConsensusConfig, PbftClient, ReplicaEngine, ZyzzyvaClient,
+};
 use std::collections::HashMap;
 
 const N: usize = 4;
@@ -273,6 +275,95 @@ fn forged_replica_ids_cannot_trigger_a_view_change() {
             "{protocol:?}: {acts:?}"
         );
     }
+}
+
+/// The client trackers count the verified sender too: f+1 replies (or
+/// 3f+1 speculative responses) signed by one faulty replica under
+/// different `replica` ids are one vote, and must not complete a request
+/// with a result no honest replica produced.
+#[test]
+fn forged_replica_ids_cannot_complete_a_client_request() {
+    let me = ClientId(7);
+    let reply = |replica, result: &[u8]| Message::ClientReply {
+        view: ViewNum(0),
+        client: me,
+        replica,
+        results: vec![(0, result.to_vec())],
+    };
+    let mut pbft = PbftClient::new(me, 1);
+    pbft.track(0);
+    for claimed in 0..N as u32 {
+        let acts = pbft.on_reply(&signed(3, reply(ReplicaId(claimed), b"evil")));
+        assert!(acts.is_empty(), "{acts:?}");
+    }
+    // Two real voters do: the request was still open.
+    assert!(pbft
+        .on_reply(&signed(0, reply(ReplicaId(0), b"ok")))
+        .is_empty());
+    let acts = pbft.on_reply(&signed(1, reply(ReplicaId(1), b"ok")));
+    assert!(
+        matches!(&acts[..], [ClientAction::Complete { result, .. }] if result == b"ok"),
+        "{acts:?}"
+    );
+
+    let spec = |replica| Message::SpecResponse {
+        view: ViewNum(0),
+        seq: SeqNum(1),
+        digest: digest_for(1),
+        history: digest_for(2),
+        client: me,
+        replica,
+        results: vec![(0, b"evil".to_vec())],
+    };
+    let mut zyzzyva = ZyzzyvaClient::new(me, 1);
+    zyzzyva.track(0);
+    for claimed in 0..N as u32 {
+        let acts = zyzzyva.on_spec_response(&signed(3, spec(ReplicaId(claimed))));
+        assert!(acts.is_empty(), "{acts:?}");
+    }
+    // One voter is no commit-certificate quorum either.
+    assert!(zyzzyva.on_timeout(0).is_empty());
+}
+
+/// Likewise on Zyzzyva's slow path: 2f+1 `LocalCommit`s from one sender
+/// do not acknowledge a commit certificate.
+#[test]
+fn forged_replica_ids_cannot_fake_a_local_commit_quorum() {
+    let me = ClientId(7);
+    let mut client = ZyzzyvaClient::new(me, 1);
+    client.track(0);
+    for r in 0..3u32 {
+        let spec = Message::SpecResponse {
+            view: ViewNum(0),
+            seq: SeqNum(1),
+            digest: digest_for(1),
+            history: digest_for(2),
+            client: me,
+            replica: ReplicaId(r),
+            results: vec![(0, b"ok".to_vec())],
+        };
+        assert!(client.on_spec_response(&signed(r, spec)).is_empty());
+    }
+    assert_eq!(client.on_timeout(0).len(), 1, "certificate distributed");
+    let ack = |replica| Message::LocalCommit {
+        view: ViewNum(0),
+        seq: SeqNum(1),
+        replica,
+    };
+    for claimed in 0..N as u32 {
+        let acts = client.on_local_commit(0, &signed(3, ack(ReplicaId(claimed))));
+        assert!(acts.is_empty(), "{acts:?}");
+    }
+    // The forger's own acknowledgement counted once: two more real ones
+    // make 2f+1.
+    assert!(client
+        .on_local_commit(0, &signed(0, ack(ReplicaId(0))))
+        .is_empty());
+    let acts = client.on_local_commit(0, &signed(1, ack(ReplicaId(1))));
+    assert!(
+        matches!(&acts[..], [ClientAction::Complete { .. }]),
+        "{acts:?}"
+    );
 }
 
 #[test]

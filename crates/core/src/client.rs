@@ -208,7 +208,6 @@ impl ClientSession {
                     self.results.insert(txn_counter, result);
                     self.in_flight.remove(&txn_counter);
                     completed += 1;
-                    self.last_progress = Instant::now();
                 }
                 ClientAction::BroadcastReplicas(msg) => self.broadcast(&msg),
                 ClientAction::Send(r, msg) => {
@@ -218,6 +217,9 @@ impl ClientSession {
                     let _ = self.endpoint.send_direct(Sender::Replica(r), sm);
                 }
             }
+        }
+        if completed > 0 {
+            self.last_progress = Instant::now();
         }
         completed
     }

@@ -95,9 +95,16 @@ impl BatchAssembler {
         rejected
     }
 
+    /// When the pending partial batch becomes due for flushing (`None`
+    /// while nothing is pending): the only reason for a batch thread to
+    /// wake without input.
+    pub(crate) fn flush_deadline(&self) -> Option<Instant> {
+        (!self.pending.is_empty()).then(|| self.last_cut + BATCH_FLUSH_AFTER)
+    }
+
     /// Whether a partial batch has waited long enough to be flushed.
     pub(crate) fn flush_due(&self, now: Instant) -> bool {
-        !self.pending.is_empty() && now.duration_since(self.last_cut) > BATCH_FLUSH_AFTER
+        self.flush_deadline().is_some_and(|due| now > due)
     }
 
     /// Cuts the pending transactions as one partial batch; call when
@@ -168,6 +175,11 @@ mod tests {
         assert_eq!(cut[0].0.len(), 4);
         assert_eq!(cut[0].1, digest(&cut[0].0.canonical_bytes()));
 
+        assert_eq!(
+            asm.flush_deadline(),
+            Some(t0 + BATCH_FLUSH_AFTER),
+            "the remainder waits one flush period from the last cut"
+        );
         assert!(!asm.flush_due(t0 + BATCH_FLUSH_AFTER), "not overdue yet");
         assert!(asm.flush_due(t0 + BATCH_FLUSH_AFTER * 2));
         asm.flush(t0 + BATCH_FLUSH_AFTER * 2, &mut cut);
@@ -177,5 +189,14 @@ mod tests {
             !asm.flush_due(t0 + BATCH_FLUSH_AFTER * 9),
             "nothing pending"
         );
+        assert_eq!(asm.flush_deadline(), None, "no reason to wake");
+
+        // A lone request long after the last cut is already overdue: the
+        // batch thread must not add a flush period to its latency.
+        let late = t0 + BATCH_FLUSH_AFTER * 50;
+        let mut window = vec![request(&registry, 0, 1, false)];
+        asm.ingest(&provider, &mut window, late, &mut cut);
+        assert!(asm.flush_deadline().is_some_and(|due| due < late));
+        assert!(asm.flush_due(late));
     }
 }

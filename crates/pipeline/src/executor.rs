@@ -19,12 +19,12 @@
 use crate::durable::{commit_entry_bytes, Durability, WalEntry};
 use crate::queues::ExecuteItem;
 use parking_lot::Mutex;
-use rdb_common::messages::{Message, Sender};
+use rdb_common::messages::{Message, ReplyResults, Sender};
+use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnId};
 use rdb_common::{Digest, SeqNum, Snapshot};
-use rdb_common::{Operation, ProtocolKind, ReplicaId, Transaction, TxnId};
 use rdb_crypto::chain_digest;
 use rdb_storage::{Blockchain, StateStore, WriteRecord};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -118,6 +118,44 @@ struct UndoRecord {
     dups: u64,
 }
 
+/// The transaction ids already executed, in bounded space: per client a
+/// dense executed prefix (`0..next`) plus the few counters executed above
+/// it. Clients number their transactions consecutively, so the prefix
+/// swallows everything and memory is per client, not per transaction;
+/// sparse counters stay correct, just not compact.
+#[derive(Debug, Default)]
+struct SeenTxns {
+    clients: HashMap<ClientId, (u64, BTreeSet<u64>)>,
+}
+
+impl SeenTxns {
+    /// Records `id`; `false` if it was already recorded.
+    fn insert(&mut self, id: TxnId) -> bool {
+        let (next, above) = self.clients.entry(id.client).or_default();
+        if id.counter < *next || !above.insert(id.counter) {
+            return false;
+        }
+        while above.remove(next) {
+            *next += 1;
+        }
+        true
+    }
+
+    /// Forgets `id` (rollback): below the prefix this re-opens it, moving
+    /// the counters in between back above it.
+    fn remove(&mut self, id: TxnId) {
+        let Some((next, above)) = self.clients.get_mut(&id.client) else {
+            return;
+        };
+        if id.counter < *next {
+            above.extend(id.counter + 1..*next);
+            *next = id.counter;
+        } else {
+            above.remove(&id.counter);
+        }
+    }
+}
+
 /// The execution engine shared by the execute-thread (1E) or the worker
 /// (0E: integrated ordering and execution).
 pub struct Executor {
@@ -132,7 +170,7 @@ pub struct Executor {
     /// view change) is replied to again but not counted again. Its writes
     /// are content-identical, so re-applying them is state-idempotent and
     /// keeps serial and parallel execution digest-equal.
-    seen: Mutex<HashSet<TxnId>>,
+    seen: Mutex<SeenTxns>,
     deduped_txns: AtomicU64,
     /// Per-sequence undo records for the speculative (uncheckpointed)
     /// suffix. Only maintained under Zyzzyva — PBFT never rolls back.
@@ -177,7 +215,7 @@ impl Executor {
             chain,
             executed_txns: AtomicU64::new(0),
             executed_batches: AtomicU64::new(0),
-            seen: Mutex::new(HashSet::new()),
+            seen: Mutex::new(SeenTxns::default()),
             deduped_txns: AtomicU64::new(0),
             undo: Mutex::new(BTreeMap::new()),
             snapshot_interval: AtomicU64::new(0),
@@ -277,29 +315,43 @@ impl Executor {
             None
         };
         self.store.apply(writes);
-        let mut replies = Vec::with_capacity(item.batch.len());
+        // One reply per client, not per transaction: a batch's results are
+        // grouped by client in batch order, so the output stage signs —
+        // and the transport carries — one envelope per client per batch.
+        let mut slot_of: HashMap<ClientId, usize> = HashMap::new();
+        let mut grouped: Vec<(ClientId, ReplyResults)> = Vec::new();
         for (txn, result) in item.batch.txns.iter().zip(results) {
-            let msg = match item.history {
-                // Zyzzyva: speculative response with the history digest.
-                Some(history) => Message::SpecResponse {
-                    view: item.view,
-                    seq: item.seq,
-                    digest: item.digest,
-                    history,
-                    txn_id: txn.id,
-                    replica: self.id,
-                    result,
-                },
-                // PBFT: committed reply.
-                None => Message::ClientReply {
-                    view: item.view,
-                    txn_id: txn.id,
-                    replica: self.id,
-                    result,
-                },
-            };
-            replies.push(OutItem::to(Sender::Client(txn.id.client), msg));
+            let slot = *slot_of.entry(txn.id.client).or_insert_with(|| {
+                grouped.push((txn.id.client, Vec::new()));
+                grouped.len() - 1
+            });
+            grouped[slot].1.push((txn.id.counter, result));
         }
+        let replies = grouped
+            .into_iter()
+            .map(|(client, results)| {
+                let msg = match item.history {
+                    // Zyzzyva: speculative response with the history digest.
+                    Some(history) => Message::SpecResponse {
+                        view: item.view,
+                        seq: item.seq,
+                        digest: item.digest,
+                        history,
+                        client,
+                        replica: self.id,
+                        results,
+                    },
+                    // PBFT: committed reply.
+                    None => Message::ClientReply {
+                        view: item.view,
+                        client,
+                        replica: self.id,
+                        results,
+                    },
+                };
+                OutItem::to(Sender::Client(client), msg)
+            })
+            .collect();
         // Append the block. The result digest covers the store state so
         // replicas can cross-check execution.
         let store_digest = self.store.state_digest();
@@ -398,7 +450,7 @@ impl Executor {
                 }
             }
             for id in &rec.fresh_ids {
-                seen.remove(id);
+                seen.remove(*id);
             }
             self.executed_txns
                 .fetch_sub(rec.fresh_ids.len() as u64, Ordering::Relaxed);
@@ -534,12 +586,12 @@ mod tests {
         let (da, ra) = a.execute(&exec_item(1, None));
         let (db, rb) = b.execute(&exec_item(1, None));
         assert_eq!(da, db, "state digests must match across replicas");
-        let result = |o: &OutItem| match &o.msg {
-            Message::ClientReply { result, .. } => result.clone(),
+        let results = |o: &OutItem| match &o.msg {
+            Message::ClientReply { results, .. } => results.clone(),
             _ => panic!(),
         };
         for (x, y) in ra.iter().zip(rb.iter()) {
-            assert_eq!(result(x), result(y));
+            assert_eq!(results(x), results(y));
         }
     }
 
@@ -564,6 +616,149 @@ mod tests {
         assert_eq!(ex.executed_txns(), 3, "but are not counted again");
         assert_eq!(ex.deduped_txns(), 3);
         assert_eq!(ex.executed_batches(), 2);
+    }
+
+    /// A batch interleaving three clients (`a b a c b a`): the reply path's
+    /// unit of work is the client, not the transaction.
+    fn interleaved_item(history: Option<Digest>) -> ExecuteItem {
+        let mut next = [0u64; 3];
+        let batch: Batch = [0usize, 1, 0, 2, 1, 0]
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| {
+                let counter = next[c];
+                next[c] += 1;
+                let op = Operation::Write {
+                    key: 20 + i as u64,
+                    value: vec![i as u8; 4],
+                };
+                Transaction::new(ClientId(c as u64), counter, vec![op])
+            })
+            .collect();
+        ExecuteItem {
+            batch: batch.into(),
+            ..exec_item(1, history)
+        }
+    }
+
+    #[test]
+    fn one_reply_envelope_per_client_with_results_in_batch_order() {
+        let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        let (state, replies) = ex.execute(&interleaved_item(None));
+        let key = |i: u64| (20 + i).to_le_bytes().to_vec();
+        let expect = [
+            (0u64, vec![(0, key(0)), (1, key(2)), (2, key(5))]),
+            (1, vec![(0, key(1)), (1, key(4))]),
+            (2, vec![(0, key(3))]),
+        ];
+        assert_eq!(replies.len(), 3, "three clients, three envelopes");
+        for (reply, (client, results)) in replies.iter().zip(expect) {
+            assert_eq!(reply.targets, vec![Sender::Client(ClientId(client))]);
+            assert_eq!(
+                reply.msg,
+                Message::ClientReply {
+                    view: ViewNum(0),
+                    client: ClientId(client),
+                    replica: ReplicaId(1),
+                    results,
+                }
+            );
+        }
+        assert_eq!(ex.executed_txns(), 6);
+
+        // Grouping replies touches nothing that is committed to: a batch
+        // of the same writes from one client yields the same state digest,
+        // store root and chain head.
+        let single = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        let mut item = interleaved_item(None);
+        let txns: Batch = item
+            .batch
+            .txns
+            .iter()
+            .enumerate()
+            .map(|(i, t)| Transaction::new(ClientId(0), i as u64, t.ops.clone()))
+            .collect();
+        item.batch = txns.into();
+        let (single_state, single_replies) = single.execute(&item);
+        assert_eq!(single_replies.len(), 1);
+        assert_eq!(single_state, state);
+        assert_eq!(single.store.state_digest(), ex.store.state_digest());
+        assert_eq!(
+            single.chain.lock().head_digest(),
+            ex.chain.lock().head_digest()
+        );
+    }
+
+    #[test]
+    fn zyzzyva_spec_responses_coalesce_per_client_too() {
+        let ex = zyz_executor();
+        let h = Digest([9; 32]);
+        let (_, replies) = ex.execute(&interleaved_item(Some(h)));
+        let counters: Vec<Vec<u64>> = replies
+            .iter()
+            .map(|r| match &r.msg {
+                Message::SpecResponse {
+                    history, results, ..
+                } if *history == h => results.iter().map(|(c, _)| *c).collect(),
+                other => panic!("expected SpecResponse, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(counters, [vec![0, 1, 2], vec![0, 1], vec![0]]);
+    }
+
+    // ---- the bounded dedup set ----
+
+    fn id(client: u64, counter: u64) -> TxnId {
+        TxnId::new(ClientId(client), counter)
+    }
+
+    #[test]
+    fn seen_txns_insert_duplicate_out_of_order_and_remove() {
+        let mut seen = SeenTxns::default();
+        assert!(seen.insert(id(1, 0)));
+        assert!(!seen.insert(id(1, 0)), "duplicate");
+        assert!(seen.insert(id(2, 0)), "clients are independent");
+        // Out of order: 2 parks above the prefix until 1 closes the gap.
+        assert!(seen.insert(id(1, 2)));
+        assert!(!seen.insert(id(1, 2)));
+        assert!(seen.insert(id(1, 1)));
+        assert_eq!(seen.clients[&ClientId(1)], (3, BTreeSet::new()));
+        // Removing below the prefix re-opens it; the rest stays recorded.
+        seen.remove(id(1, 1));
+        assert_eq!(seen.clients[&ClientId(1)], (1, BTreeSet::from([2])));
+        assert!(!seen.insert(id(1, 0)));
+        assert!(!seen.insert(id(1, 2)));
+        assert!(seen.insert(id(1, 1)), "forgotten, so fresh again");
+        // Removing above the prefix, and something never inserted.
+        assert!(seen.insert(id(1, 9)));
+        seen.remove(id(1, 9));
+        seen.remove(id(3, 4));
+        assert!(seen.insert(id(1, 9)));
+        // Sparse counters: correct, just not compact.
+        assert!(seen.insert(id(4, u64::MAX)));
+        assert!(!seen.insert(id(4, u64::MAX)));
+    }
+
+    proptest::proptest! {
+        /// Any interleaving of inserts and removes answers exactly as the
+        /// unbounded `HashSet<TxnId>` it replaced.
+        #[test]
+        fn seen_txns_agrees_with_a_hash_set(
+            ops in proptest::collection::vec(0u64..3 * 12 * 4, 0..200),
+        ) {
+            let mut seen = SeenTxns::default();
+            let mut oracle = std::collections::HashSet::new();
+            for op in ops {
+                // 3 clients × 12 counters; one op in four is a remove.
+                let txn = id(op % 3, op / 3 % 12);
+                if op / 36 == 0 {
+                    seen.remove(txn);
+                    oracle.remove(&txn);
+                } else {
+                    proptest::prop_assert_eq!(seen.insert(txn), oracle.insert(txn));
+                }
+            }
+        }
     }
 
     /// A Zyzzyva executor: speculative chains carry no certificates, so
@@ -737,7 +932,9 @@ mod tests {
         };
         let (_, replies) = ex.execute(&item);
         match &replies[0].msg {
-            Message::ClientReply { result, .. } => assert_eq!(result, &vec![7, 7, 7]),
+            Message::ClientReply { results, .. } => {
+                assert_eq!(results, &vec![(0, vec![7, 7, 7])])
+            }
             other => panic!("unexpected {other:?}"),
         }
     }

@@ -11,7 +11,7 @@
 //!   the worker loop drives the core and carries out its effects.
 //! - [`batch`] — signature-window verification and batch assembly, shared
 //!   by the stages that verify and by the core's `0B` path.
-//! - [`queues::ClientRequestQueue`] — the lock-free common queue feeding
+//! - [`queues::ClientRequestQueue`] — the blocking common queue feeding
 //!   the batch-threads.
 //! - [`queues::ExecutionQueues`] — the `QC`-slot logical queue array that
 //!   lets the execute-thread wait on *exactly* the next sequence number.

@@ -2,18 +2,16 @@
 //!
 //! Two special-purpose structures from the paper's design:
 //!
-//! - [`ClientRequestQueue`] — the lock-free common queue between the
-//!   input-thread and the batch-threads (Section 4.3: "to prevent
-//!   contention among the batch-threads, we design the common queue as
-//!   lock-free... any enqueued request is consumed as soon as any
-//!   batch-thread is available").
+//! - [`ClientRequestQueue`] — the common queue between the input-thread
+//!   and the batch-threads (Section 4.3: "any enqueued request is
+//!   consumed as soon as any batch-thread is available").
 //! - [`ExecutionQueues`] — the array of `QC` logical queues in front of the
 //!   execute-thread (Section 4.6): the worker deposits the batch for
 //!   sequence `k` into queue `k mod QC`, and the execute-thread *waits on
 //!   exactly the queue of the next sequence in order*, never scanning or
 //!   re-queuing out-of-order arrivals.
 
-use crossbeam::queue::SegQueue;
+use crossbeam::channel;
 use parking_lot::{Condvar, Mutex};
 use rdb_common::block::BlockCertificate;
 use rdb_common::messages::SignedMessage;
@@ -22,11 +20,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Lock-free multi-producer multi-consumer queue of client requests.
-#[derive(Debug, Default)]
+/// Multi-producer multi-consumer queue of client requests. Consumers
+/// block on it ([`Self::pop_timeout`]) rather than poll: seven of a
+/// cluster's eight batch threads never see a request.
+#[derive(Debug)]
 pub struct ClientRequestQueue {
-    queue: SegQueue<SignedMessage>,
+    tx: channel::Sender<SignedMessage>,
+    rx: channel::Receiver<SignedMessage>,
     enqueued: AtomicU64,
+}
+
+impl Default for ClientRequestQueue {
+    fn default() -> Self {
+        let (tx, rx) = channel::unbounded();
+        ClientRequestQueue {
+            tx,
+            rx,
+            enqueued: AtomicU64::new(0),
+        }
+    }
 }
 
 impl ClientRequestQueue {
@@ -37,18 +49,24 @@ impl ClientRequestQueue {
 
     /// Enqueues a client request (input-thread side).
     pub fn push(&self, msg: SignedMessage) {
-        self.queue.push(msg);
+        // Cannot fail: the queue holds a receiver for as long as it lives.
+        let _ = self.tx.send(msg);
         self.enqueued.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Dequeues a request if one is available (batch-thread side).
     pub fn pop(&self) -> Option<SignedMessage> {
-        self.queue.pop()
+        self.rx.try_recv().ok()
+    }
+
+    /// Dequeues a request, waiting up to `timeout` for one to arrive.
+    pub fn pop_timeout(&self, timeout: Duration) -> Option<SignedMessage> {
+        self.rx.recv_timeout(timeout).ok()
     }
 
     /// Requests currently waiting.
     pub fn depth(&self) -> usize {
-        self.queue.len()
+        self.rx.len()
     }
 
     /// Total requests ever enqueued.
@@ -319,6 +337,23 @@ mod tests {
         let first = q.pop().unwrap();
         assert_eq!(first.sender(), Sender::Client(ClientId(0)));
         assert_eq!(q.depth(), 4);
+    }
+
+    #[test]
+    fn client_queue_pop_timeout_wakes_on_push() {
+        let q = Arc::new(ClientRequestQueue::new());
+        assert!(q.pop_timeout(Duration::ZERO).is_none(), "empty: times out");
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || q.pop_timeout(Duration::from_secs(30)))
+        };
+        q.push(SignedMessage::new(
+            Message::ClientRequest { txns: vec![] },
+            Sender::Client(ClientId(9)),
+            SignatureBytes::empty(),
+        ));
+        let got = consumer.join().unwrap().expect("woken by the push");
+        assert_eq!(got.sender(), Sender::Client(ClientId(9)));
     }
 
     /// Claims one item and finishes it, returning its sequence.

@@ -73,7 +73,7 @@ pub struct ReplicaShared {
     pub chain: Arc<Mutex<Blockchain>>,
     /// Per-thread saturation metrics.
     pub metrics: MetricsRegistry,
-    /// Per-instance lock-free client request queues (`queues[j]` fills only
+    /// Per-instance client request queues (`queues[j]` fills only
     /// while this replica leads instance `j`; all empty on pure backups).
     pub client_queues: Vec<Arc<ClientRequestQueue>>,
     /// The execution engine (owns executed-transaction counters).
@@ -585,10 +585,16 @@ fn batch_loop(ctx: &StageCtx, instance: usize, batch_size: usize) {
     let mut window: Vec<SignedMessage> = Vec::with_capacity(VERIFY_WINDOW);
     let mut cut = Vec::new();
     while ctx.running() {
+        // Block until a request arrives or the pending partial batch falls
+        // due. A deadline already in the past (the previous cut was long
+        // ago) waits zero: a lone request still flushes immediately.
+        let wait = assembler.flush_deadline().map_or(POLL_INTERVAL, |due| {
+            due.saturating_duration_since(Instant::now())
+                .min(POLL_INTERVAL)
+        });
+        let first = cq.pop_timeout(wait);
         let now = Instant::now();
-        let first = cq.pop();
         if first.is_none() && !assembler.flush_due(now) {
-            std::thread::sleep(Duration::from_micros(100));
             continue;
         }
         ctx.rec.record(|| {

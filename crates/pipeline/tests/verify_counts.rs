@@ -111,14 +111,14 @@ fn pbft_per_batch_sign_verify_counts_are_exact() {
     let replicas = spawn_cluster(&cfg, &net, &registry);
     send_one_batch(&net, &registry);
 
-    let b = BATCH as u64;
-    // Primary: signs PrePrepare + Commit + one reply per txn; verifies the
-    // client request plus a Prepare and a Commit from each of 3 backups.
-    let primary = (2 + b, 1 + 3 + 3);
-    // Backup: signs Prepare + Commit + one reply per txn; verifies the
+    // Primary: signs PrePrepare + Commit + one reply envelope for the
+    // batch's one client (not one per txn); verifies the client request
+    // plus a Prepare and a Commit from each of 3 backups.
+    let primary = (2 + 1, 1 + 3 + 3);
+    // Backup: signs Prepare + Commit + the reply envelope; verifies the
     // PrePrepare, Prepares from the 2 other backups, and Commits from the
     // primary and the 2 other backups.
-    let backup = (2 + b, 1 + 2 + 3);
+    let backup = (2 + 1, 1 + 2 + 3);
     let expected = vec![primary, backup, backup, backup];
     assert_counts_converge(&replicas, &expected);
 
@@ -140,12 +140,12 @@ fn zyzzyva_per_batch_sign_verify_counts_are_exact() {
     let replicas = spawn_cluster(&cfg, &net, &registry);
     send_one_batch(&net, &registry);
 
-    let b = BATCH as u64;
     // Single-phase: the primary signs the PrePrepare plus one speculative
-    // response per txn and verifies only the client request; each backup
-    // signs its responses and verifies only the PrePrepare.
-    let primary = (1 + b, 1);
-    let backup = (b, 1);
+    // response envelope for the batch's one client and verifies only the
+    // client request; each backup signs its response and verifies only
+    // the PrePrepare.
+    let primary = (1 + 1, 1);
+    let backup = (1, 1);
     let expected = vec![primary, backup, backup, backup];
     assert_counts_converge(&replicas, &expected);
 

@@ -821,10 +821,10 @@ impl<'a> Sim<'a> {
                 );
             }
             After::RepliesSigned { batch } => {
-                let b = self.batches[batch].size as f64;
+                let b = self.batches[batch].size as usize;
                 self.nic_push(
                     replica,
-                    b * self.svc.reply_bytes as f64,
+                    self.svc.reply_bytes(b) as f64,
                     After::RepliesSent { batch },
                 );
             }
@@ -897,7 +897,7 @@ impl<'a> Sim<'a> {
             After::UpperDone { count, arrival } => {
                 self.nic_push(
                     0,
-                    count as f64 * self.svc.reply_bytes as f64,
+                    self.svc.reply_bytes(count as usize) as f64,
                     After::UpperSent { count, arrival },
                 );
             }

@@ -72,8 +72,12 @@ pub struct ServiceModel {
     pub batch_bytes: usize,
     /// Bytes of a prepare/commit/ack message.
     pub vote_bytes: usize,
-    /// Bytes of one client reply.
-    pub reply_bytes: usize,
+    /// Reply envelopes a full batch produces: one per distinct client in
+    /// it (the closed loop's clients submit single transactions, so a
+    /// batch draws on `batch_size` of them unless there are fewer).
+    pub replies_per_batch: usize,
+    /// Signature or MAC bytes on a message.
+    sig_bytes: usize,
     /// Bytes of one commit-certificate message (Zyzzyva slow path).
     pub cc_bytes: usize,
 }
@@ -92,7 +96,6 @@ impl ServiceModel {
             CryptoScheme::Rsa => 128,
         };
         let vote_bytes = 16 + 8 + 8 + 32 + sig;
-        let reply_bytes = 16 + 8 + 16 + 4 + 8 + sig;
         let q = rdb_common::quorum::zyzzyva_cc_quorum(config.f);
         let cc_bytes = 16 + 8 + 8 + 32 + q * (4 + sig.max(16)) + 8;
         ServiceModel {
@@ -106,9 +109,17 @@ impl ServiceModel {
             txn_bytes,
             batch_bytes,
             vote_bytes,
-            reply_bytes,
+            replies_per_batch: config.batch_size.min(config.num_clients).max(1),
+            sig_bytes: sig,
             cc_bytes,
         }
+    }
+
+    /// Wire bytes of the reply envelopes answering `txns` transactions of
+    /// one batch: a signed header per client plus `(counter, result)` per
+    /// transaction (`Message::ClientReply::wire_size`).
+    pub fn reply_bytes(&self, txns: usize) -> usize {
+        txns.min(self.replies_per_batch) * (16 + 8 + 8 + 4 + self.sig_bytes) + txns * (8 + 8)
     }
 
     /// Input thread: ingest one client request.
@@ -180,7 +191,8 @@ impl ServiceModel {
         (self.batch_size * self.ops_per_txn) as f64 * per_op
     }
 
-    /// Output: create + sign the replies for one batch (one per client).
+    /// Output: create + sign the replies for one batch — one envelope per
+    /// client, covering all of that client's results.
     ///
     /// Protocol fidelity point: PBFT replies are terminal (clients only
     /// match them against each other), so MACs suffice under
@@ -189,14 +201,15 @@ impl ServiceModel {
     /// signatures — this is the hidden crypto tax of the single-phase
     /// protocol.
     pub fn reply_batch(&self) -> f64 {
+        let envelope_bytes = self.reply_bytes(self.batch_size) / self.replies_per_batch;
         let sign = match (self.protocol, self.scheme) {
             (_, CryptoScheme::NoCrypto) => 0.0,
             (ProtocolKind::Zyzzyva, CryptoScheme::CmacEd25519) => {
-                self.cost.ed25519_sign_ns + self.cost.sha256_per_byte_ns * self.reply_bytes as f64
+                self.cost.ed25519_sign_ns + self.cost.sha256_per_byte_ns * envelope_bytes as f64
             }
-            (_, scheme) => self.cost.sign_ns(scheme, true, self.reply_bytes),
+            (_, scheme) => self.cost.sign_ns(scheme, true, envelope_bytes),
         };
-        self.batch_size as f64 * (self.over.reply_create_ns + sign)
+        self.replies_per_batch as f64 * (self.over.reply_create_ns + sign)
     }
 
     /// Worker: verify one commit certificate (Zyzzyva slow path): `q`
@@ -242,6 +255,24 @@ mod tests {
         let small = model(|c| c.batch_size = 10);
         let large = model(|c| c.batch_size = 1000);
         assert!(large.assemble_batch() > small.assemble_batch() * 50.0);
+    }
+
+    #[test]
+    fn replies_are_priced_per_client_not_per_transaction() {
+        // The paper's many single-transaction clients: a reply each, priced
+        // exactly as the per-transaction reply was.
+        let many = model(|c| c.batch_size = 100);
+        assert_eq!(many.replies_per_batch, 100);
+        assert_eq!(many.reply_bytes(1), 16 + 8 + 16 + 4 + 8 + 16);
+        assert_eq!(many.reply_bytes(100), 100 * many.reply_bytes(1));
+        // Few clients whose bursts fill a batch: one envelope each.
+        let few = model(|c| {
+            c.batch_size = 100;
+            c.num_clients = 4;
+        });
+        assert_eq!(few.replies_per_batch, 4);
+        assert_eq!(few.reply_bytes(100), 4 * (36 + 16) + 100 * 16);
+        assert!(few.reply_batch() * 10.0 < many.reply_batch());
     }
 
     #[test]

@@ -242,6 +242,36 @@ fn simulator_matches_threaded_runtime_ordering() {
     assert!(failed > piped * 0.5, "sim: PBFT under failure must hold up");
 }
 
+/// The reply path pays per (client, batch), not per transaction: with
+/// bursts that fill a batch, a round costs one request, 24 consensus
+/// messages and n reply envelopes — under one message per transaction.
+/// Per-transaction replies alone would be n = 4 per transaction.
+#[test]
+fn replies_are_coalesced_per_client_per_batch() {
+    const BURST: u64 = 50;
+    const BURSTS: u64 = 40;
+    let db = SystemBuilder::new(4)
+        .batch_size(BURST as usize)
+        .table_size(512)
+        .client_keys(1)
+        .build()
+        .unwrap();
+    let mut client = db.client(0);
+    let before = db.network().stats().total_sent();
+    let mut confirmed = 0;
+    for _ in 0..BURSTS {
+        let txns: Vec<_> = (0..BURST)
+            .map(|i| client.write_txn(i % 512, vec![i as u8; 8]))
+            .collect();
+        confirmed += client.submit_and_wait(txns, wait()) as u64;
+    }
+    assert_eq!(confirmed, BURST * BURSTS);
+    let per_txn = (db.network().stats().total_sent() - before) as f64 / confirmed as f64;
+    assert!(per_txn < 1.0, "{per_txn:.2} messages per transaction");
+    assert!(db.verify_chains().is_ok());
+    db.shutdown();
+}
+
 #[test]
 fn saturation_metrics_exposed() {
     let db = SystemBuilder::new(4)
