@@ -36,6 +36,14 @@
 //! 8-byte writes over a 65 536-row table, the shape of one `mem_uniform`
 //! batch in the repo's benchmark — in µs per batch.
 //!
+//! Two more time the serving snapshot at the same shape (200-batch
+//! checkpoint interval): `snapshot/capture/64k` is what the commit that
+//! crosses a checkpoint boundary costs over its neighbours — a mark, not a
+//! copy of the table — and `snapshot/materialize/64k_10k_dirty` is the
+//! first `latest_snapshot()` one interval later, the copy a
+//! state-transferring peer (or a stable checkpoint going to disk) pays for
+//! on demand. Both in µs.
+//!
 //! The detected CPU count and the SHA-256 backend the process selected
 //! are recorded in the emitted JSON so readers can interpret the `mem`
 //! and `merkle` rows. Alongside the criterion output it emits
@@ -48,13 +56,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rdb_common::block::BlockCertificate;
 use rdb_common::{
-    Batch, ClientId, Digest, DurabilityConfig, FsyncMode, ProtocolKind, ReplicaId, SeqNum, ViewNum,
+    Batch, ClientId, Digest, DurabilityConfig, FsyncMode, Operation, ProtocolKind, ReplicaId,
+    SeqNum, Transaction, ViewNum,
 };
 use rdb_pipeline::queues::ExecuteItem;
 use rdb_pipeline::scheduler::{ExecPool, ParallelExecutor};
 use rdb_pipeline::{Durability, Executor};
 use rdb_storage::blockchain::ChainMode;
-use rdb_storage::{Blockchain, MemStore, StateStore, WriteRecord};
+use rdb_storage::{Blockchain, MemStore, PreImage, StateStore, WriteRecord};
 use rdb_workload::{WorkloadConfig, WorkloadGenerator};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -86,8 +95,8 @@ impl StateStore for IoStore {
         self.inner.put(key, value);
     }
 
-    fn apply(&self, writes: &[WriteRecord]) {
-        self.inner.apply(writes);
+    fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
+        self.inner.apply(writes)
     }
 
     fn len(&self) -> usize {
@@ -292,6 +301,57 @@ fn merkle_apply_us(batches: usize) -> f64 {
     start.elapsed().as_secs_f64() * 1e6 / batches as f64
 }
 
+/// Checkpoint cost over a 65 536-row table at the shape of `mem_uniform`
+/// (a mark every 200 batches of 50 uniform 8-byte writes): mean µs the
+/// commit that crosses a boundary costs over the mean of the other
+/// commits — the capture — and µs for the first `latest_snapshot()` 199
+/// batches (≈ 10 000 writes) past the last mark.
+fn snapshot_costs_us(intervals: u64) -> (f64, f64) {
+    const ROWS: u64 = 65_536;
+    const INTERVAL: u64 = 200;
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::with_table(ROWS, 8));
+    let chain = Blockchain::new(Digest::ZERO, 0, ChainMode::Certificate);
+    let chain = Arc::new(parking_lot::Mutex::new(chain));
+    let executor = Executor::new(ReplicaId(0), ProtocolKind::Pbft, store, chain);
+    executor.set_snapshot_interval(INTERVAL);
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut at_boundary, mut elsewhere) = (Duration::ZERO, Duration::ZERO);
+    let batches = (intervals + 1) * INTERVAL - 1;
+    for seq in 1..=batches {
+        let batch: Batch = (0..50u64)
+            .map(|i| {
+                let op = Operation::Write {
+                    key: rng.gen_range(0..ROWS),
+                    value: rng.gen::<u64>().to_le_bytes().to_vec(),
+                };
+                Transaction::new(ClientId(i), seq, vec![op])
+            })
+            .collect();
+        let item = ExecuteItem {
+            seq: SeqNum(seq),
+            view: ViewNum(0),
+            digest: Digest([seq as u8; 32]),
+            batch: batch.into(),
+            certificate: BlockCertificate::default(),
+            history: None,
+        };
+        let start = Instant::now();
+        std::hint::black_box(executor.execute(&item));
+        if seq % INTERVAL == 0 {
+            at_boundary += start.elapsed();
+        } else {
+            elsewhere += start.elapsed();
+        }
+    }
+    let capture = at_boundary.as_secs_f64() / intervals as f64
+        - elsewhere.as_secs_f64() / (batches - intervals) as f64;
+    let start = Instant::now();
+    let snapshot = executor.latest_snapshot().expect("marked");
+    let materialize = start.elapsed().as_secs_f64();
+    assert_eq!(snapshot.base_seq, SeqNum(intervals * INTERVAL));
+    (capture.max(0.0) * 1e6, materialize * 1e6)
+}
+
 struct Sample {
     name: String,
     value: f64,
@@ -316,6 +376,14 @@ fn run_suite() -> Vec<Sample> {
         .map(|_| merkle_apply_us(400))
         .fold(f64::INFINITY, f64::min);
     record(&mut samples, "merkle/apply/50w_64k", best_apply, "us/batch");
+    let (capture, materialize) = (0..repeats)
+        .map(|_| snapshot_costs_us(3))
+        .fold((f64::INFINITY, f64::INFINITY), |best, (c, m)| {
+            (best.0.min(c), best.1.min(m))
+        });
+    record(&mut samples, "snapshot/capture/64k", capture, "us");
+    let name = "snapshot/materialize/64k_10k_dirty";
+    record(&mut samples, name, materialize, "us");
 
     for backend in [Backend::Mem, Backend::Io] {
         let (write_ratio, batches) = backend.workload();
@@ -429,6 +497,8 @@ fn emit_json(samples: &[Sample]) {
     ));
     out.push_str(
         "  \"unit\": \"txn/s (merkle/apply is us per 50-write MemStore::apply over a 65536-row table; \
+         snapshot/capture is us a checkpoint-boundary commit costs over its neighbours and \
+         snapshot/materialize us for the first latest_snapshot() 10k writes later, same table; \
          speedup entries are ratios vs the serial execute-thread; \
          mem rows scale with physical cores, io rows with overlapped read latency; \
          wal rows are serial execution with the write-ahead log attached under the \

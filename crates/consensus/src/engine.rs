@@ -86,8 +86,8 @@ impl ProtocolRule for AnyRule {
         forward!(self, r => r.lead_view(ctx, merged))
     }
 
-    fn prune(&mut self, stable: SeqNum) {
-        forward!(self, r => r.prune(stable))
+    fn prune(&mut self, ctx: &Substrate, stable: SeqNum) {
+        forward!(self, r => r.prune(ctx, stable))
     }
 
     fn serve_fetch(&self, ctx: &Substrate, seq: SeqNum) -> Option<Fetched> {

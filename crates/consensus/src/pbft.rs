@@ -164,7 +164,7 @@ impl PbftRule {
         if view < ctx.view || from != ctx.primary() || ctx.is_primary() {
             return Vec::new(); // old view, not from the primary, or echo
         }
-        if seq <= ctx.stable_seq() {
+        if seq <= ctx.low_water() {
             return Vec::new(); // already garbage-collected
         }
         let inst = self.instances.entry(seq).or_default();
@@ -206,7 +206,7 @@ impl PbftRule {
         // prepares), or a sequence already garbage-collected.
         if vote.view < ctx.view
             || (vote.sig.is_none() && vote.from == ctx.config.primary_of(vote.view))
-            || vote.seq <= ctx.stable_seq()
+            || vote.seq <= ctx.low_water()
         {
             return Vec::new();
         }
@@ -444,8 +444,9 @@ impl ProtocolRule for PbftRule {
         actions
     }
 
-    fn prune(&mut self, stable: SeqNum) {
-        self.instances.retain(|s, _| *s > stable);
+    fn prune(&mut self, ctx: &Substrate, _stable: SeqNum) {
+        let floor = ctx.low_water();
+        self.instances.retain(|s, _| *s > floor);
     }
 
     /// Only committed instances are served: the certificate is the proof.
@@ -464,7 +465,7 @@ impl ProtocolRule for PbftRule {
         seq: SeqNum,
         (view, digest, batch, certificate): Fetched,
     ) -> Vec<Action> {
-        if seq <= ctx.stable_seq() || seq <= ctx.last_executed {
+        if seq <= ctx.last_executed {
             return Vec::new();
         }
         let inst = self.instances.entry(seq).or_default();
@@ -493,7 +494,7 @@ impl ProtocolRule for PbftRule {
     /// Covered instances are dropped and proposals resume past whatever
     /// survives.
     fn install_snapshot(&mut self, ctx: &Substrate, base: SeqNum, _history: Digest) {
-        self.prune(base);
+        self.instances.retain(|s, _| *s > base);
         let head = self.instances.keys().copied().max().unwrap_or(SeqNum(0));
         self.next_seq = self
             .next_seq
@@ -503,7 +504,7 @@ impl ProtocolRule for PbftRule {
     /// Execution holes below the local commit frontier, plus instances
     /// where f+1 commit votes arrived but the `PrePrepare` itself was lost.
     fn fetch_wanted(&self, ctx: &Substrate, limit: usize) -> Vec<SeqNum> {
-        let floor = ctx.last_executed.max(ctx.stable_seq());
+        let floor = ctx.last_executed;
         let frontier = self
             .instances
             .iter()
@@ -1361,6 +1362,61 @@ mod tests {
         // Installing again is a no-op (already committed).
         let acts = r3.install_fetched(SeqNum(1), ViewNum(0), d(7), batch().into(), cert);
         assert!(acts.is_empty(), "must not commit twice: {acts:?}");
+    }
+
+    /// Checkpoint votes travel beside the ordering traffic, not behind it:
+    /// three peers can make sequence 2 stable while this replica's commits
+    /// for it are still queued. It must keep the instance and commit —
+    /// dropping it leaves a hole only a state transfer repairs.
+    #[test]
+    fn a_stable_checkpoint_ahead_of_execution_keeps_what_is_still_to_commit() {
+        let mut r1 = Pbft::new(ReplicaId(1), cfg(4)); // Δ = 2 batches
+        commit_at(&mut r1, 1, d(1));
+        r1.on_executed(SeqNum(1), d(1));
+        // Sequence 2: proposed and prepared here, its commits still queued.
+        let propose = Message::PrePrepare {
+            view: ViewNum(0),
+            seq: SeqNum(2),
+            digest: d(2),
+            batch: batch().into(),
+        };
+        r1.on_message(&signed(0, propose));
+        let mut stable = Vec::new();
+        for from in [0u32, 2, 3] {
+            let vote = Message::Checkpoint {
+                seq: SeqNum(2),
+                state_digest: d(9),
+                replica: ReplicaId(from),
+            };
+            stable.extend(r1.on_message(&signed(from, vote)));
+        }
+        assert!(matches!(&stable[..], [Action::StableCheckpoint { seq }] if *seq == SeqNum(2)));
+        // The queued votes arrive: prepared, then committed, as if the
+        // checkpoint had not overtaken them.
+        let vote = |from: u32, commit: bool| {
+            let (view, seq, digest) = (ViewNum(0), SeqNum(2), d(2));
+            signed(
+                from,
+                if commit {
+                    Message::Commit { view, seq, digest }
+                } else {
+                    Message::Prepare { view, seq, digest }
+                },
+            )
+        };
+        r1.on_message(&vote(2, false));
+        r1.on_message(&vote(0, true));
+        let acts = r1.on_message(&vote(2, true));
+        assert!(
+            acts.iter()
+                .any(|a| matches!(a, Action::CommitBatch { seq, .. } if *seq == SeqNum(2))),
+            "got {acts:?}"
+        );
+        // Once it has executed through the stable point, that is the floor:
+        // sequence 1 went at the checkpoint, sequence 2 goes at the next.
+        r1.on_executed(SeqNum(2), d(9));
+        assert!(r1.on_message(&vote(3, true)).is_empty());
+        assert!(r1.serve_fetch(SeqNum(1)).is_none());
     }
 
     #[test]

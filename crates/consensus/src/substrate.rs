@@ -68,6 +68,17 @@ impl Substrate {
         self.checkpoints.stable_seq()
     }
 
+    /// The stable checkpoint, held back to this replica's own execution
+    /// while it trails the quorum that made the checkpoint stable: what it
+    /// has not executed it must still be able to commit. Checkpoint votes
+    /// travel beside the ordering traffic, not behind it, so they can
+    /// announce a stable point whose last commits are still in this
+    /// replica's input queues — dropping those instances would leave holes
+    /// only a state transfer repairs.
+    pub(crate) fn low_water(&self) -> SeqNum {
+        self.stable_seq().min(self.last_executed)
+    }
+
     /// Moves to `view`, ending any vote in progress. Reached through a
     /// view change, or by a rule that learns of a later view another way
     /// (Zyzzyva's f+1-vouched fetch).
@@ -112,7 +123,7 @@ pub trait ProtocolRule {
     fn lead_view(&mut self, ctx: &Substrate, merged: MergedTail) -> Vec<Action>;
 
     /// A checkpoint at `stable` became stable: drop log state it covers.
-    fn prune(&mut self, stable: SeqNum);
+    fn prune(&mut self, ctx: &Substrate, stable: SeqNum);
 
     /// The committed batch at `seq` with its ordering proof, if held.
     fn serve_fetch(&self, ctx: &Substrate, seq: SeqNum) -> Option<Fetched>;
@@ -263,7 +274,7 @@ impl<R: ProtocolRule> Replica<R> {
     fn record_checkpoint(&mut self, from: ReplicaId, seq: SeqNum, digest: Digest) -> Vec<Action> {
         match self.sub.checkpoints.record(from, seq, digest) {
             Some(stable) => {
-                self.rule.prune(stable);
+                self.rule.prune(&self.sub, stable);
                 vec![Action::StableCheckpoint { seq: stable }]
             }
             None => Vec::new(),

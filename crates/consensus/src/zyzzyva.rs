@@ -305,7 +305,7 @@ impl ProtocolRule for ZyzzyvaRule {
 
     /// Keeps the rolling history at the prune point so later rollbacks
     /// bottom out there.
-    fn prune(&mut self, stable: SeqNum) {
+    fn prune(&mut self, _ctx: &Substrate, stable: SeqNum) {
         if let Some(e) = self.spec_log.get(&stable) {
             self.base_history = e.history;
         }

@@ -142,7 +142,11 @@ pub enum Effect {
 /// not own.
 pub trait CoreEnv {
     /// The newest snapshot this replica can serve to a lagging peer.
+    /// Building it copies the whole store: ask [`CoreEnv::snapshot_base`]
+    /// first whether it is the one to send.
     fn latest_snapshot(&self) -> Option<Arc<Snapshot>>;
+    /// Base sequence of [`CoreEnv::latest_snapshot`], for free.
+    fn snapshot_base(&self) -> Option<SeqNum>;
     /// Prunes the ledger below `seq` and returns how far it is pruned now
     /// (pruning is clamped at the ledger head, so this can be short of
     /// `seq` while execution lags).
@@ -608,8 +612,14 @@ impl ReplicaCore {
             } else if seq <= self.stable_checkpoint.max(self.pruned_to) {
                 // Pruned below the stable checkpoint: the snapshot covers
                 // it (and every other pruned sequence — send it once).
-                match self.env.latest_snapshot() {
-                    Some(snapshot) if !snapshot_sent && snapshot.base_seq >= seq => {
+                match self.env.snapshot_base() {
+                    Some(base) if !snapshot_sent && base >= seq => {
+                        // A mark captured since then only has a higher
+                        // base; one dropped since then serves nothing.
+                        let Some(snapshot) = self.env.latest_snapshot() else {
+                            dropped += 1;
+                            continue;
+                        };
                         snapshot_sent = true;
                         served += 1;
                         let msg = Message::SnapshotResponse {
@@ -818,6 +828,7 @@ mod tests {
     use rdb_storage::blockchain::ChainMode;
     use rdb_storage::{Blockchain, MemStore, StateStore};
     use std::collections::{BTreeMap, VecDeque};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const VIEW_TIMEOUT: Duration = Duration::from_millis(1_000);
     const MS: Duration = Duration::from_millis(1);
@@ -831,6 +842,9 @@ mod tests {
     impl CoreEnv for TestEnv {
         fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
             self.executor.latest_snapshot()
+        }
+        fn snapshot_base(&self) -> Option<SeqNum> {
+            self.executor.snapshot_base()
         }
         fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
             self.chain.lock().prune_below(seq)
@@ -1318,6 +1332,61 @@ mod tests {
             history: Digest::ZERO,
             records,
         })
+    }
+
+    /// An environment with a snapshot mark at `base` that counts how often
+    /// the snapshot behind it — a copy of the whole store — is asked for.
+    struct MarkedEnv {
+        base: Option<u64>,
+        built: AtomicU64,
+    }
+
+    impl CoreEnv for MarkedEnv {
+        fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+            self.built.fetch_add(1, Ordering::Relaxed);
+            self.base.map(snapshot_at)
+        }
+        fn snapshot_base(&self) -> Option<SeqNum> {
+            self.base.map(SeqNum)
+        }
+        fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
+            seq
+        }
+    }
+
+    #[test]
+    fn a_fetch_request_builds_the_snapshot_once_and_only_to_send_it() {
+        let cfg = config(ProtocolKind::Pbft, 1);
+        let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, cfg.n, 4, 7);
+        // Everything asked for is pruned; returns (snapshots sent,
+        // snapshots built, served, dropped).
+        let serve = |base: Option<u64>, seqs: &[u64]| {
+            let env = Arc::new(MarkedEnv {
+                base,
+                built: AtomicU64::new(0),
+            });
+            let provider = registry.provider_for_replica(ReplicaId(0));
+            let shared = Arc::clone(&env) as Arc<dyn CoreEnv + Send + Sync>;
+            let mut core =
+                ReplicaCore::new(&cfg, ReplicaId(0), provider, shared, None, Instant::now());
+            core.stable_checkpoint = SeqNum(10);
+            let seqs: Vec<SeqNum> = seqs.iter().copied().map(SeqNum).collect();
+            let mut fx = Vec::new();
+            core.serve_fetch_request(ReplicaId(3), &seqs, &mut fx);
+            let sent = fx
+                .iter()
+                .filter(|e| matches!(e, Effect::Send(o) if o.msg.kind() == MessageKind::SnapshotResponse))
+                .count();
+            let Some(Effect::FetchServed { served, dropped }) = fx.last() else {
+                panic!("accounting comes last");
+            };
+            (sent, env.built.load(Ordering::Relaxed), *served, *dropped)
+        };
+        // The mark at 4 covers 2 and 3 (sent once), not 6 and 7.
+        assert_eq!(serve(Some(4), &[2, 3, 6, 7]), (1, 1, 1, 0));
+        // It covers nothing asked for: nothing is built to be thrown away.
+        assert_eq!(serve(Some(4), &[6, 7]), (0, 0, 0, 0));
+        assert_eq!(serve(None, &[2, 3]), (0, 0, 0, 2));
     }
 
     #[test]

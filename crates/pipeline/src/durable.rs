@@ -78,13 +78,17 @@ const TAG_ROLLBACK: u8 = 2;
 const TAG_STABLE: u8 = 3;
 
 impl WalEntry {
-    /// The sequence this entry is about — compaction keeps entries whose
-    /// sequence is above the persisted snapshot base.
-    pub fn seq(&self) -> SeqNum {
-        match self {
-            WalEntry::Commit { seq, .. } | WalEntry::Stable { seq } => *seq,
-            WalEntry::Rollback { to } => *to,
-        }
+    /// The sequence an encoded entry is about (`Rollback`'s `to`), read
+    /// without decoding it: every variant starts with its tag, then that.
+    /// `None` for a payload too short to hold both or with an unknown tag.
+    /// Compaction — which keeps the entries above the persisted snapshot
+    /// base — runs this over the whole log under the lock appends wait on,
+    /// where decoding every batch just to drop it is the cost that matters.
+    pub fn seq_of(payload: &[u8]) -> Option<SeqNum> {
+        let (tag, rest) = payload.split_first()?;
+        let seq = rest.first_chunk::<8>()?;
+        matches!(*tag, TAG_COMMIT | TAG_ROLLBACK | TAG_STABLE)
+            .then(|| SeqNum(u64::from_le_bytes(*seq)))
     }
 }
 
@@ -321,10 +325,7 @@ impl Durability {
             }
         }
         self.wal
-            .rewrite_retain(|payload| match WalEntry::decode(payload) {
-                Ok(entry) => entry.seq().0 > base,
-                Err(_) => false,
-            })
+            .rewrite_retain(|payload| WalEntry::seq_of(payload).is_some_and(|seq| seq.0 > base))
             .expect("wal compaction failed: durable state is unrecoverable");
     }
 
@@ -435,11 +436,11 @@ pub fn recover_replica(
     let mut base = SeqNum(0);
     let mut history_at: BTreeMap<SeqNum, Digest> = BTreeMap::new();
     let mut source = RecoverySource::None;
-    if let Some(snapshot) = &state.snapshot {
+    if let Some(snapshot) = state.snapshot.map(Arc::new) {
         // The same gate a network snapshot passes: records must hash back
         // to the block's Merkle commitment.
-        if verify_snapshot(snapshot) {
-            executor.install_snapshot(snapshot);
+        if verify_snapshot(&snapshot) {
+            executor.install_snapshot(&snapshot);
             base = snapshot.base_seq;
             history_at.insert(base, snapshot.history);
             source = RecoverySource::Local;
@@ -615,6 +616,34 @@ mod tests {
         let it = item(2, 1, false);
         let decoded = WalEntry::decode(&commit_entry_bytes(&it)).unwrap();
         assert!(matches!(decoded, WalEntry::Commit { history: None, .. }));
+    }
+
+    #[test]
+    fn seq_of_reads_what_decode_would_without_decoding() {
+        let it = item(7, 3, true);
+        for entry in [
+            WalEntry::decode(&commit_entry_bytes(&it)).unwrap(),
+            WalEntry::decode(&commit_entry_bytes(&item(300, 1, false))).unwrap(),
+            WalEntry::Rollback { to: SeqNum(4) },
+            WalEntry::Stable {
+                seq: SeqNum(1 << 40),
+            },
+        ] {
+            let bytes = entry.encode();
+            let seq = match &entry {
+                WalEntry::Commit { seq, .. } | WalEntry::Stable { seq } => *seq,
+                WalEntry::Rollback { to } => *to,
+            };
+            assert_eq!(WalEntry::seq_of(&bytes), Some(seq), "{entry:?}");
+            // Truncated inside the sequence, or down to nothing.
+            assert_eq!(WalEntry::seq_of(&bytes[..8]), None);
+            assert_eq!(WalEntry::seq_of(&bytes[..1]), None);
+            assert_eq!(WalEntry::seq_of(&[]), None);
+            let mut unknown = bytes.clone();
+            unknown[0] = 9;
+            assert_eq!(WalEntry::seq_of(&unknown), None);
+            assert!(WalEntry::decode(&unknown).is_err());
+        }
     }
 
     #[test]

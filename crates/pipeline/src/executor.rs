@@ -23,8 +23,9 @@ use rdb_common::messages::{Message, ReplyResults, Sender};
 use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnId};
 use rdb_common::{Digest, SeqNum, Snapshot};
 use rdb_crypto::chain_digest;
-use rdb_storage::{Blockchain, StateStore, WriteRecord};
+use rdb_storage::{Blockchain, PreImage, StateStore, WriteRecord};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -104,18 +105,118 @@ where
     }
 }
 
-/// What undoing one speculatively executed batch takes: the pre-batch
-/// value of every key it touched (`None` = the key did not exist), plus
-/// the bookkeeping deltas to reverse.
+/// What undoing one executed batch takes: the value every write of it
+/// displaced, plus the bookkeeping deltas to reverse.
 #[derive(Debug)]
 struct UndoRecord {
-    /// Pre-batch image per touched key (first-touch capture, so restoring
-    /// all entries — in any order — rewinds the batch exactly).
-    pre: Vec<(u64, Option<Vec<u8>>)>,
+    /// What [`StateStore::apply`] handed back: one entry per write, in
+    /// write order, so a key's *first* entry is its pre-batch image
+    /// (`None` = the key did not exist) and restoring them newest-first
+    /// rewinds the batch exactly. Values sit back to back in `bytes`: an
+    /// interval of records is dropped at every mark, and two allocations
+    /// a batch free in microseconds where one per value does not.
+    pre: Vec<(u64, Option<Range<usize>>)>,
+    bytes: Vec<u8>,
     /// Transaction ids this batch inserted into the dedup set.
     fresh_ids: Vec<TxnId>,
     /// Duplicates this batch counted.
     dups: u64,
+}
+
+impl UndoRecord {
+    fn new(displaced: Vec<PreImage>, fresh_ids: Vec<TxnId>, dups: u64) -> Self {
+        let mut bytes = Vec::new();
+        let locate = |(key, old): PreImage| {
+            let start = bytes.len();
+            bytes.extend_from_slice(old.as_deref().unwrap_or_default());
+            (key, old.map(|_| start..bytes.len()))
+        };
+        let pre = displaced.into_iter().map(locate).collect();
+        UndoRecord {
+            pre,
+            bytes,
+            fresh_ids,
+            dups,
+        }
+    }
+
+    fn pre_images(&self) -> impl DoubleEndedIterator<Item = (u64, Option<&[u8]>)> {
+        self.pre
+            .iter()
+            .map(|(key, at)| (*key, at.clone().map(|at| &self.bytes[at])))
+    }
+}
+
+/// The pre-image log and the snapshot mark that reads it. One lock covers
+/// both and is held across every store mutation (`commit`'s apply,
+/// `rollback_to`, `install_snapshot`), so a snapshot being materialised
+/// sees a store and a log that describe the same instant.
+#[derive(Debug, Default)]
+struct PreImageLog {
+    /// Per executed sequence, what it displaced. Zyzzyva rewinds
+    /// mis-speculation through it; under both protocols the mark rewinds
+    /// an exported record set through it.
+    undo: BTreeMap<SeqNum, UndoRecord>,
+    /// The newest checkpoint boundary a snapshot can be served of. The
+    /// execute path captures it without `records`; the first demand fills
+    /// them in and sets `built` (nobody sees it before). State transfer
+    /// installs one whole.
+    mark: Option<Arc<Snapshot>>,
+    built: bool,
+    /// Highest stable checkpoint noted: Zyzzyva never rolls back below it.
+    stable: SeqNum,
+}
+
+impl PreImageLog {
+    /// Drops the records nothing can read any more. PBFT never rolls
+    /// back, so only the mark reads its log: it empties whenever a mark is
+    /// captured and never outgrows one interval. Zyzzyva also rewinds down
+    /// to the stable checkpoint, so it keeps what is above the lower of
+    /// the two — a lagging replica's mark can sit below a checkpoint its
+    /// peers made stable.
+    fn prune(&mut self, protocol: ProtocolKind) {
+        let mark = self.mark.as_ref().map(|m| m.base_seq);
+        let through = match protocol {
+            ProtocolKind::Pbft => mark,
+            ProtocolKind::Zyzzyva => Some(mark.map_or(self.stable, |m| m.min(self.stable))),
+        };
+        if let Some(through) = through {
+            self.undo = self.undo.split_off(&through.next());
+        }
+    }
+}
+
+/// Rewinds `records` — a key-sorted export of the store — to the instant
+/// before the oldest entry of `log` was applied: every key takes its
+/// oldest pre-image (`None` = it did not exist yet). Overwrites land by
+/// binary search; only a key appearing or vanishing moves anything.
+fn rewind<'a>(
+    records: &mut Vec<(u64, Vec<u8>)>,
+    log: impl Iterator<Item = (u64, Option<&'a [u8]>)>,
+) {
+    let mut oldest: Vec<(u64, Option<&[u8]>)> = log.collect();
+    // Stable sort, so dedup keeps each key's first — its oldest — entry.
+    oldest.sort_by_key(|pre| pre.0);
+    oldest.dedup_by_key(|pre| pre.0);
+    let exported = records.len();
+    let mut created = Vec::new();
+    for (key, value) in oldest {
+        match (
+            records[..exported].binary_search_by_key(&key, |(k, _)| *k),
+            value,
+        ) {
+            (Ok(at), Some(value)) => value.clone_into(&mut records[at].1),
+            (Ok(_), None) => created.push(key),
+            (Err(_), Some(value)) => records.push((key, value.to_vec())),
+            (Err(_), None) => {}
+        }
+    }
+    if records.len() > exported {
+        records.sort_unstable_by_key(|(key, _)| *key);
+    }
+    if !created.is_empty() {
+        records.retain(|(key, _)| created.binary_search(key).is_err());
+    }
 }
 
 /// The transaction ids already executed, in bounded space: per client a
@@ -132,9 +233,13 @@ impl SeenTxns {
     /// Records `id`; `false` if it was already recorded.
     fn insert(&mut self, id: TxnId) -> bool {
         let (next, above) = self.clients.entry(id.client).or_default();
-        if id.counter < *next || !above.insert(id.counter) {
-            return false;
+        if id.counter != *next {
+            // Below the prefix it is a duplicate; above it, it parks.
+            return id.counter > *next && above.insert(id.counter);
         }
+        // In order — the common case — extends the prefix without ever
+        // touching the set (removing from an empty one allocates nothing).
+        *next += 1;
         while above.remove(next) {
             *next += 1;
         }
@@ -172,15 +277,12 @@ pub struct Executor {
     /// keeps serial and parallel execution digest-equal.
     seen: Mutex<SeenTxns>,
     deduped_txns: AtomicU64,
-    /// Per-sequence undo records for the speculative (uncheckpointed)
-    /// suffix. Only maintained under Zyzzyva — PBFT never rolls back.
-    undo: Mutex<BTreeMap<SeqNum, UndoRecord>>,
-    /// Capture a serving snapshot whenever `seq % interval == 0`
+    /// What executed batches displaced, and the snapshot mark served from it.
+    log: Mutex<PreImageLog>,
+    /// Mark a serving snapshot whenever `seq % interval == 0`
     /// (0 disables). Aligned with the checkpoint cadence so every replica
-    /// captures identical state at identical sequences.
+    /// marks identical state at identical sequences.
     snapshot_interval: AtomicU64,
-    /// The most recent captured snapshot, served to rejoining peers.
-    latest_snapshot: Mutex<Option<Arc<Snapshot>>>,
     /// The replica's write-ahead log, when it runs durable. Attached
     /// *after* restart replay (see [`crate::durable::recover_replica`]) so
     /// replayed batches do not re-log themselves.
@@ -217,9 +319,8 @@ impl Executor {
             executed_batches: AtomicU64::new(0),
             seen: Mutex::new(SeenTxns::default()),
             deduped_txns: AtomicU64::new(0),
-            undo: Mutex::new(BTreeMap::new()),
+            log: Mutex::new(PreImageLog::default()),
             snapshot_interval: AtomicU64::new(0),
-            latest_snapshot: Mutex::new(None),
             durability: Mutex::new(None),
         }
     }
@@ -240,9 +341,37 @@ impl Executor {
         self.snapshot_interval.store(interval, Ordering::Relaxed);
     }
 
-    /// The most recently captured serving snapshot, if any.
+    /// The serving snapshot at the newest mark, if any. The first call
+    /// per mark builds it — the whole store exported and rewound through
+    /// the pre-images logged above the mark, byte for byte what copying
+    /// the table at the mark would have produced — holding the log's lock,
+    /// so execution waits; later calls clone an `Arc`.
     pub fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
-        self.latest_snapshot.lock().clone()
+        self.snapshot_where(|_| true)
+    }
+
+    /// Base sequence of [`Executor::latest_snapshot`], without building it.
+    pub fn snapshot_base(&self) -> Option<SeqNum> {
+        self.log.lock().mark.as_ref().map(|m| m.base_seq)
+    }
+
+    /// [`Executor::latest_snapshot`] if the mark's base satisfies `wanted`
+    /// (checked under the same lock, before anything is built).
+    fn snapshot_where(&self, wanted: impl FnOnce(SeqNum) -> bool) -> Option<Arc<Snapshot>> {
+        let mut log = self.log.lock();
+        let PreImageLog {
+            undo, mark, built, ..
+        } = &mut *log;
+        let mark = mark.as_mut().filter(|m| wanted(m.base_seq))?;
+        if !*built {
+            let mut records = self.store.export_records();
+            let above = undo.range(mark.base_seq.next()..);
+            rewind(&mut records, above.flat_map(|(_, rec)| rec.pre_images()));
+            // Not handed out yet, so this is the only reference: no copy.
+            Arc::make_mut(mark).records = records;
+            *built = true;
+        }
+        Some(Arc::clone(mark))
     }
 
     /// Total *distinct* transactions executed (duplicates excluded).
@@ -271,18 +400,20 @@ impl Executor {
     /// to the consensus engine for checkpointing) and the outgoing reply
     /// messages.
     pub fn execute(&self, item: &ExecuteItem) -> (Digest, Vec<OutItem>) {
-        let mut overlay: HashMap<u64, Vec<u8>> = HashMap::new();
+        // Newest write per key, as an index into `writes`.
+        let mut overlay: HashMap<u64, usize> = HashMap::new();
         let mut results = Vec::with_capacity(item.batch.len());
         let mut writes: Vec<WriteRecord> = Vec::with_capacity(item.batch.len());
         for txn in &item.batch.txns {
-            let out = execute_txn(txn, |k| {
-                overlay.get(&k).cloned().or_else(|| self.store.get(k))
+            let out = execute_txn(txn, |k| match overlay.get(&k) {
+                Some(&at) => Some(writes[at].value.clone()),
+                None => self.store.get(k),
             });
-            for w in &out.writes {
-                overlay.insert(w.key, w.value.clone());
-            }
             results.push(out.result);
-            writes.extend(out.writes);
+            for w in out.writes {
+                overlay.insert(w.key, writes.len());
+                writes.push(w);
+            }
         }
         self.commit(item, results, &writes)
     }
@@ -301,20 +432,29 @@ impl Executor {
         writes: &[WriteRecord],
     ) -> (Digest, Vec<OutItem>) {
         debug_assert_eq!(results.len(), item.batch.len());
-        // Zyzzyva executes speculatively: capture the pre-batch image of
-        // every touched key so a mis-speculation can be rewound exactly.
-        let pre_images = if self.protocol == ProtocolKind::Zyzzyva {
-            let mut captured: Vec<(u64, Option<Vec<u8>>)> = Vec::with_capacity(writes.len());
-            for w in writes {
-                if !captured.iter().any(|(k, _)| *k == w.key) {
-                    captured.push((w.key, self.store.get(w.key)));
-                }
-            }
-            Some(captured)
-        } else {
-            None
+        let fresh_ids: Vec<TxnId> = {
+            let mut seen = self.seen.lock();
+            item.batch
+                .txns
+                .iter()
+                .filter(|t| seen.insert(t.id))
+                .map(|t| t.id)
+                .collect()
         };
-        self.store.apply(writes);
+        let fresh = fresh_ids.len() as u64;
+        let dups = item.batch.len() as u64 - fresh;
+        let interval = self.snapshot_interval.load(Ordering::Relaxed);
+        {
+            // Store and log move together under the log's lock (free
+            // unless a snapshot is being built: only this thread commits).
+            let mut log = self.log.lock();
+            let displaced = self.store.apply(writes);
+            // PBFT without marks has no reader for these and logs nothing.
+            if self.protocol == ProtocolKind::Zyzzyva || interval > 0 {
+                let record = UndoRecord::new(displaced, fresh_ids, dups);
+                log.undo.insert(item.seq, record);
+            }
+        }
         // One reply per client, not per transaction: a batch's results are
         // grouped by client in batch order, so the output stage signs —
         // and the transport carries — one envelope per client per batch.
@@ -373,31 +513,9 @@ impl Executor {
         // the block certificate (each replica legitimately collects a
         // different 2f+1 commit-signature set).
         let state_digest = chain_digest(&item.digest, &store_digest);
-        let fresh_ids: Vec<TxnId> = {
-            let mut seen = self.seen.lock();
-            item.batch
-                .txns
-                .iter()
-                .filter(|t| seen.insert(t.id))
-                .map(|t| t.id)
-                .collect()
-        };
-        let fresh = fresh_ids.len() as u64;
         self.executed_txns.fetch_add(fresh, Ordering::Relaxed);
-        self.deduped_txns
-            .fetch_add(item.batch.len() as u64 - fresh, Ordering::Relaxed);
+        self.deduped_txns.fetch_add(dups, Ordering::Relaxed);
         self.executed_batches.fetch_add(1, Ordering::Relaxed);
-        if let Some(pre) = pre_images {
-            self.undo.lock().insert(
-                item.seq,
-                UndoRecord {
-                    pre,
-                    fresh_ids,
-                    dups: item.batch.len() as u64 - fresh,
-                },
-            );
-        }
-        let interval = self.snapshot_interval.load(Ordering::Relaxed);
         if interval > 0 && item.seq.0.is_multiple_of(interval) {
             self.capture_snapshot(item.seq, item.history);
         }
@@ -408,10 +526,11 @@ impl Executor {
         (state_digest, replies)
     }
 
-    /// Captures the serving snapshot at `seq`: the full store contents
-    /// plus the chain block just appended there. Runs on the execute path
-    /// at checkpoint cadence, so every replica captures identical state
-    /// at identical sequences (the f+1 agreement a receiver requires).
+    /// Marks the serving snapshot at `seq`: the chain block just appended
+    /// there and no record — those are copied when somebody asks. Runs on
+    /// the execute path at checkpoint cadence, so every replica marks
+    /// identical state at identical sequences (the f+1 agreement a
+    /// receiver requires).
     fn capture_snapshot(&self, seq: SeqNum, history: Option<Digest>) {
         let Some(block) = self
             .chain
@@ -421,31 +540,47 @@ impl Executor {
         else {
             return;
         };
+        let mut log = self.log.lock();
         let snapshot = Snapshot {
             base_seq: seq,
             block,
             history: history.unwrap_or(Digest::ZERO),
-            records: self.store.export_records(),
+            records: Vec::new(),
         };
-        *self.latest_snapshot.lock() = Some(Arc::new(snapshot));
+        log.mark = Some(Arc::new(snapshot));
+        log.built = false;
+        log.prune(self.protocol);
     }
 
     /// Rolls speculative execution back so the last executed sequence is
-    /// `to`: restores pre-batch images newest-first, truncates the ledger,
+    /// `to`: restores displaced values newest-first, truncates the ledger,
     /// and reverses the dedup/counter bookkeeping. Returns the number of
     /// batches undone. The rewound state is bit-identical to a replica
     /// that never executed the suffix — the store's Merkle commitment is
     /// content-only, so restoring every touched record restores the root.
+    ///
+    /// Always 0 under PBFT: committed batches are final, and its log
+    /// exists for the snapshot mark alone (restart recovery ends with a
+    /// rollback to the stable floor and relies on this).
     pub fn rollback_to(&self, to: SeqNum) -> usize {
-        let suffix: BTreeMap<SeqNum, UndoRecord> = self.undo.lock().split_off(&SeqNum(to.0 + 1));
+        if self.protocol != ProtocolKind::Zyzzyva {
+            return 0;
+        }
+        let mut log = self.log.lock();
+        let suffix = log.undo.split_off(&to.next());
+        // The store is about to rewind below the mark: what the mark
+        // stood for is gone.
+        if log.mark.as_ref().is_some_and(|m| m.base_seq > to) {
+            log.mark = None;
+        }
         let undone = suffix.len();
         let mut seen = self.seen.lock();
         for (_, rec) in suffix.into_iter().rev() {
-            for (key, pre) in &rec.pre {
+            for (key, pre) in rec.pre_images().rev() {
                 match pre {
-                    Some(value) => self.store.put(*key, value),
+                    Some(value) => self.store.put(key, value),
                     None => {
-                        self.store.remove(*key);
+                        self.store.remove(key);
                     }
                 }
             }
@@ -458,6 +593,7 @@ impl Executor {
             self.executed_batches.fetch_sub(1, Ordering::Relaxed);
         }
         drop(seen);
+        drop(log);
         if undone > 0 {
             let mut chain = self.chain.lock();
             let target = SeqNum(to.0.min(chain.head_seq().0));
@@ -469,45 +605,50 @@ impl Executor {
         undone
     }
 
-    /// Drops undo records at or below a stable checkpoint: nothing below
-    /// it can ever be rolled back.
+    /// Notes a stable checkpoint — nothing at or below it can ever be
+    /// rolled back — and drops the log records neither a rollback nor the
+    /// snapshot mark can still read.
     pub fn prune_undo(&self, through: SeqNum) {
-        self.undo.lock().retain(|seq, _| *seq > through);
+        let mut log = self.log.lock();
+        log.stable = log.stable.max(through);
+        log.prune(self.protocol);
     }
 
     /// Records that the checkpoint at `seq` became 2f+1-stable: prunes the
     /// undo log, and — when running durable — logs a `Stable` marker and
     /// persists the serving snapshot to disk (compacting the WAL down to
-    /// the suffix above it) once the captured snapshot's base is covered
-    /// by the stable floor.
+    /// the suffix above it) once the mark's base is covered by the stable
+    /// floor. This is the one place a healthy durable replica pays for
+    /// materialising a snapshot, once per stable checkpoint.
     pub fn note_stable(&self, seq: SeqNum) {
         self.prune_undo(seq);
         let Some(durability) = self.durability.lock().clone() else {
             return;
         };
         durability.log(&WalEntry::Stable { seq });
-        let snapshot = self.latest_snapshot.lock().clone();
-        if let Some(snapshot) = snapshot {
-            if snapshot.base_seq <= seq {
-                durability.persist_stable(&snapshot);
-            }
+        if let Some(snapshot) = self.snapshot_where(|base| base <= seq) {
+            durability.persist_stable(&snapshot);
         }
     }
 
     /// Replaces the replica state with a verified snapshot: the store
-    /// contents, the ledger re-based at the snapshot block, and a cleared
-    /// undo log. Executed-counter totals (`executed_txns`,
-    /// `executed_batches`, `deduped_txns`) are deliberately *not*
+    /// contents, the ledger re-based at the snapshot block, a cleared
+    /// pre-image log, and — since the old mark read that log — the
+    /// installed snapshot as the new mark. Executed-counter totals
+    /// (`executed_txns`, `executed_batches`, `deduped_txns`) are *not*
     /// advanced — the point of state transfer is that the receiver skips
     /// re-executing the transferred history, so the counters keep meaning
     /// "work this process actually performed" (restart replay and the
     /// smoke scripts rely on that reading).
-    pub fn install_snapshot(&self, snapshot: &Snapshot) {
+    pub fn install_snapshot(&self, snapshot: &Arc<Snapshot>) {
+        let mut log = self.log.lock();
         self.store.install_records(&snapshot.records);
         self.chain
             .lock()
             .install_snapshot_block(snapshot.block.clone());
-        self.undo.lock().clear();
+        log.undo.clear();
+        log.mark = Some(Arc::clone(snapshot));
+        log.built = true;
     }
 }
 
@@ -761,16 +902,20 @@ mod tests {
         }
     }
 
-    /// A Zyzzyva executor: speculative chains carry no certificates, so
-    /// the ledger's certificate quorum is zero (as in `spawn_replica`).
+    /// An executor over `store` with the ledger mode its protocol runs in
+    /// `spawn_replica`: speculative chains carry no certificates, so
+    /// Zyzzyva's certificate quorum is zero.
+    fn executor_on(protocol: ProtocolKind, store: Arc<dyn StateStore>) -> Executor {
+        let (quorum, mode) = match protocol {
+            ProtocolKind::Pbft => (3, ChainMode::Certificate),
+            ProtocolKind::Zyzzyva => (0, ChainMode::PrevHash),
+        };
+        let chain = Arc::new(Mutex::new(Blockchain::new(Digest::ZERO, quorum, mode)));
+        Executor::new(ReplicaId(1), protocol, store, chain)
+    }
+
     fn zyz_executor() -> Executor {
-        let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
-        let chain = Arc::new(Mutex::new(Blockchain::new(
-            Digest::ZERO,
-            0,
-            ChainMode::PrevHash,
-        )));
-        Executor::new(ReplicaId(1), ProtocolKind::Zyzzyva, store, chain)
+        executor_on(ProtocolKind::Zyzzyva, Arc::new(MemStore::new()))
     }
 
     /// An exec item whose transactions write distinct values derived from
@@ -902,6 +1047,403 @@ mod tests {
             ex.rollback_to(SeqNum(0)),
             0,
             "checkpointed prefix cannot rewind"
+        );
+    }
+
+    // ---- the snapshot mark and the pre-image log ----
+
+    const INTERVAL: u64 = 4;
+    const KEYS: u64 = 24;
+
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// A seeded batch over a tiny key space, so batches overwrite each
+    /// other, create keys late, and — the last transaction rewrites the
+    /// first one's key — write one key twice.
+    fn random_item(seq: u64, rng: &mut u64, protocol: ProtocolKind) -> ExecuteItem {
+        let mut txns: Vec<Transaction> = (0..4u64)
+            .map(|i| {
+                let ops = (0..1 + xorshift(rng) % 2)
+                    .map(|_| Operation::Write {
+                        key: xorshift(rng) % KEYS,
+                        value: xorshift(rng).to_le_bytes()[..1 + (seq + i) as usize % 8].to_vec(),
+                    })
+                    .collect();
+                Transaction::new(ClientId(i), xorshift(rng), ops)
+            })
+            .collect();
+        let Operation::Write { key, .. } = txns[0].ops[0] else {
+            unreachable!("random_item only writes")
+        };
+        let again = Operation::Write {
+            key,
+            value: vec![seq as u8],
+        };
+        txns.push(Transaction::new(ClientId(9), xorshift(rng), vec![again]));
+        let zyzzyva = protocol == ProtocolKind::Zyzzyva;
+        ExecuteItem {
+            seq: SeqNum(seq),
+            view: ViewNum(0),
+            digest: Digest([xorshift(rng) as u8; 32]),
+            batch: Arc::new(txns.into_iter().collect()),
+            certificate: match protocol {
+                ProtocolKind::Pbft => exec_item(seq, None).certificate,
+                ProtocolKind::Zyzzyva => BlockCertificate::default(),
+            },
+            history: zyzzyva.then_some(Digest([seq as u8 | 0x80; 32])),
+        }
+    }
+
+    /// What eager capture produced: the store copied whole, right now.
+    fn eager_snapshot(ex: &Executor, item: &ExecuteItem) -> Snapshot {
+        let block = ex.chain.lock().blocks_between(item.seq.prev(), item.seq);
+        Snapshot {
+            base_seq: item.seq,
+            block: block.into_iter().next().expect("block just appended"),
+            history: item.history.unwrap_or(Digest::ZERO),
+            records: ex.store.export_records(),
+        }
+    }
+
+    /// The snapshot materialised `after` batches past the mark is the one
+    /// an oracle exports eagerly *at* the mark — under Zyzzyva with a
+    /// mis-speculated suffix executed and rewound in between.
+    fn materialised_equals_eager(
+        protocol: ProtocolKind,
+        new_store: &dyn Fn() -> Arc<dyn StateStore>,
+    ) {
+        for seed in 1..=12u64 {
+            for after in [0, 1, INTERVAL - 1] {
+                let mut rng = seed;
+                let prefix: Vec<ExecuteItem> = (1..=INTERVAL)
+                    .map(|seq| random_item(seq, &mut rng, protocol))
+                    .collect();
+                let oracle = executor_on(protocol, new_store());
+                prefix.iter().for_each(|item| drop(oracle.execute(item)));
+                let expected = eager_snapshot(&oracle, &prefix[INTERVAL as usize - 1]);
+                assert!(crate::recovery::verify_snapshot(&expected));
+
+                let ex = executor_on(protocol, new_store());
+                ex.set_snapshot_interval(INTERVAL);
+                prefix.iter().for_each(|item| drop(ex.execute(item)));
+                if protocol == ProtocolKind::Zyzzyva && after > 0 {
+                    for seq in INTERVAL + 1..=INTERVAL + after {
+                        ex.execute(&random_item(seq, &mut rng, protocol));
+                    }
+                    // Rewind to the mark, or to one batch above it.
+                    let to = INTERVAL + (seed % 2).min(after - 1);
+                    assert_eq!(ex.rollback_to(SeqNum(to)), (INTERVAL + after - to) as usize);
+                    for seq in to + 1..=INTERVAL + after {
+                        ex.execute(&random_item(seq, &mut rng, protocol));
+                    }
+                } else {
+                    for seq in INTERVAL + 1..=INTERVAL + after {
+                        ex.execute(&random_item(seq, &mut rng, protocol));
+                    }
+                }
+                let snapshot = ex.latest_snapshot().expect("marked at the interval");
+                let case = format!("{protocol:?} seed {seed}, {after} batches after the mark");
+                assert_eq!(snapshot.records, expected.records, "{case}");
+                assert_eq!(snapshot.agreement_key(), expected.agreement_key(), "{case}");
+                assert_eq!(*snapshot, expected, "{case}");
+                assert!(crate::recovery::verify_snapshot(&snapshot), "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn materialised_snapshot_equals_eager_capture_on_memstore() {
+        for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+            materialised_equals_eager(protocol, &|| Arc::new(MemStore::new()));
+        }
+    }
+
+    #[test]
+    fn materialised_snapshot_equals_eager_capture_on_pagedstore() {
+        use rdb_storage::pagedb::PagedStoreConfig;
+        use rdb_storage::PagedStore;
+        let dir = std::env::temp_dir().join(format!("rdb-exec-paged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let created = std::cell::Cell::new(0);
+        // Fixed slots: every key below the capacity, every value within
+        // the record size — which `random_item` stays inside.
+        let new_store = || -> Arc<dyn StateStore> {
+            created.set(created.get() + 1);
+            let config = PagedStoreConfig {
+                record_size: 8,
+                capacity: KEYS,
+                cache_pages: 2,
+                fsync_on_write: false,
+            };
+            let path = dir.join(format!("store-{}", created.get()));
+            Arc::new(PagedStore::create(&path, config).expect("create paged store"))
+        };
+        for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+            materialised_equals_eager(protocol, &new_store);
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn rewind_handles_keys_that_appeared_and_vanished_since() {
+        let rec = |k: u64, v: u8| (k, vec![v]);
+        let mut records = vec![rec(1, 10), rec(3, 30), rec(5, 50)];
+        let log: [(u64, Option<&[u8]>); 5] = [
+            (3, Some(&[3])),  // overwritten since: oldest image wins…
+            (3, Some(&[33])), // …not this later one
+            (5, None),        // created since
+            (4, Some(&[4])),  // removed since
+            (7, None),        // created and removed since
+        ];
+        rewind(&mut records, log.into_iter());
+        assert_eq!(records, vec![rec(1, 10), rec(3, 3), rec(4, 4)]);
+    }
+
+    /// A store that counts how often it is copied whole.
+    struct CountingStore {
+        inner: MemStore,
+        exports: AtomicU64,
+    }
+
+    impl StateStore for CountingStore {
+        fn get(&self, key: u64) -> Option<Vec<u8>> {
+            self.inner.get(key)
+        }
+        fn put(&self, key: u64, value: &[u8]) {
+            self.inner.put(key, value);
+        }
+        fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
+            self.inner.apply(writes)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn state_digest(&self) -> Digest {
+            self.inner.state_digest()
+        }
+        fn export_records(&self) -> Vec<(u64, Vec<u8>)> {
+            self.exports.fetch_add(1, Ordering::Relaxed);
+            self.inner.export_records()
+        }
+    }
+
+    #[test]
+    fn marks_copy_nothing_and_each_is_materialised_at_most_once() {
+        let store = Arc::new(CountingStore {
+            inner: MemStore::with_table(KEYS, 8),
+            exports: AtomicU64::new(0),
+        });
+        let ex = executor_on(
+            ProtocolKind::Pbft,
+            Arc::clone(&store) as Arc<dyn StateStore>,
+        );
+        ex.set_snapshot_interval(INTERVAL);
+        let mut rng = 7;
+        let mut run = |through: u64| {
+            let from = ex.executed_batches() + 1;
+            for seq in from..=through {
+                ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+            }
+        };
+        run(5 * INTERVAL + 1);
+        assert_eq!(ex.snapshot_base(), Some(SeqNum(5 * INTERVAL)));
+        assert_eq!(
+            store.exports.load(Ordering::Relaxed),
+            0,
+            "five marks, no demand"
+        );
+        let first = ex.latest_snapshot().expect("marked");
+        for _ in 0..3 {
+            assert!(Arc::ptr_eq(&first, &ex.latest_snapshot().expect("marked")));
+        }
+        assert_eq!(
+            store.exports.load(Ordering::Relaxed),
+            1,
+            "built once per mark"
+        );
+        run(6 * INTERVAL);
+        assert_eq!(
+            store.exports.load(Ordering::Relaxed),
+            1,
+            "a new mark is free again"
+        );
+        assert_eq!(
+            ex.latest_snapshot().expect("marked").base_seq,
+            SeqNum(6 * INTERVAL)
+        );
+        assert_eq!(store.exports.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn snapshots_materialised_while_commits_race_them_all_verify() {
+        use std::sync::atomic::AtomicBool;
+        const MARKS: usize = 6;
+        let ex = executor_on(ProtocolKind::Pbft, Arc::new(MemStore::with_table(KEYS, 8)));
+        ex.set_snapshot_interval(INTERVAL);
+        let stop = AtomicBool::new(false);
+        let (checked, bad) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut rng = 3;
+                let mut seq = 0;
+                while !stop.load(Ordering::Relaxed) {
+                    seq += 1;
+                    ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+                }
+            });
+            // Every call lands between two commits or inside one; the
+            // committer never pauses for it except on the log's lock.
+            let mut seen: Vec<SeqNum> = Vec::new();
+            let mut bad = Vec::new();
+            while seen.len() < MARKS {
+                let Some(snapshot) = ex.latest_snapshot() else {
+                    continue;
+                };
+                if seen.last() != Some(&snapshot.base_seq) {
+                    seen.push(snapshot.base_seq);
+                    if !crate::recovery::verify_snapshot(&snapshot) {
+                        bad.push(snapshot.base_seq);
+                    }
+                }
+            }
+            stop.store(true, Ordering::Relaxed);
+            (seen, bad)
+        });
+        assert_eq!(checked.len(), MARKS);
+        assert!(
+            bad.is_empty(),
+            "snapshots at {bad:?} do not hash back to their block"
+        );
+    }
+
+    #[test]
+    fn pbft_log_never_outgrows_one_interval_and_is_empty_without_marks() {
+        let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        ex.set_snapshot_interval(INTERVAL);
+        let mut rng = 11;
+        for seq in 1..=10 * INTERVAL {
+            ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+            // Stability is none of its business: some checkpoints never
+            // become stable here, some do late.
+            if seq % (3 * INTERVAL) == 0 {
+                ex.note_stable(SeqNum(seq - INTERVAL));
+            }
+            assert_eq!(
+                ex.log.lock().undo.len() as u64,
+                seq % INTERVAL,
+                "after {seq}"
+            );
+        }
+        let unmarked = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        for seq in 1..=INTERVAL {
+            unmarked.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+        }
+        assert!(unmarked.log.lock().undo.is_empty(), "no reader, no log");
+    }
+
+    #[test]
+    fn pbft_rollback_is_a_no_op_even_with_a_log_to_rewind() {
+        let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        ex.set_snapshot_interval(INTERVAL);
+        let mut rng = 5;
+        for seq in 1..INTERVAL {
+            ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+        }
+        let (state, batches) = (ex.store.state_digest(), ex.executed_batches());
+        assert_eq!(ex.rollback_to(SeqNum(0)), 0, "committed batches are final");
+        assert_eq!(ex.store.state_digest(), state);
+        assert_eq!(ex.executed_batches(), batches);
+        assert_eq!(ex.chain.lock().head_seq(), SeqNum(INTERVAL - 1));
+    }
+
+    #[test]
+    fn install_snapshot_replaces_the_mark_it_invalidates() {
+        let mut rng = 2;
+        let items: Vec<ExecuteItem> = (1..=2 * INTERVAL)
+            .map(|seq| random_item(seq, &mut rng, ProtocolKind::Pbft))
+            .collect();
+        let source = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        source.set_snapshot_interval(INTERVAL);
+        items.iter().for_each(|item| drop(source.execute(item)));
+        let transferred = source.latest_snapshot().expect("marked at 2Δ");
+
+        // The receiver holds an unbuilt mark at Δ and log records above it.
+        let receiver = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        receiver.set_snapshot_interval(INTERVAL);
+        items[..INTERVAL as usize + 1]
+            .iter()
+            .for_each(|item| drop(receiver.execute(item)));
+        assert_eq!(receiver.snapshot_base(), Some(SeqNum(INTERVAL)));
+        receiver.install_snapshot(&transferred);
+        let served = receiver.latest_snapshot().expect("the installed one");
+        assert_eq!(served.base_seq, SeqNum(2 * INTERVAL));
+        assert!(
+            Arc::ptr_eq(&served, &transferred),
+            "already built: not copied again"
+        );
+        assert!(receiver.log.lock().undo.is_empty());
+        // And the next mark materialises from the installed state.
+        for seq in 2 * INTERVAL + 1..=3 * INTERVAL + 1 {
+            let item = random_item(seq, &mut rng, ProtocolKind::Pbft);
+            source.execute(&item);
+            receiver.execute(&item);
+        }
+        let (a, b) = (source.latest_snapshot(), receiver.latest_snapshot());
+        assert_eq!(a, b);
+        assert!(crate::recovery::verify_snapshot(&b.expect("marked at 3Δ")));
+    }
+
+    #[test]
+    fn zyzzyva_rollback_below_the_mark_drops_it() {
+        let ex = zyz_executor();
+        ex.set_snapshot_interval(2);
+        ex.execute(&tagged_item(1, 1));
+        ex.execute(&tagged_item(2, 66)); // mis-speculated, and marked
+        ex.execute(&tagged_item(3, 66));
+        assert_eq!(ex.snapshot_base(), Some(SeqNum(2)));
+        assert_eq!(ex.rollback_to(SeqNum(1)), 2);
+        assert_eq!(ex.latest_snapshot(), None, "the state it stood for is gone");
+        // The reconciled history marks sequence 2 afresh.
+        ex.execute(&tagged_item(2, 2));
+        ex.execute(&tagged_item(3, 2));
+        let clean = zyz_executor();
+        clean.execute(&tagged_item(1, 1));
+        clean.execute(&tagged_item(2, 2));
+        let snapshot = ex.latest_snapshot().expect("marked again");
+        assert_eq!(*snapshot, eager_snapshot(&clean, &tagged_item(2, 2)));
+    }
+
+    #[test]
+    fn zyzzyva_keeps_the_log_under_a_lagging_replicas_mark() {
+        // This replica marked 2 and executed 3; its peers already made
+        // the checkpoint at 4 stable without it.
+        let ex = zyz_executor();
+        ex.set_snapshot_interval(2);
+        let clean = zyz_executor();
+        for seq in 1..=3 {
+            ex.execute(&tagged_item(seq, seq as u8));
+            if seq <= 2 {
+                clean.execute(&tagged_item(seq, seq as u8));
+            }
+        }
+        ex.note_stable(SeqNum(4));
+        assert_eq!(
+            ex.log.lock().undo.keys().copied().collect::<Vec<_>>(),
+            [SeqNum(3)],
+            "pruned through min(stable, mark), not through stable"
+        );
+        let snapshot = ex.latest_snapshot().expect("marked at 2");
+        assert_eq!(*snapshot, eager_snapshot(&clean, &tagged_item(2, 2)));
+        // Once its own mark reaches 4, stability prunes through it.
+        ex.execute(&tagged_item(4, 4));
+        ex.execute(&tagged_item(5, 5));
+        assert_eq!(
+            ex.log.lock().undo.keys().copied().collect::<Vec<_>>(),
+            [SeqNum(5)]
         );
     }
 

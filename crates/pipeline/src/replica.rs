@@ -136,6 +136,10 @@ impl CoreEnv for ReplicaShared {
         self.executor.latest_snapshot()
     }
 
+    fn snapshot_base(&self) -> Option<SeqNum> {
+        self.executor.snapshot_base()
+    }
+
     fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
         self.chain.lock().prune_below(seq)
     }

@@ -9,7 +9,7 @@
 //! `fsync`).
 
 use crate::merkle::MerkleAccumulator;
-use crate::store::{record_hash, StateStore, WriteRecord};
+use crate::store::{record_hash, PreImage, StateStore, WriteRecord};
 use parking_lot::Mutex;
 use rdb_common::Digest;
 use std::collections::HashMap;
@@ -233,9 +233,9 @@ impl PagedStore {
     /// `record_hash(key, value)`, so the deferred-commit path does not
     /// re-hash values it already hashed in the execute workers. The Merkle
     /// accumulator is keyed, so overwrites replace the bucket entry
-    /// directly — the old slot only has to be read for its empty/occupied
-    /// header, not re-hashed.
-    fn put_hashed(&self, key: u64, value: &[u8], new_hash: [u8; 32]) {
+    /// directly — the old slot is read for record accounting and to hand
+    /// the displaced value back, not re-hashed.
+    fn put_hashed(&self, key: u64, value: &[u8], new_hash: [u8; 32]) -> Option<Vec<u8>> {
         assert!(
             key < self.config.capacity,
             "key {key} beyond store capacity"
@@ -248,14 +248,16 @@ impl PagedStore {
         );
         let mut st = self.state.lock();
         let off = self.slot_offset(key);
-        // Read the old header for record accounting.
         let raw = self
-            .read_at(&mut st, off, SLOT_HDR)
+            .read_at(&mut st, off, SLOT_HDR + self.config.record_size)
             .expect("paged read failed");
         let old_len = u16::from_le_bytes([raw[0], raw[1]]);
-        if old_len == EMPTY_LEN {
+        let displaced = if old_len == EMPTY_LEN {
             st.record_count += 1;
-        }
+            None
+        } else {
+            Some(raw[SLOT_HDR..SLOT_HDR + old_len as usize].to_vec())
+        };
         st.merkle.update(key, new_hash);
         // Write slot: length header + payload.
         let mut buf = Vec::with_capacity(SLOT_HDR + value.len());
@@ -263,6 +265,7 @@ impl PagedStore {
         buf.extend_from_slice(value);
         self.write_at(&mut st, off, &buf)
             .expect("paged write failed");
+        displaced
     }
 }
 
@@ -288,10 +291,11 @@ impl StateStore for PagedStore {
         self.put_hashed(key, value, record_hash(key, value));
     }
 
-    fn apply(&self, writes: &[WriteRecord]) {
-        for w in writes {
-            self.put_hashed(w.key, &w.value, w.hash);
-        }
+    fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
+        writes
+            .iter()
+            .map(|w| (w.key, self.put_hashed(w.key, &w.value, w.hash)))
+            .collect()
     }
 
     fn len(&self) -> usize {

@@ -54,6 +54,11 @@ impl WriteRecord {
     }
 }
 
+/// One key with the value a write displaced there (`None` = the key did
+/// not exist): what [`StateStore::apply`] hands back per write, and the
+/// unit of the executor's pre-image log.
+pub type PreImage = (u64, Option<Vec<u8>>);
+
 /// Abstract key-value state accessed during execution.
 ///
 /// Implementations must be thread-safe: execute workers read while the
@@ -66,14 +71,11 @@ pub trait StateStore: Send + Sync {
     fn put(&self, key: u64, value: &[u8]);
 
     /// Commits buffered writes in order (the in-order commit step of
-    /// deferred execution). The default delegates to [`StateStore::put`];
-    /// backends that track per-record hashes override this to reuse the
-    /// precomputed hashes.
-    fn apply(&self, writes: &[WriteRecord]) {
-        for w in writes {
-            self.put(w.key, &w.value);
-        }
-    }
+    /// deferred execution), reusing their precomputed hashes, and returns
+    /// per write, in the same order, the value it displaced. A key written
+    /// twice reports the batch's own first write the second time, so the
+    /// *first* entry per key is its pre-batch image.
+    fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage>;
 
     /// Number of records present.
     fn len(&self) -> usize;
@@ -185,14 +187,17 @@ impl StateStore for MemStore {
         self.insert_hashed(key, value.to_vec(), record_hash(key, value));
     }
 
-    fn apply(&self, writes: &[WriteRecord]) {
+    fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
         // Batched commitment update: every dirty leaf hashes once and the
         // upper tree is shared across the whole batch.
+        let mut displaced = Vec::with_capacity(writes.len());
         let mut merkle = self.merkle.lock();
         merkle.apply(writes.iter().map(|w| {
-            self.shard(w.key).write().insert(w.key, w.value.clone());
+            let old = self.shard(w.key).write().insert(w.key, w.value.clone());
+            displaced.push((w.key, old));
             (w.key, Some(w.hash))
         }));
+        displaced
     }
 
     fn len(&self) -> usize {

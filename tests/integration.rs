@@ -272,6 +272,82 @@ fn replies_are_coalesced_per_client_per_batch() {
     db.shutdown();
 }
 
+/// A backup sleeps through two checkpoint intervals, so its holes are
+/// pruned everywhere and only a snapshot can repair it — and the peers
+/// serving that snapshot do not stop for it: they build it from their
+/// mark while executing past it. The rejoiner must land on their digest
+/// without having executed the history it was handed.
+fn rejoins_by_snapshot_while_the_cluster_keeps_executing(protocol: ProtocolKind) {
+    const BATCH: u64 = 5;
+    const INTERVAL: u64 = 10; // batches per checkpoint
+    let mut builder = SystemBuilder::new(4)
+        .protocol(protocol)
+        .batch_size(BATCH as usize)
+        .checkpoint_interval(INTERVAL * BATCH)
+        .table_size(128)
+        .client_keys(1);
+    // A 100 ms fetch back-off: under PBFT the f + 1 peers that must vouch
+    // for one mark are asked a back-off apart, so the load below is paced
+    // to keep a mark current for several of those.
+    builder.config_mut().view_timeout_ms = 400;
+    let db = builder.build().unwrap();
+    let mut client = db.client(0);
+    let mut submitted = 0;
+    let mut burst = |batches: u64| {
+        for _ in 0..batches {
+            let txns: Vec<_> = (submitted..submitted + BATCH)
+                .map(|i| client.write_txn(i % 128, i.to_le_bytes().to_vec()))
+                .collect();
+            assert_eq!(client.submit_and_wait(txns, wait()), BATCH as usize);
+            submitted += BATCH;
+        }
+        submitted
+    };
+    let sleeper = ReplicaId(2);
+    burst(2);
+    db.crash_backup(sleeper);
+    burst(2 * INTERVAL + 3);
+    db.recover(sleeper);
+    // New commits are how the rejoiner learns it is behind, and what the
+    // serving peers execute on top of the mark they serve.
+    let deadline = Instant::now() + wait();
+    let converged = loop {
+        let total = burst(1);
+        std::thread::sleep(Duration::from_millis(50));
+        let digests = db.state_digests();
+        let heads = db.chain_heads();
+        if digests.iter().all(|d| *d == digests[0]) && heads.iter().all(|h| *h == heads[0]) {
+            break Some(total);
+        }
+        if Instant::now() >= deadline {
+            break None;
+        }
+    };
+    let total = converged.unwrap_or_else(|| {
+        panic!(
+            "{protocol:?}: rejoiner stuck at head {} of {:?}",
+            db.chain_heads()[sleeper.as_usize()],
+            db.chain_heads()
+        )
+    });
+    assert!(
+        db.executed_txns(sleeper) < total,
+        "{protocol:?}: transferred history is installed, not re-executed"
+    );
+    assert!(db.verify_chains().is_ok());
+    db.shutdown();
+}
+
+#[test]
+fn pbft_rejoins_by_snapshot_while_the_cluster_keeps_executing() {
+    rejoins_by_snapshot_while_the_cluster_keeps_executing(ProtocolKind::Pbft);
+}
+
+#[test]
+fn zyzzyva_rejoins_by_snapshot_while_the_cluster_keeps_executing() {
+    rejoins_by_snapshot_while_the_cluster_keeps_executing(ProtocolKind::Zyzzyva);
+}
+
 #[test]
 fn saturation_metrics_exposed() {
     let db = SystemBuilder::new(4)
