@@ -31,15 +31,21 @@
 //! captures how group commit amortizes the one-fsync-per-batch cost of
 //! `always` down to roughly one per window.
 //!
-//! One row stands apart from the sweeps: `merkle/apply/50w_64k` times the
-//! state-commitment update by itself — `MemStore::apply` of 50 uniform
-//! 8-byte writes over a 65 536-row table, the shape of one `mem_uniform`
-//! batch in the repo's benchmark — in µs per batch.
+//! Three rows stand apart from the sweeps and time the state commitment by
+//! itself at the shape of `mem_uniform` in the repo's benchmark —
+//! `MemStore::apply` of 50 uniform 8-byte writes over a 65 536-row table,
+//! the root asked for once per 200-batch checkpoint interval:
+//! `merkle/touch/50w_64k` is one `apply` (bucket edits, no tree hash),
+//! `merkle/flush/10k_dirty_64k` the `state_digest()` at the boundary that
+//! re-hashes what the interval dirtied, and `merkle/apply/50w_64k` their
+//! sum per batch — `apply` plus the amortised flush, what a batch costs
+//! the execute stage. µs each.
 //!
 //! Two more time the serving snapshot at the same shape (200-batch
 //! checkpoint interval): `snapshot/capture/64k` is what the commit that
-//! crosses a checkpoint boundary costs over its neighbours — a mark, not a
-//! copy of the table — and `snapshot/materialize/64k_10k_dirty` is the
+//! crosses a checkpoint boundary costs over its neighbours, not counting
+//! the interval's Merkle flush (the row above) — a mark, not a copy of the
+//! table — and `snapshot/materialize/64k_10k_dirty` is the
 //! first `latest_snapshot()` one interval later, the copy a
 //! state-transferring peer (or a stable checkpoint going to disk) pays for
 //! on demand. Both in µs.
@@ -273,14 +279,17 @@ fn run_once(items: &[ExecuteItem], threads: usize, backend: Backend) -> (f64, Di
     (total_txns as f64 / elapsed, executor.store().state_digest())
 }
 
-/// Mean µs for `MemStore::apply` of one 50-write batch of uniform keys
-/// over a 65 536-row table (record hashes precomputed, as on the execute
-/// path): leaf re-hashes plus the shared root paths of the Merkle tree.
-fn merkle_apply_us(batches: usize) -> f64 {
+/// The state commitment over a 65 536-row table at the shape of
+/// `mem_uniform`: `MemStore::apply` of 50-write batches of uniform keys
+/// (record hashes precomputed, as on the execute path) and one
+/// `state_digest()` per 200 of them. Mean µs of (one apply with its share
+/// of the flush, one flush, one apply alone).
+fn merkle_costs_us(intervals: usize) -> (f64, f64, f64) {
     const ROWS: u64 = 65_536;
+    const INTERVAL: usize = 200;
     let store = MemStore::with_table(ROWS, 8);
     let mut rng = StdRng::seed_from_u64(7);
-    let work: Vec<Vec<WriteRecord>> = (0..batches)
+    let work: Vec<Vec<WriteRecord>> = (0..intervals * INTERVAL)
         .map(|_| {
             (0..50)
                 .map(|_| {
@@ -293,18 +302,30 @@ fn merkle_apply_us(batches: usize) -> f64 {
         })
         .collect();
     store.apply(&work[0]); // warm-up
-    let start = Instant::now();
-    for writes in &work {
-        store.apply(writes);
-    }
     std::hint::black_box(store.state_digest());
-    start.elapsed().as_secs_f64() * 1e6 / batches as f64
+    let (mut touch, mut flush) = (Duration::ZERO, Duration::ZERO);
+    for interval in work.chunks(INTERVAL) {
+        let start = Instant::now();
+        for writes in interval {
+            store.apply(writes);
+        }
+        touch += start.elapsed();
+        let start = Instant::now();
+        std::hint::black_box(store.state_digest());
+        flush += start.elapsed();
+    }
+    let per = |total: Duration, n: usize| total.as_secs_f64() * 1e6 / n as f64;
+    (
+        per(touch + flush, work.len()),
+        per(flush, intervals),
+        per(touch, work.len()),
+    )
 }
 
 /// Checkpoint cost over a 65 536-row table at the shape of `mem_uniform`
 /// (a mark every 200 batches of 50 uniform 8-byte writes): mean µs the
 /// commit that crosses a boundary costs over the mean of the other
-/// commits — the capture — and µs for the first `latest_snapshot()` 199
+/// commits, the interval's Merkle flush excluded — the capture — and µs for the first `latest_snapshot()` 199
 /// batches (≈ 10 000 writes) past the last mark.
 fn snapshot_costs_us(intervals: u64) -> (f64, f64) {
     const ROWS: u64 = 65_536;
@@ -335,6 +356,12 @@ fn snapshot_costs_us(intervals: u64) -> (f64, f64) {
             certificate: BlockCertificate::default(),
             history: None,
         };
+        if seq % INTERVAL == 0 {
+            // The boundary commit also brings the Merkle tree up to date
+            // (`merkle/flush` times that): do it before the clock starts,
+            // so this row keeps timing the mark alone.
+            std::hint::black_box(executor.store().state_digest());
+        }
         let start = Instant::now();
         std::hint::black_box(executor.execute(&item));
         if seq % INTERVAL == 0 {
@@ -372,10 +399,14 @@ fn run_suite() -> Vec<Sample> {
         .map(|iters| (iters / 10).clamp(1, 16))
         .unwrap_or(4);
 
-    let best_apply = (0..repeats)
-        .map(|_| merkle_apply_us(400))
-        .fold(f64::INFINITY, f64::min);
-    record(&mut samples, "merkle/apply/50w_64k", best_apply, "us/batch");
+    let [apply, flush, touch] = (0..repeats)
+        .map(|_| merkle_costs_us(2))
+        .fold([f64::INFINITY; 3], |best, (a, f, t)| {
+            [best[0].min(a), best[1].min(f), best[2].min(t)]
+        });
+    record(&mut samples, "merkle/apply/50w_64k", apply, "us/batch");
+    record(&mut samples, "merkle/flush/10k_dirty_64k", flush, "us");
+    record(&mut samples, "merkle/touch/50w_64k", touch, "us/batch");
     let (capture, materialize) = (0..repeats)
         .map(|_| snapshot_costs_us(3))
         .fold((f64::INFINITY, f64::INFINITY), |best, (c, m)| {
@@ -496,8 +527,9 @@ fn emit_json(samples: &[Sample]) {
         IO_DELAY.as_micros()
     ));
     out.push_str(
-        "  \"unit\": \"txn/s (merkle/apply is us per 50-write MemStore::apply over a 65536-row table; \
-         snapshot/capture is us a checkpoint-boundary commit costs over its neighbours and \
+        "  \"unit\": \"txn/s (merkle/touch is us per 50-write MemStore::apply over a 65536-row table, \
+         merkle/flush us for the state_digest() after 200 of them, merkle/apply their sum per batch; \
+         snapshot/capture is us a checkpoint-boundary commit costs over its neighbours (flush excluded) and \
          snapshot/materialize us for the first latest_snapshot() 10k writes later, same table; \
          speedup entries are ratios vs the serial execute-thread; \
          mem rows scale with physical cores, io rows with overlapped read latency; \

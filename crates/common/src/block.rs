@@ -122,7 +122,10 @@ pub struct Block {
     pub link: BlockLink,
     /// Number of transactions executed in the batch.
     pub txn_count: u32,
-    /// Digest over the execution results, so replicas can cross-check state.
+    /// Digest over the execution results, so replicas can cross-check
+    /// execution block by block: the state store's commitment at a
+    /// checkpoint boundary, a digest chaining the batch's writes onto the
+    /// previous block's in between (the executor decides which).
     pub result_digest: Digest,
 }
 

@@ -43,8 +43,6 @@ pub struct Substrate {
     /// Highest sequence the execution layer reported as executed.
     pub(crate) last_executed: SeqNum,
     checkpoints: CheckpointTracker,
-    /// Batches executed since the last checkpoint broadcast.
-    executed_since_checkpoint: u64,
     /// View-change votes: new view → voter → the voter's batch tail.
     view_change_votes: HashMap<ViewNum, HashMap<ReplicaId, BatchTail>>,
     /// Set when this replica has voted for a view change.
@@ -158,7 +156,6 @@ impl<R: ProtocolRule> Replica<R> {
             view: ViewNum(0),
             last_executed: SeqNum(0),
             checkpoints: CheckpointTracker::new(quorum::checkpoint_quorum(config.f)),
-            executed_since_checkpoint: 0,
             view_change_votes: HashMap::new(),
             voted_view: None,
             timeout_strikes: 0,
@@ -246,15 +243,18 @@ impl<R: ProtocolRule> Replica<R> {
 
     /// Notification from the execution layer that the batch at `seq` has
     /// been executed with the given replica state digest. Emits a
-    /// `Checkpoint` broadcast every Δ batches (Section 4.7).
+    /// `Checkpoint` broadcast at every Δ-th sequence of this instance
+    /// (Section 4.7). The cadence is a function of the sequence number, so
+    /// replicas vote at the same sequences wherever each of them booted,
+    /// restarted or installed a snapshot.
     pub fn on_executed(&mut self, seq: SeqNum, state_digest: Digest) -> Vec<Action> {
         let sub = &mut self.sub;
         sub.last_executed = sub.last_executed.max(seq);
-        sub.executed_since_checkpoint += 1;
-        if sub.executed_since_checkpoint < sub.config.checkpoint_interval_batches {
+        // This instance's `index`-th sequence: it owns every k-th one.
+        let index = seq.0.saturating_sub(1) / sub.config.instances + 1;
+        if !index.is_multiple_of(sub.config.checkpoint_interval_batches) {
             return Vec::new();
         }
-        sub.executed_since_checkpoint = 0;
         let mut actions = vec![Action::Broadcast(Message::Checkpoint {
             seq,
             state_digest,
@@ -445,7 +445,6 @@ impl<R: ProtocolRule> Replica<R> {
     pub fn install_snapshot(&mut self, base: SeqNum, history: Digest) {
         self.sub.last_executed = self.sub.last_executed.max(base);
         self.sub.checkpoints.force_stable(base);
-        self.sub.executed_since_checkpoint = 0;
         self.rule.install_snapshot(&self.sub, base, history);
     }
 

@@ -247,6 +247,46 @@ fn forged_replica_ids_cannot_stabilise_a_checkpoint() {
     }
 }
 
+/// The sequences at which `engine` broadcasts a checkpoint vote while it
+/// executes `seqs`.
+fn checkpoint_votes(engine: &mut ReplicaEngine, seqs: impl Iterator<Item = u64>) -> Vec<u64> {
+    seqs.flat_map(|seq| engine.on_executed(SeqNum(seq), digest_for(seq)))
+        .filter_map(|act| match act {
+            Action::Broadcast(Message::Checkpoint { seq, .. }) => Some(seq.0),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Checkpoint votes must land on the same sequences at every replica or
+/// no 2f+1 of them ever match: the cadence is a function of the sequence
+/// number, not of where a replica restarted or installed a snapshot.
+#[test]
+fn checkpoint_cadence_follows_the_sequence_not_the_boot_point() {
+    for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+        // A durable replica restarted at WAL head 7 with Δ = 4.
+        let mut reborn = ReplicaEngine::new(protocol, ReplicaId(1), ConsensusConfig::new(N, 4));
+        reborn.install_snapshot(SeqNum(7), Digest::ZERO);
+        assert_eq!(
+            checkpoint_votes(&mut reborn, 8..=16),
+            [8, 12, 16],
+            "{protocol:?}"
+        );
+        // Two instances: instance j owns j+1, j+3, …; its Δ-th, 2Δ-th, …
+        // own sequences are the boundaries, wherever it picks up.
+        for (instance, from, expected) in [(0, 1, [7, 15]), (1, 2, [8, 16]), (0, 11, [15, 23])] {
+            let cfg = ConsensusConfig::new(N, 4).for_instance(instance, 2);
+            let mut engine = ReplicaEngine::new(protocol, ReplicaId(1), cfg);
+            let owned = (from..).step_by(2).take_while(|seq| *seq <= expected[1]);
+            assert_eq!(
+                checkpoint_votes(&mut engine, owned),
+                expected,
+                "{protocol:?} instance {instance} from {from}"
+            );
+        }
+    }
+}
+
 /// Likewise for view-change votes: the victim is view 1's primary, so f+1
 /// forged votes would make it join and 2f+1 would crown it.
 #[test]

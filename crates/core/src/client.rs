@@ -30,6 +30,41 @@ enum Tracker {
     Zyzzyva(ZyzzyvaClient),
 }
 
+/// Every completed request's result, kept for the session's lifetime.
+/// Counters are dense per session, so a result costs one index entry plus
+/// its bytes in a shared arena — not a map slot and an allocation each.
+#[derive(Default)]
+struct Results {
+    /// By counter: where the result starts in `bytes` and its length
+    /// ([`Results::ABSENT`] = not completed yet).
+    index: Vec<(usize, u32)>,
+    bytes: Vec<u8>,
+}
+
+impl Results {
+    const ABSENT: u32 = u32::MAX;
+
+    /// Records the result of `counter`, one this session submitted (the
+    /// trackers complete nothing else, and each counter once).
+    fn insert(&mut self, counter: u64, result: &[u8]) {
+        let at = counter as usize;
+        if at >= self.index.len() {
+            self.index.resize(at + 1, (0, Self::ABSENT));
+        }
+        let len = u32::try_from(result.len())
+            .ok()
+            .filter(|len| *len != Self::ABSENT)
+            .expect("a result fits in a message frame");
+        self.index[at] = (self.bytes.len(), len);
+        self.bytes.extend_from_slice(result);
+    }
+
+    fn get(&self, counter: u64) -> Option<&[u8]> {
+        let &(start, len) = self.index.get(usize::try_from(counter).ok()?)?;
+        (len != Self::ABSENT).then(|| &self.bytes[start..start + len as usize])
+    }
+}
+
 /// A connected client able to submit transactions and collect results.
 pub struct ClientSession {
     id: ClientId,
@@ -48,7 +83,7 @@ pub struct ClientSession {
     known_view: ViewNum,
     n: usize,
     counter: u64,
-    results: HashMap<u64, Vec<u8>>,
+    results: Results,
     last_progress: Instant,
     /// Requests that have distributed a Zyzzyva commit certificate and are
     /// waiting on `LocalCommit` acknowledgements.
@@ -102,7 +137,7 @@ impl ClientSession {
             known_view: ViewNum(0),
             n,
             counter: 0,
-            results: HashMap::new(),
+            results: Results::default(),
             last_progress: Instant::now(),
             cc_counters: Vec::new(),
             in_flight: HashMap::new(),
@@ -181,8 +216,8 @@ impl ClientSession {
     }
 
     /// The result bytes of a completed request, if available.
-    pub fn result(&self, txn: TxnId) -> Option<&Vec<u8>> {
-        self.results.get(&txn.counter)
+    pub fn result(&self, txn: TxnId) -> Option<&[u8]> {
+        self.results.get(txn.counter)
     }
 
     fn broadcast(&self, msg: &Message) {
@@ -205,7 +240,7 @@ impl ClientSession {
                     txn_counter,
                     result,
                 } => {
-                    self.results.insert(txn_counter, result);
+                    self.results.insert(txn_counter, &result);
                     self.in_flight.remove(&txn_counter);
                     completed += 1;
                 }
@@ -332,5 +367,31 @@ impl ClientSession {
     pub fn submit_and_wait(&mut self, txns: Vec<Transaction>, deadline: Duration) -> usize {
         self.submit(txns);
         self.await_all(deadline)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Results;
+
+    #[test]
+    fn results_are_found_by_counter_whatever_order_they_completed_in() {
+        let mut results = Results::default();
+        results.insert(3, b"three");
+        results.insert(0, b"");
+        results.insert(2, b"two");
+        assert_eq!(results.get(3), Some(&b"three"[..]));
+        assert_eq!(results.get(2), Some(&b"two"[..]));
+        assert_eq!(results.get(0), Some(&b""[..]), "empty is not absent");
+        assert_eq!(
+            results.get(1),
+            None,
+            "below a completed one, never completed"
+        );
+        assert_eq!(results.get(4), None);
+        assert_eq!(results.get(u64::MAX), None);
+        results.insert(1, b"one");
+        assert_eq!(results.get(1), Some(&b"one"[..]));
+        assert_eq!(results.get(3), Some(&b"three"[..]));
     }
 }

@@ -397,6 +397,17 @@ impl ResilientDb {
             .collect()
     }
 
+    /// Sequence and result digest of each replica's head block. Replicas
+    /// that executed the same history agree on both (on the whole block
+    /// they need not: each keeps the commit certificate it collected).
+    pub fn head_results(&self) -> Vec<(u64, Digest)> {
+        let head_of = |r: &ReplicaHandle| {
+            let chain = r.shared().chain.lock();
+            (chain.head().seq.0, chain.head().result_digest)
+        };
+        self.replicas.iter().map(head_of).collect()
+    }
+
     /// State digest at each replica (equal across correct replicas once
     /// execution catches up).
     pub fn state_digests(&self) -> Vec<Digest> {

@@ -1352,7 +1352,7 @@ impl TcpTransport {
             }
         }));
         let mut handles = Vec::with_capacity(loops_n);
-        let mut threads = Vec::with_capacity(loops_n + 1);
+        let mut ev_loops = Vec::with_capacity(loops_n);
         let mut listener = listener;
         for idx in 0..loops_n {
             let (cmd_tx, cmd_rx) = channel::unbounded();
@@ -1363,7 +1363,7 @@ impl TcpTransport {
                 waker,
                 sleeping: Arc::clone(&sleeping),
             });
-            let ev_loop = EventLoop {
+            ev_loops.push(EventLoop {
                 idx,
                 inner: Arc::clone(&inner),
                 poller: Poller::new().expect("create reactor poller"),
@@ -1372,15 +1372,21 @@ impl TcpTransport {
                 wake_rx,
                 sleeping,
                 listener: listener.take(), // loop 0 gets the listener
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("tcp-loop-{idx}"))
-                    .spawn(move || ev_loop.run())
-                    .expect("spawn tcp event loop"),
-            );
+            });
         }
+        // Before any loop runs: a peer already dialing this port (a
+        // restarted replica's do) is accepted, and handed to a loop by
+        // index, on loop 0's first iteration.
         inner.loops.set(handles).ok().expect("loops set once");
+        let mut threads: Vec<_> = ev_loops
+            .into_iter()
+            .map(|ev_loop| {
+                std::thread::Builder::new()
+                    .name(format!("tcp-loop-{}", ev_loop.idx))
+                    .spawn(move || ev_loop.run())
+                    .expect("spawn tcp event loop")
+            })
+            .collect();
         let (dial_tx, dial_rx) = channel::unbounded();
         inner.dial_tx.set(dial_tx).expect("dialer set once");
         let dial_inner = Arc::clone(&inner);

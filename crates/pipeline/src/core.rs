@@ -223,8 +223,8 @@ pub struct ReplicaCore {
     /// `FetchResponse` for `(seq, digest)` — f+1 of them stand in for an
     /// offline-verifiable certificate.
     fetch_votes: HashMap<(SeqNum, ViewNum, Digest), HashSet<ReplicaId>>,
-    /// Distinct peers that presented each snapshot `agreement_key`, plus
-    /// the (payload-verified) snapshot itself.
+    /// Distinct peers whose latest snapshot response presented each
+    /// `agreement_key`, plus the (payload-verified) snapshot itself.
     #[allow(clippy::type_complexity)]
     snap_votes: HashMap<(SeqNum, Digest, Digest), (HashSet<ReplicaId>, Arc<Snapshot>)>,
     /// Rotating peer index so retries spread across the cluster.
@@ -699,9 +699,19 @@ impl ReplicaCore {
                 if !recovery::verify_snapshot(snapshot) {
                     return;
                 }
+                // One vote per peer — its newest — so what is held is
+                // bounded by the peer count however long no f+1 match
+                // (under load every peer's mark moves each interval).
+                let key = snapshot.agreement_key();
+                self.snap_votes.retain(|k, (voters, _)| {
+                    *k == key || {
+                        voters.remove(&from);
+                        !voters.is_empty()
+                    }
+                });
                 let (voters, kept) = self
                     .snap_votes
-                    .entry(snapshot.agreement_key())
+                    .entry(key)
                     .or_insert_with(|| (HashSet::new(), Arc::clone(snapshot)));
                 voters.insert(from);
                 if voters.len() > self.f {
@@ -1429,6 +1439,38 @@ mod tests {
         // Already covered: the same snapshot again is a no-op.
         c.step(3, response(2, 2, &snapshot));
         assert_eq!(c.nodes[3].installed.len(), 1);
+    }
+
+    #[test]
+    fn unmatched_snapshot_responses_hold_one_vote_per_peer() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        let response = |from: u32, base: u64| {
+            let msg = Message::SnapshotResponse {
+                snapshot: snapshot_at(base),
+                replica: ReplicaId(from),
+            };
+            let sender = Sender::Replica(ReplicaId(from));
+            Input::Verified(SignedMessage::new(msg, sender, Default::default()))
+        };
+        // Under load every peer's mark has moved by the time it answers.
+        for i in 0..50u64 {
+            c.step(3, response((i % 3) as u32, 8 + 4 * i));
+            c.advance(10 * MS);
+            assert!(c.nodes[3].core.snap_votes.len() <= 3, "after {i}");
+        }
+        assert!(c.nodes[3].installed.is_empty(), "no two ever matched");
+        let voters = |c: &Cluster| -> usize {
+            let votes = c.nodes[3].core.snap_votes.values();
+            votes.map(|(voters, _)| voters.len()).sum()
+        };
+        assert_eq!(voters(&c), 3);
+        // A peer that moves on to a base another already vouched for
+        // leaves its old entry (now empty, so dropped) and makes f+1.
+        c.step(3, response(0, 1_000));
+        assert_eq!((c.nodes[3].core.snap_votes.len(), voters(&c)), (3, 3));
+        c.step(3, response(1, 1_000));
+        assert_eq!(c.nodes[3].installed, vec![SeqNum(1_000)]);
+        assert!(c.nodes[3].core.snap_votes.is_empty());
     }
 
     #[test]

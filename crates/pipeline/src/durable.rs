@@ -571,13 +571,18 @@ mod tests {
     }
 
     fn fresh_executor(protocol: ProtocolKind) -> Executor {
+        fresh_with_chain(protocol).0
+    }
+
+    fn fresh_with_chain(protocol: ProtocolKind) -> (Executor, Arc<Mutex<Blockchain>>) {
         let store: Arc<dyn StateStore> = Arc::new(MemStore::new());
         let mode = match protocol {
             ProtocolKind::Pbft => ChainMode::Certificate,
             ProtocolKind::Zyzzyva => ChainMode::PrevHash,
         };
         let chain = Arc::new(Mutex::new(Blockchain::new(Digest::ZERO, 0, mode)));
-        Executor::new(ReplicaId(1), protocol, store, chain)
+        let executor = Executor::new(ReplicaId(1), protocol, store, Arc::clone(&chain));
+        (executor, chain)
     }
 
     fn config() -> DurabilityConfig {
@@ -713,6 +718,69 @@ mod tests {
             1,
             "transferred history is installed, not re-executed"
         );
+    }
+
+    /// Which blocks carry the store's root is decided by the snapshot
+    /// interval, so replay must run under the interval the live run had:
+    /// set before `recover_replica`, as `replica.rs::build_shared` does.
+    #[test]
+    fn a_mid_interval_restart_rederives_the_survivors_chain_head() {
+        for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+            let zyzzyva = protocol == ProtocolKind::Zyzzyva;
+            let dir = tmp("mid-interval");
+            let live = fresh_executor(protocol);
+            live.set_snapshot_interval(4);
+            let (_, _) = recover_replica(&live, &dir, &config()).expect("boot");
+            for seq in 1..=9 {
+                live.execute(&item(seq, seq as u8, zyzzyva));
+                if seq == 5 {
+                    live.note_stable(SeqNum(4)); // snapshot-4 on disk, WAL above it
+                }
+            }
+            drop(live); // dies one batch into the third interval
+
+            let (survivor, survivor_chain) = fresh_with_chain(protocol);
+            survivor.set_snapshot_interval(4);
+            for seq in 1..=11 {
+                survivor.execute(&item(seq, seq as u8, zyzzyva));
+            }
+            // Each restart extends the log it recovers from: one copy each.
+            let copy = tmp("mid-interval-copy");
+            for file in std::fs::read_dir(&dir).expect("list") {
+                let file = file.expect("entry");
+                std::fs::copy(file.path(), copy.join(file.file_name())).expect("copy");
+            }
+            let restart = |interval_first: bool| {
+                let (reborn, chain) = fresh_with_chain(protocol);
+                if interval_first {
+                    reborn.set_snapshot_interval(4);
+                }
+                let dir = if interval_first { &dir } else { &copy };
+                let (_, report) = recover_replica(&reborn, dir, &config()).expect("restart");
+                reborn.set_snapshot_interval(4);
+                assert_eq!(report.snapshot_seq, SeqNum(4));
+                // PBFT replays 5..=9, across the boundary at 8; Zyzzyva
+                // rewinds to the stable floor.
+                assert_eq!(report.head, SeqNum(if zyzzyva { 4 } else { 9 }));
+                for seq in report.head.0 + 1..=11 {
+                    reborn.execute(&item(seq, seq as u8, zyzzyva));
+                }
+                let head = chain.lock().head().clone();
+                (head, reborn.store().state_digest())
+            };
+            let expected = (
+                survivor_chain.lock().head().clone(),
+                survivor.store().state_digest(),
+            );
+            assert_eq!(restart(true), expected, "{protocol:?}");
+            if !zyzzyva {
+                // Replayed with no interval, block 8 chains on 7 where
+                // the survivor's carries the root, and 9 onwards inherit it.
+                let (head, state) = restart(false);
+                assert_eq!(state, expected.1);
+                assert_ne!(head, expected.0);
+            }
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use rdb_common::messages::{Message, ReplyResults, Sender};
 use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnId};
 use rdb_common::{Digest, SeqNum, Snapshot};
 use rdb_crypto::chain_digest;
+use rdb_crypto::sha2::Sha256;
 use rdb_storage::{Blockchain, PreImage, StateStore, WriteRecord};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
@@ -103,6 +104,22 @@ where
             .map(|(k, v)| WriteRecord::new(k, v))
             .collect(),
     }
+}
+
+/// A block's result digest between mark boundaries: the previous block's
+/// chained with this batch's writes in commit order — bytes the batch just
+/// produced, where the store's root would re-hash its tree. Replicas whose
+/// execution diverges at a sequence disagree from that block on. The
+/// previous digest comes from the chain head, so whatever moves the head
+/// (a rollback, a snapshot install, a WAL replay) re-derives it.
+fn write_set_digest(prev: Digest, writes: &[WriteRecord]) -> Digest {
+    let mut h = Sha256::new();
+    h.update(prev.as_bytes());
+    for w in writes {
+        h.update(&w.key.to_le_bytes());
+        h.update(&w.hash);
+    }
+    Digest(h.finalize())
 }
 
 /// What undoing one executed batch takes: the value every write of it
@@ -281,7 +298,9 @@ pub struct Executor {
     log: Mutex<PreImageLog>,
     /// Mark a serving snapshot whenever `seq % interval == 0`
     /// (0 disables). Aligned with the checkpoint cadence so every replica
-    /// marks identical state at identical sequences.
+    /// marks identical state at identical sequences. Part of the
+    /// replicated state machine: it decides which blocks carry the store's
+    /// root, so it must be set before anything is executed or replayed.
     snapshot_interval: AtomicU64,
     /// The replica's write-ahead log, when it runs durable. Attached
     /// *after* restart replay (see [`crate::durable::recover_replica`]) so
@@ -337,6 +356,8 @@ impl Executor {
     }
 
     /// Enables snapshot capture every `interval` sequences (0 disables).
+    /// Every replica must run the same value, set before the first commit
+    /// (and before [`crate::durable::recover_replica`] replays any).
     pub fn set_snapshot_interval(&self, interval: u64) {
         self.snapshot_interval.store(interval, Ordering::Relaxed);
     }
@@ -396,9 +417,9 @@ impl Executor {
 
     /// Executes `item` serially: evaluates each transaction in batch order
     /// against the store overlaid with the batch's earlier writes, then
-    /// commits. Returns the replica state digest after execution (fed back
-    /// to the consensus engine for checkpointing) and the outgoing reply
-    /// messages.
+    /// commits. Returns the digest of the batch and its execution result
+    /// (fed back to the consensus engine for checkpointing) and the
+    /// outgoing reply messages.
     pub fn execute(&self, item: &ExecuteItem) -> (Digest, Vec<OutItem>) {
         // Newest write per key, as an index into `writes`.
         let mut overlay: HashMap<u64, usize> = HashMap::new();
@@ -492,31 +513,38 @@ impl Executor {
                 OutItem::to(Sender::Client(client), msg)
             })
             .collect();
-        // Append the block. The result digest covers the store state so
-        // replicas can cross-check execution.
-        let store_digest = self.store.state_digest();
-        {
-            let mut chain = self.chain.lock();
-            chain
-                .append(
-                    item.seq,
-                    item.digest,
-                    item.view,
-                    item.certificate.clone(),
-                    item.batch.len() as u32,
-                    store_digest,
-                )
-                .expect("execution is sequential, append cannot gap");
-        }
+        // Append the block. Its result digest lets replicas cross-check
+        // execution sequence by sequence; only a mark boundary needs it to
+        // be the store's Merkle root (the checkpoint vote, the snapshot
+        // mark and `verify_snapshot` read it there), so only a boundary
+        // pays for bringing the tree up to date.
+        let boundary = interval > 0 && item.seq.0.is_multiple_of(interval);
+        let result_digest = if boundary {
+            self.store.state_digest()
+        } else {
+            let prev = self.chain.lock().head().result_digest;
+            write_set_digest(prev, writes)
+        };
+        self.chain
+            .lock()
+            .append(
+                item.seq,
+                item.digest,
+                item.view,
+                item.certificate.clone(),
+                item.batch.len() as u32,
+                result_digest,
+            )
+            .expect("execution is sequential, append cannot gap");
         // The checkpoint state digest must be identical across replicas, so
-        // it covers the ordered batch digest and the store contents — NOT
+        // it covers the ordered batch digest and the execution result — NOT
         // the block certificate (each replica legitimately collects a
         // different 2f+1 commit-signature set).
-        let state_digest = chain_digest(&item.digest, &store_digest);
+        let state_digest = chain_digest(&item.digest, &result_digest);
         self.executed_txns.fetch_add(fresh, Ordering::Relaxed);
         self.deduped_txns.fetch_add(dups, Ordering::Relaxed);
         self.executed_batches.fetch_add(1, Ordering::Relaxed);
-        if interval > 0 && item.seq.0.is_multiple_of(interval) {
+        if boundary {
             self.capture_snapshot(item.seq, item.history);
         }
         // Make the batch durable before its replies leave the replica.
@@ -1124,6 +1152,7 @@ mod tests {
                     .map(|seq| random_item(seq, &mut rng, protocol))
                     .collect();
                 let oracle = executor_on(protocol, new_store());
+                oracle.set_snapshot_interval(INTERVAL);
                 prefix.iter().for_each(|item| drop(oracle.execute(item)));
                 let expected = eager_snapshot(&oracle, &prefix[INTERVAL as usize - 1]);
                 assert!(crate::recovery::verify_snapshot(&expected));
@@ -1204,10 +1233,22 @@ mod tests {
         assert_eq!(records, vec![rec(1, 10), rec(3, 3), rec(4, 4)]);
     }
 
-    /// A store that counts how often it is copied whole.
+    /// A store that counts how often it is copied whole and how often it
+    /// is asked for its digest (the one call that flushes the tree).
     struct CountingStore {
         inner: MemStore,
         exports: AtomicU64,
+        digests: AtomicU64,
+    }
+
+    impl CountingStore {
+        fn with_table() -> Arc<Self> {
+            Arc::new(CountingStore {
+                inner: MemStore::with_table(KEYS, 8),
+                exports: AtomicU64::new(0),
+                digests: AtomicU64::new(0),
+            })
+        }
     }
 
     impl StateStore for CountingStore {
@@ -1224,7 +1265,11 @@ mod tests {
             self.inner.len()
         }
         fn state_digest(&self) -> Digest {
+            self.digests.fetch_add(1, Ordering::Relaxed);
             self.inner.state_digest()
+        }
+        fn remove(&self, key: u64) -> bool {
+            self.inner.remove(key)
         }
         fn export_records(&self) -> Vec<(u64, Vec<u8>)> {
             self.exports.fetch_add(1, Ordering::Relaxed);
@@ -1234,10 +1279,7 @@ mod tests {
 
     #[test]
     fn marks_copy_nothing_and_each_is_materialised_at_most_once() {
-        let store = Arc::new(CountingStore {
-            inner: MemStore::with_table(KEYS, 8),
-            exports: AtomicU64::new(0),
-        });
+        let store = CountingStore::with_table();
         let ex = executor_on(
             ProtocolKind::Pbft,
             Arc::clone(&store) as Arc<dyn StateStore>,
@@ -1411,6 +1453,7 @@ mod tests {
         ex.execute(&tagged_item(2, 2));
         ex.execute(&tagged_item(3, 2));
         let clean = zyz_executor();
+        clean.set_snapshot_interval(2);
         clean.execute(&tagged_item(1, 1));
         clean.execute(&tagged_item(2, 2));
         let snapshot = ex.latest_snapshot().expect("marked again");
@@ -1424,6 +1467,7 @@ mod tests {
         let ex = zyz_executor();
         ex.set_snapshot_interval(2);
         let clean = zyz_executor();
+        clean.set_snapshot_interval(2);
         for seq in 1..=3 {
             ex.execute(&tagged_item(seq, seq as u8));
             if seq <= 2 {
@@ -1445,6 +1489,167 @@ mod tests {
             ex.log.lock().undo.keys().copied().collect::<Vec<_>>(),
             [SeqNum(5)]
         );
+    }
+
+    // ---- the per-block result digest ----
+
+    fn block(ex: &Executor, seq: u64) -> rdb_common::block::Block {
+        let chain = ex.chain.lock();
+        chain.block_at(SeqNum(seq)).expect("retained").clone()
+    }
+
+    fn prefix8(d: Digest) -> u64 {
+        u64::from_be_bytes(d.0[..8].try_into().expect("8 bytes"))
+    }
+
+    #[test]
+    fn a_boundary_block_carries_the_store_root_and_nothing_else_asks_for_it() {
+        // What the parent commit — which put the root in every block —
+        // computed at sequences 4 and 8 for these items: the block's
+        // result digest and the digest handed to the engine.
+        const GOLDEN: [(u64, u64); 2] = [
+            (0x22f4_43d9_68de_ef4d, 0xb3a7_58af_3674_6d20),
+            (0xd1e9_22fb_fe28_08fc, 0x1796_5de1_b79f_0c41),
+        ];
+        for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+            let store = CountingStore::with_table();
+            let ex = executor_on(protocol, Arc::clone(&store) as Arc<dyn StateStore>);
+            ex.set_snapshot_interval(INTERVAL);
+            let mut rng = 1;
+            let mut golden = GOLDEN.iter();
+            for seq in 1..=2 * INTERVAL {
+                let item = random_item(seq, &mut rng, protocol);
+                let (state, _) = ex.execute(&item);
+                let result = block(&ex, seq).result_digest;
+                assert_eq!(state, chain_digest(&item.digest, &result));
+                assert_eq!(
+                    store.digests.load(Ordering::Relaxed),
+                    seq / INTERVAL,
+                    "one flush per boundary, none in between (after {seq})"
+                );
+                if seq % INTERVAL == 0 {
+                    assert_eq!(result, store.inner.state_digest(), "{protocol:?} {seq}");
+                    let expected = golden.next().expect("two boundaries");
+                    assert_eq!((prefix8(result), prefix8(state)), *expected);
+                } else {
+                    assert_ne!(result, store.inner.state_digest(), "{protocol:?} {seq}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn without_an_interval_the_executor_never_asks_for_the_root() {
+        let store = CountingStore::with_table();
+        let ex = executor_on(
+            ProtocolKind::Zyzzyva,
+            Arc::clone(&store) as Arc<dyn StateStore>,
+        );
+        let mut rng = 4;
+        for seq in 1..=3 * INTERVAL {
+            ex.execute(&random_item(seq, &mut rng, ProtocolKind::Zyzzyva));
+        }
+        ex.rollback_to(SeqNum(INTERVAL));
+        assert_eq!(store.digests.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn between_boundaries_blocks_agree_exactly_when_the_writes_do() {
+        let same_writes_reordered = |seq: u64| {
+            let mut item = exec_item(seq, None);
+            let mut txns = item.batch.txns.clone();
+            txns.swap(0, 1);
+            item.batch = Arc::new(txns.into_iter().collect());
+            item
+        };
+        let [a, b, swapped] = [(); 3].map(|_| {
+            let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+            ex.set_snapshot_interval(INTERVAL);
+            ex
+        });
+        for seq in 1..INTERVAL {
+            let (da, _) = a.execute(&exec_item(seq, None));
+            let (db, _) = b.execute(&exec_item(seq, None));
+            let item = match seq {
+                2 => same_writes_reordered(seq),
+                _ => exec_item(seq, None),
+            };
+            let (ds, _) = swapped.execute(&item);
+            assert_eq!(block(&a, seq), block(&b, seq));
+            assert_eq!(da, db);
+            // Two writes to distinct keys in the other order: the same
+            // store, a different execution — and every block after it
+            // says so, since each chains on the one before.
+            assert_eq!(swapped.store.state_digest(), a.store.state_digest());
+            assert_eq!(
+                block(&swapped, seq).result_digest == block(&a, seq).result_digest,
+                seq < 2,
+                "at {seq}"
+            );
+            assert_eq!(ds == da, seq < 2);
+        }
+        // The boundary block commits to the store alone.
+        a.execute(&exec_item(INTERVAL, None));
+        swapped.execute(&exec_item(INTERVAL, None));
+        assert_eq!(
+            block(&a, INTERVAL).result_digest,
+            block(&swapped, INTERVAL).result_digest
+        );
+    }
+
+    #[test]
+    fn zyzzyva_rollback_across_a_boundary_converges_with_the_clean_history() {
+        let ex = zyz_executor();
+        let clean = zyz_executor();
+        ex.set_snapshot_interval(INTERVAL);
+        clean.set_snapshot_interval(INTERVAL);
+        for seq in 1..INTERVAL - 1 {
+            ex.execute(&tagged_item(seq, 1));
+            clean.execute(&tagged_item(seq, 1));
+        }
+        // Mis-speculated from before the boundary to past it.
+        for seq in INTERVAL - 1..=INTERVAL + 2 {
+            ex.execute(&tagged_item(seq, 66));
+        }
+        assert_eq!(ex.rollback_to(SeqNum(INTERVAL - 2)), 4);
+        for seq in INTERVAL - 1..=INTERVAL + 2 {
+            ex.execute(&tagged_item(seq, 2));
+            clean.execute(&tagged_item(seq, 2));
+            assert_eq!(block(&ex, seq), block(&clean, seq), "at {seq}");
+        }
+        assert_eq!(
+            ex.chain.lock().head_digest(),
+            clean.chain.lock().head_digest()
+        );
+        assert_eq!(ex.store.state_digest(), clean.store.state_digest());
+        assert_eq!(ex.latest_snapshot(), clean.latest_snapshot());
+    }
+
+    #[test]
+    fn a_snapshot_installer_derives_the_same_blocks_as_its_source() {
+        let mut rng = 6;
+        let source = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        let receiver = executor(ProtocolKind::Pbft, ChainMode::Certificate);
+        source.set_snapshot_interval(INTERVAL);
+        receiver.set_snapshot_interval(INTERVAL);
+        for seq in 1..=INTERVAL + 1 {
+            source.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+        }
+        // Materialised one batch past the mark, installed, and the batch
+        // above the mark replayed: the chained digest picks up from the
+        // snapshot block.
+        receiver.install_snapshot(&source.latest_snapshot().expect("marked"));
+        let mut replay = 6;
+        for seq in 1..=2 * INTERVAL {
+            let item = random_item(seq, &mut replay, ProtocolKind::Pbft);
+            if seq > INTERVAL + 1 {
+                source.execute(&item);
+            }
+            if seq > INTERVAL {
+                receiver.execute(&item);
+                assert_eq!(block(&receiver, seq), block(&source, seq), "at {seq}");
+            }
+        }
     }
 
     #[test]

@@ -62,7 +62,12 @@ impl Blockchain {
 
     /// Height of the last block (genesis = 0).
     pub fn head_seq(&self) -> SeqNum {
-        self.blocks.last().map(|b| b.seq).unwrap_or(self.base_seq)
+        self.head().seq
+    }
+
+    /// The last block (genesis, or a snapshot's, when nothing was appended).
+    pub fn head(&self) -> &Block {
+        self.blocks.last().expect("the head block is never pruned")
     }
 
     /// Number of retained blocks (including genesis until pruned).
@@ -191,13 +196,7 @@ impl Blockchain {
         let dropped = self.blocks.len() - keep;
         self.blocks.truncate(keep);
         self.appended = self.appended.saturating_sub(dropped as u64);
-        self.head_hash = digest(
-            &self
-                .blocks
-                .last()
-                .expect("base block is always retained")
-                .canonical_bytes(),
-        );
+        self.head_hash = digest(&self.head().canonical_bytes());
         dropped
     }
 
@@ -248,10 +247,7 @@ impl Blockchain {
     /// Digest over the retained chain head — combined with the store digest
     /// to form checkpoint state digests.
     pub fn head_digest(&self) -> Digest {
-        match self.blocks.last() {
-            Some(b) => digest(&b.canonical_bytes()),
-            None => Digest::ZERO,
-        }
+        digest(&self.head().canonical_bytes())
     }
 }
 

@@ -17,10 +17,13 @@
 //!   first insert — an accumulator that never holds a record (or was
 //!   [`clear`]ed) owns no memory. Leaf buckets are small key-sorted vectors
 //!   in a second array indexed by leaf.
-//! - Updates are **incremental**: a single `put`/`remove` re-hashes one leaf
-//!   and its root path (`DEPTH` compressions); a batched [`apply`] re-hashes
-//!   each dirty leaf once and propagates dirty parents level by level, so a
-//!   256-write batch shares most of its upper-tree work.
+//! - Updates are **lazy**: `update`/`remove`/[`apply`] edit the leaf bucket
+//!   and mark the leaf dirty, nothing else. [`root`] and [`prove`] first
+//!   *flush*: every dirty leaf is re-hashed once and dirty parents are
+//!   propagated level by level, so whatever was written since the last
+//!   flush — one record or a checkpoint interval of batches — shares its
+//!   leaf and upper-tree work. The values are those of hashing on every
+//!   write; only when the hashing happens differs.
 //! - The root is a pure function of the record *contents* — identical across
 //!   backends (`MemStore` ≡ `PagedStore`) and across put/remove histories
 //!   that converge on the same state, which the Zyzzyva undo log depends on.
@@ -33,6 +36,7 @@
 //!
 //! [`apply`]: MerkleAccumulator::apply
 //! [`clear`]: MerkleAccumulator::clear
+//! [`root`]: MerkleAccumulator::root
 //!
 //! [`prove`](MerkleAccumulator::prove) / [`verify_proof`] add what the XOR
 //! fold never could: a replica can hand over one bucket plus `DEPTH` sibling
@@ -95,6 +99,10 @@ pub struct MerkleAccumulator {
     nodes: Vec<[u8; 32]>,
     /// Bucket contents by leaf index; allocated together with `nodes`.
     buckets: Vec<Bucket>,
+    /// One bit per leaf whose bucket changed since its node was hashed;
+    /// allocated together with `nodes`. A set, so it stays bounded however
+    /// many writes go by before somebody asks for the root.
+    dirty: Vec<u64>,
     len: usize,
 }
 
@@ -121,14 +129,17 @@ impl MerkleAccumulator {
             self.nodes[1 << d..2 << d].fill(empty[DEPTH - d]);
         }
         self.buckets = vec![Bucket::new(); LEAVES as usize];
+        self.dirty = vec![0; LEAVES as usize / 64];
     }
 
-    /// Mutates one bucket entry, maintaining `len`; returns the leaf index
-    /// if the bucket's contents actually changed.
-    fn touch(&mut self, key: u64, record_hash: Option<[u8; 32]>) -> Option<u32> {
+    /// Mutates one bucket entry, maintaining `len`, and marks the leaf
+    /// dirty if the bucket's contents actually changed.
+    fn touch(&mut self, key: u64, record_hash: Option<[u8; 32]>) {
         let leaf = bucket_of(key);
         if self.nodes.is_empty() {
-            record_hash?;
+            if record_hash.is_none() {
+                return;
+            }
             self.allocate();
         }
         let bucket = &mut self.buckets[leaf as usize];
@@ -146,52 +157,62 @@ impl MerkleAccumulator {
             }
             (Err(_), None) => false,
         };
-        changed.then_some(leaf)
+        if changed {
+            self.dirty[leaf as usize / 64] |= 1 << (leaf % 64);
+        }
     }
 
-    /// Inserts or replaces the record hash for `key` and re-hashes its root
-    /// path.
+    /// Inserts or replaces the record hash for `key`.
     pub fn update(&mut self, key: u64, record_hash: [u8; 32]) {
-        self.apply([(key, Some(record_hash))]);
+        self.touch(key, Some(record_hash));
     }
 
-    /// Removes `key` (no-op if absent) and re-hashes its root path.
+    /// Removes `key` (no-op if absent).
     pub fn remove(&mut self, key: u64) {
-        self.apply([(key, None)]);
+        self.touch(key, None);
     }
 
-    /// Batched update: every dirty leaf is re-hashed once and parents are
-    /// propagated level by level, deduplicated, so a batch shares the upper
-    /// tree instead of walking `DEPTH` levels per write.
+    /// Batched update: `Some` inserts or replaces, `None` removes.
     pub fn apply<I>(&mut self, writes: I)
     where
         I: IntoIterator<Item = (u64, Option<[u8; 32]>)>,
     {
-        let mut dirty: Vec<u32> = Vec::new();
         for (key, rh) in writes {
-            if let Some(leaf) = self.touch(key, rh) {
-                dirty.push(leaf);
+            self.touch(key, rh);
+        }
+    }
+
+    /// Brings the node array up to date with the buckets: every dirty leaf
+    /// is re-hashed once and parents are propagated level by level,
+    /// deduplicated, so everything written since the last flush shares the
+    /// upper tree instead of walking `DEPTH` levels per write. Returns the
+    /// number of leaf and pair hashes that took.
+    fn flush(&mut self) -> usize {
+        let mut level: Vec<u32> = Vec::new();
+        for (word, bits) in self.dirty.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                let leaf = word as u32 * 64 + bits.trailing_zeros();
+                bits &= bits - 1;
+                self.nodes[(LEAVES + leaf) as usize] = leaf_hash(&self.buckets[leaf as usize]);
+                level.push(LEAVES + leaf);
             }
         }
-        dirty.sort_unstable();
-        dirty.dedup();
-        for leaf in &mut dirty {
-            let at = *leaf + LEAVES;
-            self.nodes[at as usize] = leaf_hash(&self.buckets[*leaf as usize]);
-            *leaf = at;
-        }
-        // `dirty` now holds heap positions, ascending within one level;
-        // halving them keeps the order, so siblings dedup as neighbours.
+        // `level` holds heap positions, ascending within one level; halving
+        // them keeps the order, so siblings dedup as neighbours.
+        let mut hashes = level.len();
         for _ in 0..DEPTH {
-            for at in &mut dirty {
+            for at in &mut level {
                 *at >>= 1;
             }
-            dirty.dedup();
-            for &parent in &dirty {
+            level.dedup();
+            for &parent in &level {
                 let left = 2 * parent as usize;
                 self.nodes[parent as usize] = sha256_pair(&self.nodes[left], &self.nodes[left + 1]);
             }
+            hashes += level.len();
         }
+        hashes
     }
 
     /// Drops every record, resets the commitment to empty and releases the
@@ -200,10 +221,11 @@ impl MerkleAccumulator {
         *self = Self::default();
     }
 
-    /// The 32-byte state commitment. An empty accumulator commits to
-    /// [`Digest::ZERO`] (the pre-Merkle convention); any occupancy yields
-    /// the tree root.
-    pub fn root(&self) -> Digest {
+    /// The 32-byte state commitment, after a flush. An empty accumulator
+    /// commits to [`Digest::ZERO`] (the pre-Merkle convention); any
+    /// occupancy yields the tree root.
+    pub fn root(&mut self) -> Digest {
+        self.flush();
         if self.len == 0 {
             return Digest::ZERO;
         }
@@ -211,8 +233,11 @@ impl MerkleAccumulator {
     }
 
     /// Membership proof for `key`: its full leaf bucket plus the `DEPTH`
-    /// sibling hashes on the root path. `None` if the key is absent.
-    pub fn prove(&self, key: u64) -> Option<MerkleProof> {
+    /// sibling hashes on the root path, after a flush — so it verifies
+    /// against the [`root`](Self::root) of the same contents. `None` if
+    /// the key is absent.
+    pub fn prove(&mut self, key: u64) -> Option<MerkleProof> {
+        self.flush();
         let leaf = bucket_of(key);
         let bucket = self.buckets.get(leaf as usize)?;
         bucket.binary_search_by_key(&key, |e| e.0).ok()?;
@@ -299,6 +324,34 @@ mod tests {
 
     fn rh(key: u64, tag: u8) -> [u8; 32] {
         record_hash(key, &[tag; 8])
+    }
+
+    #[test]
+    fn writes_hash_nothing_until_the_root_is_asked_for() {
+        const ROWS: u64 = 65_536;
+        let mut acc = MerkleAccumulator::new();
+        acc.apply((0..ROWS).map(|k| (k, Some(rh(k, 0)))));
+        acc.root();
+        let flushed = acc.nodes.clone();
+        // One checkpoint interval of the benchmark's uniform workload:
+        // 200 batches of 50 writes.
+        let mut rng = 0x9E37_79B9_7F4A_7C15u64;
+        for batch in 0..200u64 {
+            acc.apply((0..50).map(|_| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % ROWS, Some(rh(rng % ROWS, batch as u8 + 1)))
+            }));
+        }
+        assert!(acc.nodes == flushed, "apply edits buckets, never a node");
+        // Hashing per batch costs ~114 650 for the same writes.
+        let hashes = acc.flush();
+        assert!((10_000..=45_000).contains(&hashes), "{hashes} hashes");
+        println!("tree hashes for 200 x 50 uniform writes into 64k rows: {hashes}");
+        assert!(acc.nodes != flushed);
+        assert_eq!(acc.flush(), 0, "nothing dirty, nothing hashed");
+        assert_eq!(MerkleAccumulator::new().flush(), 0);
     }
 
     #[test]
@@ -427,9 +480,11 @@ mod tests {
         acc.apply((0..2_000u64).map(|k| (k, Some(rh(k, k as u8)))));
         assert_eq!(acc.nodes.len(), 2 * LEAVES as usize);
         assert_eq!(acc.buckets.len(), LEAVES as usize);
+        let root = acc.root();
+        assert!(acc.dirty.iter().all(|bits| *bits == 0), "flushed");
         // Every interior node is the pair hash of its two children, and
         // every leaf the hash of its bucket — the whole array, not just
-        // the paths the batch walked.
+        // the paths the flush walked.
         for at in 1..LEAVES as usize {
             assert_eq!(
                 acc.nodes[at],
@@ -444,9 +499,9 @@ mod tests {
             );
             assert!(acc.buckets[leaf].windows(2).all(|w| w[0].0 < w[1].0));
         }
-        assert_eq!(acc.root(), Digest(acc.nodes[1]));
+        assert_eq!(root, Digest(acc.nodes[1]));
         acc.clear();
-        assert!(acc.nodes.is_empty() && acc.buckets.is_empty());
+        assert!(acc.nodes.is_empty() && acc.buckets.is_empty() && acc.dirty.is_empty());
         assert_eq!(acc.root(), Digest::ZERO);
     }
 

@@ -3,8 +3,9 @@
 //! The execute stage applies transaction operations against a
 //! [`StateStore`]. The digest of the state (needed by checkpoints and
 //! snapshot vouching) is maintained *incrementally* as a Merkle
-//! commitment over per-record hashes ([`crate::merkle`]), so taking a
-//! checkpoint never requires scanning the store, a Byzantine snapshot
+//! commitment over per-record hashes ([`crate::merkle`]) — writes mark
+//! leaves dirty, asking for the digest re-hashes what is dirty — so taking
+//! a checkpoint never requires scanning the store, a Byzantine snapshot
 //! cannot exploit XOR cancellation, and membership can be proven against
 //! the 32-byte root ([`MemStore::prove`]).
 //!
@@ -85,7 +86,8 @@ pub trait StateStore: Send + Sync {
         self.len() == 0
     }
 
-    /// Incrementally-maintained digest over all records.
+    /// Incrementally-maintained digest over all records. Costs in
+    /// proportion to what was written since the last call.
     fn state_digest(&self) -> Digest;
 
     /// Removes `key`, returning whether it was present. Backends that
@@ -144,8 +146,9 @@ impl MemStore {
 
     /// Creates a store pre-loaded with `n` records of `value_size` zero
     /// bytes, mirroring the paper's 600K-record YCSB table initialization.
-    /// Bulk-builds the commitment (one batched tree rebuild, not `n`
-    /// root-path walks).
+    /// Bulk-builds the commitment (one tree build, not `n` root-path
+    /// walks) before handing the store over, so set-up pays for it and not
+    /// the first caller to ask for a digest.
     pub fn with_table(n: u64, value_size: usize) -> Self {
         let store = Self::new();
         let value = vec![0u8; value_size];
@@ -155,6 +158,7 @@ impl MemStore {
                 store.shard(key).write().insert(key, value.clone());
                 (key, Some(record_hash(key, &value)))
             }));
+            merkle.root();
         }
         store
     }
@@ -188,8 +192,6 @@ impl StateStore for MemStore {
     }
 
     fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
-        // Batched commitment update: every dirty leaf hashes once and the
-        // upper tree is shared across the whole batch.
         let mut displaced = Vec::with_capacity(writes.len());
         let mut merkle = self.merkle.lock();
         merkle.apply(writes.iter().map(|w| {
@@ -241,6 +243,8 @@ impl StateStore for MemStore {
             self.shard(*key).write().insert(*key, value.clone());
             (*key, Some(record_hash(*key, value)))
         }));
+        // Build the tree here, not at the installer's next digest.
+        merkle.root();
     }
 }
 

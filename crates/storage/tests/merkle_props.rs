@@ -2,18 +2,18 @@
 //! from-scratch definition.
 //!
 //! The store never rebuilds the tree — every `put`/`remove`/`apply`
-//! nudges the cached node hashes along one path (or one batched dirty
-//! set). These properties assert that after an arbitrary interleaving of
-//! such nudges the root is bit-identical to hashing the surviving record
-//! set from scratch ([`commitment_of`], the same function snapshot
-//! verification uses), that batching is order-insensitive within a batch
-//! (last write per key wins), and that every surviving key still proves
-//! membership against the final root.
+//! marks a leaf dirty and `root`/`prove` re-hash what is dirty, whenever
+//! they happen to be called. These properties assert that after an
+//! arbitrary interleaving of writes and flushes the root is bit-identical
+//! to hashing the surviving record set from scratch ([`commitment_of`],
+//! the same function snapshot verification uses), that batching is
+//! order-insensitive within a batch (last write per key wins), and that
+//! every surviving key still proves membership against the final root.
 
 use proptest::prelude::*;
 use rdb_storage::merkle::{commitment_of, verify_proof, MerkleAccumulator};
 use rdb_storage::record_hash;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Decode one raw u64 into an op: a small key space (64 keys across a
 /// 2^16-bucket tree forces same-bucket collisions) and a ~25% remove mix.
@@ -111,5 +111,96 @@ proptest! {
         }
         // Absent keys yield no proof at all.
         prop_assert!(acc.prove(u64::MAX).is_none());
+    }
+
+    /// Whenever anybody asks — after one write or after hundreds, batched
+    /// or not, across a `clear` — the root is that of the surviving
+    /// records, and a proof issued with writes still unflushed verifies
+    /// against the root returned next.
+    #[test]
+    fn any_interleaving_of_writes_and_flushes_commits_to_the_survivors(
+        raw_ops in proptest::collection::vec(any::<u64>(), 1..300),
+    ) {
+        let mut acc = MerkleAccumulator::new();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut ops = raw_ops.iter().copied();
+        while let Some(raw) = ops.next() {
+            // The bits `op_of` does not read pick what happens.
+            match (raw >> 8) % 16 {
+                0 => {
+                    let rebuilt = commitment_of(model.iter().map(|(k, v)| (*k, v.as_slice())));
+                    prop_assert_eq!(acc.root(), rebuilt);
+                    prop_assert_eq!(acc.len(), model.len());
+                }
+                1 => {
+                    let key = raw % 64;
+                    let proof = acc.prove(key);
+                    prop_assert_eq!(proof.is_some(), model.contains_key(&key));
+                    if let (Some(proof), Some(value)) = (proof, model.get(&key)) {
+                        let hash = record_hash(key, value);
+                        prop_assert!(verify_proof(acc.root(), key, hash, &proof));
+                    }
+                }
+                2 => {
+                    acc.clear();
+                    model.clear();
+                }
+                3..=5 => {
+                    // A batch of up to four writes, repeats included.
+                    let batch: Vec<u64> = std::iter::once(raw).chain(ops.by_ref().take(3)).collect();
+                    acc.apply(batch.iter().map(|&raw| {
+                        let (key, value) = op_of(raw);
+                        (key, value.map(|v| record_hash(key, &v)))
+                    }));
+                    for raw in batch {
+                        match op_of(raw) {
+                            (key, Some(v)) => model.insert(key, v),
+                            (key, None) => model.remove(&key),
+                        };
+                    }
+                }
+                _ => match op_of(raw) {
+                    (key, Some(v)) => {
+                        acc.update(key, record_hash(key, &v));
+                        model.insert(key, v);
+                    }
+                    (key, None) => {
+                        acc.remove(key);
+                        model.remove(&key);
+                    }
+                },
+            }
+        }
+        let rebuilt = commitment_of(model.iter().map(|(k, v)| (*k, v.as_slice())));
+        prop_assert_eq!(acc.root(), rebuilt);
+    }
+
+    /// A bucket filled and vacated again leaves no trace, whether a flush
+    /// saw it occupied or not: the leaf and its ancestors go back to the
+    /// empty-subtree hashes the untouched tree has.
+    #[test]
+    fn vacating_a_bucket_restores_the_empty_subtree(
+        kept in proptest::collection::vec(0u64..1_000, 0..20),
+        passing in proptest::collection::vec(1_000u64..2_000, 1..20),
+        flush_while_occupied in any::<bool>(),
+    ) {
+        let passing: BTreeSet<u64> = passing.into_iter().collect();
+        let hash_of = |key: u64| (key, Some(record_hash(key, &key.to_le_bytes())));
+        let mut untouched = MerkleAccumulator::new();
+        untouched.apply(kept.iter().copied().map(hash_of));
+        let mut acc = untouched.clone();
+        let before = acc.root();
+        acc.apply(passing.iter().copied().map(hash_of));
+        if flush_while_occupied {
+            prop_assert_ne!(acc.root(), before);
+        }
+        acc.apply(passing.iter().map(|key| (*key, None)));
+        prop_assert_eq!(acc.root(), before);
+        prop_assert_eq!(acc.root(), untouched.root());
+        // And the vacated leaves take new records like fresh ones.
+        let late = [hash_of(5_000), hash_of(*passing.first().expect("non-empty"))];
+        acc.apply(late);
+        untouched.apply(late);
+        prop_assert_eq!(acc.root(), untouched.root());
     }
 }

@@ -2,9 +2,13 @@
 //! end-to-end — fabric, clients, workloads, failures, storage modes,
 //! and sim-vs-threaded cross-checks.
 
-use rdb_common::{CryptoScheme, ProtocolKind, ReplicaId, StorageMode, SystemConfig, ThreadConfig};
+use rdb_common::{
+    ClientId, CryptoScheme, Digest, PeerMap, ProtocolKind, ReplicaId, StorageMode, SystemConfig,
+    ThreadConfig,
+};
 use rdb_sim::SimConfig;
 use rdb_workload::{WorkloadConfig, WorkloadGenerator};
+use resilientdb::{connect_client, start_replica, NodeOptions, ReplicaNode, TransportMode};
 use resilientdb::{ResilientDb, SystemBuilder};
 use std::time::{Duration, Instant};
 
@@ -276,12 +280,18 @@ fn replies_are_coalesced_per_client_per_batch() {
 /// pruned everywhere and only a snapshot can repair it — and the peers
 /// serving that snapshot do not stop for it: they build it from their
 /// mark while executing past it. The rejoiner must land on their digest
-/// without having executed the history it was handed.
-fn rejoins_by_snapshot_while_the_cluster_keeps_executing(protocol: ProtocolKind) {
+/// and their head block's result — the chained per-block digest picks up
+/// from the installed snapshot block — without having executed the
+/// history it was handed.
+fn rejoins_by_snapshot_while_the_cluster_keeps_executing(
+    protocol: ProtocolKind,
+    transport: TransportMode,
+) {
     const BATCH: u64 = 5;
     const INTERVAL: u64 = 10; // batches per checkpoint
     let mut builder = SystemBuilder::new(4)
         .protocol(protocol)
+        .transport(transport)
         .batch_size(BATCH as usize)
         .checkpoint_interval(INTERVAL * BATCH)
         .table_size(128)
@@ -315,7 +325,7 @@ fn rejoins_by_snapshot_while_the_cluster_keeps_executing(protocol: ProtocolKind)
         let total = burst(1);
         std::thread::sleep(Duration::from_millis(50));
         let digests = db.state_digests();
-        let heads = db.chain_heads();
+        let heads = db.head_results();
         if digests.iter().all(|d| *d == digests[0]) && heads.iter().all(|h| *h == heads[0]) {
             break Some(total);
         }
@@ -325,9 +335,9 @@ fn rejoins_by_snapshot_while_the_cluster_keeps_executing(protocol: ProtocolKind)
     };
     let total = converged.unwrap_or_else(|| {
         panic!(
-            "{protocol:?}: rejoiner stuck at head {} of {:?}",
+            "{protocol:?} {transport:?}: rejoiner stuck at head {} of {:?}",
             db.chain_heads()[sleeper.as_usize()],
-            db.chain_heads()
+            db.head_results()
         )
     });
     assert!(
@@ -340,12 +350,159 @@ fn rejoins_by_snapshot_while_the_cluster_keeps_executing(protocol: ProtocolKind)
 
 #[test]
 fn pbft_rejoins_by_snapshot_while_the_cluster_keeps_executing() {
-    rejoins_by_snapshot_while_the_cluster_keeps_executing(ProtocolKind::Pbft);
+    rejoins_by_snapshot_while_the_cluster_keeps_executing(
+        ProtocolKind::Pbft,
+        TransportMode::InMemory,
+    );
 }
 
 #[test]
 fn zyzzyva_rejoins_by_snapshot_while_the_cluster_keeps_executing() {
-    rejoins_by_snapshot_while_the_cluster_keeps_executing(ProtocolKind::Zyzzyva);
+    rejoins_by_snapshot_while_the_cluster_keeps_executing(
+        ProtocolKind::Zyzzyva,
+        TransportMode::InMemory,
+    );
+}
+
+#[test]
+fn pbft_rejoins_by_snapshot_over_tcp() {
+    rejoins_by_snapshot_while_the_cluster_keeps_executing(ProtocolKind::Pbft, TransportMode::Tcp);
+}
+
+#[test]
+fn zyzzyva_rejoins_by_snapshot_over_tcp() {
+    rejoins_by_snapshot_while_the_cluster_keeps_executing(
+        ProtocolKind::Zyzzyva,
+        TransportMode::Tcp,
+    );
+}
+
+/// Four replica nodes over loopback TCP, each with its own data directory.
+/// Retries on fresh ports if one was snatched between reserving and
+/// binding it.
+fn durable_tcp_cluster(
+    protocol: ProtocolKind,
+    dir: &std::path::Path,
+) -> (NodeOptions, Vec<ReplicaNode>) {
+    for _ in 0..3 {
+        let listeners: Vec<_> = (0..4)
+            .map(|_| std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral port"))
+            .collect();
+        let mut peers = PeerMap::new();
+        for (i, l) in listeners.iter().enumerate() {
+            peers.insert(ReplicaId(i as u32), l.local_addr().expect("bound"));
+        }
+        drop(listeners);
+        let opts = NodeOptions::new(peers)
+            .expect("valid peer map")
+            .protocol(protocol)
+            .batch_size(5)
+            .checkpoint_interval(4 * 5)
+            .table_size(128)
+            .client_keys(1)
+            .view_timeout_ms(400)
+            .data_dir(dir.to_str().expect("utf-8 temp dir"));
+        let nodes: Vec<_> = (0..4)
+            .map_while(|i| start_replica(&opts, ReplicaId(i)).ok())
+            .collect();
+        if nodes.len() == 4 {
+            return (opts, nodes);
+        }
+        nodes.into_iter().for_each(ReplicaNode::shutdown);
+    }
+    panic!("lost the port race three times");
+}
+
+/// A durable replica is shut down in the middle of a checkpoint interval
+/// and started again from its data directory while the others move on:
+/// it replays its WAL under the same interval (so it re-derives the same
+/// per-block digests), catches up, votes at the sequences its peers vote
+/// at, and ends on their head block result and state digest.
+fn restarts_from_its_data_directory(protocol: ProtocolKind) {
+    const BATCH: u64 = 5;
+    let dir = std::env::temp_dir().join(format!(
+        "rdb-integration-restart-{protocol:?}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (opts, mut nodes) = durable_tcp_cluster(protocol, &dir);
+    let (mut client, client_net) = connect_client(&opts, ClientId(0)).expect("client transport");
+    let mut submitted = 0;
+    let mut burst = |batches: u64| {
+        for _ in 0..batches {
+            let txns: Vec<_> = (submitted..submitted + BATCH)
+                .map(|i| client.write_txn(i % 128, i.to_le_bytes().to_vec()))
+                .collect();
+            assert_eq!(client.submit_and_wait(txns, wait()), BATCH as usize);
+            submitted += BATCH;
+        }
+    };
+    // Δ = 4 batches: one whole interval and three batches into the next.
+    burst(7);
+    let victim = 2;
+    let executed = |node: &ReplicaNode| node.shared().executor.executed_txns();
+    let deadline = Instant::now() + wait();
+    while executed(&nodes[victim]) < 7 * BATCH && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    assert_eq!(
+        executed(&nodes[victim]),
+        7 * BATCH,
+        "{protocol:?}: victim caught up before dying"
+    );
+    nodes.remove(victim).shutdown();
+    burst(3);
+    let reborn = start_replica(&opts, ReplicaId(victim as u32)).expect("restart on the same port");
+    let recovered = reborn
+        .shared()
+        .recovery_report()
+        .expect("durable replica reports recovery");
+    assert!(
+        recovered.head.0 >= 4,
+        "{protocol:?}: restarted from disk, got {recovered:?}"
+    );
+    nodes.insert(victim, reborn);
+    let head_of = |node: &ReplicaNode| -> (u64, Digest, Digest) {
+        let shared = node.shared();
+        let chain = shared.chain.lock();
+        (
+            chain.head().seq.0,
+            chain.head().result_digest,
+            shared.store.state_digest(),
+        )
+    };
+    let deadline = Instant::now() + wait();
+    let converged = loop {
+        // New commits are how the restarted replica learns it is behind.
+        burst(1);
+        std::thread::sleep(Duration::from_millis(50));
+        let heads: Vec<_> = nodes.iter().map(head_of).collect();
+        if heads.iter().all(|h| *h == heads[0]) {
+            break true;
+        }
+        if Instant::now() >= deadline {
+            eprintln!("{protocol:?}: heads {heads:?}");
+            break false;
+        }
+    };
+    drop(client);
+    client_net.shutdown();
+    nodes.into_iter().for_each(ReplicaNode::shutdown);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        converged,
+        "{protocol:?}: restarted replica never matched the survivors"
+    );
+}
+
+#[test]
+fn pbft_restarts_from_its_data_directory() {
+    restarts_from_its_data_directory(ProtocolKind::Pbft);
+}
+
+#[test]
+fn zyzzyva_restarts_from_its_data_directory() {
+    restarts_from_its_data_directory(ProtocolKind::Zyzzyva);
 }
 
 #[test]
