@@ -10,11 +10,13 @@
 //! - Ed25519 batch verification at window sizes {8, 32, 128}, reported as
 //!   amortized ns *per signature*;
 //! - the CMAC and RSA baselines that anchor the paper's MAC-vs-signature
-//!   cost asymmetry (Section 6 / Figure 13);
+//!   cost asymmetry (Section 6 / Figure 13), and CMAC tags over 100 B,
+//!   2 KiB and 56 KiB (one `mem_hotkey_rw` `PrePrepare`) on every AES
+//!   backend this CPU can run (AES-NI and portable);
 //! - SHA-256 over one block and over 1 KiB on every backend this CPU can
 //!   run (SHA-NI and portable), and the one-shot `sha256_pair` under every
-//!   interior Merkle node. The backend the process selected is named in
-//!   the JSON envelope.
+//!   interior Merkle node. The SHA-256 and AES backends the process
+//!   selected are named in the JSON envelope.
 //!
 //! Emits `BENCH_crypto.json` at the workspace root; CI runs this bench
 //! with a short window and uploads the file.
@@ -22,6 +24,7 @@
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rdb_crypto::aes;
 use rdb_crypto::cmac::CmacAes128;
 use rdb_crypto::ed25519::{
     basepoint_table, verify_batch, BatchEntry, Ed25519KeyPair, EdwardsPoint,
@@ -178,7 +181,24 @@ fn run_suite() -> Vec<Sample> {
         record(&mut samples, format!("sha256_pair/{}", backend.name()), ns);
     }
 
-    // --- CMAC baseline -----------------------------------------------------
+    // --- CMAC, per backend, then the selected one -------------------------
+    for backend in aes::backends() {
+        let cmac = CmacAes128::with_backend(&[7u8; 16], &backend);
+        for (label, len) in [("100B", MSG_BYTES), ("2KiB", 2048), ("56KiB", 56 * 1024)] {
+            let data = vec![0xefu8; len];
+            // Roughly the same bytes per row: 56 KiB on the portable chain
+            // is ~0.6 ms a tag.
+            let n = (iters as usize * 10 * MSG_BYTES / len).max(3) as u32;
+            let ns = time_ns(n, || {
+                black_box(cmac.tag(black_box(&data)));
+            });
+            record(
+                &mut samples,
+                format!("cmac/tag/{label}/{}", backend.name()),
+                ns,
+            );
+        }
+    }
     let cmac = CmacAes128::new(&[7u8; 16]);
     let ns_tag = time_ns(iters * 10, || {
         black_box(cmac.tag(black_box(&msg)));
@@ -214,6 +234,10 @@ fn emit_json(samples: &[Sample]) {
     out.push_str(&format!(
         "  \"sha256_backend\": \"{}\",\n",
         sha2::backend().name()
+    ));
+    out.push_str(&format!(
+        "  \"aes_backend\": \"{}\",\n",
+        aes::backend().name()
     ));
     out.push_str(
         "  \"unit\": \"ns_per_op (batch entries are per-signature; speedup entries are ratios)\",\n",

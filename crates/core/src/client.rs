@@ -33,35 +33,61 @@ enum Tracker {
 /// Every completed request's result, kept for the session's lifetime.
 /// Counters are dense per session, so a result costs one index entry plus
 /// its bytes in a shared arena — not a map slot and an allocation each.
+/// Both grow a fixed-size page at a time and never move: a session's
+/// results grow for as long as it runs, and a doubling `Vec` would copy
+/// all of them at every power of two and leave the old block resident in
+/// the allocator (at 2^18 results, 6 MiB a session).
 #[derive(Default)]
 struct Results {
-    /// By counter: where the result starts in `bytes` and its length
-    /// ([`Results::ABSENT`] = not completed yet).
-    index: Vec<(usize, u32)>,
-    bytes: Vec<u8>,
+    /// By counter, [`Results::PAGE`] to a page: the result's `(page,
+    /// start, len)` in `pages` (`len` [`Results::ABSENT`] = not completed
+    /// yet).
+    index: Vec<Box<[(u32, u32, u32)]>>,
+    /// Result bytes, [`Results::PAGE_BYTES`] to a page; a result never
+    /// straddles two, and a longer one gets a page of its own.
+    pages: Vec<Vec<u8>>,
 }
 
 impl Results {
     const ABSENT: u32 = u32::MAX;
+    const PAGE: usize = 4096;
+    const PAGE_BYTES: usize = 64 << 10;
 
     /// Records the result of `counter`, one this session submitted (the
     /// trackers complete nothing else, and each counter once).
     fn insert(&mut self, counter: u64, result: &[u8]) {
         let at = counter as usize;
-        if at >= self.index.len() {
-            self.index.resize(at + 1, (0, Self::ABSENT));
+        while self.index.len() <= at / Self::PAGE {
+            let page = vec![(0, 0, Self::ABSENT); Self::PAGE];
+            self.index.push(page.into_boxed_slice());
         }
         let len = u32::try_from(result.len())
             .ok()
             .filter(|len| *len != Self::ABSENT)
             .expect("a result fits in a message frame");
-        self.index[at] = (self.bytes.len(), len);
-        self.bytes.extend_from_slice(result);
+        if self
+            .pages
+            .last()
+            .is_none_or(|p| p.capacity() - p.len() < result.len())
+        {
+            let page = Vec::with_capacity(Self::PAGE_BYTES.max(result.len()));
+            self.pages.push(page);
+        }
+        let page = self.pages.len() - 1;
+        let bytes = &mut self.pages[page];
+        // A page holds at most `PAGE_BYTES` or one result: `start` fits
+        // in the `u32` that `len` does.
+        let start = u32::try_from(bytes.len()).expect("a page offset fits in u32");
+        let page = u32::try_from(page).expect("fewer than 2^32 result pages");
+        self.index[at / Self::PAGE][at % Self::PAGE] = (page, start, len);
+        bytes.extend_from_slice(result);
     }
 
     fn get(&self, counter: u64) -> Option<&[u8]> {
-        let &(start, len) = self.index.get(usize::try_from(counter).ok()?)?;
-        (len != Self::ABSENT).then(|| &self.bytes[start..start + len as usize])
+        let at = usize::try_from(counter).ok()?;
+        let &(page, start, len) = self.index.get(at / Self::PAGE)?.get(at % Self::PAGE)?;
+        let start = start as usize;
+        (len != Self::ABSENT).then(|| &self.pages[page as usize][start..start + len as usize])
     }
 }
 
@@ -262,6 +288,14 @@ impl ClientSession {
     /// Feeds one inbound envelope through the protocol tracker; returns
     /// requests completed by it.
     fn on_message(&mut self, sm: SignedMessage) -> usize {
+        // The trackers count `sm.sender()` as the voter, so an envelope
+        // whose MAC or signature does not check out is dropped unread.
+        if !self
+            .provider
+            .verify(sm.sender(), sm.signing_bytes(), sm.sig())
+        {
+            return 0;
+        }
         // Clients learn the current view from replies (PBFT §4.1): a reply
         // stamped with a newer view means a view change happened — re-aim
         // future submissions at that view's primary.
@@ -372,7 +406,98 @@ impl ClientSession {
 
 #[cfg(test)]
 mod tests {
-    use super::Results;
+    use super::*;
+    use rdb_common::{CryptoScheme, Digest, SeqNum, SignatureBytes};
+    use rdb_net::{Network, NetworkConfig};
+
+    /// One client session on an in-memory network whose four replica
+    /// addresses are plain endpoints the test speaks through, and the
+    /// transaction it submitted.
+    fn session(protocol: ProtocolKind) -> (Vec<Endpoint>, ClientSession, TxnId, KeyRegistry) {
+        let net = Network::new(NetworkConfig::default());
+        let replicas = (0..4)
+            .map(|r| net.register(Sender::Replica(ReplicaId(r))))
+            .collect();
+        let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 1, 7);
+        let mut client =
+            ClientSession::connect(ClientId(0), &net.handle(), &registry, protocol, 1, 1, 4);
+        let txn = client.write_txn(3, b"v".to_vec());
+        let id = txn.id;
+        client.submit(vec![txn]);
+        (replicas, client, id, registry)
+    }
+
+    /// Replica `r`'s answer `result` to `txn`, MAC'd by `r` and then, if
+    /// `corrupt`, with one bit of the MAC flipped.
+    fn answer(
+        registry: &KeyRegistry,
+        protocol: ProtocolKind,
+        r: u32,
+        txn: TxnId,
+        corrupt: bool,
+    ) -> SignedMessage {
+        let (client, replica) = (txn.client, ReplicaId(r));
+        let results = vec![(txn.counter, b"ok".to_vec())];
+        let msg = match protocol {
+            ProtocolKind::Pbft => Message::ClientReply {
+                view: ViewNum(0),
+                client,
+                replica,
+                results,
+            },
+            ProtocolKind::Zyzzyva => Message::SpecResponse {
+                view: ViewNum(0),
+                seq: SeqNum(1),
+                digest: Digest([1; 32]),
+                history: Digest([2; 32]),
+                client,
+                replica,
+                results,
+            },
+        };
+        let provider = registry.provider_for_replica(replica);
+        SignedMessage::sign_with(msg, Sender::Replica(replica), |bytes| {
+            let mut sig = provider.sign(PeerClass::Client, bytes).0;
+            if corrupt {
+                sig[0] ^= 1;
+            }
+            SignatureBytes(sig)
+        })
+    }
+
+    /// `quorum` matching answers, enough to complete the request (f + 1
+    /// replies under PBFT, all 3f + 1 speculative responses on Zyzzyva's
+    /// fast path), first under corrupted MACs, then genuine.
+    fn a_quorum_completes_only_when_its_macs_verify(protocol: ProtocolKind, quorum: u32) {
+        let (replicas, mut client, txn, registry) = session(protocol);
+        for (r, ep) in replicas.iter().enumerate().take(quorum as usize) {
+            let forged = answer(&registry, protocol, r as u32, txn, true);
+            ep.send_direct(Sender::Client(txn.client), forged).unwrap();
+        }
+        assert_eq!(
+            client.poll_progress(),
+            0,
+            "{protocol:?}: forged MACs counted"
+        );
+        assert_eq!(client.pending(), 1);
+        assert_eq!(client.result(txn), None);
+        for (r, ep) in replicas.iter().enumerate().take(quorum as usize) {
+            let genuine = answer(&registry, protocol, r as u32, txn, false);
+            ep.send_direct(Sender::Client(txn.client), genuine).unwrap();
+        }
+        assert_eq!(client.poll_progress(), 1, "{protocol:?}");
+        assert_eq!(client.result(txn), Some(&b"ok"[..]));
+    }
+
+    #[test]
+    fn pbft_replies_under_a_corrupted_mac_complete_nothing() {
+        a_quorum_completes_only_when_its_macs_verify(ProtocolKind::Pbft, 2);
+    }
+
+    #[test]
+    fn zyzzyva_responses_under_a_corrupted_mac_complete_nothing() {
+        a_quorum_completes_only_when_its_macs_verify(ProtocolKind::Zyzzyva, 4);
+    }
 
     #[test]
     fn results_are_found_by_counter_whatever_order_they_completed_in() {
@@ -393,5 +518,32 @@ mod tests {
         results.insert(1, b"one");
         assert_eq!(results.get(1), Some(&b"one"[..]));
         assert_eq!(results.get(3), Some(&b"three"[..]));
+    }
+
+    #[test]
+    fn results_across_pages_stay_where_they_were_written() {
+        let value = |c: u64| -> Vec<u8> {
+            // Mostly short, every 1000th longer than a byte page.
+            let len = if c % 1000 == 999 {
+                Results::PAGE_BYTES + 1
+            } else {
+                (c % 40) as usize
+            };
+            (0..len).map(|i| (c as usize + i) as u8).collect()
+        };
+        let n = 3 * Results::PAGE as u64 + 7;
+        let mut results = Results::default();
+        // Odd counters first, then even ones: completions out of order.
+        let order = (1..n).step_by(2).chain((0..n).step_by(2));
+        let mut first = None;
+        for c in order {
+            results.insert(c, &value(c));
+            let at = results.get(1).expect("counter 1 went in first").as_ptr();
+            assert_eq!(*first.get_or_insert(at), at, "a result moved");
+        }
+        for c in 0..n {
+            assert_eq!(results.get(c), Some(&value(c)[..]), "counter {c}");
+        }
+        assert_eq!(results.get(n), None);
     }
 }

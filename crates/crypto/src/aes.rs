@@ -3,6 +3,13 @@
 //! CMAC (the replica↔replica authenticator in the paper's recommended
 //! configuration) only needs the forward permutation, so decryption is not
 //! implemented. Validated against the FIPS known-answer vector.
+//!
+//! CMAC's CBC-MAC chain has two interchangeable kernels: the portable,
+//! byte-wise one in this file and the AES-NI one in [`hw`], picked once per
+//! process by CPU feature detection ([`backend`]), exactly as `sha2` picks
+//! its compression function. The tests drive both over the same inputs.
+
+use std::sync::OnceLock;
 
 /// AES S-box.
 const SBOX: [u8; 256] = [
@@ -120,9 +127,82 @@ impl Aes128 {
     }
 }
 
+/// The AES-NI kernel: with `sha2::hw`, the crate's only `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod hw;
+
+/// One implementation of the CBC-MAC chain under CMAC.
+///
+/// Which one a process uses is decided by what its CPU can run
+/// ([`backend`]), never by configuration: every backend produces the same
+/// tags. The type is public only so that benches and tests can put the
+/// backends side by side ([`backends`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Backend {
+    name: &'static str,
+    /// `x ← E(x ⊕ b)` from `x = 0` over each whole 16-byte block `b` of
+    /// `blocks` (`blocks.len() % 16 == 0`), then over `last`; returns `x`.
+    pub(crate) chain: fn(cipher: &Aes128, blocks: &[u8], last: &[u8; 16]) -> [u8; 16],
+}
+
+const PORTABLE: Backend = Backend {
+    name: "portable",
+    chain: chain_portable,
+};
+
+impl Backend {
+    /// `"aes-ni"` or `"portable"`.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+}
+
+fn chain_portable(cipher: &Aes128, blocks: &[u8], last: &[u8; 16]) -> [u8; 16] {
+    debug_assert!(blocks.len().is_multiple_of(16));
+    let mut x = [0u8; 16];
+    for block in blocks.chunks_exact(16).chain([&last[..]]) {
+        for (xi, bi) in x.iter_mut().zip(block) {
+            *xi ^= bi;
+        }
+        cipher.encrypt_block(&mut x);
+    }
+    x
+}
+
+/// The hardware backend, if this CPU has one.
+fn hardware() -> Option<Backend> {
+    #[cfg(target_arch = "x86_64")]
+    return hw::kernel();
+    #[cfg(not(target_arch = "x86_64"))]
+    None
+}
+
+/// The backend every CMAC tag in this process is computed with: AES-NI
+/// where the CPU has it, the portable code otherwise. Detected once.
+pub fn backend() -> &'static Backend {
+    static SELECTED: OnceLock<Backend> = OnceLock::new();
+    SELECTED.get_or_init(|| hardware().unwrap_or(PORTABLE))
+}
+
+/// Every backend this CPU can run, the selected one first.
+pub fn backends() -> impl Iterator<Item = Backend> {
+    hardware().into_iter().chain([PORTABLE])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Asserts the known answer on the block cipher and on every backend's
+    /// chain this CPU can run: the chain over a one-block message is that
+    /// block's encryption.
+    fn assert_block(aes: &Aes128, pt: &[u8; 16], expected: &[u8; 16]) {
+        assert_eq!(aes.encrypt(pt), *expected, "encrypt_block");
+        for b in backends() {
+            assert_eq!((b.chain)(aes, &[], pt), *expected, "{} backend", b.name());
+        }
+    }
 
     #[test]
     fn fips197_appendix_b_vector() {
@@ -139,8 +219,7 @@ mod tests {
             0x39, 0x25, 0x84, 0x1d, 0x02, 0xdc, 0x09, 0xfb, 0xdc, 0x11, 0x85, 0x97, 0x19, 0x6a,
             0x0b, 0x32,
         ];
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt(&pt), expected);
+        assert_block(&Aes128::new(&key), &pt, &expected);
     }
 
     #[test]
@@ -158,8 +237,7 @@ mod tests {
             0x3a, 0xd7, 0x7b, 0xb4, 0x0d, 0x7a, 0x36, 0x60, 0xa8, 0x9e, 0xca, 0xf3, 0x24, 0x66,
             0xef, 0x97,
         ];
-        let aes = Aes128::new(&key);
-        assert_eq!(aes.encrypt(&pt), expected);
+        assert_block(&Aes128::new(&key), &pt, &expected);
     }
 
     #[test]
@@ -169,5 +247,27 @@ mod tests {
         let block = [7u8; 16];
         assert_eq!(aes1.encrypt(&block), aes1.encrypt(&block));
         assert_ne!(aes1.encrypt(&block), aes2.encrypt(&block));
+    }
+
+    /// Says on the real stderr (the test harness captures `eprintln!`, not
+    /// this) which backend the process selected and whether the hardware
+    /// half of the differential tests ran, so a green run on a CPU without
+    /// AES-NI cannot be mistaken for a tested kernel.
+    #[test]
+    fn report_backend() {
+        use std::io::Write;
+        let ran: Vec<&str> = backends().map(|b| b.name()).collect();
+        let hw = if ran.contains(&"aes-ni") {
+            "aes-ni kernel tested against portable"
+        } else {
+            "aes-ni kernel NOT RUN (cpu lacks aes/sse2): portable only"
+        };
+        let _ = writeln!(
+            std::io::stderr(),
+            "aes backend: selected={} differential={hw}",
+            backend().name()
+        );
+        assert_eq!(backend().name(), ran[0]);
+        assert_eq!(*ran.last().unwrap(), "portable");
     }
 }

@@ -4,8 +4,12 @@
 //! configuration: MACs are an order of magnitude cheaper than digital
 //! signatures and suffice between replicas because no replica forwards
 //! another replica's messages (non-repudiation is not needed).
+//!
+//! A tag is one CBC-MAC chain over the message, its last block padded and
+//! masked with a subkey; the chain runs on the AES backend selected once
+//! per process ([`crate::aes::backend`]).
 
-use crate::aes::Aes128;
+use crate::aes::{self, Aes128};
 
 fn dbl(block: &[u8; 16]) -> [u8; 16] {
     let mut out = [0u8; 16];
@@ -26,59 +30,51 @@ pub struct CmacAes128 {
     cipher: Aes128,
     k1: [u8; 16],
     k2: [u8; 16],
+    /// The selected backend's chain, fixed at construction so that a tag
+    /// does no feature detection or lookup.
+    chain: fn(&Aes128, &[u8], &[u8; 16]) -> [u8; 16],
 }
 
 impl CmacAes128 {
-    /// Derives the CMAC subkeys from `key`.
+    /// Derives the CMAC subkeys from `key`; tags run on the process's
+    /// [`aes::backend`].
     pub fn new(key: &[u8; 16]) -> Self {
+        Self::with_backend(key, aes::backend())
+    }
+
+    /// As [`CmacAes128::new`], on a given backend (benches and tests put
+    /// the backends side by side; see [`aes::backends`]).
+    pub fn with_backend(key: &[u8; 16], backend: &aes::Backend) -> Self {
         let cipher = Aes128::new(key);
         let l = cipher.encrypt(&[0u8; 16]);
         let k1 = dbl(&l);
         let k2 = dbl(&k1);
-        CmacAes128 { cipher, k1, k2 }
+        CmacAes128 {
+            cipher,
+            k1,
+            k2,
+            chain: backend.chain,
+        }
     }
 
     /// Computes the 16-byte tag over `msg`.
     pub fn tag(&self, msg: &[u8]) -> [u8; 16] {
-        let mut x = [0u8; 16];
-        let n_blocks = msg.len().div_ceil(16);
-        if n_blocks == 0 {
-            // Empty message: single padded block XOR K2.
-            let mut last = [0u8; 16];
-            last[0] = 0x80;
-            for i in 0..16 {
-                last[i] ^= self.k2[i];
-                x[i] ^= last[i];
-            }
-            self.cipher.encrypt_block(&mut x);
-            return x;
-        }
-        for b in 0..n_blocks - 1 {
-            for i in 0..16 {
-                x[i] ^= msg[b * 16 + i];
-            }
-            self.cipher.encrypt_block(&mut x);
-        }
-        // Final block.
-        let tail = &msg[(n_blocks - 1) * 16..];
+        // Every block but the last goes through the chain as it is; the
+        // last (empty for an empty message) is masked with K1 when whole,
+        // padded with `0x80 0…` and masked with K2 when not.
+        let (blocks, tail) = msg.split_at(msg.len().saturating_sub(1) / 16 * 16);
         let mut last = [0u8; 16];
-        if tail.len() == 16 {
-            last.copy_from_slice(tail);
-            for i in 0..16 {
-                last[i] ^= self.k1[i];
-            }
+        last[..tail.len()].copy_from_slice(tail);
+        let subkey = if tail.len() == 16 {
+            &self.k1
         } else {
-            last[..tail.len()].copy_from_slice(tail);
             last[tail.len()] = 0x80;
-            for i in 0..16 {
-                last[i] ^= self.k2[i];
-            }
+            &self.k2
+        };
+        for (l, k) in last.iter_mut().zip(subkey) {
+            *l ^= k;
         }
-        for i in 0..16 {
-            x[i] ^= last[i];
-        }
-        self.cipher.encrypt_block(&mut x);
-        x
+        (self.chain)(&self.cipher, blocks, &last)
     }
 
     /// Verifies that `tag` authenticates `msg` (constant-time comparison).
@@ -113,44 +109,109 @@ mod tests {
         0xe6, 0x6c, 0x37, 0x10,
     ];
 
+    /// The RFC 4493 answer on the selected backend and on every backend
+    /// this CPU can run.
+    fn assert_tag(msg: &[u8], expected: [u8; 16]) {
+        assert_eq!(CmacAes128::new(&KEY).tag(msg), expected, "selected backend");
+        for b in aes::backends() {
+            let cmac = CmacAes128::with_backend(&KEY, &b);
+            assert_eq!(cmac.tag(msg), expected, "{} backend", b.name());
+        }
+    }
+
     #[test]
     fn rfc4493_empty_message() {
-        let cmac = CmacAes128::new(&KEY);
-        let expected = [
-            0xbb, 0x1d, 0x69, 0x29, 0xe9, 0x59, 0x37, 0x28, 0x7f, 0xa3, 0x7d, 0x12, 0x9b, 0x75,
-            0x67, 0x46,
-        ];
-        assert_eq!(cmac.tag(b""), expected);
+        assert_tag(
+            b"",
+            [
+                0xbb, 0x1d, 0x69, 0x29, 0xe9, 0x59, 0x37, 0x28, 0x7f, 0xa3, 0x7d, 0x12, 0x9b, 0x75,
+                0x67, 0x46,
+            ],
+        );
     }
 
     #[test]
     fn rfc4493_16_bytes() {
-        let cmac = CmacAes128::new(&KEY);
-        let expected = [
-            0x07, 0x0a, 0x16, 0xb4, 0x6b, 0x4d, 0x41, 0x44, 0xf7, 0x9b, 0xdd, 0x9d, 0xd0, 0x4a,
-            0x28, 0x7c,
-        ];
-        assert_eq!(cmac.tag(&MSG64[..16]), expected);
+        assert_tag(
+            &MSG64[..16],
+            [
+                0x07, 0x0a, 0x16, 0xb4, 0x6b, 0x4d, 0x41, 0x44, 0xf7, 0x9b, 0xdd, 0x9d, 0xd0, 0x4a,
+                0x28, 0x7c,
+            ],
+        );
     }
 
     #[test]
     fn rfc4493_40_bytes() {
-        let cmac = CmacAes128::new(&KEY);
-        let expected = [
-            0xdf, 0xa6, 0x67, 0x47, 0xde, 0x9a, 0xe6, 0x30, 0x30, 0xca, 0x32, 0x61, 0x14, 0x97,
-            0xc8, 0x27,
-        ];
-        assert_eq!(cmac.tag(&MSG64[..40]), expected);
+        assert_tag(
+            &MSG64[..40],
+            [
+                0xdf, 0xa6, 0x67, 0x47, 0xde, 0x9a, 0xe6, 0x30, 0x30, 0xca, 0x32, 0x61, 0x14, 0x97,
+                0xc8, 0x27,
+            ],
+        );
     }
 
     #[test]
     fn rfc4493_64_bytes() {
-        let cmac = CmacAes128::new(&KEY);
-        let expected = [
-            0x51, 0xf0, 0xbe, 0xbf, 0x7e, 0x3b, 0x9d, 0x92, 0xfc, 0x49, 0x74, 0x17, 0x79, 0x36,
-            0x3c, 0xfe,
-        ];
-        assert_eq!(cmac.tag(&MSG64), expected);
+        assert_tag(
+            &MSG64,
+            [
+                0x51, 0xf0, 0xbe, 0xbf, 0x7e, 0x3b, 0x9d, 0x92, 0xfc, 0x49, 0x74, 0x17, 0x79, 0x36,
+                0x3c, 0xfe,
+            ],
+        );
+    }
+
+    /// SP 800-38B §6.2 step by step: pad the whole message into blocks,
+    /// mask the last, CBC-encrypt with the bare block cipher. Shares no
+    /// code with `tag` but the key schedule and `dbl`.
+    fn reference_tag(key: &[u8; 16], msg: &[u8]) -> [u8; 16] {
+        let cipher = Aes128::new(key);
+        let k1 = dbl(&cipher.encrypt(&[0u8; 16]));
+        let k2 = dbl(&k1);
+        let whole = !msg.is_empty() && msg.len().is_multiple_of(16);
+        let mut m = msg.to_vec();
+        if !whole {
+            m.push(0x80);
+            m.resize(m.len().div_ceil(16) * 16, 0);
+        }
+        let n = m.len();
+        for (b, k) in m[n - 16..].iter_mut().zip(if whole { k1 } else { k2 }) {
+            *b ^= k;
+        }
+        let mut x = [0u8; 16];
+        for block in m.chunks(16) {
+            for i in 0..16 {
+                x[i] ^= block[i];
+            }
+            cipher.encrypt_block(&mut x);
+        }
+        x
+    }
+
+    #[test]
+    fn every_length_around_the_k1_k2_switch() {
+        // 0 and every length that ends a block, or one byte either side of
+        // it, for the first two blocks: where the last block flips between
+        // padded-with-K2 and whole-with-K1.
+        let msg: Vec<u8> = (0..33u8).map(|i| i.wrapping_mul(37) ^ 0x5c).collect();
+        for len in [0usize, 1, 15, 16, 17, 31, 32, 33] {
+            let expected = reference_tag(&KEY, &msg[..len]);
+            for b in aes::backends() {
+                let cmac = CmacAes128::with_backend(&KEY, &b);
+                assert_eq!(cmac.tag(&msg[..len]), expected, "{} len {len}", b.name());
+                assert!(
+                    cmac.verify(&msg[..len], &expected),
+                    "{} len {len}",
+                    b.name()
+                );
+            }
+        }
+        assert_eq!(
+            reference_tag(&KEY, &MSG64[..40]),
+            CmacAes128::new(&KEY).tag(&MSG64[..40])
+        );
     }
 
     #[test]
@@ -170,5 +231,40 @@ mod tests {
         let a = CmacAes128::new(&[1; 16]);
         let b = CmacAes128::new(&[2; 16]);
         assert_ne!(a.tag(b"m"), b.tag(b"m"));
+    }
+
+    mod differential {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            /// Every backend present tags a random message under a random
+            /// key exactly as the reference does, and rejects it with one
+            /// bit flipped in the message or in the tag.
+            #[test]
+            fn backends_agree_and_reject_a_flipped_bit(
+                key in proptest::collection::vec(any::<u8>(), 16..17),
+                msg in proptest::collection::vec(any::<u8>(), 0..4097),
+                bit in any::<usize>(),
+            ) {
+                let key: [u8; 16] = key.try_into().unwrap();
+                let expected = reference_tag(&key, &msg);
+                for b in aes::backends() {
+                    let cmac = CmacAes128::with_backend(&key, &b);
+                    prop_assert_eq!(cmac.tag(&msg), expected, "{} backend", b.name());
+                    prop_assert!(cmac.verify(&msg, &expected), "{} backend", b.name());
+                    let mut bad_tag = expected;
+                    bad_tag[bit / 8 % 16] ^= 1 << (bit % 8);
+                    prop_assert!(!cmac.verify(&msg, &bad_tag), "{} backend, tag", b.name());
+                    if !msg.is_empty() {
+                        let mut bad_msg = msg.clone();
+                        bad_msg[bit / 8 % msg.len()] ^= 1 << (bit % 8);
+                        prop_assert!(!cmac.verify(&bad_msg, &expected), "{} backend, msg", b.name());
+                    }
+                }
+            }
+        }
     }
 }

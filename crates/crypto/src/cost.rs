@@ -323,7 +323,11 @@ mod tests {
     #[ignore = "slow: measures RSA keygen + signing on the host"]
     fn calibration_produces_sane_ordering() {
         let m = CostModel::calibrate();
-        println!("sha256 backend {}: {m:#?}", crate::sha2::backend().name());
+        println!(
+            "sha256 backend {}, aes backend {}: {m:#?}",
+            crate::sha2::backend().name(),
+            crate::aes::backend().name()
+        );
         assert!(m.cmac_fixed_ns > 0.0);
         assert!(m.ed25519_sign_ns > m.cmac_fixed_ns);
         assert!(m.rsa_sign_ns > m.ed25519_sign_ns);

@@ -34,7 +34,8 @@
 // Indexed limb/byte loops are the clearest way to express the
 // specifications these modules implement (FIPS pseudocode is indexed).
 #![allow(clippy::needless_range_loop)]
-// The one exception is the SHA-NI kernel, `sha2::hw`.
+// The two exceptions are the hardware kernels, `sha2::hw` (SHA-NI) and
+// `aes::hw` (AES-NI), each reachable only through its `kernel()`.
 #![deny(unsafe_code)]
 
 pub mod aes;
