@@ -33,61 +33,35 @@ enum Tracker {
 /// Every completed request's result, kept for the session's lifetime.
 /// Counters are dense per session, so a result costs one index entry plus
 /// its bytes in a shared arena — not a map slot and an allocation each.
-/// Both grow a fixed-size page at a time and never move: a session's
-/// results grow for as long as it runs, and a doubling `Vec` would copy
-/// all of them at every power of two and leave the old block resident in
-/// the allocator (at 2^18 results, 6 MiB a session).
 #[derive(Default)]
 struct Results {
-    /// By counter, [`Results::PAGE`] to a page: the result's `(page,
-    /// start, len)` in `pages` (`len` [`Results::ABSENT`] = not completed
-    /// yet).
-    index: Vec<Box<[(u32, u32, u32)]>>,
-    /// Result bytes, [`Results::PAGE_BYTES`] to a page; a result never
-    /// straddles two, and a longer one gets a page of its own.
-    pages: Vec<Vec<u8>>,
+    /// By counter: where the result starts in `bytes` and its length
+    /// ([`Results::ABSENT`] = not completed yet).
+    index: Vec<(usize, u32)>,
+    bytes: Vec<u8>,
 }
 
 impl Results {
     const ABSENT: u32 = u32::MAX;
-    const PAGE: usize = 4096;
-    const PAGE_BYTES: usize = 64 << 10;
 
     /// Records the result of `counter`, one this session submitted (the
     /// trackers complete nothing else, and each counter once).
     fn insert(&mut self, counter: u64, result: &[u8]) {
         let at = counter as usize;
-        while self.index.len() <= at / Self::PAGE {
-            let page = vec![(0, 0, Self::ABSENT); Self::PAGE];
-            self.index.push(page.into_boxed_slice());
+        if at >= self.index.len() {
+            self.index.resize(at + 1, (0, Self::ABSENT));
         }
         let len = u32::try_from(result.len())
             .ok()
             .filter(|len| *len != Self::ABSENT)
             .expect("a result fits in a message frame");
-        if self
-            .pages
-            .last()
-            .is_none_or(|p| p.capacity() - p.len() < result.len())
-        {
-            let page = Vec::with_capacity(Self::PAGE_BYTES.max(result.len()));
-            self.pages.push(page);
-        }
-        let page = self.pages.len() - 1;
-        let bytes = &mut self.pages[page];
-        // A page holds at most `PAGE_BYTES` or one result: `start` fits
-        // in the `u32` that `len` does.
-        let start = u32::try_from(bytes.len()).expect("a page offset fits in u32");
-        let page = u32::try_from(page).expect("fewer than 2^32 result pages");
-        self.index[at / Self::PAGE][at % Self::PAGE] = (page, start, len);
-        bytes.extend_from_slice(result);
+        self.index[at] = (self.bytes.len(), len);
+        self.bytes.extend_from_slice(result);
     }
 
     fn get(&self, counter: u64) -> Option<&[u8]> {
-        let at = usize::try_from(counter).ok()?;
-        let &(page, start, len) = self.index.get(at / Self::PAGE)?.get(at % Self::PAGE)?;
-        let start = start as usize;
-        (len != Self::ABSENT).then(|| &self.pages[page as usize][start..start + len as usize])
+        let &(start, len) = self.index.get(usize::try_from(counter).ok()?)?;
+        (len != Self::ABSENT).then(|| &self.bytes[start..start + len as usize])
     }
 }
 
@@ -518,32 +492,5 @@ mod tests {
         results.insert(1, b"one");
         assert_eq!(results.get(1), Some(&b"one"[..]));
         assert_eq!(results.get(3), Some(&b"three"[..]));
-    }
-
-    #[test]
-    fn results_across_pages_stay_where_they_were_written() {
-        let value = |c: u64| -> Vec<u8> {
-            // Mostly short, every 1000th longer than a byte page.
-            let len = if c % 1000 == 999 {
-                Results::PAGE_BYTES + 1
-            } else {
-                (c % 40) as usize
-            };
-            (0..len).map(|i| (c as usize + i) as u8).collect()
-        };
-        let n = 3 * Results::PAGE as u64 + 7;
-        let mut results = Results::default();
-        // Odd counters first, then even ones: completions out of order.
-        let order = (1..n).step_by(2).chain((0..n).step_by(2));
-        let mut first = None;
-        for c in order {
-            results.insert(c, &value(c));
-            let at = results.get(1).expect("counter 1 went in first").as_ptr();
-            assert_eq!(*first.get_or_insert(at), at, "a result moved");
-        }
-        for c in 0..n {
-            assert_eq!(results.get(c), Some(&value(c)[..]), "counter {c}");
-        }
-        assert_eq!(results.get(n), None);
     }
 }
