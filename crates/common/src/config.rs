@@ -2,10 +2,12 @@
 //!
 //! [`SystemConfig`] captures every knob the paper sweeps: replica count,
 //! batch size, thread counts (the `E`/`B` notation of Figure 8), crypto
-//! scheme (Figure 13), storage mode (Figure 14), client population
-//! (Figure 15), cores per replica (Figure 16), operations per transaction
-//! (Figure 11), payload size (Figure 12) and the consensus protocol
-//! (Figures 1, 8, 17).
+//! scheme (Figure 13), client population (Figure 15), cores per replica
+//! (Figure 16), operations per transaction (Figure 11), payload size
+//! (Figure 12) and the consensus protocol (Figures 1, 8, 17). Figure 14's
+//! in-memory-versus-SQLite comparison is model-only: `rdb_sim` prices it
+//! with a per-operation store cost, and every replica runs the in-memory
+//! store.
 
 use crate::error::{CommonError, Result};
 use crate::quorum;
@@ -54,27 +56,6 @@ impl CryptoScheme {
             CryptoScheme::Ed25519 => "ED25519",
             CryptoScheme::Rsa => "RSA",
             CryptoScheme::CmacEd25519 => "CMAC+ED25519",
-        }
-    }
-}
-
-/// Where executed state lives (Figure 14).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum StorageMode {
-    /// In-memory key-value structure (the ResilientDB default).
-    #[default]
-    InMemory,
-    /// File-backed paged store standing in for SQLite: every record access
-    /// pays page-cache and file I/O costs on the execution thread.
-    Paged,
-}
-
-impl StorageMode {
-    /// Human-readable mode name.
-    pub fn name(self) -> &'static str {
-        match self {
-            StorageMode::InMemory => "in-memory",
-            StorageMode::Paged => "paged",
         }
     }
 }
@@ -264,14 +245,10 @@ pub struct SystemConfig {
     pub checkpoint_interval: u64,
     /// Number of closed-loop clients issuing requests.
     pub num_clients: usize,
-    /// Maximum requests a client keeps outstanding (`Num_Req`).
-    pub max_outstanding: usize,
     /// Thread allocation per replica.
     pub threads: ThreadConfig,
     /// Signing configuration.
     pub crypto: CryptoScheme,
-    /// State storage mode.
-    pub storage: StorageMode,
     /// Operations per transaction (Figure 11; paper default 1).
     pub ops_per_txn: usize,
     /// Extra payload bytes attached to each transaction (Figure 12).
@@ -280,8 +257,6 @@ pub struct SystemConfig {
     pub cores: usize,
     /// Number of YCSB records pre-loaded into each replica's store.
     pub table_size: u64,
-    /// Client request timeout in milliseconds (drives Zyzzyva's slow path).
-    pub client_timeout_ms: u64,
     /// How long a replica waits without consensus progress (while demand
     /// is pending) before voting to change views, in milliseconds.
     pub view_timeout_ms: u64,
@@ -319,15 +294,12 @@ impl SystemConfig {
             batch_size: 100,
             checkpoint_interval: 10_000,
             num_clients: 80_000,
-            max_outstanding: 1,
             threads: ThreadConfig::standard(),
             crypto: CryptoScheme::CmacEd25519,
-            storage: StorageMode::InMemory,
             ops_per_txn: 1,
             payload_bytes: 0,
             cores: 8,
             table_size: 600_000,
-            client_timeout_ms: 50,
             view_timeout_ms: 2_000,
             byzantine_primary: false,
             consensus_instances: 1,
@@ -356,12 +328,6 @@ impl SystemConfig {
     /// Builder-style: sets the crypto scheme.
     pub fn with_crypto(mut self, crypto: CryptoScheme) -> Self {
         self.crypto = crypto;
-        self
-    }
-
-    /// Builder-style: sets the storage mode.
-    pub fn with_storage(mut self, storage: StorageMode) -> Self {
-        self.storage = storage;
         self
     }
 
@@ -456,7 +422,7 @@ impl SystemConfig {
         if self.cores == 0 {
             return Err(CommonError::InvalidConfig("cores must be positive".into()));
         }
-        if self.num_clients == 0 || self.max_outstanding == 0 {
+        if self.num_clients == 0 {
             return Err(CommonError::InvalidConfig(
                 "need at least one client request".into(),
             ));
@@ -498,12 +464,6 @@ impl SystemConfig {
             }
         }
         Ok(())
-    }
-
-    /// The execution-queue count `QC = 2 × Num_Clients × Num_Req`
-    /// (Section 4.6). The queues are logical, so the value may be large.
-    pub fn execution_queue_count(&self) -> u64 {
-        2 * self.num_clients as u64 * self.max_outstanding as u64
     }
 }
 
@@ -560,20 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn execution_queue_count_formula() {
-        let c = SystemConfig::new(4).unwrap().with_clients(100);
-        // QC = 2 * clients * outstanding
-        assert_eq!(c.execution_queue_count(), 200);
-    }
-
-    #[test]
     fn builder_chain() {
         let c = SystemConfig::new(8)
             .unwrap()
             .with_protocol(ProtocolKind::Zyzzyva)
             .with_batch_size(500)
             .with_crypto(CryptoScheme::Rsa)
-            .with_storage(StorageMode::Paged)
             .with_ops_per_txn(10)
             .with_payload_bytes(1024)
             .with_cores(4)
@@ -581,7 +533,6 @@ mod tests {
         assert_eq!(c.protocol, ProtocolKind::Zyzzyva);
         assert_eq!(c.batch_size, 500);
         assert_eq!(c.crypto, CryptoScheme::Rsa);
-        assert_eq!(c.storage, StorageMode::Paged);
         assert_eq!(c.ops_per_txn, 10);
         assert_eq!(c.payload_bytes, 1024);
         assert_eq!(c.cores, 4);
@@ -615,7 +566,6 @@ mod tests {
         assert_eq!(ProtocolKind::Pbft.name(), "PBFT");
         assert_eq!(ProtocolKind::Zyzzyva.name(), "Zyzzyva");
         assert_eq!(CryptoScheme::CmacEd25519.name(), "CMAC+ED25519");
-        assert_eq!(StorageMode::Paged.name(), "paged");
         assert_eq!(FsyncMode::Group.name(), "group");
     }
 

@@ -33,8 +33,7 @@ pub mod transaction;
 pub use block::{Block, BlockCertificate, BlockLink};
 pub use codec::{Wire, WireReader, WireWriter};
 pub use config::{
-    CryptoScheme, DurabilityConfig, FsyncMode, ProtocolKind, StorageMode, SystemConfig,
-    ThreadConfig,
+    CryptoScheme, DurabilityConfig, FsyncMode, ProtocolKind, SystemConfig, ThreadConfig,
 };
 pub use error::{CommonError, Result};
 pub use ids::{ClientId, Digest, ReplicaId, SeqNum, SignatureBytes, TxnId, ViewNum};

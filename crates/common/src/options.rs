@@ -2,13 +2,13 @@
 //! a node comes up.
 //!
 //! Historically the knobs were scattered — `SystemConfig` (consensus +
-//! threads) lived here, `TransportMode`/`NodeConfig` in the fabric, TCP
+//! threads) lived here, `TransportMode` in the fabric, TCP
 //! queue sizes in `rdb_net::TcpConfig`, and `rdb-node` re-plumbed all of
 //! them through ad-hoc flags. [`NodeOptions`] consolidates them:
 //!
 //! ```text
 //! NodeOptions
-//! ├── system: SystemConfig    consensus, batching, threads, crypto, storage
+//! ├── system: SystemConfig    consensus, batching, threads, crypto, durability
 //! ├── net:    NetOptions      transport mode + reactor/queue sizing
 //! ├── peers:  PeerMap         replica id → TCP address (empty ⇒ in-memory)
 //! ├── client_keys             client identities to derive keys for
@@ -39,15 +39,6 @@ pub enum TransportMode {
     /// inside one process or a genuine multi-process cluster; every
     /// message crosses a socket with length-prefixed framing either way.
     Tcp,
-}
-
-impl TransportMode {
-    /// The pre-reactor name for socket transport, kept so older call
-    /// sites compile: loopback stopped being a separate mode once the
-    /// same reactor served single- and multi-process clusters.
-    #[deprecated(since = "0.1.0", note = "use `TransportMode::Tcp`")]
-    #[allow(non_upper_case_globals)]
-    pub const TcpLoopback: TransportMode = TransportMode::Tcp;
 }
 
 /// Transport sizing: how much machinery the node's network backend runs.
@@ -176,12 +167,6 @@ impl NodeOptions {
     /// Sets the signing scheme.
     pub fn crypto(mut self, crypto: CryptoScheme) -> Self {
         self.system.crypto = crypto;
-        self
-    }
-
-    /// Sets the storage backend.
-    pub fn storage(mut self, storage: crate::config::StorageMode) -> Self {
-        self.system.storage = storage;
         self
     }
 
@@ -685,11 +670,5 @@ client_queue_capacity = 1024
         assert_eq!((opts.client_keys, opts.system.num_clients), (16, 16));
         assert!(opts.set("crypto", "rot13").is_err());
         assert!(opts.set("no_such_key", "1").is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_loopback_alias_still_names_tcp() {
-        assert_eq!(TransportMode::TcpLoopback, TransportMode::Tcp);
     }
 }

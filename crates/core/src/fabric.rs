@@ -18,8 +18,8 @@
 use crate::client::ClientSession;
 use rdb_common::messages::Sender;
 use rdb_common::{
-    ClientId, CryptoScheme, Digest, NodeOptions, ProtocolKind, ReplicaId, StorageMode,
-    SystemConfig, TransportMode,
+    ClientId, CryptoScheme, Digest, NodeOptions, ProtocolKind, ReplicaId, SystemConfig,
+    TransportMode,
 };
 use rdb_crypto::KeyRegistry;
 use rdb_net::{NetHandle, Network, NetworkConfig, TcpConfig, TcpTransport};
@@ -97,12 +97,6 @@ impl SystemBuilder {
     /// Sets the signing scheme.
     pub fn crypto(mut self, crypto: CryptoScheme) -> Self {
         self.opts = self.opts.crypto(crypto);
-        self
-    }
-
-    /// Sets the storage backend.
-    pub fn storage(mut self, storage: StorageMode) -> Self {
-        self.opts = self.opts.storage(storage);
         self
     }
 
@@ -476,11 +470,6 @@ impl ResilientDb {
 // ---------------------------------------------------------------------------
 // Multi-process deployment: one node per OS process.
 // ---------------------------------------------------------------------------
-
-/// The old name for what is now the unified [`NodeOptions`] — same
-/// fields, same `new(peers)` constructor, one extra `net` layer.
-#[deprecated(since = "0.1.0", note = "use `NodeOptions` (re-exported here)")]
-pub type NodeConfig = NodeOptions;
 
 /// A single replica process: its pipeline plus its TCP transport.
 pub struct ReplicaNode {

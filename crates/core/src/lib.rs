@@ -53,8 +53,6 @@ pub mod swarm;
 
 pub use bench_driver::{run_closed_loop, Measurement};
 pub use client::ClientSession;
-#[allow(deprecated)]
-pub use fabric::NodeConfig;
 pub use fabric::{
     connect_client, registry_for, start_replica, swarm_net, ReplicaNode, ResilientDb, SystemBuilder,
 };

@@ -1141,23 +1141,20 @@ mod tests {
     /// The snapshot materialised `after` batches past the mark is the one
     /// an oracle exports eagerly *at* the mark — under Zyzzyva with a
     /// mis-speculated suffix executed and rewound in between.
-    fn materialised_equals_eager(
-        protocol: ProtocolKind,
-        new_store: &dyn Fn() -> Arc<dyn StateStore>,
-    ) {
+    fn materialised_equals_eager(protocol: ProtocolKind) {
         for seed in 1..=12u64 {
             for after in [0, 1, INTERVAL - 1] {
                 let mut rng = seed;
                 let prefix: Vec<ExecuteItem> = (1..=INTERVAL)
                     .map(|seq| random_item(seq, &mut rng, protocol))
                     .collect();
-                let oracle = executor_on(protocol, new_store());
+                let oracle = executor_on(protocol, Arc::new(MemStore::new()));
                 oracle.set_snapshot_interval(INTERVAL);
                 prefix.iter().for_each(|item| drop(oracle.execute(item)));
                 let expected = eager_snapshot(&oracle, &prefix[INTERVAL as usize - 1]);
                 assert!(crate::recovery::verify_snapshot(&expected));
 
-                let ex = executor_on(protocol, new_store());
+                let ex = executor_on(protocol, Arc::new(MemStore::new()));
                 ex.set_snapshot_interval(INTERVAL);
                 prefix.iter().for_each(|item| drop(ex.execute(item)));
                 if protocol == ProtocolKind::Zyzzyva && after > 0 {
@@ -1188,34 +1185,8 @@ mod tests {
     #[test]
     fn materialised_snapshot_equals_eager_capture_on_memstore() {
         for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
-            materialised_equals_eager(protocol, &|| Arc::new(MemStore::new()));
+            materialised_equals_eager(protocol);
         }
-    }
-
-    #[test]
-    fn materialised_snapshot_equals_eager_capture_on_pagedstore() {
-        use rdb_storage::pagedb::PagedStoreConfig;
-        use rdb_storage::PagedStore;
-        let dir = std::env::temp_dir().join(format!("rdb-exec-paged-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let created = std::cell::Cell::new(0);
-        // Fixed slots: every key below the capacity, every value within
-        // the record size — which `random_item` stays inside.
-        let new_store = || -> Arc<dyn StateStore> {
-            created.set(created.get() + 1);
-            let config = PagedStoreConfig {
-                record_size: 8,
-                capacity: KEYS,
-                cache_pages: 2,
-                fsync_on_write: false,
-            };
-            let path = dir.join(format!("store-{}", created.get()));
-            Arc::new(PagedStore::create(&path, config).expect("create paged store"))
-        };
-        for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
-            materialised_equals_eager(protocol, &new_store);
-        }
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -42,11 +42,10 @@ use crate::scheduler::{ExecPool, ParallelExecutor};
 use crossbeam::channel::{self, Receiver, Sender as ChanSender};
 use parking_lot::Mutex;
 use rdb_common::messages::{Message, Sender, SignedMessage};
-use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, StorageMode, SystemConfig};
+use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, SystemConfig};
 use rdb_crypto::{digest, CryptoProvider, CryptoStats, KeyRegistry, PeerClass, VERIFY_WINDOW};
 use rdb_net::{EndpointSender, NetHandle, NetworkStats};
 use rdb_storage::blockchain::ChainMode;
-use rdb_storage::pagedb::{PagedStore, PagedStoreConfig};
 use rdb_storage::{Blockchain, MemStore, StateStore};
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -199,9 +198,8 @@ impl ReplicaHandle {
 /// [`ReplicaShared::recovery_report`].
 ///
 /// # Panics
-/// Panics if the configuration is invalid (`config.validate()` fails), a
-/// paged store cannot be created, or the replica data directory exists
-/// but cannot be opened for recovery.
+/// Panics if the configuration is invalid (`config.validate()` fails) or
+/// the replica data directory exists but cannot be opened for recovery.
 pub fn spawn_replica(
     config: &SystemConfig,
     id: ReplicaId,
@@ -372,7 +370,9 @@ fn build_shared(
     // so every replica snapshots identical state at identical sequences —
     // the f+1 cross-peer agreement a state-transferring receiver demands.
     executor.set_snapshot_interval(crate::core::checkpoint_delta(config) * k as u64);
-    let qc = (config.execution_queue_count() as usize).clamp(1024, 1 << 16);
+    // QC = 2 × clients (Section 4.6): each client keeps one request
+    // outstanding.
+    let qc = (2 * config.num_clients).clamp(1024, 1 << 16);
     let exec_queues = Arc::new(ExecutionQueues::new(qc));
     let recovery = data_dir.as_ref().map(|dir| {
         let (_, report) = durable::recover_replica(&executor, dir, &config.durability)
@@ -409,37 +409,12 @@ fn open_storage(
     config: &SystemConfig,
     id: ReplicaId,
 ) -> (Option<PathBuf>, Arc<dyn StateStore>, Arc<Mutex<Blockchain>>) {
-    /// Distinguishes the scratch files of same-id replicas of different
-    /// clusters inside one process.
-    static SCRATCH_FILES: AtomicU64 = AtomicU64::new(0);
     let data_dir = config.durability.data_dir.as_ref().map(|root| {
         let dir = Path::new(root).join(format!("replica-{}", id.0));
         std::fs::create_dir_all(&dir).expect("create replica data directory");
         dir
     });
-    let store: Arc<dyn StateStore> = match config.storage {
-        StorageMode::InMemory => Arc::new(MemStore::with_table(config.table_size, 8)),
-        StorageMode::Paged => {
-            // The paged file is a cache of state the WAL + snapshots can
-            // rebuild, so (re)creating it fresh per boot is always safe.
-            let path = match &data_dir {
-                Some(dir) => dir.join("paged.db"),
-                None => std::env::temp_dir().join(format!(
-                    "rdb-paged-{}-r{}-{}",
-                    std::process::id(),
-                    id.0,
-                    SCRATCH_FILES.fetch_add(1, Ordering::Relaxed)
-                )),
-            };
-            let paged_cfg = PagedStoreConfig {
-                record_size: 64,
-                capacity: config.table_size,
-                cache_pages: 64,
-                fsync_on_write: false,
-            };
-            Arc::new(PagedStore::create(&path, paged_cfg).expect("create paged store"))
-        }
-    };
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::with_table(config.table_size, 8));
     let (chain_quorum, chain_mode) = match config.protocol {
         ProtocolKind::Pbft => (
             rdb_common::quorum::commit_quorum(config.f),

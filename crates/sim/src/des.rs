@@ -21,6 +21,10 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 type Ns = u64;
 
+/// How long a Zyzzyva client waits for all 3f+1 speculative replies
+/// before distributing a commit certificate (the slow path).
+const CLIENT_TIMEOUT_MS: Ns = 50;
+
 /// What the simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimMode {
@@ -467,7 +471,7 @@ impl<'a> Sim<'a> {
             SimMode::UpperBound { execute } => {
                 let per_req = self.svc.input_request()
                     + if execute {
-                        self.cfg.overheads.mem_op_ns * self.cfg.system.ops_per_txn as f64
+                        self.cfg.overheads.store_op_ns * self.cfg.system.ops_per_txn as f64
                     } else {
                         0.0
                     }
@@ -851,7 +855,7 @@ impl<'a> Sim<'a> {
                             // Fast path is impossible: the client waits out
                             // its timer, then distributes certificates.
                             self.batches[batch].cc_fired = true;
-                            let timeout = self.cfg.system.client_timeout_ms * 1_000_000;
+                            let timeout = CLIENT_TIMEOUT_MS * 1_000_000;
                             self.push_event(
                                 client_sees_at + timeout,
                                 EventKind::ZyzzyvaTimeout { batch },
@@ -917,9 +921,10 @@ impl<'a> Sim<'a> {
     }
 
     fn run(mut self) -> SimReport {
-        // Seed the closed loop: all clients submit, staggered over a short
-        // ramp so the input stage is not hit by one giant burst.
-        let total = (self.cfg.system.num_clients * self.cfg.system.max_outstanding) as u64;
+        // Seed the closed loop: every client submits its one outstanding
+        // request, staggered over a short ramp so the input stage is not
+        // hit by one giant burst.
+        let total = self.cfg.system.num_clients as u64;
         let chunk = self.cfg.system.batch_size as u64;
         let chunks = total.div_ceil(chunk);
         let ramp_ns: Ns = 20_000_000; // 20 ms
@@ -1027,7 +1032,8 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdb_common::{CryptoScheme, StorageMode, ThreadConfig};
+    use crate::service::SQLITE_STAND_IN_OP_NS;
+    use rdb_common::{CryptoScheme, ThreadConfig};
 
     fn base(n: usize) -> SimConfig {
         let mut sys = SystemConfig::new(n).unwrap();
@@ -1098,7 +1104,7 @@ mod tests {
     fn paged_storage_collapses_throughput() {
         let mem = base(4).run();
         let mut paged_cfg = base(4);
-        paged_cfg.system.storage = StorageMode::Paged;
+        paged_cfg.overheads.store_op_ns = SQLITE_STAND_IN_OP_NS;
         let paged = paged_cfg.run();
         assert!(
             paged.throughput_tps < mem.throughput_tps / 4.0,

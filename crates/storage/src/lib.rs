@@ -4,14 +4,15 @@
 //! Four pieces of the paper's replica live here:
 //!
 //! - [`store`] — the key-value state the execute-thread reads and writes.
-//!   [`MemStore`] is the in-memory structure ResilientDB uses by default;
-//!   [`pagedb::PagedStore`] is a from-scratch file-backed paged store that
-//!   stands in for SQLite in the off-memory experiment (Figure 14).
+//!   [`MemStore`] is the in-memory structure every replica runs; the
+//!   [`StateStore`] trait lets tests and benches substitute instrumented
+//!   or I/O-charging stores. Figure 14's SQLite comparison is a model row
+//!   in `rdb_sim`, not a second backend here.
 //! - [`blockchain`] — the immutable ledger. Blocks are certified by the
 //!   2f+1 commit signatures gathered during consensus instead of hashing
 //!   the previous block on the critical path (Section 4.6).
-//! - [`merkle`] — the incremental Merkle commitment both stores
-//!   maintain over their records (checkpoint digests, snapshot vouching,
+//! - [`merkle`] — the incremental Merkle commitment the store
+//!   maintains over its records (checkpoint digests, snapshot vouching,
 //!   partial state proofs).
 //! - [`wal`] — the write-ahead log with group commit that makes the
 //!   recovery path durable across process death.
@@ -20,12 +21,10 @@
 
 pub mod blockchain;
 pub mod merkle;
-pub mod pagedb;
 pub mod store;
 pub mod wal;
 
 pub use blockchain::Blockchain;
 pub use merkle::{MerkleAccumulator, MerkleProof};
-pub use pagedb::PagedStore;
 pub use store::{record_hash, MemStore, PreImage, StateStore, WriteRecord};
 pub use wal::{FsyncPolicy, Wal, WalRecovery};

@@ -25,8 +25,8 @@
 //!   leaf and upper-tree work. The values are those of hashing on every
 //!   write; only when the hashing happens differs.
 //! - The root is a pure function of the record *contents* — identical across
-//!   backends (`MemStore` ≡ `PagedStore`) and across put/remove histories
-//!   that converge on the same state, which the Zyzzyva undo log depends on.
+//!   stores and across put/remove histories that converge on the same
+//!   state, which the Zyzzyva undo log depends on.
 //!   It is also independent of the layout: the roots are those of the
 //!   sparse per-level-map tree this array replaced, pinned by
 //!   `tests/golden_roots.rs`.

@@ -1,10 +1,9 @@
 //! Cross-crate integration tests: the full public API surface exercised
-//! end-to-end — fabric, clients, workloads, failures, storage modes,
+//! end-to-end — fabric, clients, workloads, failures, the state store,
 //! and sim-vs-threaded cross-checks.
 
 use rdb_common::{
-    ClientId, CryptoScheme, Digest, PeerMap, ProtocolKind, ReplicaId, StorageMode, SystemConfig,
-    ThreadConfig,
+    ClientId, CryptoScheme, Digest, PeerMap, ProtocolKind, ReplicaId, SystemConfig, ThreadConfig,
 };
 use rdb_sim::SimConfig;
 use rdb_workload::{WorkloadConfig, WorkloadGenerator};
@@ -144,20 +143,52 @@ fn pure_ed25519_scheme_end_to_end() {
 }
 
 #[test]
-fn paged_storage_end_to_end() {
-    let db = SystemBuilder::new(4)
-        .storage(StorageMode::Paged)
-        .batch_size(5)
-        .table_size(512)
-        .client_keys(1)
-        .build()
-        .unwrap();
-    let mut client = db.client(0);
-    let txns: Vec<_> = (0..10)
-        .map(|i| client.write_txn(i % 512, vec![i as u8]))
-        .collect();
-    assert_eq!(client.submit_and_wait(txns, wait()), 10);
-    db.shutdown();
+fn store_takes_any_key_and_value_a_client_sends() {
+    // A key past the preloaded table and a value 512× its 8-byte records:
+    // every replica executes the write, the read answers with the value
+    // (a read's result is its first 8 bytes) and the state digests agree.
+    const TABLE: u64 = 512;
+    for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+        let db = SystemBuilder::new(4)
+            .protocol(protocol)
+            .batch_size(1)
+            .table_size(TABLE)
+            .client_keys(1)
+            .build()
+            .unwrap();
+        let mut client = db.client(0);
+        let value: Vec<u8> = (0..4_096u32).map(|i| i as u8).collect();
+        let write = client.write_txn(TABLE + 7, value.clone());
+        let read = client.read_txn(TABLE + 7);
+        let read_id = read.id;
+        assert_eq!(
+            client.submit_and_wait(vec![write], wait()),
+            1,
+            "{protocol:?}"
+        );
+        assert_eq!(
+            client.submit_and_wait(vec![read], wait()),
+            1,
+            "{protocol:?}"
+        );
+        assert_eq!(client.result(read_id), Some(&value[..8]), "{protocol:?}");
+        for r in 0..4 {
+            let executed = await_executed(&db, ReplicaId(r), 2);
+            assert!(
+                executed >= 2,
+                "{protocol:?}: replica {r} executed {executed}"
+            );
+        }
+        let deadline = Instant::now() + wait();
+        while !db.state_digests().windows(2).all(|w| w[0] == w[1]) {
+            assert!(
+                Instant::now() < deadline,
+                "{protocol:?}: state digests diverged"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        db.shutdown();
+    }
 }
 
 #[test]
