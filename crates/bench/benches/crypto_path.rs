@@ -1,6 +1,7 @@
-//! Crypto fast-path microbenchmarks — the measurement source for the
-//! simulator's [`rdb_crypto::CostModel::reference`] constants and the
-//! evidence for the batch-verify pipeline stage.
+//! Crypto fast-path microbenchmarks — the measured costs of this crate's
+//! own kernels, set beside the simulator's fixed
+//! [`rdb_crypto::CostModel::optimized`] constants, and the evidence for
+//! the batch-verify pipeline stage.
 //!
 //! Measures, with the same JSON-emitting harness as `message_path`:
 //!

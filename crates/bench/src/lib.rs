@@ -78,7 +78,6 @@ pub fn fig7() -> Vec<Point> {
                 c.mode = SimMode::UpperBound { execute };
                 c.system.crypto = CryptoScheme::NoCrypto;
                 c.system.num_clients = clients;
-                c.system.threads.worker_threads = 2;
             });
             out.push(Point::from_report(label, clients, &r));
         }

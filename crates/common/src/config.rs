@@ -137,7 +137,9 @@ impl Default for DurabilityConfig {
 ///
 /// The paper's `xE yB` notation maps to `execute_threads = x`,
 /// `batch_threads = y`. Setting either to zero folds that stage's work into
-/// the worker-thread (the "0E 0B" monolithic baseline of Figure 8).
+/// the worker-thread (the "0E 0B" monolithic baseline of Figure 8). The
+/// worker itself is not configurable: every replica runs exactly one, so
+/// protocol state has a single owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct ThreadConfig {
     /// Input threads receiving client requests (primary only).
@@ -146,9 +148,6 @@ pub struct ThreadConfig {
     pub replica_input_threads: usize,
     /// Batch-assembly threads at the primary (`B`).
     pub batch_threads: usize,
-    /// Worker threads running the consensus state machine (the paper uses
-    /// exactly one to avoid contention on protocol state).
-    pub worker_threads: usize,
     /// Execution threads (`E`). `0` folds execution into the worker
     /// (the paper's degraded `0E` mode), `1` is the paper's serial
     /// execute-thread, and `N ≥ 2` runs a pool of `N` conflict-scheduled
@@ -169,7 +168,6 @@ impl ThreadConfig {
             client_input_threads: 1,
             replica_input_threads: 2,
             batch_threads: 2,
-            worker_threads: 1,
             execute_threads: 1,
             checkpoint_threads: 1,
             output_threads: 2,
@@ -191,19 +189,20 @@ impl ThreadConfig {
             client_input_threads: 1,
             replica_input_threads: 1,
             batch_threads: 0,
-            worker_threads: 1,
             execute_threads: 0,
             checkpoint_threads: 0,
             output_threads: 1,
         }
     }
 
-    /// Total threads a primary replica runs under this configuration.
+    /// Total threads a primary replica runs under this configuration
+    /// (always with exactly one worker thread, which owns the consensus
+    /// state machine).
     pub fn total_primary(&self) -> usize {
         self.client_input_threads
             + self.replica_input_threads
             + self.batch_threads
-            + self.worker_threads
+            + 1
             + self.execute_threads
             + self.checkpoint_threads
             + self.output_threads
@@ -212,7 +211,7 @@ impl ThreadConfig {
     /// Total threads a backup replica runs (no client input, no batching).
     pub fn total_backup(&self) -> usize {
         self.replica_input_threads
-            + self.worker_threads
+            + 1
             + self.execute_threads
             + self.checkpoint_threads
             + self.output_threads
@@ -404,11 +403,6 @@ impl SystemConfig {
                 "batch_size must be positive".into(),
             ));
         }
-        if self.threads.worker_threads == 0 {
-            return Err(CommonError::InvalidConfig(
-                "need at least one worker thread".into(),
-            ));
-        }
         if self.threads.output_threads == 0 || self.threads.client_input_threads == 0 {
             return Err(CommonError::InvalidConfig(
                 "need input and output threads".into(),
@@ -493,10 +487,6 @@ mod tests {
     fn validation_catches_zero_knobs() {
         let mut c = SystemConfig::new(4).unwrap();
         c.batch_size = 0;
-        assert!(c.validate().is_err());
-
-        let mut c = SystemConfig::new(4).unwrap();
-        c.threads.worker_threads = 0;
         assert!(c.validate().is_err());
 
         let mut c = SystemConfig::new(4).unwrap();

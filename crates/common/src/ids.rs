@@ -139,7 +139,7 @@ impl fmt::Display for TxnId {
     }
 }
 
-/// A 32-byte cryptographic digest (output of SHA-256 or SHA3-256).
+/// A 32-byte cryptographic digest (output of SHA-256).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Digest(pub [u8; 32]);
 

@@ -3,10 +3,7 @@
 //! One enum covers both protocols: PBFT uses `PrePrepare`/`Prepare`/`Commit`,
 //! Zyzzyva reuses `PrePrepare` as its order-request and adds `SpecResponse`,
 //! `CommitCert` and `LocalCommit`. Checkpoints and the view-change skeleton
-//! are shared. Every message can report an analytic [`wire_size`] so the
-//! simulator's network model does not need to serialize to price a send.
-//!
-//! [`wire_size`]: Message::wire_size
+//! are shared.
 
 use crate::block::BlockCertificate;
 use crate::codec::{Wire, WireReader, WireWriter};
@@ -371,63 +368,6 @@ impl Message {
             _ => None,
         }
     }
-
-    /// Analytic serialized size in bytes (header + body), used by the
-    /// network model to price transmission without serializing.
-    pub fn wire_size(&self) -> usize {
-        const HDR: usize = 16; // tag + framing
-        const DIG: usize = 32;
-        match self {
-            Message::ClientRequest { txns } => {
-                HDR + txns.iter().map(Transaction::wire_size).sum::<usize>()
-            }
-            Message::PrePrepare { batch, .. } => HDR + 8 + 8 + DIG + batch.wire_size(),
-            Message::Prepare { .. } | Message::Commit { .. } => HDR + 8 + 8 + DIG,
-            Message::ClientReply { results, .. } => HDR + 8 + 8 + 4 + results_wire_size(results),
-            Message::SpecResponse { results, .. } => {
-                HDR + 8 + 8 + 2 * DIG + 8 + 4 + results_wire_size(results)
-            }
-            Message::CommitCert { cert, .. } => {
-                HDR + 8 + 8 + DIG + 8 + cert.commits.iter().map(|(_, s)| 4 + s.len()).sum::<usize>()
-            }
-            Message::LocalCommit { .. } => HDR + 8 + 8 + 4,
-            Message::Checkpoint { .. } => HDR + 8 + DIG + 4,
-            Message::ViewChange { prepared, tail, .. } => {
-                HDR + 8
-                    + 8
-                    + 4
-                    + prepared.len() * (8 + DIG)
-                    + 4
-                    + tail
-                        .iter()
-                        .map(|(_, _, b)| 8 + DIG + b.wire_size())
-                        .sum::<usize>()
-                    + 4
-            }
-            Message::NewView { reissued, .. } => HDR + 8 + 4 + reissued.len() * (8 + DIG) + 4,
-            Message::FetchRequest { seqs, .. } => HDR + 4 + seqs.len() * 8 + 4,
-            Message::FetchResponse {
-                batch, certificate, ..
-            } => {
-                HDR + 8
-                    + 8
-                    + DIG
-                    + batch.wire_size()
-                    + 4
-                    + certificate
-                        .commits
-                        .iter()
-                        .map(|(_, s)| 4 + s.len())
-                        .sum::<usize>()
-                    + 4
-            }
-            Message::SnapshotResponse { snapshot, .. } => HDR + snapshot.encoded_len() + 4,
-        }
-    }
-}
-
-fn results_wire_size(results: &[(u64, Vec<u8>)]) -> usize {
-    results.iter().map(|(_, r)| 8 + r.len()).sum()
 }
 
 fn write_results(w: &mut WireWriter, results: &[(u64, Vec<u8>)]) {
@@ -779,8 +719,8 @@ impl Wire for Message {
 
 /// Shared memoization slots of a [`SignedMessage`]: every clone of an
 /// envelope points at the same cache, so whatever one handle computes —
-/// canonical signing bytes, digest, modeled wire size — is free for all
-/// the others (including the copies a broadcast fans out to n peers).
+/// canonical signing bytes, digest, encoded size — is free for all the
+/// others (including the copies a broadcast fans out to n peers).
 #[derive(Debug, Default)]
 struct EnvelopeCache {
     /// Canonical `sender ‖ body` encoding: the bytes that are signed,
@@ -789,9 +729,6 @@ struct EnvelopeCache {
     /// Digest over the signing bytes (hasher supplied by the caller, since
     /// `rdb_common` has no crypto dependency).
     digest: OnceLock<Digest>,
-    /// Analytic wire size, otherwise recomputed per destination on
-    /// broadcast (it walks the whole batch for a `PrePrepare`).
-    wire_size: OnceLock<usize>,
     /// Exact encoded size (`Wire::encoded_len`), memoized because the body
     /// walk behind it is O(batch) and the network layer asks once per
     /// destination when accounting bytes-on-wire.
@@ -931,14 +868,6 @@ impl SignedMessage {
             .cache
             .digest
             .get_or_init(|| hasher(self.signing_bytes()))
-    }
-
-    /// Total size on the wire including the signature (analytic, memoized).
-    pub fn wire_size(&self) -> usize {
-        *self
-            .cache
-            .wire_size
-            .get_or_init(|| self.body.wire_size() + 5 + self.sig.len())
     }
 }
 
@@ -1137,18 +1066,6 @@ mod tests {
     }
 
     #[test]
-    fn a_reply_costs_what_it_cost_before_and_each_further_result_a_fraction() {
-        // One result of 8 bytes prices exactly as the per-transaction
-        // reply did (the simulator's `reply_bytes` rests on it)...
-        let [one, spec_one] = reply_variants(vec![(0, vec![0; 8])]);
-        assert_eq!(one.wire_size(), 16 + 8 + 16 + 4 + 8);
-        assert_eq!(spec_one.wire_size(), 16 + 8 + 8 + 64 + 16 + 4 + 8);
-        // ...and a batch's worth shares one header instead of fifty.
-        let [fifty, _] = reply_variants((0..50).map(|c| (c, vec![0; 8])).collect());
-        assert_eq!(fifty.wire_size(), one.wire_size() + 49 * 16);
-    }
-
-    #[test]
     fn an_oversized_result_count_is_an_error_not_an_allocation() {
         for msg in reply_variants(vec![(1, vec![2; 4])]) {
             let mut bytes = msg.encode();
@@ -1168,21 +1085,6 @@ mod tests {
         let kinds: Vec<MessageKind> = all_messages().iter().map(Message::kind).collect();
         for k in MessageKind::ALL {
             assert!(kinds.contains(&k), "missing variant for {k:?}");
-        }
-    }
-
-    #[test]
-    fn wire_size_close_to_encoded_size() {
-        // The analytic size must track the real encoding within a small
-        // constant factor — it prices network transmission in the simulator.
-        for msg in all_messages() {
-            let actual = msg.encode().len();
-            let estimate = msg.wire_size();
-            assert!(
-                estimate >= actual / 2 && estimate <= actual * 2 + 64,
-                "{:?}: estimate {estimate} vs actual {actual}",
-                msg.kind()
-            );
         }
     }
 

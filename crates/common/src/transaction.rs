@@ -39,14 +39,6 @@ impl Operation {
     pub fn is_write(&self) -> bool {
         matches!(self, Operation::Write { .. })
     }
-
-    /// Approximate serialized size in bytes, used by the network model.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            Operation::Read { .. } => 1 + 8,
-            Operation::Write { value, .. } => 1 + 8 + 4 + value.len(),
-        }
-    }
 }
 
 impl Wire for Operation {
@@ -152,12 +144,6 @@ impl Transaction {
     pub fn op_count(&self) -> usize {
         self.ops.len()
     }
-
-    /// Approximate serialized size in bytes, used by the network model.
-    pub fn wire_size(&self) -> usize {
-        let ops: usize = self.ops.iter().map(Operation::wire_size).sum();
-        8 + 8 + 4 + ops + 4 + self.payload.len()
-    }
 }
 
 impl Wire for Transaction {
@@ -256,11 +242,6 @@ impl Batch {
     /// Total operation count across all transactions.
     pub fn total_ops(&self) -> usize {
         self.txns.iter().map(Transaction::op_count).sum()
-    }
-
-    /// Approximate serialized size in bytes, used by the network model.
-    pub fn wire_size(&self) -> usize {
-        4 + self.txns.iter().map(Transaction::wire_size).sum::<usize>()
     }
 
     /// Canonical bytes over which the batch digest is computed.
@@ -388,13 +369,6 @@ mod tests {
             Batch::default().encoded_len(),
             Batch::default().encode().len()
         );
-    }
-
-    #[test]
-    fn wire_size_tracks_payload() {
-        let small = sample_txn(1);
-        let large = sample_txn(1).with_payload(vec![0; 1024]);
-        assert!(large.wire_size() > small.wire_size() + 1000);
     }
 
     #[test]

@@ -193,9 +193,9 @@ impl ClientSession {
         let sm = SignedMessage::sign_with(msg, Sender::Client(self.id), |bytes| {
             self.provider.sign(PeerClass::Replica, bytes)
         });
-        // Requests ride the reliable client surface: under load the swarm
+        // A client's messages are never shed: under load the swarm
         // backpressures rather than losing submissions.
-        let _ = self.endpoint.send_direct(Sender::Replica(self.primary), sm);
+        let _ = self.endpoint.send(Sender::Replica(self.primary), sm);
     }
 
     /// One diagnostic line per stuck request (Zyzzyva only; PBFT requests
@@ -225,11 +225,10 @@ impl ClientSession {
         let sm = SignedMessage::sign_with(msg.clone(), Sender::Client(self.id), |bytes| {
             self.provider.sign(PeerClass::Replica, bytes)
         });
-        for r in 0..self.n as u32 {
-            let _ = self
-                .endpoint
-                .send_direct(Sender::Replica(ReplicaId(r)), sm.clone());
-        }
+        let replicas: Vec<Sender> = (0..self.n as u32)
+            .map(|r| Sender::Replica(ReplicaId(r)))
+            .collect();
+        let _ = self.endpoint.broadcast(&replicas, &sm);
     }
 
     fn handle_actions(&mut self, actions: Vec<ClientAction>) -> usize {
@@ -249,7 +248,7 @@ impl ClientSession {
                     let sm = SignedMessage::sign_with(msg, Sender::Client(self.id), |bytes| {
                         self.provider.sign(PeerClass::Replica, bytes)
                     });
-                    let _ = self.endpoint.send_direct(Sender::Replica(r), sm);
+                    let _ = self.endpoint.send(Sender::Replica(r), sm);
                 }
             }
         }
@@ -446,7 +445,7 @@ mod tests {
         let (replicas, mut client, txn, registry) = session(protocol);
         for (r, ep) in replicas.iter().enumerate().take(quorum as usize) {
             let forged = answer(&registry, protocol, r as u32, txn, true);
-            ep.send_direct(Sender::Client(txn.client), forged).unwrap();
+            ep.send(Sender::Client(txn.client), forged).unwrap();
         }
         assert_eq!(
             client.poll_progress(),
@@ -457,7 +456,7 @@ mod tests {
         assert_eq!(client.result(txn), None);
         for (r, ep) in replicas.iter().enumerate().take(quorum as usize) {
             let genuine = answer(&registry, protocol, r as u32, txn, false);
-            ep.send_direct(Sender::Client(txn.client), genuine).unwrap();
+            ep.send(Sender::Client(txn.client), genuine).unwrap();
         }
         assert_eq!(client.poll_progress(), 1, "{protocol:?}");
         assert_eq!(client.result(txn), Some(&b"ok"[..]));

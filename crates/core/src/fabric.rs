@@ -530,12 +530,6 @@ pub fn start_replica(node: &NodeOptions, id: ReplicaId) -> std::io::Result<Repli
     Ok(ReplicaNode { net, handle })
 }
 
-/// Connects a client process to a multi-process cluster: creates a
-/// listener-less TCP transport that dials every replica, and opens a
-/// session for `id`. The returned handle shuts the transport down.
-///
-/// # Errors
-/// Returns an error if the peer map is empty.
 /// Creates the swarm-mode client transport for a multi-process cluster:
 /// no listener, shared links to every replica, and one *dedicated*
 /// connection per registered client endpoint to `primary` — so an
@@ -557,6 +551,12 @@ pub fn swarm_net(node: &NodeOptions, primary: ReplicaId) -> std::io::Result<NetH
     Ok(transport.handle())
 }
 
+/// Connects a client process to a multi-process cluster: creates a
+/// listener-less TCP transport that dials every replica, and opens a
+/// session for `id`. The returned handle shuts the transport down.
+///
+/// # Errors
+/// Returns an error if the peer map is empty.
 pub fn connect_client(
     node: &NodeOptions,
     id: ClientId,

@@ -1,11 +1,12 @@
 //! Cost model for cryptographic operations.
 //!
 //! The discrete-event simulator prices each crypto operation in nanoseconds
-//! instead of executing it. [`CostModel::reference`] provides deterministic
-//! constants measured from this crate's own implementations on an 8-core
-//! x86-64 host (the shape, not the absolute values, is what matters for the
-//! figures); [`CostModel::calibrate`] re-measures on the current host for
-//! users who want machine-specific numbers.
+//! instead of executing it. [`CostModel::optimized`] provides the
+//! deterministic constants every figure and the benchmark's
+//! `sim.predicted_tps` are priced with — typical of production crypto
+//! libraries, so absolute throughput lands near the paper's testbed;
+//! [`CostModel::calibrate`] measures this crate's own implementations on
+//! the current host for users who want machine-specific numbers.
 
 use crate::cmac::CmacAes128;
 use crate::ed25519::{self, Ed25519KeyPair};
@@ -47,44 +48,18 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// Deterministic reference constants (release build of this crate,
-    /// measured via the `crypto_path` bench on an x86-64 host). All
-    /// figures use these so runs reproduce exactly.
-    ///
-    /// The Ed25519 numbers reflect the fast-path rebuild: signing uses the
-    /// precomputed basepoint table (~3× over the old double-and-add
-    /// ladder), single verification uses Straus double-scalar
-    /// multiplication (~2.5×), and batch verification amortizes the shared
-    /// doubling chain to under half the single-verify cost per signature.
-    pub fn reference() -> Self {
-        CostModel {
-            sha256_fixed_ns: 120.0,
-            sha256_per_byte_ns: 4.5,
-            cmac_fixed_ns: 250.0,
-            cmac_per_byte_ns: 9.0,
-            // Measured by `cargo bench --bench crypto_path` (BENCH_crypto.json):
-            // sign 26.8 µs, single verify 91.6 µs, batch-128 verify
-            // 35.7 µs/sig, RSA sign 950 µs / verify 198 µs.
-            ed25519_sign_ns: 27_000.0,
-            ed25519_verify_ns: 92_000.0,
-            ed25519_batch_verify_ns: 36_000.0,
-            rsa_sign_ns: 950_000.0,
-            rsa_verify_ns: 200_000.0,
-            // RSA sign / CMAC tag ≈ 10^3: this cost asymmetry (MAC ≪
-            // Ed25519 ≪ RSA) is what produces the paper's RSA latency
-            // collapse in Figure 13.
-        }
-    }
-
     /// Constants typical of *production* crypto libraries (OpenSSL,
-    /// ed25519-dalek on a 3.8 GHz core). The simulator defaults to these
-    /// so its absolute throughput lands near the paper's testbed, which
-    /// used tuned libraries rather than from-scratch implementations.
+    /// ed25519-dalek on a 3.8 GHz core). The simulator prices every
+    /// figure with these so its absolute throughput lands near the
+    /// paper's testbed, which used tuned libraries rather than
+    /// from-scratch implementations, and so runs reproduce exactly.
     ///
     /// `ed25519_batch_verify_ns` models dalek-style `verify_batch`
     /// (amortizing to roughly a quarter of a single verify), which
     /// high-throughput BFT implementations rely on to keep client
-    /// signature checking off the critical path.
+    /// signature checking off the critical path. RSA sign over a CMAC tag
+    /// is ≈ 10^4: this cost asymmetry (MAC ≪ Ed25519 ≪ RSA) is what
+    /// produces the paper's RSA latency collapse in Figure 13.
     pub fn optimized() -> Self {
         CostModel {
             sha256_fixed_ns: 80.0,
@@ -254,12 +229,6 @@ impl CostModel {
     }
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::reference()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,7 +237,7 @@ mod tests {
     fn reference_ordering_holds() {
         // The relative ordering that drives Figure 13:
         // MAC ≪ Ed25519 ≪ RSA-sign.
-        let m = CostModel::reference();
+        let m = CostModel::optimized();
         let mac = m.sign_ns(CryptoScheme::CmacEd25519, true, 100);
         let ed = m.sign_ns(CryptoScheme::Ed25519, true, 100);
         let rsa = m.sign_ns(CryptoScheme::Rsa, true, 100);
@@ -282,7 +251,7 @@ mod tests {
 
     #[test]
     fn cmac_fast_path_only_for_replica_senders() {
-        let m = CostModel::reference();
+        let m = CostModel::optimized();
         let from_replica = m.sign_ns(CryptoScheme::CmacEd25519, true, 100);
         let from_client = m.sign_ns(CryptoScheme::CmacEd25519, false, 100);
         assert!(from_replica < from_client / 10.0);
@@ -290,7 +259,7 @@ mod tests {
 
     #[test]
     fn costs_scale_with_length() {
-        let m = CostModel::reference();
+        let m = CostModel::optimized();
         assert!(m.hash_ns(100_000) > m.hash_ns(100) * 10.0);
         assert!(
             m.sign_ns(CryptoScheme::CmacEd25519, true, 100_000)
@@ -300,7 +269,7 @@ mod tests {
 
     #[test]
     fn batch_verify_amortizes_toward_asymptote() {
-        let m = CostModel::reference();
+        let m = CostModel::optimized();
         let single = m.verify_ns(CryptoScheme::Ed25519, false, 100);
         let at_1 = m.verify_batch_ns(CryptoScheme::Ed25519, false, 100, 1);
         let at_32 = m.verify_batch_ns(CryptoScheme::Ed25519, false, 100, 32);

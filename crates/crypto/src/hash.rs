@@ -1,30 +1,12 @@
 //! Digest helpers bridging the raw hash functions to [`rdb_common::Digest`].
 
 use crate::sha2::{sha256, sha256_pair, sha256_parts};
-use crate::sha3::sha3_256;
 use rdb_common::Digest;
 
-/// Which hash function produces message digests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HashKind {
-    /// SHA-256 (the default, as in the paper's setup).
-    #[default]
-    Sha256,
-    /// SHA3-256.
-    Sha3,
-}
-
-/// Hashes `data` into a [`Digest`] with the chosen function.
-pub fn digest_with(kind: HashKind, data: &[u8]) -> Digest {
-    match kind {
-        HashKind::Sha256 => Digest(sha256(data)),
-        HashKind::Sha3 => Digest(sha3_256(data)),
-    }
-}
-
-/// Hashes `data` with SHA-256 (the system default).
+/// Hashes `data` with SHA-256, the one digest function of the system (as
+/// in the paper's setup).
 pub fn digest(data: &[u8]) -> Digest {
-    digest_with(HashKind::Sha256, data)
+    Digest(sha256(data))
 }
 
 /// Hashes the logical concatenation of `parts` with SHA-256, streaming each
@@ -49,14 +31,6 @@ mod tests {
         assert_eq!(
             d.to_string(),
             "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-    }
-
-    #[test]
-    fn sha3_differs_from_sha256() {
-        assert_ne!(
-            digest_with(HashKind::Sha256, b"x"),
-            digest_with(HashKind::Sha3, b"x")
         );
     }
 

@@ -6,7 +6,6 @@
 //! every primitive from scratch:
 //!
 //! - [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4)
-//! - [`sha3`] — SHA3-256 on Keccak-f\[1600\] (FIPS 202)
 //! - [`aes`] + [`cmac`] — AES-128 and CMAC (FIPS 197, SP 800-38B)
 //! - [`bignum`] + [`rsa`] — Montgomery-based RSA signatures
 //! - [`field25519`] + [`ed25519`] — Ed25519 (RFC 8032)
@@ -49,8 +48,7 @@ pub mod rsa;
 pub mod scalar25519;
 pub mod scheme;
 pub mod sha2;
-pub mod sha3;
 
 pub use cost::CostModel;
-pub use hash::{chain_digest, digest, digest_parts, digest_with, HashKind};
+pub use hash::{chain_digest, digest, digest_parts};
 pub use scheme::{CryptoProvider, CryptoStats, KeyRegistry, PeerClass, VERIFY_WINDOW};

@@ -16,9 +16,12 @@
 //!   that dial in. The substrate for multi-process clusters (`rdb-node`)
 //!   and client swarms.
 //!
-//! The trait splits into [`MeshTransport`] (replica gossip — droppable)
-//! and [`ClientTransport`] (request/reply — reliable), so backends can
-//! size the two surfaces independently.
+//! The trait has one send method, [`Transport::send`], which takes a set
+//! of destinations and skips the sender. Reliability follows the
+//! endpoints, not the call: a message with a client on either end
+//! (request, reply) is never shed, while replica-to-replica gossip is
+//! droppable — the protocol retransmits — and the TCP backend sheds the
+//! oldest gossip frame on a full link.
 //!
 //! Both support byte-accounted delivery statistics ([`NetworkStats`]) and
 //! send-side fault injection ([`FaultController`]: crashes, message drops,
@@ -57,6 +60,4 @@ pub use fault::FaultController;
 pub use memory::{Network, NetworkConfig};
 pub use stats::NetworkStats;
 pub use tcp::{TcpConfig, TcpTransport};
-pub use transport::{
-    ClientTransport, Endpoint, EndpointSender, MeshTransport, NetHandle, NetworkError, Transport,
-};
+pub use transport::{Endpoint, NetHandle, NetworkError, Transport};

@@ -7,9 +7,7 @@
 
 use crate::fault::{DelayLine, FaultController};
 use crate::stats::NetworkStats;
-use crate::transport::{
-    ClientTransport, Endpoint, MeshTransport, NetHandle, NetworkError, Transport,
-};
+use crate::transport::{Endpoint, NetHandle, NetworkError, Transport};
 use crossbeam::channel::{self, Receiver, Sender as ChanSender};
 use parking_lot::RwLock;
 use rdb_common::codec::Wire;
@@ -125,10 +123,10 @@ impl Network {
     pub fn shutdown(&self) {
         self.inner.delay.shutdown();
     }
-}
 
-impl MeshTransport for Network {
-    fn send_from(&self, from: Sender, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
+    /// Sends one envelope to one destination. Channel hand-off never
+    /// sheds, so every message is reliable here whatever its endpoints.
+    fn send_one(&self, from: Sender, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
         if !self.inner.mailboxes.read().contains_key(&to) {
             self.inner.stats.record_dropped();
             return Err(NetworkError::UnknownDestination(format!("{to:?}")));
@@ -165,20 +163,22 @@ impl MeshTransport for Network {
     }
 }
 
-impl ClientTransport for Network {
-    fn send_direct(
-        &self,
-        from: Sender,
-        to: Sender,
-        msg: SignedMessage,
-    ) -> Result<(), NetworkError> {
-        // Channel hand-off never sheds, so the reliable client path is
-        // the same code path as mesh traffic in this backend.
-        self.send_from(from, to, msg)
-    }
-}
-
 impl Transport for Network {
+    fn send(&self, from: Sender, to: &[Sender], msg: SignedMessage) -> Result<(), NetworkError> {
+        // Every destination but the last gets a clone (reference-count
+        // bumps); the last takes `msg` itself.
+        let mut dests = to.iter().copied().filter(|&d| d != from);
+        let Some(mut dest) = dests.next() else {
+            return Ok(());
+        };
+        let mut res = Ok(());
+        for next in dests {
+            res = res.and(self.send_one(from, dest, msg.clone()));
+            dest = next;
+        }
+        res.and(self.send_one(from, dest, msg))
+    }
+
     fn register_mailbox(&self, addr: Sender) -> Receiver<SignedMessage> {
         let (tx, rx) = match self.inner.config.queue_capacity {
             Some(cap) => channel::bounded(cap),

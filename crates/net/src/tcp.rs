@@ -15,12 +15,14 @@
 //!   notify the owning loop (once — an armed link is never re-notified).
 //!   The loop drains the queue into a per-connection pending list and
 //!   writes it with **vectored writes**, coalescing up to 64 frames per
-//!   syscall. Replica-destined traffic (consensus gossip) uses a
+//!   syscall. Replica-to-replica traffic (consensus gossip) uses a
 //!   *drop-oldest* policy on overflow — the protocol tolerates loss and
-//!   retransmits by design — while client-path traffic is *never* shed:
-//!   the sender blocks on the queue (backpressure) until space frees up.
-//!   Broadcasts serialize the envelope **once** and share the encoded
-//!   buffer across every destination's queue.
+//!   retransmits by design — while a message with a client on either end
+//!   is *never* shed: the sender blocks on the queue (backpressure) until
+//!   space frees up. Which policy applies is decided from the two
+//!   endpoints in one place, `TcpInner::dispatch_now`. A send serializes
+//!   the envelope **once** and shares the encoded buffer across every
+//!   destination's queue.
 //! - **Inbound**: frames decode through [`SignedMessage::decode`]'s
 //!   memo-seeding path, so the zero-copy envelope (canonical bytes
 //!   memoized, verified without re-serialization) survives the socket.
@@ -44,9 +46,7 @@ use crate::fault::{DelayLine, FaultController};
 use crate::frame::{self, Frame, FrameAccumulator};
 use crate::reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 use crate::stats::NetworkStats;
-use crate::transport::{
-    ClientTransport, Endpoint, MeshTransport, NetHandle, NetworkError, Transport,
-};
+use crate::transport::{Endpoint, NetHandle, NetworkError, Transport};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender as ChanSender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rdb_common::codec::Wire;
@@ -700,7 +700,6 @@ impl TcpInner {
         to: Sender,
         msg: &SignedMessage,
         payload: &mut Option<Arc<Vec<u8>>>,
-        reliable: bool,
     ) {
         if self.mailboxes.read().contains_key(&to) {
             self.deliver(to, msg.clone());
@@ -722,9 +721,9 @@ impl TcpInner {
         let shared = payload
             .get_or_insert_with(|| Arc::new(msg.encode()))
             .clone();
-        // Replies to clients stay reliable even over the mesh path,
-        // matching the pre-reactor backend.
-        let reliable = reliable || matches!(to, Sender::Client(_));
+        // The one reliability rule: a client on either end (a request, a
+        // reply) is never shed; replica-to-replica gossip is droppable.
+        let reliable = matches!(from, Sender::Client(_)) || matches!(to, Sender::Client(_));
         let policy = if reliable {
             PushPolicy::Reliable
         } else {
@@ -1454,20 +1453,15 @@ impl TcpTransport {
 
     /// Routes one envelope to one destination: local mailboxes
     /// short-circuit the socket entirely (a transport can host several
-    /// endpoints; self-sends behave like in-memory), everything else
-    /// goes through a peer link. `payload` memoizes the serialized bytes
-    /// so a broadcast encodes once no matter how many link destinations.
-    /// `reliable` marks client-path traffic that must never be shed.
-    ///
-    /// The one copy of the stats/fault/routing sequence shared by
-    /// `send_from`, `broadcast_from` and `send_direct`.
+    /// endpoints), everything else goes through a peer link. `payload`
+    /// memoizes the serialized bytes so a send encodes once no matter how
+    /// many link destinations.
     fn dispatch_one(
         &self,
         from: Sender,
         to: Sender,
         msg: &SignedMessage,
         payload: &mut Option<Arc<Vec<u8>>>,
-        reliable: bool,
     ) -> Result<(), NetworkError> {
         let local = self.inner.mailboxes.read().contains_key(&to);
         if !local && self.inner.route_to(from, to).is_none() {
@@ -1485,12 +1479,12 @@ impl TcpTransport {
             let (weak, msg) = (Arc::downgrade(&self.inner), msg.clone());
             self.inner.delay.schedule(Instant::now() + extra, move || {
                 if let Some(inner) = weak.upgrade() {
-                    inner.dispatch_now(from, to, &msg, &mut None, reliable);
+                    inner.dispatch_now(from, to, &msg, &mut None);
                 }
             });
             return Ok(());
         }
-        self.inner.dispatch_now(from, to, msg, payload, reliable);
+        self.inner.dispatch_now(from, to, msg, payload);
         Ok(())
     }
 
@@ -1519,49 +1513,18 @@ impl TcpTransport {
     }
 }
 
-impl MeshTransport for TcpTransport {
-    fn send_from(&self, from: Sender, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
-        self.dispatch_one(from, to, &msg, &mut None, false)
-    }
-
-    fn broadcast_from(
-        &self,
-        from: Sender,
-        to: &[Sender],
-        msg: &SignedMessage,
-    ) -> Result<(), NetworkError> {
-        // Encode once, lazily: a broadcast that is entirely dropped by
-        // fault injection never serializes at all, and n live peers share
-        // one buffer.
-        let mut payload: Option<Arc<Vec<u8>>> = None;
-        let mut first_err = None;
-        for &dest in to {
-            if dest == from {
-                continue; // no self-delivery on broadcast
-            }
-            if let Err(e) = self.dispatch_one(from, dest, msg, &mut payload, false) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-impl ClientTransport for TcpTransport {
-    fn send_direct(
-        &self,
-        from: Sender,
-        to: Sender,
-        msg: SignedMessage,
-    ) -> Result<(), NetworkError> {
-        self.dispatch_one(from, to, &msg, &mut None, true)
-    }
-}
-
 impl Transport for TcpTransport {
+    fn send(&self, from: Sender, to: &[Sender], msg: SignedMessage) -> Result<(), NetworkError> {
+        // Encode once, lazily: a send that fault injection drops entirely
+        // never serializes at all, and n live peers share one buffer.
+        let mut payload: Option<Arc<Vec<u8>>> = None;
+        let mut res = Ok(());
+        for &dest in to.iter().filter(|&&d| d != from) {
+            res = res.and(self.dispatch_one(from, dest, &msg, &mut payload));
+        }
+        res
+    }
+
     fn register_mailbox(&self, addr: Sender) -> Receiver<SignedMessage> {
         let (tx, rx) = channel::unbounded();
         let prev = self.inner.mailboxes.write().insert(addr, tx);
@@ -1871,6 +1834,52 @@ mod tests {
         let s = link.state.lock();
         assert_eq!(s.frames.len(), 1);
         assert!(matches!(s.frames[0], OutFrame::Msg { reliable: true, .. }));
+    }
+
+    /// Reliability follows the endpoints, not the call: a client's plain
+    /// `Endpoint::send` into a full link waits for space instead of
+    /// shedding, and every request arrives once the replica is reachable.
+    #[test]
+    fn client_send_into_a_full_link_waits_and_is_not_shed() {
+        let (peers, mut listeners) = TcpTransport::bind_loopback_cluster(1).unwrap();
+        let addr = listeners[0].local_addr().unwrap();
+        // Nobody listens yet: dials are refused and the link stays queued.
+        drop(listeners.remove(0));
+        let client_net = TcpTransport::new(TcpConfig {
+            queue_capacity: 1,
+            reconnect_max: Duration::from_millis(50),
+            ..TcpConfig::for_client(peers.clone())
+        })
+        .unwrap();
+        // Registering queues the HELLO, which fills the one-frame link.
+        let client = client_net.register(Sender::Client(ClientId(1)));
+        let (done_tx, done_rx) = channel::bounded(1);
+        let sender = std::thread::spawn(move || {
+            for _ in 0..3 {
+                client.send(r(0), msg(Sender::Client(ClientId(1)))).unwrap();
+            }
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(300)).is_err(),
+            "a client send into a full link must wait for space"
+        );
+
+        let server = TcpTransport::with_listener(
+            TcpConfig {
+                peers,
+                ..TcpConfig::default()
+            },
+            Some(bind_reuseaddr(addr).unwrap()),
+        );
+        let replica = server.register(r(0));
+        for _ in 0..3 {
+            replica.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
+        sender.join().unwrap();
+        assert_eq!(client_net.stats().dropped(), 0, "nothing was shed");
+        client_net.shutdown();
+        server.shutdown();
     }
 
     #[test]

@@ -1,17 +1,24 @@
 //! The pluggable transport abstraction.
 //!
 //! [`Transport`] is what the replica pipeline and client sessions program
-//! against: register an address, get an [`Endpoint`], send/broadcast
-//! [`SignedMessage`]s, observe [`NetworkStats`], inject faults through a
-//! [`FaultController`]. Two backends implement it:
+//! against: register an address, get an [`Endpoint`], send
+//! [`SignedMessage`]s to one or many destinations, observe
+//! [`NetworkStats`], inject faults through a [`FaultController`]. Two
+//! backends implement it:
 //!
 //! - [`crate::Network`] — the in-memory switchboard (zero-copy channel
 //!   hand-off, optional modeled latency). The default for tests, examples
 //!   and the simulator-adjacent threaded runtime.
 //! - [`crate::TcpTransport`] — real sockets with length-prefixed framing
-//!   over the canonical [`Wire`](rdb_common::Wire) encoding, one writer
-//!   thread per peer, and reconnect-with-backoff. The substrate for
-//!   multi-process deployments (`rdb-node`).
+//!   over the canonical [`Wire`](rdb_common::Wire) encoding, driven by a
+//!   nonblocking reactor with bounded per-link queues and
+//!   reconnect-with-backoff. The substrate for multi-process deployments
+//!   (`rdb-node`).
+//!
+//! There is one send path, [`Transport::send`], and it takes a set of
+//! destinations. Callers never pick a delivery class: whether a message
+//! may be shed under backpressure follows from its two endpoints, and
+//! each backend decides it in one place.
 //!
 //! Backends deliver inbound messages into per-address crossbeam mailboxes,
 //! so an [`Endpoint`]'s receive side is backend-agnostic and multiple
@@ -46,75 +53,8 @@ impl fmt::Display for NetworkError {
 
 impl std::error::Error for NetworkError {}
 
-/// The replica-facing transport surface: consensus gossip between peers
-/// in the replica map.
-///
-/// Mesh traffic is *droppable* — the protocol tolerates loss and
-/// retransmits by design, so backends may shed it under backpressure
-/// (the TCP backend's drop-oldest link policy).
-pub trait MeshTransport: Send + Sync + fmt::Debug {
-    /// Sends `msg` from `from` to `to`.
-    ///
-    /// # Errors
-    /// Returns [`NetworkError::UnknownDestination`] if the backend has no
-    /// route to `to`. Messages discarded by fault injection do *not*
-    /// error — like a real network, the sender cannot tell.
-    fn send_from(&self, from: Sender, to: Sender, msg: SignedMessage) -> Result<(), NetworkError>;
-
-    /// Sends `msg` to every address in `to`, skipping `from` itself.
-    ///
-    /// The default forwards to [`MeshTransport::send_from`] per
-    /// destination (cheap for the in-memory backend: a clone is
-    /// reference-count bumps). The TCP backend overrides this to
-    /// serialize the envelope once and share the encoded bytes across
-    /// every peer's queue.
-    ///
-    /// # Errors
-    /// Returns the first error encountered; remaining destinations are
-    /// still attempted.
-    fn broadcast_from(
-        &self,
-        from: Sender,
-        to: &[Sender],
-        msg: &SignedMessage,
-    ) -> Result<(), NetworkError> {
-        let mut first_err = None;
-        for &dest in to {
-            if dest == from {
-                continue; // no self-delivery on broadcast
-            }
-            if let Err(e) = self.send_from(from, dest, msg.clone()) {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-}
-
-/// The client-facing transport surface: request submission and reply
-/// routing.
-///
-/// Direct traffic is *reliable* — never shed by backpressure policies;
-/// the sender blocks until the backend accepts it. This is the half that
-/// lets backends size client resources (dedicated connections, separate
-/// queue capacities) independently of the replica mesh.
-pub trait ClientTransport: Send + Sync + fmt::Debug {
-    /// Sends `msg` from `from` to `to` on the reliable client path
-    /// (client → replica requests, replica → client replies).
-    ///
-    /// # Errors
-    /// Returns [`NetworkError::UnknownDestination`] if the backend has no
-    /// route to `to`. Messages discarded by fault injection do *not*
-    /// error — like a real network, the sender cannot tell.
-    fn send_direct(&self, from: Sender, to: Sender, msg: SignedMessage)
-        -> Result<(), NetworkError>;
-}
-
-/// A message transport connecting replicas and clients: the mesh and
-/// client sub-surfaces plus endpoint lifecycle and observability.
+/// A message transport connecting replicas and clients: one multicast
+/// send plus endpoint lifecycle and observability.
 ///
 /// Object-safe so deployments can choose a backend at runtime; consumers
 /// hold a [`NetHandle`] rather than a concrete network type. Fault
@@ -122,7 +62,27 @@ pub trait ClientTransport: Send + Sync + fmt::Debug {
 /// message is discarded when the sender's controller says
 /// [`FaultController::should_drop`], which makes drop/partition semantics
 /// identical whether the link is a channel or a socket.
-pub trait Transport: MeshTransport + ClientTransport {
+///
+/// Reliability is not the caller's choice; it follows the endpoints. A
+/// message with a client on either end (a request, a reply) is never shed
+/// — a backend that bounds its queues makes the sender wait for space.
+/// Replica-to-replica traffic is droppable gossip: the protocol tolerates
+/// loss and retransmits by design, so a backend may shed it under
+/// backpressure (the TCP backend's drop-oldest link policy).
+pub trait Transport: Send + Sync + fmt::Debug {
+    /// Sends `msg` from `from` to every address in `to`, skipping `from`
+    /// itself. Every destination shares the one envelope: the in-memory
+    /// backend hands each a reference-count bump, the TCP backend
+    /// serializes once and shares the bytes across every link.
+    ///
+    /// # Errors
+    /// Returns the first [`NetworkError::UnknownDestination`] — a
+    /// destination the backend has no route to; the remaining
+    /// destinations are still attempted. Messages discarded by fault
+    /// injection do *not* error — like a real network, the sender cannot
+    /// tell.
+    fn send(&self, from: Sender, to: &[Sender], msg: SignedMessage) -> Result<(), NetworkError>;
+
     /// Creates the inbound mailbox for `addr` and returns its receiver.
     ///
     /// # Panics
@@ -192,14 +152,13 @@ impl NetHandle {
     pub fn shutdown(&self) {
         self.transport.shutdown();
     }
-
-    /// The underlying transport object.
-    pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
-    }
 }
 
 /// A registered node's handle for sending and receiving messages.
+///
+/// Cloneable: every clone sends as the same address and drains the same
+/// mailbox, so a replica's input and output threads each hold one.
+#[derive(Clone)]
 pub struct Endpoint {
     addr: Sender,
     rx: Receiver<SignedMessage>,
@@ -220,37 +179,23 @@ impl Endpoint {
         self.addr
     }
 
-    /// Sends `msg` to `to`.
+    /// Sends `msg` to `to` — see [`Transport::send`].
     ///
     /// # Errors
     /// Returns [`NetworkError::UnknownDestination`] if the backend has no
-    /// route to `to`. Messages discarded by fault injection do *not*
-    /// error — like a real network, the sender cannot tell.
+    /// route to `to`.
     pub fn send(&self, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
-        self.net.transport.send_from(self.addr, to, msg)
+        self.net.transport.send(self.addr, &[to], msg)
     }
 
-    /// Sends `msg` to every address in `to`.
-    ///
-    /// The envelope is a shared handle: the in-memory backend bumps a
-    /// reference count per destination, the TCP backend serializes once
-    /// and shares the bytes across all peer writer queues.
+    /// Sends `msg` to every address in `to` except this endpoint's own —
+    /// see [`Transport::send`].
     ///
     /// # Errors
     /// Returns the first [`NetworkError`] encountered; remaining
     /// destinations are still attempted.
     pub fn broadcast(&self, to: &[Sender], msg: &SignedMessage) -> Result<(), NetworkError> {
-        self.net.transport.broadcast_from(self.addr, to, msg)
-    }
-
-    /// Sends `msg` to `to` on the reliable client path (requests and
-    /// replies) — see [`ClientTransport::send_direct`].
-    ///
-    /// # Errors
-    /// Returns [`NetworkError::UnknownDestination`] if the backend has no
-    /// route to `to`.
-    pub fn send_direct(&self, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
-        self.net.transport.send_direct(self.addr, to, msg)
+        self.net.transport.send(self.addr, to, msg.clone())
     }
 
     /// Blocks until a message arrives.
@@ -285,67 +230,8 @@ impl Endpoint {
         self.rx.clone()
     }
 
-    /// A cloneable send-only handle, for distributing the transmit side
-    /// across multiple output threads.
-    pub fn sender(&self) -> EndpointSender {
-        EndpointSender {
-            addr: self.addr,
-            net: self.net.clone(),
-        }
-    }
-
     /// The transport this endpoint belongs to.
     pub fn network(&self) -> &NetHandle {
         &self.net
-    }
-}
-
-/// Send-only clone of an [`Endpoint`], usable from many threads at once.
-#[derive(Clone)]
-pub struct EndpointSender {
-    addr: Sender,
-    net: NetHandle,
-}
-
-impl fmt::Debug for EndpointSender {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EndpointSender")
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
-impl EndpointSender {
-    /// The sending address.
-    pub fn addr(&self) -> Sender {
-        self.addr
-    }
-
-    /// Sends `msg` to `to`.
-    ///
-    /// # Errors
-    /// Returns [`NetworkError::UnknownDestination`] if the backend has no
-    /// route to `to`.
-    pub fn send(&self, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
-        self.net.transport.send_from(self.addr, to, msg)
-    }
-
-    /// Sends `msg` to every address in `to` (skipping this sender).
-    ///
-    /// # Errors
-    /// Returns the first [`NetworkError`] encountered; remaining
-    /// destinations are still attempted.
-    pub fn broadcast(&self, to: &[Sender], msg: &SignedMessage) -> Result<(), NetworkError> {
-        self.net.transport.broadcast_from(self.addr, to, msg)
-    }
-
-    /// Sends `msg` to `to` on the reliable client path — see
-    /// [`ClientTransport::send_direct`].
-    ///
-    /// # Errors
-    /// Returns [`NetworkError::UnknownDestination`] if the backend has no
-    /// route to `to`.
-    pub fn send_direct(&self, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
-        self.net.transport.send_direct(self.addr, to, msg)
     }
 }

@@ -528,7 +528,7 @@ fn tcp_many_clients_request_reply_over_dedicated_links() {
         for i in 0..PER_CLIENT {
             let sm = prepare_msg(c(k as u64), k as u64 * 1_000 + i);
             want_bytes += sm.encoded_len() as u64;
-            ep.send_direct(r(0), sm).unwrap();
+            ep.send(r(0), sm).unwrap();
         }
     }
 
@@ -547,9 +547,7 @@ fn tcp_many_clients_request_reply_over_dedicated_links() {
         let prev = last_seq[k as usize].replace(seq);
         assert!(prev.is_none_or(|p| p < seq), "client {k} out of order");
         // Reply over the learned reverse route (same dedicated socket).
-        replica
-            .send_direct(got.sender(), prepare_msg(r(0), seq))
-            .unwrap();
+        replica.send(got.sender(), prepare_msg(r(0), seq)).unwrap();
     }
 
     // The gauge sees every dedicated socket (+ shared replica link).
@@ -611,7 +609,7 @@ fn tcp_connection_churn_reclaims_fds_and_state() {
 
     // Warm up the shared link and thread pool before baselining fds.
     let warm = swarm_handle.register(c(u64::MAX));
-    warm.send_direct(r(0), prepare_msg(c(u64::MAX), 0)).unwrap();
+    warm.send(r(0), prepare_msg(c(u64::MAX), 0)).unwrap();
     replica.recv_timeout(wait).expect("warmup round trip");
     swarm_handle.deregister(c(u64::MAX));
     drop(warm);
@@ -621,7 +619,7 @@ fn tcp_connection_churn_reclaims_fds_and_state() {
 
     for k in 0..CYCLES {
         let ep = swarm_handle.register(c(k));
-        ep.send_direct(r(0), prepare_msg(c(k), k)).unwrap();
+        ep.send(r(0), prepare_msg(c(k), k)).unwrap();
         let got = replica
             .recv_timeout(wait)
             .unwrap_or_else(|e| panic!("cycle {k} round trip failed: {e}"));

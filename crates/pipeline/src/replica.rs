@@ -44,7 +44,7 @@ use parking_lot::Mutex;
 use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, SystemConfig};
 use rdb_crypto::{digest, CryptoProvider, CryptoStats, KeyRegistry, PeerClass, VERIFY_WINDOW};
-use rdb_net::{EndpointSender, NetHandle, NetworkStats};
+use rdb_net::{Endpoint, NetHandle, NetworkStats};
 use rdb_storage::blockchain::ChainMode;
 use rdb_storage::{Blockchain, MemStore, StateStore};
 use std::collections::VecDeque;
@@ -330,10 +330,10 @@ pub fn spawn_replica(
         );
     }
     for (o, rx) in out_rxs.into_iter().enumerate() {
-        let (ctx, sender) = (stage(Stage::Output, o), endpoint.sender());
+        let (ctx, endpoint) = (stage(Stage::Output, o), endpoint.clone());
         spawn(
             format!("output-{o}"),
-            Box::new(move || output_loop(&ctx, &rx, &sender)),
+            Box::new(move || output_loop(&ctx, &rx, &endpoint)),
         );
     }
 
@@ -766,8 +766,9 @@ fn execute_loop(
     }
 }
 
-/// Output thread: sign once per message, fan out to every destination.
-fn output_loop(ctx: &StageCtx, rx: &Receiver<OutItem>, sender: &EndpointSender) {
+/// Output thread: sign once per message, send it to every destination in
+/// one transport call.
+fn output_loop(ctx: &StageCtx, rx: &Receiver<OutItem>, endpoint: &Endpoint) {
     let me = Sender::Replica(ctx.shared.id);
     while ctx.running() {
         let Ok(item) = rx.recv_timeout(POLL_INTERVAL) else {
@@ -779,24 +780,13 @@ fn output_loop(ctx: &StageCtx, rx: &Receiver<OutItem>, sender: &EndpointSender) 
                 Some(Sender::Client(_)) => PeerClass::Client,
                 None => return,
             };
-            // Encode once, sign once; each destination gets a
-            // reference-count bump of the same envelope, not a fresh copy
-            // + re-serialization.
+            // Encode once, sign once; the transport shares the envelope
+            // across every destination (skipping this replica) and keeps
+            // client replies unsheddable, so a swarm of slow readers
+            // backpressures the output stage instead of losing replies.
             let sm =
                 SignedMessage::sign_with(item.msg, me, |bytes| ctx.provider.sign(class, bytes));
-            for &dest in &item.targets {
-                if dest == me {
-                    continue;
-                }
-                // Client replies ride the reliable surface so a swarm of
-                // slow readers backpressures the output stage instead of
-                // shedding replies; replica gossip stays on the droppable
-                // mesh path.
-                let _ = match dest {
-                    Sender::Client(_) => sender.send_direct(dest, sm.clone()),
-                    Sender::Replica(_) => sender.send(dest, sm.clone()),
-                };
-            }
+            let _ = endpoint.broadcast(&item.targets, &sm);
         });
     }
 }

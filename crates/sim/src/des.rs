@@ -291,7 +291,16 @@ impl<'a> Sim<'a> {
                             0
                         }
                     }
-                    S_WORKER => t.worker_threads.max(1),
+                    // A replica runs exactly one worker (Section 4.3);
+                    // Figure 7's upper bound measures two independent
+                    // threads answering clients directly.
+                    S_WORKER => {
+                        if matches!(cfg.mode, SimMode::UpperBound { .. }) {
+                            2
+                        } else {
+                            1
+                        }
+                    }
                     S_EXECUTE => t.execute_threads,
                     _ => t.output_threads.max(1),
                 }
@@ -1163,7 +1172,6 @@ mod tests {
         let mut ub_cfg = base(4);
         ub_cfg.mode = SimMode::UpperBound { execute: false };
         ub_cfg.system.crypto = CryptoScheme::NoCrypto;
-        ub_cfg.system.threads.worker_threads = 2;
         let ub = ub_cfg.run();
         assert!(
             ub.throughput_tps > consensus.throughput_tps,

@@ -2,8 +2,9 @@
 //!
 //! Costs combine the crypto [`CostModel`] with fixed per-message overheads
 //! (syscall-ish receive/dispatch costs) and storage access costs. Message
-//! sizes come from the analytic `wire_size` formulas in `rdb-common`, so
-//! the network model prices transmission without serializing anything.
+//! sizes come from the model's own closed-form byte counts in
+//! [`ServiceModel::new`] and [`ServiceModel::reply_bytes`], so the network
+//! model prices transmission without building or serializing a message.
 
 use rdb_common::{CryptoScheme, ProtocolKind, SystemConfig};
 use rdb_crypto::{CostModel, VERIFY_WINDOW};
@@ -119,7 +120,7 @@ impl ServiceModel {
 
     /// Wire bytes of the reply envelopes answering `txns` transactions of
     /// one batch: a signed header per client plus `(counter, result)` per
-    /// transaction (`Message::ClientReply::wire_size`).
+    /// transaction.
     pub fn reply_bytes(&self, txns: usize) -> usize {
         txns.min(self.replies_per_batch) * (16 + 8 + 8 + 4 + self.sig_bytes) + txns * (8 + 8)
     }

@@ -149,6 +149,7 @@ impl WorkloadGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdb_common::Wire;
 
     #[test]
     fn transactions_have_unique_increasing_ids() {
@@ -218,7 +219,7 @@ mod tests {
         let mut g = WorkloadGenerator::new(cfg, 1);
         let t = g.next_transaction(ClientId(0));
         assert_eq!(t.payload.len(), 4096);
-        assert!(t.wire_size() > 4096);
+        assert!(t.encoded_len() > 4096);
     }
 
     #[test]

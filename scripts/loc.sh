@@ -1,8 +1,11 @@
 #!/usr/bin/env bash
 # Prints non-test Rust line counts per crate, the way "net negative" PRs
-# are measured: every file under crates/*/src, cut at its first
-# `#[cfg(test)]` line. `lines` counts everything above the cut; `code`
-# drops blank lines and lines that are only a `//` comment.
+# are measured: every file under crates/*/src, cut at the first
+# `#[cfg(test)]` that opens a module (`mod tests`, possibly behind more
+# attributes). A `#[cfg(test)]` on any other item — a test-only constant
+# or function — does not cut; its lines count. `lines` counts everything
+# above the cut; `code` drops blank lines and lines that are only a `//`
+# comment.
 #
 #   scripts/loc.sh                  # one row per crate, plus a total
 #   scripts/loc.sh crates/consensus # one row per file of that crate
@@ -27,18 +30,32 @@ fi
 
 # shellcheck disable=SC2086
 awk -v per_file="$([ -n "$crate" ] && echo 1 || echo 0)" -v markdown="$markdown" '
+  function count(line) {
+    lines[key]++
+    if (line !~ /^[[:space:]]*(\/\/.*)?$/) code[key]++
+  }
   FNR == 1 {
     cut = 0
+    held = 0
     key = FILENAME
     if (!per_file) { split(FILENAME, parts, "/"); key = parts[1] "/" parts[2] }
     if (!(key in lines)) { order[++n] = key; lines[key] = 0; code[key] = 0 }
   }
-  /^[[:space:]]*#\[cfg\(test\)\]/ { cut = 1 }
   cut { next }
-  {
-    lines[key]++
-    if ($0 !~ /^[[:space:]]*(\/\/.*)?$/) code[key]++
+  # Lines after a `#[cfg(test)]` are held until the item it gates shows:
+  # further attributes stay held, a module cuts, anything else counts.
+  held {
+    if ($0 ~ /^[[:space:]]*#\[/) { buf[++held] = $0; next }
+    if ($0 ~ /^[[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/) { cut = 1; next }
+    for (j = 1; j <= held; j++) count(buf[j])
+    held = 0
   }
+  /^[[:space:]]*#\[cfg\(test\)\]/ {
+    if ($0 ~ /\][[:space:]]*(pub(\([^)]*\))?[[:space:]]+)?mod[[:space:]]/) { cut = 1; next }
+    buf[held = 1] = $0
+    next
+  }
+  { count($0) }
   END {
     if (markdown) {
       print "| path | lines | code |"
