@@ -7,7 +7,7 @@
 //! critical path is avoided. Both linkage styles are supported here so the
 //! ablation bench can compare them.
 
-use crate::codec::{read_vec, write_vec, Wire, WireReader, WireWriter};
+use crate::codec::{read_vec, write_vec, Sink, Wire, WireReader, WireWriter};
 use crate::error::{CommonError, Result};
 use crate::ids::{Digest, ReplicaId, SeqNum, SignatureBytes, ViewNum};
 
@@ -37,34 +37,14 @@ impl BlockCertificate {
 }
 
 impl Wire for BlockCertificate {
-    fn write(&self, w: &mut WireWriter) {
-        w.put_u32(self.commits.len() as u32);
-        for (r, sig) in &self.commits {
-            w.put_u32(r.0);
-            w.put_var_bytes(sig.as_ref());
-        }
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        write_vec(w, &self.commits);
     }
 
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
-        let n = r.get_u32()? as usize;
-        if n > r.remaining() {
-            return Err(CommonError::Codec("certificate count exceeds input".into()));
-        }
-        let mut commits = Vec::with_capacity(n);
-        for _ in 0..n {
-            let rid = ReplicaId(r.get_u32()?);
-            let sig = SignatureBytes(r.get_var_bytes()?.to_vec());
-            commits.push((rid, sig));
-        }
-        Ok(BlockCertificate { commits })
-    }
-
-    fn encoded_len(&self) -> usize {
-        4 + self
-            .commits
-            .iter()
-            .map(|(_, sig)| 4 + 4 + sig.len())
-            .sum::<usize>()
+        Ok(BlockCertificate {
+            commits: read_vec(r)?,
+        })
     }
 }
 
@@ -80,7 +60,7 @@ pub enum BlockLink {
 }
 
 impl Wire for BlockLink {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         match self {
             BlockLink::Hash(d) => {
                 w.put_u8(0);
@@ -98,13 +78,6 @@ impl Wire for BlockLink {
             0 => Ok(BlockLink::Hash(Digest(r.get_array32()?))),
             1 => Ok(BlockLink::Certificate(BlockCertificate::read(r)?)),
             t => Err(CommonError::Codec(format!("invalid block link tag {t}"))),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            BlockLink::Hash(_) => 1 + 32,
-            BlockLink::Certificate(c) => 1 + c.encoded_len(),
         }
     }
 }
@@ -156,7 +129,7 @@ impl Block {
 }
 
 impl Wire for Block {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_u64(self.seq.0);
         w.put_bytes(self.digest.as_bytes());
         w.put_u64(self.view.0);
@@ -175,23 +148,6 @@ impl Wire for Block {
             result_digest: Digest(r.get_array32()?),
         })
     }
-
-    fn encoded_len(&self) -> usize {
-        8 + 32 + 8 + self.link.encoded_len() + 4 + 32
-    }
-}
-
-/// Serializes a vector of blocks (checkpoint payloads).
-pub fn write_blocks(w: &mut WireWriter, blocks: &[Block]) {
-    write_vec(w, blocks);
-}
-
-/// Deserializes a vector of blocks.
-///
-/// # Errors
-/// Returns [`CommonError::Codec`] if any block fails to decode.
-pub fn read_blocks(r: &mut WireReader<'_>) -> Result<Vec<Block>> {
-    read_vec(r)
 }
 
 #[cfg(test)]
@@ -283,9 +239,9 @@ mod tests {
             Block::genesis(Digest([2; 32])),
         ];
         let mut w = WireWriter::new();
-        write_blocks(&mut w, &blocks);
+        write_vec(&mut w, &blocks);
         let bytes = w.into_bytes();
         let mut r = WireReader::new(&bytes);
-        assert_eq!(read_blocks(&mut r).unwrap(), blocks);
+        assert_eq!(read_vec::<Block>(&mut r).unwrap(), blocks);
     }
 }

@@ -4,15 +4,27 @@
 //! signatures are computed over the encoded bytes. A hand-rolled, explicit
 //! little-endian encoding keeps the byte layout deterministic and independent
 //! of any serializer's internal representation choices.
+//!
+//! Each layout is written down once, in its type's [`Wire::write`]. Exact
+//! lengths come from running that same `write` against a writer whose
+//! sink only counts ([`ByteCount`]), so an encode preallocates its buffer
+//! in one shot and no length formula can drift from the bytes. `write` is
+//! generic over the sink, so the counting pass compiles to additions and
+//! the storing pass to plain appends. Every `u32`-counted list goes
+//! through one pair, [`write_vec`] / [`read_vec`], which holds the only
+//! check of a count against the bytes left.
 
 use crate::error::{CommonError, Result};
+use crate::ids::{Digest, ReplicaId, SeqNum, SignatureBytes};
+use std::sync::Arc;
 
 /// Types that can be written to and read from the canonical wire format.
 ///
 /// Implementations must round-trip: `T::decode(&t.encode())? == t`.
 pub trait Wire: Sized {
-    /// Appends the canonical encoding of `self` to `w`.
-    fn write(&self, w: &mut WireWriter);
+    /// Appends the canonical encoding of `self` to `w`: the one
+    /// description of this type's byte layout.
+    fn write(&self, w: &mut WireWriter<impl Sink>);
 
     /// Reads a value of this type from `r`.
     ///
@@ -21,19 +33,15 @@ pub trait Wire: Sized {
     /// an invalid tag.
     fn read(r: &mut WireReader<'_>) -> Result<Self>;
 
-    /// Exact number of bytes [`Wire::write`] will produce for `self`.
-    ///
-    /// Used by [`Wire::encode`] to preallocate the output buffer in one
-    /// shot instead of growing it through repeated doublings — on a large
-    /// batch that halves the allocator traffic of the hot encode path.
-    /// Implementations must keep this in lockstep with `write`; the
-    /// default of 0 means "unknown" and merely skips preallocation.
+    /// Exact number of bytes [`Wire::write`] produces for `self`, counted
+    /// by running `write` against a writer that stores nothing.
     fn encoded_len(&self) -> usize {
-        0
+        counted_len(|w| self.write(w))
     }
 
-    /// Convenience: encodes `self` into a fresh byte vector, preallocated
-    /// to [`Wire::encoded_len`].
+    /// Convenience: encodes `self` into a fresh byte vector allocated once
+    /// at its exact size — on a large batch that halves the allocator
+    /// traffic growing the buffer through doublings would cost.
     fn encode(&self) -> Vec<u8> {
         let mut w = WireWriter::with_capacity(self.encoded_len());
         self.write(&mut w);
@@ -53,58 +61,111 @@ pub trait Wire: Sized {
     }
 }
 
-/// Append-only writer for the canonical encoding.
+/// Where a [`WireWriter`] puts its bytes.
+pub trait Sink {
+    /// Takes `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+    /// Bytes taken so far.
+    fn taken(&self) -> usize;
+}
+
+// `#[inline]` on both sinks: `write` is generic, so it is compiled in
+// whichever crate encodes, and a call per field across the crate boundary
+// would cost more than the field.
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    #[inline]
+    fn taken(&self) -> usize {
+        self.len()
+    }
+}
+
+/// A sink that keeps only the number of bytes it was given.
 #[derive(Debug, Default)]
-pub struct WireWriter {
-    buf: Vec<u8>,
+pub struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+    #[inline]
+    fn taken(&self) -> usize {
+        self.0
+    }
+}
+
+/// Number of bytes `write` puts into a writer, counted without storing
+/// any of them.
+pub fn counted_len(write: impl FnOnce(&mut WireWriter<ByteCount>)) -> usize {
+    let mut w = WireWriter::default();
+    write(&mut w);
+    w.len()
+}
+
+/// Append-only writer for the canonical encoding, into a byte buffer or
+/// (for [`counted_len`]) a [`ByteCount`].
+#[derive(Debug, Default)]
+pub struct WireWriter<S: Sink = Vec<u8>> {
+    sink: S,
 }
 
 impl WireWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {
-        WireWriter { buf: Vec::new() }
+        WireWriter::default()
     }
 
     /// Creates a writer with pre-allocated capacity.
     pub fn with_capacity(cap: usize) -> Self {
         WireWriter {
-            buf: Vec::with_capacity(cap),
+            sink: Vec::with_capacity(cap),
         }
     }
 
+    /// Consumes the writer, returning the encoded bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.sink
+    }
+}
+
+impl<S: Sink> WireWriter<S> {
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.sink.taken()
     }
 
     /// Whether nothing has been written yet.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Writes a single byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+        self.sink.put(&[v]);
     }
 
     /// Writes a `u16` little-endian.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// Writes a `u32` little-endian.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// Writes a `u64` little-endian.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(&v.to_le_bytes());
     }
 
     /// Writes raw bytes with no length prefix (fixed-size fields).
     pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
+        self.sink.put(v);
     }
 
     /// Writes a `u32` length prefix followed by the bytes.
@@ -116,11 +177,6 @@ impl WireWriter {
     /// Writes a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
         self.put_var_bytes(v.as_bytes());
-    }
-
-    /// Consumes the writer, returning the encoded bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
     }
 }
 
@@ -208,14 +264,6 @@ impl<'a> WireReader<'a> {
         Ok(u64::from_le_bytes(a))
     }
 
-    /// Reads exactly `n` raw bytes.
-    ///
-    /// # Errors
-    /// Returns [`CommonError::Codec`] if fewer than `n` bytes remain.
-    pub fn get_bytes(&mut self, n: usize) -> Result<&'a [u8]> {
-        self.take(n)
-    }
-
     /// Reads a fixed 32-byte array (digest-sized field).
     ///
     /// # Errors
@@ -266,30 +314,26 @@ impl<'a> WireReader<'a> {
     }
 }
 
-/// Writes a `Vec<T>` with a `u32` count prefix.
-pub fn write_vec<T: Wire>(w: &mut WireWriter, items: &[T]) {
+/// Writes a `u32`-counted list: the count, then each item's encoding.
+/// Every list on the wire and on disk takes this one shape.
+pub fn write_vec<T: Wire>(w: &mut WireWriter<impl Sink>, items: &[T]) {
     w.put_u32(items.len() as u32);
     for item in items {
         item.write(w);
     }
 }
 
-/// Exact encoded size of a `Vec<T>` written by [`write_vec`].
-pub fn vec_encoded_len<T: Wire>(items: &[T]) -> usize {
-    4 + items.iter().map(Wire::encoded_len).sum::<usize>()
-}
-
-/// Reads a `Vec<T>` with a `u32` count prefix.
+/// Reads a list written by [`write_vec`].
 ///
 /// # Errors
-/// Returns [`CommonError::Codec`] if any element fails to decode.
+/// Returns [`CommonError::Codec`] if the count exceeds the bytes left
+/// (every item costs at least one, so a hostile count never reaches the
+/// allocator) or if any item fails to decode.
 pub fn read_vec<T: Wire>(r: &mut WireReader<'_>) -> Result<Vec<T>> {
     let n = r.get_u32()? as usize;
-    // Guard against absurd counts from corrupt input: each element costs at
-    // least one byte on the wire.
     if n > r.remaining() {
         return Err(CommonError::Codec(format!(
-            "vector count {n} exceeds remaining bytes {}",
+            "list count {n} exceeds remaining bytes {}",
             r.remaining()
         )));
     }
@@ -301,50 +345,104 @@ pub fn read_vec<T: Wire>(r: &mut WireReader<'_>) -> Result<Vec<T>> {
 }
 
 impl Wire for u8 {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_u8(*self);
     }
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
         r.get_u8()
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
 }
 
 impl Wire for u32 {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_u32(*self);
     }
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
         r.get_u32()
     }
-    fn encoded_len(&self) -> usize {
-        4
-    }
 }
 
 impl Wire for u64 {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_u64(*self);
     }
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
         r.get_u64()
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
 }
 
 impl Wire for Vec<u8> {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_var_bytes(self);
     }
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(r.get_var_bytes()?.to_vec())
     }
-    fn encoded_len(&self) -> usize {
-        4 + self.len()
+}
+
+impl Wire for ReplicaId {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        w.put_u32(self.0);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(ReplicaId(r.get_u32()?))
+    }
+}
+
+impl Wire for SeqNum {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        w.put_u64(self.0);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(SeqNum(r.get_u64()?))
+    }
+}
+
+impl Wire for Digest {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        w.put_bytes(&self.0);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(Digest(r.get_array32()?))
+    }
+}
+
+impl Wire for SignatureBytes {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        w.put_var_bytes(&self.0);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok(SignatureBytes(r.get_var_bytes()?.to_vec()))
+    }
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        (**self).write(w);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        T::read(r).map(Arc::new)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        self.0.write(w);
+        self.1.write(w);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok((A::read(r)?, B::read(r)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        self.0.write(w);
+        self.1.write(w);
+        self.2.write(w);
+    }
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        Ok((A::read(r)?, B::read(r)?, C::read(r)?))
     }
 }
 
@@ -426,11 +524,17 @@ mod tests {
         assert_eq!(7u64.encoded_len(), 7u64.encode().len());
         let v = vec![1u8, 2, 3];
         assert_eq!(v.encoded_len(), v.encode().len());
-        assert_eq!(vec_encoded_len(&[1u64, 2, 3]), {
-            let mut w = WireWriter::new();
-            write_vec(&mut w, &[1u64, 2, 3]);
-            w.into_bytes().len()
-        });
+        let pairs = vec![(SeqNum(1), Digest([2; 32])), (SeqNum(3), Digest::ZERO)];
+        assert_eq!(counted_len(|w| write_vec(w, &pairs)), 4 + 2 * (8 + 32));
+        let mut w = WireWriter::new();
+        write_vec(&mut w, &pairs);
+        assert_eq!(w.len(), 4 + 2 * (8 + 32));
+        let sig = Arc::new((ReplicaId(4), SignatureBytes(vec![5; 3])));
+        assert_eq!(sig.encoded_len(), 4 + 4 + 3);
+        assert_eq!(
+            <Arc<(ReplicaId, SignatureBytes)>>::decode(&sig.encode()).unwrap(),
+            sig
+        );
     }
 
     #[test]

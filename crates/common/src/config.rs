@@ -318,12 +318,6 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style: sets the thread allocation.
-    pub fn with_threads(mut self, threads: ThreadConfig) -> Self {
-        self.threads = threads;
-        self
-    }
-
     /// Builder-style: sets the crypto scheme.
     pub fn with_crypto(mut self, crypto: CryptoScheme) -> Self {
         self.crypto = crypto;
@@ -360,23 +354,10 @@ impl SystemConfig {
         self
     }
 
-    /// Builder-style: makes the initial primary equivocate (fault
-    /// injection for the byzantine-primary scenario).
-    pub fn with_byzantine_primary(mut self, byzantine: bool) -> Self {
-        self.byzantine_primary = byzantine;
-        self
-    }
-
     /// Builder-style: sets the number of parallel consensus instances
     /// (multi-primary ordering). `1` restores single-primary operation.
     pub fn with_consensus_instances(mut self, k: usize) -> Self {
         self.consensus_instances = k;
-        self
-    }
-
-    /// Builder-style: sets the durability configuration.
-    pub fn with_durability(mut self, durability: DurabilityConfig) -> Self {
-        self.durability = durability;
         self
     }
 

@@ -6,7 +6,7 @@
 //! are shared.
 
 use crate::block::BlockCertificate;
-use crate::codec::{Wire, WireReader, WireWriter};
+use crate::codec::{read_vec, write_vec, Sink, Wire, WireReader, WireWriter};
 use crate::error::{CommonError, Result};
 use crate::ids::{ClientId, Digest, ReplicaId, SeqNum, SignatureBytes, ViewNum};
 use crate::transaction::{Batch, Transaction};
@@ -49,7 +49,7 @@ impl Sender {
 }
 
 impl Wire for Sender {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         match self {
             Sender::Replica(r) => {
                 w.put_u8(0);
@@ -67,13 +67,6 @@ impl Wire for Sender {
             0 => Ok(Sender::Replica(ReplicaId(r.get_u32()?))),
             1 => Ok(Sender::Client(ClientId(r.get_u64()?))),
             t => Err(CommonError::Codec(format!("invalid sender tag {t}"))),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            Sender::Replica(_) => 1 + 4,
-            Sender::Client(_) => 1 + 8,
         }
     }
 }
@@ -370,88 +363,12 @@ impl Message {
     }
 }
 
-fn write_results(w: &mut WireWriter, results: &[(u64, Vec<u8>)]) {
-    w.put_u32(results.len() as u32);
-    for (counter, result) in results {
-        w.put_u64(*counter);
-        w.put_var_bytes(result);
-    }
-}
-
-fn read_results(r: &mut WireReader<'_>) -> Result<ReplyResults> {
-    let n = r.get_u32()? as usize;
-    if n > r.remaining() {
-        return Err(CommonError::Codec("result count exceeds input".into()));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((r.get_u64()?, r.get_var_bytes()?.to_vec()));
-    }
-    Ok(out)
-}
-
-fn results_encoded_len(results: &[(u64, Vec<u8>)]) -> usize {
-    4 + results.iter().map(|(_, r)| 8 + 4 + r.len()).sum::<usize>()
-}
-
-fn write_seq_digest_pairs(w: &mut WireWriter, pairs: &[(SeqNum, Digest)]) {
-    w.put_u32(pairs.len() as u32);
-    for (s, d) in pairs {
-        w.put_u64(s.0);
-        w.put_bytes(d.as_bytes());
-    }
-}
-
-fn read_seq_digest_pairs(r: &mut WireReader<'_>) -> Result<Vec<(SeqNum, Digest)>> {
-    let n = r.get_u32()? as usize;
-    if n > r.remaining() {
-        return Err(CommonError::Codec("pair count exceeds input".into()));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((SeqNum(r.get_u64()?), Digest(r.get_array32()?)));
-    }
-    Ok(out)
-}
-
-fn write_batch_tail(w: &mut WireWriter, tail: &[(SeqNum, Digest, Arc<Batch>)]) {
-    w.put_u32(tail.len() as u32);
-    for (s, d, b) in tail {
-        w.put_u64(s.0);
-        w.put_bytes(d.as_bytes());
-        b.write(w);
-    }
-}
-
-fn read_batch_tail(r: &mut WireReader<'_>) -> Result<Vec<(SeqNum, Digest, Arc<Batch>)>> {
-    let n = r.get_u32()? as usize;
-    if n > r.remaining() {
-        return Err(CommonError::Codec("tail count exceeds input".into()));
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((
-            SeqNum(r.get_u64()?),
-            Digest(r.get_array32()?),
-            Arc::new(Batch::read(r)?),
-        ));
-    }
-    Ok(out)
-}
-
-fn batch_tail_encoded_len(tail: &[(SeqNum, Digest, Arc<Batch>)]) -> usize {
-    4 + tail
-        .iter()
-        .map(|(_, _, b)| 8 + 32 + b.encoded_len())
-        .sum::<usize>()
-}
-
 impl Wire for Message {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         match self {
             Message::ClientRequest { txns } => {
                 w.put_u8(0);
-                crate::codec::write_vec(w, txns);
+                write_vec(w, txns);
             }
             Message::PrePrepare {
                 view,
@@ -487,7 +404,7 @@ impl Wire for Message {
                 w.put_u64(view.0);
                 w.put_u64(client.0);
                 w.put_u32(replica.0);
-                write_results(w, results);
+                write_vec(w, results);
             }
             Message::SpecResponse {
                 view,
@@ -505,7 +422,7 @@ impl Wire for Message {
                 w.put_bytes(history.as_bytes());
                 w.put_u64(client.0);
                 w.put_u32(replica.0);
-                write_results(w, results);
+                write_vec(w, results);
             }
             Message::CommitCert {
                 view,
@@ -548,8 +465,8 @@ impl Wire for Message {
                 w.put_u8(9);
                 w.put_u64(new_view.0);
                 w.put_u64(last_stable.0);
-                write_seq_digest_pairs(w, prepared);
-                write_batch_tail(w, tail);
+                write_vec(w, prepared);
+                write_vec(w, tail);
                 w.put_u32(replica.0);
                 w.put_u32(*instance);
             }
@@ -560,15 +477,12 @@ impl Wire for Message {
             } => {
                 w.put_u8(10);
                 w.put_u64(new_view.0);
-                write_seq_digest_pairs(w, reissued);
+                write_vec(w, reissued);
                 w.put_u32(*instance);
             }
             Message::FetchRequest { seqs, replica } => {
                 w.put_u8(11);
-                w.put_u32(seqs.len() as u32);
-                for s in seqs {
-                    w.put_u64(s.0);
-                }
+                write_vec(w, seqs);
                 w.put_u32(replica.0);
             }
             Message::FetchResponse {
@@ -597,9 +511,7 @@ impl Wire for Message {
 
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
         match r.get_u8()? {
-            0 => Ok(Message::ClientRequest {
-                txns: crate::codec::read_vec(r)?,
-            }),
+            0 => Ok(Message::ClientRequest { txns: read_vec(r)? }),
             1 => Ok(Message::PrePrepare {
                 view: ViewNum(r.get_u64()?),
                 seq: SeqNum(r.get_u64()?),
@@ -620,7 +532,7 @@ impl Wire for Message {
                 view: ViewNum(r.get_u64()?),
                 client: ClientId(r.get_u64()?),
                 replica: ReplicaId(r.get_u32()?),
-                results: read_results(r)?,
+                results: read_vec(r)?,
             }),
             5 => Ok(Message::SpecResponse {
                 view: ViewNum(r.get_u64()?),
@@ -629,7 +541,7 @@ impl Wire for Message {
                 history: Digest(r.get_array32()?),
                 client: ClientId(r.get_u64()?),
                 replica: ReplicaId(r.get_u32()?),
-                results: read_results(r)?,
+                results: read_vec(r)?,
             }),
             6 => Ok(Message::CommitCert {
                 view: ViewNum(r.get_u64()?),
@@ -651,30 +563,20 @@ impl Wire for Message {
             9 => Ok(Message::ViewChange {
                 new_view: ViewNum(r.get_u64()?),
                 last_stable: SeqNum(r.get_u64()?),
-                prepared: read_seq_digest_pairs(r)?,
-                tail: read_batch_tail(r)?,
+                prepared: read_vec(r)?,
+                tail: read_vec(r)?,
                 replica: ReplicaId(r.get_u32()?),
                 instance: r.get_u32()?,
             }),
             10 => Ok(Message::NewView {
                 new_view: ViewNum(r.get_u64()?),
-                reissued: read_seq_digest_pairs(r)?,
+                reissued: read_vec(r)?,
                 instance: r.get_u32()?,
             }),
-            11 => {
-                let n = r.get_u32()? as usize;
-                if n > r.remaining() {
-                    return Err(CommonError::Codec("fetch seq count exceeds input".into()));
-                }
-                let mut seqs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    seqs.push(SeqNum(r.get_u64()?));
-                }
-                Ok(Message::FetchRequest {
-                    seqs,
-                    replica: ReplicaId(r.get_u32()?),
-                })
-            }
+            11 => Ok(Message::FetchRequest {
+                seqs: read_vec(r)?,
+                replica: ReplicaId(r.get_u32()?),
+            }),
             12 => Ok(Message::FetchResponse {
                 seq: SeqNum(r.get_u64()?),
                 view: ViewNum(r.get_u64()?),
@@ -690,37 +592,12 @@ impl Wire for Message {
             t => Err(CommonError::Codec(format!("invalid message tag {t}"))),
         }
     }
-
-    fn encoded_len(&self) -> usize {
-        const DIG: usize = 32;
-        1 + match self {
-            Message::ClientRequest { txns } => crate::codec::vec_encoded_len(txns),
-            Message::PrePrepare { batch, .. } => 8 + 8 + DIG + batch.encoded_len(),
-            Message::Prepare { .. } | Message::Commit { .. } => 8 + 8 + DIG,
-            Message::ClientReply { results, .. } => 8 + 8 + 4 + results_encoded_len(results),
-            Message::SpecResponse { results, .. } => {
-                8 + 8 + 2 * DIG + 8 + 4 + results_encoded_len(results)
-            }
-            Message::CommitCert { cert, .. } => 8 + 8 + DIG + cert.encoded_len() + 8,
-            Message::LocalCommit { .. } => 8 + 8 + 4,
-            Message::Checkpoint { .. } => 8 + DIG + 4,
-            Message::ViewChange { prepared, tail, .. } => {
-                8 + 8 + 4 + prepared.len() * (8 + DIG) + batch_tail_encoded_len(tail) + 4 + 4
-            }
-            Message::NewView { reissued, .. } => 8 + 4 + reissued.len() * (8 + DIG) + 4,
-            Message::FetchRequest { seqs, .. } => 4 + seqs.len() * 8 + 4,
-            Message::FetchResponse {
-                batch, certificate, ..
-            } => 8 + 8 + DIG + batch.encoded_len() + certificate.encoded_len() + 4,
-            Message::SnapshotResponse { snapshot, .. } => snapshot.encoded_len() + 4,
-        }
-    }
 }
 
 /// Shared memoization slots of a [`SignedMessage`]: every clone of an
 /// envelope points at the same cache, so whatever one handle computes —
-/// canonical signing bytes, digest, encoded size — is free for all the
-/// others (including the copies a broadcast fans out to n peers).
+/// canonical signing bytes, digest — is free for all the others
+/// (including the copies a broadcast fans out to n peers).
 #[derive(Debug, Default)]
 struct EnvelopeCache {
     /// Canonical `sender ‖ body` encoding: the bytes that are signed,
@@ -729,10 +606,6 @@ struct EnvelopeCache {
     /// Digest over the signing bytes (hasher supplied by the caller, since
     /// `rdb_common` has no crypto dependency).
     digest: OnceLock<Digest>,
-    /// Exact encoded size (`Wire::encoded_len`), memoized because the body
-    /// walk behind it is O(batch) and the network layer asks once per
-    /// destination when accounting bytes-on-wire.
-    encoded_len: OnceLock<usize>,
 }
 
 /// A message plus its authentication: who sent it and the signature/MAC over
@@ -851,13 +724,9 @@ impl SignedMessage {
     /// buffer, so a body signed once and broadcast to n peers is verified n
     /// times against a single serialization.
     pub fn signing_bytes(&self) -> &[u8] {
-        self.cache.signing.get_or_init(|| {
-            let mut w =
-                WireWriter::with_capacity(self.from.encoded_len() + self.body.encoded_len());
-            self.from.write(&mut w);
-            self.body.write(&mut w);
-            w.into_bytes()
-        })
+        self.cache
+            .signing
+            .get_or_init(|| Self::signing_bytes_for(self.from, &self.body))
     }
 
     /// Memoized digest over the signing bytes. The hasher is supplied by
@@ -872,9 +741,11 @@ impl SignedMessage {
 }
 
 impl Wire for SignedMessage {
-    fn write(&self, w: &mut WireWriter) {
-        // The wire layout is exactly `signing_bytes ‖ len(sig) ‖ sig`, so a
-        // memoized envelope serializes with a memcpy, not a re-encode.
+    /// The wire layout is exactly `signing_bytes ‖ len(sig) ‖ sig`, so a
+    /// memoized envelope serializes with a memcpy, not a re-encode, and
+    /// its [`Wire::encoded_len`] is the memoized signing bytes' length
+    /// plus the signature's: once they are cached, counting walks no body.
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_bytes(self.signing_bytes());
         w.put_var_bytes(self.sig.as_ref());
     }
@@ -890,20 +761,6 @@ impl Wire for SignedMessage {
         // costs zero serializations.
         let _ = sm.cache.signing.set(r.window(start, end).to_vec());
         Ok(sm)
-    }
-
-    fn encoded_len(&self) -> usize {
-        // Memoized: the envelope is immutable once built, so the exact
-        // wire footprint is a per-family constant. When the canonical
-        // signing bytes are already cached the answer is a length lookup;
-        // otherwise it costs one body walk, once, for all clones.
-        *self
-            .cache
-            .encoded_len
-            .get_or_init(|| match self.cache.signing.get() {
-                Some(signing) => signing.len() + 4 + self.sig.len(),
-                None => self.from.encoded_len() + self.body.encoded_len() + 4 + self.sig.len(),
-            })
     }
 }
 
@@ -1077,6 +934,66 @@ mod tests {
             // A count the input could hold but does not: truncated, not UB.
             bytes[count_at..count_at + 4].copy_from_slice(&2u32.to_le_bytes());
             assert!(Message::decode(&bytes).is_err(), "{:?}", msg.kind());
+        }
+    }
+
+    /// Every counted list, reached through a message whose bytes stop at
+    /// its count: a count larger than the bytes left is a codec error from
+    /// the one list guard, not an allocation or a panic.
+    #[test]
+    fn every_counted_list_rejects_a_count_past_the_input() {
+        fn header(w: &mut WireWriter, tag: u8, u64s: u64) {
+            w.put_u8(tag);
+            (0..u64s).for_each(|v| w.put_u64(v));
+        }
+        /// Writes a message's bytes up to one list's count.
+        type Prefix = fn(&mut WireWriter);
+        let lists: [(&str, Prefix); 10] = [
+            ("txns", |w| header(w, 0, 0)),
+            ("ops", |w| {
+                header(w, 0, 0);
+                w.put_u32(1);
+                w.put_u64(4);
+                w.put_u64(5);
+            }),
+            ("reply results", |w| {
+                header(w, 4, 2);
+                w.put_u32(6);
+            }),
+            ("spec results", |w| {
+                header(w, 5, 2);
+                w.put_bytes(&[0; 64]);
+                w.put_u64(4);
+                w.put_u32(6);
+            }),
+            ("certificate commits", |w| {
+                header(w, 6, 2);
+                w.put_bytes(&[0; 32]);
+            }),
+            ("prepared pairs", |w| header(w, 9, 2)),
+            ("batch tail", |w| {
+                header(w, 9, 2);
+                w.put_u32(0);
+            }),
+            ("reissued pairs", |w| header(w, 10, 1)),
+            ("fetch seqs", |w| header(w, 11, 0)),
+            ("snapshot records", |w| {
+                header(w, 13, 1);
+                crate::block::Block::genesis(Digest::ZERO).write(w);
+                w.put_bytes(&[0; 32]);
+            }),
+        ];
+        for (list, prefix) in lists {
+            for count in [u32::MAX, 17] {
+                let mut w = WireWriter::new();
+                prefix(&mut w);
+                w.put_u32(count);
+                w.put_bytes(&[0; 16]);
+                match Message::decode(&w.into_bytes()) {
+                    Err(CommonError::Codec(m)) if m.starts_with("list count") => {}
+                    other => panic!("{list}: count {count} gave {other:?}"),
+                }
+            }
         }
     }
 

@@ -444,23 +444,6 @@ impl NodeOptions {
         }
         Ok(())
     }
-
-    /// Builds cluster options from a config file holding a `[peers]`
-    /// section (required) and an optional `[node]` section.
-    ///
-    /// # Errors
-    /// Returns `InvalidConfig` if the file cannot be read, either
-    /// section is malformed, or the resulting options fail validation.
-    pub fn from_file(path: &std::path::Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            CommonError::InvalidConfig(format!("cannot read node config {}: {e}", path.display()))
-        })?;
-        let peers = PeerMap::parse_toml(&text)?;
-        let mut opts = NodeOptions::new(peers)?;
-        opts.apply_toml(&text)?;
-        opts.validate()?;
-        Ok(opts)
-    }
 }
 
 #[cfg(test)]

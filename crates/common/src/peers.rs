@@ -134,18 +134,6 @@ impl PeerMap {
         Ok(map)
     }
 
-    /// Reads and parses a peer config file.
-    ///
-    /// # Errors
-    /// Returns [`CommonError::InvalidConfig`] if the file cannot be read or
-    /// parsed.
-    pub fn from_file(path: &std::path::Path) -> Result<Self> {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            CommonError::InvalidConfig(format!("cannot read peer map {}: {e}", path.display()))
-        })?;
-        Self::parse_toml(&text)
-    }
-
     /// Renders the map in the inline flag form (round-trips `parse_flag`).
     pub fn to_flag(&self) -> String {
         self.replicas

@@ -13,8 +13,8 @@
 //! and its wire form).
 
 use crate::block::Block;
-use crate::codec::{Wire, WireReader, WireWriter};
-use crate::error::{CommonError, Result};
+use crate::codec::{read_vec, write_vec, Sink, Wire, WireReader, WireWriter};
+use crate::error::Result;
 use crate::ids::{Digest, SeqNum};
 use std::io::{self, Read as _, Write as _};
 use std::path::Path;
@@ -111,48 +111,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 impl Wire for Snapshot {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_u64(self.base_seq.0);
         self.block.write(w);
         w.put_bytes(self.history.as_bytes());
-        w.put_u32(self.records.len() as u32);
-        for (key, value) in &self.records {
-            w.put_u64(*key);
-            w.put_var_bytes(value);
-        }
+        write_vec(w, &self.records);
     }
 
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
         let base_seq = SeqNum(r.get_u64()?);
         let block = Block::read(r)?;
         let history = Digest(r.get_array32()?);
-        let n = r.get_u32()? as usize;
-        if n > r.remaining() {
-            return Err(CommonError::Codec("record count exceeds input".into()));
-        }
-        let mut records = Vec::with_capacity(n);
-        for _ in 0..n {
-            let key = r.get_u64()?;
-            let value = r.get_var_bytes()?.to_vec();
-            records.push((key, value));
-        }
         Ok(Snapshot {
             base_seq,
             block,
             history,
-            records,
+            records: read_vec(r)?,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + self.block.encoded_len()
-            + 32
-            + 4
-            + self
-                .records
-                .iter()
-                .map(|(_, v)| 8 + 4 + v.len())
-                .sum::<usize>()
     }
 }
 

@@ -6,7 +6,7 @@
 //! primary aggregates transactions into a [`Batch`], which is the unit of
 //! consensus.
 
-use crate::codec::{read_vec, write_vec, Wire, WireReader, WireWriter};
+use crate::codec::{read_vec, write_vec, Sink, Wire, WireReader, WireWriter};
 use crate::error::{CommonError, Result};
 use crate::ids::{ClientId, TxnId};
 
@@ -42,7 +42,7 @@ impl Operation {
 }
 
 impl Wire for Operation {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         match self {
             Operation::Read { key } => {
                 w.put_u8(0);
@@ -64,13 +64,6 @@ impl Wire for Operation {
                 value: r.get_var_bytes()?.to_vec(),
             }),
             t => Err(CommonError::Codec(format!("invalid operation tag {t}"))),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            Operation::Read { .. } => 1 + 8,
-            Operation::Write { value, .. } => 1 + 8 + 4 + value.len(),
         }
     }
 }
@@ -147,7 +140,7 @@ impl Transaction {
 }
 
 impl Wire for Transaction {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         w.put_u64(self.id.client.0);
         w.put_u64(self.id.counter);
         write_vec(w, &self.ops);
@@ -164,10 +157,6 @@ impl Wire for Transaction {
             ops,
             payload,
         })
-    }
-
-    fn encoded_len(&self) -> usize {
-        8 + 8 + crate::codec::vec_encoded_len(&self.ops) + 4 + self.payload.len()
     }
 }
 
@@ -256,16 +245,12 @@ impl Batch {
 }
 
 impl Wire for Batch {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         write_vec(w, &self.txns);
     }
 
     fn read(r: &mut WireReader<'_>) -> Result<Self> {
         Ok(Batch { txns: read_vec(r)? })
-    }
-
-    fn encoded_len(&self) -> usize {
-        crate::codec::vec_encoded_len(&self.txns)
     }
 }
 

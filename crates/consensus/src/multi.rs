@@ -99,11 +99,6 @@ impl MultiEngine {
         self.engines[j].is_primary()
     }
 
-    /// Whether this replica leads any instance right now.
-    pub fn leads_any(&self) -> bool {
-        self.engines.iter().any(ReplicaEngine::is_primary)
-    }
-
     /// The next global sequence instance `j` would assign (PBFT only).
     pub fn next_seq(&self, j: usize) -> Option<SeqNum> {
         self.engines[j].next_seq()

@@ -148,11 +148,6 @@ impl SystemBuilder {
         &mut self.opts.system
     }
 
-    /// Access to the full option tree for advanced tweaks.
-    pub fn options_mut(&mut self) -> &mut NodeOptions {
-        &mut self.opts
-    }
-
     /// Launches the deployment: generates keys, starts the transport(s)
     /// and all replica pipelines.
     ///
@@ -169,7 +164,6 @@ impl SystemBuilder {
             TransportMode::InMemory => {
                 let net = Network::new(NetworkConfig {
                     latency: opts.net.latency(),
-                    queue_capacity: None,
                 })
                 .handle();
                 (vec![net.clone(); config.n], net)

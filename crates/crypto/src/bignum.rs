@@ -108,11 +108,6 @@ impl BigUint {
         (self.limbs[limb] >> (i % 64)) & 1 == 1
     }
 
-    /// Number of limbs.
-    pub fn limb_count(&self) -> usize {
-        self.limbs.len()
-    }
-
     /// Compares two values.
     pub fn cmp_val(&self, other: &BigUint) -> Ordering {
         if self.limbs.len() != other.limbs.len() {

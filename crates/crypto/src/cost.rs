@@ -4,19 +4,11 @@
 //! instead of executing it. [`CostModel::optimized`] provides the
 //! deterministic constants every figure and the benchmark's
 //! `sim.predicted_tps` are priced with — typical of production crypto
-//! libraries, so absolute throughput lands near the paper's testbed;
-//! [`CostModel::calibrate`] measures this crate's own implementations on
-//! the current host for users who want machine-specific numbers.
+//! libraries, so absolute throughput lands near the paper's testbed.
+//! What this crate's own implementations cost on the current host is
+//! measured by the `crypto_path` bench into `BENCH_crypto.json`.
 
-use crate::cmac::CmacAes128;
-use crate::ed25519::{self, Ed25519KeyPair};
-use crate::rsa::RsaKeyPair;
-use crate::scheme::RSA_BITS;
-use crate::sha2::sha256;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use rdb_common::CryptoScheme;
-use std::time::Instant;
 
 /// Nanosecond costs for each primitive, split into a fixed per-call cost and
 /// a per-byte cost where throughput depends on input size.
@@ -71,95 +63,6 @@ impl CostModel {
             ed25519_batch_verify_ns: 11_000.0,
             rsa_sign_ns: 1_300_000.0,
             rsa_verify_ns: 32_000.0,
-        }
-    }
-
-    /// Measures the primitives on the current host. Slow (~1 s, dominated
-    /// by RSA key generation and signing).
-    pub fn calibrate() -> Self {
-        let mut rng = StdRng::seed_from_u64(0xca11b);
-        let small = vec![0xabu8; 64];
-        let large = vec![0xcdu8; 65_536];
-
-        let time_per_call = |f: &mut dyn FnMut(), iters: u32| -> f64 {
-            let start = Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        };
-
-        // Hashing: solve fixed + per-byte from two sizes.
-        let sha_small = time_per_call(
-            &mut || std::hint::black_box(sha256(&small)).to_vec().clear(),
-            2000,
-        );
-        let sha_large = time_per_call(
-            &mut || std::hint::black_box(sha256(&large)).to_vec().clear(),
-            50,
-        );
-        let sha_per_byte = (sha_large - sha_small) / (large.len() - small.len()) as f64;
-        let sha_fixed = (sha_small - sha_per_byte * small.len() as f64).max(10.0);
-
-        let cmac = CmacAes128::new(&[7u8; 16]);
-        let cmac_small = time_per_call(
-            &mut || std::hint::black_box(cmac.tag(&small)).to_vec().clear(),
-            2000,
-        );
-        let cmac_large = time_per_call(
-            &mut || std::hint::black_box(cmac.tag(&large)).to_vec().clear(),
-            20,
-        );
-        let cmac_per_byte = (cmac_large - cmac_small) / (large.len() - small.len()) as f64;
-        let cmac_fixed = (cmac_small - cmac_per_byte * small.len() as f64).max(10.0);
-
-        let ed = Ed25519KeyPair::from_seed(&[3u8; 32]);
-        let ed_sign = time_per_call(
-            &mut || std::hint::black_box(ed.sign(&small)).to_vec().clear(),
-            50,
-        );
-        let sig = ed.sign(&small);
-        let ed_verify = time_per_call(
-            &mut || {
-                std::hint::black_box(ed.public_key().verify(&small, &sig));
-            },
-            25,
-        );
-        // Batch verification, amortized per signature at batch size 32.
-        let batch_entries: Vec<ed25519::BatchEntry<'_>> = (0..32)
-            .map(|_| ed25519::BatchEntry {
-                public: ed.public_key(),
-                msg: &small,
-                sig: &sig,
-            })
-            .collect();
-        let ed_batch_verify = time_per_call(
-            &mut || {
-                std::hint::black_box(ed25519::verify_batch(&batch_entries));
-            },
-            10,
-        ) / batch_entries.len() as f64;
-
-        let rsa = RsaKeyPair::generate(RSA_BITS, &mut rng);
-        let rsa_sign = time_per_call(&mut || std::hint::black_box(rsa.sign(&small)).clear(), 5);
-        let rsig = rsa.sign(&small);
-        let rsa_verify = time_per_call(
-            &mut || {
-                std::hint::black_box(rsa.public_key().verify(&small, &rsig));
-            },
-            20,
-        );
-
-        CostModel {
-            sha256_fixed_ns: sha_fixed,
-            sha256_per_byte_ns: sha_per_byte.max(0.1),
-            cmac_fixed_ns: cmac_fixed,
-            cmac_per_byte_ns: cmac_per_byte.max(0.1),
-            ed25519_sign_ns: ed_sign,
-            ed25519_verify_ns: ed_verify,
-            ed25519_batch_verify_ns: ed_batch_verify.min(ed_verify),
-            rsa_sign_ns: rsa_sign,
-            rsa_verify_ns: rsa_verify,
         }
     }
 
@@ -286,20 +189,5 @@ mod tests {
             m.verify_batch_ns(CryptoScheme::CmacEd25519, true, 100, 32),
             m.verify_ns(CryptoScheme::CmacEd25519, true, 100)
         );
-    }
-
-    #[test]
-    #[ignore = "slow: measures RSA keygen + signing on the host"]
-    fn calibration_produces_sane_ordering() {
-        let m = CostModel::calibrate();
-        println!(
-            "sha256 backend {}, aes backend {}: {m:#?}",
-            crate::sha2::backend().name(),
-            crate::aes::backend().name()
-        );
-        assert!(m.cmac_fixed_ns > 0.0);
-        assert!(m.ed25519_sign_ns > m.cmac_fixed_ns);
-        assert!(m.rsa_sign_ns > m.ed25519_sign_ns);
-        assert!(m.ed25519_batch_verify_ns <= m.ed25519_verify_ns);
     }
 }

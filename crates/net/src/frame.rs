@@ -15,14 +15,13 @@
 //! envelope's memo from the socket buffer, so verification after a decode
 //! costs zero re-serializations — the zero-copy path survives the wire.
 //!
-//! [`read_frame`] is a resumable state machine: reader threads run with a
-//! socket read timeout so they can observe shutdown, and a timeout in the
-//! middle of a frame must not lose synchronization.
+//! [`FrameAccumulator`] is a resumable state machine: a read that would
+//! block (or times out) in the middle of a frame must not lose
+//! synchronization.
 
 use rdb_common::codec::{Wire, WireReader, WireWriter};
 use rdb_common::messages::{Sender, SignedMessage};
 use std::io::{self, Read};
-use std::net::TcpStream;
 
 /// Upper bound on a frame body, guarding the reader against corrupt or
 /// hostile length prefixes. Generous enough for a multi-megabyte batch.
@@ -86,9 +85,9 @@ pub fn parse_frame(body: &[u8]) -> io::Result<Frame> {
 }
 
 /// Resumable frame parser with no stream of its own: the caller supplies
-/// the `Read` on every poll, so the same state machine serves both the
-/// blocking-with-timeout [`FrameReader`] and the reactor's nonblocking
-/// connections (which own their socket and lend it per readiness event).
+/// the `Read` on every poll — the reactor's nonblocking connections own
+/// their socket and lend it per readiness event, and a blocking socket
+/// with a read timeout works the same way.
 ///
 /// `poll` returns `Ok(Some(body))` when a full frame has arrived,
 /// `Ok(None)` when the read would block (or timed out) mid-frame, and
@@ -153,33 +152,6 @@ impl FrameAccumulator {
     }
 }
 
-/// Resumable frame reader over an owned [`TcpStream`] with a read timeout:
-/// a [`FrameAccumulator`] bound to its stream, for threads that block.
-pub struct FrameReader {
-    stream: TcpStream,
-    acc: FrameAccumulator,
-}
-
-impl FrameReader {
-    /// Wraps `stream` (whose read timeout should already be configured).
-    pub fn new(stream: TcpStream) -> Self {
-        FrameReader {
-            stream,
-            acc: FrameAccumulator::new(),
-        }
-    }
-
-    /// Advances the frame state machine; see [`FrameAccumulator::poll`]
-    /// for the return contract.
-    ///
-    /// # Errors
-    /// Returns an [`io::Error`] on EOF (`UnexpectedEof`), oversized or
-    /// zero-length frames (`InvalidData`), or any socket error.
-    pub fn poll_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
-        self.acc.poll(&mut self.stream)
-    }
-}
-
 fn would_block(e: &io::Error) -> bool {
     matches!(
         e.kind(),
@@ -193,7 +165,7 @@ mod tests {
     use rdb_common::messages::Message;
     use rdb_common::{ClientId, ReplicaId, SignatureBytes};
     use std::io::Write;
-    use std::net::TcpListener;
+    use std::net::{TcpListener, TcpStream};
     use std::time::Duration;
 
     fn loopback_pair() -> (TcpStream, TcpStream) {
@@ -214,12 +186,12 @@ mod tests {
 
     #[test]
     fn hello_round_trips() {
-        let (mut tx, rx) = loopback_pair();
+        let (mut tx, mut rx) = loopback_pair();
         let from = Sender::Client(ClientId(42));
         tx.write_all(&frame_bytes(&hello_body(from))).unwrap();
-        let mut reader = FrameReader::new(rx);
+        let mut acc = FrameAccumulator::new();
         let body = loop {
-            if let Some(b) = reader.poll_frame().unwrap() {
+            if let Some(b) = acc.poll(&mut rx).unwrap() {
                 break b;
             }
         };
@@ -231,7 +203,7 @@ mod tests {
 
     #[test]
     fn msg_round_trips_and_seeds_memo() {
-        let (mut tx, rx) = loopback_pair();
+        let (mut tx, mut rx) = loopback_pair();
         let sm = SignedMessage::new(
             Message::ClientRequest { txns: vec![] },
             Sender::Replica(ReplicaId(1)),
@@ -241,9 +213,9 @@ mod tests {
         let mut body = msg_header(to);
         body.extend_from_slice(&sm.encode());
         tx.write_all(&frame_bytes(&body)).unwrap();
-        let mut reader = FrameReader::new(rx);
+        let mut acc = FrameAccumulator::new();
         let got = loop {
-            if let Some(b) = reader.poll_frame().unwrap() {
+            if let Some(b) = acc.poll(&mut rx).unwrap() {
                 break b;
             }
         };
@@ -259,10 +231,10 @@ mod tests {
 
     #[test]
     fn partial_frames_survive_timeouts() {
-        let (mut tx, rx) = loopback_pair();
+        let (mut tx, mut rx) = loopback_pair();
         let body = hello_body(Sender::Replica(ReplicaId(7)));
         let bytes = frame_bytes(&body);
-        let mut reader = FrameReader::new(rx);
+        let mut acc = FrameAccumulator::new();
         // Dribble the frame one byte at a time, polling after every byte:
         // the reader times out between bytes (returning None) but must not
         // lose its place mid-header or mid-body.
@@ -270,13 +242,13 @@ mod tests {
         for b in &bytes {
             tx.write_all(std::slice::from_ref(b)).unwrap();
             tx.flush().unwrap();
-            if let Some(f) = reader.poll_frame().unwrap() {
+            if let Some(f) = acc.poll(&mut rx).unwrap() {
                 out = Some(f);
             }
         }
         // The last poll may race the final byte's arrival; drain to finish.
         while out.is_none() {
-            out = reader.poll_frame().unwrap();
+            out = acc.poll(&mut rx).unwrap();
         }
         match parse_frame(&out.unwrap()).unwrap() {
             Frame::Hello(s) => assert_eq!(s, Sender::Replica(ReplicaId(7))),
@@ -286,26 +258,28 @@ mod tests {
 
     #[test]
     fn oversized_and_zero_frames_rejected() {
-        let (mut tx, rx) = loopback_pair();
-        tx.write_all(&(0u32).to_le_bytes()).unwrap();
-        let mut reader = FrameReader::new(rx);
-        let err = loop {
-            match reader.poll_frame() {
-                Ok(None) => continue,
-                Ok(Some(_)) => panic!("zero frame accepted"),
-                Err(e) => break e,
-            }
-        };
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        for len in [0, MAX_FRAME as u32 + 1] {
+            let (mut tx, mut rx) = loopback_pair();
+            tx.write_all(&len.to_le_bytes()).unwrap();
+            let mut acc = FrameAccumulator::new();
+            let err = loop {
+                match acc.poll(&mut rx) {
+                    Ok(None) => continue,
+                    Ok(Some(_)) => panic!("frame of length {len} accepted"),
+                    Err(e) => break e,
+                }
+            };
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]
     fn eof_is_an_error() {
-        let (tx, rx) = loopback_pair();
+        let (tx, mut rx) = loopback_pair();
         drop(tx);
-        let mut reader = FrameReader::new(rx);
+        let mut acc = FrameAccumulator::new();
         let err = loop {
-            match reader.poll_frame() {
+            match acc.poll(&mut rx) {
                 Ok(None) => continue,
                 Ok(Some(_)) => panic!("frame from nowhere"),
                 Err(e) => break e,

@@ -18,21 +18,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration for an in-memory network.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NetworkConfig {
     /// One-way delivery latency applied to every message.
     pub latency: Duration,
-    /// Per-endpoint inbound queue bound (`None` = unbounded).
-    pub queue_capacity: Option<usize>,
-}
-
-impl Default for NetworkConfig {
-    fn default() -> Self {
-        NetworkConfig {
-            latency: Duration::ZERO,
-            queue_capacity: None,
-        }
-    }
 }
 
 struct NetInner {
@@ -131,9 +120,9 @@ impl Network {
             self.inner.stats.record_dropped();
             return Err(NetworkError::UnknownDestination(format!("{to:?}")));
         }
-        // Exact bytes-on-wire accounting: `encoded_len` is memoized in the
-        // envelope, so pricing a broadcast walks the batch once, not once
-        // per destination — and both transport backends report the same
+        // Exact bytes-on-wire accounting: `encoded_len` is the envelope's
+        // memoized signing bytes plus its signature, so pricing a broadcast
+        // walks no batch — and both transport backends report the same
         // number for the same message.
         self.inner.stats.record_sent(msg.kind(), msg.encoded_len());
         if self.inner.faults.should_drop(from, to) {
@@ -180,10 +169,7 @@ impl Transport for Network {
     }
 
     fn register_mailbox(&self, addr: Sender) -> Receiver<SignedMessage> {
-        let (tx, rx) = match self.inner.config.queue_capacity {
-            Some(cap) => channel::bounded(cap),
-            None => channel::unbounded(),
-        };
+        let (tx, rx) = channel::unbounded();
         let prev = self.inner.mailboxes.write().insert(addr, tx);
         assert!(prev.is_none(), "address {addr:?} registered twice");
         rx
@@ -275,7 +261,6 @@ mod tests {
     fn latency_delays_delivery() {
         let net = Network::new(NetworkConfig {
             latency: Duration::from_millis(30),
-            queue_capacity: None,
         });
         let a = net.register(r(0));
         let b = net.register(r(1));
@@ -296,7 +281,6 @@ mod tests {
     fn latency_preserves_fifo_per_link() {
         let net = Network::new(NetworkConfig {
             latency: Duration::from_millis(5),
-            queue_capacity: None,
         });
         let a = net.register(r(0));
         let b = net.register(r(1));

@@ -83,14 +83,6 @@ pub struct TcpConfig {
     /// dedicated connection to this replica (normally the view-0 primary)
     /// instead of sharing one link per replica. The id must be in `peers`.
     pub dedicated_to: Option<ReplicaId>,
-    /// Initial reconnect backoff for dialed links.
-    pub reconnect_min: Duration,
-    /// Backoff ceiling (doubles from `reconnect_min` up to this).
-    pub reconnect_max: Duration,
-    /// Connect timeout for the dialer thread.
-    pub write_timeout: Duration,
-    /// Granularity at which blocked threads re-check for shutdown.
-    pub poll_interval: Duration,
 }
 
 impl Default for TcpConfig {
@@ -102,10 +94,6 @@ impl Default for TcpConfig {
             client_queue_capacity: 4096,
             event_loops: 2,
             dedicated_to: None,
-            reconnect_min: Duration::from_millis(10),
-            reconnect_max: Duration::from_secs(1),
-            write_timeout: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(50),
         }
     }
 }
@@ -158,6 +146,15 @@ impl TcpConfig {
 /// Upper bound of the per-destination MSG frame header (tag + `Sender`),
 /// used by the send-side oversize guard.
 const MSG_HEADER_MAX: usize = 16;
+
+/// Initial reconnect backoff for dialed links.
+const RECONNECT_MIN: Duration = Duration::from_millis(10);
+/// Backoff ceiling (doubles from [`RECONNECT_MIN`] up to this).
+const RECONNECT_MAX: Duration = Duration::from_secs(1);
+/// Connect timeout for the dialer thread.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
+/// Granularity at which blocked threads re-check for shutdown.
+const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Reserved poller token: the loop's wake pipe.
 const WAKER_TOKEN: usize = usize::MAX;
@@ -506,7 +503,7 @@ struct DialRequest {
     link: Arc<Link>,
     /// Wait this long before attempting.
     delay: Duration,
-    /// Delay after the next failure (doubles up to `reconnect_max`).
+    /// Delay after the next failure (doubles up to [`RECONNECT_MAX`]).
     backoff: Duration,
 }
 
@@ -585,12 +582,11 @@ impl TcpInner {
     }
 
     fn request_dial(&self, link: Arc<Link>, delay: Duration) {
-        let backoff = self.cfg.reconnect_min.max(Duration::from_millis(1));
         if let Some(tx) = self.dial_tx.get() {
             let _ = tx.send(DialRequest {
                 link,
                 delay,
-                backoff,
+                backoff: RECONNECT_MIN,
             });
         }
     }
@@ -776,7 +772,7 @@ fn dialer(inner: &Arc<TcpInner>, rx: &Receiver<DialRequest>) {
     let mut pending: Vec<(Instant, DialRequest)> = Vec::new();
     while !inner.is_shutdown() {
         let now = Instant::now();
-        let mut next_due = now + inner.cfg.poll_interval;
+        let mut next_due = now + POLL_INTERVAL;
         let mut i = 0;
         while i < pending.len() {
             if pending[i].0 <= now {
@@ -817,13 +813,13 @@ fn attempt_dial(
             DialRequest {
                 link: req.link,
                 delay: req.backoff,
-                backoff: (req.backoff * 2).min(inner.cfg.reconnect_max),
+                backoff: (req.backoff * 2).min(RECONNECT_MAX),
             },
         ));
         return;
     }
     let addr = req.link.addr.expect("dialed link has an address");
-    match TcpStream::connect_timeout(&addr, inner.cfg.write_timeout) {
+    match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
         Ok(stream) if configure_stream(&stream).is_ok() => {
             let li = inner.next_loop();
             inner.send_loop_cmd(
@@ -841,7 +837,7 @@ fn attempt_dial(
                 DialRequest {
                     link: req.link,
                     delay: req.backoff,
-                    backoff: (req.backoff * 2).min(inner.cfg.reconnect_max),
+                    backoff: (req.backoff * 2).min(RECONNECT_MAX),
                 },
             ));
         }
@@ -897,7 +893,7 @@ impl EventLoop {
                 self.sleeping.store(false, Ordering::SeqCst);
                 continue;
             }
-            let res = self.poller.wait(&mut events, self.inner.cfg.poll_interval);
+            let res = self.poller.wait(&mut events, POLL_INTERVAL);
             self.sleeping.store(false, Ordering::SeqCst);
             if res.is_err() {
                 break;
@@ -960,7 +956,7 @@ impl EventLoop {
         if self.poller.register(fd, token, Interest::READ).is_err() {
             self.conns.remove(token);
             if dialed {
-                self.inner.request_dial(link, self.inner.cfg.reconnect_min);
+                self.inner.request_dial(link, RECONNECT_MIN);
             }
             return;
         }
@@ -1098,8 +1094,7 @@ impl EventLoop {
             let unsent: Vec<OutFrame> = conn.pending.into_iter().map(|pf| pf.frame).collect();
             conn.link.requeue_front(unsent);
             if !conn.link.is_closed() && !self.inner.is_shutdown() {
-                self.inner
-                    .request_dial(conn.link, self.inner.cfg.reconnect_min);
+                self.inner.request_dial(conn.link, RECONNECT_MIN);
             }
         } else {
             conn.link.close();
@@ -1847,7 +1842,6 @@ mod tests {
         drop(listeners.remove(0));
         let client_net = TcpTransport::new(TcpConfig {
             queue_capacity: 1,
-            reconnect_max: Duration::from_millis(50),
             ..TcpConfig::for_client(peers.clone())
         })
         .unwrap();

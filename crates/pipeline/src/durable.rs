@@ -31,7 +31,7 @@ use crate::executor::Executor;
 use crate::queues::ExecuteItem;
 use crate::recovery::verify_snapshot;
 use rdb_common::block::BlockCertificate;
-use rdb_common::codec::{Wire, WireReader, WireWriter};
+use rdb_common::codec::{counted_len, Sink, Wire, WireReader, WireWriter};
 use rdb_common::error::{CommonError, Result};
 use rdb_common::{Batch, Digest, DurabilityConfig, FsyncMode, SeqNum, Snapshot, ViewNum};
 use rdb_storage::wal::{FsyncPolicy, Wal};
@@ -93,7 +93,7 @@ impl WalEntry {
 }
 
 impl Wire for WalEntry {
-    fn write(&self, w: &mut WireWriter) {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
         match self {
             WalEntry::Commit {
                 seq,
@@ -102,21 +102,7 @@ impl Wire for WalEntry {
                 batch,
                 certificate,
                 history,
-            } => {
-                w.put_u8(TAG_COMMIT);
-                w.put_u64(seq.0);
-                w.put_u64(view.0);
-                w.put_bytes(digest.as_bytes());
-                match history {
-                    Some(h) => {
-                        w.put_u8(1);
-                        w.put_bytes(h.as_bytes());
-                    }
-                    None => w.put_u8(0),
-                }
-                batch.write(w);
-                certificate.write(w);
-            }
+            } => write_commit(w, *seq, *view, digest, history.as_ref(), batch, certificate),
             WalEntry::Rollback { to } => {
                 w.put_u8(TAG_ROLLBACK);
                 w.put_u64(to.0);
@@ -163,55 +149,50 @@ impl Wire for WalEntry {
             other => Err(CommonError::Codec(format!("unknown wal entry tag {other}"))),
         }
     }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            WalEntry::Commit {
-                batch,
-                certificate,
-                history,
-                ..
-            } => {
-                1 + 8
-                    + 8
-                    + 32
-                    + 1
-                    + if history.is_some() { 32 } else { 0 }
-                    + batch.encoded_len()
-                    + certificate.encoded_len()
-            }
-            WalEntry::Rollback { .. } | WalEntry::Stable { .. } => 1 + 8,
-        }
-    }
 }
 
-/// Encodes a [`WalEntry::Commit`] for `item` without cloning the batch
-/// out of its `Arc` — the commit path calls this once per batch, so the
-/// copy matters. Byte-identical to encoding the owned entry (pinned by a
-/// test below).
-pub fn commit_entry_bytes(item: &ExecuteItem) -> Vec<u8> {
-    let mut w = WireWriter::with_capacity(
-        1 + 8
-            + 8
-            + 32
-            + 1
-            + if item.history.is_some() { 32 } else { 0 }
-            + item.batch.encoded_len()
-            + item.certificate.encoded_len(),
-    );
+/// The one writer of the `Commit` record layout, shared by the owned
+/// [`WalEntry::Commit`] and [`commit_entry_bytes`].
+fn write_commit(
+    w: &mut WireWriter<impl Sink>,
+    seq: SeqNum,
+    view: ViewNum,
+    digest: &Digest,
+    history: Option<&Digest>,
+    batch: &Batch,
+    certificate: &BlockCertificate,
+) {
     w.put_u8(TAG_COMMIT);
-    w.put_u64(item.seq.0);
-    w.put_u64(item.view.0);
-    w.put_bytes(item.digest.as_bytes());
-    match &item.history {
+    w.put_u64(seq.0);
+    w.put_u64(view.0);
+    w.put_bytes(digest.as_bytes());
+    match history {
         Some(h) => {
             w.put_u8(1);
             w.put_bytes(h.as_bytes());
         }
         None => w.put_u8(0),
     }
-    item.batch.write(&mut w);
-    item.certificate.write(&mut w);
+    batch.write(w);
+    certificate.write(w);
+}
+
+/// Encodes a [`WalEntry::Commit`] for `item` without cloning the batch
+/// out of its `Arc` — the commit path calls this once per batch, so the
+/// copy matters.
+pub fn commit_entry_bytes(item: &ExecuteItem) -> Vec<u8> {
+    let ExecuteItem {
+        seq,
+        view,
+        digest,
+        batch,
+        certificate,
+        history,
+    } = item;
+    let history = history.as_ref();
+    let len = counted_len(|w| write_commit(w, *seq, *view, digest, history, batch, certificate));
+    let mut w = WireWriter::with_capacity(len);
+    write_commit(&mut w, *seq, *view, digest, history, batch, certificate);
     w.into_bytes()
 }
 

@@ -27,17 +27,12 @@ use std::time::Duration;
 pub struct ClientRequestQueue {
     tx: channel::Sender<SignedMessage>,
     rx: channel::Receiver<SignedMessage>,
-    enqueued: AtomicU64,
 }
 
 impl Default for ClientRequestQueue {
     fn default() -> Self {
         let (tx, rx) = channel::unbounded();
-        ClientRequestQueue {
-            tx,
-            rx,
-            enqueued: AtomicU64::new(0),
-        }
+        ClientRequestQueue { tx, rx }
     }
 }
 
@@ -51,7 +46,6 @@ impl ClientRequestQueue {
     pub fn push(&self, msg: SignedMessage) {
         // Cannot fail: the queue holds a receiver for as long as it lives.
         let _ = self.tx.send(msg);
-        self.enqueued.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Dequeues a request if one is available (batch-thread side).
@@ -67,11 +61,6 @@ impl ClientRequestQueue {
     /// Requests currently waiting.
     pub fn depth(&self) -> usize {
         self.rx.len()
-    }
-
-    /// Total requests ever enqueued.
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued.load(Ordering::Relaxed)
     }
 }
 
@@ -333,7 +322,6 @@ mod tests {
             ));
         }
         assert_eq!(q.depth(), 5);
-        assert_eq!(q.total_enqueued(), 5);
         let first = q.pop().unwrap();
         assert_eq!(first.sender(), Sender::Client(ClientId(0)));
         assert_eq!(q.depth(), 4);

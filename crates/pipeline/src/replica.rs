@@ -175,11 +175,6 @@ impl ReplicaHandle {
         &self.shared
     }
 
-    /// Number of OS threads this replica runs.
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// Stops all stage threads and joins them.
     pub fn shutdown(mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
