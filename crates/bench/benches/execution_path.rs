@@ -50,6 +50,12 @@
 //! state-transferring peer (or a stable checkpoint going to disk) pays for
 //! on demand. Both in µs.
 //!
+//! `durable/note_stable/64k/{persist,log_only}` time a durable replica's
+//! stable checkpoint at that shape, in µs: `persist` when the WAL had
+//! grown as large as the last snapshot, so the checkpoint materialised,
+//! saved and fsynced the snapshot and compacted the log; `log_only` when
+//! it appended the `Stable` marker alone.
+//!
 //! The detected CPU count and the SHA-256 backend the process selected
 //! are recorded in the emitted JSON so readers can interpret the `mem`
 //! and `merkle` rows. Alongside the criterion output it emits
@@ -328,35 +334,13 @@ fn merkle_costs_us(intervals: usize) -> (f64, f64, f64) {
 /// commits, the interval's Merkle flush excluded — the capture — and µs for the first `latest_snapshot()` 199
 /// batches (≈ 10 000 writes) past the last mark.
 fn snapshot_costs_us(intervals: u64) -> (f64, f64) {
-    const ROWS: u64 = 65_536;
-    const INTERVAL: u64 = 200;
-    let store: Arc<dyn StateStore> = Arc::new(MemStore::with_table(ROWS, 8));
-    let chain = Blockchain::new(Digest::ZERO, 0, ChainMode::Certificate);
-    let chain = Arc::new(parking_lot::Mutex::new(chain));
-    let executor = Executor::new(ReplicaId(0), ProtocolKind::Pbft, store, chain);
-    executor.set_snapshot_interval(INTERVAL);
+    let executor = checkpointing_executor();
     let mut rng = StdRng::seed_from_u64(7);
     let (mut at_boundary, mut elsewhere) = (Duration::ZERO, Duration::ZERO);
-    let batches = (intervals + 1) * INTERVAL - 1;
+    let batches = (intervals + 1) * CHECKPOINT_INTERVAL - 1;
     for seq in 1..=batches {
-        let batch: Batch = (0..50u64)
-            .map(|i| {
-                let op = Operation::Write {
-                    key: rng.gen_range(0..ROWS),
-                    value: rng.gen::<u64>().to_le_bytes().to_vec(),
-                };
-                Transaction::new(ClientId(i), seq, vec![op])
-            })
-            .collect();
-        let item = ExecuteItem {
-            seq: SeqNum(seq),
-            view: ViewNum(0),
-            digest: Digest([seq as u8; 32]),
-            batch: batch.into(),
-            certificate: BlockCertificate::default(),
-            history: None,
-        };
-        if seq % INTERVAL == 0 {
+        let item = uniform_item(seq, &mut rng);
+        if seq % CHECKPOINT_INTERVAL == 0 {
             // The boundary commit also brings the Merkle tree up to date
             // (`merkle/flush` times that): do it before the clock starts,
             // so this row keeps timing the mark alone.
@@ -364,7 +348,7 @@ fn snapshot_costs_us(intervals: u64) -> (f64, f64) {
         }
         let start = Instant::now();
         std::hint::black_box(executor.execute(&item));
-        if seq % INTERVAL == 0 {
+        if seq % CHECKPOINT_INTERVAL == 0 {
             at_boundary += start.elapsed();
         } else {
             elsewhere += start.elapsed();
@@ -375,8 +359,85 @@ fn snapshot_costs_us(intervals: u64) -> (f64, f64) {
     let start = Instant::now();
     let snapshot = executor.latest_snapshot().expect("marked");
     let materialize = start.elapsed().as_secs_f64();
-    assert_eq!(snapshot.base_seq, SeqNum(intervals * INTERVAL));
+    assert_eq!(snapshot.base_seq, SeqNum(intervals * CHECKPOINT_INTERVAL));
     (capture.max(0.0) * 1e6, materialize * 1e6)
+}
+
+/// What one stable checkpoint costs a durable replica at the same shape:
+/// `Executor::note_stable` for the boundary just executed, WAL under a
+/// 4 ms group-commit window as in the benchmark's `tcp_durable`. Mean µs
+/// of (the checkpoints that persisted the snapshot, those that only
+/// logged the marker); which is which is the persist rule's call — once
+/// the log holds as many bytes as the last snapshot.
+fn note_stable_costs_us(intervals: u64) -> (f64, f64) {
+    let dir = std::env::temp_dir().join(format!("rdb-stablebench-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = DurabilityConfig {
+        data_dir: Some(dir.display().to_string()),
+        fsync: FsyncMode::Group,
+        group_commit_window_us: 4_000,
+    };
+    let executor = checkpointing_executor();
+    let (durability, _) = Durability::open(&dir, &config).expect("open bench WAL");
+    executor.set_durability(Arc::new(durability));
+    let mut rng = StdRng::seed_from_u64(7);
+    let (mut persist, mut log_only) = (Vec::new(), Vec::new());
+    for seq in 1..=intervals * CHECKPOINT_INTERVAL {
+        std::hint::black_box(executor.execute(&uniform_item(seq, &mut rng)));
+        if seq % CHECKPOINT_INTERVAL == 0 {
+            let start = Instant::now();
+            executor.note_stable(SeqNum(seq));
+            let took = start.elapsed();
+            if dir.join(format!("snapshot-{seq}.snap")).exists() {
+                persist.push(took);
+            } else {
+                log_only.push(took);
+            }
+        }
+    }
+    drop(executor);
+    let _ = std::fs::remove_dir_all(&dir);
+    let mean_us = |d: &[Duration]| {
+        assert!(!d.is_empty(), "the rule both persisted and waited");
+        d.iter().sum::<Duration>().as_secs_f64() * 1e6 / d.len() as f64
+    };
+    (mean_us(&persist), mean_us(&log_only))
+}
+
+/// Checkpoint interval of the `merkle/`, `snapshot/` and `durable/` rows.
+const CHECKPOINT_INTERVAL: u64 = 200;
+
+/// A PBFT executor over a 65 536-row table of 8-byte values that marks a
+/// serving snapshot every [`CHECKPOINT_INTERVAL`] batches.
+fn checkpointing_executor() -> Executor {
+    let store: Arc<dyn StateStore> = Arc::new(MemStore::with_table(65_536, 8));
+    let chain = Blockchain::new(Digest::ZERO, 0, ChainMode::Certificate);
+    let chain = Arc::new(parking_lot::Mutex::new(chain));
+    let executor = Executor::new(ReplicaId(0), ProtocolKind::Pbft, store, chain);
+    executor.set_snapshot_interval(CHECKPOINT_INTERVAL);
+    executor
+}
+
+/// Batch `seq` of 50 one-write transactions of uniform keys and 8-byte
+/// values over that table: `mem_uniform`'s shape.
+fn uniform_item(seq: u64, rng: &mut StdRng) -> ExecuteItem {
+    let batch: Batch = (0..50u64)
+        .map(|i| {
+            let op = Operation::Write {
+                key: rng.gen_range(0..65_536u64),
+                value: rng.gen::<u64>().to_le_bytes().to_vec(),
+            };
+            Transaction::new(ClientId(i), seq, vec![op])
+        })
+        .collect();
+    ExecuteItem {
+        seq: SeqNum(seq),
+        view: ViewNum(0),
+        digest: Digest([seq as u8; 32]),
+        batch: batch.into(),
+        certificate: BlockCertificate::default(),
+        history: None,
+    }
 }
 
 struct Sample {
@@ -415,6 +476,15 @@ fn run_suite() -> Vec<Sample> {
     record(&mut samples, "snapshot/capture/64k", capture, "us");
     let name = "snapshot/materialize/64k_10k_dirty";
     record(&mut samples, name, materialize, "us");
+    let (persist, log_only) = (0..repeats)
+        .map(|_| note_stable_costs_us(8))
+        .fold((f64::INFINITY, f64::INFINITY), |best, (p, l)| {
+            (best.0.min(p), best.1.min(l))
+        });
+    for (row, us) in [("persist", persist), ("log_only", log_only)] {
+        let name = format!("durable/note_stable/64k/{row}");
+        record(&mut samples, name, us, "us");
+    }
 
     for backend in [Backend::Mem, Backend::Io] {
         let (write_ratio, batches) = backend.workload();
@@ -523,7 +593,8 @@ fn emit_json(samples: &[Sample]) {
     out.push_str(&format!(
         "  \"workload\": \"{BATCH_TXNS} txns/batch x {OPS_PER_TXN} ops, {VALUE_SIZE}B values, \
          table {TABLE_SIZE}, window {WINDOW}; io backend reads pay {}us; \
-         wal sweep runs 192 batches x 32 txns\",\n",
+         wal sweep runs 192 batches x 32 txns; durable rows run 8 checkpoint intervals \
+         under a 4ms group-commit window\",\n",
         IO_DELAY.as_micros()
     ));
     out.push_str(
@@ -531,6 +602,8 @@ fn emit_json(samples: &[Sample]) {
          merkle/flush us for the state_digest() after 200 of them, merkle/apply their sum per batch; \
          snapshot/capture is us a checkpoint-boundary commit costs over its neighbours (flush excluded) and \
          snapshot/materialize us for the first latest_snapshot() 10k writes later, same table; \
+         durable/note_stable is us per stable checkpoint on a durable executor over that table, \
+         persist when it wrote the snapshot and compacted the WAL, log_only when it only logged the marker; \
          speedup entries are ratios vs the serial execute-thread; \
          mem rows scale with physical cores, io rows with overlapped read latency; \
          wal rows are serial execution with the write-ahead log attached under the \

@@ -50,7 +50,9 @@ impl Snapshot {
     /// Persists the snapshot to `path` atomically: the canonical `Wire`
     /// encoding is framed with a magic, length, and FNV-1a checksum,
     /// written to a sibling temp file, fsynced, and renamed into place —
-    /// a crash mid-save leaves the previous snapshot file untouched.
+    /// a crash mid-save leaves the previous snapshot file untouched. The
+    /// rename is durable ([`rename_durably`]) before this returns, so a
+    /// caller may then delete what the new file supersedes.
     ///
     /// The checksum is an *integrity* guard (bit rot, torn rename on
     /// exotic filesystems). Authenticity is not its job: every consumer
@@ -70,7 +72,7 @@ impl Snapshot {
             f.write_all(&payload)?;
             f.sync_data()?;
         }
-        std::fs::rename(&tmp, path)
+        rename_durably(&tmp, path)
     }
 
     /// Loads a snapshot saved by [`Snapshot::save_to`], rejecting files
@@ -97,6 +99,22 @@ impl Snapshot {
         }
         Snapshot::decode(payload).map_err(|_| corrupt("snapshot payload undecodable"))
     }
+}
+
+/// Renames `from` over `to`, then fsyncs `to`'s directory. A synced file
+/// under a name its directory has not synced can lose that name in a
+/// power failure, so code that deletes or compacts what `to` supersedes
+/// must run only after this returns.
+///
+/// # Errors
+/// Any I/O error from the rename or from syncing the directory.
+pub fn rename_durably(from: &Path, to: &Path) -> io::Result<()> {
+    std::fs::rename(from, to)?;
+    let dir = match to.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(dir)?.sync_all()
 }
 
 /// FNV-1a over `bytes` — a dependency-free integrity checksum (this crate

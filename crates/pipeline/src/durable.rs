@@ -21,11 +21,18 @@
 //! back — it was never committed, and the reconciled history will be
 //! re-learned from peers.
 //!
-//! Log compaction piggybacks on checkpoint stability: once a snapshot at
+//! A stable checkpoint persists its snapshot only once the log holds as
+//! many bytes as the last persisted snapshot encodes to
+//! ([`Durability::snapshot_due`]; always, before the first): the
+//! break-even between replaying a log and loading the state it rebuilds.
+//! Until then a stable checkpoint costs one `Stable` marker, and recovery
+//! replays at most about one snapshot's worth of log. Once a snapshot at
 //! `base` is persisted, every entry at or below `base` is dead weight and
-//! [`Durability::persist_stable`] rewrites the log without them. A crash
-//! between the snapshot write and the compaction is safe — replay skips
-//! entries the snapshot already covers.
+//! [`Durability::persist_stable`] rewrites the log without them. The
+//! snapshot's name is durable (its directory synced) before the
+//! superseded snapshot is deleted or the log compacted; a crash between
+//! the snapshot write and the compaction is safe — replay skips entries
+//! the snapshot already covers.
 
 use crate::executor::Executor;
 use crate::queues::ExecuteItem;
@@ -214,6 +221,9 @@ pub struct Durability {
     /// Base sequence of the newest snapshot on disk (0 = none yet);
     /// guards against redundant persists of the same checkpoint.
     persisted_base: AtomicU64,
+    /// Encoded length of that snapshot (0 = none yet): the log may grow
+    /// to this many bytes before persisting a newer one pays for itself.
+    snapshot_len: AtomicU64,
 }
 
 impl std::fmt::Debug for Durability {
@@ -224,6 +234,7 @@ impl std::fmt::Debug for Durability {
                 "persisted_base",
                 &self.persisted_base.load(Ordering::Relaxed),
             )
+            .field("snapshot_len", &self.snapshot_len.load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -265,6 +276,7 @@ impl Durability {
             wal,
             dir: dir.to_path_buf(),
             persisted_base: AtomicU64::new(snapshot.as_ref().map_or(0, |s| s.base_seq.0)),
+            snapshot_len: AtomicU64::new(snapshot.as_ref().map_or(0, |s| s.encoded_len() as u64)),
         };
         Ok((durability, LocalState { snapshot, entries }))
     }
@@ -283,6 +295,15 @@ impl Durability {
             .expect("wal append failed: durable state is unrecoverable");
     }
 
+    /// Whether a stable checkpoint should persist its snapshot: once the
+    /// log holds as many bytes as the last persisted snapshot encodes to
+    /// (at once, before the first). Replaying the log then costs about
+    /// what loading a newer snapshot would; persisting sooner writes the
+    /// whole table to spare replaying less than its size.
+    pub fn snapshot_due(&self) -> bool {
+        self.wal.byte_len() >= self.snapshot_len.load(Ordering::Relaxed)
+    }
+
     /// Persists `snapshot` as the replica's newest stable checkpoint and
     /// compacts the WAL down to the suffix above its base. Skips silently
     /// if an equal-or-newer snapshot is already on disk.
@@ -295,7 +316,10 @@ impl Durability {
         snapshot
             .save_to(&path)
             .expect("snapshot persist failed: durable state is unrecoverable");
-        // Older snapshots are now superseded; best-effort cleanup.
+        self.snapshot_len
+            .store(snapshot.encoded_len() as u64, Ordering::Relaxed);
+        // `save_to` synced the new name into the directory, so older
+        // snapshots are superseded on disk too; best-effort cleanup.
         if let Ok(dir) = std::fs::read_dir(&self.dir) {
             for f in dir.flatten() {
                 if let Some(seq) = snapshot_seq_of(&f.path()) {
@@ -551,6 +575,29 @@ mod tests {
         }
     }
 
+    /// `txns` single-write transactions over keys 1000.. with 16-byte
+    /// values: a wide batch that makes the state — and so the snapshot —
+    /// several intervals of [`item`]s' log large.
+    fn wide_item(seq: u64, txns: u64, zyzzyva: bool) -> ExecuteItem {
+        let batch: Batch = (0..txns)
+            .map(|i| {
+                let op = Operation::Write {
+                    key: 1_000 + i,
+                    value: vec![seq as u8; 16],
+                };
+                Transaction::new(ClientId(7_000 + i), seq, vec![op])
+            })
+            .collect();
+        ExecuteItem {
+            batch: Arc::new(batch),
+            ..item(seq, 0, zyzzyva)
+        }
+    }
+
+    /// Bytes one `Stable` marker adds to the log: its 9-byte entry in a
+    /// frame of u32 length and SHA-256 checksum.
+    const MARKER_BYTES: u64 = 4 + 32 + 9;
+
     fn fresh_executor(protocol: ProtocolKind) -> Executor {
         fresh_with_chain(protocol).0
     }
@@ -678,10 +725,21 @@ mod tests {
             live.execute(&item(seq, seq as u8, false));
         }
         assert_eq!(durability.wal_appends(), 5);
+        assert!(durability.snapshot_due(), "no snapshot yet: size 0");
         live.note_stable(SeqNum(4));
         assert!(
             dir.join("snapshot-4.snap").exists(),
             "latest captured snapshot (base 4) persisted"
+        );
+        let persisted = live.latest_snapshot().expect("marked at 4");
+        assert_eq!(
+            durability.snapshot_len.load(Ordering::Relaxed),
+            persisted.encoded_len() as u64
+        );
+        assert_eq!(
+            durability.wal.byte_len(),
+            8 + 36 + commit_entry_bytes(&item(5, 5, false)).len() as u64,
+            "compacted to the header and the one commit above the base"
         );
         let digest = live.store().state_digest();
         drop(live);
@@ -847,20 +905,90 @@ mod tests {
     fn snapshot_files_rotate() {
         let dir = tmp("rotate");
         let live = fresh_executor(ProtocolKind::Pbft);
-        let (_, _) = recover_replica(&live, &dir, &config()).expect("boot");
+        let (durability, _) = recover_replica(&live, &dir, &config()).expect("boot");
         live.set_snapshot_interval(2);
-        for seq in 1..=2 {
-            live.execute(&item(seq, seq as u8, false));
-        }
+        live.execute(&wide_item(1, 64, false));
+        live.execute(&item(2, 2, false));
         live.note_stable(SeqNum(2));
-        for seq in 3..=4 {
-            live.execute(&item(seq, seq as u8, false));
+        assert!(dir.join("snapshot-2.snap").exists(), "the first persists");
+        // Later checkpoints only log their marker until the log has grown
+        // as large as snapshot-2; the one that persists rotates it out.
+        let mut seq = 2;
+        while dir.join("snapshot-2.snap").exists() {
+            assert!(seq < 40, "the log outgrew the snapshot long ago");
+            for s in seq + 1..=seq + 2 {
+                live.execute(&item(s, s as u8, false));
+            }
+            seq += 2;
+            let due = durability.wal.byte_len() + MARKER_BYTES
+                >= durability.snapshot_len.load(Ordering::Relaxed);
+            live.note_stable(SeqNum(seq));
+            assert_eq!(dir.join(format!("snapshot-{seq}.snap")).exists(), due);
         }
-        live.note_stable(SeqNum(4));
-        assert!(dir.join("snapshot-4.snap").exists());
+        assert!(seq > 4, "at least one checkpoint only logged its marker");
         assert!(
-            !dir.join("snapshot-2.snap").exists(),
+            dir.join(format!("snapshot-{seq}.snap")).exists(),
             "superseded snapshot removed"
         );
+    }
+
+    #[test]
+    fn a_snapshot_persists_only_once_the_log_is_as_large_as_the_last() {
+        const INTERVAL: u64 = 4;
+        for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+            let zyzzyva = protocol == ProtocolKind::Zyzzyva;
+            let dir = tmp("break-even");
+            let (live, live_chain) = fresh_with_chain(protocol);
+            live.set_snapshot_interval(INTERVAL);
+            let (durability, _) = recover_replica(&live, &dir, &config()).expect("boot");
+            let snapshot_len = || durability.snapshot_len.load(Ordering::Relaxed);
+            let mut persisted = Vec::new();
+            for seq in 1..=40 * INTERVAL {
+                live.execute(&match seq {
+                    1 => wide_item(seq, 128, zyzzyva),
+                    _ => item(seq, seq as u8, zyzzyva),
+                });
+                if seq % INTERVAL != 0 {
+                    continue;
+                }
+                let (logged, last) = (durability.wal.byte_len(), snapshot_len());
+                live.note_stable(SeqNum(seq));
+                let persists = dir.join(format!("snapshot-{seq}.snap")).exists();
+                assert_eq!(
+                    persists,
+                    logged + MARKER_BYTES >= last,
+                    "{protocol:?} at {seq}"
+                );
+                if persists {
+                    persisted.push(seq);
+                }
+                // Within the snapshot's size after every stable checkpoint,
+                // so never more than that plus one interval of appends.
+                assert!(
+                    durability.wal.byte_len() <= snapshot_len(),
+                    "{protocol:?} at {seq}"
+                );
+
+                // A restart from what is on disk now rebuilds this replica.
+                let copy = tmp("break-even-restart");
+                for file in std::fs::read_dir(&dir).expect("list") {
+                    let file = file.expect("entry");
+                    std::fs::copy(file.path(), copy.join(file.file_name())).expect("copy");
+                }
+                let (reborn, chain) = fresh_with_chain(protocol);
+                reborn.set_snapshot_interval(INTERVAL);
+                let (_, report) = recover_replica(&reborn, &copy, &config()).expect("restart");
+                let base = *persisted.last().expect("the first checkpoint persists");
+                assert_eq!(report.snapshot_seq, SeqNum(base));
+                assert_eq!(report.replayed_batches, seq - base);
+                assert_eq!(chain.lock().head(), live_chain.lock().head());
+                assert_eq!(reborn.store().state_digest(), live.store().state_digest());
+                std::fs::remove_dir_all(&copy).expect("clean up");
+            }
+            assert!(
+                persisted.len() > 2 && persisted.len() < 20,
+                "{protocol:?}: the rule both fired and waited: {persisted:?}"
+            );
+        }
     }
 }

@@ -643,17 +643,23 @@ impl Executor {
     }
 
     /// Records that the checkpoint at `seq` became 2f+1-stable: prunes the
-    /// undo log, and — when running durable — logs a `Stable` marker and
-    /// persists the serving snapshot to disk (compacting the WAL down to
-    /// the suffix above it) once the mark's base is covered by the stable
-    /// floor. This is the one place a healthy durable replica pays for
-    /// materialising a snapshot, once per stable checkpoint.
+    /// undo log, and — when running durable — logs a `Stable` marker. Once
+    /// the WAL has grown as large as the last persisted snapshot
+    /// ([`Durability::snapshot_due`]) it also persists the serving
+    /// snapshot to disk, if the mark's base is covered by the stable
+    /// floor, and compacts the WAL down to the suffix above it. This is
+    /// the one place a healthy durable replica pays for materialising a
+    /// snapshot: once per log grown by a snapshot's size, not once per
+    /// stable checkpoint.
     pub fn note_stable(&self, seq: SeqNum) {
         self.prune_undo(seq);
         let Some(durability) = self.durability.lock().clone() else {
             return;
         };
         durability.log(&WalEntry::Stable { seq });
+        if !durability.snapshot_due() {
+            return;
+        }
         if let Some(snapshot) = self.snapshot_where(|base| base <= seq) {
             durability.persist_stable(&snapshot);
         }

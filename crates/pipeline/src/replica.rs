@@ -632,8 +632,9 @@ impl WorkerIo {
                 self.queues.repoint(self.queues.cursor().max(base.next()));
                 self.executor.install_snapshot(&snapshot);
             }
-            // With a data directory configured this also persists the
-            // covering snapshot and compacts the WAL behind it.
+            // With a data directory configured this also logs a `Stable`
+            // marker and, once the WAL has grown as large as the last
+            // snapshot, persists the covering one and compacts behind it.
             Effect::Stable { seq } => self.executor.note_stable(seq),
             // The input threads route client traffic by this.
             Effect::ViewEntered { instance, view } => {

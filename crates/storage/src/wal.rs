@@ -26,9 +26,11 @@
 //! nothing because appends always reach the OS page cache synchronously.
 
 use parking_lot::{Condvar, Mutex};
+use rdb_common::snapshot::rename_durably;
 use rdb_crypto::sha2::sha256;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,6 +75,10 @@ struct WalState {
 
 struct WalShared {
     state: Mutex<WalState>,
+    /// The log file's length in bytes, header included. Written under
+    /// `state`'s lock, read without it: the flusher holds that lock across
+    /// `fdatasync`.
+    len: AtomicU64,
     wake: Condvar,
     stop: AtomicBool,
     appends: AtomicU64,
@@ -124,7 +130,11 @@ impl Wal {
 
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let (recovery, valid_len) = scan(&bytes);
+        let (frames, valid_len) = scan(&bytes);
+        let recovery = WalRecovery {
+            records: frames.iter().map(|f| bytes[payload(f)].to_vec()).collect(),
+            torn_bytes: bytes.len() as u64 - valid_len,
+        };
         if bytes.len() as u64 != valid_len {
             // Torn tail (or a file that isn't a WAL at all): keep the valid
             // prefix, drop the rest, and make the truncation itself durable
@@ -138,10 +148,11 @@ impl Wal {
             file.write_all(MAGIC)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::End(0))?;
+        let len = file.seek(SeekFrom::End(0))?;
 
         let shared = Arc::new(WalShared {
             state: Mutex::new(WalState { file, unsynced: 0 }),
+            len: AtomicU64::new(len),
             wake: Condvar::new(),
             stop: AtomicBool::new(false),
             appends: AtomicU64::new(0),
@@ -173,6 +184,9 @@ impl Wal {
 
         let mut st = self.shared.state.lock();
         st.file.write_all(&frame)?;
+        self.shared
+            .len
+            .fetch_add(frame.len() as u64, Ordering::Relaxed);
         self.shared.appends.fetch_add(1, Ordering::Relaxed);
         match self.policy {
             FsyncPolicy::Always => {
@@ -198,39 +212,48 @@ impl Wal {
         st.file.seek(SeekFrom::End(0))?;
         st.file.sync_data()?;
         st.unsynced = 0;
+        self.shared.len.store(HEADER_LEN, Ordering::Relaxed);
         Ok(())
     }
 
     /// Compacts the log, retaining only records `keep` accepts (in order).
     /// Atomic: the retained set is written to a sibling temp file, synced,
     /// and renamed over the log, so a crash leaves either the old or the
-    /// new log — never a partial rewrite.
+    /// new log — never a partial rewrite. The rename itself is durable
+    /// (the directory is synced) before this returns.
     pub fn rewrite_retain(&self, mut keep: impl FnMut(&[u8]) -> bool) -> io::Result<()> {
         let mut st = self.shared.state.lock();
         st.file.seek(SeekFrom::Start(0))?;
         let mut bytes = Vec::new();
         st.file.read_to_end(&mut bytes)?;
-        let (recovery, _) = scan(&bytes);
+        // Each retained frame is copied as `scan` read and verified it —
+        // length, checksum, payload — so no record is hashed twice.
+        let mut kept = MAGIC.to_vec();
+        for frame in scan(&bytes).0 {
+            if keep(&bytes[payload(&frame)]) {
+                kept.extend_from_slice(&bytes[frame]);
+            }
+        }
 
         let tmp_path = self.path.with_extension("rewrite");
         let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(MAGIC)?;
-        for payload in &recovery.records {
-            if keep(payload) {
-                tmp.write_all(&(payload.len() as u32).to_le_bytes())?;
-                tmp.write_all(&sha256(payload))?;
-                tmp.write_all(payload)?;
-            }
-        }
+        tmp.write_all(&kept)?;
         tmp.sync_data()?;
         drop(tmp);
-        std::fs::rename(&tmp_path, &self.path)?;
+        rename_durably(&tmp_path, &self.path)?;
 
         let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         file.seek(SeekFrom::End(0))?;
         st.file = file;
         st.unsynced = 0;
+        self.shared.len.store(kept.len() as u64, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// The log's length in bytes, header and record framing included:
+    /// what a restart reads back. Never waits on the flusher's sync.
+    pub fn byte_len(&self) -> u64 {
+        self.shared.len.load(Ordering::Relaxed)
     }
 
     /// Total records appended through this handle.
@@ -278,13 +301,13 @@ fn spawn_flusher(shared: Arc<WalShared>, window: Duration) -> std::thread::JoinH
         .expect("spawn wal flusher")
 }
 
-/// Scans `bytes` for the longest valid record prefix. Returns the decoded
-/// payloads and the byte offset the file should be truncated to.
-fn scan(bytes: &[u8]) -> (WalRecovery, u64) {
-    let mut recovery = WalRecovery::default();
+/// Scans `bytes` for the longest valid record prefix. Returns the range of
+/// each valid record's frame (length, checksum, payload), in order, and
+/// the byte offset the file should be truncated to.
+fn scan(bytes: &[u8]) -> (Vec<Range<usize>>, u64) {
+    let mut frames = Vec::new();
     if bytes.len() < HEADER_LEN as usize || &bytes[..8] != MAGIC {
-        recovery.torn_bytes = bytes.len() as u64;
-        return (recovery, 0);
+        return (frames, 0);
     }
     let mut pos = HEADER_LEN as usize;
     loop {
@@ -300,11 +323,15 @@ fn scan(bytes: &[u8]) -> (WalRecovery, u64) {
         if sha256(payload) != *checksum {
             break;
         }
-        recovery.records.push(payload.to_vec());
+        frames.push(pos..pos + RECORD_OVERHEAD + len);
         pos += RECORD_OVERHEAD + len;
     }
-    recovery.torn_bytes = (bytes.len() - pos) as u64;
-    (recovery, pos as u64)
+    (frames, pos as u64)
+}
+
+/// The payload inside a frame [`scan`] returned.
+fn payload(frame: &Range<usize>) -> Range<usize> {
+    frame.start + RECORD_OVERHEAD..frame.end
 }
 
 #[cfg(test)]
@@ -455,5 +482,41 @@ mod tests {
             rec.records,
             vec![b"b1".to_vec(), b"b2".to_vec(), b"b3".to_vec()]
         );
+    }
+
+    #[test]
+    fn a_compacted_log_reopens_with_the_same_records_and_no_torn_bytes() {
+        let path = tmp("compacted");
+        let (wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("open");
+        let records: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 13 * i as usize]).collect();
+        for record in &records {
+            wal.append(record).expect("append");
+        }
+        wal.rewrite_retain(|payload| payload.len() % 2 == 0)
+            .expect("rewrite");
+        let kept: Vec<Vec<u8>> = records.into_iter().filter(|r| r.len() % 2 == 0).collect();
+        let len = wal.byte_len();
+        drop(wal);
+        assert_eq!(std::fs::metadata(&path).expect("meta").len(), len);
+        let (_, rec) = Wal::open(&path, FsyncPolicy::Never).expect("reopen");
+        assert_eq!(rec.records, kept, "every retained frame verifies");
+        assert_eq!(rec.torn_bytes, 0);
+    }
+
+    #[test]
+    fn byte_len_is_the_file_length() {
+        let path = tmp("byte-len");
+        let file_len = || std::fs::metadata(&path).expect("meta").len();
+        let (wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("open");
+        assert_eq!(wal.byte_len(), HEADER_LEN);
+        wal.append(b"seven!!").expect("append");
+        wal.append(&[]).expect("append");
+        assert_eq!(wal.byte_len(), HEADER_LEN + 2 * 36 + 7);
+        assert_eq!(wal.byte_len(), file_len());
+        drop(wal);
+        let (wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("reopen");
+        assert_eq!(wal.byte_len(), file_len(), "read back on open");
+        wal.reset().expect("reset");
+        assert_eq!(wal.byte_len(), HEADER_LEN);
     }
 }

@@ -30,7 +30,10 @@
 # a RECOVER line proving it rebuilt from *local* disk — a persisted
 # snapshot plus only the WAL suffix past it, not a genesis replay and not
 # a network transfer — and then converge to the survivors' FINAL digest
-# through the second burst.
+# through the second burst. A replica persists a snapshot at its first
+# stable checkpoint and then only once the WAL has grown as large as the
+# last one, so the suffix can span several checkpoints: the check is
+# that it replays fewer transactions than the burst, not none.
 #
 # Usage: scripts/fault-matrix-smoke.sh [path-to-rdb-node-dir] [log-dir]
 #   arg1: directory containing the rdb-node and faults binaries
@@ -332,7 +335,8 @@ grep CLIENT "$LOG_DIR/durable-client-0.log" || true
 
 # Wait until replica 3 has executed the whole first burst, then give the
 # checkpoint protocol and the group-commit flusher a moment to land the
-# covering snapshot and the WAL tail on disk before pulling the plug.
+# snapshot of the first stable checkpoint (later ones log a marker until
+# the WAL outgrows it) and the WAL tail on disk before pulling the plug.
 r3_caught_up=""
 for _ in $(seq 1 "$WAIT"); do
   state=$(grep '^STATE ' "$LOG_DIR/durable-replica-3.log" | tail -n1 || true)
