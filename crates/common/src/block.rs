@@ -117,11 +117,6 @@ impl Block {
         }
     }
 
-    /// Whether this is the genesis block.
-    pub fn is_genesis(&self) -> bool {
-        self.seq == SeqNum(0) && matches!(self.link, BlockLink::Hash(d) if d == Digest::ZERO)
-    }
-
     /// Canonical bytes over which the block hash is computed.
     pub fn canonical_bytes(&self) -> Vec<u8> {
         self.encode()
@@ -165,8 +160,8 @@ mod tests {
     #[test]
     fn genesis_block_properties() {
         let g = Block::genesis(Digest([7; 32]));
-        assert!(g.is_genesis());
         assert_eq!(g.seq, SeqNum(0));
+        assert_eq!(g.link, BlockLink::Hash(Digest::ZERO));
         assert_eq!(g.txn_count, 0);
     }
 
@@ -181,7 +176,6 @@ mod tests {
             result_digest: Digest([4; 32]),
         };
         assert_eq!(Block::decode(&b.encode()).unwrap(), b);
-        assert!(!b.is_genesis());
     }
 
     #[test]

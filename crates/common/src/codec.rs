@@ -148,11 +148,6 @@ impl<S: Sink> WireWriter<S> {
         self.sink.put(&[v]);
     }
 
-    /// Writes a `u16` little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.sink.put(&v.to_le_bytes());
-    }
-
     /// Writes a `u32` little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.sink.put(&v.to_le_bytes());
@@ -172,11 +167,6 @@ impl<S: Sink> WireWriter<S> {
     pub fn put_var_bytes(&mut self, v: &[u8]) {
         self.put_u32(v.len() as u32);
         self.put_bytes(v);
-    }
-
-    /// Writes a length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
-        self.put_var_bytes(v.as_bytes());
     }
 }
 
@@ -235,15 +225,6 @@ impl<'a> WireReader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Reads a little-endian `u16`.
-    ///
-    /// # Errors
-    /// Returns [`CommonError::Codec`] if the buffer is exhausted.
-    pub fn get_u16(&mut self) -> Result<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Reads a little-endian `u32`.
     ///
     /// # Errors
@@ -288,15 +269,6 @@ impl<'a> WireReader<'a> {
             )));
         }
         self.take(n)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    ///
-    /// # Errors
-    /// Returns [`CommonError::Codec`] on truncation or invalid UTF-8.
-    pub fn get_str(&mut self) -> Result<String> {
-        let b = self.get_var_bytes()?;
-        String::from_utf8(b.to_vec()).map_err(|e| CommonError::Codec(format!("invalid utf-8: {e}")))
     }
 
     /// Asserts the reader consumed the entire buffer.
@@ -454,20 +426,16 @@ mod tests {
     fn primitive_round_trips() {
         let mut w = WireWriter::new();
         w.put_u8(7);
-        w.put_u16(300);
         w.put_u32(70_000);
         w.put_u64(u64::MAX);
         w.put_var_bytes(b"hello");
-        w.put_str("world");
         let bytes = w.into_bytes();
 
         let mut r = WireReader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u16().unwrap(), 300);
         assert_eq!(r.get_u32().unwrap(), 70_000);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_var_bytes().unwrap(), b"hello");
-        assert_eq!(r.get_str().unwrap(), "world");
         assert!(r.finish().is_ok());
     }
 
@@ -548,14 +516,5 @@ mod tests {
         r.get_u32().unwrap();
         let end = r.offset();
         assert_eq!(r.window(start, end), &bytes[..4]);
-    }
-
-    #[test]
-    fn invalid_utf8_errors() {
-        let mut w = WireWriter::new();
-        w.put_var_bytes(&[0xff, 0xfe]);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert!(r.get_str().is_err());
     }
 }

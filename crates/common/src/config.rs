@@ -11,10 +11,9 @@
 
 use crate::error::{CommonError, Result};
 use crate::quorum;
-use serde::{Deserialize, Serialize};
 
 /// Which consensus protocol the deployment runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProtocolKind {
     /// Three-phase PBFT (two quadratic phases). The paper's headline choice.
     #[default]
@@ -34,7 +33,7 @@ impl ProtocolKind {
 }
 
 /// Cryptographic signing configuration (Figure 13's four settings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CryptoScheme {
     /// No signatures anywhere — upper bound only, not a valid deployment.
     NoCrypto,
@@ -61,7 +60,7 @@ impl CryptoScheme {
 }
 
 /// When the write-ahead log forces appended records to stable storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum FsyncMode {
     /// fsync on every append — strongest durability, one disk flush per
     /// committed batch.
@@ -96,7 +95,7 @@ impl FsyncMode {
 /// `<data_dir>/replica-<id>` directory holding its WAL and persisted
 /// checkpoint snapshots, and a restart replays local state first, falling
 /// back to the network only when the directory is missing or corrupt.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DurabilityConfig {
     /// Root directory for per-replica persistent state (`None` ⇒ memory
     /// only, no WAL, no persisted snapshots).
@@ -111,11 +110,6 @@ pub struct DurabilityConfig {
 impl DurabilityConfig {
     /// Default group-commit window: 1 ms.
     pub const DEFAULT_GROUP_COMMIT_WINDOW_US: u64 = 1_000;
-
-    /// Whether this configuration persists anything at all.
-    pub fn enabled(&self) -> bool {
-        self.data_dir.is_some()
-    }
 
     /// The group-commit window as a [`std::time::Duration`].
     pub fn group_commit_window(&self) -> std::time::Duration {
@@ -140,7 +134,7 @@ impl Default for DurabilityConfig {
 /// the worker-thread (the "0E 0B" monolithic baseline of Figure 8). The
 /// worker itself is not configurable: every replica runs exactly one, so
 /// protocol state has a single owner.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadConfig {
     /// Input threads receiving client requests (primary only).
     pub client_input_threads: usize,
@@ -195,28 +189,6 @@ impl ThreadConfig {
         }
     }
 
-    /// Total threads a primary replica runs under this configuration
-    /// (always with exactly one worker thread, which owns the consensus
-    /// state machine).
-    pub fn total_primary(&self) -> usize {
-        self.client_input_threads
-            + self.replica_input_threads
-            + self.batch_threads
-            + 1
-            + self.execute_threads
-            + self.checkpoint_threads
-            + self.output_threads
-    }
-
-    /// Total threads a backup replica runs (no client input, no batching).
-    pub fn total_backup(&self) -> usize {
-        self.replica_input_threads
-            + 1
-            + self.execute_threads
-            + self.checkpoint_threads
-            + self.output_threads
-    }
-
     /// Short `xE yB` label used in figure output.
     pub fn label(&self) -> String {
         format!("{}E {}B", self.execute_threads, self.batch_threads)
@@ -230,7 +202,7 @@ impl Default for ThreadConfig {
 }
 
 /// Full deployment configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of replicas `n`.
     pub n: usize,
@@ -304,61 +276,6 @@ impl SystemConfig {
             consensus_instances: 1,
             durability: DurabilityConfig::default(),
         })
-    }
-
-    /// Builder-style: sets the consensus protocol.
-    pub fn with_protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Builder-style: sets the batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size;
-        self
-    }
-
-    /// Builder-style: sets the crypto scheme.
-    pub fn with_crypto(mut self, crypto: CryptoScheme) -> Self {
-        self.crypto = crypto;
-        self
-    }
-
-    /// Builder-style: sets the client population.
-    pub fn with_clients(mut self, num_clients: usize) -> Self {
-        self.num_clients = num_clients;
-        self
-    }
-
-    /// Builder-style: sets operations per transaction.
-    pub fn with_ops_per_txn(mut self, ops: usize) -> Self {
-        self.ops_per_txn = ops;
-        self
-    }
-
-    /// Builder-style: sets the per-transaction payload size.
-    pub fn with_payload_bytes(mut self, bytes: usize) -> Self {
-        self.payload_bytes = bytes;
-        self
-    }
-
-    /// Builder-style: sets cores per replica machine.
-    pub fn with_cores(mut self, cores: usize) -> Self {
-        self.cores = cores;
-        self
-    }
-
-    /// Builder-style: sets the view-change suspicion timeout.
-    pub fn with_view_timeout_ms(mut self, ms: u64) -> Self {
-        self.view_timeout_ms = ms;
-        self
-    }
-
-    /// Builder-style: sets the number of parallel consensus instances
-    /// (multi-primary ordering). `1` restores single-primary operation.
-    pub fn with_consensus_instances(mut self, k: usize) -> Self {
-        self.consensus_instances = k;
-        self
     }
 
     /// Validates internal consistency.
@@ -483,32 +400,17 @@ mod tests {
     fn thread_config_counts() {
         let t = ThreadConfig::standard();
         // 1 client-in + 2 replica-in + 2 batch + 1 worker + 1 exec + 1 ckpt + 2 out
-        assert_eq!(t.total_primary(), 10);
-        // backups drop client-in and batch threads
-        assert_eq!(t.total_backup(), 7);
+        let per_stage = [
+            t.client_input_threads,
+            t.replica_input_threads,
+            t.batch_threads,
+            t.execute_threads,
+            t.checkpoint_threads,
+            t.output_threads,
+        ];
+        assert_eq!(per_stage, [1, 2, 2, 1, 1, 2]);
         assert_eq!(t.label(), "1E 2B");
         assert_eq!(ThreadConfig::monolithic().label(), "0E 0B");
-    }
-
-    #[test]
-    fn builder_chain() {
-        let c = SystemConfig::new(8)
-            .unwrap()
-            .with_protocol(ProtocolKind::Zyzzyva)
-            .with_batch_size(500)
-            .with_crypto(CryptoScheme::Rsa)
-            .with_ops_per_txn(10)
-            .with_payload_bytes(1024)
-            .with_cores(4)
-            .with_clients(1000);
-        assert_eq!(c.protocol, ProtocolKind::Zyzzyva);
-        assert_eq!(c.batch_size, 500);
-        assert_eq!(c.crypto, CryptoScheme::Rsa);
-        assert_eq!(c.ops_per_txn, 10);
-        assert_eq!(c.payload_bytes, 1024);
-        assert_eq!(c.cores, 4);
-        assert_eq!(c.num_clients, 1000);
-        assert!(c.validate().is_ok());
     }
 
     #[test]
@@ -516,19 +418,21 @@ mod tests {
         let c = SystemConfig::new(4).unwrap();
         assert_eq!(c.consensus_instances, 1, "default is single-primary");
 
-        let c = SystemConfig::new(4).unwrap().with_consensus_instances(2);
-        assert!(c.validate().is_ok());
-        let c = SystemConfig::new(4).unwrap().with_consensus_instances(4);
-        assert!(c.validate().is_ok());
-
-        let c = SystemConfig::new(4).unwrap().with_consensus_instances(0);
-        assert!(c.validate().is_err(), "zero instances rejected");
-        let c = SystemConfig::new(4).unwrap().with_consensus_instances(5);
-        assert!(c.validate().is_err(), "more instances than replicas");
-        let c = SystemConfig::new(4)
-            .unwrap()
-            .with_protocol(ProtocolKind::Zyzzyva)
-            .with_consensus_instances(2);
+        let with_k = |k: usize| SystemConfig {
+            consensus_instances: k,
+            ..SystemConfig::new(4).unwrap()
+        };
+        assert!(with_k(2).validate().is_ok());
+        assert!(with_k(4).validate().is_ok());
+        assert!(with_k(0).validate().is_err(), "zero instances rejected");
+        assert!(
+            with_k(5).validate().is_err(),
+            "more instances than replicas"
+        );
+        let c = SystemConfig {
+            protocol: ProtocolKind::Zyzzyva,
+            ..with_k(2)
+        };
         assert!(c.validate().is_err(), "multi-primary is PBFT-only");
     }
 
@@ -543,7 +447,7 @@ mod tests {
     #[test]
     fn durability_defaults_and_validation() {
         let c = SystemConfig::new(4).unwrap();
-        assert!(!c.durability.enabled(), "memory-only by default");
+        assert!(c.durability.data_dir.is_none(), "memory-only by default");
         assert_eq!(c.durability.fsync, FsyncMode::Group);
         assert_eq!(
             c.durability.group_commit_window(),
@@ -552,7 +456,6 @@ mod tests {
 
         let mut c = SystemConfig::new(4).unwrap();
         c.durability.data_dir = Some("/tmp/rdb".into());
-        assert!(c.durability.enabled());
         assert!(c.validate().is_ok());
 
         // A zero window under group commit would spin the flusher.

@@ -15,15 +15,16 @@
 //! └── seed                    deterministic key-generation seed
 //! ```
 //!
-//! `SystemBuilder`, `start_replica`, `connect_client` and the `rdb-node`
+//! `SystemBuilder`, `start_replica`, `client_net` and the `rdb-node`
 //! binary all consume the same struct, and [`NodeOptions::validate`] is
-//! the single place cross-field consistency is checked. The `rdb-node`
+//! the single place cross-field consistency is checked. Code sets its
+//! fields through `SystemBuilder` or by plain assignment. The `rdb-node`
 //! config file carries a `[node]` section parsed by
 //! [`NodeOptions::apply_toml`] alongside the existing `[peers]` section;
 //! its keys and `rdb-node`'s equivalent flags are both parsed by
 //! [`NodeOptions::set`], the one place option values are read from text.
 
-use crate::config::{CryptoScheme, FsyncMode, ProtocolKind, SystemConfig, ThreadConfig};
+use crate::config::{CryptoScheme, FsyncMode, ProtocolKind, SystemConfig};
 use crate::error::{CommonError, Result};
 use crate::peers::PeerMap;
 use std::time::Duration;
@@ -148,126 +149,6 @@ impl NodeOptions {
             client_keys: 8,
             seed: 42,
         })
-    }
-
-    // --- builder methods ---------------------------------------------------
-
-    /// Sets the consensus protocol.
-    pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.system.protocol = protocol;
-        self
-    }
-
-    /// Sets transactions per consensus batch.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.system.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the signing scheme.
-    pub fn crypto(mut self, crypto: CryptoScheme) -> Self {
-        self.system.crypto = crypto;
-        self
-    }
-
-    /// Sets the thread allocation (the `xE yB` knob of Figure 8).
-    pub fn threads(mut self, threads: ThreadConfig) -> Self {
-        self.system.threads = threads;
-        self
-    }
-
-    /// Sets the number of pre-loaded table records.
-    pub fn table_size(mut self, records: u64) -> Self {
-        self.system.table_size = records;
-        self
-    }
-
-    /// Sets the checkpoint interval Δ (in transactions).
-    pub fn checkpoint_interval(mut self, txns: u64) -> Self {
-        self.system.checkpoint_interval = txns;
-        self
-    }
-
-    /// Sets the view-change suspicion timeout.
-    pub fn view_timeout_ms(mut self, ms: u64) -> Self {
-        self.system.view_timeout_ms = ms;
-        self
-    }
-
-    /// Makes the initial primary equivocate (byzantine fault injection).
-    pub fn byzantine_primary(mut self, byzantine: bool) -> Self {
-        self.system.byzantine_primary = byzantine;
-        self
-    }
-
-    /// Sets the number of parallel consensus instances `k` (multi-primary
-    /// ordering); `1` is classic single-primary operation.
-    pub fn consensus_instances(mut self, k: usize) -> Self {
-        self.system.consensus_instances = k;
-        self
-    }
-
-    /// Root directory for per-replica durable state (WAL + persisted
-    /// snapshots). Unset ⇒ memory-only replicas, network-only recovery.
-    pub fn data_dir(mut self, dir: impl Into<String>) -> Self {
-        self.system.durability.data_dir = Some(dir.into());
-        self
-    }
-
-    /// When WAL appends reach stable storage.
-    pub fn fsync(mut self, mode: FsyncMode) -> Self {
-        self.system.durability.fsync = mode;
-        self
-    }
-
-    /// Group-commit window ([`FsyncMode::Group`] only).
-    pub fn group_commit_window(mut self, window: Duration) -> Self {
-        self.system.durability.group_commit_window_us = window.as_micros() as u64;
-        self
-    }
-
-    /// Number of client identities to generate keys for (also sizes the
-    /// modeled client population).
-    pub fn client_keys(mut self, clients: usize) -> Self {
-        self.client_keys = clients;
-        self.system.num_clients = clients;
-        self
-    }
-
-    /// Seed for deterministic key generation.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Selects the transport backend.
-    pub fn transport(mut self, mode: TransportMode) -> Self {
-        self.net.mode = mode;
-        self
-    }
-
-    /// One-way modeled latency (in-memory backend only).
-    pub fn latency(mut self, latency: Duration) -> Self {
-        self.net.latency_us = latency.as_micros() as u64;
-        self
-    }
-
-    /// Reactor event-loop threads per TCP transport.
-    pub fn event_loops(mut self, loops: usize) -> Self {
-        self.net.event_loops = loops;
-        self
-    }
-
-    /// Per-link gossip queue budget (drop-oldest overflow).
-    pub fn queue_capacity(mut self, frames: usize) -> Self {
-        self.net.queue_capacity = frames;
-        self
-    }
-
-    /// Per-link client queue budget (backpressured, never shed).
-    pub fn client_queue_capacity(mut self, frames: usize) -> Self {
-        self.net.client_queue_capacity = frames;
-        self
     }
 
     // --- validation --------------------------------------------------------
@@ -485,17 +366,20 @@ mod tests {
 
     #[test]
     fn builders_layer_over_system_and_net() {
-        let opts = NodeOptions::in_memory(4)
-            .unwrap()
-            .protocol(ProtocolKind::Zyzzyva)
-            .batch_size(50)
-            .client_keys(32)
-            .seed(7)
-            .transport(TransportMode::Tcp)
-            .event_loops(4)
-            .queue_capacity(128)
-            .client_queue_capacity(256)
-            .latency(Duration::from_micros(150));
+        let mut opts = NodeOptions::in_memory(4).unwrap();
+        for (key, value) in [
+            ("protocol", "zyzzyva"),
+            ("batch_size", "50"),
+            ("client_keys", "32"),
+            ("seed", "7"),
+            ("event_loops", "4"),
+            ("queue_capacity", "128"),
+            ("client_queue_capacity", "256"),
+        ] {
+            opts.set(key, value).unwrap();
+        }
+        opts.net.mode = TransportMode::Tcp;
+        opts.net.latency_us = 150;
         assert_eq!(opts.system.protocol, ProtocolKind::Zyzzyva);
         assert_eq!(opts.system.batch_size, 50);
         assert_eq!(opts.system.num_clients, 32);
@@ -516,13 +400,16 @@ mod tests {
         assert!(opts.validate().is_err());
 
         // TCP sizing.
-        let opts = NodeOptions::new(four_peers()).unwrap().event_loops(0);
+        let mut opts = NodeOptions::new(four_peers()).unwrap();
+        opts.net.event_loops = 0;
         assert!(opts.validate().is_err());
-        let opts = NodeOptions::new(four_peers()).unwrap().queue_capacity(0);
+        let mut opts = NodeOptions::new(four_peers()).unwrap();
+        opts.net.queue_capacity = 0;
         assert!(opts.validate().is_err());
 
         // System-level rules still apply through the same entry point.
-        let opts = NodeOptions::in_memory(4).unwrap().batch_size(0);
+        let mut opts = NodeOptions::in_memory(4).unwrap();
+        opts.system.batch_size = 0;
         assert!(opts.validate().is_err());
     }
 
@@ -564,7 +451,8 @@ client_queue_capacity = 1024
 
     #[test]
     fn consensus_instances_layer_and_toml() {
-        let opts = NodeOptions::in_memory(4).unwrap().consensus_instances(2);
+        let mut opts = NodeOptions::in_memory(4).unwrap();
+        opts.set("consensus_instances", "2").unwrap();
         assert_eq!(opts.system.consensus_instances, 2);
         assert!(opts.validate().is_ok());
 
@@ -575,20 +463,18 @@ client_queue_capacity = 1024
         assert!(opts.validate().is_ok());
 
         // Zyzzyva + multi-primary is rejected through the same entry point.
-        let opts = NodeOptions::in_memory(4)
-            .unwrap()
-            .protocol(ProtocolKind::Zyzzyva)
-            .consensus_instances(2);
+        let mut opts = NodeOptions::in_memory(4).unwrap();
+        opts.system.protocol = ProtocolKind::Zyzzyva;
+        opts.system.consensus_instances = 2;
         assert!(opts.validate().is_err());
     }
 
     #[test]
     fn durability_layer_and_toml() {
-        let opts = NodeOptions::in_memory(4)
-            .unwrap()
-            .data_dir("/tmp/rdb-data")
-            .fsync(FsyncMode::Always)
-            .group_commit_window(Duration::from_micros(250));
+        let mut opts = NodeOptions::in_memory(4).unwrap();
+        opts.set("data_dir", "/tmp/rdb-data").unwrap();
+        opts.set("fsync", "always").unwrap();
+        opts.set("group_commit_window_us", "250").unwrap();
         assert_eq!(
             opts.system.durability.data_dir.as_deref(),
             Some("/tmp/rdb-data")
@@ -612,9 +498,8 @@ client_queue_capacity = 1024
 
         assert!(opts.apply_toml("[node]\nfsync = \"sometimes\"\n").is_err());
         // A zero group-commit window fails through the same entry point.
-        let opts = NodeOptions::in_memory(4)
-            .unwrap()
-            .group_commit_window(Duration::ZERO);
+        let mut opts = NodeOptions::in_memory(4).unwrap();
+        opts.system.durability.group_commit_window_us = 0;
         assert!(opts.validate().is_err());
     }
 

@@ -52,12 +52,6 @@ pub fn zyzzyva_cc_quorum(f: usize) -> usize {
     2 * f + 1
 }
 
-/// Whether a population of `n` replicas with `fail` of them down can still
-/// reach a commit quorum.
-pub fn is_live(n: usize, fail: usize) -> bool {
-    n - fail >= commit_quorum(max_faults(n))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,9 +88,10 @@ mod tests {
     #[test]
     fn liveness_under_failures() {
         // n=16, f=5: commit quorum 11 survives 5 failures but not 6.
-        assert!(is_live(16, 0));
-        assert!(is_live(16, 5));
-        assert!(!is_live(16, 6));
+        let quorum = commit_quorum(max_faults(16));
+        assert!(16 >= quorum);
+        assert!(16 - 5 >= quorum);
+        assert!(16 - 6 < quorum);
     }
 
     #[test]

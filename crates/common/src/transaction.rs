@@ -132,11 +132,6 @@ impl Transaction {
         self.payload = payload;
         self
     }
-
-    /// Number of operations in the transaction.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
 }
 
 impl Wire for Transaction {
@@ -228,11 +223,6 @@ impl Batch {
         self.txns.is_empty()
     }
 
-    /// Total operation count across all transactions.
-    pub fn total_ops(&self) -> usize {
-        self.txns.iter().map(Transaction::op_count).sum()
-    }
-
     /// Canonical bytes over which the batch digest is computed.
     ///
     /// This is the "single string representation of the whole batch" from
@@ -319,7 +309,7 @@ mod tests {
     fn batch_round_trip_and_counts() {
         let b: Batch = (0..5).map(sample_txn).collect();
         assert_eq!(b.len(), 5);
-        assert_eq!(b.total_ops(), 10);
+        assert_eq!(b.txns.iter().map(|t| t.ops.len()).sum::<usize>(), 10);
         assert!(!b.is_empty());
         let bytes = b.encode();
         assert_eq!(Batch::decode(&bytes).unwrap(), b);

@@ -138,6 +138,9 @@ fn main() -> ExitCode {
                 );
                 if !ok {
                     failures += 1;
+                    for line in &r.stuck {
+                        println!("STUCK {line}");
+                    }
                 }
                 results.push(r);
             }

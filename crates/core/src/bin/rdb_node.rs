@@ -4,8 +4,10 @@
 //! reports progress on stdout; a client process submits a closed-loop
 //! write workload and exits when it completes; a swarm process multiplexes
 //! thousands of client sessions — each with its own dedicated socket to
-//! the primary — onto a few shard threads. All processes must agree on
-//! the peer map, seed and crypto scheme so they derive identical keys.
+//! the primary — onto a few shard threads. A client process is a swarm of
+//! one session over shared links: both run the same load driver
+//! (`resilientdb::swarm`). All processes must agree on the peer map, seed
+//! and crypto scheme so they derive identical keys.
 //!
 //! Configuration is the unified `NodeOptions`: the `--peers` file may
 //! carry a `[node]` section alongside `[peers]`, and every `[node]` key is
@@ -44,10 +46,10 @@
 //!       tps=2460.0 p50_us=41000 p95_us=95000 p99_us=120000
 //! ```
 
-use rdb_common::{ClientId, NodeOptions, PeerMap, ReplicaId};
-use resilientdb::scenario::{FaultPlan, Mark};
+use rdb_common::{NodeOptions, PeerMap, ReplicaId, TransportMode};
+use resilientdb::scenario::FaultPlan;
 use resilientdb::{
-    connect_client, run_swarm, start_replica, swarm_net, SwarmConfig, SwarmReport, SystemBuilder,
+    client_net, registry_for, run_swarm, start_replica, SwarmConfig, SwarmReport, SystemBuilder,
 };
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -130,7 +132,7 @@ client options:
   --client-id <n>         which client identity to use (default 0)
   --txns <n>              total transactions to submit (default 100)
   --burst <n>             transactions per request (default: batch size)
-  --wait-secs <n>         per-burst completion deadline (default 60)
+  --wait-secs <n>         deadline for the whole run (default 60)
 
 swarm options:
   --txns-per-client <n>   transactions each swarm client submits (default 2)
@@ -297,31 +299,23 @@ fn node_options(args: &Args) -> NodeOptions {
 /// Fires a fault plan against this node's transport: a 10 ms ticker
 /// applies each event once its mark passes (committed marks use the local
 /// executed-transaction count) and logs a `FAULT` line per firing.
-fn spawn_fault_schedule(plan: FaultPlan, node: &resilientdb::ReplicaNode, id: ReplicaId) {
+fn spawn_fault_schedule(mut plan: FaultPlan, node: &resilientdb::ReplicaNode, id: ReplicaId) {
     let net = node.network().clone();
     let shared = std::sync::Arc::clone(node.shared());
     net.faults().set_seed(plan.seed);
     std::thread::spawn(move || {
         let started = Instant::now();
-        let mut pending = plan.events;
-        while !pending.is_empty() {
+        while !plan.events.is_empty() {
             let executed = shared.executor.executed_txns();
-            pending.retain(|event| {
-                let due = match event.at {
-                    Mark::Committed(at) => executed >= at,
-                    Mark::Elapsed(at) => started.elapsed() >= at,
-                };
-                if due {
-                    event.action.apply_to_controller(net.faults());
-                    println!(
-                        "FAULT replica={} ms={} action={}",
-                        id.0,
-                        started.elapsed().as_millis(),
-                        event.action.describe()
-                    );
-                }
-                !due
-            });
+            for event in plan.take_due(executed, started.elapsed()) {
+                event.action.apply_to_controller(net.faults());
+                println!(
+                    "FAULT replica={} ms={} action={}",
+                    id.0,
+                    started.elapsed().as_millis(),
+                    event.action.describe()
+                );
+            }
             std::thread::sleep(Duration::from_millis(10));
         }
     });
@@ -418,38 +412,43 @@ fn run_replica(args: &Args, id: ReplicaId) -> ExitCode {
 
 fn run_client(args: &Args) -> ExitCode {
     let node_cfg = node_options(args);
-    let (mut session, net) = match connect_client(&node_cfg, ClientId(args.client_id)) {
-        Ok(x) => x,
+    let net = match client_net(&node_cfg, None) {
+        Ok(net) => net,
         Err(e) => {
             eprintln!("rdb-node: cannot connect client: {e}");
             return ExitCode::from(1);
         }
     };
-    let burst = args.burst.unwrap_or(node_cfg.system.batch_size).max(1) as u64;
-    let wait = Duration::from_secs(args.wait_secs);
-    let table = node_cfg.system.table_size;
-    let mut done: u64 = 0;
-    let mut submitted: u64 = 0;
-    while submitted < args.txns {
-        let count = burst.min(args.txns - submitted);
-        let txns: Vec<_> = (0..count)
-            .map(|i| {
-                let key = (submitted + i) % table;
-                session.write_txn(key, (submitted + i).to_le_bytes().to_vec())
-            })
-            .collect();
-        submitted += count;
-        done += session.submit_and_wait(txns, wait) as u64;
-    }
-    println!("CLIENT done={done} submitted={submitted}");
+    let cfg = SwarmConfig {
+        clients: 1,
+        txns_per_client: args.txns,
+        burst: args.burst.unwrap_or(node_cfg.system.batch_size),
+        shards: 1,
+        first_client: args.client_id,
+        deadline: Duration::from_secs(args.wait_secs),
+    };
+    let report = run_swarm(
+        &net,
+        &registry_for(&node_cfg),
+        &node_cfg.system,
+        &cfg,
+        |_, _| {},
+    );
+    println!(
+        "CLIENT done={} submitted={}",
+        report.committed, report.submitted
+    );
     net.shutdown();
-    if done == args.txns {
+    if report.committed == args.txns {
         ExitCode::SUCCESS
     } else {
         eprintln!(
-            "rdb-node: client completed {done}/{} transactions",
-            args.txns
+            "rdb-node: client completed {}/{} transactions",
+            report.committed, args.txns
         );
+        for line in &report.stuck {
+            eprintln!("rdb-node: stuck {line}");
+        }
         ExitCode::from(1)
     }
 }
@@ -479,10 +478,9 @@ fn run_swarm_mode(args: &Args, clients: usize) -> ExitCode {
         deadline: Duration::from_secs(args.wait_secs),
     };
     let total = clients as u64 * args.txns_per_client;
-    // The swarm needs a key per client id and a unique table slot per
-    // transaction (digest determinism). These are cluster-wide agreements,
-    // so they must be raised explicitly — in the [node] section or flags —
-    // rather than silently bumped on this process alone.
+    // The swarm needs a key per client id. That is a cluster-wide
+    // agreement, so it must be raised explicitly — in the [node] section
+    // or flags — rather than silently bumped on this process alone.
     let top_id = args.first_client + clients as u64;
     if (node_cfg.client_keys as u64) < top_id {
         eprintln!(
@@ -492,32 +490,21 @@ fn run_swarm_mode(args: &Args, clients: usize) -> ExitCode {
         );
         return ExitCode::from(2);
     }
-    let keyspace = top_id * args.txns_per_client;
-    if node_cfg.system.table_size < keyspace {
-        eprintln!(
-            "rdb-node: swarm needs table_size >= {keyspace} (have {}); set table_size \
-             in the [node] section or --table-size on every process",
-            node_cfg.system.table_size
-        );
-        return ExitCode::from(2);
-    }
 
     if args.mem {
         // Reference run: the same swarm shape against an in-process
         // in-memory fabric, printing FINAL digest lines so a TCP run can
         // be digest-compared against it.
-        let db = match SystemBuilder::from_options(
-            node_cfg.transport(rdb_common::TransportMode::InMemory),
-        )
-        .build()
-        {
+        let mut mem_cfg = node_cfg;
+        mem_cfg.net.mode = TransportMode::InMemory;
+        let db = match SystemBuilder::from_options(mem_cfg).build() {
             Ok(db) => db,
             Err(e) => {
                 eprintln!("rdb-node: cannot build in-memory fabric: {e}");
                 return ExitCode::from(1);
             }
         };
-        let report = db.run_swarm(&cfg);
+        let report = db.run_swarm(&cfg, |_, _| {});
         print_swarm(&report);
         // Let every replica finish executing before reading digests.
         let deadline = Instant::now() + Duration::from_secs(args.wait_secs);
@@ -547,15 +534,15 @@ fn run_swarm_mode(args: &Args, clients: usize) -> ExitCode {
         };
     }
 
-    let net = match swarm_net(&node_cfg, ReplicaId(0)) {
+    let net = match client_net(&node_cfg, Some(ReplicaId(0))) {
         Ok(net) => net,
         Err(e) => {
             eprintln!("rdb-node: cannot start swarm transport: {e}");
             return ExitCode::from(1);
         }
     };
-    let registry = resilientdb::registry_for(&node_cfg);
-    let report = run_swarm(&net, &registry, &node_cfg.system, &cfg);
+    let registry = registry_for(&node_cfg);
+    let report = run_swarm(&net, &registry, &node_cfg.system, &cfg, |_, _| {});
     print_swarm(&report);
     net.shutdown();
     if report.committed == total {

@@ -111,7 +111,11 @@ impl Drop for ClientSession {
 }
 
 impl ClientSession {
-    pub(crate) fn connect(
+    /// Opens a session for `id` on `net`. `registry`, `protocol`, `f`,
+    /// `instances` and `n` must match the cluster's; a process outside the
+    /// deployment gets `net` from [`crate::client_net`] and `registry`
+    /// from [`crate::registry_for`].
+    pub fn connect(
         id: ClientId,
         net: &NetHandle,
         registry: &KeyRegistry,
@@ -198,11 +202,16 @@ impl ClientSession {
         let _ = self.endpoint.send(Sender::Replica(self.primary), sm);
     }
 
-    /// One diagnostic line per stuck request (Zyzzyva only; PBFT requests
-    /// carry no client-side protocol state worth printing).
+    /// One diagnostic line per request still awaiting completion: under
+    /// Zyzzyva its response groups, certificate and acknowledgements;
+    /// under PBFT just its counter (the client keeps no other state).
     pub fn debug_stuck(&self) -> Vec<String> {
         match &self.tracker {
-            Tracker::Pbft(_) => Vec::new(),
+            Tracker::Pbft(_) => {
+                let mut counters: Vec<u64> = self.in_flight.keys().copied().collect();
+                counters.sort_unstable();
+                counters.iter().map(|c| format!("counter={c}")).collect()
+            }
             Tracker::Zyzzyva(z) => z.debug_stuck(),
         }
     }

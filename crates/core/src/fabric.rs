@@ -7,16 +7,20 @@
 //! inspect chains, shut down.
 //!
 //! For genuine multi-process clusters, [`NodeOptions`]
-//! (`rdb_common::NodeOptions`) plus [`start_replica`]/[`connect_client`]
-//! launch a *single* node against a shared peer address map; the
-//! `rdb-node` binary is a thin CLI over exactly these entry points.
+//! (`rdb_common::NodeOptions`) plus [`start_replica`] launch a *single*
+//! node against a shared peer address map, and [`client_net`] gives a
+//! client process the transport its sessions (or the load driver,
+//! [`crate::swarm`]) run on; the `rdb-node` binary is a thin CLI over
+//! exactly these entry points.
 //!
 //! Every launch path consumes the same [`NodeOptions`] struct and goes
 //! through its single `validate()` — the builder here is a fluent shell
-//! over it.
+//! that assigns its fields; text (flags and `[node]` files) goes through
+//! `NodeOptions::set`.
 
 use crate::client::ClientSession;
-use rdb_common::messages::Sender;
+use crate::scenario::FaultAction;
+use crate::swarm::{SwarmConfig, SwarmReport};
 use rdb_common::{
     ClientId, CryptoScheme, Digest, NodeOptions, ProtocolKind, ReplicaId, SystemConfig,
     TransportMode,
@@ -77,69 +81,71 @@ impl SystemBuilder {
 
     /// Sets the consensus protocol.
     pub fn protocol(mut self, protocol: ProtocolKind) -> Self {
-        self.opts = self.opts.protocol(protocol);
+        self.opts.system.protocol = protocol;
         self
     }
 
     /// Sets transactions per consensus batch.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.opts = self.opts.batch_size(batch_size);
+        self.opts.system.batch_size = batch_size;
         self
     }
 
     /// Number of parallel consensus instances (multi-primary ordering;
     /// `k > 1` requires PBFT).
     pub fn consensus_instances(mut self, k: usize) -> Self {
-        self.opts = self.opts.consensus_instances(k);
+        self.opts.system.consensus_instances = k;
         self
     }
 
     /// Sets the signing scheme.
     pub fn crypto(mut self, crypto: CryptoScheme) -> Self {
-        self.opts = self.opts.crypto(crypto);
+        self.opts.system.crypto = crypto;
         self
     }
 
     /// Sets the thread allocation (the `xE yB` knob of Figure 8).
     pub fn threads(mut self, threads: rdb_common::ThreadConfig) -> Self {
-        self.opts = self.opts.threads(threads);
+        self.opts.system.threads = threads;
         self
     }
 
     /// Sets the number of pre-loaded table records.
     pub fn table_size(mut self, records: u64) -> Self {
-        self.opts = self.opts.table_size(records);
+        self.opts.system.table_size = records;
         self
     }
 
     /// Sets the checkpoint interval Δ (in transactions).
     pub fn checkpoint_interval(mut self, txns: u64) -> Self {
-        self.opts = self.opts.checkpoint_interval(txns);
+        self.opts.system.checkpoint_interval = txns;
         self
     }
 
-    /// Number of client identities to generate keys for.
+    /// Number of client identities to generate keys for (also sizes the
+    /// modeled client population).
     pub fn client_keys(mut self, clients: usize) -> Self {
-        self.opts = self.opts.client_keys(clients);
+        self.opts.client_keys = clients;
+        self.opts.system.num_clients = clients;
         self
     }
 
     /// One-way network latency between all nodes (in-memory backend only;
     /// TCP loopback pays whatever the kernel charges).
     pub fn latency(mut self, latency: Duration) -> Self {
-        self.opts = self.opts.latency(latency);
+        self.opts.net.latency_us = latency.as_micros() as u64;
         self
     }
 
     /// Seed for deterministic key generation.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.opts = self.opts.seed(seed);
+        self.opts.seed = seed;
         self
     }
 
     /// Selects the transport backend (default: in-memory).
     pub fn transport(mut self, transport: TransportMode) -> Self {
-        self.opts = self.opts.transport(transport);
+        self.opts.net.mode = transport;
         self
     }
 
@@ -310,63 +316,21 @@ impl ResilientDb {
     ///
     /// # Panics
     /// Panics when asked to crash the primary — the paper's failure
-    /// experiments fail backups only. Use [`Self::crash_replica`] for the
+    /// experiments fail backups only. Apply [`FaultAction::Crash`] for the
     /// view-change scenarios that deliberately kill the primary.
     pub fn crash_backup(&self, id: ReplicaId) {
         assert_ne!(id, self.primary(), "failure experiments crash backups only");
-        self.crash_replica(id);
+        self.apply_fault(&FaultAction::Crash(id.0));
     }
 
-    /// Crashes any replica, the primary included (all its traffic is
-    /// dropped until [`Self::recover`]). Crashing the primary forces a
-    /// view change once the remaining replicas' suspicion timers fire.
-    pub fn crash_replica(&self, id: ReplicaId) {
+    /// Injects one fault on every transport's controller, so both
+    /// backends behave identically: a crash drops all of a replica's
+    /// traffic until its recovery (crashing the primary forces a view
+    /// change once the others' suspicion timers fire); a partition drops
+    /// traffic between its groups but not client traffic.
+    pub fn apply_fault(&self, action: &FaultAction) {
         for faults in self.all_fault_controllers() {
-            faults.crash(Sender::Replica(id));
-        }
-    }
-
-    /// Recovers a crashed replica.
-    pub fn recover(&self, id: ReplicaId) {
-        for faults in self.all_fault_controllers() {
-            faults.recover(Sender::Replica(id));
-        }
-    }
-
-    /// Partitions the replica set into isolated groups: traffic between
-    /// different groups is dropped, traffic within a group flows. Client
-    /// traffic is unaffected (clients reach every partition).
-    pub fn partition(&self, groups: &[Vec<ReplicaId>]) {
-        for (i, group_a) in groups.iter().enumerate() {
-            for group_b in groups.iter().skip(i + 1) {
-                let a: Vec<Sender> = group_a.iter().map(|&r| Sender::Replica(r)).collect();
-                let b: Vec<Sender> = group_b.iter().map(|&r| Sender::Replica(r)).collect();
-                for faults in self.all_fault_controllers() {
-                    faults.partition(&a, &b);
-                }
-            }
-        }
-    }
-
-    /// Heals all partitions (crashed replicas stay crashed).
-    pub fn heal_partitions(&self) {
-        for faults in self.all_fault_controllers() {
-            faults.heal_all();
-        }
-    }
-
-    /// Sets a uniform message drop rate in `[0.0, 1.0]` on every link
-    /// (deterministic per (seed, link, message index)).
-    pub fn set_drop_rate(&self, rate: f64) {
-        for faults in self.all_fault_controllers() {
-            faults.set_drop_rate(rate);
-        }
-    }
-
-    /// Sets the maximum seeded per-message delivery delay.
-    pub fn set_delay_jitter(&self, max: Duration) {
-        for faults in self.all_fault_controllers() {
-            faults.set_delay_jitter(max);
+            action.apply_to_controller(faults);
         }
     }
 
@@ -443,10 +407,18 @@ impl ResilientDb {
         self.replicas[id.as_usize()].shared().metrics.report()
     }
 
-    /// Runs a multiplexed client swarm against this deployment — the
+    /// Runs the client-load driver against this deployment — the
     /// in-process counterpart of `rdb-node --swarm` (see [`crate::swarm`]).
-    pub fn run_swarm(&self, cfg: &crate::swarm::SwarmConfig) -> crate::swarm::SwarmReport {
-        crate::swarm::run_swarm(&self.client_net, &self.registry, &self.config, cfg)
+    /// `progress(committed, elapsed)` runs on this thread about once per
+    /// millisecond while the load is in flight.
+    pub fn run_swarm(&self, cfg: &SwarmConfig, progress: impl FnMut(u64, Duration)) -> SwarmReport {
+        crate::swarm::run_swarm(
+            &self.client_net,
+            &self.registry,
+            &self.config,
+            cfg,
+            progress,
+        )
     }
 
     /// Stops every replica and the transport(s).
@@ -524,54 +496,32 @@ pub fn start_replica(node: &NodeOptions, id: ReplicaId) -> std::io::Result<Repli
     Ok(ReplicaNode { net, handle })
 }
 
-/// Creates the swarm-mode client transport for a multi-process cluster:
-/// no listener, shared links to every replica, and one *dedicated*
-/// connection per registered client endpoint to `primary` — so an
-/// N-client swarm exercises N real sockets. Pair with
-/// [`crate::swarm::run_swarm`].
+/// Creates a client transport for a multi-process cluster: no listener
+/// and shared links to every replica. With `dedicated_to` set (swarm
+/// mode), each registered client endpoint also gets its own connection
+/// to that replica — so an N-client swarm exercises N real sockets. Pair
+/// with [`crate::swarm::run_swarm`].
 ///
 /// # Errors
 /// Returns an error if the options fail validation or the peer map is
-/// empty or missing `primary`.
-pub fn swarm_net(node: &NodeOptions, primary: ReplicaId) -> std::io::Result<NetHandle> {
+/// empty or missing `dedicated_to`.
+pub fn client_net(
+    node: &NodeOptions,
+    dedicated_to: Option<ReplicaId>,
+) -> std::io::Result<NetHandle> {
     let invalid = |m: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, m);
     node.validate().map_err(|e| invalid(e.to_string()))?;
-    if node.peers.get(primary).is_none() {
-        return Err(invalid(format!("primary {primary} is not in the peer map")));
-    }
-    let transport = TcpTransport::new(
-        TcpConfig::for_swarm(node.peers.clone(), primary).with_options(&node.net),
-    )?;
-    Ok(transport.handle())
-}
-
-/// Connects a client process to a multi-process cluster: creates a
-/// listener-less TCP transport that dials every replica, and opens a
-/// session for `id`. The returned handle shuts the transport down.
-///
-/// # Errors
-/// Returns an error if the peer map is empty.
-pub fn connect_client(
-    node: &NodeOptions,
-    id: ClientId,
-) -> std::io::Result<(ClientSession, NetHandle)> {
     if node.peers.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "peer map is empty",
-        ));
+        return Err(invalid("peer map is empty".into()));
     }
-    let transport =
-        TcpTransport::new(TcpConfig::for_client(node.peers.clone()).with_options(&node.net))?;
-    let net = transport.handle();
-    let session = ClientSession::connect(
-        id,
-        &net,
-        &registry_for(node),
-        node.system.protocol,
-        node.system.f,
-        node.system.consensus_instances,
-        node.system.n,
-    );
-    Ok((session, net))
+    let config = match dedicated_to {
+        Some(primary) => {
+            if node.peers.get(primary).is_none() {
+                return Err(invalid(format!("primary {primary} is not in the peer map")));
+            }
+            TcpConfig::for_swarm(node.peers.clone(), primary)
+        }
+        None => TcpConfig::for_client(node.peers.clone()),
+    };
+    Ok(TcpTransport::new(config.with_options(&node.net))?.handle())
 }

@@ -10,11 +10,20 @@
 //! ## What lives where
 //!
 //! - [`SystemBuilder`] / [`ResilientDb`] — launch a real replica set (OS
-//!   threads, in-memory network, real crypto) in one process.
+//!   threads, in-memory network or loopback TCP, real crypto) in one
+//!   process; [`start_replica`] / [`client_net`] — one node of a
+//!   multi-process cluster (the `rdb-node` binary).
 //! - [`ClientSession`] — submit transactions, await quorum-backed results
 //!   under either protocol.
-//! - [`bench_driver`] — closed-loop throughput/latency measurement against
-//!   the threaded runtime.
+//! - [`swarm`] — the one client-load driver: sessions multiplexed onto
+//!   shard threads, closed-loop bursts, throughput and latency
+//!   percentiles. `rdb-node --swarm` and `--client`, the scenario runner,
+//!   the benches and the examples all measure through [`run_swarm`].
+//! - [`scenario`] — fault plans and the named failure catalog:
+//!   [`run_scenario`] drives the load driver and fires a [`FaultPlan`]
+//!   from its progress callback, which every refill waits on
+//!   ([`FaultPlan::take_due`] is the one due-check, shared with
+//!   `rdb-node --fault-plan`).
 //! - `rdb-sim` (re-exported as [`sim`]) — the deterministic discrete-event
 //!   simulator used for cluster-scale parameter sweeps (the paper's
 //!   figures).
@@ -45,16 +54,14 @@
 //! db.shutdown();
 //! ```
 
-pub mod bench_driver;
 pub mod client;
 pub mod fabric;
 pub mod scenario;
 pub mod swarm;
 
-pub use bench_driver::{run_closed_loop, Measurement};
 pub use client::ClientSession;
 pub use fabric::{
-    connect_client, registry_for, start_replica, swarm_net, ReplicaNode, ResilientDb, SystemBuilder,
+    client_net, registry_for, start_replica, ReplicaNode, ResilientDb, SystemBuilder,
 };
 pub use rdb_common::{NetOptions, NodeOptions, TransportMode};
 pub use scenario::{

@@ -25,8 +25,9 @@
 //! `rdb-node --fault-plan` flag applies a parsed plan to a single node of
 //! a multi-process cluster.
 
-use crate::fabric::{ResilientDb, SystemBuilder};
-use rdb_common::{ProtocolKind, ReplicaId, Transaction, TransportMode};
+use crate::fabric::SystemBuilder;
+use crate::swarm::SwarmConfig;
+use rdb_common::{ProtocolKind, ReplicaId, TransportMode};
 use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
@@ -168,6 +169,22 @@ impl FaultPlan {
             }
         }
         Ok(plan)
+    }
+
+    /// Removes and returns the events due once `committed` transactions
+    /// have completed and `elapsed` has passed since load started, in plan
+    /// order. An event is returned by exactly one call: the first at which
+    /// it is due. The scenario runner and `rdb-node --fault-plan` both fire
+    /// their schedules through this one check.
+    pub fn take_due(&mut self, committed: u64, elapsed: Duration) -> Vec<FaultEvent> {
+        let (due, pending): (Vec<FaultEvent>, Vec<FaultEvent>) = std::mem::take(&mut self.events)
+            .into_iter()
+            .partition(|event| match event.at {
+                Mark::Committed(at) => committed >= at,
+                Mark::Elapsed(at) => elapsed >= at,
+            });
+        self.events = pending;
+        due
     }
 
     /// Replicas this plan ever crashes.
@@ -442,8 +459,9 @@ pub struct ScenarioResult {
     /// Client-completed transactions per elapsed second (bucket `i` covers
     /// `[i, i+1)` seconds) — the degradation profile around the faults.
     pub buckets: Vec<u64>,
-    /// `(ms_since_start, description)` for every fault fired.
-    pub events: Vec<(u64, String)>,
+    /// `(ms_since_start, committed_so_far, description)` for every fault
+    /// fired; `committed_so_far` is the client-completed count it fired at.
+    pub events: Vec<(u64, u64, String)>,
     /// Final installed view per replica (instance 0).
     pub final_views: Vec<u64>,
     /// Parallel consensus instances the deployment ran.
@@ -461,6 +479,9 @@ pub struct ScenarioResult {
     pub digests_agree: bool,
     /// Whether every submitted transaction completed.
     pub liveness: bool,
+    /// One line per request still pending when the load stopped (see
+    /// `SwarmReport::stuck`); empty when `liveness` holds.
+    pub stuck: Vec<String>,
     /// Retransmitted transactions suppressed by the executor (max across
     /// replicas) — nonzero means exactly-once accounting did real work.
     pub deduped: u64,
@@ -481,9 +502,14 @@ impl ScenarioResult {
         let events: Vec<String> = self
             .events
             .iter()
-            .map(|(ms, d)| format!("{{\"ms\": {ms}, \"action\": \"{d}\"}}"))
+            .map(|(ms, c, d)| format!("{{\"ms\": {ms}, \"committed\": {c}, \"action\": \"{d}\"}}"))
             .collect();
         let views: Vec<String> = self.final_views.iter().map(|v| v.to_string()).collect();
+        let stuck: Vec<String> = self
+            .stuck
+            .iter()
+            .map(|line| format!("\"{}\"", line.replace('\\', "\\\\").replace('"', "\\\"")))
+            .collect();
         let iviews: Vec<String> = self
             .instance_views
             .iter()
@@ -498,7 +524,7 @@ impl ScenarioResult {
              \"liveness\": {}, \"digests_agree\": {}, \"agreeing_replicas\": {}, \
              \"final_views\": [{}], \"consensus_instances\": {}, \"instance_views\": [{}], \
              \"instances_isolated\": {}, \"deduped_txns\": {}, \
-             \"committed_per_sec\": [{}], \"events\": [{}]}}",
+             \"committed_per_sec\": [{}], \"events\": [{}], \"stuck\": [{}]}}",
             self.scenario,
             self.protocol,
             self.transport,
@@ -515,7 +541,8 @@ impl ScenarioResult {
             self.instances_isolated,
             self.deduped,
             buckets.join(", "),
-            events.join(", ")
+            events.join(", "),
+            stuck.join(", ")
         )
     }
 }
@@ -576,23 +603,6 @@ impl FaultAction {
     }
 }
 
-fn apply(db: &ResilientDb, action: &FaultAction) {
-    match action {
-        FaultAction::Crash(r) => db.crash_replica(ReplicaId(*r)),
-        FaultAction::Recover(r) => db.recover(ReplicaId(*r)),
-        FaultAction::Partition(groups) => {
-            let groups: Vec<Vec<ReplicaId>> = groups
-                .iter()
-                .map(|g| g.iter().map(|&r| ReplicaId(r)).collect())
-                .collect();
-            db.partition(&groups);
-        }
-        FaultAction::HealAll => db.heal_partitions(),
-        FaultAction::DropRate(rate) => db.set_drop_rate(*rate),
-        FaultAction::DelayJitter(max) => db.set_delay_jitter(*max),
-    }
-}
-
 /// Runs one scenario against a live 4-replica deployment on the given
 /// protocol and transport backend.
 ///
@@ -620,84 +630,50 @@ pub fn run_scenario(
     let db = builder.build().expect("scenario config must be valid");
     db.set_fault_seed(scenario.plan.seed);
 
-    // Load is submitted in waves — a client keeps roughly two batches in
-    // flight and tops up as completions drain — so the fault marks fire
-    // while requests are genuinely mid-stream (an upfront bulk submit on
-    // the in-memory backend can finish before the crash even lands).
-    // Unique key per transaction: the final state is independent of the
+    // Each client keeps one burst of about two batches in flight and
+    // submits the next as it completes. The swarm holds that refill until
+    // the progress callback — which fires the plan — has seen the
+    // completion, so a `Committed` mark lands before any load submitted
+    // after it: the fault hits requests genuinely mid-stream. Keys are
+    // unique per transaction: the final state is independent of the
     // commit interleaving, so state digests are comparable across
     // replicas, protocols and transports.
-    let wave = (scenario.batch_size as u64 * 2).max(8);
-    let mut sessions: Vec<_> = (0..scenario.clients as u64).map(|c| db.client(c)).collect();
-    let mut remaining: Vec<u64> = vec![scenario.txns_per_client; scenario.clients];
-
     let total = scenario.total_txns();
-    let start = Instant::now();
-    let mut completed = 0u64;
+    let mut plan = scenario.plan.clone();
+    let mut fired: Vec<(u64, u64, String)> = Vec::new();
+    let mut fire = |committed: u64, elapsed: Duration| {
+        for event in plan.take_due(committed, elapsed) {
+            db.apply_fault(&event.action);
+            fired.push((
+                elapsed.as_millis() as u64,
+                committed,
+                event.action.describe(),
+            ));
+        }
+    };
     let mut buckets: Vec<u64> = Vec::new();
-    let mut fired: Vec<(u64, String)> = Vec::new();
-    let mut pending: Vec<FaultEvent> = scenario.plan.events.clone();
-    let mut elapsed_at_done = None;
-    while completed < total && start.elapsed() < scenario.deadline {
-        for (ci, session) in sessions.iter_mut().enumerate() {
-            if remaining[ci] > 0 && (session.pending() as u64) < wave / 2 {
-                let chunk = wave.min(remaining[ci]);
-                let done_so_far = scenario.txns_per_client - remaining[ci];
-                let txns: Vec<Transaction> = (0..chunk)
-                    .map(|i| {
-                        let key = ci as u64 * scenario.txns_per_client + done_so_far + i;
-                        session.write_txn(key, (key + 1).to_le_bytes().to_vec())
-                    })
-                    .collect();
-                session.submit(txns);
-                remaining[ci] -= chunk;
+    let mut counted = 0u64;
+    let start = Instant::now();
+    let load = SwarmConfig {
+        clients: scenario.clients,
+        txns_per_client: scenario.txns_per_client,
+        burst: (scenario.batch_size * 2).max(8),
+        shards: scenario.clients,
+        first_client: 0,
+        deadline: scenario.deadline,
+    };
+    let report = db.run_swarm(&load, |committed, elapsed| {
+        if committed > counted {
+            let bucket = elapsed.as_secs() as usize;
+            if buckets.len() <= bucket {
+                buckets.resize(bucket + 1, 0);
             }
-            let newly = session.poll_progress() as u64;
-            if newly > 0 {
-                completed += newly;
-                let bucket = start.elapsed().as_secs() as usize;
-                if buckets.len() <= bucket {
-                    buckets.resize(bucket + 1, 0);
-                }
-                buckets[bucket] += newly;
-            }
+            buckets[bucket] += committed - counted;
+            counted = committed;
         }
-        pending.retain(|event| {
-            let due = match event.at {
-                Mark::Committed(at) => completed >= at,
-                Mark::Elapsed(at) => start.elapsed() >= at,
-            };
-            if due {
-                apply(&db, &event.action);
-                fired.push((start.elapsed().as_millis() as u64, event.action.describe()));
-            }
-            !due
-        });
-        if completed >= total {
-            elapsed_at_done = Some(start.elapsed());
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    let elapsed = elapsed_at_done.unwrap_or_else(|| start.elapsed());
-
-    // `RDB_FAULT_DEBUG=1`: dump the client-side protocol state of every
-    // request still stuck at the deadline — which response groups exist,
-    // whether a commit certificate went out, how many acks came back.
-    if completed < total && std::env::var_os("RDB_FAULT_DEBUG").is_some() {
-        for (ci, session) in sessions.iter().enumerate() {
-            for line in session.debug_stuck() {
-                eprintln!("DEBUG stuck client={ci} {line}");
-            }
-        }
-        eprintln!(
-            "DEBUG views={:?} executed={:?}",
-            db.views(),
-            (0..n as u32)
-                .map(|r| db.executed_txns(ReplicaId(r)))
-                .collect::<Vec<_>>()
-        );
-    }
+        fire(committed, elapsed);
+    });
+    let completed = report.committed;
 
     // Every replica that is up at the end — never crashed, or crashed and
     // recovered — must land in the digest-agreeing set. Loss bursts are no
@@ -726,17 +702,7 @@ pub fn run_scenario(
         .unwrap_or(Duration::ZERO);
     let settle_deadline = (start + last_mark).max(Instant::now()) + Duration::from_secs(10);
     let (agreeing, digests_agree) = loop {
-        pending.retain(|event| {
-            let due = match event.at {
-                Mark::Committed(at) => completed >= at,
-                Mark::Elapsed(at) => start.elapsed() >= at,
-            };
-            if due {
-                apply(&db, &event.action);
-                fired.push((start.elapsed().as_millis() as u64, event.action.describe()));
-            }
-            !due
-        });
+        fire(completed, start.elapsed());
         let digests = db.state_digests();
         let heads = db.chain_heads();
         // Largest set of replicas sharing (digest, head).
@@ -791,7 +757,6 @@ pub fn run_scenario(
             }
         }
     }
-    drop(sessions);
     db.shutdown();
 
     ScenarioResult {
@@ -806,7 +771,7 @@ pub fn run_scenario(
         },
         total_txns: total,
         completed,
-        elapsed_ms: elapsed.as_millis() as u64,
+        elapsed_ms: report.elapsed.as_millis() as u64,
         buckets,
         events: fired,
         final_views,
@@ -816,6 +781,7 @@ pub fn run_scenario(
         agreeing,
         digests_agree,
         liveness: completed >= total,
+        stuck: report.stuck,
         deduped,
     }
 }
@@ -890,7 +856,7 @@ mod tests {
             completed: 10,
             elapsed_ms: 100,
             buckets: vec![5, 5],
-            events: vec![(50, "crash r0".into())],
+            events: vec![(50, 4, "crash r0".into())],
             final_views: vec![1, 1, 1, 1],
             consensus_instances: 2,
             instance_views: vec![vec![1, 1, 1, 1], vec![0, 0, 0, 0]],
@@ -898,14 +864,60 @@ mod tests {
             agreeing: 4,
             digests_agree: true,
             liveness: true,
+            stuck: vec!["client=1 counter=7 \"quoted\"".into()],
             deduped: 3,
         };
         let json = r.to_json();
         assert!(json.contains("\"committed_per_sec\": [5, 5]"));
         assert!(json.contains("\"mean_tps\": 100.0"));
-        assert!(json.contains("\"events\": [{\"ms\": 50, \"action\": \"crash r0\"}]"));
+        assert!(
+            json.contains("\"events\": [{\"ms\": 50, \"committed\": 4, \"action\": \"crash r0\"}]")
+        );
         assert!(json.contains("\"consensus_instances\": 2"));
         assert!(json.contains("\"instance_views\": [[1, 1, 1, 1], [0, 0, 0, 0]]"));
         assert!(json.contains("\"instances_isolated\": true"));
+        assert!(json.contains("\"stuck\": [\"client=1 counter=7 \\\"quoted\\\"\"]"));
+    }
+
+    #[test]
+    fn each_mark_fires_once_in_order_and_an_overdue_mark_on_the_first_call() {
+        let action = FaultAction::Crash;
+        let mut plan = FaultPlan {
+            seed: 0,
+            events: vec![
+                FaultEvent {
+                    at: Mark::Committed(10),
+                    action: action(1),
+                },
+                FaultEvent {
+                    at: Mark::Elapsed(Duration::from_millis(100)),
+                    action: action(2),
+                },
+                FaultEvent {
+                    at: Mark::Committed(20),
+                    action: action(3),
+                },
+                FaultEvent {
+                    at: Mark::Elapsed(Duration::from_millis(200)),
+                    action: action(4),
+                },
+            ],
+        };
+        let fired = |events: Vec<FaultEvent>| -> Vec<FaultAction> {
+            events.into_iter().map(|e| e.action).collect()
+        };
+        let ms = Duration::from_millis;
+        assert!(plan.take_due(9, ms(99)).is_empty());
+        assert_eq!(fired(plan.take_due(10, ms(99))), [action(1)]);
+        assert!(
+            plan.take_due(10, ms(99)).is_empty(),
+            "a fired mark stays fired"
+        );
+        // Overdue marks of both kinds fire on the first call that sees
+        // them, in plan order.
+        assert_eq!(fired(plan.take_due(500, ms(150))), [action(2), action(3)]);
+        assert_eq!(fired(plan.take_due(500, ms(200))), [action(4)]);
+        assert!(plan.take_due(u64::MAX, Duration::MAX).is_empty());
+        assert!(plan.events.is_empty());
     }
 }

@@ -10,11 +10,38 @@
 //!   converge on a single history.
 
 use rdb_common::{ProtocolKind, TransportMode};
-use resilientdb::scenario::{run_scenario, scenario_by_name};
+use resilientdb::scenario::{
+    run_scenario, scenario_by_name, FaultAction, FaultEvent, FaultPlan, Mark, Scenario,
+    ScenarioResult,
+};
+use std::time::Duration;
+
+/// Every `Committed(n)` mark of the plan fired once `n` transactions had
+/// completed and before the last one did — while load was still in flight,
+/// not after it drained.
+fn assert_marks_fired_mid_stream(scenario: &Scenario, result: &ScenarioResult) {
+    for event in &scenario.plan.events {
+        if let Mark::Committed(n) = event.at {
+            let action = event.action.describe();
+            assert!(
+                result
+                    .events
+                    .iter()
+                    .any(|(_, c, d)| *d == action && (n..result.total_txns).contains(c)),
+                "{}/{}/{}: `{action}` at {n} committed did not fire mid-stream: {:?}",
+                scenario.name,
+                result.protocol,
+                result.transport,
+                result.events,
+            );
+        }
+    }
+}
 
 fn assert_scenario(name: &str, protocol: ProtocolKind, transport: TransportMode) {
     let scenario = scenario_by_name(name).expect("catalog scenario");
     let result = run_scenario(&scenario, protocol, transport);
+    assert_marks_fired_mid_stream(&scenario, &result);
     assert!(
         result.liveness,
         "{name}/{}/{}: only {}/{} txns completed in {}ms (views {:?}, events {:?})",
@@ -41,6 +68,7 @@ fn assert_scenario(name: &str, protocol: ProtocolKind, transport: TransportMode)
 fn primary_crash_exactly_once(protocol: ProtocolKind, transport: TransportMode) {
     let scenario = scenario_by_name("primary_crash").expect("catalog scenario");
     let result = run_scenario(&scenario, protocol, transport);
+    assert_marks_fired_mid_stream(&scenario, &result);
     assert!(
         result.liveness,
         "{}/{}: only {}/{} txns completed in {}ms (views {:?})",
@@ -176,12 +204,38 @@ fn backup_crash_records_degradation_buckets() {
     let scenario = scenario_by_name("backup_crash").expect("catalog scenario");
     let result = run_scenario(&scenario, ProtocolKind::Pbft, TransportMode::InMemory);
     assert!(result.liveness, "{result:?}");
-    assert!(
-        !result.events.is_empty(),
-        "the crash event never fired: {result:?}"
-    );
+    assert_marks_fired_mid_stream(&scenario, &result);
     assert!(
         result.buckets.iter().sum::<u64>() == result.completed,
         "buckets must account for every completion: {result:?}"
     );
+}
+
+/// Two of four replicas stay crashed, so no Zyzzyva request can gather
+/// the 2f+1 acknowledgements its commit certificate needs. The run must
+/// end at its deadline and report the miss with the requests that hung.
+#[test]
+fn a_liveness_miss_reports_its_stuck_requests() {
+    let crash = |r| FaultEvent {
+        at: Mark::Elapsed(Duration::ZERO),
+        action: FaultAction::Crash(r),
+    };
+    let scenario = Scenario {
+        name: "two_backups_down",
+        plan: FaultPlan {
+            seed: 0,
+            events: vec![crash(2), crash(3)],
+        },
+        deadline: Duration::from_secs(3),
+        ..scenario_by_name("backup_crash").expect("catalog scenario")
+    };
+    let result = run_scenario(&scenario, ProtocolKind::Zyzzyva, TransportMode::InMemory);
+    assert!(!result.liveness, "{result:?}");
+    assert!(!result.stuck.is_empty(), "{result:?}");
+    assert!(
+        result.stuck.iter().all(|line| line.starts_with("client=")),
+        "{:?}",
+        result.stuck
+    );
+    assert!(result.to_json().contains("\"stuck\": [\"client="));
 }

@@ -81,7 +81,7 @@ fn crashed_instance_primary_stalls_only_its_instance() {
 
     // Replica 1 is instance 1's view-0 primary and a plain backup of
     // instance 0. Kill it before any traffic flows.
-    db.crash_replica(rdb_common::ReplicaId(1));
+    db.apply_fault(&resilientdb::FaultAction::Crash(1));
 
     // Client 0 shards to instance 0 (led by the healthy replica 0): its
     // load must complete promptly, with instance 1 dead the whole time.

@@ -4,7 +4,7 @@
 //! runs the client as its own process).
 
 use rdb_common::{ClientId, PeerMap, ReplicaId};
-use resilientdb::{connect_client, NodeOptions};
+use resilientdb::{client_net, registry_for, ClientSession, NodeOptions};
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -109,8 +109,16 @@ fn four_replica_process_cluster_commits_and_converges() {
         cfg.system.batch_size = BATCH;
         cfg
     };
-    let (mut session, client_net) =
-        connect_client(&node_cfg, ClientId(0)).expect("client transport");
+    let client_net = client_net(&node_cfg, None).expect("client transport");
+    let mut session = ClientSession::connect(
+        ClientId(0),
+        &client_net,
+        &registry_for(&node_cfg),
+        node_cfg.system.protocol,
+        node_cfg.system.f,
+        node_cfg.system.consensus_instances,
+        node_cfg.system.n,
+    );
     let mut done = 0u64;
     let mut submitted = 0u64;
     while submitted < TXNS {

@@ -152,11 +152,6 @@ impl FaultController {
         self.inner.crashed.read().contains(&node)
     }
 
-    /// Number of currently crashed nodes.
-    pub fn crashed_count(&self) -> usize {
-        self.inner.crashed.read().len()
-    }
-
     /// Severs the link between `a` and `b` in both directions.
     pub fn sever(&self, a: Sender, b: Sender) {
         let mut s = self.inner.severed.write();
@@ -387,7 +382,7 @@ mod tests {
         assert!(fc.should_drop(r(0), r(1)));
         assert!(fc.should_drop(r(1), r(0)));
         assert!(!fc.should_drop(r(0), r(2)));
-        assert_eq!(fc.crashed_count(), 1);
+        assert!(fc.is_crashed(r(1)) && !fc.is_crashed(r(2)));
         fc.recover(r(1));
         assert!(!fc.should_drop(r(0), r(1)));
     }

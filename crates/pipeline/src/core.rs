@@ -895,12 +895,11 @@ mod tests {
     }
 
     fn config(protocol: ProtocolKind, k: usize) -> SystemConfig {
-        let mut cfg = SystemConfig::new(4)
-            .unwrap()
-            .with_protocol(protocol)
-            .with_batch_size(2)
-            .with_consensus_instances(k)
-            .with_view_timeout_ms(VIEW_TIMEOUT.as_millis() as u64);
+        let mut cfg = SystemConfig::new(4).unwrap();
+        cfg.protocol = protocol;
+        cfg.batch_size = 2;
+        cfg.consensus_instances = k;
+        cfg.view_timeout_ms = VIEW_TIMEOUT.as_millis() as u64;
         cfg.table_size = 64;
         cfg
     }

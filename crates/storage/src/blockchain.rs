@@ -369,7 +369,7 @@ mod tests {
             )
             .unwrap();
         }
-        assert!(c.block_at(SeqNum(0)).unwrap().is_genesis());
+        assert_eq!(c.block_at(SeqNum(0)).unwrap().seq, SeqNum(0));
         assert_eq!(
             c.block_at(SeqNum(3)).unwrap().digest,
             digest(&3u64.to_le_bytes())

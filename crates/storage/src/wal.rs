@@ -204,18 +204,6 @@ impl Wal {
         self.shared.sync_if_dirty()
     }
 
-    /// Truncates the log back to empty (everything below the just-persisted
-    /// snapshot is covered by it).
-    pub fn reset(&self) -> io::Result<()> {
-        let mut st = self.shared.state.lock();
-        st.file.set_len(HEADER_LEN)?;
-        st.file.seek(SeekFrom::End(0))?;
-        st.file.sync_data()?;
-        st.unsynced = 0;
-        self.shared.len.store(HEADER_LEN, Ordering::Relaxed);
-        Ok(())
-    }
-
     /// Compacts the log, retaining only records `keep` accepts (in order).
     /// Atomic: the retained set is written to a sibling temp file, synced,
     /// and renamed over the log, so a crash leaves either the old or the
@@ -455,18 +443,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_empties_the_log() {
-        let path = tmp("reset");
-        let (wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("open");
-        wal.append(b"old").expect("append");
-        wal.reset().expect("reset");
-        wal.append(b"new").expect("append");
-        drop(wal);
-        let (_, rec) = Wal::open(&path, FsyncPolicy::Never).expect("reopen");
-        assert_eq!(rec.records, vec![b"new".to_vec()]);
-    }
-
-    #[test]
     fn rewrite_retain_keeps_the_selected_suffix() {
         let path = tmp("rewrite");
         let (wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("open");
@@ -516,7 +492,7 @@ mod tests {
         drop(wal);
         let (wal, _) = Wal::open(&path, FsyncPolicy::Never).expect("reopen");
         assert_eq!(wal.byte_len(), file_len(), "read back on open");
-        wal.reset().expect("reset");
+        wal.rewrite_retain(|_| false).expect("compact");
         assert_eq!(wal.byte_len(), HEADER_LEN);
     }
 }

@@ -171,7 +171,7 @@ mod tests {
         };
         let mut g = WorkloadGenerator::new(cfg, 1);
         let t = g.next_transaction(ClientId(0));
-        assert_eq!(t.op_count(), 10);
+        assert_eq!(t.ops.len(), 10);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use rdb_common::{ReplicaId, ThreadConfig};
 use rdb_workload::{WorkloadConfig, WorkloadGenerator};
-use resilientdb::SystemBuilder;
+use resilientdb::{FaultAction, SystemBuilder};
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
     assert_eq!(done, 30);
 
     // Phase 3: recover the backup; new commits flow again.
-    db.recover(ReplicaId(3));
+    db.apply_fault(&FaultAction::Recover(3));
     let recovered: Vec<_> = (0..30).map(|_| gen.next_transaction(client.id())).collect();
     let done = client.submit_and_wait(recovered, Duration::from_secs(15));
     println!("phase 3 (recovered): {done}/30 committed");

@@ -10,10 +10,24 @@
 
 use rdb_common::{MessageKind, ProtocolKind, ReplicaId, ThreadConfig};
 use rdb_pipeline::Stage;
-use resilientdb::{run_closed_loop, SystemBuilder};
+use resilientdb::{ResilientDb, SwarmConfig, SwarmReport, SystemBuilder};
 use std::time::Duration;
 
-fn threaded_measurement(protocol: ProtocolKind) -> resilientdb::Measurement {
+/// `clients` closed-loop sessions submitting bursts of 30 writes for two
+/// seconds.
+fn measure(db: &ResilientDb, clients: usize) -> SwarmReport {
+    let cfg = SwarmConfig {
+        clients,
+        txns_per_client: u64::MAX,
+        burst: 30,
+        shards: clients,
+        first_client: 0,
+        deadline: Duration::from_secs(2),
+    };
+    db.run_swarm(&cfg, |_, _| {})
+}
+
+fn threaded_measurement(protocol: ProtocolKind) -> SwarmReport {
     let db = SystemBuilder::new(4)
         .protocol(protocol)
         .batch_size(10)
@@ -21,7 +35,7 @@ fn threaded_measurement(protocol: ProtocolKind) -> resilientdb::Measurement {
         .client_keys(4)
         .build()
         .expect("valid configuration");
-    let m = run_closed_loop(&db, 3, 30, Duration::from_secs(2));
+    let m = measure(&db, 3);
     print_wire_breakdown(protocol, &db);
     db.shutdown();
     m
@@ -31,7 +45,7 @@ fn threaded_measurement(protocol: ProtocolKind) -> resilientdb::Measurement {
 /// from the exact canonical encoding (`Wire::encoded_len`) of every sent
 /// envelope, so the same table is directly comparable between the
 /// in-memory switchboard and a TCP deployment.
-fn print_wire_breakdown(protocol: ProtocolKind, db: &resilientdb::ResilientDb) {
+fn print_wire_breakdown(protocol: ProtocolKind, db: &ResilientDb) {
     let stats = db.network().stats();
     println!("\n-- wire traffic by message kind ({}) --", protocol.name());
     for kind in MessageKind::ALL {
@@ -65,10 +79,10 @@ fn saturation_breakdown() {
         .client_keys(4)
         .build()
         .expect("valid configuration");
-    let m = run_closed_loop(&db, 3, 30, Duration::from_secs(2));
+    let m = measure(&db, 3);
     let report = db.saturation(ReplicaId(0));
     println!("\n-- primary per-stage saturation (PBFT, 4E 2B pipeline) --");
-    println!("   ({:.0} txn/s over the window)", m.throughput_tps);
+    println!("   ({:.0} txn/s over the window)", m.tps());
     let stages = [
         Stage::Input,
         Stage::Batch,
@@ -114,9 +128,9 @@ fn multi_primary_breakdown() {
         .client_keys(4)
         .build()
         .expect("valid configuration");
-    let m = run_closed_loop(&db, 4, 30, Duration::from_secs(2));
+    let m = measure(&db, 4);
     println!("\n-- multi-primary (k = {K}) per-instance breakdown, replica 0 --");
-    println!("   ({:.0} txn/s over the window)", m.throughput_tps);
+    println!("   ({:.0} txn/s over the window)", m.tps());
     let report = db.saturation(ReplicaId(0));
     for j in 0..K {
         // Replica 0 leads instance 0; for every other instance it only
@@ -187,14 +201,14 @@ fn main() {
     println!("-- threaded runtime (4 replicas, laptop scale) --");
     let pbft = threaded_measurement(ProtocolKind::Pbft);
     let zyz = threaded_measurement(ProtocolKind::Zyzzyva);
-    println!(
-        "PBFT    : {:>8.0} txn/s, {:>6.1} ms per burst",
-        pbft.throughput_tps, pbft.avg_latency_ms
-    );
-    println!(
-        "Zyzzyva : {:>8.0} txn/s, {:>6.1} ms per burst",
-        zyz.throughput_tps, zyz.avg_latency_ms
-    );
+    for (name, m) in [("PBFT   ", &pbft), ("Zyzzyva", &zyz)] {
+        println!(
+            "{name} : {:>8.0} txn/s, burst p50 {:>6.1} ms, p99 {:>6.1} ms",
+            m.tps(),
+            m.p50_us as f64 / 1_000.0,
+            m.p99_us as f64 / 1_000.0
+        );
+    }
 
     saturation_breakdown();
     multi_primary_breakdown();

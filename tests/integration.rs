@@ -7,8 +7,10 @@ use rdb_common::{
 };
 use rdb_sim::SimConfig;
 use rdb_workload::{WorkloadConfig, WorkloadGenerator};
-use resilientdb::{connect_client, start_replica, NodeOptions, ReplicaNode, TransportMode};
-use resilientdb::{ResilientDb, SystemBuilder};
+use resilientdb::{
+    client_net, registry_for, start_replica, ClientSession, NodeOptions, ReplicaNode, TransportMode,
+};
+use resilientdb::{FaultAction, ResilientDb, SystemBuilder};
 use std::time::{Duration, Instant};
 
 /// Per-wait budget for commit/execution progress. 25 s covers a loaded
@@ -348,7 +350,7 @@ fn rejoins_by_snapshot_while_the_cluster_keeps_executing(
     burst(2);
     db.crash_backup(sleeper);
     burst(2 * INTERVAL + 3);
-    db.recover(sleeper);
+    db.apply_fault(&FaultAction::Recover(sleeper.0));
     // New commits are how the rejoiner learns it is behind, and what the
     // serving peers execute on top of the mark they serve.
     let deadline = Instant::now() + wait();
@@ -424,15 +426,15 @@ fn durable_tcp_cluster(
             peers.insert(ReplicaId(i as u32), l.local_addr().expect("bound"));
         }
         drop(listeners);
-        let opts = NodeOptions::new(peers)
-            .expect("valid peer map")
-            .protocol(protocol)
-            .batch_size(5)
-            .checkpoint_interval(4 * 5)
-            .table_size(128)
-            .client_keys(1)
-            .view_timeout_ms(400)
-            .data_dir(dir.to_str().expect("utf-8 temp dir"));
+        let mut opts = NodeOptions::new(peers).expect("valid peer map");
+        opts.system.protocol = protocol;
+        opts.system.batch_size = 5;
+        opts.system.checkpoint_interval = 4 * 5;
+        opts.system.table_size = 128;
+        opts.client_keys = 1;
+        opts.system.num_clients = 1;
+        opts.system.view_timeout_ms = 400;
+        opts.system.durability.data_dir = Some(dir.to_str().expect("utf-8 temp dir").into());
         let nodes: Vec<_> = (0..4)
             .map_while(|i| start_replica(&opts, ReplicaId(i)).ok())
             .collect();
@@ -457,7 +459,16 @@ fn restarts_from_its_data_directory(protocol: ProtocolKind) {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     let (opts, mut nodes) = durable_tcp_cluster(protocol, &dir);
-    let (mut client, client_net) = connect_client(&opts, ClientId(0)).expect("client transport");
+    let client_net = client_net(&opts, None).expect("client transport");
+    let mut client = ClientSession::connect(
+        ClientId(0),
+        &client_net,
+        &registry_for(&opts),
+        opts.system.protocol,
+        opts.system.f,
+        opts.system.consensus_instances,
+        opts.system.n,
+    );
     let mut submitted = 0;
     let mut burst = |batches: u64| {
         for _ in 0..batches {
