@@ -9,7 +9,7 @@ use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnI
 use rdb_consensus::{ClientAction, PbftClient, ZyzzyvaClient};
 use rdb_crypto::{CryptoProvider, KeyRegistry, PeerClass};
 use rdb_net::{Endpoint, NetHandle};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -86,8 +86,8 @@ pub struct ClientSession {
     results: Results,
     last_progress: Instant,
     /// Requests that have distributed a Zyzzyva commit certificate and are
-    /// waiting on `LocalCommit` acknowledgements.
-    cc_counters: Vec<u64>,
+    /// waiting on `LocalCommit` acknowledgements; each leaves on completion.
+    cc_counters: BTreeSet<u64>,
     /// Copies of submitted-but-uncompleted transactions, kept for
     /// retransmission (counter → transaction).
     in_flight: HashMap<u64, Transaction>,
@@ -143,7 +143,7 @@ impl ClientSession {
             counter: 0,
             results: Results::default(),
             last_progress: Instant::now(),
-            cc_counters: Vec::new(),
+            cc_counters: BTreeSet::new(),
             in_flight: HashMap::new(),
             last_retransmit: Instant::now(),
         }
@@ -250,6 +250,7 @@ impl ClientSession {
                 } => {
                     self.results.insert(txn_counter, &result);
                     self.in_flight.remove(&txn_counter);
+                    self.cc_counters.remove(&txn_counter);
                     completed += 1;
                 }
                 ClientAction::BroadcastReplicas(msg) => self.broadcast(&msg),
@@ -316,13 +317,13 @@ impl ClientSession {
         let mut completed = 0;
         if let Tracker::Zyzzyva(z) = &mut self.tracker {
             if self.last_progress.elapsed() > ZYZZYVA_CLIENT_TIMEOUT {
+                let mut outstanding: Vec<u64> = self.in_flight.keys().copied().collect();
+                outstanding.sort_unstable();
                 let mut acts = Vec::new();
-                for c in 0..self.counter {
+                for c in outstanding {
                     let a = z.on_timeout(c);
                     if !a.is_empty() {
-                        if !self.cc_counters.contains(&c) {
-                            self.cc_counters.push(c);
-                        }
+                        self.cc_counters.insert(c);
                         acts.extend(a);
                     }
                 }
@@ -479,6 +480,45 @@ mod tests {
     #[test]
     fn zyzzyva_responses_under_a_corrupted_mac_complete_nothing() {
         a_quorum_completes_only_when_its_macs_verify(ProtocolKind::Zyzzyva, 4);
+    }
+
+    #[test]
+    fn slow_path_completions_leave_no_certificate_bookkeeping_behind() {
+        const N: u64 = 5;
+        let protocol = ProtocolKind::Zyzzyva;
+        let (replicas, mut client, first, registry) = session(protocol);
+        let txns = (1..N).map(|_| client.write_txn(3, b"v".to_vec())).collect();
+        client.submit(txns);
+        // 2f + 1 speculative responses per request: too few for the fast
+        // path, enough for a commit certificate.
+        for (r, ep) in replicas.iter().enumerate().take(3) {
+            for counter in 0..N {
+                let txn = TxnId { counter, ..first };
+                let response = answer(&registry, protocol, r as u32, txn, false);
+                ep.send(Sender::Client(first.client), response).unwrap();
+            }
+        }
+        assert_eq!(client.poll_progress(), 0);
+        client.last_progress = Instant::now()
+            .checked_sub(ZYZZYVA_CLIENT_TIMEOUT * 2)
+            .unwrap();
+        assert_eq!(client.poll_progress(), 0, "certificates went out");
+        assert_eq!(client.cc_counters.len(), N as usize);
+        for (r, ep) in replicas.iter().enumerate().take(3) {
+            let replica = ReplicaId(r as u32);
+            let ack = Message::LocalCommit {
+                view: ViewNum(0),
+                seq: SeqNum(1),
+                replica,
+            };
+            let provider = registry.provider_for_replica(replica);
+            let ack = SignedMessage::sign_with(ack, Sender::Replica(replica), |bytes| {
+                provider.sign(PeerClass::Client, bytes)
+            });
+            ep.send(Sender::Client(first.client), ack).unwrap();
+        }
+        assert_eq!(client.poll_progress(), N as usize);
+        assert!(client.cc_counters.is_empty(), "{:?}", client.cc_counters);
     }
 
     #[test]

@@ -99,21 +99,26 @@ pub enum Effect {
         /// What to execute.
         item: ExecuteItem,
     },
-    /// Undo the speculative suffix above `to`: discard parked items above
-    /// it, repoint execution at `min(cursor, to + 1)` under a new epoch,
-    /// and rewind store/chain/counters. The reconciled history follows as
-    /// further [`Effect::Execute`]s.
+    /// Undo the speculative suffix above `to`: the execute stage drops the
+    /// parked items above it, rewinds store/chain/counters and moves its
+    /// next sequence to `min(next, to + 1)` under a new epoch
+    /// ([`crate::ExecStage::apply`]). It takes effect after every
+    /// `Execute` emitted before it, which may run first; the reconciled
+    /// history follows as further [`Effect::Execute`]s.
     Rollback {
         /// Last sequence that survives.
         to: SeqNum,
     },
-    /// Install an f+1-vouched, payload-verified snapshot: discard parked
-    /// items it covers, repoint execution at `max(cursor, base + 1)` under
-    /// a new epoch, and replace store and ledger.
+    /// Install an f+1-vouched, payload-verified snapshot: the execute
+    /// stage drops the parked items it covers, replaces store and ledger
+    /// and moves its next sequence to `max(next, base + 1)` under a new
+    /// epoch, in order with the other execution effects.
     InstallSnapshot(Arc<Snapshot>),
     /// `seq` became a 2f+1-stable checkpoint: nothing at or below it can
     /// roll back any more (drop undo images, persist the covering
-    /// snapshot, compact the WAL).
+    /// snapshot, compact the WAL). Emitted only once the execute stage has
+    /// applied every `Rollback` and `InstallSnapshot` before it, so the
+    /// worker carries it out directly.
     Stable {
         /// The stable sequence.
         seq: SeqNum,
@@ -182,12 +187,20 @@ pub struct ReplicaCore {
     protocol: ProtocolKind,
     /// 0B mode: per-instance worker-side batch assembly.
     assemblers: Vec<BatchAssembler>,
-    /// Execution timeline counter, in lockstep with the execution queue's:
-    /// both advance once per `Rollback`/`InstallSnapshot`.
+    /// Execution timeline counter. The execute stage keeps its own, which
+    /// advances on the same `Rollback`/`InstallSnapshot` effects once it
+    /// applies them; until then its results carry the older value.
     epoch: u64,
+    /// The epoch of the execute stage's latest current result. Below
+    /// `epoch`, a `Rollback` or `InstallSnapshot` may still wait in the
+    /// stage's channel, and stable-checkpoint work waits with it
+    /// ([`Self::release_stable`]).
+    stage_epoch: u64,
     /// Highest stable checkpoint seen; chain pruning up to here is
     /// retried as execution catches up (it is clamped at the head).
     stable_checkpoint: SeqNum,
+    /// Highest stable checkpoint handed on as [`Effect::Stable`].
+    stable_released: SeqNum,
     /// How far the chain has actually been pruned (tracks the clamp).
     pruned_to: SeqNum,
     /// Suspicion timers, one per instance: no progress on instance `j` for
@@ -287,7 +300,9 @@ impl ReplicaCore {
                 .map(|_| BatchAssembler::new(config.batch_size, now))
                 .collect(),
             epoch: 0,
+            stage_epoch: 0,
             stable_checkpoint: recovered.map_or(SeqNum(0), |r| r.stable),
+            stable_released: recovered.map_or(SeqNum(0), |r| r.stable),
             pruned_to: recovered.map_or(SeqNum(0), |r| r.snapshot_seq),
             view_timeout,
             last_progress: vec![now; k],
@@ -306,12 +321,6 @@ impl ReplicaCore {
             fetch_backoff: (view_timeout / 4)
                 .clamp(Duration::from_millis(40), Duration::from_millis(250)),
         }
-    }
-
-    /// The current execution epoch: an [`Input::Executed`] carrying any
-    /// other value is ignored.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Reacts to `input` at time `now`, then runs the suspicion and fetch
@@ -414,17 +423,39 @@ impl ReplicaCore {
         if epoch != self.epoch {
             return; // executed on a rolled-back/superseded timeline
         }
+        self.stage_epoch = epoch;
         self.last_executed = self.last_executed.max(seq);
         self.note_progress(self.engine.owner(seq), now);
         let actions = self.engine.on_executed(seq, state_digest);
         self.run_actions(actions, now, fx);
-        // A checkpoint can stabilize (2f+1 remote checkpoint messages)
-        // while local execution still lags; pruning is clamped at the
-        // chain head then, so retry as execution advances. Once caught
-        // up this is a field comparison, not a per-batch acquisition of
-        // the lock the execute path appends under.
+        self.release_stable(fx);
+    }
+
+    /// Carries out the stable checkpoint — prunes the chain and emits
+    /// [`Effect::Stable`] — once the execute stage has applied every
+    /// `Rollback` and `InstallSnapshot` emitted before it, which a result
+    /// in the current epoch proves. A checkpoint can stabilize from 2f+1
+    /// remote votes while a rollback below it still waits in the stage's
+    /// channel; pruning the chain or the undo log past the rollback's
+    /// target first would leave the displaced writes in place (or trip
+    /// the ledger's truncate assert).
+    ///
+    /// Pruning is clamped at the chain head while local execution lags,
+    /// so it is retried here as execution advances. Once caught up this
+    /// is a field comparison, not a per-batch acquisition of the lock the
+    /// execute path appends under.
+    fn release_stable(&mut self, fx: &mut Vec<Effect>) {
+        if self.stage_epoch != self.epoch {
+            return;
+        }
         if self.stable_checkpoint > self.pruned_to {
             self.pruned_to = self.env.prune_chain_below(self.stable_checkpoint);
+        }
+        if self.stable_checkpoint > self.stable_released {
+            self.stable_released = self.stable_checkpoint;
+            fx.push(Effect::Stable {
+                seq: self.stable_checkpoint,
+            });
         }
     }
 
@@ -552,8 +583,7 @@ impl ReplicaCore {
                 }
                 Action::StableCheckpoint { seq } => {
                     self.stable_checkpoint = self.stable_checkpoint.max(seq);
-                    self.pruned_to = self.pruned_to.max(self.env.prune_chain_below(seq));
-                    fx.push(Effect::Stable { seq });
+                    self.release_stable(fx);
                 }
                 Action::Rollback { to } => {
                     // New epoch: in-flight `Executed` notifications from
@@ -733,6 +763,7 @@ impl ReplicaCore {
         self.last_executed = self.last_executed.max(base);
         self.commit_frontier = self.commit_frontier.max(base);
         self.stable_checkpoint = self.stable_checkpoint.max(base);
+        self.stable_released = self.stable_released.max(base);
         self.pruned_to = self.pruned_to.max(base);
         self.fetch_inflight.retain(|seq, _| *seq > base);
         self.fetch_votes.retain(|(seq, _, _), _| *seq > base);
@@ -829,15 +860,15 @@ mod tests {
     //! `Instant` plus offsets), no sleeps, no channels.
 
     use super::*;
-    use crate::Executor;
+    use crate::{ExecStage, Executor};
     use parking_lot::Mutex;
-    use rdb_common::block::{Block, BlockLink};
+    use rdb_common::block::{Block, BlockCertificate, BlockLink};
     use rdb_common::messages::MessageKind;
-    use rdb_common::{Batch, ClientId, CryptoScheme, Operation, Transaction};
+    use rdb_common::{Batch, ClientId, CryptoScheme, Operation, SignatureBytes, Transaction};
     use rdb_crypto::{KeyRegistry, PeerClass};
     use rdb_storage::blockchain::ChainMode;
     use rdb_storage::{Blockchain, MemStore, StateStore};
-    use std::collections::{BTreeMap, VecDeque};
+    use std::collections::VecDeque;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     const VIEW_TIMEOUT: Duration = Duration::from_millis(1_000);
@@ -861,13 +892,15 @@ mod tests {
         }
     }
 
-    /// One replica: its core, a real executor, and an in-order execution
-    /// buffer standing in for the execute stage.
+    /// One replica: its core, a real executor, and the execute stage,
+    /// run inline as under `0E`.
     struct Node {
         core: ReplicaCore,
         executor: Arc<Executor>,
-        parked: BTreeMap<SeqNum, ExecuteItem>,
-        next_exec: SeqNum,
+        stage: ExecStage,
+        /// `Some` while the stage lags: execution effects wait here, in
+        /// order, as in an execute thread's channel.
+        stage_backlog: Option<Vec<Effect>>,
         /// `(seq, state digest)` of everything executed, in order.
         executed: Vec<(SeqNum, Digest)>,
         /// Every message this replica sent, with its targets.
@@ -927,8 +960,8 @@ mod tests {
                     Node {
                         core: ReplicaCore::new(cfg, id, provider, env, None, now),
                         executor,
-                        parked: BTreeMap::new(),
-                        next_exec: SeqNum(1),
+                        stage: ExecStage::new(SeqNum(1)),
+                        stage_backlog: None,
                         executed: Vec::new(),
                         sent: Vec::new(),
                         views: Vec::new(),
@@ -994,36 +1027,38 @@ mod tests {
                     }
                     node.sent.push(item);
                 }
-                Effect::Execute { item, .. } => {
-                    node.parked.insert(item.seq, item);
-                    while let Some(item) = node.parked.remove(&node.next_exec) {
+                Effect::Execute { .. } | Effect::Rollback { .. } | Effect::InstallSnapshot(_) => {
+                    if let Some(backlog) = &mut node.stage_backlog {
+                        backlog.push(effect);
+                        return;
+                    }
+                    if let Effect::InstallSnapshot(snapshot) = &effect {
+                        node.installed.push(snapshot.base_seq);
+                    }
+                    node.stage.apply(effect, &node.executor);
+                    for item in node.stage.take_window(usize::MAX) {
                         let (state_digest, _replies) = node.executor.execute(&item);
                         node.executed.push((item.seq, state_digest));
-                        node.next_exec = node.next_exec.next();
                         let done = Input::Executed {
                             seq: item.seq,
                             state_digest,
-                            epoch: node.core.epoch(),
+                            epoch: node.stage.epoch(),
                         };
                         self.wire.push_back((r, done));
                     }
-                }
-                Effect::Rollback { to } => {
-                    node.parked.retain(|seq, _| *seq <= to);
-                    node.executor.rollback_to(to);
-                    node.next_exec = node.next_exec.min(to.next());
-                }
-                Effect::InstallSnapshot(snapshot) => {
-                    let base = snapshot.base_seq;
-                    node.parked.retain(|seq, _| *seq > base);
-                    node.executor.install_snapshot(&snapshot);
-                    node.next_exec = node.next_exec.max(base.next());
-                    node.installed.push(base);
                 }
                 Effect::Stable { seq } => node.executor.note_stable(seq),
                 Effect::ViewEntered { instance, view } => node.views.push((instance, view)),
                 Effect::BadSignatures(n) => node.bad_sigs += n,
                 Effect::FetchServed { .. } => {}
+            }
+        }
+
+        /// Lets replica `r`'s stage apply its backlog, in order, and keep
+        /// up from then on.
+        fn catch_up_stage(&mut self, r: usize) {
+            for effect in self.nodes[r].stage_backlog.take().unwrap_or_default() {
+                self.apply(r, effect);
             }
         }
 
@@ -1150,7 +1185,7 @@ mod tests {
             state_digest: Digest::ZERO,
             epoch,
         };
-        c.step(1, executed(c.nodes[1].core.epoch() + 1));
+        c.step(1, executed(c.nodes[1].core.epoch + 1));
         c.advance(VIEW_TIMEOUT * 4);
         assert_eq!(
             view_changes(&c.nodes[1]),
@@ -1159,12 +1194,164 @@ mod tests {
         );
 
         // A current-epoch result is: demand is met, strikes are cleared.
-        c.step(1, executed(c.nodes[1].core.epoch()));
+        c.step(1, executed(c.nodes[1].core.epoch));
         c.advance(VIEW_TIMEOUT * 8);
         assert_eq!(view_changes(&c.nodes[1]), 3, "demand was met by executing");
         c.step(1, Input::ClientDemand(0));
         c.advance(VIEW_TIMEOUT);
         assert_eq!(view_changes(&c.nodes[1]), 4, "back to the base timeout");
+    }
+
+    #[test]
+    fn an_executed_from_before_a_rollback_carries_the_old_epoch_and_is_ignored() {
+        let mut c = Cluster::new(&config(ProtocolKind::Zyzzyva, 1));
+        c.commit_batch(0, 0, 0);
+        let epoch = c.nodes[1].core.epoch;
+        // Replica 1 speculatively executes seq 2; its result is still in
+        // flight to its core when the rollback comes.
+        let request = c.request(0, 2, 2);
+        c.step(0, Input::ClientRequest(request));
+        let for_1 = |want_executed: bool| {
+            move |(to, input): &(usize, Input)| {
+                *to == 1 && matches!(input, Input::Executed { .. }) == want_executed
+            }
+        };
+        let pre_prepare = c.wire.iter().position(for_1(false)).unwrap();
+        let (_, pre_prepare) = c.wire.remove(pre_prepare).unwrap();
+        c.step(1, pre_prepare);
+        let result = c.wire.iter().position(for_1(true)).unwrap();
+        let (_, result) = c.wire.remove(result).unwrap();
+        assert!(matches!(result, Input::Executed { seq: SeqNum(2), epoch: e, .. } if e == epoch));
+
+        // A client's commit certificate for another digest at seq 2: the
+        // speculative suffix rolls back to 1.
+        let signers = (0..3).map(|i| (ReplicaId(i), SignatureBytes(vec![i as u8])));
+        let cert = Message::CommitCert {
+            view: ViewNum(0),
+            seq: SeqNum(2),
+            digest: Digest([9; 32]),
+            cert: BlockCertificate::new(signers.collect()),
+            client: ClientId(0),
+        };
+        let from = Sender::Client(ClientId(0));
+        c.step(
+            1,
+            Input::Verified(SignedMessage::new(cert, from, Default::default())),
+        );
+        let node = &c.nodes[1];
+        assert_eq!(
+            (node.core.epoch, node.stage.epoch()),
+            (epoch + 1, epoch + 1)
+        );
+        assert_eq!(node.stage.next(), SeqNum(2), "seq 2 runs again");
+        assert_eq!(node.executor.executed_batches(), 1, "seq 2 was undone");
+
+        // The old timeline's result reaches the core and is not progress.
+        assert_eq!(c.nodes[1].core.last_executed, SeqNum(1));
+        c.step(1, result);
+        assert_eq!(c.nodes[1].core.last_executed, SeqNum(1));
+    }
+
+    /// A checkpoint that stabilizes above a rollback the execute stage has
+    /// not applied yet waits for it. Pruning first would drop the undo
+    /// records the rollback needs (or move the ledger's base past its
+    /// target) and leave the displaced writes in place.
+    #[test]
+    fn a_checkpoint_stable_above_a_pending_rollback_waits_for_the_stage() {
+        let mut cfg = config(ProtocolKind::Zyzzyva, 1);
+        cfg.checkpoint_interval = 4; // a checkpoint every 2 batches
+        let mut c = Cluster::new(&cfg);
+        for node in &c.nodes {
+            node.executor.set_snapshot_interval(2);
+        }
+        c.commit_batch(0, 0, 0);
+        let after_1 = c.nodes[1].executor.store().state_digest();
+
+        // Replica 1 alone speculatively executes a forged proposal at 2.
+        let forged = Arc::new(Batch::new(vec![Transaction::new(
+            ClientId(5),
+            0,
+            vec![Operation::Write {
+                key: 3,
+                value: vec![1; 8],
+            }],
+        )]));
+        let proposal = Message::PrePrepare {
+            view: ViewNum(0),
+            seq: SeqNum(2),
+            digest: digest(&forged.canonical_bytes()),
+            batch: forged,
+        };
+        let primary = Sender::Replica(ReplicaId(0));
+        c.step(
+            1,
+            Input::Verified(SignedMessage::new(proposal, primary, Default::default())),
+        );
+        c.run();
+        assert_eq!(c.nodes[1].executor.executed_batches(), 2);
+
+        // The others execute the primary's real seq 2 and vote on it.
+        c.isolated.insert(1);
+        c.commit_batch(0, 0, 2);
+        c.isolated.remove(&1);
+        let votes: Vec<Input> = [0, 2, 3]
+            .into_iter()
+            .map(|r| {
+                let vote = c.nodes[r].sent_kind(MessageKind::Checkpoint)[0].msg.clone();
+                let from = Sender::Replica(ReplicaId(r as u32));
+                Input::Verified(SignedMessage::new(vote, from, Default::default()))
+            })
+            .collect();
+        let Message::PrePrepare { digest: real, .. } =
+            c.nodes[0].sent_kind(MessageKind::PrePrepare)[1].msg
+        else {
+            unreachable!("the primary's second proposal")
+        };
+
+        // A client's certificate for the real seq 2 rolls replica 1 back
+        // to 1 while its stage lags; then 2f+1 votes make 2 stable.
+        c.nodes[1].stage_backlog = Some(Vec::new());
+        let signers = [0, 2, 3].map(|i| (ReplicaId(i), SignatureBytes(vec![i as u8])));
+        let cert = Message::CommitCert {
+            view: ViewNum(0),
+            seq: SeqNum(2),
+            digest: real,
+            cert: BlockCertificate::new(signers.into()),
+            client: ClientId(0),
+        };
+        let from = Sender::Client(ClientId(0));
+        c.step(
+            1,
+            Input::Verified(SignedMessage::new(cert, from, Default::default())),
+        );
+        for vote in votes {
+            c.step(1, vote);
+        }
+        assert_eq!(c.nodes[1].core.stable_checkpoint, SeqNum(2));
+        assert_eq!(c.nodes[1].core.pruned_to, SeqNum(0), "pruning waits");
+
+        // The stage applies the rollback: all of the forged batch is
+        // undone.
+        c.catch_up_stage(1);
+        c.run();
+        let node = &c.nodes[1];
+        assert_eq!(node.executor.executed_batches(), 1);
+        assert_eq!(node.executor.store().state_digest(), after_1);
+
+        // Replica 1 catches up from the others and converges on a replica
+        // that never speculated.
+        for _ in 0..50 {
+            c.advance(FETCH_POLL_EVERY);
+        }
+        c.commit_batch(0, 0, 4);
+        let (one, zero) = (&c.nodes[1], &c.nodes[0]);
+        assert_eq!(one.executed.last(), zero.executed.last());
+        assert_eq!(one.executed.last().map(|e| e.0), Some(SeqNum(3)));
+        assert_eq!(
+            one.executor.store().state_digest(),
+            zero.executor.store().state_digest()
+        );
+        assert!(one.core.pruned_to >= SeqNum(2), "pruned once caught up");
     }
 
     #[test]
@@ -1426,15 +1613,11 @@ mod tests {
             "payload must match its commitment"
         );
 
-        let epoch = c.nodes[3].core.epoch();
+        let epoch = c.nodes[3].core.epoch;
         c.step(3, response(1, 1, &snapshot));
         assert_eq!(c.nodes[3].installed, vec![SeqNum(8)]);
-        assert_eq!(
-            c.nodes[3].core.epoch(),
-            epoch + 1,
-            "a new execution timeline"
-        );
-        assert_eq!(c.nodes[3].next_exec, SeqNum(9));
+        assert_eq!(c.nodes[3].core.epoch, epoch + 1, "a new execution timeline");
+        assert_eq!(c.nodes[3].stage.next(), SeqNum(9));
         // Already covered: the same snapshot again is a no-op.
         c.step(3, response(2, 2, &snapshot));
         assert_eq!(c.nodes[3].installed.len(), 1);

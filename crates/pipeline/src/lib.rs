@@ -7,14 +7,14 @@
 //!   `step(input, now, &mut effects)` state machine with no threads,
 //!   channels or clock reads, so it can be driven single-threaded.
 //! - [`replica`] — [`spawn_replica`] builds the shared state and starts
-//!   the stage loops (input, batch, checkpoint, worker, execute, output);
-//!   the worker loop drives the core and carries out its effects.
+//!   the stage loops (input, batch, checkpoint, worker, execute, output),
+//!   joined by plain channels; the worker loop drives the core and
+//!   carries out its effects, forwarding the execution ones in order.
 //! - [`batch`] — signature-window verification and batch assembly, shared
 //!   by the stages that verify and by the core's `0B` path.
-//! - [`queues::ClientRequestQueue`] — the blocking common queue feeding
-//!   the batch-threads.
-//! - [`queues::ExecutionQueues`] — the `QC`-slot logical queue array that
-//!   lets the execute-thread wait on *exactly* the next sequence number.
+//! - [`queues::ExecStage`] — the in-order buffer in front of execution:
+//!   committed batches parked by sequence, run from *exactly* the next
+//!   sequence number, owned by whichever thread executes.
 //! - [`executor`] / [`scheduler`] — ordered execution, block creation,
 //!   client replies; serially or across conflict-scheduled workers.
 //! - [`recovery`] / [`durable`] — validation of fetched batches and
@@ -44,6 +44,6 @@ pub use core::{CoreEnv, Effect, Input, ReplicaCore};
 pub use durable::{recover_replica, Durability, RecoveryReport, RecoverySource, WalEntry};
 pub use executor::{execute_txn, Executor, OutItem, TxnOutcome};
 pub use metrics::{MetricsRegistry, SaturationReport, Stage, StageRecorder, ThreadSaturation};
-pub use queues::{Claim, ClientRequestQueue, ExecuteItem, ExecutionQueues};
+pub use queues::{ExecStage, ExecuteItem};
 pub use replica::{spawn_replica, ReplicaHandle, ReplicaShared};
 pub use scheduler::{conflict_waves, ExecPool, ParallelExecutor};

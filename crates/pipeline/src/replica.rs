@@ -2,32 +2,35 @@
 //! stage around the sans-IO [`ReplicaCore`].
 //!
 //! ```text
-//! network ─▶ input_loop ──▶ client-request queue ─▶ batch_loop ─┐
-//!                  │                                            │ Propose
-//!                  ├─ replica msgs ─────────────▶ worker_loop ◀─┘
+//! network ─▶ input_loop ──▶ client-request channel ─▶ batch_loop ─┐
+//!                  │                                              │ Propose
+//!                  ├─ replica msgs ───────────────▶ worker_loop ◀─┘
 //!                  └─ checkpoints ─▶ checkpoint_loop ─▶ worker_loop
-//!  worker_loop ─▶ execution queues (QC slots) ─▶ execute_loop ─▶ output_loop ─▶ network
-//!                                                    └─ Executed ─▶ worker_loop
+//!  worker_loop ─▶ execution effects (FIFO) ─▶ execute_loop ─▶ output channel ─▶ output_loop ─▶ network
+//!                                                  └─ Executed ─▶ worker_loop
 //! ```
 //!
 //! Every stage is a plain function run by `ThreadConfig`-many threads;
 //! [`spawn_replica`] only builds the shared state and starts them. All
 //! decisions — consensus, timers, recovery — are made by the core, which
 //! [`worker_loop`] feeds from its channel and whose [`Effect`]s it alone
-//! carries out. The other loops verify, assemble, execute and transmit:
+//! interprets. The other loops verify, assemble, execute and transmit:
 //!
 //! - [`input_loop`] and [`checkpoint_loop`] batch-verify incoming
 //!   signatures (checkpoint votes on their own thread so a burst of them
 //!   cannot delay consensus traffic) and forward what is authentic.
 //! - [`batch_loop`] turns client requests into digested batches;
 //!   `batch_threads = 0` leaves that to the core (the paper's `0B`).
-//! - [`execute_loop`] runs committed batches strictly in sequence order:
-//!   serially for `execute_threads = 1`, through the conflict scheduler
-//!   ([`crate::scheduler`]) for `N ≥ 2` — same loop, different "run this
+//! - [`execute_loop`] owns the [`ExecStage`]: the worker forwards it the
+//!   core's `Execute`, `Rollback` and `InstallSnapshot` effects in order,
+//!   and it runs committed batches strictly in sequence order — serially
+//!   for `execute_threads = 1`, through the conflict scheduler
+//!   ([`crate::scheduler`]) for `N ≥ 2`: same loop, different "run this
 //!   window" closure, bit-identical results. With `execute_threads = 0`
-//!   the worker runs the same step itself after each deposit (`0E`,
-//!   Figure 8's integrated ordering and execution).
-//! - [`output_loop`] signs each outgoing message once and fans it out.
+//!   the worker owns the stage and runs what became ready after each step
+//!   itself (`0E`, Figure 8's integrated ordering and execution).
+//! - [`output_loop`] signs each outgoing message once and fans it out;
+//!   the output threads share one channel.
 //!
 //! Stage channels are unbounded: back-pressure comes from the closed-loop
 //! clients and the transport, not from blocking a stage on its successor.
@@ -37,7 +40,7 @@ use crate::core::{client_instance, CoreEnv, Effect, Input, ReplicaCore};
 use crate::durable;
 use crate::executor::{Executor, OutItem};
 use crate::metrics::{MetricsRegistry, Stage, StageRecorder};
-use crate::queues::{Claim, ClientRequestQueue, ExecuteItem, ExecutionQueues};
+use crate::queues::{ExecStage, ExecuteItem};
 use crate::scheduler::{ExecPool, ParallelExecutor};
 use crossbeam::channel::{self, Receiver, Sender as ChanSender};
 use parking_lot::Mutex;
@@ -72,9 +75,6 @@ pub struct ReplicaShared {
     pub chain: Arc<Mutex<Blockchain>>,
     /// Per-thread saturation metrics.
     pub metrics: MetricsRegistry,
-    /// Per-instance client request queues (`queues[j]` fills only
-    /// while this replica leads instance `j`; all empty on pure backups).
-    pub client_queues: Vec<Arc<ClientRequestQueue>>,
     /// The execution engine (owns executed-transaction counters).
     pub executor: Arc<Executor>,
     /// Sign/verify call counters shared by every stage thread's provider.
@@ -206,18 +206,35 @@ pub fn spawn_replica(
     let endpoint = net.register(Sender::Replica(id));
     let k = config.consensus_instances.max(1);
     let threads_cfg = config.threads;
-    let (shared, exec_queues) = build_shared(config, id, &provider);
+    let shared = build_shared(config, id, &provider);
     let (metrics, executor) = (&shared.metrics, &shared.executor);
+    // Batch threads are spawned on every replica: a channel only fills
+    // while this replica leads its instance (input routing is view-aware),
+    // and `propose` on a backup engine is a no-op. With k > 1 instances the
+    // count is raised to at least k so every instance has a dedicated
+    // batching path; thread `b` serves instance `b % k`.
+    let batch_threads = match threads_cfg.batch_threads {
+        0 => 0,
+        b => b.max(k),
+    };
 
     // --- channels -----------------------------------------------------------
     let (work_tx, work_rx) = channel::unbounded::<Input>();
     let (ckpt_tx, ckpt_rx) = channel::unbounded::<SignedMessage>();
-    let (out_txs, out_rxs): (Vec<_>, Vec<_>) = (0..threads_cfg.output_threads)
-        .map(|_| channel::unbounded::<OutItem>())
+    let (out_tx, out_rx) = channel::unbounded::<OutItem>();
+    // One client-request channel per instance, none in the `0B`
+    // configuration (the worker batches).
+    let (client_txs, client_rxs): (Vec<_>, Vec<_>) = (0..k)
+        .filter(|_| batch_threads > 0)
+        .map(|_| channel::unbounded::<SignedMessage>())
         .unzip();
-    let out = OutShards {
-        txs: out_txs,
-        next: 0,
+    // The execute stage resumes past whatever restart recovery replayed.
+    let exec_stage = ExecStage::new(shared.recovery.map_or(SeqNum(1), |r| r.head.next()));
+    let (exec, exec_rx) = if threads_cfg.execute_threads == 0 {
+        (ExecHandoff::Inline(exec_stage), None)
+    } else {
+        let (tx, rx) = channel::unbounded::<Effect>();
+        (ExecHandoff::Thread(tx), Some((exec_stage, rx)))
     };
     let shutdown = Arc::new(AtomicBool::new(false));
     let stage = |stage: Stage, index: usize| StageCtx {
@@ -244,7 +261,7 @@ pub fn spawn_replica(
         let (ctx, rx) = (stage(Stage::Input, i), endpoint.receiver());
         let router = Router {
             n: config.n as u64,
-            to_batch_threads: threads_cfg.batch_threads > 0,
+            client_txs: client_txs.clone(),
             ckpt_tx: (threads_cfg.checkpoint_threads > 0).then(|| ckpt_tx.clone()),
         };
         spawn(
@@ -252,20 +269,12 @@ pub fn spawn_replica(
             Box::new(move || input_loop(&ctx, &rx, &router)),
         );
     }
-    // Batch threads are spawned on every replica: a queue only fills while
-    // this replica leads its instance (input routing is view-aware), and
-    // `propose` on a backup engine is a no-op. With k > 1 instances the
-    // count is raised to at least k so every instance has a dedicated
-    // batching path; thread `b` serves instance `b % k`.
-    let batch_threads = match threads_cfg.batch_threads {
-        0 => 0,
-        b => b.max(k),
-    };
     for b in 0..batch_threads {
-        let (ctx, batch_size) = (stage(Stage::Batch, b), config.batch_size);
+        let (ctx, rx) = (stage(Stage::Batch, b), client_rxs[b % k].clone());
+        let batch_size = config.batch_size;
         spawn(
             format!("batch-{b}"),
-            Box::new(move || batch_loop(&ctx, b % k, batch_size)),
+            Box::new(move || batch_loop(&ctx, &rx, b % k, batch_size)),
         );
     }
     for c in 0..threads_cfg.checkpoint_threads {
@@ -280,11 +289,10 @@ pub fn spawn_replica(
     {
         let ctx = stage(Stage::Worker, 0);
         let io = WorkerIo {
-            out: out.clone(),
-            queues: Arc::clone(&exec_queues),
+            out: out_tx.clone(),
+            exec,
             executor: Arc::clone(executor),
             net_stats: net.stats().clone(),
-            execute_inline: threads_cfg.execute_threads == 0,
         };
         let config = config.clone();
         spawn(
@@ -294,7 +302,7 @@ pub fn spawn_replica(
     }
     // 1E is the paper's serial execute-thread; N ≥ 2 makes it the
     // coordinator of N conflict-scheduled pool workers.
-    if threads_cfg.execute_threads > 0 {
+    if let Some((exec_stage, rx)) = exec_rx {
         let parallel = threads_cfg.execute_threads > 1;
         let (stage_kind, name) = if parallel {
             (Stage::ExecuteCoord, "execute-coord")
@@ -306,8 +314,7 @@ pub fn spawn_replica(
             .filter(|_| parallel)
             .map(|w| metrics.recorder(Stage::Execute, w))
             .collect();
-        let (queues, mut out) = (Arc::clone(&exec_queues), out.clone());
-        let executor = Arc::clone(executor);
+        let (out, executor) = (out_tx.clone(), Arc::clone(executor));
         let pool_name = format!("r{}", id.0);
         spawn(
             name.into(),
@@ -315,17 +322,17 @@ pub fn spawn_replica(
                 // The pool lives on this thread: dropping it at shutdown
                 // closes the task channel and joins the workers.
                 let (cap, mut run) = if parallel {
-                    let run = parallel_runner(executor, &pool_name, pool_recorders);
+                    let run = parallel_runner(Arc::clone(&executor), &pool_name, pool_recorders);
                     (EXECUTE_WINDOW, run)
                 } else {
-                    (1, serial_runner(executor))
+                    (1, serial_runner(Arc::clone(&executor)))
                 };
-                execute_loop(&ctx, &queues, cap, &mut *run, &mut out);
+                execute_loop(&ctx, &rx, exec_stage, &executor, cap, &mut *run, &out);
             }),
         );
     }
-    for (o, rx) in out_rxs.into_iter().enumerate() {
-        let (ctx, endpoint) = (stage(Stage::Output, o), endpoint.clone());
+    for o in 0..threads_cfg.output_threads {
+        let (ctx, rx, endpoint) = (stage(Stage::Output, o), out_rx.clone(), endpoint.clone());
         spawn(
             format!("output-{o}"),
             Box::new(move || output_loop(&ctx, &rx, &endpoint)),
@@ -339,19 +346,19 @@ pub fn spawn_replica(
     }
 }
 
-/// Builds everything the stage threads share: storage, the executor, the
-/// inter-stage queues and the counters behind [`ReplicaShared`]. With a
-/// data directory configured, this is also where the replica rebuilds
-/// itself from its WAL and snapshots — before any stage thread runs:
-/// replay re-executes through the ordinary executor (the snapshot interval
-/// is already set, so serving snapshots recapture too) and the execution
-/// cursor resumes past the recovered head. Anything the disk could not
-/// prove is left to the network state-transfer path.
+/// Builds everything the stage threads share: storage, the executor and
+/// the counters behind [`ReplicaShared`]. With a data directory
+/// configured, this is also where the replica rebuilds itself from its WAL
+/// and snapshots — before any stage thread runs: replay re-executes
+/// through the ordinary executor (the snapshot interval is already set, so
+/// serving snapshots recapture too), and the report it publishes tells the
+/// execute stage to resume past the recovered head. Anything the disk
+/// could not prove is left to the network state-transfer path.
 fn build_shared(
     config: &SystemConfig,
     id: ReplicaId,
     provider: &CryptoProvider,
-) -> (Arc<ReplicaShared>, Arc<ExecutionQueues>) {
+) -> Arc<ReplicaShared> {
     let k = config.consensus_instances.max(1);
     let (data_dir, store, chain) = open_storage(config, id);
     let executor = Arc::new(Executor::new(
@@ -365,14 +372,9 @@ fn build_shared(
     // so every replica snapshots identical state at identical sequences —
     // the f+1 cross-peer agreement a state-transferring receiver demands.
     executor.set_snapshot_interval(crate::core::checkpoint_delta(config) * k as u64);
-    // QC = 2 × clients (Section 4.6): each client keeps one request
-    // outstanding.
-    let qc = (2 * config.num_clients).clamp(1024, 1 << 16);
-    let exec_queues = Arc::new(ExecutionQueues::new(qc));
     let recovery = data_dir.as_ref().map(|dir| {
         let (_, report) = durable::recover_replica(&executor, dir, &config.durability)
             .expect("replica data directory unusable");
-        exec_queues.set_cursor(report.head.next());
         report
     });
     let metrics = MetricsRegistry::new();
@@ -382,9 +384,6 @@ fn build_shared(
         store,
         chain,
         metrics,
-        client_queues: (0..k)
-            .map(|_| Arc::new(ClientRequestQueue::new()))
-            .collect(),
         executor,
         crypto_stats: provider.stats().clone(),
         committed_batches: AtomicU64::new(0),
@@ -393,7 +392,7 @@ fn build_shared(
         instance_views: (0..k).map(|_| AtomicU64::new(0)).collect(),
         recovery,
     };
-    (Arc::new(shared), exec_queues)
+    Arc::new(shared)
 }
 
 /// Creates the replica's state store and ledger. With durability
@@ -448,26 +447,12 @@ impl StageCtx {
     }
 }
 
-/// Round-robin over the output threads' channels.
-#[derive(Clone)]
-struct OutShards {
-    txs: Vec<ChanSender<OutItem>>,
-    next: usize,
-}
-
-impl OutShards {
-    fn send(&mut self, item: OutItem) {
-        let shard = self.next % self.txs.len();
-        self.next += 1;
-        let _ = self.txs[shard].send(item);
-    }
-}
-
 /// Where an input thread sends what it does not verify itself.
 struct Router {
     n: u64,
-    /// `false` is the `0B` configuration: requests go to the worker.
-    to_batch_threads: bool,
+    /// The batch threads' request channel per instance; empty in the `0B`
+    /// configuration, where requests go to the worker.
+    client_txs: Vec<ChanSender<SignedMessage>>,
     /// `None` when no checkpoint thread runs: checkpoints are verified here.
     ckpt_tx: Option<ChanSender<SignedMessage>>,
 }
@@ -483,15 +468,15 @@ impl Router {
                 // Instance `j` at view `v` is led by replica `(v + j) % n`.
                 // Primaryship is dynamic: re-check the installed view on
                 // every request.
-                let j = client_instance(sm.sender(), shared.client_queues.len());
+                let j = client_instance(sm.sender(), shared.consensus_instances());
                 let led_by = (shared.instance_view(j) + j as u64) % self.n;
                 if led_by != shared.id.0 as u64 {
                     // Backups drop the payload (clients address the primary
                     // directly; rebroadcasts reach it too) but surface the
                     // demand to the suspicion timer.
                     let _ = ctx.work_tx.send(Input::ClientDemand(j));
-                } else if self.to_batch_threads {
-                    shared.client_queues[j].push(sm);
+                } else if let Some(client_tx) = self.client_txs.get(j) {
+                    let _ = client_tx.send(sm);
                 } else {
                     let _ = ctx.work_tx.send(Input::ClientRequest(sm));
                 }
@@ -553,8 +538,7 @@ fn checkpoint_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>) {
 /// Batch thread (Section 4.3): verify client signatures a window at a
 /// time, assemble batches, digest them once, hand them to the worker for
 /// proposing on `instance`.
-fn batch_loop(ctx: &StageCtx, instance: usize, batch_size: usize) {
-    let cq = &ctx.shared.client_queues[instance];
+fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, instance: usize, batch_size: usize) {
     let mut assembler = BatchAssembler::new(batch_size, Instant::now());
     let mut window: Vec<SignedMessage> = Vec::with_capacity(VERIFY_WINDOW);
     let mut cut = Vec::new();
@@ -566,7 +550,7 @@ fn batch_loop(ctx: &StageCtx, instance: usize, batch_size: usize) {
             due.saturating_duration_since(Instant::now())
                 .min(POLL_INTERVAL)
         });
-        let first = cq.pop_timeout(wait);
+        let first = rx.recv_timeout(wait).ok();
         let now = Instant::now();
         if first.is_none() && !assembler.flush_due(now) {
             continue;
@@ -576,9 +560,9 @@ fn batch_loop(ctx: &StageCtx, instance: usize, batch_size: usize) {
                 Some(sm) => {
                     window.push(sm);
                     while window.len() < VERIFY_WINDOW {
-                        match cq.pop() {
-                            Some(m) => window.push(m),
-                            None => break,
+                        match rx.try_recv() {
+                            Ok(m) => window.push(m),
+                            Err(_) => break,
                         }
                     }
                     let rejected = assembler.ingest(&ctx.provider, &mut window, now, &mut cut);
@@ -597,44 +581,52 @@ fn batch_loop(ctx: &StageCtx, instance: usize, batch_size: usize) {
     }
 }
 
+/// Where the worker hands the core's execution effects.
+enum ExecHandoff {
+    /// To the execute thread's stage, over one FIFO channel.
+    Thread(ChanSender<Effect>),
+    /// `0E`: no execute thread — the worker owns the stage.
+    Inline(ExecStage),
+}
+
 /// Everything the worker loop touches on the core's behalf.
 struct WorkerIo {
-    out: OutShards,
-    queues: Arc<ExecutionQueues>,
+    out: ChanSender<OutItem>,
+    exec: ExecHandoff,
     executor: Arc<Executor>,
     /// Fetch served/dropped accounting lives on the shared network stats.
     net_stats: NetworkStats,
-    /// `0E`: no execute thread — the worker drains the queues itself.
-    execute_inline: bool,
 }
 
 impl WorkerIo {
+    /// Passes an execution effect on to the stage, in the core's order.
+    fn hand_to_execution(&mut self, effect: Effect) {
+        match &mut self.exec {
+            ExecHandoff::Thread(exec_tx) => {
+                let _ = exec_tx.send(effect);
+            }
+            ExecHandoff::Inline(stage) => stage.apply(effect, &self.executor),
+        }
+    }
+
     /// Carries out one of the core's decisions.
     fn apply(&mut self, effect: Effect, ctx: &StageCtx) {
         let shared = &ctx.shared;
         match effect {
-            Effect::Send(item) => self.out.send(item),
-            Effect::Execute { instance, item } => {
+            Effect::Send(item) => {
+                let _ = self.out.send(item);
+            }
+            Effect::Execute { instance, .. } => {
                 shared.committed_batches.fetch_add(1, Ordering::Relaxed);
                 shared.committed_per_instance[instance].fetch_add(1, Ordering::Relaxed);
-                self.queues.deposit(item);
+                self.hand_to_execution(effect);
             }
-            Effect::Rollback { to } => {
-                let _gate = self.queues.gate();
-                self.queues.purge_above(to);
-                self.queues.repoint(self.queues.cursor().min(to.next()));
-                self.executor.rollback_to(to);
-            }
-            Effect::InstallSnapshot(snapshot) => {
-                let base = snapshot.base_seq;
-                let _gate = self.queues.gate();
-                self.queues.purge_through(base);
-                self.queues.repoint(self.queues.cursor().max(base.next()));
-                self.executor.install_snapshot(&snapshot);
-            }
-            // With a data directory configured this also logs a `Stable`
-            // marker and, once the WAL has grown as large as the last
-            // snapshot, persists the covering one and compacts behind it.
+            Effect::Rollback { .. } | Effect::InstallSnapshot(_) => self.hand_to_execution(effect),
+            // The core emits this only once the stage has applied every
+            // rollback before it. With a data directory configured this
+            // also logs a `Stable` marker and, once the WAL has grown as
+            // large as the last snapshot, persists the covering one and
+            // compacts behind it.
             Effect::Stable { seq } => self.executor.note_stable(seq),
             // The input threads route client traffic by this.
             Effect::ViewEntered { instance, view } => {
@@ -652,7 +644,7 @@ impl WorkerIo {
 /// Worker thread: the one driver of the [`ReplicaCore`] and the only
 /// interpreter of its effects. Each input is stepped with the wall clock;
 /// a quiet [`POLL_INTERVAL`] becomes an [`Input::Tick`]. In `0E` mode the
-/// worker then runs whatever became executable and feeds the results
+/// worker then runs whatever its own stage has ready and feeds the results
 /// straight back in, so ordering and execution stay integrated.
 fn worker_loop(ctx: &StageCtx, rx: &Receiver<Input>, config: &SystemConfig, mut io: WorkerIo) {
     let mut core = ReplicaCore::new(
@@ -676,12 +668,9 @@ fn worker_loop(ctx: &StageCtx, rx: &Receiver<Input>, config: &SystemConfig, mut 
                 for effect in fx.drain(..) {
                     io.apply(effect, ctx);
                 }
-                debug_assert_eq!(core.epoch(), io.queues.epoch());
-                while io.execute_inline {
-                    let Some(claim) = io.queues.claim(1, Duration::ZERO) else {
-                        break;
-                    };
-                    run_window(claim, &mut *serial, &mut io.out, |done| {
+                if let ExecHandoff::Inline(stage) = &mut io.exec {
+                    let window = stage.take_window(usize::MAX);
+                    run_window(&window, stage.epoch(), &mut *serial, &io.out, |done| {
                         inputs.push_back(done)
                     });
                 }
@@ -717,47 +706,65 @@ fn parallel_runner(
     Box::new(move |window| parallel.execute_window(window))
 }
 
-/// Executes one claimed window: replies go to the output stage, each
-/// result to `done` as an [`Input::Executed`] stamped with the claim's
-/// epoch, and the cursor advances past the window. The one execution step
-/// behind both [`execute_loop`] and the worker's `0E` mode.
+/// Executes one window taken from an [`ExecStage`] in `epoch`: replies go
+/// to the output stage, each result to `done` as an [`Input::Executed`]
+/// stamped with that epoch. The one execution step behind both
+/// [`execute_loop`] and the worker's `0E` mode.
 fn run_window(
-    claim: Claim<'_>,
+    window: &[ExecuteItem],
+    epoch: u64,
     run: &mut RunWindow,
-    out: &mut OutShards,
+    out: &ChanSender<OutItem>,
     mut done: impl FnMut(Input),
 ) {
-    for (item, (state_digest, replies)) in claim.items().iter().zip(run(claim.items())) {
+    if window.is_empty() {
+        return;
+    }
+    for (item, (state_digest, replies)) in window.iter().zip(run(window)) {
         for reply in replies {
-            out.send(reply);
+            let _ = out.send(reply);
         }
         done(Input::Executed {
             seq: item.seq,
             state_digest,
-            epoch: claim.epoch(),
+            epoch,
         });
     }
-    claim.finish();
 }
 
-/// Execute thread: claim the next in-order window of up to `cap`
-/// committed batches (blocking on exactly the cursor's queue slot), run
-/// it, report each result to the worker.
+/// Execute thread: the owner of the replica's [`ExecStage`]. It blocks on
+/// the worker's channel only while the next sequence is not parked, drains
+/// every effect already queued into the stage — rollbacks and snapshot
+/// installs happen here, between two windows — then runs the next
+/// in-order window of up to `cap` batches and reports each result to the
+/// worker.
 fn execute_loop(
     ctx: &StageCtx,
-    queues: &ExecutionQueues,
+    rx: &Receiver<Effect>,
+    mut stage: ExecStage,
+    executor: &Executor,
     cap: usize,
     run: &mut RunWindow,
-    out: &mut OutShards,
+    out: &ChanSender<OutItem>,
 ) {
     while ctx.running() {
-        let Some(claim) = queues.claim(cap, POLL_INTERVAL) else {
-            continue;
+        let first = if stage.ready() {
+            None
+        } else {
+            match rx.recv_timeout(POLL_INTERVAL) {
+                Ok(effect) => Some(effect),
+                Err(_) => continue,
+            }
         };
         ctx.rec.record(|| {
-            run_window(claim, run, out, |done| {
+            let queued = std::iter::from_fn(|| rx.try_recv().ok());
+            for effect in first.into_iter().chain(queued) {
+                stage.apply(effect, executor);
+            }
+            let window = stage.take_window(cap);
+            run_window(&window, stage.epoch(), run, out, |done| {
                 let _ = ctx.work_tx.send(done);
-            })
+            });
         });
     }
 }

@@ -1,7 +1,8 @@
 //! Property tests for multi-primary ordering's merge invariant: k
 //! parallel consensus instances commit into one interleaved global
 //! sequence space (instance `j` owns seqs `j+1, j+1+k, …`), and the
-//! execute stage drains the merged stream strictly in global order. For
+//! execute stage ([`ExecStage`]) runs the merged stream strictly in global
+//! order, whatever has become ready after each arrival. For
 //! random batches, k ∈ {1, 2, 4} and *adversarial* commit-arrival
 //! interleavings — any permutation of the commit stream, including
 //! out-of-order within one instance — the per-sequence state digests,
@@ -15,8 +16,7 @@ use rdb_common::block::BlockCertificate;
 use rdb_common::{
     Batch, ClientId, Digest, Operation, ProtocolKind, ReplicaId, SeqNum, Transaction, ViewNum,
 };
-use rdb_pipeline::queues::{ExecuteItem, ExecutionQueues};
-use rdb_pipeline::{Executor, OutItem};
+use rdb_pipeline::{Effect, ExecStage, ExecuteItem, Executor, OutItem};
 use rdb_storage::blockchain::ChainMode;
 use rdb_storage::{Blockchain, MemStore, StateStore};
 use std::sync::Arc;
@@ -136,18 +136,21 @@ proptest! {
             cursors[j] += 1;
         }
 
-        // Deposit in arrival order; drain strictly by global sequence —
-        // exactly what the replica's worker + execute threads do.
-        let queues = ExecutionQueues::new(1024);
-        for it in &arrival {
-            queues.deposit((*it).clone());
-        }
+        // Deposit in arrival order and, after each deposit, run whatever
+        // became ready — exactly what the replica's execute stage does.
+        let mut stage = ExecStage::new(SeqNum(1));
         let merged_exec = fresh_executor();
         let mut merged_out = Vec::with_capacity(items.len());
-        for seq in 1..=items.len() as u64 {
-            let it = queues.try_take(SeqNum(seq)).expect("deposited every seq");
-            merged_out.push(merged_exec.execute(&it));
+        for it in &arrival {
+            let instance = (it.seq.0 as usize - 1) % k;
+            let deposit = Effect::Execute { instance, item: (*it).clone() };
+            stage.apply(deposit, &merged_exec);
+            for ready in stage.take_window(usize::MAX) {
+                prop_assert_eq!(ready.seq.0 as usize, merged_out.len() + 1, "out of order");
+                merged_out.push(merged_exec.execute(&ready));
+            }
         }
+        prop_assert_eq!(stage.next(), SeqNum(items.len() as u64 + 1), "every seq ran");
 
         // Per-sequence digests and replies bit-identical to serial...
         prop_assert_eq!(serial_out.len(), merged_out.len());

@@ -31,7 +31,6 @@ crates/net/src/stats.rs total_delivered  the receive-side total beside total_sen
 crates/net/src/tcp.rs open_connections  the live-socket gauge the reclamation and churn tests poll
 crates/pipeline/src/durable.rs wal_appends  the append counter beside wal_fsyncs; the checkpoint test pins one append per batch
 crates/pipeline/src/metrics.rs add_busy_ns  charges busy time without a timing guard; the saturation tests build reports with it
-crates/pipeline/src/queues.rs depth  queue-depth gauges, for the queue depths a running node should report (ROADMAP aim 4)
 crates/storage/src/blockchain.rs retained  the retained-block count the pruning tests check
 crates/storage/src/blockchain.rs block_at  block lookup by sequence, the pruning and executor tests read blocks with it
 crates/storage/src/blockchain.rs head_digest  digest of the chain head; the rollback and convergence tests compare chains with it

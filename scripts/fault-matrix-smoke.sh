@@ -119,6 +119,9 @@ pids+=($client_pid)
 # Kill the view-0 primary while the burst is in flight.
 sleep 0.4
 kill -9 "$r0_pid" 2>/dev/null || true
+# Reap it before anything restarts on its port: a SIGKILLed process can
+# still hold its listening socket for a moment after `kill` returns.
+wait "$r0_pid" 2>/dev/null || true
 echo "killed replica 0 (pid $r0_pid)"
 
 if ! wait "$client_pid"; then
@@ -354,6 +357,8 @@ if [ -z "$r3_caught_up" ]; then
 fi
 sleep 2
 kill -9 "$r3_pid" 2>/dev/null || true
+# Reaped before the restart binds the same port (see phase B).
+wait "$r3_pid" 2>/dev/null || true
 echo "killed replica 3 (pid $r3_pid)"
 
 # Restart against the same directory: recovery must come from local disk.
