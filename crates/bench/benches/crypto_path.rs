@@ -3,7 +3,7 @@
 //! [`rdb_crypto::CostModel::optimized`] constants, and the evidence for
 //! the batch-verify pipeline stage.
 //!
-//! Measures, with the same JSON-emitting harness as `message_path`:
+//! Measures:
 //!
 //! - fixed-base scalar multiplication: the naive double-and-add ladder the
 //!   seed shipped with vs. the precomputed basepoint table;
@@ -19,12 +19,13 @@
 //!   interior Merkle node. The SHA-256 and AES backends the process
 //!   selected are named in the JSON envelope.
 //!
-//! Emits `BENCH_crypto.json` at the workspace root; CI runs this bench
-//! with a short window and uploads the file.
+//! Writes `BENCH_crypto.json` at the workspace root through
+//! [`rdb_bench::report`]; CI runs this bench with a short window and
+//! uploads the file.
 
-use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use rdb_bench::report::{time_ns, Length, Report};
 use rdb_crypto::aes;
 use rdb_crypto::cmac::CmacAes128;
 use rdb_crypto::ed25519::{
@@ -34,47 +35,13 @@ use rdb_crypto::rsa::RsaKeyPair;
 use rdb_crypto::scheme::RSA_BITS;
 use rdb_crypto::sha2::{self, sha512};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Message size for all signature operations: a typical signed client
 /// request in this system.
 const MSG_BYTES: usize = 100;
 
-struct Sample {
-    name: String,
-    value: f64,
-}
-
-fn record(samples: &mut Vec<Sample>, name: impl Into<String>, value: f64) -> f64 {
-    let name = name.into();
-    samples.push(Sample {
-        name: name.clone(),
-        value,
-    });
-    if name.contains("speedup") {
-        println!("{name:<48} {value:>12.2} x");
-    } else {
-        println!("{name:<48} {value:>12.0} ns/op");
-    }
-    value
-}
-
-/// Times `op` and returns mean ns/iter over `iters` runs (one warm-up).
-fn time_ns(iters: u32, mut op: impl FnMut()) -> f64 {
-    op();
-    let start = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-fn run_suite() -> Vec<Sample> {
-    let mut samples = Vec::new();
-    let iters: u32 = std::env::var("RDB_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+fn run_suite(report: &mut Report) {
+    let iters = report.iters();
     // Heavier ops (RSA, large batches) get a scaled-down iteration count.
     let slow_iters = (iters / 10).max(3);
 
@@ -94,22 +61,21 @@ fn run_suite() -> Vec<Sample> {
     let ns_ladder = time_ns(iters.min(100), || {
         black_box(base.scalar_mul(black_box(&scalar)));
     });
-    record(&mut samples, "scalar_mul/naive_ladder", ns_ladder);
+    report.record("scalar_mul/naive_ladder", ns_ladder);
     let ns_table = time_ns(iters, || {
         black_box(table.mul(black_box(&scalar)));
     });
-    record(&mut samples, "scalar_mul/basepoint_table", ns_table);
-    record(&mut samples, "scalar_mul/speedup", ns_ladder / ns_table);
+    report.record("scalar_mul/basepoint_table", ns_table);
+    report.record("scalar_mul/speedup", ns_ladder / ns_table);
 
     // --- Ed25519 sign / single verify ------------------------------------
     let ns_sign = time_ns(iters, || {
         black_box(kp.sign(black_box(&msg)));
     });
-    record(&mut samples, "ed25519/sign/windowed", ns_sign);
+    report.record("ed25519/sign/windowed", ns_sign);
     // The seed's sign cost is dominated by its naive ladder; reconstruct
     // it for the trajectory record: sign = ladder-mul + everything else.
-    record(
-        &mut samples,
+    report.record(
         "ed25519/sign/naive_baseline",
         ns_sign - ns_table + ns_ladder,
     );
@@ -117,7 +83,7 @@ fn run_suite() -> Vec<Sample> {
     let ns_verify = time_ns(iters, || {
         black_box(kp.public_key().verify(black_box(&msg), &sig));
     });
-    record(&mut samples, "ed25519/verify/single", ns_verify);
+    report.record("ed25519/verify/single", ns_verify);
 
     // --- Ed25519 batch verify at {8, 32, 128} ----------------------------
     // Distinct keys and messages per slot: the honest workload, not the
@@ -150,13 +116,8 @@ fn run_suite() -> Vec<Sample> {
             black_box(verify_batch(black_box(&entries)));
         });
         let per_sig = ns_total / batch as f64;
-        record(
-            &mut samples,
-            format!("ed25519/verify/batch/{batch}"),
-            per_sig,
-        );
-        record(
-            &mut samples,
+        report.record(format!("ed25519/verify/batch/{batch}"), per_sig);
+        report.record(
             format!("ed25519/verify/batch_speedup/{batch}"),
             ns_verify / per_sig,
         );
@@ -169,17 +130,13 @@ fn run_suite() -> Vec<Sample> {
             let ns = time_ns(iters * 50, || {
                 black_box(backend.sha256(black_box(&data)));
             });
-            record(
-                &mut samples,
-                format!("sha256/{label}/{}", backend.name()),
-                ns,
-            );
+            report.record(format!("sha256/{label}/{}", backend.name()), ns);
         }
         let (left, right) = ([0x11u8; 32], [0x22u8; 32]);
         let ns = time_ns(iters * 50, || {
             black_box(backend.sha256_pair(black_box(&left), black_box(&right)));
         });
-        record(&mut samples, format!("sha256_pair/{}", backend.name()), ns);
+        report.record(format!("sha256_pair/{}", backend.name()), ns);
     }
 
     // --- CMAC, per backend, then the selected one -------------------------
@@ -193,23 +150,19 @@ fn run_suite() -> Vec<Sample> {
             let ns = time_ns(n, || {
                 black_box(cmac.tag(black_box(&data)));
             });
-            record(
-                &mut samples,
-                format!("cmac/tag/{label}/{}", backend.name()),
-                ns,
-            );
+            report.record(format!("cmac/tag/{label}/{}", backend.name()), ns);
         }
     }
     let cmac = CmacAes128::new(&[7u8; 16]);
     let ns_tag = time_ns(iters * 10, || {
         black_box(cmac.tag(black_box(&msg)));
     });
-    record(&mut samples, "cmac/tag/100B", ns_tag);
+    report.record("cmac/tag/100B", ns_tag);
     let tag = cmac.tag(&msg);
     let ns_mac_verify = time_ns(iters * 10, || {
         black_box(cmac.verify(black_box(&msg), &tag));
     });
-    record(&mut samples, "cmac/verify/100B", ns_mac_verify);
+    report.record("cmac/verify/100B", ns_mac_verify);
 
     // --- RSA baseline ------------------------------------------------------
     let mut rng = StdRng::seed_from_u64(11);
@@ -217,60 +170,24 @@ fn run_suite() -> Vec<Sample> {
     let ns_rsa_sign = time_ns(slow_iters, || {
         black_box(rsa.sign(black_box(&msg)));
     });
-    record(&mut samples, "rsa1024/sign/100B", ns_rsa_sign);
+    report.record("rsa1024/sign/100B", ns_rsa_sign);
     let rsig = rsa.sign(&msg);
     let ns_rsa_verify = time_ns(slow_iters * 4, || {
         black_box(rsa.public_key().verify(black_box(&msg), &rsig));
     });
-    record(&mut samples, "rsa1024/verify/100B", ns_rsa_verify);
-
-    samples
+    report.record("rsa1024/verify/100B", ns_rsa_verify);
 }
-
-fn emit_json(samples: &[Sample]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_crypto.json");
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"crypto_path\",\n");
-    out.push_str(&format!("  \"msg_bytes\": {MSG_BYTES},\n"));
-    out.push_str(&format!(
-        "  \"sha256_backend\": \"{}\",\n",
-        sha2::backend().name()
-    ));
-    out.push_str(&format!(
-        "  \"aes_backend\": \"{}\",\n",
-        aes::backend().name()
-    ));
-    out.push_str(
-        "  \"unit\": \"ns_per_op (batch entries are per-signature; speedup entries are ratios)\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.1}}}{}\n",
-            s.name, s.value, comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("could not write BENCH_crypto.json: {e}");
-    } else {
-        println!("wrote {path}");
-    }
-}
-
-fn bench_crypto_path(_c: &mut Criterion) {
-    let samples = run_suite();
-    emit_json(&samples);
-}
-
-criterion_group!(benches, bench_crypto_path);
 
 fn main() {
-    // `cargo test` runs bench targets with `--test`: compile/run parity
-    // only, skip the measurement suite.
-    if std::env::args().any(|a| a == "--test") {
+    let Some(mut report) = Report::start(
+        "crypto_path",
+        "BENCH_crypto.json",
+        "ns_per_op (batch entries are per-signature; speedup entries are ratios)",
+        Length::Iters(200),
+    ) else {
         return;
-    }
-    benches();
+    };
+    report.param("msg_bytes", MSG_BYTES);
+    run_suite(&mut report);
+    report.write();
 }

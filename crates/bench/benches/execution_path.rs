@@ -56,16 +56,15 @@
 //! saved and fsynced the snapshot and compacted the log; `log_only` when
 //! it appended the `Stable` marker alone.
 //!
-//! The detected CPU count and the SHA-256 backend the process selected
-//! are recorded in the emitted JSON so readers can interpret the `mem`
-//! and `merkle` rows. Alongside the criterion output it emits
-//! `BENCH_execution.json` at the workspace root so the perf trajectory is
-//! recorded, not asserted — CI runs this bench with a short window and
-//! uploads the file.
+//! It writes `BENCH_execution.json` at the workspace root through
+//! [`rdb_bench::report`], whose envelope names the CPU count and the
+//! SHA-256 backend the `mem` and `merkle` rows ran on, so the perf
+//! trajectory is recorded, not asserted — CI runs this bench with a short
+//! window and uploads the file.
 
-use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use rdb_bench::report::{Length, Report};
 use rdb_common::block::BlockCertificate;
 use rdb_common::{
     Batch, ClientId, Digest, DurabilityConfig, FsyncMode, Operation, ProtocolKind, ReplicaId,
@@ -440,50 +439,31 @@ fn uniform_item(seq: u64, rng: &mut StdRng) -> ExecuteItem {
     }
 }
 
-struct Sample {
-    name: String,
-    value: f64,
-}
-
-fn record(samples: &mut Vec<Sample>, name: impl Into<String>, value: f64, unit: &str) -> f64 {
-    let name = name.into();
-    println!("{name:<44} {value:>12.1} {unit}");
-    samples.push(Sample { name, value });
-    value
-}
-
-fn run_suite() -> Vec<Sample> {
-    let mut samples = Vec::new();
-    let repeats: usize = std::env::var("RDB_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|iters| (iters / 10).clamp(1, 16))
-        .unwrap_or(4);
+fn run_suite(report: &mut Report) {
+    let repeats = (report.iters() as usize / 10).clamp(1, 16);
 
     let [apply, flush, touch] = (0..repeats)
         .map(|_| merkle_costs_us(2))
         .fold([f64::INFINITY; 3], |best, (a, f, t)| {
             [best[0].min(a), best[1].min(f), best[2].min(t)]
         });
-    record(&mut samples, "merkle/apply/50w_64k", apply, "us/batch");
-    record(&mut samples, "merkle/flush/10k_dirty_64k", flush, "us");
-    record(&mut samples, "merkle/touch/50w_64k", touch, "us/batch");
+    report.record("merkle/apply/50w_64k", apply);
+    report.record("merkle/flush/10k_dirty_64k", flush);
+    report.record("merkle/touch/50w_64k", touch);
     let (capture, materialize) = (0..repeats)
         .map(|_| snapshot_costs_us(3))
         .fold((f64::INFINITY, f64::INFINITY), |best, (c, m)| {
             (best.0.min(c), best.1.min(m))
         });
-    record(&mut samples, "snapshot/capture/64k", capture, "us");
-    let name = "snapshot/materialize/64k_10k_dirty";
-    record(&mut samples, name, materialize, "us");
+    report.record("snapshot/capture/64k", capture);
+    report.record("snapshot/materialize/64k_10k_dirty", materialize);
     let (persist, log_only) = (0..repeats)
         .map(|_| note_stable_costs_us(8))
         .fold((f64::INFINITY, f64::INFINITY), |best, (p, l)| {
             (best.0.min(p), best.1.min(l))
         });
     for (row, us) in [("persist", persist), ("log_only", log_only)] {
-        let name = format!("durable/note_stable/64k/{row}");
-        record(&mut samples, name, us, "us");
+        report.record(format!("durable/note_stable/64k/{row}"), us);
     }
 
     for backend in [Backend::Mem, Backend::Io] {
@@ -506,28 +486,24 @@ fn run_suite() -> Vec<Sample> {
                     );
                     best = best.max(tput);
                 }
-                record(
-                    &mut samples,
+                report.record(
                     format!(
                         "execution/{}/{}/threads-{threads}",
                         backend.name(),
                         scenario.name
                     ),
                     best,
-                    "txn/s",
                 );
                 if threads == 1 {
                     serial_tput = best;
                 } else {
-                    record(
-                        &mut samples,
+                    report.record(
                         format!(
                             "execution/{}/{}/speedup-{threads}v1",
                             backend.name(),
                             scenario.name
                         ),
                         best / serial_tput,
-                        "x",
                     );
                 }
             }
@@ -562,43 +538,16 @@ fn run_suite() -> Vec<Sample> {
                 syncs = s;
             }
         }
-        record(
-            &mut samples,
-            format!("execution/wal/{name}/threads-1"),
-            best,
-            "txn/s",
-        );
-        record(
-            &mut samples,
-            format!("execution/wal/{name}/fsyncs"),
-            syncs as f64,
-            "syncs",
-        );
+        report.record(format!("execution/wal/{name}/threads-1"), best);
+        report.record(format!("execution/wal/{name}/fsyncs"), syncs as f64);
     }
-    samples
 }
 
-fn emit_json(samples: &[Sample]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_execution.json");
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"execution_path\",\n");
-    out.push_str(&format!("  \"cores\": {cores},\n"));
-    out.push_str(&format!(
-        "  \"sha256_backend\": \"{}\",\n",
-        rdb_crypto::sha2::backend().name()
-    ));
-    out.push_str(&format!(
-        "  \"workload\": \"{BATCH_TXNS} txns/batch x {OPS_PER_TXN} ops, {VALUE_SIZE}B values, \
-         table {TABLE_SIZE}, window {WINDOW}; io backend reads pay {}us; \
-         wal sweep runs 192 batches x 32 txns; durable rows run 8 checkpoint intervals \
-         under a 4ms group-commit window\",\n",
-        IO_DELAY.as_micros()
-    ));
-    out.push_str(
-        "  \"unit\": \"txn/s (merkle/touch is us per 50-write MemStore::apply over a 65536-row table, \
+fn main() {
+    let Some(mut report) = Report::start(
+        "execution_path",
+        "BENCH_execution.json",
+        "txn/s (merkle/touch is us per 50-write MemStore::apply over a 65536-row table, \
          merkle/flush us for the state_digest() after 200 of them, merkle/apply their sum per batch; \
          snapshot/capture is us a checkpoint-boundary commit costs over its neighbours (flush excluded) and \
          snapshot/materialize us for the first latest_snapshot() 10k writes later, same table; \
@@ -607,36 +556,22 @@ fn emit_json(samples: &[Sample]) {
          speedup entries are ratios vs the serial execute-thread; \
          mem rows scale with physical cores, io rows with overlapped read latency; \
          wal rows are serial execution with the write-ahead log attached under the \
-         named fsync policy, fsyncs rows count syncs for the whole run)\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.1}}}{}\n",
-            s.name, s.value, comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("could not write BENCH_execution.json: {e}");
-    } else {
-        println!("wrote {path}");
-    }
-}
-
-fn bench_execution_path(_c: &mut Criterion) {
-    let samples = run_suite();
-    emit_json(&samples);
-}
-
-criterion_group!(benches, bench_execution_path);
-
-fn main() {
-    // `cargo test` runs bench targets with `--test`: compile/run parity
-    // only, skip the measurement suite.
-    if std::env::args().any(|a| a == "--test") {
+         named fsync policy, fsyncs rows count syncs for the whole run)",
+        // Four repeats per row.
+        Length::Iters(40),
+    ) else {
         return;
-    }
-    benches();
+    };
+    report.param(
+        "workload",
+        format!(
+            "{BATCH_TXNS} txns/batch x {OPS_PER_TXN} ops, {VALUE_SIZE}B values, \
+             table {TABLE_SIZE}, window {WINDOW}; io backend reads pay {}us; \
+             wal sweep runs 192 batches x 32 txns; durable rows run 8 checkpoint intervals \
+             under a 4ms group-commit window",
+            IO_DELAY.as_micros()
+        ),
+    );
+    run_suite(&mut report);
+    report.write();
 }

@@ -2,16 +2,16 @@
 //!
 //! Measures the hot path the tentpole refactor targets: broadcasting a
 //! batch-carrying `PrePrepare` to n peers, the sign+verify round trip over
-//! memoized canonical bytes, and batch-digest memoization. Alongside the
-//! criterion output it emits `BENCH_message_path.json` at the workspace
-//! root so the perf trajectory is recorded, not asserted — CI runs this
-//! bench with a short window and uploads the file.
+//! memoized canonical bytes, and batch-digest memoization. It writes
+//! `BENCH_message_path.json` at the workspace root through
+//! [`rdb_bench::report`] so the perf trajectory is recorded, not asserted
+//! — CI runs this bench with a short window and uploads the file.
 //!
 //! The `clone_baseline` numbers reproduce the pre-envelope message path:
 //! one deep copy of the batch per destination plus a from-scratch
 //! serialization on every sign and every verify.
 
-use criterion::{criterion_group, Criterion};
+use rdb_bench::report::{time_ns, Length, Report};
 use rdb_common::codec::{Wire, WireWriter};
 use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{
@@ -21,7 +21,6 @@ use rdb_common::{
 use rdb_crypto::{digest, KeyRegistry, PeerClass};
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
 const TXNS: usize = 100;
 
@@ -55,17 +54,6 @@ fn fresh_signing_bytes(msg: &Message, from: Sender) -> Vec<u8> {
     from.write(&mut w);
     msg.write(&mut w);
     w.into_bytes()
-}
-
-/// Times `op` and returns mean ns/iter over `iters` runs.
-fn time_ns(iters: u32, mut op: impl FnMut()) -> f64 {
-    // Warm-up pass so allocator and cache state are comparable.
-    op();
-    let start = Instant::now();
-    for _ in 0..iters {
-        op();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
 }
 
 /// One broadcast on the encode-once path: sign once (structural cost only
@@ -102,32 +90,9 @@ fn broadcast_clone_baseline(body: &Arc<Batch>, peers: usize) -> usize {
     delivered
 }
 
-struct Sample {
-    name: String,
-    ns_per_op: f64,
-}
-
-fn record(samples: &mut Vec<Sample>, name: impl Into<String>, value: f64) -> f64 {
-    let name = name.into();
-    samples.push(Sample {
-        name: name.clone(),
-        ns_per_op: value,
-    });
-    if name.contains("speedup") {
-        println!("{name:<48} {value:>12.1} x");
-    } else {
-        println!("{name:<48} {value:>12.0} ns/iter");
-    }
-    value
-}
-
-fn run_suite() -> Vec<Sample> {
-    let mut samples = Vec::new();
+fn run_suite(report: &mut Report) {
     let body = Arc::new(batch(TXNS));
-    let iters: u32 = std::env::var("RDB_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500);
+    let iters = report.iters();
 
     // --- broadcast fan-out at n ∈ {4, 16, 32} ---------------------------
     for peers in [4usize, 16, 32] {
@@ -135,25 +100,13 @@ fn run_suite() -> Vec<Sample> {
         let ns_new = time_ns(iters, || {
             black_box(broadcast_encode_once(&b, peers));
         });
-        record(
-            &mut samples,
-            format!("broadcast/encode_once/{peers}"),
-            ns_new,
-        );
+        report.record(format!("broadcast/encode_once/{peers}"), ns_new);
         let b = Arc::clone(&body);
         let ns_old = time_ns(iters, || {
             black_box(broadcast_clone_baseline(&b, peers));
         });
-        record(
-            &mut samples,
-            format!("broadcast/clone_baseline/{peers}"),
-            ns_old,
-        );
-        record(
-            &mut samples,
-            format!("broadcast/speedup/{peers}"),
-            ns_old / ns_new,
-        );
+        report.record(format!("broadcast/clone_baseline/{peers}"), ns_old);
+        report.record(format!("broadcast/speedup/{peers}"), ns_old / ns_new);
     }
 
     // --- sign + verify round trip (real CMAC) ---------------------------
@@ -170,7 +123,7 @@ fn run_suite() -> Vec<Sample> {
         // The receiver's verify consumes the memoized bytes.
         black_box(verifier.verify(sm.sender(), sm.signing_bytes(), sm.sig()));
     });
-    record(&mut samples, "sign_verify/memoized_roundtrip", ns);
+    report.record("sign_verify/memoized_roundtrip", ns);
     let b = Arc::clone(&body);
     let ns = time_ns(iters, || {
         let from = Sender::Replica(ReplicaId(0));
@@ -179,7 +132,7 @@ fn run_suite() -> Vec<Sample> {
         // Pre-refactor: the receiver re-serialized before verifying.
         black_box(verifier.verify(from, &fresh_signing_bytes(&msg, from), &sig));
     });
-    record(&mut samples, "sign_verify/reencode_roundtrip", ns);
+    report.record("sign_verify/reencode_roundtrip", ns);
 
     // --- digest memoization ---------------------------------------------
     let sm = SignedMessage::new(
@@ -190,7 +143,7 @@ fn run_suite() -> Vec<Sample> {
     let ns = time_ns(iters, || {
         black_box(sm.digest_with(digest));
     });
-    record(&mut samples, "digest/memoized", ns);
+    report.record("digest/memoized", ns);
     let ns = time_ns(iters, || {
         let msg = pre_prepare(Arc::clone(&body));
         black_box(digest(&fresh_signing_bytes(
@@ -198,45 +151,19 @@ fn run_suite() -> Vec<Sample> {
             Sender::Replica(ReplicaId(0)),
         )));
     });
-    record(&mut samples, "digest/recompute", ns);
-
-    samples
+    report.record("digest/recompute", ns);
 }
-
-fn emit_json(samples: &[Sample]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_message_path.json");
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"message_path\",\n");
-    out.push_str(&format!("  \"txns_per_batch\": {TXNS},\n"));
-    out.push_str("  \"unit\": \"ns_per_op (speedup entries are ratios)\",\n");
-    out.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.1}}}{}\n",
-            s.name, s.ns_per_op, comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("could not write BENCH_message_path.json: {e}");
-    } else {
-        println!("wrote {path}");
-    }
-}
-
-fn bench_message_path(_c: &mut Criterion) {
-    let samples = run_suite();
-    emit_json(&samples);
-}
-
-criterion_group!(benches, bench_message_path);
 
 fn main() {
-    // `cargo test` runs bench targets with `--test`: compile/run parity
-    // only, skip the measurement suite.
-    if std::env::args().any(|a| a == "--test") {
+    let Some(mut report) = Report::start(
+        "message_path",
+        "BENCH_message_path.json",
+        "ns_per_op (speedup entries are ratios)",
+        Length::Iters(500),
+    ) else {
         return;
-    }
-    benches();
+    };
+    report.param("txns_per_batch", TXNS);
+    run_suite(&mut report);
+    report.write();
 }

@@ -10,11 +10,11 @@
 //! - **Request/response RTT** — a small PrePrepare ping answered by a
 //!   Commit pong, sequentially; reported as p50/p99 microseconds.
 //!
-//! Alongside the criterion-compatible output it emits `BENCH_net.json`
-//! at the workspace root; CI runs this with a short `RDB_BENCH_ITERS`
+//! It writes `BENCH_net.json` at the workspace root through
+//! [`rdb_bench::report`]; CI runs this with a short `RDB_BENCH_ITERS`
 //! window and uploads the file.
 
-use criterion::{criterion_group, Criterion};
+use rdb_bench::report::{Length, Report};
 use rdb_common::codec::Wire;
 use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{
@@ -27,13 +27,6 @@ use std::time::{Duration, Instant};
 const PEERS: usize = 4;
 const BROADCAST_TXNS: usize = 100;
 const PING_TXNS: usize = 10;
-
-fn iters() -> u32 {
-    std::env::var("RDB_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500)
-}
 
 fn r(i: u32) -> Sender {
     Sender::Replica(ReplicaId(i))
@@ -122,17 +115,6 @@ impl Cluster {
             net.shutdown();
         }
     }
-}
-
-struct Sample {
-    name: String,
-    value: f64,
-}
-
-fn record(samples: &mut Vec<Sample>, name: impl Into<String>, value: f64) {
-    let name = name.into();
-    println!("{name:<52} {value:>14.1}");
-    samples.push(Sample { name, value });
 }
 
 /// Broadcast `count` PrePrepares to every peer and wait until each peer
@@ -228,7 +210,9 @@ fn percentile(sorted: &[Duration], pct: f64) -> Duration {
     sorted[idx.min(sorted.len() - 1)]
 }
 
-fn run_backend(cluster: &mut Cluster, iters: u32, samples: &mut Vec<Sample>) {
+/// Records one backend's broadcast and RTT rows; returns its ns per
+/// broadcast, the numerator or denominator of the headline ratio.
+fn run_backend(cluster: &mut Cluster, iters: u32, report: &mut Report) -> f64 {
     let name = cluster.name;
     // Warm-up: establish TCP connections and fault-free fast paths so the
     // measurement starts from a steady state on both backends.
@@ -237,95 +221,45 @@ fn run_backend(cluster: &mut Cluster, iters: u32, samples: &mut Vec<Sample>) {
     let wire_bytes = pre_prepare(0, batch(BROADCAST_TXNS)).encoded_len() as f64;
     let elapsed = run_broadcast(cluster, iters);
     let ns_per = elapsed.as_nanos() as f64 / f64::from(iters);
-    record(
-        samples,
-        format!("broadcast/{name}/ns_per_broadcast"),
-        ns_per,
-    );
+    report.record(format!("broadcast/{name}/ns_per_broadcast"), ns_per);
     let mb_per_s = (wire_bytes * (PEERS - 1) as f64 * f64::from(iters))
         / elapsed.as_secs_f64()
         / (1024.0 * 1024.0);
-    record(samples, format!("broadcast/{name}/wire_mb_per_s"), mb_per_s);
-    record(
-        samples,
-        format!("broadcast/{name}/broadcasts_per_s"),
-        1e9 / ns_per,
-    );
+    report.record(format!("broadcast/{name}/wire_mb_per_s"), mb_per_s);
+    report.record(format!("broadcast/{name}/broadcasts_per_s"), 1e9 / ns_per);
 
     let rtts = run_rtt(cluster, iters);
-    record(
-        samples,
+    report.record(
         format!("rtt/{name}/p50_us"),
         percentile(&rtts, 50.0).as_nanos() as f64 / 1_000.0,
     );
-    record(
-        samples,
+    report.record(
         format!("rtt/{name}/p99_us"),
         percentile(&rtts, 99.0).as_nanos() as f64 / 1_000.0,
     );
+    ns_per
 }
-
-fn run_suite() -> Vec<Sample> {
-    let iters = iters();
-    let mut samples = Vec::new();
-    let mut mem = Cluster::memory();
-    run_backend(&mut mem, iters, &mut samples);
-    mem.shutdown();
-    let mut tcp = Cluster::tcp();
-    run_backend(&mut tcp, iters, &mut samples);
-    tcp.shutdown();
-    // The headline ratio: what the real socket costs over the switchboard.
-    let get = |n: &str| {
-        samples
-            .iter()
-            .find(|s| s.name == n)
-            .map(|s| s.value)
-            .unwrap_or(f64::NAN)
-    };
-    let slowdown = get("broadcast/tcp_loopback/ns_per_broadcast")
-        / get("broadcast/in_memory/ns_per_broadcast");
-    record(&mut samples, "broadcast/tcp_over_memory_ratio", slowdown);
-    samples
-}
-
-fn emit_json(samples: &[Sample]) {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
-    let mut out = String::from("{\n");
-    out.push_str("  \"bench\": \"net_path\",\n");
-    out.push_str(&format!("  \"peers\": {PEERS},\n"));
-    out.push_str(&format!("  \"broadcast_txns\": {BROADCAST_TXNS},\n"));
-    out.push_str(&format!("  \"ping_txns\": {PING_TXNS},\n"));
-    out.push_str(
-        "  \"unit\": \"per-name suffix: ns_per_broadcast | wire_mb_per_s | broadcasts_per_s | p50_us | p99_us | ratio\",\n",
-    );
-    out.push_str("  \"results\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let comma = if i + 1 == samples.len() { "" } else { "," };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"value\": {:.1}}}{}\n",
-            s.name, s.value, comma
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("could not write BENCH_net.json: {e}");
-    } else {
-        println!("wrote {path}");
-    }
-}
-
-fn bench_net_path(_c: &mut Criterion) {
-    let samples = run_suite();
-    emit_json(&samples);
-}
-
-criterion_group!(benches, bench_net_path);
 
 fn main() {
-    // `cargo test` runs bench targets with `--test`: compile/run parity
-    // only, skip the measurement suite.
-    if std::env::args().any(|a| a == "--test") {
+    let Some(mut report) = Report::start(
+        "net_path",
+        "BENCH_net.json",
+        "per-name suffix: ns_per_broadcast | wire_mb_per_s | broadcasts_per_s | p50_us | p99_us | ratio",
+        Length::Iters(500),
+    ) else {
         return;
-    }
-    benches();
+    };
+    report.param("peers", PEERS);
+    report.param("broadcast_txns", BROADCAST_TXNS);
+    report.param("ping_txns", PING_TXNS);
+    let iters = report.iters();
+    let mut mem = Cluster::memory();
+    let mem_ns = run_backend(&mut mem, iters, &mut report);
+    mem.shutdown();
+    let mut tcp = Cluster::tcp();
+    let tcp_ns = run_backend(&mut tcp, iters, &mut report);
+    tcp.shutdown();
+    // The headline ratio: what the real socket costs over the switchboard.
+    report.record("broadcast/tcp_over_memory_ratio", tcp_ns / mem_ns);
+    report.write();
 }

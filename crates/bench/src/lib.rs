@@ -4,6 +4,11 @@
 //! over the figure's parameter sweep and returns rows ready to print. The
 //! `figures` binary dispatches on the figure id; `EXPERIMENTS.md` records
 //! the measured-vs-paper comparison.
+//!
+//! [`report`] is the one writer every `cargo bench` target records its
+//! rows through.
+
+pub mod report;
 
 use rdb_common::{CryptoScheme, ProtocolKind, SystemConfig, ThreadConfig};
 use rdb_sim::service::SQLITE_STAND_IN_OP_NS;

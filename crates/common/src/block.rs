@@ -25,9 +25,13 @@ impl BlockCertificate {
         BlockCertificate { commits }
     }
 
-    /// Number of distinct signers.
+    /// Number of distinct signers: a replica listed twice counts once.
     pub fn signer_count(&self) -> usize {
-        self.commits.len()
+        self.commits
+            .iter()
+            .enumerate()
+            .filter(|(i, (r, _))| !self.commits[..*i].iter().any(|(q, _)| q == r))
+            .count()
     }
 
     /// Whether `replica` contributed a signature.
@@ -217,6 +221,21 @@ mod tests {
         assert_eq!(c.signer_count(), 3);
         assert!(c.contains(ReplicaId(1)));
         assert!(!c.contains(ReplicaId(2)));
+    }
+
+    #[test]
+    fn a_duplicated_signer_is_counted_once() {
+        let mut c = cert();
+        c.commits.push((ReplicaId(1), SignatureBytes(vec![2; 8])));
+        c.commits.push((ReplicaId(1), SignatureBytes::empty()));
+        assert_eq!(c.commits.len(), 5);
+        assert_eq!(c.signer_count(), 3);
+        let two = BlockCertificate::new(vec![
+            (ReplicaId(0), SignatureBytes(vec![1; 8])),
+            (ReplicaId(0), SignatureBytes(vec![1; 8])),
+            (ReplicaId(2), SignatureBytes::empty()),
+        ]);
+        assert_eq!(two.signer_count(), 2, "short of a 2f+1 quorum of 3");
     }
 
     #[test]

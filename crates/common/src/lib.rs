@@ -38,7 +38,7 @@ pub use config::{
 pub use error::{CommonError, Result};
 pub use ids::{ClientId, Digest, ReplicaId, SeqNum, SignatureBytes, TxnId, ViewNum};
 pub use messages::{Message, MessageKind};
-pub use options::{NetOptions, NodeOptions, TransportMode};
+pub use options::{NodeOptions, TransportMode};
 pub use peers::PeerMap;
 pub use snapshot::Snapshot;
 pub use transaction::{Batch, Operation, ReadWriteSet, Transaction};

@@ -2,15 +2,15 @@
 //! a node comes up.
 //!
 //! Historically the knobs were scattered — `SystemConfig` (consensus +
-//! threads) lived here, `TransportMode` in the fabric, TCP
-//! queue sizes in `rdb_net::TcpConfig`, and `rdb-node` re-plumbed all of
-//! them through ad-hoc flags. [`NodeOptions`] consolidates them:
+//! threads) lived here, `TransportMode` in the fabric, and `rdb-node`
+//! re-plumbed all of them through ad-hoc flags. [`NodeOptions`]
+//! consolidates them:
 //!
 //! ```text
 //! NodeOptions
-//! ├── system: SystemConfig    consensus, batching, threads, crypto, durability
-//! ├── net:    NetOptions      transport mode + reactor/queue sizing
-//! ├── peers:  PeerMap         replica id → TCP address (empty ⇒ in-memory)
+//! ├── system:    SystemConfig   consensus, batching, threads, crypto, durability
+//! ├── transport: TransportMode  in-memory switchboard or TCP
+//! ├── peers:     PeerMap        replica id → TCP address (empty ⇒ in-memory)
 //! ├── client_keys             client identities to derive keys for
 //! └── seed                    deterministic key-generation seed
 //! ```
@@ -27,7 +27,6 @@
 use crate::config::{CryptoScheme, FsyncMode, ProtocolKind, SystemConfig};
 use crate::error::{CommonError, Result};
 use crate::peers::PeerMap;
-use std::time::Duration;
 
 /// Which transport backend a deployment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,47 +41,6 @@ pub enum TransportMode {
     Tcp,
 }
 
-/// Transport sizing: how much machinery the node's network backend runs.
-///
-/// Only meaningful for [`TransportMode::Tcp`] except `latency_us`, which
-/// models a one-way delay on the in-memory switchboard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NetOptions {
-    /// Which backend to run.
-    pub mode: TransportMode,
-    /// Reactor event-loop threads per TCP transport. Two loops drive a
-    /// replica mesh comfortably; swarm-scale client hosts may want more.
-    pub event_loops: usize,
-    /// Per-link outbound frame budget for replica gossip (drop-oldest
-    /// under overflow).
-    pub queue_capacity: usize,
-    /// Per-link outbound frame budget for client connections
-    /// (backpressured, never shed).
-    pub client_queue_capacity: usize,
-    /// Modeled one-way latency in microseconds (in-memory backend only;
-    /// sockets pay whatever the kernel charges).
-    pub latency_us: u64,
-}
-
-impl Default for NetOptions {
-    fn default() -> Self {
-        NetOptions {
-            mode: TransportMode::InMemory,
-            event_loops: 2,
-            queue_capacity: 4_096,
-            client_queue_capacity: 4_096,
-            latency_us: 0,
-        }
-    }
-}
-
-impl NetOptions {
-    /// The modeled latency as a [`Duration`].
-    pub fn latency(&self) -> Duration {
-        Duration::from_micros(self.latency_us)
-    }
-}
-
 /// Everything a node needs to come up, in one place — see the module
 /// docs for the layering.
 ///
@@ -93,8 +51,8 @@ pub struct NodeOptions {
     /// The cluster-wide system configuration (`n` must equal the peer
     /// map's size when the map is non-empty).
     pub system: SystemConfig,
-    /// Transport selection and sizing.
-    pub net: NetOptions,
+    /// Which transport backend to run.
+    pub transport: TransportMode,
     /// Replica id → TCP address, identical on every node. Empty for
     /// purely in-memory deployments.
     pub peers: PeerMap,
@@ -124,10 +82,7 @@ impl NodeOptions {
         scale_down(&mut system);
         Ok(NodeOptions {
             system,
-            net: NetOptions {
-                mode: TransportMode::Tcp,
-                ..NetOptions::default()
-            },
+            transport: TransportMode::Tcp,
             peers,
             client_keys: 8,
             seed: 42,
@@ -144,7 +99,7 @@ impl NodeOptions {
         scale_down(&mut system);
         Ok(NodeOptions {
             system,
-            net: NetOptions::default(),
+            transport: TransportMode::InMemory,
             peers: PeerMap::new(),
             client_keys: 8,
             seed: 42,
@@ -159,8 +114,7 @@ impl NodeOptions {
     /// # Errors
     /// Returns `InvalidConfig` on any inconsistent knob: the system
     /// config's own rules, a peer map that is non-dense or disagrees
-    /// with `n`, a TCP mode with zero event loops or queue budgets, or a
-    /// zero client-key population.
+    /// with `n`, or a zero client-key population.
     pub fn validate(&self) -> Result<()> {
         self.system.validate()?;
         if !self.peers.is_empty() {
@@ -171,18 +125,6 @@ impl NodeOptions {
                     self.peers.len(),
                     self.system.n
                 )));
-            }
-        }
-        if self.net.mode == TransportMode::Tcp {
-            if self.net.event_loops == 0 {
-                return Err(CommonError::InvalidConfig(
-                    "event_loops must be positive for the TCP transport".into(),
-                ));
-            }
-            if self.net.queue_capacity == 0 || self.net.client_queue_capacity == 0 {
-                return Err(CommonError::InvalidConfig(
-                    "TCP queue capacities must be positive".into(),
-                ));
             }
         }
         if self.client_keys == 0 {
@@ -208,9 +150,6 @@ impl NodeOptions {
     /// client_keys = 64
     /// seed = 42
     /// table_size = 65536
-    /// event_loops = 2
-    /// queue_capacity = 4096
-    /// client_queue_capacity = 4096
     /// data_dir = "/var/lib/rdb"   # durable state root (unset ⇒ memory-only)
     /// fsync = "group"             # "always" | "group" | "never"
     /// group_commit_window_us = 1000
@@ -310,13 +249,6 @@ impl NodeOptions {
                 self.system.durability.group_commit_window_us =
                     value.parse().map_err(|_| bad("integer"))?
             }
-            "event_loops" => self.net.event_loops = value.parse().map_err(|_| bad("integer"))?,
-            "queue_capacity" => {
-                self.net.queue_capacity = value.parse().map_err(|_| bad("integer"))?
-            }
-            "client_queue_capacity" => {
-                self.net.client_queue_capacity = value.parse().map_err(|_| bad("integer"))?
-            }
             _ => {
                 return Err(CommonError::InvalidConfig(format!(
                     "unknown [node] key '{key}'"
@@ -351,14 +283,14 @@ mod tests {
         assert_eq!(opts.system.table_size, 4_096);
         assert_eq!(opts.client_keys, 8);
         assert_eq!(opts.seed, 42);
-        assert_eq!(opts.net.mode, TransportMode::Tcp);
+        assert_eq!(opts.transport, TransportMode::Tcp);
         assert!(opts.validate().is_ok());
     }
 
     #[test]
     fn in_memory_constructor_defaults() {
         let opts = NodeOptions::in_memory(4).unwrap();
-        assert_eq!(opts.net.mode, TransportMode::InMemory);
+        assert_eq!(opts.transport, TransportMode::InMemory);
         assert!(opts.peers.is_empty());
         assert!(opts.validate().is_ok());
         assert!(NodeOptions::in_memory(3).is_err());
@@ -372,24 +304,18 @@ mod tests {
             ("batch_size", "50"),
             ("client_keys", "32"),
             ("seed", "7"),
-            ("event_loops", "4"),
-            ("queue_capacity", "128"),
-            ("client_queue_capacity", "256"),
         ] {
             opts.set(key, value).unwrap();
         }
-        opts.net.mode = TransportMode::Tcp;
-        opts.net.latency_us = 150;
+        opts.transport = TransportMode::Tcp;
         assert_eq!(opts.system.protocol, ProtocolKind::Zyzzyva);
         assert_eq!(opts.system.batch_size, 50);
         assert_eq!(opts.system.num_clients, 32);
         assert_eq!(opts.client_keys, 32);
         assert_eq!(opts.seed, 7);
-        assert_eq!(opts.net.event_loops, 4);
-        assert_eq!(opts.net.queue_capacity, 128);
-        assert_eq!(opts.net.client_queue_capacity, 256);
-        assert_eq!(opts.net.latency(), Duration::from_micros(150));
         assert!(opts.validate().is_ok());
+        // The transport's sizing is not a node option.
+        assert!(opts.set("event_loops", "4").is_err());
     }
 
     #[test]
@@ -397,14 +323,6 @@ mod tests {
         // Peer map vs n disagreement.
         let mut opts = NodeOptions::new(four_peers()).unwrap();
         opts.system = SystemConfig::new(7).unwrap();
-        assert!(opts.validate().is_err());
-
-        // TCP sizing.
-        let mut opts = NodeOptions::new(four_peers()).unwrap();
-        opts.net.event_loops = 0;
-        assert!(opts.validate().is_err());
-        let mut opts = NodeOptions::new(four_peers()).unwrap();
-        opts.net.queue_capacity = 0;
         assert!(opts.validate().is_err());
 
         // System-level rules still apply through the same entry point.
@@ -423,9 +341,6 @@ batch_size = 25
 client_keys = 64
 seed = 9
 table_size = 100000
-event_loops = 3
-queue_capacity = 512
-client_queue_capacity = 1024
 
 [peers]
 0 = "127.0.0.1:7100"
@@ -443,9 +358,6 @@ client_queue_capacity = 1024
         assert_eq!(opts.system.num_clients, 64);
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.system.table_size, 100_000);
-        assert_eq!(opts.net.event_loops, 3);
-        assert_eq!(opts.net.queue_capacity, 512);
-        assert_eq!(opts.net.client_queue_capacity, 1024);
         assert!(opts.validate().is_ok());
     }
 

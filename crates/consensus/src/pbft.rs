@@ -62,13 +62,20 @@ struct Instance {
     sent_prepare: bool,
     sent_commit: bool,
     committed: bool,
+    /// The proof this instance was installed with by a fetch, when it
+    /// committed off a peer's certificate instead of its own quorum.
+    fetched: Option<BlockCertificate>,
 }
 
 impl Instance {
-    /// The 2f+1 commit proof: the collected signatures plus our own vote.
-    /// The runtime holds that signature, so an empty placeholder marks it
-    /// (when served to a peer, the verified response envelope vouches).
+    /// The 2f+1 commit proof: the certificate a fetch installed, or else
+    /// the collected signatures plus our own vote. The runtime holds that
+    /// signature, so an empty placeholder marks it (when served to a peer,
+    /// the verified response envelope vouches).
     fn certificate(&self, me: ReplicaId) -> BlockCertificate {
+        if let Some(fetched) = &self.fetched {
+            return fetched.clone();
+        }
         let mut certificate = BlockCertificate::new(self.commit_sigs.clone());
         if self.sent_commit && !certificate.contains(me) {
             certificate.commits.push((me, SignatureBytes::empty()));
@@ -456,9 +463,10 @@ impl ProtocolRule for PbftRule {
         Some((inst.view, inst.digest?, batch, inst.certificate(ctx.id)))
     }
 
-    /// The runtime has already verified the certificate: the instance
+    /// The runtime has already checked the certificate: the instance
     /// commits directly off the remote proof — this replica never voted,
-    /// so no quorum bookkeeping applies.
+    /// so no quorum bookkeeping applies — and keeps it, to serve to the
+    /// next peer that fetches this sequence.
     fn install_fetched(
         &mut self,
         ctx: &mut Substrate,
@@ -476,6 +484,7 @@ impl ProtocolRule for PbftRule {
         inst.batch = Some(Arc::clone(&batch));
         inst.view = view;
         inst.committed = true;
+        inst.fetched = Some(certificate.clone());
         // A primary whose log advanced through fetch (e.g. a recovered
         // ex-primary catching up) must not re-propose a sequence the
         // cluster already decided.
@@ -1362,6 +1371,23 @@ mod tests {
         // Installing again is a no-op (already committed).
         let acts = r3.install_fetched(SeqNum(1), ViewNum(0), d(7), batch().into(), cert);
         assert!(acts.is_empty(), "must not commit twice: {acts:?}");
+    }
+
+    /// A replica that caught up by fetch never saw its own commit quorum
+    /// for the sequence; what it serves onward is the proof it installed,
+    /// not one rebuilt from the votes it happened to see.
+    #[test]
+    fn a_fetched_instance_serves_the_certificate_it_installed() {
+        let mut r3 = Pbft::new(ReplicaId(3), cfg(4));
+        let cert = BlockCertificate::new(
+            (0..3)
+                .map(|i| (ReplicaId(i), SignatureBytes(vec![i as u8; 8])))
+                .collect(),
+        );
+        r3.install_fetched(SeqNum(1), ViewNum(0), d(7), batch().into(), cert.clone());
+        let (_, digest, _, served) = r3.serve_fetch(SeqNum(1)).expect("committed");
+        assert_eq!(digest, d(7));
+        assert_eq!(served, cert);
     }
 
     /// Checkpoint votes travel beside the ordering traffic, not behind it:

@@ -99,7 +99,6 @@ options:
   --client-keys <n>       client identities to derive keys for (default 8)
   --seed <n>              deterministic key seed, identical cluster-wide (default 42)
   --table-size <n>        pre-loaded table records (default 4096)
-  --event-loops <n>       reactor threads per TCP transport (default 2)
   --consensus-instances <k>
                           parallel PBFT instances sharing the replica set
                           (multi-primary ordering; default 1, pbft only)
@@ -229,7 +228,6 @@ fn parse_args() -> Args {
             | "--client-keys"
             | "--seed"
             | "--table-size"
-            | "--event-loops"
             | "--consensus-instances"
             | "--data-dir"
             | "--fsync"
@@ -496,7 +494,7 @@ fn run_swarm_mode(args: &Args, clients: usize) -> ExitCode {
         // in-memory fabric, printing FINAL digest lines so a TCP run can
         // be digest-compared against it.
         let mut mem_cfg = node_cfg;
-        mem_cfg.net.mode = TransportMode::InMemory;
+        mem_cfg.transport = TransportMode::InMemory;
         let db = match SystemBuilder::from_options(mem_cfg).build() {
             Ok(db) => db,
             Err(e) => {

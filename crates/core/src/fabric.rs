@@ -130,13 +130,6 @@ impl SystemBuilder {
         self
     }
 
-    /// One-way network latency between all nodes (in-memory backend only;
-    /// TCP loopback pays whatever the kernel charges).
-    pub fn latency(mut self, latency: Duration) -> Self {
-        self.opts.net.latency_us = latency.as_micros() as u64;
-        self
-    }
-
     /// Seed for deterministic key generation.
     pub fn seed(mut self, seed: u64) -> Self {
         self.opts.seed = seed;
@@ -145,7 +138,7 @@ impl SystemBuilder {
 
     /// Selects the transport backend (default: in-memory).
     pub fn transport(mut self, transport: TransportMode) -> Self {
-        self.opts.net.mode = transport;
+        self.opts.transport = transport;
         self
     }
 
@@ -166,12 +159,9 @@ impl SystemBuilder {
         opts.validate()?;
         let registry = registry_for(&opts);
         let config = opts.system.clone();
-        let (replica_nets, client_net) = match opts.net.mode {
+        let (replica_nets, client_net) = match opts.transport {
             TransportMode::InMemory => {
-                let net = Network::new(NetworkConfig {
-                    latency: opts.net.latency(),
-                })
-                .handle();
+                let net = Network::new(NetworkConfig::default()).handle();
                 (vec![net.clone(); config.n], net)
             }
             TransportMode::Tcp => {
@@ -189,18 +179,14 @@ impl SystemBuilder {
                                 listen: listener.local_addr().ok(),
                                 peers: peers.clone(),
                                 ..TcpConfig::default()
-                            }
-                            .with_options(&opts.net),
+                            },
                             Some(listener),
                         )
                         .handle()
                     })
                     .collect();
-                let client_net = TcpTransport::with_listener(
-                    TcpConfig::for_client(peers).with_options(&opts.net),
-                    None,
-                )
-                .handle();
+                let client_net =
+                    TcpTransport::with_listener(TcpConfig::for_client(peers), None).handle();
                 (replica_nets, client_net)
             }
         };
@@ -489,8 +475,7 @@ pub fn start_replica(node: &NodeOptions, id: ReplicaId) -> std::io::Result<Repli
     if node.peers.get(id).is_none() {
         return Err(invalid(format!("replica {id} is not in the peer map")));
     }
-    let transport =
-        TcpTransport::new(TcpConfig::for_replica(id, node.peers.clone()).with_options(&node.net))?;
+    let transport = TcpTransport::new(TcpConfig::for_replica(id, node.peers.clone()))?;
     let net = transport.handle();
     let handle = spawn_replica(&node.system, id, &net, &registry_for(node));
     Ok(ReplicaNode { net, handle })
@@ -523,5 +508,5 @@ pub fn client_net(
         }
         None => TcpConfig::for_client(node.peers.clone()),
     };
-    Ok(TcpTransport::new(config.with_options(&node.net))?.handle())
+    Ok(TcpTransport::new(config)?.handle())
 }

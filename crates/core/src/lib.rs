@@ -63,7 +63,7 @@ pub use client::ClientSession;
 pub use fabric::{
     client_net, registry_for, start_replica, ReplicaNode, ResilientDb, SystemBuilder,
 };
-pub use rdb_common::{NetOptions, NodeOptions, TransportMode};
+pub use rdb_common::{NodeOptions, TransportMode};
 pub use scenario::{
     run_scenario, scenario_by_name, scenarios, FaultAction, FaultEvent, FaultPlan, Mark, Scenario,
     ScenarioResult,

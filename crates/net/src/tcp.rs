@@ -131,16 +131,6 @@ impl TcpConfig {
             ..TcpConfig::default()
         }
     }
-
-    /// Applies the transport sizing from a [`NetOptions`]
-    /// (`rdb_common::NetOptions`) — the bridge from the unified node
-    /// configuration to this backend's knobs.
-    pub fn with_options(mut self, net: &rdb_common::NetOptions) -> Self {
-        self.event_loops = net.event_loops;
-        self.queue_capacity = net.queue_capacity;
-        self.client_queue_capacity = net.client_queue_capacity;
-        self
-    }
 }
 
 /// Upper bound of the per-destination MSG frame header (tag + `Sender`),

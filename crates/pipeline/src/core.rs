@@ -691,9 +691,10 @@ impl ReplicaCore {
                 if digest(&batch.canonical_bytes()) != *claimed {
                     return;
                 }
+                let quorum = rdb_common::quorum::commit_quorum(self.f);
                 let certified = recovery::verify_fetch_certificate(
                     &self.provider,
-                    rdb_common::quorum::commit_quorum(self.f),
+                    quorum,
                     from,
                     *view,
                     *seq,
@@ -706,10 +707,18 @@ impl ReplicaCore {
                 // offline-verifiable certificate to ship. The view is part
                 // of the match: the engine treats a fetched later view as
                 // proof of a missed view change, so a lone byzantine
-                // responder must not get to invent one.
+                // responder must not get to invent one. Under PBFT the
+                // certificate installed with the batch goes into the
+                // chain, whose append demands 2f+1 signers: a shorter one
+                // still vouches, but a response carrying a full one
+                // installs.
                 let votes = self.fetch_votes.entry((*seq, *view, *claimed)).or_default();
                 votes.insert(from);
-                if certified || votes.len() > self.f {
+                let installable = match self.protocol {
+                    ProtocolKind::Pbft => certificate.signer_count() >= quorum,
+                    ProtocolKind::Zyzzyva => true,
+                };
+                if certified || (votes.len() > self.f && installable) {
                     self.fetch_votes.retain(|(s, _, _), _| s != seq);
                     self.fetch_inflight.remove(seq);
                     let actions = self.engine.install_fetched(
@@ -1507,6 +1516,52 @@ mod tests {
         // … a second distinct peer makes f+1.
         c.step(3, response(1, honest));
         assert_eq!(c.nodes[3].executed.len(), 1);
+    }
+
+    /// The PBFT twin: f+1 matching responses vouch, but the batch goes
+    /// into a chain whose append demands 2f+1 signers, so the response
+    /// that installs must carry that many — here a third one does.
+    #[test]
+    fn under_pbft_f_plus_1_vouchers_with_a_short_certificate_wait_for_a_full_one() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        let batch = Arc::new(Batch::new(vec![Transaction::new(
+            ClientId(0),
+            0,
+            vec![Operation::Write {
+                key: 1,
+                value: vec![7; 8],
+            }],
+        )]));
+        let honest = digest(&batch.canonical_bytes());
+        let signer = |r: u32| (ReplicaId(r), SignatureBytes(vec![r as u8; 8]));
+        let response = |from: u32, signers: Vec<(ReplicaId, SignatureBytes)>| {
+            let msg = Message::FetchResponse {
+                seq: SeqNum(1),
+                view: ViewNum(0),
+                digest: honest,
+                batch: Arc::clone(&batch),
+                certificate: BlockCertificate::new(signers),
+                replica: ReplicaId(from),
+            };
+            let sender = Sender::Replica(ReplicaId(from));
+            Input::Verified(SignedMessage::new(msg, sender, Default::default()))
+        };
+        // What a responder that itself installed by fetch used to serve:
+        // one peer's signature and its own placeholder.
+        let short = |from: u32| vec![signer(1), (ReplicaId(from), SignatureBytes::empty())];
+        c.step(3, response(1, short(1)));
+        c.step(3, response(2, short(2)));
+        assert!(
+            c.nodes[3].executed.is_empty(),
+            "f+1 vouchers, but no certificate a chain would take"
+        );
+        // A duplicated signer does not make a short certificate whole.
+        c.step(3, response(2, vec![signer(1), signer(1), signer(2)]));
+        assert!(c.nodes[3].executed.is_empty());
+        // A further matching response with 2f+1 signers installs.
+        c.step(3, response(0, vec![signer(0), signer(1), signer(2)]));
+        assert_eq!(c.nodes[3].executed.len(), 1);
+        assert_eq!(c.nodes[3].executed[0].0, SeqNum(1));
     }
 
     fn snapshot_at(base: u64) -> Arc<Snapshot> {

@@ -54,29 +54,6 @@ pub struct MultiPrimaryPrediction {
     pub bottleneck: (SimStage, f64),
 }
 
-impl MultiPrimaryPrediction {
-    /// One row of hand-rolled JSON (the workspace has no serde_json).
-    pub fn to_json(&self) -> String {
-        let stages: Vec<String> = self
-            .per_stage
-            .iter()
-            .map(|(s, v)| format!("\"{}\": {:.2}", s.label(), v))
-            .collect();
-        format!(
-            "{{\"k\": {}, \"base_tps\": {:.1}, \"predicted_tps\": {:.1}, \
-             \"speedup\": {:.3}, \"bottleneck\": \"{}\", \
-             \"bottleneck_pct\": {:.2}, \"stage_load\": {{{}}}}}",
-            self.k,
-            self.base_tps,
-            self.predicted_tps,
-            self.speedup,
-            self.bottleneck.0.label(),
-            self.bottleneck.1,
-            stages.join(", ")
-        )
-    }
-}
-
 /// Backup saturation for a stage; stages the backup map doesn't report
 /// (the NIC) are taken at the primary rate — i.e. treated as
 /// non-shardable, the conservative choice.
@@ -187,14 +164,5 @@ mod tests {
         // Large k runs into the non-shardable execute stage.
         let huge = predict(&base, 1_000);
         assert!((huge.speedup - ceiling).abs() / ceiling < 0.15);
-    }
-
-    #[test]
-    fn json_row_shape() {
-        let base = base_run();
-        let row = predict(&base, 2).to_json();
-        for needle in ["\"k\": 2", "predicted_tps", "bottleneck", "stage_load"] {
-            assert!(row.contains(needle), "missing {needle} in {row}");
-        }
     }
 }
