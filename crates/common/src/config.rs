@@ -136,10 +136,10 @@ impl Default for DurabilityConfig {
 /// protocol state has a single owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadConfig {
-    /// Input threads receiving client requests (primary only).
-    pub client_input_threads: usize,
-    /// Input threads receiving replica messages.
-    pub replica_input_threads: usize,
+    /// Input threads: one pool on one receiver, taking client requests
+    /// and replica messages alike, on every replica (a backup can become
+    /// the primary at any view change).
+    pub input_threads: usize,
     /// Batch-assembly threads at the primary (`B`).
     pub batch_threads: usize,
     /// Execution threads (`E`). `0` folds execution into the worker
@@ -155,12 +155,11 @@ pub struct ThreadConfig {
 
 impl ThreadConfig {
     /// The paper's standard pipeline: one worker, one execute (`1E`), two
-    /// batch-threads (`2B`), one client-input + two replica-input threads,
-    /// two output threads and one checkpoint thread.
+    /// batch-threads (`2B`), three input threads, two output threads and
+    /// one checkpoint thread.
     pub fn standard() -> Self {
         ThreadConfig {
-            client_input_threads: 1,
-            replica_input_threads: 2,
+            input_threads: 3,
             batch_threads: 2,
             execute_threads: 1,
             checkpoint_threads: 1,
@@ -180,8 +179,7 @@ impl ThreadConfig {
     /// Single-threaded monolith: every task on the worker thread (`0E 0B`).
     pub fn monolithic() -> Self {
         ThreadConfig {
-            client_input_threads: 1,
-            replica_input_threads: 1,
+            input_threads: 2,
             batch_threads: 0,
             execute_threads: 0,
             checkpoint_threads: 0,
@@ -301,7 +299,7 @@ impl SystemConfig {
                 "batch_size must be positive".into(),
             ));
         }
-        if self.threads.output_threads == 0 || self.threads.client_input_threads == 0 {
+        if self.threads.output_threads == 0 || self.threads.input_threads == 0 {
             return Err(CommonError::InvalidConfig(
                 "need input and output threads".into(),
             ));
@@ -399,16 +397,15 @@ mod tests {
     #[test]
     fn thread_config_counts() {
         let t = ThreadConfig::standard();
-        // 1 client-in + 2 replica-in + 2 batch + 1 worker + 1 exec + 1 ckpt + 2 out
+        // 3 input + 2 batch + 1 worker + 1 exec + 1 ckpt + 2 out
         let per_stage = [
-            t.client_input_threads,
-            t.replica_input_threads,
+            t.input_threads,
             t.batch_threads,
             t.execute_threads,
             t.checkpoint_threads,
             t.output_threads,
         ];
-        assert_eq!(per_stage, [1, 2, 2, 1, 1, 2]);
+        assert_eq!(per_stage, [3, 2, 1, 1, 2]);
         assert_eq!(t.label(), "1E 2B");
         assert_eq!(ThreadConfig::monolithic().label(), "0E 0B");
     }

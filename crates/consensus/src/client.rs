@@ -13,6 +13,7 @@ use rdb_common::block::BlockCertificate;
 use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{quorum, ClientId, Digest, ReplicaId, SeqNum, SignatureBytes, ViewNum};
 use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
 /// The replica whose vote `sm` is: its authenticated sender, provided the
 /// body's self-declared `replica` field agrees with it. Signature checks
@@ -118,6 +119,11 @@ struct SpecTracker {
     /// Result bytes associated with the certificate we distributed.
     cc_result: Vec<u8>,
 }
+
+/// How long a Zyzzyva client waits for the fast path before distributing
+/// commit certificates. The client sessions and the figure simulator's
+/// closed-loop clients both wait this long.
+pub const ZYZZYVA_CLIENT_TIMEOUT: Duration = Duration::from_millis(300);
 
 /// Zyzzyva client: fast path (3f+1 matching) and commit-certificate slow
 /// path (2f+1 matching + 2f+1 `LocalCommit`s).

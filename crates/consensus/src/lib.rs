@@ -42,7 +42,7 @@ pub mod zyzzyva;
 
 pub use actions::{Action, ClientAction};
 pub use checkpoint::CheckpointTracker;
-pub use client::{PbftClient, ZyzzyvaClient};
+pub use client::{PbftClient, ZyzzyvaClient, ZYZZYVA_CLIENT_TIMEOUT};
 pub use config::ConsensusConfig;
 pub use engine::ReplicaEngine;
 pub use multi::MultiEngine;

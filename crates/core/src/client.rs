@@ -6,16 +6,12 @@
 
 use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnId, ViewNum};
-use rdb_consensus::{ClientAction, PbftClient, ZyzzyvaClient};
+use rdb_consensus::{ClientAction, PbftClient, ZyzzyvaClient, ZYZZYVA_CLIENT_TIMEOUT};
 use rdb_crypto::{CryptoProvider, KeyRegistry, PeerClass};
 use rdb_net::{Endpoint, NetHandle};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::time::{Duration, Instant};
-
-/// How long a Zyzzyva client waits for the fast path before distributing
-/// commit certificates.
-const ZYZZYVA_CLIENT_TIMEOUT: Duration = Duration::from_millis(300);
 
 /// Quiet period after which a client rebroadcasts its in-flight requests
 /// to *every* replica: the request or its replies may have been lost, or

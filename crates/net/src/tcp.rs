@@ -62,40 +62,28 @@ use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Outbound frames buffered per replica (gossip) link before the
+/// drop-oldest policy applies.
+const QUEUE_CAPACITY: usize = 4096;
+/// Outbound frames buffered per client-path link (reverse and dedicated
+/// links) before senders block.
+const CLIENT_QUEUE_CAPACITY: usize = 4096;
+/// Reactor threads driving the sockets. More loops add read/decode
+/// parallelism; 2 is plenty for a 4-replica cluster.
+const EVENT_LOOPS: usize = 2;
+
 /// Configuration for a [`TcpTransport`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TcpConfig {
     /// Address to accept peer connections on. `None` for client processes,
     /// which only dial out.
     pub listen: Option<SocketAddr>,
     /// Replica id → address map (clients are learned via HELLO frames).
     pub peers: PeerMap,
-    /// Outbound frames buffered per replica (gossip) link before the
-    /// drop-oldest policy applies.
-    pub queue_capacity: usize,
-    /// Outbound frames buffered per client-path link (reverse and
-    /// dedicated links) before senders block.
-    pub client_queue_capacity: usize,
-    /// Reactor threads driving the sockets. More loops add read/decode
-    /// parallelism; 2 is plenty for a 4-replica cluster.
-    pub event_loops: usize,
     /// Swarm mode: give every locally registered client endpoint its own
     /// dedicated connection to this replica (normally the view-0 primary)
     /// instead of sharing one link per replica. The id must be in `peers`.
     pub dedicated_to: Option<ReplicaId>,
-}
-
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            listen: None,
-            peers: PeerMap::new(),
-            queue_capacity: 4096,
-            client_queue_capacity: 4096,
-            event_loops: 2,
-            dedicated_to: None,
-        }
-    }
 }
 
 impl TcpConfig {
@@ -128,7 +116,6 @@ impl TcpConfig {
             listen: None,
             peers,
             dedicated_to: Some(primary),
-            ..TcpConfig::default()
         }
     }
 }
@@ -593,7 +580,7 @@ impl TcpInner {
         if let Some(link) = dialed.get(&id.0) {
             return Arc::clone(link);
         }
-        let link = Link::new(LinkPeer::Replica(id), Some(addr), self.cfg.queue_capacity);
+        let link = Link::new(LinkPeer::Replica(id), Some(addr), QUEUE_CAPACITY);
         dialed.insert(id.0, Arc::clone(&link));
         drop(dialed);
         self.request_dial(Arc::clone(&link), Duration::ZERO);
@@ -966,11 +953,7 @@ impl EventLoop {
                     if configure_stream(&stream).is_err() {
                         continue;
                     }
-                    let link = Link::new(
-                        LinkPeer::Accepted,
-                        None,
-                        self.inner.cfg.client_queue_capacity,
-                    );
+                    let link = Link::new(LinkPeer::Accepted, None, CLIENT_QUEUE_CAPACITY);
                     // Spread accepted connections across all loops; the
                     // command is drained at the top of each iteration, so
                     // self-assignment works too.
@@ -1177,12 +1160,13 @@ fn write_pending(conn: &mut Conn) -> io::Result<bool> {
     }
 }
 
-/// Binds a listener with `SO_REUSEADDR` set, so a replica restarted onto
-/// its old address does not trip over the TIME_WAIT sockets its killed
-/// predecessor left behind (std's `TcpListener::bind` leaves the option
-/// off, which makes a quick kill-and-restart fail with `EADDRINUSE` for
-/// up to a minute). Non-IPv4 addresses and non-Linux targets fall back
-/// to the std bind.
+/// Binds a listener with `SO_REUSEADDR` set and a 1024-deep accept
+/// backlog. On Linux std's `TcpListener::bind` sets `SO_REUSEADDR` too
+/// (a std listener also rebinds through a served connection's TIME_WAIT);
+/// what this adds is the backlog: std listens with 128, so a burst of
+/// connects the reactor has not accepted yet — a swarm's sessions dialing
+/// at once — overflows it and the extra SYNs wait out a retransmit.
+/// Non-IPv4 addresses and non-Linux targets fall back to the std bind.
 #[cfg(target_os = "linux")]
 fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
     use std::os::raw::{c_int, c_void};
@@ -1281,7 +1265,6 @@ impl fmt::Debug for TcpTransport {
         f.debug_struct("TcpTransport")
             .field("listen", &self.inner.local_addr)
             .field("peers", &self.inner.cfg.peers.len())
-            .field("event_loops", &self.inner.cfg.event_loops)
             .finish()
     }
 }
@@ -1305,7 +1288,6 @@ impl TcpTransport {
     /// map is assembled from the actual bound addresses.
     pub fn with_listener(cfg: TcpConfig, listener: Option<TcpListener>) -> TcpTransport {
         let local_addr = listener.as_ref().and_then(|l| l.local_addr().ok());
-        let loops_n = cfg.event_loops.max(1);
         let inner = Arc::new(TcpInner {
             cfg,
             local_addr,
@@ -1335,10 +1317,10 @@ impl TcpTransport {
                 }
             }
         }));
-        let mut handles = Vec::with_capacity(loops_n);
-        let mut ev_loops = Vec::with_capacity(loops_n);
+        let mut handles = Vec::with_capacity(EVENT_LOOPS);
+        let mut ev_loops = Vec::with_capacity(EVENT_LOOPS);
         let mut listener = listener;
-        for idx in 0..loops_n {
+        for idx in 0..EVENT_LOOPS {
             let (cmd_tx, cmd_rx) = channel::unbounded();
             let (waker, wake_rx) = crate::reactor::wake_pair().expect("create reactor wake pipe");
             let sleeping = Arc::new(AtomicBool::new(false));
@@ -1524,7 +1506,7 @@ impl Transport for TcpTransport {
             let link = Link::new(
                 LinkPeer::Dedicated { owner: addr },
                 self.inner.cfg.peers.get(target),
-                self.inner.cfg.client_queue_capacity,
+                CLIENT_QUEUE_CAPACITY,
             );
             self.inner.dedicated.write().insert(addr, Arc::clone(&link));
             self.inner.request_dial(link, Duration::ZERO);
@@ -1629,6 +1611,22 @@ mod tests {
         drop(listener);
         drop(client);
         bind_reuseaddr(addr).expect("rebind onto the lingering port");
+    }
+
+    /// More connects than std's 128-deep backlog queue on a listener that
+    /// accepts none of them.
+    #[test]
+    fn backlog_holds_more_than_128_unaccepted_connects() {
+        let listener = bind_reuseaddr("127.0.0.1:0".parse().unwrap()).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let conns: Vec<TcpStream> = (0..200)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} did not queue: {e}"))
+            })
+            .collect();
+        assert_eq!(conns.len(), 200);
+        drop(listener);
     }
 
     #[test]
@@ -1830,16 +1828,13 @@ mod tests {
         let addr = listeners[0].local_addr().unwrap();
         // Nobody listens yet: dials are refused and the link stays queued.
         drop(listeners.remove(0));
-        let client_net = TcpTransport::new(TcpConfig {
-            queue_capacity: 1,
-            ..TcpConfig::for_client(peers.clone())
-        })
-        .unwrap();
-        // Registering queues the HELLO, which fills the one-frame link.
+        let client_net = TcpTransport::new(TcpConfig::for_client(peers.clone())).unwrap();
+        // Registering queues the HELLO; the sends fill the link's other
+        // slots, and the last one finds it full.
         let client = client_net.register(Sender::Client(ClientId(1)));
         let (done_tx, done_rx) = channel::bounded(1);
         let sender = std::thread::spawn(move || {
-            for _ in 0..3 {
+            for _ in 0..QUEUE_CAPACITY {
                 client.send(r(0), msg(Sender::Client(ClientId(1)))).unwrap();
             }
             let _ = done_tx.send(());
@@ -1857,7 +1852,7 @@ mod tests {
             Some(bind_reuseaddr(addr).unwrap()),
         );
         let replica = server.register(r(0));
-        for _ in 0..3 {
+        for _ in 0..QUEUE_CAPACITY {
             replica.recv_timeout(Duration::from_secs(10)).unwrap();
         }
         sender.join().unwrap();

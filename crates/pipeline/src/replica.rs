@@ -257,7 +257,7 @@ pub fn spawn_replica(
     // Every replica runs the full input complement: a backup can become the
     // primary at any view change, so the client-facing threads must already
     // be listening.
-    for i in 0..threads_cfg.client_input_threads + threads_cfg.replica_input_threads {
+    for i in 0..threads_cfg.input_threads {
         let (ctx, rx) = (stage(Stage::Input, i), endpoint.receiver());
         let router = Router {
             n: config.n as u64,

@@ -2,28 +2,42 @@
 //!
 //! Models each replica as a set of multi-server stages (input, batch,
 //! worker, execute, output) competing for a bounded number of cores, plus
-//! a serialized NIC. Batches are the unit of work; replica-to-replica vote
-//! floods are aggregated into quorum *bundles* whose arrival times are the
-//! k-th order statistic of the senders' transmit-completion times — this
-//! keeps the event count O(n) per batch instead of O(n²) while preserving
-//! quorum timing, stage utilization and network load.
+//! a serialized NIC, and runs the replica's real decision logic inside
+//! them: every live replica is an [`rdb_pipeline::ReplicaCore`], stepped
+//! on its worker stage at virtual time. Which messages a replica sends,
+//! when a batch commits and when a checkpoint stabilizes all come from
+//! [`ReplicaCore::step`]; the simulator only prices what the cores do:
+//!
+//! - a message a core sends is signed on the sender's output stage and
+//!   transmitted by its NIC; one link latency later each receiver's input
+//!   stage pays for it, and the receiver's worker steps on it;
+//! - a batch a core hands to execution runs in sequence order on the
+//!   execute stage; its result goes back to the core, and its replies to
+//!   the clients.
 //!
 //! Clients form a closed loop: a completed batch immediately re-submits
 //! its transactions (after a link latency), so offered load self-regulates
-//! exactly as the paper's 80K closed-loop clients do.
+//! exactly as the paper's 80K closed-loop clients do. The clients' side of
+//! the protocol lives here too: the reply quorum, and Zyzzyva's timeout
+//! before the clients distribute commit certificates.
 
 use crate::report::{SimReport, SimStage};
 use crate::service::{Overheads, ServiceModel};
-use rdb_common::{quorum, ProtocolKind, SystemConfig};
-use rdb_crypto::CostModel;
+use rdb_common::block::BlockCertificate;
+use rdb_common::messages::{Sender, SignedMessage};
+use rdb_common::{
+    quorum, Batch, ClientId, CryptoScheme, Digest, Message, ProtocolKind, ReplicaId, SeqNum,
+    SignatureBytes, Snapshot, SystemConfig, Transaction, ViewNum,
+};
+use rdb_consensus::ZYZZYVA_CLIENT_TIMEOUT;
+use rdb_crypto::{CostModel, KeyRegistry};
+use rdb_pipeline::{CoreEnv, Effect, ExecuteItem, Input, OutItem, ReplicaCore};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 type Ns = u64;
-
-/// How long a Zyzzyva client waits for all 3f+1 speculative replies
-/// before distributing a commit certificate (the slow path).
-const CLIENT_TIMEOUT_MS: Ns = 50;
 
 /// What the simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,63 +93,56 @@ impl SimConfig {
 
     /// Runs the simulation to completion.
     pub fn run(&self) -> SimReport {
-        Sim::new(self).run()
+        let mut sim = Sim::new(self);
+        sim.run_until(sim.end + sim.latency_ns * 4);
+        sim.report()
     }
 }
 
-/// Vote phases whose floods are aggregated into bundles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Prepare,
-    Commit,
+/// The cores' environment: no serving snapshot (peers are never far
+/// enough behind to need one) and a ledger that is always pruned as asked.
+struct NoLedger;
+
+impl CoreEnv for NoLedger {
+    fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+        None
+    }
+    fn snapshot_base(&self) -> Option<SeqNum> {
+        None
+    }
+    fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
+        seq
+    }
 }
 
 /// Continuations: what happens when a job or transmission finishes.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum After {
     /// Input ingested a chunk of client requests.
     Ingested { count: u64, arrival: Ns },
-    /// A batch-thread finished assembling the batch.
-    BatchAssembled { batch: usize },
-    /// The worker proposed the batch (primary).
-    Proposed { batch: usize },
-    /// Output signed the pre-prepare; hand to NIC.
-    PrePrepareSigned { batch: usize },
-    /// A backup's input ingested the pre-prepare.
-    PrePrepareDelivered { batch: usize },
-    /// A backup's worker validated the pre-prepare.
-    PrePrepareProcessed { batch: usize },
-    /// Output signed a vote; hand to NIC.
-    VoteSigned { batch: usize, phase: Phase },
-    /// NIC finished flooding a vote.
-    VoteSent { batch: usize, phase: Phase },
-    /// NIC finished sending the pre-prepare broadcast.
-    PrePrepareSent { batch: usize },
-    /// Input ingested a quorum (or straggler) vote bundle.
-    VoteBundleIngested {
-        batch: usize,
-        phase: Phase,
-        count: u64,
-        advance: bool,
+    /// A batch-thread finished assembling client batch `batch`.
+    Assembled { batch: usize },
+    /// The input stage paid for this input: the worker steps on it next.
+    Received(Input),
+    /// The worker paid for this input: step the core.
+    Step(Input),
+    /// Output signed a message; hand it to the NIC.
+    Signed(OutItem),
+    /// The NIC finished transmitting a message to all of its targets.
+    Sent(OutItem),
+    /// The execute stage ran `seq` (client batch `batch`, if it is one) in
+    /// execution epoch `epoch`.
+    Executed {
+        seq: SeqNum,
+        view: ViewNum,
+        digest: Digest,
+        batch: Option<usize>,
+        epoch: u64,
     },
-    /// Worker processed a vote bundle that completed a quorum.
-    QuorumReached { batch: usize, phase: Phase },
-    /// Capacity-only work (stragglers); no protocol progress.
-    Absorb,
-    /// Execution of the batch finished.
-    Executed { batch: usize },
     /// Output signed the batch's client replies; hand to NIC.
     RepliesSigned { batch: usize },
     /// NIC finished sending the replies.
     RepliesSent { batch: usize },
-    /// Zyzzyva slow path: input ingested the commit certificates.
-    CcIngested { batch: usize },
-    /// Zyzzyva slow path: worker verified the commit certificates.
-    CcProcessed { batch: usize },
-    /// Zyzzyva slow path: output signed the local-commits; hand to NIC.
-    LocalCommitsSigned { batch: usize },
-    /// Zyzzyva slow path: NIC finished sending local-commits.
-    LocalCommitsSent { batch: usize },
     /// Upper-bound mode: worker finished a chunk.
     UpperDone { count: u64, arrival: Ns },
     /// Upper-bound mode: NIC finished sending the replies for a chunk.
@@ -162,8 +169,8 @@ enum EventKind {
     },
     /// Client requests reach the primary.
     ClientArrive { count: u64 },
-    /// A Zyzzyva client's fast-path timer expired.
-    ZyzzyvaTimeout { batch: usize },
+    /// A Zyzzyva batch's clients stopped waiting for the fast path.
+    ClientTimeout { batch: usize },
 }
 
 struct Event {
@@ -189,22 +196,12 @@ impl Ord for Event {
     }
 }
 
-const STAGE_COUNT: usize = 5;
+/// Stage indices, in [`SimStage::CPU`] order.
 const S_INPUT: usize = 0;
 const S_BATCH: usize = 1;
 const S_WORKER: usize = 2;
 const S_EXECUTE: usize = 3;
 const S_OUTPUT: usize = 4;
-
-fn stage_enum(idx: usize) -> SimStage {
-    match idx {
-        S_INPUT => SimStage::Input,
-        S_BATCH => SimStage::Batch,
-        S_WORKER => SimStage::Worker,
-        S_EXECUTE => SimStage::Execute,
-        _ => SimStage::Output,
-    }
-}
 
 #[derive(Debug, Default)]
 struct StageState {
@@ -214,7 +211,6 @@ struct StageState {
     busy_ns: u64,
 }
 
-#[derive(Debug)]
 struct Rep {
     stages: Vec<StageState>,
     cores: usize,
@@ -223,24 +219,26 @@ struct Rep {
     core_wait: VecDeque<(usize, Ns, After)>,
     nic_busy_until: Ns,
     nic_busy_ns: u64,
-    crashed: bool,
+    /// The replica's decision logic; `None` for a crashed replica.
+    core: Option<ReplicaCore>,
+    /// The execute stage's in-order buffer: batches the core handed to
+    /// execution, parked by sequence until `next_exec` reaches them.
+    parked: BTreeMap<SeqNum, ExecuteItem>,
+    next_exec: SeqNum,
+    /// Execution epoch: every rollback starts a new one, as the core's does.
+    epoch: u64,
 }
 
-/// Per-batch protocol bookkeeping.
+/// Client-side bookkeeping for one batch of client requests.
 #[derive(Debug, Default)]
 struct BatchSt {
     size: u64,
     arrival: Ns,
-    prepare_senders: Vec<(usize, Ns)>,
-    prepare_sched: u64,
-    prepare_absorbed: bool,
-    commit_senders: Vec<(usize, Ns)>,
-    commit_sched: u64,
-    commit_absorbed: bool,
-    reply_arrivals: u64,
-    lc_arrivals: u64,
+    /// Where the cores ordered it, from its first execution.
+    order: Option<(SeqNum, ViewNum, Digest)>,
+    replies: usize,
+    local_commits: usize,
     completed: bool,
-    cc_fired: bool,
 }
 
 struct Sim<'a> {
@@ -253,16 +251,22 @@ struct Sim<'a> {
     now: Ns,
     event_seq: u64,
     latency_ns: Ns,
+    /// The cores' clock at virtual time zero.
+    start: Instant,
     pool: u64,
     pool_arrivals: VecDeque<(u64, Ns)>,
     batches: Vec<BatchSt>,
+    /// Client batch by the sequence the cores ordered it at.
+    by_seq: HashMap<SeqNum, usize>,
     warmup_end: Ns,
     end: Ns,
     completed_txns: u64,
     latency_sum_ns: f64,
     latency_count: u64,
     batches_committed: u64,
-    ckpt_amortized: f64,
+    /// PrePrepare, Prepare and Commit messages sent, counted per target.
+    #[cfg(test)]
+    ordering_msgs: u64,
 }
 
 impl<'a> Sim<'a> {
@@ -271,62 +275,60 @@ impl<'a> Sim<'a> {
         let svc = ServiceModel::new(sys, cfg.cost.clone(), cfg.overheads.clone());
         let n = sys.n;
         let t = &sys.threads;
-        let mut reps = Vec::with_capacity(n);
-        for r in 0..n {
-            let is_primary = r == 0;
-            let mut stages = Vec::with_capacity(STAGE_COUNT);
-            let servers = |s: usize| -> usize {
-                match s {
-                    S_INPUT => {
-                        if is_primary {
-                            t.client_input_threads + t.replica_input_threads
-                        } else {
-                            t.replica_input_threads.max(1)
-                        }
-                    }
-                    S_BATCH => {
-                        if is_primary {
-                            t.batch_threads
-                        } else {
-                            0
-                        }
-                    }
-                    // A replica runs exactly one worker (Section 4.3);
-                    // Figure 7's upper bound measures two independent
-                    // threads answering clients directly.
-                    S_WORKER => {
-                        if matches!(cfg.mode, SimMode::UpperBound { .. }) {
-                            2
-                        } else {
-                            1
-                        }
-                    }
-                    S_EXECUTE => t.execute_threads,
-                    _ => t.output_threads.max(1),
-                }
-            };
-            for s in 0..STAGE_COUNT {
-                stages.push(StageState {
-                    servers: servers(s),
-                    ..Default::default()
+        let start = Instant::now();
+        // `ServiceModel` prices the crypto of `sys.crypto`; the cores
+        // themselves sign and verify nothing.
+        let registry = KeyRegistry::generate(CryptoScheme::NoCrypto, n, 0, 0);
+        let k = sys.consensus_instances.max(1);
+        // Sized as `spawn_replica` sizes its thread pools; a replica runs
+        // exactly one worker (Section 4.3), while Figure 7's upper bound
+        // measures two independent threads answering clients directly.
+        let workers = match cfg.mode {
+            SimMode::UpperBound { .. } => 2,
+            SimMode::Consensus => 1,
+        };
+        let servers = [
+            t.input_threads,
+            if t.batch_threads == 0 {
+                0
+            } else {
+                t.batch_threads.max(k)
+            },
+            workers,
+            t.execute_threads,
+            t.output_threads,
+        ];
+        let reps = (0..n)
+            .map(|r| {
+                let crashed = r != 0 && r >= n - cfg.failures;
+                let id = ReplicaId(r as u32);
+                let core = (!crashed).then(|| {
+                    let provider = registry.provider_for_replica(id);
+                    ReplicaCore::new(sys, id, provider, Arc::new(NoLedger), None, start)
                 });
-            }
-            let crashed = r != 0 && r >= n - cfg.failures;
-            reps.push(Rep {
-                stages,
-                cores: sys.cores,
-                cores_busy: 0,
-                core_wait: VecDeque::new(),
-                nic_busy_until: 0,
-                nic_busy_ns: 0,
-                crashed,
-            });
-        }
+                Rep {
+                    stages: servers
+                        .iter()
+                        .map(|&servers| StageState {
+                            servers,
+                            ..Default::default()
+                        })
+                        .collect(),
+                    cores: sys.cores,
+                    cores_busy: 0,
+                    core_wait: VecDeque::new(),
+                    nic_busy_until: 0,
+                    nic_busy_ns: 0,
+                    core,
+                    parked: BTreeMap::new(),
+                    next_exec: SeqNum(1),
+                    epoch: 0,
+                }
+            })
+            .collect();
         let warmup_end = cfg.warmup_ms * 1_000_000;
         let end = warmup_end + cfg.measure_ms * 1_000_000;
-        let interval_batches = (sys.checkpoint_interval / sys.batch_size as u64).max(1);
-        let ckpt_amortized = svc.checkpoint_worker_amortized(n, interval_batches);
-        Sim {
+        let mut sim = Sim {
             cfg,
             svc,
             n,
@@ -336,17 +338,33 @@ impl<'a> Sim<'a> {
             now: 0,
             event_seq: 0,
             latency_ns: (cfg.link_latency_us * 1_000.0) as Ns,
+            start,
             pool: 0,
             pool_arrivals: VecDeque::new(),
             batches: Vec::new(),
+            by_seq: HashMap::new(),
             warmup_end,
             end,
             completed_txns: 0,
             latency_sum_ns: 0.0,
             latency_count: 0,
             batches_committed: 0,
-            ckpt_amortized,
+            #[cfg(test)]
+            ordering_msgs: 0,
+        };
+        // Seed the closed loop: every client submits its one outstanding
+        // request, staggered over a short ramp so the input stage is not
+        // hit by one giant burst.
+        let total = sys.num_clients as u64;
+        let chunk = sys.batch_size as u64;
+        let chunks = total.div_ceil(chunk);
+        let ramp_ns: Ns = 20_000_000; // 20 ms
+        for i in 0..chunks {
+            let count = chunk.min(total - i * chunk);
+            let at = i * ramp_ns / chunks.max(1);
+            sim.push_event(at, EventKind::ClientArrive { count });
         }
+        sim
     }
 
     fn push_event(&mut self, at: Ns, kind: EventKind) {
@@ -358,10 +376,14 @@ impl<'a> Sim<'a> {
         }));
     }
 
+    fn live(&self, r: usize) -> bool {
+        self.reps[r].core.is_some()
+    }
+
     /// Enqueues a job for `stage` at `replica`, starting it if a server
     /// and core are free.
     fn enqueue(&mut self, replica: usize, stage: usize, service_ns: f64, after: After) {
-        if self.reps[replica].crashed {
+        if !self.live(replica) {
             return;
         }
         let service = service_ns.max(1.0) as Ns;
@@ -396,63 +418,46 @@ impl<'a> Sim<'a> {
             if rep.cores_busy >= rep.cores {
                 return;
             }
-            // First serve core-waiters whose stage has a free server.
-            let mut started = false;
-            for i in 0..rep.core_wait.len() {
+            // First serve core-waiters whose stage has a free server, then
+            // pull from the stage queues.
+            let waiter = (0..rep.core_wait.len()).find(|&i| {
                 let stage = rep.core_wait[i].0;
-                if rep.stages[stage].busy < rep.stages[stage].servers {
-                    let (stage, service, after) = rep.core_wait.remove(i).expect("index checked");
-                    rep.stages[stage].busy += 1;
-                    rep.cores_busy += 1;
-                    let at = self.now + service;
-                    self.push_event(
-                        at,
-                        EventKind::JobDone {
-                            replica,
-                            stage,
-                            service,
-                            after,
-                        },
-                    );
-                    started = true;
-                    break;
-                }
-            }
-            if started {
-                continue;
-            }
-            // Then pull from stage queues.
-            for stage in 0..STAGE_COUNT {
-                let rep = &mut self.reps[replica];
-                let st = &mut rep.stages[stage];
-                if st.busy < st.servers && rep.cores_busy < rep.cores {
-                    if let Some((service, after)) = st.queue.pop_front() {
-                        st.busy += 1;
-                        rep.cores_busy += 1;
-                        let at = self.now + service;
-                        self.push_event(
-                            at,
-                            EventKind::JobDone {
-                                replica,
-                                stage,
-                                service,
-                                after,
-                            },
-                        );
-                        started = true;
-                        break;
+                rep.stages[stage].busy < rep.stages[stage].servers
+            });
+            let job = match waiter {
+                Some(i) => rep.core_wait.remove(i),
+                None => (0..SimStage::CPU.len()).find_map(|stage| {
+                    let st = &mut rep.stages[stage];
+                    if st.busy < st.servers {
+                        st.queue
+                            .pop_front()
+                            .map(|(service, after)| (stage, service, after))
+                    } else {
+                        None
                     }
-                }
-            }
-            if !started {
+                }),
+            };
+            let Some((stage, service, after)) = job else {
                 return;
-            }
+            };
+            rep.stages[stage].busy += 1;
+            rep.cores_busy += 1;
+            let at = self.now + service;
+            self.push_event(
+                at,
+                EventKind::JobDone {
+                    replica,
+                    stage,
+                    service,
+                    after,
+                },
+            );
         }
     }
 
     /// Serialized NIC: transmission completes FIFO.
     fn nic_push(&mut self, replica: usize, bytes: f64, after: After) {
-        if self.reps[replica].crashed {
+        if !self.live(replica) {
             return;
         }
         let tx_ns = (bytes * 8.0 / self.cfg.bandwidth_gbps).max(1.0) as Ns;
@@ -464,15 +469,132 @@ impl<'a> Sim<'a> {
         self.push_event(done, EventKind::NicDone { replica, after });
     }
 
-    fn live(&self, r: usize) -> bool {
-        !self.reps[r].crashed
+    /// Queues a step of `replica`'s core on `input` at its worker.
+    fn queue_step(&mut self, replica: usize, input: Input) {
+        let service = self.svc.worker_step(&input);
+        self.enqueue(replica, S_WORKER, service, After::Step(input));
     }
 
-    fn live_count(&self) -> usize {
-        self.reps.iter().filter(|r| !r.crashed).count()
+    /// Delivers `msg` to replica `to`'s input stage, one link latency
+    /// from now.
+    fn deliver(&mut self, to: usize, msg: SignedMessage) {
+        if !self.live(to) {
+            return;
+        }
+        self.push_event(
+            self.now + self.latency_ns,
+            EventKind::JobArrive {
+                replica: to,
+                stage: S_INPUT,
+                service: self.svc.input_message().max(1.0) as Ns,
+                after: After::Received(Input::Verified(msg)),
+            },
+        );
     }
 
-    // --- protocol flow -----------------------------------------------------
+    // --- the replica cores ---------------------------------------------------
+
+    /// Steps `replica`'s core on `input` at the current virtual time and
+    /// carries out its effects.
+    fn step(&mut self, replica: usize, input: Input) {
+        let now = self.start + Duration::from_nanos(self.now);
+        let mut fx = Vec::new();
+        let Some(core) = self.reps[replica].core.as_mut() else {
+            return;
+        };
+        core.step(input, now, &mut fx);
+        for effect in fx {
+            self.apply(replica, effect);
+        }
+    }
+
+    fn apply(&mut self, replica: usize, effect: Effect) {
+        match effect {
+            Effect::Send(item) => {
+                #[cfg(test)]
+                if matches!(
+                    item.msg,
+                    Message::PrePrepare { .. } | Message::Prepare { .. } | Message::Commit { .. }
+                ) {
+                    self.ordering_msgs += item.targets.len() as u64;
+                }
+                let service = self.svc.send_message(&item.msg);
+                self.enqueue(replica, S_OUTPUT, service, After::Signed(item));
+            }
+            Effect::Execute { item, .. } => {
+                if replica == 0 {
+                    self.batches_committed += 1;
+                }
+                self.reps[replica].parked.insert(item.seq, item);
+                self.release_executions(replica);
+            }
+            Effect::Rollback { to } => {
+                let rep = &mut self.reps[replica];
+                rep.parked.split_off(&to.next());
+                rep.next_exec = rep.next_exec.min(to.next());
+                rep.epoch += 1;
+            }
+            // Nothing to carry out: no replica serves or installs a
+            // snapshot, persists a checkpoint, routes clients or forges a
+            // signature.
+            Effect::InstallSnapshot(_)
+            | Effect::Stable { .. }
+            | Effect::ViewEntered { .. }
+            | Effect::BadSignatures(_)
+            | Effect::FetchServed { .. } => {}
+        }
+    }
+
+    /// Hands every parked batch from the next sequence on to the execute
+    /// stage (the worker under `0E`), in sequence order.
+    fn release_executions(&mut self, replica: usize) {
+        let stage = if self.reps[replica].stages[S_EXECUTE].servers > 0 {
+            S_EXECUTE
+        } else {
+            S_WORKER
+        };
+        loop {
+            let rep = &mut self.reps[replica];
+            let Some(item) = rep.parked.remove(&rep.next_exec) else {
+                return;
+            };
+            rep.next_exec = rep.next_exec.next();
+            // Gap-filling no-op batches carry no transactions.
+            let batch = item.batch.txns.first().map(|t| t.id.counter as usize);
+            let service = if batch.is_some() {
+                self.svc.execute_batch()
+            } else {
+                0.0
+            };
+            let after = After::Executed {
+                seq: item.seq,
+                view: item.view,
+                digest: item.digest,
+                batch,
+                epoch: rep.epoch,
+            };
+            self.enqueue(replica, stage, service, after);
+        }
+    }
+
+    /// What the cores order for client batch `batch`: a one-transaction
+    /// stand-in whose counter names it (`ServiceModel` prices the real
+    /// batch's size and contents).
+    fn proposal(batch: usize) -> Input {
+        let batch = Batch::new(vec![Transaction::new(
+            ClientId(0),
+            batch as u64,
+            Vec::new(),
+        )]);
+        let digest = rdb_crypto::digest(&batch.canonical_bytes());
+        Input::Propose {
+            instance: 0,
+            batch,
+            digest,
+        }
+    }
+
+    // --- the clients ----------------------------------------------------------
 
     fn on_client_arrive(&mut self, count: u64) {
         let arrival = self.now;
@@ -529,148 +651,80 @@ impl<'a> Sim<'a> {
                 arrival,
                 ..Default::default()
             });
-            let has_batch_stage = self.reps[0].stages[S_BATCH].servers > 0;
-            if has_batch_stage {
+            if self.reps[0].stages[S_BATCH].servers > 0 {
                 self.enqueue(
                     0,
                     S_BATCH,
                     self.svc.assemble_batch(),
-                    After::BatchAssembled { batch: id },
+                    After::Assembled { batch: id },
                 );
             } else {
                 // 0B: assembly + propose folded into the worker.
-                self.enqueue(
-                    0,
-                    S_WORKER,
-                    self.svc.assemble_batch() + self.svc.propose(),
-                    After::Proposed { batch: id },
-                );
+                let input = Self::proposal(id);
+                let service = self.svc.assemble_batch() + self.svc.worker_step(&input);
+                self.enqueue(0, S_WORKER, service, After::Step(input));
             }
         }
     }
 
-    fn schedule_execute(&mut self, replica: usize, batch: usize) {
-        let has_exec = self.reps[replica].stages[S_EXECUTE].servers > 0;
-        let stage = if has_exec { S_EXECUTE } else { S_WORKER };
-        self.enqueue(
-            replica,
-            stage,
-            self.svc.execute_batch(),
-            After::Executed { batch },
-        );
-    }
-
-    /// Vote-bundle scheduling: when enough senders of `phase` have finished
-    /// transmitting, each receiver ingests a quorum bundle; once all live
-    /// senders finished, receivers absorb the stragglers.
-    fn check_vote_receivers(&mut self, batch: usize, phase: Phase) {
-        let protocol = self.cfg.system.protocol;
-        debug_assert_eq!(protocol, ProtocolKind::Pbft, "vote phases are PBFT-only");
-        let live_senders: Vec<usize> = match phase {
-            // Backups send prepares; everyone sends commits.
-            Phase::Prepare => (1..self.n).filter(|&r| self.live(r)).collect(),
-            Phase::Commit => (0..self.n).filter(|&r| self.live(r)).collect(),
-        };
-        let senders_done: Vec<(usize, Ns)> = match phase {
-            Phase::Prepare => self.batches[batch].prepare_senders.clone(),
-            Phase::Commit => self.batches[batch].commit_senders.clone(),
-        };
-        for r in 0..self.n {
-            if !self.live(r) {
-                continue;
-            }
-            let bit = 1u64 << r;
-            let sched = match phase {
-                Phase::Prepare => self.batches[batch].prepare_sched & bit != 0,
-                Phase::Commit => self.batches[batch].commit_sched & bit != 0,
-            };
-            if sched {
-                continue;
-            }
-            // Quorum counting: own votes count without traveling the wire.
-            // Prepare: prepared = 2f votes; a backup contributed its own,
-            // the primary holds the pre-prepare. Commit: 2f+1 total, one
-            // is the receiver's own.
-            let needed_from_others = match phase {
-                Phase::Prepare => {
-                    if r == 0 {
-                        quorum::prepare_quorum(self.f)
-                    } else {
-                        quorum::prepare_quorum(self.f).saturating_sub(1)
-                    }
+    /// One replica's replies to `batch` reach its clients at `at`.
+    fn on_replies(&mut self, batch: usize, at: Ns) {
+        self.batches[batch].replies += 1;
+        let replies = self.batches[batch].replies;
+        match self.cfg.system.protocol {
+            ProtocolKind::Pbft => {
+                if replies >= quorum::client_reply_quorum(self.f) {
+                    self.complete_batch(batch, at);
                 }
-                Phase::Commit => quorum::commit_quorum(self.f) - 1,
-            };
-            let from_others = senders_done.iter().filter(|(s, _)| *s != r).count();
-            if from_others >= needed_from_others {
-                match phase {
-                    Phase::Prepare => self.batches[batch].prepare_sched |= bit,
-                    Phase::Commit => self.batches[batch].commit_sched |= bit,
+            }
+            ProtocolKind::Zyzzyva => {
+                if replies >= quorum::zyzzyva_fast_quorum(self.f) {
+                    self.complete_batch(batch, at);
+                } else if replies == quorum::zyzzyva_cc_quorum(self.f) {
+                    let timeout = ZYZZYVA_CLIENT_TIMEOUT.as_nanos() as Ns;
+                    self.push_event(at + timeout, EventKind::ClientTimeout { batch });
                 }
-                let count = needed_from_others as u64;
-                let at = self.now + self.latency_ns;
-                self.push_event(
-                    at,
-                    EventKind::JobArrive {
-                        replica: r,
-                        stage: S_INPUT,
-                        service: (count as f64 * self.svc.input_message()).max(1.0) as Ns,
-                        after: After::VoteBundleIngested {
-                            batch,
-                            phase,
-                            count,
-                            advance: true,
-                        },
-                    },
-                );
             }
         }
-        // Stragglers: once every live sender transmitted, receivers pay for
-        // the surplus votes beyond their quorum (capacity only).
-        let all_done = senders_done.len() >= live_senders.len();
-        let absorbed = match phase {
-            Phase::Prepare => self.batches[batch].prepare_absorbed,
-            Phase::Commit => self.batches[batch].commit_absorbed,
+    }
+
+    /// Zyzzyva's slow path: the fast path timed out, so each of the
+    /// batch's clients sends every replica a commit certificate.
+    fn on_client_timeout(&mut self, batch: usize) {
+        let st = &self.batches[batch];
+        let Some((seq, view, digest)) = st.order.filter(|_| !st.completed) else {
+            return;
         };
-        if all_done && !absorbed {
-            match phase {
-                Phase::Prepare => self.batches[batch].prepare_absorbed = true,
-                Phase::Commit => self.batches[batch].commit_absorbed = true,
-            }
+        let signers = (0..quorum::zyzzyva_cc_quorum(self.f) as u32)
+            .map(|r| (ReplicaId(r), SignatureBytes::empty()))
+            .collect();
+        let cert = BlockCertificate::new(signers);
+        for c in 0..self.svc.replies_per_batch as u64 {
+            let msg = Message::CommitCert {
+                view,
+                seq,
+                digest,
+                cert: cert.clone(),
+                client: ClientId(c),
+            };
+            let from = Sender::Client(ClientId(c));
+            let sm = SignedMessage::new(msg, from, SignatureBytes::empty());
             for r in 0..self.n {
-                if !self.live(r) {
-                    continue;
-                }
-                let total_from_others = live_senders.iter().filter(|&&s| s != r).count();
-                let needed = match phase {
-                    Phase::Prepare => {
-                        if r == 0 {
-                            quorum::prepare_quorum(self.f)
-                        } else {
-                            quorum::prepare_quorum(self.f).saturating_sub(1)
-                        }
-                    }
-                    Phase::Commit => quorum::commit_quorum(self.f) - 1,
-                };
-                let extra = total_from_others.saturating_sub(needed) as u64;
-                if extra > 0 {
-                    let at = self.now + self.latency_ns;
-                    self.push_event(
-                        at,
-                        EventKind::JobArrive {
-                            replica: r,
-                            stage: S_INPUT,
-                            service: (extra as f64 * self.svc.input_message()).max(1.0) as Ns,
-                            after: After::VoteBundleIngested {
-                                batch,
-                                phase,
-                                count: extra,
-                                advance: false,
-                            },
-                        },
-                    );
-                }
+                self.deliver(r, sm.clone());
             }
+        }
+    }
+
+    /// A replica's `LocalCommit` for `seq` reaches its client at `at`; the
+    /// batch completes once every client holds 2f+1 of them.
+    fn on_local_commit(&mut self, seq: SeqNum, at: Ns) {
+        let Some(&batch) = self.by_seq.get(&seq) else {
+            return;
+        };
+        self.batches[batch].local_commits += 1;
+        let needed = quorum::zyzzyva_cc_quorum(self.f) * self.svc.replies_per_batch;
+        if self.batches[batch].local_commits >= needed {
+            self.complete_batch(batch, at);
         }
     }
 
@@ -699,139 +753,63 @@ impl<'a> Sim<'a> {
     }
 
     fn on_after(&mut self, replica: usize, after: After) {
-        let protocol = self.cfg.system.protocol;
         match after {
             After::Ingested { count, arrival } => {
                 self.pool += count;
                 self.pool_arrivals.push_back((count, arrival));
                 self.form_batches();
             }
-            After::BatchAssembled { batch } => {
-                self.enqueue(0, S_WORKER, self.svc.propose(), After::Proposed { batch });
+            After::Assembled { batch } => self.queue_step(0, Self::proposal(batch)),
+            After::Received(input) => self.queue_step(replica, input),
+            After::Step(input) => self.step(replica, input),
+            After::Signed(item) => {
+                let bytes = self.svc.message_bytes(&item.msg) * item.targets.len();
+                self.nic_push(replica, bytes as f64, After::Sent(item));
             }
-            After::Proposed { batch } => {
-                self.enqueue(
-                    0,
-                    S_OUTPUT,
-                    self.svc.sign_replica_msg(self.svc.batch_bytes),
-                    After::PrePrepareSigned { batch },
-                );
-                if protocol == ProtocolKind::Zyzzyva {
-                    // The primary executes its own proposal speculatively.
-                    self.schedule_execute(0, batch);
-                }
-            }
-            After::PrePrepareSigned { batch } => {
-                let fanout = (self.n - 1) as f64;
-                self.nic_push(
-                    0,
-                    fanout * self.svc.batch_bytes as f64,
-                    After::PrePrepareSent { batch },
-                );
-            }
-            After::PrePrepareSent { batch } => {
-                for r in 1..self.n {
-                    if !self.live(r) {
-                        continue;
+            // The only message a core sends a client.
+            After::Sent(OutItem {
+                msg: Message::LocalCommit { seq, .. },
+                ..
+            }) => self.on_local_commit(seq, self.now + self.latency_ns),
+            After::Sent(item) => {
+                let from = Sender::Replica(ReplicaId(replica as u32));
+                let sm = SignedMessage::new(item.msg, from, SignatureBytes::empty());
+                for target in item.targets {
+                    if let Sender::Replica(to) = target {
+                        self.deliver(to.0 as usize, sm.clone());
                     }
-                    let at = self.now + self.latency_ns;
-                    self.push_event(
-                        at,
-                        EventKind::JobArrive {
-                            replica: r,
-                            stage: S_INPUT,
-                            service: self.svc.input_message().max(1.0) as Ns,
-                            after: After::PrePrepareDelivered { batch },
-                        },
-                    );
                 }
             }
-            After::PrePrepareDelivered { batch } => {
-                self.enqueue(
-                    replica,
-                    S_WORKER,
-                    self.svc.verify_pre_prepare() + self.ckpt_amortized,
-                    After::PrePrepareProcessed { batch },
-                );
-            }
-            After::PrePrepareProcessed { batch } => match protocol {
-                ProtocolKind::Pbft => {
-                    self.enqueue(
-                        replica,
-                        S_OUTPUT,
-                        self.svc.sign_replica_msg(self.svc.vote_bytes),
-                        After::VoteSigned {
-                            batch,
-                            phase: Phase::Prepare,
-                        },
-                    );
-                }
-                ProtocolKind::Zyzzyva => {
-                    self.schedule_execute(replica, batch);
-                }
-            },
-            After::VoteSigned { batch, phase } => {
-                let fanout = (self.n - 1) as f64;
-                self.nic_push(
-                    replica,
-                    fanout * self.svc.vote_bytes as f64,
-                    After::VoteSent { batch, phase },
-                );
-            }
-            After::VoteSent { batch, phase } => {
-                match phase {
-                    Phase::Prepare => self.batches[batch]
-                        .prepare_senders
-                        .push((replica, self.now)),
-                    Phase::Commit => self.batches[batch].commit_senders.push((replica, self.now)),
-                }
-                self.check_vote_receivers(batch, phase);
-            }
-            After::VoteBundleIngested {
+            After::Executed {
+                seq,
+                view,
+                digest,
                 batch,
-                phase,
-                count,
-                advance,
+                epoch,
             } => {
-                let after = if advance {
-                    After::QuorumReached { batch, phase }
-                } else {
-                    After::Absorb
-                };
-                self.enqueue(
+                // Every replica reaches the same state at the same sequence.
+                let mut state_digest = Digest::ZERO;
+                state_digest.0[..8].copy_from_slice(&seq.0.to_le_bytes());
+                self.queue_step(
                     replica,
-                    S_WORKER,
-                    count as f64 * self.svc.process_vote(),
-                    after,
+                    Input::Executed {
+                        seq,
+                        state_digest,
+                        epoch,
+                    },
                 );
-            }
-            After::QuorumReached { batch, phase } => match phase {
-                Phase::Prepare => {
+                if let Some(batch) = batch {
+                    if self.batches[batch].order.is_none() {
+                        self.batches[batch].order = Some((seq, view, digest));
+                        self.by_seq.insert(seq, batch);
+                    }
                     self.enqueue(
                         replica,
                         S_OUTPUT,
-                        self.svc.sign_replica_msg(self.svc.vote_bytes),
-                        After::VoteSigned {
-                            batch,
-                            phase: Phase::Commit,
-                        },
+                        self.svc.reply_batch(),
+                        After::RepliesSigned { batch },
                     );
                 }
-                Phase::Commit => {
-                    if replica == 0 {
-                        self.batches_committed += 1;
-                    }
-                    self.schedule_execute(replica, batch);
-                }
-            },
-            After::Absorb => {}
-            After::Executed { batch } => {
-                self.enqueue(
-                    replica,
-                    S_OUTPUT,
-                    self.svc.reply_batch(),
-                    After::RepliesSigned { batch },
-                );
             }
             After::RepliesSigned { batch } => {
                 let b = self.batches[batch].size as usize;
@@ -841,72 +819,7 @@ impl<'a> Sim<'a> {
                     After::RepliesSent { batch },
                 );
             }
-            After::RepliesSent { batch } => {
-                self.batches[batch].reply_arrivals += 1;
-                let arrivals = self.batches[batch].reply_arrivals as usize;
-                let client_sees_at = self.now + self.latency_ns;
-                match protocol {
-                    ProtocolKind::Pbft => {
-                        if arrivals >= quorum::client_reply_quorum(self.f) {
-                            self.complete_batch(batch, client_sees_at);
-                        }
-                    }
-                    ProtocolKind::Zyzzyva => {
-                        let live = self.live_count();
-                        if self.cfg.failures == 0 {
-                            // Fast path: all 3f+1 must answer.
-                            if arrivals >= live {
-                                self.complete_batch(batch, client_sees_at);
-                            }
-                        } else if arrivals >= quorum::zyzzyva_cc_quorum(self.f)
-                            && !self.batches[batch].cc_fired
-                        {
-                            // Fast path is impossible: the client waits out
-                            // its timer, then distributes certificates.
-                            self.batches[batch].cc_fired = true;
-                            let timeout = CLIENT_TIMEOUT_MS * 1_000_000;
-                            self.push_event(
-                                client_sees_at + timeout,
-                                EventKind::ZyzzyvaTimeout { batch },
-                            );
-                        }
-                    }
-                }
-            }
-            After::CcIngested { batch } => {
-                let b = self.batches[batch].size as f64;
-                let q = quorum::zyzzyva_cc_quorum(self.f);
-                self.enqueue(
-                    replica,
-                    S_WORKER,
-                    b * self.svc.verify_commit_cert(q),
-                    After::CcProcessed { batch },
-                );
-            }
-            After::CcProcessed { batch } => {
-                let b = self.batches[batch].size as f64;
-                self.enqueue(
-                    replica,
-                    S_OUTPUT,
-                    b * (self.cfg.overheads.reply_create_ns
-                        + self.svc.sign_replica_msg(self.svc.vote_bytes)),
-                    After::LocalCommitsSigned { batch },
-                );
-            }
-            After::LocalCommitsSigned { batch } => {
-                let b = self.batches[batch].size as f64;
-                self.nic_push(
-                    replica,
-                    b * self.svc.vote_bytes as f64,
-                    After::LocalCommitsSent { batch },
-                );
-            }
-            After::LocalCommitsSent { batch } => {
-                self.batches[batch].lc_arrivals += 1;
-                if self.batches[batch].lc_arrivals as usize >= quorum::zyzzyva_cc_quorum(self.f) {
-                    self.complete_batch(batch, self.now + self.latency_ns);
-                }
-            }
+            After::RepliesSent { batch } => self.on_replies(batch, self.now + self.latency_ns),
             After::UpperDone { count, arrival } => {
                 self.nic_push(
                     0,
@@ -929,22 +842,10 @@ impl<'a> Sim<'a> {
         }
     }
 
-    fn run(mut self) -> SimReport {
-        // Seed the closed loop: every client submits its one outstanding
-        // request, staggered over a short ramp so the input stage is not
-        // hit by one giant burst.
-        let total = self.cfg.system.num_clients as u64;
-        let chunk = self.cfg.system.batch_size as u64;
-        let chunks = total.div_ceil(chunk);
-        let ramp_ns: Ns = 20_000_000; // 20 ms
-        for i in 0..chunks {
-            let count = chunk.min(total - i * chunk);
-            let at = i * ramp_ns / chunks.max(1);
-            self.push_event(at, EventKind::ClientArrive { count });
-        }
-
+    /// Processes events up to virtual time `until`.
+    fn run_until(&mut self, until: Ns) {
         while let Some(Reverse(ev)) = self.events.pop() {
-            if ev.at > self.end + self.latency_ns * 4 {
+            if ev.at > until {
                 break;
             }
             self.now = ev.at;
@@ -974,28 +875,12 @@ impl<'a> Sim<'a> {
                     self.dispatch(replica);
                 }
                 EventKind::NicDone { replica, after } => self.on_after(replica, after),
-                EventKind::ZyzzyvaTimeout { batch } => {
-                    // The client broadcasts per-request commit certificates.
-                    let b = self.batches[batch].size as f64;
-                    for r in 0..self.n {
-                        if !self.live(r) {
-                            continue;
-                        }
-                        let at = self.now + self.latency_ns;
-                        self.push_event(
-                            at,
-                            EventKind::JobArrive {
-                                replica: r,
-                                stage: S_INPUT,
-                                service: (b * self.svc.input_message()).max(1.0) as Ns,
-                                after: After::CcIngested { batch },
-                            },
-                        );
-                    }
-                }
+                EventKind::ClientTimeout { batch } => self.on_client_timeout(batch),
             }
         }
+    }
 
+    fn report(&self) -> SimReport {
         // Saturation: busy per thread over the measured duration.
         let duration = self.end as f64;
         let sat = |rep: &Rep, s: usize| -> f64 {
@@ -1007,15 +892,15 @@ impl<'a> Sim<'a> {
         };
         let mut primary_saturation = BTreeMap::new();
         let mut backup_saturation = BTreeMap::new();
-        for s in 0..STAGE_COUNT {
-            primary_saturation.insert(stage_enum(s), sat(&self.reps[0], s));
-            let backups: Vec<&Rep> = self.reps[1..].iter().filter(|r| !r.crashed).collect();
+        let backups: Vec<&Rep> = self.reps[1..].iter().filter(|r| r.core.is_some()).collect();
+        for (s, &stage) in SimStage::CPU.iter().enumerate() {
+            primary_saturation.insert(stage, sat(&self.reps[0], s));
             let mean = if backups.is_empty() {
                 0.0
             } else {
                 backups.iter().map(|r| sat(r, s)).sum::<f64>() / backups.len() as f64
             };
-            backup_saturation.insert(stage_enum(s), mean);
+            backup_saturation.insert(stage, mean);
         }
         primary_saturation.insert(
             SimStage::Nic,
@@ -1193,6 +1078,28 @@ mod tests {
             eight.throughput_tps,
             one.throughput_tps
         );
+    }
+
+    /// The cores, not the simulator, decide the protocol's traffic: a
+    /// fault-free 4-replica PBFT round is 3 pre-prepares, 3 × 3 prepares
+    /// and 4 × 3 commits — the live runtime's `consensus.msgs_per_batch`.
+    #[test]
+    fn pbft_round_sends_24_ordering_messages() {
+        let mut cfg = base(4);
+        cfg.system.num_clients = 400;
+        let mut sim = Sim::new(&cfg);
+        // Past the closed loop's end, let every batch in flight finish.
+        sim.run_until(Ns::MAX);
+        let batches = sim.batches_committed;
+        assert!(batches > 100, "only {batches} batches");
+        assert_eq!(sim.ordering_msgs, 24 * batches);
+        for rep in &sim.reps {
+            assert_eq!(
+                rep.next_exec,
+                SeqNum(batches + 1),
+                "every replica executed all"
+            );
+        }
     }
 
     #[test]

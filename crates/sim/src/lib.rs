@@ -8,11 +8,13 @@
 //! closed-loop clients, and crypto/storage costs priced by
 //! [`rdb_crypto::CostModel`] and [`service::Overheads`].
 //!
-//! The same protocol flows implemented by the sans-io state machines in
-//! `rdb-consensus` are modeled here at batch granularity (quorum bundles
-//! instead of individual votes), which keeps runs fast while preserving
-//! quorum timing, per-stage utilization and network load — the quantities
-//! every figure in the paper's evaluation is built from.
+//! The simulator has no protocol model of its own: every replica is the
+//! runtime's [`rdb_pipeline::ReplicaCore`], stepped at virtual time on its
+//! simulated worker, so every message, commit and checkpoint is the one
+//! the threaded runtime would produce. The simulator prices them — stage
+//! service times, core contention, NIC transmission and link latency —
+//! which yields the quantities every figure in the paper's evaluation is
+//! built from: throughput, latency and per-stage utilization.
 //!
 //! # Example
 //!

@@ -3,11 +3,13 @@
 //! Costs combine the crypto [`CostModel`] with fixed per-message overheads
 //! (syscall-ish receive/dispatch costs) and storage access costs. Message
 //! sizes come from the model's own closed-form byte counts in
-//! [`ServiceModel::new`] and [`ServiceModel::reply_bytes`], so the network
-//! model prices transmission without building or serializing a message.
+//! [`ServiceModel::new`], [`ServiceModel::message_bytes`] and
+//! [`ServiceModel::reply_bytes`], so the network model prices
+//! transmission without serializing a message.
 
-use rdb_common::{CryptoScheme, ProtocolKind, SystemConfig};
+use rdb_common::{CryptoScheme, Message, ProtocolKind, SystemConfig};
 use rdb_crypto::{CostModel, VERIFY_WINDOW};
+use rdb_pipeline::Input;
 
 /// [`Overheads::store_op_ns`] for Figure 14's SQLite stand-in: one API
 /// call, page fetch and journaled write per store operation. The figure's
@@ -225,11 +227,40 @@ impl ServiceModel {
         q as f64 * per_sig + self.over.process_message_ns
     }
 
-    /// Amortized checkpoint work per batch at the worker (collecting 2f+1
-    /// checkpoint votes every Δ batches).
-    pub fn checkpoint_worker_amortized(&self, n: usize, interval_batches: u64) -> f64 {
-        let per_ckpt = n as f64 * self.process_vote();
-        per_ckpt / interval_batches.max(1) as f64
+    /// Wire bytes of one message a replica core sends: a proposal (or a
+    /// fetched batch) carries the whole batch, a commit certificate its
+    /// signatures, everything else is vote-sized.
+    pub fn message_bytes(&self, msg: &Message) -> usize {
+        match msg {
+            Message::PrePrepare { .. } | Message::FetchResponse { .. } => self.batch_bytes,
+            Message::CommitCert { .. } => self.cc_bytes,
+            _ => self.vote_bytes,
+        }
+    }
+
+    /// Output: build and sign one message a replica core sends (once,
+    /// however many targets it has). A `LocalCommit` is a client reply.
+    pub fn send_message(&self, msg: &Message) -> f64 {
+        let sign = self.sign_replica_msg(self.message_bytes(msg));
+        match msg {
+            Message::LocalCommit { .. } => self.over.reply_create_ns + sign,
+            _ => sign,
+        }
+    }
+
+    /// Worker: one step of the replica core on `input`.
+    pub fn worker_step(&self, input: &Input) -> f64 {
+        match input {
+            Input::Verified(sm) => match sm.msg() {
+                Message::PrePrepare { .. } | Message::FetchResponse { .. } => {
+                    self.verify_pre_prepare()
+                }
+                Message::CommitCert { cert, .. } => self.verify_commit_cert(cert.signer_count()),
+                _ => self.process_vote(),
+            },
+            Input::Propose { .. } => self.propose(),
+            _ => self.over.process_message_ns,
+        }
     }
 
     /// The crypto scheme in effect.
