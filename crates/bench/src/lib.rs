@@ -13,6 +13,8 @@ pub mod report;
 use rdb_common::{CryptoScheme, ProtocolKind, SystemConfig, ThreadConfig};
 use rdb_sim::service::SQLITE_STAND_IN_OP_NS;
 use rdb_sim::{SimConfig, SimMode, SimReport, SimStage};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A single measured point of a figure.
 #[derive(Debug, Clone)]
@@ -49,45 +51,76 @@ pub fn sim_base(n: usize) -> SimConfig {
     cfg
 }
 
-fn run(mut cfg: SimConfig, mutate: impl FnOnce(&mut SimConfig)) -> SimReport {
+/// `sim_base(n)` with `mutate` applied.
+fn config(n: usize, mutate: impl FnOnce(&mut SimConfig)) -> SimConfig {
+    let mut cfg = sim_base(n);
     mutate(&mut cfg);
-    cfg.run()
+    cfg
+}
+
+/// Maps `f` over `items`, spread over the machine's cores, and returns
+/// the results in order. Each simulation is independent and
+/// deterministic, so its report does not depend on where it ran.
+fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let next = AtomicUsize::new(0);
+    let done = Mutex::new(Vec::with_capacity(items.len()));
+    std::thread::scope(|scope| {
+        for _ in 0..threads.min(items.len()) {
+            scope.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                let result = f(item);
+                done.lock().expect("no run panicked").push((i, result));
+            });
+        }
+    });
+    let mut done = done.into_inner().expect("no run panicked");
+    done.sort_by_key(|(i, _)| *i);
+    done.into_iter().map(|(_, result)| result).collect()
+}
+
+/// Runs `(series, x, configuration)` rows and turns each into a point.
+fn points(rows: Vec<(String, String, SimConfig)>) -> Vec<Point> {
+    par_map(&rows, |(series, x, cfg)| {
+        Point::from_report(series.clone(), x, &cfg.run())
+    })
 }
 
 /// Figure 1: throughput vs replicas; ResilientDB-PBFT (standard pipeline)
 /// against Zyzzyva on a protocol-centric (monolithic) design; 80K clients.
 pub fn fig1() -> Vec<Point> {
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for n in [4usize, 8, 16, 32] {
-        let pbft = run(sim_base(n), |c| {
+        let pbft = config(n, |c| {
             c.system.protocol = ProtocolKind::Pbft;
             c.system.threads = ThreadConfig::standard();
         });
-        out.push(Point::from_report("ResilientDB (PBFT)", n, &pbft));
-        let zyz = run(sim_base(n), |c| {
+        rows.push(("ResilientDB (PBFT)".into(), n.to_string(), pbft));
+        let zyz = config(n, |c| {
             c.system.protocol = ProtocolKind::Zyzzyva;
             c.system.threads = ThreadConfig::monolithic();
         });
-        out.push(Point::from_report("Zyzzyva (protocol-centric)", n, &zyz));
+        rows.push(("Zyzzyva (protocol-centric)".into(), n.to_string(), zyz));
     }
-    out
+    points(rows)
 }
 
 /// Figure 7: upper bound without consensus — the primary replies directly,
 /// with and without execution, two independent threads.
 pub fn fig7() -> Vec<Point> {
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for clients in [10_000usize, 20_000, 40_000, 80_000] {
         for (label, execute) in [("No Execution", false), ("Execution", true)] {
-            let r = run(sim_base(4), |c| {
+            let cfg = config(4, |c| {
                 c.mode = SimMode::UpperBound { execute };
                 c.system.crypto = CryptoScheme::NoCrypto;
                 c.system.num_clients = clients;
             });
-            out.push(Point::from_report(label, clients, &r));
+            rows.push((label.into(), clients.to_string(), cfg));
         }
     }
-    out
+    points(rows)
 }
 
 /// The four pipeline configurations of Figure 8, in the paper's `xE yB`
@@ -104,23 +137,19 @@ pub fn fig8_configs() -> Vec<(&'static str, ThreadConfig)> {
 /// Figure 8: throughput/latency vs replicas for each thread configuration
 /// and both protocols.
 pub fn fig8() -> Vec<Point> {
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for n in [4usize, 8, 16, 32] {
         for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
             for (label, threads) in fig8_configs() {
-                let r = run(sim_base(n), |c| {
+                let cfg = config(n, |c| {
                     c.system.protocol = protocol;
                     c.system.threads = threads;
                 });
-                out.push(Point::from_report(
-                    format!("{} {label}", protocol.name()),
-                    n,
-                    &r,
-                ));
+                rows.push((format!("{} {label}", protocol.name()), n.to_string(), cfg));
             }
         }
     }
-    out
+    points(rows)
 }
 
 /// One Figure 9 row: per-stage saturation at the primary and mean backup.
@@ -139,74 +168,82 @@ pub struct SaturationRow {
 /// Figure 9: per-thread saturation levels for the eight configurations at
 /// 16 replicas.
 pub fn fig9() -> Vec<SaturationRow> {
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
         for (label, threads) in fig8_configs() {
-            let r = run(sim_base(16), |c| {
+            let cfg = config(16, |c| {
                 c.system.protocol = protocol;
                 c.system.threads = threads;
             });
-            let stages = SimStage::CPU
-                .iter()
-                .map(|s| {
-                    (
-                        s.label(),
-                        r.primary_saturation.get(s).copied().unwrap_or(0.0),
-                        r.backup_saturation.get(s).copied().unwrap_or(0.0),
-                    )
-                })
-                .collect();
-            out.push(SaturationRow {
-                config: format!("{} {label}", protocol.name()),
-                stages,
-                primary_cumulative: r.primary_cumulative(),
-                backup_cumulative: r.backup_cumulative(),
-            });
+            rows.push((format!("{} {label}", protocol.name()), cfg));
         }
     }
-    out
+    par_map(&rows, |(config, cfg)| {
+        let r = cfg.run();
+        let stages = SimStage::CPU
+            .iter()
+            .map(|s| {
+                (
+                    s.label(),
+                    r.primary_saturation.get(s).copied().unwrap_or(0.0),
+                    r.backup_saturation.get(s).copied().unwrap_or(0.0),
+                )
+            })
+            .collect();
+        SaturationRow {
+            config: config.clone(),
+            stages,
+            primary_cumulative: r.primary_cumulative(),
+            backup_cumulative: r.backup_cumulative(),
+        }
+    })
+}
+
+/// One n = 16 PBFT row per `x`, `vary` setting it.
+fn pbft_sweep<X: ToString + Copy>(xs: &[X], vary: impl Fn(&mut SimConfig, X)) -> Vec<Point> {
+    let rows = xs
+        .iter()
+        .map(|&x| ("PBFT".into(), x.to_string(), config(16, |c| vary(c, x))))
+        .collect();
+    points(rows)
 }
 
 /// Figure 10: throughput/latency vs batch size at 16 replicas.
 pub fn fig10() -> Vec<Point> {
-    [1usize, 10, 50, 100, 500, 1_000, 3_000, 5_000]
-        .iter()
-        .map(|&b| {
-            let r = run(sim_base(16), |c| c.system.batch_size = b);
-            Point::from_report("PBFT", b, &r)
-        })
-        .collect()
+    let sizes = [1usize, 10, 50, 100, 500, 1_000, 3_000, 5_000];
+    pbft_sweep(&sizes, |c, b| c.system.batch_size = b)
 }
 
 /// Figure 11: operations per transaction × batch-thread count.
 pub fn fig11() -> Vec<Point> {
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for batch_threads in [2usize, 3, 4, 5] {
         for ops in [1usize, 10, 30, 50] {
-            let r = run(sim_base(16), |c| {
+            let cfg = config(16, |c| {
                 c.system.ops_per_txn = ops;
                 c.system.threads.batch_threads = batch_threads;
             });
-            out.push(Point::from_report(format!("{batch_threads}B"), ops, &r));
+            rows.push((format!("{batch_threads}B"), ops.to_string(), cfg));
         }
     }
-    out
+    points(rows)
 }
 
 /// Figure 12: per-transaction payload size (message size) sweep.
 pub fn fig12() -> Vec<Point> {
-    [8_192usize, 16_384, 32_768, 65_536]
+    let rows = [8_192usize, 16_384, 32_768, 65_536]
         .iter()
         .map(|&bytes| {
-            let r = run(sim_base(16), |c| c.system.payload_bytes = bytes);
-            Point::from_report("PBFT", format!("{}KB", bytes / 1024), &r)
+            let cfg = config(16, |c| c.system.payload_bytes = bytes);
+            ("PBFT".into(), format!("{}KB", bytes / 1024), cfg)
         })
-        .collect()
+        .collect();
+    points(rows)
 }
 
 /// Figure 13: signature-scheme comparison.
 pub fn fig13() -> Vec<Point> {
-    [
+    let rows = [
         CryptoScheme::NoCrypto,
         CryptoScheme::Ed25519,
         CryptoScheme::Rsa,
@@ -214,61 +251,48 @@ pub fn fig13() -> Vec<Point> {
     ]
     .iter()
     .map(|&scheme| {
-        let r = run(sim_base(16), |c| c.system.crypto = scheme);
-        Point::from_report(scheme.name(), scheme.name(), &r)
+        let cfg = config(16, |c| c.system.crypto = scheme);
+        (scheme.name().into(), scheme.name().into(), cfg)
     })
-    .collect()
+    .collect();
+    points(rows)
 }
 
 /// Figure 14: in-memory vs paged (SQLite-like) state storage. Model output
 /// only: every replica runs the in-memory store, and the paged row prices
 /// each store operation at [`SQLITE_STAND_IN_OP_NS`].
 pub fn fig14() -> Vec<Point> {
-    let mem = run(sim_base(16), |_| {});
-    let paged = run(sim_base(16), |c| {
-        c.overheads.store_op_ns = SQLITE_STAND_IN_OP_NS
-    });
-    vec![
-        Point::from_report("in-memory", "in-memory", &mem),
-        Point::from_report("paged", "paged", &paged),
-    ]
+    let paged = config(16, |c| c.overheads.store_op_ns = SQLITE_STAND_IN_OP_NS);
+    points(vec![
+        ("in-memory".into(), "in-memory".into(), sim_base(16)),
+        ("paged".into(), "paged".into(), paged),
+    ])
 }
 
 /// Figure 15: client-population sweep.
 pub fn fig15() -> Vec<Point> {
-    [4_000usize, 8_000, 16_000, 32_000, 64_000, 80_000]
-        .iter()
-        .map(|&clients| {
-            let r = run(sim_base(16), |c| c.system.num_clients = clients);
-            Point::from_report("PBFT", clients, &r)
-        })
-        .collect()
+    let clients = [4_000usize, 8_000, 16_000, 32_000, 64_000, 80_000];
+    pbft_sweep(&clients, |c, n| c.system.num_clients = n)
 }
 
 /// Figure 16: hardware cores per replica.
 pub fn fig16() -> Vec<Point> {
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&cores| {
-            let r = run(sim_base(16), |c| c.system.cores = cores);
-            Point::from_report("PBFT", cores, &r)
-        })
-        .collect()
+    pbft_sweep(&[1usize, 2, 4, 8], |c, cores| c.system.cores = cores)
 }
 
 /// Figure 17: backup failures under both protocols (n = 16, f = 5).
 pub fn fig17() -> Vec<Point> {
-    let mut out = Vec::new();
+    let mut rows = Vec::new();
     for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
         for failures in [0usize, 1, 5] {
-            let r = run(sim_base(16), |c| {
+            let cfg = config(16, |c| {
                 c.system.protocol = protocol;
                 c.failures = failures;
             });
-            out.push(Point::from_report(protocol.name(), failures, &r));
+            rows.push((protocol.name().into(), failures.to_string(), cfg));
         }
     }
-    out
+    points(rows)
 }
 
 /// The §1 headline multipliers, derived from the sweeps.
@@ -295,50 +319,40 @@ pub struct Summary {
 /// Computes the summary from fresh runs.
 pub fn summary() -> Summary {
     let tput = |r: &SimReport| r.throughput_tps;
-
-    let b1 = run(sim_base(16), |c| c.system.batch_size = 1);
-    let b_best = run(sim_base(16), |c| c.system.batch_size = 1_000);
-
-    let rsa = run(sim_base(16), |c| c.system.crypto = CryptoScheme::Rsa);
-    let cmac = run(sim_base(16), |c| {
-        c.system.crypto = CryptoScheme::CmacEd25519
-    });
-
     let storage = fig14();
-
-    let e0 = run(sim_base(16), |c| {
-        c.system.threads = ThreadConfig::monolithic()
-    });
-    let e1 = run(sim_base(16), |c| {
-        c.system.threads = ThreadConfig::with_e_b(1, 0)
-    });
-
-    let zyz_ok = run(sim_base(16), |c| c.system.protocol = ProtocolKind::Zyzzyva);
-    let zyz_fail = run(sim_base(16), |c| {
-        c.system.protocol = ProtocolKind::Zyzzyva;
-        c.failures = 1;
-    });
-
-    let pbft32 = run(sim_base(32), |c| {
-        c.system.threads = ThreadConfig::standard()
-    });
-    let zyz32 = run(sim_base(32), |c| {
-        c.system.protocol = ProtocolKind::Zyzzyva;
-        c.system.threads = ThreadConfig::monolithic();
-    });
-
-    let core1 = run(sim_base(16), |c| c.system.cores = 1);
-    let core8 = run(sim_base(16), |c| c.system.cores = 8);
+    let cfgs = vec![
+        config(16, |c| c.system.batch_size = 1),
+        config(16, |c| c.system.batch_size = 1_000),
+        config(16, |c| c.system.crypto = CryptoScheme::Rsa),
+        config(16, |c| c.system.crypto = CryptoScheme::CmacEd25519),
+        config(16, |c| c.system.threads = ThreadConfig::monolithic()),
+        config(16, |c| c.system.threads = ThreadConfig::with_e_b(1, 0)),
+        config(16, |c| c.system.protocol = ProtocolKind::Zyzzyva),
+        config(16, |c| {
+            c.system.protocol = ProtocolKind::Zyzzyva;
+            c.failures = 1;
+        }),
+        config(32, |c| c.system.threads = ThreadConfig::standard()),
+        config(32, |c| {
+            c.system.protocol = ProtocolKind::Zyzzyva;
+            c.system.threads = ThreadConfig::monolithic();
+        }),
+        config(16, |c| c.system.cores = 1),
+        config(16, |c| c.system.cores = 8),
+    ];
+    let reports = par_map(&cfgs, SimConfig::run);
+    let reports: [SimReport; 12] = reports.try_into().expect("one report per configuration");
+    let [b1, b_best, rsa, cmac, e0, e1, zyz_ok, zyz_fail, pbft32, zyz32, core1, core8] = &reports;
 
     Summary {
-        batching_gain: tput(&b_best) / tput(&b1).max(1.0),
-        crypto_gain: tput(&cmac) / tput(&rsa).max(1.0),
+        batching_gain: tput(b_best) / tput(b1).max(1.0),
+        crypto_gain: tput(cmac) / tput(rsa).max(1.0),
         rsa_latency_multiplier: rsa.avg_latency_ms / cmac.avg_latency_ms.max(1e-9),
         memory_gain: storage[0].throughput_tps / storage[1].throughput_tps.max(1.0),
-        decoupled_execution_gain_pct: 100.0 * (tput(&e1) / tput(&e0).max(1.0) - 1.0),
-        zyzzyva_failure_loss: tput(&zyz_ok) / tput(&zyz_fail).max(1.0),
-        pbft_advantage_pct: 100.0 * (tput(&pbft32) / tput(&zyz32).max(1.0) - 1.0),
-        cores_gain: tput(&core8) / tput(&core1).max(1.0),
+        decoupled_execution_gain_pct: 100.0 * (tput(e1) / tput(e0).max(1.0) - 1.0),
+        zyzzyva_failure_loss: tput(zyz_ok) / tput(zyz_fail).max(1.0),
+        pbft_advantage_pct: 100.0 * (tput(pbft32) / tput(zyz32).max(1.0) - 1.0),
+        cores_gain: tput(core8) / tput(core1).max(1.0),
     }
 }
 

@@ -84,22 +84,6 @@ impl Action {
     }
 }
 
-/// An instruction from a *client* state machine to its driver.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClientAction {
-    /// Send `msg` to one replica (usually the primary).
-    Send(ReplicaId, Message),
-    /// Send `msg` to all replicas.
-    BroadcastReplicas(Message),
-    /// A request completed with the given result.
-    Complete {
-        /// The finished request.
-        txn_counter: u64,
-        /// Execution result bytes.
-        result: Vec<u8>,
-    },
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 //!   commit-certificate slow path (the comparison protocol of Figures 1,
 //!   8, 17).
 //! - [`engine`] — the substrate over whichever rule is configured.
-//! - [`client`] — the matching client-side machines.
+//! - [`client`] — the client side of both protocols, one sans-io machine.
 //! - [`multi`] — multi-primary ordering: k parallel PBFT instances over
 //!   one replica set, interleaved into a single global sequence space.
 //!
@@ -40,9 +40,9 @@ pub mod pbft;
 pub mod substrate;
 pub mod zyzzyva;
 
-pub use actions::{Action, ClientAction};
+pub use actions::Action;
 pub use checkpoint::CheckpointTracker;
-pub use client::{PbftClient, ZyzzyvaClient, ZYZZYVA_CLIENT_TIMEOUT};
+pub use client::{ClientCore, ClientEffect, ClientInput, RETRANSMIT_AFTER, ZYZZYVA_CLIENT_TIMEOUT};
 pub use config::ConsensusConfig;
 pub use engine::ReplicaEngine;
 pub use multi::MultiEngine;

@@ -12,9 +12,11 @@ use rdb_common::{
     Transaction, ViewNum,
 };
 use rdb_consensus::{
-    Action, ClientAction, ConsensusConfig, PbftClient, ReplicaEngine, ZyzzyvaClient,
+    Action, ClientCore, ClientEffect, ClientInput, ConsensusConfig, ReplicaEngine,
+    ZYZZYVA_CLIENT_TIMEOUT,
 };
 use std::collections::HashMap;
+use std::time::Instant;
 
 const N: usize = 4;
 
@@ -317,6 +319,41 @@ fn forged_replica_ids_cannot_trigger_a_view_change() {
     }
 }
 
+/// A `ClientCore` driven on a virtual clock, one input at a time.
+struct Client {
+    core: ClientCore,
+    now: Instant,
+}
+
+impl Client {
+    fn new(id: ClientId, protocol: ProtocolKind) -> Self {
+        let now = Instant::now();
+        let core = ClientCore::new(id, protocol, 1, 1, N, now);
+        Client { core, now }
+    }
+
+    fn step(&mut self, input: ClientInput) -> Vec<ClientEffect> {
+        let mut fx = Vec::new();
+        self.core.step(input, self.now, &mut fx);
+        fx
+    }
+
+    fn track(&mut self, counter: u64) {
+        let txn = Transaction::new(self.core.id(), counter, Vec::new());
+        self.step(ClientInput::Submit(vec![txn]));
+    }
+
+    fn on_reply(&mut self, sm: &SignedMessage) -> Vec<ClientEffect> {
+        self.step(ClientInput::Reply(sm.clone()))
+    }
+
+    /// The fast-path timer fires; only what it does counts.
+    fn on_timeout(&mut self) -> Vec<ClientEffect> {
+        self.now += ZYZZYVA_CLIENT_TIMEOUT;
+        self.step(ClientInput::Tick)
+    }
+}
+
 /// The client trackers count the verified sender too: f+1 replies (or
 /// 3f+1 speculative responses) signed by one faulty replica under
 /// different `replica` ids are one vote, and must not complete a request
@@ -330,7 +367,7 @@ fn forged_replica_ids_cannot_complete_a_client_request() {
         replica,
         results: vec![(0, result.to_vec())],
     };
-    let mut pbft = PbftClient::new(me, 1);
+    let mut pbft = Client::new(me, ProtocolKind::Pbft);
     pbft.track(0);
     for claimed in 0..N as u32 {
         let acts = pbft.on_reply(&signed(3, reply(ReplicaId(claimed), b"evil")));
@@ -342,7 +379,7 @@ fn forged_replica_ids_cannot_complete_a_client_request() {
         .is_empty());
     let acts = pbft.on_reply(&signed(1, reply(ReplicaId(1), b"ok")));
     assert!(
-        matches!(&acts[..], [ClientAction::Complete { result, .. }] if result == b"ok"),
+        matches!(&acts[..], [ClientEffect::Complete { result, .. }] if result == b"ok"),
         "{acts:?}"
     );
 
@@ -355,14 +392,14 @@ fn forged_replica_ids_cannot_complete_a_client_request() {
         replica,
         results: vec![(0, b"evil".to_vec())],
     };
-    let mut zyzzyva = ZyzzyvaClient::new(me, 1);
+    let mut zyzzyva = Client::new(me, ProtocolKind::Zyzzyva);
     zyzzyva.track(0);
     for claimed in 0..N as u32 {
-        let acts = zyzzyva.on_spec_response(&signed(3, spec(ReplicaId(claimed))));
+        let acts = zyzzyva.on_reply(&signed(3, spec(ReplicaId(claimed))));
         assert!(acts.is_empty(), "{acts:?}");
     }
     // One voter is no commit-certificate quorum either.
-    assert!(zyzzyva.on_timeout(0).is_empty());
+    assert!(zyzzyva.on_timeout().is_empty());
 }
 
 /// Likewise on Zyzzyva's slow path: 2f+1 `LocalCommit`s from one sender
@@ -370,7 +407,7 @@ fn forged_replica_ids_cannot_complete_a_client_request() {
 #[test]
 fn forged_replica_ids_cannot_fake_a_local_commit_quorum() {
     let me = ClientId(7);
-    let mut client = ZyzzyvaClient::new(me, 1);
+    let mut client = Client::new(me, ProtocolKind::Zyzzyva);
     client.track(0);
     for r in 0..3u32 {
         let spec = Message::SpecResponse {
@@ -382,26 +419,24 @@ fn forged_replica_ids_cannot_fake_a_local_commit_quorum() {
             replica: ReplicaId(r),
             results: vec![(0, b"ok".to_vec())],
         };
-        assert!(client.on_spec_response(&signed(r, spec)).is_empty());
+        assert!(client.on_reply(&signed(r, spec)).is_empty());
     }
-    assert_eq!(client.on_timeout(0).len(), 1, "certificate distributed");
+    assert_eq!(client.on_timeout().len(), 1, "certificate distributed");
     let ack = |replica| Message::LocalCommit {
         view: ViewNum(0),
         seq: SeqNum(1),
         replica,
     };
     for claimed in 0..N as u32 {
-        let acts = client.on_local_commit(0, &signed(3, ack(ReplicaId(claimed))));
+        let acts = client.on_reply(&signed(3, ack(ReplicaId(claimed))));
         assert!(acts.is_empty(), "{acts:?}");
     }
     // The forger's own acknowledgement counted once: two more real ones
     // make 2f+1.
-    assert!(client
-        .on_local_commit(0, &signed(0, ack(ReplicaId(0))))
-        .is_empty());
-    let acts = client.on_local_commit(0, &signed(1, ack(ReplicaId(1))));
+    assert!(client.on_reply(&signed(0, ack(ReplicaId(0)))).is_empty());
+    let acts = client.on_reply(&signed(1, ack(ReplicaId(1))));
     assert!(
-        matches!(&acts[..], [ClientAction::Complete { .. }]),
+        matches!(&acts[..], [ClientEffect::Complete { .. }]),
         "{acts:?}"
     );
 }

@@ -1,30 +1,19 @@
 //! Client sessions: submit transactions, await quorum-backed results.
 //!
-//! A [`ClientSession`] speaks whichever client protocol the deployment
-//! runs: PBFT (f+1 matching replies) or Zyzzyva (3f+1 fast path with the
-//! commit-certificate fallback driven automatically on timeout).
+//! A [`ClientSession`] is the IO shell around an
+//! [`rdb_consensus::ClientCore`], which speaks whichever client protocol
+//! the deployment runs: PBFT (f+1 matching replies) or Zyzzyva (3f+1 fast
+//! path with the commit-certificate fallback driven by its timer). The
+//! session verifies what arrives, steps the core at the wall clock, signs
+//! and sends what the core sends and keeps what it completes.
 
-use rdb_common::messages::{Message, Sender, SignedMessage};
-use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnId, ViewNum};
-use rdb_consensus::{ClientAction, PbftClient, ZyzzyvaClient, ZYZZYVA_CLIENT_TIMEOUT};
+use rdb_common::messages::{Sender, SignedMessage};
+use rdb_common::{ClientId, Operation, ProtocolKind, Transaction, TxnId};
+use rdb_consensus::{ClientCore, ClientEffect, ClientInput};
 use rdb_crypto::{CryptoProvider, KeyRegistry, PeerClass};
 use rdb_net::{Endpoint, NetHandle};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::time::{Duration, Instant};
-
-/// Quiet period after which a client rebroadcasts its in-flight requests
-/// to *every* replica: the request or its replies may have been lost, or
-/// the primary may have crashed — the rebroadcast both reaches whoever is
-/// primary now and doubles as the backups' client-demand signal for
-/// view-change suspicion. Replicas deduplicate re-ordered transactions,
-/// so retransmission is safe.
-const RETRANSMIT_AFTER: Duration = Duration::from_millis(500);
-
-enum Tracker {
-    Pbft(PbftClient),
-    Zyzzyva(ZyzzyvaClient),
-}
 
 /// Every completed request's result, kept for the session's lifetime.
 /// Counters are dense per session, so a result costs one index entry plus
@@ -41,7 +30,7 @@ impl Results {
     const ABSENT: u32 = u32::MAX;
 
     /// Records the result of `counter`, one this session submitted (the
-    /// trackers complete nothing else, and each counter once).
+    /// core completes nothing else, and each counter once).
     fn insert(&mut self, counter: u64, result: &[u8]) {
         let at = counter as usize;
         if at >= self.index.len() {
@@ -63,37 +52,16 @@ impl Results {
 
 /// A connected client able to submit transactions and collect results.
 pub struct ClientSession {
-    id: ClientId,
+    core: ClientCore,
+    results: Results,
     endpoint: Endpoint,
     provider: CryptoProvider,
-    tracker: Tracker,
-    primary: ReplicaId,
-    /// The consensus instance this client shards to (`id % k`): requests
-    /// always target the *same* instance, so a view-change re-aim follows
-    /// that instance's primary rotation and a retransmission can never
-    /// land in a second instance and double-order.
-    instance: usize,
-    /// Highest view seen in any reply (stamped by the sharded instance);
-    /// replies from a newer view re-aim `primary` so post-view-change
-    /// submissions skip the dead leader.
-    known_view: ViewNum,
-    n: usize,
-    counter: u64,
-    results: Results,
-    last_progress: Instant,
-    /// Requests that have distributed a Zyzzyva commit certificate and are
-    /// waiting on `LocalCommit` acknowledgements; each leaves on completion.
-    cc_counters: BTreeSet<u64>,
-    /// Copies of submitted-but-uncompleted transactions, kept for
-    /// retransmission (counter → transaction).
-    in_flight: HashMap<u64, Transaction>,
-    last_retransmit: Instant,
 }
 
 impl fmt::Debug for ClientSession {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ClientSession")
-            .field("id", &self.id)
+            .field("id", &self.id())
             .finish()
     }
 }
@@ -102,7 +70,9 @@ impl Drop for ClientSession {
     fn drop(&mut self) {
         // Free the address so the same client id can reconnect later
         // (repeated measurement runs reuse ids).
-        self.endpoint.network().deregister(Sender::Client(self.id));
+        self.endpoint
+            .network()
+            .deregister(Sender::Client(self.id()));
     }
 }
 
@@ -120,104 +90,55 @@ impl ClientSession {
         instances: usize,
         n: usize,
     ) -> Self {
-        let tracker = match protocol {
-            ProtocolKind::Pbft => Tracker::Pbft(PbftClient::new(id, f)),
-            ProtocolKind::Zyzzyva => Tracker::Zyzzyva(ZyzzyvaClient::new(id, f)),
-        };
-        let instances = instances.max(1);
-        let instance = (id.0 % instances as u64) as usize;
         ClientSession {
-            id,
+            core: ClientCore::new(id, protocol, f, instances, n, Instant::now()),
+            results: Results::default(),
             endpoint: net.register(Sender::Client(id)),
             provider: registry.provider_for_client(id),
-            tracker,
-            // Instance `j` at view 0 is led by replica `j`.
-            primary: ReplicaId((instance % n) as u32),
-            instance,
-            known_view: ViewNum(0),
-            n,
-            counter: 0,
-            results: Results::default(),
-            last_progress: Instant::now(),
-            cc_counters: BTreeSet::new(),
-            in_flight: HashMap::new(),
-            last_retransmit: Instant::now(),
         }
     }
 
     /// This client's identity.
     pub fn id(&self) -> ClientId {
-        self.id
+        self.core.id()
     }
 
     /// Requests submitted so far.
     pub fn submitted(&self) -> u64 {
-        self.counter
+        self.core.submitted()
     }
 
     /// Builds a single-write transaction (convenience for examples).
     pub fn write_txn(&mut self, key: u64, value: Vec<u8>) -> Transaction {
-        let t = Transaction::new(self.id, self.counter, vec![Operation::Write { key, value }]);
-        self.counter += 1;
-        t
+        self.core.txn(vec![Operation::Write { key, value }])
     }
 
     /// Builds a read transaction.
     pub fn read_txn(&mut self, key: u64) -> Transaction {
-        let t = Transaction::new(self.id, self.counter, vec![Operation::Read { key }]);
-        self.counter += 1;
-        t
+        self.core.txn(vec![Operation::Read { key }])
     }
 
     /// Builds a transaction with explicit operations.
     pub fn txn(&mut self, ops: Vec<Operation>) -> Transaction {
-        let t = Transaction::new(self.id, self.counter, ops);
-        self.counter += 1;
-        t
+        self.core.txn(ops)
     }
 
     /// Signs and submits a burst of transactions as one client request
     /// (Section 4.2's client-side batching). Transactions must have been
     /// built by this session so their ids are tracked.
     pub fn submit(&mut self, txns: Vec<Transaction>) {
-        for t in &txns {
-            debug_assert_eq!(t.id.client, self.id, "foreign transaction");
-            match &mut self.tracker {
-                Tracker::Pbft(p) => p.track(t.id.counter),
-                Tracker::Zyzzyva(z) => z.track(t.id.counter),
-            }
-            self.in_flight.insert(t.id.counter, t.clone());
-        }
-        self.last_retransmit = Instant::now();
-        let msg = Message::ClientRequest { txns };
-        let sm = SignedMessage::sign_with(msg, Sender::Client(self.id), |bytes| {
-            self.provider.sign(PeerClass::Replica, bytes)
-        });
-        // A client's messages are never shed: under load the swarm
-        // backpressures rather than losing submissions.
-        let _ = self.endpoint.send(Sender::Replica(self.primary), sm);
+        self.step(ClientInput::Submit(txns), Instant::now());
     }
 
-    /// One diagnostic line per request still awaiting completion: under
-    /// Zyzzyva its response groups, certificate and acknowledgements;
-    /// under PBFT just its counter (the client keeps no other state).
+    /// One diagnostic line per request still awaiting completion: its
+    /// response groups, commit certificate and acknowledgements.
     pub fn debug_stuck(&self) -> Vec<String> {
-        match &self.tracker {
-            Tracker::Pbft(_) => {
-                let mut counters: Vec<u64> = self.in_flight.keys().copied().collect();
-                counters.sort_unstable();
-                counters.iter().map(|c| format!("counter={c}")).collect()
-            }
-            Tracker::Zyzzyva(z) => z.debug_stuck(),
-        }
+        self.core.debug_stuck()
     }
 
     /// Number of requests still awaiting completion.
     pub fn pending(&self) -> usize {
-        match &self.tracker {
-            Tracker::Pbft(p) => p.pending(),
-            Tracker::Zyzzyva(z) => z.pending(),
-        }
+        self.core.pending()
     }
 
     /// The result bytes of a completed request, if available.
@@ -225,118 +146,44 @@ impl ClientSession {
         self.results.get(txn.counter)
     }
 
-    fn broadcast(&self, msg: &Message) {
-        // Encode-once: one envelope shared across all n destinations.
-        let sm = SignedMessage::sign_with(msg.clone(), Sender::Client(self.id), |bytes| {
-            self.provider.sign(PeerClass::Replica, bytes)
-        });
-        let replicas: Vec<Sender> = (0..self.n as u32)
-            .map(|r| Sender::Replica(ReplicaId(r)))
-            .collect();
-        let _ = self.endpoint.broadcast(&replicas, &sm);
-    }
-
-    fn handle_actions(&mut self, actions: Vec<ClientAction>) -> usize {
+    /// Steps the core on `input` at `now`: signs each of its sends once
+    /// for all of its destinations, and keeps its completions. Returns
+    /// the requests completed.
+    fn step(&mut self, input: ClientInput, now: Instant) -> usize {
+        let mut fx = Vec::new();
+        self.core.step(input, now, &mut fx);
         let mut completed = 0;
-        for act in actions {
-            match act {
-                ClientAction::Complete {
-                    txn_counter,
-                    result,
-                } => {
-                    self.results.insert(txn_counter, &result);
-                    self.in_flight.remove(&txn_counter);
-                    self.cc_counters.remove(&txn_counter);
-                    completed += 1;
-                }
-                ClientAction::BroadcastReplicas(msg) => self.broadcast(&msg),
-                ClientAction::Send(r, msg) => {
-                    let sm = SignedMessage::sign_with(msg, Sender::Client(self.id), |bytes| {
+        for effect in fx {
+            match effect {
+                ClientEffect::Send { to, msg } => {
+                    let sm = SignedMessage::sign_with(msg, Sender::Client(self.id()), |bytes| {
                         self.provider.sign(PeerClass::Replica, bytes)
                     });
-                    let _ = self.endpoint.send(Sender::Replica(r), sm);
+                    let to: Vec<Sender> = to.into_iter().map(Sender::Replica).collect();
+                    // A client's messages are never shed: under load the
+                    // swarm backpressures rather than losing submissions.
+                    let _ = self.endpoint.broadcast(&to, &sm);
+                }
+                ClientEffect::Complete { counter, result } => {
+                    self.results.insert(counter, &result);
+                    completed += 1;
                 }
             }
-        }
-        if completed > 0 {
-            self.last_progress = Instant::now();
         }
         completed
     }
 
-    /// Feeds one inbound envelope through the protocol tracker; returns
-    /// requests completed by it.
-    fn on_message(&mut self, sm: SignedMessage) -> usize {
-        // The trackers count `sm.sender()` as the voter, so an envelope
-        // whose MAC or signature does not check out is dropped unread.
+    /// Feeds one inbound envelope to the core; returns what it completed.
+    fn on_message(&mut self, sm: SignedMessage, now: Instant) -> usize {
+        // The core counts `sm.sender()` as the voter, so an envelope whose
+        // MAC or signature does not check out is dropped unread.
         if !self
             .provider
             .verify(sm.sender(), sm.signing_bytes(), sm.sig())
         {
             return 0;
         }
-        // Clients learn the current view from replies (PBFT §4.1): a reply
-        // stamped with a newer view means a view change happened — re-aim
-        // future submissions at that view's primary.
-        if let Message::ClientReply { view, .. } | Message::SpecResponse { view, .. } = sm.msg() {
-            if *view > self.known_view {
-                self.known_view = *view;
-                // Re-aim at the new primary of *this client's* instance:
-                // instance `j` at view `v` is led by `(v + j) % n`.
-                self.primary =
-                    ReplicaId(((self.known_view.0 + self.instance as u64) % self.n as u64) as u32);
-            }
-        }
-        let acts = match (&mut self.tracker, sm.msg()) {
-            (Tracker::Pbft(p), Message::ClientReply { .. }) => p.on_reply(&sm),
-            (Tracker::Zyzzyva(z), Message::SpecResponse { .. }) => z.on_spec_response(&sm),
-            (Tracker::Zyzzyva(z), Message::LocalCommit { .. }) => {
-                // The acknowledgement carries only the sequence; offer it to
-                // every request that distributed a certificate.
-                let mut acts = Vec::new();
-                for &c in &self.cc_counters {
-                    acts.extend(z.on_local_commit(c, &sm));
-                }
-                acts
-            }
-            _ => Vec::new(),
-        };
-        self.handle_actions(acts)
-    }
-
-    /// Quiet-period bookkeeping: if Zyzzyva's fast path has stalled past the
-    /// client timeout, distribute commit certificates for every pending
-    /// request; and for either protocol, rebroadcast in-flight requests to
-    /// every replica after a longer quiet spell (lost traffic or a crashed
-    /// primary). Returns requests completed by the fallback.
-    fn on_quiet(&mut self) -> usize {
-        let mut completed = 0;
-        if let Tracker::Zyzzyva(z) = &mut self.tracker {
-            if self.last_progress.elapsed() > ZYZZYVA_CLIENT_TIMEOUT {
-                let mut outstanding: Vec<u64> = self.in_flight.keys().copied().collect();
-                outstanding.sort_unstable();
-                let mut acts = Vec::new();
-                for c in outstanding {
-                    let a = z.on_timeout(c);
-                    if !a.is_empty() {
-                        self.cc_counters.insert(c);
-                        acts.extend(a);
-                    }
-                }
-                completed += self.handle_actions(acts);
-                self.last_progress = Instant::now();
-            }
-        }
-        if self.pending() > 0
-            && !self.in_flight.is_empty()
-            && self.last_retransmit.elapsed() > RETRANSMIT_AFTER
-        {
-            let mut txns: Vec<Transaction> = self.in_flight.values().cloned().collect();
-            txns.sort_by_key(|t| t.id.counter);
-            self.broadcast(&Message::ClientRequest { txns });
-            self.last_retransmit = Instant::now();
-        }
-        completed
+        self.step(ClientInput::Reply(sm), now)
     }
 
     /// Processes incoming replies until all submitted requests complete or
@@ -346,34 +193,32 @@ impl ClientSession {
     pub fn await_all(&mut self, deadline: Duration) -> usize {
         let start = Instant::now();
         let mut completed = 0;
-        self.last_progress = Instant::now();
         while self.pending() > 0 && start.elapsed() < deadline {
-            match self.endpoint.recv_timeout(Duration::from_millis(50)) {
-                Ok(sm) => completed += self.on_message(sm),
-                Err(_) => completed += self.on_quiet(),
+            if let Ok(sm) = self.endpoint.recv_timeout(Duration::from_millis(50)) {
+                completed += self.on_message(sm, Instant::now());
             }
+            completed += self.step(ClientInput::Tick, Instant::now());
         }
         completed
     }
 
     /// Non-blocking progress pump for swarm drivers multiplexing thousands
     /// of sessions on one thread: drains whatever replies have arrived,
-    /// fires the Zyzzyva timeout fallback if the session has gone quiet,
-    /// and returns immediately. Returns requests completed by this call.
+    /// fires the core's timers if one is due, and returns immediately.
+    /// Returns requests completed by this call.
     pub fn poll_progress(&mut self) -> usize {
+        self.poll_at(Instant::now())
+    }
+
+    fn poll_at(&mut self, now: Instant) -> usize {
         let mut completed = 0;
-        let mut saw_any = false;
         while let Some(sm) = self.endpoint.try_recv() {
-            saw_any = true;
-            completed += self.on_message(sm);
+            completed += self.on_message(sm, now);
             if self.pending() == 0 {
                 break;
             }
         }
-        if !saw_any && self.pending() > 0 {
-            completed += self.on_quiet();
-        }
-        completed
+        completed + self.step(ClientInput::Tick, now)
     }
 
     /// Convenience: submit `txns` and wait for them all.
@@ -386,8 +231,17 @@ impl ClientSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdb_common::{CryptoScheme, Digest, SeqNum, SignatureBytes};
+    use rdb_common::messages::Message;
+    use rdb_common::{CryptoScheme, Digest, ReplicaId, SeqNum, SignatureBytes, ViewNum};
+    use rdb_consensus::ZYZZYVA_CLIENT_TIMEOUT;
     use rdb_net::{Network, NetworkConfig};
+
+    /// The requests that distributed a commit certificate and still wait
+    /// for its acknowledgements.
+    fn awaiting_acks(client: &ClientSession) -> Vec<String> {
+        let stuck = client.debug_stuck().into_iter();
+        stuck.filter(|line| line.contains("cc_sent=true")).collect()
+    }
 
     /// One client session on an in-memory network whose four replica
     /// addresses are plain endpoints the test speaks through, and the
@@ -495,11 +349,9 @@ mod tests {
             }
         }
         assert_eq!(client.poll_progress(), 0);
-        client.last_progress = Instant::now()
-            .checked_sub(ZYZZYVA_CLIENT_TIMEOUT * 2)
-            .unwrap();
-        assert_eq!(client.poll_progress(), 0, "certificates went out");
-        assert_eq!(client.cc_counters.len(), N as usize);
+        let later = Instant::now() + ZYZZYVA_CLIENT_TIMEOUT * 2;
+        assert_eq!(client.poll_at(later), 0, "certificates went out");
+        assert_eq!(awaiting_acks(&client).len(), N as usize);
         for (r, ep) in replicas.iter().enumerate().take(3) {
             let replica = ReplicaId(r as u32);
             let ack = Message::LocalCommit {
@@ -514,7 +366,11 @@ mod tests {
             ep.send(Sender::Client(first.client), ack).unwrap();
         }
         assert_eq!(client.poll_progress(), N as usize);
-        assert!(client.cc_counters.is_empty(), "{:?}", client.cc_counters);
+        assert!(
+            awaiting_acks(&client).is_empty(),
+            "{:?}",
+            awaiting_acks(&client)
+        );
     }
 
     #[test]

@@ -109,8 +109,6 @@ impl SwarmReport {
 /// One multiplexed session and its burst state.
 struct Pumped {
     session: ClientSession,
-    /// Transactions submitted by this session so far.
-    submitted: u64,
     /// When the in-flight burst was submitted.
     burst_started: Option<Instant>,
     /// Committed count the progress callback must have seen before this
@@ -173,7 +171,6 @@ pub fn run_swarm(
                                 system.consensus_instances,
                                 system.n,
                             ),
-                            submitted: 0,
                             burst_started: None,
                             release_at: 0,
                         })
@@ -197,13 +194,14 @@ pub fn run_swarm(
                                 if let Some(t0) = p.burst_started.take() {
                                     samples.push(t0.elapsed());
                                 }
-                                let wants = p.submitted < cfg.txns_per_client;
+                                let done = p.session.submitted();
+                                let wants = done < cfg.txns_per_client;
                                 let seen = observed.load(Ordering::Acquire) >= p.release_at;
                                 held |= wants && !seen;
                                 if wants && seen {
-                                    let count = burst.min(cfg.txns_per_client - p.submitted);
+                                    let count = burst.min(cfg.txns_per_client - done);
                                     let client = p.session.id().0;
-                                    let txns: Vec<_> = (p.submitted..p.submitted + count)
+                                    let txns: Vec<_> = (done..done + count)
                                         .map(|i| {
                                             let key = key_for(
                                                 client,
@@ -216,12 +214,13 @@ pub fn run_swarm(
                                         .collect();
                                     p.burst_started = Some(Instant::now());
                                     p.session.submit(txns);
-                                    p.submitted += count;
                                     submitted += count;
                                     progressed = true;
                                 }
                             }
-                            if p.session.pending() > 0 || p.submitted < cfg.txns_per_client {
+                            if p.session.pending() > 0
+                                || p.session.submitted() < cfg.txns_per_client
+                            {
                                 all_done = false;
                             }
                         }

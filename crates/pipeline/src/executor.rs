@@ -278,6 +278,49 @@ impl SeenTxns {
     }
 }
 
+/// `replica`'s replies to an executed batch, one reply per client, not
+/// per transaction: `results` (one per transaction, in batch order) are
+/// grouped by client in first-appearance order, each client's in batch
+/// order, so the output stage signs — and the transport carries — one
+/// envelope per client per batch. Zyzzyva (`item.history` set) answers
+/// with speculative responses, PBFT with committed replies.
+pub fn client_replies(
+    item: &ExecuteItem,
+    replica: ReplicaId,
+    results: Vec<Vec<u8>>,
+) -> Vec<OutItem> {
+    let mut slot_of: HashMap<ClientId, usize> = HashMap::new();
+    let mut grouped: Vec<(ClientId, ReplyResults)> = Vec::new();
+    for (txn, result) in item.batch.txns.iter().zip(results) {
+        let slot = *slot_of.entry(txn.id.client).or_insert_with(|| {
+            grouped.push((txn.id.client, Vec::new()));
+            grouped.len() - 1
+        });
+        grouped[slot].1.push((txn.id.counter, result));
+    }
+    let reply = |client, results| match item.history {
+        Some(history) => Message::SpecResponse {
+            view: item.view,
+            seq: item.seq,
+            digest: item.digest,
+            history,
+            client,
+            replica,
+            results,
+        },
+        None => Message::ClientReply {
+            view: item.view,
+            client,
+            replica,
+            results,
+        },
+    };
+    grouped
+        .into_iter()
+        .map(|(client, results)| OutItem::to(Sender::Client(client), reply(client, results)))
+        .collect()
+}
+
 /// The execution engine shared by the execute-thread (1E) or the worker
 /// (0E: integrated ordering and execution).
 pub struct Executor {
@@ -476,43 +519,7 @@ impl Executor {
                 log.undo.insert(item.seq, record);
             }
         }
-        // One reply per client, not per transaction: a batch's results are
-        // grouped by client in batch order, so the output stage signs —
-        // and the transport carries — one envelope per client per batch.
-        let mut slot_of: HashMap<ClientId, usize> = HashMap::new();
-        let mut grouped: Vec<(ClientId, ReplyResults)> = Vec::new();
-        for (txn, result) in item.batch.txns.iter().zip(results) {
-            let slot = *slot_of.entry(txn.id.client).or_insert_with(|| {
-                grouped.push((txn.id.client, Vec::new()));
-                grouped.len() - 1
-            });
-            grouped[slot].1.push((txn.id.counter, result));
-        }
-        let replies = grouped
-            .into_iter()
-            .map(|(client, results)| {
-                let msg = match item.history {
-                    // Zyzzyva: speculative response with the history digest.
-                    Some(history) => Message::SpecResponse {
-                        view: item.view,
-                        seq: item.seq,
-                        digest: item.digest,
-                        history,
-                        client,
-                        replica: self.id,
-                        results,
-                    },
-                    // PBFT: committed reply.
-                    None => Message::ClientReply {
-                        view: item.view,
-                        client,
-                        replica: self.id,
-                        results,
-                    },
-                };
-                OutItem::to(Sender::Client(client), msg)
-            })
-            .collect();
+        let replies = client_replies(item, self.id, results);
         // Append the block. Its result digest lets replicas cross-check
         // execution sequence by sequence; only a mark boundary needs it to
         // be the store's Merkle root (the checkpoint vote, the snapshot

@@ -42,7 +42,7 @@ pub mod scheduler;
 
 pub use core::{CoreEnv, Effect, Input, ReplicaCore};
 pub use durable::{recover_replica, Durability, RecoveryReport, RecoverySource, WalEntry};
-pub use executor::{execute_txn, Executor, OutItem, TxnOutcome};
+pub use executor::{client_replies, execute_txn, Executor, OutItem, TxnOutcome};
 pub use metrics::{MetricsRegistry, SaturationReport, Stage, StageRecorder, ThreadSaturation};
 pub use queues::{ExecStage, ExecuteItem};
 pub use replica::{spawn_replica, ReplicaHandle, ReplicaShared};

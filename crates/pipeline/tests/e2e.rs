@@ -6,7 +6,7 @@ use rdb_common::{
     ClientId, CryptoScheme, Operation, ProtocolKind, ReplicaId, SystemConfig, ThreadConfig,
     Transaction,
 };
-use rdb_consensus::{ClientAction, PbftClient, ZyzzyvaClient};
+use rdb_consensus::{ClientCore, ClientEffect, ClientInput, ZYZZYVA_CLIENT_TIMEOUT};
 use rdb_crypto::{KeyRegistry, PeerClass};
 use rdb_net::{Endpoint, Network, NetworkConfig};
 use rdb_pipeline::{spawn_replica, ReplicaHandle};
@@ -69,6 +69,44 @@ impl TestClient {
     }
 }
 
+/// The client protocol under test, stepped at the wall clock.
+struct Tracker(ClientCore);
+
+impl Tracker {
+    fn new(client: &TestClient, cfg: &SystemConfig) -> Self {
+        let core = ClientCore::new(client.id, cfg.protocol, cfg.f, 1, cfg.n, Instant::now());
+        Tracker(core)
+    }
+
+    fn step(&mut self, input: ClientInput, now: Instant) -> Vec<ClientEffect> {
+        let mut fx = Vec::new();
+        self.0.step(input, now, &mut fx);
+        fx
+    }
+
+    /// Tracks `txns` and sends them, as one request, where the core says.
+    fn submit(&mut self, client: &TestClient, txns: Vec<Transaction>) {
+        for effect in self.step(ClientInput::Submit(txns), Instant::now()) {
+            if let ClientEffect::Send {
+                to,
+                msg: Message::ClientRequest { txns },
+            } = effect
+            {
+                client.send_request(txns, to[0]);
+            }
+        }
+    }
+
+    fn on_reply(&mut self, sm: &SignedMessage) -> Vec<ClientEffect> {
+        self.step(ClientInput::Reply(sm.clone()), Instant::now())
+    }
+
+    /// The fast path's timer fires.
+    fn on_timeout(&mut self) -> Vec<ClientEffect> {
+        self.step(ClientInput::Tick, Instant::now() + ZYZZYVA_CLIENT_TIMEOUT)
+    }
+}
+
 fn spawn_cluster(cfg: &SystemConfig, net: &Network, registry: &KeyRegistry) -> Vec<ReplicaHandle> {
     (0..cfg.n as u32)
         .map(|i| spawn_replica(cfg, ReplicaId(i), &net.handle(), registry))
@@ -83,12 +121,9 @@ fn pbft_end_to_end_commits_and_replies() {
     let replicas = spawn_cluster(&cfg, &net, &registry);
 
     let mut client = TestClient::new(0, &net, &registry);
-    let mut tracker = PbftClient::new(client.id, cfg.f);
+    let mut tracker = Tracker::new(&client, &cfg);
     let txns = client.make_txns(25); // 5 batches of 5
-    for t in &txns {
-        tracker.track(t.id.counter);
-    }
-    client.send_request(txns, ReplicaId(0));
+    tracker.submit(&client, txns);
 
     // Collect replies until all 25 requests complete.
     let deadline = Instant::now() + Duration::from_secs(20);
@@ -98,7 +133,7 @@ fn pbft_end_to_end_commits_and_replies() {
             continue;
         };
         for act in tracker.on_reply(&sm) {
-            if matches!(act, ClientAction::Complete { .. }) {
+            if matches!(act, ClientEffect::Complete { .. }) {
                 completed += 1;
             }
         }
@@ -140,12 +175,9 @@ fn zyzzyva_fast_path_end_to_end() {
     let replicas = spawn_cluster(&cfg, &net, &registry);
 
     let mut client = TestClient::new(0, &net, &registry);
-    let mut tracker = ZyzzyvaClient::new(client.id, cfg.f);
+    let mut tracker = Tracker::new(&client, &cfg);
     let txns = client.make_txns(10); // 2 batches of 5
-    for t in &txns {
-        tracker.track(t.id.counter);
-    }
-    client.send_request(txns, ReplicaId(0));
+    tracker.submit(&client, txns);
 
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut completed = 0;
@@ -153,8 +185,8 @@ fn zyzzyva_fast_path_end_to_end() {
         let Ok(sm) = client.endpoint.recv_timeout(Duration::from_millis(200)) else {
             continue;
         };
-        for act in tracker.on_spec_response(&sm) {
-            if matches!(act, ClientAction::Complete { .. }) {
+        for act in tracker.on_reply(&sm) {
+            if matches!(act, ClientEffect::Complete { .. }) {
                 completed += 1;
             }
         }
@@ -180,12 +212,9 @@ fn pbft_survives_backup_failure() {
     net.faults().crash(Sender::Replica(ReplicaId(3)));
 
     let mut client = TestClient::new(0, &net, &registry);
-    let mut tracker = PbftClient::new(client.id, cfg.f);
+    let mut tracker = Tracker::new(&client, &cfg);
     let txns = client.make_txns(10);
-    for t in &txns {
-        tracker.track(t.id.counter);
-    }
-    client.send_request(txns, ReplicaId(0));
+    tracker.submit(&client, txns);
 
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut completed = 0;
@@ -194,7 +223,7 @@ fn pbft_survives_backup_failure() {
             continue;
         };
         for act in tracker.on_reply(&sm) {
-            if matches!(act, ClientAction::Complete { .. }) {
+            if matches!(act, ClientEffect::Complete { .. }) {
                 completed += 1;
             }
         }
@@ -216,13 +245,9 @@ fn zyzzyva_backup_failure_needs_commit_certificates() {
     net.faults().crash(Sender::Replica(ReplicaId(3)));
 
     let mut client = TestClient::new(0, &net, &registry);
-    let mut tracker = ZyzzyvaClient::new(client.id, cfg.f);
+    let mut tracker = Tracker::new(&client, &cfg);
     let txns = client.make_txns(5); // one batch
-    for t in &txns {
-        tracker.track(t.id.counter);
-    }
-    let counters: Vec<u64> = txns.iter().map(|t| t.id.counter).collect();
-    client.send_request(txns, ReplicaId(0));
+    tracker.submit(&client, txns);
 
     // Fast path cannot complete (only 3 of 4 respond). Gather responses,
     // then fire the client timeout to trigger the commit-certificate path.
@@ -232,7 +257,7 @@ fn zyzzyva_backup_failure_needs_commit_certificates() {
         let Ok(sm) = client.endpoint.recv_timeout(Duration::from_millis(200)) else {
             continue;
         };
-        let acts = tracker.on_spec_response(&sm);
+        let acts = tracker.on_reply(&sm);
         assert!(
             acts.is_empty(),
             "fast path must not complete with a dead backup"
@@ -248,23 +273,25 @@ fn zyzzyva_backup_failure_needs_commit_certificates() {
 
     // Timeout: distribute commit certificates.
     let mut completed = 0;
-    for &counter in &counters {
-        for act in tracker.on_timeout(counter) {
-            if let ClientAction::BroadcastReplicas(msg) = act {
-                // Encode-once broadcast: one envelope, cloned per replica.
-                let sm = SignedMessage::sign_with(msg, Sender::Client(client.id), |bytes| {
-                    client.provider.sign(PeerClass::Replica, bytes)
-                });
-                for r in 0..4u32 {
-                    let _ = client
-                        .endpoint
-                        .send(Sender::Replica(ReplicaId(r)), sm.clone());
-                }
+    for act in tracker.on_timeout() {
+        if let ClientEffect::Send {
+            msg: msg @ Message::CommitCert { .. },
+            ..
+        } = act
+        {
+            // Encode-once broadcast: one envelope, cloned per replica.
+            let sm = SignedMessage::sign_with(msg, Sender::Client(client.id), |bytes| {
+                client.provider.sign(PeerClass::Replica, bytes)
+            });
+            for r in 0..4u32 {
+                let _ = client
+                    .endpoint
+                    .send(Sender::Replica(ReplicaId(r)), sm.clone());
             }
         }
     }
     // Collect LocalCommits. They carry the sequence; all five requests were
-    // in the same batch (seq 1), so route to each tracked counter.
+    // in the same batch (seq 1), so each acknowledges all five.
     let deadline = Instant::now() + Duration::from_secs(10);
     while completed < 5 && Instant::now() < deadline {
         let Ok(sm) = client.endpoint.recv_timeout(Duration::from_millis(200)) else {
@@ -273,11 +300,9 @@ fn zyzzyva_backup_failure_needs_commit_certificates() {
         if !matches!(sm.msg(), Message::LocalCommit { .. }) {
             continue;
         }
-        for &counter in &counters {
-            for act in tracker.on_local_commit(counter, &sm) {
-                if matches!(act, ClientAction::Complete { .. }) {
-                    completed += 1;
-                }
+        for act in tracker.on_reply(&sm) {
+            if matches!(act, ClientEffect::Complete { .. }) {
+                completed += 1;
             }
         }
     }
@@ -298,12 +323,9 @@ fn monolithic_configuration_still_commits() {
     let replicas = spawn_cluster(&cfg, &net, &registry);
 
     let mut client = TestClient::new(0, &net, &registry);
-    let mut tracker = PbftClient::new(client.id, cfg.f);
+    let mut tracker = Tracker::new(&client, &cfg);
     let txns = client.make_txns(10);
-    for t in &txns {
-        tracker.track(t.id.counter);
-    }
-    client.send_request(txns, ReplicaId(0));
+    tracker.submit(&client, txns);
 
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut completed = 0;
@@ -312,7 +334,7 @@ fn monolithic_configuration_still_commits() {
             continue;
         };
         for act in tracker.on_reply(&sm) {
-            if matches!(act, ClientAction::Complete { .. }) {
+            if matches!(act, ClientEffect::Complete { .. }) {
                 completed += 1;
             }
         }
@@ -335,7 +357,7 @@ fn run_fixed_workload(threads: ThreadConfig, seed: u64) -> Vec<rdb_common::Diges
     let replicas = spawn_cluster(&cfg, &net, &registry);
 
     let mut client = TestClient::new(0, &net, &registry);
-    let mut tracker = PbftClient::new(client.id, cfg.f);
+    let mut tracker = Tracker::new(&client, &cfg);
     // Deliberately conflicting: every transaction hits key (i % 7), so the
     // conflict scheduler must chain most of them; a scheduling bug that
     // reorders conflicting transactions would diverge the digests.
@@ -360,10 +382,7 @@ fn run_fixed_workload(threads: ThreadConfig, seed: u64) -> Vec<rdb_common::Diges
             t
         })
         .collect();
-    for t in &txns {
-        tracker.track(t.id.counter);
-    }
-    client.send_request(txns, ReplicaId(0));
+    tracker.submit(&client, txns);
 
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut completed = 0;
@@ -372,7 +391,7 @@ fn run_fixed_workload(threads: ThreadConfig, seed: u64) -> Vec<rdb_common::Diges
             continue;
         };
         for act in tracker.on_reply(&sm) {
-            if matches!(act, ClientAction::Complete { .. }) {
+            if matches!(act, ClientEffect::Complete { .. }) {
                 completed += 1;
             }
         }
@@ -424,12 +443,9 @@ fn checkpoints_prune_the_chain() {
     let replicas = spawn_cluster(&cfg, &net, &registry);
 
     let mut client = TestClient::new(0, &net, &registry);
-    let mut tracker = PbftClient::new(client.id, cfg.f);
+    let mut tracker = Tracker::new(&client, &cfg);
     let txns = client.make_txns(50); // 10 batches → ~5 checkpoints
-    for t in &txns {
-        tracker.track(t.id.counter);
-    }
-    client.send_request(txns, ReplicaId(0));
+    tracker.submit(&client, txns);
 
     let deadline = Instant::now() + Duration::from_secs(20);
     let mut completed = 0;
@@ -438,7 +454,7 @@ fn checkpoints_prune_the_chain() {
             continue;
         };
         for act in tracker.on_reply(&sm) {
-            if matches!(act, ClientAction::Complete { .. }) {
+            if matches!(act, ClientEffect::Complete { .. }) {
                 completed += 1;
             }
         }

@@ -15,25 +15,26 @@
 //!   execute stage; its result goes back to the core, and its replies to
 //!   the clients.
 //!
-//! Clients form a closed loop: a completed batch immediately re-submits
-//! its transactions (after a link latency), so offered load self-regulates
-//! exactly as the paper's 80K closed-loop clients do. The clients' side of
-//! the protocol lives here too: the reply quorum, and Zyzzyva's timeout
-//! before the clients distribute commit certificates.
+//! Clients form a closed loop, as the paper's 80K do: each is the
+//! runtime's [`ClientCore`] with one request outstanding, submitting the
+//! next the moment one completes. Their requests are the batches the
+//! primary proposes, each replica's replies reach them as real envelopes,
+//! and what they send is routed as the runtime routes it; their timers
+//! fire at [`ClientCore::next_due`].
 
 use crate::report::{SimReport, SimStage};
 use crate::service::{Overheads, ServiceModel};
-use rdb_common::block::BlockCertificate;
 use rdb_common::messages::{Sender, SignedMessage};
 use rdb_common::{
-    quorum, Batch, ClientId, CryptoScheme, Digest, Message, ProtocolKind, ReplicaId, SeqNum,
-    SignatureBytes, Snapshot, SystemConfig, Transaction, ViewNum,
+    Batch, ClientId, CryptoScheme, Digest, Message, ReplicaId, SeqNum, SignatureBytes, Snapshot,
+    SystemConfig, Transaction,
 };
-use rdb_consensus::ZYZZYVA_CLIENT_TIMEOUT;
+use rdb_consensus::{ClientCore, ClientEffect, ClientInput};
 use rdb_crypto::{CostModel, KeyRegistry};
-use rdb_pipeline::{CoreEnv, Effect, ExecuteItem, Input, OutItem, ReplicaCore};
+use rdb_pipeline::{client_replies, CoreEnv, Effect, ExecuteItem, Input, OutItem, ReplicaCore};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -119,30 +120,26 @@ impl CoreEnv for NoLedger {
 #[derive(Debug)]
 enum After {
     /// Input ingested a chunk of client requests.
-    Ingested { count: u64, arrival: Ns },
-    /// A batch-thread finished assembling client batch `batch`.
-    Assembled { batch: usize },
+    Ingested(Vec<Transaction>),
+    /// A batch-thread finished assembling a batch.
+    Assembled(Batch),
     /// The input stage paid for this input: the worker steps on it next.
     Received(Input),
+    /// The input stage paid for `count` client requests addressed to a
+    /// backup: the worker steps on that much client demand.
+    Demand(u64),
     /// The worker paid for this input: step the core.
     Step(Input),
     /// Output signed a message; hand it to the NIC.
     Signed(OutItem),
     /// The NIC finished transmitting a message to all of its targets.
     Sent(OutItem),
-    /// The execute stage ran `seq` (client batch `batch`, if it is one) in
-    /// execution epoch `epoch`.
-    Executed {
-        seq: SeqNum,
-        view: ViewNum,
-        digest: Digest,
-        batch: Option<usize>,
-        epoch: u64,
-    },
+    /// The execute stage ran `item` in execution epoch `epoch`.
+    Executed { item: ExecuteItem, epoch: u64 },
     /// Output signed the batch's client replies; hand to NIC.
-    RepliesSigned { batch: usize },
+    RepliesSigned(ExecuteItem),
     /// NIC finished sending the replies.
-    RepliesSent { batch: usize },
+    RepliesSent(ExecuteItem),
     /// Upper-bound mode: worker finished a chunk.
     UpperDone { count: u64, arrival: Ns },
     /// Upper-bound mode: NIC finished sending the replies for a chunk.
@@ -167,33 +164,17 @@ enum EventKind {
         service: Ns,
         after: After,
     },
-    /// Client requests reach the primary.
+    /// Upper-bound mode: client requests reach the primary.
     ClientArrive { count: u64 },
-    /// A Zyzzyva batch's clients stopped waiting for the fast path.
-    ClientTimeout { batch: usize },
-}
-
-struct Event {
-    at: Ns,
-    seq: u64,
-    kind: EventKind,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
+    /// These clients submit their first request (reach the primary, in
+    /// upper-bound mode).
+    Start(Range<usize>),
+    /// A replica's messages reach their clients.
+    ToClients { replica: usize, items: Vec<OutItem> },
+    /// A replica's replies to an executed batch reach its clients.
+    Replies { replica: usize, item: ExecuteItem },
+    /// A client's timer may be due.
+    ClientTick(usize),
 }
 
 /// Stage indices, in [`SimStage::CPU`] order.
@@ -229,35 +210,42 @@ struct Rep {
     epoch: u64,
 }
 
-/// Client-side bookkeeping for one batch of client requests.
-#[derive(Debug, Default)]
-struct BatchSt {
-    size: u64,
-    arrival: Ns,
-    /// Where the cores ordered it, from its first execution.
-    order: Option<(SeqNum, ViewNum, Digest)>,
-    replies: usize,
-    local_commits: usize,
-    completed: bool,
+/// One simulated client.
+struct Client {
+    core: ClientCore,
+    /// When its request in flight was submitted.
+    sent_at: Ns,
+    /// When its earliest pending `ClientTick` fires (`Ns::MAX`: none).
+    tick_at: Ns,
+    /// The signers of the commit certificate its request in flight sent.
+    #[cfg(test)]
+    certified: Option<Vec<ReplicaId>>,
 }
 
 struct Sim<'a> {
     cfg: &'a SimConfig,
     svc: ServiceModel,
-    n: usize,
-    f: usize,
     reps: Vec<Rep>,
-    events: BinaryHeap<Reverse<Event>>,
+    /// Pending events by time, then by scheduling order; each names the
+    /// slot of `kinds` that holds it (the heap moves 24 bytes, not the
+    /// event).
+    events: BinaryHeap<Reverse<(Ns, u64, usize)>>,
+    kinds: Vec<Option<EventKind>>,
+    free_kinds: Vec<usize>,
     now: Ns,
     event_seq: u64,
     latency_ns: Ns,
     /// The cores' clock at virtual time zero.
     start: Instant,
-    pool: u64,
-    pool_arrivals: VecDeque<(u64, Ns)>,
-    batches: Vec<BatchSt>,
-    /// Client batch by the sequence the cores ordered it at.
-    by_seq: HashMap<SeqNum, usize>,
+    /// Requests ingested at the primary, not yet batched.
+    pool: VecDeque<Transaction>,
+    clients: Vec<Client>,
+    /// What the clients sent at the current instant, which travels
+    /// together: the requests for the primary, and how many requests each
+    /// backup was sent.
+    to_primary: Vec<Transaction>,
+    demand: Vec<u64>,
+    retransmissions: u64,
     warmup_end: Ns,
     end: Ns,
     completed_txns: u64,
@@ -267,6 +255,10 @@ struct Sim<'a> {
     /// PrePrepare, Prepare and Commit messages sent, counted per target.
     #[cfg(test)]
     ordering_msgs: u64,
+    /// Per completed request: the certificate it completed through, if
+    /// its client sent one.
+    #[cfg(test)]
+    completions: Vec<Option<Vec<ReplicaId>>>,
 }
 
 impl<'a> Sim<'a> {
@@ -326,23 +318,36 @@ impl<'a> Sim<'a> {
                 }
             })
             .collect();
+        let clients = match cfg.mode {
+            SimMode::UpperBound { .. } => Vec::new(),
+            SimMode::Consensus => (0..sys.num_clients as u64)
+                .map(|c| Client {
+                    core: ClientCore::new(ClientId(c), sys.protocol, sys.f, k, n, start),
+                    sent_at: 0,
+                    tick_at: Ns::MAX,
+                    #[cfg(test)]
+                    certified: None,
+                })
+                .collect(),
+        };
         let warmup_end = cfg.warmup_ms * 1_000_000;
         let end = warmup_end + cfg.measure_ms * 1_000_000;
         let mut sim = Sim {
             cfg,
             svc,
-            n,
-            f: sys.f,
             reps,
             events: BinaryHeap::new(),
+            kinds: Vec::new(),
+            free_kinds: Vec::new(),
             now: 0,
             event_seq: 0,
             latency_ns: (cfg.link_latency_us * 1_000.0) as Ns,
             start,
-            pool: 0,
-            pool_arrivals: VecDeque::new(),
-            batches: Vec::new(),
-            by_seq: HashMap::new(),
+            pool: VecDeque::new(),
+            clients,
+            to_primary: Vec::new(),
+            demand: vec![0; n],
+            retransmissions: 0,
             warmup_end,
             end,
             completed_txns: 0,
@@ -351,6 +356,8 @@ impl<'a> Sim<'a> {
             batches_committed: 0,
             #[cfg(test)]
             ordering_msgs: 0,
+            #[cfg(test)]
+            completions: Vec::new(),
         };
         // Seed the closed loop: every client submits its one outstanding
         // request, staggered over a short ramp so the input stage is not
@@ -361,19 +368,20 @@ impl<'a> Sim<'a> {
         let ramp_ns: Ns = 20_000_000; // 20 ms
         for i in 0..chunks {
             let count = chunk.min(total - i * chunk);
-            let at = i * ramp_ns / chunks.max(1);
-            sim.push_event(at, EventKind::ClientArrive { count });
+            let (at, first) = (i * ramp_ns / chunks.max(1), (i * chunk) as usize);
+            sim.push_event(at, EventKind::Start(first..first + count as usize));
         }
         sim
     }
 
     fn push_event(&mut self, at: Ns, kind: EventKind) {
         self.event_seq += 1;
-        self.events.push(Reverse(Event {
-            at,
-            seq: self.event_seq,
-            kind,
-        }));
+        let slot = self.free_kinds.pop().unwrap_or(self.kinds.len());
+        if slot == self.kinds.len() {
+            self.kinds.push(None);
+        }
+        self.kinds[slot] = Some(kind);
+        self.events.push(Reverse((at, self.event_seq, slot)));
     }
 
     fn live(&self, r: usize) -> bool {
@@ -475,9 +483,9 @@ impl<'a> Sim<'a> {
         self.enqueue(replica, S_WORKER, service, After::Step(input));
     }
 
-    /// Delivers `msg` to replica `to`'s input stage, one link latency
-    /// from now.
-    fn deliver(&mut self, to: usize, msg: SignedMessage) {
+    /// Delivers a job to replica `to`'s input stage, which pays `service`
+    /// for it one link latency from now.
+    fn deliver(&mut self, to: usize, service: f64, after: After) {
         if !self.live(to) {
             return;
         }
@@ -486,10 +494,32 @@ impl<'a> Sim<'a> {
             EventKind::JobArrive {
                 replica: to,
                 stage: S_INPUT,
-                service: self.svc.input_message().max(1.0) as Ns,
-                after: After::Received(Input::Verified(msg)),
+                service: service.max(1.0) as Ns,
+                after,
             },
         );
+    }
+
+    /// Delivers the envelope `sm` to replica `to`, verified.
+    fn deliver_message(&mut self, to: usize, sm: SignedMessage) {
+        let after = After::Received(Input::Verified(sm));
+        self.deliver(to, self.svc.input_message(), after);
+    }
+
+    /// Sends what the clients sent at this instant on its way.
+    fn flush_clients(&mut self) {
+        if !self.to_primary.is_empty() {
+            let txns = std::mem::take(&mut self.to_primary);
+            let service = txns.len() as f64 * self.svc.input_request();
+            self.deliver(0, service, After::Ingested(txns));
+        }
+        for r in 0..self.demand.len() {
+            let count = std::mem::take(&mut self.demand[r]);
+            if count > 0 {
+                let service = count as f64 * self.svc.input_request();
+                self.deliver(r, service, After::Demand(count));
+            }
+        }
     }
 
     // --- the replica cores ---------------------------------------------------
@@ -560,32 +590,21 @@ impl<'a> Sim<'a> {
             };
             rep.next_exec = rep.next_exec.next();
             // Gap-filling no-op batches carry no transactions.
-            let batch = item.batch.txns.first().map(|t| t.id.counter as usize);
-            let service = if batch.is_some() {
-                self.svc.execute_batch()
-            } else {
+            let service = if item.batch.is_empty() {
                 0.0
+            } else {
+                self.svc.execute_batch()
             };
             let after = After::Executed {
-                seq: item.seq,
-                view: item.view,
-                digest: item.digest,
-                batch,
+                item,
                 epoch: rep.epoch,
             };
             self.enqueue(replica, stage, service, after);
         }
     }
 
-    /// What the cores order for client batch `batch`: a one-transaction
-    /// stand-in whose counter names it (`ServiceModel` prices the real
-    /// batch's size and contents).
-    fn proposal(batch: usize) -> Input {
-        let batch = Batch::new(vec![Transaction::new(
-            ClientId(0),
-            batch as u64,
-            Vec::new(),
-        )]);
+    /// What the primary's core proposes: the batch and its digest.
+    fn proposal(batch: Batch) -> Input {
         let digest = rdb_crypto::digest(&batch.canonical_bytes());
         Input::Propose {
             instance: 0,
@@ -594,200 +613,179 @@ impl<'a> Sim<'a> {
         }
     }
 
-    // --- the clients ----------------------------------------------------------
+    // --- the clients ---------------------------------------------------------
 
+    /// Upper-bound mode: `count` requests reach the primary.
     fn on_client_arrive(&mut self, count: u64) {
+        let SimMode::UpperBound { execute } = self.cfg.mode else {
+            return;
+        };
         let arrival = self.now;
-        match self.cfg.mode {
-            SimMode::UpperBound { execute } => {
-                let per_req = self.svc.input_request()
-                    + if execute {
-                        self.cfg.overheads.store_op_ns * self.cfg.system.ops_per_txn as f64
-                    } else {
-                        0.0
-                    }
-                    + self.cfg.overheads.reply_create_ns;
-                self.enqueue(
-                    0,
-                    S_WORKER,
-                    count as f64 * per_req,
-                    After::UpperDone { count, arrival },
-                );
+        let per_req = self.svc.input_request()
+            + if execute {
+                self.cfg.overheads.store_op_ns * self.cfg.system.ops_per_txn as f64
+            } else {
+                0.0
             }
-            SimMode::Consensus => {
-                self.enqueue(
-                    0,
-                    S_INPUT,
-                    count as f64 * self.svc.input_request(),
-                    After::Ingested { count, arrival },
-                );
+            + self.cfg.overheads.reply_create_ns;
+        self.enqueue(
+            0,
+            S_WORKER,
+            count as f64 * per_req,
+            After::UpperDone { count, arrival },
+        );
+    }
+
+    /// Client `c` submits its next request.
+    fn submit(&mut self, c: usize) {
+        let client = &mut self.clients[c];
+        let txn = client.core.txn(Vec::new());
+        client.sent_at = self.now;
+        self.step_client(c, ClientInput::Submit(vec![txn]));
+    }
+
+    /// Steps client `c`'s core on `input` at the current virtual time,
+    /// arms its timer and carries out its effects.
+    fn step_client(&mut self, c: usize, input: ClientInput) {
+        let mut fx = Vec::new();
+        let client = &mut self.clients[c];
+        client
+            .core
+            .step(input, self.start + Duration::from_nanos(self.now), &mut fx);
+        if let Some(due) = client.core.next_due() {
+            let due = (due - self.start).as_nanos() as Ns;
+            if due < client.tick_at {
+                client.tick_at = due;
+                self.push_event(due, EventKind::ClientTick(c));
+            }
+        }
+        for effect in fx {
+            match effect {
+                ClientEffect::Send { to, msg } => self.route(c, to, msg),
+                ClientEffect::Complete { .. } => self.complete(c),
             }
         }
     }
 
-    fn form_batches(&mut self) {
-        let b = self.cfg.system.batch_size as u64;
-        while self.pool >= b {
-            self.pool -= b;
-            // The batch inherits the arrival time of its oldest requests.
-            let mut need = b;
-            let mut arrival = self.now;
-            while need > 0 {
-                let Some((cnt, t)) = self.pool_arrivals.front_mut() else {
-                    break;
-                };
-                arrival = arrival.min(*t);
-                if *cnt > need {
-                    *cnt -= need;
-                    need = 0;
-                } else {
-                    need -= *cnt;
-                    self.pool_arrivals.pop_front();
-                }
+    /// Carries a client's message where the runtime's `Router` would: a
+    /// request reaches the batching pool at the primary (replica 0, the
+    /// proposer this driver feeds) and is client demand at a backup;
+    /// anything else is verified replica input.
+    fn route(&mut self, c: usize, to: Vec<ReplicaId>, msg: Message) {
+        let Message::ClientRequest { txns } = msg else {
+            #[cfg(test)]
+            if let Message::CommitCert { cert, .. } = &msg {
+                let signers = (0..self.reps.len() as u32).map(ReplicaId);
+                self.clients[c].certified = Some(signers.filter(|r| cert.contains(*r)).collect());
             }
-            let id = self.batches.len();
-            self.batches.push(BatchSt {
-                size: b,
-                arrival,
-                ..Default::default()
-            });
+            let from = Sender::Client(ClientId(c as u64));
+            let sm = SignedMessage::new(msg, from, SignatureBytes::empty());
+            for r in to {
+                self.deliver_message(r.0 as usize, sm.clone());
+            }
+            return;
+        };
+        if to.len() > 1 {
+            self.retransmissions += 1;
+        }
+        for r in to {
+            if r == ReplicaId(0) {
+                self.to_primary.extend(txns.iter().cloned());
+            } else if let Some(demand) = self.demand.get_mut(r.0 as usize) {
+                *demand += 1;
+            }
+        }
+    }
+
+    /// Client `c`'s request completed; it submits the next while the
+    /// closed loop runs.
+    fn complete(&mut self, c: usize) {
+        #[cfg(test)]
+        self.completions.push(self.clients[c].certified.take());
+        if self.now >= self.warmup_end && self.now < self.end {
+            self.completed_txns += 1;
+            self.latency_sum_ns += (self.now - self.clients[c].sent_at) as f64;
+            self.latency_count += 1;
+        }
+        if self.now < self.end {
+            self.submit(c);
+        }
+    }
+
+    fn form_batches(&mut self) {
+        let b = self.cfg.system.batch_size;
+        while self.pool.len() >= b {
+            let batch = Batch::new(self.pool.drain(..b).collect());
             if self.reps[0].stages[S_BATCH].servers > 0 {
                 self.enqueue(
                     0,
                     S_BATCH,
                     self.svc.assemble_batch(),
-                    After::Assembled { batch: id },
+                    After::Assembled(batch),
                 );
             } else {
                 // 0B: assembly + propose folded into the worker.
-                let input = Self::proposal(id);
+                let input = Self::proposal(batch);
                 let service = self.svc.assemble_batch() + self.svc.worker_step(&input);
                 self.enqueue(0, S_WORKER, service, After::Step(input));
             }
         }
     }
 
-    /// One replica's replies to `batch` reach its clients at `at`.
-    fn on_replies(&mut self, batch: usize, at: Ns) {
-        self.batches[batch].replies += 1;
-        let replies = self.batches[batch].replies;
-        match self.cfg.system.protocol {
-            ProtocolKind::Pbft => {
-                if replies >= quorum::client_reply_quorum(self.f) {
-                    self.complete_batch(batch, at);
-                }
-            }
-            ProtocolKind::Zyzzyva => {
-                if replies >= quorum::zyzzyva_fast_quorum(self.f) {
-                    self.complete_batch(batch, at);
-                } else if replies == quorum::zyzzyva_cc_quorum(self.f) {
-                    let timeout = ZYZZYVA_CLIENT_TIMEOUT.as_nanos() as Ns;
-                    self.push_event(at + timeout, EventKind::ClientTimeout { batch });
-                }
-            }
-        }
+    /// `replica`'s messages to clients arrive one link latency from now.
+    fn deliver_to_clients(&mut self, replica: usize, items: Vec<OutItem>) {
+        let at = self.now + self.latency_ns;
+        self.push_event(at, EventKind::ToClients { replica, items });
     }
 
-    /// Zyzzyva's slow path: the fast path timed out, so each of the
-    /// batch's clients sends every replica a commit certificate.
-    fn on_client_timeout(&mut self, batch: usize) {
-        let st = &self.batches[batch];
-        let Some((seq, view, digest)) = st.order.filter(|_| !st.completed) else {
-            return;
-        };
-        let signers = (0..quorum::zyzzyva_cc_quorum(self.f) as u32)
-            .map(|r| (ReplicaId(r), SignatureBytes::empty()))
-            .collect();
-        let cert = BlockCertificate::new(signers);
-        for c in 0..self.svc.replies_per_batch as u64 {
-            let msg = Message::CommitCert {
-                view,
-                seq,
-                digest,
-                cert: cert.clone(),
-                client: ClientId(c),
-            };
-            let from = Sender::Client(ClientId(c));
-            let sm = SignedMessage::new(msg, from, SignatureBytes::empty());
-            for r in 0..self.n {
-                self.deliver(r, sm.clone());
+    /// Steps each item's client on it, as `replica`'s envelope.
+    fn reach_clients(&mut self, replica: usize, items: Vec<OutItem>) {
+        let from = Sender::Replica(ReplicaId(replica as u32));
+        for item in items {
+            if let [Sender::Client(c)] = item.targets[..] {
+                let sm = SignedMessage::new(item.msg, from, SignatureBytes::empty());
+                self.step_client(c.0 as usize, ClientInput::Reply(sm));
             }
-        }
-    }
-
-    /// A replica's `LocalCommit` for `seq` reaches its client at `at`; the
-    /// batch completes once every client holds 2f+1 of them.
-    fn on_local_commit(&mut self, seq: SeqNum, at: Ns) {
-        let Some(&batch) = self.by_seq.get(&seq) else {
-            return;
-        };
-        self.batches[batch].local_commits += 1;
-        let needed = quorum::zyzzyva_cc_quorum(self.f) * self.svc.replies_per_batch;
-        if self.batches[batch].local_commits >= needed {
-            self.complete_batch(batch, at);
-        }
-    }
-
-    fn complete_batch(&mut self, batch: usize, at: Ns) {
-        if self.batches[batch].completed {
-            return;
-        }
-        self.batches[batch].completed = true;
-        let size = self.batches[batch].size;
-        let arrival = self.batches[batch].arrival;
-        if at >= self.warmup_end && at < self.end {
-            self.completed_txns += size;
-            // Full client-observed latency: request flight + pipeline +
-            // reply flight (arrival timestamps are at the primary).
-            self.latency_sum_ns += (at - arrival) as f64 + self.latency_ns as f64;
-            self.latency_count += 1;
-        }
-        // Closed loop: the clients re-submit; their requests reach the
-        // primary one link latency later.
-        if at < self.end {
-            self.push_event(
-                at + self.latency_ns,
-                EventKind::ClientArrive { count: size },
-            );
         }
     }
 
     fn on_after(&mut self, replica: usize, after: After) {
         match after {
-            After::Ingested { count, arrival } => {
-                self.pool += count;
-                self.pool_arrivals.push_back((count, arrival));
+            After::Ingested(txns) => {
+                self.pool.extend(txns);
                 self.form_batches();
             }
-            After::Assembled { batch } => self.queue_step(0, Self::proposal(batch)),
+            After::Assembled(batch) => self.queue_step(0, Self::proposal(batch)),
             After::Received(input) => self.queue_step(replica, input),
+            After::Demand(count) => {
+                let input = Input::ClientDemand(0);
+                let service = count as f64 * self.svc.worker_step(&input);
+                self.enqueue(replica, S_WORKER, service, After::Step(input));
+            }
             After::Step(input) => self.step(replica, input),
             After::Signed(item) => {
                 let bytes = self.svc.message_bytes(&item.msg) * item.targets.len();
                 self.nic_push(replica, bytes as f64, After::Sent(item));
             }
             // The only message a core sends a client.
-            After::Sent(OutItem {
-                msg: Message::LocalCommit { seq, .. },
-                ..
-            }) => self.on_local_commit(seq, self.now + self.latency_ns),
+            After::Sent(
+                item @ OutItem {
+                    msg: Message::LocalCommit { .. },
+                    ..
+                },
+            ) => self.deliver_to_clients(replica, vec![item]),
             After::Sent(item) => {
                 let from = Sender::Replica(ReplicaId(replica as u32));
                 let sm = SignedMessage::new(item.msg, from, SignatureBytes::empty());
                 for target in item.targets {
                     if let Sender::Replica(to) = target {
-                        self.deliver(to.0 as usize, sm.clone());
+                        self.deliver_message(to.0 as usize, sm.clone());
                     }
                 }
             }
-            After::Executed {
-                seq,
-                view,
-                digest,
-                batch,
-                epoch,
-            } => {
+            After::Executed { item, epoch } => {
                 // Every replica reaches the same state at the same sequence.
+                let seq = item.seq;
                 let mut state_digest = Digest::ZERO;
                 state_digest.0[..8].copy_from_slice(&seq.0.to_le_bytes());
                 self.queue_step(
@@ -798,28 +796,19 @@ impl<'a> Sim<'a> {
                         epoch,
                     },
                 );
-                if let Some(batch) = batch {
-                    if self.batches[batch].order.is_none() {
-                        self.batches[batch].order = Some((seq, view, digest));
-                        self.by_seq.insert(seq, batch);
-                    }
-                    self.enqueue(
-                        replica,
-                        S_OUTPUT,
-                        self.svc.reply_batch(),
-                        After::RepliesSigned { batch },
-                    );
+                if !item.batch.is_empty() {
+                    let service = self.svc.reply_batch();
+                    self.enqueue(replica, S_OUTPUT, service, After::RepliesSigned(item));
                 }
             }
-            After::RepliesSigned { batch } => {
-                let b = self.batches[batch].size as usize;
-                self.nic_push(
-                    replica,
-                    self.svc.reply_bytes(b) as f64,
-                    After::RepliesSent { batch },
-                );
+            After::RepliesSigned(item) => {
+                let bytes = self.svc.reply_bytes(item.batch.len()) as f64;
+                self.nic_push(replica, bytes, After::RepliesSent(item));
             }
-            After::RepliesSent { batch } => self.on_replies(batch, self.now + self.latency_ns),
+            After::RepliesSent(item) => {
+                let at = self.now + self.latency_ns;
+                self.push_event(at, EventKind::Replies { replica, item });
+            }
             After::UpperDone { count, arrival } => {
                 self.nic_push(
                     0,
@@ -844,12 +833,13 @@ impl<'a> Sim<'a> {
 
     /// Processes events up to virtual time `until`.
     fn run_until(&mut self, until: Ns) {
-        while let Some(Reverse(ev)) = self.events.pop() {
-            if ev.at > until {
+        while let Some(Reverse((at, _, slot))) = self.events.pop() {
+            if at > until {
                 break;
             }
-            self.now = ev.at;
-            match ev.kind {
+            self.now = at;
+            self.free_kinds.push(slot);
+            match self.kinds[slot].take().expect("a pending event") {
                 EventKind::ClientArrive { count } => self.on_client_arrive(count),
                 EventKind::JobArrive {
                     replica,
@@ -875,7 +865,30 @@ impl<'a> Sim<'a> {
                     self.dispatch(replica);
                 }
                 EventKind::NicDone { replica, after } => self.on_after(replica, after),
-                EventKind::ClientTimeout { batch } => self.on_client_timeout(batch),
+                EventKind::Start(clients) => match self.cfg.mode {
+                    SimMode::UpperBound { .. } => self.on_client_arrive(clients.len() as u64),
+                    SimMode::Consensus => clients.for_each(|c| self.submit(c)),
+                },
+                EventKind::Replies { replica, item } => {
+                    // Built as the executor builds them, once they arrive.
+                    let results = vec![Vec::new(); item.batch.len()];
+                    let items = client_replies(&item, ReplicaId(replica as u32), results);
+                    self.reach_clients(replica, items);
+                }
+                EventKind::ToClients { replica, items } => self.reach_clients(replica, items),
+                EventKind::ClientTick(c) => {
+                    if self.clients[c].tick_at == at {
+                        self.clients[c].tick_at = Ns::MAX;
+                        self.step_client(c, ClientInput::Tick);
+                    }
+                }
+            }
+            if self
+                .events
+                .peek()
+                .is_none_or(|Reverse((next, ..))| *next > self.now)
+            {
+                self.flush_clients();
             }
         }
     }
@@ -917,6 +930,7 @@ impl<'a> Sim<'a> {
             },
             completed_txns: self.completed_txns,
             batches_committed: self.batches_committed,
+            retransmissions: self.retransmissions,
             primary_saturation,
             backup_saturation,
         }
@@ -927,7 +941,7 @@ impl<'a> Sim<'a> {
 mod tests {
     use super::*;
     use crate::service::SQLITE_STAND_IN_OP_NS;
-    use rdb_common::{CryptoScheme, ThreadConfig};
+    use rdb_common::{CryptoScheme, ProtocolKind, ThreadConfig};
 
     fn base(n: usize) -> SimConfig {
         let mut sys = SystemConfig::new(n).unwrap();
@@ -1100,6 +1114,32 @@ mod tests {
                 "every replica executed all"
             );
         }
+    }
+
+    /// The simulator's Zyzzyva slow path is the client cores': with every
+    /// replica up no client sends a commit certificate, and with a backup
+    /// down every request completes through one, signed by the three
+    /// replicas that answered.
+    #[test]
+    fn zyzzyva_slow_path_is_the_client_cores() {
+        let completions = |failures| {
+            let mut cfg = base(4);
+            cfg.system.protocol = ProtocolKind::Zyzzyva;
+            cfg.failures = failures;
+            let mut sim = Sim::new(&cfg);
+            sim.run_until(sim.end);
+            sim.completions
+        };
+        let healthy = completions(0);
+        assert!(healthy.len() > 1_000, "{}", healthy.len());
+        assert!(
+            healthy.iter().all(Option::is_none),
+            "a certificate went out"
+        );
+        let failed = completions(1);
+        assert!(failed.len() > 1_000, "{}", failed.len());
+        let answered = Some(vec![ReplicaId(0), ReplicaId(1), ReplicaId(2)]);
+        assert!(failed.iter().all(|signers| *signers == answered));
     }
 
     #[test]

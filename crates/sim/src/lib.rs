@@ -9,9 +9,9 @@
 //! [`rdb_crypto::CostModel`] and [`service::Overheads`].
 //!
 //! The simulator has no protocol model of its own: every replica is the
-//! runtime's [`rdb_pipeline::ReplicaCore`], stepped at virtual time on its
-//! simulated worker, so every message, commit and checkpoint is the one
-//! the threaded runtime would produce. The simulator prices them — stage
+//! runtime's [`rdb_pipeline::ReplicaCore`] and every client its
+//! [`rdb_consensus::ClientCore`], stepped at virtual time, so every
+//! message, commit and retransmission is the runtime's. It prices them — stage
 //! service times, core contention, NIC transmission and link latency —
 //! which yields the quantities every figure in the paper's evaluation is
 //! built from: throughput, latency and per-stage utilization.

@@ -54,6 +54,9 @@ pub struct SimReport {
     pub completed_txns: u64,
     /// Batches committed at the primary during the whole run.
     pub batches_committed: u64,
+    /// Client requests rebroadcast to every replica after
+    /// `rdb_consensus::RETRANSMIT_AFTER` without a completion.
+    pub retransmissions: u64,
     /// Mean per-thread saturation (%) by stage at the primary.
     pub primary_saturation: BTreeMap<SimStage, f64>,
     /// Mean per-thread saturation (%) by stage averaged over live backups.
@@ -81,11 +84,12 @@ impl fmt::Display for SimReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{:.1} ktxn/s, {:.2} ms latency ({} txns, {} batches)",
+            "{:.1} ktxn/s, {:.2} ms latency ({} txns, {} batches, {} retransmissions)",
             self.ktps(),
             self.avg_latency_ms,
             self.completed_txns,
-            self.batches_committed
+            self.batches_committed,
+            self.retransmissions
         )
     }
 }
@@ -104,6 +108,7 @@ mod tests {
             avg_latency_ms: 5.0,
             completed_txns: 10_000,
             batches_committed: 100,
+            retransmissions: 0,
             primary_saturation: primary,
             backup_saturation: BTreeMap::new(),
         };

@@ -262,11 +262,6 @@ impl ServiceModel {
             _ => self.over.process_message_ns,
         }
     }
-
-    /// The crypto scheme in effect.
-    pub fn scheme(&self) -> CryptoScheme {
-        self.scheme
-    }
 }
 
 #[cfg(test)]
