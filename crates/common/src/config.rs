@@ -136,10 +136,6 @@ impl Default for DurabilityConfig {
 /// protocol state has a single owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadConfig {
-    /// Input threads: one pool on one receiver, taking client requests
-    /// and replica messages alike, on every replica (a backup can become
-    /// the primary at any view change).
-    pub input_threads: usize,
     /// Batch-assembly threads at the primary (`B`).
     pub batch_threads: usize,
     /// Execution threads (`E`). `0` folds execution into the worker
@@ -149,17 +145,18 @@ pub struct ThreadConfig {
     pub execute_threads: usize,
     /// Dedicated checkpoint-processing threads.
     pub checkpoint_threads: usize,
-    /// Output threads sharing the send load.
+    /// Output threads sharing the client-bound send load (the worker sends
+    /// consensus traffic itself).
     pub output_threads: usize,
 }
 
 impl ThreadConfig {
     /// The paper's standard pipeline: one worker, one execute (`1E`), two
-    /// batch-threads (`2B`), three input threads, two output threads and
-    /// one checkpoint thread.
+    /// batch-threads (`2B`), two output threads and one checkpoint thread.
+    /// There are no input threads: the transport delivers each message
+    /// into the stage that consumes it.
     pub fn standard() -> Self {
         ThreadConfig {
-            input_threads: 3,
             batch_threads: 2,
             execute_threads: 1,
             checkpoint_threads: 1,
@@ -179,7 +176,6 @@ impl ThreadConfig {
     /// Single-threaded monolith: every task on the worker thread (`0E 0B`).
     pub fn monolithic() -> Self {
         ThreadConfig {
-            input_threads: 2,
             batch_threads: 0,
             execute_threads: 0,
             checkpoint_threads: 0,
@@ -299,10 +295,8 @@ impl SystemConfig {
                 "batch_size must be positive".into(),
             ));
         }
-        if self.threads.output_threads == 0 || self.threads.input_threads == 0 {
-            return Err(CommonError::InvalidConfig(
-                "need input and output threads".into(),
-            ));
+        if self.threads.output_threads == 0 {
+            return Err(CommonError::InvalidConfig("need output threads".into()));
         }
         if self.ops_per_txn == 0 {
             return Err(CommonError::InvalidConfig(
@@ -397,15 +391,14 @@ mod tests {
     #[test]
     fn thread_config_counts() {
         let t = ThreadConfig::standard();
-        // 3 input + 2 batch + 1 worker + 1 exec + 1 ckpt + 2 out
+        // 2 batch + 1 worker + 1 exec + 1 ckpt + 2 out
         let per_stage = [
-            t.input_threads,
             t.batch_threads,
             t.execute_threads,
             t.checkpoint_threads,
             t.output_threads,
         ];
-        assert_eq!(per_stage, [3, 2, 1, 1, 2]);
+        assert_eq!(per_stage, [2, 1, 1, 2]);
         assert_eq!(t.label(), "1E 2B");
         assert_eq!(ThreadConfig::monolithic().label(), "0E 0B");
     }

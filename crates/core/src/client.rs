@@ -16,13 +16,14 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Every completed request's result, kept for the session's lifetime.
-/// Counters are dense per session, so a result costs one index entry plus
-/// its bytes in a shared arena — not a map slot and an allocation each.
+/// Counters are dense per session, so a result costs one 8-byte index
+/// entry plus its bytes in a shared arena — not a map slot and an
+/// allocation each.
 #[derive(Default)]
 struct Results {
     /// By counter: where the result starts in `bytes` and its length
     /// ([`Results::ABSENT`] = not completed yet).
-    index: Vec<(usize, u32)>,
+    index: Vec<(u32, u32)>,
     bytes: Vec<u8>,
 }
 
@@ -40,12 +41,14 @@ impl Results {
             .ok()
             .filter(|len| *len != Self::ABSENT)
             .expect("a result fits in a message frame");
-        self.index[at] = (self.bytes.len(), len);
+        let start = u32::try_from(self.bytes.len()).expect("a session's results fit in 4 GiB");
+        self.index[at] = (start, len);
         self.bytes.extend_from_slice(result);
     }
 
     fn get(&self, counter: u64) -> Option<&[u8]> {
         let &(start, len) = self.index.get(usize::try_from(counter).ok()?)?;
+        let start = start as usize;
         (len != Self::ABSENT).then(|| &self.bytes[start..start + len as usize])
     }
 }
@@ -392,5 +395,13 @@ mod tests {
         results.insert(1, b"one");
         assert_eq!(results.get(1), Some(&b"one"[..]));
         assert_eq!(results.get(3), Some(&b"three"[..]));
+    }
+
+    #[test]
+    fn a_result_index_entry_is_8_bytes() {
+        let mut results = Results::default();
+        results.insert(0, b"x");
+        // One entry per confirmed transaction, for the session's lifetime.
+        assert_eq!(std::mem::size_of_val(&results.index[0]), 8);
     }
 }

@@ -1,14 +1,13 @@
 //! The in-memory switchboard: endpoints, delivery, latency shaping.
 //!
-//! Delivery is direct channel hand-off when latency is zero; with a
-//! configured latency (or fault-injected jitter) the delay line both
-//! backends share holds messages until due, preserving per-link FIFO
-//! ordering for equal deadlines.
+//! With zero latency a send calls the receiver's delivery function on the
+//! sender's own thread; with a configured latency (or fault-injected
+//! jitter) the delay line both backends share holds messages until due,
+//! preserving per-link FIFO ordering for equal deadlines.
 
 use crate::fault::{DelayLine, FaultController};
 use crate::stats::NetworkStats;
-use crate::transport::{Endpoint, NetHandle, NetworkError, Transport};
-use crossbeam::channel::{self, Receiver, Sender as ChanSender};
+use crate::transport::{Delivery, Endpoint, NetHandle, NetworkError, Transport};
 use parking_lot::RwLock;
 use rdb_common::codec::Wire;
 use rdb_common::messages::{Sender, SignedMessage};
@@ -26,7 +25,7 @@ pub struct NetworkConfig {
 
 struct NetInner {
     config: NetworkConfig,
-    mailboxes: RwLock<HashMap<Sender, ChanSender<SignedMessage>>>,
+    deliveries: RwLock<HashMap<Sender, Delivery>>,
     stats: NetworkStats,
     faults: FaultController,
     delay: DelayLine,
@@ -35,9 +34,9 @@ struct NetInner {
 impl NetInner {
     fn deliver(&self, to: Sender, msg: SignedMessage) {
         let kind = msg.kind();
-        let mailboxes = self.mailboxes.read();
-        if let Some(tx) = mailboxes.get(&to) {
-            if tx.send(msg).is_ok() {
+        let deliveries = self.deliveries.read();
+        if let Some(deliver) = deliveries.get(&to) {
+            if deliver(msg) {
                 self.stats.record_delivered(kind);
                 return;
             }
@@ -59,7 +58,7 @@ pub struct Network {
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
-            .field("endpoints", &self.inner.mailboxes.read().len())
+            .field("endpoints", &self.inner.deliveries.read().len())
             .field("latency", &self.inner.config.latency)
             .finish()
     }
@@ -71,7 +70,7 @@ impl Network {
         Network {
             inner: Arc::new(NetInner {
                 config,
-                mailboxes: RwLock::new(HashMap::new()),
+                deliveries: RwLock::new(HashMap::new()),
                 stats: NetworkStats::new(),
                 faults: FaultController::new(),
                 delay: DelayLine::new(),
@@ -95,7 +94,7 @@ impl Network {
 
     /// Removes `addr` from the switchboard (future sends to it error).
     pub fn deregister(&self, addr: Sender) {
-        self.inner.mailboxes.write().remove(&addr);
+        self.inner.deliveries.write().remove(&addr);
     }
 
     /// The shared fault controller.
@@ -113,10 +112,10 @@ impl Network {
         self.inner.delay.shutdown();
     }
 
-    /// Sends one envelope to one destination. Channel hand-off never
-    /// sheds, so every message is reliable here whatever its endpoints.
+    /// Sends one envelope to one destination. Delivery never sheds, so
+    /// every message is reliable here whatever its endpoints.
     fn send_one(&self, from: Sender, to: Sender, msg: SignedMessage) -> Result<(), NetworkError> {
-        if !self.inner.mailboxes.read().contains_key(&to) {
+        if !self.inner.deliveries.read().contains_key(&to) {
             self.inner.stats.record_dropped();
             return Err(NetworkError::UnknownDestination(format!("{to:?}")));
         }
@@ -168,11 +167,9 @@ impl Transport for Network {
         res.and(self.send_one(from, dest, msg))
     }
 
-    fn register_mailbox(&self, addr: Sender) -> Receiver<SignedMessage> {
-        let (tx, rx) = channel::unbounded();
-        let prev = self.inner.mailboxes.write().insert(addr, tx);
+    fn register_delivery(&self, addr: Sender, deliver: Delivery) {
+        let prev = self.inner.deliveries.write().insert(addr, deliver);
         assert!(prev.is_none(), "address {addr:?} registered twice");
-        rx
     }
 
     fn deregister(&self, addr: Sender) {
@@ -318,21 +315,6 @@ mod tests {
         let net = Network::new(NetworkConfig::default());
         let _a = net.register(r(0));
         let _a2 = net.register(r(0));
-    }
-
-    #[test]
-    fn multi_consumer_receiver() {
-        let net = Network::new(NetworkConfig::default());
-        let a = net.register(r(0));
-        let b = net.register(r(1));
-        let rx2 = b.receiver();
-        a.send(r(1), msg(r(0))).unwrap();
-        a.send(r(1), msg(r(0))).unwrap();
-        // Both receivers drain from the same queue.
-        let m1 = b.recv_timeout(Duration::from_secs(1));
-        let m2 = rx2.recv_timeout(Duration::from_secs(1));
-        assert!(m1.is_ok());
-        assert!(m2.is_ok());
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   destination's queue.
 //! - **Inbound**: frames decode through [`SignedMessage::decode`]'s
 //!   memo-seeding path, so the zero-copy envelope (canonical bytes
-//!   memoized, verified without re-serialization) survives the socket.
+//!   memoized, verified without re-serialization) survives the socket,
+//!   and the reactor thread that read it calls the destination's
+//!   [`Delivery`] function.
 //! - **Routing**: replicas are dialed from the [`PeerMap`] by a single
 //!   dialer thread (reconnect with exponential backoff, so a restarted
 //!   replica rejoins without coordination). Clients are *not* in the map —
@@ -46,7 +48,7 @@ use crate::fault::{DelayLine, FaultController};
 use crate::frame::{self, Frame, FrameAccumulator};
 use crate::reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 use crate::stats::NetworkStats;
-use crate::transport::{Endpoint, NetHandle, NetworkError, Transport};
+use crate::transport::{Delivery, Endpoint, NetHandle, NetworkError, Transport};
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender as ChanSender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rdb_common::codec::Wire;
@@ -487,7 +489,8 @@ struct DialRequest {
 struct TcpInner {
     cfg: TcpConfig,
     local_addr: Option<SocketAddr>,
-    mailboxes: RwLock<HashMap<Sender, ChanSender<SignedMessage>>>,
+    /// Where each endpoint hosted here takes its messages.
+    deliveries: RwLock<HashMap<Sender, Delivery>>,
     /// Endpoints hosted by this transport, announced in HELLOs, with
     /// their dedicated-link target (swarm mode) if any.
     locals: RwLock<Vec<(Sender, Option<ReplicaId>)>>,
@@ -519,8 +522,8 @@ impl TcpInner {
 
     fn deliver(&self, to: Sender, msg: SignedMessage) {
         let kind = msg.kind();
-        if let Some(tx) = self.mailboxes.read().get(&to) {
-            if tx.send(msg).is_ok() {
+        if let Some(deliver) = self.deliveries.read().get(&to) {
+            if deliver(msg) {
                 self.stats.record_delivered(kind);
                 return;
             }
@@ -664,7 +667,7 @@ impl TcpInner {
         }
     }
 
-    /// Routes one (possibly jitter-delayed) envelope: local mailboxes
+    /// Routes one (possibly jitter-delayed) envelope: local endpoints
     /// short-circuit the socket, everything else rides a link. Stats and
     /// fault decisions already happened at send time.
     fn dispatch_now(
@@ -674,7 +677,7 @@ impl TcpInner {
         msg: &SignedMessage,
         payload: &mut Option<Arc<Vec<u8>>>,
     ) {
-        if self.mailboxes.read().contains_key(&to) {
+        if self.deliveries.read().contains_key(&to) {
             self.deliver(to, msg.clone());
             return;
         }
@@ -1291,7 +1294,7 @@ impl TcpTransport {
         let inner = Arc::new(TcpInner {
             cfg,
             local_addr,
-            mailboxes: RwLock::new(HashMap::new()),
+            deliveries: RwLock::new(HashMap::new()),
             locals: RwLock::new(Vec::new()),
             dialed: RwLock::new(HashMap::new()),
             dedicated: RwLock::new(HashMap::new()),
@@ -1418,7 +1421,7 @@ impl TcpTransport {
         &self.inner.stats
     }
 
-    /// Routes one envelope to one destination: local mailboxes
+    /// Routes one envelope to one destination: local endpoints
     /// short-circuit the socket entirely (a transport can host several
     /// endpoints), everything else goes through a peer link. `payload`
     /// memoizes the serialized bytes so a send encodes once no matter how
@@ -1430,7 +1433,7 @@ impl TcpTransport {
         msg: &SignedMessage,
         payload: &mut Option<Arc<Vec<u8>>>,
     ) -> Result<(), NetworkError> {
-        let local = self.inner.mailboxes.read().contains_key(&to);
+        let local = self.inner.deliveries.read().contains_key(&to);
         if !local && self.inner.route_to(from, to).is_none() {
             self.inner.stats.record_dropped();
             return Err(NetworkError::UnknownDestination(format!("{to:?}")));
@@ -1492,9 +1495,8 @@ impl Transport for TcpTransport {
         res
     }
 
-    fn register_mailbox(&self, addr: Sender) -> Receiver<SignedMessage> {
-        let (tx, rx) = channel::unbounded();
-        let prev = self.inner.mailboxes.write().insert(addr, tx);
+    fn register_delivery(&self, addr: Sender, deliver: Delivery) {
+        let prev = self.inner.deliveries.write().insert(addr, deliver);
         assert!(prev.is_none(), "address {addr:?} registered twice");
         // Swarm mode: this client gets its own connection to the primary.
         let dedicated_target = match (self.inner.cfg.dedicated_to, addr) {
@@ -1527,11 +1529,10 @@ impl Transport for TcpTransport {
                     .push_link(&link, OutFrame::Hello(addr), PushPolicy::Reliable);
             }
         }
-        rx
     }
 
     fn deregister(&self, addr: Sender) {
-        self.inner.mailboxes.write().remove(&addr);
+        self.inner.deliveries.write().remove(&addr);
         self.inner.locals.write().retain(|(a, _)| *a != addr);
         // Eagerly reclaim the dedicated connection (swarm churn): close
         // the link so senders stop using it, then tell the owning loop to

@@ -20,13 +20,18 @@
 //! may be shed under backpressure follows from its two endpoints, and
 //! each backend decides it in one place.
 //!
-//! Backends deliver inbound messages into per-address crossbeam mailboxes,
-//! so an [`Endpoint`]'s receive side is backend-agnostic and multiple
-//! input threads can drain one mailbox concurrently.
+//! Backends hand each inbound message to the [`Delivery`] function its
+//! address registered, on whatever thread the message arrived on: the
+//! sender's own thread in memory, a reactor thread over TCP, the delay
+//! line's thread for a delayed message. [`NetHandle::register`] builds the
+//! usual one, a crossbeam mailbox behind an [`Endpoint`], so clients and
+//! tests keep a backend-agnostic receive side; a replica registers its
+//! routing instead ([`NetHandle::attach`]), and each message goes straight
+//! to the stage that consumes it.
 
 use crate::fault::FaultController;
 use crate::stats::NetworkStats;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{self, Receiver, RecvTimeoutError};
 use rdb_common::messages::{Sender, SignedMessage};
 use std::fmt;
 use std::sync::Arc;
@@ -52,6 +57,15 @@ impl fmt::Display for NetworkError {
 }
 
 impl std::error::Error for NetworkError {}
+
+/// Where a backend hands a message addressed to one registered address.
+/// It returns whether the message was taken, which the backend counts as
+/// delivered or dropped.
+///
+/// It runs on a thread the receiver does not own (a sender's, a reactor's,
+/// the delay line's) while the backend holds its address map, so it must
+/// never block: a bounded queue behind it refuses, it does not wait.
+pub type Delivery = Box<dyn Fn(SignedMessage) -> bool + Send + Sync>;
 
 /// A message transport connecting replicas and clients: one multicast
 /// send plus endpoint lifecycle and observability.
@@ -83,13 +97,16 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// tell.
     fn send(&self, from: Sender, to: &[Sender], msg: SignedMessage) -> Result<(), NetworkError>;
 
-    /// Creates the inbound mailbox for `addr` and returns its receiver.
+    /// Routes every message addressed to `addr` into `deliver`, in the
+    /// order each sender sent them.
     ///
     /// # Panics
     /// Panics if `addr` is already registered on this transport.
-    fn register_mailbox(&self, addr: Sender) -> Receiver<SignedMessage>;
+    fn register_delivery(&self, addr: Sender, deliver: Delivery);
 
-    /// Removes `addr`; future sends to it fail or are dropped.
+    /// Removes `addr`; future sends to it fail or are dropped. Once this
+    /// returns, its delivery function is never called again, and the
+    /// address may be registered anew.
     fn deregister(&self, addr: Sender);
 
     /// The shared delivery statistics.
@@ -121,14 +138,34 @@ impl NetHandle {
         NetHandle { transport }
     }
 
-    /// Registers `addr`, returning its endpoint.
+    /// Registers `addr` with a mailbox, returning its endpoint.
     ///
     /// # Panics
     /// Panics if `addr` is already registered.
     pub fn register(&self, addr: Sender) -> Endpoint {
+        let (tx, rx) = channel::unbounded();
+        self.transport
+            .register_delivery(addr, Box::new(move |msg| tx.send(msg).is_ok()));
         Endpoint {
             addr,
-            rx: self.transport.register_mailbox(addr),
+            rx,
+            net: self.clone(),
+        }
+    }
+
+    /// Registers `addr` with `deliver` as its receive side, returning an
+    /// endpoint to send from. The endpoint's own receive methods report
+    /// [`NetworkError::Closed`]: everything addressed to `addr` goes to
+    /// `deliver`.
+    ///
+    /// # Panics
+    /// Panics if `addr` is already registered.
+    pub fn attach(&self, addr: Sender, deliver: Delivery) -> Endpoint {
+        self.transport.register_delivery(addr, deliver);
+        let (_, rx) = channel::unbounded();
+        Endpoint {
+            addr,
+            rx,
             net: self.clone(),
         }
     }
@@ -157,7 +194,7 @@ impl NetHandle {
 /// A registered node's handle for sending and receiving messages.
 ///
 /// Cloneable: every clone sends as the same address and drains the same
-/// mailbox, so a replica's input and output threads each hold one.
+/// mailbox.
 #[derive(Clone)]
 pub struct Endpoint {
     addr: Sender,
@@ -222,12 +259,6 @@ impl Endpoint {
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<SignedMessage> {
         self.rx.try_recv().ok()
-    }
-
-    /// A clone of the inbound receiver, for feeding multiple input threads
-    /// (crossbeam channels are multi-consumer).
-    pub fn receiver(&self) -> Receiver<SignedMessage> {
-        self.rx.clone()
     }
 
     /// The transport this endpoint belongs to.

@@ -2,7 +2,9 @@
 //! through the [`Transport`] trait, pinning the semantics the replica
 //! pipeline depends on — framing round-trips (including batches far past
 //! 64 KiB), per-link FIFO ordering, send-side fault injection, reply
-//! routing for clients, and byte-exact `NetworkStats` accounting.
+//! routing for clients, delivery functions (per-sender order, silence
+//! after deregistration, replacement on re-registration) and byte-exact
+//! `NetworkStats` accounting.
 //! TCP-only behaviors (reconnect after a peer restart, late peer start)
 //! get dedicated tests at the bottom.
 
@@ -12,7 +14,7 @@ use rdb_common::{
     ViewNum, Wire,
 };
 use rdb_net::{Endpoint, NetHandle, Network, NetworkConfig, NetworkError, TcpConfig, TcpTransport};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 const RECV_WAIT: Duration = Duration::from_secs(10);
@@ -377,6 +379,98 @@ fn client_requests_and_replies_route_both_ways() {
     };
     run(Cluster::memory(2), "memory");
     run(Cluster::tcp(2), "tcp");
+}
+
+/// What a test delivery function saw: `(sender, seq)` per message.
+type Seen = Arc<Mutex<Vec<(Sender, u64)>>>;
+
+/// Replaces replica `i`'s mailbox with a delivery function that records
+/// every message it is handed.
+fn attach_recorder(cl: &Cluster, i: u32) -> Seen {
+    let seen = Seen::default();
+    let log = Arc::clone(&seen);
+    cl.net(i as usize).deregister(r(i));
+    let _ = cl.net(i as usize).attach(
+        r(i),
+        Box::new(move |sm: SignedMessage| {
+            let seq = sm.msg().seq().map_or(u64::MAX, |s| s.0);
+            log.lock().unwrap().push((sm.sender(), seq));
+            true
+        }),
+    );
+    seen
+}
+
+/// Waits until `seen` holds `count` messages.
+fn await_seen(seen: &Seen, count: usize, name: &str) {
+    let deadline = Instant::now() + RECV_WAIT;
+    while seen.lock().unwrap().len() < count {
+        assert!(
+            Instant::now() < deadline,
+            "[{name}] {} of {count} messages delivered",
+            seen.lock().unwrap().len()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn a_delivery_function_sees_each_senders_messages_in_order_until_deregistered() {
+    conformance(3, |cl, name| {
+        const N: u64 = 100;
+        let seen = attach_recorder(cl, 2);
+        for i in 0..N {
+            for from in 0..2 {
+                cl.eps[from]
+                    .send(r(2), prepare_msg(r(from as u32), i))
+                    .unwrap();
+            }
+        }
+        await_seen(&seen, 2 * N as usize, name);
+        for from in [r(0), r(1)] {
+            let seqs: Vec<u64> = seen
+                .lock()
+                .unwrap()
+                .iter()
+                .filter(|(s, _)| *s == from)
+                .map(|&(_, seq)| seq)
+                .collect();
+            assert_eq!(
+                seqs,
+                (0..N).collect::<Vec<_>>(),
+                "[{name}] {from:?}'s order"
+            );
+        }
+        cl.net(2).deregister(r(2));
+        // In memory the address is gone at once (the send errors); over
+        // TCP the frame still crosses the socket and is dropped on arrival.
+        let _ = cl.eps[0].send(r(2), prepare_msg(r(0), N));
+        std::thread::sleep(Duration::from_millis(300));
+        assert_eq!(
+            seen.lock().unwrap().len(),
+            2 * N as usize,
+            "[{name}] nothing after deregister"
+        );
+    });
+}
+
+#[test]
+fn a_restarted_replicas_registration_replaces_the_old_function() {
+    conformance(2, |cl, name| {
+        let old = attach_recorder(cl, 1);
+        cl.eps[0].send(r(1), prepare_msg(r(0), 1)).unwrap();
+        await_seen(&old, 1, name);
+        // The restart: the old incarnation deregisters, the new registers.
+        let new = attach_recorder(cl, 1);
+        cl.eps[0].send(r(1), prepare_msg(r(0), 2)).unwrap();
+        await_seen(&new, 1, name);
+        assert_eq!(new.lock().unwrap()[0], (r(0), 2), "[{name}]");
+        assert_eq!(
+            old.lock().unwrap().len(),
+            1,
+            "[{name}] the old one is retired"
+        );
+    });
 }
 
 // ---------------------------------------------------------------------------

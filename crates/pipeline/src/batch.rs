@@ -8,7 +8,7 @@
 //! verification — a bad signature in the window is bisected out and
 //! dropped while the rest proceed.
 //!
-//! [`verify_window`] is that step, shared by the input, checkpoint and
+//! [`verify_window`] is that step, shared by the worker, checkpoint and
 //! batch stages; [`BatchAssembler`] builds consensus batches on top of it,
 //! for a batch thread or — with `batch_threads = 0` — for the worker. It
 //! reads no clock: the caller passes `now`.

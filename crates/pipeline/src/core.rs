@@ -45,9 +45,9 @@ const MAX_BACKOFF_SHIFT: u32 = 5;
 /// One thing that happened, for [`ReplicaCore::step`] to react to.
 #[derive(Debug)]
 pub enum Input {
-    /// A replica message whose signature another stage already verified
-    /// (input threads batch-verify replica traffic; the checkpoint thread
-    /// verifies checkpoints).
+    /// A replica message whose MAC or signature was already checked (the
+    /// worker verifies what the transport delivers to it; the checkpoint
+    /// thread verifies checkpoints).
     Verified(SignedMessage),
     /// A client request routed to the worker because `batch_threads == 0`:
     /// the core verifies and batches it itself (Figure 8's monolithic
@@ -80,8 +80,8 @@ pub enum Input {
     /// partitioned primary (clients rebroadcast requests to every replica
     /// when their own timers expire).
     ClientDemand(usize),
-    /// Nothing arrived for a poll interval: partial worker-side batches
-    /// are flushed. (The timers run on every step, this one included.)
+    /// Nothing arrived before [`ReplicaCore::next_due`]: only the timers
+    /// and the worker-side batch flush run, as on every step.
     Tick,
 }
 
@@ -323,8 +323,9 @@ impl ReplicaCore {
         }
     }
 
-    /// Reacts to `input` at time `now`, then runs the suspicion and fetch
-    /// timers; everything the driver must do is appended to `fx`.
+    /// Reacts to `input` at time `now`, then flushes overdue worker-side
+    /// batches and runs the suspicion and fetch timers; everything the
+    /// driver must do is appended to `fx`.
     pub fn step(&mut self, input: Input, now: Instant, fx: &mut Vec<Effect>) {
         match input {
             Input::Verified(sm) => self.on_message(&sm, now, fx),
@@ -347,8 +348,9 @@ impl ReplicaCore {
                     *demand = true;
                 }
             }
-            Input::Tick => self.flush_batches(now, fx),
+            Input::Tick => {}
         }
+        self.flush_batches(now, fx);
         self.fill_gaps(now, fx);
         self.maybe_suspect(now, fx);
         self.maybe_fetch(now, fx);
@@ -388,7 +390,17 @@ impl ReplicaCore {
         self.propose_cut(j, cut, now, fx);
     }
 
-    /// Idle: flush partial worker-side batches (0B).
+    /// When the core next has work without new input: the earliest flush
+    /// deadline of a partial worker-side batch (`0B`), `None` while none
+    /// is pending. A driver steps an [`Input::Tick`] once it passes.
+    pub fn next_due(&self) -> Option<Instant> {
+        self.assemblers
+            .iter()
+            .filter_map(BatchAssembler::flush_deadline)
+            .min()
+    }
+
+    /// Flushes the partial worker-side batches (0B) that are overdue.
     fn flush_batches(&mut self, now: Instant, fx: &mut Vec<Effect>) {
         for j in 0..self.assemblers.len() {
             if self.assemblers[j].flush_due(now) {
@@ -1151,6 +1163,35 @@ mod tests {
         c.advance(MS);
         assert_eq!(c.nodes[0].sent_kind(MessageKind::PrePrepare).len(), 1);
         assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 1));
+    }
+
+    #[test]
+    fn a_busy_0b_core_cuts_a_partial_batch_on_any_input_after_the_flush_delay() {
+        use crate::batch::BATCH_FLUSH_AFTER;
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        let start = c.now;
+        assert_eq!(c.nodes[0].core.next_due(), None, "nothing pending");
+        let one_txn = c.request(0, 0, 1);
+        c.step(0, Input::ClientRequest(one_txn));
+        assert_eq!(
+            c.nodes[0].core.next_due(),
+            Some(start + BATCH_FLUSH_AFTER),
+            "due one flush period after the last cut"
+        );
+        // A busy worker never idles into a `Tick`: whatever it steps next
+        // cuts the overdue batch.
+        c.now += BATCH_FLUSH_AFTER + MS;
+        let cut_at = c.now;
+        c.step(0, Input::ClientDemand(0));
+        assert_eq!(c.nodes[0].sent_kind(MessageKind::PrePrepare).len(), 1);
+        assert_eq!(c.nodes[0].core.next_due(), None);
+        c.run();
+        assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 1));
+
+        c.now += MS;
+        let another = c.request(0, 1, 1);
+        c.step(0, Input::ClientRequest(another));
+        assert_eq!(c.nodes[0].core.next_due(), Some(cut_at + BATCH_FLUSH_AFTER));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// An outgoing message with its destinations (all of one peer class, so
-/// the output thread signs once).
+/// its sender signs once).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutItem {
     /// Destinations (never empty).

@@ -6,10 +6,12 @@
 //!   gap-fill and the fetch/snapshot recovery ladder as a
 //!   `step(input, now, &mut effects)` state machine with no threads,
 //!   channels or clock reads, so it can be driven single-threaded.
-//! - [`replica`] — [`spawn_replica`] builds the shared state and starts
-//!   the stage loops (input, batch, checkpoint, worker, execute, output),
-//!   joined by plain channels; the worker loop drives the core and
-//!   carries out its effects, forwarding the execution ones in order.
+//! - [`replica`] — [`spawn_replica`] builds the shared state, registers
+//!   the replica's routing as its transport delivery function and starts
+//!   the stage loops (batch, checkpoint, worker, execute, output), joined
+//!   by plain channels; the worker loop verifies replica traffic, drives
+//!   the core and carries out its effects, forwarding the execution ones
+//!   in order.
 //! - [`batch`] — signature-window verification and batch assembly, shared
 //!   by the stages that verify and by the core's `0B` path.
 //! - [`queues::ExecStage`] — the in-order buffer in front of execution:

@@ -13,7 +13,10 @@ use std::time::{Duration, Instant};
 /// Which pipeline stage a thread belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Stage {
-    /// Receives client requests / replica messages off the network.
+    /// The paper's input threads. The runtime runs none (the transport
+    /// delivers into the consuming stage), so this stage records nothing;
+    /// it stays because the benchmark's `pipeline.busy_pct.input` names
+    /// it.
     Input,
     /// Assembles and digests batches (primary only).
     Batch,
@@ -27,7 +30,7 @@ pub enum Stage {
     ExecuteCoord,
     /// Collects checkpoint messages.
     Checkpoint,
-    /// Signs and transmits outgoing messages.
+    /// Signs and transmits client-bound messages.
     Output,
 }
 

@@ -2,11 +2,10 @@
 //! stage around the sans-IO [`ReplicaCore`].
 //!
 //! ```text
-//! network ─▶ input_loop ──▶ client-request channel ─▶ batch_loop ─┐
-//!                  │                                              │ Propose
-//!                  ├─ replica msgs ───────────────▶ worker_loop ◀─┘
-//!                  └─ checkpoints ─▶ checkpoint_loop ─▶ worker_loop
-//!  worker_loop ─▶ execution effects (FIFO) ─▶ execute_loop ─▶ output channel ─▶ output_loop ─▶ network
+//!             ┌─ client requests ─▶ batch_loop ─────── Propose ──────┐
+//! transport ─▶ Router ─ checkpoints ─▶ checkpoint_loop ── Verified ──┤
+//!             └─ replica msgs (unverified) ─────────────────────────▶ worker_loop ─▶ replica msgs ─▶ transport
+//!  worker_loop ─▶ execution effects (FIFO) ─▶ execute_loop ─▶ client-bound items ─▶ output_loop ─▶ transport
 //!                                                  └─ Executed ─▶ worker_loop
 //! ```
 //!
@@ -14,23 +13,22 @@
 //! [`spawn_replica`] only builds the shared state and starts them. All
 //! decisions — consensus, timers, recovery — are made by the core, which
 //! [`worker_loop`] feeds from its channel and whose [`Effect`]s it alone
-//! interprets. The other loops verify, assemble, execute and transmit:
+//! interprets. A replica message takes one hop, worker to worker:
 //!
-//! - [`input_loop`] and [`checkpoint_loop`] batch-verify incoming
-//!   signatures (checkpoint votes on their own thread so a burst of them
-//!   cannot delay consensus traffic) and forward what is authentic.
+//! - The [`Router`], the replica's delivery function, runs on the
+//!   delivering thread and only pushes onto the consuming stage's channel.
+//! - [`worker_loop`] authenticates the replica messages of its backlog as
+//!   one window, steps the core and sends to replicas itself.
+//! - [`checkpoint_loop`] verifies checkpoint votes off the consensus path.
 //! - [`batch_loop`] turns client requests into digested batches;
 //!   `batch_threads = 0` leaves that to the core (the paper's `0B`).
-//! - [`execute_loop`] owns the [`ExecStage`]: the worker forwards it the
-//!   core's `Execute`, `Rollback` and `InstallSnapshot` effects in order,
-//!   and it runs committed batches strictly in sequence order — serially
-//!   for `execute_threads = 1`, through the conflict scheduler
-//!   ([`crate::scheduler`]) for `N ≥ 2`: same loop, different "run this
-//!   window" closure, bit-identical results. With `execute_threads = 0`
-//!   the worker owns the stage and runs what became ready after each step
-//!   itself (`0E`, Figure 8's integrated ordering and execution).
-//! - [`output_loop`] signs each outgoing message once and fans it out;
-//!   the output threads share one channel.
+//! - [`execute_loop`] owns the [`ExecStage`], fed the core's execution
+//!   effects in order, and runs committed batches strictly in sequence
+//!   order: serially for `execute_threads = 1`, through the conflict
+//!   scheduler ([`crate::scheduler`]) for `N ≥ 2`, bit-identically. With
+//!   `execute_threads = 0` the worker owns the stage (`0E`, Figure 8).
+//! - [`output_loop`] sends what goes to clients: a full client link
+//!   makes it wait, never the worker or the execute stage.
 //!
 //! Stage channels are unbounded: back-pressure comes from the closed-loop
 //! clients and the transport, not from blocking a stage on its successor.
@@ -58,7 +56,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// How long a stage blocks on its queue before re-checking for shutdown
-/// (and, at the worker, before an idle tick of the core).
+/// (and, at the worker, the longest it goes without stepping the core).
 pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Maximum committed sequences the parallel executor schedules in one
@@ -83,8 +81,8 @@ pub struct ReplicaShared {
     committed_per_instance: Vec<AtomicU64>,
     dropped_bad_sigs: AtomicU64,
     /// Per-instance installed views, updated by the worker on `EnterView` —
-    /// the input threads route client traffic for instance `j` by
-    /// `(view_j + j) % n` through this.
+    /// the [`Router`] sends client traffic for instance `j` to the batch
+    /// stage only while `(view_j + j) % n` is this replica.
     instance_views: Vec<AtomicU64>,
     /// What restart-from-disk rebuilt (`None` when the replica runs
     /// memory-only, i.e. no `data_dir` configured).
@@ -154,19 +152,11 @@ impl std::fmt::Debug for ReplicaShared {
 }
 
 /// A running replica: join handle bundle plus its shared state.
+#[derive(Debug)]
 pub struct ReplicaHandle {
     shared: Arc<ReplicaShared>,
     threads: Vec<JoinHandle<()>>,
     shutdown: Arc<AtomicBool>,
-}
-
-impl std::fmt::Debug for ReplicaHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReplicaHandle")
-            .field("id", &self.shared.id)
-            .field("threads", &self.threads.len())
-            .finish()
-    }
 }
 
 impl ReplicaHandle {
@@ -203,14 +193,13 @@ pub fn spawn_replica(
 ) -> ReplicaHandle {
     config.validate().expect("invalid system configuration");
     let provider = registry.provider_for_replica(id);
-    let endpoint = net.register(Sender::Replica(id));
     let k = config.consensus_instances.max(1);
     let threads_cfg = config.threads;
     let shared = build_shared(config, id, &provider);
     let (metrics, executor) = (&shared.metrics, &shared.executor);
     // Batch threads are spawned on every replica: a channel only fills
-    // while this replica leads its instance (input routing is view-aware),
-    // and `propose` on a backup engine is a no-op. With k > 1 instances the
+    // while this replica leads its instance (routing is view-aware), and
+    // `propose` on a backup engine is a no-op. With k > 1 instances the
     // count is raised to at least k so every instance has a dedicated
     // batching path; thread `b` serves instance `b % k`.
     let batch_threads = match threads_cfg.batch_threads {
@@ -219,7 +208,7 @@ pub fn spawn_replica(
     };
 
     // --- channels -----------------------------------------------------------
-    let (work_tx, work_rx) = channel::unbounded::<Input>();
+    let (work_tx, work_rx) = channel::unbounded::<Work>();
     let (ckpt_tx, ckpt_rx) = channel::unbounded::<SignedMessage>();
     let (out_tx, out_rx) = channel::unbounded::<OutItem>();
     // One client-request channel per instance, none in the `0B`
@@ -236,6 +225,14 @@ pub fn spawn_replica(
         let (tx, rx) = channel::unbounded::<Effect>();
         (ExecHandoff::Thread(tx), Some((exec_stage, rx)))
     };
+    let router = Router {
+        n: config.n as u64,
+        shared: Arc::clone(&shared),
+        work_tx: work_tx.clone(),
+        client_txs,
+        ckpt_tx: (threads_cfg.checkpoint_threads > 0).then(|| ckpt_tx.clone()),
+    };
+    let endpoint = net.attach(Sender::Replica(id), Box::new(move |sm| router.deliver(sm)));
     let shutdown = Arc::new(AtomicBool::new(false));
     let stage = |stage: Stage, index: usize| StageCtx {
         stop: Arc::clone(&shutdown),
@@ -253,22 +250,7 @@ pub fn spawn_replica(
         threads.push(thread);
     };
 
-    // --- the six loops ------------------------------------------------------
-    // Every replica runs the full input complement: a backup can become the
-    // primary at any view change, so the client-facing threads must already
-    // be listening.
-    for i in 0..threads_cfg.input_threads {
-        let (ctx, rx) = (stage(Stage::Input, i), endpoint.receiver());
-        let router = Router {
-            n: config.n as u64,
-            client_txs: client_txs.clone(),
-            ckpt_tx: (threads_cfg.checkpoint_threads > 0).then(|| ckpt_tx.clone()),
-        };
-        spawn(
-            format!("input-{i}"),
-            Box::new(move || input_loop(&ctx, &rx, &router)),
-        );
-    }
+    // --- the five loops -----------------------------------------------------
     for b in 0..batch_threads {
         let (ctx, rx) = (stage(Stage::Batch, b), client_rxs[b % k].clone());
         let batch_size = config.batch_size;
@@ -289,6 +271,7 @@ pub fn spawn_replica(
     {
         let ctx = stage(Stage::Worker, 0);
         let io = WorkerIo {
+            endpoint: endpoint.clone(),
             out: out_tx.clone(),
             exec,
             executor: Arc::clone(executor),
@@ -429,7 +412,7 @@ struct StageCtx {
     stop: Arc<AtomicBool>,
     rec: StageRecorder,
     provider: CryptoProvider,
-    work_tx: ChanSender<Input>,
+    work_tx: ChanSender<Work>,
     shared: Arc<ReplicaShared>,
 }
 
@@ -445,94 +428,92 @@ impl StageCtx {
                 .fetch_add(rejected, Ordering::Relaxed);
         }
     }
+
+    fn to_worker(&self, input: Input) {
+        let _ = self.work_tx.send(Work::Step(input));
+    }
 }
 
-/// Where an input thread sends what it does not verify itself.
+/// What the worker's channel carries: a replica message as the transport
+/// delivered it, never stepped before it is authenticated, or an input
+/// another stage made.
+enum Work {
+    Unverified(SignedMessage),
+    Step(Input),
+}
+
+/// The replica's transport delivery function. It runs on the delivering
+/// thread, so it only pushes onto the consuming stage's channel.
 struct Router {
     n: u64,
-    /// The batch threads' request channel per instance; empty in the `0B`
-    /// configuration, where requests go to the worker.
+    shared: Arc<ReplicaShared>,
+    work_tx: ChanSender<Work>,
+    /// Per instance, the batch threads' requests; none under `0B`.
     client_txs: Vec<ChanSender<SignedMessage>>,
-    /// `None` when no checkpoint thread runs: checkpoints are verified here.
+    /// `None` when no checkpoint thread runs: the worker verifies them.
     ckpt_tx: Option<ChanSender<SignedMessage>>,
 }
 
 impl Router {
-    /// Client requests go to the batching stage and checkpoints to the
-    /// checkpoint thread (each verifies its own traffic); everything else
-    /// is handed back for the caller's verify window.
-    fn route(&self, ctx: &StageCtx, sm: SignedMessage) -> Option<SignedMessage> {
-        let shared = &ctx.shared;
+    /// `false` once the consuming stage is gone.
+    fn deliver(&self, sm: SignedMessage) -> bool {
+        let shared = &self.shared;
+        let step = |input| self.work_tx.send(Work::Step(input)).is_ok();
         match (sm.msg(), &self.ckpt_tx) {
             (Message::ClientRequest { .. }, _) => {
-                // Instance `j` at view `v` is led by replica `(v + j) % n`.
-                // Primaryship is dynamic: re-check the installed view on
-                // every request.
+                // Instance `j` at view `v` is led by replica `(v + j) % n`,
+                // re-checked per request: primaryship is dynamic.
                 let j = client_instance(sm.sender(), shared.consensus_instances());
                 let led_by = (shared.instance_view(j) + j as u64) % self.n;
                 if led_by != shared.id.0 as u64 {
-                    // Backups drop the payload (clients address the primary
-                    // directly; rebroadcasts reach it too) but surface the
-                    // demand to the suspicion timer.
-                    let _ = ctx.work_tx.send(Input::ClientDemand(j));
+                    // Backups drop the payload (rebroadcasts reach the
+                    // primary too) but surface the demand to suspicion.
+                    step(Input::ClientDemand(j))
                 } else if let Some(client_tx) = self.client_txs.get(j) {
-                    let _ = client_tx.send(sm);
+                    client_tx.send(sm).is_ok()
                 } else {
-                    let _ = ctx.work_tx.send(Input::ClientRequest(sm));
+                    step(Input::ClientRequest(sm))
                 }
-                None
             }
-            (Message::Checkpoint { .. }, Some(ckpt_tx)) => {
-                let _ = ckpt_tx.send(sm);
-                None
-            }
-            _ => Some(sm),
+            (Message::Checkpoint { .. }, Some(ckpt_tx)) => ckpt_tx.send(sm).is_ok(),
+            _ => self.work_tx.send(Work::Unverified(sm)).is_ok(),
         }
     }
 }
 
-/// The batch-verify stage shared by the input and checkpoint threads:
-/// block for one message, drain whatever else is already queued (up to
-/// [`VERIFY_WINDOW`]), let `route` divert what another stage verifies,
-/// check the rest as one crypto batch and forward the authentic messages
-/// to the worker. Under load the shared multi-scalar multiplication
-/// amortizes across the window, while an idle replica still verifies each
-/// message immediately (a window of one).
-fn verify_loop(
-    ctx: &StageCtx,
-    rx: &Receiver<SignedMessage>,
-    route: impl Fn(SignedMessage) -> Option<SignedMessage>,
-) {
-    let mut window: Vec<SignedMessage> = Vec::with_capacity(VERIFY_WINDOW);
+/// How long a stage may block before `due`: at most a [`POLL_INTERVAL`],
+/// and nothing once it has passed.
+fn wait_for(due: Option<Instant>) -> Duration {
+    due.map_or(POLL_INTERVAL, |due| {
+        due.saturating_duration_since(Instant::now())
+            .min(POLL_INTERVAL)
+    })
+}
+
+/// Adds what is already queued to `window`, up to [`VERIFY_WINDOW`]: a
+/// batch verification amortizes across it, a lone message waits for none.
+fn fill_window(rx: &Receiver<SignedMessage>, window: &mut Vec<SignedMessage>) {
+    let room = VERIFY_WINDOW.saturating_sub(window.len());
+    window.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(room));
+}
+
+/// Checkpoint thread: verifies checkpoint votes a window at a time, off
+/// the consensus traffic's path, and forwards the authentic ones.
+fn checkpoint_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>) {
+    let mut window = Vec::with_capacity(VERIFY_WINDOW);
     while ctx.running() {
         let Ok(first) = rx.recv_timeout(POLL_INTERVAL) else {
             continue;
         };
         ctx.rec.record(|| {
-            window.extend(route(first));
-            while window.len() < VERIFY_WINDOW {
-                match rx.try_recv() {
-                    Ok(sm) => window.extend(route(sm)),
-                    Err(_) => break,
-                }
-            }
+            window.push(first);
+            fill_window(rx, &mut window);
             let rejected = verify_window(&ctx.provider, &mut window, |sm| {
-                let _ = ctx.work_tx.send(Input::Verified(sm));
+                ctx.to_worker(Input::Verified(sm));
             });
             ctx.note_bad_sigs(rejected);
         });
     }
-}
-
-/// Input thread: receive off the network, route, verify replica traffic.
-fn input_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, router: &Router) {
-    verify_loop(ctx, rx, |sm| router.route(ctx, sm));
-}
-
-/// Checkpoint thread: verify incoming `Checkpoint` votes off the
-/// consensus traffic's critical path.
-fn checkpoint_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>) {
-    verify_loop(ctx, rx, Some);
 }
 
 /// Batch thread (Section 4.3): verify client signatures a window at a
@@ -546,10 +527,7 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, instance: usize, bat
         // Block until a request arrives or the pending partial batch falls
         // due. A deadline already in the past (the previous cut was long
         // ago) waits zero: a lone request still flushes immediately.
-        let wait = assembler.flush_deadline().map_or(POLL_INTERVAL, |due| {
-            due.saturating_duration_since(Instant::now())
-                .min(POLL_INTERVAL)
-        });
+        let wait = wait_for(assembler.flush_deadline());
         let first = rx.recv_timeout(wait).ok();
         let now = Instant::now();
         if first.is_none() && !assembler.flush_due(now) {
@@ -559,19 +537,14 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, instance: usize, bat
             match first {
                 Some(sm) => {
                     window.push(sm);
-                    while window.len() < VERIFY_WINDOW {
-                        match rx.try_recv() {
-                            Ok(m) => window.push(m),
-                            Err(_) => break,
-                        }
-                    }
+                    fill_window(rx, &mut window);
                     let rejected = assembler.ingest(&ctx.provider, &mut window, now, &mut cut);
                     ctx.note_bad_sigs(rejected);
                 }
                 None => assembler.flush(now, &mut cut),
             }
             for (batch, digest) in cut.drain(..) {
-                let _ = ctx.work_tx.send(Input::Propose {
+                ctx.to_worker(Input::Propose {
                     instance,
                     batch,
                     digest,
@@ -591,6 +564,9 @@ enum ExecHandoff {
 
 /// Everything the worker loop touches on the core's behalf.
 struct WorkerIo {
+    /// Replica-bound messages leave from here.
+    endpoint: Endpoint,
+    /// Client-bound ones go to the output stage.
     out: ChanSender<OutItem>,
     exec: ExecHandoff,
     executor: Arc<Executor>,
@@ -613,6 +589,9 @@ impl WorkerIo {
     fn apply(&mut self, effect: Effect, ctx: &StageCtx) {
         let shared = &ctx.shared;
         match effect {
+            Effect::Send(item) if matches!(item.targets.first(), Some(Sender::Replica(_))) => {
+                transmit(&ctx.provider, &self.endpoint, item);
+            }
             Effect::Send(item) => {
                 let _ = self.out.send(item);
             }
@@ -628,7 +607,7 @@ impl WorkerIo {
             // large as the last snapshot, persists the covering one and
             // compacts behind it.
             Effect::Stable { seq } => self.executor.note_stable(seq),
-            // The input threads route client traffic by this.
+            // The router sends client traffic by this.
             Effect::ViewEntered { instance, view } => {
                 shared.instance_views[instance].store(view.0, Ordering::Relaxed);
             }
@@ -642,11 +621,13 @@ impl WorkerIo {
 }
 
 /// Worker thread: the one driver of the [`ReplicaCore`] and the only
-/// interpreter of its effects. Each input is stepped with the wall clock;
-/// a quiet [`POLL_INTERVAL`] becomes an [`Input::Tick`]. In `0E` mode the
-/// worker then runs whatever its own stage has ready and feeds the results
-/// straight back in, so ordering and execution stay integrated.
-fn worker_loop(ctx: &StageCtx, rx: &Receiver<Input>, config: &SystemConfig, mut io: WorkerIo) {
+/// interpreter of its effects. Each wake-up steps the whole backlog with
+/// the wall clock: the other stages' inputs, then the replica messages
+/// that pass one verify window (forgeries are counted), each source's in
+/// order; one that finds none, at the core's next due time or after a
+/// [`POLL_INTERVAL`], steps an [`Input::Tick`]. In `0E` mode the worker
+/// then runs what its own stage has ready and feeds the results back in.
+fn worker_loop(ctx: &StageCtx, rx: &Receiver<Work>, config: &SystemConfig, mut io: WorkerIo) {
     let mut core = ReplicaCore::new(
         config,
         ctx.shared.id,
@@ -657,12 +638,28 @@ fn worker_loop(ctx: &StageCtx, rx: &Receiver<Input>, config: &SystemConfig, mut 
     );
     let mut serial = serial_runner(Arc::clone(&io.executor));
     let mut fx = Vec::new();
+    let mut unverified = Vec::new();
     let mut inputs = VecDeque::new();
     while ctx.running() {
-        let received = rx.recv_timeout(POLL_INTERVAL);
+        let received = rx.recv_timeout(wait_for(core.next_due()));
         let idle = received.is_err();
-        inputs.push_back(received.unwrap_or(Input::Tick));
+        match received {
+            Ok(first) => {
+                let queued = std::iter::from_fn(|| rx.try_recv().ok());
+                for work in std::iter::once(first).chain(queued) {
+                    match work {
+                        Work::Unverified(sm) => unverified.push(sm),
+                        Work::Step(input) => inputs.push_back(input),
+                    }
+                }
+            }
+            Err(_) => inputs.push_back(Input::Tick),
+        }
         let mut turn = || {
+            let rejected = verify_window(&ctx.provider, &mut unverified, |sm| {
+                inputs.push_back(Input::Verified(sm));
+            });
+            ctx.note_bad_sigs(rejected);
             while let Some(input) = inputs.pop_front() {
                 core.step(input, Instant::now(), &mut fx);
                 for effect in fx.drain(..) {
@@ -682,6 +679,8 @@ fn worker_loop(ctx: &StageCtx, rx: &Receiver<Input>, config: &SystemConfig, mut 
             ctx.rec.record(turn);
         }
     }
+    // Off the transport: the router holds this replica's state.
+    io.endpoint.network().deregister(io.endpoint.addr());
 }
 
 /// How the execute stage runs one in-order window of committed batches:
@@ -762,34 +761,32 @@ fn execute_loop(
                 stage.apply(effect, executor);
             }
             let window = stage.take_window(cap);
-            run_window(&window, stage.epoch(), run, out, |done| {
-                let _ = ctx.work_tx.send(done);
-            });
+            run_window(&window, stage.epoch(), run, out, |done| ctx.to_worker(done));
         });
     }
 }
 
-/// Output thread: sign once per message, send it to every destination in
-/// one transport call.
+/// Signs `item` once and sends it to every target (but this replica) in
+/// one transport call, which shares the envelope across them.
+fn transmit(provider: &CryptoProvider, endpoint: &Endpoint, item: OutItem) {
+    let class = match item.targets[0] {
+        Sender::Replica(_) => PeerClass::Replica,
+        Sender::Client(_) => PeerClass::Client,
+    };
+    let sm = SignedMessage::sign_with(item.msg, endpoint.addr(), |bytes| {
+        provider.sign(class, bytes)
+    });
+    let _ = endpoint.broadcast(&item.targets, &sm);
+}
+
+/// Output thread: sends what goes to clients. The transport keeps client
+/// traffic unsheddable, so a swarm of slow readers backpressures this
+/// stage instead of losing replies.
 fn output_loop(ctx: &StageCtx, rx: &Receiver<OutItem>, endpoint: &Endpoint) {
-    let me = Sender::Replica(ctx.shared.id);
     while ctx.running() {
         let Ok(item) = rx.recv_timeout(POLL_INTERVAL) else {
             continue;
         };
-        ctx.rec.record(|| {
-            let class = match item.targets.first() {
-                Some(Sender::Replica(_)) => PeerClass::Replica,
-                Some(Sender::Client(_)) => PeerClass::Client,
-                None => return,
-            };
-            // Encode once, sign once; the transport shares the envelope
-            // across every destination (skipping this replica) and keeps
-            // client replies unsheddable, so a swarm of slow readers
-            // backpressures the output stage instead of losing replies.
-            let sm =
-                SignedMessage::sign_with(item.msg, me, |bytes| ctx.provider.sign(class, bytes));
-            let _ = endpoint.broadcast(&item.targets, &sm);
-        });
+        ctx.rec.record(|| transmit(&ctx.provider, endpoint, item));
     }
 }

@@ -472,3 +472,64 @@ fn checkpoints_prune_the_chain() {
     }
     net.shutdown();
 }
+
+/// Waits up to ten seconds for `done`.
+fn eventually(done: impl Fn() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !done() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    done()
+}
+
+#[test]
+fn a_replica_message_under_a_corrupted_mac_is_counted_and_never_stepped() {
+    for protocol in [ProtocolKind::Pbft, ProtocolKind::Zyzzyva] {
+        let cfg = test_config(4, protocol);
+        let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 4, 11);
+        let net = Network::new(NetworkConfig::default());
+        let replicas = spawn_cluster(&cfg, &net, &registry);
+        // Replica 2's fetch for a sequence nobody has ordered: a live
+        // replica that steps it counts one unservable sequence.
+        let fetch = SignedMessage::sign_with(
+            Message::FetchRequest {
+                seqs: vec![rdb_common::SeqNum(50)],
+                replica: ReplicaId(2),
+            },
+            Sender::Replica(ReplicaId(2)),
+            |bytes| {
+                registry
+                    .provider_for_replica(ReplicaId(2))
+                    .sign(PeerClass::Replica, bytes)
+            },
+        );
+        let mut mac = fetch.sig().clone();
+        mac.0[0] ^= 0x01;
+        let corrupted = SignedMessage::new(fetch.msg().clone(), fetch.sender(), mac);
+        // Straight to replica 1, past every other replica's pipeline.
+        let wire = net.register(Sender::Replica(ReplicaId(9)));
+        let to = Sender::Replica(ReplicaId(1));
+        let stepped = || net.stats().fetch_dropped();
+        let rejected = || replicas[1].shared().dropped_bad_sigs();
+
+        wire.send(to, fetch).unwrap();
+        assert!(
+            eventually(|| stepped() == 1),
+            "{protocol:?}: the genuine fetch is stepped"
+        );
+        wire.send(to, corrupted).unwrap();
+        assert!(
+            eventually(|| rejected() == 1),
+            "{protocol:?}: the bad MAC is counted"
+        );
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            stepped(),
+            1,
+            "{protocol:?}: the corrupted fetch is never stepped"
+        );
+        assert_eq!(rejected(), 1);
+        replicas.into_iter().for_each(ReplicaHandle::shutdown);
+        net.shutdown();
+    }
+}

@@ -27,7 +27,7 @@ use crate::service::{Overheads, ServiceModel};
 use rdb_common::messages::{Sender, SignedMessage};
 use rdb_common::{
     Batch, ClientId, CryptoScheme, Digest, Message, ReplicaId, SeqNum, SignatureBytes, Snapshot,
-    SystemConfig, Transaction,
+    SystemConfig, ThreadConfig, Transaction,
 };
 use rdb_consensus::{ClientCore, ClientEffect, ClientInput};
 use rdb_crypto::{CostModel, KeyRegistry};
@@ -261,6 +261,21 @@ struct Sim<'a> {
     completions: Vec<Option<Vec<ReplicaId>>>,
 }
 
+/// The paper's input stage, which the model keeps pricing: every message
+/// a replica receives is served here before its worker sees it. The
+/// runtime has no such stage any more (its transport hands each message to
+/// the stage that consumes it), so the model sizes it itself, as the
+/// runtime's pools were sized: three threads, two in the monolithic
+/// `0E 0B` configuration. Whether the model follows the runtime here is
+/// for ROADMAP item 15, which prices the model from measurements.
+fn model_input_threads(t: &ThreadConfig) -> usize {
+    if t.execute_threads == 0 && t.batch_threads == 0 {
+        2
+    } else {
+        3
+    }
+}
+
 impl<'a> Sim<'a> {
     fn new(cfg: &'a SimConfig) -> Self {
         let sys = &cfg.system;
@@ -272,7 +287,8 @@ impl<'a> Sim<'a> {
         // themselves sign and verify nothing.
         let registry = KeyRegistry::generate(CryptoScheme::NoCrypto, n, 0, 0);
         let k = sys.consensus_instances.max(1);
-        // Sized as `spawn_replica` sizes its thread pools; a replica runs
+        // Sized as `spawn_replica` sizes its thread pools (but for the
+        // input stage, see `model_input_threads`); a replica runs
         // exactly one worker (Section 4.3), while Figure 7's upper bound
         // measures two independent threads answering clients directly.
         let workers = match cfg.mode {
@@ -280,7 +296,7 @@ impl<'a> Sim<'a> {
             SimMode::Consensus => 1,
         };
         let servers = [
-            t.input_threads,
+            model_input_threads(t),
             if t.batch_threads == 0 {
                 0
             } else {
@@ -941,7 +957,7 @@ impl<'a> Sim<'a> {
 mod tests {
     use super::*;
     use crate::service::SQLITE_STAND_IN_OP_NS;
-    use rdb_common::{CryptoScheme, ProtocolKind, ThreadConfig};
+    use rdb_common::{CryptoScheme, ProtocolKind};
 
     fn base(n: usize) -> SimConfig {
         let mut sys = SystemConfig::new(n).unwrap();

@@ -3,7 +3,8 @@
 # samples /proc/<pid>/task/*/{comm,stat,status} twice and prints, per
 # thread and summed per pipeline stage, user/sys CPU ticks and voluntary /
 # involuntary context switches per second over the window — plus µs of CPU
-# per confirmed transaction when the window's transaction count is known.
+# and voluntary / involuntary context switches per confirmed transaction
+# when the window's transaction count is known.
 # Stage threads are named `r<replica>-<stage>-<index>`, so a stage is the
 # name minus its replica prefix and index suffix; every other thread
 # (clients, reactor, main) is grouped under its own name.
@@ -52,12 +53,12 @@ report() {
     }
     function row(name, u, s, v, i) {
       printf "%-22s %8d %8d %10.0f %10.0f", name, u, s, v / secs, i / secs
-      if (txns > 0) printf " %10.2f", (u + s) * 1e6 / hz / txns
+      if (txns > 0) printf " %10.2f %10.2f %10.2f", (u + s) * 1e6 / hz / txns, v / txns, i / txns
       printf "\n"
     }
     function header(first) {
       printf "%-22s %8s %8s %10s %10s", first, "user", "sys", "vol_cs/s", "invol_cs/s"
-      if (txns > 0) printf " %10s", "us/txn"
+      if (txns > 0) printf " %10s %10s %10s", "us/txn", "vol_cs/txn", "invol/txn"
       printf "\n"
     }
     NR == FNR { u0[$1] = $2; s0[$1] = $3; v0[$1] = $4; i0[$1] = $5; next }
