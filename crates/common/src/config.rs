@@ -143,8 +143,6 @@ pub struct ThreadConfig {
     /// execute-thread, and `N ≥ 2` runs a pool of `N` conflict-scheduled
     /// execute workers behind a coordinator.
     pub execute_threads: usize,
-    /// Dedicated checkpoint-processing threads.
-    pub checkpoint_threads: usize,
     /// Output threads sharing the client-bound send load (the worker sends
     /// consensus traffic itself).
     pub output_threads: usize,
@@ -152,14 +150,14 @@ pub struct ThreadConfig {
 
 impl ThreadConfig {
     /// The paper's standard pipeline: one worker, one execute (`1E`), two
-    /// batch-threads (`2B`), two output threads and one checkpoint thread.
-    /// There are no input threads: the transport delivers each message
-    /// into the stage that consumes it.
+    /// batch-threads (`2B`) and two output threads. There are no input or
+    /// checkpoint threads: the transport delivers each message into the
+    /// stage that consumes it, and the worker verifies checkpoint votes
+    /// with the rest of the replica traffic.
     pub fn standard() -> Self {
         ThreadConfig {
             batch_threads: 2,
             execute_threads: 1,
-            checkpoint_threads: 1,
             output_threads: 2,
         }
     }
@@ -178,7 +176,6 @@ impl ThreadConfig {
         ThreadConfig {
             batch_threads: 0,
             execute_threads: 0,
-            checkpoint_threads: 0,
             output_threads: 1,
         }
     }
@@ -391,14 +388,9 @@ mod tests {
     #[test]
     fn thread_config_counts() {
         let t = ThreadConfig::standard();
-        // 2 batch + 1 worker + 1 exec + 1 ckpt + 2 out
-        let per_stage = [
-            t.batch_threads,
-            t.execute_threads,
-            t.checkpoint_threads,
-            t.output_threads,
-        ];
-        assert_eq!(per_stage, [2, 1, 1, 2]);
+        // 2 batch + 1 worker + 1 exec + 2 out
+        let per_stage = [t.batch_threads, t.execute_threads, t.output_threads];
+        assert_eq!(per_stage, [2, 1, 2]);
         assert_eq!(t.label(), "1E 2B");
         assert_eq!(ThreadConfig::monolithic().label(), "0E 0B");
     }

@@ -8,12 +8,13 @@
 //! verification — a bad signature in the window is bisected out and
 //! dropped while the rest proceed.
 //!
-//! [`verify_window`] is that step, shared by the worker, checkpoint and
-//! batch stages; [`BatchAssembler`] builds consensus batches on top of it,
-//! for a batch thread or — with `batch_threads = 0` — for the worker. It
-//! reads no clock: the caller passes `now`.
+//! [`verify_window`] is that step, shared by the worker and the batch
+//! stage; [`BatchAssembler`] builds consensus batches from what it
+//! accepted, on a batch thread or — with `batch_threads = 0` — inside the
+//! worker's [`crate::Node`]. It verifies nothing and reads no clock: the
+//! caller passes authentic transactions and `now`.
 
-use rdb_common::messages::{Message, Sender, SignedMessage};
+use rdb_common::messages::{Sender, SignedMessage};
 use rdb_common::{Batch, Digest, SignatureBytes, Transaction};
 use rdb_crypto::{digest, CryptoProvider};
 use std::time::{Duration, Instant};
@@ -69,30 +70,20 @@ impl BatchAssembler {
         }
     }
 
-    /// Verifies a window of client requests, queues the authentic ones'
-    /// transactions and appends every full batch to `cut`. Returns the
-    /// number of requests dropped for a bad signature.
-    pub(crate) fn ingest(
+    /// Queues authentic transactions and appends every full batch to
+    /// `cut`.
+    pub(crate) fn push(
         &mut self,
-        provider: &CryptoProvider,
-        window: &mut Vec<SignedMessage>,
+        txns: Vec<Transaction>,
         now: Instant,
         cut: &mut Vec<(Batch, Digest)>,
-    ) -> u64 {
-        let pending = &mut self.pending;
-        let rejected = verify_window(provider, window, |sm| {
-            // `into_message` is move-out, not copy: the client's send
-            // handed over the only reference to the request body.
-            if let Message::ClientRequest { txns } = sm.into_message() {
-                pending.extend(txns);
-            }
-        });
+    ) {
+        self.pending.extend(txns);
         while self.pending.len() >= self.batch_size {
             let rest = self.pending.split_off(self.batch_size);
             let txns = std::mem::replace(&mut self.pending, rest);
             self.cut(txns, now, cut);
         }
-        rejected
     }
 
     /// When the pending partial batch becomes due for flushing (`None`
@@ -125,6 +116,7 @@ impl BatchAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdb_common::messages::Message;
     use rdb_common::{ClientId, CryptoScheme, Operation, ReplicaId};
     use rdb_crypto::{KeyRegistry, PeerClass};
 
@@ -152,6 +144,22 @@ mod tests {
         }
     }
 
+    /// What a batch thread does with a window: verify it, batch the
+    /// authentic requests.
+    fn ingest(
+        asm: &mut BatchAssembler,
+        provider: &CryptoProvider,
+        window: &mut Vec<SignedMessage>,
+        now: Instant,
+        cut: &mut Vec<(Batch, Digest)>,
+    ) -> u64 {
+        verify_window(provider, window, |sm| {
+            if let Message::ClientRequest { txns } = sm.into_message() {
+                asm.push(txns, now, cut);
+            }
+        })
+    }
+
     #[test]
     fn cuts_full_batches_drops_forgeries_and_flushes_the_rest_when_due() {
         let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 2, 7);
@@ -164,7 +172,7 @@ mod tests {
             request(&registry, 1, 3, false),
         ];
         let mut cut = Vec::new();
-        let rejected = asm.ingest(&provider, &mut window, t0, &mut cut);
+        let rejected = ingest(&mut asm, &provider, &mut window, t0, &mut cut);
         assert_eq!(rejected, 1, "the forged request is bisected out");
         assert!(window.is_empty());
         assert_eq!(
@@ -195,7 +203,7 @@ mod tests {
         // batch thread must not add a flush period to its latency.
         let late = t0 + BATCH_FLUSH_AFTER * 50;
         let mut window = vec![request(&registry, 0, 1, false)];
-        asm.ingest(&provider, &mut window, late, &mut cut);
+        ingest(&mut asm, &provider, &mut window, late, &mut cut);
         assert!(asm.flush_deadline().is_some_and(|due| due < late));
         assert!(asm.flush_due(late));
     }

@@ -12,13 +12,13 @@
 //! pruning — go through the small [`CoreEnv`] trait so a test can fake
 //! them.
 //!
-//! `replica::worker_loop` is the production driver: it feeds the core
-//! from the stage channels with the wall clock and interprets the effects
-//! against the real queues, ledger and network. The tests at the bottom of
-//! this file are the other driver: a synthetic clock, no sleeps, and four
-//! cores wired through a `VecDeque` on one thread.
+//! It batches nothing and executes nothing: a [`crate::Node`] puts it
+//! between the batch assemblers and the execute stage, and every driver —
+//! `replica::worker_loop` with the wall clock, the figure simulator at
+//! virtual time, and the tests at the bottom of this file with a
+//! synthetic clock and four nodes wired through a `VecDeque` — steps it
+//! through one.
 
-use crate::batch::BatchAssembler;
 use crate::durable::RecoveryReport;
 use crate::recovery;
 use crate::{ExecuteItem, OutItem};
@@ -46,15 +46,10 @@ const MAX_BACKOFF_SHIFT: u32 = 5;
 #[derive(Debug)]
 pub enum Input {
     /// A replica message whose MAC or signature was already checked (the
-    /// worker verifies what the transport delivers to it; the checkpoint
-    /// thread verifies checkpoints).
+    /// worker verifies what the transport delivers to it).
     Verified(SignedMessage),
-    /// A client request routed to the worker because `batch_threads == 0`:
-    /// the core verifies and batches it itself (Figure 8's monolithic
-    /// baseline).
-    ClientRequest(SignedMessage),
-    /// A digested batch ready to propose on `instance` (from a
-    /// batch-thread).
+    /// A digested batch ready to propose on `instance` (from a batch
+    /// assembler: a batch thread's, or the node's own).
     Propose {
         /// The consensus instance this replica leads.
         instance: usize,
@@ -80,8 +75,8 @@ pub enum Input {
     /// partitioned primary (clients rebroadcast requests to every replica
     /// when their own timers expire).
     ClientDemand(usize),
-    /// Nothing arrived before [`ReplicaCore::next_due`]: only the timers
-    /// and the worker-side batch flush run, as on every step.
+    /// Nothing arrived for a while: only the timers run, as on every
+    /// step.
     Tick,
 }
 
@@ -131,8 +126,6 @@ pub enum Effect {
         /// The view it entered.
         view: ViewNum,
     },
-    /// This many client requests failed signature verification (0B only).
-    BadSignatures(u64),
     /// Accounting for one served `FetchRequest`.
     FetchServed {
         /// Sequences (or a covering snapshot) sent back.
@@ -185,8 +178,6 @@ pub struct ReplicaCore {
     /// Fault tolerance threshold (certificate quorums, f+1 vouching).
     f: usize,
     protocol: ProtocolKind,
-    /// 0B mode: per-instance worker-side batch assembly.
-    assemblers: Vec<BatchAssembler>,
     /// Execution timeline counter. The execute stage keeps its own, which
     /// advances on the same `Rollback`/`InstallSnapshot` effects once it
     /// applies them; until then its results carry the older value.
@@ -296,9 +287,6 @@ impl ReplicaCore {
                 .collect(),
             f: config.f,
             protocol: config.protocol,
-            assemblers: (0..k)
-                .map(|_| BatchAssembler::new(config.batch_size, now))
-                .collect(),
             epoch: 0,
             stage_epoch: 0,
             stable_checkpoint: recovered.map_or(SeqNum(0), |r| r.stable),
@@ -323,13 +311,12 @@ impl ReplicaCore {
         }
     }
 
-    /// Reacts to `input` at time `now`, then flushes overdue worker-side
-    /// batches and runs the suspicion and fetch timers; everything the
-    /// driver must do is appended to `fx`.
+    /// Reacts to `input` at time `now`, then runs the gap-fill, suspicion
+    /// and fetch timers; everything the driver must do is appended to
+    /// `fx`.
     pub fn step(&mut self, input: Input, now: Instant, fx: &mut Vec<Effect>) {
         match input {
             Input::Verified(sm) => self.on_message(&sm, now, fx),
-            Input::ClientRequest(sm) => self.on_client_request(sm, now, fx),
             Input::Propose {
                 instance,
                 batch,
@@ -350,7 +337,6 @@ impl ReplicaCore {
             }
             Input::Tick => {}
         }
-        self.flush_batches(now, fx);
         self.fill_gaps(now, fx);
         self.maybe_suspect(now, fx);
         self.maybe_fetch(now, fx);
@@ -377,50 +363,6 @@ impl ReplicaCore {
                 let actions = self.engine.on_message(sm);
                 self.run_actions(actions, now, fx);
             }
-        }
-    }
-
-    fn on_client_request(&mut self, sm: SignedMessage, now: Instant, fx: &mut Vec<Effect>) {
-        let j = client_instance(sm.sender(), self.engine.k());
-        let mut cut = Vec::new();
-        let rejected = self.assemblers[j].ingest(&self.provider, &mut vec![sm], now, &mut cut);
-        if rejected > 0 {
-            fx.push(Effect::BadSignatures(rejected));
-        }
-        self.propose_cut(j, cut, now, fx);
-    }
-
-    /// When the core next has work without new input: the earliest flush
-    /// deadline of a partial worker-side batch (`0B`), `None` while none
-    /// is pending. A driver steps an [`Input::Tick`] once it passes.
-    pub fn next_due(&self) -> Option<Instant> {
-        self.assemblers
-            .iter()
-            .filter_map(BatchAssembler::flush_deadline)
-            .min()
-    }
-
-    /// Flushes the partial worker-side batches (0B) that are overdue.
-    fn flush_batches(&mut self, now: Instant, fx: &mut Vec<Effect>) {
-        for j in 0..self.assemblers.len() {
-            if self.assemblers[j].flush_due(now) {
-                let mut cut = Vec::new();
-                self.assemblers[j].flush(now, &mut cut);
-                self.propose_cut(j, cut, now, fx);
-            }
-        }
-    }
-
-    fn propose_cut(
-        &mut self,
-        j: usize,
-        cut: Vec<(rdb_common::Batch, Digest)>,
-        now: Instant,
-        fx: &mut Vec<Effect>,
-    ) {
-        for (batch, d) in cut {
-            let actions = self.engine.propose(j, batch, d);
-            self.run_actions(actions, now, fx);
         }
     }
 
@@ -878,10 +820,12 @@ impl ReplicaCore {
 #[cfg(test)]
 mod tests {
     //! Single-threaded drivers for the core: a synthetic clock (one real
-    //! `Instant` plus offsets), no sleeps, no channels.
+    //! `Instant` plus offsets), no sleeps, no channels. Each replica is a
+    //! [`Node`] over a real executor, as the worker builds one under
+    //! `0E 0B`.
 
     use super::*;
-    use crate::{ExecStage, Executor};
+    use crate::{ExecBackend, ExecStage, Executor, Node, NodeEffect, NodeInput};
     use parking_lot::Mutex;
     use rdb_common::block::{Block, BlockCertificate, BlockLink};
     use rdb_common::messages::MessageKind;
@@ -913,13 +857,32 @@ mod tests {
         }
     }
 
-    /// One replica: its core, a real executor, and the execute stage,
-    /// run inline as under `0E`.
-    struct Node {
-        core: ReplicaCore,
+    /// The real executor as the stage's back end, noting each snapshot it
+    /// installs.
+    struct Backend {
         executor: Arc<Executor>,
-        stage: ExecStage,
-        /// `Some` while the stage lags: execution effects wait here, in
+        installed: Mutex<Vec<SeqNum>>,
+    }
+
+    impl ExecBackend for Backend {
+        fn rollback_to(&self, to: SeqNum) {
+            self.executor.rollback_to(to);
+        }
+        fn install_snapshot(&self, snapshot: &Arc<Snapshot>) {
+            self.installed.lock().push(snapshot.base_seq);
+            self.executor.install_snapshot(snapshot);
+        }
+    }
+
+    /// One replica: its node, and what it did.
+    struct Replica {
+        node: Node,
+        backend: Arc<Backend>,
+        executor: Arc<Executor>,
+        /// `Some` for a replica whose execute stage runs outside its node,
+        /// as an execute thread's does.
+        thread_stage: Option<ExecStage>,
+        /// `Some` while that stage lags: execution effects wait here, in
         /// order, as in an execute thread's channel.
         stage_backlog: Option<Vec<Effect>>,
         /// `(seq, state digest)` of everything executed, in order.
@@ -927,23 +890,37 @@ mod tests {
         /// Every message this replica sent, with its targets.
         sent: Vec<OutItem>,
         views: Vec<(usize, ViewNum)>,
-        installed: Vec<SeqNum>,
-        bad_sigs: u64,
     }
 
-    impl Node {
+    impl Replica {
         fn sent_kind(&self, kind: MessageKind) -> Vec<&OutItem> {
             self.sent.iter().filter(|o| o.msg.kind() == kind).collect()
         }
+
+        fn core(&self) -> &ReplicaCore {
+            &self.node.core
+        }
+
+        fn stage(&self) -> &ExecStage {
+            match (&self.node.stage, &self.thread_stage) {
+                (Some((stage, _)), _) | (None, Some(stage)) => stage,
+                (None, None) => unreachable!("every test replica has a stage"),
+            }
+        }
+
+        fn installed(&self) -> Vec<SeqNum> {
+            self.backend.installed.lock().clone()
+        }
     }
 
-    /// Four cores wired through a `VecDeque` on one thread — the seed of
+    /// Four nodes wired through a `VecDeque` on one thread — the seed of
     /// the deterministic-simulation harness.
     struct Cluster {
         registry: KeyRegistry,
         now: Instant,
-        nodes: Vec<Node>,
-        wire: VecDeque<(usize, Input)>,
+        k: usize,
+        nodes: Vec<Replica>,
+        wire: VecDeque<(usize, NodeInput)>,
         /// Replicas whose traffic (both directions) is dropped.
         isolated: HashSet<usize>,
     }
@@ -960,6 +937,12 @@ mod tests {
 
     impl Cluster {
         fn new(cfg: &SystemConfig) -> Self {
+            Self::with_stage_threads(cfg, &[])
+        }
+
+        /// A cluster whose replicas in `threaded` run their execute stage
+        /// outside their node, as an execute thread does.
+        fn with_stage_threads(cfg: &SystemConfig, threaded: &[usize]) -> Self {
             let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, cfg.n, 4, 7);
             let now = Instant::now();
             let nodes = (0..cfg.n as u32)
@@ -977,32 +960,42 @@ mod tests {
                         executor: Arc::clone(&executor),
                         chain,
                     });
+                    let backend = Arc::new(Backend {
+                        executor: Arc::clone(&executor),
+                        installed: Mutex::new(Vec::new()),
+                    });
                     let provider = registry.provider_for_replica(id);
-                    Node {
-                        core: ReplicaCore::new(cfg, id, provider, env, None, now),
+                    let core = ReplicaCore::new(cfg, id, provider, env, None, now);
+                    let mut node = Node::new(core).with_batching(cfg, now);
+                    let threaded = threaded.contains(&(r as usize));
+                    if !threaded {
+                        node = node.with_stage(SeqNum(1), Arc::clone(&backend) as _);
+                    }
+                    Replica {
+                        node,
+                        backend,
                         executor,
-                        stage: ExecStage::new(SeqNum(1)),
+                        thread_stage: threaded.then(|| ExecStage::new(SeqNum(1))),
                         stage_backlog: None,
                         executed: Vec::new(),
                         sent: Vec::new(),
                         views: Vec::new(),
-                        installed: Vec::new(),
-                        bad_sigs: 0,
                     }
                 })
                 .collect();
             Cluster {
                 registry,
                 now,
+                k: cfg.consensus_instances,
                 nodes,
                 wire: VecDeque::new(),
                 isolated: HashSet::new(),
             }
         }
 
-        /// A signed client request of `txns` single-write transactions.
-        fn request(&self, client: u64, first_counter: u64, txns: u64) -> SignedMessage {
-            let from = Sender::Client(ClientId(client));
+        /// `txns` single-write transactions from `client`, as its request
+        /// carries them.
+        fn request(&self, client: u64, first_counter: u64, txns: u64) -> NodeInput {
             let txns = (first_counter..first_counter + txns)
                 .map(|c| {
                     let op = Operation::Write {
@@ -1012,24 +1005,38 @@ mod tests {
                     Transaction::new(ClientId(client), c, vec![op])
                 })
                 .collect();
-            let provider = self.registry.provider_for_client(ClientId(client));
-            SignedMessage::sign_with(Message::ClientRequest { txns }, from, |bytes| {
-                provider.sign(PeerClass::Replica, bytes)
-            })
+            let instance = client_instance(Sender::Client(ClientId(client)), self.k);
+            NodeInput::Requests { instance, txns }
         }
 
-        /// Steps replica `r` at the current virtual time and carries out
-        /// its effects: sends go on the wire (signed, as the output stage
-        /// would), executions run in sequence order on the real executor.
-        fn step(&mut self, r: usize, input: Input) {
-            let mut fx = Vec::new();
-            self.nodes[r].core.step(input, self.now, &mut fx);
+        /// Steps replica `r` at the current virtual time — after a tick
+        /// if its node is due, as the worker does — and carries out its
+        /// effects: sends go on the wire (signed, as the worker would),
+        /// cut batches are proposed at once and executions run in
+        /// sequence order on the real executor.
+        fn step(&mut self, r: usize, input: impl Into<NodeInput>) {
+            let (input, mut fx) = (input.into(), Vec::new());
+            let node = &mut self.nodes[r].node;
+            let tick = matches!(input, NodeInput::Core(Input::Tick));
+            if !tick && node.next_due().is_some_and(|due| self.now > due) {
+                node.step(Input::Tick.into(), self.now, &mut fx);
+            }
+            node.step(input, self.now, &mut fx);
             for effect in fx {
                 self.apply(r, effect);
             }
         }
 
-        fn apply(&mut self, r: usize, effect: Effect) {
+        fn apply(&mut self, r: usize, effect: NodeEffect) {
+            match effect {
+                NodeEffect::Propose(input) => self.step(r, input),
+                NodeEffect::Committed(_) => {}
+                NodeEffect::Execute { window, epoch } => self.execute(r, window, epoch),
+                NodeEffect::Core(effect) => self.carry_out(r, effect),
+            }
+        }
+
+        fn carry_out(&mut self, r: usize, effect: Effect) {
             let me = Sender::Replica(ReplicaId(r as u32));
             let node = &mut self.nodes[r];
             match effect {
@@ -1042,36 +1049,46 @@ mod tests {
                         if let Sender::Replica(to) = target {
                             let to = to.0 as usize;
                             if !self.isolated.contains(&r) && !self.isolated.contains(&to) {
-                                self.wire.push_back((to, Input::Verified(sm.clone())));
+                                self.wire
+                                    .push_back((to, Input::Verified(sm.clone()).into()));
                             }
                         }
                     }
                     node.sent.push(item);
                 }
+                // Only from a node without a stage: its execute thread's.
                 Effect::Execute { .. } | Effect::Rollback { .. } | Effect::InstallSnapshot(_) => {
                     if let Some(backlog) = &mut node.stage_backlog {
                         backlog.push(effect);
                         return;
                     }
-                    if let Effect::InstallSnapshot(snapshot) = &effect {
-                        node.installed.push(snapshot.base_seq);
-                    }
-                    node.stage.apply(effect, &node.executor);
-                    for item in node.stage.take_window(usize::MAX) {
-                        let (state_digest, _replies) = node.executor.execute(&item);
-                        node.executed.push((item.seq, state_digest));
-                        let done = Input::Executed {
-                            seq: item.seq,
-                            state_digest,
-                            epoch: node.stage.epoch(),
-                        };
-                        self.wire.push_back((r, done));
-                    }
+                    let stage = node
+                        .thread_stage
+                        .as_mut()
+                        .expect("a stage outside the node");
+                    stage.apply(effect, &*node.backend);
+                    let (window, epoch) = (stage.take_window(usize::MAX), stage.epoch());
+                    self.execute(r, window, epoch);
                 }
                 Effect::Stable { seq } => node.executor.note_stable(seq),
                 Effect::ViewEntered { instance, view } => node.views.push((instance, view)),
-                Effect::BadSignatures(n) => node.bad_sigs += n,
                 Effect::FetchServed { .. } => {}
+            }
+        }
+
+        /// Runs a window on replica `r`'s executor; the results go on the
+        /// wire back to it.
+        fn execute(&mut self, r: usize, window: Vec<ExecuteItem>, epoch: u64) {
+            let node = &mut self.nodes[r];
+            for item in window {
+                let (state_digest, _replies) = node.executor.execute(&item);
+                node.executed.push((item.seq, state_digest));
+                let done = Input::Executed {
+                    seq: item.seq,
+                    state_digest,
+                    epoch,
+                };
+                self.wire.push_back((r, done.into()));
             }
         }
 
@@ -1079,7 +1096,7 @@ mod tests {
         /// up from then on.
         fn catch_up_stage(&mut self, r: usize) {
             for effect in self.nodes[r].stage_backlog.take().unwrap_or_default() {
-                self.apply(r, effect);
+                self.carry_out(r, effect);
             }
         }
 
@@ -1100,19 +1117,19 @@ mod tests {
         }
 
         /// Submits one full batch (two transactions) from `client` to
-        /// replica `primary` over the 0B path and runs to quiescence.
+        /// replica `primary` and runs to quiescence.
         fn commit_batch(&mut self, primary: usize, client: u64, first_counter: u64) {
             let request = self.request(client, first_counter, 2);
-            self.step(primary, Input::ClientRequest(request));
+            self.step(primary, request);
             self.run();
         }
     }
 
-    fn view_changes(node: &Node) -> usize {
+    fn view_changes(node: &Replica) -> usize {
         node.sent_kind(MessageKind::ViewChange).len()
     }
 
-    fn fetch_requests(node: &Node) -> Vec<(Vec<Sender>, Vec<SeqNum>)> {
+    fn fetch_requests(node: &Replica) -> Vec<(Vec<Sender>, Vec<SeqNum>)> {
         node.sent
             .iter()
             .filter_map(|o| match &o.msg {
@@ -1135,28 +1152,14 @@ mod tests {
                 "{protocol:?}: replicas disagree: {digests:?}"
             );
             assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 2));
-            assert_eq!(c.nodes[0].bad_sigs, 0);
         }
-    }
-
-    #[test]
-    fn a_forged_client_request_is_counted_and_never_proposed() {
-        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
-        let genuine = c.request(0, 0, 2);
-        let mut sig = genuine.sig().clone();
-        sig.0[0] ^= 0xff;
-        let forged = SignedMessage::new(genuine.into_message(), Sender::Client(ClientId(0)), sig);
-        c.step(0, Input::ClientRequest(forged));
-        c.run();
-        assert_eq!(c.nodes[0].bad_sigs, 1);
-        assert!(c.nodes[0].sent.is_empty());
     }
 
     #[test]
     fn a_partial_batch_is_proposed_on_the_first_idle_tick_after_the_flush_delay() {
         let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
         let one_txn = c.request(0, 0, 1);
-        c.step(0, Input::ClientRequest(one_txn));
+        c.step(0, one_txn);
         assert!(c.nodes[0].sent.is_empty(), "half a batch: nothing proposed");
         c.advance(crate::batch::BATCH_FLUSH_AFTER);
         assert!(c.nodes[0].sent.is_empty(), "flush delay not exceeded yet");
@@ -1170,11 +1173,11 @@ mod tests {
         use crate::batch::BATCH_FLUSH_AFTER;
         let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
         let start = c.now;
-        assert_eq!(c.nodes[0].core.next_due(), None, "nothing pending");
+        assert_eq!(c.nodes[0].node.next_due(), None, "nothing pending");
         let one_txn = c.request(0, 0, 1);
-        c.step(0, Input::ClientRequest(one_txn));
+        c.step(0, one_txn);
         assert_eq!(
-            c.nodes[0].core.next_due(),
+            c.nodes[0].node.next_due(),
             Some(start + BATCH_FLUSH_AFTER),
             "due one flush period after the last cut"
         );
@@ -1184,14 +1187,14 @@ mod tests {
         let cut_at = c.now;
         c.step(0, Input::ClientDemand(0));
         assert_eq!(c.nodes[0].sent_kind(MessageKind::PrePrepare).len(), 1);
-        assert_eq!(c.nodes[0].core.next_due(), None);
+        assert_eq!(c.nodes[0].node.next_due(), None);
         c.run();
         assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 1));
 
         c.now += MS;
         let another = c.request(0, 1, 1);
-        c.step(0, Input::ClientRequest(another));
-        assert_eq!(c.nodes[0].core.next_due(), Some(cut_at + BATCH_FLUSH_AFTER));
+        c.step(0, another);
+        assert_eq!(c.nodes[0].node.next_due(), Some(cut_at + BATCH_FLUSH_AFTER));
     }
 
     #[test]
@@ -1235,7 +1238,7 @@ mod tests {
             state_digest: Digest::ZERO,
             epoch,
         };
-        c.step(1, executed(c.nodes[1].core.epoch + 1));
+        c.step(1, executed(c.nodes[1].core().epoch + 1));
         c.advance(VIEW_TIMEOUT * 4);
         assert_eq!(
             view_changes(&c.nodes[1]),
@@ -1244,7 +1247,7 @@ mod tests {
         );
 
         // A current-epoch result is: demand is met, strikes are cleared.
-        c.step(1, executed(c.nodes[1].core.epoch));
+        c.step(1, executed(c.nodes[1].core().epoch));
         c.advance(VIEW_TIMEOUT * 8);
         assert_eq!(view_changes(&c.nodes[1]), 3, "demand was met by executing");
         c.step(1, Input::ClientDemand(0));
@@ -1256,14 +1259,15 @@ mod tests {
     fn an_executed_from_before_a_rollback_carries_the_old_epoch_and_is_ignored() {
         let mut c = Cluster::new(&config(ProtocolKind::Zyzzyva, 1));
         c.commit_batch(0, 0, 0);
-        let epoch = c.nodes[1].core.epoch;
+        let epoch = c.nodes[1].core().epoch;
         // Replica 1 speculatively executes seq 2; its result is still in
         // flight to its core when the rollback comes.
         let request = c.request(0, 2, 2);
-        c.step(0, Input::ClientRequest(request));
+        c.step(0, request);
         let for_1 = |want_executed: bool| {
-            move |(to, input): &(usize, Input)| {
-                *to == 1 && matches!(input, Input::Executed { .. }) == want_executed
+            move |(to, input): &(usize, NodeInput)| {
+                *to == 1
+                    && matches!(input, NodeInput::Core(Input::Executed { .. })) == want_executed
             }
         };
         let pre_prepare = c.wire.iter().position(for_1(false)).unwrap();
@@ -1271,7 +1275,10 @@ mod tests {
         c.step(1, pre_prepare);
         let result = c.wire.iter().position(for_1(true)).unwrap();
         let (_, result) = c.wire.remove(result).unwrap();
-        assert!(matches!(result, Input::Executed { seq: SeqNum(2), epoch: e, .. } if e == epoch));
+        assert!(matches!(
+            result,
+            NodeInput::Core(Input::Executed { seq: SeqNum(2), epoch: e, .. }) if e == epoch
+        ));
 
         // A client's commit certificate for another digest at seq 2: the
         // speculative suffix rolls back to 1.
@@ -1290,16 +1297,16 @@ mod tests {
         );
         let node = &c.nodes[1];
         assert_eq!(
-            (node.core.epoch, node.stage.epoch()),
+            (node.core().epoch, node.stage().epoch()),
             (epoch + 1, epoch + 1)
         );
-        assert_eq!(node.stage.next(), SeqNum(2), "seq 2 runs again");
+        assert_eq!(node.stage().next(), SeqNum(2), "seq 2 runs again");
         assert_eq!(node.executor.executed_batches(), 1, "seq 2 was undone");
 
         // The old timeline's result reaches the core and is not progress.
-        assert_eq!(c.nodes[1].core.last_executed, SeqNum(1));
+        assert_eq!(c.nodes[1].core().last_executed, SeqNum(1));
         c.step(1, result);
-        assert_eq!(c.nodes[1].core.last_executed, SeqNum(1));
+        assert_eq!(c.nodes[1].core().last_executed, SeqNum(1));
     }
 
     /// A checkpoint that stabilizes above a rollback the execute stage has
@@ -1310,7 +1317,7 @@ mod tests {
     fn a_checkpoint_stable_above_a_pending_rollback_waits_for_the_stage() {
         let mut cfg = config(ProtocolKind::Zyzzyva, 1);
         cfg.checkpoint_interval = 4; // a checkpoint every 2 batches
-        let mut c = Cluster::new(&cfg);
+        let mut c = Cluster::with_stage_threads(&cfg, &[1]);
         for node in &c.nodes {
             node.executor.set_snapshot_interval(2);
         }
@@ -1377,8 +1384,8 @@ mod tests {
         for vote in votes {
             c.step(1, vote);
         }
-        assert_eq!(c.nodes[1].core.stable_checkpoint, SeqNum(2));
-        assert_eq!(c.nodes[1].core.pruned_to, SeqNum(0), "pruning waits");
+        assert_eq!(c.nodes[1].core().stable_checkpoint, SeqNum(2));
+        assert_eq!(c.nodes[1].core().pruned_to, SeqNum(0), "pruning waits");
 
         // The stage applies the rollback: all of the forged batch is
         // undone.
@@ -1401,7 +1408,7 @@ mod tests {
             one.executor.store().state_digest(),
             zero.executor.store().state_digest()
         );
-        assert!(one.core.pruned_to >= SeqNum(2), "pruned once caught up");
+        assert!(one.core().pruned_to >= SeqNum(2), "pruned once caught up");
     }
 
     #[test]
@@ -1443,7 +1450,7 @@ mod tests {
         c.isolated.extend([0, 1, 2, 3]);
         // The fetch driver looks every `FETCH_POLL_EVERY`, so that is the
         // probe's granularity.
-        let backoff = c.nodes[3].core.fetch_backoff;
+        let backoff = c.nodes[3].core().fetch_backoff;
         c.advance(backoff * 2 - FETCH_POLL_EVERY);
         assert!(
             fetch_requests(&c.nodes[3]).is_empty(),
@@ -1499,7 +1506,7 @@ mod tests {
 
         // Nothing more until the back-off expires; then the same holes are
         // re-requested, from the next peers in the rotation.
-        let backoff = c.nodes[3].core.fetch_backoff;
+        let backoff = c.nodes[3].core().fetch_backoff;
         c.advance(backoff - FETCH_POLL_EVERY * 3);
         assert_eq!(fetch_requests(&c.nodes[3]).len(), 2, "still backing off");
         c.advance(FETCH_POLL_EVERY);
@@ -1694,29 +1701,36 @@ mod tests {
         };
         let snapshot = snapshot_at(8);
         c.step(3, response(0, 0, &snapshot));
-        assert!(c.nodes[3].installed.is_empty(), "f vouchers are not enough");
+        assert!(
+            c.nodes[3].installed().is_empty(),
+            "f vouchers are not enough"
+        );
         c.step(3, response(0, 0, &snapshot));
         c.step(3, response(1, 2, &snapshot));
         assert!(
-            c.nodes[3].installed.is_empty(),
+            c.nodes[3].installed().is_empty(),
             "a repeat voucher and a response relayed under another name do not count"
         );
         let mut tampered = (*snapshot).clone();
         tampered.records[0].1[0] ^= 1;
         c.step(3, response(1, 1, &Arc::new(tampered)));
         assert!(
-            c.nodes[3].installed.is_empty(),
+            c.nodes[3].installed().is_empty(),
             "payload must match its commitment"
         );
 
-        let epoch = c.nodes[3].core.epoch;
+        let epoch = c.nodes[3].core().epoch;
         c.step(3, response(1, 1, &snapshot));
-        assert_eq!(c.nodes[3].installed, vec![SeqNum(8)]);
-        assert_eq!(c.nodes[3].core.epoch, epoch + 1, "a new execution timeline");
-        assert_eq!(c.nodes[3].stage.next(), SeqNum(9));
+        assert_eq!(c.nodes[3].installed(), vec![SeqNum(8)]);
+        assert_eq!(
+            c.nodes[3].core().epoch,
+            epoch + 1,
+            "a new execution timeline"
+        );
+        assert_eq!(c.nodes[3].stage().next(), SeqNum(9));
         // Already covered: the same snapshot again is a no-op.
         c.step(3, response(2, 2, &snapshot));
-        assert_eq!(c.nodes[3].installed.len(), 1);
+        assert_eq!(c.nodes[3].installed().len(), 1);
     }
 
     #[test]
@@ -1734,21 +1748,21 @@ mod tests {
         for i in 0..50u64 {
             c.step(3, response((i % 3) as u32, 8 + 4 * i));
             c.advance(10 * MS);
-            assert!(c.nodes[3].core.snap_votes.len() <= 3, "after {i}");
+            assert!(c.nodes[3].core().snap_votes.len() <= 3, "after {i}");
         }
-        assert!(c.nodes[3].installed.is_empty(), "no two ever matched");
+        assert!(c.nodes[3].installed().is_empty(), "no two ever matched");
         let voters = |c: &Cluster| -> usize {
-            let votes = c.nodes[3].core.snap_votes.values();
+            let votes = c.nodes[3].core().snap_votes.values();
             votes.map(|(voters, _)| voters.len()).sum()
         };
         assert_eq!(voters(&c), 3);
         // A peer that moves on to a base another already vouched for
         // leaves its old entry (now empty, so dropped) and makes f+1.
         c.step(3, response(0, 1_000));
-        assert_eq!((c.nodes[3].core.snap_votes.len(), voters(&c)), (3, 3));
+        assert_eq!((c.nodes[3].core().snap_votes.len(), voters(&c)), (3, 3));
         c.step(3, response(1, 1_000));
-        assert_eq!(c.nodes[3].installed, vec![SeqNum(1_000)]);
-        assert!(c.nodes[3].core.snap_votes.is_empty());
+        assert_eq!(c.nodes[3].installed(), vec![SeqNum(1_000)]);
+        assert!(c.nodes[3].core().snap_votes.is_empty());
     }
 
     #[test]

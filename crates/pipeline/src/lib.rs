@@ -1,22 +1,24 @@
 //! The replica runtime: ResilientDB's multi-threaded deep pipeline
-//! (Section 4 of the paper) as a sans-IO decision core plus one loop per
+//! (Section 4 of the paper) as one sans-IO replica value plus one loop per
 //! stage over real OS threads.
 //!
+//! - [`node`] — [`Node`]: one replica's batch assemblers, [`ReplicaCore`]
+//!   and execute stage behind one `step(input, now, &mut effects)`, which
+//!   the worker, the figure simulator and the core tests all drive; and
+//!   [`route`], where a replica sends what reaches it.
 //! - [`core`] — [`ReplicaCore`]: consensus dispatch, suspicion timers,
-//!   gap-fill and the fetch/snapshot recovery ladder as a
-//!   `step(input, now, &mut effects)` state machine with no threads,
-//!   channels or clock reads, so it can be driven single-threaded.
+//!   gap-fill and the fetch/snapshot recovery ladder as a state machine
+//!   with no threads, channels or clock reads.
 //! - [`replica`] — [`spawn_replica`] builds the shared state, registers
 //!   the replica's routing as its transport delivery function and starts
-//!   the stage loops (batch, checkpoint, worker, execute, output), joined
-//!   by plain channels; the worker loop verifies replica traffic, drives
-//!   the core and carries out its effects, forwarding the execution ones
-//!   in order.
+//!   the stage loops (batch, worker, execute, output), joined by plain
+//!   channels; the worker loop verifies what reaches it, steps the node
+//!   and carries out its effects, forwarding the execution ones in order.
 //! - [`batch`] — signature-window verification and batch assembly, shared
-//!   by the stages that verify and by the core's `0B` path.
+//!   by the batch stage and the worker's `0B` node.
 //! - [`queues::ExecStage`] — the in-order buffer in front of execution:
 //!   committed batches parked by sequence, run from *exactly* the next
-//!   sequence number, owned by whichever thread executes.
+//!   sequence number, owned by the execute thread or the node.
 //! - [`executor`] / [`scheduler`] — ordered execution, block creation,
 //!   client replies; serially or across conflict-scheduled workers.
 //! - [`recovery`] / [`durable`] — validation of fetched batches and
@@ -37,6 +39,7 @@ pub mod core;
 pub mod durable;
 pub mod executor;
 pub mod metrics;
+pub mod node;
 pub mod queues;
 pub mod recovery;
 pub mod replica;
@@ -46,6 +49,7 @@ pub use core::{CoreEnv, Effect, Input, ReplicaCore};
 pub use durable::{recover_replica, Durability, RecoveryReport, RecoverySource, WalEntry};
 pub use executor::{client_replies, execute_txn, Executor, OutItem, TxnOutcome};
 pub use metrics::{MetricsRegistry, SaturationReport, Stage, StageRecorder, ThreadSaturation};
-pub use queues::{ExecStage, ExecuteItem};
+pub use node::{route, Node, NodeEffect, NodeInput, Route};
+pub use queues::{ExecBackend, ExecStage, ExecuteItem};
 pub use replica::{spawn_replica, ReplicaHandle, ReplicaShared};
 pub use scheduler::{conflict_waves, ExecPool, ParallelExecutor};

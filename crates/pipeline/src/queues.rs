@@ -7,17 +7,37 @@
 //! rescanning or re-queuing out-of-order arrivals. It has one owner, which
 //! applies the core's three execution effects in the order the core
 //! emitted them: the execute thread (`1E`, and the wave executor's
-//! coordinator) fed by the worker over one FIFO channel, the worker itself
-//! (`0E`), or a test driving cores on one thread. The next sequence and
-//! the epoch are therefore plain fields, and a rollback or snapshot
-//! install takes effect between two windows, never underneath one.
+//! coordinator) fed by the worker over one FIFO channel, or a
+//! [`crate::Node`] that holds it (`0E`, the figure simulator, the core
+//! tests). The next sequence and the epoch are therefore plain fields,
+//! and a rollback or snapshot install takes effect between two windows,
+//! never underneath one.
 
 use crate::core::Effect;
 use crate::executor::Executor;
 use rdb_common::block::BlockCertificate;
-use rdb_common::{Batch, Digest, SeqNum, ViewNum};
+use rdb_common::{Batch, Digest, SeqNum, Snapshot, ViewNum};
 use std::collections::BTreeMap;
 use std::sync::Arc;
+
+/// What a rollback or a snapshot install does to the state the windows
+/// run against: the real [`Executor`], or a simulator's no-op.
+pub trait ExecBackend {
+    /// Undoes every executed sequence above `to`.
+    fn rollback_to(&self, to: SeqNum);
+    /// Replaces state and ledger with `snapshot`.
+    fn install_snapshot(&self, snapshot: &Arc<Snapshot>);
+}
+
+impl ExecBackend for Executor {
+    fn rollback_to(&self, to: SeqNum) {
+        Executor::rollback_to(self, to);
+    }
+
+    fn install_snapshot(&self, snapshot: &Arc<Snapshot>) {
+        Executor::install_snapshot(self, snapshot);
+    }
+}
 
 /// A batch ready for ordered execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,29 +101,29 @@ impl ExecStage {
     ///
     /// - `Execute` parks the item;
     /// - `Rollback { to }` drops the parked items above `to`, rewinds
-    ///   `executor`, moves the next sequence to `min(next, to + 1)` and
+    ///   `backend`, moves the next sequence to `min(next, to + 1)` and
     ///   starts a new epoch;
     /// - `InstallSnapshot` drops the parked items the snapshot covers,
-    ///   installs it in `executor`, moves the next sequence to
+    ///   installs it in `backend`, moves the next sequence to
     ///   `max(next, base + 1)` and starts a new epoch.
     ///
     /// # Panics
     /// Panics on any other effect: those are the worker's to carry out.
-    pub fn apply(&mut self, effect: Effect, executor: &Executor) {
+    pub fn apply(&mut self, effect: Effect, backend: &dyn ExecBackend) {
         match effect {
             Effect::Execute { item, .. } => {
                 self.parked.insert(item.seq, item);
             }
             Effect::Rollback { to } => {
                 self.parked.split_off(&to.next());
-                executor.rollback_to(to);
+                backend.rollback_to(to);
                 self.next = self.next.min(to.next());
                 self.epoch += 1;
             }
             Effect::InstallSnapshot(snapshot) => {
                 let base = snapshot.base_seq;
                 self.parked = self.parked.split_off(&base.next());
-                executor.install_snapshot(&snapshot);
+                backend.install_snapshot(&snapshot);
                 self.next = self.next.max(base.next());
                 self.epoch += 1;
             }

@@ -1,10 +1,9 @@
-//! The threaded replica runtime (Figures 6a/6b): one loop per pipeline
-//! stage around the sans-IO [`ReplicaCore`].
+//! The threaded replica runtime (Figures 6a/6b): one replica [`Node`]
+//! whose parts run on one loop per pipeline stage.
 //!
 //! ```text
 //!             ┌─ client requests ─▶ batch_loop ─────── Propose ──────┐
-//! transport ─▶ Router ─ checkpoints ─▶ checkpoint_loop ── Verified ──┤
-//!             └─ replica msgs (unverified) ─────────────────────────▶ worker_loop ─▶ replica msgs ─▶ transport
+//! transport ─▶ Router ─ replica msgs (unverified) ──────────────────▶ worker_loop ─▶ replica msgs ─▶ transport
 //!  worker_loop ─▶ execution effects (FIFO) ─▶ execute_loop ─▶ client-bound items ─▶ output_loop ─▶ transport
 //!                                                  └─ Executed ─▶ worker_loop
 //! ```
@@ -12,21 +11,24 @@
 //! Every stage is a plain function run by `ThreadConfig`-many threads;
 //! [`spawn_replica`] only builds the shared state and starts them. All
 //! decisions — consensus, timers, recovery — are made by the core, which
-//! [`worker_loop`] feeds from its channel and whose [`Effect`]s it alone
+//! [`worker_loop`] steps through its [`Node`] and whose effects it alone
 //! interprets. A replica message takes one hop, worker to worker:
 //!
-//! - The [`Router`], the replica's delivery function, runs on the
-//!   delivering thread and only pushes onto the consuming stage's channel.
-//! - [`worker_loop`] authenticates the replica messages of its backlog as
-//!   one window, steps the core and sends to replicas itself.
-//! - [`checkpoint_loop`] verifies checkpoint votes off the consensus path.
-//! - [`batch_loop`] turns client requests into digested batches;
-//!   `batch_threads = 0` leaves that to the core (the paper's `0B`).
+//! - The router ([`route_to_stage`]), the replica's delivery function, runs on the
+//!   delivering thread and only pushes onto the consuming stage's channel
+//!   ([`crate::route`]).
+//! - [`worker_loop`] authenticates the messages of its backlog — every
+//!   replica message, checkpoint votes included — as one window, steps
+//!   the node and sends to replicas itself.
+//! - [`batch_loop`] turns client requests into digested batches with its
+//!   instance's assembler; `batch_threads = 0` leaves that to the node's
+//!   own assemblers, and the requests join the worker's window (the
+//!   paper's `0B`).
 //! - [`execute_loop`] owns the [`ExecStage`], fed the core's execution
 //!   effects in order, and runs committed batches strictly in sequence
 //!   order: serially for `execute_threads = 1`, through the conflict
 //!   scheduler ([`crate::scheduler`]) for `N ≥ 2`, bit-identically. With
-//!   `execute_threads = 0` the worker owns the stage (`0E`, Figure 8).
+//!   `execute_threads = 0` the node holds the stage (`0E`, Figure 8).
 //! - [`output_loop`] sends what goes to clients: a full client link
 //!   makes it wait, never the worker or the execute stage.
 //!
@@ -38,6 +40,7 @@ use crate::core::{client_instance, CoreEnv, Effect, Input, ReplicaCore};
 use crate::durable;
 use crate::executor::{Executor, OutItem};
 use crate::metrics::{MetricsRegistry, Stage, StageRecorder};
+use crate::node::{route, Node, NodeEffect, NodeInput, Route};
 use crate::queues::{ExecStage, ExecuteItem};
 use crate::scheduler::{ExecPool, ParallelExecutor};
 use crossbeam::channel::{self, Receiver, Sender as ChanSender};
@@ -81,7 +84,7 @@ pub struct ReplicaShared {
     committed_per_instance: Vec<AtomicU64>,
     dropped_bad_sigs: AtomicU64,
     /// Per-instance installed views, updated by the worker on `EnterView` —
-    /// the [`Router`] sends client traffic for instance `j` to the batch
+    /// the router sends client traffic for instance `j` to the batch
     /// stage only while `(view_j + j) % n` is this replica.
     instance_views: Vec<AtomicU64>,
     /// What restart-from-disk rebuilt (`None` when the replica runs
@@ -209,7 +212,6 @@ pub fn spawn_replica(
 
     // --- channels -----------------------------------------------------------
     let (work_tx, work_rx) = channel::unbounded::<Work>();
-    let (ckpt_tx, ckpt_rx) = channel::unbounded::<SignedMessage>();
     let (out_tx, out_rx) = channel::unbounded::<OutItem>();
     // One client-request channel per instance, none in the `0B`
     // configuration (the worker batches).
@@ -217,22 +219,19 @@ pub fn spawn_replica(
         .filter(|_| batch_threads > 0)
         .map(|_| channel::unbounded::<SignedMessage>())
         .unzip();
-    // The execute stage resumes past whatever restart recovery replayed.
-    let exec_stage = ExecStage::new(shared.recovery.map_or(SeqNum(1), |r| r.head.next()));
-    let (exec, exec_rx) = if threads_cfg.execute_threads == 0 {
-        (ExecHandoff::Inline(exec_stage), None)
-    } else {
-        let (tx, rx) = channel::unbounded::<Effect>();
-        (ExecHandoff::Thread(tx), Some((exec_stage, rx)))
+    // `None` under `0E`: the worker's node holds the stage.
+    let (exec_tx, exec_rx) = match threads_cfg.execute_threads {
+        0 => (None, None),
+        _ => {
+            let (tx, rx) = channel::unbounded::<Effect>();
+            (Some(tx), Some(rx))
+        }
     };
-    let router = Router {
-        n: config.n as u64,
-        shared: Arc::clone(&shared),
-        work_tx: work_tx.clone(),
-        client_txs,
-        ckpt_tx: (threads_cfg.checkpoint_threads > 0).then(|| ckpt_tx.clone()),
+    let deliver = {
+        let (n, shared, work_tx) = (config.n, Arc::clone(&shared), work_tx.clone());
+        move |sm: SignedMessage| route_to_stage(sm, n, &shared, &work_tx, &client_txs)
     };
-    let endpoint = net.attach(Sender::Replica(id), Box::new(move |sm| router.deliver(sm)));
+    let endpoint = net.attach(Sender::Replica(id), Box::new(deliver));
     let shutdown = Arc::new(AtomicBool::new(false));
     let stage = |stage: Stage, index: usize| StageCtx {
         stop: Arc::clone(&shutdown),
@@ -250,20 +249,13 @@ pub fn spawn_replica(
         threads.push(thread);
     };
 
-    // --- the five loops -----------------------------------------------------
+    // --- the stage loops ----------------------------------------------------
     for b in 0..batch_threads {
         let (ctx, rx) = (stage(Stage::Batch, b), client_rxs[b % k].clone());
         let batch_size = config.batch_size;
         spawn(
             format!("batch-{b}"),
             Box::new(move || batch_loop(&ctx, &rx, b % k, batch_size)),
-        );
-    }
-    for c in 0..threads_cfg.checkpoint_threads {
-        let (ctx, rx) = (stage(Stage::Checkpoint, c), ckpt_rx.clone());
-        spawn(
-            format!("ckpt-{c}"),
-            Box::new(move || checkpoint_loop(&ctx, &rx)),
         );
     }
     // The paper dedicates exactly one worker to the protocol state machine
@@ -273,7 +265,7 @@ pub fn spawn_replica(
         let io = WorkerIo {
             endpoint: endpoint.clone(),
             out: out_tx.clone(),
-            exec,
+            exec_tx,
             executor: Arc::clone(executor),
             net_stats: net.stats().clone(),
         };
@@ -285,7 +277,7 @@ pub fn spawn_replica(
     }
     // 1E is the paper's serial execute-thread; N ≥ 2 makes it the
     // coordinator of N conflict-scheduled pool workers.
-    if let Some((exec_stage, rx)) = exec_rx {
+    if let Some(rx) = exec_rx {
         let parallel = threads_cfg.execute_threads > 1;
         let (stage_kind, name) = if parallel {
             (Stage::ExecuteCoord, "execute-coord")
@@ -299,6 +291,7 @@ pub fn spawn_replica(
             .collect();
         let (out, executor) = (out_tx.clone(), Arc::clone(executor));
         let pool_name = format!("r{}", id.0);
+        let exec_stage = ExecStage::new(next_to_execute(&shared));
         spawn(
             name.into(),
             Box::new(move || {
@@ -442,42 +435,22 @@ enum Work {
     Step(Input),
 }
 
-/// The replica's transport delivery function. It runs on the delivering
-/// thread, so it only pushes onto the consuming stage's channel.
-struct Router {
-    n: u64,
-    shared: Arc<ReplicaShared>,
-    work_tx: ChanSender<Work>,
-    /// Per instance, the batch threads' requests; none under `0B`.
-    client_txs: Vec<ChanSender<SignedMessage>>,
-    /// `None` when no checkpoint thread runs: the worker verifies them.
-    ckpt_tx: Option<ChanSender<SignedMessage>>,
-}
-
-impl Router {
-    /// `false` once the consuming stage is gone.
-    fn deliver(&self, sm: SignedMessage) -> bool {
-        let shared = &self.shared;
-        let step = |input| self.work_tx.send(Work::Step(input)).is_ok();
-        match (sm.msg(), &self.ckpt_tx) {
-            (Message::ClientRequest { .. }, _) => {
-                // Instance `j` at view `v` is led by replica `(v + j) % n`,
-                // re-checked per request: primaryship is dynamic.
-                let j = client_instance(sm.sender(), shared.consensus_instances());
-                let led_by = (shared.instance_view(j) + j as u64) % self.n;
-                if led_by != shared.id.0 as u64 {
-                    // Backups drop the payload (rebroadcasts reach the
-                    // primary too) but surface the demand to suspicion.
-                    step(Input::ClientDemand(j))
-                } else if let Some(client_tx) = self.client_txs.get(j) {
-                    client_tx.send(sm).is_ok()
-                } else {
-                    step(Input::ClientRequest(sm))
-                }
-            }
-            (Message::Checkpoint { .. }, Some(ckpt_tx)) => ckpt_tx.send(sm).is_ok(),
-            _ => self.work_tx.send(Work::Unverified(sm)).is_ok(),
-        }
+/// The replica's transport delivery function, the router. It runs on the
+/// delivering thread, so it only pushes onto the consuming stage's
+/// channel: a batch thread's (`client_txs`, per instance; none under
+/// `0B`) or the worker's. `false` once that stage is gone.
+fn route_to_stage(
+    sm: SignedMessage,
+    n: usize,
+    shared: &ReplicaShared,
+    work_tx: &ChanSender<Work>,
+    client_txs: &[ChanSender<SignedMessage>],
+) -> bool {
+    let (k, view_of) = (shared.consensus_instances(), |j| shared.instance_view(j));
+    match route(sm.msg(), sm.sender(), shared.id, n, k, view_of) {
+        Route::Demand(j) => work_tx.send(Work::Step(Input::ClientDemand(j))).is_ok(),
+        Route::Batch(j) if j < client_txs.len() => client_txs[j].send(sm).is_ok(),
+        Route::Batch(_) | Route::Worker => work_tx.send(Work::Unverified(sm)).is_ok(),
     }
 }
 
@@ -495,25 +468,6 @@ fn wait_for(due: Option<Instant>) -> Duration {
 fn fill_window(rx: &Receiver<SignedMessage>, window: &mut Vec<SignedMessage>) {
     let room = VERIFY_WINDOW.saturating_sub(window.len());
     window.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(room));
-}
-
-/// Checkpoint thread: verifies checkpoint votes a window at a time, off
-/// the consensus traffic's path, and forwards the authentic ones.
-fn checkpoint_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>) {
-    let mut window = Vec::with_capacity(VERIFY_WINDOW);
-    while ctx.running() {
-        let Ok(first) = rx.recv_timeout(POLL_INTERVAL) else {
-            continue;
-        };
-        ctx.rec.record(|| {
-            window.push(first);
-            fill_window(rx, &mut window);
-            let rejected = verify_window(&ctx.provider, &mut window, |sm| {
-                ctx.to_worker(Input::Verified(sm));
-            });
-            ctx.note_bad_sigs(rejected);
-        });
-    }
 }
 
 /// Batch thread (Section 4.3): verify client signatures a window at a
@@ -538,7 +492,13 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, instance: usize, bat
                 Some(sm) => {
                     window.push(sm);
                     fill_window(rx, &mut window);
-                    let rejected = assembler.ingest(&ctx.provider, &mut window, now, &mut cut);
+                    let rejected = verify_window(&ctx.provider, &mut window, |sm| {
+                        // `into_message` is move-out, not copy: the
+                        // client's send handed over the only reference.
+                        if let Message::ClientRequest { txns } = sm.into_message() {
+                            assembler.push(txns, now, &mut cut);
+                        }
+                    });
                     ctx.note_bad_sigs(rejected);
                 }
                 None => assembler.flush(now, &mut cut),
@@ -554,40 +514,45 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, instance: usize, bat
     }
 }
 
-/// Where the worker hands the core's execution effects.
-enum ExecHandoff {
-    /// To the execute thread's stage, over one FIFO channel.
-    Thread(ChanSender<Effect>),
-    /// `0E`: no execute thread — the worker owns the stage.
-    Inline(ExecStage),
-}
-
-/// Everything the worker loop touches on the core's behalf.
+/// Everything the worker loop touches on the node's behalf.
 struct WorkerIo {
     /// Replica-bound messages leave from here.
     endpoint: Endpoint,
     /// Client-bound ones go to the output stage.
     out: ChanSender<OutItem>,
-    exec: ExecHandoff,
+    /// The execute thread's channel; `None` under `0E`, where the node
+    /// holds the stage.
+    exec_tx: Option<ChanSender<Effect>>,
     executor: Arc<Executor>,
     /// Fetch served/dropped accounting lives on the shared network stats.
     net_stats: NetworkStats,
 }
 
 impl WorkerIo {
-    /// Passes an execution effect on to the stage, in the core's order.
-    fn hand_to_execution(&mut self, effect: Effect) {
-        match &mut self.exec {
-            ExecHandoff::Thread(exec_tx) => {
-                let _ = exec_tx.send(effect);
-            }
-            ExecHandoff::Inline(stage) => stage.apply(effect, &self.executor),
-        }
-    }
-
-    /// Carries out one of the core's decisions.
-    fn apply(&mut self, effect: Effect, ctx: &StageCtx) {
+    /// Carries out one of the node's effects; what it steps back goes to
+    /// `inputs`.
+    fn apply(
+        &mut self,
+        effect: NodeEffect,
+        ctx: &StageCtx,
+        serial: &mut RunWindow,
+        inputs: &mut VecDeque<NodeInput>,
+    ) {
         let shared = &ctx.shared;
+        let effect = match effect {
+            NodeEffect::Propose(input) => return inputs.push_back(input.into()),
+            NodeEffect::Committed(instance) => {
+                shared.committed_batches.fetch_add(1, Ordering::Relaxed);
+                shared.committed_per_instance[instance].fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            NodeEffect::Execute { window, epoch } => {
+                return run_window(&window, epoch, serial, &self.out, |done| {
+                    inputs.push_back(done.into());
+                });
+            }
+            NodeEffect::Core(effect) => effect,
+        };
         match effect {
             Effect::Send(item) if matches!(item.targets.first(), Some(Sender::Replica(_))) => {
                 transmit(&ctx.provider, &self.endpoint, item);
@@ -595,12 +560,12 @@ impl WorkerIo {
             Effect::Send(item) => {
                 let _ = self.out.send(item);
             }
-            Effect::Execute { instance, .. } => {
-                shared.committed_batches.fetch_add(1, Ordering::Relaxed);
-                shared.committed_per_instance[instance].fetch_add(1, Ordering::Relaxed);
-                self.hand_to_execution(effect);
+            // From a node without a stage: to the execute thread, in order.
+            Effect::Execute { .. } | Effect::Rollback { .. } | Effect::InstallSnapshot(_) => {
+                if let Some(exec_tx) = &self.exec_tx {
+                    let _ = exec_tx.send(effect);
+                }
             }
-            Effect::Rollback { .. } | Effect::InstallSnapshot(_) => self.hand_to_execution(effect),
             // The core emits this only once the stage has applied every
             // rollback before it. With a data directory configured this
             // also logs a `Stable` marker and, once the WAL has grown as
@@ -611,7 +576,6 @@ impl WorkerIo {
             Effect::ViewEntered { instance, view } => {
                 shared.instance_views[instance].store(view.0, Ordering::Relaxed);
             }
-            Effect::BadSignatures(rejected) => ctx.note_bad_sigs(rejected),
             Effect::FetchServed { served, dropped } => {
                 self.net_stats.note_fetch_served(served);
                 self.net_stats.note_fetch_dropped(dropped);
@@ -620,56 +584,78 @@ impl WorkerIo {
     }
 }
 
-/// Worker thread: the one driver of the [`ReplicaCore`] and the only
-/// interpreter of its effects. Each wake-up steps the whole backlog with
-/// the wall clock: the other stages' inputs, then the replica messages
-/// that pass one verify window (forgeries are counted), each source's in
-/// order; one that finds none, at the core's next due time or after a
-/// [`POLL_INTERVAL`], steps an [`Input::Tick`]. In `0E` mode the worker
-/// then runs what its own stage has ready and feeds the results back in.
+/// The first sequence the execute stage runs: the one past whatever
+/// restart recovery replayed.
+fn next_to_execute(shared: &ReplicaShared) -> SeqNum {
+    shared.recovery.map_or(SeqNum(1), |r| r.head.next())
+}
+
+/// Worker thread: the one driver of the replica's [`Node`] and the only
+/// interpreter of its effects. The node holds the parts no thread is
+/// configured for: the assemblers under `0B`, the execute stage under
+/// `0E`. Each wake-up steps the whole backlog with the wall clock: the
+/// other stages' inputs, then the messages that pass one verify window
+/// (forgeries are counted), each source's in order. A wake-up that finds
+/// nothing after a [`POLL_INTERVAL`] steps an [`Input::Tick`], and so
+/// does every wake-up once the node's next due time has passed: a busy
+/// `0B` worker never idles, and its partial batch must not wait to fill.
+/// What the node hands back — a cut batch, an executed window's results —
+/// is stepped in the same turn.
 fn worker_loop(ctx: &StageCtx, rx: &Receiver<Work>, config: &SystemConfig, mut io: WorkerIo) {
-    let mut core = ReplicaCore::new(
+    let now = Instant::now();
+    let core = ReplicaCore::new(
         config,
         ctx.shared.id,
         ctx.provider.clone(),
         Arc::clone(&ctx.shared) as Arc<dyn CoreEnv + Send + Sync>,
         ctx.shared.recovery.as_ref(),
-        Instant::now(),
+        now,
     );
+    let mut node = Node::new(core);
+    if config.threads.batch_threads == 0 {
+        node = node.with_batching(config, now);
+    }
+    if io.exec_tx.is_none() {
+        let next = next_to_execute(&ctx.shared);
+        node = node.with_stage(next, Arc::clone(&io.executor) as _);
+    }
+    let k = config.consensus_instances.max(1);
     let mut serial = serial_runner(Arc::clone(&io.executor));
     let mut fx = Vec::new();
     let mut unverified = Vec::new();
     let mut inputs = VecDeque::new();
     while ctx.running() {
-        let received = rx.recv_timeout(wait_for(core.next_due()));
+        let due = node.next_due();
+        let received = rx.recv_timeout(wait_for(due));
         let idle = received.is_err();
-        match received {
-            Ok(first) => {
-                let queued = std::iter::from_fn(|| rx.try_recv().ok());
-                for work in std::iter::once(first).chain(queued) {
-                    match work {
-                        Work::Unverified(sm) => unverified.push(sm),
-                        Work::Step(input) => inputs.push_back(input),
-                    }
+        if let Ok(first) = received {
+            let queued = std::iter::from_fn(|| rx.try_recv().ok());
+            for work in std::iter::once(first).chain(queued) {
+                match work {
+                    Work::Unverified(sm) => unverified.push(sm),
+                    Work::Step(input) => inputs.push_back(input.into()),
                 }
             }
-            Err(_) => inputs.push_back(Input::Tick),
+        }
+        if idle || due.is_some_and(|due| Instant::now() > due) {
+            inputs.push_back(Input::Tick.into());
         }
         let mut turn = || {
             let rejected = verify_window(&ctx.provider, &mut unverified, |sm| {
-                inputs.push_back(Input::Verified(sm));
+                // A client request reaches the worker only under `0B`.
+                if !matches!(sm.msg(), Message::ClientRequest { .. }) {
+                    return inputs.push_back(Input::Verified(sm).into());
+                }
+                let instance = client_instance(sm.sender(), k);
+                if let Message::ClientRequest { txns } = sm.into_message() {
+                    inputs.push_back(NodeInput::Requests { instance, txns });
+                }
             });
             ctx.note_bad_sigs(rejected);
             while let Some(input) = inputs.pop_front() {
-                core.step(input, Instant::now(), &mut fx);
+                node.step(input, Instant::now(), &mut fx);
                 for effect in fx.drain(..) {
-                    io.apply(effect, ctx);
-                }
-                if let ExecHandoff::Inline(stage) = &mut io.exec {
-                    let window = stage.take_window(usize::MAX);
-                    run_window(&window, stage.epoch(), &mut *serial, &io.out, |done| {
-                        inputs.push_back(done)
-                    });
+                    io.apply(effect, ctx, &mut *serial, &mut inputs);
                 }
             }
         };

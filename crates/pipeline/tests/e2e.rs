@@ -503,9 +503,7 @@ fn a_replica_message_under_a_corrupted_mac_is_counted_and_never_stepped() {
                     .sign(PeerClass::Replica, bytes)
             },
         );
-        let mut mac = fetch.sig().clone();
-        mac.0[0] ^= 0x01;
-        let corrupted = SignedMessage::new(fetch.msg().clone(), fetch.sender(), mac);
+        let corrupted = corrupt_mac(&fetch);
         // Straight to replica 1, past every other replica's pipeline.
         let wire = net.register(Sender::Replica(ReplicaId(9)));
         let to = Sender::Replica(ReplicaId(1));
@@ -529,7 +527,72 @@ fn a_replica_message_under_a_corrupted_mac_is_counted_and_never_stepped() {
             "{protocol:?}: the corrupted fetch is never stepped"
         );
         assert_eq!(rejected(), 1);
+
+        // A checkpoint vote shares the worker's verify window: a forged
+        // one is counted like any other replica message.
+        let vote = SignedMessage::sign_with(
+            Message::Checkpoint {
+                seq: rdb_common::SeqNum(10),
+                state_digest: rdb_common::Digest([7; 32]),
+                replica: ReplicaId(2),
+            },
+            Sender::Replica(ReplicaId(2)),
+            |bytes| {
+                registry
+                    .provider_for_replica(ReplicaId(2))
+                    .sign(PeerClass::Replica, bytes)
+            },
+        );
+        wire.send(to, corrupt_mac(&vote)).unwrap();
+        assert!(
+            eventually(|| rejected() == 2),
+            "{protocol:?}: the forged checkpoint vote is counted"
+        );
         replicas.into_iter().for_each(ReplicaHandle::shutdown);
         net.shutdown();
     }
+}
+
+/// `sm` with one bit of its MAC flipped.
+fn corrupt_mac(sm: &SignedMessage) -> SignedMessage {
+    let mut mac = sm.sig().clone();
+    mac.0[0] ^= 0x01;
+    SignedMessage::new(sm.msg().clone(), sm.sender(), mac)
+}
+
+/// Under `0B` a client request joins the worker's verify window: a forged
+/// one is counted and never batched, and a genuine one still commits.
+#[test]
+fn a_forged_client_request_under_0b_is_counted_and_never_proposed() {
+    let mut cfg = test_config(4, ProtocolKind::Pbft);
+    cfg.threads = ThreadConfig::monolithic();
+    let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 4, 13);
+    let net = Network::new(NetworkConfig::default());
+    let replicas = spawn_cluster(&cfg, &net, &registry);
+    let mut client = TestClient::new(0, &net, &registry);
+    let txns = client.make_txns(5);
+    let genuine = SignedMessage::sign_with(
+        Message::ClientRequest { txns },
+        Sender::Client(client.id),
+        |bytes| client.provider.sign(PeerClass::Replica, bytes),
+    );
+    let to = Sender::Replica(ReplicaId(0));
+    let primary = replicas[0].shared();
+
+    client.endpoint.send(to, corrupt_mac(&genuine)).unwrap();
+    assert!(
+        eventually(|| primary.dropped_bad_sigs() == 1),
+        "the forged request is counted"
+    );
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(primary.committed_batches(), 0, "and never proposed");
+
+    client.endpoint.send(to, genuine).unwrap();
+    assert!(
+        eventually(|| replicas.iter().all(|r| r.shared().committed_batches() == 1)),
+        "the genuine request commits"
+    );
+    assert_eq!(primary.dropped_bad_sigs(), 1);
+    replicas.into_iter().for_each(ReplicaHandle::shutdown);
+    net.shutdown();
 }

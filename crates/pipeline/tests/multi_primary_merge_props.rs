@@ -144,7 +144,7 @@ proptest! {
         for it in &arrival {
             let instance = (it.seq.0 as usize - 1) % k;
             let deposit = Effect::Execute { instance, item: (*it).clone() };
-            stage.apply(deposit, &merged_exec);
+            stage.apply(deposit, &*merged_exec);
             for ready in stage.take_window(usize::MAX) {
                 prop_assert_eq!(ready.seq.0 as usize, merged_out.len() + 1, "out of order");
                 merged_out.push(merged_exec.execute(&ready));

@@ -9,9 +9,10 @@
 //! [`rdb_crypto::CostModel`] and [`service::Overheads`].
 //!
 //! The simulator has no protocol model of its own: every replica is the
-//! runtime's [`rdb_pipeline::ReplicaCore`] and every client its
+//! runtime's [`rdb_pipeline::Node`] (its batch assemblers,
+//! `ReplicaCore` and in-order execute stage) and every client its
 //! [`rdb_consensus::ClientCore`], stepped at virtual time, so every
-//! message, commit and retransmission is the runtime's. It prices them — stage
+//! batch cut, message, commit and retransmission is the runtime's. It prices them — stage
 //! service times, core contention, NIC transmission and link latency —
 //! which yields the quantities every figure in the paper's evaluation is
 //! built from: throughput, latency and per-stage utilization.

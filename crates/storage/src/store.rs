@@ -63,7 +63,8 @@ pub type PreImage = (u64, Option<Vec<u8>>);
 /// Abstract key-value state accessed during execution.
 ///
 /// Implementations must be thread-safe: execute workers read while the
-/// commit step writes and checkpoint threads read digests.
+/// commit step writes, and the worker reads it to build a serving
+/// snapshot.
 pub trait StateStore: Send + Sync {
     /// Reads the value stored under `key`.
     fn get(&self, key: u64) -> Option<Vec<u8>>;

@@ -84,12 +84,10 @@ fn saturation_breakdown() {
     println!("\n-- primary per-stage saturation (PBFT, 4E 2B pipeline) --");
     println!("   ({:.0} txn/s over the window)", m.tps());
     let stages = [
-        Stage::Input,
         Stage::Batch,
         Stage::Worker,
         Stage::ExecuteCoord,
         Stage::Execute,
-        Stage::Checkpoint,
         Stage::Output,
     ];
     for stage in stages {
