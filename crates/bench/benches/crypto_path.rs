@@ -7,7 +7,10 @@
 //!
 //! - fixed-base scalar multiplication: the naive double-and-add ladder the
 //!   seed shipped with vs. the precomputed basepoint table;
-//! - Ed25519 signing (windowed) and single verification (Straus);
+//! - Ed25519 signing (windowed) and single verification (Straus), both
+//!   under a key already verified against (the steady state: a client's
+//!   key checks every request it sends) and under a freshly parsed key,
+//!   which also pays for the key's precomputed tables;
 //! - Ed25519 batch verification at window sizes {8, 32, 128}, reported as
 //!   amortized ns *per signature*;
 //! - the CMAC and RSA baselines that anchor the paper's MAC-vs-signature
@@ -29,7 +32,7 @@ use rdb_bench::report::{time_ns, Length, Report};
 use rdb_crypto::aes;
 use rdb_crypto::cmac::CmacAes128;
 use rdb_crypto::ed25519::{
-    basepoint_table, verify_batch, BatchEntry, Ed25519KeyPair, EdwardsPoint,
+    basepoint_table, verify_batch, BatchEntry, Ed25519KeyPair, Ed25519PublicKey, EdwardsPoint,
 };
 use rdb_crypto::rsa::RsaKeyPair;
 use rdb_crypto::scheme::RSA_BITS;
@@ -84,6 +87,12 @@ fn run_suite(report: &mut Report) {
         black_box(kp.public_key().verify(black_box(&msg), &sig));
     });
     report.record("ed25519/verify/single", ns_verify);
+    let key_bytes = *kp.public_key().as_bytes();
+    let ns_first = time_ns(iters, || {
+        let key = Ed25519PublicKey::from_bytes(&key_bytes).expect("a valid key");
+        black_box(key.verify(black_box(&msg), &sig));
+    });
+    report.record("ed25519/verify/first_under_key", ns_first);
 
     // --- Ed25519 batch verify at {8, 32, 128} ----------------------------
     // Distinct keys and messages per slot: the honest workload, not the

@@ -13,22 +13,41 @@
 //! here are organized around how the pipeline actually calls them:
 //!
 //! - **Signing** is always fixed-base (`r·B`, `a·B`). [`basepoint_table`]
-//!   holds the odd radix-16 multiples of `B` for all 64 digit positions,
-//!   so a fixed-base multiplication is ~64 table additions and *zero*
-//!   doublings, instead of the naive 256-double/128-add ladder that
-//!   [`EdwardsPoint::scalar_mul`] keeps around as the reference baseline.
-//! - **Single verification** evaluates `S·B − k·A − R == 𝒪` as one
-//!   variable-time Straus multi-scalar multiplication
-//!   ([`multiscalar_mul_vartime`]): one shared doubling chain with
-//!   width-5 wNAF digit tables per point.
+//!   holds the radix-64 multiples of `B` for all 43 digit positions in
+//!   affine form, so a fixed-base multiplication is ~43 table additions of
+//!   7M each (M: one field multiply) and *zero* doublings, instead of the
+//!   naive 256-double/128-add ladder that [`EdwardsPoint::scalar_mul`]
+//!   keeps around as the reference baseline.
+//! - **Single verification** evaluates `S·B − k·A == R` as one
+//!   variable-time Straus multi-scalar multiplication. Both scalars are
+//!   split into four 64-bit parts, each against a precomputed multiple
+//!   `2^(64j)·B` or `−2^(64j)·A`, so the shared doubling chain is 64 steps
+//!   long instead of 253: `B`'s width-8 wNAF tables are built once per
+//!   process, `A`'s width-5 tables on the key's first verification (a
+//!   client's key checks every request it sends).
 //! - **Batch verification** ([`verify_batch`]) folds the whole batch into
 //!   a single random-linear-combination equation
 //!   `(Σ zᵢsᵢ)·B − Σ zᵢ·Rᵢ − Σ (zᵢkᵢ)·Aᵢ == 𝒪`, reduced to one
-//!   multi-scalar multiplication whose doubling chain is shared across
+//!   multi-scalar multiplication whose doubling chain (128 steps, the
+//!   length of the coefficients on the fresh points `Rᵢ`) is shared across
 //!   every signature in the batch. On failure it bisects to identify the
-//!   bad indices, bottoming out in the exact single-signature equation so
-//!   the per-item accept/reject semantics match [`Ed25519PublicKey::verify`]
-//!   bit for bit.
+//!   bad indices, bottoming out in the exact single-signature equation; a
+//!   lone entry goes straight to it.
+//!
+//! Per-item verdicts of the batch match [`Ed25519PublicKey::verify`] for
+//! keys in the prime-order subgroup (every key a `KeyRegistry` derives).
+//! A key with a small-order component is multiplied by `zᵢkᵢ mod ℓ`,
+//! which scales that component by a coefficient-dependent factor, so its
+//! verdict in a batch of two or more can differ from `verify`'s.
+//!
+//! # Point forms
+//!
+//! A doubling chain carries projective `(X : Y : Z)` points; doubling and
+//! addition produce the completed form, which converts to projective (3M)
+//! when the next step doubles and to extended (4M) when it adds. Addends
+//! are precomputed: cached `(Y+X, Y−X, 2d·T, 2Z)` in per-point tables (an
+//! addition costs 4M), affine Niels `(y+x, y−x, 2d·xy)` in the basepoint
+//! tables (3M).
 //!
 //! All scalar-mult routines here are variable-time (research code, as
 //! noted in the crate docs); the batch coefficients `zᵢ` are 128-bit
@@ -66,13 +85,56 @@ fn scalar_is_canonical(s: &[u8; 32]) -> bool {
 }
 
 /// A point on the twisted Edwards curve in extended coordinates
-/// `(X : Y : Z : T)` with `T = XY/Z`.
+/// `(X : Y : Z : T)` with `x = X/Z`, `y = Y/Z` and `T = XY/Z`.
 #[derive(Debug, Clone, Copy)]
 pub struct EdwardsPoint {
     x: Fe,
     y: Fe,
     z: Fe,
     t: Fe,
+}
+
+/// A point in projective coordinates `(X : Y : Z)`: all that a doubling
+/// reads, so a doubling chain carries no `T` from step to step.
+#[derive(Debug, Clone, Copy)]
+struct ProjectivePoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+}
+
+/// The completed form `((X : Z), (Y : T))`, `x = X/Z` and `y = Y/T`, that
+/// doubling and addition produce. Converting it costs 3M to projective and
+/// 4M to extended (M: one field multiply), so each step pays only for the
+/// coordinates its successor reads: a doubling chain goes to projective, a
+/// point about to be added to goes to extended.
+#[derive(Debug, Clone, Copy)]
+struct CompletedPoint {
+    x: Fe,
+    y: Fe,
+    z: Fe,
+    t: Fe,
+}
+
+/// An addend held as `(Y+X, Y−X, 2d·T, 2Z)`: what the addition formula
+/// reads of it, so adding it costs 4M plus 4M back to extended, with no
+/// multiply by `2d`. Per-point Straus tables hold these.
+#[derive(Debug, Clone, Copy)]
+struct CachedPoint {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    t2d: Fe,
+    z2: Fe,
+}
+
+/// An affine addend `(y+x, y−x, 2d·xy)` (Niels form, `Z = 1`): one multiply
+/// cheaper to add than a [`CachedPoint`]. The basepoint tables, built once
+/// per process, hold these.
+#[derive(Debug, Clone, Copy)]
+struct AffineNielsPoint {
+    y_plus_x: Fe,
+    y_minus_x: Fe,
+    xy2d: Fe,
 }
 
 impl EdwardsPoint {
@@ -99,41 +161,64 @@ impl EdwardsPoint {
         })
     }
 
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x,
+            y: self.y,
+            z: self.z,
+        }
+    }
+
+    fn to_cached(self) -> CachedPoint {
+        CachedPoint {
+            y_plus_x: self.y.add(self.x),
+            y_minus_x: self.y.sub(self.x),
+            t2d: self.t.mul(edwards_d2()),
+            z2: self.z.add(self.z),
+        }
+    }
+
+    /// `self + q`, or `self − q` when `negate` (4M).
+    fn add_cached(&self, q: &CachedPoint, negate: bool) -> CompletedPoint {
+        let (q_plus, q_minus) = if negate {
+            (q.y_minus_x, q.y_plus_x)
+        } else {
+            (q.y_plus_x, q.y_minus_x)
+        };
+        CompletedPoint::from_sum(
+            self.y.add(self.x).mul(q_plus),
+            self.y.sub(self.x).mul(q_minus),
+            self.z.mul(q.z2),
+            self.t.mul(q.t2d),
+            negate,
+        )
+    }
+
+    /// `self + q`, or `self − q` when `negate` (3M).
+    fn add_affine(&self, q: &AffineNielsPoint, negate: bool) -> CompletedPoint {
+        let (q_plus, q_minus) = if negate {
+            (q.y_minus_x, q.y_plus_x)
+        } else {
+            (q.y_plus_x, q.y_minus_x)
+        };
+        CompletedPoint::from_sum(
+            self.y.add(self.x).mul(q_plus),
+            self.y.sub(self.x).mul(q_minus),
+            self.z.add(self.z),
+            self.t.mul(q.xy2d),
+            negate,
+        )
+    }
+
     /// Point addition using the unified extended-coordinate formulas for
     /// `a = -1` twisted Edwards curves.
     pub fn add(&self, other: &EdwardsPoint) -> EdwardsPoint {
-        let d2 = edwards_d2();
-        let a = self.y.sub(self.x).mul(other.y.sub(other.x));
-        let b = self.y.add(self.x).mul(other.y.add(other.x));
-        let c = self.t.mul(d2).mul(other.t);
-        let d = self.z.mul(other.z).mul_small(2);
-        let e = b.sub(a);
-        let f = d.sub(c);
-        let g = d.add(c);
-        let h = b.add(a);
-        EdwardsPoint {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
-        }
+        self.add_cached(&other.to_cached(), false).to_extended()
     }
 
     /// Point doubling.
     pub fn double(&self) -> EdwardsPoint {
-        let a = self.x.square();
-        let b = self.y.square();
-        let c = self.z.square().mul_small(2);
-        let h = a.add(b);
-        let e = h.sub(self.x.add(self.y).square());
-        let g = a.sub(b);
-        let f = c.add(g);
-        EdwardsPoint {
-            x: e.mul(f),
-            y: g.mul(h),
-            z: f.mul(g),
-            t: e.mul(h),
-        }
+        self.to_projective().double().to_extended()
     }
 
     /// Negation: `(x, y) → (-x, y)`.
@@ -150,7 +235,7 @@ impl EdwardsPoint {
     ///
     /// This is the naive 256-step double-and-add ladder, kept as the
     /// correctness reference and the bench baseline; the hot paths use
-    /// [`BasepointTable::mul`] and [`multiscalar_mul_vartime`].
+    /// [`BasepointTable::mul`] and the Straus loop behind verification.
     pub fn scalar_mul(&self, scalar: &[u8; 32]) -> EdwardsPoint {
         let mut acc = EdwardsPoint::identity();
         for byte in scalar.iter().rev() {
@@ -235,89 +320,262 @@ impl PartialEq for EdwardsPoint {
 
 impl Eq for EdwardsPoint {}
 
+impl ProjectivePoint {
+    fn identity() -> Self {
+        ProjectivePoint {
+            x: Fe::ZERO,
+            y: Fe::ONE,
+            z: Fe::ONE,
+        }
+    }
+
+    /// `2·self` (4 squarings), completed.
+    fn double(&self) -> CompletedPoint {
+        let xx = self.x.square();
+        let yy = self.y.square();
+        let zz = self.z.square();
+        let yy_plus_xx = yy.add(xx);
+        let yy_minus_xx = yy.sub(xx);
+        CompletedPoint {
+            x: self.x.add(self.y).square().sub(yy_plus_xx),
+            y: yy_plus_xx,
+            z: yy_minus_xx,
+            t: zz.add(zz).sub(yy_minus_xx),
+        }
+    }
+
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x.mul(self.z),
+            y: self.y.mul(self.z),
+            z: self.z.square(),
+            t: self.x.mul(self.y),
+        }
+    }
+}
+
+impl CompletedPoint {
+    /// The tail both addition forms share, from the products
+    /// `PP = (Y₁+X₁)(Y₂+X₂)`, `MM = (Y₁−X₁)(Y₂−X₂)`, `ZZ2 = 2Z₁Z₂` and
+    /// `TT2d = 2d·T₁T₂` (with `q`'s halves swapped when `negate`).
+    fn from_sum(pp: Fe, mm: Fe, zz2: Fe, tt2d: Fe, negate: bool) -> CompletedPoint {
+        let (z, t) = if negate {
+            (zz2.sub(tt2d), zz2.add(tt2d))
+        } else {
+            (zz2.add(tt2d), zz2.sub(tt2d))
+        };
+        CompletedPoint {
+            x: pp.sub(mm),
+            y: pp.add(mm),
+            z,
+            t,
+        }
+    }
+
+    fn to_projective(self) -> ProjectivePoint {
+        ProjectivePoint {
+            x: self.x.mul(self.t),
+            y: self.y.mul(self.z),
+            z: self.z.mul(self.t),
+        }
+    }
+
+    fn to_extended(self) -> EdwardsPoint {
+        EdwardsPoint {
+            x: self.x.mul(self.t),
+            y: self.y.mul(self.z),
+            z: self.z.mul(self.t),
+            t: self.x.mul(self.y),
+        }
+    }
+}
+
+impl AffineNielsPoint {
+    /// Converts every point with one field inversion between them
+    /// (Montgomery's trick: invert the product of the `Z`s, then peel one
+    /// `Z` off per point).
+    fn from_extended_all(points: &[EdwardsPoint]) -> Vec<AffineNielsPoint> {
+        let mut prefix = Vec::with_capacity(points.len());
+        let mut product = Fe::ONE;
+        for p in points {
+            prefix.push(product);
+            product = product.mul(p.z);
+        }
+        let mut inv = product.invert();
+        let mut out = vec![
+            AffineNielsPoint {
+                y_plus_x: Fe::ONE,
+                y_minus_x: Fe::ONE,
+                xy2d: Fe::ZERO,
+            };
+            points.len()
+        ];
+        for (i, p) in points.iter().enumerate().rev() {
+            let zinv = inv.mul(prefix[i]);
+            inv = inv.mul(p.z);
+            let x = p.x.mul(zinv);
+            let y = p.y.mul(zinv);
+            out[i] = AffineNielsPoint {
+                y_plus_x: y.add(x),
+                y_minus_x: y.sub(x),
+                xy2d: x.mul(y).mul(edwards_d2()),
+            };
+        }
+        out
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Scalar recodings
 // ---------------------------------------------------------------------------
 
-/// Signed radix-16 digits of a little-endian scalar: 64 digits in `[-8, 8]`
-/// with `s = Σ dᵢ·16ⁱ`. Requires `s < 2^255` (true for every scalar this
-/// module produces: canonical scalars are `< ℓ < 2^253` and clamped secret
-/// scalars clear bit 255).
-fn radix16_digits(scalar: &[u8; 32]) -> [i8; 64] {
-    debug_assert!(scalar[31] & 0x80 == 0, "scalar must be < 2^255");
-    let mut e = [0i8; 64];
-    for (i, b) in scalar.iter().enumerate() {
-        e[2 * i] = (b & 15) as i8;
-        e[2 * i + 1] = (b >> 4) as i8;
+/// A little-endian scalar as 64-bit limbs, with a zero fifth limb so a
+/// window starting in the top limb can read one past it.
+fn scalar_limbs(scalar: &[u8; 32]) -> [u64; 5] {
+    let mut limbs = [0u64; 5];
+    for (limb, bytes) in limbs.iter_mut().zip(scalar.chunks_exact(8)) {
+        *limb = u64::from_le_bytes(bytes.try_into().expect("8-byte chunks"));
     }
-    // Re-center each digit into [-8, 8), pushing the carry upward; the top
-    // digit absorbs the final carry without overflow because s < 2^255.
-    let mut carry = 0i8;
-    for d in e.iter_mut().take(63) {
-        *d += carry;
-        carry = (*d + 8) >> 4;
-        *d -= carry << 4;
-    }
-    e[63] += carry;
-    e
+    limbs
 }
 
-/// Width-5 non-adjacent form of a little-endian scalar: 256 digits, each
-/// zero or odd in `[-15, 15]`, with at most one nonzero digit in any five
-/// consecutive positions. Requires `s < 2^255`.
-fn non_adjacent_form5(scalar: &[u8; 32]) -> [i8; 256] {
+/// Digit positions of the fixed-base table: radix 64, 43 digits cover a
+/// scalar below 2^255 with room for the top digit's carry.
+const FIXED_ROWS: usize = 43;
+
+/// Signed radix-64 digits of a little-endian scalar: 43 digits in
+/// `[-32, 32]` with `s = Σ dᵢ·64ⁱ`. Requires `s < 2^255` (true for every
+/// scalar this module produces: canonical scalars are `< ℓ < 2^253` and
+/// clamped secret scalars clear bit 255).
+fn radix64_digits(scalar: &[u8; 32]) -> [i8; FIXED_ROWS] {
     debug_assert!(scalar[31] & 0x80 == 0, "scalar must be < 2^255");
-    let mut naf = [0i8; 256];
-    let mut limbs = [0u64; 5];
-    for i in 0..4 {
-        limbs[i] = u64::from_le_bytes(scalar[8 * i..8 * i + 8].try_into().unwrap());
-    }
-    let mut pos = 0usize;
-    let mut carry = 0u64;
-    while pos < 256 {
-        let idx = pos / 64;
-        let shift = pos % 64;
-        // Five bits of the (carry-adjusted) scalar starting at `pos`.
-        let bits = if shift <= 59 {
+    let limbs = scalar_limbs(scalar);
+    let mut e = [0i8; FIXED_ROWS];
+    for (i, d) in e.iter_mut().enumerate() {
+        let (idx, shift) = (6 * i / 64, 6 * i % 64);
+        let bits = if shift <= 58 {
             limbs[idx] >> shift
         } else {
             (limbs[idx] >> shift) | (limbs[idx + 1] << (64 - shift))
         };
-        let window = carry + (bits & 31);
+        *d = (bits & 63) as i8;
+    }
+    // Re-center each digit into [-32, 32), pushing the carry upward; the
+    // top digit (bits 252 and up, below 8) absorbs the final carry.
+    let mut carry = 0i8;
+    for d in e.iter_mut().take(FIXED_ROWS - 1) {
+        *d += carry;
+        carry = (*d + 32) >> 6;
+        *d -= carry << 6;
+    }
+    e[FIXED_ROWS - 1] += carry;
+    e
+}
+
+/// Width-`w` non-adjacent form of a little-endian scalar: 256 digits, each
+/// zero or odd in `(−2^(w−1), 2^(w−1))`, with at most one nonzero digit in
+/// any `w` consecutive positions. Requires `s < 2^255` and `w ≤ 8`.
+fn non_adjacent_form(scalar: &[u8; 32], w: usize) -> [i8; 256] {
+    debug_assert!(scalar[31] & 0x80 == 0, "scalar must be < 2^255");
+    let width = 1u64 << w;
+    let mut naf = [0i8; 256];
+    let limbs = scalar_limbs(scalar);
+    // Past the top set bit only a carry is left to emit.
+    let top = (0..4)
+        .rev()
+        .find(|&i| limbs[i] != 0)
+        .map_or(0, |i| 64 * i + 64 - limbs[i].leading_zeros() as usize);
+    let mut pos = 0usize;
+    let mut carry = 0u64;
+    while pos < 256 && (pos < top || carry != 0) {
+        let idx = pos / 64;
+        let shift = pos % 64;
+        // `w` bits of the (carry-adjusted) scalar starting at `pos`.
+        let bits = if shift <= 64 - w {
+            limbs[idx] >> shift
+        } else {
+            (limbs[idx] >> shift) | (limbs[idx + 1] << (64 - shift))
+        };
+        let window = carry + (bits & (width - 1));
         if window & 1 == 0 {
             pos += 1;
             continue;
         }
-        if window < 16 {
+        if window < width / 2 {
             naf[pos] = window as i8;
             carry = 0;
         } else {
-            // Take window - 32 (negative, odd) and carry the borrow up.
-            naf[pos] = window as i8 - 32;
+            // Take window - 2^w (negative, odd) and carry the borrow up.
+            naf[pos] = (window as i64 - width as i64) as i8;
             carry = 1;
         }
-        pos += 5;
+        pos += w;
     }
     naf
 }
 
-/// The odd multiples `[P, 3P, 5P, …, 15P]` used by the wNAF evaluation.
-fn odd_multiples(p: &EdwardsPoint) -> [EdwardsPoint; 8] {
-    let p2 = p.double();
-    let mut t = [*p; 8];
-    for j in 1..8 {
-        t[j] = t[j - 1].add(&p2);
+/// The odd multiples `[P, 3P, 5P, …, (2N−1)P]`.
+fn odd_multiples<const N: usize>(p: &EdwardsPoint) -> [EdwardsPoint; N] {
+    let p2 = p.double().to_cached();
+    let mut t = [*p; N];
+    for j in 1..N {
+        t[j] = t[j - 1].add_cached(&p2, false).to_extended();
     }
     t
 }
 
-/// The base point's odd-multiples table, cached: `B` appears in *every*
-/// verification equation, so its wNAF table (1 doubling + 7 additions)
-/// should not be rebuilt per call.
-fn basepoint_odd_multiples() -> &'static [EdwardsPoint; 8] {
-    static TABLE: OnceLock<[EdwardsPoint; 8]> = OnceLock::new();
-    TABLE.get_or_init(|| odd_multiples(&EdwardsPoint::basepoint()))
+/// A point's width-5 Straus table: `[P, 3P, …, 15P]`, cached.
+fn straus_table(p: &EdwardsPoint) -> [CachedPoint; 8] {
+    odd_multiples::<8>(p).map(EdwardsPoint::to_cached)
 }
+
+/// Scalars against a precomputed point are split into this many 64-bit
+/// parts, the `j`-th against `2^(64j)·P`: the doubling chain then runs 64
+/// steps where a whole 253-bit scalar needs 253. The identity
+/// `s·P = Σ sⱼ·(2^(64j)·P)` holds over the integers, so the sum is the
+/// same group element for points of any order.
+const PARTS: usize = 4;
+
+/// The `j`-th 64-bit part of a little-endian scalar, as a scalar.
+fn scalar_part(s: &[u8; 32], j: usize) -> [u8; 32] {
+    let mut part = [0u8; 32];
+    part[..8].copy_from_slice(&s[8 * j..8 * j + 8]);
+    part
+}
+
+/// `2^64·p`: 64 doublings.
+fn mul_by_pow_2_64(p: &EdwardsPoint) -> EdwardsPoint {
+    let mut r = p.to_projective();
+    for _ in 0..63 {
+        r = r.double().to_projective();
+    }
+    r.double().to_extended()
+}
+
+/// The base point's width-8 tables `[Bⱼ, 3Bⱼ, …, 127Bⱼ]` for
+/// `Bⱼ = 2^(64j)·B`, one per scalar part, affine, built once per process:
+/// `B` appears in *every* verification equation, and the wider window cuts
+/// its additions from ~43 to ~28 per equation.
+fn basepoint_part_tables() -> &'static [[AffineNielsPoint; 64]] {
+    static TABLES: OnceLock<Vec<[AffineNielsPoint; 64]>> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut points = Vec::with_capacity(64 * PARTS);
+        let mut p = EdwardsPoint::basepoint();
+        for j in 0..PARTS {
+            if j > 0 {
+                p = mul_by_pow_2_64(&p);
+            }
+            points.extend(odd_multiples::<64>(&p));
+        }
+        AffineNielsPoint::from_extended_all(&points)
+            .chunks(64)
+            .map(|table| table.try_into().expect("tables of 64"))
+            .collect()
+    })
+}
+
+/// One term `s·P` of a Straus evaluation: the scalar and `P`'s table.
+type Term<'a> = ([u8; 32], &'a [CachedPoint; 8]);
 
 /// Variable-time multi-scalar multiplication `Σ sᵢ·Pᵢ` (Straus'
 /// interleaving trick): one shared doubling chain over all points, with a
@@ -326,83 +584,99 @@ fn basepoint_odd_multiples() -> &'static [EdwardsPoint; 8] {
 /// per signature. Scalars must be `< 2^255`.
 pub fn multiscalar_mul_vartime(scalars: &[[u8; 32]], points: &[EdwardsPoint]) -> EdwardsPoint {
     assert_eq!(scalars.len(), points.len());
-    let tables: Vec<[EdwardsPoint; 8]> = points.iter().map(odd_multiples).collect();
-    let table_refs: Vec<&[EdwardsPoint; 8]> = tables.iter().collect();
-    msm_with_tables(scalars, &table_refs)
+    let tables: Vec<[CachedPoint; 8]> = points.iter().map(straus_table).collect();
+    let terms: Vec<Term<'_>> = scalars.iter().copied().zip(&tables).collect();
+    straus(None, &terms)
 }
 
-/// The MSM evaluation loop over prepared odd-multiples tables (the
-/// verification paths pass the cached basepoint table instead of
-/// rebuilding it).
-fn msm_with_tables(scalars: &[[u8; 32]], tables: &[&[EdwardsPoint; 8]]) -> EdwardsPoint {
-    assert_eq!(scalars.len(), tables.len());
-    let nafs: Vec<[i8; 256]> = scalars.iter().map(non_adjacent_form5).collect();
-    let mut high = None;
-    'scan: for i in (0..256).rev() {
-        for naf in &nafs {
-            if naf[i] != 0 {
-                high = Some(i);
-                break 'scan;
-            }
-        }
-    }
+/// The Straus evaluation loop: `b·B + Σ sᵢ·Pᵢ` over prepared per-point
+/// tables, with `b` (when given) split into parts against the process-wide
+/// basepoint tables. The chain doubles in projective form; only a step that
+/// adds pays for the extended coordinates.
+fn straus(b: Option<&[u8; 32]>, terms: &[Term<'_>]) -> EdwardsPoint {
+    let b_nafs: Vec<[i8; 256]> = match b {
+        Some(b) => (0..PARTS)
+            .map(|j| non_adjacent_form(&scalar_part(b, j), 8))
+            .collect(),
+        None => Vec::new(),
+    };
+    let nafs: Vec<[i8; 256]> = terms.iter().map(|(s, _)| non_adjacent_form(s, 5)).collect();
+    let high = (0..256)
+        .rev()
+        .find(|&i| b_nafs.iter().chain(&nafs).any(|naf| naf[i] != 0));
     let Some(high) = high else {
         return EdwardsPoint::identity();
     };
-    let mut acc = EdwardsPoint::identity();
+    let b_tables = basepoint_part_tables();
+    let mut acc = ProjectivePoint::identity();
     for i in (0..=high).rev() {
-        acc = acc.double();
-        for (naf, table) in nafs.iter().zip(tables) {
+        let mut t = acc.double();
+        for (naf, table) in b_nafs.iter().zip(b_tables) {
             let d = naf[i];
-            if d > 0 {
-                acc = acc.add(&table[d as usize / 2]);
-            } else if d < 0 {
-                acc = acc.add(&table[(-d) as usize / 2].neg());
+            if d != 0 {
+                let q = &table[d.unsigned_abs() as usize / 2];
+                t = t.to_extended().add_affine(q, d < 0);
             }
         }
+        for (naf, (_, table)) in nafs.iter().zip(terms) {
+            let d = naf[i];
+            if d != 0 {
+                let q = &table[d.unsigned_abs() as usize / 2];
+                t = t.to_extended().add_cached(q, d < 0);
+            }
+        }
+        acc = t.to_projective();
     }
-    acc
+    acc.to_extended()
 }
 
 // ---------------------------------------------------------------------------
 // Fixed-base table
 // ---------------------------------------------------------------------------
 
-/// Precomputed odd radix-16 multiples of the base point: `table[i][j]`
-/// holds `(j+1)·16ⁱ·B` for all 64 digit positions. A fixed-base scalar
-/// multiplication becomes ~64 table additions with *no* doublings — the
-/// doubling chain is baked into the table at startup.
+/// Precomputed radix-64 multiples of the base point: `rows[i][j]` holds
+/// `(j+1)·64ⁱ·B`, affine, for all 43 digit positions. A fixed-base scalar
+/// multiplication becomes ~43 table additions (7M each) with *no*
+/// doublings — the doubling chain is baked into the table at startup.
 pub struct BasepointTable {
-    tables: Vec<[EdwardsPoint; 8]>,
+    rows: Vec<[AffineNielsPoint; 32]>,
 }
 
 impl BasepointTable {
     fn build() -> Self {
-        let mut tables = Vec::with_capacity(64);
-        let mut p = EdwardsPoint::basepoint(); // 16^i · B
-        for _ in 0..64 {
-            let mut row = [p; 8];
-            for j in 1..8 {
-                row[j] = row[j - 1].add(&p);
+        let mut points = Vec::with_capacity(FIXED_ROWS * 32);
+        let mut p = EdwardsPoint::basepoint(); // 64^i · B
+        for _ in 0..FIXED_ROWS {
+            let step = p.to_cached();
+            let mut q = p;
+            points.push(q);
+            for _ in 1..32 {
+                q = q.add_cached(&step, false).to_extended();
+                points.push(q);
             }
-            tables.push(row);
-            for _ in 0..4 {
-                p = p.double();
+            let mut r = p.to_projective();
+            for _ in 0..5 {
+                r = r.double().to_projective();
             }
+            p = r.double().to_extended();
         }
-        BasepointTable { tables }
+        let rows = AffineNielsPoint::from_extended_all(&points)
+            .chunks(32)
+            .map(|row| row.try_into().expect("rows of 32"))
+            .collect();
+        BasepointTable { rows }
     }
 
     /// Fixed-base scalar multiplication `s·B` via the precomputed table.
     /// Requires `s < 2^255` (canonical and clamped scalars both qualify).
     pub fn mul(&self, scalar: &[u8; 32]) -> EdwardsPoint {
-        let digits = radix16_digits(scalar);
+        let digits = radix64_digits(scalar);
         let mut acc = EdwardsPoint::identity();
-        for (row, &d) in self.tables.iter().zip(digits.iter()) {
-            if d > 0 {
-                acc = acc.add(&row[d as usize - 1]);
-            } else if d < 0 {
-                acc = acc.add(&row[(-d) as usize - 1].neg());
+        for (row, &d) in self.rows.iter().zip(digits.iter()) {
+            if d != 0 {
+                acc = acc
+                    .add_affine(&row[d.unsigned_abs() as usize - 1], d < 0)
+                    .to_extended();
             }
         }
         acc
@@ -426,18 +700,39 @@ fn clamp(scalar: &mut [u8; 32]) {
 // ---------------------------------------------------------------------------
 
 /// An Ed25519 public key (compressed point).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Ed25519PublicKey {
     compressed: [u8; 32],
     point: EdwardsPoint,
+    /// Straus tables of `−2^(64j)·A`, one per scalar part, built on the
+    /// key's first verification: a client's key checks every request it
+    /// sends, so its doublings are paid once, not per signature.
+    tables: OnceLock<Vec<[CachedPoint; 8]>>,
+}
+
+impl PartialEq for Ed25519PublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.compressed == other.compressed
+    }
+}
+
+impl Eq for Ed25519PublicKey {}
+
+impl std::fmt::Debug for Ed25519PublicKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Ed25519PublicKey")
+            .field(&self.compressed)
+            .finish()
+    }
 }
 
 /// A verification equation with all per-signature parsing and hashing done:
 /// `S·B == R + k·A`, held as the points and scalars the multi-scalar
 /// multiplication consumes. Shared between the single and batch paths so
 /// both check exactly the same equation.
-struct PreparedVerify {
-    a_neg: EdwardsPoint,
+struct PreparedVerify<'a> {
+    /// The key's tables of `−A` (see [`Ed25519PublicKey`]).
+    a_neg: &'a [[CachedPoint; 8]],
     r_point: EdwardsPoint,
     r_bytes: [u8; 32],
     a_bytes: [u8; 32],
@@ -445,12 +740,12 @@ struct PreparedVerify {
     k: [u8; 32],
 }
 
-impl PreparedVerify {
+impl<'a> PreparedVerify<'a> {
     /// Parses and hashes one (key, message, signature) triple. `None` means
     /// the signature is structurally invalid (wrong length, non-canonical
     /// `S`, or `R` not a curve point) — definitively rejected, no group
     /// equation needed.
-    fn new(public: &Ed25519PublicKey, msg: &[u8], sig: &[u8]) -> Option<Self> {
+    fn new(public: &'a Ed25519PublicKey, msg: &[u8], sig: &[u8]) -> Option<Self> {
         if sig.len() != 64 {
             return None;
         }
@@ -469,7 +764,7 @@ impl PreparedVerify {
         h.update(msg);
         let k = reduce_mod_l(&h.finalize());
         Some(PreparedVerify {
-            a_neg: public.point.neg(),
+            a_neg: public.straus_tables(),
             r_point,
             r_bytes,
             a_bytes: public.compressed,
@@ -478,14 +773,19 @@ impl PreparedVerify {
         })
     }
 
+    /// The terms `(c·−A)` of a coefficient `c` of `−A`, one per part.
+    fn a_terms(&self, c: [u8; 32]) -> impl Iterator<Item = Term<'a>> {
+        self.a_neg
+            .iter()
+            .enumerate()
+            .map(move |(j, table)| (scalar_part(&c, j), table))
+    }
+
     /// The exact single-signature check `S·B − k·A − R == 𝒪`, evaluated as
-    /// one Straus double-scalar multiplication plus one addition.
+    /// one Straus double-scalar multiplication compared with `R`.
     fn check_single(&self) -> bool {
-        let a_table = odd_multiples(&self.a_neg);
-        let sb_ka = msm_with_tables(&[self.s, self.k], &[basepoint_odd_multiples(), &a_table]);
-        sb_ka
-            .add(&self.r_point.neg())
-            .ct_eq(&EdwardsPoint::identity())
+        let terms: Vec<Term<'_>> = self.a_terms(self.k).collect();
+        straus(Some(&self.s), &terms).ct_eq(&self.r_point)
     }
 }
 
@@ -496,6 +796,23 @@ impl Ed25519PublicKey {
         Some(Ed25519PublicKey {
             compressed: *bytes,
             point,
+            tables: OnceLock::new(),
+        })
+    }
+
+    /// The Straus tables of `−2^(64j)·A` for `j < PARTS`, built on first
+    /// use.
+    fn straus_tables(&self) -> &[[CachedPoint; 8]] {
+        self.tables.get_or_init(|| {
+            let mut p = self.point.neg();
+            let mut tables = Vec::with_capacity(PARTS);
+            for j in 0..PARTS {
+                if j > 0 {
+                    p = mul_by_pow_2_64(&p);
+                }
+                tables.push(straus_table(&p));
+            }
+            tables
         })
     }
 
@@ -552,7 +869,7 @@ fn batch_nonce() -> &'static [u8; 32] {
 /// item from the process nonce, a per-batch counter, and the item's
 /// transcript (R, A, S). Forced odd so a pure small-order defect cannot be
 /// annihilated by the coefficient alone.
-fn derive_z(counter: u64, index: usize, p: &PreparedVerify) -> [u8; 32] {
+fn derive_z(counter: u64, index: usize, p: &PreparedVerify<'_>) -> [u8; 32] {
     let mut h = Sha512::new();
     h.update(b"rdb.ed25519.batch-z");
     h.update(batch_nonce());
@@ -571,28 +888,28 @@ fn derive_z(counter: u64, index: usize, p: &PreparedVerify) -> [u8; 32] {
 /// Whether the random-linear-combination equation holds over `items`:
 /// `(Σ zᵢsᵢ)·B − Σ zᵢ·Rᵢ − Σ (zᵢkᵢ)·Aᵢ == 𝒪`, one multi-scalar
 /// multiplication over `2n + 1` points with a single shared doubling chain.
-fn rlc_holds(items: &[(usize, PreparedVerify, [u8; 32])]) -> bool {
+fn rlc_holds(items: &[(usize, PreparedVerify<'_>, [u8; 32])]) -> bool {
     const ZERO: [u8; 32] = [0u8; 32];
-    let mut scalars = Vec::with_capacity(2 * items.len() + 1);
-    let mut tables = Vec::with_capacity(2 * items.len() + 1);
     let mut b_coef = ZERO;
+    let mut r_tables = Vec::with_capacity(items.len());
+    let mut a_coefs = Vec::with_capacity(items.len());
     for (_, p, z) in items {
         b_coef = mul_add_mod_l(z, &p.s, &b_coef);
-        scalars.push(*z);
-        tables.push(odd_multiples(&p.r_point.neg()));
-        scalars.push(mul_add_mod_l(z, &p.k, &ZERO));
-        tables.push(odd_multiples(&p.a_neg));
+        r_tables.push(straus_table(&p.r_point.neg()));
+        a_coefs.push(mul_add_mod_l(z, &p.k, &ZERO));
     }
-    scalars.push(b_coef);
-    let mut table_refs: Vec<&[EdwardsPoint; 8]> = tables.iter().collect();
-    table_refs.push(basepoint_odd_multiples());
-    msm_with_tables(&scalars, &table_refs).ct_eq(&EdwardsPoint::identity())
+    let mut terms = Vec::with_capacity(items.len() * (1 + PARTS));
+    for (((_, p, z), r_table), a_coef) in items.iter().zip(&r_tables).zip(&a_coefs) {
+        terms.push((*z, r_table));
+        terms.extend(p.a_terms(*a_coef));
+    }
+    straus(Some(&b_coef), &terms).ct_eq(&EdwardsPoint::identity())
 }
 
 /// Recursive bisection: try the whole sub-batch in one equation; on failure
 /// split in half, bottoming out in the exact per-signature check so every
 /// bad index is identified with per-item semantics.
-fn check_bisect(items: &[(usize, PreparedVerify, [u8; 32])], results: &mut [bool]) {
+fn check_bisect(items: &[(usize, PreparedVerify<'_>, [u8; 32])], results: &mut [bool]) {
     match items {
         [] => {}
         [(idx, p, _)] => results[*idx] = p.check_single(),
@@ -622,16 +939,25 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Vec<bool> {
     static BATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
     let mut results = vec![false; entries.len()];
     let counter = BATCH_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let prepared: Vec<(usize, PreparedVerify, [u8; 32])> = entries
+    let prepared: Vec<(usize, PreparedVerify<'_>)> = entries
         .iter()
         .enumerate()
         .filter_map(|(i, e)| PreparedVerify::new(e.public, e.msg, e.sig).map(|p| (i, p)))
+        .collect();
+    // A lone entry is checked by the single equation, which needs no
+    // coefficient.
+    if let [(idx, p)] = prepared.as_slice() {
+        results[*idx] = p.check_single();
+        return results;
+    }
+    let items: Vec<(usize, PreparedVerify<'_>, [u8; 32])> = prepared
+        .into_iter()
         .map(|(i, p)| {
             let z = derive_z(counter, i, &p);
             (i, p, z)
         })
         .collect();
-    check_bisect(&prepared, &mut results);
+    check_bisect(&items, &mut results);
     results
 }
 
@@ -664,6 +990,7 @@ impl Ed25519KeyPair {
             public: Ed25519PublicKey {
                 compressed,
                 point: a_point,
+                tables: OnceLock::new(),
             },
         }
     }
@@ -942,6 +1269,63 @@ mod tests {
             slow = slow.add(&p.scalar_mul(s));
         }
         assert!(fast.ct_eq(&slow));
+    }
+
+    /// A scalar mod ℓ from 64 random bytes.
+    fn random_scalar(lo: [u8; 32], hi: [u8; 32]) -> [u8; 32] {
+        let mut wide = [0u8; 64];
+        wide[..32].copy_from_slice(&lo);
+        wide[32..].copy_from_slice(&hi);
+        reduce_mod_l(&wide)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn basepoint_table_matches_ladder_on_random_scalars(
+            lo in proptest::array::uniform32(proptest::prelude::any::<u8>()),
+            hi in proptest::array::uniform32(proptest::prelude::any::<u8>()),
+        ) {
+            let s = random_scalar(lo, hi);
+            let b = EdwardsPoint::basepoint();
+            proptest::prop_assert!(basepoint_table().mul(&s).ct_eq(&b.scalar_mul(&s)));
+            // Below 2^255 but not reduced: the top radix-64 digit carries.
+            let mut raw = lo;
+            raw[31] &= 0x7f;
+            proptest::prop_assert!(basepoint_table().mul(&raw).ct_eq(&b.scalar_mul(&raw)));
+        }
+
+        /// The verification MSM `s·B + k·P`, over the shared width-8
+        /// basepoint table and a width-5 table of `P`, equals the ladder's
+        /// sum, for points `P` of any order (decompressed from random
+        /// bytes).
+        #[test]
+        fn verify_msm_matches_ladder_on_random_scalars(
+            lo in proptest::array::uniform32(proptest::prelude::any::<u8>()),
+            hi in proptest::array::uniform32(proptest::prelude::any::<u8>()),
+            y in proptest::array::uniform32(proptest::prelude::any::<u8>()),
+        ) {
+            let s = random_scalar(lo, hi);
+            let k = random_scalar(hi, y);
+            let p = EdwardsPoint::decompress(&y)
+                .unwrap_or_else(|| EdwardsPoint::basepoint().scalar_mul(&y.map(|b| b & 0x3f)));
+            let slow = EdwardsPoint::basepoint().scalar_mul(&s).add(&p.scalar_mul(&k));
+            let fast = straus(Some(&s), &[(k, &straus_table(&p))]);
+            proptest::prop_assert!(fast.ct_eq(&slow));
+            // As a key: `k` split into parts against `−A`'s part tables.
+            let key = Ed25519PublicKey::from_bytes(&p.neg().compress()).expect("a curve point");
+            let prepared = PreparedVerify {
+                a_neg: key.straus_tables(),
+                r_point: p,
+                r_bytes: [0; 32],
+                a_bytes: [0; 32],
+                s,
+                k,
+            };
+            let terms: Vec<Term<'_>> = prepared.a_terms(k).collect();
+            proptest::prop_assert!(straus(Some(&s), &terms).ct_eq(&slow));
+        }
     }
 
     #[test]

@@ -1,9 +1,25 @@
 //! Field arithmetic modulo `p = 2^255 - 19` in radix-2^51.
 //!
-//! Elements are five 64-bit limbs each holding up to ~52 bits; products are
-//! accumulated in `u128` with the `19·` folding that makes reduction modulo
-//! `2^255 - 19` cheap. This is the standard unsaturated-limb representation
-//! used by production Curve25519 implementations, written from scratch here.
+//! Elements are five 64-bit limbs; products are accumulated in `u128` with
+//! the `19·` folding that makes reduction modulo `2^255 - 19` cheap. This
+//! is the standard unsaturated-limb representation used by production
+//! Curve25519 implementations, written from scratch here.
+//!
+//! # Limb bounds
+//!
+//! Every limb of every [`Fe`] is below 2^54. Reduction is lazy, so the
+//! operations differ in what they accept and produce:
+//!
+//! - [`Fe::mul`], [`Fe::square`] and [`Fe::sub`] accept limbs below 2^54
+//!   and return *tight* limbs, below 2^52; so do [`Fe::neg`],
+//!   [`Fe::from_bytes`] and every constant here;
+//! - [`Fe::add`] does no carrying: it accepts limbs below 2^53 (a tight
+//!   element qualifies) and returns limbs below 2^54, fit for `mul`,
+//!   `square` and `sub` but not for another `add`.
+//!
+//! The bounds are debug-asserted at each operation's entry. Within them no
+//! `u64` or `u128` accumulation can overflow: a product term is below
+//! `19·2^108`, a column of five below 2^115.
 //!
 //! This implementation favours clarity over constant-time guarantees; it is
 //! a research artifact, not a hardened library (ARCHITECTURE.md, "Scope").
@@ -13,6 +29,11 @@ const MASK51: u64 = (1u64 << 51) - 1;
 /// A field element modulo `2^255 - 19`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fe(pub [u64; 5]);
+
+/// Whether every limb is below `2^bits`.
+fn limbs_below(x: &Fe, bits: u32) -> bool {
+    x.0.iter().all(|&l| l >> bits == 0)
+}
 
 #[allow(clippy::should_implement_trait)] // math naming (add/sub/mul/neg) is deliberate
 impl Fe {
@@ -85,8 +106,9 @@ impl Fe {
         out
     }
 
-    /// Weakly reduces limbs below 2^52 (value unchanged mod p).
-    pub fn reduced(self) -> Fe {
+    /// Weakly reduces any limbs to tight ones (value unchanged mod p).
+    #[inline]
+    fn reduced(self) -> Fe {
         let mut h = self.0;
         let c0 = h[0] >> 51;
         h[0] &= MASK51;
@@ -106,8 +128,11 @@ impl Fe {
         Fe(h)
     }
 
-    /// `self + other`.
+    /// `self + other`, limb by limb with no carry (see the module's limb
+    /// bounds).
+    #[inline]
     pub fn add(self, other: Fe) -> Fe {
+        debug_assert!(limbs_below(&self, 53) && limbs_below(&other, 53));
         Fe([
             self.0[0] + other.0[0],
             self.0[1] + other.0[1],
@@ -115,210 +140,132 @@ impl Fe {
             self.0[3] + other.0[3],
             self.0[4] + other.0[4],
         ])
-        .reduced()
     }
 
-    /// `self - other` (adds `2p` first to avoid underflow).
+    /// `self - other`: adds `16p` first, which every limb of `other` is
+    /// below, then carries.
+    #[inline]
     pub fn sub(self, other: Fe) -> Fe {
-        // 2p in radix-51: (2^52 - 38, 2^52 - 2, ...).
-        const TWO_P0: u64 = 0xFFFFFFFFFFFDA;
-        const TWO_PI: u64 = 0xFFFFFFFFFFFFE;
-        let o = other.reduced();
+        // 16p in radix-51: (2^55 - 304, 2^55 - 16, ...).
+        const SIXTEEN_P0: u64 = 0x7FFFFFFFFFFED0;
+        const SIXTEEN_PI: u64 = 0x7FFFFFFFFFFFF0;
+        debug_assert!(limbs_below(&self, 54) && limbs_below(&other, 54));
         Fe([
-            self.0[0] + TWO_P0 - o.0[0],
-            self.0[1] + TWO_PI - o.0[1],
-            self.0[2] + TWO_PI - o.0[2],
-            self.0[3] + TWO_PI - o.0[3],
-            self.0[4] + TWO_PI - o.0[4],
+            self.0[0] + SIXTEEN_P0 - other.0[0],
+            self.0[1] + SIXTEEN_PI - other.0[1],
+            self.0[2] + SIXTEEN_PI - other.0[2],
+            self.0[3] + SIXTEEN_PI - other.0[3],
+            self.0[4] + SIXTEEN_PI - other.0[4],
         ])
         .reduced()
     }
 
     /// `-self`.
+    #[inline]
     pub fn neg(self) -> Fe {
         Fe::ZERO.sub(self)
     }
 
-    /// `self * other`.
+    /// `self * other`: 25 limb products, inputs taken as they are.
+    #[inline]
     pub fn mul(self, other: Fe) -> Fe {
-        let a = self.reduced().0;
-        let b = other.reduced().0;
+        debug_assert!(limbs_below(&self, 54) && limbs_below(&other, 54));
+        let a = &self.0;
+        let b = &other.0;
+        // 19·b[i] fits a u64: b[i] < 2^54.
+        let b1_19 = 19 * b[1];
+        let b2_19 = 19 * b[2];
+        let b3_19 = 19 * b[3];
+        let b4_19 = 19 * b[4];
         let m = |x: u64, y: u64| x as u128 * y as u128;
-        let t0 =
-            m(a[0], b[0]) + 19 * (m(a[1], b[4]) + m(a[2], b[3]) + m(a[3], b[2]) + m(a[4], b[1]));
-        let t1 =
-            m(a[0], b[1]) + m(a[1], b[0]) + 19 * (m(a[2], b[4]) + m(a[3], b[3]) + m(a[4], b[2]));
-        let t2 =
-            m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + 19 * (m(a[3], b[4]) + m(a[4], b[3]));
-        let t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + 19 * m(a[4], b[4]);
+        let t0 = m(a[0], b[0]) + m(a[1], b4_19) + m(a[2], b3_19) + m(a[3], b2_19) + m(a[4], b1_19);
+        let t1 = m(a[0], b[1]) + m(a[1], b[0]) + m(a[2], b4_19) + m(a[3], b3_19) + m(a[4], b2_19);
+        let t2 = m(a[0], b[2]) + m(a[1], b[1]) + m(a[2], b[0]) + m(a[3], b4_19) + m(a[4], b3_19);
+        let t3 = m(a[0], b[3]) + m(a[1], b[2]) + m(a[2], b[1]) + m(a[3], b[0]) + m(a[4], b4_19);
         let t4 = m(a[0], b[4]) + m(a[1], b[3]) + m(a[2], b[2]) + m(a[3], b[1]) + m(a[4], b[0]);
         Self::carry128([t0, t1, t2, t3, t4])
     }
 
-    /// `self * self`.
+    /// `self * self`: the 15 distinct limb products of a square.
+    #[inline]
     pub fn square(self) -> Fe {
-        self.mul(self)
+        debug_assert!(limbs_below(&self, 54));
+        let a = &self.0;
+        let a0_2 = 2 * a[0];
+        let a1_2 = 2 * a[1];
+        let a2_2 = 2 * a[2];
+        let a3_19 = 19 * a[3];
+        let a4_19 = 19 * a[4];
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        let t0 = m(a[0], a[0]) + m(a1_2, a4_19) + m(a2_2, a3_19);
+        let t1 = m(a0_2, a[1]) + m(a2_2, a4_19) + m(a[3], a3_19);
+        let t2 = m(a0_2, a[2]) + m(a[1], a[1]) + m(2 * a[3], a4_19);
+        let t3 = m(a0_2, a[3]) + m(a1_2, a[2]) + m(a[4], a4_19);
+        let t4 = m(a0_2, a[4]) + m(a1_2, a[3]) + m(a[2], a[2]);
+        Self::carry128([t0, t1, t2, t3, t4])
     }
 
-    /// `self * k` for a small scalar `k`.
-    pub fn mul_small(self, k: u64) -> Fe {
-        let a = self.reduced().0;
-        let t: [u128; 5] = [
-            a[0] as u128 * k as u128,
-            a[1] as u128 * k as u128,
-            a[2] as u128 * k as u128,
-            a[3] as u128 * k as u128,
-            a[4] as u128 * k as u128,
-        ];
-        Self::carry128(t)
+    /// `self^(2^k)`: `k` squarings in a row.
+    fn pow2k(self, k: u32) -> Fe {
+        let mut t = self;
+        for _ in 0..k {
+            t = t.square();
+        }
+        t
     }
 
+    /// Carries five column sums (each below 2^115) into tight limbs.
+    #[inline]
     fn carry128(mut t: [u128; 5]) -> Fe {
-        let mut out = [0u64; 5];
-        let c = t[0] >> 51;
-        out[0] = (t[0] as u64) & MASK51;
-        t[1] += c;
-        let c = t[1] >> 51;
-        out[1] = (t[1] as u64) & MASK51;
-        t[2] += c;
-        let c = t[2] >> 51;
-        out[2] = (t[2] as u64) & MASK51;
-        t[3] += c;
-        let c = t[3] >> 51;
-        out[3] = (t[3] as u64) & MASK51;
-        t[4] += c;
-        let c = t[4] >> 51;
-        out[4] = (t[4] as u64) & MASK51;
-        out[0] += 19 * c as u64;
-        // One more light carry in case out[0] overflowed 51 bits.
-        Fe(out).reduced()
+        t[1] += t[0] >> 51;
+        t[2] += t[1] >> 51;
+        t[3] += t[2] >> 51;
+        t[4] += t[3] >> 51;
+        // t[4] < 5·2^108 + 2^64, so its carry is below 2^59.4 and 19 times
+        // it still fits a u64.
+        let c = (t[4] >> 51) as u64;
+        let mut out = [
+            (t[0] as u64) & MASK51,
+            (t[1] as u64) & MASK51,
+            (t[2] as u64) & MASK51,
+            (t[3] as u64) & MASK51,
+            (t[4] as u64) & MASK51,
+        ];
+        out[0] += 19 * c;
+        out[1] += out[0] >> 51;
+        out[0] &= MASK51;
+        Fe(out)
+    }
+
+    /// `(self^(2^250 - 1), self^11)`: the shared prefix of the inversion
+    /// and square-root addition chains (from the curve25519 reference
+    /// implementation).
+    fn pow22501(self) -> (Fe, Fe) {
+        let z2 = self.square();
+        let z9 = z2.pow2k(2).mul(self);
+        let z11 = z9.mul(z2);
+        let z2_5_0 = z11.square().mul(z9);
+        let z2_10_0 = z2_5_0.pow2k(5).mul(z2_5_0);
+        let z2_20_0 = z2_10_0.pow2k(10).mul(z2_10_0);
+        let z2_40_0 = z2_20_0.pow2k(20).mul(z2_20_0);
+        let z2_50_0 = z2_40_0.pow2k(10).mul(z2_10_0);
+        let z2_100_0 = z2_50_0.pow2k(50).mul(z2_50_0);
+        let z2_200_0 = z2_100_0.pow2k(100).mul(z2_100_0);
+        let z2_250_0 = z2_200_0.pow2k(50).mul(z2_50_0);
+        (z2_250_0, z11)
     }
 
     /// Raises to the power `2^255 - 21` (i.e. `p - 2`), giving the inverse.
     pub fn invert(self) -> Fe {
-        // Addition chain from the curve25519 reference implementation.
-        let z2 = self.square();
-        let z9 = z2.square().square().mul(self);
-        let z11 = z9.mul(z2);
-        let z2_5_0 = z11.square().mul(z9);
-        let z2_10_0 = {
-            let mut t = z2_5_0;
-            for _ in 0..5 {
-                t = t.square();
-            }
-            t.mul(z2_5_0)
-        };
-        let z2_20_0 = {
-            let mut t = z2_10_0;
-            for _ in 0..10 {
-                t = t.square();
-            }
-            t.mul(z2_10_0)
-        };
-        let z2_40_0 = {
-            let mut t = z2_20_0;
-            for _ in 0..20 {
-                t = t.square();
-            }
-            t.mul(z2_20_0)
-        };
-        let z2_50_0 = {
-            let mut t = z2_40_0;
-            for _ in 0..10 {
-                t = t.square();
-            }
-            t.mul(z2_10_0)
-        };
-        let z2_100_0 = {
-            let mut t = z2_50_0;
-            for _ in 0..50 {
-                t = t.square();
-            }
-            t.mul(z2_50_0)
-        };
-        let z2_200_0 = {
-            let mut t = z2_100_0;
-            for _ in 0..100 {
-                t = t.square();
-            }
-            t.mul(z2_100_0)
-        };
-        let z2_250_0 = {
-            let mut t = z2_200_0;
-            for _ in 0..50 {
-                t = t.square();
-            }
-            t.mul(z2_50_0)
-        };
-        let mut t = z2_250_0;
-        for _ in 0..5 {
-            t = t.square();
-        }
-        t.mul(z11)
+        let (z2_250_0, z11) = self.pow22501();
+        z2_250_0.pow2k(5).mul(z11)
     }
 
     /// Raises to the power `(p - 5) / 8 = 2^252 - 3`, used in square-root
     /// extraction during point decompression.
     pub fn pow_p58(self) -> Fe {
-        // (p-5)/8 = 2^252 - 3.
-        let z2 = self.square();
-        let z9 = z2.square().square().mul(self);
-        let z11 = z9.mul(z2);
-        let z2_5_0 = z11.square().mul(z9);
-        let z2_10_0 = {
-            let mut t = z2_5_0;
-            for _ in 0..5 {
-                t = t.square();
-            }
-            t.mul(z2_5_0)
-        };
-        let z2_20_0 = {
-            let mut t = z2_10_0;
-            for _ in 0..10 {
-                t = t.square();
-            }
-            t.mul(z2_10_0)
-        };
-        let z2_40_0 = {
-            let mut t = z2_20_0;
-            for _ in 0..20 {
-                t = t.square();
-            }
-            t.mul(z2_20_0)
-        };
-        let z2_50_0 = {
-            let mut t = z2_40_0;
-            for _ in 0..10 {
-                t = t.square();
-            }
-            t.mul(z2_10_0)
-        };
-        let z2_100_0 = {
-            let mut t = z2_50_0;
-            for _ in 0..50 {
-                t = t.square();
-            }
-            t.mul(z2_50_0)
-        };
-        let z2_200_0 = {
-            let mut t = z2_100_0;
-            for _ in 0..100 {
-                t = t.square();
-            }
-            t.mul(z2_100_0)
-        };
-        let z2_250_0 = {
-            let mut t = z2_200_0;
-            for _ in 0..50 {
-                t = t.square();
-            }
-            t.mul(z2_50_0)
-        };
-        let mut t = z2_250_0;
-        for _ in 0..2 {
-            t = t.square();
-        }
-        t.mul(self)
+        let (z2_250_0, _) = self.pow22501();
+        z2_250_0.pow2k(2).mul(self)
     }
 
     /// Whether the canonical encoding is odd (the "sign" bit of x).
@@ -370,6 +317,7 @@ pub fn edwards_d2() -> Fe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bignum::BigUint;
     use proptest::prelude::*;
 
     fn fe(v: u64) -> Fe {
@@ -394,7 +342,7 @@ mod tests {
     #[test]
     fn small_multiplication() {
         assert_eq!(fe(6).mul(fe(7)).to_bytes(), fe(42).to_bytes());
-        assert_eq!(fe(6).mul_small(7).to_bytes(), fe(42).to_bytes());
+        assert_eq!(fe(6).square().to_bytes(), fe(36).to_bytes());
     }
 
     #[test]
@@ -421,7 +369,7 @@ mod tests {
     fn edwards_d_value() {
         // d * 121666 == -121665 (mod p)
         let d = edwards_d();
-        let lhs = d.mul_small(121_666);
+        let lhs = d.mul(fe(121_666));
         let rhs = fe(121_665).neg();
         assert_eq!(lhs.to_bytes(), rhs.to_bytes());
     }
@@ -457,7 +405,73 @@ mod tests {
         assert_eq!(r.to_bytes(), expected);
     }
 
+    /// The value of `x` as an integer (not reduced mod p).
+    fn big(x: Fe) -> BigUint {
+        (0..5).rev().fold(BigUint::zero(), |acc, i| {
+            acc.shl(51).add(&BigUint::from_u64(x.0[i]))
+        })
+    }
+
+    fn big_p() -> BigUint {
+        BigUint::one().shl(255).sub(&BigUint::from_u64(19))
+    }
+
+    /// Elements with arbitrary limbs below `2^bits`; one case in four has
+    /// every limb at the bound's edge, `2^bits − 1`.
+    struct Loose(u32);
+
+    impl Strategy for Loose {
+        type Value = Fe;
+        fn generate(&self, rng: &mut proptest::TestRng) -> Fe {
+            let edge = rng.next_u64().is_multiple_of(4);
+            Fe([(); 5].map(|_| {
+                let limb = rng.next_u64() >> (64 - self.0);
+                if edge {
+                    (1 << self.0) - 1
+                } else {
+                    limb
+                }
+            }))
+        }
+    }
+
+    fn loose(bits: u32) -> Loose {
+        Loose(bits)
+    }
+
     proptest! {
+        #[test]
+        fn square_matches_mul(a in loose(54)) {
+            prop_assert_eq!(a.square(), a.mul(a));
+        }
+
+        /// Each operation's output stays within the module's stated limb
+        /// bounds, for inputs at the edge of what it accepts, and has the
+        /// right value mod p.
+        #[test]
+        fn ops_stay_within_limb_bounds(a in loose(54), b in loose(54), c in loose(53), d in loose(53)) {
+            let p = big_p();
+            let tight = |x: Fe| x.0.iter().all(|&l| l < 1 << 52);
+            let prod = a.mul(b);
+            prop_assert!(tight(prod));
+            prop_assert_eq!(big(prod).rem(&p), big(a).mul(&big(b)).rem(&p));
+            let sq = a.square();
+            prop_assert!(tight(sq));
+            prop_assert_eq!(big(sq).rem(&p), big(a).mul(&big(a)).rem(&p));
+            let diff = a.sub(b);
+            prop_assert!(tight(diff));
+            prop_assert_eq!(
+                big(diff).add(&big(b)).rem(&p),
+                big(a).rem(&p)
+            );
+            prop_assert!(tight(a.neg()));
+            prop_assert!(tight(Fe::from_bytes(&a.to_bytes())));
+            let sum = c.add(d);
+            prop_assert!(sum.0.iter().all(|&l| l < 1 << 54));
+            prop_assert_eq!(big(sum), big(c).add(&big(d)));
+            prop_assert!(tight(a.invert()) && tight(a.pow_p58()));
+        }
+
         #[test]
         fn mul_commutes(a in any::<u64>(), b in any::<u64>()) {
             prop_assert_eq!(fe(a).mul(fe(b)).to_bytes(), fe(b).mul(fe(a)).to_bytes());

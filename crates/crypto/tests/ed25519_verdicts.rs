@@ -1,0 +1,427 @@
+//! A pinned verdict corpus for Ed25519 verification: adversarial keys and
+//! signatures whose accept/reject verdicts, from `verify` and from
+//! `verify_batch` over windows of 1, 2 and 8, are recorded as constants.
+//! Any change to the field or curve arithmetic must leave every verdict
+//! as recorded here.
+//!
+//! The corpus covers:
+//! - small-order (torsion) points `[ℓ]P`, derived from seeded random curve
+//!   points `P`, used as the public key `A`, as the nonce point `R`, and
+//!   added to a valid `A` (a mixed-order key);
+//! - non-canonical `y` encodings (`y ≥ p`) for `R` and for `A`;
+//! - `S = ℓ`, `S = ℓ + 1` and the malleated `S + ℓ`;
+//! - one flipped bit in each of `R`, `S` and the message.
+//!
+//! Verification is cofactorless (`S·B − k·A − R == 𝒪`). The batch path
+//! scales each `R` by an odd random coefficient `z < 2^128`, so a
+//! small-order defect in one `R` gets the same verdict there as alone;
+//! each window of two or eight holds at most one such entry. A key with a
+//! small-order component is scaled by `z·k mod ℓ`, which multiplies that
+//! component by a coefficient-dependent factor, so its batch verdicts vary
+//! from run to run: those entries are pinned through `verify` and windows
+//! of one (which check the single equation) only.
+
+use rdb_crypto::ed25519::{verify_batch, BatchEntry, Ed25519PublicKey, EdwardsPoint};
+use rdb_crypto::scalar25519::{mul_add, reduce512};
+use rdb_crypto::sha2::sha512;
+
+/// ℓ, little-endian.
+const L_LE: [u8; 32] = [
+    0xed, 0xd3, 0xf5, 0x5c, 0x1a, 0x63, 0x12, 0x58, 0xd6, 0x9c, 0xf7, 0xa2, 0xde, 0xf9, 0xde, 0x14,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x10,
+];
+
+/// `p = 2^255 − 19`, little-endian.
+const P_LE: [u8; 32] = [
+    0xed, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+    0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f,
+];
+
+const ZERO: [u8; 32] = [0u8; 32];
+
+/// `a·b mod ℓ`.
+fn mul(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
+    mul_add(a, b, &ZERO)
+}
+
+/// A scalar mod ℓ derived from a label.
+fn scalar(label: &str) -> [u8; 32] {
+    reduce512(&sha512(label.as_bytes()))
+}
+
+/// `k = SHA-512(R || A || M) mod ℓ`.
+fn challenge(r: &[u8; 32], a: &[u8; 32], msg: &[u8]) -> [u8; 32] {
+    let mut buf = Vec::with_capacity(64 + msg.len());
+    buf.extend_from_slice(r);
+    buf.extend_from_slice(a);
+    buf.extend_from_slice(msg);
+    reduce512(&sha512(&buf))
+}
+
+fn basemul(s: &[u8; 32]) -> EdwardsPoint {
+    EdwardsPoint::basepoint().scalar_mul(s)
+}
+
+fn sig(r: &[u8; 32], s: &[u8; 32]) -> [u8; 64] {
+    let mut out = [0u8; 64];
+    out[..32].copy_from_slice(r);
+    out[32..].copy_from_slice(s);
+    out
+}
+
+/// The small-order component `[ℓ]P` of the `n`-th seeded random curve
+/// point `P` outside the prime-order subgroup (a point of order 2, 4 or 8).
+fn torsion(n: u32) -> EdwardsPoint {
+    let mut found = 0;
+    for attempt in 0u32.. {
+        let mut y = [0u8; 32];
+        y.copy_from_slice(&sha512(format!("corpus point {attempt}").as_bytes())[..32]);
+        y[31] &= 0x7f;
+        y[31] |= (attempt as u8 & 1) << 7;
+        if let Some(p) = EdwardsPoint::decompress(&y) {
+            let t = p.scalar_mul(&L_LE);
+            if t == EdwardsPoint::identity() {
+                continue;
+            }
+            if found == n {
+                return t;
+            }
+            found += 1;
+        }
+    }
+    unreachable!()
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Torsion {
+    None,
+    InR,
+    InKey,
+}
+
+/// One corpus entry: the encoded key, the message and the signature.
+struct Case {
+    name: &'static str,
+    key: [u8; 32],
+    msg: Vec<u8>,
+    sig: [u8; 64],
+    /// Where the entry carries a small-order component, if anywhere.
+    torsion: Torsion,
+}
+
+/// An honest signature under secret scalar `a` (public key `a·B`).
+fn honest(name: &'static str, a: &[u8; 32], msg: &[u8]) -> Case {
+    let key = basemul(a).compress();
+    let r = scalar(&format!("nonce {name}"));
+    let r_bytes = basemul(&r).compress();
+    let k = challenge(&r_bytes, &key, msg);
+    Case {
+        name,
+        key,
+        msg: msg.to_vec(),
+        sig: sig(&r_bytes, &mul_add(&k, a, &r)),
+        torsion: Torsion::None,
+    }
+}
+
+fn corpus() -> Vec<Case> {
+    let mut cases = Vec::new();
+    let msg = b"corpus message: transfer 10 from alice to bob".to_vec();
+
+    for i in 0..4 {
+        let name: &'static str = ["valid 0", "valid 1", "valid 2", "valid 3"][i];
+        let a = scalar(&format!("secret {i}"));
+        cases.push(honest(name, &a, &format!("{i} {}", msg.len()).into_bytes()));
+    }
+
+    let a = scalar("secret torsion");
+    let a_point = basemul(&a);
+    let r = scalar("nonce torsion");
+    let r_point = basemul(&r);
+    let r_bytes = r_point.compress();
+    for (t, names) in [
+        (
+            0u32,
+            [
+                "small-order A (P0)",
+                "small-order R (P0)",
+                "mixed-order A (P0)",
+                "R + torsion (P0)",
+            ],
+        ),
+        (
+            1,
+            [
+                "small-order A (P1)",
+                "small-order R (P1)",
+                "mixed-order A (P1)",
+                "R + torsion (P1)",
+            ],
+        ),
+        (
+            2,
+            [
+                "small-order A (P2)",
+                "small-order R (P2)",
+                "mixed-order A (P2)",
+                "R + torsion (P2)",
+            ],
+        ),
+        (
+            3,
+            [
+                "small-order A (P3)",
+                "small-order R (P3)",
+                "mixed-order A (P3)",
+                "R + torsion (P3)",
+            ],
+        ),
+    ] {
+        let tp = torsion(t);
+        let t_bytes = tp.compress();
+        // A = T: S·B − k·T − R = −k·T with S = r.
+        let k = challenge(&r_bytes, &t_bytes, &msg);
+        let _ = k;
+        cases.push(Case {
+            name: names[0],
+            key: t_bytes,
+            msg: msg.clone(),
+            sig: sig(&r_bytes, &r),
+            torsion: Torsion::InKey,
+        });
+        // R = T under an honest key: S = k·a leaves −T.
+        let key = a_point.compress();
+        let k = challenge(&t_bytes, &key, &msg);
+        cases.push(Case {
+            name: names[1],
+            key,
+            msg: msg.clone(),
+            sig: sig(&t_bytes, &mul(&k, &a)),
+            torsion: Torsion::InR,
+        });
+        // A = a·B + T, S = r + k·a: leaves −k·T.
+        let mixed = a_point.add(&tp).compress();
+        let k = challenge(&r_bytes, &mixed, &msg);
+        cases.push(Case {
+            name: names[2],
+            key: mixed,
+            msg: msg.clone(),
+            sig: sig(&r_bytes, &mul_add(&k, &a, &r)),
+            torsion: Torsion::InKey,
+        });
+        // R = r·B + T under an honest key, S = r + k·a: leaves −T.
+        let rt = r_point.add(&tp).compress();
+        let k = challenge(&rt, &key, &msg);
+        cases.push(Case {
+            name: names[3],
+            key,
+            msg: msg.clone(),
+            sig: sig(&rt, &mul_add(&k, &a, &r)),
+            torsion: Torsion::InR,
+        });
+    }
+
+    // R with y ≥ p: p + 1 encodes the identity (y = 1), p encodes y = 0;
+    // S is what the canonical reading of R would need.
+    let key = a_point.compress();
+    for (name, mut enc, s_for_canonical) in [
+        ("R = p + 1 (identity)", P_LE, true),
+        ("R = p (y = 0)", P_LE, false),
+        ("R = p + 1 with sign bit", P_LE, true),
+    ] {
+        if s_for_canonical {
+            enc[0] += 1;
+        }
+        if name.ends_with("sign bit") {
+            enc[31] |= 0x80;
+        }
+        let k = challenge(&enc, &key, &msg);
+        let s = if s_for_canonical { mul(&k, &a) } else { r };
+        cases.push(Case {
+            name,
+            key,
+            msg: msg.clone(),
+            sig: sig(&enc, &s),
+            torsion: Torsion::None,
+        });
+    }
+
+    // S = ℓ, S = ℓ + 1, S + ℓ over an honest signature.
+    let base = honest("S base", &a, &msg);
+    let mut l_plus_1 = L_LE;
+    l_plus_1[0] += 1;
+    let malleated = {
+        let mut s = [0u8; 32];
+        let mut carry = 0u16;
+        for i in 0..32 {
+            let v = base.sig[32 + i] as u16 + L_LE[i] as u16 + carry;
+            s[i] = v as u8;
+            carry = v >> 8;
+        }
+        s
+    };
+    for (name, s) in [
+        ("S = l", L_LE),
+        ("S = l + 1", l_plus_1),
+        ("S + l", malleated),
+    ] {
+        let mut r_part = [0u8; 32];
+        r_part.copy_from_slice(&base.sig[..32]);
+        cases.push(Case {
+            name,
+            key: base.key,
+            msg: base.msg.clone(),
+            sig: sig(&r_part, &s),
+            torsion: Torsion::None,
+        });
+    }
+
+    // One flipped bit in R, in S and in the message.
+    for (name, bit) in [
+        ("flip R bit 0", 0usize),
+        ("flip R bit 200", 200),
+        ("flip S bit 3", 259),
+        ("flip S bit 250", 506),
+    ] {
+        let mut c = honest(name, &a, &msg);
+        c.sig[bit / 8] ^= 1 << (bit % 8);
+        cases.push(c);
+    }
+    let mut c = honest("flip message bit", &a, &msg);
+    c.msg[5] ^= 0x10;
+    cases.push(c);
+
+    cases
+}
+
+fn verdict_string(v: impl IntoIterator<Item = bool>) -> String {
+    v.into_iter().map(|b| if b { '1' } else { '0' }).collect()
+}
+
+/// Keys with `y ≥ p` never parse, so no signature under them verifies.
+#[test]
+fn non_canonical_keys_never_parse() {
+    let mut p_plus_1 = P_LE;
+    p_plus_1[0] += 1;
+    let mut p_plus_1_signed = p_plus_1;
+    p_plus_1_signed[31] |= 0x80;
+    let mut p_signed = P_LE;
+    p_signed[31] |= 0x80;
+    let parsed: Vec<bool> = [P_LE, p_plus_1, p_plus_1_signed, p_signed]
+        .iter()
+        .map(|k| Ed25519PublicKey::from_bytes(k).is_some())
+        .collect();
+    assert_eq!(verdict_string(parsed), A_NON_CANONICAL_PARSES);
+}
+
+/// The verdict of `verify` for every corpus entry, in order; `-` marks a
+/// key that does not parse.
+const SINGLE: &str = "1111000000001000100000000000000";
+/// Whether each `y ≥ p` key encoding parses.
+const A_NON_CANONICAL_PARSES: &str = "0000";
+/// `verify_batch` over windows of 1, 2 and 8, concatenated per window.
+const BATCH_1: &str = "1111000000001000100000000000000";
+const BATCH_2: &str =
+    "1001100110011001100110011001100110011001100110011001100110011001100110011001";
+const BATCH_8: &str = "00000011000000110000001100000011000000110000001100000101000001101111111101111111101111111101111111101111111101111111101111111101111111100111111110111111110111111110111111110111111110111111110111111110011111111011111111011111";
+
+fn entries<'a>(
+    cases: &'a [Case],
+    keys: &'a [Option<Ed25519PublicKey>],
+    idx: &[usize],
+) -> Vec<BatchEntry<'a>> {
+    idx.iter()
+        .map(|&i| BatchEntry {
+            public: keys[i].as_ref().expect("corpus keys parse"),
+            msg: &cases[i].msg,
+            sig: &cases[i].sig,
+        })
+        .collect()
+}
+
+#[test]
+fn verdicts_match_the_recorded_corpus() {
+    let cases = corpus();
+    let keys: Vec<Option<Ed25519PublicKey>> = cases
+        .iter()
+        .map(|c| Ed25519PublicKey::from_bytes(&c.key))
+        .collect();
+    let single: String = cases
+        .iter()
+        .zip(&keys)
+        .map(|(c, k)| match k {
+            None => '-',
+            Some(k) if k.verify(&c.msg, &c.sig) => '1',
+            Some(_) => '0',
+        })
+        .collect();
+    let names: Vec<&str> = cases.iter().map(|c| c.name).collect();
+    assert_eq!(single, SINGLE, "single verdicts for {names:?}");
+
+    let usable: Vec<usize> = (0..cases.len()).filter(|&i| keys[i].is_some()).collect();
+    let valid: Vec<usize> = usable
+        .iter()
+        .copied()
+        .filter(|&i| cases[i].name.starts_with("valid"))
+        .collect();
+    let bad: Vec<usize> = usable
+        .iter()
+        .copied()
+        .filter(|&i| !cases[i].name.starts_with("valid"))
+        .collect();
+    let bad_keyed: Vec<usize> = bad
+        .iter()
+        .copied()
+        .filter(|&i| cases[i].torsion != Torsion::InKey)
+        .collect();
+
+    // Windows of one: every usable entry alone.
+    let batch_1 = verdict_string(
+        usable
+            .iter()
+            .flat_map(|&i| verify_batch(&entries(&cases, &keys, &[i]))),
+    );
+    assert_eq!(batch_1, BATCH_1);
+
+    // Windows of two: each entry after and before a valid one.
+    let mut batch_2 = String::new();
+    for (n, &i) in bad_keyed.iter().enumerate() {
+        let v = valid[n % valid.len()];
+        batch_2 += &verdict_string(verify_batch(&entries(&cases, &keys, &[v, i])));
+        batch_2 += &verdict_string(verify_batch(&entries(&cases, &keys, &[i, v])));
+    }
+    assert_eq!(batch_2, BATCH_2);
+
+    // Windows of eight: each small-order `R` among two valid entries and
+    // five bad ones without a small-order component, at a rotating
+    // position.
+    let plain_bad: Vec<usize> = bad
+        .iter()
+        .copied()
+        .filter(|&i| cases[i].torsion == Torsion::None)
+        .collect();
+    let torsion: Vec<usize> = bad
+        .iter()
+        .copied()
+        .filter(|&i| cases[i].torsion == Torsion::InR)
+        .collect();
+    let mut batch_8 = String::new();
+    for (n, &t) in torsion.iter().enumerate() {
+        let mut idx: Vec<usize> = (0..5)
+            .map(|j| plain_bad[(n * 5 + j) % plain_bad.len()])
+            .collect();
+        idx.push(valid[n % valid.len()]);
+        idx.push(valid[(n + 1) % valid.len()]);
+        idx.insert(n % 8, t);
+        batch_8 += &verdict_string(verify_batch(&entries(&cases, &keys, &idx)));
+    }
+    // And all-valid, all-but-one-valid windows.
+    let mut idx: Vec<usize> = (0..8).map(|j| valid[j % valid.len()]).collect();
+    batch_8 += &verdict_string(verify_batch(&entries(&cases, &keys, &idx)));
+    for (n, &b) in bad_keyed.iter().enumerate() {
+        idx[n % 8] = b;
+        batch_8 += &verdict_string(verify_batch(&entries(&cases, &keys, &idx)));
+        idx[n % 8] = valid[n % valid.len()];
+    }
+    assert_eq!(batch_8, BATCH_8);
+}

@@ -603,7 +603,10 @@ impl<'a> Sim<'a> {
     fn apply(&mut self, replica: usize, effect: NodeEffect) {
         match effect {
             NodeEffect::Propose(input) => {
-                let assemble = self.svc.assemble_batch();
+                let Input::Propose { batch, .. } = &input else {
+                    unreachable!("the assembler cuts only proposals");
+                };
+                let assemble = self.svc.assemble_batch(batch.len());
                 if self.reps[replica].stages[S_BATCH].servers > 0 {
                     self.enqueue(replica, S_BATCH, assemble, After::Received(input));
                 } else {
@@ -628,7 +631,7 @@ impl<'a> Sim<'a> {
                     let service = if item.batch.is_empty() {
                         0.0
                     } else {
-                        self.svc.execute_batch()
+                        self.svc.execute_batch(item.batch.len())
                     };
                     self.enqueue(replica, stage, service, After::Executed { item, epoch });
                 }
@@ -825,7 +828,7 @@ impl<'a> Sim<'a> {
                     },
                 );
                 if !item.batch.is_empty() {
-                    let service = self.svc.reply_batch();
+                    let service = self.svc.reply_batch(item.batch.len());
                     self.enqueue(replica, S_OUTPUT, service, After::RepliesSigned(item));
                 }
             }

@@ -61,6 +61,11 @@ impl Default for Overheads {
     }
 }
 
+/// Serialized bytes of a batch of `txns` transactions of `txn_bytes` each.
+fn batch_bytes(txns: usize, txn_bytes: usize) -> usize {
+    16 + 8 + 8 + 32 + txns * txn_bytes
+}
+
 /// Computed per-job service times and message sizes for one configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceModel {
@@ -94,7 +99,7 @@ impl ServiceModel {
         let value_size = 8;
         let op_bytes = 13 + value_size;
         let txn_bytes = 24 + config.ops_per_txn * op_bytes + 4 + config.payload_bytes;
-        let batch_bytes = 16 + 8 + 8 + 32 + config.batch_size * txn_bytes;
+        let batch_bytes = batch_bytes(config.batch_size, txn_bytes);
         let sig = match config.crypto {
             CryptoScheme::NoCrypto => 0,
             CryptoScheme::CmacEd25519 => 16,
@@ -137,15 +142,17 @@ impl ServiceModel {
         self.over.input_message_ns
     }
 
-    /// Batch thread: verify client signatures, assemble, digest (one batch).
+    /// Batch thread: verify client signatures, assemble and digest one
+    /// batch of `txns` transactions (a partial batch is priced by its own
+    /// length, a full one has `batch_size`).
     ///
     /// Client signatures are *batch-verified*: the whole window of requests
     /// feeding one consensus batch goes through a single
     /// random-linear-combination check, so the per-signature cost is the
     /// amortized batched rate, not the single-verify rate — this is the
     /// batch-verify pipeline stage's main effect on the figures.
-    pub fn assemble_batch(&self) -> f64 {
-        let b = self.batch_size as f64;
+    pub fn assemble_batch(&self, txns: usize) -> f64 {
+        let b = txns as f64;
         let verify =
             b * self
                 .cost
@@ -153,7 +160,7 @@ impl ServiceModel {
         let copy =
             b * (self.over.batch_per_txn_ns + self.over.batch_per_byte_ns * self.txn_bytes as f64);
         // One digest over the whole batch (Section 4.3's single-hash trick).
-        let digest = self.cost.hash_ns(self.batch_bytes);
+        let digest = self.cost.hash_ns(batch_bytes(txns, self.txn_bytes));
         verify + copy + digest
     }
 
@@ -187,13 +194,14 @@ impl ServiceModel {
         self.cost.sign_ns(self.scheme, true, bytes)
     }
 
-    /// Execute stage: run one full batch against the store.
-    pub fn execute_batch(&self) -> f64 {
-        (self.batch_size * self.ops_per_txn) as f64 * self.over.store_op_ns
+    /// Execute stage: run a batch of `txns` transactions against the store.
+    pub fn execute_batch(&self, txns: usize) -> f64 {
+        (txns * self.ops_per_txn) as f64 * self.over.store_op_ns
     }
 
-    /// Output: create + sign the replies for one batch — one envelope per
-    /// client, covering all of that client's results.
+    /// Output: create + sign the replies for a batch of `txns`
+    /// transactions — one envelope per client, covering all of that
+    /// client's results.
     ///
     /// Protocol fidelity point: PBFT replies are terminal (clients only
     /// match them against each other), so MACs suffice under
@@ -201,8 +209,9 @@ impl ServiceModel {
     /// clients inside commit certificates, so they must be digital
     /// signatures — this is the hidden crypto tax of the single-phase
     /// protocol.
-    pub fn reply_batch(&self) -> f64 {
-        let envelope_bytes = self.reply_bytes(self.batch_size) / self.replies_per_batch;
+    pub fn reply_batch(&self, txns: usize) -> f64 {
+        let envelopes = txns.min(self.replies_per_batch).max(1);
+        let envelope_bytes = self.reply_bytes(txns) / envelopes;
         let sign = match (self.protocol, self.scheme) {
             (_, CryptoScheme::NoCrypto) => 0.0,
             (ProtocolKind::Zyzzyva, CryptoScheme::CmacEd25519) => {
@@ -210,7 +219,7 @@ impl ServiceModel {
             }
             (_, scheme) => self.cost.sign_ns(scheme, true, envelope_bytes),
         };
-        self.replies_per_batch as f64 * (self.over.reply_create_ns + sign)
+        envelopes as f64 * (self.over.reply_create_ns + sign)
     }
 
     /// Worker: verify one commit certificate (Zyzzyva slow path): `q`
@@ -279,7 +288,7 @@ mod tests {
     fn batch_assembly_scales_with_batch_size() {
         let small = model(|c| c.batch_size = 10);
         let large = model(|c| c.batch_size = 1000);
-        assert!(large.assemble_batch() > small.assemble_batch() * 50.0);
+        assert!(large.assemble_batch(1000) > small.assemble_batch(10) * 50.0);
     }
 
     #[test]
@@ -297,7 +306,23 @@ mod tests {
         });
         assert_eq!(few.replies_per_batch, 4);
         assert_eq!(few.reply_bytes(100), 4 * (36 + 16) + 100 * 16);
-        assert!(few.reply_batch() * 10.0 < many.reply_batch());
+        assert!(few.reply_batch(100) * 10.0 < many.reply_batch(100));
+    }
+
+    #[test]
+    fn a_partial_batch_is_charged_its_share_of_the_per_transaction_work() {
+        let m = model(|c| c.batch_size = 100);
+        assert_eq!(m.replies_per_batch, 100);
+        // Verify and copy: the assembly less its one digest over the batch.
+        let per_txn_assembly =
+            |txns: usize| m.assemble_batch(txns) - m.cost.hash_ns(batch_bytes(txns, m.txn_bytes));
+        // Each kind of work is charged 40/100 of the full batch's.
+        let is_two_fifths = |part: f64, full: f64| (part / full - 0.4).abs() < 1e-9;
+        assert!(is_two_fifths(per_txn_assembly(40), per_txn_assembly(100)));
+        assert!(is_two_fifths(m.execute_batch(40), m.execute_batch(100)));
+        assert!(is_two_fifths(m.reply_batch(40), m.reply_batch(100)));
+        // A full batch prices as the whole configured batch.
+        assert_eq!(batch_bytes(100, m.txn_bytes), m.batch_bytes);
     }
 
     #[test]
@@ -309,7 +334,7 @@ mod tests {
             ..Overheads::default()
         };
         let paged = ServiceModel::new(&cfg, CostModel::optimized(), paged);
-        assert!(paged.execute_batch() > mem.execute_batch() * 100.0);
+        assert!(paged.execute_batch(100) > mem.execute_batch(100) * 100.0);
     }
 
     #[test]
@@ -317,14 +342,14 @@ mod tests {
         let mac = model(|c| c.crypto = CryptoScheme::CmacEd25519);
         let rsa = model(|c| c.crypto = CryptoScheme::Rsa);
         assert!(rsa.process_vote() > mac.process_vote() * 5.0);
-        assert!(rsa.reply_batch() > mac.reply_batch() * 10.0);
+        assert!(rsa.reply_batch(100) > mac.reply_batch(100) * 10.0);
     }
 
     #[test]
     fn no_crypto_eliminates_signature_costs() {
         let none = model(|c| c.crypto = CryptoScheme::NoCrypto);
         let mac = model(|c| c.crypto = CryptoScheme::CmacEd25519);
-        assert!(none.assemble_batch() < mac.assemble_batch());
+        assert!(none.assemble_batch(100) < mac.assemble_batch(100));
         assert_eq!(none.sign_replica_msg(100), 0.0);
     }
 
@@ -339,6 +364,6 @@ mod tests {
     fn multi_op_txns_inflate_execution() {
         let one = model(|c| c.ops_per_txn = 1);
         let fifty = model(|c| c.ops_per_txn = 50);
-        assert!((fifty.execute_batch() / one.execute_batch() - 50.0).abs() < 1.0);
+        assert!((fifty.execute_batch(100) / one.execute_batch(100) - 50.0).abs() < 1.0);
     }
 }

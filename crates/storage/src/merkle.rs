@@ -146,6 +146,9 @@ impl MerkleAccumulator {
         let changed = match (bucket.binary_search_by_key(&key, |e| e.0), record_hash) {
             (Ok(at), Some(h)) => std::mem::replace(&mut bucket[at].1, h) != h,
             (Err(at), Some(h)) => {
+                // Buckets average about one entry; `insert` alone would
+                // reserve four.
+                bucket.reserve_exact(1);
                 bucket.insert(at, (key, h));
                 self.len += 1;
                 true
@@ -352,6 +355,14 @@ mod tests {
         assert!(acc.nodes != flushed);
         assert_eq!(acc.flush(), 0, "nothing dirty, nothing hashed");
         assert_eq!(MerkleAccumulator::new().flush(), 0);
+    }
+
+    #[test]
+    fn buckets_hold_no_spare_capacity() {
+        let mut acc = MerkleAccumulator::new();
+        acc.apply((0..65_536u64).map(|k| (k, Some(rh(k, 0)))));
+        let spare: usize = acc.buckets.iter().map(|b| b.capacity() - b.len()).sum();
+        assert_eq!(spare, 0, "spare bucket entries after 65 536 inserts");
     }
 
     #[test]
