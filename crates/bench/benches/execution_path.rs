@@ -18,11 +18,11 @@
 //!   hashing), so the sweep scales with *physical cores*. On a
 //!   single-core container it records scheduling overhead (< 1×); on a
 //!   multicore machine (e.g. the CI runner) it shows the core-scaling win.
-//! - `io` — the Figure 14 storage class: every record read pays a
-//!   blocking ~20µs I/O latency (SQLite-style backend). Here the worker
-//!   pool overlaps the waits, so the speedup is real even on one core —
-//!   this is the execution/validation bottleneck case the parallel
-//!   executor is built for.
+//! - `io` — a paged storage class (the SQLite side of the paper's
+//!   Figure 14): every record read pays a blocking ~20µs I/O latency.
+//!   Here the worker pool overlaps the waits, so the speedup is real even
+//!   on one core — this is the execution/validation bottleneck case the
+//!   parallel executor is built for.
 //!
 //! A third sweep (`execution/wal/…`) attaches the durable write-ahead
 //! log to the serial executor and varies the fsync policy — `always`,
@@ -88,8 +88,8 @@ const WINDOW: usize = 4;
 /// Simulated per-read I/O latency of the `io` backend.
 const IO_DELAY: Duration = Duration::from_micros(20);
 
-/// A MemStore whose reads pay a blocking I/O latency — the SQLite-class
-/// backend of Figure 14, where the execute stage stalls on the disk.
+/// A MemStore whose reads pay a blocking I/O latency — a SQLite-class
+/// backend, where the execute stage stalls on the disk.
 /// Writes stay fast: the deferred-commit path batches them through
 /// `apply`, modeling a write-behind journal.
 struct IoStore {

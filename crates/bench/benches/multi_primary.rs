@@ -4,15 +4,15 @@
 //! Two kinds of rows go into `BENCH_multi_primary.json`, written through
 //! [`rdb_bench::report`]:
 //!
-//! - **Model rows** — the calibrated discrete-event simulator's k = 1
-//!   run plus the [`rdb_sim::multi`] prediction for each k. This is the
-//!   in-memory cluster model (8-core replicas, the paper's testbed
-//!   shape) and carries the headline result: spreading leadership
-//!   across k instances relieves the leader-only batch stage, the k = 1
-//!   bottleneck. `model/base_tps` is the k = 1 run; per k,
-//!   `model/k=<k>/{predicted_tps,speedup}`, the binding stage's load as
-//!   `model/k=<k>/bottleneck/<stage>` and every stage's as
-//!   `model/k=<k>/stage_load/<stage>` (%).
+//! - **Model rows** — one calibrated discrete-event simulator run per k,
+//!   with `consensus_instances = k`. This is the in-memory cluster model
+//!   (8-core replicas, the paper's testbed shape) and carries the
+//!   headline result: spreading leadership across k instances relieves
+//!   the leader-only batch stage, the k = 1 bottleneck. `model/base_tps`
+//!   is the k = 1 run; per k, `model/k=<k>/{predicted_tps,speedup}` (the
+//!   run's txn/s and its ratio to k = 1), the run's busiest stage at
+//!   replica 0 as `model/k=<k>/bottleneck/<stage>` and every stage's
+//!   busy % there as `model/k=<k>/stage_load/<stage>`.
 //! - **Threaded rows** — a real 4-replica deployment under the swarm
 //!   driver's closed-loop load (four sessions, bursts of 20, for one
 //!   window), per transport (in-memory switchboard and TCP loopback) and
@@ -27,6 +27,7 @@
 
 use rdb_bench::report::{Length, Report};
 use rdb_common::TransportMode;
+use rdb_sim::SimReport;
 use resilientdb::{SwarmConfig, SystemBuilder};
 use std::time::Duration;
 
@@ -66,28 +67,40 @@ fn run_threaded(report: &mut Report, transport: TransportMode, k: usize, window:
 }
 
 fn run_suite(report: &mut Report) {
-    // Model sweep: one calibrated k = 1 DES run, predictions per k.
-    let cfg = rdb_bench::sim_base(4);
-    let (base, model) = rdb_sim::multi::sweep(&cfg, &KS);
-    report.record("model/base_tps", base.throughput_tps);
-    for row in &model {
-        let k = row.k;
-        report.record(format!("model/k={k}/predicted_tps"), row.predicted_tps);
-        report.record(format!("model/k={k}/speedup"), row.speedup);
-        let (stage, load) = row.bottleneck;
-        report.record(format!("model/k={k}/bottleneck/{}", stage.label()), load);
-        for (stage, load) in &row.per_stage {
-            report.record(format!("model/k={k}/stage_load/{}", stage.label()), *load);
-        }
-    }
-    let k2_speedup = model
+    // Model sweep: one calibrated DES run per k.
+    let model: Vec<SimReport> = KS
         .iter()
-        .find(|r| r.k == 2)
-        .map(|r| r.speedup)
-        .unwrap_or(f64::NAN);
+        .map(|&k| {
+            let mut cfg = rdb_bench::sim_base(4);
+            cfg.system.consensus_instances = k;
+            cfg.run()
+        })
+        .collect();
+    let base = model[0].throughput_tps;
+    report.record("model/base_tps", base);
+    let mut speedups = Vec::new();
+    for (k, run) in KS.iter().zip(&model) {
+        let speedup = run.throughput_tps / base;
+        report.record(format!("model/k={k}/predicted_tps"), run.throughput_tps);
+        report.record(format!("model/k={k}/speedup"), speedup);
+        let load = &run.primary_saturation;
+        if let Some((stage, busy)) = load.iter().max_by(|a, b| a.1.total_cmp(b.1)) {
+            report.record(format!("model/k={k}/bottleneck/{}", stage.label()), *busy);
+        }
+        for (stage, busy) in load {
+            report.record(format!("model/k={k}/stage_load/{}", stage.label()), *busy);
+        }
+        speedups.push(speedup);
+    }
+    let k2_speedup = speedups[1];
     assert!(
         k2_speedup >= 1.5,
         "k=2 model speedup {k2_speedup:.3} below the 1.5x acceptance bar"
+    );
+    assert!(
+        speedups[2] >= k2_speedup,
+        "k=4 model speedup {:.3} below k=2's {k2_speedup:.3}",
+        speedups[2]
     );
 
     // Threaded sweep over both transports.

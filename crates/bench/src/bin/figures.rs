@@ -62,10 +62,6 @@ fn run_figure(id: &str) {
         ),
         "fig12" => print_points("Figure 12: message (payload) size", &fig12()),
         "fig13" => print_points("Figure 13: cryptographic signature schemes", &fig13()),
-        "fig14" => print_points(
-            "Figure 14: in-memory vs paged (SQLite-like) storage",
-            &fig14(),
-        ),
         "fig15" => print_points("Figure 15: number of clients", &fig15()),
         "fig16" => print_points("Figure 16: hardware cores per replica", &fig16()),
         "fig17" => print_points("Figure 17: backup replica failures", &fig17()),
@@ -83,10 +79,6 @@ fn run_figure(id: &str) {
             println!(
                 "RSA latency multiplier vs CMAC:         {:>8.1}x   (paper: 125x)",
                 s.rsa_latency_multiplier
-            );
-            println!(
-                "in-memory gain vs paged storage:        {:>8.1}x   (paper: 18x)",
-                s.memory_gain
             );
             println!(
                 "decoupled execution gain (1E vs 0E):    {:>8.1}%   (paper: 9.5%)",
@@ -115,8 +107,8 @@ fn run_figure(id: &str) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let all = [
-        "fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "fig15",
-        "fig16", "fig17", "summary",
+        "fig1", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig15", "fig16",
+        "fig17", "summary",
     ];
     if args.is_empty() {
         for id in all {

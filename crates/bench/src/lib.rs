@@ -11,7 +11,6 @@
 pub mod report;
 
 use rdb_common::{CryptoScheme, ProtocolKind, SystemConfig, ThreadConfig};
-use rdb_sim::service::SQLITE_STAND_IN_OP_NS;
 use rdb_sim::{SimConfig, SimMode, SimReport, SimStage};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -258,17 +257,6 @@ pub fn fig13() -> Vec<Point> {
     points(rows)
 }
 
-/// Figure 14: in-memory vs paged (SQLite-like) state storage. Model output
-/// only: every replica runs the in-memory store, and the paged row prices
-/// each store operation at [`SQLITE_STAND_IN_OP_NS`].
-pub fn fig14() -> Vec<Point> {
-    let paged = config(16, |c| c.overheads.store_op_ns = SQLITE_STAND_IN_OP_NS);
-    points(vec![
-        ("in-memory".into(), "in-memory".into(), sim_base(16)),
-        ("paged".into(), "paged".into(), paged),
-    ])
-}
-
 /// Figure 15: client-population sweep.
 pub fn fig15() -> Vec<Point> {
     let clients = [4_000usize, 8_000, 16_000, 32_000, 64_000, 80_000];
@@ -304,8 +292,6 @@ pub struct Summary {
     pub crypto_gain: f64,
     /// Latency multiplier of RSA over CMAC+ED25519.
     pub rsa_latency_multiplier: f64,
-    /// Throughput gain of in-memory over paged storage.
-    pub memory_gain: f64,
     /// Throughput gain of decoupling execution (1E 0B over 0E 0B), percent.
     pub decoupled_execution_gain_pct: f64,
     /// Throughput loss factor of Zyzzyva under one failure.
@@ -319,7 +305,6 @@ pub struct Summary {
 /// Computes the summary from fresh runs.
 pub fn summary() -> Summary {
     let tput = |r: &SimReport| r.throughput_tps;
-    let storage = fig14();
     let cfgs = vec![
         config(16, |c| c.system.batch_size = 1),
         config(16, |c| c.system.batch_size = 1_000),
@@ -348,7 +333,6 @@ pub fn summary() -> Summary {
         batching_gain: tput(b_best) / tput(b1).max(1.0),
         crypto_gain: tput(cmac) / tput(rsa).max(1.0),
         rsa_latency_multiplier: rsa.avg_latency_ms / cmac.avg_latency_ms.max(1e-9),
-        memory_gain: storage[0].throughput_tps / storage[1].throughput_tps.max(1.0),
         decoupled_execution_gain_pct: 100.0 * (tput(e1) / tput(e0).max(1.0) - 1.0),
         zyzzyva_failure_loss: tput(zyz_ok) / tput(zyz_fail).max(1.0),
         pbft_advantage_pct: 100.0 * (tput(pbft32) / tput(zyz32).max(1.0) - 1.0),

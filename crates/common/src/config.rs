@@ -4,10 +4,9 @@
 //! batch size, thread counts (the `E`/`B` notation of Figure 8), crypto
 //! scheme (Figure 13), client population (Figure 15), cores per replica
 //! (Figure 16), operations per transaction (Figure 11), payload size
-//! (Figure 12) and the consensus protocol (Figures 1, 8, 17). Figure 14's
-//! in-memory-versus-SQLite comparison is model-only: `rdb_sim` prices it
-//! with a per-operation store cost, and every replica runs the in-memory
-//! store.
+//! (Figure 12) and the consensus protocol (Figures 1, 8, 17). Every
+//! replica runs the in-memory store; Figure 14's SQLite comparison is not
+//! reproduced.
 
 use crate::error::{CommonError, Result};
 use crate::quorum;
@@ -136,7 +135,9 @@ impl Default for DurabilityConfig {
 /// protocol state has a single owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ThreadConfig {
-    /// Batch-assembly threads at the primary (`B`).
+    /// Batch-assembly threads per replica (`B`), at any number of
+    /// consensus instances: each thread batches for every instance the
+    /// replica leads.
     pub batch_threads: usize,
     /// Execution threads (`E`). `0` folds execution into the worker
     /// (the paper's degraded `0E` mode), `1` is the paper's serial

@@ -34,11 +34,12 @@
 //!   bad indices, bottoming out in the exact single-signature equation; a
 //!   lone entry goes straight to it.
 //!
-//! Per-item verdicts of the batch match [`Ed25519PublicKey::verify`] for
-//! keys in the prime-order subgroup (every key a `KeyRegistry` derives).
-//! A key with a small-order component is multiplied by `zᵢkᵢ mod ℓ`,
-//! which scales that component by a coefficient-dependent factor, so its
-//! verdict in a batch of two or more can differ from `verify`'s.
+//! Per-item verdicts of the batch match [`Ed25519PublicKey::verify`]. In
+//! the combination a key is multiplied by `zᵢkᵢ mod ℓ`, which would scale
+//! a small-order component of the key by a coefficient-dependent factor;
+//! so each key learns once whether `[ℓ]A == 𝒪`, and one that is not in
+//! the prime-order subgroup (no key a `KeyRegistry` derives) is checked
+//! by the single equation in every batch.
 //!
 //! # Point forms
 //!
@@ -61,9 +62,8 @@ use std::sync::OnceLock;
 
 /// The group order `ℓ = 2^252 + 27742317777372353535851937790883648493`,
 /// big-endian bytes (the fast limb arithmetic lives in
-/// [`crate::scalar25519`]; tests use these bytes to build non-canonical
-/// and order-adjacent scalars).
-#[cfg(test)]
+/// [`crate::scalar25519`]; these bytes check a key's order and build the
+/// tests' non-canonical and order-adjacent scalars).
 const L_BYTES: [u8; 32] = [
     0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
     0x14, 0xde, 0xf9, 0xde, 0xa2, 0xf7, 0x9c, 0xd6, 0x58, 0x12, 0x63, 0x1a, 0x5c, 0xf5, 0xd3, 0xed,
@@ -708,6 +708,10 @@ pub struct Ed25519PublicKey {
     /// key's first verification: a client's key checks every request it
     /// sends, so its doublings are paid once, not per signature.
     tables: OnceLock<Vec<[CachedPoint; 8]>>,
+    /// Whether `[ℓ]A == 𝒪`, learned on the key's first batch
+    /// verification: a key with a small-order component is checked by the
+    /// single equation in every batch.
+    prime_order: OnceLock<bool>,
 }
 
 impl PartialEq for Ed25519PublicKey {
@@ -797,6 +801,22 @@ impl Ed25519PublicKey {
             compressed: *bytes,
             point,
             tables: OnceLock::new(),
+            prime_order: OnceLock::new(),
+        })
+    }
+
+    /// Whether the key lies in the prime-order subgroup (`[ℓ]A == 𝒪`).
+    fn prime_order(&self) -> bool {
+        *self.prime_order.get_or_init(|| {
+            let mut ell = L_BYTES;
+            ell.reverse();
+            let terms: Vec<Term<'_>> = self
+                .straus_tables()
+                .iter()
+                .enumerate()
+                .map(|(j, table)| (scalar_part(&ell, j), table))
+                .collect();
+            straus(None, &terms).ct_eq(&EdwardsPoint::identity())
         })
     }
 
@@ -939,20 +959,24 @@ pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Vec<bool> {
     static BATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
     let mut results = vec![false; entries.len()];
     let counter = BATCH_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let prepared: Vec<(usize, PreparedVerify<'_>)> = entries
+    // A key with a small-order component is checked by the single
+    // equation: in the combination, its coefficient would scale that
+    // component.
+    let (mut batched, mut single): (Vec<_>, Vec<_>) = entries
         .iter()
         .enumerate()
-        .filter_map(|(i, e)| PreparedVerify::new(e.public, e.msg, e.sig).map(|p| (i, p)))
-        .collect();
-    // A lone entry is checked by the single equation, which needs no
-    // coefficient.
-    if let [(idx, p)] = prepared.as_slice() {
-        results[*idx] = p.check_single();
-        return results;
+        .filter_map(|(i, e)| PreparedVerify::new(e.public, e.msg, e.sig).map(|p| (i, p, e)))
+        .partition(|(_, _, e)| e.public.prime_order());
+    // So is a lone entry, which needs no coefficient.
+    if batched.len() == 1 {
+        single.append(&mut batched);
     }
-    let items: Vec<(usize, PreparedVerify<'_>, [u8; 32])> = prepared
+    for (idx, p, _) in &single {
+        results[*idx] = p.check_single();
+    }
+    let items: Vec<(usize, PreparedVerify<'_>, [u8; 32])> = batched
         .into_iter()
-        .map(|(i, p)| {
+        .map(|(i, p, _)| {
             let z = derive_z(counter, i, &p);
             (i, p, z)
         })
@@ -991,6 +1015,8 @@ impl Ed25519KeyPair {
                 compressed,
                 point: a_point,
                 tables: OnceLock::new(),
+                // `a·B` lies in the subgroup `B` generates.
+                prime_order: OnceLock::from(true),
             },
         }
     }

@@ -16,10 +16,11 @@
 //! scales each `R` by an odd random coefficient `z < 2^128`, so a
 //! small-order defect in one `R` gets the same verdict there as alone;
 //! each window of two or eight holds at most one such entry. A key with a
-//! small-order component is scaled by `z·k mod ℓ`, which multiplies that
-//! component by a coefficient-dependent factor, so its batch verdicts vary
-//! from run to run: those entries are pinned through `verify` and windows
-//! of one (which check the single equation) only.
+//! small-order component would be scaled by `z·k mod ℓ`, which multiplies
+//! that component by a coefficient-dependent factor, so the batch checks
+//! such a key by the single equation; the recorded windows pin those
+//! entries through `verify` and windows of one, and a separate test checks
+//! them against `verify` in windows of two and eight.
 
 use rdb_crypto::ed25519::{verify_batch, BatchEntry, Ed25519PublicKey, EdwardsPoint};
 use rdb_crypto::scalar25519::{mul_add, reduce512};
@@ -56,6 +57,51 @@ fn challenge(r: &[u8; 32], a: &[u8; 32], msg: &[u8]) -> [u8; 32] {
     buf.extend_from_slice(a);
     buf.extend_from_slice(msg);
     reduce512(&sha512(&buf))
+}
+
+/// A key with a small-order component gets `verify`'s verdict in every
+/// batch window: its batch verdict does not depend on the window's
+/// coefficients. Each key follows valid entries in windows of two and
+/// eight, 64 calls each.
+#[test]
+fn keys_with_a_small_order_component_get_verifys_verdict_in_every_window() {
+    let cases = corpus();
+    let keys: Vec<Option<Ed25519PublicKey>> = cases
+        .iter()
+        .map(|c| Ed25519PublicKey::from_bytes(&c.key))
+        .collect();
+    let verdict = |i: usize| {
+        keys[i]
+            .as_ref()
+            .is_some_and(|k| k.verify(&cases[i].msg, &cases[i].sig))
+    };
+    let valid: Vec<usize> = (0..cases.len())
+        .filter(|&i| cases[i].name.starts_with("valid"))
+        .collect();
+    let keyed: Vec<usize> = (0..cases.len())
+        .filter(|&i| cases[i].torsion == Torsion::InKey && keys[i].is_some())
+        .collect();
+    assert!(keyed
+        .iter()
+        .any(|&i| cases[i].name.starts_with("mixed-order")));
+    for window in [2usize, 8] {
+        for call in 0..64 {
+            let key = keyed[call % keyed.len()];
+            let mut idx: Vec<usize> = (0..window - 1)
+                .map(|j| valid[(call + j) % valid.len()])
+                .collect();
+            idx.push(key);
+            let got = verify_batch(&entries(&cases, &keys, &idx));
+            let want: Vec<bool> = idx.iter().map(|&i| verdict(i)).collect();
+            assert_eq!(
+                got,
+                want,
+                "{} after {} valid entries, call {call}",
+                cases[key].name,
+                window - 1
+            );
+        }
+    }
 }
 
 fn basemul(s: &[u8; 32]) -> EdwardsPoint {

@@ -10,12 +10,14 @@
 //!
 //! [`verify_window`] is that step, shared by the worker and the batch
 //! stage; [`BatchAssembler`] builds consensus batches from what it
-//! accepted, on a batch thread or — with `batch_threads = 0` — inside the
-//! worker's [`crate::Node`]. It verifies nothing and reads no clock: the
-//! caller passes authentic transactions and `now`.
+//! accepted, one pending batch per consensus instance, on every batch
+//! thread or — with `batch_threads = 0` — inside the worker's
+//! [`crate::Node`]. It verifies nothing and reads no clock: the caller
+//! passes authentic transactions and `now`.
 
-use rdb_common::messages::{Sender, SignedMessage};
-use rdb_common::{Batch, Digest, SignatureBytes, Transaction};
+use crate::core::{client_instance, Input};
+use rdb_common::messages::{Message, Sender, SignedMessage};
+use rdb_common::{Batch, SignatureBytes, SystemConfig, Transaction};
 use rdb_crypto::{digest, CryptoProvider};
 use std::time::{Duration, Instant};
 
@@ -51,72 +53,99 @@ pub(crate) fn verify_window(
     rejected
 }
 
-/// Turns verified client requests into digested consensus batches for one
-/// instance: full batches are cut as soon as `batch_size` transactions are
-/// pending, a partial one once it has waited [`BATCH_FLUSH_AFTER`].
-#[derive(Debug)]
+/// Turns verified client requests into digested consensus batches, one
+/// pending batch per consensus instance: an instance's full batches are
+/// cut as soon as `batch_size` of its transactions are pending, a partial
+/// one once it has waited [`BATCH_FLUSH_AFTER`] since that instance's last
+/// cut. Every batch leaves as the [`Input::Propose`] that proposes it.
+#[derive(Debug, Default)]
 pub(crate) struct BatchAssembler {
     batch_size: usize,
-    pending: Vec<Transaction>,
-    last_cut: Instant,
+    /// Per instance: its pending transactions and when it last cut.
+    pending: Vec<(Vec<Transaction>, Instant)>,
 }
 
 impl BatchAssembler {
-    pub(crate) fn new(batch_size: usize, now: Instant) -> Self {
+    /// One pending batch per consensus instance of `config`.
+    pub(crate) fn new(config: &SystemConfig, now: Instant) -> Self {
+        let k = config.consensus_instances.max(1);
         BatchAssembler {
-            batch_size,
-            pending: Vec::new(),
-            last_cut: now,
+            batch_size: config.batch_size,
+            pending: (0..k).map(|_| (Vec::new(), now)).collect(),
         }
     }
 
-    /// Queues authentic transactions and appends every full batch to
-    /// `cut`.
+    /// Queues authentic transactions for `instance` and appends every
+    /// full batch to `cut`.
     pub(crate) fn push(
         &mut self,
+        instance: usize,
         txns: Vec<Transaction>,
         now: Instant,
-        cut: &mut Vec<(Batch, Digest)>,
+        cut: &mut Vec<Input>,
     ) {
-        self.pending.extend(txns);
-        while self.pending.len() >= self.batch_size {
-            let rest = self.pending.split_off(self.batch_size);
-            let txns = std::mem::replace(&mut self.pending, rest);
-            self.cut(txns, now, cut);
+        let (pending, last_cut) = &mut self.pending[instance];
+        pending.extend(txns);
+        while pending.len() >= self.batch_size {
+            let rest = pending.split_off(self.batch_size);
+            let txns = std::mem::replace(pending, rest);
+            propose(instance, txns, cut);
+            *last_cut = now;
         }
     }
 
-    /// When the pending partial batch becomes due for flushing (`None`
-    /// while nothing is pending): the only reason for a batch thread to
-    /// wake without input.
-    pub(crate) fn flush_deadline(&self) -> Option<Instant> {
-        (!self.pending.is_empty()).then(|| self.last_cut + BATCH_FLUSH_AFTER)
+    /// [`Self::push`] for a client request, on the instance its client
+    /// shards to.
+    pub(crate) fn push_request(&mut self, sm: SignedMessage, now: Instant, cut: &mut Vec<Input>) {
+        let instance = client_instance(sm.sender(), self.pending.len());
+        // `into_message` is move-out, not copy: the client's send handed
+        // over the only reference.
+        if let Message::ClientRequest { txns } = sm.into_message() {
+            self.push(instance, txns, now, cut);
+        }
     }
 
-    /// Whether a partial batch has waited long enough to be flushed.
+    /// When the earliest pending partial batch becomes due for flushing
+    /// (`None` while nothing is pending): the only reason for a batch
+    /// thread to wake without input.
+    pub(crate) fn flush_deadline(&self) -> Option<Instant> {
+        self.pending
+            .iter()
+            .filter(|(pending, _)| !pending.is_empty())
+            .map(|(_, last_cut)| *last_cut + BATCH_FLUSH_AFTER)
+            .min()
+    }
+
+    /// Whether some partial batch has waited long enough to be flushed.
     pub(crate) fn flush_due(&self, now: Instant) -> bool {
         self.flush_deadline().is_some_and(|due| now > due)
     }
 
-    /// Cuts the pending transactions as one partial batch; call when
-    /// [`Self::flush_due`].
-    pub(crate) fn flush(&mut self, now: Instant, cut: &mut Vec<(Batch, Digest)>) {
-        let txns = std::mem::take(&mut self.pending);
-        self.cut(txns, now, cut);
+    /// Cuts every partial batch that has waited long enough.
+    pub(crate) fn flush(&mut self, now: Instant, cut: &mut Vec<Input>) {
+        for (instance, (pending, last_cut)) in self.pending.iter_mut().enumerate() {
+            if !pending.is_empty() && now > *last_cut + BATCH_FLUSH_AFTER {
+                propose(instance, std::mem::take(pending), cut);
+                *last_cut = now;
+            }
+        }
     }
+}
 
-    fn cut(&mut self, txns: Vec<Transaction>, now: Instant, cut: &mut Vec<(Batch, Digest)>) {
-        let batch = Batch::new(txns);
-        let d = digest(&batch.canonical_bytes());
-        cut.push((batch, d));
-        self.last_cut = now;
-    }
+/// Digests `txns` as one batch and appends its proposal on `instance`.
+fn propose(instance: usize, txns: Vec<Transaction>, cut: &mut Vec<Input>) {
+    let batch = Batch::new(txns);
+    let digest = digest(&batch.canonical_bytes());
+    cut.push(Input::Propose {
+        instance,
+        batch,
+        digest,
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdb_common::messages::Message;
     use rdb_common::{ClientId, CryptoScheme, Operation, ReplicaId};
     use rdb_crypto::{KeyRegistry, PeerClass};
 
@@ -151,13 +180,38 @@ mod tests {
         provider: &CryptoProvider,
         window: &mut Vec<SignedMessage>,
         now: Instant,
-        cut: &mut Vec<(Batch, Digest)>,
+        cut: &mut Vec<Input>,
     ) -> u64 {
-        verify_window(provider, window, |sm| {
-            if let Message::ClientRequest { txns } = sm.into_message() {
-                asm.push(txns, now, cut);
-            }
-        })
+        verify_window(provider, window, |sm| asm.push_request(sm, now, cut))
+    }
+
+    /// The instance and batch a cut proposes.
+    fn proposal(input: &Input) -> (usize, &Batch) {
+        let Input::Propose {
+            instance,
+            batch,
+            digest: d,
+        } = input
+        else {
+            panic!("the assembler cuts only proposals");
+        };
+        assert_eq!(*d, digest(&batch.canonical_bytes()));
+        (*instance, batch)
+    }
+
+    /// `(instance, transactions)` of each cut, which it takes.
+    fn drain(cut: &mut Vec<Input>) -> Vec<(usize, usize)> {
+        let cuts = cut.iter().map(proposal).map(|(j, b)| (j, b.len()));
+        let cuts = cuts.collect();
+        cut.clear();
+        cuts
+    }
+
+    fn config(k: usize, batch_size: usize) -> SystemConfig {
+        let mut config = SystemConfig::new(4).unwrap();
+        config.consensus_instances = k;
+        config.batch_size = batch_size;
+        config
     }
 
     #[test]
@@ -165,7 +219,7 @@ mod tests {
         let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 2, 7);
         let provider = registry.provider_for_replica(ReplicaId(0));
         let t0 = Instant::now();
-        let mut asm = BatchAssembler::new(4, t0);
+        let mut asm = BatchAssembler::new(&config(1, 4), t0);
         let mut window = vec![
             request(&registry, 0, 3, false),
             request(&registry, 1, 3, true),
@@ -180,8 +234,7 @@ mod tests {
             1,
             "6 authentic txns at batch_size 4: one full batch"
         );
-        assert_eq!(cut[0].0.len(), 4);
-        assert_eq!(cut[0].1, digest(&cut[0].0.canonical_bytes()));
+        assert_eq!(proposal(&cut[0]).1.len(), 4);
 
         assert_eq!(
             asm.flush_deadline(),
@@ -189,10 +242,12 @@ mod tests {
             "the remainder waits one flush period from the last cut"
         );
         assert!(!asm.flush_due(t0 + BATCH_FLUSH_AFTER), "not overdue yet");
+        asm.flush(t0 + BATCH_FLUSH_AFTER, &mut cut);
+        assert_eq!(cut.len(), 1, "a flush before the deadline cuts nothing");
         assert!(asm.flush_due(t0 + BATCH_FLUSH_AFTER * 2));
         asm.flush(t0 + BATCH_FLUSH_AFTER * 2, &mut cut);
         assert_eq!(cut.len(), 2);
-        assert_eq!(cut[1].0.len(), 2, "the partial remainder");
+        assert_eq!(proposal(&cut[1]).1.len(), 2, "the partial remainder");
         assert!(
             !asm.flush_due(t0 + BATCH_FLUSH_AFTER * 9),
             "nothing pending"
@@ -206,5 +261,38 @@ mod tests {
         ingest(&mut asm, &provider, &mut window, late, &mut cut);
         assert!(asm.flush_deadline().is_some_and(|due| due < late));
         assert!(asm.flush_due(late));
+    }
+
+    /// With k instances each client's requests go to its own instance's
+    /// pending batch, which fills, cuts and falls due on its own.
+    #[test]
+    fn each_instance_batches_and_flushes_on_its_own() {
+        let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 2, 7);
+        let provider = registry.provider_for_replica(ReplicaId(0));
+        let t0 = Instant::now();
+        let mut asm = BatchAssembler::new(&config(2, 4), t0);
+        let mut cut = Vec::new();
+        // Client 0 shards to instance 0, client 1 to instance 1: each
+        // cuts one full batch, instance 1 later.
+        let mut window = vec![request(&registry, 0, 5, false)];
+        ingest(&mut asm, &provider, &mut window, t0, &mut cut);
+        let later = t0 + BATCH_FLUSH_AFTER * 3 / 2;
+        let mut window = vec![request(&registry, 1, 6, false)];
+        ingest(&mut asm, &provider, &mut window, later, &mut cut);
+        assert_eq!(drain(&mut cut), [(0, 4), (1, 4)]);
+        assert_eq!(
+            asm.flush_deadline(),
+            Some(t0 + BATCH_FLUSH_AFTER),
+            "the earliest deadline: instance 0's remainder"
+        );
+
+        // Past instance 0's deadline, before instance 1's: only instance
+        // 0's remainder is cut.
+        asm.flush(t0 + BATCH_FLUSH_AFTER * 2, &mut cut);
+        assert_eq!(drain(&mut cut), [(0, 1)]);
+        assert_eq!(asm.flush_deadline(), Some(later + BATCH_FLUSH_AFTER));
+        asm.flush(later + BATCH_FLUSH_AFTER * 2, &mut cut);
+        assert_eq!(drain(&mut cut), [(1, 2)]);
+        assert_eq!(asm.flush_deadline(), None);
     }
 }

@@ -1,7 +1,8 @@
 //! One replica as a value: [`Node`].
 //!
-//! A replica is three sans-IO parts: one [`BatchAssembler`] per consensus
-//! instance, the [`ReplicaCore`] and the execute stage ([`ExecStage`]).
+//! A replica is three sans-IO parts: a [`BatchAssembler`] with one
+//! pending batch per consensus instance, the [`ReplicaCore`] and the
+//! execute stage ([`ExecStage`]).
 //! [`Node::step`] runs the part an input is for and hands out what passes
 //! from one part to the next: a cut batch, stepped back as
 //! [`Input::Propose`], and an in-order window, whose results come back as
@@ -15,7 +16,7 @@ use crate::batch::BatchAssembler;
 use crate::core::{client_instance, Effect, Input, ReplicaCore};
 use crate::queues::{ExecBackend, ExecStage, ExecuteItem};
 use rdb_common::messages::{Message, Sender};
-use rdb_common::{Batch, Digest, ReplicaId, SeqNum, SystemConfig, Transaction};
+use rdb_common::{ReplicaId, SeqNum, SystemConfig, Transaction};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -98,8 +99,8 @@ pub fn route(
 /// One replica — see the module docs.
 pub struct Node {
     pub(crate) core: ReplicaCore,
-    /// One per instance; none when batch threads assemble.
-    assemblers: Vec<BatchAssembler>,
+    /// With no instances when batch threads assemble.
+    assembler: BatchAssembler,
     /// The execute stage and the state it rewinds; `None` when an execute
     /// thread owns them.
     pub(crate) stage: Option<(ExecStage, Arc<dyn ExecBackend + Send + Sync>)>,
@@ -112,18 +113,16 @@ impl Node {
     pub fn new(core: ReplicaCore) -> Self {
         Node {
             core,
-            assemblers: Vec::new(),
+            assembler: BatchAssembler::default(),
             stage: None,
             core_fx: Vec::new(),
         }
     }
 
-    /// Adds one assembler per consensus instance of `config`.
+    /// Adds batching, one pending batch per consensus instance of
+    /// `config`.
     pub fn with_batching(mut self, config: &SystemConfig, now: Instant) -> Self {
-        let k = config.consensus_instances.max(1);
-        self.assemblers = (0..k)
-            .map(|_| BatchAssembler::new(config.batch_size, now))
-            .collect();
+        self.assembler = BatchAssembler::new(config, now);
         self
     }
 
@@ -138,10 +137,7 @@ impl Node {
     /// [`Input::Tick`] cuts one, so a driver steps one once this passes,
     /// however busy it is — or, as a batch thread does, once it is idle.
     pub fn next_due(&self) -> Option<Instant> {
-        self.assemblers
-            .iter()
-            .filter_map(BatchAssembler::flush_deadline)
-            .min()
+        self.assembler.flush_deadline()
     }
 
     /// Reacts to `input` at time `now`, appending what the driver must do
@@ -150,17 +146,13 @@ impl Node {
         let mut cut = Vec::new();
         match input {
             NodeInput::Requests { instance, txns } => {
-                self.assemblers[instance].push(txns, now, &mut cut);
-                propose(instance, &mut cut, fx);
+                self.assembler.push(instance, txns, now, &mut cut);
+                fx.extend(cut.into_iter().map(NodeEffect::Propose));
             }
             NodeInput::Core(input) => {
                 if matches!(input, Input::Tick) {
-                    for (j, assembler) in self.assemblers.iter_mut().enumerate() {
-                        if assembler.flush_due(now) {
-                            assembler.flush(now, &mut cut);
-                            propose(j, &mut cut, fx);
-                        }
-                    }
+                    self.assembler.flush(now, &mut cut);
+                    fx.extend(cut.into_iter().map(NodeEffect::Propose));
                 }
                 self.core.step(input, now, &mut self.core_fx);
                 self.carry_out(fx);
@@ -194,15 +186,4 @@ impl Node {
             }
         }
     }
-}
-
-/// Hands on the batches an assembler cut for `instance`.
-fn propose(instance: usize, cut: &mut Vec<(Batch, Digest)>, fx: &mut Vec<NodeEffect>) {
-    fx.extend(cut.drain(..).map(|(batch, digest)| {
-        NodeEffect::Propose(Input::Propose {
-            instance,
-            batch,
-            digest,
-        })
-    }));
 }

@@ -20,9 +20,12 @@
 //! - [`worker_loop`] authenticates the messages of its backlog — every
 //!   replica message, checkpoint votes included — as one window, steps
 //!   the node and sends to replicas itself.
-//! - [`batch_loop`] turns client requests into digested batches with its
-//!   instance's assembler; `batch_threads = 0` leaves that to the node's
-//!   own assemblers, and the requests join the worker's window (the
+//! - [`batch_loop`] turns client requests into digested batches. Every
+//!   batch thread reads the replica's one client-request channel and holds
+//!   its own [`BatchAssembler`], with a pending batch for each instance
+//!   this replica leads, so `B` threads serve the leader-only stage at any
+//!   number of instances. `batch_threads = 0` leaves that to the node's
+//!   own assembler, and the requests join the worker's window (the
 //!   paper's `0B`).
 //! - [`execute_loop`] owns the [`ExecStage`], fed the core's execution
 //!   effects in order, and runs committed batches strictly in sequence
@@ -196,29 +199,20 @@ pub fn spawn_replica(
 ) -> ReplicaHandle {
     config.validate().expect("invalid system configuration");
     let provider = registry.provider_for_replica(id);
-    let k = config.consensus_instances.max(1);
     let threads_cfg = config.threads;
     let shared = build_shared(config, id, &provider);
     let (metrics, executor) = (&shared.metrics, &shared.executor);
-    // Batch threads are spawned on every replica: a channel only fills
-    // while this replica leads its instance (routing is view-aware), and
-    // `propose` on a backup engine is a no-op. With k > 1 instances the
-    // count is raised to at least k so every instance has a dedicated
-    // batching path; thread `b` serves instance `b % k`.
-    let batch_threads = match threads_cfg.batch_threads {
-        0 => 0,
-        b => b.max(k),
-    };
 
     // --- channels -----------------------------------------------------------
     let (work_tx, work_rx) = channel::unbounded::<Work>();
     let (out_tx, out_rx) = channel::unbounded::<OutItem>();
-    // One client-request channel per instance, none in the `0B`
-    // configuration (the worker batches).
-    let (client_txs, client_rxs): (Vec<_>, Vec<_>) = (0..k)
-        .filter(|_| batch_threads > 0)
-        .map(|_| channel::unbounded::<SignedMessage>())
-        .unzip();
+    // The one client-request channel every batch thread reads. Batch
+    // threads run on every replica: the channel only fills while this
+    // replica leads an instance (routing is view-aware), and `propose` on
+    // a backup engine is a no-op. Unused under `0B`, where the worker
+    // batches.
+    let (client_tx, client_rx) = channel::unbounded::<SignedMessage>();
+    let client_tx = (threads_cfg.batch_threads > 0).then_some(client_tx);
     // `None` under `0E`: the worker's node holds the stage.
     let (exec_tx, exec_rx) = match threads_cfg.execute_threads {
         0 => (None, None),
@@ -229,7 +223,7 @@ pub fn spawn_replica(
     };
     let deliver = {
         let (n, shared, work_tx) = (config.n, Arc::clone(&shared), work_tx.clone());
-        move |sm: SignedMessage| route_to_stage(sm, n, &shared, &work_tx, &client_txs)
+        move |sm: SignedMessage| route_to_stage(sm, n, &shared, &work_tx, client_tx.as_ref())
     };
     let endpoint = net.attach(Sender::Replica(id), Box::new(deliver));
     let shutdown = Arc::new(AtomicBool::new(false));
@@ -250,12 +244,11 @@ pub fn spawn_replica(
     };
 
     // --- the stage loops ----------------------------------------------------
-    for b in 0..batch_threads {
-        let (ctx, rx) = (stage(Stage::Batch, b), client_rxs[b % k].clone());
-        let batch_size = config.batch_size;
+    for b in 0..threads_cfg.batch_threads {
+        let (ctx, rx, config) = (stage(Stage::Batch, b), client_rx.clone(), config.clone());
         spawn(
             format!("batch-{b}"),
-            Box::new(move || batch_loop(&ctx, &rx, b % k, batch_size)),
+            Box::new(move || batch_loop(&ctx, &rx, &config)),
         );
     }
     // The paper dedicates exactly one worker to the protocol state machine
@@ -437,20 +430,21 @@ enum Work {
 
 /// The replica's transport delivery function, the router. It runs on the
 /// delivering thread, so it only pushes onto the consuming stage's
-/// channel: a batch thread's (`client_txs`, per instance; none under
-/// `0B`) or the worker's. `false` once that stage is gone.
+/// channel: the batch threads' (`client_tx`; none under `0B`) or the
+/// worker's. `false` once that stage is gone.
 fn route_to_stage(
     sm: SignedMessage,
     n: usize,
     shared: &ReplicaShared,
     work_tx: &ChanSender<Work>,
-    client_txs: &[ChanSender<SignedMessage>],
+    client_tx: Option<&ChanSender<SignedMessage>>,
 ) -> bool {
     let (k, view_of) = (shared.consensus_instances(), |j| shared.instance_view(j));
-    match route(sm.msg(), sm.sender(), shared.id, n, k, view_of) {
-        Route::Demand(j) => work_tx.send(Work::Step(Input::ClientDemand(j))).is_ok(),
-        Route::Batch(j) if j < client_txs.len() => client_txs[j].send(sm).is_ok(),
-        Route::Batch(_) | Route::Worker => work_tx.send(Work::Unverified(sm)).is_ok(),
+    let to = route(sm.msg(), sm.sender(), shared.id, n, k, view_of);
+    match (to, client_tx) {
+        (Route::Demand(j), _) => work_tx.send(Work::Step(Input::ClientDemand(j))).is_ok(),
+        (Route::Batch(_), Some(client_tx)) => client_tx.send(sm).is_ok(),
+        (Route::Batch(_) | Route::Worker, _) => work_tx.send(Work::Unverified(sm)).is_ok(),
     }
 }
 
@@ -471,14 +465,14 @@ fn fill_window(rx: &Receiver<SignedMessage>, window: &mut Vec<SignedMessage>) {
 }
 
 /// Batch thread (Section 4.3): verify client signatures a window at a
-/// time, assemble batches, digest them once, hand them to the worker for
-/// proposing on `instance`.
-fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, instance: usize, batch_size: usize) {
-    let mut assembler = BatchAssembler::new(batch_size, Instant::now());
+/// time, assemble batches for the instance each client shards to, digest
+/// them once, hand them to the worker for proposing.
+fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, config: &SystemConfig) {
+    let mut assembler = BatchAssembler::new(config, Instant::now());
     let mut window: Vec<SignedMessage> = Vec::with_capacity(VERIFY_WINDOW);
     let mut cut = Vec::new();
     while ctx.running() {
-        // Block until a request arrives or the pending partial batch falls
+        // Block until a request arrives or a pending partial batch falls
         // due. A deadline already in the past (the previous cut was long
         // ago) waits zero: a lone request still flushes immediately.
         let wait = wait_for(assembler.flush_deadline());
@@ -493,22 +487,14 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, instance: usize, bat
                     window.push(sm);
                     fill_window(rx, &mut window);
                     let rejected = verify_window(&ctx.provider, &mut window, |sm| {
-                        // `into_message` is move-out, not copy: the
-                        // client's send handed over the only reference.
-                        if let Message::ClientRequest { txns } = sm.into_message() {
-                            assembler.push(txns, now, &mut cut);
-                        }
+                        assembler.push_request(sm, now, &mut cut);
                     });
                     ctx.note_bad_sigs(rejected);
                 }
                 None => assembler.flush(now, &mut cut),
             }
-            for (batch, digest) in cut.drain(..) {
-                ctx.to_worker(Input::Propose {
-                    instance,
-                    batch,
-                    digest,
-                });
+            for input in cut.drain(..) {
+                ctx.to_worker(input);
             }
         });
     }

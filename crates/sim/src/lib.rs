@@ -33,11 +33,9 @@
 //! ```
 
 pub mod des;
-pub mod multi;
 pub mod report;
 pub mod service;
 
 pub use des::{SimConfig, SimMode};
-pub use multi::MultiPrimaryPrediction;
 pub use report::{SimReport, SimStage};
 pub use service::{Overheads, ServiceModel};

@@ -11,12 +11,6 @@ use rdb_common::{CryptoScheme, Message, ProtocolKind, SystemConfig};
 use rdb_crypto::{CostModel, VERIFY_WINDOW};
 use rdb_pipeline::Input;
 
-/// [`Overheads::store_op_ns`] for Figure 14's SQLite stand-in: one API
-/// call, page fetch and journaled write per store operation. The figure's
-/// off-memory row is model output only; every replica runs the in-memory
-/// store.
-pub const SQLITE_STAND_IN_OP_NS: f64 = 400_000.0;
-
 /// Fixed overheads, all in nanoseconds (tunable; defaults represent a
 /// 3.8 GHz core running an optimized build).
 #[derive(Debug, Clone)]
@@ -36,8 +30,8 @@ pub struct Overheads {
     /// Building one reply message.
     pub reply_create_ns: f64,
     /// One store operation at the execute stage. The default prices the
-    /// in-memory store (hash-map access + digest fold);
-    /// [`SQLITE_STAND_IN_OP_NS`] prices Figure 14's off-memory row.
+    /// in-memory store (hash-map access + digest fold), the only store a
+    /// replica runs.
     pub store_op_ns: f64,
 }
 
@@ -329,8 +323,9 @@ mod tests {
     fn paged_storage_dominates_execution() {
         let cfg = SystemConfig::new(16).unwrap();
         let mem = model(|_| {});
+        // 400 µs an operation: an API call, page fetch and journaled write.
         let paged = Overheads {
-            store_op_ns: SQLITE_STAND_IN_OP_NS,
+            store_op_ns: 400_000.0,
             ..Overheads::default()
         };
         let paged = ServiceModel::new(&cfg, CostModel::optimized(), paged);

@@ -6,8 +6,8 @@
 //! - [`store`] — the key-value state the execute-thread reads and writes.
 //!   [`MemStore`] is the in-memory structure every replica runs; the
 //!   [`StateStore`] trait lets tests and benches substitute instrumented
-//!   or I/O-charging stores. Figure 14's SQLite comparison is a model row
-//!   in `rdb_sim`, not a second backend here.
+//!   or I/O-charging stores. There is no second, paged backend: Figure
+//!   14's SQLite comparison is not reproduced.
 //! - [`blockchain`] — the immutable ledger. Blocks are certified by the
 //!   2f+1 commit signatures gathered during consensus instead of hashing
 //!   the previous block on the critical path (Section 4.6).

@@ -5,12 +5,13 @@
 use rdb_common::{
     ClientId, CryptoScheme, Digest, PeerMap, ProtocolKind, ReplicaId, SystemConfig, ThreadConfig,
 };
+use rdb_pipeline::Stage;
 use rdb_sim::SimConfig;
 use rdb_workload::{WorkloadConfig, WorkloadGenerator};
 use resilientdb::{
     client_net, registry_for, start_replica, ClientSession, NodeOptions, ReplicaNode, TransportMode,
 };
-use resilientdb::{FaultAction, ResilientDb, SystemBuilder};
+use resilientdb::{FaultAction, ResilientDb, SwarmConfig, SystemBuilder};
 use std::time::{Duration, Instant};
 
 /// Per-wait budget for commit/execution progress. 25 s covers a loaded
@@ -564,5 +565,63 @@ fn saturation_metrics_exposed() {
         "primary must report thread metrics"
     );
     assert!(report.cumulative_pct() >= 0.0);
+    db.shutdown();
+}
+
+/// A `1E 2B` deployment with `k` consensus instances.
+fn multi_primary(k: usize) -> ResilientDb {
+    SystemBuilder::new(4)
+        .threads(ThreadConfig::with_e_b(1, 2))
+        .consensus_instances(k)
+        .batch_size(10)
+        .table_size(4_096)
+        .client_keys(4)
+        .build()
+        .unwrap()
+}
+
+/// The batch threads `id` runs, each with the items it recorded.
+fn batch_thread_items(db: &ResilientDb, id: ReplicaId) -> Vec<u64> {
+    let report = db.saturation(id);
+    let batch = report.threads.iter().filter(|t| t.stage == Stage::Batch);
+    batch.map(|t| t.items).collect()
+}
+
+/// `batch_threads` is the number of batch threads at any number of
+/// instances: every thread serves every instance its replica leads.
+#[test]
+fn batch_threads_are_b_at_every_k() {
+    let db = multi_primary(4);
+    for r in 0..4 {
+        let threads = batch_thread_items(&db, ReplicaId(r)).len();
+        assert_eq!(threads, 2, "replica {r} runs B = 2 batch threads");
+    }
+    db.shutdown();
+}
+
+/// At k = 2 both leaders keep both batch threads busy: clients 0 and 2
+/// shard to instance 0 (led by replica 0), 1 and 3 to instance 1 (led by
+/// replica 1), and each leader's two threads share its requests.
+#[test]
+fn every_batch_thread_of_a_leader_records_items() {
+    let db = multi_primary(2);
+    let load = SwarmConfig {
+        clients: 4,
+        txns_per_client: u64::MAX,
+        burst: 20,
+        shards: 4,
+        first_client: 0,
+        deadline: Duration::from_millis(1_500),
+    };
+    let m = db.run_swarm(&load, |_, _| {});
+    assert!(m.committed > 0, "the swarm committed nothing");
+    for leader in [0, 1] {
+        let items = batch_thread_items(&db, ReplicaId(leader));
+        assert_eq!(items.len(), 2);
+        assert!(
+            items.iter().all(|&n| n > 0),
+            "replica {leader}'s batch threads recorded {items:?} items"
+        );
+    }
     db.shutdown();
 }
