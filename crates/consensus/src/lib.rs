@@ -12,10 +12,10 @@
 //! - [`zyzzyva`] — the speculative single-phase rule with the client-driven
 //!   commit-certificate slow path (the comparison protocol of Figures 1,
 //!   8, 17).
-//! - [`engine`] — the substrate over whichever rule is configured.
+//! - [`engine`] — the substrate over whichever rule is configured; k of
+//!   them ([`ConsensusConfig::for_instance`]) order multi-primary, owned
+//!   and routed by `rdb_pipeline::ReplicaCore`.
 //! - [`client`] — the client side of both protocols, one sans-io machine.
-//! - [`multi`] — multi-primary ordering: k parallel PBFT instances over
-//!   one replica set, interleaved into a single global sequence space.
 //!
 //! # Example
 //!
@@ -35,7 +35,6 @@ pub mod checkpoint;
 pub mod client;
 pub mod config;
 pub mod engine;
-pub mod multi;
 pub mod pbft;
 pub mod substrate;
 pub mod zyzzyva;
@@ -45,6 +44,5 @@ pub use checkpoint::CheckpointTracker;
 pub use client::{ClientCore, ClientEffect, ClientInput, RETRANSMIT_AFTER, ZYZZYVA_CLIENT_TIMEOUT};
 pub use config::ConsensusConfig;
 pub use engine::ReplicaEngine;
-pub use multi::MultiEngine;
 pub use pbft::Pbft;
 pub use zyzzyva::Zyzzyva;

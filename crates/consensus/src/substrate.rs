@@ -168,6 +168,11 @@ impl<R: ProtocolRule> Replica<R> {
         self.sub.id
     }
 
+    /// The configuration this machine runs under (its instance, of k).
+    pub fn config(&self) -> &ConsensusConfig {
+        &self.sub.config
+    }
+
     /// The current view.
     pub fn view(&self) -> ViewNum {
         self.sub.view

@@ -1,7 +1,9 @@
 //! The replica's decision logic as a sans-IO state machine.
 //!
-//! [`ReplicaCore`] is everything the worker thread *decides*: it owns the
-//! consensus engines ([`MultiEngine`]), the per-instance suspicion timers,
+//! [`ReplicaCore`] is everything the worker thread *decides*: it owns one
+//! [`ReplicaEngine`] per consensus instance and routes to them itself
+//! (sequence-bearing messages to the owner of their sequence, view-change
+//! traffic by its instance tag), the per-instance suspicion timers,
 //! multi-primary gap-fill, the recovery ladder (fetch-missing with
 //! back-off and peer rotation, the quiescence probe, f+1 vouching for
 //! fetched batches and snapshots) and the prune/stable cursors. It touches
@@ -24,7 +26,7 @@ use crate::recovery;
 use crate::{ExecuteItem, OutItem};
 use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, SystemConfig, ViewNum};
-use rdb_consensus::{Action, ConsensusConfig, MultiEngine};
+use rdb_consensus::{Action, ConsensusConfig, ReplicaEngine};
 use rdb_crypto::{digest, CryptoProvider};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -167,9 +169,36 @@ pub(crate) fn client_instance(from: Sender, k: usize) -> usize {
     }
 }
 
+/// One consensus instance: its engine and its suspicion timer. No
+/// progress on the instance for a view timeout while its work is stalled
+/// (or its client demand is pending) votes out *its* primary — the other
+/// k−1 instances keep their timers and their progress.
+struct Instance {
+    engine: ReplicaEngine,
+    last_progress: Instant,
+    /// Consecutive suspicion fires without real progress in between. The
+    /// effective timeout doubles with each strike (Castro-Liskov §4.5.2's
+    /// exponential backoff), so a replica that cannot be helped by a view
+    /// change — e.g. a straggler with an execution hole and no state
+    /// transfer — stops dragging the healthy quorum into view-change
+    /// storms. Reset whenever the instance's execution advances or it
+    /// installs a view.
+    suspect_strikes: u32,
+    client_demand: bool,
+}
+
+impl Instance {
+    /// Re-arms the suspicion timer and clears the strikes.
+    fn rearm(&mut self, now: Instant) {
+        self.last_progress = now;
+        self.suspect_strikes = 0;
+    }
+}
+
 /// The worker's state machine — see the module docs.
 pub struct ReplicaCore {
-    engine: MultiEngine,
+    /// Instance `j` owns the global sequences `j+1, j+1+k, …`.
+    instances: Vec<Instance>,
     provider: CryptoProvider,
     env: Arc<dyn CoreEnv + Send + Sync>,
     me: ReplicaId,
@@ -194,21 +223,7 @@ pub struct ReplicaCore {
     stable_released: SeqNum,
     /// How far the chain has actually been pruned (tracks the clamp).
     pruned_to: SeqNum,
-    /// Suspicion timers, one per instance: no progress on instance `j` for
-    /// this long while its work is stalled (or its client demand is
-    /// pending) votes out *that instance's* primary — the other k−1
-    /// instances keep their timers and their progress.
     view_timeout: Duration,
-    last_progress: Vec<Instant>,
-    /// Consecutive suspicion fires per instance without real progress in
-    /// between. The effective timeout doubles with each strike
-    /// (Castro-Liskov §4.5.2's exponential backoff), so a replica that
-    /// cannot be helped by a view change — e.g. a straggler with an
-    /// execution hole and no state transfer — stops dragging the healthy
-    /// quorum into view-change storms. Reset whenever the instance's
-    /// execution advances or it installs a view.
-    suspect_strikes: Vec<u32>,
-    client_demand: Vec<bool>,
     /// Highest globally committed sequence seen (any instance). Execution
     /// drains strictly in global order, so a committed sequence above an
     /// instance we lead obliges us to fill our slots below it (no-op
@@ -265,18 +280,34 @@ impl ReplicaCore {
         now: Instant,
     ) -> Self {
         let k = config.consensus_instances.max(1);
+        assert!(
+            k == 1 || config.protocol == ProtocolKind::Pbft,
+            "multi-primary ordering requires PBFT: Zyzzyva's speculative history is one \
+             hash chain over consecutive sequences, which k interleaved instances cannot extend"
+        );
         let consensus_cfg = ConsensusConfig::new(config.n, checkpoint_delta(config))
             // Only the deployment's *initial* primary is byzantine; whoever
             // wins the ensuing view change behaves honestly.
             .with_equivocation(config.byzantine_primary && id == ViewNum(0).primary(config.n));
-        let mut engine = MultiEngine::new(config.protocol, id, consensus_cfg, k);
-        if let Some(r) = recovered.filter(|r| r.head.0 > 0) {
-            engine.install_snapshot(r.head, r.history);
-        }
+        let instances = (0..k)
+            .map(|j| {
+                let cfg = consensus_cfg.for_instance(j as u32, k as u64);
+                let mut engine = ReplicaEngine::new(config.protocol, id, cfg);
+                if let Some(r) = recovered.filter(|r| r.head.0 > 0) {
+                    engine.install_snapshot(r.head, r.history);
+                }
+                Instance {
+                    engine,
+                    last_progress: now,
+                    suspect_strikes: 0,
+                    client_demand: false,
+                }
+            })
+            .collect();
         let head = recovered.map_or(SeqNum(0), |r| r.head);
         let view_timeout = Duration::from_millis(config.view_timeout_ms);
         ReplicaCore {
-            engine,
+            instances,
             provider,
             env,
             me: id,
@@ -293,9 +324,6 @@ impl ReplicaCore {
             stable_released: recovered.map_or(SeqNum(0), |r| r.stable),
             pruned_to: recovered.map_or(SeqNum(0), |r| r.snapshot_seq),
             view_timeout,
-            last_progress: vec![now; k],
-            suspect_strikes: vec![0; k],
-            client_demand: vec![false; k],
             commit_frontier: head,
             last_executed: head,
             fetch_inflight: HashMap::new(),
@@ -322,7 +350,7 @@ impl ReplicaCore {
                 batch,
                 digest,
             } => {
-                let actions = self.engine.propose(instance, batch, digest);
+                let actions = self.instances[instance].engine.propose(batch, digest);
                 self.run_actions(actions, now, fx);
             }
             Input::Executed {
@@ -331,8 +359,8 @@ impl ReplicaCore {
                 epoch,
             } => self.on_executed(seq, state_digest, epoch, now, fx),
             Input::ClientDemand(j) => {
-                if let Some(demand) = self.client_demand.get_mut(j) {
-                    *demand = true;
+                if let Some(i) = self.instances.get_mut(j) {
+                    i.client_demand = true;
                 }
             }
             Input::Tick => {}
@@ -342,27 +370,41 @@ impl ReplicaCore {
         self.maybe_fetch(now, fx);
     }
 
-    /// Re-arms instance `j`'s suspicion timer: it made real progress.
+    /// The instance that owns global sequence `seq` (instance 0 for the
+    /// sequence-less `SeqNum(0)`).
+    fn owner(&self, seq: SeqNum) -> usize {
+        let owns = |i: &Instance| i.engine.config().owns(seq);
+        self.instances.iter().position(owns).unwrap_or(0)
+    }
+
+    /// Instance `j` made real progress: re-arm its suspicion timer.
     fn note_progress(&mut self, j: usize, now: Instant) {
-        self.last_progress[j] = now;
-        self.suspect_strikes[j] = 0;
-        self.client_demand[j] = false;
+        self.instances[j].rearm(now);
+        self.instances[j].client_demand = false;
     }
 
     fn on_message(&mut self, sm: &SignedMessage, now: Instant, fx: &mut Vec<Effect>) {
-        // Fetch-protocol traffic is point-to-point runtime state, not
-        // consensus input: intercept it before engine routing
-        // (`Message::seq()` is `None` for these kinds, so the
-        // multi-instance router would drop them anyway).
-        match sm.msg() {
-            Message::FetchRequest { seqs, replica } => self.serve_fetch_request(*replica, seqs, fx),
+        // Fetch-protocol traffic is runtime state, not consensus input.
+        // The rest goes to one instance: view-change traffic by its tag (a
+        // byzantine peer's tag ≥ k is dropped), everything else by its seq.
+        let j = match sm.msg() {
+            Message::FetchRequest { seqs, replica } => {
+                return self.serve_fetch_request(*replica, seqs, fx);
+            }
             Message::FetchResponse { .. } | Message::SnapshotResponse { .. } => {
-                self.on_recovery_response(sm, now, fx);
+                return self.on_recovery_response(sm, now, fx);
             }
-            _ => {
-                let actions = self.engine.on_message(sm);
-                self.run_actions(actions, now, fx);
+            Message::ViewChange { instance, .. } | Message::NewView { instance, .. } => {
+                *instance as usize
             }
+            m => match m.seq() {
+                Some(seq) => self.owner(seq),
+                None => return,
+            },
+        };
+        if let Some(i) = self.instances.get_mut(j) {
+            let actions = i.engine.on_message(sm);
+            self.run_actions(actions, now, fx);
         }
     }
 
@@ -379,8 +421,9 @@ impl ReplicaCore {
         }
         self.stage_epoch = epoch;
         self.last_executed = self.last_executed.max(seq);
-        self.note_progress(self.engine.owner(seq), now);
-        let actions = self.engine.on_executed(seq, state_digest);
+        let j = self.owner(seq);
+        self.note_progress(j, now);
+        let actions = self.instances[j].engine.on_executed(seq, state_digest);
         self.run_actions(actions, now, fx);
         self.release_stable(fx);
     }
@@ -420,9 +463,11 @@ impl ReplicaCore {
     /// gives the view change its own (doubled) timeout before the vote
     /// escalates further.
     fn maybe_suspect(&mut self, now: Instant, fx: &mut Vec<Effect>) {
-        for j in 0..self.engine.k() {
-            let shift = self.suspect_strikes[j].min(MAX_BACKOFF_SHIFT);
-            if now.duration_since(self.last_progress[j]) < self.view_timeout * (1u32 << shift) {
+        let k = self.instances.len();
+        for j in 0..k {
+            let shift = self.instances[j].suspect_strikes.min(MAX_BACKOFF_SHIFT);
+            let last_progress = self.instances[j].last_progress;
+            if now.duration_since(last_progress) < self.view_timeout * (1u32 << shift) {
                 continue;
             }
             // An instance with a dead primary and *no* client traffic
@@ -430,20 +475,19 @@ impl ReplicaCore {
             // commits past its slot: that hold-up is this instance's
             // fault, so it counts as stalled work for its timer.
             let next_needed = self.last_executed.next();
-            let holds_schedule = self.engine.k() > 1
-                && self.commit_frontier >= next_needed
-                && self.engine.owner(next_needed) == j;
-            if self.engine.has_stalled_work(j) || self.client_demand[j] || holds_schedule {
-                let actions = self.engine.on_timeout(j);
-                self.last_progress[j] = now;
-                self.suspect_strikes[j] = self.suspect_strikes[j].saturating_add(1);
+            let holds_schedule =
+                k > 1 && self.commit_frontier >= next_needed && self.owner(next_needed) == j;
+            let i = &mut self.instances[j];
+            if i.engine.has_stalled_work() || i.client_demand || holds_schedule {
+                let actions = i.engine.on_timeout();
+                i.last_progress = now;
+                i.suspect_strikes = i.suspect_strikes.saturating_add(1);
                 self.run_actions(actions, now, fx);
                 self.fill_gaps(now, fx);
             } else {
                 // Quiet and healthy: keep the timer from firing immediately
                 // on the first demand signal after a long idle stretch.
-                self.last_progress[j] = now;
-                self.suspect_strikes[j] = 0;
+                i.rearm(now);
             }
         }
     }
@@ -456,21 +500,21 @@ impl ReplicaCore {
     /// obligation with explicit no-op proposals.) `k == 1` never triggers:
     /// a single primary's frontier cannot pass its own next slot.
     fn fill_gaps(&mut self, now: Instant, fx: &mut Vec<Effect>) {
-        if self.engine.k() == 1 {
+        if self.instances.len() == 1 {
             return;
         }
-        for j in 0..self.engine.k() {
-            if !self.engine.is_primary(j) {
+        for j in 0..self.instances.len() {
+            if !self.instances[j].engine.is_primary() {
                 continue;
             }
-            while self
+            while self.instances[j]
                 .engine
-                .next_seq(j)
+                .next_seq()
                 .is_some_and(|s| s <= self.commit_frontier)
             {
                 let batch = rdb_common::Batch::new(Vec::new());
                 let d = digest(&batch.canonical_bytes());
-                let actions = self.engine.propose(j, batch, d);
+                let actions = self.instances[j].engine.propose(batch, d);
                 if actions.is_empty() {
                     break; // engine refused (e.g. mid view change)
                 }
@@ -536,6 +580,8 @@ impl ReplicaCore {
                     );
                 }
                 Action::StableCheckpoint { seq } => {
+                    // A checkpoint's state digest covers the whole global
+                    // prefix, so the instances' stable points merge by max.
                     self.stable_checkpoint = self.stable_checkpoint.max(seq);
                     self.release_stable(fx);
                 }
@@ -552,7 +598,7 @@ impl ReplicaCore {
                 Action::EnterView { view, instance } => {
                     // The view change itself is progress.
                     let instance = instance as usize;
-                    if instance < self.engine.k() {
+                    if instance < self.instances.len() {
                         self.note_progress(instance, now);
                         fx.push(Effect::ViewEntered { instance, view });
                     }
@@ -564,7 +610,7 @@ impl ReplicaCore {
     fn queue_execution(&mut self, item: ExecuteItem, fx: &mut Vec<Effect>) {
         self.commit_frontier = self.commit_frontier.max(item.seq);
         fx.push(Effect::Execute {
-            instance: self.engine.owner(item.seq),
+            instance: self.owner(item.seq),
             item,
         });
     }
@@ -582,7 +628,8 @@ impl ReplicaCore {
         let mut dropped = seqs.len().saturating_sub(SERVE_CAP) as u64;
         let mut snapshot_sent = false;
         for &seq in seqs.iter().take(SERVE_CAP) {
-            if let Some((view, digest, batch, certificate)) = self.engine.serve_fetch(seq) {
+            let served_by = &self.instances[self.owner(seq)].engine;
+            if let Some((view, digest, batch, certificate)) = served_by.serve_fetch(seq) {
                 let msg = Message::FetchResponse {
                     seq,
                     view,
@@ -675,7 +722,8 @@ impl ReplicaCore {
                 if certified || (votes.len() > self.f && installable) {
                     self.fetch_votes.retain(|(s, _, _), _| s != seq);
                     self.fetch_inflight.remove(seq);
-                    let actions = self.engine.install_fetched(
+                    let j = self.owner(*seq);
+                    let actions = self.instances[j].engine.install_fetched(
                         *seq,
                         *view,
                         *claimed,
@@ -722,7 +770,12 @@ impl ReplicaCore {
     fn adopt_snapshot(&mut self, snapshot: Arc<Snapshot>, now: Instant, fx: &mut Vec<Effect>) {
         let base = snapshot.base_seq;
         self.epoch += 1;
-        self.engine.install_snapshot(base, snapshot.history);
+        // The global prefix covers every instance's interleaved slice, and
+        // installing it is progress: re-arm every suspicion timer.
+        for i in &mut self.instances {
+            i.engine.install_snapshot(base, snapshot.history);
+            i.rearm(now);
+        }
         self.last_executed = self.last_executed.max(base);
         self.commit_frontier = self.commit_frontier.max(base);
         self.stable_checkpoint = self.stable_checkpoint.max(base);
@@ -730,15 +783,24 @@ impl ReplicaCore {
         self.pruned_to = self.pruned_to.max(base);
         self.fetch_inflight.retain(|seq, _| *seq > base);
         self.fetch_votes.retain(|(seq, _, _), _| *seq > base);
-        // Installing a snapshot is progress: re-arm every suspicion timer.
-        for j in 0..self.engine.k() {
-            self.last_progress[j] = now;
-            self.suspect_strikes[j] = 0;
-        }
         fx.push(Effect::InstallSnapshot(snapshot));
     }
 
-    /// The fetch driver: when the engine reports execution holes below
+    /// Sequences worth fetching, merged across the instances, oldest
+    /// first, at most `limit`.
+    fn fetch_wanted(&self, limit: usize) -> Vec<SeqNum> {
+        let mut wanted: Vec<SeqNum> = self
+            .instances
+            .iter()
+            .flat_map(|i| i.engine.fetch_wanted(limit))
+            .collect();
+        wanted.sort_unstable();
+        wanted.dedup();
+        wanted.truncate(limit);
+        wanted
+    }
+
+    /// The fetch driver: when the engines report execution holes below
     /// the commit frontier, request the missing batches from rotating
     /// peers — deduplicating in-flight sequences, capping the outstanding
     /// set, and retrying (next peer) after a backoff. Under Zyzzyva each
@@ -757,7 +819,6 @@ impl ReplicaCore {
             return;
         }
         let seqs: Vec<SeqNum> = self
-            .engine
             .fetch_wanted(FETCH_BATCH + self.fetch_inflight.len())
             .into_iter()
             .filter(|s| *s > self.last_executed && !self.fetch_inflight.contains_key(s))
@@ -1789,5 +1850,171 @@ mod tests {
         );
         assert!(c.nodes.iter().all(|n| n.executed == executed));
         assert!(c.nodes.iter().all(|n| n.executor.executed_txns() == 2));
+    }
+
+    #[test]
+    fn k2_a_proposal_on_an_instance_led_elsewhere_is_dropped() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 2));
+        // Replica 0 leads instance 0 only.
+        let batch = Batch::new(Vec::new());
+        let digest = digest(&batch.canonical_bytes());
+        c.step(
+            0,
+            Input::Propose {
+                instance: 1,
+                batch,
+                digest,
+            },
+        );
+        c.run();
+        let idle = |n: &Replica| n.sent.is_empty() && n.executed.is_empty();
+        assert!(c.nodes.iter().all(idle));
+    }
+
+    #[test]
+    fn k2_view_change_traffic_tagged_past_k_is_dropped() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 2));
+        let view_change = Message::ViewChange {
+            new_view: ViewNum(1),
+            last_stable: SeqNum(0),
+            prepared: Vec::new(),
+            tail: Vec::new(),
+            replica: ReplicaId(2),
+            instance: 2,
+        };
+        let new_view = Message::NewView {
+            new_view: ViewNum(1),
+            reissued: Vec::new(),
+            instance: 9,
+        };
+        let from = Sender::Replica(ReplicaId(2));
+        for msg in [view_change, new_view] {
+            c.step(
+                0,
+                Input::Verified(SignedMessage::new(msg, from, Default::default())),
+            );
+        }
+        c.run();
+        assert!(c
+            .nodes
+            .iter()
+            .all(|n| n.sent.is_empty() && n.views.is_empty()));
+    }
+
+    #[test]
+    fn k2_a_view_change_on_instance_1_leaves_instance_0_alone() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 2));
+        // Replicas 0, 2 and 3 give up on instance 1's primary, replica 1;
+        // its next one is replica (1 + 1) mod 4 = 2.
+        for r in [0, 2, 3] {
+            c.step(r, Input::ClientDemand(1));
+        }
+        c.advance(VIEW_TIMEOUT);
+        for (r, n) in c.nodes.iter().enumerate() {
+            let [zero, one] = &n.core().instances[..] else {
+                unreachable!("two instances")
+            };
+            let view_and_primary = |i: &Instance| (i.engine.view(), i.engine.primary());
+            assert_eq!(view_and_primary(zero), (ViewNum(0), ReplicaId(0)), "{r}");
+            assert_eq!(view_and_primary(one), (ViewNum(1), ReplicaId(2)), "{r}");
+            assert_eq!(n.views.last(), Some(&(1, ViewNum(1))), "{r}");
+            assert!(n.views.iter().all(|(j, _)| *j == 1), "{r}: {:?}", n.views);
+        }
+    }
+
+    #[test]
+    fn k2_instances_stable_out_of_order_emit_strictly_increasing_stable_effects() {
+        let cfg = config(ProtocolKind::Pbft, 2);
+        let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, cfg.n, 4, 7);
+        let env = Arc::new(MarkedEnv {
+            base: None,
+            built: AtomicU64::new(0),
+        });
+        let provider = registry.provider_for_replica(ReplicaId(0));
+        let now = Instant::now();
+        let mut core = ReplicaCore::new(&cfg, ReplicaId(0), provider, env, None, now);
+        // Instance 0 stabilizes 3 before instance 1 stabilizes 2; then
+        // instance 1 stabilizes 4.
+        let mut stable = Vec::new();
+        for seq in [3, 2, 4].map(SeqNum) {
+            for from in (1..4).map(ReplicaId) {
+                let vote = Message::Checkpoint {
+                    seq,
+                    state_digest: Digest([9; 32]),
+                    replica: from,
+                };
+                let vote = SignedMessage::new(vote, Sender::Replica(from), Default::default());
+                let mut fx = Vec::new();
+                core.step(Input::Verified(vote), now, &mut fx);
+                stable.extend(fx.iter().filter_map(|e| match e {
+                    Effect::Stable { seq } => Some(*seq),
+                    _ => None,
+                }));
+            }
+        }
+        assert_eq!(stable, [3, 4].map(SeqNum));
+    }
+
+    /// A k = 2 cluster where replica 3 missed sequences 1 to 4, then
+    /// committed 5 and 6: each instance has two holes.
+    fn k2_with_holes_at_replica_3() -> Cluster {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 2));
+        // Client 1's batches go to instance 1 (even sequences); replica 0
+        // fills instance 0's slot below each with a no-op.
+        c.isolated.insert(3);
+        c.commit_batch(1, 1, 0);
+        c.commit_batch(1, 1, 2);
+        c.isolated.remove(&3);
+        c.commit_batch(1, 1, 4);
+        assert!(c.nodes[3].executed.is_empty());
+        c
+    }
+
+    #[test]
+    fn k2_holes_are_fetched_oldest_first_and_served_by_the_owning_engine() {
+        let mut c = k2_with_holes_at_replica_3();
+        let holes = [1, 2, 3, 4].map(SeqNum);
+        assert_eq!(c.nodes[3].core().fetch_wanted(8), holes);
+        c.advance(FETCH_POLL_EVERY);
+        let asked = fetch_requests(&c.nodes[3]);
+        assert_eq!(asked.len(), 1);
+        assert_eq!(asked[0].1, holes);
+        let served: Vec<SeqNum> = c
+            .nodes
+            .iter()
+            .flat_map(|n| &n.sent)
+            .filter_map(|o| match &o.msg {
+                Message::FetchResponse { seq, .. } => Some(*seq),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(served, holes, "every hole served, either instance's");
+        assert_eq!(c.nodes[3].executed.len(), 6);
+        assert_eq!(c.nodes[3].executed, c.nodes[0].executed);
+    }
+
+    #[test]
+    fn k2_one_snapshot_install_covers_both_instances() {
+        let mut c = k2_with_holes_at_replica_3();
+        let wanted = |c: &Cluster, j: usize| c.nodes[3].core().instances[j].engine.fetch_wanted(8);
+        assert_eq!(wanted(&c, 0), [1, 3].map(SeqNum));
+        assert_eq!(wanted(&c, 1), [2, 4].map(SeqNum));
+        let snapshot = snapshot_at(8);
+        for from in (0..2).map(ReplicaId) {
+            let msg = Message::SnapshotResponse {
+                snapshot: Arc::clone(&snapshot),
+                replica: from,
+            };
+            let response = SignedMessage::new(msg, Sender::Replica(from), Default::default());
+            c.step(3, Input::Verified(response));
+        }
+        assert_eq!(c.nodes[3].installed(), vec![SeqNum(8)]);
+        assert!(wanted(&c, 0).is_empty() && wanted(&c, 1).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "requires PBFT")]
+    fn zyzzyva_at_k2_is_refused_where_the_engines_are_built() {
+        let _ = Cluster::new(&config(ProtocolKind::Zyzzyva, 2));
     }
 }

@@ -28,7 +28,10 @@ pub enum Stage {
     /// Schedules conflict waves and commits in order (parallel execution
     /// only, `execute_threads ≥ 2`).
     ExecuteCoord,
-    /// Collects checkpoint messages.
+    /// The paper's checkpoint thread. The runtime runs none (the worker
+    /// verifies checkpoint votes and its core counts them), so this stage
+    /// records nothing; it stays because the benchmark's
+    /// `pipeline.busy_pct.checkpoint` names it.
     Checkpoint,
     /// Signs and transmits client-bound messages.
     Output,

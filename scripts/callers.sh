@@ -22,7 +22,6 @@ set -euo pipefail
 KEEP='
 crates/common/src/peers.rs to_flag  the inverse of parse_flag; tests/tcp_cluster.rs passes the map to child rdb-node processes with it
 crates/common/src/transaction.rs conflicts_with  the pairwise conflict rule the scheduler tests check every wave against
-crates/consensus/src/config.rs owns  the instance-ownership rule that next_owned walks; the interleaving tests state it directly
 crates/core/src/fabric.rs head_results  the only read of head-block results; the rejoin tests compare them across replicas
 crates/crypto/src/ed25519.rs multiscalar_mul_vartime  the general Straus MSM; verification calls its table-taking core, the MSM tests call this
 crates/crypto/src/rsa.rs signature_len  the RSA half of the signature-size contract pinned by signature_len_matches_actual
