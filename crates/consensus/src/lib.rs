@@ -35,6 +35,8 @@ pub mod checkpoint;
 pub mod client;
 pub mod config;
 pub mod engine;
+#[cfg(test)]
+mod multi;
 pub mod pbft;
 pub mod substrate;
 pub mod zyzzyva;
