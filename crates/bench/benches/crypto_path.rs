@@ -12,8 +12,10 @@
 //!   key checks every request it sends) and under a freshly parsed key,
 //!   which also pays for the key's precomputed tables;
 //! - Ed25519 batch verification at window sizes {2, 4, 8, 16, 32, 128},
-//!   reported as amortized ns *per signature*, so the window size where
-//!   batching starts to beat single verification is on record;
+//!   reported as the median ns *per signature*, and its speedup over
+//!   single verification of the same entries, timed alternately with the
+//!   batch's samples, so the window size where batching starts to beat
+//!   single verification is on record;
 //! - the CMAC and RSA baselines that anchor the paper's MAC-vs-signature
 //!   cost asymmetry (Section 6 / Figure 13), and CMAC tags over 100 B,
 //!   2 KiB and 56 KiB (one `mem_hotkey_rw` `PrePrepare`) on every AES
@@ -39,6 +41,7 @@ use rdb_crypto::rsa::RsaKeyPair;
 use rdb_crypto::scheme::RSA_BITS;
 use rdb_crypto::sha2::{self, sha512};
 use std::hint::black_box;
+use std::time::Instant;
 
 /// Message size for all signature operations: a typical signed client
 /// request in this system.
@@ -117,19 +120,16 @@ fn run_suite(report: &mut Report) {
                 sig: &sigs[i],
             })
             .collect();
-        let n = if batch >= 128 {
+        let samples = if batch >= 128 {
             slow_iters
         } else {
             iters.min(50)
         };
-        let ns_total = time_ns(n, || {
-            black_box(verify_batch(black_box(&entries)));
-        });
-        let per_sig = ns_total / batch as f64;
+        let (single, per_sig) = interleaved_medians(&entries, samples);
         report.record(format!("ed25519/verify/batch/{batch}"), per_sig);
         report.record(
             format!("ed25519/verify/batch_speedup/{batch}"),
-            ns_verify / per_sig,
+            single / per_sig,
         );
     }
 
@@ -186,6 +186,37 @@ fn run_suite(report: &mut Report) {
         black_box(rsa.public_key().verify(black_box(&msg), &rsig));
     });
     report.record("rsa1024/verify/100B", ns_rsa_verify);
+}
+
+/// Median ns per signature of single and of batch verification over the
+/// same `entries`, one sample of each in turn, so both medians see the
+/// same machine state and their ratio does not drift with it.
+fn interleaved_medians(entries: &[BatchEntry], samples: u32) -> (f64, f64) {
+    let per_sig = |op: &dyn Fn()| {
+        let start = Instant::now();
+        op();
+        start.elapsed().as_nanos() as f64 / entries.len() as f64
+    };
+    let single = || {
+        for e in entries {
+            black_box(e.public.verify(black_box(e.msg), e.sig));
+        }
+    };
+    let batch = || {
+        black_box(verify_batch(black_box(entries)));
+    };
+    // Warm-up: each key's tables are built on its first verify.
+    single();
+    batch();
+    let (mut singles, mut batches): (Vec<f64>, Vec<f64>) = (0..samples.max(1))
+        .map(|_| (per_sig(&single), per_sig(&batch)))
+        .unzip();
+    (median(&mut singles), median(&mut batches))
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 fn main() {

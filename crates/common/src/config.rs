@@ -193,7 +193,8 @@ impl Default for ThreadConfig {
     }
 }
 
-/// Full deployment configuration.
+/// Full deployment configuration, of honest replicas only: a byzantine one
+/// is a fault injected at its transport (`rdb_net::FaultController`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SystemConfig {
     /// Number of replicas `n`.
@@ -223,10 +224,6 @@ pub struct SystemConfig {
     /// How long a replica waits without consensus progress (while demand
     /// is pending) before voting to change views, in milliseconds.
     pub view_timeout_ms: u64,
-    /// Fault injection: make this deployment's initial primary byzantine —
-    /// it equivocates, proposing conflicting batches to different backups,
-    /// so no sequence can gather a quorum until a view change removes it.
-    pub byzantine_primary: bool,
     /// Number of parallel consensus instances `k` (multi-primary ordering).
     /// Instance `j` is led by replica `(view + j) mod n` and owns the
     /// interleaved global sequences `j+1, j+1+k, j+1+2k, …`; commit streams
@@ -264,7 +261,6 @@ impl SystemConfig {
             cores: 8,
             table_size: 600_000,
             view_timeout_ms: 2_000,
-            byzantine_primary: false,
             consensus_instances: 1,
             durability: DurabilityConfig::default(),
         })

@@ -4,7 +4,8 @@ use rdb_common::{quorum, ReplicaId, SeqNum, ViewNum};
 
 /// Parameters the state machines need (a slice of
 /// [`rdb_common::SystemConfig`], kept small so the machines stay portable
-/// between the threaded runtime and the simulator).
+/// between the threaded runtime and the simulator). Every field describes
+/// the honest protocol; faults, lies included, are injected outside it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConsensusConfig {
     /// Number of replicas.
@@ -13,11 +14,6 @@ pub struct ConsensusConfig {
     pub f: usize,
     /// Broadcast a checkpoint every this many executed *batches*.
     pub checkpoint_interval_batches: u64,
-    /// Byzantine test mode: when this replica is the primary it sends
-    /// *different* proposals for the same sequence number to different
-    /// backups, so no prepare quorum can form and the honest replicas must
-    /// oust it through a view change.
-    pub equivocate: bool,
     /// Which multi-primary consensus instance this state machine runs
     /// (`0` for single-primary deployments).
     pub instance: u32,
@@ -42,16 +38,9 @@ impl ConsensusConfig {
             n,
             f: quorum::max_faults(n),
             checkpoint_interval_batches,
-            equivocate: false,
             instance: 0,
             instances: 1,
         }
-    }
-
-    /// Enables or disables the equivocating-primary test mode.
-    pub fn with_equivocation(mut self, equivocate: bool) -> Self {
-        self.equivocate = equivocate;
-        self
     }
 
     /// Makes this config describe instance `j` of `k` parallel consensus

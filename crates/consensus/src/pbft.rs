@@ -116,40 +116,6 @@ impl PbftRule {
         }
     }
 
-    /// Byzantine test mode: send each backup a differently-ordered variant
-    /// of the batch (honest digests over *different* content). With three
-    /// or more transactions per batch every backup sees a unique digest, so
-    /// no prepare quorum can form and the honest replicas oust this primary
-    /// through a view change; the new primary's tail merge then picks one
-    /// variant and commits it exactly once. The equivocator records no
-    /// instance — it does not even try to commit its own lies.
-    fn propose_equivocating(&mut self, ctx: &Substrate, batch: Batch) -> Vec<Action> {
-        let seq = self.next_seq;
-        self.next_seq = ctx.config.next_owned(self.next_seq);
-        let mut actions = Vec::new();
-        for r in 0..ctx.config.n as u32 {
-            let rid = ReplicaId(r);
-            if rid == ctx.id {
-                continue;
-            }
-            let mut txns = batch.txns.clone();
-            let rot = (r as usize) % txns.len().max(1);
-            txns.rotate_left(rot);
-            let variant = Batch::new(txns);
-            let d = batch_digest(&variant.canonical_bytes());
-            actions.push(Action::SendReplica(
-                rid,
-                Message::PrePrepare {
-                    view: ctx.view,
-                    seq,
-                    digest: d,
-                    batch: Arc::new(variant),
-                },
-            ));
-        }
-        actions
-    }
-
     fn on_pre_prepare(
         &mut self,
         ctx: &Substrate,
@@ -280,9 +246,6 @@ impl ProtocolRule for PbftRule {
     /// Assigns the next sequence number and returns the `PrePrepare`
     /// broadcast.
     fn propose(&mut self, ctx: &Substrate, batch: Batch, digest: Digest) -> Vec<Action> {
-        if ctx.config.equivocate {
-            return self.propose_equivocating(ctx, batch);
-        }
         let seq = self.next_seq;
         self.next_seq = ctx.config.next_owned(self.next_seq);
         // One allocation for the batch; the instance and the broadcast
@@ -1510,35 +1473,5 @@ mod tests {
             ),
         );
         assert!(acts.is_empty(), "covered fetch must be rejected");
-    }
-
-    #[test]
-    fn equivocating_primary_sends_distinct_proposals() {
-        let mut p = Pbft::new(ReplicaId(0), cfg(4).with_equivocation(true));
-        let b: Batch = (0..3u64)
-            .map(|i| {
-                Transaction::new(
-                    ClientId(i),
-                    i,
-                    vec![Operation::Write {
-                        key: i,
-                        value: vec![i as u8],
-                    }],
-                )
-            })
-            .collect();
-        let acts = p.propose(b, d(1));
-        let digests: Vec<Digest> = acts
-            .iter()
-            .filter_map(|a| match a {
-                Action::SendReplica(_, Message::PrePrepare { digest, .. }) => Some(*digest),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(digests.len(), 3, "one per backup: {acts:?}");
-        assert!(
-            digests.windows(2).all(|w| w[0] != w[1]),
-            "each backup must see a unique digest: {digests:?}"
-        );
     }
 }

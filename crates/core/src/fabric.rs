@@ -19,11 +19,11 @@
 //! `NodeOptions::set`.
 
 use crate::client::ClientSession;
-use crate::scenario::FaultAction;
+use crate::scenario::{equivocation, FaultAction};
 use crate::swarm::{SwarmConfig, SwarmReport};
 use rdb_common::{
-    ClientId, CryptoScheme, Digest, NodeOptions, ProtocolKind, ReplicaId, SystemConfig,
-    TransportMode,
+    messages::Sender, ClientId, CryptoScheme, Digest, NodeOptions, ProtocolKind, ReplicaId,
+    SystemConfig, TransportMode,
 };
 use rdb_crypto::KeyRegistry;
 use rdb_net::{NetHandle, Network, NetworkConfig, TcpConfig, TcpTransport};
@@ -317,6 +317,15 @@ impl ResilientDb {
     pub fn apply_fault(&self, action: &FaultAction) {
         for faults in self.all_fault_controllers() {
             action.apply_to_controller(faults);
+        }
+    }
+
+    /// Makes replica `liar` equivocate ([`crate::scenario::equivocation`])
+    /// on every transport, signing its lies with its own keys.
+    pub fn equivocate(&self, liar: ReplicaId) {
+        let lie = equivocation(self.registry.provider_for_replica(liar));
+        for faults in self.all_fault_controllers() {
+            faults.set_rewrite(Sender::Replica(liar), Arc::clone(&lie));
         }
     }
 

@@ -27,8 +27,12 @@
 
 use crate::fabric::SystemBuilder;
 use crate::swarm::SwarmConfig;
-use rdb_common::{ProtocolKind, ReplicaId, TransportMode};
+use rdb_common::messages::{Message, Sender, SignedMessage};
+use rdb_common::{Batch, ProtocolKind, ReplicaId, TransportMode};
+use rdb_crypto::{CryptoProvider, PeerClass};
+use rdb_net::fault::Rewrite;
 use std::collections::HashSet;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// When a fault event fires.
@@ -75,6 +79,14 @@ pub struct FaultPlan {
     pub events: Vec<FaultEvent>,
 }
 
+/// The next word of a plan line parsed as a `T`, or the line's error.
+fn next<T: std::str::FromStr>(
+    words: &mut std::str::SplitWhitespace<'_>,
+    err: String,
+) -> Result<T, String> {
+    words.next().and_then(|w| w.parse().ok()).ok_or(err)
+}
+
 impl FaultPlan {
     /// Parses the plan-file mini language used by `rdb-node --fault-plan`.
     ///
@@ -102,18 +114,10 @@ impl FaultPlan {
             let bad = |why: &str| format!("line {}: {why}: `{line}`", lineno + 1);
             let mut words = line.split_whitespace();
             match words.next() {
-                Some("seed") => {
-                    plan.seed = words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| bad("expected `seed <u64>`"))?;
-                }
+                Some("seed") => plan.seed = next(&mut words, bad("expected `seed <u64>`"))?,
                 Some("at") => {
                     let kind = words.next().ok_or_else(|| bad("missing mark kind"))?;
-                    let value: u64 = words
-                        .next()
-                        .and_then(|w| w.parse().ok())
-                        .ok_or_else(|| bad("missing mark value"))?;
+                    let value: u64 = next(&mut words, bad("missing mark value"))?;
                     let at = match kind {
                         "committed" => Mark::Committed(value),
                         "elapsed_ms" => Mark::Elapsed(Duration::from_millis(value)),
@@ -122,10 +126,7 @@ impl FaultPlan {
                     let verb = words.next().ok_or_else(|| bad("missing action"))?;
                     let action = match verb {
                         "crash" | "recover" => {
-                            let r: u32 = words
-                                .next()
-                                .and_then(|w| w.parse().ok())
-                                .ok_or_else(|| bad("expected a replica id"))?;
+                            let r: u32 = next(&mut words, bad("expected a replica id"))?;
                             if verb == "crash" {
                                 FaultAction::Crash(r)
                             } else {
@@ -148,17 +149,10 @@ impl FaultPlan {
                         }
                         "heal" => FaultAction::HealAll,
                         "drop_rate" => {
-                            let rate: f64 = words
-                                .next()
-                                .and_then(|w| w.parse().ok())
-                                .ok_or_else(|| bad("expected a rate"))?;
-                            FaultAction::DropRate(rate)
+                            FaultAction::DropRate(next(&mut words, bad("expected a rate"))?)
                         }
                         "delay_jitter_us" => {
-                            let us: u64 = words
-                                .next()
-                                .and_then(|w| w.parse().ok())
-                                .ok_or_else(|| bad("expected microseconds"))?;
+                            let us = next(&mut words, bad("expected microseconds"))?;
                             FaultAction::DelayJitter(Duration::from_micros(us))
                         }
                         _ => return Err(bad("unknown action")),
@@ -225,10 +219,11 @@ pub struct Scenario {
     pub name: &'static str,
     /// The fault schedule.
     pub plan: FaultPlan,
-    /// Make the initial primary equivocate (byzantine fault injection).
+    /// Make the initial primary equivocate from its first proposal on
+    /// ([`equivocation`]; its own core stays honest).
     pub byzantine: bool,
-    /// Only meaningful under PBFT (e.g. equivocation: Zyzzyva's skeleton
-    /// view change handles crashes, not byzantine primaries).
+    /// Only meaningful under PBFT (multi-primary ordering; a byzantine
+    /// primary, which Zyzzyva's view change does not survive yet).
     pub pbft_only: bool,
     /// Parallel consensus instances (multi-primary ordering; `> 1` forces
     /// `pbft_only` semantics — the runner skips Zyzzyva).
@@ -342,11 +337,11 @@ pub fn scenarios() -> Vec<Scenario> {
             0,
             FaultAction::DelayJitter(Duration::from_millis(2)),
         )]),
-        // The byzantine case: the initial primary sends *different*
-        // batches to different backups. No quorum can form, the honest
-        // replicas vote it out, and the new primary's majority merge
-        // commits a single variant. PBFT-only: Zyzzyva's skeleton view
-        // change assumes a crashed (not lying) primary.
+        // The byzantine case: the initial primary's transport hands each
+        // backup a *different* variant of every proposal. No quorum can
+        // form, the honest replicas vote it out, and the new primary's
+        // majority merge commits a single variant. PBFT-only: under
+        // Zyzzyva 17 of 20 runs stall in view 0 (ARCHITECTURE "Scope").
         Scenario {
             byzantine: true,
             pbft_only: true,
@@ -439,6 +434,37 @@ pub fn scenarios() -> Vec<Scenario> {
 /// Looks a catalog scenario up by name.
 pub fn scenario_by_name(name: &str) -> Option<Scenario> {
     scenarios().into_iter().find(|s| s.name == name)
+}
+
+/// Equivocation, the byzantine strategy of `equivocating_primary`, for the
+/// replica whose keys `provider` holds: backup `r` receives each
+/// `PrePrepare` with its batch's transactions rotated left by `r`, under
+/// that variant's honest digest, re-signed. With three or more
+/// transactions per batch every backup sees a different digest, so no
+/// prepare quorum forms and the honest replicas vote the liar out. Every
+/// other message goes out as its honest core sent it.
+pub fn equivocation(provider: CryptoProvider) -> Rewrite {
+    Arc::new(move |to: Sender, sm: &SignedMessage| match (sm.msg(), to) {
+        (
+            Message::PrePrepare {
+                view, seq, batch, ..
+            },
+            Sender::Replica(r),
+        ) => {
+            let mut txns = batch.txns.clone();
+            txns.rotate_left(r.as_usize() % batch.txns.len().max(1));
+            let variant = Batch::new(txns);
+            let lie = Message::PrePrepare {
+                view: *view,
+                seq: *seq,
+                digest: rdb_crypto::digest(&variant.canonical_bytes()),
+                batch: Arc::new(variant),
+            };
+            let sign = |bytes: &[u8]| provider.sign(PeerClass::Replica, bytes);
+            Some(SignedMessage::sign_with(lie, provider.identity(), sign))
+        }
+        _ => None,
+    })
 }
 
 /// The measured outcome of one scenario run.
@@ -577,22 +603,16 @@ impl FaultAction {
     /// its own transport (dropping a crashed peer's traffic locally is
     /// exactly what the in-process fabric does across all controllers).
     pub fn apply_to_controller(&self, faults: &rdb_net::FaultController) {
-        use rdb_common::messages::Sender;
         match self {
             FaultAction::Crash(r) => faults.crash(Sender::Replica(ReplicaId(*r))),
             FaultAction::Recover(r) => faults.recover(Sender::Replica(ReplicaId(*r))),
             FaultAction::Partition(groups) => {
-                for (i, group_a) in groups.iter().enumerate() {
-                    for group_b in groups.iter().skip(i + 1) {
-                        let a: Vec<Sender> = group_a
-                            .iter()
-                            .map(|&r| Sender::Replica(ReplicaId(r)))
-                            .collect();
-                        let b: Vec<Sender> = group_b
-                            .iter()
-                            .map(|&r| Sender::Replica(ReplicaId(r)))
-                            .collect();
-                        faults.partition(&a, &b);
+                let side = |g: &[u32]| -> Vec<Sender> {
+                    g.iter().map(|&r| Sender::Replica(ReplicaId(r))).collect()
+                };
+                for (i, a) in groups.iter().enumerate() {
+                    for b in &groups[i + 1..] {
+                        faults.partition(&side(a), &side(b));
                     }
                 }
             }
@@ -626,9 +646,11 @@ pub fn run_scenario(
         .checkpoint_interval(scenario.checkpoint_txns)
         .seed(scenario.plan.seed + 7);
     builder.config_mut().view_timeout_ms = scenario.view_timeout_ms;
-    builder.config_mut().byzantine_primary = scenario.byzantine;
     let db = builder.build().expect("scenario config must be valid");
     db.set_fault_seed(scenario.plan.seed);
+    if scenario.byzantine {
+        db.equivocate(db.primary());
+    }
 
     // Each client keeps one burst of about two batches in flight and
     // submits the next as it completes. The swarm holds that refill until
@@ -919,5 +941,72 @@ mod tests {
         assert_eq!(fired(plan.take_due(500, ms(200))), [action(4)]);
         assert!(plan.take_due(u64::MAX, Duration::MAX).is_empty());
         assert!(plan.events.is_empty());
+    }
+
+    #[test]
+    fn equivocation_gives_each_backup_its_own_signed_variant() {
+        use rdb_common::{ClientId, CryptoScheme, Digest, Operation, SeqNum, Transaction, ViewNum};
+        use rdb_crypto::KeyRegistry;
+        let keys = KeyRegistry::generate(CryptoScheme::Ed25519, 4, 0, 9);
+        let replica = |i: u32| Sender::Replica(ReplicaId(i));
+        let faults = rdb_net::FaultController::new();
+        faults.set_rewrite(
+            replica(0),
+            equivocation(keys.provider_for_replica(ReplicaId(0))),
+        );
+        let batch: Batch = (0..3u64)
+            .map(|i| {
+                Transaction::new(
+                    ClientId(i),
+                    i,
+                    vec![Operation::Write {
+                        key: i,
+                        value: vec![],
+                    }],
+                )
+            })
+            .collect();
+        let proposal = |from: u32| {
+            let msg = Message::PrePrepare {
+                view: ViewNum(0),
+                seq: SeqNum(1),
+                digest: rdb_crypto::digest(&batch.canonical_bytes()),
+                batch: Arc::new(batch.clone()),
+            };
+            let signer = keys.provider_for_replica(ReplicaId(from));
+            SignedMessage::sign_with(msg, replica(from), |b| signer.sign(PeerClass::Replica, b))
+        };
+        let honest = proposal(0);
+        let mut digests: Vec<Digest> = Vec::new();
+        for to in 1..4 {
+            let lie = faults
+                .rewrite(replica(0), replica(to), &honest)
+                .expect("every backup is lied to");
+            let Message::PrePrepare { digest, batch, .. } = lie.msg() else {
+                panic!("a proposal stays a proposal: {lie:?}");
+            };
+            assert_eq!(*digest, rdb_crypto::digest(&batch.canonical_bytes()));
+            let verifier = keys.provider_for_replica(ReplicaId(to));
+            assert!(verifier.verify(replica(0), lie.signing_bytes(), lie.sig()));
+            assert!(!verifier.verify(replica(1), lie.signing_bytes(), lie.sig()));
+            digests.push(*digest);
+        }
+        digests.sort();
+        digests.dedup();
+        assert_eq!(digests.len(), 3, "each backup must see a unique digest");
+        // Only the liar's proposals are rewritten.
+        assert!(faults
+            .rewrite(replica(1), replica(2), &proposal(1))
+            .is_none());
+        let vote = SignedMessage::new(
+            Message::Checkpoint {
+                seq: SeqNum(1),
+                state_digest: Digest::ZERO,
+                replica: ReplicaId(0),
+            },
+            replica(0),
+            rdb_common::SignatureBytes::empty(),
+        );
+        assert!(faults.rewrite(replica(0), replica(1), &vote).is_none());
     }
 }

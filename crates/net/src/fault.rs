@@ -1,5 +1,6 @@
-//! Fault injection: crashes, probabilistic drops, delay jitter, and
-//! partitions.
+//! Fault injection: crashes, probabilistic drops, delay jitter,
+//! partitions, and per-sender rewrites — every fault, lies included,
+//! comes from here, never from the protocol code.
 //!
 //! Drop and delay decisions are deterministic: each directed link keeps
 //! its own message counter, and the decision for message `k` on link
@@ -11,9 +12,9 @@
 //! arrival order.
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use rdb_common::messages::Sender;
+use rdb_common::messages::{Sender, SignedMessage};
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
@@ -22,6 +23,11 @@ use std::time::{Duration, Instant};
 /// physical resources (e.g. tearing down TCP sockets so recovery
 /// exercises the reconnect path).
 pub type FaultListener = Arc<dyn Fn(Sender, bool) + Send + Sync>;
+
+/// A byzantine sender's strategy: given a destination and the envelope
+/// the sender's honest core sends it, returns the envelope that
+/// destination receives instead, or `None` to send the original.
+pub type Rewrite = Arc<dyn Fn(Sender, &SignedMessage) -> Option<SignedMessage> + Send + Sync>;
 
 /// Controls which messages the network discards or delays.
 ///
@@ -47,6 +53,10 @@ struct FaultInner {
     links: RwLock<HashMap<(Sender, Sender), Arc<LinkCounters>>>,
     /// Crash/recover observers (socket teardown, logging, ...).
     listeners: RwLock<Vec<FaultListener>>,
+    /// Per-sender rewrites (byzantine strategies); `rewriting` is set once
+    /// any is installed, the only check a send pays while all are honest.
+    rewriting: AtomicBool,
+    rewrites: RwLock<HashMap<Sender, Rewrite>>,
 }
 
 impl std::fmt::Debug for FaultInner {
@@ -54,12 +64,9 @@ impl std::fmt::Debug for FaultInner {
         f.debug_struct("FaultInner")
             .field("crashed", &self.crashed.read().len())
             .field("severed", &self.severed.read().len())
-            .field("drop_per_10k", &self.drop_per_10k.load(Ordering::Relaxed))
-            .field(
-                "delay_jitter_us",
-                &self.delay_jitter_us.load(Ordering::Relaxed),
-            )
-            .field("seed", &self.seed.load(Ordering::Relaxed))
+            .field("drop_per_10k", &self.drop_per_10k)
+            .field("delay_jitter_us", &self.delay_jitter_us)
+            .field("seed", &self.seed)
             .finish_non_exhaustive()
     }
 }
@@ -127,23 +134,22 @@ impl FaultController {
     /// Crashes `node`: all traffic to and from it is discarded until
     /// [`FaultController::recover`].
     pub fn crash(&self, node: Sender) {
-        let newly = self.inner.crashed.write().insert(node);
-        if newly {
-            let listeners: Vec<_> = self.inner.listeners.read().clone();
-            for l in listeners {
-                l(node, true);
-            }
+        if self.inner.crashed.write().insert(node) {
+            self.notify(node, true);
         }
     }
 
     /// Recovers a crashed node.
     pub fn recover(&self, node: Sender) {
-        let was = self.inner.crashed.write().remove(&node);
-        if was {
-            let listeners: Vec<_> = self.inner.listeners.read().clone();
-            for l in listeners {
-                l(node, false);
-            }
+        if self.inner.crashed.write().remove(&node) {
+            self.notify(node, false);
+        }
+    }
+
+    fn notify(&self, node: Sender, down: bool) {
+        let listeners: Vec<_> = self.inner.listeners.read().clone();
+        for l in listeners {
+            l(node, down);
         }
     }
 
@@ -152,26 +158,14 @@ impl FaultController {
         self.inner.crashed.read().contains(&node)
     }
 
-    /// Severs the link between `a` and `b` in both directions.
-    pub fn sever(&self, a: Sender, b: Sender) {
-        let mut s = self.inner.severed.write();
-        s.insert((a, b));
-        s.insert((b, a));
-    }
-
-    /// Heals the link between `a` and `b`.
-    pub fn heal(&self, a: Sender, b: Sender) {
-        let mut s = self.inner.severed.write();
-        s.remove(&(a, b));
-        s.remove(&(b, a));
-    }
-
     /// Partitions the membership into two groups that cannot talk across
-    /// the cut.
+    /// the cut, in either direction.
     pub fn partition(&self, group_a: &[Sender], group_b: &[Sender]) {
+        let mut severed = self.inner.severed.write();
         for &a in group_a {
             for &b in group_b {
-                self.sever(a, b);
+                severed.insert((a, b));
+                severed.insert((b, a));
             }
         }
     }
@@ -235,6 +229,25 @@ impl FaultController {
             .drop_seq
             .fetch_add(1, Ordering::Relaxed);
         self.inner.link_hash(from, to, seq) % 10_000 < rate
+    }
+
+    /// Makes `sender` byzantine: from now on every envelope it sends
+    /// passes through `rewrite` once per destination, in place of any
+    /// rewrite installed for `sender` before.
+    pub fn set_rewrite(&self, sender: Sender, rewrite: Rewrite) {
+        self.inner.rewrites.write().insert(sender, rewrite);
+        self.inner.rewriting.store(true, Ordering::Relaxed);
+    }
+
+    /// The envelope `to` receives in place of `msg` from `from`, or `None`
+    /// when `from` sends it as is. Both transports ask right after
+    /// [`should_drop`](Self::should_drop).
+    pub fn rewrite(&self, from: Sender, to: Sender, msg: &SignedMessage) -> Option<SignedMessage> {
+        if !self.inner.rewriting.load(Ordering::Relaxed) {
+            return None;
+        }
+        let rewrite = self.inner.rewrites.read().get(&from).cloned()?;
+        rewrite(to, msg)
     }
 }
 
@@ -390,10 +403,10 @@ mod tests {
     #[test]
     fn sever_and_heal() {
         let fc = FaultController::new();
-        fc.sever(r(0), r(1));
+        fc.partition(&[r(0)], &[r(1)]);
         assert!(fc.should_drop(r(0), r(1)));
         assert!(fc.should_drop(r(1), r(0)));
-        fc.heal(r(0), r(1));
+        fc.heal_all();
         assert!(!fc.should_drop(r(0), r(1)));
     }
 

@@ -25,8 +25,8 @@
 //!
 //! Both support byte-accounted delivery statistics ([`NetworkStats`]) and
 //! send-side fault injection ([`FaultController`]: crashes, message drops,
-//! partitions) — the substrate for the paper's failure experiments
-//! (Figure 17).
+//! partitions, and per-sender rewrites for byzantine strategies) — the
+//! substrate for the paper's failure experiments (Figure 17).
 //!
 //! # Example
 //!

@@ -128,6 +128,7 @@ impl Network {
             self.inner.stats.record_dropped();
             return Ok(()); // silently dropped, like a real network
         }
+        let msg = self.inner.faults.rewrite(from, to, &msg).unwrap_or(msg);
         // Total one-way delay: configured base latency plus any
         // fault-injected deterministic jitter for this link message.
         let delay = self.inner.config.latency

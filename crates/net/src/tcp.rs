@@ -41,8 +41,9 @@
 //!   moment the socket dies, so churned connections cannot accumulate
 //!   (see [`TcpTransport::open_connections`]).
 //! - **Faults**: [`FaultController`] is evaluated on the send side, same
-//!   as the in-memory backend, so drops and partitions behave identically
-//!   over both.
+//!   as the in-memory backend, so drops, partitions and a byzantine
+//!   sender's rewrites behave identically over both. A rewritten envelope
+//!   is encoded on its own, outside the broadcast's shared buffer.
 
 use crate::fault::{DelayLine, FaultController};
 use crate::frame::{self, Frame, FrameAccumulator};
@@ -1443,6 +1444,13 @@ impl TcpTransport {
             self.inner.stats.record_dropped();
             return Ok(()); // silently dropped, like a real network
         }
+        // A rewritten envelope is this destination's alone: it gets its
+        // own encoding and must never fill or reuse the shared `payload`.
+        let rewritten = self.inner.faults.rewrite(from, to, msg);
+        let (msg, payload) = match &rewritten {
+            Some(own) => (own, &mut None),
+            None => (msg, payload),
+        };
         // Fault-injected jitter parks the envelope on the delay line; it
         // re-routes when due (links may have churned meanwhile).
         if let Some(extra) = self.inner.faults.delay_for(from, to) {

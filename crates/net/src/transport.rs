@@ -74,8 +74,10 @@ pub type Delivery = Box<dyn Fn(SignedMessage) -> bool + Send + Sync>;
 /// hold a [`NetHandle`] rather than a concrete network type. Fault
 /// injection is evaluated on the **send side** for both backends: a
 /// message is discarded when the sender's controller says
-/// [`FaultController::should_drop`], which makes drop/partition semantics
-/// identical whether the link is a channel or a socket.
+/// [`FaultController::should_drop`], and replaced per destination when it
+/// holds a [`FaultController::rewrite`] for the sender, which makes
+/// drop/partition/byzantine semantics identical whether the link is a
+/// channel or a socket.
 ///
 /// Reliability is not the caller's choice; it follows the endpoints. A
 /// message with a client on either end (a request, a reply) is never shed

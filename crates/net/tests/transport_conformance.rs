@@ -3,8 +3,9 @@
 //! pipeline depends on — framing round-trips (including batches far past
 //! 64 KiB), per-link FIFO ordering, send-side fault injection, reply
 //! routing for clients, delivery functions (per-sender order, silence
-//! after deregistration, replacement on re-registration) and byte-exact
-//! `NetworkStats` accounting.
+//! after deregistration, replacement on re-registration), a byzantine
+//! sender's per-destination rewrites and byte-exact `NetworkStats`
+//! accounting.
 //! TCP-only behaviors (reconnect after a peer restart, late peer start)
 //! get dedicated tests at the bottom.
 
@@ -253,6 +254,81 @@ fn partitions_cut_cross_traffic_only() {
             cl.eps[2].recv_timeout(RECV_WAIT).is_ok(),
             "[{name}] healed partition must deliver"
         );
+    });
+}
+
+#[test]
+fn a_senders_rewrite_gives_each_destination_its_own_envelope() {
+    conformance(4, |cl, name| {
+        // r0 lies in its Prepares to r1 and r3, its first and last
+        // destination, and tells r2 the truth. Over TCP that order
+        // catches both ways of sharing the broadcast's one encoding: a
+        // variant that filled it would reach r2, a variant that reused
+        // it would leave r3 with the original.
+        let lie = |to: u32, honest: &SignedMessage| match honest.msg() {
+            Message::Prepare { view, seq, .. } if to != 2 => Some(SignedMessage::new(
+                Message::Prepare {
+                    view: *view,
+                    seq: *seq,
+                    digest: Digest([to as u8; 32]),
+                },
+                honest.sender(),
+                SignatureBytes(vec![to as u8; 32]),
+            )),
+            _ => None,
+        };
+        let rewrite: rdb_net::fault::Rewrite = Arc::new(move |to, sm| match to {
+            Sender::Replica(r) => lie(r.0, sm),
+            Sender::Client(_) => None,
+        });
+        cl.net(0).faults().set_rewrite(r(0), rewrite);
+        let all = [r(0), r(1), r(2), r(3)];
+        let prepare = prepare_msg(r(0), 1);
+        let checkpoint = SignedMessage::new(
+            Message::Checkpoint {
+                seq: SeqNum(1),
+                state_digest: Digest([3; 32]),
+                replica: ReplicaId(0),
+            },
+            r(0),
+            SignatureBytes(vec![4; 16]),
+        );
+        let honest_peer = prepare_msg(r(1), 1);
+        cl.eps[0].broadcast(&all, &prepare).unwrap();
+        cl.eps[0].broadcast(&all, &checkpoint).unwrap();
+        cl.eps[1].broadcast(&all, &honest_peer).unwrap();
+        // Order holds per sender only, so each replica's inbox is split
+        // by sender before it is compared.
+        for i in 0..4u32 {
+            let from_liar = match i {
+                0 => vec![],
+                _ => vec![
+                    lie(i, &prepare).unwrap_or_else(|| prepare.clone()),
+                    checkpoint.clone(),
+                ],
+            };
+            let from_peer = if i == 1 {
+                vec![]
+            } else {
+                vec![honest_peer.clone()]
+            };
+            let mut got: [Vec<Vec<u8>>; 2] = [vec![], vec![]];
+            for _ in 0..from_liar.len() + from_peer.len() {
+                let sm = cl.eps[i as usize]
+                    .recv_timeout(RECV_WAIT)
+                    .unwrap_or_else(|e| panic!("[{name}] r{i} missed a message: {e}"));
+                got[usize::from(sm.sender() != r(0))].push(sm.encode());
+            }
+            let encoded = |v: Vec<SignedMessage>| v.iter().map(Wire::encode).collect::<Vec<_>>();
+            // Its own variant of the Prepare, then the checkpoint the
+            // strategy skips, byte-identical.
+            assert_eq!(got[0], encoded(from_liar), "[{name}] r{i} from the liar");
+            assert_eq!(
+                got[1],
+                encoded(from_peer),
+                "[{name}] r{i} from an honest peer"
+            );
+        }
     });
 }
 

@@ -285,13 +285,10 @@ impl ReplicaCore {
             "multi-primary ordering requires PBFT: Zyzzyva's speculative history is one \
              hash chain over consecutive sequences, which k interleaved instances cannot extend"
         );
-        let consensus_cfg = ConsensusConfig::new(config.n, checkpoint_delta(config))
-            // Only the deployment's *initial* primary is byzantine; whoever
-            // wins the ensuing view change behaves honestly.
-            .with_equivocation(config.byzantine_primary && id == ViewNum(0).primary(config.n));
         let instances = (0..k)
             .map(|j| {
-                let cfg = consensus_cfg.for_instance(j as u32, k as u64);
+                let cfg = ConsensusConfig::new(config.n, checkpoint_delta(config))
+                    .for_instance(j as u32, k as u64);
                 let mut engine = ReplicaEngine::new(config.protocol, id, cfg);
                 if let Some(r) = recovered.filter(|r| r.head.0 > 0) {
                     engine.install_snapshot(r.head, r.history);
