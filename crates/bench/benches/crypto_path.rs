@@ -22,8 +22,10 @@
 //!   backend this CPU can run (AES-NI and portable);
 //! - SHA-256 over one block and over 1 KiB on every backend this CPU can
 //!   run (SHA-NI and portable), and the one-shot `sha256_pair` under every
-//!   interior Merkle node. The SHA-256 and AES backends the process
-//!   selected are named in the JSON envelope.
+//!   interior Merkle node; `sha256/pair` and `sha256/pair_x2` time a pair
+//!   hash on the selected backend one at a time and two per interleaved
+//!   `sha256_pair2` pass (ns per pair hash either way). The SHA-256 and
+//!   AES backends the process selected are named in the JSON envelope.
 //!
 //! Writes `BENCH_crypto.json` at the workspace root through
 //! [`rdb_bench::report`]; CI runs this bench with a short window and
@@ -148,6 +150,22 @@ fn run_suite(report: &mut Report) {
         });
         report.record(format!("sha256_pair/{}", backend.name()), ns);
     }
+    // The Merkle flush's two kernels on the selected backend, ns per pair
+    // hash: one at a time, and two per interleaved pass.
+    let [a, b, c, d] = [[0x11u8; 32], [0x22; 32], [0x33; 32], [0x44; 32]];
+    let ns = time_ns(iters * 50, || {
+        black_box(sha2::sha256_pair(black_box(&a), black_box(&b)));
+    });
+    report.record("sha256/pair", ns);
+    let ns = time_ns(iters * 50, || {
+        black_box(sha2::sha256_pair2(
+            black_box(&a),
+            black_box(&b),
+            black_box(&c),
+            black_box(&d),
+        ));
+    });
+    report.record("sha256/pair_x2", ns / 2.0);
 
     // --- CMAC, per backend, then the selected one -------------------------
     for backend in aes::backends() {
@@ -223,7 +241,8 @@ fn main() {
     let Some(mut report) = Report::start(
         "crypto_path",
         "BENCH_crypto.json",
-        "ns_per_op (batch entries are per-signature; speedup entries are ratios)",
+        "ns_per_op (batch entries are per-signature; speedup entries are ratios; \
+         sha256/pair_x2 is per pair hash, two per call)",
         Length::Iters(200),
     ) else {
         return;

@@ -41,6 +41,11 @@
 //! sum per batch — `apply` plus the amortised flush, what a batch costs
 //! the execute stage. µs each.
 //!
+//! `execute/mem_uniform_shape/us_per_txn` times the whole serial execute
+//! step at that shape — `Executor::execute` of one session's 50
+//! one-write transactions per batch, PBFT, a mark every 200 batches, the
+//! boundary's flush included — in µs per transaction.
+//!
 //! Two more time the serving snapshot at the same shape (200-batch
 //! checkpoint interval): `snapshot/capture/64k` is what the commit that
 //! crosses a checkpoint boundary costs over its neighbours, not counting
@@ -74,7 +79,7 @@ use rdb_pipeline::queues::ExecuteItem;
 use rdb_pipeline::scheduler::{ExecPool, ParallelExecutor};
 use rdb_pipeline::{Durability, Executor};
 use rdb_storage::blockchain::ChainMode;
-use rdb_storage::{Blockchain, MemStore, PreImage, StateStore, WriteRecord};
+use rdb_storage::{Blockchain, MemStore, StateStore, WriteRecord};
 use rdb_workload::{WorkloadConfig, WorkloadGenerator};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,17 +102,17 @@ struct IoStore {
 }
 
 impl StateStore for IoStore {
-    fn get(&self, key: u64) -> Option<Vec<u8>> {
+    fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
         std::thread::sleep(IO_DELAY);
-        self.inner.get(key)
+        self.inner.get_into(key, out)
     }
 
     fn put(&self, key: u64, value: &[u8]) {
         self.inner.put(key, value);
     }
 
-    fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
-        self.inner.apply(writes)
+    fn apply_logged(&self, writes: &[WriteRecord], displaced: &mut dyn FnMut(u64, Option<&[u8]>)) {
+        self.inner.apply_logged(writes, displaced);
     }
 
     fn len(&self) -> usize {
@@ -116,6 +121,18 @@ impl StateStore for IoStore {
 
     fn state_digest(&self) -> Digest {
         self.inner.state_digest()
+    }
+
+    fn remove(&self, key: u64) -> bool {
+        self.inner.remove(key)
+    }
+
+    fn export_records(&self) -> Vec<(u64, Vec<u8>)> {
+        self.inner.export_records()
+    }
+
+    fn install_records(&self, records: &[(u64, Vec<u8>)]) {
+        self.inner.install_records(records);
     }
 }
 
@@ -439,8 +456,52 @@ fn uniform_item(seq: u64, rng: &mut StdRng) -> ExecuteItem {
     }
 }
 
+/// Batch `seq` of `mem_uniform` as a replica executes it: one session's
+/// 50-transaction request, each transaction one uniform write of 8 bytes
+/// over the 65 536-row table.
+fn session_item(seq: u64, rng: &mut StdRng) -> ExecuteItem {
+    let batch: Batch = (0..50u64)
+        .map(|i| {
+            let op = Operation::Write {
+                key: rng.gen_range(0..65_536u64),
+                value: rng.gen::<u64>().to_le_bytes().to_vec(),
+            };
+            Transaction::new(ClientId(0), seq * 50 + i, vec![op])
+        })
+        .collect();
+    ExecuteItem {
+        batch: batch.into(),
+        ..uniform_item(seq, &mut StdRng::seed_from_u64(0))
+    }
+}
+
+/// `Executor::execute` at `mem_uniform`'s shape, the boundary's Merkle
+/// flush included: mean µs per transaction over `intervals` checkpoint
+/// intervals, after one interval of warm-up.
+fn execute_us_per_txn(intervals: u64) -> f64 {
+    let executor = checkpointing_executor();
+    let mut rng = StdRng::seed_from_u64(7);
+    let items: Vec<ExecuteItem> = (1..=(intervals + 1) * CHECKPOINT_INTERVAL)
+        .map(|seq| session_item(seq, &mut rng))
+        .collect();
+    let (warm, timed) = items.split_at(CHECKPOINT_INTERVAL as usize);
+    for item in warm {
+        std::hint::black_box(executor.execute(item));
+    }
+    let start = Instant::now();
+    for item in timed {
+        std::hint::black_box(executor.execute(item));
+    }
+    start.elapsed().as_secs_f64() * 1e6 / (timed.len() * 50) as f64
+}
+
 fn run_suite(report: &mut Report) {
     let repeats = (report.iters() as usize / 10).clamp(1, 16);
+
+    let execute = (0..repeats)
+        .map(|_| execute_us_per_txn(4))
+        .fold(f64::INFINITY, f64::min);
+    report.record("execute/mem_uniform_shape/us_per_txn", execute);
 
     let [apply, flush, touch] = (0..repeats)
         .map(|_| merkle_costs_us(2))
@@ -547,7 +608,9 @@ fn main() {
     let Some(mut report) = Report::start(
         "execution_path",
         "BENCH_execution.json",
-        "txn/s (merkle/touch is us per 50-write MemStore::apply over a 65536-row table, \
+        "txn/s (execute/mem_uniform_shape/us_per_txn is us per transaction of Executor::execute over \
+         50-write batches of one session into a 65536-row table, the checkpoint flush included; \
+         merkle/touch is us per 50-write MemStore::apply over a 65536-row table, \
          merkle/flush us for the state_digest() after 200 of them, merkle/apply their sum per batch; \
          snapshot/capture is us a checkpoint-boundary commit costs over its neighbours (flush excluded) and \
          snapshot/materialize us for the first latest_snapshot() 10k writes later, same table; \

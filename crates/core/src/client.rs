@@ -16,40 +16,61 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 /// Every completed request's result, kept for the session's lifetime.
-/// Counters are dense per session, so a result costs one 8-byte index
-/// entry plus its bytes in a shared arena — not a map slot and an
-/// allocation each.
+/// Counters are dense per session and a replica's result is at most 8
+/// bytes (a write echoes its key, a read the first 8 bytes of the value),
+/// so such a result costs 9 bytes: its bytes in an 8-byte index entry
+/// and its length in a byte beside it — not a map slot and an
+/// allocation each. A longer one goes to a shared arena, which its index
+/// entry locates.
 #[derive(Default)]
 struct Results {
-    /// By counter: where the result starts in `bytes` and its length
-    /// ([`Results::ABSENT`] = not completed yet).
-    index: Vec<(u32, u32)>,
-    bytes: Vec<u8>,
+    /// By counter: the result's bytes, or for a [`Results::LONG`] one its
+    /// start and length in `long` (two little-endian `u32`s).
+    index: Vec<[u8; 8]>,
+    /// By counter: the result's length, [`Results::LONG`] or
+    /// [`Results::ABSENT`] (not completed yet).
+    lens: Vec<u8>,
+    long: Vec<u8>,
 }
 
 impl Results {
-    const ABSENT: u32 = u32::MAX;
+    const ABSENT: u8 = u8::MAX;
+    const LONG: u8 = u8::MAX - 1;
 
     /// Records the result of `counter`, one this session submitted (the
     /// core completes nothing else, and each counter once).
     fn insert(&mut self, counter: u64, result: &[u8]) {
         let at = counter as usize;
         if at >= self.index.len() {
-            self.index.resize(at + 1, (0, Self::ABSENT));
+            self.index.resize(at + 1, [0; 8]);
+            self.lens.resize(at + 1, Self::ABSENT);
         }
-        let len = u32::try_from(result.len())
-            .ok()
-            .filter(|len| *len != Self::ABSENT)
-            .expect("a result fits in a message frame");
-        let start = u32::try_from(self.bytes.len()).expect("a session's results fit in 4 GiB");
-        self.index[at] = (start, len);
-        self.bytes.extend_from_slice(result);
+        let entry = &mut self.index[at];
+        if let Some(inline) = entry.get_mut(..result.len()) {
+            inline.copy_from_slice(result);
+            self.lens[at] = result.len() as u8;
+            return;
+        }
+        let start = u32::try_from(self.long.len()).expect("a session's results fit in 4 GiB");
+        let len = u32::try_from(result.len()).expect("a result fits in a message frame");
+        entry[..4].copy_from_slice(&start.to_le_bytes());
+        entry[4..].copy_from_slice(&len.to_le_bytes());
+        self.lens[at] = Self::LONG;
+        self.long.extend_from_slice(result);
     }
 
     fn get(&self, counter: u64) -> Option<&[u8]> {
-        let &(start, len) = self.index.get(usize::try_from(counter).ok()?)?;
-        let start = start as usize;
-        (len != Self::ABSENT).then(|| &self.bytes[start..start + len as usize])
+        let at = usize::try_from(counter).ok()?;
+        let (entry, len) = (self.index.get(at)?, *self.lens.get(at)?);
+        match len {
+            Self::ABSENT => None,
+            Self::LONG => {
+                let word = |half: &[u8]| u32::from_le_bytes(half.try_into().expect("4 bytes"));
+                let start = word(&entry[..4]) as usize;
+                Some(&self.long[start..start + word(&entry[4..]) as usize])
+            }
+            len => Some(&entry[..len as usize]),
+        }
     }
 }
 
@@ -395,6 +416,21 @@ mod tests {
         results.insert(1, b"one");
         assert_eq!(results.get(1), Some(&b"one"[..]));
         assert_eq!(results.get(3), Some(&b"three"[..]));
+    }
+
+    #[test]
+    fn results_past_8_bytes_go_to_the_arena_beside_inline_ones() {
+        let mut results = Results::default();
+        let long: Vec<u8> = (0..=255).collect();
+        results.insert(1, b"exactly8");
+        results.insert(0, &long);
+        results.insert(2, b"nine byte");
+        results.insert(3, b"");
+        assert_eq!(results.get(0), Some(&long[..]));
+        assert_eq!(results.get(1), Some(&b"exactly8"[..]));
+        assert_eq!(results.get(2), Some(&b"nine byte"[..]));
+        assert_eq!(results.get(3), Some(&b""[..]));
+        assert_eq!(results.long.len(), long.len() + 9, "only the long ones");
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! What this crate's own implementations cost on the current host is
 //! measured by the `crypto_path` bench into `BENCH_crypto.json`.
 
+use crate::scheme::ED25519_BATCH_MIN;
 use rdb_common::CryptoScheme;
 
 /// Nanosecond costs for each primitive, split into a fixed per-call cost and
@@ -105,12 +106,14 @@ impl CostModel {
     }
 
     /// Per-item cost to verify one of `batch` signatures checked together
-    /// (the pipeline's batch-verify stage). Only Ed25519 links amortize:
-    /// the shared doubling chain is a fixed cost the batch divides, so the
-    /// per-item cost is `batch_ns + (single_ns − batch_ns) / n`, which
-    /// recovers the single-verify cost at `n = 1` and the measured batch
-    /// asymptote at large `n`. MAC, RSA and no-crypto links price exactly
-    /// as [`CostModel::verify_ns`].
+    /// (the pipeline's batch-verify stage). Only Ed25519 links amortize,
+    /// and only in a window the provider batches — one of at least
+    /// `ED25519_BATCH_MIN` signatures; a smaller one is verified one
+    /// signature at a time and priced so. In a batched window the shared
+    /// doubling chain is a fixed cost the batch divides, so the per-item
+    /// cost is `batch_ns + (single_ns − batch_ns) / n`, which tends to the
+    /// measured batch asymptote at large `n`. MAC, RSA and no-crypto links
+    /// price exactly as [`CostModel::verify_ns`].
     pub fn verify_batch_ns(
         &self,
         scheme: CryptoScheme,
@@ -121,7 +124,7 @@ impl CostModel {
         let batch = batch.max(1);
         match scheme {
             CryptoScheme::CmacEd25519 if from_replica => self.verify_ns(scheme, from_replica, len),
-            CryptoScheme::CmacEd25519 | CryptoScheme::Ed25519 => {
+            CryptoScheme::CmacEd25519 | CryptoScheme::Ed25519 if batch >= ED25519_BATCH_MIN => {
                 let fixed = (self.ed25519_verify_ns - self.ed25519_batch_verify_ns).max(0.0);
                 self.ed25519_batch_verify_ns
                     + fixed / batch as f64
@@ -135,6 +138,22 @@ impl CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn windows_below_the_batch_minimum_price_as_single_verifies() {
+        let m = CostModel::optimized();
+        let single = m.verify_ns(CryptoScheme::Ed25519, false, 100);
+        let at = |n| m.verify_batch_ns(CryptoScheme::Ed25519, false, 100, n);
+        assert_eq!(at(1), single);
+        assert_eq!(at(ED25519_BATCH_MIN - 1), single, "verified one at a time");
+        assert_eq!(ED25519_BATCH_MIN, 4);
+        assert!(at(4) < single, "the first batched window amortizes");
+        assert!(at(32) < at(4));
+        // A client's signature on a CMAC link is the same Ed25519 verify.
+        let client = |n| m.verify_batch_ns(CryptoScheme::CmacEd25519, false, 100, n);
+        assert_eq!(client(3), single);
+        assert_eq!(client(32), at(32));
+    }
 
     #[test]
     fn reference_ordering_holds() {

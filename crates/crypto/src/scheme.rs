@@ -247,7 +247,7 @@ pub const VERIFY_WINDOW: usize = 32;
 /// The smallest window where batching does not lose: `crypto_path`'s
 /// `ed25519/verify/batch_speedup/<n>` medians over 15 runs on a 2-vCPU
 /// box read 0.85 at 2, 1.01 at 4 and 1.19 at 8.
-const ED25519_BATCH_MIN: usize = 4;
+pub(crate) const ED25519_BATCH_MIN: usize = 4;
 
 /// One node's view of the key material: signs outgoing messages and
 /// verifies incoming ones, picking the primitive the scheme dictates for

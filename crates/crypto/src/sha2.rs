@@ -141,12 +141,17 @@ pub struct Backend {
     compress: fn(state: &mut [u32; 8], blocks: &[u8]),
     /// `SHA-256(left ‖ right)` in one shot.
     pair: fn(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32],
+    /// Two independent `pair`s, `(SHA-256(a ‖ b), SHA-256(c ‖ d))`.
+    pair2: Pair2,
 }
+
+type Pair2 = fn(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32], d: &[u8; 32]) -> ([u8; 32], [u8; 32]);
 
 const PORTABLE: Backend = Backend {
     name: "portable",
     compress: compress_portable,
     pair: pair_portable,
+    pair2: |a, b, c, d| (pair_portable(a, b), pair_portable(c, d)),
 };
 
 impl Backend {
@@ -176,6 +181,17 @@ impl Backend {
     /// `SHA-256(left ‖ right)` with this backend.
     pub fn sha256_pair(&self, left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
         (self.pair)(left, right)
+    }
+
+    /// `(SHA-256(a ‖ b), SHA-256(c ‖ d))` with this backend.
+    pub fn sha256_pair2(
+        &self,
+        a: &[u8; 32],
+        b: &[u8; 32],
+        c: &[u8; 32],
+        d: &[u8; 32],
+    ) -> ([u8; 32], [u8; 32]) {
+        (self.pair2)(a, b, c, d)
     }
 }
 
@@ -378,6 +394,19 @@ pub fn sha256_parts(parts: &[&[u8]]) -> [u8; 32] {
 /// padding block that always follows 64 bytes of message is a constant.
 pub fn sha256_pair(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     backend().sha256_pair(left, right)
+}
+
+/// Two independent [`sha256_pair`]s, `(SHA-256(a ‖ b), SHA-256(c ‖ d))`:
+/// the SHA-NI kernel runs both through one interleaved pass, which is
+/// cheaper than two (the Merkle flush hashes each level two parents at a
+/// time); the portable kernel runs them one after the other.
+pub fn sha256_pair2(
+    a: &[u8; 32],
+    b: &[u8; 32],
+    c: &[u8; 32],
+    d: &[u8; 32],
+) -> ([u8; 32], [u8; 32]) {
+    backend().sha256_pair2(a, b, c, d)
 }
 
 /// Incremental SHA-512 hasher.
@@ -829,6 +858,23 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
                 let expected = PORTABLE.sha256(&[left, right].concat());
                 for b in backends() {
                     prop_assert_eq!(b.sha256_pair(&left, &right), expected, "{} backend", b.name());
+                }
+            }
+
+            /// Every backend's `pair2` is its `pair` twice, over distinct
+            /// halves and over four identical ones.
+            #[test]
+            fn pair2_is_two_pairs_on_every_backend(
+                bytes in proptest::collection::vec(any::<u8>(), 128..129),
+            ) {
+                let (halves, _) = bytes.as_chunks::<32>();
+                let [a, b, c, d] = [halves[0], halves[1], halves[2], halves[3]];
+                for bk in backends() {
+                    let twice = (bk.sha256_pair(&a, &b), bk.sha256_pair(&c, &d));
+                    prop_assert_eq!(bk.sha256_pair2(&a, &b, &c, &d), twice, "{} backend", bk.name());
+                    let same = bk.sha256_pair(&a, &a);
+                    prop_assert_eq!(bk.sha256_pair2(&a, &a, &a, &a), (same, same), "{} backend", bk.name());
+                    prop_assert_eq!(twice.0, PORTABLE.sha256(&[a, b].concat()));
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! SHA-256 compression on the x86 SHA extensions (SHA-NI).
 //!
 //! This module holds all of the crate's `unsafe`, and the one condition it
-//! rests on: the two kernel functions execute `sha256rnds2`, `sha256msg1`,
+//! rests on: the three kernel functions execute `sha256rnds2`, `sha256msg1`,
 //! `sha256msg2`, `pshufb` and `pblendw`, so they may only run on a CPU
 //! that reports `sha`, `ssse3` and `sse4.1`. [`kernel`] is the only way to
 //! reach them and it hands them out only after checking exactly that, so
@@ -11,7 +11,7 @@
 //! white paper: the state lives in two registers as `ABEF`/`CDGH`, each
 //! `sha256rnds2` does two rounds, and the message schedule for the next
 //! four rounds is computed by `sha256msg1`/`sha256msg2` while the current
-//! four retire.
+//! four retire. `pair2` runs two such states, one step of each in turn.
 
 use super::{Backend, IV256, K256, PAD64};
 use core::arch::x86_64::{
@@ -29,6 +29,7 @@ pub(super) fn kernel() -> Option<Backend> {
         name: "sha-ni",
         compress: compress_checked,
         pair: pair_checked,
+        pair2: pair2_checked,
     })
 }
 
@@ -44,6 +45,12 @@ fn pair_checked(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
     // SAFETY: as in `compress_checked` — reachable only through
     // `kernel()`, after the `sha`/`sse4.1`/`ssse3` check.
     unsafe { pair(left, right) }
+}
+
+fn pair2_checked(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32], d: &[u8; 32]) -> ([u8; 32], [u8; 32]) {
+    // SAFETY: as in `compress_checked` — reachable only through
+    // `kernel()`, after the `sha`/`sse4.1`/`ssse3` check.
+    unsafe { pair2(a, b, c, d) }
 }
 
 /// Byte shuffle that turns four little-endian loaded words big-endian.
@@ -89,19 +96,15 @@ fn unpack_state(abef: __m128i, cdgh: __m128i) -> [u32; 8] {
     out
 }
 
-/// One 64-byte block, given as its sixteen big-endian words in four
-/// registers, folded into the packed state.
+/// One 64-byte block per lane, each given as its sixteen big-endian words
+/// in four registers, folded into that lane's packed `(ABEF, CDGH)` state.
+/// The lanes are independent hashes; running them step by step side by
+/// side lets one lane's `sha256rnds2` issue while the other's retires.
 #[inline]
 #[target_feature(enable = "sha,sse4.1,ssse3")]
-fn block_rounds(abef: &mut __m128i, cdgh: &mut __m128i, mut w: [__m128i; 4]) {
-    let (abef_in, cdgh_in) = (*abef, *cdgh);
+fn block_rounds<const N: usize>(lanes: &mut [(__m128i, __m128i); N], mut w: [[__m128i; 4]; N]) {
+    let input = *lanes;
     for i in 0..16 {
-        if i >= 4 {
-            // W[4i..4i+4] from the previous sixteen words.
-            let [w0, w1, w2, w3] = [w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]];
-            let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
-            w[i % 4] = _mm_sha256msg2_epu32(partial, w3);
-        }
         let [k0, k1, k2, k3] = [
             K256[4 * i],
             K256[4 * i + 1],
@@ -109,12 +112,23 @@ fn block_rounds(abef: &mut __m128i, cdgh: &mut __m128i, mut w: [__m128i; 4]) {
             K256[4 * i + 3],
         ];
         let k = _mm_set_epi32(k3 as i32, k2 as i32, k1 as i32, k0 as i32);
-        let wk = _mm_add_epi32(w[i % 4], k);
-        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
-        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0e));
+        for (w, (abef, cdgh)) in w.iter_mut().zip(lanes.iter_mut()) {
+            if i >= 4 {
+                // W[4i..4i+4] from the previous sixteen words.
+                let [w0, w1, w2, w3] = [w[i % 4], w[(i + 1) % 4], w[(i + 2) % 4], w[(i + 3) % 4]];
+                let partial =
+                    _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+                w[i % 4] = _mm_sha256msg2_epu32(partial, w3);
+            }
+            let wk = _mm_add_epi32(w[i % 4], k);
+            *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+            *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0e));
+        }
     }
-    *abef = _mm_add_epi32(*abef, abef_in);
-    *cdgh = _mm_add_epi32(*cdgh, cdgh_in);
+    for ((abef, cdgh), (abef_in, cdgh_in)) in lanes.iter_mut().zip(input) {
+        *abef = _mm_add_epi32(*abef, abef_in);
+        *cdgh = _mm_add_epi32(*cdgh, cdgh_in);
+    }
 }
 
 #[inline]
@@ -133,25 +147,34 @@ fn block_words(block: &[u8; 64]) -> [__m128i; 4] {
 /// ignored (the caller never passes one).
 #[target_feature(enable = "sha,sse4.1,ssse3")]
 fn compress(state: &mut [u32; 8], blocks: &[u8]) {
-    let (mut abef, mut cdgh) = pack_state(state);
+    let mut lane = [pack_state(state)];
     for block in blocks.as_chunks::<64>().0 {
-        block_rounds(&mut abef, &mut cdgh, block_words(block));
+        block_rounds(&mut lane, [block_words(block)]);
     }
+    let [(abef, cdgh)] = lane;
     *state = unpack_state(abef, cdgh);
 }
 
-/// `SHA-256(left ‖ right)`: the message block straight from the two
-/// halves, then the constant padding block of a 64-byte message.
+/// The message words of `left ‖ right`, loaded straight from the halves.
+#[inline]
 #[target_feature(enable = "sha,sse4.1,ssse3")]
-fn pair(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+fn pair_words(left: &[u8; 32], right: &[u8; 32]) -> [__m128i; 4] {
     let (l, _) = left.as_chunks::<16>();
     let (r, _) = right.as_chunks::<16>();
-    let message = [
+    [
         load_words(&l[0]),
         load_words(&l[1]),
         load_words(&r[0]),
         load_words(&r[1]),
-    ];
+    ]
+}
+
+/// `SHA-256(l ‖ r)` for each lane's `(l, r)`: the message block straight
+/// from the two halves, then the constant padding block of a 64-byte
+/// message.
+#[inline]
+#[target_feature(enable = "sha,sse4.1,ssse3")]
+fn pairs<const N: usize>(halves: [(&[u8; 32], &[u8; 32]); N]) -> [[u8; 32]; N] {
     let p = PAD64.map(|w| w as i32);
     let padding = [
         _mm_set_epi32(p[3], p[2], p[1], p[0]),
@@ -159,8 +182,21 @@ fn pair(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
         _mm_set_epi32(p[11], p[10], p[9], p[8]),
         _mm_set_epi32(p[15], p[14], p[13], p[12]),
     ];
-    let (mut abef, mut cdgh) = pack_state(&IV256);
-    block_rounds(&mut abef, &mut cdgh, message);
-    block_rounds(&mut abef, &mut cdgh, padding);
-    super::state_bytes(&unpack_state(abef, cdgh))
+    let mut lanes = [pack_state(&IV256); N];
+    block_rounds(&mut lanes, halves.map(|(l, r)| pair_words(l, r)));
+    block_rounds(&mut lanes, [padding; N]);
+    lanes.map(|(abef, cdgh)| super::state_bytes(&unpack_state(abef, cdgh)))
+}
+
+#[target_feature(enable = "sha,sse4.1,ssse3")]
+fn pair(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
+    let [out] = pairs([(left, right)]);
+    out
+}
+
+/// Two independent pair hashes in one interleaved pass.
+#[target_feature(enable = "sha,sse4.1,ssse3")]
+fn pair2(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32], d: &[u8; 32]) -> ([u8; 32], [u8; 32]) {
+    let [x, y] = pairs([(a, b), (c, d)]);
+    (x, y)
 }

@@ -2,8 +2,8 @@
 //!
 //! Executes each transaction's operations against a read view of the
 //! state, buffers the writes, commits them in canonical order through
-//! [`StateStore::apply`], appends a block to the ledger, and produces the
-//! per-client reply messages. Under PBFT the block is certified by the
+//! [`StateStore::apply_logged`], appends a block to the ledger, and
+//! produces the per-client reply messages. Under PBFT the block is certified by the
 //! 2f+1 commit signatures; under Zyzzyva execution is speculative and
 //! replies carry the rolling history digest.
 //!
@@ -13,6 +13,10 @@
 //! - [`execute_txn`] — pure transaction evaluation over a read closure,
 //!   producing a [`TxnOutcome`] (reply bytes + buffered, pre-hashed
 //!   writes). Safe to run concurrently for non-conflicting transactions.
+//!   It wraps the one evaluator the serial [`Executor::execute`] also
+//!   runs, there into buffers kept across batches, so the serial path
+//!   allocates only each transaction's reply payload and a few buffers
+//!   per batch (`tests/alloc_budget.rs` counts them).
 //! - [`Executor::commit`] — the in-order half: apply writes, append the
 //!   block, build replies, maintain counters.
 
@@ -24,7 +28,7 @@ use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnI
 use rdb_common::{Digest, SeqNum, Snapshot};
 use rdb_crypto::chain_digest;
 use rdb_crypto::sha2::Sha256;
-use rdb_storage::{Blockchain, PreImage, StateStore, WriteRecord};
+use rdb_storage::{record_hash, Blockchain, StateStore, WriteRecord};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,6 +66,89 @@ pub struct TxnOutcome {
     pub writes: Vec<WriteRecord>,
 }
 
+/// A batch's buffered writes in first-write order per transaction. Slots
+/// past `len` keep their value buffers, so refilling the buffer for the
+/// next batch reuses them instead of allocating.
+#[derive(Debug, Default)]
+struct WriteBuf {
+    slots: Vec<WriteRecord>,
+    len: usize,
+}
+
+impl WriteBuf {
+    fn written(&self) -> &[WriteRecord] {
+        &self.slots[..self.len]
+    }
+
+    fn push(&mut self, key: u64, value: &[u8]) {
+        match self.slots.get_mut(self.len) {
+            Some(slot) => {
+                slot.key = key;
+                value.clone_into(&mut slot.value);
+            }
+            None => self.slots.push(WriteRecord {
+                key,
+                value: value.to_vec(),
+                hash: [0; 32],
+            }),
+        }
+        self.len += 1;
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+}
+
+/// The one transaction evaluator. Appends `txn`'s final value per written
+/// key to `writes` (first-write order, hashed once the transaction is
+/// done) and its reply payload to `result`: the last operation's echo
+/// (write → key bytes, read → value truncated to 8 bytes). Reads see the
+/// transaction's own writes first, then `read(key, earlier, buf)`, which
+/// is handed the writes that were in `writes` before this transaction and
+/// fills `buf`. Allocates nothing once the buffers have grown.
+fn evaluate(
+    txn: &Transaction,
+    mut read: impl FnMut(u64, &[WriteRecord], &mut Vec<u8>) -> bool,
+    writes: &mut WriteBuf,
+    buf: &mut Vec<u8>,
+    result: &mut Vec<u8>,
+) {
+    let start = writes.len;
+    let mut echo = ([0u8; 8], 0);
+    for op in &txn.ops {
+        match op {
+            Operation::Write { key, value } => {
+                match writes.slots[start..writes.len]
+                    .iter_mut()
+                    .find(|w| w.key == *key)
+                {
+                    Some(w) => value.clone_into(&mut w.value),
+                    None => writes.push(*key, value),
+                }
+                echo = (key.to_le_bytes(), 8);
+            }
+            Operation::Read { key } => {
+                let own = writes.slots[start..writes.len]
+                    .iter()
+                    .find(|w| w.key == *key);
+                let value = match own {
+                    Some(w) => &w.value[..],
+                    None if read(*key, &writes.slots[..start], buf) => &buf[..],
+                    None => &[],
+                };
+                let n = value.len().min(8);
+                echo.0[..n].copy_from_slice(&value[..n]);
+                echo.1 = n;
+            }
+        }
+    }
+    result.extend_from_slice(&echo.0[..echo.1]);
+    for w in &mut writes.slots[start..writes.len] {
+        w.hash = record_hash(w.key, &w.value);
+    }
+}
+
 /// Evaluates `txn` against `read`, buffering writes instead of mutating.
 ///
 /// Reads observe the transaction's own earlier writes first (read-your-own
@@ -73,37 +160,28 @@ pub fn execute_txn<F>(txn: &Transaction, read: F) -> TxnOutcome
 where
     F: Fn(u64) -> Option<Vec<u8>>,
 {
-    // Final value per key in first-write order; transactions carry few ops,
-    // so a linear scan beats a per-txn hash map.
-    let mut local: Vec<(u64, Vec<u8>)> = Vec::new();
+    let mut writes = WriteBuf::default();
     let mut result = Vec::with_capacity(8);
-    for op in &txn.ops {
-        match op {
-            Operation::Write { key, value } => {
-                match local.iter_mut().find(|(k, _)| k == key) {
-                    Some((_, v)) => v.clone_from(value),
-                    None => local.push((*key, value.clone())),
-                }
-                result = key.to_le_bytes().to_vec();
-            }
-            Operation::Read { key } => {
-                result = local
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map(|(_, v)| v.clone())
-                    .or_else(|| read(*key))
-                    .unwrap_or_default();
-                result.truncate(8);
-            }
-        }
-    }
+    let read = |key, _: &[WriteRecord], buf: &mut Vec<u8>| read(key).map(|v| *buf = v).is_some();
+    evaluate(txn, read, &mut writes, &mut Vec::new(), &mut result);
     TxnOutcome {
         result,
-        writes: local
-            .into_iter()
-            .map(|(k, v)| WriteRecord::new(k, v))
-            .collect(),
+        writes: writes.slots,
     }
+}
+
+/// The serial path's per-batch working memory, reused from one batch to
+/// the next (only the execute thread runs it).
+#[derive(Debug, Default)]
+struct Scratch {
+    writes: WriteBuf,
+    /// Newest write per key, as an index into `writes`.
+    overlay: HashMap<u64, usize>,
+    /// The batch's reply payloads back to back, and where each ends.
+    results: Vec<u8>,
+    ends: Vec<usize>,
+    /// A read's value.
+    buf: Vec<u8>,
 }
 
 /// A block's result digest between mark boundaries: the previous block's
@@ -126,12 +204,13 @@ fn write_set_digest(prev: Digest, writes: &[WriteRecord]) -> Digest {
 /// displaced, plus the bookkeeping deltas to reverse.
 #[derive(Debug)]
 struct UndoRecord {
-    /// What [`StateStore::apply`] handed back: one entry per write, in
+    /// What [`StateStore::apply_logged`] showed: one entry per write, in
     /// write order, so a key's *first* entry is its pre-batch image
     /// (`None` = the key did not exist) and restoring them newest-first
-    /// rewinds the batch exactly. Values sit back to back in `bytes`: an
-    /// interval of records is dropped at every mark, and two allocations
-    /// a batch free in microseconds where one per value does not.
+    /// rewinds the batch exactly. Values are copied back to back into
+    /// `bytes`: an interval of records is dropped at every mark, and two
+    /// allocations a batch free in microseconds where one per value does
+    /// not.
     pre: Vec<(u64, Option<Range<usize>>)>,
     bytes: Vec<u8>,
     /// Transaction ids this batch inserted into the dedup set.
@@ -141,14 +220,22 @@ struct UndoRecord {
 }
 
 impl UndoRecord {
-    fn new(displaced: Vec<PreImage>, fresh_ids: Vec<TxnId>, dups: u64) -> Self {
-        let mut bytes = Vec::new();
-        let locate = |(key, old): PreImage| {
-            let start = bytes.len();
-            bytes.extend_from_slice(old.as_deref().unwrap_or_default());
-            (key, old.map(|_| start..bytes.len()))
-        };
-        let pre = displaced.into_iter().map(locate).collect();
+    /// Applies `writes` to `store`, logging what they displaced.
+    fn apply(
+        store: &dyn StateStore,
+        writes: &[WriteRecord],
+        fresh_ids: Vec<TxnId>,
+        dups: u64,
+    ) -> Self {
+        let mut pre = Vec::with_capacity(writes.len());
+        let mut bytes = Vec::with_capacity(writes.iter().map(|w| w.value.len()).sum());
+        store.apply_logged(writes, &mut |key, old| {
+            let at = old.map(|old| {
+                bytes.extend_from_slice(old);
+                bytes.len() - old.len()..bytes.len()
+            });
+            pre.push((key, at));
+        });
         UndoRecord {
             pre,
             bytes,
@@ -287,16 +374,23 @@ impl SeenTxns {
 pub fn client_replies(
     item: &ExecuteItem,
     replica: ReplicaId,
-    results: Vec<Vec<u8>>,
+    results: impl IntoIterator<Item = Vec<u8>>,
 ) -> Vec<OutItem> {
-    let mut slot_of: HashMap<ClientId, usize> = HashMap::new();
-    let mut grouped: Vec<(ClientId, ReplyResults)> = Vec::new();
+    // A batch carries few clients: a scan of them beats hashing each
+    // transaction's, and counting first sizes every reply exactly.
+    let mut grouped: Vec<(ClientId, usize, ReplyResults)> = Vec::new();
+    for txn in &item.batch.txns {
+        match grouped.iter_mut().find(|g| g.0 == txn.id.client) {
+            Some(g) => g.1 += 1,
+            None => grouped.push((txn.id.client, 1, Vec::new())),
+        }
+    }
+    for (_, count, results) in &mut grouped {
+        results.reserve_exact(*count);
+    }
     for (txn, result) in item.batch.txns.iter().zip(results) {
-        let slot = *slot_of.entry(txn.id.client).or_insert_with(|| {
-            grouped.push((txn.id.client, Vec::new()));
-            grouped.len() - 1
-        });
-        grouped[slot].1.push((txn.id.counter, result));
+        let g = grouped.iter_mut().find(|g| g.0 == txn.id.client);
+        g.expect("grouped above").2.push((txn.id.counter, result));
     }
     let reply = |client, results| match item.history {
         Some(history) => Message::SpecResponse {
@@ -317,7 +411,7 @@ pub fn client_replies(
     };
     grouped
         .into_iter()
-        .map(|(client, results)| OutItem::to(Sender::Client(client), reply(client, results)))
+        .map(|(client, _, results)| OutItem::to(Sender::Client(client), reply(client, results)))
         .collect()
 }
 
@@ -339,6 +433,8 @@ pub struct Executor {
     deduped_txns: AtomicU64,
     /// What executed batches displaced, and the snapshot mark served from it.
     log: Mutex<PreImageLog>,
+    /// The serial path's buffers, kept across batches.
+    scratch: Mutex<Scratch>,
     /// Mark a serving snapshot whenever `seq % interval == 0`
     /// (0 disables). Aligned with the checkpoint cadence so every replica
     /// marks identical state at identical sequences. Part of the
@@ -382,6 +478,7 @@ impl Executor {
             seen: Mutex::new(SeenTxns::default()),
             deduped_txns: AtomicU64::new(0),
             log: Mutex::new(PreImageLog::default()),
+            scratch: Mutex::new(Scratch::default()),
             snapshot_interval: AtomicU64::new(0),
             durability: Mutex::new(None),
         }
@@ -462,29 +559,48 @@ impl Executor {
     /// against the store overlaid with the batch's earlier writes, then
     /// commits. Returns the digest of the batch and its execution result
     /// (fed back to the consensus engine for checkpointing) and the
-    /// outgoing reply messages.
+    /// outgoing reply messages. Works in buffers kept from the previous
+    /// batch, which it outgrows only with a larger batch: what it
+    /// allocates is the replies, the block's certificate and the
+    /// pre-image log's record.
     pub fn execute(&self, item: &ExecuteItem) -> (Digest, Vec<OutItem>) {
-        // Newest write per key, as an index into `writes`.
-        let mut overlay: HashMap<u64, usize> = HashMap::new();
-        let mut results = Vec::with_capacity(item.batch.len());
-        let mut writes: Vec<WriteRecord> = Vec::with_capacity(item.batch.len());
+        let mut scratch = self.scratch.lock();
+        let Scratch {
+            writes,
+            overlay,
+            results,
+            ends,
+            buf,
+        } = &mut *scratch;
+        writes.clear();
+        overlay.clear();
+        results.clear();
+        ends.clear();
         for txn in &item.batch.txns {
-            let out = execute_txn(txn, |k| match overlay.get(&k) {
-                Some(&at) => Some(writes[at].value.clone()),
-                None => self.store.get(k),
-            });
-            results.push(out.result);
-            for w in out.writes {
-                overlay.insert(w.key, writes.len());
-                writes.push(w);
+            let from = writes.len;
+            let read = |key, earlier: &[WriteRecord], buf: &mut Vec<u8>| match overlay.get(&key) {
+                Some(&at) => {
+                    earlier[at].value.clone_into(buf);
+                    true
+                }
+                None => self.store.get_into(key, buf),
+            };
+            evaluate(txn, read, writes, buf, results);
+            ends.push(results.len());
+            for (at, w) in writes.written().iter().enumerate().skip(from) {
+                overlay.insert(w.key, at);
             }
         }
-        self.commit(item, results, &writes)
+        let replies = (0..ends.len()).map(|i| {
+            let start = if i == 0 { 0 } else { ends[i - 1] };
+            results[start..ends[i]].to_vec()
+        });
+        self.commit(item, replies, writes.written())
     }
 
     /// The in-order half of execution: applies the buffered writes in
     /// canonical order, appends the block, builds the client replies and
-    /// bumps the executed counters. `results` holds one reply payload per
+    /// bumps the executed counters. `results` yields one reply payload per
     /// transaction, in batch order.
     ///
     /// Callers (the serial path above and the parallel scheduler) must
@@ -492,31 +608,34 @@ impl Executor {
     pub fn commit(
         &self,
         item: &ExecuteItem,
-        results: Vec<Vec<u8>>,
+        results: impl ExactSizeIterator<Item = Vec<u8>>,
         writes: &[WriteRecord],
     ) -> (Digest, Vec<OutItem>) {
         debug_assert_eq!(results.len(), item.batch.len());
-        let fresh_ids: Vec<TxnId> = {
-            let mut seen = self.seen.lock();
-            item.batch
-                .txns
-                .iter()
-                .filter(|t| seen.insert(t.id))
-                .map(|t| t.id)
-                .collect()
-        };
-        let fresh = fresh_ids.len() as u64;
-        let dups = item.batch.len() as u64 - fresh;
         let interval = self.snapshot_interval.load(Ordering::Relaxed);
+        // PBFT without marks has no reader for the undo log.
+        let logged = self.protocol == ProtocolKind::Zyzzyva || interval > 0;
+        let mut fresh_ids = Vec::with_capacity(if logged { item.batch.len() } else { 0 });
+        let mut fresh = 0u64;
+        {
+            let mut seen = self.seen.lock();
+            for txn in item.batch.txns.iter().filter(|t| seen.insert(t.id)) {
+                fresh += 1;
+                if logged {
+                    fresh_ids.push(txn.id);
+                }
+            }
+        }
+        let dups = item.batch.len() as u64 - fresh;
         {
             // Store and log move together under the log's lock (free
             // unless a snapshot is being built: only this thread commits).
             let mut log = self.log.lock();
-            let displaced = self.store.apply(writes);
-            // PBFT without marks has no reader for these and logs nothing.
-            if self.protocol == ProtocolKind::Zyzzyva || interval > 0 {
-                let record = UndoRecord::new(displaced, fresh_ids, dups);
+            if logged {
+                let record = UndoRecord::apply(&*self.store, writes, fresh_ids, dups);
                 log.undo.insert(item.seq, record);
+            } else {
+                self.store.apply(writes);
             }
         }
         let replies = client_replies(item, self.id, results);
@@ -1236,14 +1355,18 @@ mod tests {
     }
 
     impl StateStore for CountingStore {
-        fn get(&self, key: u64) -> Option<Vec<u8>> {
-            self.inner.get(key)
+        fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+            self.inner.get_into(key, out)
         }
         fn put(&self, key: u64, value: &[u8]) {
             self.inner.put(key, value);
         }
-        fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
-            self.inner.apply(writes)
+        fn apply_logged(
+            &self,
+            writes: &[WriteRecord],
+            displaced: &mut dyn FnMut(u64, Option<&[u8]>),
+        ) {
+            self.inner.apply_logged(writes, displaced);
         }
         fn len(&self) -> usize {
             self.inner.len()
@@ -1258,6 +1381,9 @@ mod tests {
         fn export_records(&self) -> Vec<(u64, Vec<u8>)> {
             self.exports.fetch_add(1, Ordering::Relaxed);
             self.inner.export_records()
+        }
+        fn install_records(&self, records: &[(u64, Vec<u8>)]) {
+            self.inner.install_records(records);
         }
     }
 

@@ -347,7 +347,7 @@ impl ParallelExecutor {
                 writes.extend(outcome.writes);
                 fi += 1;
             }
-            out.push(self.executor.commit(item, results, &writes));
+            out.push(self.executor.commit(item, results.into_iter(), &writes));
         }
         out
     }

@@ -26,5 +26,5 @@ pub mod wal;
 
 pub use blockchain::Blockchain;
 pub use merkle::{MerkleAccumulator, MerkleProof};
-pub use store::{record_hash, MemStore, PreImage, StateStore, WriteRecord};
+pub use store::{record_hash, MemStore, StateStore, WriteRecord};
 pub use wal::{FsyncPolicy, Wal, WalRecovery};

@@ -1,9 +1,9 @@
-//! Incremental binary Merkle commitment over store records.
+//! Incremental binary Merkle commitment over store records — and, with a
+//! value type, the record table it commits to.
 //!
-//! PR 9's state commitment was an XOR fold of per-record hashes: cheap and
-//! order-independent, but a Byzantine responder can craft record *sets* that
-//! cancel under XOR, and it admits no partial proofs. This module replaces it
-//! with a fixed-depth binary Merkle tree:
+//! A fixed-depth binary Merkle tree (it replaced an XOR fold of record
+//! hashes, which a Byzantine responder could cancel and which admits no
+//! partial proofs):
 //!
 //! - Records are bucketed into `2^DEPTH` leaves by a Fibonacci hash of their
 //!   key. A leaf commits to the sorted `(key, record_hash)` pairs of its
@@ -11,19 +11,26 @@
 //! - The tree is **flat**: all `2^(DEPTH+1)` node hashes sit in one
 //!   heap-ordered array (root at 1, children of `i` at `2i` and `2i + 1`,
 //!   leaf `l` at `2^DEPTH + l`), so a node is an index away from its
-//!   parent, sibling and children and re-hashing one is two loads, one
-//!   [`sha256_pair`] and a store. The array costs a fixed 4 MiB and is
+//!   parent, sibling and children. The array costs a fixed 4 MiB and is
 //!   allocated, filled with each level's all-empty subtree hash, on the
 //!   first insert — an accumulator that never holds a record (or was
-//!   [`clear`]ed) owns no memory. Leaf buckets are small key-sorted vectors
-//!   in a second array indexed by leaf.
-//! - Updates are **lazy**: `update`/`remove`/[`apply`] edit the leaf bucket
-//!   and mark the leaf dirty, nothing else. [`root`] and [`prove`] first
-//!   *flush*: every dirty leaf is re-hashed once and dirty parents are
-//!   propagated level by level, so whatever was written since the last
-//!   flush — one record or a checkpoint interval of batches — shares its
-//!   leaf and upper-tree work. The values are those of hashing on every
-//!   write; only when the hashing happens differs.
+//!   [`clear`]ed) owns no memory.
+//! - **One table.** The buckets live in a second array indexed by leaf,
+//!   each entry `(key, record_hash, value)` in key order. A bare
+//!   commitment keeps `()` beside each hash; [`crate::MemStore`] keeps the
+//!   record's value there, so the store has no map of its own and a read,
+//!   a write and the write's mark on the tree all find the key through
+//!   [`bucket_of`] once. A bucket with one record — the common case —
+//!   holds it inline in the array; only a shared bucket is a heap vector.
+//! - Updates are **lazy**: `upsert`/`take` (and the hash-only
+//!   `update`/`remove`/[`apply`]) edit the leaf bucket and mark the leaf
+//!   dirty, nothing else. [`root`] and [`prove`] first *flush*: every
+//!   dirty leaf is re-hashed once and dirty parents are propagated level
+//!   by level, two parents per kernel pass ([`sha256_pair2`]), so
+//!   whatever was written since the last flush — one record or a
+//!   checkpoint interval of batches — shares its leaf and upper-tree
+//!   work. The values are those of hashing on every write; only when the
+//!   hashing happens differs.
 //! - The root is a pure function of the record *contents* — identical across
 //!   stores and across put/remove histories that converge on the same
 //!   state, which the Zyzzyva undo log depends on.
@@ -37,6 +44,7 @@
 //! [`apply`]: MerkleAccumulator::apply
 //! [`clear`]: MerkleAccumulator::clear
 //! [`root`]: MerkleAccumulator::root
+//! [`prove`]: MerkleAccumulator::prove
 //!
 //! [`prove`](MerkleAccumulator::prove) / [`verify_proof`] add what the XOR
 //! fold never could: a replica can hand over one bucket plus `DEPTH` sibling
@@ -44,7 +52,8 @@
 //! without the full record set.
 
 use rdb_common::Digest;
-use rdb_crypto::sha2::{sha256_pair, Sha256};
+use rdb_crypto::sha2::{sha256_pair, sha256_pair2, Sha256};
+use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
 
 /// Tree depth: `2^16` leaf buckets. At the paper-scale 600K-row table this
@@ -72,33 +81,104 @@ fn empty_levels() -> &'static [[u8; 32]; DEPTH + 1] {
     })
 }
 
-/// One leaf bucket: `(key, record_hash)` in key order.
-type Bucket = Vec<(u64, [u8; 32])>;
+/// One record of a leaf bucket: its key, its record hash and what the
+/// owner keeps beside them — nothing for a bare commitment, the value for
+/// [`crate::MemStore`], whose table this is.
+type Entry<V> = (u64, [u8; 32], V);
+
+/// A leaf's records, key-sorted. Buckets average about one record, so a
+/// lone one sits inline in the bucket array, a load away from its leaf
+/// index; only a shared bucket goes to the heap, grown one entry at a
+/// time.
+#[derive(Debug, Clone)]
+enum Bucket<V> {
+    Empty,
+    One(Entry<V>),
+    Many(Vec<Entry<V>>),
+}
+
+impl<V> Deref for Bucket<V> {
+    type Target = [Entry<V>];
+
+    fn deref(&self) -> &[Entry<V>] {
+        match self {
+            Bucket::Empty => &[],
+            Bucket::One(entry) => std::slice::from_ref(entry),
+            Bucket::Many(entries) => entries,
+        }
+    }
+}
+
+impl<V> DerefMut for Bucket<V> {
+    fn deref_mut(&mut self) -> &mut [Entry<V>] {
+        match self {
+            Bucket::Empty => &mut [],
+            Bucket::One(entry) => std::slice::from_mut(entry),
+            Bucket::Many(entries) => entries,
+        }
+    }
+}
+
+impl<V> Bucket<V> {
+    fn insert(&mut self, at: usize, entry: Entry<V>) {
+        *self = match std::mem::replace(self, Bucket::Empty) {
+            Bucket::Empty => Bucket::One(entry),
+            Bucket::One(first) => {
+                let mut entries = Vec::with_capacity(2);
+                entries.push(first);
+                entries.insert(at, entry);
+                Bucket::Many(entries)
+            }
+            Bucket::Many(mut entries) => {
+                entries.reserve_exact(1);
+                entries.insert(at, entry);
+                Bucket::Many(entries)
+            }
+        };
+    }
+
+    /// Removes the entry at `at`. A shared bucket stays on the heap, at
+    /// whatever size it shrinks to.
+    fn remove(&mut self, at: usize) -> Entry<V> {
+        match std::mem::replace(self, Bucket::Empty) {
+            Bucket::One(entry) => entry,
+            Bucket::Many(mut entries) => {
+                let entry = entries.remove(at);
+                *self = Bucket::Many(entries);
+                entry
+            }
+            Bucket::Empty => unreachable!("no entry to remove"),
+        }
+    }
+}
 
 /// Hash of one leaf bucket: the concatenation of `key ‖ record_hash` for
 /// every entry in key order. The empty bucket hashes to all-zero, so
 /// vacating a bucket restores the empty subtree hash.
-fn leaf_hash(bucket: &[(u64, [u8; 32])]) -> [u8; 32] {
-    if bucket.is_empty() {
+fn leaf_hash<'a>(mut entries: impl Iterator<Item = (u64, &'a [u8; 32])>) -> [u8; 32] {
+    let Some(first) = entries.next() else {
         return [0u8; 32];
-    }
+    };
     let mut h = Sha256::new();
-    for (key, rh) in bucket {
+    for (key, rh) in std::iter::once(first).chain(entries) {
         h.update(&key.to_le_bytes());
         h.update(rh);
     }
     h.finalize()
 }
 
-/// The incremental commitment. Owned by a store (under the same lock that
-/// previously guarded the XOR accumulator); not internally synchronized.
-#[derive(Debug, Default, Clone)]
-pub struct MerkleAccumulator {
+/// The incremental commitment, and with a value type `V` the record table
+/// it commits to: every record sits once, in its leaf's bucket, so finding
+/// a key for a read, a write or its hash is one [`bucket_of`] away. Not
+/// internally synchronized; its owner locks it.
+#[derive(Debug, Clone, Default)]
+pub struct MerkleAccumulator<V = ()> {
     /// Node hashes in heap order; index 0 is unused. Empty until the first
     /// insert, `2 * LEAVES` entries afterwards.
     nodes: Vec<[u8; 32]>,
-    /// Bucket contents by leaf index; allocated together with `nodes`.
-    buckets: Vec<Bucket>,
+    /// Bucket contents by leaf index, key-sorted; allocated together with
+    /// `nodes`.
+    buckets: Vec<Bucket<V>>,
     /// One bit per leaf whose bucket changed since its node was hashed;
     /// allocated together with `nodes`. A set, so it stays bounded however
     /// many writes go by before somebody asks for the root.
@@ -110,7 +190,62 @@ impl MerkleAccumulator {
     pub fn new() -> Self {
         Self::default()
     }
+}
 
+impl<V: Default> MerkleAccumulator<V> {
+    /// Drops every record, resets the commitment to empty and releases the
+    /// tree's memory.
+    pub fn clear(&mut self) {
+        *self = Self::default();
+    }
+
+    /// Inserts or replaces the record hash for `key`.
+    pub fn update(&mut self, key: u64, record_hash: [u8; 32]) {
+        self.upsert(key, record_hash);
+    }
+
+    /// Batched update: `Some` inserts or replaces, `None` removes.
+    pub fn apply<I>(&mut self, writes: I)
+    where
+        I: IntoIterator<Item = (u64, Option<[u8; 32]>)>,
+    {
+        for (key, rh) in writes {
+            match rh {
+                Some(rh) => self.update(key, rh),
+                None => self.remove(key),
+            }
+        }
+    }
+
+    /// Sets `key`'s record hash and hands back its value slot, with whether
+    /// the key was present: a fresh key's slot holds `V::default()`. Marks
+    /// the leaf dirty if the bucket's contents changed.
+    pub(crate) fn upsert(&mut self, key: u64, record_hash: [u8; 32]) -> (&mut V, bool) {
+        if self.nodes.is_empty() {
+            self.allocate();
+        }
+        let leaf = bucket_of(key) as usize;
+        let bucket = &mut self.buckets[leaf];
+        let (at, present, changed) = match bucket.binary_search_by_key(&key, |e| e.0) {
+            Ok(at) => (
+                at,
+                true,
+                std::mem::replace(&mut bucket[at].1, record_hash) != record_hash,
+            ),
+            Err(at) => {
+                bucket.insert(at, (key, record_hash, V::default()));
+                self.len += 1;
+                (at, false, true)
+            }
+        };
+        if changed {
+            self.dirty[leaf / 64] |= 1 << (leaf % 64);
+        }
+        (&mut bucket[at].2, present)
+    }
+}
+
+impl<V> MerkleAccumulator<V> {
     /// Number of records committed to.
     pub fn len(&self) -> usize {
         self.len
@@ -128,67 +263,45 @@ impl MerkleAccumulator {
         for d in 0..=DEPTH {
             self.nodes[1 << d..2 << d].fill(empty[DEPTH - d]);
         }
-        self.buckets = vec![Bucket::new(); LEAVES as usize];
+        self.buckets = (0..LEAVES).map(|_| Bucket::Empty).collect();
         self.dirty = vec![0; LEAVES as usize / 64];
     }
 
-    /// Mutates one bucket entry, maintaining `len`, and marks the leaf
-    /// dirty if the bucket's contents actually changed.
-    fn touch(&mut self, key: u64, record_hash: Option<[u8; 32]>) {
-        let leaf = bucket_of(key);
-        if self.nodes.is_empty() {
-            if record_hash.is_none() {
-                return;
-            }
-            self.allocate();
-        }
-        let bucket = &mut self.buckets[leaf as usize];
-        let changed = match (bucket.binary_search_by_key(&key, |e| e.0), record_hash) {
-            (Ok(at), Some(h)) => std::mem::replace(&mut bucket[at].1, h) != h,
-            (Err(at), Some(h)) => {
-                // Buckets average about one entry; `insert` alone would
-                // reserve four.
-                bucket.reserve_exact(1);
-                bucket.insert(at, (key, h));
-                self.len += 1;
-                true
-            }
-            (Ok(at), None) => {
-                bucket.remove(at);
-                self.len -= 1;
-                true
-            }
-            (Err(_), None) => false,
-        };
-        if changed {
-            self.dirty[leaf as usize / 64] |= 1 << (leaf % 64);
-        }
-    }
-
-    /// Inserts or replaces the record hash for `key`.
-    pub fn update(&mut self, key: u64, record_hash: [u8; 32]) {
-        self.touch(key, Some(record_hash));
+    /// The value kept under `key`.
+    pub(crate) fn get(&self, key: u64) -> Option<&V> {
+        let bucket = self.buckets.get(bucket_of(key) as usize)?;
+        let at = bucket.binary_search_by_key(&key, |e| e.0).ok()?;
+        Some(&bucket[at].2)
     }
 
     /// Removes `key` (no-op if absent).
     pub fn remove(&mut self, key: u64) {
-        self.touch(key, None);
+        self.take(key);
     }
 
-    /// Batched update: `Some` inserts or replaces, `None` removes.
-    pub fn apply<I>(&mut self, writes: I)
-    where
-        I: IntoIterator<Item = (u64, Option<[u8; 32]>)>,
-    {
-        for (key, rh) in writes {
-            self.touch(key, rh);
-        }
+    /// Removes `key`, handing back its value; marks the leaf dirty.
+    pub(crate) fn take(&mut self, key: u64) -> Option<V> {
+        let leaf = bucket_of(key) as usize;
+        let bucket = self.buckets.get_mut(leaf)?;
+        let at = bucket.binary_search_by_key(&key, |e| e.0).ok()?;
+        self.len -= 1;
+        self.dirty[leaf / 64] |= 1 << (leaf % 64);
+        Some(bucket.remove(at).2)
+    }
+
+    /// Every record with its value, in bucket (not key) order.
+    pub(crate) fn records(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.buckets
+            .iter()
+            .flat_map(|b| b.iter())
+            .map(|e| (e.0, &e.2))
     }
 
     /// Brings the node array up to date with the buckets: every dirty leaf
     /// is re-hashed once and parents are propagated level by level,
     /// deduplicated, so everything written since the last flush shares the
-    /// upper tree instead of walking `DEPTH` levels per write. Returns the
+    /// upper tree instead of walking `DEPTH` levels per write. Parents go
+    /// through the kernel two at a time ([`sha256_pair2`]). Returns the
     /// number of leaf and pair hashes that took.
     fn flush(&mut self) -> usize {
         let mut level: Vec<u32> = Vec::new();
@@ -197,7 +310,9 @@ impl MerkleAccumulator {
             while bits != 0 {
                 let leaf = word as u32 * 64 + bits.trailing_zeros();
                 bits &= bits - 1;
-                self.nodes[(LEAVES + leaf) as usize] = leaf_hash(&self.buckets[leaf as usize]);
+                let bucket = &self.buckets[leaf as usize];
+                self.nodes[(LEAVES + leaf) as usize] =
+                    leaf_hash(bucket.iter().map(|e| (e.0, &e.1)));
                 level.push(LEAVES + leaf);
             }
         }
@@ -209,19 +324,17 @@ impl MerkleAccumulator {
                 *at >>= 1;
             }
             level.dedup();
-            for &parent in &level {
-                let left = 2 * parent as usize;
-                self.nodes[parent as usize] = sha256_pair(&self.nodes[left], &self.nodes[left + 1]);
+            // Two parents per kernel pass; an odd one out is hashed twice.
+            for pair in level.chunks(2) {
+                let [l, r] = [pair[0], pair[pair.len() - 1]].map(|p| 2 * p as usize);
+                let nodes = &self.nodes;
+                let (x, y) = sha256_pair2(&nodes[l], &nodes[l + 1], &nodes[r], &nodes[r + 1]);
+                self.nodes[l / 2] = x;
+                self.nodes[r / 2] = y;
             }
             hashes += level.len();
         }
         hashes
-    }
-
-    /// Drops every record, resets the commitment to empty and releases the
-    /// tree's memory.
-    pub fn clear(&mut self) {
-        *self = Self::default();
     }
 
     /// The 32-byte state commitment, after a flush. An empty accumulator
@@ -241,9 +354,8 @@ impl MerkleAccumulator {
     /// the key is absent.
     pub fn prove(&mut self, key: u64) -> Option<MerkleProof> {
         self.flush();
+        self.get(key)?;
         let leaf = bucket_of(key);
-        let bucket = self.buckets.get(leaf as usize)?;
-        bucket.binary_search_by_key(&key, |e| e.0).ok()?;
         let mut at = (leaf + LEAVES) as usize;
         let mut siblings = Vec::with_capacity(DEPTH);
         while at > 1 {
@@ -252,7 +364,10 @@ impl MerkleAccumulator {
         }
         Some(MerkleProof {
             leaf,
-            entries: bucket.clone(),
+            entries: self.buckets[leaf as usize]
+                .iter()
+                .map(|e| (e.0, e.1))
+                .collect(),
             siblings,
         })
     }
@@ -292,7 +407,7 @@ pub fn verify_proof(root: Digest, key: u64, record_hash: [u8; 32], proof: &Merkl
     {
         return false;
     }
-    let mut hash = leaf_hash(&bucket);
+    let mut hash = leaf_hash(bucket.iter().map(|(k, h)| (*k, h)));
     let mut index = proof.leaf;
     for sibling in &proof.siblings {
         hash = if index & 1 == 0 {
@@ -361,7 +476,11 @@ mod tests {
     fn buckets_hold_no_spare_capacity() {
         let mut acc = MerkleAccumulator::new();
         acc.apply((0..65_536u64).map(|k| (k, Some(rh(k, 0)))));
-        let spare: usize = acc.buckets.iter().map(|b| b.capacity() - b.len()).sum();
+        let spare = |b: &Bucket<()>| match b {
+            Bucket::Many(entries) => entries.capacity() - entries.len(),
+            _ => 0,
+        };
+        let spare: usize = acc.buckets.iter().map(spare).sum();
         assert_eq!(spare, 0, "spare bucket entries after 65 536 inserts");
     }
 
@@ -506,7 +625,7 @@ mod tests {
         for leaf in 0..LEAVES as usize {
             assert_eq!(
                 acc.nodes[LEAVES as usize + leaf],
-                leaf_hash(&acc.buckets[leaf])
+                leaf_hash(acc.buckets[leaf].iter().map(|e| (e.0, &e.1)))
             );
             assert!(acc.buckets[leaf].windows(2).all(|w| w[0].0 < w[1].0));
         }

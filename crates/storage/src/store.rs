@@ -1,31 +1,28 @@
 //! Key-value state stores.
 //!
 //! The execute stage applies transaction operations against a
-//! [`StateStore`]. The digest of the state (needed by checkpoints and
-//! snapshot vouching) is maintained *incrementally* as a Merkle
-//! commitment over per-record hashes ([`crate::merkle`]) — writes mark
-//! leaves dirty, asking for the digest re-hashes what is dirty — so taking
-//! a checkpoint never requires scanning the store, a Byzantine snapshot
-//! cannot exploit XOR cancellation, and membership can be proven against
-//! the 32-byte root ([`MemStore::prove`]).
+//! [`StateStore`]. [`MemStore`] keeps its records in the Merkle
+//! commitment's own table ([`crate::merkle`]): each value sits beside its
+//! key and record hash in the leaf bucket the key hashes to, under one
+//! lock. Writes mark leaves dirty and asking for the digest re-hashes what
+//! is dirty, so taking a checkpoint never requires scanning the store, a
+//! Byzantine snapshot cannot exploit XOR cancellation, and membership can
+//! be proven against the 32-byte root ([`MemStore::prove`]).
 //!
 //! Execution never mutates the store directly: it buffers writes as
 //! [`WriteRecord`]s (hashing each record where it is produced — under
 //! parallel execution that is an execute-worker, off the commit path) and
-//! commits them in canonical order through [`StateStore::apply`]. Because
-//! the state digest is content-based (a pure function of the final
-//! records), any apply schedule that produces the same final contents
-//! produces the same digest.
+//! commits them in canonical order through [`StateStore::apply_logged`],
+//! which shows the caller each value a write displaces, before it is
+//! overwritten in place, for the caller to copy into its pre-image arena.
+//! Because the state digest is content-based (a pure function of the
+//! final records), any apply schedule that produces the same final
+//! contents produces the same digest.
 
 use crate::merkle::{MerkleAccumulator, MerkleProof};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rdb_common::Digest;
 use rdb_crypto::digest_parts;
-use std::collections::HashMap;
-
-/// Number of lock shards in [`MemStore`]. A power of two so the shard of a
-/// key is a mask away.
-const SHARDS: usize = 16;
 
 /// Hash of one `(key, value)` record, folded into the state digest.
 pub fn record_hash(key: u64, value: &[u8]) -> [u8; 32] {
@@ -55,10 +52,47 @@ impl WriteRecord {
     }
 }
 
-/// One key with the value a write displaced there (`None` = the key did
-/// not exist): what [`StateStore::apply`] hands back per write, and the
-/// unit of the executor's pre-image log.
-pub type PreImage = (u64, Option<Vec<u8>>);
+/// A stored value: up to [`INLINE`] bytes sit in the record itself, beside
+/// its key and hash, so reading or overwriting them touches no second
+/// cache line and the table holds no allocation per record; longer ones
+/// go to the heap, whose buffer an overwrite reuses.
+#[derive(Debug, Clone)]
+enum Value {
+    Inline(u8, [u8; INLINE]),
+    Heap(Vec<u8>),
+}
+
+/// The most bytes a [`Value`] keeps inline: what fits in a `Vec`'s room
+/// beside the spare bits of its capacity, so a value is no larger than a
+/// `Vec`.
+const INLINE: usize = 15;
+
+impl Default for Value {
+    fn default() -> Self {
+        Value::Inline(0, [0; INLINE])
+    }
+}
+
+impl Value {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Value::Inline(len, bytes) => &bytes[..*len as usize],
+            Value::Heap(bytes) => bytes,
+        }
+    }
+
+    fn set(&mut self, value: &[u8]) {
+        match self {
+            Value::Heap(bytes) if value.len() > INLINE => value.clone_into(bytes),
+            _ if value.len() > INLINE => *self = Value::Heap(value.to_vec()),
+            _ => {
+                let mut inline = [0; INLINE];
+                inline[..value.len()].copy_from_slice(value);
+                *self = Value::Inline(value.len() as u8, inline);
+            }
+        }
+    }
+}
 
 /// Abstract key-value state accessed during execution.
 ///
@@ -66,18 +100,33 @@ pub type PreImage = (u64, Option<Vec<u8>>);
 /// commit step writes, and the worker reads it to build a serving
 /// snapshot.
 pub trait StateStore: Send + Sync {
+    /// Reads the value stored under `key` into `out` (replacing what it
+    /// held), returning whether the key exists. Allocates nothing once
+    /// `out` has the capacity.
+    fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool;
+
     /// Reads the value stored under `key`.
-    fn get(&self, key: u64) -> Option<Vec<u8>>;
+    fn get(&self, key: u64) -> Option<Vec<u8>> {
+        let mut value = Vec::new();
+        self.get_into(key, &mut value).then_some(value)
+    }
 
     /// Stores `value` under `key`.
     fn put(&self, key: u64, value: &[u8]);
 
     /// Commits buffered writes in order (the in-order commit step of
-    /// deferred execution), reusing their precomputed hashes, and returns
-    /// per write, in the same order, the value it displaced. A key written
-    /// twice reports the batch's own first write the second time, so the
-    /// *first* entry per key is its pre-batch image.
-    fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage>;
+    /// deferred execution), reusing their precomputed hashes.
+    fn apply(&self, writes: &[WriteRecord]) {
+        self.apply_logged(writes, &mut |_, _| {});
+    }
+
+    /// [`apply`](Self::apply), showing `displaced` per write, in the same
+    /// order, the key and the value the write displaced (`None` = the key
+    /// did not exist) before it is overwritten, for the caller to copy
+    /// into its pre-image log. A key written twice shows the batch's own
+    /// first write the second time, so the *first* entry per key is its
+    /// pre-batch image.
+    fn apply_logged(&self, writes: &[WriteRecord], displaced: &mut dyn FnMut(u64, Option<&[u8]>));
 
     /// Number of records present.
     fn len(&self) -> usize;
@@ -96,53 +145,34 @@ pub trait StateStore: Send + Sync {
     /// so remove-after-put restores the exact pre-put digest — the
     /// property speculative rollback relies on to undo writes to
     /// previously-absent keys.
-    ///
-    /// The default panics: only recovery-capable backends opt in.
-    fn remove(&self, _key: u64) -> bool {
-        unimplemented!("this StateStore backend does not support removal")
-    }
+    fn remove(&self, key: u64) -> bool;
 
     /// Every `(key, value)` record, sorted by key — the deterministic
     /// payload of a checkpoint snapshot.
-    ///
-    /// The default panics: only recovery-capable backends opt in.
-    fn export_records(&self) -> Vec<(u64, Vec<u8>)> {
-        unimplemented!("this StateStore backend does not support snapshot export")
-    }
+    fn export_records(&self) -> Vec<(u64, Vec<u8>)>;
 
     /// Replaces the entire contents with `records` (snapshot install).
     /// Afterwards `state_digest()` reflects exactly the installed records.
-    ///
-    /// The default panics: only recovery-capable backends opt in.
-    fn install_records(&self, _records: &[(u64, Vec<u8>)]) {
-        unimplemented!("this StateStore backend does not support snapshot install")
-    }
+    fn install_records(&self, records: &[(u64, Vec<u8>)]);
 }
 
-/// Sharded in-memory key-value store — ResilientDB's default state backend.
+/// In-memory key-value store — ResilientDB's default state backend.
 ///
-/// Values live in lock-sharded hash maps; the state commitment lives in a
-/// single [`MerkleAccumulator`] updated under its own lock, exactly where
-/// the XOR accumulator used to sit.
-#[derive(Debug)]
+/// One table holds both the records and their commitment: the
+/// [`MerkleAccumulator`] keeps each value beside its key and record hash
+/// in the leaf bucket the key hashes to, so a read, a write and the
+/// write's mark on the tree find the key once. One lock covers table and
+/// tree: reads (execute workers, snapshot builds) share it, a commit takes
+/// it exclusively once per batch.
+#[derive(Debug, Default)]
 pub struct MemStore {
-    shards: Vec<RwLock<HashMap<u64, Vec<u8>>>>,
-    merkle: Mutex<MerkleAccumulator>,
-}
-
-impl Default for MemStore {
-    fn default() -> Self {
-        Self::new()
-    }
+    table: RwLock<MerkleAccumulator<Value>>,
 }
 
 impl MemStore {
     /// Creates an empty store.
     pub fn new() -> Self {
-        MemStore {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            merkle: Mutex::new(MerkleAccumulator::new()),
-        }
+        Self::default()
     }
 
     /// Creates a store pre-loaded with `n` records of `value_size` zero
@@ -151,26 +181,21 @@ impl MemStore {
     /// walks) before handing the store over, so set-up pays for it and not
     /// the first caller to ask for a digest.
     pub fn with_table(n: u64, value_size: usize) -> Self {
-        let store = Self::new();
         let value = vec![0u8; value_size];
-        {
-            let mut merkle = store.merkle.lock();
-            merkle.apply((0..n).map(|key| {
-                store.shard(key).write().insert(key, value.clone());
-                (key, Some(record_hash(key, &value)))
-            }));
-            merkle.root();
-        }
+        let store = Self::new();
+        store.install((0..n).map(|key| (key, value.as_slice())));
         store
     }
 
-    fn shard(&self, key: u64) -> &RwLock<HashMap<u64, Vec<u8>>> {
-        &self.shards[(key as usize) & (SHARDS - 1)]
-    }
-
-    fn insert_hashed(&self, key: u64, value: Vec<u8>, hash: [u8; 32]) {
-        self.shard(key).write().insert(key, value);
-        self.merkle.lock().update(key, hash);
+    /// Replaces the contents with `records` and builds the tree.
+    fn install<'a>(&self, records: impl Iterator<Item = (u64, &'a [u8])>) {
+        let mut table = self.table.write();
+        table.clear();
+        for (key, value) in records {
+            table.upsert(key, record_hash(key, value)).0.set(value);
+        }
+        // Build the tree here, not at the installer's next digest.
+        table.root();
     }
 
     /// Membership proof for `key` against the current [`state_digest`]:
@@ -179,73 +204,60 @@ impl MemStore {
     ///
     /// [`state_digest`]: StateStore::state_digest
     pub fn prove(&self, key: u64) -> Option<MerkleProof> {
-        self.merkle.lock().prove(key)
+        self.table.write().prove(key)
     }
 }
 
 impl StateStore for MemStore {
-    fn get(&self, key: u64) -> Option<Vec<u8>> {
-        self.shard(key).read().get(&key).cloned()
+    fn get_into(&self, key: u64, out: &mut Vec<u8>) -> bool {
+        out.clear();
+        let table = self.table.read();
+        table
+            .get(key)
+            .map(|v| out.extend_from_slice(v.bytes()))
+            .is_some()
     }
 
     fn put(&self, key: u64, value: &[u8]) {
-        self.insert_hashed(key, value.to_vec(), record_hash(key, value));
+        let hash = record_hash(key, value);
+        self.table.write().upsert(key, hash).0.set(value);
     }
 
-    fn apply(&self, writes: &[WriteRecord]) -> Vec<PreImage> {
-        let mut displaced = Vec::with_capacity(writes.len());
-        let mut merkle = self.merkle.lock();
-        merkle.apply(writes.iter().map(|w| {
-            let old = self.shard(w.key).write().insert(w.key, w.value.clone());
-            displaced.push((w.key, old));
-            (w.key, Some(w.hash))
-        }));
-        displaced
+    fn apply_logged(&self, writes: &[WriteRecord], displaced: &mut dyn FnMut(u64, Option<&[u8]>)) {
+        let mut table = self.table.write();
+        for w in writes {
+            let (slot, present) = table.upsert(w.key, w.hash);
+            displaced(w.key, present.then_some(slot.bytes()));
+            slot.set(&w.value);
+        }
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.table.read().len()
     }
 
     fn state_digest(&self) -> Digest {
-        self.merkle.lock().root()
+        self.table.write().root()
     }
 
     fn remove(&self, key: u64) -> bool {
-        let removed = self.shard(key).write().remove(&key).is_some();
-        if removed {
-            self.merkle.lock().remove(key);
-        }
-        removed
+        self.table.write().take(key).is_some()
     }
 
     fn export_records(&self) -> Vec<(u64, Vec<u8>)> {
-        let mut out: Vec<(u64, Vec<u8>)> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.read()
-                    .iter()
-                    .map(|(k, v)| (*k, v.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        let mut out: Vec<(u64, Vec<u8>)> = {
+            let table = self.table.read();
+            table
+                .records()
+                .map(|(k, v)| (k, v.bytes().to_vec()))
+                .collect()
+        };
         out.sort_unstable_by_key(|(k, _)| *k);
         out
     }
 
     fn install_records(&self, records: &[(u64, Vec<u8>)]) {
-        for shard in &self.shards {
-            shard.write().clear();
-        }
-        let mut merkle = self.merkle.lock();
-        merkle.clear();
-        merkle.apply(records.iter().map(|(key, value)| {
-            self.shard(*key).write().insert(*key, value.clone());
-            (*key, Some(record_hash(*key, value)))
-        }));
-        // Build the tree here, not at the installer's next digest.
-        merkle.root();
+        self.install(records.iter().map(|(k, v)| (*k, v.as_slice())));
     }
 }
 

@@ -9,11 +9,62 @@
 //! the same function snapshot verification uses), that batching is
 //! order-insensitive within a batch (last write per key wins), and that
 //! every surviving key still proves membership against the final root.
+//!
+//! The last property drives `MemStore` itself — one table holding each
+//! record's value beside its key and hash — against a `BTreeMap` model.
 
 use proptest::prelude::*;
-use rdb_storage::merkle::{commitment_of, verify_proof, MerkleAccumulator};
-use rdb_storage::record_hash;
+use rdb_storage::merkle::{bucket_of, commitment_of, verify_proof, MerkleAccumulator};
+use rdb_storage::{record_hash, MemStore, StateStore, WriteRecord};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Keys that share leaf buckets three at a time, so every store edit
+/// lands beside other records of its bucket. Searched for once.
+fn shared_bucket_keys() -> &'static [u64] {
+    static KEYS: std::sync::OnceLock<Vec<u64>> = std::sync::OnceLock::new();
+    KEYS.get_or_init(|| {
+        let mut by_bucket: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+        let mut keys = Vec::new();
+        for key in 0.. {
+            let bucket = by_bucket.entry(bucket_of(key)).or_default();
+            bucket.push(key);
+            if bucket.len() == 3 {
+                keys.extend_from_slice(bucket);
+                if keys.len() == 24 {
+                    return keys;
+                }
+            }
+        }
+        unreachable!("the key space has shared buckets")
+    })
+}
+
+/// A value of 0..40 bytes picked by `raw`: lengths on both sides of what a
+/// record keeps inline, so an overwrite can grow or shrink it across that.
+fn value_of(raw: u64) -> Vec<u8> {
+    vec![(raw >> 16) as u8; (raw >> 24) as usize % 40]
+}
+
+/// Checks the store against the model: contents, `get`, `len` and the
+/// root, which must be the one-shot commitment of what it exports.
+fn check(
+    store: &MemStore,
+    model: &BTreeMap<u64, Vec<u8>>,
+    keys: &[u64],
+) -> Result<(), TestCaseError> {
+    let exported = store.export_records();
+    prop_assert_eq!(
+        exported.iter().cloned().collect::<BTreeMap<_, _>>(),
+        model.clone()
+    );
+    let oneshot = commitment_of(exported.iter().map(|(k, v)| (*k, v.as_slice())));
+    prop_assert_eq!(store.state_digest(), oneshot);
+    prop_assert_eq!(store.len(), model.len());
+    for key in keys {
+        prop_assert_eq!(store.get(*key), model.get(key).cloned());
+    }
+    Ok(())
+}
 
 /// Decode one raw u64 into an op: a small key space (64 keys across a
 /// 2^16-bucket tree forces same-bucket collisions) and a ~25% remove mix.
@@ -202,5 +253,75 @@ proptest! {
         acc.apply(late);
         untouched.apply(late);
         prop_assert_eq!(acc.root(), untouched.root());
+    }
+}
+
+proptest! {
+    // Every step re-derives the root from scratch: fewer, shorter cases.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `MemStore` against a `BTreeMap`: after every `apply`, `put`,
+    /// `remove` and `install_records` over keys sharing buckets, with value
+    /// lengths changing at existing keys, the contents, `get` and the root
+    /// agree with the model — and an `apply`'s displaced values, replayed
+    /// newest-first, restore the contents and the root from before it (the
+    /// Zyzzyva undo contract) before the batch is applied again.
+    #[test]
+    fn store_agrees_with_a_model_and_its_pre_images_undo_every_batch(
+        raw_ops in proptest::collection::vec(any::<u64>(), 1..80),
+    ) {
+        let keys = shared_bucket_keys();
+        let store = MemStore::new();
+        let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut ops = raw_ops.iter().copied();
+        while let Some(raw) = ops.next() {
+            let key = keys[raw as usize % keys.len()];
+            match (raw >> 8) % 8 {
+                0..=2 => {
+                    // A batch of up to five writes, repeated keys included.
+                    let batch: Vec<WriteRecord> = std::iter::once(raw)
+                        .chain(ops.by_ref().take(4))
+                        .map(|raw| WriteRecord::new(keys[raw as usize % keys.len()], value_of(raw)))
+                        .collect();
+                    let (before, root) = (model.clone(), store.state_digest());
+                    let mut pre: Vec<(u64, Option<Vec<u8>>)> = Vec::new();
+                    store.apply_logged(&batch, &mut |key, old| pre.push((key, old.map(<[u8]>::to_vec))));
+                    prop_assert_eq!(pre.len(), batch.len());
+                    for w in &batch {
+                        model.insert(w.key, w.value.clone());
+                    }
+                    check(&store, &model, keys)?;
+                    for (key, old) in pre.iter().rev() {
+                        match old {
+                            Some(value) => store.put(*key, value),
+                            None => prop_assert!(store.remove(*key)),
+                        }
+                    }
+                    check(&store, &before, keys)?;
+                    prop_assert_eq!(store.state_digest(), root);
+                    store.apply(&batch);
+                }
+                3 | 4 => {
+                    let value = value_of(raw);
+                    store.put(key, &value);
+                    model.insert(key, value);
+                }
+                5 | 6 => {
+                    prop_assert_eq!(store.remove(key), model.remove(&key).is_some());
+                }
+                _ => {
+                    // A snapshot of some other state: every third key.
+                    let records: Vec<(u64, Vec<u8>)> = keys
+                        .iter()
+                        .skip(raw as usize % 3)
+                        .step_by(3)
+                        .map(|k| (*k, value_of(raw ^ k)))
+                        .collect();
+                    store.install_records(&records);
+                    model = records.into_iter().collect();
+                }
+            }
+            check(&store, &model, keys)?;
+        }
     }
 }
