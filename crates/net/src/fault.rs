@@ -158,6 +158,11 @@ impl FaultController {
         self.inner.crashed.read().contains(&node)
     }
 
+    /// The nodes currently crashed.
+    pub fn crashed(&self) -> Vec<Sender> {
+        self.inner.crashed.read().iter().copied().collect()
+    }
+
     /// Partitions the membership into two groups that cannot talk across
     /// the cut, in either direction.
     pub fn partition(&self, group_a: &[Sender], group_b: &[Sender]) {

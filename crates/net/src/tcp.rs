@@ -5,37 +5,37 @@
 //! host several local endpoints, e.g. thousands of client sessions in a
 //! swarm process). Architecture:
 //!
-//! - **Event loops**: a small fixed pool of reactor threads
-//!   ([`crate::reactor::Poller`], level-triggered) owns every socket.
-//!   Connections are distributed round-robin across loops; each loop
-//!   multiplexes accept, read and write readiness, so one process holds
-//!   tens of thousands of sockets on a handful of threads instead of two
-//!   threads per connection.
+//! - **Event loop**: one reactor thread per transport
+//!   ([`crate::reactor::Poller`], level-triggered) owns the listener,
+//!   every connection and every dial — one thread owns the state, as in a
+//!   replica's single worker. It multiplexes accept, connect, read and
+//!   write readiness, so one process holds tens of thousands of sockets.
 //! - **Outbound**: senders push frames onto a per-link bounded queue and
-//!   notify the owning loop (once — an armed link is never re-notified).
-//!   The loop drains the queue into a per-connection pending list and
-//!   writes it with **vectored writes**, coalescing up to 64 frames per
-//!   syscall. Replica-to-replica traffic (consensus gossip) uses a
-//!   *drop-oldest* policy on overflow — the protocol tolerates loss and
-//!   retransmits by design — while a message with a client on either end
-//!   is *never* shed: the sender blocks on the queue (backpressure) until
-//!   space frees up. Which policy applies is decided from the two
-//!   endpoints in one place, `TcpInner::dispatch_now`. A send serializes
-//!   the envelope **once** and shares the encoded buffer across every
-//!   destination's queue.
+//!   notify the loop (once — an armed link is never re-notified). The
+//!   loop drains the queue into a per-connection pending list and writes
+//!   it with **vectored writes**, coalescing up to 64 frames per syscall.
+//!   On overflow replica-to-replica gossip is *drop-oldest* — the
+//!   protocol tolerates loss and retransmits by design — while a frame
+//!   with a client on either end is *reliable*: its sender blocks
+//!   (backpressure) until space frees up. A HELLO is never shed. A send
+//!   serializes the envelope **once** and shares the encoded buffer
+//!   across every destination's queue.
 //! - **Inbound**: frames decode through [`SignedMessage::decode`]'s
 //!   memo-seeding path, so the zero-copy envelope (canonical bytes
 //!   memoized, verified without re-serialization) survives the socket,
-//!   and the reactor thread that read it calls the destination's
-//!   [`Delivery`] function.
-//! - **Routing**: replicas are dialed from the [`PeerMap`] by a single
-//!   dialer thread (reconnect with exponential backoff, so a restarted
-//!   replica rejoins without coordination). Clients are *not* in the map —
-//!   a client dials every replica and announces itself with a HELLO frame,
-//!   and replies travel back over the client-initiated connection (learned
-//!   as a *reverse link*). In swarm mode ([`TcpConfig::dedicated_to`])
-//!   each client endpoint instead gets its own *dedicated* connection to
-//!   one replica, so an N-client swarm exercises N real sockets.
+//!   and the loop calls the destination's [`Delivery`] function.
+//! - **Routing**: the loop dials replicas from the [`PeerMap`] with a
+//!   nonblocking connect and redials a link without a connection with
+//!   exponential backoff, so a restarted replica rejoins without
+//!   coordination. Off Linux, and for a non-IPv4 address, it falls back
+//!   to std's blocking `connect_timeout` — degraded, like the poller's
+//!   fallback: each dial stalls the loop. Clients are *not* in the map — a
+//!   client dials every replica and announces itself with a HELLO frame,
+//!   and replies travel back over the client-initiated connection
+//!   (learned as a *reverse route*). In swarm mode
+//!   ([`TcpConfig::dedicated_to`]) each client endpoint instead gets its
+//!   own *dedicated* connection to one replica, so an N-client swarm
+//!   exercises N real sockets.
 //! - **Reclamation**: closed connections are reaped *eagerly* — the loop
 //!   deregisters the fd, frees the slab slot and drops the routes the
 //!   moment the socket dies, so churned connections cannot accumulate
@@ -50,7 +50,7 @@ use crate::frame::{self, Frame, FrameAccumulator};
 use crate::reactor::{Event, Interest, Poller, WakeReceiver, Waker};
 use crate::stats::NetworkStats;
 use crate::transport::{Delivery, Endpoint, NetHandle, NetworkError, Transport};
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender as ChanSender};
+use crossbeam::channel::{self, Receiver, Sender as ChanSender};
 use parking_lot::{Condvar, Mutex, RwLock};
 use rdb_common::codec::Wire;
 use rdb_common::messages::{Sender, SignedMessage};
@@ -61,19 +61,12 @@ use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Outbound frames buffered per replica (gossip) link before the
-/// drop-oldest policy applies.
+/// Outbound frames buffered per link before the overflow policy applies.
 const QUEUE_CAPACITY: usize = 4096;
-/// Outbound frames buffered per client-path link (reverse and dedicated
-/// links) before senders block.
-const CLIENT_QUEUE_CAPACITY: usize = 4096;
-/// Reactor threads driving the sockets. More loops add read/decode
-/// parallelism; 2 is plenty for a 4-replica cluster.
-const EVENT_LOOPS: usize = 2;
 
 /// Configuration for a [`TcpTransport`].
 #[derive(Debug, Clone, Default)]
@@ -131,14 +124,15 @@ const MSG_HEADER_MAX: usize = 16;
 const RECONNECT_MIN: Duration = Duration::from_millis(10);
 /// Backoff ceiling (doubles from [`RECONNECT_MIN`] up to this).
 const RECONNECT_MAX: Duration = Duration::from_secs(1);
-/// Connect timeout for the dialer thread.
+/// How long a dial's connect may stay in flight before it counts as
+/// failed.
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
-/// Granularity at which blocked threads re-check for shutdown.
+/// Longest the loop sleeps in the poller without a deadline due.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Reserved poller token: the loop's wake pipe.
 const WAKER_TOKEN: usize = usize::MAX;
-/// Reserved poller token: the accept listener (loop 0 only).
+/// Reserved poller token: the accept listener.
 const LISTENER_TOKEN: usize = usize::MAX - 1;
 
 /// Frames coalesced into one vectored write (two iovecs each).
@@ -163,18 +157,6 @@ enum OutFrame {
     },
 }
 
-impl OutFrame {
-    fn sheddable(&self) -> bool {
-        matches!(
-            self,
-            OutFrame::Msg {
-                reliable: false,
-                ..
-            }
-        )
-    }
-}
-
 /// What a link connects to — determines hello policy and teardown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkPeer {
@@ -186,12 +168,12 @@ enum LinkPeer {
     Accepted,
 }
 
-/// A bounded outbound queue drained by the event loop that owns its
-/// connection. Senders push and (at most once while the queue is armed)
-/// notify the owner; the loop drains, and disarms only after observing an
-/// empty queue under the same lock pushes take — so a push can never be
-/// stranded without either a pending notify or a registered write
-/// interest.
+/// A bounded outbound queue drained by the event loop through the
+/// connection that owns it. Senders push and (at most once while the
+/// queue is armed) notify the loop; the loop drains, and disarms only
+/// after observing an empty queue under the same lock pushes take — so a
+/// push can never be stranded without either a pending notify or a
+/// registered write interest.
 struct Link {
     peer: LinkPeer,
     /// Dial target; `None` for accepted (reverse) links.
@@ -204,18 +186,11 @@ struct Link {
 struct LinkState {
     frames: VecDeque<OutFrame>,
     closed: bool,
-    /// The owning loop already knows about queued frames (a flush command
-    /// is in flight or write interest is registered).
+    /// The loop already knows about queued frames (a flush command is in
+    /// flight or write interest is registered).
     armed: bool,
-    /// Owning connection, if currently bound: (loop index, token).
-    owner: Option<(usize, usize)>,
-}
-
-enum PushPolicy {
-    /// Drop-oldest on overflow — replica gossip tolerates loss.
-    Gossip,
-    /// Never shed; blocks the sender (backpressure) on overflow.
-    Reliable,
+    /// Token of the open connection draining this link, if any.
+    owner: Option<usize>,
 }
 
 impl Link {
@@ -234,44 +209,42 @@ impl Link {
         })
     }
 
-    /// Queues `f`, returning the `(loop, token)` to notify if the link was
-    /// not already armed. HELLO frames bypass the capacity check — a
-    /// routing announcement is never shed and never a backpressure source
-    /// (there are at most as many as local endpoints).
-    fn push(
-        &self,
-        f: OutFrame,
-        policy: PushPolicy,
-        stats: &NetworkStats,
-    ) -> Option<(usize, usize)> {
+    /// Queues `f`, returning the connection token to notify if the link
+    /// was not already armed. On overflow the oldest sheddable (gossip)
+    /// frame is dropped; with none queued, gossip exceeds capacity rather
+    /// than stall the pipeline, and a reliable frame waits for space
+    /// (backpressure). A HELLO bypasses the capacity check — a routing
+    /// announcement is never shed and never a backpressure source (there
+    /// are at most as many as local endpoints).
+    fn push(&self, f: OutFrame, stats: &NetworkStats) -> Option<usize> {
         let mut s = self.state.lock();
         if s.closed {
             return None;
         }
-        if !matches!(f, OutFrame::Hello(_)) {
-            loop {
-                if s.frames.len() < self.capacity {
-                    break;
-                }
-                // Overflow: shed the oldest sheddable frame. A queued
-                // HELLO is a routing announcement and losing one would
-                // permanently strand a reply path, so only non-reliable
-                // Msg frames are victims.
-                if let Some(idx) = s.frames.iter().position(OutFrame::sheddable) {
+        if let OutFrame::Msg { reliable, .. } = f {
+            while s.frames.len() >= self.capacity {
+                // Only non-reliable Msg frames are victims: losing a
+                // queued HELLO would permanently strand a reply path.
+                let sheddable = |f: &OutFrame| {
+                    matches!(
+                        f,
+                        OutFrame::Msg {
+                            reliable: false,
+                            ..
+                        }
+                    )
+                };
+                if let Some(idx) = s.frames.iter().position(sheddable) {
                     s.frames.remove(idx);
                     stats.record_dropped();
                     break;
                 }
-                match policy {
-                    // Nothing sheddable (hellos/reliable only): gossip may
-                    // exceed capacity rather than stall the pipeline.
-                    PushPolicy::Gossip => break,
-                    PushPolicy::Reliable => {
-                        self.space.wait(&mut s);
-                        if s.closed {
-                            return None;
-                        }
-                    }
+                if !reliable {
+                    break;
+                }
+                self.space.wait(&mut s);
+                if s.closed {
+                    return None;
                 }
             }
         }
@@ -288,16 +261,8 @@ impl Link {
     /// Moves up to `max` frames into the connection's pending list.
     fn drain_into(&self, out: &mut VecDeque<PendingFrame>, max: usize) {
         let mut s = self.state.lock();
-        let mut n = 0;
-        while n < max {
-            match s.frames.pop_front() {
-                Some(f) => {
-                    out.push_back(PendingFrame::new(f));
-                    n += 1;
-                }
-                None => break,
-            }
-        }
+        let n = max.min(s.frames.len());
+        out.extend(s.frames.drain(..n).map(PendingFrame::new));
         if n > 0 {
             self.space.notify_all();
         }
@@ -324,23 +289,23 @@ impl Link {
         }
     }
 
-    fn bind(&self, loop_idx: usize, token: usize) {
+    fn bind(&self, token: usize) {
         let mut s = self.state.lock();
-        s.owner = Some((loop_idx, token));
-        // The adopting loop flushes immediately; arm so senders skip
-        // redundant notifies meanwhile.
+        s.owner = Some(token);
+        // The loop flushes immediately; arm so senders skip redundant
+        // notifies meanwhile.
         s.armed = true;
     }
 
-    fn unbind(&self, loop_idx: usize, token: usize) {
+    fn unbind(&self, token: usize) {
         let mut s = self.state.lock();
-        if s.owner == Some((loop_idx, token)) {
+        if s.owner == Some(token) {
             s.owner = None;
             s.armed = false;
         }
     }
 
-    fn owner(&self) -> Option<(usize, usize)> {
+    fn owner(&self) -> Option<usize> {
         self.state.lock().owner
     }
 
@@ -352,6 +317,57 @@ impl Link {
 
     fn is_closed(&self) -> bool {
         self.state.lock().closed
+    }
+}
+
+/// A dialed link's reconnect backoff: a failed or lost connection waits
+/// it before the next dial, and it then doubles from [`RECONNECT_MIN`] up
+/// to [`RECONNECT_MAX`]; a connect starts it over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Redial(Duration);
+
+impl Redial {
+    const FIRST: Redial = Redial(RECONNECT_MIN);
+
+    /// A dial failed, or its connection died, at `now`: when to dial next.
+    fn failed(&mut self, now: Instant) -> Instant {
+        let due = now + self.0;
+        self.0 = (self.0 * 2).min(RECONNECT_MAX);
+        due
+    }
+
+    /// A dial connected.
+    fn connected(&mut self) {
+        *self = Redial::FIRST;
+    }
+}
+
+/// Reverse routes learned from inbound HELLOs: the link that reaches an
+/// endpoint outside the peer map (a client, chiefly).
+#[derive(Default)]
+struct ReverseRoutes(HashMap<Sender, Arc<Link>>);
+
+impl ReverseRoutes {
+    /// `from` announced itself over `link`. The latest announcement wins:
+    /// a restarted client's new connection replaces the stale route. The
+    /// replaced link is closed only if it is an accepted one — a shared
+    /// dialed link may carry other endpoints' traffic and must survive.
+    fn announce(&mut self, from: Sender, link: &Arc<Link>) {
+        if let Some(old) = self.0.insert(from, Arc::clone(link)) {
+            if !Arc::ptr_eq(&old, link) && old.peer == LinkPeer::Accepted {
+                old.close();
+            }
+        }
+    }
+
+    /// The connection over `link` died: drops the routes it announced
+    /// that no later announcement has replaced.
+    fn forget(&mut self, announced: &[Sender], link: &Arc<Link>) {
+        for addr in announced {
+            if self.0.get(addr).is_some_and(|l| Arc::ptr_eq(l, link)) {
+                self.0.remove(addr);
+            }
+        }
     }
 }
 
@@ -368,21 +384,15 @@ struct PendingFrame {
 
 impl PendingFrame {
     fn new(frame: OutFrame) -> PendingFrame {
-        let (head, payload) = match &frame {
-            OutFrame::Hello(from) => {
-                let body = frame::hello_body(*from);
-                let mut head = (body.len() as u32).to_le_bytes().to_vec();
-                head.extend_from_slice(&body);
-                (head, None)
-            }
+        let (header, payload) = match &frame {
+            OutFrame::Hello(from) => (frame::hello_body(*from), None),
             OutFrame::Msg { to, payload, .. } => {
-                let header = frame::msg_header(*to);
-                let total = (header.len() + payload.len()) as u32;
-                let mut head = total.to_le_bytes().to_vec();
-                head.extend_from_slice(&header);
-                (head, Some(Arc::clone(payload)))
+                (frame::msg_header(*to), Some(Arc::clone(payload)))
             }
         };
+        let len = header.len() + payload.as_ref().map_or(0, |p| p.len());
+        let mut head = (len as u32).to_le_bytes().to_vec();
+        head.extend_from_slice(&header);
         PendingFrame {
             head,
             payload,
@@ -396,7 +406,7 @@ impl PendingFrame {
     }
 }
 
-/// One live socket owned by an event loop.
+/// One socket owned by the event loop.
 struct Conn {
     stream: TcpStream,
     acc: FrameAccumulator,
@@ -410,9 +420,12 @@ struct Conn {
     announced: Vec<Sender>,
     /// Write interest currently registered with the poller.
     want_write: bool,
-    /// Dialed links persist (requeue + redial on death); accepted links
-    /// die with their connection.
-    dialed: bool,
+    /// A dialed link's schedule: the link persists (requeue + redial on
+    /// death). `None` for an accepted link, which dies with its
+    /// connection.
+    redial: Option<Redial>,
+    /// While the dial's connect is in flight: when it gives up.
+    connect_by: Option<Instant>,
 }
 
 /// Token-indexed connection storage with slot reuse.
@@ -424,16 +437,12 @@ struct Slab {
 
 impl Slab {
     fn insert(&mut self, conn: Conn) -> usize {
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Some(conn);
-                i
-            }
-            None => {
-                self.slots.push(Some(conn));
-                self.slots.len() - 1
-            }
+        let token = self.free.pop().unwrap_or(self.slots.len());
+        if token == self.slots.len() {
+            self.slots.push(None);
         }
+        self.slots[token] = Some(conn);
+        token
     }
 
     fn get_mut(&mut self, token: usize) -> Option<&mut Conn> {
@@ -441,50 +450,26 @@ impl Slab {
     }
 
     fn remove(&mut self, token: usize) -> Option<Conn> {
-        let conn = self.slots.get_mut(token)?.take();
-        if conn.is_some() {
-            self.free.push(token);
-        }
-        conn
-    }
-
-    fn tokens(&self) -> Vec<usize> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.as_ref().map(|_| i))
-            .collect()
+        let conn = self.slots.get_mut(token)?.take()?;
+        self.free.push(token);
+        Some(conn)
     }
 }
 
 enum LoopCmd {
-    /// Take ownership of an established connection.
-    Adopt {
-        stream: TcpStream,
-        link: Arc<Link>,
-        dialed: bool,
-    },
-    /// A link owned by connection `token` has queued frames.
+    /// A new dialed link: connect it.
+    Dial(Arc<Link>),
+    /// The link owned by connection `token` has queued frames.
     Flush(usize),
     /// Tear down connection `token` now (eager reclamation).
     Close(usize),
 }
 
-/// The sending side of one event loop.
-struct LoopHandle {
-    cmd_tx: ChanSender<LoopCmd>,
-    waker: Waker,
-    /// True while the loop is (about to be) blocked in the poller; lets
-    /// senders skip the wake syscall when the loop is already running.
-    sleeping: Arc<AtomicBool>,
-}
-
-struct DialRequest {
-    link: Arc<Link>,
-    /// Wait this long before attempting.
-    delay: Duration,
-    /// Delay after the next failure (doubles up to [`RECONNECT_MAX`]).
-    backoff: Duration,
+/// Where one envelope goes.
+enum Route {
+    /// An endpoint hosted by this transport: the socket is skipped.
+    Local,
+    Link(Arc<Link>),
 }
 
 struct TcpInner {
@@ -499,28 +484,24 @@ struct TcpInner {
     dialed: RwLock<HashMap<u32, Arc<Link>>>,
     /// Dedicated per-client links (swarm mode).
     dedicated: RwLock<HashMap<Sender, Arc<Link>>>,
-    /// Links learned from inbound HELLOs (clients, chiefly).
-    reverse: RwLock<HashMap<Sender, Arc<Link>>>,
-    loops: OnceLock<Vec<LoopHandle>>,
-    dial_tx: OnceLock<ChanSender<DialRequest>>,
+    reverse: RwLock<ReverseRoutes>,
+    /// The event loop's commands and wake-up.
+    cmd_tx: ChanSender<LoopCmd>,
+    waker: Waker,
+    /// True while the loop is (about to be) blocked in the poller; lets
+    /// senders skip the wake syscall when the loop is already running.
+    sleeping: AtomicBool,
     stats: NetworkStats,
     faults: FaultController,
     shutdown: AtomicBool,
-    /// Live socket gauge across all loops (readable via
-    /// [`TcpTransport::open_connections`]).
+    /// Live socket gauge (readable via [`TcpTransport::open_connections`]).
     open_conns: AtomicUsize,
-    /// Round-robin cursor for assigning connections to loops.
-    rr: AtomicUsize,
-    threads: Mutex<Vec<JoinHandle<()>>>,
+    thread: Mutex<Option<JoinHandle<()>>>,
     /// Holds jitter-delayed envelopes until they are due.
     delay: DelayLine,
 }
 
 impl TcpInner {
-    fn loops(&self) -> &[LoopHandle] {
-        self.loops.get().expect("event loops started")
-    }
-
     fn deliver(&self, to: Sender, msg: SignedMessage) {
         let kind = msg.kind();
         if let Some(deliver) = self.deliveries.read().get(&to) {
@@ -536,39 +517,18 @@ impl TcpInner {
         self.shutdown.load(Ordering::Relaxed)
     }
 
-    /// Hands a flush/close/adopt command to loop `li`, waking it only if
-    /// it is parked in the poller.
-    fn send_loop_cmd(&self, li: usize, cmd: LoopCmd) {
-        let h = &self.loops()[li];
-        let _ = h.cmd_tx.send(cmd);
-        if h.sleeping.load(Ordering::SeqCst) {
-            h.waker.wake();
+    /// Hands a command to the event loop, waking it only if it is parked
+    /// in the poller.
+    fn send_loop_cmd(&self, cmd: LoopCmd) {
+        let _ = self.cmd_tx.send(cmd);
+        if self.sleeping.load(Ordering::SeqCst) {
+            self.waker.wake();
         }
     }
 
-    fn notify_owner(&self, owner: Option<(usize, usize)>) {
-        if let Some((li, token)) = owner {
-            self.send_loop_cmd(li, LoopCmd::Flush(token));
-        }
-    }
-
-    fn push_link(&self, link: &Link, f: OutFrame, policy: PushPolicy) {
-        let owner = link.push(f, policy, &self.stats);
-        self.notify_owner(owner);
-    }
-
-    /// Round-robin loop assignment for new connections.
-    fn next_loop(&self) -> usize {
-        self.rr.fetch_add(1, Ordering::Relaxed) % self.loops().len()
-    }
-
-    fn request_dial(&self, link: Arc<Link>, delay: Duration) {
-        if let Some(tx) = self.dial_tx.get() {
-            let _ = tx.send(DialRequest {
-                link,
-                delay,
-                backoff: RECONNECT_MIN,
-            });
+    fn push_link(&self, link: &Link, f: OutFrame) {
+        if let Some(token) = link.push(f, &self.stats) {
+            self.send_loop_cmd(LoopCmd::Flush(token));
         }
     }
 
@@ -587,32 +547,33 @@ impl TcpInner {
         let link = Link::new(LinkPeer::Replica(id), Some(addr), QUEUE_CAPACITY);
         dialed.insert(id.0, Arc::clone(&link));
         drop(dialed);
-        self.request_dial(Arc::clone(&link), Duration::ZERO);
+        self.send_loop_cmd(LoopCmd::Dial(Arc::clone(&link)));
         link
     }
 
-    /// The outbound link for `from → to`, if any route exists.
-    fn route_to(&self, from: Sender, to: Sender) -> Option<Arc<Link>> {
+    /// Where an envelope `from → to` goes, if anywhere.
+    fn route(&self, from: Sender, to: Sender) -> Option<Route> {
+        if self.deliveries.read().contains_key(&to) {
+            return Some(Route::Local);
+        }
         if let (Some(primary), Sender::Replica(r)) = (self.cfg.dedicated_to, to) {
             if r == primary {
                 if let Some(link) = self.dedicated.read().get(&from) {
-                    return Some(Arc::clone(link));
+                    return Some(Route::Link(Arc::clone(link)));
                 }
             }
         }
         if let Sender::Replica(r) = to {
             if let Some(addr) = self.cfg.peers.get(r) {
-                return Some(self.dialed_link(r, addr));
+                return Some(Route::Link(self.dialed_link(r, addr)));
             }
         }
-        self.reverse.read().get(&to).cloned()
+        self.reverse.read().0.get(&to).cloned().map(Route::Link)
     }
 
     /// Whether a dial for `link` must wait: the remote replica — or the
-    /// local node itself — is currently crash-faulted, so re-establishing
-    /// the socket would undo the injected failure. The dialer keeps the
-    /// request in its backoff queue, which is exactly the reconnect path
-    /// a recovery then exercises.
+    /// local node itself — is crash-faulted, and a socket would undo the
+    /// fault. The link keeps backing off: a recovery's reconnect path.
     fn dial_blocked(&self, link: &Link) -> bool {
         let target = match link.peer {
             LinkPeer::Replica(r) => Some(Sender::Replica(r)),
@@ -628,63 +589,63 @@ impl TcpInner {
             return true;
         }
         // A crashed local replica endpoint must not keep dialing out.
-        self.locals
-            .read()
-            .iter()
-            .any(|(a, _)| matches!(a, Sender::Replica(_)) && self.faults.is_crashed(*a))
+        let deliveries = self.deliveries.read();
+        (self.faults.crashed().iter())
+            .any(|n| matches!(n, Sender::Replica(_)) && deliveries.contains_key(n))
+    }
+
+    fn all_links(&self) -> Vec<Arc<Link>> {
+        let mut links: Vec<Arc<Link>> = self.dialed.read().values().cloned().collect();
+        links.extend(self.dedicated.read().values().cloned());
+        links.extend(self.reverse.read().0.values().cloned());
+        links
     }
 
     /// Tears down every live socket touching `node` (crash fault). Dialed
     /// links are *not* closed: `close_conn` requeues their unsent frames
-    /// and re-enters the dialer, which stalls in backoff until the node
-    /// recovers — so recovery rides the real reconnect path. Accepted
-    /// (reverse) links are closed by `close_conn` itself; the remote
-    /// re-dials and re-announces after its own recovery.
+    /// and backs them off until the node recovers. Accepted links are
+    /// closed; the remote re-dials and re-announces after its recovery.
     fn teardown_sockets(&self, node: Sender) {
-        let mut links: Vec<Arc<Link>> = Vec::new();
-        let local = self.locals.read().iter().any(|(a, _)| *a == node);
-        if local {
+        let links = if self.locals.read().iter().any(|(a, _)| *a == node) {
             // The node itself crashed: drop every connection it owns.
-            links.extend(self.dialed.read().values().cloned());
-            links.extend(self.dedicated.read().values().cloned());
-            links.extend(self.reverse.read().values().cloned());
+            self.all_links()
         } else {
+            let mut links: Vec<Arc<Link>> = self
+                .reverse
+                .read()
+                .0
+                .get(&node)
+                .cloned()
+                .into_iter()
+                .collect();
             if let Sender::Replica(r) = node {
-                if let Some(l) = self.dialed.read().get(&r.0) {
-                    links.push(Arc::clone(l));
-                }
+                links.extend(self.dialed.read().get(&r.0).cloned());
                 if self.cfg.dedicated_to == Some(r) {
                     links.extend(self.dedicated.read().values().cloned());
                 }
             }
-            if let Some(l) = self.reverse.read().get(&node) {
-                links.push(Arc::clone(l));
-            }
-        }
+            links
+        };
         for link in links {
-            if let Some((li, token)) = link.owner() {
-                self.send_loop_cmd(li, LoopCmd::Close(token));
+            if let Some(token) = link.owner() {
+                self.send_loop_cmd(LoopCmd::Close(token));
             }
         }
     }
 
-    /// Routes one (possibly jitter-delayed) envelope: local endpoints
-    /// short-circuit the socket, everything else rides a link. Stats and
-    /// fault decisions already happened at send time.
-    fn dispatch_now(
+    /// Hands one envelope to its route. Stats and fault decisions already
+    /// happened at send time.
+    fn forward(
         &self,
         from: Sender,
         to: Sender,
+        route: Route,
         msg: &SignedMessage,
         payload: &mut Option<Arc<Vec<u8>>>,
     ) {
-        if self.deliveries.read().contains_key(&to) {
-            self.deliver(to, msg.clone());
-            return;
-        }
-        let Some(link) = self.route_to(from, to) else {
-            self.stats.record_dropped();
-            return;
+        let link = match route {
+            Route::Local => return self.deliver(to, msg.clone()),
+            Route::Link(link) => link,
         };
         // Send-side twin of the reader's MAX_FRAME guard: an envelope the
         // receiver is guaranteed to reject must not reach the wire — the
@@ -701,11 +662,6 @@ impl TcpInner {
         // The one reliability rule: a client on either end (a request, a
         // reply) is never shed; replica-to-replica gossip is droppable.
         let reliable = matches!(from, Sender::Client(_)) || matches!(to, Sender::Client(_));
-        let policy = if reliable {
-            PushPolicy::Reliable
-        } else {
-            PushPolicy::Gossip
-        };
         self.push_link(
             &link,
             OutFrame::Msg {
@@ -713,7 +669,6 @@ impl TcpInner {
                 payload: shared,
                 reliable,
             },
-            policy,
         );
     }
 
@@ -743,120 +698,25 @@ fn configure_stream(stream: &TcpStream) -> io::Result<()> {
     stream.set_nonblocking(true)
 }
 
-/// The single dialer thread: establishes outbound connections (blocking
-/// `connect_timeout` — `std` has no nonblocking connect) from a deadline
-/// queue with per-link exponential backoff, then hands each socket to an
-/// event loop. Dials are serialized, so a cluster of unreachable peers
-/// with filtered ports can delay each other by up to the connect timeout;
-/// on loopback (and healthy networks) refusal is immediate.
-fn dialer(inner: &Arc<TcpInner>, rx: &Receiver<DialRequest>) {
-    let mut pending: Vec<(Instant, DialRequest)> = Vec::new();
-    while !inner.is_shutdown() {
-        let now = Instant::now();
-        let mut next_due = now + POLL_INTERVAL;
-        let mut i = 0;
-        while i < pending.len() {
-            if pending[i].0 <= now {
-                let (_, req) = pending.swap_remove(i);
-                attempt_dial(inner, req, &mut pending);
-            } else {
-                next_due = next_due.min(pending[i].0);
-                i += 1;
-            }
-        }
-        let wait = next_due
-            .saturating_duration_since(Instant::now())
-            .max(Duration::from_millis(1));
-        match rx.recv_timeout(wait) {
-            Ok(req) => {
-                let due = Instant::now() + req.delay;
-                pending.push((due, req));
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-    }
-}
-
-fn attempt_dial(
-    inner: &Arc<TcpInner>,
-    req: DialRequest,
-    pending: &mut Vec<(Instant, DialRequest)>,
-) {
-    if req.link.is_closed() || inner.is_shutdown() {
-        return;
-    }
-    if inner.dial_blocked(&req.link) {
-        // A crash fault is pinning this link down; keep backing off so
-        // recovery reconnects through the normal retry path.
-        pending.push((
-            Instant::now() + req.backoff,
-            DialRequest {
-                link: req.link,
-                delay: req.backoff,
-                backoff: (req.backoff * 2).min(RECONNECT_MAX),
-            },
-        ));
-        return;
-    }
-    let addr = req.link.addr.expect("dialed link has an address");
-    match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
-        Ok(stream) if configure_stream(&stream).is_ok() => {
-            let li = inner.next_loop();
-            inner.send_loop_cmd(
-                li,
-                LoopCmd::Adopt {
-                    stream,
-                    link: req.link,
-                    dialed: true,
-                },
-            );
-        }
-        _ => {
-            pending.push((
-                Instant::now() + req.backoff,
-                DialRequest {
-                    link: req.link,
-                    delay: req.backoff,
-                    backoff: (req.backoff * 2).min(RECONNECT_MAX),
-                },
-            ));
-        }
-    }
-}
-
-/// One reactor thread: owns a poller, a slab of connections, and (for
-/// loop 0) the accept listener.
+/// The transport's one reactor thread: owns the poller, the listener,
+/// every connection and every dial.
 struct EventLoop {
-    idx: usize,
     inner: Arc<TcpInner>,
     poller: Poller,
     conns: Slab,
     cmd_rx: Receiver<LoopCmd>,
     wake_rx: WakeReceiver,
-    sleeping: Arc<AtomicBool>,
     listener: Option<TcpListener>,
+    /// Dialed links between connections, with when each dials next.
+    idle: Vec<(Instant, Arc<Link>, Redial)>,
+    /// Connects in flight by deadline — in start order, as every one
+    /// gets [`CONNECT_TIMEOUT`]. Entries whose connect has finished are
+    /// skipped when they fall due.
+    connecting: VecDeque<(Instant, usize)>,
 }
 
 impl EventLoop {
     fn run(mut self) {
-        if self
-            .poller
-            .register(self.wake_rx.raw_fd(), WAKER_TOKEN, Interest::READ)
-            .is_err()
-        {
-            return;
-        }
-        if let Some(listener) = &self.listener {
-            if listener.set_nonblocking(true).is_err()
-                || self
-                    .poller
-                    .register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-                    .is_err()
-            {
-                return;
-            }
-        }
         let mut events: Vec<Event> = Vec::new();
         loop {
             while let Ok(cmd) = self.cmd_rx.try_recv() {
@@ -865,17 +725,19 @@ impl EventLoop {
             if self.inner.is_shutdown() {
                 break;
             }
+            let timeout = self.run_timers(Instant::now());
             // Sleep/wake protocol: publish "sleeping", then re-check the
             // command queue — a sender that enqueued after our check will
             // observe sleeping=true and wake us; one that enqueued before
             // is caught by this re-check.
-            self.sleeping.store(true, Ordering::SeqCst);
+            let sleeping = &self.inner.sleeping;
+            sleeping.store(true, Ordering::SeqCst);
             if !self.cmd_rx.is_empty() || self.inner.is_shutdown() {
-                self.sleeping.store(false, Ordering::SeqCst);
+                sleeping.store(false, Ordering::SeqCst);
                 continue;
             }
-            let res = self.poller.wait(&mut events, POLL_INTERVAL);
-            self.sleeping.store(false, Ordering::SeqCst);
+            let res = self.poller.wait(&mut events, timeout);
+            sleeping.store(false, Ordering::SeqCst);
             if res.is_err() {
                 break;
             }
@@ -892,110 +754,155 @@ impl EventLoop {
 
     fn handle_cmd(&mut self, cmd: LoopCmd) {
         match cmd {
-            LoopCmd::Adopt {
-                stream,
-                link,
-                dialed,
-            } => self.adopt(stream, link, dialed),
+            LoopCmd::Dial(link) => self.dial(link, Redial::FIRST, Instant::now()),
+            // With write interest registered the poller already drives
+            // the connection; a flush would just collect a WouldBlock.
             LoopCmd::Flush(token) => {
-                // If write interest is registered the poller is already
-                // driving this connection; a flush attempt would just
-                // collect another WouldBlock.
-                if let Some(conn) = self.conns.get_mut(token) {
-                    if conn.want_write {
-                        return;
-                    }
+                if !self.conns.get_mut(token).is_some_and(|c| c.want_write) {
+                    self.flush_conn(token);
                 }
-                self.flush_conn(token);
             }
             LoopCmd::Close(token) => self.close_conn(token),
         }
     }
 
-    fn adopt(&mut self, stream: TcpStream, link: Arc<Link>, dialed: bool) {
-        if self.inner.is_shutdown() || (dialed && link.is_closed()) {
-            return; // dropping the stream closes it
+    /// Gives up on every connect past its deadline and starts every dial
+    /// that is due; returns how long the poller may sleep before the next
+    /// such deadline.
+    fn run_timers(&mut self, now: Instant) -> Duration {
+        let mut next = now + POLL_INTERVAL;
+        while let Some(&(by, token)) = self.connecting.front() {
+            if by > now {
+                next = next.min(by);
+                break;
+            }
+            self.connecting.pop_front();
+            if self
+                .conns
+                .get_mut(token)
+                .is_some_and(|c| c.connect_by == Some(by))
+            {
+                self.close_conn(token);
+            }
         }
-        let hellos = if dialed {
-            self.inner.hellos_for(&link)
-        } else {
-            Vec::new()
-        };
+        let mut i = 0;
+        while i < self.idle.len() {
+            if self.idle[i].0 <= now {
+                let (_, link, redial) = self.idle.swap_remove(i);
+                self.dial(link, redial, now);
+            } else {
+                next = next.min(self.idle[i].0);
+                i += 1;
+            }
+        }
+        // The poller counts whole milliseconds: round up, never spin.
+        (next - now).max(Duration::from_millis(1))
+    }
+
+    /// Starts a connect for `link` — or backs it off while a crash fault
+    /// pins it down or the connect fails at once.
+    fn dial(&mut self, link: Arc<Link>, mut redial: Redial, now: Instant) {
+        if link.is_closed() || self.inner.is_shutdown() {
+            return;
+        }
+        if !self.inner.dial_blocked(&link) {
+            let addr = link.addr.expect("dialed link has an address");
+            if let Ok(stream) = connect_nonblocking(addr) {
+                return self.adopt(stream, link, Some(redial));
+            }
+        }
+        self.idle.push((redial.failed(now), link, redial));
+    }
+
+    /// Takes ownership of a socket: a dialed one while its connect is in
+    /// flight (write readiness reports the outcome), an accepted one
+    /// open.
+    fn adopt(&mut self, stream: TcpStream, link: Arc<Link>, redial: Option<Redial>) {
+        let connect_by = redial.map(|_| Instant::now() + CONNECT_TIMEOUT);
         let fd = stream.as_raw_fd();
         let token = self.conns.insert(Conn {
             stream,
             acc: FrameAccumulator::new(),
-            link: Arc::clone(&link),
-            pending: hellos
-                .into_iter()
-                .map(|from| PendingFrame::new(OutFrame::Hello(from)))
-                .collect(),
+            link,
+            pending: VecDeque::new(),
             announced: Vec::new(),
-            want_write: false,
-            dialed,
+            want_write: connect_by.is_some(),
+            redial,
+            connect_by,
         });
-        if self.poller.register(fd, token, Interest::READ).is_err() {
-            self.conns.remove(token);
-            if dialed {
-                self.inner.request_dial(link, RECONNECT_MIN);
-            }
-            return;
-        }
-        link.bind(self.idx, token);
         self.inner.open_conns.fetch_add(1, Ordering::Relaxed);
+        // A dial waits for write readiness: its connect's outcome.
+        let interest = match connect_by {
+            Some(_) => Interest::READ_WRITE,
+            None => Interest::READ,
+        };
+        if self.poller.register(fd, token, interest).is_err() {
+            return self.close_conn(token);
+        }
+        match connect_by {
+            Some(by) => self.connecting.push_back((by, token)),
+            None => self.opened(token),
+        }
+    }
+
+    /// Connection `token` is open: a dialed one announces this node's
+    /// endpoints and starts its backoff over; the link binds, and what
+    /// queued meanwhile flushes.
+    fn opened(&mut self, token: usize) {
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        conn.connect_by = None;
+        if let Some(redial) = &mut conn.redial {
+            redial.connected();
+            let hellos = self.inner.hellos_for(&conn.link);
+            conn.pending.extend(
+                hellos
+                    .into_iter()
+                    .map(|from| PendingFrame::new(OutFrame::Hello(from))),
+            );
+        }
+        conn.link.bind(token);
         self.flush_conn(token);
     }
 
+    /// Accepts until `WouldBlock` — or a transient failure (e.g.
+    /// EMFILE), which level-triggered polling retries on the next tick.
     fn accept_burst(&mut self) {
-        loop {
-            let accepted = match &self.listener {
-                Some(listener) => listener.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok((stream, _)) => {
-                    if configure_stream(&stream).is_err() {
-                        continue;
-                    }
-                    let link = Link::new(LinkPeer::Accepted, None, CLIENT_QUEUE_CAPACITY);
-                    // Spread accepted connections across all loops; the
-                    // command is drained at the top of each iteration, so
-                    // self-assignment works too.
-                    let li = self.inner.next_loop();
-                    self.inner.send_loop_cmd(
-                        li,
-                        LoopCmd::Adopt {
-                            stream,
-                            link,
-                            dialed: false,
-                        },
-                    );
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                // Transient accept failure (e.g. EMFILE): level-triggered
-                // polling retries on the next tick.
-                Err(_) => return,
+        while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
+            if configure_stream(&stream).is_ok() {
+                let link = Link::new(LinkPeer::Accepted, None, QUEUE_CAPACITY);
+                self.adopt(stream, link, None);
             }
         }
     }
 
     fn conn_event(&mut self, token: usize, ev: Event) {
-        let dead = if let Some(conn) = self.conns.get_mut(token) {
-            // A pure hangup (no pending bytes) kills the connection; if
-            // it is also readable, drain first so the final frames are
-            // not lost, and let the read error/EOF report the death.
-            let dead = (ev.hangup && !ev.readable)
-                || (ev.readable && read_burst(&self.inner, conn).is_err());
-            if !dead && ev.writable {
-                self.flush_conn(token);
-                return;
-            }
-            dead
-        } else {
+        let Some(conn) = self.conns.get_mut(token) else {
             return; // torn down earlier in this batch
         };
+        if conn.connect_by.is_some() {
+            // Write readiness (or an error) reports the connect's
+            // outcome. A crash fault or a deregistration that landed
+            // meanwhile still wins.
+            let ok = matches!(conn.stream.take_error(), Ok(None))
+                && !conn.link.is_closed()
+                && !self.inner.dial_blocked(&conn.link);
+            return if ok {
+                self.opened(token)
+            } else {
+                self.close_conn(token)
+            };
+        }
+        // A pure hangup (no pending bytes) kills the connection; if it is
+        // also readable, drain first so the final frames are not lost,
+        // and let the read error/EOF report the death.
+        let dead =
+            (ev.hangup && !ev.readable) || (ev.readable && read_burst(&self.inner, conn).is_err());
         if dead {
             self.close_conn(token);
+        } else if ev.writable {
+            self.flush_conn(token);
         }
     }
 
@@ -1043,43 +950,38 @@ impl EventLoop {
         self.close_conn(token);
     }
 
-    /// Eagerly reclaims a dead connection: poller slot, slab slot, gauge,
-    /// reverse routes; requeues + redials for dialed links, closes
-    /// accepted links so senders stop routing to them.
+    /// Eagerly reclaims a dead connection (or a failed connect): poller
+    /// slot, slab slot, gauge, reverse routes; requeues and backs off a
+    /// dialed link, closes an accepted one so senders stop routing to it.
     fn close_conn(&mut self, token: usize) {
         let Some(conn) = self.conns.remove(token) else {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         self.inner.open_conns.fetch_sub(1, Ordering::Relaxed);
-        conn.link.unbind(self.idx, token);
+        conn.link.unbind(token);
         if !conn.announced.is_empty() {
-            let mut reverse = self.inner.reverse.write();
-            for addr in &conn.announced {
-                if reverse
-                    .get(addr)
-                    .is_some_and(|l| Arc::ptr_eq(l, &conn.link))
-                {
-                    reverse.remove(addr);
-                }
-            }
+            self.inner
+                .reverse
+                .write()
+                .forget(&conn.announced, &conn.link);
         }
-        if conn.dialed {
-            // A partially written frame is safe to resend in full: the
-            // receiver saw a truncated frame and discarded the connection
-            // state with it.
-            let unsent: Vec<OutFrame> = conn.pending.into_iter().map(|pf| pf.frame).collect();
-            conn.link.requeue_front(unsent);
-            if !conn.link.is_closed() && !self.inner.is_shutdown() {
-                self.inner.request_dial(conn.link, RECONNECT_MIN);
-            }
-        } else {
-            conn.link.close();
+        let Some(mut redial) = conn.redial else {
+            return conn.link.close();
+        };
+        // A partially written frame is safe to resend in full: the
+        // receiver saw a truncated frame and discarded the connection
+        // state with it.
+        let unsent: Vec<OutFrame> = conn.pending.into_iter().map(|pf| pf.frame).collect();
+        conn.link.requeue_front(unsent);
+        if !conn.link.is_closed() && !self.inner.is_shutdown() {
+            let due = redial.failed(Instant::now());
+            self.idle.push((due, conn.link, redial));
         }
     }
 
     fn teardown_all(&mut self) {
-        for token in self.conns.tokens() {
+        for token in 0..self.conns.slots.len() {
             self.close_conn(token);
         }
         if let Some(listener) = self.listener.take() {
@@ -1093,29 +995,16 @@ impl EventLoop {
 fn read_burst(inner: &Arc<TcpInner>, conn: &mut Conn) -> io::Result<()> {
     for _ in 0..MAX_READ_FRAMES {
         match conn.acc.poll(&mut (&conn.stream)) {
-            Ok(Some(body)) => handle_frame(inner, conn, &body)?,
+            Ok(Some(body)) => match frame::parse_frame(&body)? {
+                Frame::Hello(from) => {
+                    inner.reverse.write().announce(from, &conn.link);
+                    conn.announced.push(from);
+                }
+                Frame::Msg { to, msg } => inner.deliver(to, msg),
+            },
             Ok(None) => return Ok(()),
             Err(e) => return Err(e),
         }
-    }
-    Ok(())
-}
-
-fn handle_frame(inner: &Arc<TcpInner>, conn: &mut Conn, body: &[u8]) -> io::Result<()> {
-    match frame::parse_frame(body)? {
-        Frame::Hello(from) => {
-            // Latest announcement wins: a restarted client's new
-            // connection replaces the stale route. Only accepted links
-            // are closed when replaced — a shared dialed link may carry
-            // other endpoints' traffic and must survive.
-            if let Some(old) = inner.reverse.write().insert(from, Arc::clone(&conn.link)) {
-                if !Arc::ptr_eq(&old, &conn.link) && old.peer == LinkPeer::Accepted {
-                    old.close();
-                }
-            }
-            conn.announced.push(from);
-        }
-        Frame::Msg { to, msg } => inner.deliver(to, msg),
     }
     Ok(())
 }
@@ -1164,27 +1053,30 @@ fn write_pending(conn: &mut Conn) -> io::Result<bool> {
     }
 }
 
-/// Binds a listener with `SO_REUSEADDR` set and a 1024-deep accept
-/// backlog. On Linux std's `TcpListener::bind` sets `SO_REUSEADDR` too
-/// (a std listener also rebinds through a served connection's TIME_WAIT);
-/// what this adds is the backlog: std listens with 128, so a burst of
-/// connects the reactor has not accepted yet — a swarm's sessions dialing
-/// at once — overflows it and the extra SYNs wait out a retransmit.
-/// Non-IPv4 addresses and non-Linux targets fall back to the std bind.
-#[cfg(target_os = "linux")]
-fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
-    use std::os::raw::{c_int, c_void};
-    use std::os::unix::io::FromRawFd;
+/// The degraded dial: std's blocking connect, bounded by
+/// [`CONNECT_TIMEOUT`], stalls the event loop while it waits.
+fn connect_blocking(addr: SocketAddr) -> io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT)?;
+    configure_stream(&stream)?;
+    Ok(stream)
+}
 
-    let SocketAddr::V4(v4) = addr else {
-        return TcpListener::bind(addr);
-    };
+/// Sockets through the C library where std has no knob: a listener with
+/// a deeper accept backlog, and a connect that does not block.
+#[cfg(target_os = "linux")]
+mod sys {
+    use std::io;
+    use std::net::{SocketAddr, SocketAddrV4, TcpListener, TcpStream};
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::os::raw::{c_int, c_void};
 
     const AF_INET: c_int = 2;
     const SOCK_STREAM: c_int = 1;
+    const SOCK_NONBLOCK: c_int = 0o4000;
     const SOCK_CLOEXEC: c_int = 0o2000000;
     const SOL_SOCKET: c_int = 1;
     const SO_REUSEADDR: c_int = 2;
+    const EINPROGRESS: i32 = 115;
 
     /// Mirrors the kernel's `struct sockaddr_in` (16 bytes, no padding).
     #[repr(C)]
@@ -1197,6 +1089,19 @@ fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
         zero: [u8; 8],
     }
 
+    impl SockaddrIn {
+        fn new(v4: SocketAddrV4) -> SockaddrIn {
+            SockaddrIn {
+                family: AF_INET as u16,
+                port: v4.port().to_be(),
+                addr: u32::from(*v4.ip()).to_be(),
+                zero: [0; 8],
+            }
+        }
+    }
+
+    const SOCKADDR_LEN: u32 = std::mem::size_of::<SockaddrIn>() as u32;
+
     extern "C" {
         fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         fn setsockopt(
@@ -1208,57 +1113,94 @@ fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
         ) -> c_int;
         fn bind(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
         fn listen(fd: c_int, backlog: c_int) -> c_int;
-        fn close(fd: c_int) -> c_int;
+        fn connect(fd: c_int, addr: *const SockaddrIn, len: u32) -> c_int;
     }
 
-    // SAFETY: plain syscalls on a socket fd this function owns until it
-    // is wrapped into a TcpListener (or closed on the error paths).
-    let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
-    if fd < 0 {
-        return Err(io::Error::last_os_error());
+    fn cvt(rc: c_int) -> io::Result<c_int> {
+        if rc < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(rc)
+        }
     }
-    let fail = |fd: c_int| -> io::Error {
-        let e = io::Error::last_os_error();
-        unsafe { close(fd) };
-        e
-    };
-    let one: c_int = 1;
-    let rc = unsafe {
-        setsockopt(
-            fd,
-            SOL_SOCKET,
-            SO_REUSEADDR,
-            (&one as *const c_int).cast(),
-            std::mem::size_of::<c_int>() as u32,
-        )
-    };
-    if rc < 0 {
-        return Err(fail(fd));
+
+    /// A fresh IPv4 stream socket; dropping it on an error path closes it.
+    fn socket_v4(flags: c_int) -> io::Result<OwnedFd> {
+        // SAFETY: a plain syscall; a non-negative result is an fd nothing
+        // else owns.
+        let fd = cvt(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | flags, 0) })?;
+        Ok(unsafe { OwnedFd::from_raw_fd(fd) })
     }
-    let sa = SockaddrIn {
-        family: AF_INET as u16,
-        port: v4.port().to_be(),
-        addr: u32::from(*v4.ip()).to_be(),
-        zero: [0; 8],
-    };
-    if unsafe { bind(fd, &sa, std::mem::size_of::<SockaddrIn>() as u32) } < 0 {
-        return Err(fail(fd));
+
+    /// Binds a listener with `SO_REUSEADDR` set and a 1024-deep accept
+    /// backlog. On Linux std's `TcpListener::bind` sets `SO_REUSEADDR` too
+    /// (a std listener also rebinds through a served connection's
+    /// TIME_WAIT); what this adds is the backlog: std listens with 128, so
+    /// a burst of connects the reactor has not accepted yet — a swarm's
+    /// sessions dialing at once — overflows it and the extra SYNs wait out
+    /// a retransmit. A non-IPv4 address falls back to the std bind.
+    pub(super) fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
+        let SocketAddr::V4(v4) = addr else {
+            return TcpListener::bind(addr);
+        };
+        let fd = socket_v4(0)?;
+        let one: c_int = 1;
+        let sa = SockaddrIn::new(v4);
+        // SAFETY: syscalls on an fd `fd` owns, with pointers to live
+        // locals of the sizes passed.
+        unsafe {
+            cvt(setsockopt(
+                fd.as_raw_fd(),
+                SOL_SOCKET,
+                SO_REUSEADDR,
+                (&one as *const c_int).cast(),
+                std::mem::size_of::<c_int>() as u32,
+            ))?;
+            cvt(bind(fd.as_raw_fd(), &sa, SOCKADDR_LEN))?;
+            cvt(listen(fd.as_raw_fd(), 1024))?;
+        }
+        Ok(TcpListener::from(fd))
     }
-    if unsafe { listen(fd, 1024) } < 0 {
-        return Err(fail(fd));
+
+    /// Starts a connect to `addr` without waiting for it: the stream comes
+    /// back nonblocking, and its write readiness reports the outcome
+    /// (`TcpStream::take_error`). A non-IPv4 address falls back to the
+    /// blocking dial.
+    pub(super) fn connect_nonblocking(addr: SocketAddr) -> io::Result<TcpStream> {
+        let SocketAddr::V4(v4) = addr else {
+            return super::connect_blocking(addr);
+        };
+        let fd = socket_v4(SOCK_NONBLOCK)?;
+        let sa = SockaddrIn::new(v4);
+        // SAFETY: a syscall on an fd `fd` owns, with a pointer to a live
+        // local of the size passed.
+        if let Err(e) = cvt(unsafe { connect(fd.as_raw_fd(), &sa, SOCKADDR_LEN) }) {
+            if e.raw_os_error() != Some(EINPROGRESS) {
+                return Err(e);
+            }
+        }
+        let stream = TcpStream::from(fd);
+        stream.set_nodelay(true)?;
+        Ok(stream)
     }
-    Ok(unsafe { TcpListener::from_raw_fd(fd) })
 }
 
+/// Off Linux: std's bind, with its 128-deep backlog, and the blocking dial.
 #[cfg(not(target_os = "linux"))]
-fn bind_reuseaddr(addr: SocketAddr) -> io::Result<TcpListener> {
-    TcpListener::bind(addr)
+mod sys {
+    pub(super) use super::connect_blocking as connect_nonblocking;
+
+    pub(super) fn bind_reuseaddr(addr: super::SocketAddr) -> std::io::Result<super::TcpListener> {
+        super::TcpListener::bind(addr)
+    }
 }
+
+use sys::{bind_reuseaddr, connect_nonblocking};
 
 /// A TCP-backed [`Transport`]: one instance per OS process/node.
 ///
 /// Call [`TcpTransport::shutdown`] (or `NetHandle::shutdown`) when done —
-/// background threads hold the transport alive until then.
+/// the event-loop thread holds the transport alive until then.
 #[derive(Clone)]
 pub struct TcpTransport {
     inner: Arc<TcpInner>,
@@ -1275,7 +1217,7 @@ impl fmt::Debug for TcpTransport {
 
 impl TcpTransport {
     /// Starts a transport, binding the listener named in `cfg.listen` (if
-    /// any) and spawning the reactor threads.
+    /// any) and spawning the event-loop thread.
     ///
     /// # Errors
     /// Returns the bind error if the listen address is taken or invalid.
@@ -1292,6 +1234,8 @@ impl TcpTransport {
     /// map is assembled from the actual bound addresses.
     pub fn with_listener(cfg: TcpConfig, listener: Option<TcpListener>) -> TcpTransport {
         let local_addr = listener.as_ref().and_then(|l| l.local_addr().ok());
+        let (cmd_tx, cmd_rx) = channel::unbounded();
+        let (waker, wake_rx) = crate::reactor::wake_pair().expect("create reactor wake pipe");
         let inner = Arc::new(TcpInner {
             cfg,
             local_addr,
@@ -1299,15 +1243,15 @@ impl TcpTransport {
             locals: RwLock::new(Vec::new()),
             dialed: RwLock::new(HashMap::new()),
             dedicated: RwLock::new(HashMap::new()),
-            reverse: RwLock::new(HashMap::new()),
-            loops: OnceLock::new(),
-            dial_tx: OnceLock::new(),
+            reverse: RwLock::new(ReverseRoutes::default()),
+            cmd_tx,
+            waker,
+            sleeping: AtomicBool::new(false),
             stats: NetworkStats::new(),
             faults: FaultController::new(),
             shutdown: AtomicBool::new(false),
             open_conns: AtomicUsize::new(0),
-            rr: AtomicUsize::new(0),
-            threads: Mutex::new(Vec::new()),
+            thread: Mutex::new(None),
             delay: DelayLine::new(),
         });
         // Crash faults tear real sockets down (recovery then re-dials);
@@ -1321,52 +1265,30 @@ impl TcpTransport {
                 }
             }
         }));
-        let mut handles = Vec::with_capacity(EVENT_LOOPS);
-        let mut ev_loops = Vec::with_capacity(EVENT_LOOPS);
-        let mut listener = listener;
-        for idx in 0..EVENT_LOOPS {
-            let (cmd_tx, cmd_rx) = channel::unbounded();
-            let (waker, wake_rx) = crate::reactor::wake_pair().expect("create reactor wake pipe");
-            let sleeping = Arc::new(AtomicBool::new(false));
-            handles.push(LoopHandle {
-                cmd_tx,
-                waker,
-                sleeping: Arc::clone(&sleeping),
-            });
-            ev_loops.push(EventLoop {
-                idx,
-                inner: Arc::clone(&inner),
-                poller: Poller::new().expect("create reactor poller"),
-                conns: Slab::default(),
-                cmd_rx,
-                wake_rx,
-                sleeping,
-                listener: listener.take(), // loop 0 gets the listener
-            });
+        let mut poller = Poller::new().expect("create reactor poller");
+        poller
+            .register(wake_rx.raw_fd(), WAKER_TOKEN, Interest::READ)
+            .expect("register reactor wake pipe");
+        if let Some(l) = &listener {
+            l.set_nonblocking(true)
+                .and_then(|()| poller.register(l.as_raw_fd(), LISTENER_TOKEN, Interest::READ))
+                .expect("register listener");
         }
-        // Before any loop runs: a peer already dialing this port (a
-        // restarted replica's do) is accepted, and handed to a loop by
-        // index, on loop 0's first iteration.
-        inner.loops.set(handles).ok().expect("loops set once");
-        let mut threads: Vec<_> = ev_loops
-            .into_iter()
-            .map(|ev_loop| {
-                std::thread::Builder::new()
-                    .name(format!("tcp-loop-{}", ev_loop.idx))
-                    .spawn(move || ev_loop.run())
-                    .expect("spawn tcp event loop")
-            })
-            .collect();
-        let (dial_tx, dial_rx) = channel::unbounded();
-        inner.dial_tx.set(dial_tx).expect("dialer set once");
-        let dial_inner = Arc::clone(&inner);
-        threads.push(
-            std::thread::Builder::new()
-                .name("tcp-dialer".into())
-                .spawn(move || dialer(&dial_inner, &dial_rx))
-                .expect("spawn tcp dialer"),
-        );
-        *inner.threads.lock() = threads;
+        let ev_loop = EventLoop {
+            inner: Arc::clone(&inner),
+            poller,
+            conns: Slab::default(),
+            cmd_rx,
+            wake_rx,
+            listener,
+            idle: Vec::new(),
+            connecting: VecDeque::new(),
+        };
+        let thread = std::thread::Builder::new()
+            .name("tcp-loop-0".into())
+            .spawn(move || ev_loop.run())
+            .expect("spawn tcp event loop");
+        *inner.thread.lock() = Some(thread);
         TcpTransport { inner }
     }
 
@@ -1392,8 +1314,9 @@ impl TcpTransport {
         self.inner.local_addr
     }
 
-    /// Live sockets currently owned by this transport's event loops —
-    /// the observable for connection-reclamation tests and swarm sizing.
+    /// Live sockets currently owned by this transport's event loop, dials
+    /// still connecting included — the observable for
+    /// connection-reclamation tests and swarm sizing.
     pub fn open_connections(&self) -> usize {
         self.inner.open_conns.load(Ordering::Relaxed)
     }
@@ -1434,11 +1357,10 @@ impl TcpTransport {
         msg: &SignedMessage,
         payload: &mut Option<Arc<Vec<u8>>>,
     ) -> Result<(), NetworkError> {
-        let local = self.inner.deliveries.read().contains_key(&to);
-        if !local && self.inner.route_to(from, to).is_none() {
+        let Some(route) = self.inner.route(from, to) else {
             self.inner.stats.record_dropped();
             return Err(NetworkError::UnknownDestination(format!("{to:?}")));
-        }
+        };
         self.inner.stats.record_sent(msg.kind(), msg.encoded_len());
         if self.inner.faults.should_drop(from, to) {
             self.inner.stats.record_dropped();
@@ -1456,37 +1378,33 @@ impl TcpTransport {
         if let Some(extra) = self.inner.faults.delay_for(from, to) {
             let (weak, msg) = (Arc::downgrade(&self.inner), msg.clone());
             self.inner.delay.schedule(Instant::now() + extra, move || {
-                if let Some(inner) = weak.upgrade() {
-                    inner.dispatch_now(from, to, &msg, &mut None);
+                let Some(inner) = weak.upgrade() else {
+                    return;
+                };
+                match inner.route(from, to) {
+                    Some(route) => inner.forward(from, to, route, &msg, &mut None),
+                    None => inner.stats.record_dropped(),
                 }
             });
             return Ok(());
         }
-        self.inner.dispatch_now(from, to, msg, payload);
+        self.inner.forward(from, to, route, msg, payload);
         Ok(())
     }
 
-    /// Stops the reactor threads and the dialer, and joins them.
+    /// Stops the event-loop thread and joins it.
     pub fn shutdown(&self) {
         if self.inner.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
         self.inner.delay.shutdown();
-        for link in self.inner.dialed.read().values() {
+        for link in self.inner.all_links() {
             link.close();
         }
-        for link in self.inner.dedicated.read().values() {
-            link.close();
-        }
-        for link in self.inner.reverse.read().values() {
-            link.close();
-        }
-        for h in self.inner.loops() {
-            h.waker.wake();
-        }
-        let handles: Vec<JoinHandle<()>> = self.inner.threads.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+        self.inner.waker.wake();
+        let thread = self.inner.thread.lock().take();
+        if let Some(thread) = thread {
+            let _ = thread.join();
         }
     }
 }
@@ -1516,10 +1434,10 @@ impl Transport for TcpTransport {
             let link = Link::new(
                 LinkPeer::Dedicated { owner: addr },
                 self.inner.cfg.peers.get(target),
-                CLIENT_QUEUE_CAPACITY,
+                QUEUE_CAPACITY,
             );
             self.inner.dedicated.write().insert(addr, Arc::clone(&link));
-            self.inner.request_dial(link, Duration::ZERO);
+            self.inner.send_loop_cmd(LoopCmd::Dial(link));
         }
         // A client eagerly dials every replica and announces itself, so
         // replicas it has never messaged (PBFT backups replying to a
@@ -1527,14 +1445,10 @@ impl Transport for TcpTransport {
         // The dedicated target (if any) is skipped: its own connection
         // announces the endpoint at adoption.
         if matches!(addr, Sender::Client(_)) {
-            let peers: Vec<(ReplicaId, SocketAddr)> = self.inner.cfg.peers.iter().collect();
-            for (id, peer_addr) in peers {
-                if Some(id) == dedicated_target {
-                    continue;
-                }
+            let peers = self.inner.cfg.peers.iter();
+            for (id, peer_addr) in peers.filter(|(id, _)| Some(*id) != dedicated_target) {
                 let link = self.inner.dialed_link(id, peer_addr);
-                self.inner
-                    .push_link(&link, OutFrame::Hello(addr), PushPolicy::Reliable);
+                self.inner.push_link(&link, OutFrame::Hello(addr));
             }
         }
     }
@@ -1547,8 +1461,8 @@ impl Transport for TcpTransport {
         // tear the socket down now rather than at peer-side EOF.
         if let Some(link) = self.inner.dedicated.write().remove(&addr) {
             link.close();
-            if let Some((li, token)) = link.owner() {
-                self.inner.send_loop_cmd(li, LoopCmd::Close(token));
+            if let Some(token) = link.owner() {
+                self.inner.send_loop_cmd(LoopCmd::Close(token));
             }
         }
     }
@@ -1782,20 +1696,16 @@ mod tests {
     fn gossip_overflow_sheds_messages_never_hellos() {
         let stats = NetworkStats::new();
         let link = Link::new(LinkPeer::Accepted, None, 2);
-        link.push(
-            OutFrame::Hello(Sender::Client(ClientId(1))),
-            PushPolicy::Reliable,
-            &stats,
-        );
+        link.push(OutFrame::Hello(Sender::Client(ClientId(1))), &stats);
         let msg_frame = |b: u8| OutFrame::Msg {
             to: r(1),
             payload: Arc::new(vec![b]),
             reliable: false,
         };
-        link.push(msg_frame(1), PushPolicy::Gossip, &stats);
+        link.push(msg_frame(1), &stats);
         // Queue is at capacity: the overflow victim must be the Msg, not
         // the routing announcement sitting in front of it.
-        link.push(msg_frame(2), PushPolicy::Gossip, &stats);
+        link.push(msg_frame(2), &stats);
         assert_eq!(stats.dropped(), 1);
         let s = link.state.lock();
         assert_eq!(s.frames.len(), 2);
@@ -1818,14 +1728,61 @@ mod tests {
             payload: Arc::new(vec![0]),
             reliable,
         };
-        link.push(frame(false), PushPolicy::Gossip, &stats);
+        link.push(frame(false), &stats);
         // The reliable push must not block: the queued gossip frame is
         // sheddable and yields its slot.
-        link.push(frame(true), PushPolicy::Reliable, &stats);
+        link.push(frame(true), &stats);
         assert_eq!(stats.dropped(), 1);
         let s = link.state.lock();
         assert_eq!(s.frames.len(), 1);
         assert!(matches!(s.frames[0], OutFrame::Msg { reliable: true, .. }));
+    }
+
+    /// Failed dials back off 10, 20, 40, … ms up to the 1 s cap, and a
+    /// connect starts the schedule over.
+    #[test]
+    fn redial_backoff_doubles_to_a_cap_and_resets_on_connect() {
+        let now = Instant::now();
+        let mut redial = Redial::FIRST;
+        let waits: Vec<u128> = (0..9)
+            .map(|_| (redial.failed(now) - now).as_millis())
+            .collect();
+        assert_eq!(waits, [10, 20, 40, 80, 160, 320, 640, 1000, 1000]);
+        redial.connected();
+        assert_eq!(redial.failed(now) - now, RECONNECT_MIN);
+        assert_eq!(redial.failed(now) - now, 2 * RECONNECT_MIN);
+    }
+
+    /// A restarted client's new connection takes over its reverse route
+    /// and closes the stale accepted link — but a shared dialed link that
+    /// carried the same HELLO is replaced without being closed.
+    #[test]
+    fn reannounce_replaces_the_route_and_closes_only_accepted_links() {
+        let client = Sender::Client(ClientId(7));
+        let first = Link::new(LinkPeer::Accepted, None, QUEUE_CAPACITY);
+        let restarted = Link::new(LinkPeer::Accepted, None, QUEUE_CAPACITY);
+        let shared = Link::new(LinkPeer::Replica(ReplicaId(1)), None, QUEUE_CAPACITY);
+        let mut routes = ReverseRoutes::default();
+        let route = |routes: &ReverseRoutes| routes.0.get(&client).cloned().unwrap();
+
+        routes.announce(client, &first);
+        routes.announce(client, &first); // a repeat keeps the link open
+        assert!(!first.is_closed());
+        routes.announce(client, &restarted);
+        assert!(Arc::ptr_eq(&route(&routes), &restarted));
+        assert!(first.is_closed(), "the stale accepted link is closed");
+
+        routes.announce(client, &shared);
+        routes.announce(client, &restarted);
+        assert!(Arc::ptr_eq(&route(&routes), &restarted));
+        assert!(!shared.is_closed(), "a shared dialed link survives");
+
+        // The replaced connection dying must not drop the live route…
+        routes.forget(&[client], &shared);
+        assert!(Arc::ptr_eq(&route(&routes), &restarted));
+        // …and the route goes with the connection that holds it.
+        routes.forget(&[client], &restarted);
+        assert!(!routes.0.contains_key(&client));
     }
 
     /// Reliability follows the endpoints, not the call: a client's plain
