@@ -159,7 +159,7 @@ impl FaultController {
     }
 
     /// The nodes currently crashed.
-    pub fn crashed(&self) -> Vec<Sender> {
+    pub(crate) fn crashed(&self) -> Vec<Sender> {
         self.inner.crashed.read().iter().copied().collect()
     }
 

@@ -129,6 +129,11 @@ const RECONNECT_MAX: Duration = Duration::from_secs(1);
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(2);
 /// Longest the loop sleeps in the poller without a deadline due.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
+/// Connects the loop keeps in flight; further due dials wait for a slot.
+/// Without a cap a burst of new links — a swarm's sessions registering —
+/// is dialed all at once, and no open connection is served until every
+/// one of those connects has started.
+const MAX_CONNECTING: usize = 128;
 
 /// Reserved poller token: the loop's wake pipe.
 const WAKER_TOKEN: usize = usize::MAX;
@@ -713,6 +718,8 @@ struct EventLoop {
     /// gets [`CONNECT_TIMEOUT`]. Entries whose connect has finished are
     /// skipped when they fall due.
     connecting: VecDeque<(Instant, usize)>,
+    /// Connects in flight, at most [`MAX_CONNECTING`].
+    in_flight: usize,
 }
 
 impl EventLoop {
@@ -754,7 +761,7 @@ impl EventLoop {
 
     fn handle_cmd(&mut self, cmd: LoopCmd) {
         match cmd {
-            LoopCmd::Dial(link) => self.dial(link, Redial::FIRST, Instant::now()),
+            LoopCmd::Dial(link) => self.idle.push((Instant::now(), link, Redial::FIRST)),
             // With write interest registered the poller already drives
             // the connection; a flush would just collect a WouldBlock.
             LoopCmd::Flush(token) => {
@@ -785,14 +792,16 @@ impl EventLoop {
                 self.close_conn(token);
             }
         }
-        let mut i = 0;
-        while i < self.idle.len() {
-            if self.idle[i].0 <= now {
-                let (_, link, redial) = self.idle.swap_remove(i);
+        // In order: links dial in the order they were made, so a
+        // node's shared links go out ahead of a swarm's sessions.
+        for (due, link, redial) in std::mem::take(&mut self.idle) {
+            if due <= now && self.in_flight < MAX_CONNECTING {
                 self.dial(link, redial, now);
             } else {
-                next = next.min(self.idle[i].0);
-                i += 1;
+                if due > now {
+                    next = next.min(due);
+                }
+                self.idle.push((due, link, redial));
             }
         }
         // The poller counts whole milliseconds: round up, never spin.
@@ -831,6 +840,7 @@ impl EventLoop {
             connect_by,
         });
         self.inner.open_conns.fetch_add(1, Ordering::Relaxed);
+        self.in_flight += usize::from(connect_by.is_some());
         // A dial waits for write readiness: its connect's outcome.
         let interest = match connect_by {
             Some(_) => Interest::READ_WRITE,
@@ -852,7 +862,9 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(token) else {
             return;
         };
-        conn.connect_by = None;
+        if conn.connect_by.take().is_some() {
+            self.in_flight -= 1;
+        }
         if let Some(redial) = &mut conn.redial {
             redial.connected();
             let hellos = self.inner.hellos_for(&conn.link);
@@ -959,6 +971,7 @@ impl EventLoop {
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         self.inner.open_conns.fetch_sub(1, Ordering::Relaxed);
+        self.in_flight -= usize::from(conn.connect_by.is_some());
         conn.link.unbind(token);
         if !conn.announced.is_empty() {
             self.inner
@@ -1126,10 +1139,12 @@ mod sys {
 
     /// A fresh IPv4 stream socket; dropping it on an error path closes it.
     fn socket_v4(flags: c_int) -> io::Result<OwnedFd> {
-        // SAFETY: a plain syscall; a non-negative result is an fd nothing
-        // else owns.
-        let fd = cvt(unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | flags, 0) })?;
-        Ok(unsafe { OwnedFd::from_raw_fd(fd) })
+        // SAFETY: a plain syscall; a non-negative result is a new fd that
+        // nothing else owns, so the `OwnedFd` may take it over.
+        unsafe {
+            let fd = cvt(socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | flags, 0))?;
+            Ok(OwnedFd::from_raw_fd(fd))
+        }
     }
 
     /// Binds a listener with `SO_REUSEADDR` set and a 1024-deep accept
@@ -1283,6 +1298,7 @@ impl TcpTransport {
             listener,
             idle: Vec::new(),
             connecting: VecDeque::new(),
+            in_flight: 0,
         };
         let thread = std::thread::Builder::new()
             .name("tcp-loop-0".into())
