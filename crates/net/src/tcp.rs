@@ -25,7 +25,8 @@
 //!   memoized, verified without re-serialization) survives the socket,
 //!   and the loop calls the destination's [`Delivery`] function.
 //! - **Routing**: the loop dials replicas from the [`PeerMap`] with a
-//!   nonblocking connect and redials a link without a connection with
+//!   nonblocking connect — a bounded number in flight, in the order the
+//!   links were made — and redials a link without a connection with
 //!   exponential backoff, so a restarted replica rejoins without
 //!   coordination. Off Linux, and for a non-IPv4 address, it falls back
 //!   to std's blocking `connect_timeout` — degraded, like the poller's
