@@ -163,6 +163,18 @@ enum OutFrame {
     },
 }
 
+impl OutFrame {
+    fn sheddable(&self) -> bool {
+        matches!(
+            self,
+            OutFrame::Msg {
+                reliable: false,
+                ..
+            }
+        )
+    }
+}
+
 /// What a link connects to — determines hello policy and teardown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LinkPeer {
@@ -231,16 +243,7 @@ impl Link {
             while s.frames.len() >= self.capacity {
                 // Only non-reliable Msg frames are victims: losing a
                 // queued HELLO would permanently strand a reply path.
-                let sheddable = |f: &OutFrame| {
-                    matches!(
-                        f,
-                        OutFrame::Msg {
-                            reliable: false,
-                            ..
-                        }
-                    )
-                };
-                if let Some(idx) = s.frames.iter().position(sheddable) {
+                if let Some(idx) = s.frames.iter().position(OutFrame::sheddable) {
                     s.frames.remove(idx);
                     stats.record_dropped();
                     break;
@@ -443,12 +446,16 @@ struct Slab {
 
 impl Slab {
     fn insert(&mut self, conn: Conn) -> usize {
-        let token = self.free.pop().unwrap_or(self.slots.len());
-        if token == self.slots.len() {
-            self.slots.push(None);
+        match self.free.pop() {
+            Some(i) => {
+                self.slots[i] = Some(conn);
+                i
+            }
+            None => {
+                self.slots.push(Some(conn));
+                self.slots.len() - 1
+            }
         }
-        self.slots[token] = Some(conn);
-        token
     }
 
     fn get_mut(&mut self, token: usize) -> Option<&mut Conn> {
@@ -612,26 +619,19 @@ impl TcpInner {
     /// and backs them off until the node recovers. Accepted links are
     /// closed; the remote re-dials and re-announces after its recovery.
     fn teardown_sockets(&self, node: Sender) {
-        let links = if self.locals.read().iter().any(|(a, _)| *a == node) {
+        let mut links = Vec::new();
+        if self.locals.read().iter().any(|(a, _)| *a == node) {
             // The node itself crashed: drop every connection it owns.
-            self.all_links()
+            links = self.all_links();
         } else {
-            let mut links: Vec<Arc<Link>> = self
-                .reverse
-                .read()
-                .0
-                .get(&node)
-                .cloned()
-                .into_iter()
-                .collect();
             if let Sender::Replica(r) = node {
                 links.extend(self.dialed.read().get(&r.0).cloned());
                 if self.cfg.dedicated_to == Some(r) {
                     links.extend(self.dedicated.read().values().cloned());
                 }
             }
-            links
-        };
+            links.extend(self.reverse.read().0.get(&node).cloned());
+        }
         for link in links {
             if let Some(token) = link.owner() {
                 self.send_loop_cmd(LoopCmd::Close(token));
