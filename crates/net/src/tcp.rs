@@ -1600,7 +1600,7 @@ mod tests {
         assert!(connected(&t0), "send established a dialed connection");
 
         // Crash the remote: the dialed socket must actually close, and
-        // the dialer must not re-establish it while the fault holds.
+        // the event loop must not redial it while the fault holds.
         t0.faults().crash(r(1));
         let deadline = Instant::now() + Duration::from_secs(5);
         while t0.open_connections() > 0 && Instant::now() < deadline {

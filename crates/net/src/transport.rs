@@ -117,7 +117,7 @@ pub trait Transport: Send + Sync + fmt::Debug {
     /// The shared fault controller.
     fn faults(&self) -> &FaultController;
 
-    /// Stops background threads (wire thread, reactors, dialers).
+    /// Stops background threads (wire thread, event loop).
     fn shutdown(&self);
 }
 

@@ -131,7 +131,7 @@ if ! wait "$client_pid"; then
 fi
 grep CLIENT "$LOG_DIR/client-0.log" || true
 
-# Restart replica 0: the dialer reconnect path brings it back into the
+# Restart replica 0: the transport's redial path brings it back into the
 # cluster. It starts from genesis in a fresh process, but the survivors
 # have pruned their logs at checkpoints, so the only way back to the
 # cluster digest is a verified snapshot plus the unpruned tail — asserted
