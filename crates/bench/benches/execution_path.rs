@@ -399,7 +399,7 @@ fn note_stable_costs_us(intervals: u64) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(7);
     let (mut persist, mut log_only) = (Vec::new(), Vec::new());
     for seq in 1..=intervals * CHECKPOINT_INTERVAL {
-        std::hint::black_box(executor.execute(&uniform_item(seq, &mut rng)));
+        std::hint::black_box(executor.execute(uniform_item(seq, &mut rng)));
         if seq % CHECKPOINT_INTERVAL == 0 {
             let start = Instant::now();
             executor.note_stable(SeqNum(seq));

@@ -144,41 +144,29 @@ pub struct ThreadConfig {
     /// execute-thread, and `N ≥ 2` runs a pool of `N` conflict-scheduled
     /// execute workers behind a coordinator.
     pub execute_threads: usize,
-    /// Output threads sharing the client-bound send load (the worker sends
-    /// consensus traffic itself).
-    pub output_threads: usize,
 }
 
 impl ThreadConfig {
-    /// The paper's standard pipeline: one worker, one execute (`1E`), two
-    /// batch-threads (`2B`) and two output threads. There are no input or
-    /// checkpoint threads: the transport delivers each message into the
-    /// stage that consumes it, and the worker verifies checkpoint votes
-    /// with the rest of the replica traffic.
+    /// The paper's standard pipeline: one worker, one execute (`1E`) and
+    /// two batch-threads (`2B`). There are no input, checkpoint or output
+    /// threads: the transport delivers each message into the stage that
+    /// consumes it, the worker verifies checkpoint votes with the rest of
+    /// the replica traffic, and the execute stage sends its own replies.
     pub fn standard() -> Self {
-        ThreadConfig {
-            batch_threads: 2,
-            execute_threads: 1,
-            output_threads: 2,
-        }
+        Self::with_e_b(1, 2)
     }
 
-    /// The `xE yB` notation of Figure 8 applied to the standard pipeline.
+    /// The `xE yB` notation of Figure 8.
     pub fn with_e_b(execute_threads: usize, batch_threads: usize) -> Self {
         ThreadConfig {
             execute_threads,
             batch_threads,
-            ..Self::standard()
         }
     }
 
     /// Single-threaded monolith: every task on the worker thread (`0E 0B`).
     pub fn monolithic() -> Self {
-        ThreadConfig {
-            batch_threads: 0,
-            execute_threads: 0,
-            output_threads: 1,
-        }
+        Self::with_e_b(0, 0)
     }
 
     /// Short `xE yB` label used in figure output.
@@ -289,9 +277,6 @@ impl SystemConfig {
                 "batch_size must be positive".into(),
             ));
         }
-        if self.threads.output_threads == 0 {
-            return Err(CommonError::InvalidConfig("need output threads".into()));
-        }
         if self.ops_per_txn == 0 {
             return Err(CommonError::InvalidConfig(
                 "ops_per_txn must be positive".into(),
@@ -385,9 +370,9 @@ mod tests {
     #[test]
     fn thread_config_counts() {
         let t = ThreadConfig::standard();
-        // 2 batch + 1 worker + 1 exec + 2 out
-        let per_stage = [t.batch_threads, t.execute_threads, t.output_threads];
-        assert_eq!(per_stage, [2, 1, 2]);
+        // 2 batch + 1 worker + 1 exec
+        let per_stage = [t.batch_threads, t.execute_threads];
+        assert_eq!(per_stage, [2, 1]);
         assert_eq!(t.label(), "1E 2B");
         assert_eq!(ThreadConfig::monolithic().label(), "0E 0B");
     }

@@ -16,8 +16,10 @@
 //!   it with **vectored writes**, coalescing up to 64 frames per syscall.
 //!   On overflow replica-to-replica gossip is *drop-oldest* — the
 //!   protocol tolerates loss and retransmits by design — while a frame
-//!   with a client on either end is *reliable*: its sender blocks
-//!   (backpressure) until space frees up. A HELLO is never shed. A send
+//!   with a client on either end is never shed. Only a client's own
+//!   frames wait for space (backpressure on that client); a replica's
+//!   frame to a client evicts gossip or goes over capacity, so a slow
+//!   client reader stalls no replica stage. A HELLO is never shed. A send
 //!   serializes the envelope **once** and shares the encoded buffer
 //!   across every destination's queue.
 //! - **Inbound**: frames decode through [`SignedMessage::decode`]'s
@@ -155,11 +157,10 @@ enum OutFrame {
     /// Announce a local endpoint to the peer (routing for replies).
     Hello(Sender),
     /// An envelope for `to`; `payload` is the shared canonical encoding.
-    /// `reliable` frames are never shed by the overflow policy.
     Msg {
         to: Sender,
         payload: Arc<Vec<u8>>,
-        reliable: bool,
+        overflow: Overflow,
     },
 }
 
@@ -168,10 +169,35 @@ impl OutFrame {
         matches!(
             self,
             OutFrame::Msg {
-                reliable: false,
+                overflow: Overflow::Shed,
                 ..
             }
         )
+    }
+}
+
+/// What a message frame does on a full link, once no gossip is left to
+/// shed. Only a [`Overflow::Shed`] frame is ever shed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Overflow {
+    /// Replica-to-replica gossip: exceeds capacity, and is the first to
+    /// go when a later frame needs room.
+    Shed,
+    /// From a replica to a client: exceeds capacity, so the replica stage
+    /// sending it never waits on one client's reader.
+    Exceed,
+    /// From a client: waits for space (backpressure on that client).
+    Wait,
+}
+
+impl Overflow {
+    /// The one reliability rule, from the endpoints.
+    fn of(from: Sender, to: Sender) -> Overflow {
+        match (from, to) {
+            (Sender::Client(_), _) => Overflow::Wait,
+            (_, Sender::Client(_)) => Overflow::Exceed,
+            _ => Overflow::Shed,
+        }
     }
 }
 
@@ -229,9 +255,9 @@ impl Link {
 
     /// Queues `f`, returning the connection token to notify if the link
     /// was not already armed. On overflow the oldest sheddable (gossip)
-    /// frame is dropped; with none queued, gossip exceeds capacity rather
-    /// than stall the pipeline, and a reliable frame waits for space
-    /// (backpressure). A HELLO bypasses the capacity check — a routing
+    /// frame is dropped; with none queued, a frame waits for space only
+    /// if it comes from a client (see [`Overflow`]) and otherwise exceeds
+    /// capacity. A HELLO bypasses the capacity check — a routing
     /// announcement is never shed and never a backpressure source (there
     /// are at most as many as local endpoints).
     fn push(&self, f: OutFrame, stats: &NetworkStats) -> Option<usize> {
@@ -239,16 +265,16 @@ impl Link {
         if s.closed {
             return None;
         }
-        if let OutFrame::Msg { reliable, .. } = f {
+        if let OutFrame::Msg { overflow, .. } = f {
             while s.frames.len() >= self.capacity {
-                // Only non-reliable Msg frames are victims: losing a
-                // queued HELLO would permanently strand a reply path.
+                // Only gossip frames are victims: losing a queued HELLO
+                // would permanently strand a reply path.
                 if let Some(idx) = s.frames.iter().position(OutFrame::sheddable) {
                     s.frames.remove(idx);
                     stats.record_dropped();
                     break;
                 }
-                if !reliable {
+                if overflow != Overflow::Wait {
                     break;
                 }
                 self.space.wait(&mut s);
@@ -665,15 +691,12 @@ impl TcpInner {
         let shared = payload
             .get_or_insert_with(|| Arc::new(msg.encode()))
             .clone();
-        // The one reliability rule: a client on either end (a request, a
-        // reply) is never shed; replica-to-replica gossip is droppable.
-        let reliable = matches!(from, Sender::Client(_)) || matches!(to, Sender::Client(_));
         self.push_link(
             &link,
             OutFrame::Msg {
                 to,
                 payload: shared,
-                reliable,
+                overflow: Overflow::of(from, to),
             },
         );
     }
@@ -1717,7 +1740,7 @@ mod tests {
         let msg_frame = |b: u8| OutFrame::Msg {
             to: r(1),
             payload: Arc::new(vec![b]),
-            reliable: false,
+            overflow: Overflow::Shed,
         };
         link.push(msg_frame(1), &stats);
         // Queue is at capacity: the overflow victim must be the Msg, not
@@ -1736,23 +1759,77 @@ mod tests {
         }
     }
 
+    fn frame(overflow: Overflow) -> OutFrame {
+        OutFrame::Msg {
+            to: r(1),
+            payload: Arc::new(vec![0]),
+            overflow,
+        }
+    }
+
+    /// Pushes `f` onto `link` from a thread of its own; the receiver
+    /// hears once the push has returned.
+    fn push_elsewhere(link: &Arc<Link>, f: OutFrame, stats: &NetworkStats) -> Receiver<()> {
+        let (link, stats) = (Arc::clone(link), stats.clone());
+        let (done_tx, done_rx) = channel::bounded(1);
+        std::thread::spawn(move || {
+            link.push(f, &stats);
+            let _ = done_tx.send(());
+        });
+        done_rx
+    }
+
     #[test]
     fn reliable_overflow_sheds_gossip_to_make_room() {
         let stats = NetworkStats::new();
         let link = Link::new(LinkPeer::Accepted, None, 1);
-        let frame = |reliable| OutFrame::Msg {
-            to: r(1),
-            payload: Arc::new(vec![0]),
-            reliable,
-        };
-        link.push(frame(false), &stats);
-        // The reliable push must not block: the queued gossip frame is
+        link.push(frame(Overflow::Shed), &stats);
+        // The client's push must not block: the queued gossip frame is
         // sheddable and yields its slot.
-        link.push(frame(true), &stats);
+        link.push(frame(Overflow::Wait), &stats);
         assert_eq!(stats.dropped(), 1);
         let s = link.state.lock();
         assert_eq!(s.frames.len(), 1);
-        assert!(matches!(s.frames[0], OutFrame::Msg { reliable: true, .. }));
+        assert!(matches!(
+            s.frames[0],
+            OutFrame::Msg {
+                overflow: Overflow::Wait,
+                ..
+            }
+        ));
+    }
+
+    /// Only a client's own frames wait for link space. On a full link a
+    /// replica's frame to a client returns at once: it sheds queued
+    /// gossip first, and otherwise the queue goes over capacity. A
+    /// client's frame waits until the link drains.
+    #[test]
+    fn only_a_clients_own_frames_wait_for_a_full_link() {
+        let stats = NetworkStats::new();
+        let link = Link::new(LinkPeer::Accepted, None, 1);
+        let quick = Duration::from_secs(5);
+        link.push(frame(Overflow::Shed), &stats);
+        push_elsewhere(&link, frame(Overflow::Exceed), &stats)
+            .recv_timeout(quick)
+            .expect("a reply into a full link sheds gossip, never waits");
+        assert_eq!(stats.dropped(), 1, "the gossip frame was shed");
+        push_elsewhere(&link, frame(Overflow::Exceed), &stats)
+            .recv_timeout(quick)
+            .expect("a reply into a full link of replies never waits");
+        assert_eq!(link.state.lock().frames.len(), 2, "over capacity");
+        assert_eq!(stats.dropped(), 1, "no reply was shed");
+
+        let request = push_elsewhere(&link, frame(Overflow::Wait), &stats);
+        assert!(
+            request.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a client's frame into a full link waits for space"
+        );
+        link.drain_into(&mut VecDeque::new(), 2);
+        request
+            .recv_timeout(quick)
+            .expect("the drain makes room for the client's frame");
+        assert_eq!(link.state.lock().frames.len(), 1);
+        assert_eq!(stats.dropped(), 1);
     }
 
     /// Failed dials back off 10, 20, 40, … ms up to the 1 s cap, and a

@@ -80,11 +80,13 @@ pub type Delivery = Box<dyn Fn(SignedMessage) -> bool + Send + Sync>;
 /// channel or a socket.
 ///
 /// Reliability is not the caller's choice; it follows the endpoints. A
-/// message with a client on either end (a request, a reply) is never shed
-/// — a backend that bounds its queues makes the sender wait for space.
-/// Replica-to-replica traffic is droppable gossip: the protocol tolerates
-/// loss and retransmits by design, so a backend may shed it under
-/// backpressure (the TCP backend's drop-oldest link policy).
+/// message with a client on either end (a request, a reply) is never shed.
+/// A backend that bounds its queues makes only a client wait for space: a
+/// replica's message to a client goes over the bound, so no replica stage
+/// waits on a client's reader. Replica-to-replica traffic is droppable
+/// gossip: the protocol tolerates loss and retransmits by design, so a
+/// backend may shed it under backpressure (the TCP backend's drop-oldest
+/// link policy).
 pub trait Transport: Send + Sync + fmt::Debug {
     /// Sends `msg` from `from` to every address in `to`, skipping `from`
     /// itself. Every destination shares the one envelope: the in-memory

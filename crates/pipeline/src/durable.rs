@@ -482,7 +482,7 @@ pub fn recover_replica(
                     certificate,
                     history,
                 };
-                executor.execute(&item);
+                executor.execute(item);
                 history_at.insert(seq, history.unwrap_or(Digest::ZERO));
                 last = seq;
                 source = RecoverySource::Local;
@@ -687,7 +687,7 @@ mod tests {
         assert_eq!(report.source, RecoverySource::None, "empty data dir");
         assert_eq!(report.head, SeqNum(0));
         for seq in 1..=4 {
-            live.execute(&item(seq, seq as u8, false));
+            live.execute(item(seq, seq as u8, false));
         }
         let digest = live.store().state_digest();
         let (txns, batches) = (live.executed_txns(), live.executed_batches());
@@ -706,9 +706,9 @@ mod tests {
         // replica that never died.
         let survivor = fresh_executor(ProtocolKind::Pbft);
         for seq in 1..=5 {
-            survivor.execute(&item(seq, seq as u8, false));
+            survivor.execute(item(seq, seq as u8, false));
         }
-        reborn.execute(&item(5, 5, false));
+        reborn.execute(item(5, 5, false));
         assert_eq!(
             reborn.store().state_digest(),
             survivor.store().state_digest()
@@ -722,7 +722,7 @@ mod tests {
         let (durability, _) = recover_replica(&live, &dir, &config()).expect("boot");
         live.set_snapshot_interval(2);
         for seq in 1..=5 {
-            live.execute(&item(seq, seq as u8, false));
+            live.execute(item(seq, seq as u8, false));
         }
         assert_eq!(durability.wal_appends(), 5);
         assert!(durability.snapshot_due(), "no snapshot yet: size 0");
@@ -771,7 +771,7 @@ mod tests {
             live.set_snapshot_interval(4);
             let (_, _) = recover_replica(&live, &dir, &config()).expect("boot");
             for seq in 1..=9 {
-                live.execute(&item(seq, seq as u8, zyzzyva));
+                live.execute(item(seq, seq as u8, zyzzyva));
                 if seq == 5 {
                     live.note_stable(SeqNum(4)); // snapshot-4 on disk, WAL above it
                 }
@@ -781,7 +781,7 @@ mod tests {
             let (survivor, survivor_chain) = fresh_with_chain(protocol);
             survivor.set_snapshot_interval(4);
             for seq in 1..=11 {
-                survivor.execute(&item(seq, seq as u8, zyzzyva));
+                survivor.execute(item(seq, seq as u8, zyzzyva));
             }
             // Each restart extends the log it recovers from: one copy each.
             let copy = tmp("mid-interval-copy");
@@ -802,7 +802,7 @@ mod tests {
                 // rewinds to the stable floor.
                 assert_eq!(report.head, SeqNum(if zyzzyva { 4 } else { 9 }));
                 for seq in report.head.0 + 1..=11 {
-                    reborn.execute(&item(seq, seq as u8, zyzzyva));
+                    reborn.execute(item(seq, seq as u8, zyzzyva));
                 }
                 let head = chain.lock().head().clone();
                 (head, reborn.store().state_digest())
@@ -827,12 +827,12 @@ mod tests {
         let dir = tmp("zyz-tail");
         let live = fresh_executor(ProtocolKind::Zyzzyva);
         let (_, _) = recover_replica(&live, &dir, &config()).expect("boot");
-        live.execute(&item(1, 1, true));
+        live.execute(item(1, 1, true));
         live.note_stable(SeqNum(1));
         let stable_digest = live.store().state_digest();
         // A speculative suffix that never reached a stable checkpoint.
-        live.execute(&item(2, 66, true));
-        live.execute(&item(3, 66, true));
+        live.execute(item(2, 66, true));
+        live.execute(item(3, 66, true));
         drop(live);
 
         let reborn = fresh_executor(ProtocolKind::Zyzzyva);
@@ -857,10 +857,10 @@ mod tests {
         let dir = tmp("rollback");
         let live = fresh_executor(ProtocolKind::Zyzzyva);
         let (_, _) = recover_replica(&live, &dir, &config()).expect("boot");
-        live.execute(&item(1, 1, true));
-        live.execute(&item(2, 66, true)); // mis-speculation
+        live.execute(item(1, 1, true));
+        live.execute(item(2, 66, true)); // mis-speculation
         live.rollback_to(SeqNum(1)); // logs a Rollback marker
-        live.execute(&item(2, 2, true)); // reconciled history
+        live.execute(item(2, 2, true)); // reconciled history
         live.note_stable(SeqNum(2));
         let digest = live.store().state_digest();
         drop(live);
@@ -882,7 +882,7 @@ mod tests {
         let (_, _) = recover_replica(&live, &dir, &config()).expect("boot");
         live.set_snapshot_interval(2);
         for seq in 1..=3 {
-            live.execute(&item(seq, seq as u8, false));
+            live.execute(item(seq, seq as u8, false));
         }
         live.note_stable(SeqNum(2)); // snapshot-2 persisted, WAL keeps only seq 3
         drop(live);
@@ -907,8 +907,8 @@ mod tests {
         let live = fresh_executor(ProtocolKind::Pbft);
         let (durability, _) = recover_replica(&live, &dir, &config()).expect("boot");
         live.set_snapshot_interval(2);
-        live.execute(&wide_item(1, 64, false));
-        live.execute(&item(2, 2, false));
+        live.execute(wide_item(1, 64, false));
+        live.execute(item(2, 2, false));
         live.note_stable(SeqNum(2));
         assert!(dir.join("snapshot-2.snap").exists(), "the first persists");
         // Later checkpoints only log their marker until the log has grown
@@ -917,7 +917,7 @@ mod tests {
         while dir.join("snapshot-2.snap").exists() {
             assert!(seq < 40, "the log outgrew the snapshot long ago");
             for s in seq + 1..=seq + 2 {
-                live.execute(&item(s, s as u8, false));
+                live.execute(item(s, s as u8, false));
             }
             seq += 2;
             let due = durability.wal.byte_len() + MARKER_BYTES

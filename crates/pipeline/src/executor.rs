@@ -21,7 +21,7 @@
 //!   block, build replies, maintain counters.
 
 use crate::durable::{commit_entry_bytes, Durability, WalEntry};
-use crate::queues::ExecuteItem;
+use crate::queues::{CommitItem, ExecuteItem};
 use parking_lot::Mutex;
 use rdb_common::messages::{Message, ReplyResults, Sender};
 use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnId};
@@ -368,7 +368,7 @@ impl SeenTxns {
 /// `replica`'s replies to an executed batch, one reply per client, not
 /// per transaction: `results` (one per transaction, in batch order) are
 /// grouped by client in first-appearance order, each client's in batch
-/// order, so the output stage signs — and the transport carries — one
+/// order, so the execute stage signs — and the transport carries — one
 /// envelope per client per batch. Zyzzyva (`item.history` set) answers
 /// with speculative responses, PBFT with committed replies.
 pub fn client_replies(
@@ -561,9 +561,9 @@ impl Executor {
     /// (fed back to the consensus engine for checkpointing) and the
     /// outgoing reply messages. Works in buffers kept from the previous
     /// batch, which it outgrows only with a larger batch: what it
-    /// allocates is the replies, the block's certificate and the
-    /// pre-image log's record.
-    pub fn execute(&self, item: &ExecuteItem) -> (Digest, Vec<OutItem>) {
+    /// allocates is the replies and the pre-image log's record (and the
+    /// block's certificate, for a borrowed `item`).
+    pub fn execute(&self, item: impl CommitItem) -> (Digest, Vec<OutItem>) {
         let mut scratch = self.scratch.lock();
         let Scratch {
             writes,
@@ -576,7 +576,7 @@ impl Executor {
         overlay.clear();
         results.clear();
         ends.clear();
-        for txn in &item.batch.txns {
+        for txn in &item.borrow().batch.txns {
             let from = writes.len;
             let read = |key, earlier: &[WriteRecord], buf: &mut Vec<u8>| match overlay.get(&key) {
                 Some(&at) => {
@@ -607,75 +607,74 @@ impl Executor {
     /// invoke this in sequence order — the ledger append asserts it.
     pub fn commit(
         &self,
-        item: &ExecuteItem,
+        item: impl CommitItem,
         results: impl ExactSizeIterator<Item = Vec<u8>>,
         writes: &[WriteRecord],
     ) -> (Digest, Vec<OutItem>) {
-        debug_assert_eq!(results.len(), item.batch.len());
+        let it = item.borrow();
+        let (seq, view, digest, history) = (it.seq, it.view, it.digest, it.history);
+        let txns = it.batch.len();
+        debug_assert_eq!(results.len(), txns);
         let interval = self.snapshot_interval.load(Ordering::Relaxed);
         // PBFT without marks has no reader for the undo log.
         let logged = self.protocol == ProtocolKind::Zyzzyva || interval > 0;
-        let mut fresh_ids = Vec::with_capacity(if logged { item.batch.len() } else { 0 });
+        let mut fresh_ids = Vec::with_capacity(if logged { txns } else { 0 });
         let mut fresh = 0u64;
         {
             let mut seen = self.seen.lock();
-            for txn in item.batch.txns.iter().filter(|t| seen.insert(t.id)) {
+            for txn in it.batch.txns.iter().filter(|t| seen.insert(t.id)) {
                 fresh += 1;
                 if logged {
                     fresh_ids.push(txn.id);
                 }
             }
         }
-        let dups = item.batch.len() as u64 - fresh;
+        let dups = txns as u64 - fresh;
         {
             // Store and log move together under the log's lock (free
             // unless a snapshot is being built: only this thread commits).
             let mut log = self.log.lock();
             if logged {
                 let record = UndoRecord::apply(&*self.store, writes, fresh_ids, dups);
-                log.undo.insert(item.seq, record);
+                log.undo.insert(seq, record);
             } else {
                 self.store.apply(writes);
             }
         }
-        let replies = client_replies(item, self.id, results);
+        let replies = client_replies(it, self.id, results);
         // Append the block. Its result digest lets replicas cross-check
         // execution sequence by sequence; only a mark boundary needs it to
         // be the store's Merkle root (the checkpoint vote, the snapshot
         // mark and `verify_snapshot` read it there), so only a boundary
         // pays for bringing the tree up to date.
-        let boundary = interval > 0 && item.seq.0.is_multiple_of(interval);
+        let boundary = interval > 0 && seq.0.is_multiple_of(interval);
         let result_digest = if boundary {
             self.store.state_digest()
         } else {
             let prev = self.chain.lock().head().result_digest;
             write_set_digest(prev, writes)
         };
+        // Encoded before the certificate moves into the block.
+        let durable = (self.durability.lock().clone()).map(|d| (d, commit_entry_bytes(it)));
+        let certificate = item.into_certificate();
         self.chain
             .lock()
-            .append(
-                item.seq,
-                item.digest,
-                item.view,
-                item.certificate.clone(),
-                item.batch.len() as u32,
-                result_digest,
-            )
+            .append(seq, digest, view, certificate, txns as u32, result_digest)
             .expect("execution is sequential, append cannot gap");
         // The checkpoint state digest must be identical across replicas, so
         // it covers the ordered batch digest and the execution result — NOT
         // the block certificate (each replica legitimately collects a
         // different 2f+1 commit-signature set).
-        let state_digest = chain_digest(&item.digest, &result_digest);
+        let state_digest = chain_digest(&digest, &result_digest);
         self.executed_txns.fetch_add(fresh, Ordering::Relaxed);
         self.deduped_txns.fetch_add(dups, Ordering::Relaxed);
         self.executed_batches.fetch_add(1, Ordering::Relaxed);
         if boundary {
-            self.capture_snapshot(item.seq, item.history);
+            self.capture_snapshot(seq, history);
         }
         // Make the batch durable before its replies leave the replica.
-        if let Some(durability) = self.durability.lock().clone() {
-            durability.log_raw(&commit_entry_bytes(item));
+        if let Some((durability, entry)) = durable {
+            durability.log_raw(&entry);
         }
         (state_digest, replies)
     }
@@ -856,7 +855,7 @@ mod tests {
     #[test]
     fn pbft_execution_writes_and_replies() {
         let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
-        let (digest, replies) = ex.execute(&exec_item(1, None));
+        let (digest, replies) = ex.execute(exec_item(1, None));
         assert_ne!(digest, Digest::ZERO);
         assert_eq!(replies.len(), 3);
         for (i, r) in replies.iter().enumerate() {
@@ -871,7 +870,7 @@ mod tests {
     fn zyzzyva_execution_sends_spec_responses() {
         let ex = zyz_executor();
         let h = Digest([9; 32]);
-        let (_, replies) = ex.execute(&exec_item(1, Some(h)));
+        let (_, replies) = ex.execute(exec_item(1, Some(h)));
         for r in &replies {
             match &r.msg {
                 Message::SpecResponse { history, .. } => assert_eq!(*history, h),
@@ -884,8 +883,8 @@ mod tests {
     fn deterministic_across_replicas() {
         let a = executor(ProtocolKind::Pbft, ChainMode::Certificate);
         let b = executor(ProtocolKind::Pbft, ChainMode::Certificate);
-        let (da, ra) = a.execute(&exec_item(1, None));
-        let (db, rb) = b.execute(&exec_item(1, None));
+        let (da, ra) = a.execute(exec_item(1, None));
+        let (db, rb) = b.execute(exec_item(1, None));
         assert_eq!(da, db, "state digests must match across replicas");
         let results = |o: &OutItem| match &o.msg {
             Message::ClientReply { results, .. } => results.clone(),
@@ -899,8 +898,8 @@ mod tests {
     #[test]
     fn chain_grows_per_batch() {
         let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
-        ex.execute(&exec_item(1, None));
-        ex.execute(&exec_item(2, None));
+        ex.execute(exec_item(1, None));
+        ex.execute(exec_item(2, None));
         assert_eq!(ex.chain.lock().head_seq(), SeqNum(2));
         assert!(ex.chain.lock().verify().is_ok());
     }
@@ -908,10 +907,10 @@ mod tests {
     #[test]
     fn retransmitted_txns_replied_but_counted_once() {
         let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
-        let (_, r1) = ex.execute(&exec_item(1, None));
+        let (_, r1) = ex.execute(exec_item(1, None));
         // The same transactions ordered again at a later sequence (a
         // retransmission that crossed a view change).
-        let (_, r2) = ex.execute(&exec_item(2, None));
+        let (_, r2) = ex.execute(exec_item(2, None));
         assert_eq!(r1.len(), 3);
         assert_eq!(r2.len(), 3, "duplicates still get replies");
         assert_eq!(ex.executed_txns(), 3, "but are not counted again");
@@ -945,7 +944,7 @@ mod tests {
     #[test]
     fn one_reply_envelope_per_client_with_results_in_batch_order() {
         let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
-        let (state, replies) = ex.execute(&interleaved_item(None));
+        let (state, replies) = ex.execute(interleaved_item(None));
         let key = |i: u64| (20 + i).to_le_bytes().to_vec();
         let expect = [
             (0u64, vec![(0, key(0)), (1, key(2)), (2, key(5))]),
@@ -994,7 +993,7 @@ mod tests {
     fn zyzzyva_spec_responses_coalesce_per_client_too() {
         let ex = zyz_executor();
         let h = Digest([9; 32]);
-        let (_, replies) = ex.execute(&interleaved_item(Some(h)));
+        let (_, replies) = ex.execute(interleaved_item(Some(h)));
         let counters: Vec<Vec<u64>> = replies
             .iter()
             .map(|r| match &r.msg {
@@ -1106,12 +1105,12 @@ mod tests {
     #[test]
     fn rollback_restores_state_counters_and_chain() {
         let ex = zyz_executor();
-        ex.execute(&tagged_item(1, 1));
+        ex.execute(tagged_item(1, 1));
         let state_at_1 = ex.store.state_digest();
         let head_at_1 = ex.chain.lock().head_digest();
         // A divergent speculative suffix.
-        ex.execute(&tagged_item(2, 66));
-        ex.execute(&tagged_item(3, 66));
+        ex.execute(tagged_item(2, 66));
+        ex.execute(tagged_item(3, 66));
         assert_eq!(ex.executed_batches(), 3);
         assert_eq!(ex.rollback_to(SeqNum(1)), 2);
         assert_eq!(ex.store.state_digest(), state_at_1);
@@ -1120,12 +1119,12 @@ mod tests {
         assert_eq!(ex.executed_txns(), 3);
         // Re-executing the reconciled history converges with a replica
         // that never speculated.
-        ex.execute(&tagged_item(2, 2));
-        ex.execute(&tagged_item(3, 2));
+        ex.execute(tagged_item(2, 2));
+        ex.execute(tagged_item(3, 2));
         let clean = zyz_executor();
-        clean.execute(&tagged_item(1, 1));
-        clean.execute(&tagged_item(2, 2));
-        clean.execute(&tagged_item(3, 2));
+        clean.execute(tagged_item(1, 1));
+        clean.execute(tagged_item(2, 2));
+        clean.execute(tagged_item(3, 2));
         assert_eq!(ex.store.state_digest(), clean.store.state_digest());
         assert_eq!(ex.executed_txns(), clean.executed_txns());
     }
@@ -1133,12 +1132,12 @@ mod tests {
     #[test]
     fn rollback_removes_rewound_txns_from_dedup_set() {
         let ex = zyz_executor();
-        ex.execute(&tagged_item(1, 1));
-        ex.execute(&tagged_item(2, 9));
+        ex.execute(tagged_item(1, 1));
+        ex.execute(tagged_item(2, 9));
         ex.rollback_to(SeqNum(1));
         // The same transactions re-ordered after reconciliation must count
         // as fresh, not as retransmissions.
-        ex.execute(&tagged_item(2, 9));
+        ex.execute(tagged_item(2, 9));
         assert_eq!(ex.executed_txns(), 6);
         assert_eq!(ex.deduped_txns(), 0);
     }
@@ -1147,9 +1146,9 @@ mod tests {
     fn snapshot_capture_and_install_round_trip() {
         let ex = executor(ProtocolKind::Pbft, ChainMode::Certificate);
         ex.set_snapshot_interval(2);
-        ex.execute(&exec_item(1, None));
+        ex.execute(exec_item(1, None));
         assert!(ex.latest_snapshot().is_none(), "seq 1 is off-cadence");
-        ex.execute(&exec_item(2, None));
+        ex.execute(exec_item(2, None));
         let snap = ex.latest_snapshot().expect("captured at seq 2");
         assert_eq!(snap.base_seq, SeqNum(2));
         assert_eq!(snap.block.result_digest, ex.store.state_digest());
@@ -1165,8 +1164,8 @@ mod tests {
             "transferred history is not re-counted"
         );
         // Execution resumes at base + 1 and both replicas stay in step.
-        let (da, _) = ex.execute(&exec_item(3, None));
-        let (db, _) = fresh.execute(&exec_item(3, None));
+        let (da, _) = ex.execute(exec_item(3, None));
+        let (db, _) = fresh.execute(exec_item(3, None));
         assert_eq!(da, db);
     }
 
@@ -1178,12 +1177,12 @@ mod tests {
     fn install_snapshot_does_not_advance_executed_counters() {
         let source = executor(ProtocolKind::Pbft, ChainMode::Certificate);
         source.set_snapshot_interval(2);
-        source.execute(&exec_item(1, None));
-        source.execute(&exec_item(2, None));
+        source.execute(exec_item(1, None));
+        source.execute(exec_item(2, None));
         let snap = source.latest_snapshot().expect("captured at seq 2");
 
         let receiver = executor(ProtocolKind::Pbft, ChainMode::Certificate);
-        receiver.execute(&exec_item(1, None)); // some pre-transfer work
+        receiver.execute(exec_item(1, None)); // some pre-transfer work
         let (txns, batches, dups) = (
             receiver.executed_txns(),
             receiver.executed_batches(),
@@ -1200,8 +1199,8 @@ mod tests {
     #[test]
     fn prune_undo_caps_rollback_depth() {
         let ex = zyz_executor();
-        ex.execute(&tagged_item(1, 1));
-        ex.execute(&tagged_item(2, 2));
+        ex.execute(tagged_item(1, 1));
+        ex.execute(tagged_item(2, 2));
         ex.prune_undo(SeqNum(2));
         assert_eq!(
             ex.rollback_to(SeqNum(0)),
@@ -1291,17 +1290,17 @@ mod tests {
                 prefix.iter().for_each(|item| drop(ex.execute(item)));
                 if protocol == ProtocolKind::Zyzzyva && after > 0 {
                     for seq in INTERVAL + 1..=INTERVAL + after {
-                        ex.execute(&random_item(seq, &mut rng, protocol));
+                        ex.execute(random_item(seq, &mut rng, protocol));
                     }
                     // Rewind to the mark, or to one batch above it.
                     let to = INTERVAL + (seed % 2).min(after - 1);
                     assert_eq!(ex.rollback_to(SeqNum(to)), (INTERVAL + after - to) as usize);
                     for seq in to + 1..=INTERVAL + after {
-                        ex.execute(&random_item(seq, &mut rng, protocol));
+                        ex.execute(random_item(seq, &mut rng, protocol));
                     }
                 } else {
                     for seq in INTERVAL + 1..=INTERVAL + after {
-                        ex.execute(&random_item(seq, &mut rng, protocol));
+                        ex.execute(random_item(seq, &mut rng, protocol));
                     }
                 }
                 let snapshot = ex.latest_snapshot().expect("marked at the interval");
@@ -1399,7 +1398,7 @@ mod tests {
         let mut run = |through: u64| {
             let from = ex.executed_batches() + 1;
             for seq in from..=through {
-                ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+                ex.execute(random_item(seq, &mut rng, ProtocolKind::Pbft));
             }
         };
         run(5 * INTERVAL + 1);
@@ -1444,7 +1443,7 @@ mod tests {
                 let mut seq = 0;
                 while !stop.load(Ordering::Relaxed) {
                     seq += 1;
-                    ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+                    ex.execute(random_item(seq, &mut rng, ProtocolKind::Pbft));
                 }
             });
             // Every call lands between two commits or inside one; the
@@ -1478,7 +1477,7 @@ mod tests {
         ex.set_snapshot_interval(INTERVAL);
         let mut rng = 11;
         for seq in 1..=10 * INTERVAL {
-            ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+            ex.execute(random_item(seq, &mut rng, ProtocolKind::Pbft));
             // Stability is none of its business: some checkpoints never
             // become stable here, some do late.
             if seq % (3 * INTERVAL) == 0 {
@@ -1492,7 +1491,7 @@ mod tests {
         }
         let unmarked = executor(ProtocolKind::Pbft, ChainMode::Certificate);
         for seq in 1..=INTERVAL {
-            unmarked.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+            unmarked.execute(random_item(seq, &mut rng, ProtocolKind::Pbft));
         }
         assert!(unmarked.log.lock().undo.is_empty(), "no reader, no log");
     }
@@ -1503,7 +1502,7 @@ mod tests {
         ex.set_snapshot_interval(INTERVAL);
         let mut rng = 5;
         for seq in 1..INTERVAL {
-            ex.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+            ex.execute(random_item(seq, &mut rng, ProtocolKind::Pbft));
         }
         let (state, batches) = (ex.store.state_digest(), ex.executed_batches());
         assert_eq!(ex.rollback_to(SeqNum(0)), 0, "committed batches are final");
@@ -1553,19 +1552,19 @@ mod tests {
     fn zyzzyva_rollback_below_the_mark_drops_it() {
         let ex = zyz_executor();
         ex.set_snapshot_interval(2);
-        ex.execute(&tagged_item(1, 1));
-        ex.execute(&tagged_item(2, 66)); // mis-speculated, and marked
-        ex.execute(&tagged_item(3, 66));
+        ex.execute(tagged_item(1, 1));
+        ex.execute(tagged_item(2, 66)); // mis-speculated, and marked
+        ex.execute(tagged_item(3, 66));
         assert_eq!(ex.snapshot_base(), Some(SeqNum(2)));
         assert_eq!(ex.rollback_to(SeqNum(1)), 2);
         assert_eq!(ex.latest_snapshot(), None, "the state it stood for is gone");
         // The reconciled history marks sequence 2 afresh.
-        ex.execute(&tagged_item(2, 2));
-        ex.execute(&tagged_item(3, 2));
+        ex.execute(tagged_item(2, 2));
+        ex.execute(tagged_item(3, 2));
         let clean = zyz_executor();
         clean.set_snapshot_interval(2);
-        clean.execute(&tagged_item(1, 1));
-        clean.execute(&tagged_item(2, 2));
+        clean.execute(tagged_item(1, 1));
+        clean.execute(tagged_item(2, 2));
         let snapshot = ex.latest_snapshot().expect("marked again");
         assert_eq!(*snapshot, eager_snapshot(&clean, &tagged_item(2, 2)));
     }
@@ -1579,9 +1578,9 @@ mod tests {
         let clean = zyz_executor();
         clean.set_snapshot_interval(2);
         for seq in 1..=3 {
-            ex.execute(&tagged_item(seq, seq as u8));
+            ex.execute(tagged_item(seq, seq as u8));
             if seq <= 2 {
-                clean.execute(&tagged_item(seq, seq as u8));
+                clean.execute(tagged_item(seq, seq as u8));
             }
         }
         ex.note_stable(SeqNum(4));
@@ -1593,8 +1592,8 @@ mod tests {
         let snapshot = ex.latest_snapshot().expect("marked at 2");
         assert_eq!(*snapshot, eager_snapshot(&clean, &tagged_item(2, 2)));
         // Once its own mark reaches 4, stability prunes through it.
-        ex.execute(&tagged_item(4, 4));
-        ex.execute(&tagged_item(5, 5));
+        ex.execute(tagged_item(4, 4));
+        ex.execute(tagged_item(5, 5));
         assert_eq!(
             ex.log.lock().undo.keys().copied().collect::<Vec<_>>(),
             [SeqNum(5)]
@@ -1657,7 +1656,7 @@ mod tests {
         );
         let mut rng = 4;
         for seq in 1..=3 * INTERVAL {
-            ex.execute(&random_item(seq, &mut rng, ProtocolKind::Zyzzyva));
+            ex.execute(random_item(seq, &mut rng, ProtocolKind::Zyzzyva));
         }
         ex.rollback_to(SeqNum(INTERVAL));
         assert_eq!(store.digests.load(Ordering::Relaxed), 0);
@@ -1678,8 +1677,8 @@ mod tests {
             ex
         });
         for seq in 1..INTERVAL {
-            let (da, _) = a.execute(&exec_item(seq, None));
-            let (db, _) = b.execute(&exec_item(seq, None));
+            let (da, _) = a.execute(exec_item(seq, None));
+            let (db, _) = b.execute(exec_item(seq, None));
             let item = match seq {
                 2 => same_writes_reordered(seq),
                 _ => exec_item(seq, None),
@@ -1699,8 +1698,8 @@ mod tests {
             assert_eq!(ds == da, seq < 2);
         }
         // The boundary block commits to the store alone.
-        a.execute(&exec_item(INTERVAL, None));
-        swapped.execute(&exec_item(INTERVAL, None));
+        a.execute(exec_item(INTERVAL, None));
+        swapped.execute(exec_item(INTERVAL, None));
         assert_eq!(
             block(&a, INTERVAL).result_digest,
             block(&swapped, INTERVAL).result_digest
@@ -1714,17 +1713,17 @@ mod tests {
         ex.set_snapshot_interval(INTERVAL);
         clean.set_snapshot_interval(INTERVAL);
         for seq in 1..INTERVAL - 1 {
-            ex.execute(&tagged_item(seq, 1));
-            clean.execute(&tagged_item(seq, 1));
+            ex.execute(tagged_item(seq, 1));
+            clean.execute(tagged_item(seq, 1));
         }
         // Mis-speculated from before the boundary to past it.
         for seq in INTERVAL - 1..=INTERVAL + 2 {
-            ex.execute(&tagged_item(seq, 66));
+            ex.execute(tagged_item(seq, 66));
         }
         assert_eq!(ex.rollback_to(SeqNum(INTERVAL - 2)), 4);
         for seq in INTERVAL - 1..=INTERVAL + 2 {
-            ex.execute(&tagged_item(seq, 2));
-            clean.execute(&tagged_item(seq, 2));
+            ex.execute(tagged_item(seq, 2));
+            clean.execute(tagged_item(seq, 2));
             assert_eq!(block(&ex, seq), block(&clean, seq), "at {seq}");
         }
         assert_eq!(
@@ -1743,7 +1742,7 @@ mod tests {
         source.set_snapshot_interval(INTERVAL);
         receiver.set_snapshot_interval(INTERVAL);
         for seq in 1..=INTERVAL + 1 {
-            source.execute(&random_item(seq, &mut rng, ProtocolKind::Pbft));
+            source.execute(random_item(seq, &mut rng, ProtocolKind::Pbft));
         }
         // Materialised one batch past the mark, installed, and the batch
         // above the mark replayed: the chained digest picks up from the

@@ -11,7 +11,7 @@
 //!   with no threads, channels or clock reads.
 //! - [`replica`] — [`spawn_replica`] builds the shared state, registers
 //!   the replica's routing as its transport delivery function and starts
-//!   the stage loops (batch, worker, execute, output), joined by plain
+//!   the stage loops (batch, worker, execute), joined by plain
 //!   channels; the worker loop verifies what reaches it, steps the node
 //!   and carries out its effects, forwarding the execution ones in order.
 //! - [`batch`] — signature-window verification and batch assembly, shared
@@ -50,6 +50,6 @@ pub use durable::{recover_replica, Durability, RecoveryReport, RecoverySource, W
 pub use executor::{client_replies, execute_txn, Executor, OutItem, TxnOutcome};
 pub use metrics::{MetricsRegistry, SaturationReport, Stage, StageRecorder, ThreadSaturation};
 pub use node::{route, Node, NodeEffect, NodeInput, Route};
-pub use queues::{ExecBackend, ExecStage, ExecuteItem};
+pub use queues::{CommitItem, ExecBackend, ExecStage, ExecuteItem};
 pub use replica::{spawn_replica, ReplicaHandle, ReplicaShared};
 pub use scheduler::{conflict_waves, ExecPool, ParallelExecutor};

@@ -33,7 +33,10 @@ pub enum Stage {
     /// records nothing; it stays because the benchmark's
     /// `pipeline.busy_pct.checkpoint` names it.
     Checkpoint,
-    /// Signs and transmits client-bound messages.
+    /// The paper's output threads. The runtime runs none (the execute
+    /// stage and the worker sign and send client replies themselves), so
+    /// this stage records nothing; it stays because the benchmark's
+    /// `pipeline.busy_pct.output` names it.
     Output,
 }
 

@@ -17,6 +17,7 @@ use crate::core::Effect;
 use crate::executor::Executor;
 use rdb_common::block::BlockCertificate;
 use rdb_common::{Batch, Digest, SeqNum, Snapshot, ViewNum};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -55,6 +56,25 @@ pub struct ExecuteItem {
     pub certificate: BlockCertificate,
     /// Zyzzyva: the rolling history digest (`None` for PBFT).
     pub history: Option<Digest>,
+}
+
+/// A committed batch as the commit path takes it: owned, so its
+/// certificate moves into the block, or borrowed, so it is cloned.
+pub trait CommitItem: Borrow<ExecuteItem> {
+    /// The block certificate, moved out or cloned.
+    fn into_certificate(self) -> BlockCertificate;
+}
+
+impl CommitItem for ExecuteItem {
+    fn into_certificate(self) -> BlockCertificate {
+        self.certificate
+    }
+}
+
+impl CommitItem for &ExecuteItem {
+    fn into_certificate(self) -> BlockCertificate {
+        self.certificate.clone()
+    }
 }
 
 /// Committed batches parked by sequence, the next sequence to run, and

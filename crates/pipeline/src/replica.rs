@@ -4,7 +4,7 @@
 //! ```text
 //!             ┌─ client requests ─▶ batch_loop ─────── Propose ──────┐
 //! transport ─▶ Router ─ replica msgs (unverified) ──────────────────▶ worker_loop ─▶ replica msgs ─▶ transport
-//!  worker_loop ─▶ execution effects (FIFO) ─▶ execute_loop ─▶ client-bound items ─▶ output_loop ─▶ transport
+//!  worker_loop ─▶ execution effects (FIFO) ─▶ execute_loop ─▶ client replies ─▶ transport
 //!                                                  └─ Executed ─▶ worker_loop
 //! ```
 //!
@@ -32,8 +32,9 @@
 //!   order: serially for `execute_threads = 1`, through the conflict
 //!   scheduler ([`crate::scheduler`]) for `N ≥ 2`, bit-identically. With
 //!   `execute_threads = 0` the node holds the stage (`0E`, Figure 8).
-//! - [`output_loop`] sends what goes to clients: a full client link
-//!   makes it wait, never the worker or the execute stage.
+//!   It signs each client reply and hands it to the transport itself, as
+//!   the worker does its replica traffic: a frame to a client never waits
+//!   for link space, so a slow client reader stalls no stage.
 //!
 //! Stage channels are unbounded: back-pressure comes from the closed-loop
 //! clients and the transport, not from blocking a stage on its successor.
@@ -205,7 +206,6 @@ pub fn spawn_replica(
 
     // --- channels -----------------------------------------------------------
     let (work_tx, work_rx) = channel::unbounded::<Work>();
-    let (out_tx, out_rx) = channel::unbounded::<OutItem>();
     // The one client-request channel every batch thread reads. Batch
     // threads run on every replica: the channel only fills while this
     // replica leads an instance (routing is view-aware), and `propose` on
@@ -257,7 +257,6 @@ pub fn spawn_replica(
         let ctx = stage(Stage::Worker, 0);
         let io = WorkerIo {
             endpoint: endpoint.clone(),
-            out: out_tx.clone(),
             exec_tx,
             executor: Arc::clone(executor),
             net_stats: net.stats().clone(),
@@ -282,7 +281,7 @@ pub fn spawn_replica(
             .filter(|_| parallel)
             .map(|w| metrics.recorder(Stage::Execute, w))
             .collect();
-        let (out, executor) = (out_tx.clone(), Arc::clone(executor));
+        let executor = Arc::clone(executor);
         let pool_name = format!("r{}", id.0);
         let exec_stage = ExecStage::new(next_to_execute(&shared));
         spawn(
@@ -296,15 +295,8 @@ pub fn spawn_replica(
                 } else {
                     (1, serial_runner(Arc::clone(&executor)))
                 };
-                execute_loop(&ctx, &rx, exec_stage, &executor, cap, &mut *run, &out);
+                execute_loop(&ctx, &rx, exec_stage, &executor, cap, &mut *run, &endpoint);
             }),
-        );
-    }
-    for o in 0..threads_cfg.output_threads {
-        let (ctx, rx, endpoint) = (stage(Stage::Output, o), out_rx.clone(), endpoint.clone());
-        spawn(
-            format!("output-{o}"),
-            Box::new(move || output_loop(&ctx, &rx, &endpoint)),
         );
     }
 
@@ -502,10 +494,8 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, config: &SystemConfi
 
 /// Everything the worker loop touches on the node's behalf.
 struct WorkerIo {
-    /// Replica-bound messages leave from here.
+    /// Everything the worker sends leaves from here.
     endpoint: Endpoint,
-    /// Client-bound ones go to the output stage.
-    out: ChanSender<OutItem>,
     /// The execute thread's channel; `None` under `0E`, where the node
     /// holds the stage.
     exec_tx: Option<ChanSender<Effect>>,
@@ -533,19 +523,14 @@ impl WorkerIo {
                 return;
             }
             NodeEffect::Execute { window, epoch } => {
-                return run_window(&window, epoch, serial, &self.out, |done| {
+                return run_window(window, epoch, serial, ctx, &self.endpoint, |done| {
                     inputs.push_back(done.into());
                 });
             }
             NodeEffect::Core(effect) => effect,
         };
         match effect {
-            Effect::Send(item) if matches!(item.targets.first(), Some(Sender::Replica(_))) => {
-                transmit(&ctx.provider, &self.endpoint, item);
-            }
-            Effect::Send(item) => {
-                let _ = self.out.send(item);
-            }
+            Effect::Send(item) => transmit(&ctx.provider, &self.endpoint, item),
             // From a node without a stage: to the execute thread, in order.
             Effect::Execute { .. } | Effect::Rollback { .. } | Effect::InstallSnapshot(_) => {
                 if let Some(exec_tx) = &self.exec_tx {
@@ -655,13 +640,13 @@ fn worker_loop(ctx: &StageCtx, rx: &Receiver<Work>, config: &SystemConfig, mut i
     io.endpoint.network().deregister(io.endpoint.addr());
 }
 
-/// How the execute stage runs one in-order window of committed batches:
-/// `(state_digest, replies)` per item, in order.
-type RunWindow = dyn FnMut(&[ExecuteItem]) -> Vec<(Digest, Vec<OutItem>)>;
+/// How the execute stage runs one in-order window of committed batches,
+/// which it owns: `(state_digest, replies)` per item, in order.
+type RunWindow = dyn FnMut(Vec<ExecuteItem>) -> Vec<(Digest, Vec<OutItem>)>;
 
 /// The paper's serial execute-thread: one batch after the other.
 fn serial_runner(executor: Arc<Executor>) -> Box<RunWindow> {
-    Box::new(move |window| window.iter().map(|i| executor.execute(i)).collect())
+    Box::new(move |window| window.into_iter().map(|i| executor.execute(i)).collect())
 }
 
 /// Deterministic parallel execution: schedules the window's conflict
@@ -677,26 +662,28 @@ fn parallel_runner(
     Box::new(move |window| parallel.execute_window(window))
 }
 
-/// Executes one window taken from an [`ExecStage`] in `epoch`: replies go
-/// to the output stage, each result to `done` as an [`Input::Executed`]
-/// stamped with that epoch. The one execution step behind both
-/// [`execute_loop`] and the worker's `0E` mode.
+/// Executes one window taken from an [`ExecStage`] in `epoch`: replies
+/// leave through `endpoint`, each result goes to `done` as an
+/// [`Input::Executed`] stamped with that epoch. The one execution step
+/// behind both [`execute_loop`] and the worker's `0E` mode.
 fn run_window(
-    window: &[ExecuteItem],
+    window: Vec<ExecuteItem>,
     epoch: u64,
     run: &mut RunWindow,
-    out: &ChanSender<OutItem>,
+    ctx: &StageCtx,
+    endpoint: &Endpoint,
     mut done: impl FnMut(Input),
 ) {
-    if window.is_empty() {
+    let Some(first) = window.first().map(|item| item.seq) else {
         return;
-    }
-    for (item, (state_digest, replies)) in window.iter().zip(run(window)) {
+    };
+    // A window is consecutive sequences from its first.
+    for (i, (state_digest, replies)) in run(window).into_iter().enumerate() {
         for reply in replies {
-            let _ = out.send(reply);
+            transmit(&ctx.provider, endpoint, reply);
         }
         done(Input::Executed {
-            seq: item.seq,
+            seq: SeqNum(first.0 + i as u64),
             state_digest,
             epoch,
         });
@@ -716,7 +703,7 @@ fn execute_loop(
     executor: &Executor,
     cap: usize,
     run: &mut RunWindow,
-    out: &ChanSender<OutItem>,
+    endpoint: &Endpoint,
 ) {
     while ctx.running() {
         let first = if stage.ready() {
@@ -733,7 +720,9 @@ fn execute_loop(
                 stage.apply(effect, executor);
             }
             let window = stage.take_window(cap);
-            run_window(&window, stage.epoch(), run, out, |done| ctx.to_worker(done));
+            run_window(window, stage.epoch(), run, ctx, endpoint, |done| {
+                ctx.to_worker(done)
+            });
         });
     }
 }
@@ -749,16 +738,4 @@ fn transmit(provider: &CryptoProvider, endpoint: &Endpoint, item: OutItem) {
         provider.sign(class, bytes)
     });
     let _ = endpoint.broadcast(&item.targets, &sm);
-}
-
-/// Output thread: sends what goes to clients. The transport keeps client
-/// traffic unsheddable, so a swarm of slow readers backpressures this
-/// stage instead of losing replies.
-fn output_loop(ctx: &StageCtx, rx: &Receiver<OutItem>, endpoint: &Endpoint) {
-    while ctx.running() {
-        let Ok(item) = rx.recv_timeout(POLL_INTERVAL) else {
-            continue;
-        };
-        ctx.rec.record(|| transmit(&ctx.provider, endpoint, item));
-    }
 }

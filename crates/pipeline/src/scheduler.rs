@@ -31,10 +31,10 @@
 
 use crate::executor::{execute_txn, Executor, OutItem, TxnOutcome};
 use crate::metrics::StageRecorder;
-use crate::queues::ExecuteItem;
+use crate::queues::CommitItem;
 use crossbeam::channel::{self, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
-use rdb_common::{Digest, Transaction};
+use rdb_common::{Batch, Digest, Transaction};
 use rdb_storage::StateStore;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -258,28 +258,35 @@ impl ParallelExecutor {
     /// Executes `items` — a contiguous in-order window of committed
     /// sequences — and returns `(state_digest, replies)` per item, in
     /// order. The digests are bit-identical to executing each item with
-    /// [`Executor::execute`] serially.
-    pub fn execute_window(&self, items: &[ExecuteItem]) -> Vec<(Digest, Vec<OutItem>)> {
+    /// [`Executor::execute`] serially. Owned items move their certificates
+    /// into the blocks.
+    pub fn execute_window<I: CommitItem>(
+        &self,
+        items: impl IntoIterator<Item = I>,
+    ) -> Vec<(Digest, Vec<OutItem>)> {
+        let items: Vec<I> = items.into_iter().collect();
         if items.is_empty() {
             return Vec::new();
         }
-        let flat: Vec<(usize, usize)> = items
+        let batches: Vec<Arc<Batch>> = items
+            .iter()
+            .map(|i| Arc::clone(&i.borrow().batch))
+            .collect();
+        let flat: Vec<(usize, usize)> = batches
             .iter()
             .enumerate()
-            .flat_map(|(ii, item)| (0..item.batch.len()).map(move |ti| (ii, ti)))
+            .flat_map(|(ii, batch)| (0..batch.len()).map(move |ti| (ii, ti)))
             .collect();
-        let txns: Vec<&Transaction> = flat
-            .iter()
-            .map(|&(ii, ti)| &items[ii].batch.txns[ti])
-            .collect();
+        let txns: Vec<&Transaction> = flat.iter().map(|&(ii, ti)| &batches[ii].txns[ti]).collect();
         let waves = conflict_waves(&txns);
+        let outcomes = (0..txns.len()).map(|_| Mutex::new(None)).collect();
         let (done_tx, done_rx) = channel::unbounded();
         let ctx = Arc::new(WindowCtx {
-            batches: items.iter().map(|i| Arc::clone(&i.batch)).collect(),
+            batches,
             flat,
             waves,
             overlay: RwLock::new(HashMap::new()),
-            outcomes: (0..txns.len()).map(|_| Mutex::new(None)).collect(),
+            outcomes,
             store: Arc::clone(self.executor.store()),
             done_tx,
         });
@@ -336,9 +343,10 @@ impl ParallelExecutor {
         let mut out = Vec::with_capacity(items.len());
         let mut fi = 0usize;
         for item in items {
-            let mut results = Vec::with_capacity(item.batch.len());
+            let txns = item.borrow().batch.len();
+            let mut results = Vec::with_capacity(txns);
             let mut writes = Vec::new();
-            for _ in 0..item.batch.len() {
+            for _ in 0..txns {
                 let outcome = ctx.outcomes[fi]
                     .lock()
                     .take()
@@ -356,8 +364,9 @@ impl ParallelExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queues::ExecuteItem;
     use rdb_common::block::BlockCertificate;
-    use rdb_common::{Batch, ClientId, Operation, ProtocolKind, ReplicaId, SeqNum, ViewNum};
+    use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, SeqNum, ViewNum};
     use rdb_storage::blockchain::ChainMode;
     use rdb_storage::{Blockchain, MemStore};
 
@@ -529,7 +538,7 @@ mod tests {
             let par_exec = fresh_executor();
             let pool = ExecPool::new("t", workers, Vec::new());
             let par = ParallelExecutor::new(Arc::clone(&par_exec), pool);
-            let par_out = par.execute_window(&window());
+            let par_out = par.execute_window(window());
 
             assert_eq!(serial_out, par_out, "workers={workers}");
             assert_eq!(
@@ -544,7 +553,7 @@ mod tests {
     fn empty_window_is_a_no_op() {
         let pool = ExecPool::new("t", 2, Vec::new());
         let par = ParallelExecutor::new(fresh_executor(), pool);
-        assert!(par.execute_window(&[]).is_empty());
+        assert!(par.execute_window(Vec::<ExecuteItem>::new()).is_empty());
     }
 
     #[test]

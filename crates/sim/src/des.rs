@@ -293,6 +293,18 @@ fn model_input_threads(t: &ThreadConfig) -> usize {
     }
 }
 
+/// The paper's output stage, which the model keeps pricing as it does the
+/// input stage: every client reply is served here. The runtime's execute
+/// stage sends its replies itself, so the model sizes the stage as the
+/// runtime's output pool was sized: two threads, one at `0E 0B`.
+fn model_output_threads(t: &ThreadConfig) -> usize {
+    if t.execute_threads == 0 && t.batch_threads == 0 {
+        1
+    } else {
+        2
+    }
+}
+
 impl<'a> Sim<'a> {
     fn new(cfg: &'a SimConfig) -> Self {
         let sys = &cfg.system;
@@ -305,7 +317,8 @@ impl<'a> Sim<'a> {
         let registry = KeyRegistry::generate(CryptoScheme::NoCrypto, n, 0, 0);
         let k = sys.consensus_instances.max(1);
         // Sized as `spawn_replica` sizes its thread pools (but for the
-        // input stage, see `model_input_threads`); a replica runs
+        // input and output stages, see `model_input_threads` and
+        // `model_output_threads`); a replica runs
         // exactly one worker (Section 4.3), while Figure 7's upper bound
         // measures two independent threads answering clients directly.
         let workers = match cfg.mode {
@@ -317,7 +330,7 @@ impl<'a> Sim<'a> {
             t.batch_threads,
             workers,
             t.execute_threads,
-            t.output_threads,
+            model_output_threads(t),
         ];
         let reps = (0..n)
             .map(|r| {

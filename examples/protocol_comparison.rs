@@ -88,7 +88,6 @@ fn saturation_breakdown() {
         Stage::Worker,
         Stage::ExecuteCoord,
         Stage::Execute,
-        Stage::Output,
     ];
     for stage in stages {
         let threads: Vec<_> = report.threads.iter().filter(|t| t.stage == stage).collect();
