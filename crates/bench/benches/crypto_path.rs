@@ -21,11 +21,14 @@
 //!   2 KiB and 56 KiB (one `mem_hotkey_rw` `PrePrepare`) on every AES
 //!   backend this CPU can run (AES-NI and portable);
 //! - SHA-256 over one block and over 1 KiB on every backend this CPU can
-//!   run (SHA-NI and portable), and the one-shot `sha256_pair` under every
-//!   interior Merkle node; `sha256/pair` and `sha256/pair_x2` time a pair
-//!   hash on the selected backend one at a time and two per interleaved
-//!   `sha256_pair2` pass (ns per pair hash either way). The SHA-256 and
-//!   AES backends the process selected are named in the JSON envelope.
+//!   run (SHA-NI with the 16-lane AVX-512 kernel, SHA-NI, portable), and
+//!   the one-shot `sha256_pair` under every interior Merkle node;
+//!   `sha256/pair`, `sha256/pair_x2` and `sha256/pair_x16` time a pair
+//!   hash on the selected backend one at a time, two per interleaved
+//!   `sha256_pair2` pass and sixteen per lane-kernel pass (ns per pair
+//!   hash each way; the last only where the CPU has the lane kernel). The
+//!   SHA-256 and AES backends the process selected are named in the JSON
+//!   envelope.
 //!
 //! Writes `BENCH_crypto.json` at the workspace root through
 //! [`rdb_bench::report`]; CI runs this bench with a short window and
@@ -166,6 +169,14 @@ fn run_suite(report: &mut Report) {
         ));
     });
     report.record("sha256/pair_x2", ns / 2.0);
+    // Sixteen per pass, where the CPU has the lane kernel.
+    if let Some(lanes) = sha2::backend().lanes() {
+        let messages: [[u8; 64]; sha2::LANES] = std::array::from_fn(|i| [i as u8; 64]);
+        let ns = time_ns(iters * 10, || {
+            black_box(lanes.sha256_64(black_box(&messages.each_ref())));
+        });
+        report.record("sha256/pair_x16", ns / sha2::LANES as f64);
+    }
 
     // --- CMAC, per backend, then the selected one -------------------------
     for backend in aes::backends() {
@@ -242,7 +253,7 @@ fn main() {
         "crypto_path",
         "BENCH_crypto.json",
         "ns_per_op (batch entries are per-signature; speedup entries are ratios; \
-         sha256/pair_x2 is per pair hash, two per call)",
+         sha256/pair_x2 and pair_x16 are per pair hash, two and sixteen per call)",
         Length::Iters(200),
     ) else {
         return;

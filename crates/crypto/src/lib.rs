@@ -5,7 +5,8 @@
 //! implementations with honest relative costs, so this crate implements
 //! every primitive from scratch:
 //!
-//! - [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4)
+//! - [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4), SHA-256 also on SHA-NI
+//!   and, sixteen messages per pass, on AVX-512F
 //! - [`aes`] + [`cmac`] — AES-128 and CMAC (FIPS 197, SP 800-38B)
 //! - [`bignum`] + [`rsa`] — Montgomery-based RSA signatures
 //! - [`field25519`] + [`ed25519`] — Ed25519 (RFC 8032)
@@ -33,7 +34,8 @@
 // Indexed limb/byte loops are the clearest way to express the
 // specifications these modules implement (FIPS pseudocode is indexed).
 #![allow(clippy::needless_range_loop)]
-// The two exceptions are the hardware kernels, `sha2::hw` (SHA-NI) and
+// The two exceptions are the hardware kernels, `sha2::hw` (SHA-NI, and
+// in its child `sha2::hw::avx512` the 16-lane AVX-512F kernel) and
 // `aes::hw` (AES-NI), each reachable only through its `kernel()`.
 #![deny(unsafe_code)]
 

@@ -7,8 +7,12 @@
 //!
 //! SHA-256 has two interchangeable compression kernels: the portable one in
 //! this file and the SHA-NI one in [`hw`], picked once per process by CPU
-//! feature detection ([`backend`]). The tests drive both over the same
-//! inputs; nothing outside the tests and benches can tell them apart.
+//! feature detection ([`backend`]). Beside the one it picked, a CPU with
+//! AVX-512F also runs a lane kernel ([`Lanes`], in `hw::avx512`) that
+//! hashes sixteen independent one- or two-block messages per pass: the
+//! Merkle flush's parents and leaves, and a batch's record hashes
+//! ([`PaddedBatch`]). The tests drive every kernel over the same inputs;
+//! nothing outside the tests and benches can tell them apart.
 
 use std::sync::OnceLock;
 
@@ -123,10 +127,40 @@ const PAD64: [u32; 16] = [0x8000_0000, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
 /// `sha256_pair` runs its second compression as 64 bare rounds.
 const PAD64_WK: [u32; 64] = expand(PAD64);
 
-/// The SHA-NI kernel: the crate's only `unsafe`.
+/// The SHA-NI kernel and, in its child `avx512`, the 16-lane kernel: the
+/// crate's only `unsafe` besides `aes::hw`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod hw;
+
+/// Messages a lane kernel hashes per pass.
+pub const LANES: usize = 16;
+
+/// A kernel that hashes [`LANES`] independent messages per pass, each of
+/// one 64-byte block (already padded) or of exactly 64 bytes (the block,
+/// then the constant padding block of a 64-byte message).
+#[derive(Debug, Clone, Copy)]
+pub struct Lanes {
+    hash: LaneHash,
+}
+
+/// Lane `i` compresses `blocks[i]` from the initial hash value, then
+/// [`PAD64`] when `pad64`, and yields the state as the digest.
+type LaneHash = fn(blocks: &[&[u8; 64]; LANES], pad64: bool) -> [[u8; 32]; LANES];
+
+impl Lanes {
+    /// `SHA-256(messages[i])` for sixteen 64-byte messages, such as a
+    /// Merkle node's two children side by side.
+    pub fn sha256_64(&self, messages: &[&[u8; 64]; LANES]) -> [[u8; 32]; LANES] {
+        (self.hash)(messages, true)
+    }
+
+    /// The SHA-256 of sixteen messages of at most 55 bytes, each given as
+    /// its one padded block ([`padded_block`]).
+    pub fn sha256_padded(&self, blocks: &[&[u8; 64]; LANES]) -> [[u8; 32]; LANES] {
+        (self.hash)(blocks, false)
+    }
+}
 
 /// One implementation of the SHA-256 compression function.
 ///
@@ -143,6 +177,9 @@ pub struct Backend {
     pair: fn(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32],
     /// Two independent `pair`s, `(SHA-256(a ‖ b), SHA-256(c ‖ d))`.
     pair2: Pair2,
+    /// Sixteen independent hashes per pass, where the CPU has a lane
+    /// kernel.
+    lanes: Option<Lanes>,
 }
 
 type Pair2 = fn(a: &[u8; 32], b: &[u8; 32], c: &[u8; 32], d: &[u8; 32]) -> ([u8; 32], [u8; 32]);
@@ -152,12 +189,19 @@ const PORTABLE: Backend = Backend {
     compress: compress_portable,
     pair: pair_portable,
     pair2: |a, b, c, d| (pair_portable(a, b), pair_portable(c, d)),
+    lanes: None,
 };
 
 impl Backend {
-    /// `"sha-ni"` or `"portable"`.
+    /// `"sha-ni"` or `"portable"`, with `"+avx512"` when the backend has
+    /// the lane kernel.
     pub fn name(&self) -> &'static str {
         self.name
+    }
+
+    /// This backend's lane kernel, if it has one.
+    pub fn lanes(&self) -> Option<Lanes> {
+        self.lanes
     }
 
     /// A fresh hasher that compresses with this backend.
@@ -193,9 +237,17 @@ impl Backend {
     ) -> ([u8; 32], [u8; 32]) {
         (self.pair2)(a, b, c, d)
     }
+
+    /// The SHA-256 of a message of at most 55 bytes, given as its one
+    /// padded block ([`padded_block`]): a single compression.
+    pub fn sha256_padded(&self, block: &[u8; 64]) -> [u8; 32] {
+        let mut state = IV256;
+        (self.compress)(&mut state, block);
+        state_bytes(&state)
+    }
 }
 
-/// The hardware backend, if this CPU has one.
+/// The single-stream hardware backend, if this CPU has one.
 fn hardware() -> Option<Backend> {
     #[cfg(target_arch = "x86_64")]
     return hw::kernel();
@@ -203,16 +255,107 @@ fn hardware() -> Option<Backend> {
     None
 }
 
-/// The backend every digest in this process is computed with: SHA-NI where
-/// the CPU has it, the portable code otherwise. Detected once.
-pub fn backend() -> &'static Backend {
-    static SELECTED: OnceLock<Backend> = OnceLock::new();
-    SELECTED.get_or_init(|| hardware().unwrap_or(PORTABLE))
+/// The lane kernel, if this CPU has one.
+fn lane_kernel() -> Option<Lanes> {
+    #[cfg(target_arch = "x86_64")]
+    return hw::avx512::kernel();
+    #[cfg(not(target_arch = "x86_64"))]
+    None
 }
 
-/// Every backend this CPU can run, the selected one first.
+/// The backend every digest in this process is computed with: SHA-NI where
+/// the CPU has it, the portable code otherwise, and beside either the lane
+/// kernel where the CPU has AVX-512F. Detected once.
+pub fn backend() -> &'static Backend {
+    static SELECTED: OnceLock<Backend> = OnceLock::new();
+    SELECTED.get_or_init(|| {
+        backends()
+            .next()
+            .expect("the portable backend is always there")
+    })
+}
+
+/// Every backend this CPU can run, the selected one first: the best
+/// single-stream kernel with the lane kernel, then SHA-NI alone, then the
+/// portable code.
 pub fn backends() -> impl Iterator<Item = Backend> {
-    hardware().into_iter().chain([PORTABLE])
+    let single = hardware();
+    let laned = lane_kernel().map(|lanes| Backend {
+        name: if single.is_some() {
+            "sha-ni+avx512"
+        } else {
+            "portable+avx512"
+        },
+        lanes: Some(lanes),
+        ..single.unwrap_or(PORTABLE)
+    });
+    laned.into_iter().chain(single).chain([PORTABLE])
+}
+
+/// The one padded block of the message `parts` concatenated — the bytes,
+/// `0x80`, zeros and the length in bits — if it fits one: at most 55 bytes.
+pub fn padded_block(parts: &[&[u8]]) -> Option<[u8; 64]> {
+    let mut block = [0u8; 64];
+    let mut len = 0;
+    for part in parts {
+        block.get_mut(len..len + part.len())?.copy_from_slice(part);
+        len += part.len();
+    }
+    if len > 55 {
+        return None;
+    }
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(8 * len as u64).to_be_bytes());
+    Some(block)
+}
+
+/// One-block messages gathered [`LANES`] to a pass of a lane kernel, each
+/// with a tag that says where its digest goes. Blocks and tags live in the
+/// batch and digests on the stack: hashing through it allocates nothing.
+/// A backend without a lane kernel hashes each block as it arrives, and
+/// [`finish`](Self::finish) hashes what is left one block at a time.
+pub struct PaddedBatch<T> {
+    backend: Backend,
+    blocks: [[u8; 64]; LANES],
+    tags: [T; LANES],
+    len: usize,
+}
+
+impl<T: Copy + Default> PaddedBatch<T> {
+    /// An empty batch hashed with `backend`.
+    pub fn new(backend: &Backend) -> Self {
+        PaddedBatch {
+            backend: *backend,
+            blocks: [[0; 64]; LANES],
+            tags: [T::default(); LANES],
+            len: 0,
+        }
+    }
+
+    /// Adds the padded `block` of a message under `tag`. When that fills a
+    /// pass, hashes it and hands `out` each of its tags with its digest.
+    pub fn push(&mut self, tag: T, block: [u8; 64], mut out: impl FnMut(T, [u8; 32])) {
+        let Some(lanes) = self.backend.lanes else {
+            return out(tag, self.backend.sha256_padded(&block));
+        };
+        self.blocks[self.len] = block;
+        self.tags[self.len] = tag;
+        self.len += 1;
+        if self.len == LANES {
+            self.len = 0;
+            let digests = lanes.sha256_padded(&self.blocks.each_ref());
+            for (tag, digest) in self.tags.into_iter().zip(digests) {
+                out(tag, digest);
+            }
+        }
+    }
+
+    /// Hashes the blocks still waiting, one at a time.
+    pub fn finish(self, mut out: impl FnMut(T, [u8; 32])) {
+        for (tag, block) in self.tags.iter().zip(&self.blocks).take(self.len) {
+            out(*tag, self.backend.sha256_padded(block));
+        }
+    }
 }
 
 /// Message schedule of one block with the round constants folded in:
@@ -398,8 +541,9 @@ pub fn sha256_pair(left: &[u8; 32], right: &[u8; 32]) -> [u8; 32] {
 
 /// Two independent [`sha256_pair`]s, `(SHA-256(a ‖ b), SHA-256(c ‖ d))`:
 /// the SHA-NI kernel runs both through one interleaved pass, which is
-/// cheaper than two (the Merkle flush hashes each level two parents at a
-/// time); the portable kernel runs them one after the other.
+/// cheaper than two (the Merkle flush hashes what the lane kernel leaves
+/// of a level — all of it on a CPU without one — two parents at a time);
+/// the portable kernel runs them one after the other.
 pub fn sha256_pair2(
     a: &[u8; 32],
     b: &[u8; 32],
@@ -803,18 +947,193 @@ ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
     fn report_backend() {
         use std::io::Write;
         let ran: Vec<&str> = backends().map(|b| b.name()).collect();
-        let hw = if ran.contains(&"sha-ni") {
+        let sha_ni = if ran.contains(&"sha-ni") {
             "sha-ni kernel tested against portable"
         } else {
-            "sha-ni kernel NOT RUN (cpu lacks sha/sse4.1/ssse3): portable only"
+            "sha-ni kernel NOT RUN (cpu lacks sha/sse4.1/ssse3)"
+        };
+        let lanes = if backends().any(|b| b.lanes().is_some()) {
+            "16-lane avx512 kernel tested against portable"
+        } else {
+            "16-lane avx512 kernel NOT RUN (cpu lacks avx512f)"
+        };
+        let selected = match backend().lanes() {
+            Some(_) => "16-lane avx512 kernel",
+            None => "none",
         };
         let _ = writeln!(
             std::io::stderr(),
-            "sha256 backend: selected={} differential={hw}",
+            "sha256 backend: selected={} lanes={selected} differential={sha_ni}; {lanes}",
             backend().name()
         );
         assert_eq!(backend().name(), ran[0]);
         assert_eq!(*ran.last().unwrap(), "portable");
+        assert_eq!(
+            backend().lanes().is_some(),
+            backends().any(|b| b.lanes().is_some()),
+            "a CPU with the lane kernel selects it"
+        );
+    }
+
+    /// `n` test messages of `len(i)` bytes: distinct ones, with repeats of
+    /// the one before, all-0x00 and all-0xFF ones mixed in, so a kernel
+    /// that swaps, drops or duplicates a lane gets some digest wrong.
+    fn messages(n: usize, len: impl Fn(usize) -> usize) -> Vec<Vec<u8>> {
+        let mut rng = 0x2545_f491_4f6c_dd1du64 ^ n as u64;
+        let mut out: Vec<Vec<u8>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let message = match i % 7 {
+                3 if i > 0 => out[i - 1].clone(),
+                5 => vec![0x00; len(i)],
+                6 => vec![0xff; len(i)],
+                _ => (0..len(i))
+                    .map(|_| {
+                        rng ^= rng << 13;
+                        rng ^= rng >> 7;
+                        rng ^= rng << 17;
+                        rng as u8
+                    })
+                    .collect(),
+            };
+            out.push(message);
+        }
+        out
+    }
+
+    /// What the Merkle flush does with one level's parents: sixteen per
+    /// pass through the lane kernel where there is one, the rest two per
+    /// `pair2` and an odd last one by `pair`.
+    fn hash_64s(b: &Backend, messages: &[[u8; 64]]) -> Vec<[u8; 32]> {
+        let mut out = Vec::with_capacity(messages.len());
+        let mut rest = messages;
+        if let Some(lanes) = b.lanes() {
+            let (sixteens, tail) = messages.as_chunks::<LANES>();
+            for sixteen in sixteens {
+                out.extend(lanes.sha256_64(&sixteen.each_ref()));
+            }
+            rest = tail;
+        }
+        let halves = |m: &[u8; 64]| -> ([u8; 32], [u8; 32]) {
+            let (h, _) = m.as_chunks::<32>();
+            (h[0], h[1])
+        };
+        for two in rest.chunks(2) {
+            match two {
+                [x, y] => {
+                    let ((a, b2), (c, d)) = (halves(x), halves(y));
+                    let (p, q) = b.sha256_pair2(&a, &b2, &c, &d);
+                    out.extend([p, q]);
+                }
+                [x] => {
+                    let (a, b2) = halves(x);
+                    out.push(b.sha256_pair(&a, &b2));
+                }
+                _ => unreachable!(),
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn sixteen_lanes_hash_what_portable_hashes() {
+        let laned: Vec<Backend> = backends().filter(|b| b.lanes().is_some()).collect();
+        let inputs = [
+            messages(LANES, |_| 64),
+            vec![vec![0x00; 64]; LANES],
+            vec![vec![0xff; 64]; LANES],
+            vec![messages(1, |_| 64)[0].clone(); LANES],
+        ];
+        for b in &laned {
+            let lanes = b.lanes().unwrap();
+            for input in &inputs {
+                let blocks: Vec<[u8; 64]> =
+                    input.iter().map(|m| m[..].try_into().unwrap()).collect();
+                let refs: [&[u8; 64]; LANES] = std::array::from_fn(|i| &blocks[i]);
+                let expected: Vec<[u8; 32]> = input.iter().map(|m| PORTABLE.sha256(m)).collect();
+                assert_eq!(lanes.sha256_64(&refs).to_vec(), expected, "{}", b.name());
+                // The same bytes as the first 55 of sixteen short messages.
+                let padded: Vec<[u8; 64]> = input
+                    .iter()
+                    .map(|m| padded_block(&[&m[..55]]).unwrap())
+                    .collect();
+                let refs: [&[u8; 64]; LANES] = std::array::from_fn(|i| &padded[i]);
+                let expected: Vec<[u8; 32]> =
+                    input.iter().map(|m| PORTABLE.sha256(&m[..55])).collect();
+                assert_eq!(
+                    lanes.sha256_padded(&refs).to_vec(),
+                    expected,
+                    "{}",
+                    b.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_to_forty_messages_agree_on_every_backend() {
+        for n in 0..=40 {
+            // Lengths sweep 0..=55, the whole one-block range.
+            let short = messages(n, |i| (i * 11) % 56);
+            let long = messages(n, |_| 64);
+            let expected_short: Vec<[u8; 32]> = short.iter().map(|m| PORTABLE.sha256(m)).collect();
+            let expected_long: Vec<[u8; 32]> = long.iter().map(|m| PORTABLE.sha256(m)).collect();
+            for b in backends() {
+                let mut got = vec![None; n];
+                let mut batch = PaddedBatch::new(&b);
+                let mut deliver = |i: usize, digest| {
+                    assert!(
+                        got[i].replace(digest).is_none(),
+                        "{}: tag {i} twice",
+                        b.name()
+                    );
+                };
+                for (i, m) in short.iter().enumerate() {
+                    batch.push(i, padded_block(&[m]).unwrap(), &mut deliver);
+                }
+                batch.finish(&mut deliver);
+                let got: Vec<[u8; 32]> = got
+                    .into_iter()
+                    .map(|d| d.expect("every tag delivered"))
+                    .collect();
+                assert_eq!(
+                    got,
+                    expected_short,
+                    "{} backend, {n} short messages",
+                    b.name()
+                );
+                let blocks: Vec<[u8; 64]> =
+                    long.iter().map(|m| m[..].try_into().unwrap()).collect();
+                assert_eq!(
+                    hash_64s(&b, &blocks),
+                    expected_long,
+                    "{} backend, {n} 64-byte messages",
+                    b.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn padded_block_is_the_fips_padding_of_up_to_55_bytes() {
+        for len in 0..=64usize {
+            let data: Vec<u8> = (0..len).map(|i| (i * 29 + 1) as u8).collect();
+            let (head, tail) = data.split_at(len / 3);
+            match padded_block(&[head, tail]) {
+                Some(block) => {
+                    assert!(len <= 55, "len {len}");
+                    assert_eq!(block.to_vec(), padded(&data, 64, 8), "len {len}");
+                    for b in backends() {
+                        assert_eq!(
+                            b.sha256_padded(&block),
+                            b.sha256(&data),
+                            "{} len {len}",
+                            b.name()
+                        );
+                    }
+                }
+                None => assert!(len > 55, "len {len}"),
+            }
+        }
     }
 
     mod differential {

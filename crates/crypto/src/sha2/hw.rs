@@ -1,17 +1,21 @@
 //! SHA-256 compression on the x86 SHA extensions (SHA-NI).
 //!
-//! This module holds all of the crate's `unsafe`, and the one condition it
-//! rests on: the three kernel functions execute `sha256rnds2`, `sha256msg1`,
-//! `sha256msg2`, `pshufb` and `pblendw`, so they may only run on a CPU
-//! that reports `sha`, `ssse3` and `sse4.1`. [`kernel`] is the only way to
-//! reach them and it hands them out only after checking exactly that, so
-//! no caller — in this crate or outside it — can get the check wrong.
+//! This module and its child [`avx512`] hold all of the SHA-2 code's
+//! `unsafe`, and the one condition it rests on: the three kernel functions
+//! here execute `sha256rnds2`, `sha256msg1`, `sha256msg2`, `pshufb` and
+//! `pblendw`, so they may only run on a CPU that reports `sha`, `ssse3`
+//! and `sse4.1`; the lane kernel in [`avx512`] needs `avx512f`. Each
+//! module's `kernel()` is the only way to reach its functions and hands
+//! them out only after checking exactly that, so no caller — in this crate
+//! or outside it — can get the check wrong.
 //!
 //! The instruction sequence is the one from Intel's "SHA Extensions"
 //! white paper: the state lives in two registers as `ABEF`/`CDGH`, each
 //! `sha256rnds2` does two rounds, and the message schedule for the next
 //! four rounds is computed by `sha256msg1`/`sha256msg2` while the current
 //! four retire. `pair2` runs two such states, one step of each in turn.
+
+pub(super) mod avx512;
 
 use super::{Backend, IV256, K256, PAD64};
 use core::arch::x86_64::{
@@ -30,6 +34,7 @@ pub(super) fn kernel() -> Option<Backend> {
         compress: compress_checked,
         pair: pair_checked,
         pair2: pair2_checked,
+        lanes: None,
     })
 }
 

@@ -28,7 +28,7 @@ use rdb_common::{ClientId, Operation, ProtocolKind, ReplicaId, Transaction, TxnI
 use rdb_common::{Digest, SeqNum, Snapshot};
 use rdb_crypto::chain_digest;
 use rdb_crypto::sha2::Sha256;
-use rdb_storage::{record_hash, Blockchain, StateStore, WriteRecord};
+use rdb_storage::{hash_records, Blockchain, StateStore, WriteRecord};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,6 +80,10 @@ impl WriteBuf {
         &self.slots[..self.len]
     }
 
+    fn written_mut(&mut self) -> &mut [WriteRecord] {
+        &mut self.slots[..self.len]
+    }
+
     fn push(&mut self, key: u64, value: &[u8]) {
         match self.slots.get_mut(self.len) {
             Some(slot) => {
@@ -101,8 +105,9 @@ impl WriteBuf {
 }
 
 /// The one transaction evaluator. Appends `txn`'s final value per written
-/// key to `writes` (first-write order, hashed once the transaction is
-/// done) and its reply payload to `result`: the last operation's echo
+/// key to `writes` (first-write order, not yet hashed: the caller hashes a
+/// transaction's or a batch's writes at once with [`hash_records`]) and
+/// its reply payload to `result`: the last operation's echo
 /// (write → key bytes, read → value truncated to 8 bytes). Reads see the
 /// transaction's own writes first, then `read(key, earlier, buf)`, which
 /// is handed the writes that were in `writes` before this transaction and
@@ -144,9 +149,6 @@ fn evaluate(
         }
     }
     result.extend_from_slice(&echo.0[..echo.1]);
-    for w in &mut writes.slots[start..writes.len] {
-        w.hash = record_hash(w.key, &w.value);
-    }
 }
 
 /// Evaluates `txn` against `read`, buffering writes instead of mutating.
@@ -164,6 +166,7 @@ where
     let mut result = Vec::with_capacity(8);
     let read = |key, _: &[WriteRecord], buf: &mut Vec<u8>| read(key).map(|v| *buf = v).is_some();
     evaluate(txn, read, &mut writes, &mut Vec::new(), &mut result);
+    hash_records(&mut writes.slots);
     TxnOutcome {
         result,
         writes: writes.slots,
@@ -591,6 +594,7 @@ impl Executor {
                 overlay.insert(w.key, at);
             }
         }
+        hash_records(writes.written_mut());
         let replies = (0..ends.len()).map(|i| {
             let start = if i == 0 { 0 } else { ends[i - 1] };
             results[start..ends[i]].to_vec()

@@ -26,7 +26,8 @@
 //!   `update`/`remove`/[`apply`]) edit the leaf bucket and mark the leaf
 //!   dirty, nothing else. [`root`] and [`prove`] first *flush*: every
 //!   dirty leaf is re-hashed once and dirty parents are propagated level
-//!   by level, two parents per kernel pass ([`sha256_pair2`]), so
+//!   by level, sixteen per pass of the AVX-512 lane kernel where the CPU
+//!   has one and two per SHA-NI pass otherwise, so
 //!   whatever was written since the last flush — one record or a
 //!   checkpoint interval of batches — shares its leaf and upper-tree
 //!   work. The values are those of hashing on every write; only when the
@@ -52,7 +53,7 @@
 //! without the full record set.
 
 use rdb_common::Digest;
-use rdb_crypto::sha2::{sha256_pair, sha256_pair2, Sha256};
+use rdb_crypto::sha2::{self, padded_block, sha256_pair, Backend, PaddedBatch, Sha256, LANES};
 use std::ops::{Deref, DerefMut};
 use std::sync::OnceLock;
 
@@ -165,6 +166,15 @@ fn leaf_hash<'a>(mut entries: impl Iterator<Item = (u64, &'a [u8; 32])>) -> [u8;
         h.update(rh);
     }
     h.finalize()
+}
+
+/// What parent `p` hashes: its two children, side by side in the array.
+fn children(nodes: &[[u8; 32]], p: u32) -> &[u8; 64] {
+    let at = 2 * p as usize;
+    nodes[at..at + 2]
+        .as_flattened()
+        .try_into()
+        .expect("two children")
 }
 
 /// The incremental commitment, and with a value type `V` the record table
@@ -300,22 +310,43 @@ impl<V> MerkleAccumulator<V> {
     /// Brings the node array up to date with the buckets: every dirty leaf
     /// is re-hashed once and parents are propagated level by level,
     /// deduplicated, so everything written since the last flush shares the
-    /// upper tree instead of walking `DEPTH` levels per write. Parents go
-    /// through the kernel two at a time ([`sha256_pair2`]). Returns the
+    /// upper tree instead of walking `DEPTH` levels per write. Returns the
     /// number of leaf and pair hashes that took.
     fn flush(&mut self) -> usize {
+        self.flush_on(sha2::backend())
+    }
+
+    /// [`flush`](Self::flush) with `backend`'s kernels. Where it has a lane
+    /// kernel, each level's parents go through it sixteen at a time, read
+    /// in place (a parent's two children sit side by side in the array),
+    /// and so do the leaves of one-record buckets, as their one padded
+    /// block; the rest of a level goes two parents per [`Backend::sha256_pair2`]
+    /// pass, and a shared bucket's leaf through [`leaf_hash`].
+    fn flush_on(&mut self, backend: &Backend) -> usize {
         let mut level: Vec<u32> = Vec::new();
+        let nodes = &mut self.nodes;
+        let mut leaves = PaddedBatch::new(backend);
+        let mut set = |at: u32, hash| nodes[at as usize] = hash;
         for (word, bits) in self.dirty.iter_mut().enumerate() {
             let mut bits = std::mem::take(bits);
             while bits != 0 {
                 let leaf = word as u32 * 64 + bits.trailing_zeros();
                 bits &= bits - 1;
-                let bucket = &self.buckets[leaf as usize];
-                self.nodes[(LEAVES + leaf) as usize] =
-                    leaf_hash(bucket.iter().map(|e| (e.0, &e.1)));
+                match &*self.buckets[leaf as usize] {
+                    [(key, rh, _)] => {
+                        let block = padded_block(&[&key.to_le_bytes(), rh])
+                            .expect("a 40-byte leaf fits one block");
+                        leaves.push(LEAVES + leaf, block, &mut set);
+                    }
+                    entries => set(
+                        LEAVES + leaf,
+                        leaf_hash(entries.iter().map(|e| (e.0, &e.1))),
+                    ),
+                }
                 level.push(LEAVES + leaf);
             }
         }
+        leaves.finish(&mut set);
         // `level` holds heap positions, ascending within one level; halving
         // them keeps the order, so siblings dedup as neighbours.
         let mut hashes = level.len();
@@ -324,13 +355,37 @@ impl<V> MerkleAccumulator<V> {
                 *at >>= 1;
             }
             level.dedup();
-            // Two parents per kernel pass; an odd one out is hashed twice.
-            for pair in level.chunks(2) {
-                let [l, r] = [pair[0], pair[pair.len() - 1]].map(|p| 2 * p as usize);
+            let mut rest = &level[..];
+            if let Some(lanes) = backend.lanes() {
+                let (sixteens, tail) = level.as_chunks::<LANES>();
+                for parents in sixteens {
+                    let hashes = lanes.sha256_64(&parents.map(|p| children(&self.nodes, p)));
+                    for (p, hash) in parents.iter().zip(hashes) {
+                        self.nodes[*p as usize] = hash;
+                    }
+                }
+                rest = tail;
+            }
+            for two in rest.chunks(2) {
                 let nodes = &self.nodes;
-                let (x, y) = sha256_pair2(&nodes[l], &nodes[l + 1], &nodes[r], &nodes[r + 1]);
-                self.nodes[l / 2] = x;
-                self.nodes[r / 2] = y;
+                match *two {
+                    [p, q] => {
+                        let [l, r] = [2 * p as usize, 2 * q as usize];
+                        let (x, y) = backend.sha256_pair2(
+                            &nodes[l],
+                            &nodes[l + 1],
+                            &nodes[r],
+                            &nodes[r + 1],
+                        );
+                        self.nodes[p as usize] = x;
+                        self.nodes[q as usize] = y;
+                    }
+                    [p] => {
+                        let l = 2 * p as usize;
+                        self.nodes[p as usize] = backend.sha256_pair(&nodes[l], &nodes[l + 1]);
+                    }
+                    _ => unreachable!("chunks of two"),
+                }
             }
             hashes += level.len();
         }
@@ -439,6 +494,7 @@ where
 mod tests {
     use super::*;
     use crate::store::record_hash;
+    use std::collections::BTreeMap;
 
     fn rh(key: u64, tag: u8) -> [u8; 32] {
         record_hash(key, &[tag; 8])
@@ -691,6 +747,85 @@ mod tests {
         assert!(!verify_proof(root, 17, rh(17, 17), &padded));
         // Absent key has no proof.
         assert!(acc.prove(1 << 40).is_none());
+    }
+
+    /// Flushes of 1, 15, 16, 17 and 33 dirty one-record leaves, a third of
+    /// them beside a dirty shared bucket (their sibling, so each level up
+    /// to the tenth holds exactly that many dirty parents), through every
+    /// backend: each lands on the root `commitment_of` builds from the same
+    /// records, and on a node array whose every entry is its children's
+    /// pair hash or its bucket's leaf hash.
+    #[test]
+    fn flushes_around_sixteen_dirty_leaves_agree_on_every_backend() {
+        // Even leaves at least 2^10 apart: no two share an ancestor below
+        // level 11.
+        let targets: Vec<u32> = (0..33u32).map(|i| (i * 1987) & !1).collect();
+        let mut keys_of: BTreeMap<u32, Vec<u64>> = targets
+            .iter()
+            .flat_map(|l| [(*l, Vec::new()), (l + 1, Vec::new())])
+            .collect();
+        for key in 0u64.. {
+            if let Some(keys) = keys_of.get_mut(&bucket_of(key)) {
+                keys.push(key);
+            }
+            if keys_of.values().all(|keys| keys.len() >= 2) {
+                break;
+            }
+        }
+        // Leaf `targets[i]` holds one record; for every third `i` its
+        // sibling holds two, the rest of the siblings none.
+        let shared = |i: usize| i % 3 == 2;
+        let mut base: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        for (i, leaf) in targets.iter().enumerate() {
+            base.insert(keys_of[leaf][0], vec![i as u8; 8]);
+            if shared(i) {
+                for key in &keys_of[&(leaf + 1)][..2] {
+                    base.insert(*key, vec![!(i as u8); 8]);
+                }
+            }
+        }
+        // Records elsewhere in the tree, some of them sharing buckets.
+        for k in 0..500u64 {
+            base.insert(k.wrapping_mul(0x9E37_79B9) | 1 << 40, vec![k as u8; 8]);
+        }
+        for n in [1usize, 15, 16, 17, 33] {
+            for backend in sha2::backends() {
+                let mut acc = MerkleAccumulator::new();
+                let mut records = base.clone();
+                acc.apply(records.iter().map(|(k, v)| (*k, Some(record_hash(*k, v)))));
+                acc.flush();
+                for (i, leaf) in targets.iter().enumerate().take(n) {
+                    let mut touched = vec![keys_of[leaf][0]];
+                    if shared(i) {
+                        touched.push(keys_of[&(leaf + 1)][1]);
+                    }
+                    for key in touched {
+                        let value = vec![0xA5 ^ i as u8; 8];
+                        acc.update(key, record_hash(key, &value));
+                        records.insert(key, value);
+                    }
+                }
+                let dirty: u32 = acc.dirty.iter().map(|bits| bits.count_ones()).sum();
+                assert_eq!(dirty as usize, n + (0..n).filter(|i| shared(*i)).count());
+                acc.flush_on(&backend);
+                let name = backend.name();
+                let expected = commitment_of(records.iter().map(|(k, v)| (*k, v.as_slice())));
+                assert_eq!(Digest(acc.nodes[1]), expected, "{name}, {n} dirty");
+                for at in 1..LEAVES as usize {
+                    let pair = sha256_pair(&acc.nodes[2 * at], &acc.nodes[2 * at + 1]);
+                    assert_eq!(acc.nodes[at], pair, "{name}, {n} dirty: node {at}");
+                }
+                for leaf in 0..LEAVES as usize {
+                    let bucket = &acc.buckets[leaf];
+                    let hash = leaf_hash(bucket.iter().map(|e| (e.0, &e.1)));
+                    assert_eq!(
+                        acc.nodes[LEAVES as usize + leaf],
+                        hash,
+                        "{name}, {n}: leaf {leaf}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
