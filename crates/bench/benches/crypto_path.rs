@@ -1,7 +1,6 @@
 //! Crypto fast-path microbenchmarks — the measured costs of this crate's
 //! own kernels, set beside the simulator's fixed
-//! [`rdb_crypto::CostModel::optimized`] constants, and the evidence for
-//! the batch-verify pipeline stage.
+//! [`rdb_crypto::CostModel::optimized`] constants.
 //!
 //! Measures:
 //!
@@ -11,11 +10,6 @@
 //!   under a key already verified against (the steady state: a client's
 //!   key checks every request it sends) and under a freshly parsed key,
 //!   which also pays for the key's precomputed tables;
-//! - Ed25519 batch verification at window sizes {2, 4, 8, 16, 32, 128},
-//!   reported as the median ns *per signature*, and its speedup over
-//!   single verification of the same entries, timed alternately with the
-//!   batch's samples, so the window size where batching starts to beat
-//!   single verification is on record;
 //! - the CMAC and RSA baselines that anchor the paper's MAC-vs-signature
 //!   cost asymmetry (Section 6 / Figure 13), and CMAC tags over 100 B,
 //!   2 KiB and 56 KiB (one `mem_hotkey_rw` `PrePrepare`) on every AES
@@ -39,14 +33,11 @@ use rand::SeedableRng;
 use rdb_bench::report::{time_ns, Length, Report};
 use rdb_crypto::aes;
 use rdb_crypto::cmac::CmacAes128;
-use rdb_crypto::ed25519::{
-    basepoint_table, verify_batch, BatchEntry, Ed25519KeyPair, Ed25519PublicKey, EdwardsPoint,
-};
+use rdb_crypto::ed25519::{basepoint_table, Ed25519KeyPair, Ed25519PublicKey, EdwardsPoint};
 use rdb_crypto::rsa::RsaKeyPair;
 use rdb_crypto::scheme::RSA_BITS;
 use rdb_crypto::sha2::{self, sha512};
 use std::hint::black_box;
-use std::time::Instant;
 
 /// Message size for all signature operations: a typical signed client
 /// request in this system.
@@ -54,7 +45,7 @@ const MSG_BYTES: usize = 100;
 
 fn run_suite(report: &mut Report) {
     let iters = report.iters();
-    // Heavier ops (RSA, large batches) get a scaled-down iteration count.
+    // Heavier ops (RSA) get a scaled-down iteration count.
     let slow_iters = (iters / 10).max(3);
 
     let msg = vec![0xefu8; MSG_BYTES];
@@ -102,41 +93,6 @@ fn run_suite(report: &mut Report) {
         black_box(key.verify(black_box(&msg), &sig));
     });
     report.record("ed25519/verify/first_under_key", ns_first);
-
-    // --- Ed25519 batch verify at {2, 4, 8, 16, 32, 128} ------------------
-    // Distinct keys and messages per slot: the honest workload, not the
-    // same-key shortcut.
-    let keys: Vec<Ed25519KeyPair> = (0..128)
-        .map(|i| Ed25519KeyPair::from_seed(&[i as u8 + 1; 32]))
-        .collect();
-    let msgs: Vec<Vec<u8>> = (0..128)
-        .map(|i| {
-            let mut m = vec![0xabu8; MSG_BYTES];
-            m[0] = i as u8;
-            m
-        })
-        .collect();
-    let sigs: Vec<[u8; 64]> = keys.iter().zip(&msgs).map(|(k, m)| k.sign(m)).collect();
-    for batch in [2usize, 4, 8, 16, 32, 128] {
-        let entries: Vec<BatchEntry> = (0..batch)
-            .map(|i| BatchEntry {
-                public: keys[i].public_key(),
-                msg: &msgs[i],
-                sig: &sigs[i],
-            })
-            .collect();
-        let samples = if batch >= 128 {
-            slow_iters
-        } else {
-            iters.min(50)
-        };
-        let (single, per_sig) = interleaved_medians(&entries, samples);
-        report.record(format!("ed25519/verify/batch/{batch}"), per_sig);
-        report.record(
-            format!("ed25519/verify/batch_speedup/{batch}"),
-            single / per_sig,
-        );
-    }
 
     // --- SHA-256, per backend -----------------------------------------------
     for backend in sha2::backends() {
@@ -217,43 +173,12 @@ fn run_suite(report: &mut Report) {
     report.record("rsa1024/verify/100B", ns_rsa_verify);
 }
 
-/// Median ns per signature of single and of batch verification over the
-/// same `entries`, one sample of each in turn, so both medians see the
-/// same machine state and their ratio does not drift with it.
-fn interleaved_medians(entries: &[BatchEntry], samples: u32) -> (f64, f64) {
-    let per_sig = |op: &dyn Fn()| {
-        let start = Instant::now();
-        op();
-        start.elapsed().as_nanos() as f64 / entries.len() as f64
-    };
-    let single = || {
-        for e in entries {
-            black_box(e.public.verify(black_box(e.msg), e.sig));
-        }
-    };
-    let batch = || {
-        black_box(verify_batch(black_box(entries)));
-    };
-    // Warm-up: each key's tables are built on its first verify.
-    single();
-    batch();
-    let (mut singles, mut batches): (Vec<f64>, Vec<f64>) = (0..samples.max(1))
-        .map(|_| (per_sig(&single), per_sig(&batch)))
-        .unzip();
-    (median(&mut singles), median(&mut batches))
-}
-
-fn median(xs: &mut [f64]) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
-}
-
 fn main() {
     let Some(mut report) = Report::start(
         "crypto_path",
         "BENCH_crypto.json",
-        "ns_per_op (batch entries are per-signature; speedup entries are ratios; \
-         sha256/pair_x2 and pair_x16 are per pair hash, two and sixteen per call)",
+        "ns_per_op (speedup entries are ratios; sha256/pair_x2 and pair_x16 are \
+         per pair hash, two and sixteen per call)",
         Length::Iters(200),
     ) else {
         return;

@@ -2,8 +2,10 @@
 //!
 //! One function per paper figure; each runs the discrete-event simulator
 //! over the figure's parameter sweep and returns rows ready to print. The
-//! `figures` binary dispatches on the figure id; `EXPERIMENTS.md` records
-//! the measured-vs-paper comparison.
+//! `figures` binary dispatches on the figure id. The measured-vs-paper
+//! comparison is `figures summary`'s output, committed as
+//! `docs/figures-summary.txt`; PAPER.md's "Figure sweeps" entry quotes
+//! its headline multipliers.
 //!
 //! [`report`] is the one writer every `cargo bench` target records its
 //! rows through.

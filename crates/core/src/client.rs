@@ -234,7 +234,10 @@ impl ClientSession {
         self.poll_at(Instant::now())
     }
 
-    fn poll_at(&mut self, now: Instant) -> usize {
+    /// [`Self::poll_progress`] at `now`, so a driver polling many sessions
+    /// reads the clock once per pass. The core is ticked only once its
+    /// next timer is due: a tick before that acts on nothing.
+    pub(crate) fn poll_at(&mut self, now: Instant) -> usize {
         let mut completed = 0;
         while let Some(sm) = self.endpoint.try_recv() {
             completed += self.on_message(sm, now);
@@ -242,7 +245,10 @@ impl ClientSession {
                 break;
             }
         }
-        completed + self.step(ClientInput::Tick, now)
+        if self.core.next_due().is_some_and(|due| now >= due) {
+            completed += self.step(ClientInput::Tick, now);
+        }
+        completed
     }
 
     /// Convenience: submit `txns` and wait for them all.

@@ -6,10 +6,11 @@
 //! cluster. A thread per client does not scale to that population, so the
 //! driver multiplexes many [`ClientSession`]s onto a small pool of shard
 //! threads, pumping each session with the non-blocking
-//! [`ClientSession::poll_progress`] instead of a blocking wait. Over the
-//! TCP transport in swarm mode (`TcpConfig::dedicated_to`), every session
-//! still owns a real socket to the primary — an N-client swarm exercises
-//! N concurrent connections through the reactor.
+//! [`ClientSession::poll_progress`] (at one clock read per pass) instead
+//! of a blocking wait. Over the TCP transport in swarm mode
+//! (`TcpConfig::dedicated_to`), every session still owns a real socket to
+//! the primary — an N-client swarm exercises N concurrent connections
+//! through the reactor.
 //!
 //! **Refill rule.** A session submits its next burst of
 //! [`SwarmConfig::burst`] transactions once its previous burst has
@@ -178,12 +179,14 @@ pub fn run_swarm(
                     let mut submitted = 0u64;
                     let mut samples: Vec<Duration> = Vec::new();
                     loop {
+                        // One clock read per pass over the shard's sessions.
+                        let now = Instant::now();
                         let mut all_done = true;
                         let mut progressed = false;
                         let mut held = false;
                         for p in &mut pumped {
                             if p.session.pending() > 0 {
-                                let c = p.session.poll_progress() as u64;
+                                let c = p.session.poll_at(now) as u64;
                                 let total = committed.fetch_add(c, Ordering::AcqRel) + c;
                                 progressed |= c > 0;
                                 if p.session.pending() == 0 {
@@ -192,7 +195,7 @@ pub fn run_swarm(
                             }
                             if p.session.pending() == 0 {
                                 if let Some(t0) = p.burst_started.take() {
-                                    samples.push(t0.elapsed());
+                                    samples.push(now.saturating_duration_since(t0));
                                 }
                                 let done = p.session.submitted();
                                 let wants = done < cfg.txns_per_client;
@@ -212,7 +215,7 @@ pub fn run_swarm(
                                             p.session.write_txn(key, key.to_le_bytes().to_vec())
                                         })
                                         .collect();
-                                    p.burst_started = Some(Instant::now());
+                                    p.burst_started = Some(now);
                                     p.session.submit(txns);
                                     submitted += count;
                                     progressed = true;
@@ -224,7 +227,7 @@ pub fn run_swarm(
                                 all_done = false;
                             }
                         }
-                        if all_done || Instant::now() > deadline {
+                        if all_done || now > deadline {
                             break;
                         }
                         if held {

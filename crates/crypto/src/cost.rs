@@ -7,9 +7,16 @@
 //! libraries, so absolute throughput lands near the paper's testbed.
 //! What this crate's own implementations cost on the current host is
 //! measured by the `crypto_path` bench into `BENCH_crypto.json`.
+//!
+//! The model prices a production library's Ed25519 batch verifier,
+//! because it simulates the paper's testbed; the runtime verifies each
+//! signature alone.
 
-use crate::scheme::ED25519_BATCH_MIN;
 use rdb_common::CryptoScheme;
+
+/// The fewest Ed25519 signatures the modelled batch verifier checks
+/// together; a smaller window is priced as single verifies.
+const ED25519_BATCH_MIN: usize = 4;
 
 /// Nanosecond costs for each primitive, split into a fixed per-call cost and
 /// a per-byte cost where throughput depends on input size.
@@ -106,14 +113,13 @@ impl CostModel {
     }
 
     /// Per-item cost to verify one of `batch` signatures checked together
-    /// (the pipeline's batch-verify stage). Only Ed25519 links amortize,
-    /// and only in a window the provider batches — one of at least
-    /// `ED25519_BATCH_MIN` signatures; a smaller one is verified one
-    /// signature at a time and priced so. In a batched window the shared
-    /// doubling chain is a fixed cost the batch divides, so the per-item
-    /// cost is `batch_ns + (single_ns − batch_ns) / n`, which tends to the
-    /// measured batch asymptote at large `n`. MAC, RSA and no-crypto links
-    /// price exactly as [`CostModel::verify_ns`].
+    /// by the modelled batch verifier. Only Ed25519 links amortize, and
+    /// only in a window of at least `ED25519_BATCH_MIN` signatures; a
+    /// smaller one is priced one signature at a time. In a batched window
+    /// the shared doubling chain is a fixed cost the batch divides, so the
+    /// per-item cost is `batch_ns + (single_ns − batch_ns) / n`, which
+    /// tends to the measured batch asymptote at large `n`. MAC, RSA and
+    /// no-crypto links price exactly as [`CostModel::verify_ns`].
     pub fn verify_batch_ns(
         &self,
         scheme: CryptoScheme,

@@ -18,28 +18,14 @@
 //!   7M each (M: one field multiply) and *zero* doublings, instead of the
 //!   naive 256-double/128-add ladder that [`EdwardsPoint::scalar_mul`]
 //!   keeps around as the reference baseline.
-//! - **Single verification** evaluates `S·B − k·A == R` as one
-//!   variable-time Straus multi-scalar multiplication. Both scalars are
-//!   split into four 64-bit parts, each against a precomputed multiple
-//!   `2^(64j)·B` or `−2^(64j)·A`, so the shared doubling chain is 64 steps
-//!   long instead of 253: `B`'s width-8 wNAF tables are built once per
-//!   process, `A`'s width-5 tables on the key's first verification (a
-//!   client's key checks every request it sends).
-//! - **Batch verification** ([`verify_batch`]) folds the whole batch into
-//!   a single random-linear-combination equation
-//!   `(Σ zᵢsᵢ)·B − Σ zᵢ·Rᵢ − Σ (zᵢkᵢ)·Aᵢ == 𝒪`, reduced to one
-//!   multi-scalar multiplication whose doubling chain (128 steps, the
-//!   length of the coefficients on the fresh points `Rᵢ`) is shared across
-//!   every signature in the batch. On failure it bisects to identify the
-//!   bad indices, bottoming out in the exact single-signature equation; a
-//!   lone entry goes straight to it.
-//!
-//! Per-item verdicts of the batch match [`Ed25519PublicKey::verify`]. In
-//! the combination a key is multiplied by `zᵢkᵢ mod ℓ`, which would scale
-//! a small-order component of the key by a coefficient-dependent factor;
-//! so each key learns once whether `[ℓ]A == 𝒪`, and one that is not in
-//! the prime-order subgroup (no key a `KeyRegistry` derives) is checked
-//! by the single equation in every batch.
+//! - **Verification** evaluates `S·B − k·A == R` as one variable-time
+//!   Straus multi-scalar multiplication. Both scalars are split into four
+//!   64-bit parts, each against a precomputed multiple `2^(64j)·B` or
+//!   `−2^(64j)·A`, so the shared doubling chain is 64 steps long instead
+//!   of 253: `B`'s width-8 wNAF tables are built once per process, `A`'s
+//!   width-5 tables on the key's first verification (a client's key checks
+//!   every request it sends). A verification under a key verified before
+//!   allocates nothing: its digits live on the stack.
 //!
 //! # Point forms
 //!
@@ -51,23 +37,12 @@
 //! tables (3M).
 //!
 //! All scalar-mult routines here are variable-time (research code, as
-//! noted in the crate docs); the batch coefficients `zᵢ` are 128-bit
-//! values derived from a process nonce and the batch transcript.
+//! noted in the crate docs).
 
 use crate::field25519::{edwards_d, edwards_d2, sqrt_m1, Fe};
 use crate::scalar25519;
 use crate::sha2::Sha512;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-
-/// The group order `ℓ = 2^252 + 27742317777372353535851937790883648493`,
-/// big-endian bytes (the fast limb arithmetic lives in
-/// [`crate::scalar25519`]; these bytes check a key's order and build the
-/// tests' non-canonical and order-adjacent scalars).
-const L_BYTES: [u8; 32] = [
-    0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x14, 0xde, 0xf9, 0xde, 0xa2, 0xf7, 0x9c, 0xd6, 0x58, 0x12, 0x63, 0x1a, 0x5c, 0xf5, 0xd3, 0xed,
-];
 
 /// Reduces the 64-byte SHA-512 output modulo ℓ (little-endian in and out).
 fn reduce_mod_l(bytes_le: &[u8; 64]) -> [u8; 32] {
@@ -574,36 +549,37 @@ fn basepoint_part_tables() -> &'static [[AffineNielsPoint; 64]] {
     })
 }
 
-/// One term `s·P` of a Straus evaluation: the scalar and `P`'s table.
-type Term<'a> = ([u8; 32], &'a [CachedPoint; 8]);
-
 /// Variable-time multi-scalar multiplication `Σ sᵢ·Pᵢ` (Straus'
 /// interleaving trick): one shared doubling chain over all points, with a
-/// width-5 wNAF digit table per point. The doubling chain is what batch
-/// verification amortizes — its cost is paid once per *batch*, not once
-/// per signature. Scalars must be `< 2^255`.
+/// width-5 wNAF digit table per point. Scalars must be `< 2^255`.
 pub fn multiscalar_mul_vartime(scalars: &[[u8; 32]], points: &[EdwardsPoint]) -> EdwardsPoint {
     assert_eq!(scalars.len(), points.len());
     let tables: Vec<[CachedPoint; 8]> = points.iter().map(straus_table).collect();
-    let terms: Vec<Term<'_>> = scalars.iter().copied().zip(&tables).collect();
-    straus(None, &terms)
+    let nafs: Vec<[i8; 256]> = scalars.iter().map(|s| non_adjacent_form(s, 5)).collect();
+    straus(&[], &nafs, &tables)
 }
 
-/// The Straus evaluation loop: `b·B + Σ sᵢ·Pᵢ` over prepared per-point
-/// tables, with `b` (when given) split into parts against the process-wide
-/// basepoint tables. The chain doubles in projective form; only a step that
-/// adds pays for the extended coordinates.
-fn straus(b: Option<&[u8; 32]>, terms: &[Term<'_>]) -> EdwardsPoint {
-    let b_nafs: Vec<[i8; 256]> = match b {
-        Some(b) => (0..PARTS)
-            .map(|j| non_adjacent_form(&scalar_part(b, j), 8))
-            .collect(),
-        None => Vec::new(),
-    };
-    let nafs: Vec<[i8; 256]> = terms.iter().map(|(s, _)| non_adjacent_form(s, 5)).collect();
+/// `s·B + Σⱼ cⱼ·Pⱼ`, with `s` split into parts against the process-wide
+/// basepoint tables and `c` into parts against `tables` (`Pⱼ`'s width-5
+/// table, one per part): the verification equation's one shape, its
+/// digits on the stack.
+fn double_scalar_mul(s: &[u8; 32], c: &[u8; 32], tables: &[[CachedPoint; 8]]) -> EdwardsPoint {
+    let b_nafs: [[i8; 256]; PARTS] =
+        std::array::from_fn(|j| non_adjacent_form(&scalar_part(s, j), 8));
+    let nafs: [[i8; 256]; PARTS] =
+        std::array::from_fn(|j| non_adjacent_form(&scalar_part(c, j), 5));
+    straus(&b_nafs, &nafs, tables)
+}
+
+/// The Straus evaluation loop: `Σ bⱼ·Bⱼ + Σ sᵢ·Pᵢ`, with `b_nafs` the
+/// width-8 digits of parts against the basepoint tables (as many as
+/// given) and `nafs[i]` the width-5 digits against `tables[i]`. The chain
+/// doubles in projective form; only a step that adds pays for the
+/// extended coordinates.
+fn straus(b_nafs: &[[i8; 256]], nafs: &[[i8; 256]], tables: &[[CachedPoint; 8]]) -> EdwardsPoint {
     let high = (0..256)
         .rev()
-        .find(|&i| b_nafs.iter().chain(&nafs).any(|naf| naf[i] != 0));
+        .find(|&i| b_nafs.iter().chain(nafs).any(|naf| naf[i] != 0));
     let Some(high) = high else {
         return EdwardsPoint::identity();
     };
@@ -618,7 +594,7 @@ fn straus(b: Option<&[u8; 32]>, terms: &[Term<'_>]) -> EdwardsPoint {
                 t = t.to_extended().add_affine(q, d < 0);
             }
         }
-        for (naf, (_, table)) in nafs.iter().zip(terms) {
+        for (naf, table) in nafs.iter().zip(tables) {
             let d = naf[i];
             if d != 0 {
                 let q = &table[d.unsigned_abs() as usize / 2];
@@ -708,10 +684,6 @@ pub struct Ed25519PublicKey {
     /// key's first verification: a client's key checks every request it
     /// sends, so its doublings are paid once, not per signature.
     tables: OnceLock<Vec<[CachedPoint; 8]>>,
-    /// Whether `[ℓ]A == 𝒪`, learned on the key's first batch
-    /// verification: a key with a small-order component is checked by the
-    /// single equation in every batch.
-    prime_order: OnceLock<bool>,
 }
 
 impl PartialEq for Ed25519PublicKey {
@@ -730,69 +702,6 @@ impl std::fmt::Debug for Ed25519PublicKey {
     }
 }
 
-/// A verification equation with all per-signature parsing and hashing done:
-/// `S·B == R + k·A`, held as the points and scalars the multi-scalar
-/// multiplication consumes. Shared between the single and batch paths so
-/// both check exactly the same equation.
-struct PreparedVerify<'a> {
-    /// The key's tables of `−A` (see [`Ed25519PublicKey`]).
-    a_neg: &'a [[CachedPoint; 8]],
-    r_point: EdwardsPoint,
-    r_bytes: [u8; 32],
-    a_bytes: [u8; 32],
-    s: [u8; 32],
-    k: [u8; 32],
-}
-
-impl<'a> PreparedVerify<'a> {
-    /// Parses and hashes one (key, message, signature) triple. `None` means
-    /// the signature is structurally invalid (wrong length, non-canonical
-    /// `S`, or `R` not a curve point) — definitively rejected, no group
-    /// equation needed.
-    fn new(public: &'a Ed25519PublicKey, msg: &[u8], sig: &[u8]) -> Option<Self> {
-        if sig.len() != 64 {
-            return None;
-        }
-        let mut r_bytes = [0u8; 32];
-        r_bytes.copy_from_slice(&sig[..32]);
-        let mut s_bytes = [0u8; 32];
-        s_bytes.copy_from_slice(&sig[32..]);
-        if !scalar_is_canonical(&s_bytes) {
-            return None;
-        }
-        let r_point = EdwardsPoint::decompress(&r_bytes)?;
-        // k = SHA512(R || A || M) mod ℓ
-        let mut h = Sha512::new();
-        h.update(&r_bytes);
-        h.update(&public.compressed);
-        h.update(msg);
-        let k = reduce_mod_l(&h.finalize());
-        Some(PreparedVerify {
-            a_neg: public.straus_tables(),
-            r_point,
-            r_bytes,
-            a_bytes: public.compressed,
-            s: s_bytes,
-            k,
-        })
-    }
-
-    /// The terms `(c·−A)` of a coefficient `c` of `−A`, one per part.
-    fn a_terms(&self, c: [u8; 32]) -> impl Iterator<Item = Term<'a>> {
-        self.a_neg
-            .iter()
-            .enumerate()
-            .map(move |(j, table)| (scalar_part(&c, j), table))
-    }
-
-    /// The exact single-signature check `S·B − k·A − R == 𝒪`, evaluated as
-    /// one Straus double-scalar multiplication compared with `R`.
-    fn check_single(&self) -> bool {
-        let terms: Vec<Term<'_>> = self.a_terms(self.k).collect();
-        straus(Some(&self.s), &terms).ct_eq(&self.r_point)
-    }
-}
-
 impl Ed25519PublicKey {
     /// Parses a public key from its 32-byte encoding.
     pub fn from_bytes(bytes: &[u8; 32]) -> Option<Self> {
@@ -801,22 +710,6 @@ impl Ed25519PublicKey {
             compressed: *bytes,
             point,
             tables: OnceLock::new(),
-            prime_order: OnceLock::new(),
-        })
-    }
-
-    /// Whether the key lies in the prime-order subgroup (`[ℓ]A == 𝒪`).
-    fn prime_order(&self) -> bool {
-        *self.prime_order.get_or_init(|| {
-            let mut ell = L_BYTES;
-            ell.reverse();
-            let terms: Vec<Term<'_>> = self
-                .straus_tables()
-                .iter()
-                .enumerate()
-                .map(|(j, table)| (scalar_part(&ell, j), table))
-                .collect();
-            straus(None, &terms).ct_eq(&EdwardsPoint::identity())
         })
     }
 
@@ -841,148 +734,27 @@ impl Ed25519PublicKey {
         &self.compressed
     }
 
-    /// Verifies `sig` (64 bytes: `R || S`) over `msg`.
+    /// Verifies `sig` (64 bytes: `R || S`) over `msg`: rejects a signature
+    /// of the wrong length, with a non-canonical `S` or an `R` that is not
+    /// a curve point, then checks `S·B − k·A == R` for
+    /// `k = SHA-512(R || A || M) mod ℓ` (cofactorless).
     pub fn verify(&self, msg: &[u8], sig: &[u8]) -> bool {
-        match PreparedVerify::new(self, msg, sig) {
-            Some(p) => p.check_single(),
-            None => false,
+        let ([r_bytes, s], []) = sig.as_chunks::<32>() else {
+            return false;
+        };
+        if !scalar_is_canonical(s) {
+            return false;
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Batch verification
-// ---------------------------------------------------------------------------
-
-/// One (key, message, signature) triple submitted to [`verify_batch`].
-#[derive(Debug, Clone, Copy)]
-pub struct BatchEntry<'a> {
-    /// The claimed signer.
-    pub public: &'a Ed25519PublicKey,
-    /// The signed bytes.
-    pub msg: &'a [u8],
-    /// The 64-byte signature `R || S`.
-    pub sig: &'a [u8],
-}
-
-/// Process entropy mixed into the batch coefficients so they are not
-/// predictable across runs.
-fn batch_nonce() -> &'static [u8; 32] {
-    static NONCE: OnceLock<[u8; 32]> = OnceLock::new();
-    NONCE.get_or_init(|| {
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos())
-            .unwrap_or(0);
+        let Some(r_point) = EdwardsPoint::decompress(r_bytes) else {
+            return false;
+        };
         let mut h = Sha512::new();
-        h.update(b"rdb.ed25519.batch-nonce");
-        h.update(&nanos.to_le_bytes());
-        h.update(&std::process::id().to_le_bytes());
-        let out = h.finalize();
-        let mut nonce = [0u8; 32];
-        nonce.copy_from_slice(&out[..32]);
-        nonce
-    })
-}
-
-/// Derives the 128-bit random-linear-combination coefficient for one batch
-/// item from the process nonce, a per-batch counter, and the item's
-/// transcript (R, A, S). Forced odd so a pure small-order defect cannot be
-/// annihilated by the coefficient alone.
-fn derive_z(counter: u64, index: usize, p: &PreparedVerify<'_>) -> [u8; 32] {
-    let mut h = Sha512::new();
-    h.update(b"rdb.ed25519.batch-z");
-    h.update(batch_nonce());
-    h.update(&counter.to_le_bytes());
-    h.update(&(index as u64).to_le_bytes());
-    h.update(&p.r_bytes);
-    h.update(&p.a_bytes);
-    h.update(&p.s);
-    let out = h.finalize();
-    let mut z = [0u8; 32];
-    z[..16].copy_from_slice(&out[..16]);
-    z[0] |= 1;
-    z
-}
-
-/// Whether the random-linear-combination equation holds over `items`:
-/// `(Σ zᵢsᵢ)·B − Σ zᵢ·Rᵢ − Σ (zᵢkᵢ)·Aᵢ == 𝒪`, one multi-scalar
-/// multiplication over `2n + 1` points with a single shared doubling chain.
-fn rlc_holds(items: &[(usize, PreparedVerify<'_>, [u8; 32])]) -> bool {
-    const ZERO: [u8; 32] = [0u8; 32];
-    let mut b_coef = ZERO;
-    let mut r_tables = Vec::with_capacity(items.len());
-    let mut a_coefs = Vec::with_capacity(items.len());
-    for (_, p, z) in items {
-        b_coef = mul_add_mod_l(z, &p.s, &b_coef);
-        r_tables.push(straus_table(&p.r_point.neg()));
-        a_coefs.push(mul_add_mod_l(z, &p.k, &ZERO));
+        h.update(r_bytes);
+        h.update(&self.compressed);
+        h.update(msg);
+        let k = reduce_mod_l(&h.finalize());
+        double_scalar_mul(s, &k, self.straus_tables()).ct_eq(&r_point)
     }
-    let mut terms = Vec::with_capacity(items.len() * (1 + PARTS));
-    for (((_, p, z), r_table), a_coef) in items.iter().zip(&r_tables).zip(&a_coefs) {
-        terms.push((*z, r_table));
-        terms.extend(p.a_terms(*a_coef));
-    }
-    straus(Some(&b_coef), &terms).ct_eq(&EdwardsPoint::identity())
-}
-
-/// Recursive bisection: try the whole sub-batch in one equation; on failure
-/// split in half, bottoming out in the exact per-signature check so every
-/// bad index is identified with per-item semantics.
-fn check_bisect(items: &[(usize, PreparedVerify<'_>, [u8; 32])], results: &mut [bool]) {
-    match items {
-        [] => {}
-        [(idx, p, _)] => results[*idx] = p.check_single(),
-        _ => {
-            if rlc_holds(items) {
-                for (idx, _, _) in items {
-                    results[*idx] = true;
-                }
-            } else {
-                let mid = items.len() / 2;
-                check_bisect(&items[..mid], results);
-                check_bisect(&items[mid..], results);
-            }
-        }
-    }
-}
-
-/// Batch verification: one verdict per entry, in order.
-///
-/// Structurally invalid signatures (bad length, non-canonical `S`,
-/// undecompressable `R`) are rejected up front; the remainder are checked
-/// together via random linear combination, bisecting on failure. A batch
-/// of valid signatures costs one multi-scalar multiplication — the shared
-/// doubling chain amortizes across the batch, which is where the ≥2×
-/// per-signature speedup over single verification comes from.
-pub fn verify_batch(entries: &[BatchEntry<'_>]) -> Vec<bool> {
-    static BATCH_COUNTER: AtomicU64 = AtomicU64::new(0);
-    let mut results = vec![false; entries.len()];
-    let counter = BATCH_COUNTER.fetch_add(1, Ordering::Relaxed);
-    // A key with a small-order component is checked by the single
-    // equation: in the combination, its coefficient would scale that
-    // component.
-    let (mut batched, mut single): (Vec<_>, Vec<_>) = entries
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| PreparedVerify::new(e.public, e.msg, e.sig).map(|p| (i, p, e)))
-        .partition(|(_, _, e)| e.public.prime_order());
-    // So is a lone entry, which needs no coefficient.
-    if batched.len() == 1 {
-        single.append(&mut batched);
-    }
-    for (idx, p, _) in &single {
-        results[*idx] = p.check_single();
-    }
-    let items: Vec<(usize, PreparedVerify<'_>, [u8; 32])> = batched
-        .into_iter()
-        .map(|(i, p, _)| {
-            let z = derive_z(counter, i, &p);
-            (i, p, z)
-        })
-        .collect();
-    check_bisect(&items, &mut results);
-    results
 }
 
 /// An Ed25519 signing key pair derived from a 32-byte seed.
@@ -1015,8 +787,6 @@ impl Ed25519KeyPair {
                 compressed,
                 point: a_point,
                 tables: OnceLock::new(),
-                // `a·B` lies in the subgroup `B` generates.
-                prime_order: OnceLock::from(true),
             },
         }
     }
@@ -1057,6 +827,14 @@ impl Ed25519KeyPair {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The group order `ℓ = 2^252 + 27742317777372353535851937790883648493`,
+    /// big-endian bytes: the non-canonical and order-adjacent scalars.
+    const L_BYTES: [u8; 32] = [
+        0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x14, 0xde, 0xf9, 0xde, 0xa2, 0xf7, 0x9c, 0xd6, 0x58, 0x12, 0x63, 0x1a, 0x5c, 0xf5,
+        0xd3, 0xed,
+    ];
 
     fn unhex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -1162,7 +940,7 @@ mod tests {
         let kp = Ed25519KeyPair::from_seed(&[3u8; 32]);
         let mut sig = kp.sign(b"msg");
         // Set S to ℓ (non-canonical).
-        let mut l_le = super::L_BYTES;
+        let mut l_le = L_BYTES;
         l_le.reverse();
         sig[32..].copy_from_slice(&l_le);
         assert!(!kp.public_key().verify(b"msg", &sig));
@@ -1186,7 +964,7 @@ mod tests {
     #[test]
     fn order_annihilates_basepoint() {
         // ℓ·B == identity
-        let mut l_le = super::L_BYTES;
+        let mut l_le = L_BYTES;
         l_le.reverse();
         let lb = EdwardsPoint::basepoint().scalar_mul(&l_le);
         assert!(lb.ct_eq(&EdwardsPoint::identity()));
@@ -1250,7 +1028,7 @@ mod tests {
             s
         });
         // ℓ - 1 (the largest canonical scalar).
-        let mut l_le = super::L_BYTES;
+        let mut l_le = L_BYTES;
         l_le.reverse();
         l_le[0] -= 1;
         out.push(l_le);
@@ -1337,20 +1115,13 @@ mod tests {
             let p = EdwardsPoint::decompress(&y)
                 .unwrap_or_else(|| EdwardsPoint::basepoint().scalar_mul(&y.map(|b| b & 0x3f)));
             let slow = EdwardsPoint::basepoint().scalar_mul(&s).add(&p.scalar_mul(&k));
-            let fast = straus(Some(&s), &[(k, &straus_table(&p))]);
+            let b_nafs: [[i8; 256]; PARTS] =
+                std::array::from_fn(|j| non_adjacent_form(&scalar_part(&s, j), 8));
+            let fast = straus(&b_nafs, &[non_adjacent_form(&k, 5)], &[straus_table(&p)]);
             proptest::prop_assert!(fast.ct_eq(&slow));
             // As a key: `k` split into parts against `−A`'s part tables.
             let key = Ed25519PublicKey::from_bytes(&p.neg().compress()).expect("a curve point");
-            let prepared = PreparedVerify {
-                a_neg: key.straus_tables(),
-                r_point: p,
-                r_bytes: [0; 32],
-                a_bytes: [0; 32],
-                s,
-                k,
-            };
-            let terms: Vec<Term<'_>> = prepared.a_terms(k).collect();
-            proptest::prop_assert!(straus(Some(&s), &terms).ct_eq(&slow));
+            proptest::prop_assert!(double_scalar_mul(&s, &k, key.straus_tables()).ct_eq(&slow));
         }
     }
 
@@ -1361,113 +1132,5 @@ mod tests {
         let z = [[0u8; 32]];
         let p = [EdwardsPoint::basepoint()];
         assert!(multiscalar_mul_vartime(&z, &p).ct_eq(&EdwardsPoint::identity()));
-    }
-
-    // --- batch verification ----------------------------------------------
-
-    fn batch_fixture(n: usize) -> (Vec<Ed25519KeyPair>, Vec<Vec<u8>>, Vec<[u8; 64]>) {
-        let keys: Vec<Ed25519KeyPair> = (0..n)
-            .map(|i| Ed25519KeyPair::from_seed(&[i as u8 + 1; 32]))
-            .collect();
-        let msgs: Vec<Vec<u8>> = (0..n)
-            .map(|i| format!("message {i}").into_bytes())
-            .collect();
-        let sigs: Vec<[u8; 64]> = keys.iter().zip(&msgs).map(|(k, m)| k.sign(m)).collect();
-        (keys, msgs, sigs)
-    }
-
-    #[test]
-    fn batch_of_valid_signatures_accepts() {
-        let (keys, msgs, sigs) = batch_fixture(8);
-        let entries: Vec<BatchEntry> = keys
-            .iter()
-            .zip(&msgs)
-            .zip(&sigs)
-            .map(|((k, m), s)| BatchEntry {
-                public: k.public_key(),
-                msg: m,
-                sig: s,
-            })
-            .collect();
-        assert_eq!(verify_batch(&entries), vec![true; 8]);
-    }
-
-    #[test]
-    fn batch_bisection_identifies_every_bad_signature() {
-        let (keys, msgs, mut sigs) = batch_fixture(9);
-        // Corrupt a spread of indices, including both halves and the ends.
-        let bad = [0usize, 3, 4, 8];
-        for &i in &bad {
-            sigs[i][7] ^= 0x40;
-        }
-        let entries: Vec<BatchEntry> = keys
-            .iter()
-            .zip(&msgs)
-            .zip(&sigs)
-            .map(|((k, m), s)| BatchEntry {
-                public: k.public_key(),
-                msg: m,
-                sig: s,
-            })
-            .collect();
-        let verdicts = verify_batch(&entries);
-        for i in 0..9 {
-            assert_eq!(
-                verdicts[i],
-                !bad.contains(&i),
-                "index {i}: batch verdict disagrees with corruption set"
-            );
-        }
-    }
-
-    #[test]
-    fn batch_rejects_structurally_invalid_signatures() {
-        let (keys, msgs, sigs) = batch_fixture(3);
-        let short = [0u8; 10];
-        let mut non_canonical = sigs[1];
-        let mut l_le = super::L_BYTES;
-        l_le.reverse();
-        non_canonical[32..].copy_from_slice(&l_le);
-        let entries = vec![
-            BatchEntry {
-                public: keys[0].public_key(),
-                msg: &msgs[0],
-                sig: &short,
-            },
-            BatchEntry {
-                public: keys[1].public_key(),
-                msg: &msgs[1],
-                sig: &non_canonical,
-            },
-            BatchEntry {
-                public: keys[2].public_key(),
-                msg: &msgs[2],
-                sig: &sigs[2],
-            },
-        ];
-        assert_eq!(verify_batch(&entries), vec![false, false, true]);
-    }
-
-    #[test]
-    fn batch_of_one_matches_single_verify() {
-        let (keys, msgs, mut sigs) = batch_fixture(1);
-        let good = verify_batch(&[BatchEntry {
-            public: keys[0].public_key(),
-            msg: &msgs[0],
-            sig: &sigs[0],
-        }]);
-        assert_eq!(good, vec![true]);
-        sigs[0][40] ^= 1;
-        let bad = verify_batch(&[BatchEntry {
-            public: keys[0].public_key(),
-            msg: &msgs[0],
-            sig: &sigs[0],
-        }]);
-        assert_eq!(bad, vec![false]);
-    }
-
-    #[test]
-    fn empty_batch_is_empty() {
-        assert!(verify_batch(&[]).is_empty());
     }
 }

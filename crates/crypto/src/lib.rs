@@ -53,4 +53,4 @@ pub mod sha2;
 
 pub use cost::CostModel;
 pub use hash::{chain_digest, digest, digest_parts};
-pub use scheme::{CryptoProvider, CryptoStats, KeyRegistry, PeerClass, VERIFY_WINDOW};
+pub use scheme::{CryptoProvider, CryptoStats, KeyRegistry, PeerClass};

@@ -13,7 +13,7 @@
 //! CMAC tag) is what the performance study measures.
 
 use crate::cmac::CmacAes128;
-use crate::ed25519::{self, BatchEntry, Ed25519KeyPair, Ed25519PublicKey};
+use crate::ed25519::{Ed25519KeyPair, Ed25519PublicKey};
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
 use crate::sha2::sha256;
 use rand::rngs::StdRng;
@@ -235,20 +235,6 @@ impl CryptoStats {
     }
 }
 
-/// How many pending signed messages a pipeline stage drains and hands to
-/// [`CryptoProvider::verify_batch`] as one window: past ~32 signatures the
-/// per-signature amortization of Ed25519 batch verification has flattened
-/// out. An idle stage still verifies each message immediately (a window
-/// of one).
-pub const VERIFY_WINDOW: usize = 32;
-
-/// The fewest Ed25519 signatures [`CryptoProvider::verify_batch`] hands to
-/// [`ed25519::verify_batch`]; a window with fewer checks each one alone.
-/// The smallest window where batching does not lose: `crypto_path`'s
-/// `ed25519/verify/batch_speedup/<n>` medians over 15 runs on a 2-vCPU
-/// box read 0.85 at 2, 1.01 at 4 and 1.19 at 8.
-pub(crate) const ED25519_BATCH_MIN: usize = 4;
-
 /// One node's view of the key material: signs outgoing messages and
 /// verifies incoming ones, picking the primitive the scheme dictates for
 /// each link.
@@ -329,70 +315,15 @@ impl CryptoProvider {
         }
     }
 
-    /// Verifies a window of messages at once, returning one verdict per
-    /// item, in order — semantically identical to calling [`Self::verify`]
-    /// on each item.
-    ///
-    /// Items whose link uses a digital signature are grouped and handed to
-    /// Ed25519 batch verification ([`ed25519::verify_batch`]): the whole
-    /// group costs one multi-scalar multiplication, with bisection on
-    /// failure to pin down exactly the bad indices. A group smaller than
-    /// [`ED25519_BATCH_MIN`] is verified one signature at a time, where
-    /// that is cheaper. MAC'd, RSA-signed and
-    /// `NoCrypto` items fall back to the per-item primitive (CMAC and RSA
-    /// verification have no batchable structure — RSA verify is already a
-    /// single exponentiation with e = 65537).
-    ///
-    /// The verify counter advances by `items.len()`, exactly as per-item
-    /// calls would, so the pinned sign/verify-count invariants are
-    /// insensitive to how callers group their windows.
+    /// One verdict per item, in order: [`Self::verify`] on each. The
+    /// runtime verifies message by message; this stays for the
+    /// benchmark's replay, which verifies a window of client requests
+    /// through it.
     pub fn verify_batch(&self, items: &[(Sender, &[u8], &SignatureBytes)]) -> Vec<bool> {
-        self.stats
-            .inner
-            .verifies
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let inner = &self.registry.inner;
-        let my_class = self.my_class();
-        let mut results = vec![false; items.len()];
-        // Indices deferred to the Ed25519 batch, with their public keys.
-        let mut ed_indices: Vec<usize> = Vec::new();
-        let mut ed_entries: Vec<BatchEntry<'_>> = Vec::new();
-        for (i, (from, bytes, sig)) in items.iter().enumerate() {
-            match inner.scheme {
-                CryptoScheme::NoCrypto => results[i] = true,
-                CryptoScheme::CmacEd25519 if self.link_uses_mac(*from, my_class) => {
-                    results[i] = inner.group_cmac.verify(bytes, sig.as_ref());
-                }
-                CryptoScheme::CmacEd25519 | CryptoScheme::Ed25519 => {
-                    // Unknown senders stay `false` without poisoning the batch.
-                    if let Some(pk) = inner.ed_public(*from) {
-                        ed_indices.push(i);
-                        ed_entries.push(BatchEntry {
-                            public: pk,
-                            msg: bytes,
-                            sig: sig.as_ref(),
-                        });
-                    }
-                }
-                CryptoScheme::Rsa => {
-                    results[i] = inner
-                        .rsa_public(*from)
-                        .is_some_and(|pk| pk.verify(bytes, sig.as_ref()));
-                }
-            }
-        }
-        let verdicts = if ed_entries.len() < ED25519_BATCH_MIN {
-            ed_entries
-                .iter()
-                .map(|e| e.public.verify(e.msg, e.sig))
-                .collect()
-        } else {
-            ed25519::verify_batch(&ed_entries)
-        };
-        for (idx, ok) in ed_indices.into_iter().zip(verdicts) {
-            results[idx] = ok;
-        }
-        results
+        items
+            .iter()
+            .map(|(from, bytes, sig)| self.verify(*from, bytes, sig))
+            .collect()
     }
 
     /// The peer class of this provider's own identity.
@@ -504,9 +435,8 @@ mod tests {
     fn verify_batch_matches_per_item_for_mixed_links() {
         // A replica receiving a window that mixes MAC'd replica traffic,
         // Ed25519-signed client requests (one of them corrupt), and an
-        // unknown sender: the batch verdicts must equal per-item verify,
-        // with two signed requests, one fewer than the batch cut (each
-        // checked alone) and exactly the cut (one batch).
+        // unknown sender: the window's verdicts must equal per-item verify,
+        // with two, three and four signed requests.
         let reg = registry(CryptoScheme::CmacEd25519);
         let replica = reg.provider_for_replica(ReplicaId(0));
         let peer = reg.provider_for_replica(ReplicaId(1));
@@ -516,7 +446,7 @@ mod tests {
         ];
         let mac_sig = peer.sign(PeerClass::Replica, b"prepare");
         let ghost_sig = SignatureBytes(vec![0u8; 64]); // unknown client id
-        for signed in [2, ED25519_BATCH_MIN - 1, ED25519_BATCH_MIN] {
+        for signed in [2, 3, 4] {
             let reqs: Vec<Vec<u8>> = (0..signed)
                 .map(|i| format!("req{i}").into_bytes())
                 .collect();

@@ -1,14 +1,13 @@
-//! Property tests pinning the batch-verification contract:
+//! Property tests pinning the window API's contract:
 //! `CryptoProvider::verify_batch` must be *observably identical* to
 //! calling `CryptoProvider::verify` once per item — same verdicts, same
 //! counter advance — for random mixes of valid and corrupted signatures,
-//! random senders, and every crypto scheme. This is the invariant that
-//! lets the pipeline group its verification windows freely: batching is
-//! a pure performance decision, never a semantic one.
+//! random senders, and every crypto scheme. The benchmark's replay
+//! verifies its windows through it.
 //!
 //! The corruption patterns deliberately scatter bad signatures across the
-//! window (both halves, runs, all-bad, none-bad) so the bisection path of
-//! Ed25519 batch verification is exercised on every shape it can take.
+//! window (both halves, runs, all-bad, none-bad), so every bad index must
+//! be reported wherever it sits.
 
 use proptest::prelude::*;
 use rdb_common::messages::Sender;
@@ -140,8 +139,8 @@ fn batch_matches_single_rsa_directed() {
     assert_batch_matches_single(CryptoScheme::Rsa, &raw);
 }
 
-/// The bisection path must identify *every* bad index even when bad
-/// signatures dominate the window and cluster adversarially.
+/// *Every* bad index is reported even when bad signatures dominate the
+/// window and cluster adversarially.
 #[test]
 fn bisection_finds_all_bad_indices_in_adversarial_layouts() {
     let reg = KeyRegistry::generate(CryptoScheme::Ed25519, N_REPLICAS, N_CLIENTS, 99);

@@ -1,6 +1,6 @@
 //! A pinned verdict corpus for Ed25519 verification: adversarial keys and
-//! signatures whose accept/reject verdicts, from `verify` and from
-//! `verify_batch` over windows of 1, 2 and 8, are recorded as constants.
+//! signatures whose accept/reject verdicts from `verify` are recorded as
+//! constants.
 //! Any change to the field or curve arithmetic must leave every verdict
 //! as recorded here.
 //!
@@ -12,17 +12,9 @@
 //! - `S = ℓ`, `S = ℓ + 1` and the malleated `S + ℓ`;
 //! - one flipped bit in each of `R`, `S` and the message.
 //!
-//! Verification is cofactorless (`S·B − k·A − R == 𝒪`). The batch path
-//! scales each `R` by an odd random coefficient `z < 2^128`, so a
-//! small-order defect in one `R` gets the same verdict there as alone;
-//! each window of two or eight holds at most one such entry. A key with a
-//! small-order component would be scaled by `z·k mod ℓ`, which multiplies
-//! that component by a coefficient-dependent factor, so the batch checks
-//! such a key by the single equation; the recorded windows pin those
-//! entries through `verify` and windows of one, and a separate test checks
-//! them against `verify` in windows of two and eight.
+//! Verification is cofactorless (`S·B − k·A − R == 𝒪`).
 
-use rdb_crypto::ed25519::{verify_batch, BatchEntry, Ed25519PublicKey, EdwardsPoint};
+use rdb_crypto::ed25519::{Ed25519PublicKey, EdwardsPoint};
 use rdb_crypto::scalar25519::{mul_add, reduce512};
 use rdb_crypto::sha2::sha512;
 
@@ -59,51 +51,6 @@ fn challenge(r: &[u8; 32], a: &[u8; 32], msg: &[u8]) -> [u8; 32] {
     reduce512(&sha512(&buf))
 }
 
-/// A key with a small-order component gets `verify`'s verdict in every
-/// batch window: its batch verdict does not depend on the window's
-/// coefficients. Each key follows valid entries in windows of two and
-/// eight, 64 calls each.
-#[test]
-fn keys_with_a_small_order_component_get_verifys_verdict_in_every_window() {
-    let cases = corpus();
-    let keys: Vec<Option<Ed25519PublicKey>> = cases
-        .iter()
-        .map(|c| Ed25519PublicKey::from_bytes(&c.key))
-        .collect();
-    let verdict = |i: usize| {
-        keys[i]
-            .as_ref()
-            .is_some_and(|k| k.verify(&cases[i].msg, &cases[i].sig))
-    };
-    let valid: Vec<usize> = (0..cases.len())
-        .filter(|&i| cases[i].name.starts_with("valid"))
-        .collect();
-    let keyed: Vec<usize> = (0..cases.len())
-        .filter(|&i| cases[i].torsion == Torsion::InKey && keys[i].is_some())
-        .collect();
-    assert!(keyed
-        .iter()
-        .any(|&i| cases[i].name.starts_with("mixed-order")));
-    for window in [2usize, 8] {
-        for call in 0..64 {
-            let key = keyed[call % keyed.len()];
-            let mut idx: Vec<usize> = (0..window - 1)
-                .map(|j| valid[(call + j) % valid.len()])
-                .collect();
-            idx.push(key);
-            let got = verify_batch(&entries(&cases, &keys, &idx));
-            let want: Vec<bool> = idx.iter().map(|&i| verdict(i)).collect();
-            assert_eq!(
-                got,
-                want,
-                "{} after {} valid entries, call {call}",
-                cases[key].name,
-                window - 1
-            );
-        }
-    }
-}
-
 fn basemul(s: &[u8; 32]) -> EdwardsPoint {
     EdwardsPoint::basepoint().scalar_mul(s)
 }
@@ -138,21 +85,12 @@ fn torsion(n: u32) -> EdwardsPoint {
     unreachable!()
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum Torsion {
-    None,
-    InR,
-    InKey,
-}
-
 /// One corpus entry: the encoded key, the message and the signature.
 struct Case {
     name: &'static str,
     key: [u8; 32],
     msg: Vec<u8>,
     sig: [u8; 64],
-    /// Where the entry carries a small-order component, if anywhere.
-    torsion: Torsion,
 }
 
 /// An honest signature under secret scalar `a` (public key `a·B`).
@@ -166,7 +104,6 @@ fn honest(name: &'static str, a: &[u8; 32], msg: &[u8]) -> Case {
         key,
         msg: msg.to_vec(),
         sig: sig(&r_bytes, &mul_add(&k, a, &r)),
-        torsion: Torsion::None,
     }
 }
 
@@ -233,7 +170,6 @@ fn corpus() -> Vec<Case> {
             key: t_bytes,
             msg: msg.clone(),
             sig: sig(&r_bytes, &r),
-            torsion: Torsion::InKey,
         });
         // R = T under an honest key: S = k·a leaves −T.
         let key = a_point.compress();
@@ -243,7 +179,6 @@ fn corpus() -> Vec<Case> {
             key,
             msg: msg.clone(),
             sig: sig(&t_bytes, &mul(&k, &a)),
-            torsion: Torsion::InR,
         });
         // A = a·B + T, S = r + k·a: leaves −k·T.
         let mixed = a_point.add(&tp).compress();
@@ -253,7 +188,6 @@ fn corpus() -> Vec<Case> {
             key: mixed,
             msg: msg.clone(),
             sig: sig(&r_bytes, &mul_add(&k, &a, &r)),
-            torsion: Torsion::InKey,
         });
         // R = r·B + T under an honest key, S = r + k·a: leaves −T.
         let rt = r_point.add(&tp).compress();
@@ -263,7 +197,6 @@ fn corpus() -> Vec<Case> {
             key,
             msg: msg.clone(),
             sig: sig(&rt, &mul_add(&k, &a, &r)),
-            torsion: Torsion::InR,
         });
     }
 
@@ -288,7 +221,6 @@ fn corpus() -> Vec<Case> {
             key,
             msg: msg.clone(),
             sig: sig(&enc, &s),
-            torsion: Torsion::None,
         });
     }
 
@@ -318,7 +250,6 @@ fn corpus() -> Vec<Case> {
             key: base.key,
             msg: base.msg.clone(),
             sig: sig(&r_part, &s),
-            torsion: Torsion::None,
         });
     }
 
@@ -365,25 +296,6 @@ fn non_canonical_keys_never_parse() {
 const SINGLE: &str = "1111000000001000100000000000000";
 /// Whether each `y ≥ p` key encoding parses.
 const A_NON_CANONICAL_PARSES: &str = "0000";
-/// `verify_batch` over windows of 1, 2 and 8, concatenated per window.
-const BATCH_1: &str = "1111000000001000100000000000000";
-const BATCH_2: &str =
-    "1001100110011001100110011001100110011001100110011001100110011001100110011001";
-const BATCH_8: &str = "00000011000000110000001100000011000000110000001100000101000001101111111101111111101111111101111111101111111101111111101111111101111111100111111110111111110111111110111111110111111110111111110111111110011111111011111111011111";
-
-fn entries<'a>(
-    cases: &'a [Case],
-    keys: &'a [Option<Ed25519PublicKey>],
-    idx: &[usize],
-) -> Vec<BatchEntry<'a>> {
-    idx.iter()
-        .map(|&i| BatchEntry {
-            public: keys[i].as_ref().expect("corpus keys parse"),
-            msg: &cases[i].msg,
-            sig: &cases[i].sig,
-        })
-        .collect()
-}
 
 #[test]
 fn verdicts_match_the_recorded_corpus() {
@@ -403,71 +315,4 @@ fn verdicts_match_the_recorded_corpus() {
         .collect();
     let names: Vec<&str> = cases.iter().map(|c| c.name).collect();
     assert_eq!(single, SINGLE, "single verdicts for {names:?}");
-
-    let usable: Vec<usize> = (0..cases.len()).filter(|&i| keys[i].is_some()).collect();
-    let valid: Vec<usize> = usable
-        .iter()
-        .copied()
-        .filter(|&i| cases[i].name.starts_with("valid"))
-        .collect();
-    let bad: Vec<usize> = usable
-        .iter()
-        .copied()
-        .filter(|&i| !cases[i].name.starts_with("valid"))
-        .collect();
-    let bad_keyed: Vec<usize> = bad
-        .iter()
-        .copied()
-        .filter(|&i| cases[i].torsion != Torsion::InKey)
-        .collect();
-
-    // Windows of one: every usable entry alone.
-    let batch_1 = verdict_string(
-        usable
-            .iter()
-            .flat_map(|&i| verify_batch(&entries(&cases, &keys, &[i]))),
-    );
-    assert_eq!(batch_1, BATCH_1);
-
-    // Windows of two: each entry after and before a valid one.
-    let mut batch_2 = String::new();
-    for (n, &i) in bad_keyed.iter().enumerate() {
-        let v = valid[n % valid.len()];
-        batch_2 += &verdict_string(verify_batch(&entries(&cases, &keys, &[v, i])));
-        batch_2 += &verdict_string(verify_batch(&entries(&cases, &keys, &[i, v])));
-    }
-    assert_eq!(batch_2, BATCH_2);
-
-    // Windows of eight: each small-order `R` among two valid entries and
-    // five bad ones without a small-order component, at a rotating
-    // position.
-    let plain_bad: Vec<usize> = bad
-        .iter()
-        .copied()
-        .filter(|&i| cases[i].torsion == Torsion::None)
-        .collect();
-    let torsion: Vec<usize> = bad
-        .iter()
-        .copied()
-        .filter(|&i| cases[i].torsion == Torsion::InR)
-        .collect();
-    let mut batch_8 = String::new();
-    for (n, &t) in torsion.iter().enumerate() {
-        let mut idx: Vec<usize> = (0..5)
-            .map(|j| plain_bad[(n * 5 + j) % plain_bad.len()])
-            .collect();
-        idx.push(valid[n % valid.len()]);
-        idx.push(valid[(n + 1) % valid.len()]);
-        idx.insert(n % 8, t);
-        batch_8 += &verdict_string(verify_batch(&entries(&cases, &keys, &idx)));
-    }
-    // And all-valid, all-but-one-valid windows.
-    let mut idx: Vec<usize> = (0..8).map(|j| valid[j % valid.len()]).collect();
-    batch_8 += &verdict_string(verify_batch(&entries(&cases, &keys, &idx)));
-    for (n, &b) in bad_keyed.iter().enumerate() {
-        idx[n % 8] = b;
-        batch_8 += &verdict_string(verify_batch(&entries(&cases, &keys, &idx)));
-        idx[n % 8] = valid[n % valid.len()];
-    }
-    assert_eq!(batch_8, BATCH_8);
 }

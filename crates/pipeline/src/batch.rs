@@ -1,23 +1,16 @@
-//! Signature-window verification and batch assembly (Section 4.3).
+//! Signature verification and batch assembly (Section 4.3).
 //!
-//! Client signature checking is the dominant crypto cost at the primary
-//! (the paper's Section 6 observation), so requests are not verified one
-//! at a time: a stage drains up to [`rdb_crypto::VERIFY_WINDOW`] queued
-//! messages and checks them as *one* batch-verification equation.
-//! Per-message accept/drop semantics are exactly those of per-item
-//! verification — a bad signature in the window is bisected out and
-//! dropped while the rest proceed.
-//!
-//! [`verify_window`] is that step, shared by the worker and the batch
-//! stage; [`BatchAssembler`] builds consensus batches from what it
-//! accepted, one pending batch per consensus instance, on every batch
-//! thread or — with `batch_threads = 0` — inside the worker's
-//! [`crate::Node`]. It verifies nothing and reads no clock: the caller
-//! passes authentic transactions and `now`.
+//! A stage verifies what it drains one message at a time: a bad signature
+//! is dropped while the rest proceed. [`verify_window`] is that step,
+//! shared by the worker and the batch stage; [`BatchAssembler`] builds
+//! consensus batches from what it accepted, one pending batch per
+//! consensus instance, on every batch thread or — with `batch_threads =
+//! 0` — inside the worker's [`crate::Node`]. It verifies nothing and
+//! reads no clock: the caller passes authentic transactions and `now`.
 
 use crate::core::{client_instance, Input};
-use rdb_common::messages::{Message, Sender, SignedMessage};
-use rdb_common::{Batch, SignatureBytes, SystemConfig, Transaction};
+use rdb_common::messages::{Message, SignedMessage};
+use rdb_common::{Batch, SystemConfig, Transaction};
 use rdb_crypto::{digest, CryptoProvider};
 use std::time::{Duration, Instant};
 
@@ -25,26 +18,18 @@ use std::time::{Duration, Instant};
 /// anyway.
 pub const BATCH_FLUSH_AFTER: Duration = Duration::from_millis(1);
 
-/// Verifies `window` as one crypto batch and drains it: every authentic
-/// message goes to `accept`; the number of rejected ones is returned.
+/// Verifies each of `msgs` as it is drained: every authentic message goes
+/// to `accept`; the number of rejected ones is returned.
 pub(crate) fn verify_window(
     provider: &CryptoProvider,
-    window: &mut Vec<SignedMessage>,
+    msgs: impl IntoIterator<Item = SignedMessage>,
     mut accept: impl FnMut(SignedMessage),
 ) -> u64 {
-    if window.is_empty() {
-        return 0;
-    }
-    // Memoized canonical bytes: the sender's clone already serialized
-    // them, so `signing_bytes` is a lookup.
-    let items: Vec<(Sender, &[u8], &SignatureBytes)> = window
-        .iter()
-        .map(|sm| (sm.sender(), sm.signing_bytes(), sm.sig()))
-        .collect();
-    let verdicts = provider.verify_batch(&items);
     let mut rejected = 0;
-    for (sm, ok) in window.drain(..).zip(verdicts) {
-        if ok {
+    for sm in msgs {
+        // Memoized canonical bytes: the sender's clone already serialized
+        // them, so `signing_bytes` is a lookup.
+        if provider.verify(sm.sender(), sm.signing_bytes(), sm.sig()) {
             accept(sm);
         } else {
             rejected += 1;
@@ -146,6 +131,7 @@ fn propose(instance: usize, txns: Vec<Transaction>, cut: &mut Vec<Input>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdb_common::messages::Sender;
     use rdb_common::{ClientId, CryptoScheme, Operation, ReplicaId};
     use rdb_crypto::{KeyRegistry, PeerClass};
 
@@ -182,7 +168,9 @@ mod tests {
         now: Instant,
         cut: &mut Vec<Input>,
     ) -> u64 {
-        verify_window(provider, window, |sm| asm.push_request(sm, now, cut))
+        verify_window(provider, window.drain(..), |sm| {
+            asm.push_request(sm, now, cut)
+        })
     }
 
     /// The instance and batch a cut proposes.

@@ -18,14 +18,14 @@
 //!   delivering thread and only pushes onto the consuming stage's channel
 //!   ([`crate::route`]).
 //! - [`worker_loop`] authenticates the messages of its backlog — every
-//!   replica message, checkpoint votes included — as one window, steps
-//!   the node and sends to replicas itself.
+//!   replica message, checkpoint votes included — one by one, steps the
+//!   node and sends to replicas itself.
 //! - [`batch_loop`] turns client requests into digested batches. Every
 //!   batch thread reads the replica's one client-request channel and holds
 //!   its own [`BatchAssembler`], with a pending batch for each instance
 //!   this replica leads, so `B` threads serve the leader-only stage at any
 //!   number of instances. `batch_threads = 0` leaves that to the node's
-//!   own assembler, and the requests join the worker's window (the
+//!   own assembler, and the requests join the worker's backlog (the
 //!   paper's `0B`).
 //! - [`execute_loop`] owns the [`ExecStage`], fed the core's execution
 //!   effects in order, and runs committed batches strictly in sequence
@@ -51,7 +51,7 @@ use crossbeam::channel::{self, Receiver, Sender as ChanSender};
 use parking_lot::Mutex;
 use rdb_common::messages::{Message, Sender, SignedMessage};
 use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, SystemConfig};
-use rdb_crypto::{digest, CryptoProvider, CryptoStats, KeyRegistry, PeerClass, VERIFY_WINDOW};
+use rdb_crypto::{digest, CryptoProvider, CryptoStats, KeyRegistry, PeerClass};
 use rdb_net::{Endpoint, NetHandle, NetworkStats};
 use rdb_storage::blockchain::ChainMode;
 use rdb_storage::{Blockchain, MemStore, StateStore};
@@ -69,6 +69,10 @@ pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
 /// Maximum committed sequences the parallel executor schedules in one
 /// conflict graph (the in-order window of `execute_threads ≥ 2`).
 pub const EXECUTE_WINDOW: usize = 4;
+
+/// The most client requests a batch thread drains per wake-up, so a
+/// pending partial batch's deadline is checked between drains.
+const BATCH_DRAIN: usize = 32;
 
 /// State shared between the replica's threads and exposed to callers.
 pub struct ReplicaShared {
@@ -449,19 +453,11 @@ fn wait_for(due: Option<Instant>) -> Duration {
     })
 }
 
-/// Adds what is already queued to `window`, up to [`VERIFY_WINDOW`]: a
-/// batch verification amortizes across it, a lone message waits for none.
-fn fill_window(rx: &Receiver<SignedMessage>, window: &mut Vec<SignedMessage>) {
-    let room = VERIFY_WINDOW.saturating_sub(window.len());
-    window.extend(std::iter::from_fn(|| rx.try_recv().ok()).take(room));
-}
-
-/// Batch thread (Section 4.3): verify client signatures a window at a
-/// time, assemble batches for the instance each client shards to, digest
-/// them once, hand them to the worker for proposing.
+/// Batch thread (Section 4.3): verify client signatures as they are
+/// drained, assemble batches for the instance each client shards to,
+/// digest them once, hand them to the worker for proposing.
 fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, config: &SystemConfig) {
     let mut assembler = BatchAssembler::new(config, Instant::now());
-    let mut window: Vec<SignedMessage> = Vec::with_capacity(VERIFY_WINDOW);
     let mut cut = Vec::new();
     while ctx.running() {
         // Block until a request arrives or a pending partial batch falls
@@ -476,9 +472,9 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, config: &SystemConfi
         ctx.rec.record(|| {
             match first {
                 Some(sm) => {
-                    window.push(sm);
-                    fill_window(rx, &mut window);
-                    let rejected = verify_window(&ctx.provider, &mut window, |sm| {
+                    let queued = std::iter::from_fn(|| rx.try_recv().ok());
+                    let drained = std::iter::once(sm).chain(queued).take(BATCH_DRAIN);
+                    let rejected = verify_window(&ctx.provider, drained, |sm| {
                         assembler.push_request(sm, now, &mut cut);
                     });
                     ctx.note_bad_sigs(rejected);
@@ -565,7 +561,7 @@ fn next_to_execute(shared: &ReplicaShared) -> SeqNum {
 /// interpreter of its effects. The node holds the parts no thread is
 /// configured for: the assemblers under `0B`, the execute stage under
 /// `0E`. Each wake-up steps the whole backlog with the wall clock: the
-/// other stages' inputs, then the messages that pass one verify window
+/// other stages' inputs, then the messages that pass verification
 /// (forgeries are counted), each source's in order. A wake-up that finds
 /// nothing after a [`POLL_INTERVAL`] steps an [`Input::Tick`], and so
 /// does every wake-up once the node's next due time has passed: a busy
@@ -612,7 +608,7 @@ fn worker_loop(ctx: &StageCtx, rx: &Receiver<Work>, config: &SystemConfig, mut i
             inputs.push_back(Input::Tick.into());
         }
         let mut turn = || {
-            let rejected = verify_window(&ctx.provider, &mut unverified, |sm| {
+            let rejected = verify_window(&ctx.provider, unverified.drain(..), |sm| {
                 // A client request reaches the worker only under `0B`.
                 if !matches!(sm.msg(), Message::ClientRequest { .. }) {
                     return inputs.push_back(Input::Verified(sm).into());

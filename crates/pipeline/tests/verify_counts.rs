@@ -160,9 +160,16 @@ fn bad_signatures_are_still_dropped() {
     // dropped_bad_sigs behavior is unchanged by the envelope refactor: a
     // tampered/forged message is verified against its canonical bytes and
     // discarded, on both the batch-thread path (client requests) and the
-    // worker path (replica messages).
+    // worker path (replica messages) — under CMAC replica links and under
+    // Ed25519-signed ones, where the worker checks a vote's signature.
+    for scheme in [CryptoScheme::CmacEd25519, CryptoScheme::Ed25519] {
+        drops_forgeries(scheme);
+    }
+}
+
+fn drops_forgeries(scheme: CryptoScheme) {
     let cfg = test_config(ProtocolKind::Pbft);
-    let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 4, 23);
+    let registry = KeyRegistry::generate(scheme, 4, 4, 23);
     let net = Network::new(NetworkConfig::default());
     let replicas = spawn_cluster(&cfg, &net, &registry);
 
@@ -186,18 +193,23 @@ fn bad_signatures_are_still_dropped() {
         .send(Sender::Replica(ReplicaId(0)), req)
         .unwrap();
 
-    // Forged replica message: a Prepare "from" a replica id that never
-    // held the group key, sent straight to a backup's worker path.
+    // Forged replica message: a Prepare claiming replica 2, its MAC or
+    // signature with one bit flipped, sent straight to a backup's worker
+    // path from an address outside the cluster.
     let attacker_replica = net.register(Sender::Replica(ReplicaId(9)));
-    let forged = SignedMessage::new(
+    let signer = registry.provider_for_replica(ReplicaId(2));
+    let prepare = SignedMessage::sign_with(
         Message::Prepare {
             view: ViewNum(0),
             seq: SeqNum(1),
             digest: Digest([7; 32]),
         },
-        Sender::Replica(ReplicaId(9)),
-        SignatureBytes(vec![0xbe; 16]),
+        Sender::Replica(ReplicaId(2)),
+        |bytes| signer.sign(PeerClass::Replica, bytes),
     );
+    let mut sig = prepare.sig().clone();
+    sig.0[0] ^= 1;
+    let forged = SignedMessage::new(prepare.into_message(), Sender::Replica(ReplicaId(2)), sig);
     attacker_replica
         .send(Sender::Replica(ReplicaId(1)), forged)
         .unwrap();
@@ -212,12 +224,12 @@ fn bad_signatures_are_still_dropped() {
     assert_eq!(
         replicas[0].shared().dropped_bad_sigs(),
         1,
-        "primary must drop the forged client request"
+        "{scheme:?}: primary must drop the forged client request"
     );
     assert_eq!(
         replicas[1].shared().dropped_bad_sigs(),
         1,
-        "backup must drop the forged prepare"
+        "{scheme:?}: backup must drop the forged prepare"
     );
     // Nothing committed anywhere.
     for r in &replicas {

@@ -23,7 +23,7 @@ KEEP='
 crates/common/src/peers.rs to_flag  the inverse of parse_flag; tests/tcp_cluster.rs passes the map to child rdb-node processes with it
 crates/common/src/transaction.rs conflicts_with  the pairwise conflict rule the scheduler tests check every wave against
 crates/core/src/fabric.rs head_results  the only read of head-block results; the rejoin tests compare them across replicas
-crates/crypto/src/ed25519.rs multiscalar_mul_vartime  the general Straus MSM; verification calls its table-taking core, the MSM tests call this
+crates/crypto/src/ed25519.rs multiscalar_mul_vartime  the general Straus MSM; verification runs the same Straus loop on stack digits, the MSM tests call this
 crates/crypto/src/rsa.rs signature_len  the RSA half of the signature-size contract pinned by signature_len_matches_actual
 crates/crypto/src/scheme.rs signature_len  the signature-size contract per scheme and peer class, pinned by signature_len_matches_actual
 crates/net/src/stats.rs total_delivered  the receive-side total beside total_sent; the transport tests wait on it
