@@ -27,6 +27,7 @@ pub mod messages;
 pub mod options;
 pub mod peers;
 pub mod quorum;
+pub mod sections;
 pub mod snapshot;
 pub mod transaction;
 

@@ -27,6 +27,7 @@
 use crate::config::{CryptoScheme, FsyncMode, ProtocolKind, SystemConfig};
 use crate::error::{CommonError, Result};
 use crate::peers::PeerMap;
+use crate::sections;
 
 /// Which transport backend a deployment runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -163,27 +164,10 @@ impl NodeOptions {
     /// this version does not know (typos must not silently configure
     /// nothing).
     pub fn apply_toml(&mut self, text: &str) -> Result<()> {
-        let mut in_node = false;
-        for raw in text.lines() {
-            let line = match raw.split_once('#') {
-                Some((before, _)) => before.trim(),
-                None => raw.trim(),
-            };
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                in_node = line == "[node]";
-                continue;
-            }
-            if !in_node {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
+        for entry in sections::entries(text, "[node]") {
+            let (key, value) = entry.map_err(|line| {
                 CommonError::InvalidConfig(format!("node line '{line}' is not key = value"))
             })?;
-            let key = key.trim();
-            let value = value.trim().trim_matches('"');
             self.set(key, value)?;
         }
         Ok(())

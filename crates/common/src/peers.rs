@@ -21,6 +21,7 @@
 
 use crate::error::{CommonError, Result};
 use crate::ids::ReplicaId;
+use crate::sections;
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 
@@ -103,33 +104,18 @@ impl PeerMap {
         let mut map = PeerMap::new();
         // If a [peers] section exists, only its lines are peer entries —
         // top-level keys like `protocol = "pbft"` before it stay ignored.
-        // Without any [peers] header, the whole file is treated as a bare
-        // list of `id = "addr"` lines.
-        let has_peers_section = text
-            .lines()
-            .any(|l| l.split('#').next().unwrap_or("").trim() == "[peers]");
-        let mut in_peers = !has_peers_section;
-        for raw in text.lines() {
-            let line = match raw.split_once('#') {
-                Some((before, _)) => before.trim(),
-                None => raw.trim(),
-            };
-            if line.is_empty() {
-                continue;
-            }
-            if line.starts_with('[') {
-                in_peers = line == "[peers]";
-                continue;
-            }
-            if !in_peers {
-                continue;
-            }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
+        // Without any [peers] header, the lines above the first header are
+        // a bare list of `id = "addr"` lines.
+        let header = if sections::has_header(text, "[peers]") {
+            "[peers]"
+        } else {
+            ""
+        };
+        for entry in sections::entries(text, header) {
+            let (id, addr) = entry.map_err(|line| {
                 CommonError::InvalidConfig(format!("peer line '{line}' is not id = \"addr\""))
             })?;
-            let key = key.trim().trim_matches('"');
-            let value = value.trim().trim_matches('"');
-            map.add_parsed(key, value)?;
+            map.add_parsed(id, addr)?;
         }
         Ok(map)
     }

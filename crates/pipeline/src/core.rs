@@ -6,15 +6,15 @@
 //! traffic by its instance tag), the per-instance suspicion timers,
 //! multi-primary gap-fill, the recovery ladder (fetch-missing with
 //! back-off and peer rotation, the quiescence probe, f+1 vouching for
-//! fetched batches and snapshots) and the prune/stable cursors. It touches
-//! no thread, socket, queue or clock: one entry point,
+//! fetched batches and snapshots) and the stable cursor. It touches no
+//! thread, socket, queue, clock or shared state: one entry point,
 //! [`ReplicaCore::step`], takes an [`Input`] and the current time and
-//! appends plain-data [`Effect`]s for the caller to carry out. The two
-//! synchronous look-ups it needs — the latest serving snapshot and ledger
-//! pruning — go through the small [`CoreEnv`] trait so a test can fake
-//! them.
+//! appends plain-data [`Effect`]s for the caller to carry out.
 //!
-//! It batches nothing and executes nothing: a [`crate::Node`] puts it
+//! It batches nothing, executes nothing and reads no execution state: what
+//! touches the store, the ledger or the serving snapshot is an effect the
+//! execute stage applies in the core's order ([`Effect::for_stage`]). A
+//! [`crate::Node`] puts the core
 //! between the batch assemblers and the execute stage, and every driver —
 //! `replica::worker_loop` with the wall clock, the figure simulator at
 //! virtual time, and the tests at the bottom of this file with a
@@ -45,7 +45,7 @@ const FETCH_POLL_EVERY: Duration = Duration::from_millis(20);
 const MAX_BACKOFF_SHIFT: u32 = 5;
 
 /// One thing that happened, for [`ReplicaCore::step`] to react to.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum Input {
     /// A replica message whose MAC or signature was already checked (the
     /// worker verifies what the transport delivers to it).
@@ -112,13 +112,23 @@ pub enum Effect {
     /// epoch, in order with the other execution effects.
     InstallSnapshot(Arc<Snapshot>),
     /// `seq` became a 2f+1-stable checkpoint: nothing at or below it can
-    /// roll back any more (drop undo images, persist the covering
-    /// snapshot, compact the WAL). Emitted only once the execute stage has
-    /// applied every `Rollback` and `InstallSnapshot` before it, so the
-    /// worker carries it out directly.
+    /// roll back any more ([`crate::Executor::note_stable`]). Emitted as
+    /// soon as it stabilizes: the stage applies it after every `Rollback`
+    /// and `InstallSnapshot` emitted before it.
     Stable {
         /// The stable sequence.
         seq: SeqNum,
+    },
+    /// A peer asked for sequences this replica has pruned: the stage
+    /// answers from its snapshot mark, which no rollback emitted before
+    /// this can still supersede ([`crate::ExecStage::apply`]).
+    ServeSnapshot {
+        /// The peer that asked.
+        to: Sender,
+        /// This replica, as the response names its sender.
+        from: ReplicaId,
+        /// The pruned sequences asked for.
+        pruned: Vec<SeqNum>,
     },
     /// `instance` installed `view`; client routing must follow its new
     /// primary.
@@ -138,19 +148,18 @@ pub enum Effect {
     },
 }
 
-/// The two synchronous look-ups the core makes into replica state it does
-/// not own.
-pub trait CoreEnv {
-    /// The newest snapshot this replica can serve to a lagging peer.
-    /// Building it copies the whole store: ask [`CoreEnv::snapshot_base`]
-    /// first whether it is the one to send.
-    fn latest_snapshot(&self) -> Option<Arc<Snapshot>>;
-    /// Base sequence of [`CoreEnv::latest_snapshot`], for free.
-    fn snapshot_base(&self) -> Option<SeqNum>;
-    /// Prunes the ledger below `seq` and returns how far it is pruned now
-    /// (pruning is clamped at the ledger head, so this can be short of
-    /// `seq` while execution lags).
-    fn prune_chain_below(&self, seq: SeqNum) -> SeqNum;
+impl Effect {
+    /// Whether the execute stage carries this effect out, in the core's order.
+    pub fn for_stage(&self) -> bool {
+        matches!(
+            self,
+            Effect::Execute { .. }
+                | Effect::Rollback { .. }
+                | Effect::InstallSnapshot(_)
+                | Effect::Stable { .. }
+                | Effect::ServeSnapshot { .. }
+        )
+    }
 }
 
 /// Each instance checkpoints every Δ of its *own* executed batches;
@@ -200,7 +209,6 @@ pub struct ReplicaCore {
     /// Instance `j` owns the global sequences `j+1, j+1+k, …`.
     instances: Vec<Instance>,
     provider: CryptoProvider,
-    env: Arc<dyn CoreEnv + Send + Sync>,
     me: ReplicaId,
     /// Every replica but this one, in id order.
     peers: Vec<Sender>,
@@ -211,18 +219,9 @@ pub struct ReplicaCore {
     /// advances on the same `Rollback`/`InstallSnapshot` effects once it
     /// applies them; until then its results carry the older value.
     epoch: u64,
-    /// The epoch of the execute stage's latest current result. Below
-    /// `epoch`, a `Rollback` or `InstallSnapshot` may still wait in the
-    /// stage's channel, and stable-checkpoint work waits with it
-    /// ([`Self::release_stable`]).
-    stage_epoch: u64,
-    /// Highest stable checkpoint seen; chain pruning up to here is
-    /// retried as execution catches up (it is clamped at the head).
+    /// Highest stable checkpoint, each rise emitted as [`Effect::Stable`];
+    /// the engines keep nothing at or below it.
     stable_checkpoint: SeqNum,
-    /// Highest stable checkpoint handed on as [`Effect::Stable`].
-    stable_released: SeqNum,
-    /// How far the chain has actually been pruned (tracks the clamp).
-    pruned_to: SeqNum,
     view_timeout: Duration,
     /// Highest globally committed sequence seen (any instance). Execution
     /// drains strictly in global order, so a committed sequence above an
@@ -275,7 +274,6 @@ impl ReplicaCore {
         config: &SystemConfig,
         id: ReplicaId,
         provider: CryptoProvider,
-        env: Arc<dyn CoreEnv + Send + Sync>,
         recovered: Option<&RecoveryReport>,
         now: Instant,
     ) -> Self {
@@ -306,7 +304,6 @@ impl ReplicaCore {
         ReplicaCore {
             instances,
             provider,
-            env,
             me: id,
             peers: (0..config.n as u32)
                 .map(ReplicaId)
@@ -316,10 +313,7 @@ impl ReplicaCore {
             f: config.f,
             protocol: config.protocol,
             epoch: 0,
-            stage_epoch: 0,
             stable_checkpoint: recovered.map_or(SeqNum(0), |r| r.stable),
-            stable_released: recovered.map_or(SeqNum(0), |r| r.stable),
-            pruned_to: recovered.map_or(SeqNum(0), |r| r.snapshot_seq),
             view_timeout,
             commit_frontier: head,
             last_executed: head,
@@ -385,8 +379,13 @@ impl ReplicaCore {
         // The rest goes to one instance: view-change traffic by its tag (a
         // byzantine peer's tag ≥ k is dropped), everything else by its seq.
         let j = match sm.msg() {
-            Message::FetchRequest { seqs, replica } => {
+            // Served only to its signer, never to a third party it names.
+            Message::FetchRequest { seqs, replica } if sm.sender() == Sender::Replica(*replica) => {
                 return self.serve_fetch_request(*replica, seqs, fx);
+            }
+            Message::FetchRequest { seqs, .. } => {
+                let dropped = seqs.len() as u64;
+                return fx.push(Effect::FetchServed { served: 0, dropped });
             }
             Message::FetchResponse { .. } | Message::SnapshotResponse { .. } => {
                 return self.on_recovery_response(sm, now, fx);
@@ -416,41 +415,11 @@ impl ReplicaCore {
         if epoch != self.epoch {
             return; // executed on a rolled-back/superseded timeline
         }
-        self.stage_epoch = epoch;
         self.last_executed = self.last_executed.max(seq);
         let j = self.owner(seq);
         self.note_progress(j, now);
         let actions = self.instances[j].engine.on_executed(seq, state_digest);
         self.run_actions(actions, now, fx);
-        self.release_stable(fx);
-    }
-
-    /// Carries out the stable checkpoint — prunes the chain and emits
-    /// [`Effect::Stable`] — once the execute stage has applied every
-    /// `Rollback` and `InstallSnapshot` emitted before it, which a result
-    /// in the current epoch proves. A checkpoint can stabilize from 2f+1
-    /// remote votes while a rollback below it still waits in the stage's
-    /// channel; pruning the chain or the undo log past the rollback's
-    /// target first would leave the displaced writes in place (or trip
-    /// the ledger's truncate assert).
-    ///
-    /// Pruning is clamped at the chain head while local execution lags,
-    /// so it is retried here as execution advances. Once caught up this
-    /// is a field comparison, not a per-batch acquisition of the lock the
-    /// execute path appends under.
-    fn release_stable(&mut self, fx: &mut Vec<Effect>) {
-        if self.stage_epoch != self.epoch {
-            return;
-        }
-        if self.stable_checkpoint > self.pruned_to {
-            self.pruned_to = self.env.prune_chain_below(self.stable_checkpoint);
-        }
-        if self.stable_checkpoint > self.stable_released {
-            self.stable_released = self.stable_checkpoint;
-            fx.push(Effect::Stable {
-                seq: self.stable_checkpoint,
-            });
-        }
     }
 
     /// The suspicion timers (Section 4.2 of PBFT, simplified), one per
@@ -579,8 +548,10 @@ impl ReplicaCore {
                 Action::StableCheckpoint { seq } => {
                     // A checkpoint's state digest covers the whole global
                     // prefix, so the instances' stable points merge by max.
-                    self.stable_checkpoint = self.stable_checkpoint.max(seq);
-                    self.release_stable(fx);
+                    if seq > self.stable_checkpoint {
+                        self.stable_checkpoint = seq;
+                        fx.push(Effect::Stable { seq });
+                    }
                 }
                 Action::Rollback { to } => {
                     // New epoch: in-flight `Executed` notifications from
@@ -613,17 +584,17 @@ impl ReplicaCore {
     }
 
     /// Serves a peer's `FetchRequest`: one `FetchResponse` per retained
-    /// committed sequence, one `SnapshotResponse` (at most) for sequences
-    /// at or below this replica's pruning horizon, and nothing for
-    /// sequences it cannot vouch for.
+    /// committed sequence and nothing for sequences it cannot vouch for.
+    /// Sequences at or below the stable checkpoint are pruned: the
+    /// execute stage answers those from its snapshot mark.
     fn serve_fetch_request(&mut self, requester: ReplicaId, seqs: &[SeqNum], fx: &mut Vec<Effect>) {
         if requester == self.me {
             return;
         }
-        let to = Sender::Replica(requester);
+        let (to, from) = (Sender::Replica(requester), self.me);
         let mut served = 0u64;
         let mut dropped = seqs.len().saturating_sub(SERVE_CAP) as u64;
-        let mut snapshot_sent = false;
+        let mut pruned = Vec::new();
         for &seq in seqs.iter().take(SERVE_CAP) {
             let served_by = &self.instances[self.owner(seq)].engine;
             if let Some((view, digest, batch, certificate)) = served_by.serve_fetch(seq) {
@@ -637,31 +608,14 @@ impl ReplicaCore {
                 };
                 fx.push(Effect::Send(OutItem::to(to, msg)));
                 served += 1;
-            } else if seq <= self.stable_checkpoint.max(self.pruned_to) {
-                // Pruned below the stable checkpoint: the snapshot covers
-                // it (and every other pruned sequence — send it once).
-                match self.env.snapshot_base() {
-                    Some(base) if !snapshot_sent && base >= seq => {
-                        // A mark captured since then only has a higher
-                        // base; one dropped since then serves nothing.
-                        let Some(snapshot) = self.env.latest_snapshot() else {
-                            dropped += 1;
-                            continue;
-                        };
-                        snapshot_sent = true;
-                        served += 1;
-                        let msg = Message::SnapshotResponse {
-                            snapshot,
-                            replica: self.me,
-                        };
-                        fx.push(Effect::Send(OutItem::to(to, msg)));
-                    }
-                    Some(_) => {}
-                    None => dropped += 1,
-                }
+            } else if seq <= self.stable_checkpoint {
+                pruned.push(seq);
             } else {
                 dropped += 1;
             }
+        }
+        if !pruned.is_empty() {
+            fx.push(Effect::ServeSnapshot { to, from, pruned });
         }
         fx.push(Effect::FetchServed { served, dropped });
     }
@@ -776,8 +730,6 @@ impl ReplicaCore {
         self.last_executed = self.last_executed.max(base);
         self.commit_frontier = self.commit_frontier.max(base);
         self.stable_checkpoint = self.stable_checkpoint.max(base);
-        self.stable_released = self.stable_released.max(base);
-        self.pruned_to = self.pruned_to.max(base);
         self.fetch_inflight.retain(|seq, _| *seq > base);
         self.fetch_votes.retain(|(seq, _, _), _| *seq > base);
         fx.push(Effect::InstallSnapshot(snapshot));
@@ -891,29 +843,11 @@ mod tests {
     use rdb_crypto::{KeyRegistry, PeerClass};
     use rdb_storage::blockchain::ChainMode;
     use rdb_storage::{Blockchain, MemStore, StateStore};
+    use std::cell::Cell;
     use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     const VIEW_TIMEOUT: Duration = Duration::from_millis(1_000);
     const MS: Duration = Duration::from_millis(1);
-
-    /// The real executor behind the two environment look-ups.
-    struct TestEnv {
-        executor: Arc<Executor>,
-        chain: Arc<Mutex<Blockchain>>,
-    }
-
-    impl CoreEnv for TestEnv {
-        fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
-            self.executor.latest_snapshot()
-        }
-        fn snapshot_base(&self) -> Option<SeqNum> {
-            self.executor.snapshot_base()
-        }
-        fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
-            self.chain.lock().prune_below(seq)
-        }
-    }
 
     /// The real executor as the stage's back end, noting each snapshot it
     /// installs.
@@ -930,6 +864,15 @@ mod tests {
             self.installed.lock().push(snapshot.base_seq);
             self.executor.install_snapshot(snapshot);
         }
+        fn note_stable(&self, seq: SeqNum) {
+            self.executor.note_stable(seq);
+        }
+        fn snapshot_base(&self) -> Option<SeqNum> {
+            self.executor.snapshot_base()
+        }
+        fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+            self.executor.latest_snapshot()
+        }
     }
 
     /// One replica: its node, and what it did.
@@ -937,6 +880,7 @@ mod tests {
         node: Node,
         backend: Arc<Backend>,
         executor: Arc<Executor>,
+        chain: Arc<Mutex<Blockchain>>,
         /// `Some` for a replica whose execute stage runs outside its node,
         /// as an execute thread's does.
         thread_stage: Option<ExecStage>,
@@ -948,6 +892,9 @@ mod tests {
         /// Every message this replica sent, with its targets.
         sent: Vec<OutItem>,
         views: Vec<(usize, ViewNum)>,
+        /// `Some` while every step is recorded: the input, its time and
+        /// the `Debug` form of the effects it appended.
+        recorded: Option<Vec<(NodeInput, Instant, String)>>,
     }
 
     impl Replica {
@@ -1014,16 +961,12 @@ mod tests {
                     let chain = Arc::new(Mutex::new(Blockchain::new(Digest::ZERO, quorum, mode)));
                     let executor =
                         Arc::new(Executor::new(id, cfg.protocol, store, Arc::clone(&chain)));
-                    let env = Arc::new(TestEnv {
-                        executor: Arc::clone(&executor),
-                        chain,
-                    });
                     let backend = Arc::new(Backend {
                         executor: Arc::clone(&executor),
                         installed: Mutex::new(Vec::new()),
                     });
                     let provider = registry.provider_for_replica(id);
-                    let core = ReplicaCore::new(cfg, id, provider, env, None, now);
+                    let core = ReplicaCore::new(cfg, id, provider, None, now);
                     let mut node = Node::new(core).with_batching(cfg, now);
                     let threaded = threaded.contains(&(r as usize));
                     if !threaded {
@@ -1033,11 +976,13 @@ mod tests {
                         node,
                         backend,
                         executor,
+                        chain,
                         thread_stage: threaded.then(|| ExecStage::new(SeqNum(1))),
                         stage_backlog: None,
                         executed: Vec::new(),
                         sent: Vec::new(),
                         views: Vec::new(),
+                        recorded: None,
                     }
                 })
                 .collect();
@@ -1074,14 +1019,24 @@ mod tests {
         /// sequence order on the real executor.
         fn step(&mut self, r: usize, input: impl Into<NodeInput>) {
             let (input, mut fx) = (input.into(), Vec::new());
-            let node = &mut self.nodes[r].node;
             let tick = matches!(input, NodeInput::Core(Input::Tick));
-            if !tick && node.next_due().is_some_and(|due| self.now > due) {
-                node.step(Input::Tick.into(), self.now, &mut fx);
+            let due = self.nodes[r].node.next_due();
+            if !tick && due.is_some_and(|due| self.now > due) {
+                self.step_node(r, Input::Tick.into(), &mut fx);
             }
-            node.step(input, self.now, &mut fx);
+            self.step_node(r, input, &mut fx);
             for effect in fx {
                 self.apply(r, effect);
+            }
+        }
+
+        /// Steps replica `r`'s node once, recording the step if asked to.
+        fn step_node(&mut self, r: usize, input: NodeInput, fx: &mut Vec<NodeEffect>) {
+            let (replica, from) = (&mut self.nodes[r], fx.len());
+            let record = replica.recorded.is_some().then(|| input.clone());
+            replica.node.step(input, self.now, fx);
+            if let (Some(input), Some(log)) = (record, &mut replica.recorded) {
+                log.push((input, self.now, format!("{:?}", &fx[from..])));
             }
         }
 
@@ -1114,8 +1069,10 @@ mod tests {
                     }
                     node.sent.push(item);
                 }
+                Effect::ViewEntered { instance, view } => node.views.push((instance, view)),
+                Effect::FetchServed { .. } => {}
                 // Only from a node without a stage: its execute thread's.
-                Effect::Execute { .. } | Effect::Rollback { .. } | Effect::InstallSnapshot(_) => {
+                effect => {
                     if let Some(backlog) = &mut node.stage_backlog {
                         backlog.push(effect);
                         return;
@@ -1124,13 +1081,13 @@ mod tests {
                         .thread_stage
                         .as_mut()
                         .expect("a stage outside the node");
-                    stage.apply(effect, &*node.backend);
+                    let answer = stage.apply(effect, &*node.backend);
                     let (window, epoch) = (stage.take_window(usize::MAX), stage.epoch());
                     self.execute(r, window, epoch);
+                    for effect in answer {
+                        self.carry_out(r, effect);
+                    }
                 }
-                Effect::Stable { seq } => node.executor.note_stable(seq),
-                Effect::ViewEntered { instance, view } => node.views.push((instance, view)),
-                Effect::FetchServed { .. } => {}
             }
         }
 
@@ -1367,10 +1324,37 @@ mod tests {
         assert_eq!(c.nodes[1].core().last_executed, SeqNum(1));
     }
 
+    /// A forged proposal at `seq` from replica 0, straight to a backup's
+    /// core: the speculation only that backup runs.
+    fn forged_proposal(seq: u64) -> Input {
+        let forged = Arc::new(Batch::new(vec![Transaction::new(
+            ClientId(5),
+            seq,
+            vec![Operation::Write {
+                key: seq,
+                value: vec![1; 8],
+            }],
+        )]));
+        let proposal = Message::PrePrepare {
+            view: ViewNum(0),
+            seq: SeqNum(seq),
+            digest: digest(&forged.canonical_bytes()),
+            batch: forged,
+        };
+        let primary = Sender::Replica(ReplicaId(0));
+        Input::Verified(SignedMessage::new(proposal, primary, Default::default()))
+    }
+
+    /// The ledger's first retained block.
+    fn ledger_base(node: &Replica) -> SeqNum {
+        node.chain.lock().iter().next().expect("a head").seq
+    }
+
     /// A checkpoint that stabilizes above a rollback the execute stage has
-    /// not applied yet waits for it. Pruning first would drop the undo
-    /// records the rollback needs (or move the ledger's base past its
-    /// target) and leave the displaced writes in place.
+    /// not applied yet waits for it in the stage's queue. Pruning first
+    /// would drop the undo records the rollback needs (or move the
+    /// ledger's base past its target) and leave the displaced writes in
+    /// place.
     #[test]
     fn a_checkpoint_stable_above_a_pending_rollback_waits_for_the_stage() {
         let mut cfg = config(ProtocolKind::Zyzzyva, 1);
@@ -1381,27 +1365,11 @@ mod tests {
         }
         c.commit_batch(0, 0, 0);
         let after_1 = c.nodes[1].executor.store().state_digest();
+        let block_1 = c.nodes[1].chain.lock().head().clone();
+        let txns_1 = c.nodes[1].executor.executed_txns();
 
         // Replica 1 alone speculatively executes a forged proposal at 2.
-        let forged = Arc::new(Batch::new(vec![Transaction::new(
-            ClientId(5),
-            0,
-            vec![Operation::Write {
-                key: 3,
-                value: vec![1; 8],
-            }],
-        )]));
-        let proposal = Message::PrePrepare {
-            view: ViewNum(0),
-            seq: SeqNum(2),
-            digest: digest(&forged.canonical_bytes()),
-            batch: forged,
-        };
-        let primary = Sender::Replica(ReplicaId(0));
-        c.step(
-            1,
-            Input::Verified(SignedMessage::new(proposal, primary, Default::default())),
-        );
+        c.step(1, forged_proposal(2));
         c.run();
         assert_eq!(c.nodes[1].executor.executed_batches(), 2);
 
@@ -1443,15 +1411,18 @@ mod tests {
             c.step(1, vote);
         }
         assert_eq!(c.nodes[1].core().stable_checkpoint, SeqNum(2));
-        assert_eq!(c.nodes[1].core().pruned_to, SeqNum(0), "pruning waits");
 
-        // The stage applies the rollback: all of the forged batch is
-        // undone.
+        // The stage applies the rollback, then the stable checkpoint: the
+        // undo log rewinds all of the forged batch — store, ledger and
+        // counters — and the ledger is pruned no further than its head.
         c.catch_up_stage(1);
         c.run();
         let node = &c.nodes[1];
         assert_eq!(node.executor.executed_batches(), 1);
+        assert_eq!(node.executor.executed_txns(), txns_1);
         assert_eq!(node.executor.store().state_digest(), after_1);
+        assert_eq!(*node.chain.lock().head(), block_1);
+        assert_eq!(ledger_base(node), SeqNum(1), "pruned up to the head");
 
         // Replica 1 catches up from the others and converges on a replica
         // that never speculated.
@@ -1466,7 +1437,174 @@ mod tests {
             one.executor.store().state_digest(),
             zero.executor.store().state_digest()
         );
-        assert!(one.core().pruned_to >= SeqNum(2), "pruned once caught up");
+        assert_eq!(ledger_base(one), SeqNum(2), "pruning follows execution");
+    }
+
+    /// A peer asks a Zyzzyva replica for a pruned sequence while a
+    /// rollback below its newest snapshot mark still waits for the stage.
+    /// The answer comes from the stage, after the rollback dropped that
+    /// mark, so the speculation it captured is never served.
+    #[test]
+    fn a_pruned_fetch_behind_a_queued_rollback_never_gets_the_superseded_mark() {
+        let mut cfg = config(ProtocolKind::Zyzzyva, 1);
+        cfg.checkpoint_interval = 4; // a checkpoint every 2 batches
+        let mut c = Cluster::with_stage_threads(&cfg, &[1]);
+        for node in &c.nodes {
+            node.executor.set_snapshot_interval(2);
+        }
+        c.commit_batch(0, 0, 0);
+        c.commit_batch(0, 0, 2);
+        assert_eq!(c.nodes[1].core().stable_checkpoint, SeqNum(2));
+
+        // Replica 1 alone speculates on 3 and 4 and marks its snapshot at 4.
+        c.isolated.insert(1);
+        for seq in [3, 4] {
+            c.step(1, forged_proposal(seq));
+        }
+        c.run();
+        c.isolated.remove(&1);
+        assert_eq!(c.nodes[1].executor.snapshot_base(), Some(SeqNum(4)));
+
+        // A client's certificate for another digest at 3 rolls it back to 2
+        // while its stage lags; then replica 2 asks for the pruned 1.
+        c.nodes[1].stage_backlog = Some(Vec::new());
+        let signers = [0, 2, 3].map(|i| (ReplicaId(i), SignatureBytes(vec![i as u8])));
+        let cert = Message::CommitCert {
+            view: ViewNum(0),
+            seq: SeqNum(3),
+            digest: Digest([9; 32]),
+            cert: BlockCertificate::new(signers.into()),
+            client: ClientId(0),
+        };
+        let client = Sender::Client(ClientId(0));
+        c.step(
+            1,
+            Input::Verified(SignedMessage::new(cert, client, Default::default())),
+        );
+        let fetch = Message::FetchRequest {
+            seqs: vec![SeqNum(1)],
+            replica: ReplicaId(2),
+        };
+        let from = Sender::Replica(ReplicaId(2));
+        c.step(
+            1,
+            Input::Verified(SignedMessage::new(fetch, from, Default::default())),
+        );
+        c.catch_up_stage(1);
+        c.run();
+
+        let node = &c.nodes[1];
+        assert_eq!(node.executor.executed_batches(), 2, "3 and 4 undone");
+        assert_eq!(node.executor.snapshot_base(), None, "the mark at 4 is gone");
+        let served = node.sent_kind(MessageKind::SnapshotResponse);
+        assert!(
+            served.iter().all(|o| matches!(
+                &o.msg,
+                Message::SnapshotResponse { snapshot, .. } if snapshot.base_seq <= SeqNum(2)
+            )),
+            "served a mark the rollback superseded"
+        );
+    }
+
+    /// A request is served only to the replica that signed it: naming a
+    /// third one would let any replica, or a client, have this replica
+    /// send it batches and a whole-store snapshot.
+    #[test]
+    fn a_fetch_request_is_served_only_to_the_replica_that_signed_it() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        c.commit_batch(0, 0, 0);
+        let ask = |c: &mut Cluster, signer: Sender| {
+            let msg = Message::FetchRequest {
+                seqs: vec![SeqNum(1), SeqNum(2)],
+                replica: ReplicaId(3),
+            };
+            let input = Input::Verified(SignedMessage::new(msg, signer, Default::default()));
+            let mut fx = Vec::new();
+            c.nodes[0].node.step(input.into(), c.now, &mut fx);
+            let mut sent = Vec::new();
+            let mut counted = None;
+            for effect in fx {
+                match effect {
+                    NodeEffect::Core(Effect::Send(o)) => sent.push((o.targets, o.msg.kind())),
+                    NodeEffect::Core(Effect::FetchServed { served, dropped }) => {
+                        counted = Some((served, dropped));
+                    }
+                    other => panic!("nothing else: {other:?}"),
+                }
+            }
+            (sent, counted)
+        };
+        for signer in [Sender::Replica(ReplicaId(2)), Sender::Client(ClientId(0))] {
+            assert_eq!(
+                ask(&mut c, signer),
+                (Vec::new(), Some((0, 2))),
+                "{signer:?}"
+            );
+        }
+        let to_3 = vec![Sender::Replica(ReplicaId(3))];
+        assert_eq!(
+            ask(&mut c, Sender::Replica(ReplicaId(3))),
+            (vec![(to_3, MessageKind::FetchResponse)], Some((1, 1)))
+        );
+    }
+
+    /// A core is a function of its inputs: a fresh node built from the same
+    /// config and keys, stepped with what replica 3 was stepped with —
+    /// through a view change, a fetch catch-up and a snapshot install —
+    /// appends the same effects in the same order. Nothing else is
+    /// recorded: the core reads no state it does not own.
+    #[test]
+    fn a_fresh_node_stepped_through_a_recorded_run_appends_the_same_effects() {
+        let mut cfg = config(ProtocolKind::Pbft, 1);
+        cfg.checkpoint_interval = 16; // a checkpoint every 8 batches
+        let mut c = Cluster::with_stage_threads(&cfg, &[3]);
+        let start = c.now;
+        for node in &c.nodes {
+            node.executor.set_snapshot_interval(8);
+        }
+        c.nodes[3].recorded = Some(Vec::new());
+
+        // A view change: the primary proposes nothing for a view timeout.
+        for r in 1..4 {
+            c.step(r, Input::ClientDemand(0));
+        }
+        c.advance(VIEW_TIMEOUT);
+        assert!(c.nodes.iter().all(|n| n.views == [(0, ViewNum(1))]));
+
+        // A fetch catch-up: replica 3 misses 1 and 2, then hears of 3.
+        c.isolated.insert(3);
+        c.commit_batch(1, 0, 0);
+        c.commit_batch(1, 0, 2);
+        c.isolated.remove(&3);
+        c.commit_batch(1, 0, 4);
+        for _ in 0..20 {
+            c.advance(FETCH_POLL_EVERY);
+        }
+        assert_eq!(c.nodes[3].executed.len(), 3);
+        assert_eq!(c.nodes[3].executed, c.nodes[0].executed);
+
+        // A snapshot install: it misses two checkpoints the others prune.
+        c.isolated.insert(3);
+        for b in 3..16 {
+            c.commit_batch(1, 0, b * 2);
+        }
+        c.isolated.remove(&3);
+        c.commit_batch(1, 0, 32);
+        for _ in 0..50 {
+            c.advance(FETCH_POLL_EVERY);
+        }
+        assert_eq!(c.nodes[3].installed(), vec![SeqNum(16)]);
+        assert_eq!(c.nodes[3].executed.last(), c.nodes[0].executed.last());
+
+        let recorded = c.nodes[3].recorded.take().expect("recorded");
+        let provider = c.registry.provider_for_replica(ReplicaId(3));
+        let core = ReplicaCore::new(&cfg, ReplicaId(3), provider, None, start);
+        let mut fresh = Node::new(core).with_batching(&cfg, start);
+        for (i, (input, now, appended)) in recorded.into_iter().enumerate() {
+            let mut fx = Vec::new();
+            fresh.step(input, now, &mut fx);
+            assert_eq!(format!("{fx:?}"), appended, "step {i}");
+        }
     }
 
     #[test]
@@ -1691,23 +1829,23 @@ mod tests {
         })
     }
 
-    /// An environment with a snapshot mark at `base` that counts how often
-    /// the snapshot behind it — a copy of the whole store — is asked for.
-    struct MarkedEnv {
+    /// A back end with a snapshot mark at `base` that counts how often the
+    /// snapshot behind it — a copy of the whole store — is asked for.
+    struct MarkedBackend {
         base: Option<u64>,
-        built: AtomicU64,
+        built: Cell<u64>,
     }
 
-    impl CoreEnv for MarkedEnv {
-        fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
-            self.built.fetch_add(1, Ordering::Relaxed);
-            self.base.map(snapshot_at)
-        }
+    impl ExecBackend for MarkedBackend {
+        fn rollback_to(&self, _: SeqNum) {}
+        fn install_snapshot(&self, _: &Arc<Snapshot>) {}
+        fn note_stable(&self, _: SeqNum) {}
         fn snapshot_base(&self) -> Option<SeqNum> {
             self.base.map(SeqNum)
         }
-        fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
-            seq
+        fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+            self.built.set(self.built.get() + 1);
+            self.base.map(snapshot_at)
         }
     }
 
@@ -1716,28 +1854,34 @@ mod tests {
         let cfg = config(ProtocolKind::Pbft, 1);
         let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, cfg.n, 4, 7);
         // Everything asked for is pruned; returns (snapshots sent,
-        // snapshots built, served, dropped).
+        // snapshots built, served, dropped) once the stage has answered.
         let serve = |base: Option<u64>, seqs: &[u64]| {
-            let env = Arc::new(MarkedEnv {
+            let backend = MarkedBackend {
                 base,
-                built: AtomicU64::new(0),
-            });
+                built: Cell::new(0),
+            };
             let provider = registry.provider_for_replica(ReplicaId(0));
-            let shared = Arc::clone(&env) as Arc<dyn CoreEnv + Send + Sync>;
-            let mut core =
-                ReplicaCore::new(&cfg, ReplicaId(0), provider, shared, None, Instant::now());
+            let mut core = ReplicaCore::new(&cfg, ReplicaId(0), provider, None, Instant::now());
             core.stable_checkpoint = SeqNum(10);
             let seqs: Vec<SeqNum> = seqs.iter().copied().map(SeqNum).collect();
-            let mut fx = Vec::new();
+            let (mut fx, mut stage) = (Vec::new(), ExecStage::new(SeqNum(11)));
             core.serve_fetch_request(ReplicaId(3), &seqs, &mut fx);
-            let sent = fx
-                .iter()
-                .filter(|e| matches!(e, Effect::Send(o) if o.msg.kind() == MessageKind::SnapshotResponse))
-                .count();
-            let Some(Effect::FetchServed { served, dropped }) = fx.last() else {
-                panic!("accounting comes last");
-            };
-            (sent, env.built.load(Ordering::Relaxed), *served, *dropped)
+            let answered = fx.into_iter().flat_map(|e| match e.for_stage() {
+                true => stage.apply(e, &backend),
+                false => vec![e],
+            });
+            let (mut sent, mut served, mut dropped) = (0, 0, 0);
+            for effect in answered {
+                match effect {
+                    Effect::Send(o) if o.msg.kind() == MessageKind::SnapshotResponse => sent += 1,
+                    Effect::FetchServed {
+                        served: s,
+                        dropped: d,
+                    } => (served, dropped) = (served + s, dropped + d),
+                    other => panic!("nothing else: {other:?}"),
+                }
+            }
+            (sent, backend.built.get(), served, dropped)
         };
         // The mark at 4 covers 2 and 3 (sent once), not 6 and 7.
         assert_eq!(serve(Some(4), &[2, 3, 6, 7]), (1, 1, 1, 0));
@@ -1923,13 +2067,9 @@ mod tests {
     fn k2_instances_stable_out_of_order_emit_strictly_increasing_stable_effects() {
         let cfg = config(ProtocolKind::Pbft, 2);
         let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, cfg.n, 4, 7);
-        let env = Arc::new(MarkedEnv {
-            base: None,
-            built: AtomicU64::new(0),
-        });
         let provider = registry.provider_for_replica(ReplicaId(0));
         let now = Instant::now();
-        let mut core = ReplicaCore::new(&cfg, ReplicaId(0), provider, env, None, now);
+        let mut core = ReplicaCore::new(&cfg, ReplicaId(0), provider, None, now);
         // Instance 0 stabilizes 3 before instance 1 stabilizes 2; then
         // instance 1 stabilizes 4.
         let mut stable = Vec::new();

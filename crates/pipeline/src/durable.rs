@@ -497,7 +497,7 @@ pub fn recover_replica(
             WalEntry::Stable { seq } => {
                 if seq.0 > stable.0 {
                     stable = seq;
-                    executor.prune_undo(seq);
+                    executor.note_stable(seq);
                 }
             }
         }

@@ -634,7 +634,7 @@ impl Executor {
             }
         }
         let dups = txns as u64 - fresh;
-        {
+        let stable = {
             // Store and log move together under the log's lock (free
             // unless a snapshot is being built: only this thread commits).
             let mut log = self.log.lock();
@@ -644,7 +644,8 @@ impl Executor {
             } else {
                 self.store.apply(writes);
             }
-        }
+            log.stable
+        };
         let replies = client_replies(it, self.id, results);
         // Append the block. Its result digest lets replicas cross-check
         // execution sequence by sequence; only a mark boundary needs it to
@@ -661,10 +662,13 @@ impl Executor {
         // Encoded before the certificate moves into the block.
         let durable = (self.durability.lock().clone()).map(|d| (d, commit_entry_bytes(it)));
         let certificate = item.into_certificate();
-        self.chain
-            .lock()
+        let mut chain = self.chain.lock();
+        chain
             .append(seq, digest, view, certificate, txns as u32, result_digest)
             .expect("execution is sequential, append cannot gap");
+        // Catches up with a stable checkpoint that was ahead of execution.
+        chain.prune_below(stable);
+        drop(chain);
         // The checkpoint state digest must be identical across replicas, so
         // it covers the ordered batch digest and the execution result — NOT
         // the block certificate (each replica legitimately collects a
@@ -762,26 +766,25 @@ impl Executor {
         undone
     }
 
-    /// Notes a stable checkpoint — nothing at or below it can ever be
-    /// rolled back — and drops the log records neither a rollback nor the
-    /// snapshot mark can still read.
-    pub fn prune_undo(&self, through: SeqNum) {
-        let mut log = self.log.lock();
-        log.stable = log.stable.max(through);
-        log.prune(self.protocol);
-    }
-
-    /// Records that the checkpoint at `seq` became 2f+1-stable: prunes the
-    /// undo log, and — when running durable — logs a `Stable` marker. Once
-    /// the WAL has grown as large as the last persisted snapshot
-    /// ([`Durability::snapshot_due`]) it also persists the serving
-    /// snapshot to disk, if the mark's base is covered by the stable
-    /// floor, and compacts the WAL down to the suffix above it. This is
-    /// the one place a healthy durable replica pays for materialising a
-    /// snapshot: once per log grown by a snapshot's size, not once per
-    /// stable checkpoint.
+    /// Records that the checkpoint at `seq` became 2f+1-stable — nothing
+    /// at or below it can roll back any more: drops the log records no
+    /// rollback or mark can still read, prunes the ledger below `seq` (up
+    /// to its head; each commit prunes on) and, when durable, logs a
+    /// `Stable` marker. Once the WAL has grown as large as the last
+    /// persisted snapshot ([`Durability::snapshot_due`]) it also persists
+    /// the serving snapshot, if the mark's base is covered by the stable
+    /// floor, and compacts the WAL down to the suffix above it: the one
+    /// place a healthy durable replica pays for materialising a snapshot,
+    /// once per log grown by a snapshot's size. The execute stage calls it
+    /// behind every rollback before it, so nothing a rollback needs is
+    /// pruned.
     pub fn note_stable(&self, seq: SeqNum) {
-        self.prune_undo(seq);
+        {
+            let mut log = self.log.lock();
+            log.stable = log.stable.max(seq);
+            log.prune(self.protocol);
+        }
+        self.chain.lock().prune_below(seq);
         let Some(durability) = self.durability.lock().clone() else {
             return;
         };
@@ -1205,7 +1208,7 @@ mod tests {
         let ex = zyz_executor();
         ex.execute(tagged_item(1, 1));
         ex.execute(tagged_item(2, 2));
-        ex.prune_undo(SeqNum(2));
+        ex.note_stable(SeqNum(2));
         assert_eq!(
             ex.rollback_to(SeqNum(0)),
             0,

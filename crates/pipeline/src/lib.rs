@@ -45,7 +45,7 @@ pub mod recovery;
 pub mod replica;
 pub mod scheduler;
 
-pub use core::{CoreEnv, Effect, Input, ReplicaCore};
+pub use core::{Effect, Input, ReplicaCore};
 pub use durable::{recover_replica, Durability, RecoveryReport, RecoverySource, WalEntry};
 pub use executor::{client_replies, execute_txn, Executor, OutItem, TxnOutcome};
 pub use metrics::{MetricsRegistry, SaturationReport, Stage, StageRecorder, ThreadSaturation};

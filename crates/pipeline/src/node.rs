@@ -2,7 +2,8 @@
 //!
 //! A replica is three sans-IO parts: a [`BatchAssembler`] with one
 //! pending batch per consensus instance, the [`ReplicaCore`] and the
-//! execute stage ([`ExecStage`]).
+//! execute stage ([`ExecStage`]), which carries out every effect that
+//! touches execution state and answers a peer's fetch of a pruned range.
 //! [`Node::step`] runs the part an input is for and hands out what passes
 //! from one part to the next: a cut batch, stepped back as
 //! [`Input::Propose`], and an in-order window, whose results come back as
@@ -21,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// One thing that happened, for [`Node::step`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum NodeInput {
     /// Authentic transactions for `instance`, which this replica leads:
     /// its assembler batches them (a node built [`Node::with_batching`]).
@@ -101,8 +102,8 @@ pub struct Node {
     pub(crate) core: ReplicaCore,
     /// With no instances when batch threads assemble.
     assembler: BatchAssembler,
-    /// The execute stage and the state it rewinds; `None` when an execute
-    /// thread owns them.
+    /// The execute stage and the state it applies its effects to; `None`
+    /// when an execute thread owns them.
     pub(crate) stage: Option<(ExecStage, Arc<dyn ExecBackend + Send + Sync>)>,
     core_fx: Vec<Effect>,
 }
@@ -126,8 +127,8 @@ impl Node {
         self
     }
 
-    /// Adds the execute stage, which runs `next` first and rewinds
-    /// `backend` on a rollback or a snapshot install.
+    /// Adds the execute stage, which runs `next` first and applies the
+    /// execution effects to `backend`.
     pub fn with_stage(mut self, next: SeqNum, backend: Arc<dyn ExecBackend + Send + Sync>) -> Self {
         self.stage = Some((ExecStage::new(next), backend));
         self
@@ -169,12 +170,11 @@ impl Node {
             if let Effect::Execute { instance, .. } = effect {
                 fx.push(NodeEffect::Committed(instance));
             }
-            let executes = matches!(
-                effect,
-                Effect::Execute { .. } | Effect::Rollback { .. } | Effect::InstallSnapshot(_)
-            );
             match &mut self.stage {
-                Some((stage, backend)) if executes => stage.apply(effect, &**backend),
+                Some((stage, backend)) if effect.for_stage() => {
+                    let answer = stage.apply(effect, &**backend);
+                    fx.extend(answer.into_iter().map(NodeEffect::Core));
+                }
                 _ => fx.push(NodeEffect::Core(effect)),
             }
         }

@@ -5,38 +5,57 @@
 //! each by sequence and hands out *exactly the next sequence in order*
 //! (plus whatever consecutive successors are already parked), never
 //! rescanning or re-queuing out-of-order arrivals. It has one owner, which
-//! applies the core's three execution effects in the order the core
-//! emitted them: the execute thread (`1E`, and the wave executor's
-//! coordinator) fed by the worker over one FIFO channel, or a
+//! applies the core's execution effects ([`Effect::for_stage`]) in the
+//! order the core emitted them: the execute thread (`1E`, and the wave
+//! executor's coordinator) fed by the worker over one FIFO channel, or a
 //! [`crate::Node`] that holds it (`0E`, the figure simulator, the core
-//! tests). The next sequence and the epoch are therefore plain fields,
-//! and a rollback or snapshot install takes effect between two windows,
-//! never underneath one.
+//! tests). The next sequence and the epoch are therefore plain fields, a
+//! rollback or snapshot install takes effect between two windows, and no
+//! stable checkpoint or served snapshot overtakes a rollback before it.
 
 use crate::core::Effect;
-use crate::executor::Executor;
+use crate::executor::{Executor, OutItem};
 use rdb_common::block::BlockCertificate;
+use rdb_common::messages::Message;
 use rdb_common::{Batch, Digest, SeqNum, Snapshot, ViewNum};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// What a rollback or a snapshot install does to the state the windows
-/// run against: the real [`Executor`], or a simulator's no-op.
+/// The state the stage's effects reach: the real [`Executor`]. Each method
+/// defaults to a back end with no state, the figure simulator's.
 pub trait ExecBackend {
     /// Undoes every executed sequence above `to`.
-    fn rollback_to(&self, to: SeqNum);
+    fn rollback_to(&self, _to: SeqNum) {}
     /// Replaces state and ledger with `snapshot`.
-    fn install_snapshot(&self, snapshot: &Arc<Snapshot>);
+    fn install_snapshot(&self, _snapshot: &Arc<Snapshot>) {}
+    /// Notes the stable checkpoint `seq` and prunes below it.
+    fn note_stable(&self, _seq: SeqNum) {}
+    /// Base sequence of the serving snapshot, for free.
+    fn snapshot_base(&self) -> Option<SeqNum> {
+        None
+    }
+    /// The serving snapshot; building it may copy the whole store.
+    fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+        None
+    }
 }
 
 impl ExecBackend for Executor {
     fn rollback_to(&self, to: SeqNum) {
         Executor::rollback_to(self, to);
     }
-
     fn install_snapshot(&self, snapshot: &Arc<Snapshot>) {
         Executor::install_snapshot(self, snapshot);
+    }
+    fn note_stable(&self, seq: SeqNum) {
+        Executor::note_stable(self, seq);
+    }
+    fn snapshot_base(&self) -> Option<SeqNum> {
+        Executor::snapshot_base(self)
+    }
+    fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
+        Executor::latest_snapshot(self)
     }
 }
 
@@ -125,11 +144,16 @@ impl ExecStage {
     ///   starts a new epoch;
     /// - `InstallSnapshot` drops the parked items the snapshot covers,
     ///   installs it in `backend`, moves the next sequence to
-    ///   `max(next, base + 1)` and starts a new epoch.
+    ///   `max(next, base + 1)` and starts a new epoch;
+    /// - `Stable` notes the checkpoint in `backend`;
+    /// - `ServeSnapshot` hands back the answer from `backend`'s mark as it
+    ///   stands now, built only if it covers a sequence asked for: the
+    ///   `SnapshotResponse`, if any, and its [`Effect::FetchServed`].
+    ///   Nothing else hands back anything.
     ///
     /// # Panics
     /// Panics on any other effect: those are the worker's to carry out.
-    pub fn apply(&mut self, effect: Effect, backend: &dyn ExecBackend) {
+    pub fn apply(&mut self, effect: Effect, backend: &dyn ExecBackend) -> Vec<Effect> {
         match effect {
             Effect::Execute { item, .. } => {
                 self.parked.insert(item.seq, item);
@@ -147,8 +171,25 @@ impl ExecStage {
                 self.next = self.next.max(base.next());
                 self.epoch += 1;
             }
+            Effect::Stable { seq } => backend.note_stable(seq),
+            Effect::ServeSnapshot { to, from, pruned } => {
+                let Some(base) = backend.snapshot_base() else {
+                    let dropped = pruned.len() as u64;
+                    return vec![Effect::FetchServed { served: 0, dropped }];
+                };
+                // Nothing is built unless the mark covers a sequence asked for.
+                let covered = pruned.iter().any(|seq| *seq <= base);
+                if let Some(snapshot) = covered.then(|| backend.latest_snapshot()).flatten() {
+                    let replica = from;
+                    let msg = Message::SnapshotResponse { snapshot, replica };
+                    let response = Effect::Send(OutItem::to(to, msg));
+                    let (served, dropped) = (1, 0);
+                    return vec![response, Effect::FetchServed { served, dropped }];
+                }
+            }
             other => unreachable!("not an execution effect: {other:?}"),
         }
+        Vec::new()
     }
 
     /// Removes the next window: the next sequence and up to `cap − 1`

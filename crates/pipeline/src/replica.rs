@@ -40,7 +40,7 @@
 //! clients and the transport, not from blocking a stage on its successor.
 
 use crate::batch::{verify_window, BatchAssembler};
-use crate::core::{client_instance, CoreEnv, Effect, Input, ReplicaCore};
+use crate::core::{client_instance, Effect, Input, ReplicaCore};
 use crate::durable;
 use crate::executor::{Executor, OutItem};
 use crate::metrics::{MetricsRegistry, Stage, StageRecorder};
@@ -50,9 +50,9 @@ use crate::scheduler::{ExecPool, ParallelExecutor};
 use crossbeam::channel::{self, Receiver, Sender as ChanSender};
 use parking_lot::Mutex;
 use rdb_common::messages::{Message, Sender, SignedMessage};
-use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, Snapshot, SystemConfig};
+use rdb_common::{Digest, ProtocolKind, ReplicaId, SeqNum, SystemConfig};
 use rdb_crypto::{digest, CryptoProvider, CryptoStats, KeyRegistry, PeerClass};
-use rdb_net::{Endpoint, NetHandle, NetworkStats};
+use rdb_net::{Endpoint, NetHandle};
 use rdb_storage::blockchain::ChainMode;
 use rdb_storage::{Blockchain, MemStore, StateStore};
 use std::collections::VecDeque;
@@ -136,20 +136,6 @@ impl ReplicaShared {
     /// the replica runs memory-only).
     pub fn recovery_report(&self) -> Option<durable::RecoveryReport> {
         self.recovery
-    }
-}
-
-impl CoreEnv for ReplicaShared {
-    fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
-        self.executor.latest_snapshot()
-    }
-
-    fn snapshot_base(&self) -> Option<SeqNum> {
-        self.executor.snapshot_base()
-    }
-
-    fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
-        self.chain.lock().prune_below(seq)
     }
 }
 
@@ -262,8 +248,6 @@ pub fn spawn_replica(
         let io = WorkerIo {
             endpoint: endpoint.clone(),
             exec_tx,
-            executor: Arc::clone(executor),
-            net_stats: net.stats().clone(),
         };
         let config = config.clone();
         spawn(
@@ -492,12 +476,9 @@ fn batch_loop(ctx: &StageCtx, rx: &Receiver<SignedMessage>, config: &SystemConfi
 struct WorkerIo {
     /// Everything the worker sends leaves from here.
     endpoint: Endpoint,
-    /// The execute thread's channel; `None` under `0E`, where the node
-    /// holds the stage.
+    /// The execute thread's channel, every execution effect in the core's
+    /// order; `None` under `0E`, where the node holds the stage.
     exec_tx: Option<ChanSender<Effect>>,
-    executor: Arc<Executor>,
-    /// Fetch served/dropped accounting lives on the shared network stats.
-    net_stats: NetworkStats,
 }
 
 impl WorkerIo {
@@ -507,7 +488,7 @@ impl WorkerIo {
         &mut self,
         effect: NodeEffect,
         ctx: &StageCtx,
-        serial: &mut RunWindow,
+        serial: &mut Option<Box<RunWindow>>,
         inputs: &mut VecDeque<NodeInput>,
     ) {
         let shared = &ctx.shared;
@@ -519,33 +500,28 @@ impl WorkerIo {
                 return;
             }
             NodeEffect::Execute { window, epoch } => {
-                return run_window(window, epoch, serial, ctx, &self.endpoint, |done| {
+                let run = serial
+                    .as_deref_mut()
+                    .expect("only a node's own stage hands out windows");
+                return run_window(window, epoch, run, ctx, &self.endpoint, |done| {
                     inputs.push_back(done.into());
                 });
             }
             NodeEffect::Core(effect) => effect,
         };
         match effect {
-            Effect::Send(item) => transmit(&ctx.provider, &self.endpoint, item),
-            // From a node without a stage: to the execute thread, in order.
-            Effect::Execute { .. } | Effect::Rollback { .. } | Effect::InstallSnapshot(_) => {
-                if let Some(exec_tx) = &self.exec_tx {
-                    let _ = exec_tx.send(effect);
-                }
+            Effect::Send(_) | Effect::FetchServed { .. } => {
+                to_network(effect, &ctx.provider, &self.endpoint);
             }
-            // The core emits this only once the stage has applied every
-            // rollback before it. With a data directory configured this
-            // also logs a `Stable` marker and, once the WAL has grown as
-            // large as the last snapshot, persists the covering one and
-            // compacts behind it.
-            Effect::Stable { seq } => self.executor.note_stable(seq),
             // The router sends client traffic by this.
             Effect::ViewEntered { instance, view } => {
                 shared.instance_views[instance].store(view.0, Ordering::Relaxed);
             }
-            Effect::FetchServed { served, dropped } => {
-                self.net_stats.note_fetch_served(served);
-                self.net_stats.note_fetch_dropped(dropped);
+            // From a node without a stage: to the execute thread, in order.
+            effect => {
+                if let Some(exec_tx) = &self.exec_tx {
+                    let _ = exec_tx.send(effect);
+                }
             }
         }
     }
@@ -570,24 +546,20 @@ fn next_to_execute(shared: &ReplicaShared) -> SeqNum {
 /// is stepped in the same turn.
 fn worker_loop(ctx: &StageCtx, rx: &Receiver<Work>, config: &SystemConfig, mut io: WorkerIo) {
     let now = Instant::now();
-    let core = ReplicaCore::new(
-        config,
-        ctx.shared.id,
-        ctx.provider.clone(),
-        Arc::clone(&ctx.shared) as Arc<dyn CoreEnv + Send + Sync>,
-        ctx.shared.recovery.as_ref(),
-        now,
-    );
+    let (id, recovered) = (ctx.shared.id, ctx.shared.recovery.as_ref());
+    let core = ReplicaCore::new(config, id, ctx.provider.clone(), recovered, now);
     let mut node = Node::new(core);
     if config.threads.batch_threads == 0 {
         node = node.with_batching(config, now);
     }
+    // Under `0E` the node holds the stage, and its windows run here.
+    let mut serial = None;
     if io.exec_tx.is_none() {
-        let next = next_to_execute(&ctx.shared);
-        node = node.with_stage(next, Arc::clone(&io.executor) as _);
+        let (next, executor) = (next_to_execute(&ctx.shared), &ctx.shared.executor);
+        node = node.with_stage(next, Arc::clone(executor) as _);
+        serial = Some(serial_runner(Arc::clone(executor)));
     }
     let k = config.consensus_instances.max(1);
-    let mut serial = serial_runner(Arc::clone(&io.executor));
     let mut fx = Vec::new();
     let mut unverified = Vec::new();
     let mut inputs = VecDeque::new();
@@ -622,7 +594,7 @@ fn worker_loop(ctx: &StageCtx, rx: &Receiver<Work>, config: &SystemConfig, mut i
             while let Some(input) = inputs.pop_front() {
                 node.step(input, Instant::now(), &mut fx);
                 for effect in fx.drain(..) {
-                    io.apply(effect, ctx, &mut *serial, &mut inputs);
+                    io.apply(effect, ctx, &mut serial, &mut inputs);
                 }
             }
         };
@@ -688,10 +660,10 @@ fn run_window(
 
 /// Execute thread: the owner of the replica's [`ExecStage`]. It blocks on
 /// the worker's channel only while the next sequence is not parked, drains
-/// every effect already queued into the stage — rollbacks and snapshot
-/// installs happen here, between two windows — then runs the next
-/// in-order window of up to `cap` batches and reports each result to the
-/// worker.
+/// every effect already queued into the stage — rollbacks, installs,
+/// stable checkpoints (a durable one may persist a snapshot) and snapshots
+/// served to peers happen here, between two windows — then runs the next
+/// in-order window of up to `cap` batches and reports each result.
 fn execute_loop(
     ctx: &StageCtx,
     rx: &Receiver<Effect>,
@@ -713,13 +685,29 @@ fn execute_loop(
         ctx.rec.record(|| {
             let queued = std::iter::from_fn(|| rx.try_recv().ok());
             for effect in first.into_iter().chain(queued) {
-                stage.apply(effect, executor);
+                for answer in stage.apply(effect, executor) {
+                    to_network(answer, &ctx.provider, endpoint);
+                }
             }
             let window = stage.take_window(cap);
             run_window(window, stage.epoch(), run, ctx, endpoint, |done| {
                 ctx.to_worker(done)
             });
         });
+    }
+}
+
+/// Carries out a send, or a fetch request's accounting on the shared
+/// network stats: what the worker and the stage hand the network.
+fn to_network(effect: Effect, provider: &CryptoProvider, endpoint: &Endpoint) {
+    let stats = endpoint.network().stats();
+    match effect {
+        Effect::Send(item) => transmit(provider, endpoint, item),
+        Effect::FetchServed { served, dropped } => {
+            stats.note_fetch_served(served);
+            stats.note_fetch_dropped(dropped);
+        }
+        other => unreachable!("not for the network: {other:?}"),
     }
 }
 

@@ -32,14 +32,14 @@ use crate::report::{SimReport, SimStage};
 use crate::service::{Overheads, ServiceModel};
 use rdb_common::messages::{Sender, SignedMessage};
 use rdb_common::{
-    ClientId, CryptoScheme, Digest, Message, ReplicaId, SeqNum, SignatureBytes, Snapshot,
-    SystemConfig, ThreadConfig, Transaction,
+    ClientId, CryptoScheme, Digest, Message, ReplicaId, SeqNum, SignatureBytes, SystemConfig,
+    ThreadConfig, Transaction,
 };
 use rdb_consensus::{ClientCore, ClientEffect, ClientInput};
 use rdb_crypto::{CostModel, KeyRegistry};
 use rdb_pipeline::{
-    client_replies, route, CoreEnv, Effect, ExecBackend, ExecuteItem, Input, Node, NodeEffect,
-    NodeInput, OutItem, ReplicaCore, Route,
+    client_replies, route, Effect, ExecBackend, ExecuteItem, Input, Node, NodeEffect, NodeInput,
+    OutItem, ReplicaCore, Route,
 };
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
@@ -109,27 +109,11 @@ impl SimConfig {
     }
 }
 
-/// The nodes' environment and execution back end: no serving snapshot
-/// (peers are never far enough behind to need one), a ledger that is
-/// always pruned as asked, and no state for a rollback to rewind.
+/// The nodes' execution back end: no state, and no serving snapshot (peers
+/// are never far enough behind to need one).
 struct NoLedger;
 
-impl ExecBackend for NoLedger {
-    fn rollback_to(&self, _: SeqNum) {}
-    fn install_snapshot(&self, _: &Arc<Snapshot>) {}
-}
-
-impl CoreEnv for NoLedger {
-    fn latest_snapshot(&self) -> Option<Arc<Snapshot>> {
-        None
-    }
-    fn snapshot_base(&self) -> Option<SeqNum> {
-        None
-    }
-    fn prune_chain_below(&self, seq: SeqNum) -> SeqNum {
-        seq
-    }
-}
+impl ExecBackend for NoLedger {}
 
 /// Continuations: what happens when a job or transmission finishes.
 #[derive(Debug)]
@@ -338,7 +322,7 @@ impl<'a> Sim<'a> {
                 let id = ReplicaId(r as u32);
                 let node = (!crashed).then(|| {
                     let provider = registry.provider_for_replica(id);
-                    let core = ReplicaCore::new(sys, id, provider, Arc::new(NoLedger), None, start);
+                    let core = ReplicaCore::new(sys, id, provider, None, start);
                     Node::new(core)
                         .with_batching(sys, start)
                         .with_stage(SeqNum(1), Arc::new(NoLedger))
@@ -661,8 +645,7 @@ impl<'a> Sim<'a> {
             NodeEffect::Core(Effect::ViewEntered { instance, view }) => {
                 self.reps[replica].views[instance] = view.0;
             }
-            // Nothing to carry out: no replica serves a snapshot or
-            // persists a checkpoint.
+            // Fetch accounting: no replica serves a snapshot.
             NodeEffect::Core(_) => {}
         }
     }

@@ -10,27 +10,32 @@
 #   scripts/loc.sh                  # one row per crate, plus a total
 #   scripts/loc.sh crates/consensus # one row per file of that crate
 #   scripts/loc.sh --markdown [...] # the same table as GitHub markdown
+#   scripts/loc.sh --source <file>  # the lines of one file that count
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 markdown=0
-if [ "${1:-}" = "--markdown" ]; then
-  markdown=1
-  shift
-fi
+source=0
+case "${1:-}" in
+  --markdown) markdown=1; shift ;;
+  --source) source=1; shift ;;
+esac
 crate="${1:-}"
 crate="${crate%/}"
 
-if [ -n "$crate" ]; then
+if [ "$source" = 1 ]; then
+  files="$crate"
+elif [ -n "$crate" ]; then
   files=$(find "$crate/src" -name '*.rs' | sort)
 else
   files=$(find crates/*/src -name '*.rs' | sort)
 fi
 
 # shellcheck disable=SC2086
-awk -v per_file="$([ -n "$crate" ] && echo 1 || echo 0)" -v markdown="$markdown" '
+awk -v per_file="$([ -n "$crate" ] && echo 1 || echo 0)" -v markdown="$markdown" -v source="$source" '
   function count(line) {
+    if (source) print line
     lines[key]++
     if (line !~ /^[[:space:]]*(\/\/.*)?$/) code[key]++
   }
@@ -57,6 +62,7 @@ awk -v per_file="$([ -n "$crate" ] && echo 1 || echo 0)" -v markdown="$markdown"
   }
   { count($0) }
   END {
+    if (source) exit
     if (markdown) {
       print "| path | lines | code |"
       print "|---|---:|---:|"
