@@ -10,9 +10,10 @@
 //! sink only counts ([`ByteCount`]), so an encode preallocates its buffer
 //! in one shot and no length formula can drift from the bytes. `write` is
 //! generic over the sink, so the counting pass compiles to additions and
-//! the storing pass to plain appends. Every `u32`-counted list goes
-//! through one pair, [`write_vec`] / [`read_vec`], which holds the only
-//! check of a count against the bytes left.
+//! the storing pass to plain appends. Every `u32`-counted list is read
+//! through [`WireReader::get_count`], which holds the only check of a
+//! count against the bytes left; [`write_vec`] / [`read_vec`] frame all
+//! but one of them (a reply's flat results write the same shape).
 
 use crate::error::{CommonError, Result};
 use crate::ids::{Digest, ReplicaId, SeqNum, SignatureBytes};
@@ -271,6 +272,24 @@ impl<'a> WireReader<'a> {
         self.take(n)
     }
 
+    /// Reads a list's `u32` count: the one check of a count against the
+    /// bytes left. Every item costs at least one byte, so a hostile count
+    /// never reaches the allocator.
+    ///
+    /// # Errors
+    /// Returns [`CommonError::Codec`] on truncation or if the count
+    /// exceeds the bytes left.
+    pub fn get_count(&mut self) -> Result<usize> {
+        let n = self.get_u32()? as usize;
+        if n > self.remaining() {
+            return Err(CommonError::Codec(format!(
+                "list count {n} exceeds remaining bytes {}",
+                self.remaining()
+            )));
+        }
+        Ok(n)
+    }
+
     /// Asserts the reader consumed the entire buffer.
     ///
     /// # Errors
@@ -302,13 +321,7 @@ pub fn write_vec<T: Wire>(w: &mut WireWriter<impl Sink>, items: &[T]) {
 /// (every item costs at least one, so a hostile count never reaches the
 /// allocator) or if any item fails to decode.
 pub fn read_vec<T: Wire>(r: &mut WireReader<'_>) -> Result<Vec<T>> {
-    let n = r.get_u32()? as usize;
-    if n > r.remaining() {
-        return Err(CommonError::Codec(format!(
-            "list count {n} exceeds remaining bytes {}",
-            r.remaining()
-        )));
-    }
+    let n = r.get_count()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         out.push(T::read(r)?);

@@ -19,7 +19,91 @@ pub type BatchTail = Vec<(SeqNum, Digest, Arc<Batch>)>;
 
 /// What a reply envelope carries for one client: `(transaction counter,
 /// opaque execution result)` per answered transaction, in batch order.
-pub type ReplyResults = Vec<(u64, Vec<u8>)>;
+///
+/// Flat: every result's bytes back to back in one buffer, and one
+/// `(counter, end)` entry per result, so a reply is two heap objects
+/// however many transactions it answers — from the executor that fills
+/// it, through the wire, to the client that tallies it. On the wire it is
+/// the `u32`-counted list of `(u64 counter, u32-length-prefixed result)`
+/// pairs, byte for byte what [`write_vec`] writes for `(u64, Vec<u8>)`.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct ReplyResults {
+    /// Per result: its counter and where its bytes end in `bytes`.
+    entries: Vec<(u64, usize)>,
+    bytes: Vec<u8>,
+}
+
+impl ReplyResults {
+    /// Room for `results` results of `bytes` bytes in all, allocated now
+    /// (nothing for zero).
+    pub fn with_capacity(results: usize, bytes: usize) -> Self {
+        ReplyResults {
+            entries: Vec::with_capacity(results),
+            bytes: Vec::with_capacity(bytes),
+        }
+    }
+
+    /// Appends `counter`'s result.
+    pub fn push(&mut self, counter: u64, result: &[u8]) {
+        self.bytes.extend_from_slice(result);
+        self.entries.push((counter, self.bytes.len()));
+    }
+
+    /// Each `(counter, result)`, in the order pushed.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (u64, &[u8])> + Clone + '_ {
+        let mut start = 0;
+        self.entries.iter().map(move |&(counter, end)| {
+            let result = &self.bytes[start..end];
+            start = end;
+            (counter, result)
+        })
+    }
+}
+
+impl<B: AsRef<[u8]>> FromIterator<(u64, B)> for ReplyResults {
+    fn from_iter<I: IntoIterator<Item = (u64, B)>>(results: I) -> Self {
+        let mut out = ReplyResults::default();
+        for (counter, result) in results {
+            out.push(counter, result.as_ref());
+        }
+        out
+    }
+}
+
+impl std::fmt::Debug for ReplyResults {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl Wire for ReplyResults {
+    fn write(&self, w: &mut WireWriter<impl Sink>) {
+        w.put_u32(self.entries.len() as u32);
+        for (counter, result) in self.iter() {
+            w.put_u64(counter);
+            w.put_var_bytes(result);
+        }
+    }
+
+    /// One pass checks every entry and totals the result bytes, a second
+    /// copies them: each buffer is allocated once, at its exact size.
+    fn read(r: &mut WireReader<'_>) -> Result<Self> {
+        let n = r.get_count()?;
+        let start = r.offset();
+        let mut total = 0;
+        for _ in 0..n {
+            r.get_u64()?;
+            total += r.get_var_bytes()?.len();
+        }
+        let mut checked = WireReader::new(r.window(start, r.offset()));
+        let mut out = ReplyResults::with_capacity(n, total);
+        for _ in 0..n {
+            let counter = checked.get_u64()?;
+            out.push(counter, checked.get_var_bytes()?);
+        }
+        Ok(out)
+    }
+}
 
 /// Originator of a message: a replica or a client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -404,7 +488,7 @@ impl Wire for Message {
                 w.put_u64(view.0);
                 w.put_u64(client.0);
                 w.put_u32(replica.0);
-                write_vec(w, results);
+                results.write(w);
             }
             Message::SpecResponse {
                 view,
@@ -422,7 +506,7 @@ impl Wire for Message {
                 w.put_bytes(history.as_bytes());
                 w.put_u64(client.0);
                 w.put_u32(replica.0);
-                write_vec(w, results);
+                results.write(w);
             }
             Message::CommitCert {
                 view,
@@ -532,7 +616,7 @@ impl Wire for Message {
                 view: ViewNum(r.get_u64()?),
                 client: ClientId(r.get_u64()?),
                 replica: ReplicaId(r.get_u32()?),
-                results: read_vec(r)?,
+                results: ReplyResults::read(r)?,
             }),
             5 => Ok(Message::SpecResponse {
                 view: ViewNum(r.get_u64()?),
@@ -541,7 +625,7 @@ impl Wire for Message {
                 history: Digest(r.get_array32()?),
                 client: ClientId(r.get_u64()?),
                 replica: ReplicaId(r.get_u32()?),
-                results: read_vec(r)?,
+                results: ReplyResults::read(r)?,
             }),
             6 => Ok(Message::CommitCert {
                 view: ViewNum(r.get_u64()?),
@@ -809,7 +893,9 @@ mod tests {
                 view: ViewNum(1),
                 client: ClientId(4),
                 replica: ReplicaId(6),
-                results: vec![(5, vec![7, 8]), (6, vec![]), (9, vec![1; 8])],
+                results: [(5, vec![7, 8]), (6, vec![]), (9, vec![1; 8])]
+                    .into_iter()
+                    .collect(),
             },
             Message::SpecResponse {
                 view: ViewNum(1),
@@ -818,7 +904,7 @@ mod tests {
                 history: Digest([4; 32]),
                 client: ClientId(4),
                 replica: ReplicaId(6),
-                results: vec![(5, vec![9])],
+                results: [(5, [9])].into_iter().collect(),
             },
             Message::CommitCert {
                 view: ViewNum(1),
@@ -913,7 +999,8 @@ mod tests {
     #[test]
     fn reply_envelopes_round_trip_with_zero_one_and_many_results() {
         let many: ReplyResults = (0..50).map(|c| (c, vec![c as u8; 8])).collect();
-        for results in [vec![], vec![(7, vec![1; 1024])], many] {
+        let one = [(7, vec![1; 1024])].into_iter().collect();
+        for results in [ReplyResults::default(), one, many] {
             for msg in reply_variants(results) {
                 let bytes = msg.encode();
                 assert_eq!(msg.encoded_len(), bytes.len(), "{:?}", msg.kind());
@@ -924,7 +1011,7 @@ mod tests {
 
     #[test]
     fn an_oversized_result_count_is_an_error_not_an_allocation() {
-        for msg in reply_variants(vec![(1, vec![2; 4])]) {
+        for msg in reply_variants([(1, [2; 4])].into_iter().collect()) {
             let mut bytes = msg.encode();
             // The count sits right before the one encoded result.
             let count_at = bytes.len() - (8 + 4 + 4) - 4;

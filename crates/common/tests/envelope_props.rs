@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rdb_common::codec::{Wire, WireWriter};
-use rdb_common::messages::{Message, Sender, SignedMessage};
+use rdb_common::messages::{Message, ReplyResults, Sender, SignedMessage};
 use rdb_common::{Batch, ClientId, Digest, Operation, ReplicaId, SignatureBytes, Transaction};
 use std::sync::Arc;
 
@@ -133,7 +133,7 @@ proptest! {
         sig_len in 0usize..96,
     ) {
         // Value lengths vary per result from empty up to `value_len`.
-        let results: Vec<(u64, Vec<u8>)> = counters
+        let results: ReplyResults = counters
             .iter()
             .enumerate()
             .map(|(i, &c)| (c, vec![c as u8; (value_len * (i + 1)) / counters.len()]))

@@ -50,8 +50,62 @@ pub enum ClientEffect {
     /// Sign `msg` (a request or a commit certificate) once and send it to
     /// every replica in `to`: the primary, or all of them.
     Send { to: Vec<ReplicaId>, msg: Message },
-    /// Request `counter` completed with the execution result `result`.
-    Complete { counter: u64, result: Vec<u8> },
+    /// Request `counter` completed with the execution result `result`,
+    /// handed over from the tally that completed it.
+    Complete { counter: u64, result: ResultBytes },
+}
+
+/// Longest result a [`ResultBytes`] holds without a heap object: as many
+/// bytes as keep it the size of a `Vec`.
+const INLINE_RESULT: usize = 22;
+
+/// One execution result as the client tallies and completes it: inline
+/// when it is at most [`INLINE_RESULT`] bytes — every result this
+/// system's replicas produce is at most 8 — and boxed only when longer.
+/// Dereferences to its bytes.
+#[derive(Clone, PartialEq, Eq)]
+pub struct ResultBytes(Repr);
+
+/// Inline bytes past the length stay zero, so equal results compare equal.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    Inline(u8, [u8; INLINE_RESULT]),
+    Boxed(Box<[u8]>),
+}
+
+impl Default for ResultBytes {
+    fn default() -> Self {
+        ResultBytes(Repr::Inline(0, [0; INLINE_RESULT]))
+    }
+}
+
+impl From<&[u8]> for ResultBytes {
+    fn from(result: &[u8]) -> Self {
+        let mut inline = [0; INLINE_RESULT];
+        match inline.get_mut(..result.len()) {
+            Some(head) => {
+                head.copy_from_slice(result);
+                ResultBytes(Repr::Inline(result.len() as u8, inline))
+            }
+            None => ResultBytes(Repr::Boxed(result.into())),
+        }
+    }
+}
+
+impl std::ops::Deref for ResultBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline(len, bytes) => &bytes[..*len as usize],
+            Repr::Boxed(bytes) => bytes,
+        }
+    }
+}
+
+impl std::fmt::Debug for ResultBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 /// The replica whose vote `sm` is: its authenticated sender, provided the
@@ -72,11 +126,75 @@ struct Group {
     seq: SeqNum,
     digest: Digest,
     history: Digest,
-    result: Vec<u8>,
+    result: ResultBytes,
     view: ViewNum,
-    /// Each voter once, with its envelope signature (Zyzzyva only: a
-    /// commit certificate forwards it).
-    voters: Vec<(ReplicaId, SignatureBytes)>,
+    voters: Voters,
+    /// Each voter's envelope signature, in vote order — Zyzzyva only: a
+    /// commit certificate forwards them. Empty, so unallocated, under PBFT.
+    sigs: Vec<(ReplicaId, SignatureBytes)>,
+}
+
+/// The replicas that voted for a group, one bit each: the first 64
+/// inline, any above in `high`, which a deployment of at most 64 replicas
+/// never allocates.
+#[derive(Debug, Default)]
+struct Voters {
+    low: u64,
+    high: Vec<u64>,
+}
+
+impl Voters {
+    /// Adds `replica`; `false` if it had voted already.
+    fn insert(&mut self, replica: ReplicaId) -> bool {
+        let r = replica.0 as usize;
+        let (word, bit) = match r.checked_sub(64) {
+            None => (&mut self.low, r),
+            Some(above) => {
+                if above / 64 >= self.high.len() {
+                    self.high.resize(above / 64 + 1, 0);
+                }
+                (&mut self.high[above / 64], above % 64)
+            }
+        };
+        let fresh = *word & (1 << bit) == 0;
+        *word |= 1 << bit;
+        fresh
+    }
+
+    fn len(&self) -> usize {
+        let high: u32 = self.high.iter().map(|w| w.count_ones()).sum();
+        (self.low.count_ones() + high) as usize
+    }
+}
+
+/// A request's response groups: nearly always one — the replicas agree —
+/// held inline; the others, allocated only on disagreement, in `more`.
+#[derive(Debug, Default)]
+struct Groups {
+    first: Option<Group>,
+    more: Vec<Group>,
+}
+
+impl Groups {
+    fn iter(&self) -> impl Iterator<Item = &Group> {
+        self.first.iter().chain(&self.more)
+    }
+
+    /// The group `matches` picks, started by `start` if there is none.
+    fn find_or_start(
+        &mut self,
+        matches: impl Fn(&Group) -> bool,
+        start: impl FnOnce() -> Group,
+    ) -> &mut Group {
+        if !self.iter().any(&matches) {
+            match self.first {
+                None => self.first = Some(start()),
+                Some(_) => self.more.push(start()),
+            }
+        }
+        let mut groups = self.first.iter_mut().chain(&mut self.more);
+        groups.find(|g| matches(g)).expect("started above")
+    }
 }
 
 /// A commit certificate this client distributed: the sequence it names,
@@ -84,7 +202,7 @@ struct Group {
 #[derive(Debug)]
 struct Certified {
     seq: SeqNum,
-    result: Vec<u8>,
+    result: ResultBytes,
     acks: Vec<ReplicaId>,
 }
 
@@ -93,8 +211,10 @@ struct Certified {
 struct Request {
     /// Kept for retransmission.
     txn: Transaction,
-    groups: Vec<Group>,
+    groups: Groups,
     cert: Option<Certified>,
+    /// Completed by the envelope being tallied; removed once it is.
+    done: bool,
 }
 
 /// One client's protocol state: its requests in flight, the replicas'
@@ -211,8 +331,9 @@ impl ClientCore {
             debug_assert_eq!(t.id.client, self.id, "foreign transaction");
             let request = Request {
                 txn: t.clone(),
-                groups: Vec::with_capacity(1),
+                groups: Groups::default(),
                 cert: None,
+                done: false,
             };
             match self.find(t.id.counter) {
                 Ok(at) => self.requests[at] = request,
@@ -227,7 +348,10 @@ impl ClientCore {
 
     /// One envelope: one sender check, then each `(counter, result)` of a
     /// reply counts as that replica's vote for its counter, completing
-    /// every request that reaches its quorum of matching votes.
+    /// every request that reaches its quorum of matching votes. Nothing
+    /// is allocated per result (under PBFT): a vote is a bit, a group's
+    /// result is inline, and the completed requests leave in one pass
+    /// once the whole envelope is tallied.
     fn on_reply(&mut self, sm: &SignedMessage, fx: &mut Vec<ClientEffect>) {
         let zero = (SeqNum(0), Digest::ZERO, Digest::ZERO);
         let (view, client, declared, (seq, digest, history), results) =
@@ -264,45 +388,51 @@ impl ClientCore {
         let (true, Some(replica)) = (client == self.id, voter(sm, declared)) else {
             return;
         };
+        if replica.0 as usize >= self.n {
+            return; // not a replica of this deployment
+        }
         self.note_view(replica, view);
         let (needed, sig) = match self.protocol {
-            ProtocolKind::Pbft => (quorum::client_reply_quorum(self.f), SignatureBytes::empty()),
-            ProtocolKind::Zyzzyva => (quorum::zyzzyva_fast_quorum(self.f), sm.sig().clone()),
+            ProtocolKind::Pbft => (quorum::client_reply_quorum(self.f), None),
+            ProtocolKind::Zyzzyva => (quorum::zyzzyva_fast_quorum(self.f), Some(sm.sig())),
         };
-        for (counter, result) in results {
-            let Ok(at) = self.find(*counter) else {
+        let mut completed = false;
+        for (counter, result) in results.iter() {
+            let Ok(at) = self.find(counter) else {
                 continue; // not ours / already complete
             };
             let request = &mut self.requests[at];
-            let matching = request.groups.iter().position(|g| {
-                (g.seq, g.digest, g.history) == (seq, digest, history) && g.result == *result
-            });
-            let group = match matching {
-                Some(i) => &mut request.groups[i],
-                None => {
-                    request.groups.push(Group {
-                        seq,
-                        digest,
-                        history,
-                        result: result.clone(),
-                        view,
-                        voters: Vec::with_capacity(needed),
-                    });
-                    request.groups.last_mut().expect("just pushed")
-                }
-            };
-            if group.voters.iter().any(|(r, _)| *r == replica) {
+            if request.done {
+                continue; // completed earlier in this envelope
+            }
+            let group = request.groups.find_or_start(
+                |g| (g.seq, g.digest, g.history) == (seq, digest, history) && *g.result == *result,
+                || Group {
+                    seq,
+                    digest,
+                    history,
+                    result: result.into(),
+                    view,
+                    voters: Voters::default(),
+                    sigs: Vec::with_capacity(if sig.is_some() { needed } else { 0 }),
+                },
+            );
+            if !group.voters.insert(replica) {
                 continue; // duplicate vote
             }
             group.view = group.view.max(view);
-            group.voters.push((replica, sig.clone()));
-            if group.voters.len() >= needed {
-                self.requests.remove(at);
-                fx.push(ClientEffect::Complete {
-                    counter: *counter,
-                    result: result.clone(),
-                });
+            if let Some(sig) = sig {
+                group.sigs.push((replica, sig.clone()));
             }
+            if group.voters.len() >= needed {
+                request.done = true;
+                completed = true;
+                let result = std::mem::take(&mut group.result);
+                fx.push(ClientEffect::Complete { counter, result });
+            }
+        }
+        if completed {
+            self.requests.retain(|r| !r.done);
         }
     }
 
@@ -368,8 +498,8 @@ impl ClientCore {
                 let Some(group) = request
                     .groups
                     .iter()
-                    .filter(|g| g.voters.len() >= needed)
-                    .max_by_key(|g| g.voters.len())
+                    .filter(|g| g.sigs.len() >= needed)
+                    .max_by_key(|g| g.sigs.len())
                 else {
                     continue; // not enough agreement: retransmission helps
                 };
@@ -384,7 +514,7 @@ impl ClientCore {
                     view: group.view,
                     seq: group.seq,
                     digest: group.digest,
-                    cert: BlockCertificate::new(group.voters[..needed].to_vec()),
+                    cert: BlockCertificate::new(group.sigs[..needed].to_vec()),
                     client: self.id,
                 };
                 fx.push(ClientEffect::Send {
@@ -525,7 +655,7 @@ mod tests {
             view: ViewNum(view),
             client: ClientId(client),
             replica: ReplicaId(replica),
-            results: results.iter().map(|(c, r)| (*c, r.to_vec())).collect(),
+            results: results.iter().copied().collect(),
         };
         signed(replica, msg)
     }
@@ -542,7 +672,7 @@ mod tests {
             history: Digest([2; 32]),
             client: ClientId(client),
             replica: ReplicaId(replica),
-            results: results.iter().map(|(c, r)| (*c, r.to_vec())).collect(),
+            results: results.iter().copied().collect(),
         };
         signed(replica, msg)
     }
@@ -590,7 +720,7 @@ mod tests {
         assert!(c.on_reply(&reply(7, 0, 0, b"ok")).is_empty());
         let acts = c.on_reply(&reply(7, 0, 1, b"ok"));
         assert!(
-            matches!(&acts[..], [ClientEffect::Complete { counter: 0, result }] if result == b"ok")
+            matches!(&acts[..], [ClientEffect::Complete { counter: 0, result }] if **result == *b"ok")
         );
         assert_eq!(c.pending(), 0);
     }
@@ -711,7 +841,7 @@ mod tests {
         assert!(c.on_local_commit(&local_commit(1)).is_empty());
         let acts = c.on_local_commit(&local_commit(2));
         assert!(
-            matches!(&acts[..], [ClientEffect::Complete { counter: 0, result }] if result == b"ok")
+            matches!(&acts[..], [ClientEffect::Complete { counter: 0, result }] if **result == *b"ok")
         );
     }
 

@@ -43,7 +43,9 @@ pub mod zyzzyva;
 
 pub use actions::Action;
 pub use checkpoint::CheckpointTracker;
-pub use client::{ClientCore, ClientEffect, ClientInput, RETRANSMIT_AFTER, ZYZZYVA_CLIENT_TIMEOUT};
+pub use client::{
+    ClientCore, ClientEffect, ClientInput, ResultBytes, RETRANSMIT_AFTER, ZYZZYVA_CLIENT_TIMEOUT,
+};
 pub use config::ConsensusConfig;
 pub use engine::ReplicaEngine;
 pub use pbft::Pbft;

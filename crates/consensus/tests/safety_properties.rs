@@ -365,7 +365,7 @@ fn forged_replica_ids_cannot_complete_a_client_request() {
         view: ViewNum(0),
         client: me,
         replica,
-        results: vec![(0, result.to_vec())],
+        results: [(0, result)].into_iter().collect(),
     };
     let mut pbft = Client::new(me, ProtocolKind::Pbft);
     pbft.track(0);
@@ -379,7 +379,7 @@ fn forged_replica_ids_cannot_complete_a_client_request() {
         .is_empty());
     let acts = pbft.on_reply(&signed(1, reply(ReplicaId(1), b"ok")));
     assert!(
-        matches!(&acts[..], [ClientEffect::Complete { result, .. }] if result == b"ok"),
+        matches!(&acts[..], [ClientEffect::Complete { result, .. }] if **result == *b"ok"),
         "{acts:?}"
     );
 
@@ -390,7 +390,7 @@ fn forged_replica_ids_cannot_complete_a_client_request() {
         history: digest_for(2),
         client: me,
         replica,
-        results: vec![(0, b"evil".to_vec())],
+        results: [(0, b"evil")].into_iter().collect(),
     };
     let mut zyzzyva = Client::new(me, ProtocolKind::Zyzzyva);
     zyzzyva.track(0);
@@ -417,7 +417,7 @@ fn forged_replica_ids_cannot_fake_a_local_commit_quorum() {
             history: digest_for(2),
             client: me,
             replica: ReplicaId(r),
-            results: vec![(0, b"ok".to_vec())],
+            results: [(0, b"ok")].into_iter().collect(),
         };
         assert!(client.on_reply(&signed(r, spec)).is_empty());
     }

@@ -77,6 +77,9 @@ impl Results {
 /// A connected client able to submit transactions and collect results.
 pub struct ClientSession {
     core: ClientCore,
+    /// The core's effects, drained after every step: one buffer for the
+    /// session's life, not one per envelope.
+    fx: Vec<ClientEffect>,
     results: Results,
     endpoint: Endpoint,
     provider: CryptoProvider,
@@ -116,6 +119,7 @@ impl ClientSession {
     ) -> Self {
         ClientSession {
             core: ClientCore::new(id, protocol, f, instances, n, Instant::now()),
+            fx: Vec::new(),
             results: Results::default(),
             endpoint: net.register(Sender::Client(id)),
             provider: registry.provider_for_client(id),
@@ -174,10 +178,10 @@ impl ClientSession {
     /// for all of its destinations, and keeps its completions. Returns
     /// the requests completed.
     fn step(&mut self, input: ClientInput, now: Instant) -> usize {
-        let mut fx = Vec::new();
+        let mut fx = std::mem::take(&mut self.fx);
         self.core.step(input, now, &mut fx);
         let mut completed = 0;
-        for effect in fx {
+        for effect in fx.drain(..) {
             match effect {
                 ClientEffect::Send { to, msg } => {
                     let sm = SignedMessage::sign_with(msg, Sender::Client(self.id()), |bytes| {
@@ -194,6 +198,7 @@ impl ClientSession {
                 }
             }
         }
+        self.fx = fx;
         completed
     }
 
@@ -300,7 +305,7 @@ mod tests {
         corrupt: bool,
     ) -> SignedMessage {
         let (client, replica) = (txn.client, ReplicaId(r));
-        let results = vec![(txn.counter, b"ok".to_vec())];
+        let results = [(txn.counter, b"ok")].into_iter().collect();
         let msg = match protocol {
             ProtocolKind::Pbft => Message::ClientReply {
                 view: ViewNum(0),

@@ -788,7 +788,10 @@ impl ReplicaCore {
     /// with a plain `FetchRequest` for the next sequence window: either it
     /// comes back served (the log moved on without us — install and keep
     /// going) or the peer is equally idle and drops it, which costs one
-    /// tiny message per idle interval.
+    /// tiny message per idle interval. The probe is paced by
+    /// `probe_mark` alone and marks nothing in flight: a hole the engines
+    /// report right after an unanswered probe is requested at the next
+    /// poll, not one back-off later.
     fn maybe_probe(&mut self, now: Instant, fx: &mut Vec<Effect>) {
         if self.probe_mark.0 != self.last_executed {
             self.probe_mark = (self.last_executed, now);
@@ -803,14 +806,22 @@ impl ReplicaCore {
         let seqs = (1..=FETCH_BATCH as u64)
             .map(|i| SeqNum(self.last_executed.0 + i))
             .collect();
-        self.send_fetch(seqs, now, fx);
+        self.request_batches(seqs, fx);
     }
 
+    /// Requests the holes `seqs`, each in flight until one back-off from
+    /// `now`.
     fn send_fetch(&mut self, seqs: Vec<SeqNum>, now: Instant, fx: &mut Vec<Effect>) {
         let deadline = now + self.fetch_backoff;
         for &seq in &seqs {
             self.fetch_inflight.insert(seq, deadline);
         }
+        self.request_batches(seqs, fx);
+    }
+
+    /// Sends one `FetchRequest` for `seqs` to the next peer in the
+    /// rotation (f+1 of them under Zyzzyva).
+    fn request_batches(&mut self, seqs: Vec<SeqNum>, fx: &mut Vec<Effect>) {
         let fanout = match self.protocol {
             ProtocolKind::Pbft => 1,
             ProtocolKind::Zyzzyva => (self.f + 1).min(self.peers.len()),
@@ -1670,6 +1681,31 @@ mod tests {
             probes[0].0, probes[1].0,
             "the retry rotates to another peer"
         );
+    }
+
+    #[test]
+    fn a_hole_found_after_an_unanswered_probe_is_requested_at_the_next_poll() {
+        let mut c = Cluster::new(&config(ProtocolKind::Pbft, 1));
+        // Replica 3 sits idle and cut off until it probes; nobody answers.
+        c.isolated.insert(3);
+        let backoff = c.nodes[3].core().fetch_backoff;
+        c.advance(backoff * 2);
+        assert_eq!(fetch_requests(&c.nodes[3]).len(), 1, "the probe");
+        // Meanwhile the others commit three batches; replica 3 hears only
+        // the fourth's commit: holes at sequences 1 to 3, inside the
+        // window the probe asked for.
+        for b in 0..3 {
+            c.commit_batch(0, 0, b * 2);
+        }
+        c.isolated.remove(&3);
+        c.commit_batch(0, 0, 6);
+        assert!(c.nodes[3].executed.is_empty(), "hole at sequence 1");
+        c.isolated.insert(3);
+        c.advance(FETCH_POLL_EVERY);
+        let asked = fetch_requests(&c.nodes[3]);
+        assert_eq!(asked.len(), 2, "the holes at the next poll: {asked:?}");
+        let holes: Vec<SeqNum> = (1..=3).map(SeqNum).collect();
+        assert_eq!(asked[1].1, holes);
     }
 
     #[test]

@@ -372,28 +372,34 @@ impl SeenTxns {
 /// per transaction: `results` (one per transaction, in batch order) are
 /// grouped by client in first-appearance order, each client's in batch
 /// order, so the execute stage signs — and the transport carries — one
-/// envelope per client per batch. Zyzzyva (`item.history` set) answers
-/// with speculative responses, PBFT with committed replies.
-pub fn client_replies(
+/// envelope per client per batch. Each reply's results are copied once,
+/// into its own flat [`ReplyResults`] sized exactly by a first pass.
+/// Zyzzyva (`item.history` set) answers with speculative responses, PBFT
+/// with committed replies.
+pub fn client_replies<'a>(
     item: &ExecuteItem,
     replica: ReplicaId,
-    results: impl IntoIterator<Item = Vec<u8>>,
+    results: impl Iterator<Item = &'a [u8]> + Clone,
 ) -> Vec<OutItem> {
     // A batch carries few clients: a scan of them beats hashing each
-    // transaction's, and counting first sizes every reply exactly.
-    let mut grouped: Vec<(ClientId, usize, ReplyResults)> = Vec::new();
-    for txn in &item.batch.txns {
+    // transaction's. Per client: its results and their bytes, counted
+    // first so that its reply is allocated once, at its exact size.
+    let mut grouped: Vec<(ClientId, usize, usize, ReplyResults)> = Vec::new();
+    for (txn, result) in item.batch.txns.iter().zip(results.clone()) {
         match grouped.iter_mut().find(|g| g.0 == txn.id.client) {
-            Some(g) => g.1 += 1,
-            None => grouped.push((txn.id.client, 1, Vec::new())),
+            Some(g) => {
+                g.1 += 1;
+                g.2 += result.len();
+            }
+            None => grouped.push((txn.id.client, 1, result.len(), ReplyResults::default())),
         }
     }
-    for (_, count, results) in &mut grouped {
-        results.reserve_exact(*count);
+    for (_, count, bytes, results) in &mut grouped {
+        *results = ReplyResults::with_capacity(*count, *bytes);
     }
     for (txn, result) in item.batch.txns.iter().zip(results) {
         let g = grouped.iter_mut().find(|g| g.0 == txn.id.client);
-        g.expect("grouped above").2.push((txn.id.counter, result));
+        g.expect("grouped above").3.push(txn.id.counter, result);
     }
     let reply = |client, results| match item.history {
         Some(history) => Message::SpecResponse {
@@ -414,7 +420,7 @@ pub fn client_replies(
     };
     grouped
         .into_iter()
-        .map(|(client, _, results)| OutItem::to(Sender::Client(client), reply(client, results)))
+        .map(|(client, _, _, results)| OutItem::to(Sender::Client(client), reply(client, results)))
         .collect()
 }
 
@@ -493,11 +499,6 @@ impl Executor {
         *self.durability.lock() = Some(durability);
     }
 
-    /// The attached durable state, if this executor runs durable.
-    pub fn durability(&self) -> Option<Arc<Durability>> {
-        self.durability.lock().clone()
-    }
-
     /// Enables snapshot capture every `interval` sequences (0 disables).
     /// Every replica must run the same value, set before the first commit
     /// (and before [`crate::durable::recover_replica`] replays any).
@@ -564,8 +565,9 @@ impl Executor {
     /// (fed back to the consensus engine for checkpointing) and the
     /// outgoing reply messages. Works in buffers kept from the previous
     /// batch, which it outgrows only with a larger batch: what it
-    /// allocates is the replies and the pre-image log's record (and the
-    /// block's certificate, for a borrowed `item`).
+    /// allocates is the replies (per client an envelope and its results'
+    /// two flat buffers) and the pre-image log's record (and the block's
+    /// certificate, for a borrowed `item`).
     pub fn execute(&self, item: impl CommitItem) -> (Digest, Vec<OutItem>) {
         let mut scratch = self.scratch.lock();
         let Scratch {
@@ -595,24 +597,25 @@ impl Executor {
             }
         }
         hash_records(writes.written_mut());
-        let replies = (0..ends.len()).map(|i| {
+        let results = (0..ends.len()).map(|i| {
             let start = if i == 0 { 0 } else { ends[i - 1] };
-            results[start..ends[i]].to_vec()
+            &results[start..ends[i]]
         });
-        self.commit(item, replies, writes.written())
+        self.commit(item, results, writes.written())
     }
 
     /// The in-order half of execution: applies the buffered writes in
     /// canonical order, appends the block, builds the client replies and
     /// bumps the executed counters. `results` yields one reply payload per
-    /// transaction, in batch order.
+    /// transaction, in batch order, borrowed from wherever execution left
+    /// it: [`client_replies`] copies each once, into its client's reply.
     ///
     /// Callers (the serial path above and the parallel scheduler) must
     /// invoke this in sequence order — the ledger append asserts it.
-    pub fn commit(
+    pub fn commit<'a>(
         &self,
         item: impl CommitItem,
-        results: impl ExactSizeIterator<Item = Vec<u8>>,
+        results: impl ExactSizeIterator<Item = &'a [u8]> + Clone,
         writes: &[WriteRecord],
     ) -> (Digest, Vec<OutItem>) {
         let it = item.borrow();
@@ -967,7 +970,7 @@ mod tests {
                     view: ViewNum(0),
                     client: ClientId(client),
                     replica: ReplicaId(1),
-                    results,
+                    results: results.into_iter().collect(),
                 }
             );
         }
@@ -1006,7 +1009,7 @@ mod tests {
             .map(|r| match &r.msg {
                 Message::SpecResponse {
                     history, results, ..
-                } if *history == h => results.iter().map(|(c, _)| *c).collect(),
+                } if *history == h => results.iter().map(|(c, _)| c).collect(),
                 other => panic!("expected SpecResponse, got {other:?}"),
             })
             .collect();
@@ -1796,7 +1799,7 @@ mod tests {
         let (_, replies) = ex.execute(&item);
         match &replies[0].msg {
             Message::ClientReply { results, .. } => {
-                assert_eq!(results, &vec![(0, vec![7, 7, 7])])
+                assert_eq!(*results, [(0, [7, 7, 7])].into_iter().collect())
             }
             other => panic!("unexpected {other:?}"),
         }

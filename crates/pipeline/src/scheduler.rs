@@ -355,7 +355,8 @@ impl ParallelExecutor {
                 writes.extend(outcome.writes);
                 fi += 1;
             }
-            out.push(self.executor.commit(item, results.into_iter(), &writes));
+            let results = results.iter().map(Vec::as_slice);
+            out.push(self.executor.commit(item, results, &writes));
         }
         out
     }

@@ -263,7 +263,7 @@ fn zyzzyva_backup_failure_needs_commit_certificates() {
             "fast path must not complete with a dead backup"
         );
         if let Message::SpecResponse { results, .. } = sm.msg() {
-            specs += results.len();
+            specs += results.iter().len();
         }
     }
     assert!(

@@ -95,7 +95,7 @@ fn messages() -> Vec<(&'static str, Message)> {
                 view,
                 client: ClientId(4),
                 replica: ReplicaId(2),
-                results: vec![(1, vec![9]), (2, vec![])],
+                results: [(1, &[9][..]), (2, &[])].into_iter().collect(),
             },
         ),
         (
@@ -107,7 +107,7 @@ fn messages() -> Vec<(&'static str, Message)> {
                 history: Digest([0x44; 32]),
                 client: ClientId(4),
                 replica: ReplicaId(2),
-                results: vec![(1, vec![9])],
+                results: [(1, [9])].into_iter().collect(),
             },
         ),
         (

@@ -898,7 +898,7 @@ impl<'a> Sim<'a> {
                 },
                 EventKind::Replies { replica, item } => {
                     // Built as the executor builds them, once they arrive.
-                    let results = vec![Vec::new(); item.batch.len()];
+                    let results = std::iter::repeat_n(&[][..], item.batch.len());
                     let items = client_replies(&item, ReplicaId(replica as u32), results);
                     self.reach_clients(replica, items);
                 }

@@ -33,8 +33,6 @@ pub struct Blockchain {
     mode: ChainMode,
     /// Hash of the last appended block (for `PrevHash` mode).
     head_hash: Digest,
-    /// Total blocks ever appended (excluding genesis).
-    appended: u64,
 }
 
 impl Blockchain {
@@ -51,13 +49,7 @@ impl Blockchain {
             commit_quorum,
             mode,
             head_hash,
-            appended: 0,
         }
-    }
-
-    /// The chain mode.
-    pub fn mode(&self) -> ChainMode {
-        self.mode
     }
 
     /// Height of the last block (genesis = 0).
@@ -73,11 +65,6 @@ impl Blockchain {
     /// Number of retained blocks (including genesis until pruned).
     pub fn retained(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Total blocks appended over the chain's lifetime.
-    pub fn appended(&self) -> u64 {
-        self.appended
     }
 
     /// Appends the block for the batch committed at `seq`.
@@ -127,7 +114,6 @@ impl Blockchain {
             self.head_hash = digest(&block.canonical_bytes());
         }
         self.blocks.push(block);
-        self.appended += 1;
         Ok(self.blocks.last().expect("just pushed"))
     }
 
@@ -195,7 +181,6 @@ impl Blockchain {
         let keep = (seq.0 - self.base_seq.0) as usize + 1;
         let dropped = self.blocks.len() - keep;
         self.blocks.truncate(keep);
-        self.appended = self.appended.saturating_sub(dropped as u64);
         self.head_hash = digest(&self.head().canonical_bytes());
         dropped
     }
@@ -207,7 +192,6 @@ impl Blockchain {
     pub fn install_snapshot_block(&mut self, block: Block) {
         self.head_hash = digest(&block.canonical_bytes());
         self.base_seq = block.seq;
-        self.appended = block.seq.0;
         self.blocks = vec![block];
     }
 
@@ -283,7 +267,6 @@ mod tests {
             .unwrap();
         }
         assert_eq!(c.head_seq(), SeqNum(10));
-        assert_eq!(c.appended(), 10);
         assert!(c.verify().is_ok());
     }
 

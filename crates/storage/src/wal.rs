@@ -253,11 +253,6 @@ impl Wal {
     pub fn syncs(&self) -> u64 {
         self.shared.syncs.load(Ordering::Relaxed)
     }
-
-    /// The configured sync policy.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
-    }
 }
 
 impl Drop for Wal {

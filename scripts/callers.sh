@@ -6,9 +6,12 @@
 # opens its test module down (the cut `scripts/loc.sh` makes). Comments
 # are not callers either, and a definition is not a use of itself.
 #
-# Names are matched as bare words, so a function that shares its name
-# with anything still in use is not listed: each printed line is a
-# candidate for deletion, not a proof, and the list under-reports.
+# A name counts as used only where it is called or reached by a path:
+# followed by `(` or `::<`, or preceded by `::` (`name(`, `.name(`,
+# `name::<T>(`, `Type::name`, `use path::name`). A field, local or
+# parameter of the same name is not a use, so it hides no dead `pub fn`.
+# A function passed by its bare name (`.map(name)`) is not counted
+# either: each printed line is a candidate for deletion, not a proof.
 #
 # A function kept on purpose goes in KEEP below as `path name  reason`.
 # Kept entries are not printed. The script exits 1 when anything is left
@@ -20,16 +23,25 @@
 set -euo pipefail
 
 KEEP='
+crates/common/src/ids.rs prev  the inverse of SeqNum::next; the executor snapshot test reads the block below a sequence with it
+crates/common/src/messages.rs body  the shared body handle; the envelope tests check that a re-signed envelope shares it
 crates/common/src/peers.rs to_flag  the inverse of parse_flag; tests/tcp_cluster.rs passes the map to child rdb-node processes with it
 crates/common/src/transaction.rs conflicts_with  the pairwise conflict rule the scheduler tests check every wave against
 crates/core/src/fabric.rs head_results  the only read of head-block results; the rejoin tests compare them across replicas
 crates/crypto/src/ed25519.rs multiscalar_mul_vartime  the general Straus MSM; verification runs the same Straus loop on stack digits, the MSM tests call this
+crates/consensus/src/substrate.rs view  the installed view of an engine; the view-change tests of both protocols assert it
 crates/crypto/src/rsa.rs signature_len  the RSA half of the signature-size contract pinned by signature_len_matches_actual
+crates/crypto/src/scheme.rs signs  the sign counter; tests/verify_counts.rs pins the signatures of one consensus round with it
+crates/crypto/src/scheme.rs verifies  the verify counter; tests/verify_counts.rs pins the verifications of one consensus round with it
 crates/crypto/src/scheme.rs signature_len  the signature-size contract per scheme and peer class, pinned by signature_len_matches_actual
+crates/net/src/stats.rs delivered  the per-kind receive count beside sent; the stats tests check both sides of each kind
+crates/net/src/stats.rs fetch_served  the serving side of the fetch counters; the stats tests check it beside fetch_dropped
+crates/net/src/stats.rs fetch_dropped  the fetch serving cap at work; the e2e fetch-flood test waits on it
 crates/net/src/stats.rs total_delivered  the receive-side total beside total_sent; the transport tests wait on it
 crates/net/src/tcp.rs open_connections  the live-socket gauge the reclamation and churn tests poll
 crates/pipeline/src/durable.rs wal_appends  the append counter beside wal_fsyncs; the checkpoint test pins one append per batch
 crates/pipeline/src/metrics.rs add_busy_ns  charges busy time without a timing guard; the saturation tests build reports with it
+crates/pipeline/src/replica.rs dropped_bad_sigs  the forged-message counter; the e2e forgery tests and verify_counts assert it
 crates/storage/src/blockchain.rs retained  the retained-block count the pruning tests check
 crates/storage/src/blockchain.rs block_at  block lookup by sequence, the pruning and executor tests read blocks with it
 crates/storage/src/blockchain.rs head_digest  digest of the chain head; the rollback and convergence tests compare chains with it
@@ -84,8 +96,10 @@ CALLERS_KEEP="$KEEP" awk -v markdown="$markdown" '
     }
     gsub(/(^|[^A-Za-z0-9_])fn[[:space:]]+[A-Za-z_][A-Za-z0-9_]*/, " ", line)
     while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
-      uses[substr(line, RSTART, RLENGTH)]++
-      line = substr(line, RSTART + RLENGTH)
+      before = substr(line, 1, RSTART - 1)
+      after = substr(line, RSTART + RLENGTH)
+      if (before ~ /::$/ || after ~ /^[[:space:]]*(\(|::<)/) uses[substr(line, RSTART, RLENGTH)]++
+      line = after
     }
   }
   END {
