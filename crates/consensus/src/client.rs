@@ -18,6 +18,7 @@ use rdb_common::{
     quorum, ClientId, Digest, Operation, ProtocolKind, ReplicaId, SeqNum, SignatureBytes,
     Transaction, ViewNum,
 };
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long the one Zyzzyva client, [`ClientCore`] — whether the runtime
@@ -130,8 +131,9 @@ struct Group {
     view: ViewNum,
     voters: Voters,
     /// Each voter's envelope signature, in vote order — Zyzzyva only: a
-    /// commit certificate forwards them. Empty, so unallocated, under PBFT.
-    sigs: Vec<(ReplicaId, SignatureBytes)>,
+    /// commit certificate forwards them. One copy per envelope, shared by
+    /// every group it voted in. Empty, so unallocated, under PBFT.
+    sigs: Vec<(ReplicaId, Arc<SignatureBytes>)>,
 }
 
 /// The replicas that voted for a group, one bit each: the first 64
@@ -218,7 +220,10 @@ struct Request {
 }
 
 /// One client's protocol state: its requests in flight, the replicas'
-/// views and its two timers.
+/// views and its two timers. Under PBFT what a completed transaction
+/// allocates in the core is only the copy kept for retransmission: each
+/// request's response group, with its result and its voters, lives
+/// inline in the request's record.
 #[derive(Debug)]
 pub struct ClientCore {
     id: ClientId,
@@ -394,7 +399,10 @@ impl ClientCore {
         self.note_view(replica, view);
         let (needed, sig) = match self.protocol {
             ProtocolKind::Pbft => (quorum::client_reply_quorum(self.f), None),
-            ProtocolKind::Zyzzyva => (quorum::zyzzyva_fast_quorum(self.f), Some(sm.sig())),
+            ProtocolKind::Zyzzyva => (
+                quorum::zyzzyva_fast_quorum(self.f),
+                Some(Arc::new(sm.sig().clone())),
+            ),
         };
         let mut completed = false;
         for (counter, result) in results.iter() {
@@ -421,8 +429,8 @@ impl ClientCore {
                 continue; // duplicate vote
             }
             group.view = group.view.max(view);
-            if let Some(sig) = sig {
-                group.sigs.push((replica, sig.clone()));
+            if let Some(sig) = &sig {
+                group.sigs.push((replica, Arc::clone(sig)));
             }
             if group.voters.len() >= needed {
                 request.done = true;
@@ -514,7 +522,12 @@ impl ClientCore {
                     view: group.view,
                     seq: group.seq,
                     digest: group.digest,
-                    cert: BlockCertificate::new(group.sigs[..needed].to_vec()),
+                    cert: BlockCertificate::new(
+                        group.sigs[..needed]
+                            .iter()
+                            .map(|(r, sig)| (*r, SignatureBytes::clone(sig)))
+                            .collect(),
+                    ),
                     client: self.id,
                 };
                 fx.push(ClientEffect::Send {
