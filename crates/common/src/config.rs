@@ -187,8 +187,6 @@ impl Default for ThreadConfig {
 pub struct SystemConfig {
     /// Number of replicas `n`.
     pub n: usize,
-    /// Tolerated byzantine replicas `f = (n-1)/3` (derived, cached).
-    pub f: usize,
     /// Consensus protocol.
     pub protocol: ProtocolKind,
     /// Transactions per consensus batch (the paper's default is 100).
@@ -230,14 +228,8 @@ impl SystemConfig {
     /// Returns [`CommonError::InvalidConfig`] if `n < 4` (no fault can be
     /// tolerated below four replicas).
     pub fn new(n: usize) -> Result<Self> {
-        if n < 4 {
-            return Err(CommonError::InvalidConfig(format!(
-                "need at least 4 replicas for BFT, got {n}"
-            )));
-        }
-        Ok(SystemConfig {
+        let config = SystemConfig {
             n,
-            f: quorum::max_faults(n),
             protocol: ProtocolKind::Pbft,
             batch_size: 100,
             checkpoint_interval: 10_000,
@@ -251,25 +243,27 @@ impl SystemConfig {
             view_timeout_ms: 2_000,
             consensus_instances: 1,
             durability: DurabilityConfig::default(),
-        })
+        };
+        config.validate()?;
+        Ok(config)
+    }
+
+    /// Tolerated byzantine replicas `f = (n-1)/3`.
+    pub fn f(&self) -> usize {
+        quorum::max_faults(self.n)
     }
 
     /// Validates internal consistency.
     ///
     /// # Errors
-    /// Returns [`CommonError::InvalidConfig`] if the population cannot reach
-    /// quorum, a stage has no thread to run it, or a sweep parameter is zero.
+    /// Returns [`CommonError::InvalidConfig`] if there are fewer than four
+    /// replicas, a stage has no thread to run it, or a sweep parameter is
+    /// zero.
     pub fn validate(&self) -> Result<()> {
-        if self.n < quorum::min_replicas(self.f) {
+        if self.n < quorum::min_replicas(1) {
             return Err(CommonError::InvalidConfig(format!(
-                "n={} cannot tolerate f={}",
-                self.n, self.f
-            )));
-        }
-        if self.f != quorum::max_faults(self.n) {
-            return Err(CommonError::InvalidConfig(format!(
-                "f={} is not (n-1)/3 for n={}",
-                self.f, self.n
+                "need at least 4 replicas for BFT, got {}",
+                self.n
             )));
         }
         if self.batch_size == 0 {
@@ -337,7 +331,7 @@ mod tests {
     #[test]
     fn defaults_match_paper_setup() {
         let c = SystemConfig::new(16).unwrap();
-        assert_eq!(c.f, 5);
+        assert_eq!(c.f(), 5);
         assert_eq!(c.batch_size, 100);
         assert_eq!(c.checkpoint_interval, 10_000);
         assert_eq!(c.table_size, 600_000);
@@ -363,7 +357,7 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = SystemConfig::new(4).unwrap();
-        c.f = 3; // inconsistent with n=4
+        c.n = 3; // tolerates no fault
         assert!(c.validate().is_err());
     }
 

@@ -13,9 +13,9 @@
 //! use rdb_common::{config::SystemConfig, quorum};
 //!
 //! let cfg = SystemConfig::new(16).expect("16 replicas is a valid BFT population");
-//! assert_eq!(cfg.f, 5);
-//! assert_eq!(quorum::prepare_quorum(cfg.f), 10);
-//! assert_eq!(quorum::commit_quorum(cfg.f), 11);
+//! assert_eq!(cfg.f(), 5);
+//! assert_eq!(quorum::prepare_quorum(cfg.f()), 10);
+//! assert_eq!(quorum::commit_quorum(cfg.f()), 11);
 //! ```
 
 pub mod block;

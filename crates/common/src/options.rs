@@ -11,7 +11,6 @@
 //! ├── system:    SystemConfig   consensus, batching, threads, crypto, durability
 //! ├── transport: TransportMode  in-memory switchboard or TCP
 //! ├── peers:     PeerMap        replica id → TCP address (empty ⇒ in-memory)
-//! ├── client_keys             client identities to derive keys for
 //! └── seed                    deterministic key-generation seed
 //! ```
 //!
@@ -23,6 +22,8 @@
 //! [`NodeOptions::apply_toml`] alongside the existing `[peers]` section;
 //! its keys and `rdb-node`'s equivalent flags are both parsed by
 //! [`NodeOptions::set`], the one place option values are read from text.
+//! The key registry holds one client identity per client of
+//! `system.num_clients`, which the `[node]` key `client_keys` sets.
 
 use crate::config::{CryptoScheme, FsyncMode, ProtocolKind, SystemConfig};
 use crate::error::{CommonError, Result};
@@ -45,8 +46,8 @@ pub enum TransportMode {
 /// Everything a node needs to come up, in one place — see the module
 /// docs for the layering.
 ///
-/// All processes of one cluster must agree on `system`, `client_keys`
-/// and `seed`, so every node derives the same key registry.
+/// All processes of one cluster must agree on `system` and `seed`, so
+/// every node derives the same key registry.
 #[derive(Debug, Clone)]
 pub struct NodeOptions {
     /// The cluster-wide system configuration (`n` must equal the peer
@@ -57,8 +58,6 @@ pub struct NodeOptions {
     /// Replica id → TCP address, identical on every node. Empty for
     /// purely in-memory deployments.
     pub peers: PeerMap,
-    /// Client identities to generate keys for.
-    pub client_keys: usize,
     /// Deterministic key-generation seed shared by all nodes.
     pub seed: u64,
 }
@@ -85,7 +84,6 @@ impl NodeOptions {
             system,
             transport: TransportMode::Tcp,
             peers,
-            client_keys: 8,
             seed: 42,
         })
     }
@@ -102,7 +100,6 @@ impl NodeOptions {
             system,
             transport: TransportMode::InMemory,
             peers: PeerMap::new(),
-            client_keys: 8,
             seed: 42,
         })
     }
@@ -114,8 +111,8 @@ impl NodeOptions {
     ///
     /// # Errors
     /// Returns `InvalidConfig` on any inconsistent knob: the system
-    /// config's own rules, a peer map that is non-dense or disagrees
-    /// with `n`, or a zero client-key population.
+    /// config's own rules (a zero client population among them), or a
+    /// peer map that is non-dense or disagrees with `n`.
     pub fn validate(&self) -> Result<()> {
         self.system.validate()?;
         if !self.peers.is_empty() {
@@ -127,11 +124,6 @@ impl NodeOptions {
                     self.system.n
                 )));
             }
-        }
-        if self.client_keys == 0 {
-            return Err(CommonError::InvalidConfig(
-                "need at least one client key".into(),
-            ));
         }
         Ok(())
     }
@@ -148,7 +140,7 @@ impl NodeOptions {
     /// batch_size = 100
     /// checkpoint_interval = 10000
     /// consensus_instances = 1
-    /// client_keys = 64
+    /// client_keys = 64           # clients to derive keys for (system.num_clients)
     /// seed = 42
     /// table_size = 65536
     /// data_dir = "/var/lib/rdb"   # durable state root (unset ⇒ memory-only)
@@ -207,11 +199,7 @@ impl NodeOptions {
             "checkpoint_interval" => {
                 self.system.checkpoint_interval = value.parse().map_err(|_| bad("integer"))?
             }
-            "client_keys" => {
-                let keys: usize = value.parse().map_err(|_| bad("integer"))?;
-                self.client_keys = keys;
-                self.system.num_clients = keys;
-            }
+            "client_keys" => self.system.num_clients = value.parse().map_err(|_| bad("integer"))?,
             "seed" => self.seed = value.parse().map_err(|_| bad("integer"))?,
             "table_size" => self.system.table_size = value.parse().map_err(|_| bad("integer"))?,
             "view_timeout_ms" => {
@@ -265,7 +253,6 @@ mod tests {
         assert_eq!(opts.system.n, 4);
         assert_eq!(opts.system.num_clients, 8);
         assert_eq!(opts.system.table_size, 4_096);
-        assert_eq!(opts.client_keys, 8);
         assert_eq!(opts.seed, 42);
         assert_eq!(opts.transport, TransportMode::Tcp);
         assert!(opts.validate().is_ok());
@@ -295,7 +282,6 @@ mod tests {
         assert_eq!(opts.system.protocol, ProtocolKind::Zyzzyva);
         assert_eq!(opts.system.batch_size, 50);
         assert_eq!(opts.system.num_clients, 32);
-        assert_eq!(opts.client_keys, 32);
         assert_eq!(opts.seed, 7);
         assert!(opts.validate().is_ok());
         // The transport's sizing is not a node option.
@@ -338,7 +324,6 @@ table_size = 100000
         assert_eq!(opts.system.protocol, ProtocolKind::Zyzzyva);
         assert_eq!(opts.system.crypto, CryptoScheme::Ed25519);
         assert_eq!(opts.system.batch_size, 25);
-        assert_eq!(opts.client_keys, 64);
         assert_eq!(opts.system.num_clients, 64);
         assert_eq!(opts.seed, 9);
         assert_eq!(opts.system.table_size, 100_000);
@@ -431,7 +416,7 @@ table_size = 100000
         opts.set("crypto", "none").unwrap();
         assert_eq!(opts.system.crypto, CryptoScheme::NoCrypto);
         opts.set("client_keys", "16").unwrap();
-        assert_eq!((opts.client_keys, opts.system.num_clients), (16, 16));
+        assert_eq!(opts.system.num_clients, 16);
         assert!(opts.set("crypto", "rot13").is_err());
         assert!(opts.set("no_such_key", "1").is_err());
     }

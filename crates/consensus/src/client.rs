@@ -61,7 +61,7 @@ pub enum ClientEffect {
 const INLINE_RESULT: usize = 22;
 
 /// One execution result as the client tallies and completes it: inline
-/// when it is at most [`INLINE_RESULT`] bytes — every result this
+/// when it is at most `INLINE_RESULT` bytes — every result this
 /// system's replicas produce is at most 8 — and boxed only when longer.
 /// Dereferences to its bytes.
 #[derive(Clone, PartialEq, Eq)]
@@ -228,7 +228,6 @@ struct Request {
 pub struct ClientCore {
     id: ClientId,
     protocol: ProtocolKind,
-    f: usize,
     n: usize,
     /// The consensus instance this client shards to (`id % k`), so a
     /// retransmission can never land in a second instance and
@@ -250,12 +249,11 @@ pub struct ClientCore {
 }
 
 impl ClientCore {
-    /// A client of a deployment of `n` replicas tolerating `f` faults,
-    /// ordering on `instances` parallel instances, at time `now`.
+    /// A client of a deployment of `n` replicas, ordering on `instances`
+    /// parallel instances, at time `now`.
     pub fn new(
         id: ClientId,
         protocol: ProtocolKind,
-        f: usize,
         instances: usize,
         n: usize,
         now: Instant,
@@ -264,7 +262,6 @@ impl ClientCore {
         ClientCore {
             id,
             protocol,
-            f,
             n,
             instance,
             view: ViewNum(0),
@@ -279,6 +276,11 @@ impl ClientCore {
     /// This client's identity.
     pub fn id(&self) -> ClientId {
         self.id
+    }
+
+    /// Tolerated faults `f = (n-1)/3`.
+    fn f(&self) -> usize {
+        quorum::max_faults(self.n)
     }
 
     /// Transactions built so far.
@@ -398,9 +400,9 @@ impl ClientCore {
         }
         self.note_view(replica, view);
         let (needed, sig) = match self.protocol {
-            ProtocolKind::Pbft => (quorum::client_reply_quorum(self.f), None),
+            ProtocolKind::Pbft => (quorum::client_reply_quorum(self.f()), None),
             ProtocolKind::Zyzzyva => (
-                quorum::zyzzyva_fast_quorum(self.f),
+                quorum::zyzzyva_fast_quorum(self.f()),
                 Some(Arc::new(sm.sig().clone())),
             ),
         };
@@ -464,13 +466,13 @@ impl ClientCore {
         *seen = (*seen).max(view);
         let mut views = self.views.clone();
         views.sort_unstable_by(|a, b| b.cmp(a));
-        self.view = views[self.f.min(self.n - 1)];
+        self.view = views[self.f().min(self.n - 1)];
     }
 
     /// A `LocalCommit` acknowledges the certificates naming its sequence
     /// and no other; `2f+1` distinct acknowledgements complete a request.
     fn on_local_commit(&mut self, replica: ReplicaId, seq: SeqNum, fx: &mut Vec<ClientEffect>) {
-        let needed = quorum::zyzzyva_cc_quorum(self.f);
+        let needed = quorum::zyzzyva_cc_quorum(self.f());
         self.requests.retain_mut(|request| {
             let Some(cert) = request.cert.as_mut().filter(|c| c.seq == seq) else {
                 return true;
@@ -501,7 +503,7 @@ impl ClientCore {
             && now >= self.last_progress + ZYZZYVA_CLIENT_TIMEOUT
         {
             self.last_progress = now;
-            let needed = quorum::zyzzyva_cc_quorum(self.f);
+            let needed = quorum::zyzzyva_cc_quorum(self.f());
             for request in &mut self.requests {
                 let Some(group) = request
                     .groups
@@ -591,7 +593,7 @@ mod tests {
     impl Client {
         fn new(protocol: ProtocolKind) -> Self {
             let now = Instant::now();
-            let core = ClientCore::new(ClientId(7), protocol, 1, 1, 4, now);
+            let core = ClientCore::new(ClientId(7), protocol, 1, 4, now);
             Client { core, now }
         }
 
@@ -982,7 +984,7 @@ mod tests {
     fn one_replica_cannot_re_aim_a_client_or_overflow_its_arithmetic() {
         // k = 2: client 1 shards to instance 1, led by replica 1 at view 0.
         let now = Instant::now();
-        let core = || ClientCore::new(ClientId(1), ProtocolKind::Pbft, 1, 2, 4, now);
+        let core = || ClientCore::new(ClientId(1), ProtocolKind::Pbft, 2, 4, now);
         let submit = |core: &mut ClientCore, sm: SignedMessage| {
             let mut fx = Vec::new();
             core.step(ClientInput::Reply(sm), now, &mut fx);

@@ -10,8 +10,6 @@ use rdb_common::{quorum, ReplicaId, SeqNum, ViewNum};
 pub struct ConsensusConfig {
     /// Number of replicas.
     pub n: usize,
-    /// Tolerated faults `f = (n-1)/3`.
-    pub f: usize,
     /// Broadcast a checkpoint every this many executed *batches*.
     pub checkpoint_interval_batches: u64,
     /// Which multi-primary consensus instance this state machine runs
@@ -24,7 +22,7 @@ pub struct ConsensusConfig {
 }
 
 impl ConsensusConfig {
-    /// Creates a config for `n` replicas (deriving `f`).
+    /// Creates a config for `n` replicas.
     ///
     /// # Panics
     /// Panics if `n < 4`.
@@ -36,11 +34,15 @@ impl ConsensusConfig {
         );
         ConsensusConfig {
             n,
-            f: quorum::max_faults(n),
             checkpoint_interval_batches,
             instance: 0,
             instances: 1,
         }
+    }
+
+    /// Tolerated faults `f = (n-1)/3`.
+    pub fn f(&self) -> usize {
+        quorum::max_faults(self.n)
     }
 
     /// Makes this config describe instance `j` of `k` parallel consensus
@@ -103,7 +105,7 @@ mod tests {
     #[test]
     fn derives_f() {
         let c = ConsensusConfig::new(16, 100);
-        assert_eq!(c.f, 5);
+        assert_eq!(c.f(), 5);
     }
 
     #[test]

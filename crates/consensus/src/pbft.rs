@@ -9,7 +9,7 @@
 //! hash-chaining between requests — guarantees a single common order.
 //!
 //! View changes run on the shared [`crate::substrate`]; what is PBFT's own
-//! is the per-sequence [`Instance`] log, the tail a vote carries (every
+//! is the per-sequence `Instance` log, the tail a vote carries (every
 //! batch held above the stable checkpoint), and what the incoming primary
 //! does with the merged tails: fill holes with no-op batches and re-issue
 //! every unresolved sequence at its original number — so requests in
@@ -216,7 +216,7 @@ impl PbftRule {
         // quorum still form when f backups are down (Figure 17).
         if !inst.sent_commit
             && inst.prepares.len() + inst.sent_prepare as usize
-                >= quorum::prepare_quorum(ctx.config.f)
+                >= quorum::prepare_quorum(ctx.config.f())
         {
             inst.sent_commit = true;
             actions.push(Action::Broadcast(Message::Commit {
@@ -228,7 +228,7 @@ impl PbftRule {
         // Committed: 2f+1 distinct commit votes; our own broadcast is not
         // self-delivered, so it counts via `sent_commit`.
         let own = inst.sent_commit as usize;
-        if !inst.committed && inst.commits.len() + own >= quorum::commit_quorum(ctx.config.f) {
+        if !inst.committed && inst.commits.len() + own >= quorum::commit_quorum(ctx.config.f()) {
             inst.committed = true;
             actions.push(Action::CommitBatch {
                 seq,
@@ -497,7 +497,7 @@ impl ProtocolRule for PbftRule {
             if *s > floor
                 && !i.committed
                 && i.batch.is_none()
-                && i.commits.len() > ctx.config.f
+                && i.commits.len() > ctx.config.f()
                 && !wanted.contains(s)
             {
                 wanted.push(*s);

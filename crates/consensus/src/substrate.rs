@@ -155,7 +155,7 @@ impl<R: ProtocolRule> Replica<R> {
             id,
             view: ViewNum(0),
             last_executed: SeqNum(0),
-            checkpoints: CheckpointTracker::new(quorum::checkpoint_quorum(config.f)),
+            checkpoints: CheckpointTracker::new(quorum::checkpoint_quorum(config.f())),
             view_change_votes: HashMap::new(),
             voted_view: None,
             timeout_strikes: 0,
@@ -289,7 +289,7 @@ impl<R: ProtocolRule> Replica<R> {
     /// Suspicion timer fired (a proposal stalled, or clients signalled
     /// unmet demand): vote to replace the primary. Re-fires re-broadcast
     /// the same vote (lossy networks drop votes too); after
-    /// [`ESCALATE_AFTER`] fruitless re-fires the vote escalates to the next
+    /// `ESCALATE_AFTER` fruitless re-fires the vote escalates to the next
     /// view in case the voted-for primary is itself down.
     pub fn on_timeout(&mut self) -> Vec<Action> {
         let sub = &mut self.sub;
@@ -343,7 +343,7 @@ impl<R: ProtocolRule> Replica<R> {
             .flat_map(|(_, votes)| votes.keys())
             .copied()
             .collect();
-        if voters.len() <= sub.config.f {
+        if voters.len() <= sub.config.f() {
             return Vec::new();
         }
         let target = future()
@@ -366,7 +366,7 @@ impl<R: ProtocolRule> Replica<R> {
         }
         let votes = sub.view_change_votes.entry(new_view).or_default();
         votes.insert(from, tail);
-        if votes.len() < quorum::commit_quorum(sub.config.f)
+        if votes.len() < quorum::commit_quorum(sub.config.f())
             || sub.config.primary_of(new_view) != sub.id
         {
             return self.maybe_join_view_change();

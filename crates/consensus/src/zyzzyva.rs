@@ -222,7 +222,7 @@ impl ProtocolRule for ZyzzyvaRule {
                 }
                 // The runtime verified the certificate's signatures; the
                 // state machine checks the count.
-                if cert.signer_count() < quorum::zyzzyva_cc_quorum(ctx.config.f) {
+                if cert.signer_count() < quorum::zyzzyva_cc_quorum(ctx.config.f()) {
                     return Vec::new();
                 }
                 // Mis-speculation: 2f+1 replicas certified a different
@@ -332,7 +332,7 @@ impl ProtocolRule for ZyzzyvaRule {
         seq: SeqNum,
         (view, digest, batch, certificate): Fetched,
     ) -> Vec<Action> {
-        if certificate.signer_count() >= quorum::zyzzyva_cc_quorum(ctx.config.f)
+        if certificate.signer_count() >= quorum::zyzzyva_cc_quorum(ctx.config.f())
             && seq > self.committed
         {
             self.committed = seq;

@@ -121,7 +121,7 @@ fn answer(protocol: ProtocolKind, r: u64, replica: u32) -> SignedMessage {
 /// Allocations per completed transaction over `COUNTED` requests.
 fn allocations_per_txn(protocol: ProtocolKind) -> f64 {
     let now = Instant::now();
-    let mut core = ClientCore::new(ClientId(7), protocol, 1, 1, N as usize, now);
+    let mut core = ClientCore::new(ClientId(7), protocol, 1, N as usize, now);
     let mut fx = Vec::new();
     let mut completed = 0;
     for r in 0..=COUNTED {

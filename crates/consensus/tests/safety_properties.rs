@@ -328,7 +328,7 @@ struct Client {
 impl Client {
     fn new(id: ClientId, protocol: ProtocolKind) -> Self {
         let now = Instant::now();
-        let core = ClientCore::new(id, protocol, 1, 1, N, now);
+        let core = ClientCore::new(id, protocol, 1, N, now);
         Client { core, now }
     }
 

@@ -80,7 +80,7 @@ fn main() -> ExitCode {
                     println!(
                         "{}{}",
                         s.name,
-                        if s.pbft_only { "  (pbft only)" } else { "" }
+                        if s.pbft_only() { "  (pbft only)" } else { "" }
                     );
                 }
                 return ExitCode::SUCCESS;
@@ -114,7 +114,7 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     for scenario in &catalog {
         for &protocol in &protocols {
-            if scenario.pbft_only && protocol != ProtocolKind::Pbft {
+            if scenario.pbft_only() && protocol != ProtocolKind::Pbft {
                 continue;
             }
             for &transport in &transports {

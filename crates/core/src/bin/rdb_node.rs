@@ -371,7 +371,7 @@ fn run_replica(args: &Args, id: ReplicaId) -> ExitCode {
     loop {
         std::thread::sleep(report_every);
         let executed = node.shared().executor.executed_txns();
-        let digest = node.shared().store.state_digest();
+        let digest = node.shared().executor.store().state_digest();
         println!("STATE replica={} executed={executed} digest={digest}", id.0);
         if let Some(target) = args.exit_after_txns {
             if executed >= target {
@@ -385,7 +385,7 @@ fn run_replica(args: &Args, id: ReplicaId) -> ExitCode {
                 let mut attempts = 0;
                 let (executed, digest) = loop {
                     let before = node.shared().executor.executed_txns();
-                    let digest = node.shared().store.state_digest();
+                    let digest = node.shared().executor.store().state_digest();
                     attempts += 1;
                     if node.shared().executor.executed_txns() == before || attempts > 250 {
                         break (before, digest);
@@ -480,11 +480,11 @@ fn run_swarm_mode(args: &Args, clients: usize) -> ExitCode {
     // agreement, so it must be raised explicitly — in the [node] section
     // or flags — rather than silently bumped on this process alone.
     let top_id = args.first_client + clients as u64;
-    if (node_cfg.client_keys as u64) < top_id {
+    if (node_cfg.system.num_clients as u64) < top_id {
         eprintln!(
             "rdb-node: swarm needs client_keys >= {top_id} (have {}); set client_keys \
              in the [node] section or --client-keys on every process",
-            node_cfg.client_keys
+            node_cfg.system.num_clients
         );
         return ExitCode::from(2);
     }

@@ -104,7 +104,7 @@ impl Drop for ClientSession {
 }
 
 impl ClientSession {
-    /// Opens a session for `id` on `net`. `registry`, `protocol`, `f`,
+    /// Opens a session for `id` on `net`. `registry`, `protocol`,
     /// `instances` and `n` must match the cluster's; a process outside the
     /// deployment gets `net` from [`crate::client_net`] and `registry`
     /// from [`crate::registry_for`].
@@ -113,12 +113,11 @@ impl ClientSession {
         net: &NetHandle,
         registry: &KeyRegistry,
         protocol: ProtocolKind,
-        f: usize,
         instances: usize,
         n: usize,
     ) -> Self {
         ClientSession {
-            core: ClientCore::new(id, protocol, f, instances, n, Instant::now()),
+            core: ClientCore::new(id, protocol, instances, n, Instant::now()),
             fx: Vec::new(),
             results: Results::default(),
             endpoint: net.register(Sender::Client(id)),
@@ -288,7 +287,7 @@ mod tests {
             .collect();
         let registry = KeyRegistry::generate(CryptoScheme::CmacEd25519, 4, 1, 7);
         let mut client =
-            ClientSession::connect(ClientId(0), &net.handle(), &registry, protocol, 1, 1, 4);
+            ClientSession::connect(ClientId(0), &net.handle(), &registry, protocol, 1, 4);
         let txn = client.write_txn(3, b"v".to_vec());
         let id = txn.id;
         client.submit(vec![txn]);

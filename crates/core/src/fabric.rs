@@ -36,7 +36,7 @@ pub fn registry_for(opts: &NodeOptions) -> KeyRegistry {
     KeyRegistry::generate(
         opts.system.crypto,
         opts.system.n,
-        opts.client_keys,
+        opts.system.num_clients,
         opts.seed,
     )
 }
@@ -122,10 +122,8 @@ impl SystemBuilder {
         self
     }
 
-    /// Number of client identities to generate keys for (also sizes the
-    /// modeled client population).
+    /// Number of clients: the client identities to generate keys for.
     pub fn client_keys(mut self, clients: usize) -> Self {
-        self.opts.client_keys = clients;
         self.opts.system.num_clients = clients;
         self
     }
@@ -282,7 +280,6 @@ impl ResilientDb {
             &self.client_net,
             &self.registry,
             self.config.protocol,
-            self.config.f,
             self.config.consensus_instances,
             self.config.n,
         )
@@ -340,7 +337,7 @@ impl ResilientDb {
     pub fn chain_heads(&self) -> Vec<u64> {
         self.replicas
             .iter()
-            .map(|r| r.shared().chain.lock().head_seq().0)
+            .map(|r| r.shared().executor.chain().lock().head_seq().0)
             .collect()
     }
 
@@ -349,7 +346,7 @@ impl ResilientDb {
     /// they need not: each keeps the commit certificate it collected).
     pub fn head_results(&self) -> Vec<(u64, Digest)> {
         let head_of = |r: &ReplicaHandle| {
-            let chain = r.shared().chain.lock();
+            let chain = r.shared().executor.chain().lock();
             (chain.head().seq.0, chain.head().result_digest)
         };
         self.replicas.iter().map(head_of).collect()
@@ -360,7 +357,7 @@ impl ResilientDb {
     pub fn state_digests(&self) -> Vec<Digest> {
         self.replicas
             .iter()
-            .map(|r| r.shared().store.state_digest())
+            .map(|r| r.shared().executor.store().state_digest())
             .collect()
     }
 
@@ -370,7 +367,7 @@ impl ResilientDb {
     /// Returns the first replica's chain error encountered.
     pub fn verify_chains(&self) -> Result<(), rdb_common::CommonError> {
         for r in &self.replicas {
-            r.shared().chain.lock().verify()?;
+            r.shared().executor.chain().lock().verify()?;
         }
         Ok(())
     }

@@ -212,6 +212,13 @@ impl FaultPlan {
     }
 }
 
+/// Transactions each client of a scenario submits.
+const TXNS_PER_CLIENT: u64 = 60;
+/// Transactions per consensus batch in every scenario.
+const BATCH_SIZE: usize = 8;
+/// Every scenario's replica suspicion timeout, in milliseconds.
+const VIEW_TIMEOUT_MS: u64 = 400;
+
 /// A named scenario: a fault plan plus the load shape it runs under.
 #[derive(Debug, Clone)]
 pub struct Scenario {
@@ -222,20 +229,11 @@ pub struct Scenario {
     /// Make the initial primary equivocate from its first proposal on
     /// ([`equivocation`]; its own core stays honest).
     pub byzantine: bool,
-    /// Only meaningful under PBFT (multi-primary ordering; a byzantine
-    /// primary, which Zyzzyva's view change does not survive yet).
-    pub pbft_only: bool,
-    /// Parallel consensus instances (multi-primary ordering; `> 1` forces
-    /// `pbft_only` semantics — the runner skips Zyzzyva).
+    /// Parallel consensus instances (multi-primary ordering; `> 1` makes
+    /// the scenario [`pbft_only`](Self::pbft_only)).
     pub consensus_instances: usize,
     /// Concurrent client sessions.
     pub clients: usize,
-    /// Transactions submitted per client.
-    pub txns_per_client: u64,
-    /// Transactions per consensus batch.
-    pub batch_size: usize,
-    /// Replica suspicion timeout (milliseconds).
-    pub view_timeout_ms: u64,
     /// Checkpoint interval Δ in transactions. Kept above the total load
     /// for most scenarios so view-change vote tails carry the entire log
     /// (stragglers catch all the way up); lowered for the
@@ -251,12 +249,8 @@ impl Scenario {
             name,
             plan: FaultPlan::default(),
             byzantine: false,
-            pbft_only: false,
             consensus_instances: 1,
             clients: 2,
-            txns_per_client: 60,
-            batch_size: 8,
-            view_timeout_ms: 400,
             checkpoint_txns: 1_000_000,
             deadline: Duration::from_secs(25),
         }
@@ -269,7 +263,14 @@ impl Scenario {
 
     /// Total transactions this scenario submits.
     pub fn total_txns(&self) -> u64 {
-        self.clients as u64 * self.txns_per_client
+        self.clients as u64 * TXNS_PER_CLIENT
+    }
+
+    /// Whether the scenario runs only under PBFT: multi-primary ordering
+    /// is PBFT-only, and Zyzzyva's view change does not survive a
+    /// byzantine primary yet.
+    pub fn pbft_only(&self) -> bool {
+        self.byzantine || self.consensus_instances > 1
     }
 }
 
@@ -344,7 +345,6 @@ pub fn scenarios() -> Vec<Scenario> {
         // Zyzzyva 17 of 20 runs stall in view 0 (ARCHITECTURE "Scope").
         Scenario {
             byzantine: true,
-            pbft_only: true,
             ..Scenario::base("equivocating_primary")
         },
         // Multi-primary ordering under fire: two consensus instances, and
@@ -357,7 +357,6 @@ pub fn scenarios() -> Vec<Scenario> {
         // PBFT-only by construction (k > 1 rejects Zyzzyva).
         Scenario {
             consensus_instances: 2,
-            pbft_only: true,
             clients: 4,
             deadline: Duration::from_secs(35),
             ..Scenario::base("multi_primary_crash")
@@ -640,12 +639,12 @@ pub fn run_scenario(
         .protocol(protocol)
         .transport(transport)
         .consensus_instances(scenario.consensus_instances.max(1))
-        .batch_size(scenario.batch_size)
+        .batch_size(BATCH_SIZE)
         .table_size(4_096)
         .client_keys(scenario.clients)
         .checkpoint_interval(scenario.checkpoint_txns)
         .seed(scenario.plan.seed + 7);
-    builder.config_mut().view_timeout_ms = scenario.view_timeout_ms;
+    builder.config_mut().view_timeout_ms = VIEW_TIMEOUT_MS;
     let db = builder.build().expect("scenario config must be valid");
     db.set_fault_seed(scenario.plan.seed);
     if scenario.byzantine {
@@ -678,8 +677,8 @@ pub fn run_scenario(
     let start = Instant::now();
     let load = SwarmConfig {
         clients: scenario.clients,
-        txns_per_client: scenario.txns_per_client,
-        burst: (scenario.batch_size * 2).max(8),
+        txns_per_client: TXNS_PER_CLIENT,
+        burst: (BATCH_SIZE * 2).max(8),
         shards: scenario.clients,
         first_client: 0,
         deadline: scenario.deadline,
@@ -760,7 +759,7 @@ pub fn run_scenario(
     let kk = scenario.consensus_instances.max(1);
     let instance_views: Vec<Vec<u64>> = (0..kk).map(|j| db.instance_views(j)).collect();
     let mut instances_isolated = true;
-    let quorum = 2 * db.config().f + 1;
+    let quorum = 2 * db.config().f() + 1;
     if kk > 1 {
         let healthy = (0..n as u32).find(|r| !crashed.contains(r)).unwrap_or(0);
         for (j, per_replica) in instance_views.iter().enumerate() {

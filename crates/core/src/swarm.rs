@@ -168,7 +168,6 @@ pub fn run_swarm(
                                 net,
                                 registry,
                                 system.protocol,
-                                system.f,
                                 system.consensus_instances,
                                 system.n,
                             ),

@@ -115,7 +115,6 @@ fn four_replica_process_cluster_commits_and_converges() {
         &client_net,
         &registry_for(&node_cfg),
         node_cfg.system.protocol,
-        node_cfg.system.f,
         node_cfg.system.consensus_instances,
         node_cfg.system.n,
     );

@@ -5,7 +5,7 @@
 //! implemented. Validated against the FIPS known-answer vector.
 //!
 //! CMAC's CBC-MAC chain has two interchangeable kernels: the portable,
-//! byte-wise one in this file and the AES-NI one in [`hw`], picked once per
+//! byte-wise one in this file and the AES-NI one in `hw`, picked once per
 //! process by CPU feature detection ([`backend`]), exactly as `sha2` picks
 //! its compression function. The tests drive both over the same inputs.
 

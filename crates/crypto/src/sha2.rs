@@ -6,7 +6,7 @@
 //! the tests below.
 //!
 //! SHA-256 has two interchangeable compression kernels: the portable one in
-//! this file and the SHA-NI one in [`hw`], picked once per process by CPU
+//! this file and the SHA-NI one in `hw`, picked once per process by CPU
 //! feature detection ([`backend`]). Beside the one it picked, a CPU with
 //! AVX-512F also runs a lane kernel ([`Lanes`], in `hw::avx512`) that
 //! hashes sixteen independent one- or two-block messages per pass: the

@@ -11,7 +11,9 @@
 //! shared global counter, whose decisions depended on cross-thread
 //! arrival order.
 
+use crate::stats::NetworkStats;
 use parking_lot::{Condvar, Mutex, RwLock};
+use rdb_common::codec::Wire;
 use rdb_common::messages::{Sender, SignedMessage};
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -254,12 +256,36 @@ impl FaultController {
         let rewrite = self.inner.rewrites.read().get(&from).cloned()?;
         rewrite(to, msg)
     }
+
+    /// Admits one envelope `from → to` onto the wire, as both transports
+    /// do for each destination of a send and in this order: count it as
+    /// sent, drop it if a fault says so, let the sender's rewrite replace
+    /// it, and draw its jitter. Returns the destination's own envelope if
+    /// a rewrite replaced it and the jitter that holds it back, or `None`
+    /// once the envelope is dropped (and counted as such).
+    pub(crate) fn admit(
+        &self,
+        stats: &NetworkStats,
+        from: Sender,
+        to: Sender,
+        msg: &SignedMessage,
+    ) -> Option<(Option<SignedMessage>, Option<Duration>)> {
+        // Exact bytes-on-wire accounting: `encoded_len` is the envelope's
+        // memoized signing bytes plus its signature, so pricing a broadcast
+        // walks no batch — and both backends report the same number.
+        stats.record_sent(msg.kind(), msg.encoded_len());
+        if self.should_drop(from, to) {
+            stats.record_dropped();
+            return None;
+        }
+        Some((self.rewrite(from, to, msg), self.delay_for(from, to)))
+    }
 }
 
 /// The one delayed-delivery path both transports share: a deadline heap
 /// drained by a thread spawned on first use. A backend hands it
-/// `(due, deliver)` for every message that modeled latency or
-/// [`FaultController::delay_for`] jitter holds back; `deliver` runs on the
+/// `(due, deliver)` for every message that [`FaultController::delay_for`]
+/// jitter holds back; `deliver` runs on the
 /// delay thread once `due` has passed, in deadline order and FIFO between
 /// equal deadlines. The thread exits within one idle wait of the line
 /// being dropped or [`shutdown`](Self::shutdown), so `deliver` closures

@@ -1,13 +1,12 @@
 //! Transport fabric for the threaded ResilientDB runtime.
 //!
 //! Replicas and clients register with a [`Transport`] backend and obtain an
-//! [`Endpoint`] for sending and receiving [`SignedMessage`]s
-//! (`rdb_common::messages::SignedMessage`). Two backends exist behind the
-//! same trait:
+//! [`Endpoint`] for sending and receiving
+//! [`SignedMessage`](rdb_common::messages::SignedMessage)s. Two backends
+//! exist behind the same trait:
 //!
 //! - [`Network`] — the in-memory switchboard: zero-copy channel hand-off,
-//!   optional modeled latency, the default for tests and single-process
-//!   deployments.
+//!   the default for tests and single-process deployments.
 //! - [`TcpTransport`] — real sockets: length-prefixed frames over the
 //!   canonical wire encoding, driven by a nonblocking reactor
 //!   ([`reactor`]) whose event-loop pool holds tens of thousands of

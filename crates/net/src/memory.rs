@@ -1,30 +1,25 @@
-//! The in-memory switchboard: endpoints, delivery, latency shaping.
+//! The in-memory switchboard: endpoints and delivery.
 //!
-//! With zero latency a send calls the receiver's delivery function on the
-//! sender's own thread; with a configured latency (or fault-injected
-//! jitter) the delay line both backends share holds messages until due,
-//! preserving per-link FIFO ordering for equal deadlines.
+//! A send calls the receiver's delivery function on the sender's own
+//! thread. Only fault-injected jitter delays a message, as over TCP: the
+//! delay line both backends share holds it until due.
 
 use crate::fault::{DelayLine, FaultController};
 use crate::stats::NetworkStats;
 use crate::transport::{Delivery, Endpoint, NetHandle, NetworkError, Transport};
 use parking_lot::RwLock;
-use rdb_common::codec::Wire;
 use rdb_common::messages::{Sender, SignedMessage};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Configuration for an in-memory network.
+/// Configuration for an in-memory network: there is nothing to set. The
+/// type stays only because the benchmark's replay constructs it.
 #[derive(Debug, Clone, Default)]
-pub struct NetworkConfig {
-    /// One-way delivery latency applied to every message.
-    pub latency: Duration,
-}
+pub struct NetworkConfig {}
 
 struct NetInner {
-    config: NetworkConfig,
     deliveries: RwLock<HashMap<Sender, Delivery>>,
     stats: NetworkStats,
     faults: FaultController,
@@ -59,17 +54,15 @@ impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Network")
             .field("endpoints", &self.inner.deliveries.read().len())
-            .field("latency", &self.inner.config.latency)
             .finish()
     }
 }
 
 impl Network {
     /// Creates a network.
-    pub fn new(config: NetworkConfig) -> Self {
+    pub fn new(_config: NetworkConfig) -> Self {
         Network {
             inner: Arc::new(NetInner {
-                config,
                 deliveries: RwLock::new(HashMap::new()),
                 stats: NetworkStats::new(),
                 faults: FaultController::new(),
@@ -119,34 +112,22 @@ impl Network {
             self.inner.stats.record_dropped();
             return Err(NetworkError::UnknownDestination(format!("{to:?}")));
         }
-        // Exact bytes-on-wire accounting: `encoded_len` is the envelope's
-        // memoized signing bytes plus its signature, so pricing a broadcast
-        // walks no batch — and both transport backends report the same
-        // number for the same message.
-        self.inner.stats.record_sent(msg.kind(), msg.encoded_len());
-        if self.inner.faults.should_drop(from, to) {
-            self.inner.stats.record_dropped();
+        let Some((rewritten, delay)) = self.inner.faults.admit(&self.inner.stats, from, to, &msg)
+        else {
             return Ok(()); // silently dropped, like a real network
-        }
-        let msg = self.inner.faults.rewrite(from, to, &msg).unwrap_or(msg);
-        // Total one-way delay: configured base latency plus any
-        // fault-injected deterministic jitter for this link message.
-        let delay = self.inner.config.latency
-            + self
-                .inner
-                .faults
-                .delay_for(from, to)
-                .unwrap_or(Duration::ZERO);
-        if delay.is_zero() {
-            self.inner.deliver(to, msg);
-        } else {
-            // Weak: a parked message must not keep the network alive.
-            let weak = Arc::downgrade(&self.inner);
-            self.inner.delay.schedule(Instant::now() + delay, move || {
-                if let Some(inner) = weak.upgrade() {
-                    inner.deliver(to, msg);
-                }
-            });
+        };
+        let msg = rewritten.unwrap_or(msg);
+        match delay.filter(|delay| !delay.is_zero()) {
+            None => self.inner.deliver(to, msg),
+            Some(delay) => {
+                // Weak: a parked message must not keep the network alive.
+                let weak = Arc::downgrade(&self.inner);
+                self.inner.delay.schedule(Instant::now() + delay, move || {
+                    if let Some(inner) = weak.upgrade() {
+                        inner.deliver(to, msg);
+                    }
+                });
+            }
         }
         Ok(())
     }
@@ -193,8 +174,10 @@ impl Transport for Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdb_common::codec::Wire;
     use rdb_common::messages::Message;
     use rdb_common::{ReplicaId, SignatureBytes};
+    use std::time::Duration;
 
     fn r(i: u32) -> Sender {
         Sender::Replica(ReplicaId(i))
@@ -253,52 +236,6 @@ mod tests {
         net.faults().recover(r(1));
         a.send(r(1), msg(r(0))).unwrap();
         assert!(b.recv_timeout(Duration::from_secs(1)).is_ok());
-    }
-
-    #[test]
-    fn latency_delays_delivery() {
-        let net = Network::new(NetworkConfig {
-            latency: Duration::from_millis(30),
-        });
-        let a = net.register(r(0));
-        let b = net.register(r(1));
-        let start = Instant::now();
-        a.send(r(1), msg(r(0))).unwrap();
-        assert!(b.try_recv().is_none(), "must not arrive instantly");
-        let got = b.recv_timeout(Duration::from_secs(2));
-        assert!(got.is_ok());
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(25),
-            "arrived after {elapsed:?}"
-        );
-        net.shutdown();
-    }
-
-    #[test]
-    fn latency_preserves_fifo_per_link() {
-        let net = Network::new(NetworkConfig {
-            latency: Duration::from_millis(5),
-        });
-        let a = net.register(r(0));
-        let b = net.register(r(1));
-        for i in 0..20u64 {
-            let m = SignedMessage::new(
-                Message::Checkpoint {
-                    seq: rdb_common::SeqNum(i),
-                    state_digest: rdb_common::Digest::ZERO,
-                    replica: ReplicaId(0),
-                },
-                r(0),
-                SignatureBytes::empty(),
-            );
-            a.send(r(1), m).unwrap();
-        }
-        for i in 0..20u64 {
-            let got = b.recv_timeout(Duration::from_secs(2)).unwrap();
-            assert_eq!(got.msg().seq(), Some(rdb_common::SeqNum(i)));
-        }
-        net.shutdown();
     }
 
     #[test]

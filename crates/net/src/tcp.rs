@@ -220,8 +220,6 @@ enum LinkPeer {
 /// registered write interest.
 struct Link {
     peer: LinkPeer,
-    /// Dial target; `None` for accepted (reverse) links.
-    addr: Option<SocketAddr>,
     capacity: usize,
     state: Mutex<LinkState>,
     space: Condvar,
@@ -238,10 +236,9 @@ struct LinkState {
 }
 
 impl Link {
-    fn new(peer: LinkPeer, addr: Option<SocketAddr>, capacity: usize) -> Arc<Link> {
+    fn new(peer: LinkPeer, capacity: usize) -> Arc<Link> {
         Arc::new(Link {
             peer,
-            addr,
             capacity: capacity.max(1),
             state: Mutex::new(LinkState {
                 frames: VecDeque::new(),
@@ -514,14 +511,13 @@ enum Route {
 struct TcpInner {
     cfg: TcpConfig,
     local_addr: Option<SocketAddr>,
-    /// Where each endpoint hosted here takes its messages.
+    /// Where each endpoint hosted here takes its messages: its keys are
+    /// the endpoints announced in HELLOs.
     deliveries: RwLock<HashMap<Sender, Delivery>>,
-    /// Endpoints hosted by this transport, announced in HELLOs, with
-    /// their dedicated-link target (swarm mode) if any.
-    locals: RwLock<Vec<(Sender, Option<ReplicaId>)>>,
     /// Shared links to replicas in the peer map, created on first use.
     dialed: RwLock<HashMap<u32, Arc<Link>>>,
-    /// Dedicated per-client links (swarm mode).
+    /// Dedicated per-client links (swarm mode), each to
+    /// [`TcpConfig::dedicated_to`].
     dedicated: RwLock<HashMap<Sender, Arc<Link>>>,
     reverse: RwLock<ReverseRoutes>,
     /// The event loop's commands and wake-up.
@@ -574,7 +570,7 @@ impl TcpInner {
     /// Get-or-create the shared dialed link for a mapped replica.
     /// Read-locked fast path: after the first message to a peer this is a
     /// shared-lock map lookup, so concurrent senders do not serialize.
-    fn dialed_link(&self, id: ReplicaId, addr: SocketAddr) -> Arc<Link> {
+    fn dialed_link(&self, id: ReplicaId) -> Arc<Link> {
         if let Some(link) = self.dialed.read().get(&id.0) {
             return Arc::clone(link);
         }
@@ -583,7 +579,7 @@ impl TcpInner {
         if let Some(link) = dialed.get(&id.0) {
             return Arc::clone(link);
         }
-        let link = Link::new(LinkPeer::Replica(id), Some(addr), QUEUE_CAPACITY);
+        let link = Link::new(LinkPeer::Replica(id), QUEUE_CAPACITY);
         dialed.insert(id.0, Arc::clone(&link));
         drop(dialed);
         self.send_loop_cmd(LoopCmd::Dial(Arc::clone(&link)));
@@ -603,11 +599,23 @@ impl TcpInner {
             }
         }
         if let Sender::Replica(r) = to {
-            if let Some(addr) = self.cfg.peers.get(r) {
-                return Some(Route::Link(self.dialed_link(r, addr)));
+            if self.cfg.peers.get(r).is_some() {
+                return Some(Route::Link(self.dialed_link(r)));
             }
         }
         self.reverse.read().0.get(&to).cloned().map(Route::Link)
+    }
+
+    /// Where `link` dials: its replica's address in the peer map (the
+    /// dedicated target's, for a dedicated link); `None` for an accepted
+    /// link.
+    fn dial_addr(&self, link: &Link) -> Option<SocketAddr> {
+        let target = match link.peer {
+            LinkPeer::Replica(r) => r,
+            LinkPeer::Dedicated { .. } => self.cfg.dedicated_to?,
+            LinkPeer::Accepted => return None,
+        };
+        self.cfg.peers.get(target)
     }
 
     /// Whether a dial for `link` must wait: the remote replica — or the
@@ -646,7 +654,7 @@ impl TcpInner {
     /// closed; the remote re-dials and re-announces after its recovery.
     fn teardown_sockets(&self, node: Sender) {
         let mut links = Vec::new();
-        if self.locals.read().iter().any(|(a, _)| *a == node) {
+        if self.deliveries.read().contains_key(&node) {
             // The node itself crashed: drop every connection it owns.
             links = self.all_links();
         } else {
@@ -710,13 +718,16 @@ impl TcpInner {
     fn hellos_for(&self, link: &Link) -> Vec<Sender> {
         match link.peer {
             LinkPeer::Dedicated { owner } => vec![owner],
-            LinkPeer::Replica(r) => self
-                .locals
-                .read()
-                .iter()
-                .filter(|(_, dedicated)| *dedicated != Some(r))
-                .map(|(addr, _)| *addr)
-                .collect(),
+            LinkPeer::Replica(r) => {
+                let dedicated = self.dedicated.read();
+                let skip = |addr: &Sender| {
+                    self.cfg.dedicated_to == Some(r) && dedicated.contains_key(addr)
+                };
+                (self.deliveries.read().keys())
+                    .filter(|addr| !skip(addr))
+                    .copied()
+                    .collect()
+            }
             LinkPeer::Accepted => Vec::new(),
         }
     }
@@ -839,7 +850,10 @@ impl EventLoop {
             return;
         }
         if !self.inner.dial_blocked(&link) {
-            let addr = link.addr.expect("dialed link has an address");
+            let addr = self
+                .inner
+                .dial_addr(&link)
+                .expect("dialed link has an address");
             if let Ok(stream) = connect_nonblocking(addr) {
                 return self.adopt(stream, link, Some(redial));
             }
@@ -907,7 +921,7 @@ impl EventLoop {
     fn accept_burst(&mut self) {
         while let Some(Ok((stream, _))) = self.listener.as_ref().map(TcpListener::accept) {
             if configure_stream(&stream).is_ok() {
-                let link = Link::new(LinkPeer::Accepted, None, QUEUE_CAPACITY);
+                let link = Link::new(LinkPeer::Accepted, QUEUE_CAPACITY);
                 self.adopt(stream, link, None);
             }
         }
@@ -1279,7 +1293,6 @@ impl TcpTransport {
             cfg,
             local_addr,
             deliveries: RwLock::new(HashMap::new()),
-            locals: RwLock::new(Vec::new()),
             dialed: RwLock::new(HashMap::new()),
             dedicated: RwLock::new(HashMap::new()),
             reverse: RwLock::new(ReverseRoutes::default()),
@@ -1401,21 +1414,19 @@ impl TcpTransport {
             self.inner.stats.record_dropped();
             return Err(NetworkError::UnknownDestination(format!("{to:?}")));
         };
-        self.inner.stats.record_sent(msg.kind(), msg.encoded_len());
-        if self.inner.faults.should_drop(from, to) {
-            self.inner.stats.record_dropped();
+        let Some((rewritten, delay)) = self.inner.faults.admit(&self.inner.stats, from, to, msg)
+        else {
             return Ok(()); // silently dropped, like a real network
-        }
+        };
         // A rewritten envelope is this destination's alone: it gets its
         // own encoding and must never fill or reuse the shared `payload`.
-        let rewritten = self.inner.faults.rewrite(from, to, msg);
         let (msg, payload) = match &rewritten {
             Some(own) => (own, &mut None),
             None => (msg, payload),
         };
         // Fault-injected jitter parks the envelope on the delay line; it
         // re-routes when due (links may have churned meanwhile).
-        if let Some(extra) = self.inner.faults.delay_for(from, to) {
+        if let Some(extra) = delay {
             let (weak, msg) = (Arc::downgrade(&self.inner), msg.clone());
             self.inner.delay.schedule(Instant::now() + extra, move || {
                 let Some(inner) = weak.upgrade() else {
@@ -1469,13 +1480,8 @@ impl Transport for TcpTransport {
             (Some(t), Sender::Client(_)) if self.inner.cfg.peers.get(t).is_some() => Some(t),
             _ => None,
         };
-        self.inner.locals.write().push((addr, dedicated_target));
-        if let Some(target) = dedicated_target {
-            let link = Link::new(
-                LinkPeer::Dedicated { owner: addr },
-                self.inner.cfg.peers.get(target),
-                QUEUE_CAPACITY,
-            );
+        if dedicated_target.is_some() {
+            let link = Link::new(LinkPeer::Dedicated { owner: addr }, QUEUE_CAPACITY);
             self.inner.dedicated.write().insert(addr, Arc::clone(&link));
             self.inner.send_loop_cmd(LoopCmd::Dial(link));
         }
@@ -1486,8 +1492,8 @@ impl Transport for TcpTransport {
         // announces the endpoint at adoption.
         if matches!(addr, Sender::Client(_)) {
             let peers = self.inner.cfg.peers.iter();
-            for (id, peer_addr) in peers.filter(|(id, _)| Some(*id) != dedicated_target) {
-                let link = self.inner.dialed_link(id, peer_addr);
+            for (id, _) in peers.filter(|(id, _)| Some(*id) != dedicated_target) {
+                let link = self.inner.dialed_link(id);
                 self.inner.push_link(&link, OutFrame::Hello(addr));
             }
         }
@@ -1495,7 +1501,6 @@ impl Transport for TcpTransport {
 
     fn deregister(&self, addr: Sender) {
         self.inner.deliveries.write().remove(&addr);
-        self.inner.locals.write().retain(|(a, _)| *a != addr);
         // Eagerly reclaim the dedicated connection (swarm churn): close
         // the link so senders stop using it, then tell the owning loop to
         // tear the socket down now rather than at peer-side EOF.
@@ -1735,7 +1740,7 @@ mod tests {
     #[test]
     fn gossip_overflow_sheds_messages_never_hellos() {
         let stats = NetworkStats::new();
-        let link = Link::new(LinkPeer::Accepted, None, 2);
+        let link = Link::new(LinkPeer::Accepted, 2);
         link.push(OutFrame::Hello(Sender::Client(ClientId(1))), &stats);
         let msg_frame = |b: u8| OutFrame::Msg {
             to: r(1),
@@ -1782,7 +1787,7 @@ mod tests {
     #[test]
     fn reliable_overflow_sheds_gossip_to_make_room() {
         let stats = NetworkStats::new();
-        let link = Link::new(LinkPeer::Accepted, None, 1);
+        let link = Link::new(LinkPeer::Accepted, 1);
         link.push(frame(Overflow::Shed), &stats);
         // The client's push must not block: the queued gossip frame is
         // sheddable and yields its slot.
@@ -1806,7 +1811,7 @@ mod tests {
     #[test]
     fn only_a_clients_own_frames_wait_for_a_full_link() {
         let stats = NetworkStats::new();
-        let link = Link::new(LinkPeer::Accepted, None, 1);
+        let link = Link::new(LinkPeer::Accepted, 1);
         let quick = Duration::from_secs(5);
         link.push(frame(Overflow::Shed), &stats);
         push_elsewhere(&link, frame(Overflow::Exceed), &stats)
@@ -1853,9 +1858,9 @@ mod tests {
     #[test]
     fn reannounce_replaces_the_route_and_closes_only_accepted_links() {
         let client = Sender::Client(ClientId(7));
-        let first = Link::new(LinkPeer::Accepted, None, QUEUE_CAPACITY);
-        let restarted = Link::new(LinkPeer::Accepted, None, QUEUE_CAPACITY);
-        let shared = Link::new(LinkPeer::Replica(ReplicaId(1)), None, QUEUE_CAPACITY);
+        let first = Link::new(LinkPeer::Accepted, QUEUE_CAPACITY);
+        let restarted = Link::new(LinkPeer::Accepted, QUEUE_CAPACITY);
+        let shared = Link::new(LinkPeer::Replica(ReplicaId(1)), QUEUE_CAPACITY);
         let mut routes = ReverseRoutes::default();
         let route = |routes: &ReverseRoutes| routes.0.get(&client).cloned().unwrap();
 

@@ -333,6 +333,80 @@ fn a_senders_rewrite_gives_each_destination_its_own_envelope() {
 }
 
 #[test]
+fn a_rewrite_under_jitter_reaches_each_destination_late_as_its_own_variant() {
+    conformance(4, |cl, name| {
+        const SEED: u64 = 11;
+        const JITTER: Duration = Duration::from_millis(40);
+        // r0 tells each peer a different Prepare.
+        let variant = |to: u32, honest: &SignedMessage| {
+            SignedMessage::new(
+                Message::Prepare {
+                    view: ViewNum(0),
+                    seq: honest.msg().seq().expect("a Prepare has a sequence"),
+                    digest: Digest([to as u8; 32]),
+                },
+                honest.sender(),
+                SignatureBytes(vec![to as u8; 32]),
+            )
+        };
+        let rewrite: rdb_net::fault::Rewrite = Arc::new(move |to, sm| match to {
+            Sender::Replica(r) => Some(variant(r.0, sm)),
+            Sender::Client(_) => None,
+        });
+        let faults = cl.net(0).faults();
+        faults.set_seed(SEED);
+        faults.set_delay_jitter(JITTER);
+        faults.set_rewrite(r(0), rewrite);
+        // A fresh controller with the same seed and jitter draws the same
+        // delay for each link's first message.
+        let oracle = rdb_net::FaultController::new();
+        oracle.set_seed(SEED);
+        oracle.set_delay_jitter(JITTER);
+        let arrivals: Vec<Arrivals> = (1..4).map(|i| attach_arrivals(cl, i)).collect();
+        let prepare = prepare_msg(r(0), 1);
+        let sent = Instant::now();
+        cl.eps[0]
+            .broadcast(&[r(0), r(1), r(2), r(3)], &prepare)
+            .unwrap();
+        for (i, seen) in (1..4u32).zip(&arrivals) {
+            let deadline = Instant::now() + RECV_WAIT;
+            while seen.lock().unwrap().is_empty() {
+                assert!(Instant::now() < deadline, "[{name}] r{i} got nothing");
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            let (bytes, at) = seen.lock().unwrap()[0].clone();
+            assert_eq!(bytes, variant(i, &prepare).encode(), "[{name}] r{i}");
+            let drawn = oracle.delay_for(r(0), r(i)).expect("jitter is on");
+            assert!(
+                at.duration_since(sent) >= drawn,
+                "[{name}] r{i} got it {:?} after the send, before its {drawn:?} delay",
+                at.duration_since(sent)
+            );
+        }
+    });
+}
+
+/// What a test delivery function saw: each message's encoding and when it
+/// was handed over.
+type Arrivals = Arc<Mutex<Vec<(Vec<u8>, Instant)>>>;
+
+/// Replaces replica `i`'s mailbox with a delivery function that records
+/// every message it is handed and when.
+fn attach_arrivals(cl: &Cluster, i: u32) -> Arrivals {
+    let seen = Arrivals::default();
+    let log = Arc::clone(&seen);
+    cl.net(i as usize).deregister(r(i));
+    let _ = cl.net(i as usize).attach(
+        r(i),
+        Box::new(move |sm: SignedMessage| {
+            log.lock().unwrap().push((sm.encode(), Instant::now()));
+            true
+        }),
+    );
+    seen
+}
+
+#[test]
 fn stats_count_bytes_on_wire_exactly() {
     conformance(2, |cl, name| {
         let prepares: Vec<SignedMessage> = (0..5).map(|i| prepare_msg(r(0), i)).collect();

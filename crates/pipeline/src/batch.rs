@@ -1,8 +1,8 @@
 //! Signature verification and batch assembly (Section 4.3).
 //!
 //! A stage verifies what it drains one message at a time: a bad signature
-//! is dropped while the rest proceed. [`verify_window`] is that step,
-//! shared by the worker and the batch stage; [`BatchAssembler`] builds
+//! is dropped while the rest proceed. `verify_window` is that step,
+//! shared by the worker and the batch stage; `BatchAssembler` builds
 //! consensus batches from what it accepted, one pending batch per
 //! consensus instance, on every batch thread or — with `batch_threads =
 //! 0` — inside the worker's [`crate::Node`]. It verifies nothing and

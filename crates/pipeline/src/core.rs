@@ -310,7 +310,7 @@ impl ReplicaCore {
                 .filter(|r| *r != id)
                 .map(Sender::Replica)
                 .collect(),
-            f: config.f,
+            f: config.f(),
             protocol: config.protocol,
             epoch: 0,
             stable_checkpoint: recovered.map_or(SeqNum(0), |r| r.stable),

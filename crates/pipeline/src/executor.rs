@@ -559,6 +559,11 @@ impl Executor {
         &self.store
     }
 
+    /// The ledger this executor appends to.
+    pub fn chain(&self) -> &Arc<Mutex<Blockchain>> {
+        &self.chain
+    }
+
     /// Executes `item` serially: evaluates each transaction in batch order
     /// against the store overlaid with the batch's earlier writes, then
     /// commits. Returns the digest of the batch and its execution result

@@ -1,6 +1,6 @@
 //! One replica as a value: [`Node`].
 //!
-//! A replica is three sans-IO parts: a [`BatchAssembler`] with one
+//! A replica is three sans-IO parts: a `BatchAssembler` with one
 //! pending batch per consensus instance, the [`ReplicaCore`] and the
 //! execute stage ([`ExecStage`]), which carries out every effect that
 //! touches execution state and answers a peer's fetch of a pruned range.

@@ -11,23 +11,23 @@
 //! Every stage is a plain function run by `ThreadConfig`-many threads;
 //! [`spawn_replica`] only builds the shared state and starts them. All
 //! decisions — consensus, timers, recovery — are made by the core, which
-//! [`worker_loop`] steps through its [`Node`] and whose effects it alone
+//! `worker_loop` steps through its [`Node`] and whose effects it alone
 //! interprets. A replica message takes one hop, worker to worker:
 //!
-//! - The router ([`route_to_stage`]), the replica's delivery function, runs on the
+//! - The router (`route_to_stage`), the replica's delivery function, runs on the
 //!   delivering thread and only pushes onto the consuming stage's channel
 //!   ([`crate::route`]).
-//! - [`worker_loop`] authenticates the messages of its backlog — every
+//! - `worker_loop` authenticates the messages of its backlog — every
 //!   replica message, checkpoint votes included — one by one, steps the
 //!   node and sends to replicas itself.
-//! - [`batch_loop`] turns client requests into digested batches. Every
+//! - `batch_loop` turns client requests into digested batches. Every
 //!   batch thread reads the replica's one client-request channel and holds
-//!   its own [`BatchAssembler`], with a pending batch for each instance
+//!   its own `BatchAssembler`, with a pending batch for each instance
 //!   this replica leads, so `B` threads serve the leader-only stage at any
 //!   number of instances. `batch_threads = 0` leaves that to the node's
 //!   own assembler, and the requests join the worker's backlog (the
 //!   paper's `0B`).
-//! - [`execute_loop`] owns the [`ExecStage`], fed the core's execution
+//! - `execute_loop` owns the [`ExecStage`], fed the core's execution
 //!   effects in order, and runs committed batches strictly in sequence
 //!   order: serially for `execute_threads = 1`, through the conflict
 //!   scheduler ([`crate::scheduler`]) for `N ≥ 2`, bit-identically. With
@@ -78,17 +78,14 @@ const BATCH_DRAIN: usize = 32;
 pub struct ReplicaShared {
     /// This replica's id.
     pub id: ReplicaId,
-    /// The key-value state.
-    pub store: Arc<dyn StateStore>,
-    /// The ledger.
-    pub chain: Arc<Mutex<Blockchain>>,
     /// Per-thread saturation metrics.
     pub metrics: MetricsRegistry,
-    /// The execution engine (owns executed-transaction counters).
+    /// The execution engine: owns the key-value state
+    /// ([`Executor::store`]), the ledger ([`Executor::chain`]) and the
+    /// executed-transaction counters.
     pub executor: Arc<Executor>,
     /// Sign/verify call counters shared by every stage thread's provider.
     pub crypto_stats: CryptoStats,
-    committed_batches: AtomicU64,
     committed_per_instance: Vec<AtomicU64>,
     dropped_bad_sigs: AtomicU64,
     /// Per-instance installed views, updated by the worker on `EnterView` —
@@ -103,7 +100,9 @@ pub struct ReplicaShared {
 impl ReplicaShared {
     /// Batches committed by consensus so far (all instances).
     pub fn committed_batches(&self) -> u64 {
-        self.committed_batches.load(Ordering::Relaxed)
+        (self.committed_per_instance.iter())
+            .map(|n| n.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Batches committed by consensus instance `j` so far.
@@ -310,12 +309,7 @@ fn build_shared(
 ) -> Arc<ReplicaShared> {
     let k = config.consensus_instances.max(1);
     let (data_dir, store, chain) = open_storage(config, id);
-    let executor = Arc::new(Executor::new(
-        id,
-        config.protocol,
-        Arc::clone(&store),
-        Arc::clone(&chain),
-    ));
+    let executor = Arc::new(Executor::new(id, config.protocol, store, chain));
     // Serving snapshots are captured on the same cadence as checkpoints
     // (Δ per-instance batches × k instances in global sequence numbers),
     // so every replica snapshots identical state at identical sequences —
@@ -330,12 +324,9 @@ fn build_shared(
     metrics.start_window();
     let shared = ReplicaShared {
         id,
-        store,
-        chain,
         metrics,
         executor,
         crypto_stats: provider.stats().clone(),
-        committed_batches: AtomicU64::new(0),
         committed_per_instance: (0..k).map(|_| AtomicU64::new(0)).collect(),
         dropped_bad_sigs: AtomicU64::new(0),
         instance_views: (0..k).map(|_| AtomicU64::new(0)).collect(),
@@ -360,7 +351,7 @@ fn open_storage(
     let store: Arc<dyn StateStore> = Arc::new(MemStore::with_table(config.table_size, 8));
     let (chain_quorum, chain_mode) = match config.protocol {
         ProtocolKind::Pbft => (
-            rdb_common::quorum::commit_quorum(config.f),
+            rdb_common::quorum::commit_quorum(config.f()),
             ChainMode::Certificate,
         ),
         // Zyzzyva's speculative history is itself a hash chain.
@@ -495,7 +486,6 @@ impl WorkerIo {
         let effect = match effect {
             NodeEffect::Propose(input) => return inputs.push_back(input.into()),
             NodeEffect::Committed(instance) => {
-                shared.committed_batches.fetch_add(1, Ordering::Relaxed);
                 shared.committed_per_instance[instance].fetch_add(1, Ordering::Relaxed);
                 return;
             }

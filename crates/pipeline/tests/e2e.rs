@@ -74,7 +74,7 @@ struct Tracker(ClientCore);
 
 impl Tracker {
     fn new(client: &TestClient, cfg: &SystemConfig) -> Self {
-        let core = ClientCore::new(client.id, cfg.protocol, cfg.f, 1, cfg.n, Instant::now());
+        let core = ClientCore::new(client.id, cfg.protocol, 1, cfg.n, Instant::now());
         Tracker(core)
     }
 
@@ -144,7 +144,7 @@ fn pbft_end_to_end_commits_and_replies() {
     std::thread::sleep(Duration::from_millis(300));
     let heads: Vec<u64> = replicas
         .iter()
-        .map(|r| r.shared().chain.lock().head_seq().0)
+        .map(|r| r.shared().executor.chain().lock().head_seq().0)
         .collect();
     assert!(
         heads.iter().all(|h| *h == 5),
@@ -152,14 +152,14 @@ fn pbft_end_to_end_commits_and_replies() {
     );
     let digests: Vec<_> = replicas
         .iter()
-        .map(|r| r.shared().store.state_digest())
+        .map(|r| r.shared().executor.store().state_digest())
         .collect();
     assert!(
         digests.windows(2).all(|w| w[0] == w[1]),
         "stores must agree"
     );
     for r in &replicas {
-        assert!(r.shared().chain.lock().verify().is_ok());
+        assert!(r.shared().executor.chain().lock().verify().is_ok());
     }
     for r in replicas {
         r.shutdown();
@@ -401,10 +401,10 @@ fn run_fixed_workload(threads: ThreadConfig, seed: u64) -> Vec<rdb_common::Diges
     std::thread::sleep(Duration::from_millis(300));
     let digests = replicas
         .iter()
-        .map(|r| r.shared().store.state_digest())
+        .map(|r| r.shared().executor.store().state_digest())
         .collect();
     for r in &replicas {
-        assert!(r.shared().chain.lock().verify().is_ok());
+        assert!(r.shared().executor.chain().lock().verify().is_ok());
     }
     for r in replicas {
         r.shutdown();
@@ -462,7 +462,7 @@ fn checkpoints_prune_the_chain() {
     assert_eq!(completed, 50);
     // Give checkpoints a moment to propagate, then check pruning happened.
     std::thread::sleep(Duration::from_millis(500));
-    let retained = replicas[0].shared().chain.lock().retained();
+    let retained = replicas[0].shared().executor.chain().lock().retained();
     assert!(
         retained < 11,
         "checkpointing should prune old blocks, retained={retained}"

@@ -29,14 +29,14 @@
 //! [`Node::next_due`].
 
 use crate::report::{SimReport, SimStage};
-use crate::service::{Overheads, ServiceModel};
+use crate::service::ServiceModel;
 use rdb_common::messages::{Sender, SignedMessage};
 use rdb_common::{
     ClientId, CryptoScheme, Digest, Message, ReplicaId, SeqNum, SignatureBytes, SystemConfig,
     ThreadConfig, Transaction,
 };
 use rdb_consensus::{ClientCore, ClientEffect, ClientInput};
-use rdb_crypto::{CostModel, KeyRegistry};
+use rdb_crypto::KeyRegistry;
 use rdb_pipeline::{
     client_replies, route, Effect, ExecBackend, ExecuteItem, Input, Node, NodeEffect, NodeInput,
     OutItem, ReplicaCore, Route,
@@ -48,6 +48,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 type Ns = u64;
+
+/// Per-replica NIC bandwidth in Gbit/s.
+const NIC_GBPS: f64 = 10.0;
 
 /// What the simulation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,14 +68,10 @@ pub enum SimMode {
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// The deployment being simulated.
+    /// The deployment being simulated. Its stages are priced by
+    /// [`ServiceModel::new`]: production-library crypto costs and the
+    /// default fixed overheads, behind a 10 Gbit/s NIC per replica.
     pub system: SystemConfig,
-    /// Crypto cost constants (defaults to production-library costs).
-    pub cost: CostModel,
-    /// Fixed stage overheads.
-    pub overheads: Overheads,
-    /// Per-replica NIC bandwidth in Gbit/s.
-    pub bandwidth_gbps: f64,
     /// One-way link latency in microseconds.
     pub link_latency_us: f64,
     /// Number of crashed backups (highest-numbered replicas).
@@ -90,9 +89,6 @@ impl SimConfig {
     pub fn new(system: SystemConfig) -> Self {
         SimConfig {
             system,
-            cost: CostModel::optimized(),
-            overheads: Overheads::default(),
-            bandwidth_gbps: 10.0,
             link_latency_us: 75.0,
             failures: 0,
             warmup_ms: 400,
@@ -292,7 +288,7 @@ fn model_output_threads(t: &ThreadConfig) -> usize {
 impl<'a> Sim<'a> {
     fn new(cfg: &'a SimConfig) -> Self {
         let sys = &cfg.system;
-        let svc = ServiceModel::new(sys, cfg.cost.clone(), cfg.overheads.clone());
+        let svc = ServiceModel::new(sys);
         let n = sys.n;
         let t = &sys.threads;
         let start = Instant::now();
@@ -352,7 +348,7 @@ impl<'a> Sim<'a> {
             SimMode::UpperBound { .. } => Vec::new(),
             SimMode::Consensus => (0..sys.num_clients as u64)
                 .map(|c| Client {
-                    core: ClientCore::new(ClientId(c), sys.protocol, sys.f, k, n, start),
+                    core: ClientCore::new(ClientId(c), sys.protocol, k, n, start),
                     sent_at: 0,
                     tick_at: Ns::MAX,
                     #[cfg(test)]
@@ -497,7 +493,7 @@ impl<'a> Sim<'a> {
         if !self.live(replica) {
             return;
         }
-        let tx_ns = (bytes * 8.0 / self.cfg.bandwidth_gbps).max(1.0) as Ns;
+        let tx_ns = (bytes * 8.0 / NIC_GBPS).max(1.0) as Ns;
         let rep = &mut self.reps[replica];
         let start = rep.nic_busy_until.max(self.now);
         let done = start + tx_ns;
@@ -660,11 +656,11 @@ impl<'a> Sim<'a> {
         let arrival = self.now;
         let per_req = self.svc.input_request()
             + if execute {
-                self.cfg.overheads.store_op_ns * self.cfg.system.ops_per_txn as f64
+                self.svc.over.store_op_ns * self.cfg.system.ops_per_txn as f64
             } else {
                 0.0
             }
-            + self.cfg.overheads.reply_create_ns;
+            + self.svc.over.reply_create_ns;
         self.enqueue(
             0,
             S_WORKER,
@@ -1037,22 +1033,6 @@ mod tests {
             "pipelined {} vs monolithic {}",
             p.throughput_tps,
             m.throughput_tps
-        );
-    }
-
-    /// Execution is priced by `store_op_ns`: at 400 µs an operation, a
-    /// paged store's cost, it binds the whole pipeline.
-    #[test]
-    fn paged_storage_collapses_throughput() {
-        let mem = base(4).run();
-        let mut paged_cfg = base(4);
-        paged_cfg.overheads.store_op_ns = 400_000.0;
-        let paged = paged_cfg.run();
-        assert!(
-            paged.throughput_tps < mem.throughput_tps / 4.0,
-            "paged {} vs mem {}",
-            paged.throughput_tps,
-            mem.throughput_tps
         );
     }
 

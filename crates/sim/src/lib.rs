@@ -4,7 +4,7 @@
 //! to 32 replicas, 80K clients). This crate substitutes that hardware with
 //! a calibrated discrete-event model (the substitution is noted in
 //! ARCHITECTURE.md, "Scope"): per-replica multi-server pipeline stages with
-//! a bounded core pool, a serialized NIC with configurable bandwidth and latency,
+//! a bounded core pool, a serialized 10 Gbit/s NIC, a configurable link latency,
 //! closed-loop clients, and crypto/storage costs priced by
 //! [`rdb_crypto::CostModel`] and [`service::Overheads`].
 //!

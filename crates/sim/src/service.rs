@@ -17,8 +17,9 @@ use rdb_pipeline::Input;
 /// each signature alone).
 const MODEL_VERIFY_WINDOW: usize = 32;
 
-/// Fixed overheads, all in nanoseconds (tunable; defaults represent a
-/// 3.8 GHz core running an optimized build).
+/// Fixed overheads, all in nanoseconds: the default represents a
+/// 3.8 GHz core running an optimized build, and is what
+/// [`ServiceModel::new`] prices with.
 #[derive(Debug, Clone)]
 pub struct Overheads {
     /// Receiving + dispatching one client request at an input thread.
@@ -70,7 +71,7 @@ fn batch_bytes(txns: usize, txn_bytes: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct ServiceModel {
     cost: CostModel,
-    over: Overheads,
+    pub(crate) over: Overheads,
     scheme: CryptoScheme,
     protocol: ProtocolKind,
     /// Transactions per batch.
@@ -94,8 +95,9 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Builds the model for `config` with the given crypto cost model.
-    pub fn new(config: &SystemConfig, cost: CostModel, over: Overheads) -> Self {
+    /// Builds the model for `config`, priced with production-library
+    /// crypto costs ([`CostModel::optimized`]) and the default overheads.
+    pub fn new(config: &SystemConfig) -> Self {
         let value_size = 8;
         let op_bytes = 13 + value_size;
         let txn_bytes = 24 + config.ops_per_txn * op_bytes + 4 + config.payload_bytes;
@@ -107,11 +109,11 @@ impl ServiceModel {
             CryptoScheme::Rsa => 128,
         };
         let vote_bytes = 16 + 8 + 8 + 32 + sig;
-        let q = rdb_common::quorum::zyzzyva_cc_quorum(config.f);
+        let q = rdb_common::quorum::zyzzyva_cc_quorum(config.f());
         let cc_bytes = 16 + 8 + 8 + 32 + q * (4 + sig.max(16)) + 8;
         ServiceModel {
-            cost,
-            over,
+            cost: CostModel::optimized(),
+            over: Overheads::default(),
             scheme: config.crypto,
             protocol: config.protocol,
             batch_size: config.batch_size,
@@ -282,7 +284,7 @@ mod tests {
     fn model(mutate: impl FnOnce(&mut SystemConfig)) -> ServiceModel {
         let mut cfg = SystemConfig::new(16).unwrap();
         mutate(&mut cfg);
-        ServiceModel::new(&cfg, CostModel::optimized(), Overheads::default())
+        ServiceModel::new(&cfg)
     }
 
     #[test]
@@ -324,19 +326,6 @@ mod tests {
         assert!(is_two_fifths(m.reply_batch(40), m.reply_batch(100)));
         // A full batch prices as the whole configured batch.
         assert_eq!(batch_bytes(100, m.txn_bytes), m.batch_bytes);
-    }
-
-    #[test]
-    fn paged_storage_dominates_execution() {
-        let cfg = SystemConfig::new(16).unwrap();
-        let mem = model(|_| {});
-        // 400 µs an operation: an API call, page fetch and journaled write.
-        let paged = Overheads {
-            store_op_ns: 400_000.0,
-            ..Overheads::default()
-        };
-        let paged = ServiceModel::new(&cfg, CostModel::optimized(), paged);
-        assert!(paged.execute_batch(100) > mem.execute_batch(100) * 100.0);
     }
 
     #[test]

@@ -432,7 +432,6 @@ fn durable_tcp_cluster(
         opts.system.batch_size = 5;
         opts.system.checkpoint_interval = 4 * 5;
         opts.system.table_size = 128;
-        opts.client_keys = 1;
         opts.system.num_clients = 1;
         opts.system.view_timeout_ms = 400;
         opts.system.durability.data_dir = Some(dir.to_str().expect("utf-8 temp dir").into());
@@ -466,7 +465,6 @@ fn restarts_from_its_data_directory(protocol: ProtocolKind) {
         &client_net,
         &registry_for(&opts),
         opts.system.protocol,
-        opts.system.f,
         opts.system.consensus_instances,
         opts.system.n,
     );
@@ -507,11 +505,11 @@ fn restarts_from_its_data_directory(protocol: ProtocolKind) {
     nodes.insert(victim, reborn);
     let head_of = |node: &ReplicaNode| -> (u64, Digest, Digest) {
         let shared = node.shared();
-        let chain = shared.chain.lock();
+        let chain = shared.executor.chain().lock();
         (
             chain.head().seq.0,
             chain.head().result_digest,
-            shared.store.state_digest(),
+            shared.executor.store().state_digest(),
         )
     };
     let deadline = Instant::now() + wait();
